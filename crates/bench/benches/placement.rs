@@ -144,13 +144,17 @@ fn radix_body(smoke: bool) -> impl FnOnce(&M4Ctx) -> u64 + Send + 'static {
 /// inert for simulated time either way).
 fn run_service_cell(smoke: bool, on: bool) -> Cell {
     // A rate the 4-node deployment absorbs without tripping the
-    // enqueue dead-shard fallback, hot-key zipfian skew.
+    // enqueue dead-shard fallback, hot-key zipfian skew. The off and on
+    // cells differ in timing, so their digests are compared on the
+    // conflict-free form of the schedule (needs keys >= requests), where
+    // parity is implied by correctness.
     let procs = 8;
     let sched = if smoke {
-        schedule(&TrafficConfig::zipfian(7, 150, 128, 1_500_000))
+        schedule(&TrafficConfig::zipfian(7, 150, 256, 1_500_000))
     } else {
-        schedule(&TrafficConfig::zipfian(7, 600, 512, 1_500_000))
-    };
+        schedule(&TrafficConfig::zipfian(7, 600, 1024, 1_500_000))
+    }
+    .conflict_free();
     let cluster = Cluster::build(cluster_for(procs));
     let rt = CablesRt::new(Arc::clone(&cluster), kernel_cfg(on, procs.div_ceil(2)));
     rt.svm().set_obs(true);

@@ -713,6 +713,75 @@ impl ClusterMem {
         }
     }
 
+    /// Typed [`ClusterMem::read_page_run`]: decodes `out.len()` scalars
+    /// straight out of the frame. The run must not leave `addr`'s page.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`Fault`] (decoding nothing) if the page is unmapped or
+    /// `Prot::None`.
+    pub fn read_scalar_run<T: Scalar>(
+        &self,
+        node: NodeId,
+        addr: GAddr,
+        out: &mut [T],
+    ) -> Result<(), Fault> {
+        let page = addr.page();
+        let off = addr.page_offset() as usize;
+        match self.lookup(node, page) {
+            Some((_, prot, slot)) if prot != Prot::None => {
+                let data = slot.data.lock();
+                let bytes = &data[off..off + out.len() * T::SIZE];
+                for (v, b) in out.iter_mut().zip(bytes.chunks_exact(T::SIZE)) {
+                    *v = T::load(b);
+                }
+                Ok(())
+            }
+            _ => {
+                self.record_fault(node);
+                Err(Fault {
+                    node,
+                    page,
+                    kind: FaultKind::Read,
+                })
+            }
+        }
+    }
+
+    /// Typed [`ClusterMem::write_page_run`]: encodes `data` straight into
+    /// the frame. The run must not leave `addr`'s page.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`Fault`] (writing nothing) if the page is not writable.
+    pub fn write_scalar_run<T: Scalar>(
+        &self,
+        node: NodeId,
+        addr: GAddr,
+        data: &[T],
+    ) -> Result<(), Fault> {
+        let page = addr.page();
+        let off = addr.page_offset() as usize;
+        match self.lookup(node, page) {
+            Some((_, Prot::ReadWrite, slot)) => {
+                let mut buf = slot.data.lock();
+                let bytes = &mut buf[off..off + data.len() * T::SIZE];
+                for (v, b) in data.iter().zip(bytes.chunks_exact_mut(T::SIZE)) {
+                    v.store(b);
+                }
+                Ok(())
+            }
+            _ => {
+                self.record_fault(node);
+                Err(Fault {
+                    node,
+                    page,
+                    kind: FaultKind::Write,
+                })
+            }
+        }
+    }
+
     /// Write-side counterpart of [`ClusterMem::read_page_run`]: one
     /// translation, one `memcpy`, bytes written clamped to `addr`'s page.
     ///
@@ -1135,5 +1204,37 @@ mod tests {
         let addr = GAddr::new(PAGE_SIZE - 8);
         let n = m.write_page_run(NodeId(0), addr, &[1u8; 64]).unwrap();
         assert_eq!(n, 8);
+    }
+
+    #[test]
+    fn scalar_runs_agree_with_byte_runs_and_fault_alike() {
+        let m = mem();
+        let f = m.alloc_frame(NodeId(0)).unwrap();
+        m.map_page(NodeId(0), PageNum::new(0), f, Prot::ReadWrite);
+        let addr = GAddr::new(PAGE_SIZE - 32);
+        let vals = [1.5f64, -2.25, f64::MAX, 0.0];
+        m.write_scalar_run(NodeId(0), addr, &vals).unwrap();
+        let mut bytes = [0u8; 32];
+        m.read_page_run(NodeId(0), addr, &mut bytes).unwrap();
+        for (v, b) in vals.iter().zip(bytes.chunks_exact(8)) {
+            assert_eq!(v.to_le_bytes(), b);
+        }
+        let mut back = [0.0f64; 4];
+        m.read_scalar_run(NodeId(0), addr, &mut back).unwrap();
+        assert_eq!(back, vals);
+
+        // Read-only: reads pass, writes fault and write nothing.
+        m.set_prot(NodeId(0), PageNum::new(0), Prot::Read).unwrap();
+        let faults = m.stats(NodeId(0)).faults;
+        let e = m.write_scalar_run(NodeId(0), addr, &[9.0f64]).unwrap_err();
+        assert_eq!((e.page, e.kind), (PageNum::new(0), FaultKind::Write));
+        m.read_scalar_run(NodeId(0), addr, &mut back).unwrap();
+        assert_eq!(back, vals);
+        // Unmapped: the read faults, and every fault is counted.
+        let e = m
+            .read_scalar_run(NodeId(0), GAddr::new(PAGE_SIZE), &mut back)
+            .unwrap_err();
+        assert_eq!((e.page, e.kind), (PageNum::new(1), FaultKind::Read));
+        assert_eq!(m.stats(NodeId(0)).faults, faults + 2);
     }
 }

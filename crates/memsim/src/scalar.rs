@@ -27,9 +27,11 @@ macro_rules! impl_scalar {
         impl private::Sealed for $t {}
         impl Scalar for $t {
             const SIZE: usize = std::mem::size_of::<$t>();
+            #[inline]
             fn store(self, out: &mut [u8]) {
                 out.copy_from_slice(&self.to_le_bytes());
             }
+            #[inline]
             fn load(bytes: &[u8]) -> Self {
                 let mut buf = [0u8; std::mem::size_of::<$t>()];
                 buf.copy_from_slice(bytes);
@@ -44,9 +46,11 @@ impl_scalar!(u8, i8, u16, i16, u32, i32, u64, i64, f32, f64);
 impl private::Sealed for usize {}
 impl Scalar for usize {
     const SIZE: usize = 8;
+    #[inline]
     fn store(self, out: &mut [u8]) {
         out.copy_from_slice(&(self as u64).to_le_bytes());
     }
+    #[inline]
     fn load(bytes: &[u8]) -> Self {
         let mut buf = [0u8; 8];
         buf.copy_from_slice(bytes);
@@ -57,9 +61,11 @@ impl Scalar for usize {
 impl private::Sealed for bool {}
 impl Scalar for bool {
     const SIZE: usize = 1;
+    #[inline]
     fn store(self, out: &mut [u8]) {
         out[0] = self as u8;
     }
+    #[inline]
     fn load(bytes: &[u8]) -> Self {
         bytes[0] != 0
     }

@@ -1350,9 +1350,7 @@ impl SvmSystem {
             if let Some(dirty) = copy.dirty.as_mut() {
                 let first = addr.page_offset() / 8;
                 let last = (addr.page_offset() + len - 1) / 8;
-                for w in first..=last {
-                    dirty[(w / 64) as usize] |= 1u64 << (w % 64);
-                }
+                set_dirty_words(dirty, first, last);
             }
         }
     }
@@ -2217,22 +2215,24 @@ impl SvmSystem {
         sim.advance(self.cluster.vmmc.config().extend_op_ns);
 
         // Pull current contents: from the local (current) copy when one
-        // exists, otherwise fetched from the old home.
+        // exists, otherwise fetched from the old home. An invalidated
+        // page keeps its frame mapped (`Prot::None`) but has no copy
+        // entry: its stale bytes must not become the new home's.
         for i in 0..gran {
             let idx = base.index() + i;
             let new_frame = frames[i as usize];
-            let local = self
-                .cluster
-                .mem
-                .translate(node, PageNum::new(idx))
-                .map(|(f, _)| f);
-            let (old_region, old_off, in_dir) = {
+            let (old_region, old_off, in_dir, have_copy) = {
                 let st = self.state.lock();
+                let have_copy = st.nodes[node.0 as usize].copies.contains_key(&idx);
                 match st.dir.get(&idx) {
-                    Some(d) => (d.region, d.region_off, true),
-                    None => (region, 0, false),
+                    Some(d) => (d.region, d.region_off, true, have_copy),
+                    None => (region, 0, false, have_copy),
                 }
             };
+            let local = have_copy
+                .then(|| self.cluster.mem.translate(node, PageNum::new(idx)))
+                .flatten()
+                .map(|(f, _)| f);
             match local {
                 Some(f) => self.cluster.mem.copy_frame(f, new_frame),
                 None if in_dir => {
@@ -2356,23 +2356,40 @@ impl SvmSystem {
     }
 }
 
+/// Sets bits `first..=last` of a dirty bitmap, one bitmap word at a time.
+fn set_dirty_words(dirty: &mut [u64; BITMAP_WORDS], first: u64, last: u64) {
+    for i in first / 64..=last / 64 {
+        let lo = if i == first / 64 { first % 64 } else { 0 };
+        let hi = if i == last / 64 { last % 64 } else { 63 };
+        dirty[i as usize] |= (u64::MAX >> (63 - hi)) & (u64::MAX << lo);
+    }
+}
+
 /// Decodes a dirty bitmap into half-open word ranges `(first, last+1)`.
 pub(crate) fn dirty_runs(bitmap: &[u64; BITMAP_WORDS]) -> Vec<(u64, u64)> {
+    let total = WORDS_PER_PAGE as u64;
     let mut runs = Vec::new();
-    let mut start: Option<u64> = None;
-    for w in 0..WORDS_PER_PAGE as u64 {
-        let set = bitmap[(w / 64) as usize] >> (w % 64) & 1 == 1;
-        match (set, start) {
-            (true, None) => start = Some(w),
-            (false, Some(s)) => {
-                runs.push((s, w));
-                start = None;
-            }
-            _ => {}
+    let mut w = 0u64;
+    while w < total {
+        // Skip clear bits, one bitmap word at a time.
+        let rest = bitmap[(w / 64) as usize] >> (w % 64);
+        if rest == 0 {
+            w = (w / 64 + 1) * 64;
+            continue;
         }
-    }
-    if let Some(s) = start {
-        runs.push((s, WORDS_PER_PAGE as u64));
+        w += u64::from(rest.trailing_zeros());
+        let start = w;
+        // Then the set bits; a run may continue into the next word.
+        while w < total {
+            let left = 64 - w % 64;
+            let clear = !bitmap[(w / 64) as usize] >> (w % 64);
+            let ones = u64::from(clear.trailing_zeros()).min(left);
+            w += ones;
+            if ones < left {
+                break;
+            }
+        }
+        runs.push((start, w));
     }
     runs
 }
@@ -2443,26 +2460,23 @@ impl SvmSystem {
         let a = self.cfg.costs.access_check_ns;
         let node = sim.node();
         let total = out.len() * T::SIZE;
-        let mut buf = [0u8; PAGE_SIZE as usize];
         let mut off = 0usize;
         while off < total {
             let run_addr = addr + off as u64;
             let n = (total - off).min((PAGE_SIZE - run_addr.page_offset()) as usize);
             let k = (n / T::SIZE) as u64;
+            let run = &mut out[off / T::SIZE..(off + n) / T::SIZE];
             // One access check up front so a fault is charged exactly as
             // the scalar path charges it; the remaining k-1 checks follow
             // the successful copy.
             sim.advance(a);
             loop {
-                match self.cluster.mem.read_page_run(node, run_addr, &mut buf[..n]) {
-                    Ok(_) => break,
+                match self.cluster.mem.read_scalar_run(node, run_addr, run) {
+                    Ok(()) => break,
                     Err(f) => self.handle_fault(sim, f.page, f.kind),
                 }
             }
             sim.advance((k - 1) * a);
-            for i in 0..k as usize {
-                out[off / T::SIZE + i] = T::load(&buf[i * T::SIZE..(i + 1) * T::SIZE]);
-            }
             off += n;
         }
     }
@@ -2489,19 +2503,16 @@ impl SvmSystem {
         let a = self.cfg.costs.access_check_ns;
         let node = sim.node();
         let total = data.len() * T::SIZE;
-        let mut buf = [0u8; PAGE_SIZE as usize];
         let mut off = 0usize;
         while off < total {
             let run_addr = addr + off as u64;
             let n = (total - off).min((PAGE_SIZE - run_addr.page_offset()) as usize);
             let k = (n / T::SIZE) as u64;
-            for i in 0..k as usize {
-                data[off / T::SIZE + i].store(&mut buf[i * T::SIZE..(i + 1) * T::SIZE]);
-            }
+            let run = &data[off / T::SIZE..(off + n) / T::SIZE];
             sim.advance(a);
             loop {
-                match self.cluster.mem.write_page_run(node, run_addr, &buf[..n]) {
-                    Ok(_) => break,
+                match self.cluster.mem.write_scalar_run(node, run_addr, run) {
+                    Ok(()) => break,
                     Err(f) => self.handle_fault(sim, f.page, f.kind),
                 }
             }
@@ -2598,6 +2609,61 @@ mod tests {
         let last = WORDS_PER_PAGE as u64 - 1;
         bm[(last / 64) as usize] |= 1 << (last % 64);
         assert_eq!(dirty_runs(&bm), vec![(last, last + 1)]);
+    }
+
+    /// The bit-at-a-time definitions the word-at-a-time code must match.
+    fn runs_bitwise(bitmap: &[u64; BITMAP_WORDS]) -> Vec<(u64, u64)> {
+        let mut runs = Vec::new();
+        let mut start = None;
+        for w in 0..=WORDS_PER_PAGE as u64 {
+            let set =
+                w < WORDS_PER_PAGE as u64 && bitmap[(w / 64) as usize] >> (w % 64) & 1 == 1;
+            match (set, start) {
+                (true, None) => start = Some(w),
+                (false, Some(s)) => {
+                    runs.push((s, w));
+                    start = None;
+                }
+                _ => {}
+            }
+        }
+        runs
+    }
+
+    #[test]
+    fn dirty_words_and_runs_match_bitwise_definitions() {
+        let last_word = WORDS_PER_PAGE as u64 - 1;
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut acc = [0u64; BITMAP_WORDS];
+        for round in 0..2_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let first = x % (last_word + 1);
+            // Short spans, word-crossing spans, and spans to the page end.
+            let len = match round % 3 {
+                0 => (x >> 20) % 4,
+                1 => (x >> 20) % 200,
+                _ => last_word,
+            };
+            let last = (first + len).min(last_word);
+            let mut got = [0u64; BITMAP_WORDS];
+            set_dirty_words(&mut got, first, last);
+            let mut want = [0u64; BITMAP_WORDS];
+            for w in first..=last {
+                want[(w / 64) as usize] |= 1u64 << (w % 64);
+            }
+            assert_eq!(got, want, "span {first}..={last}");
+            assert_eq!(dirty_runs(&got), vec![(first, last + 1)]);
+            // Accumulate a few spans into one bitmap, then start over.
+            if round % 7 == 0 {
+                acc = [0; BITMAP_WORDS];
+            }
+            set_dirty_words(&mut acc, first, last.min(first + 9));
+            assert_eq!(dirty_runs(&acc), runs_bitwise(&acc));
+        }
+        let full = [u64::MAX; BITMAP_WORDS];
+        assert_eq!(dirty_runs(&full), vec![(0, WORDS_PER_PAGE as u64)]);
     }
 
     #[test]

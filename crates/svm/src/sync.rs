@@ -191,6 +191,10 @@ impl SvmSystem {
         self.crash_check(sim);
         self.release(sim);
         sim.op_point(self.cfg.costs.lock_local_ns);
+        // The release takes simulated time: the node may have crashed
+        // during the flush, and recovery then already passed this lock on
+        // — the casualty must die here, not trip the holder check below.
+        self.crash_check(sim);
         let node = sim.node();
 
         let next = {

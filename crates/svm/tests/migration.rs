@@ -138,3 +138,52 @@ fn ping_pong_writers_do_not_thrash_migration() {
         })
         .unwrap();
 }
+
+#[test]
+fn migration_does_not_resurrect_an_invalidated_copy() {
+    // Node 1 caches page A, node 0 (its home) then rewrites it, and node
+    // 1's next acquire invalidates the copy — the frame stays mapped
+    // (`Prot::None`) with the old bytes. When node 1 then earns the
+    // chunk by writing its neighbour page B, the migration must pull A
+    // from the old home, not from that dead frame.
+    let cluster = Cluster::build(ClusterConfig::small(2, 1));
+    let sys = SvmSystem::new(Arc::clone(&cluster), cables_cfg(Some(2)));
+    let s2 = Arc::clone(&sys);
+    cluster
+        .engine
+        .clone()
+        .run(cluster.nodes()[0], move |sim| {
+            let a = s2.g_malloc(sim, 2 * 4096);
+            let b = a + 4096;
+            s2.write::<u64>(sim, a, 1);
+            s2.write::<u64>(sim, b, 0);
+            let s3 = Arc::clone(&s2);
+            let cacher = s2.create(sim, move |ws| {
+                s3.lock(ws, 1);
+                assert_eq!(s3.read::<u64>(ws, a), 1);
+                s3.unlock(ws, 1);
+            });
+            sim.wait_exit(cacher);
+            s2.lock(sim, 1);
+            s2.write::<u64>(sim, a, 2);
+            s2.unlock(sim, 1);
+            // Creation is round-robin over processors: burn node 0's turn
+            // so the migrator lands on node 1 again.
+            let filler = s2.create(sim, |_| {});
+            sim.wait_exit(filler);
+            let s3 = Arc::clone(&s2);
+            let migrator = s2.create(sim, move |ws| {
+                for r in 0..6u64 {
+                    s3.lock(ws, 1);
+                    s3.write::<u64>(ws, b, r);
+                    s3.unlock(ws, 1);
+                }
+                s3.lock(ws, 1);
+                assert_eq!(s3.read::<u64>(ws, a), 2, "stale bytes became the new home");
+                s3.unlock(ws, 1);
+            });
+            sim.wait_exit(migrator);
+            assert!(s2.node_stats(cluster.nodes()[1]).migrations >= 1);
+        })
+        .unwrap();
+}

@@ -303,6 +303,43 @@ impl Schedule {
     pub fn horizon_ns(&self) -> u64 {
         self.requests.iter().map(|r| r.arrival_ns).max().unwrap_or(0)
     }
+
+    /// This schedule with every key touched by at most one request: a
+    /// request whose key an earlier one already took moves to the next
+    /// free key (cyclically), and scans — which touch a key range —
+    /// become gets. Ids, arrivals, clients and the other ops are kept.
+    ///
+    /// No two requests then share state, so each response is a function
+    /// of the request alone and any *correct* execution — whatever its
+    /// timing, worker count or protocol options — produces the same
+    /// response table. That makes response digests comparable across
+    /// different configurations, which a schedule with same-key
+    /// conflicts does not (there only same-config replay is
+    /// bit-identical). `config` still names the generating config;
+    /// calling [`schedule`] on it reproduces the conflicting original.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `keys >= requests`.
+    pub fn conflict_free(mut self) -> Schedule {
+        let keys = self.config.keys;
+        assert!(
+            keys >= self.requests.len() as u64,
+            "conflict-free schedule needs keys >= requests ({keys} < {})",
+            self.requests.len()
+        );
+        let mut taken = std::collections::HashSet::with_capacity(self.requests.len());
+        for r in &mut self.requests {
+            while !taken.insert(r.key) {
+                r.key = (r.key + 1) % keys;
+            }
+            if r.op == OpKind::Scan {
+                r.op = OpKind::Get;
+                r.scan_len = 0;
+            }
+        }
+        self
+    }
 }
 
 /// Bounded zipfian sampler over ranks `0..n` (Gray et al., "Quickly
@@ -578,6 +615,30 @@ mod tests {
         let p = hits as f64 / n as f64;
         let want = z.probability(0);
         assert!((p - want).abs() / want < 0.15, "p {p} vs theory {want}");
+    }
+
+    #[test]
+    fn conflict_free_touches_each_key_once() {
+        // Zipfian at keys == requests: the worst case for remapping (hot
+        // keys repeat, and every key ends up taken).
+        let orig = schedule(&TrafficConfig::zipfian(5, 300, 300, 1_000_000));
+        assert!(orig.op_counts()[3] > 0, "the original has scans to convert");
+        let cf = orig.clone().conflict_free();
+        let mut keys: Vec<u64> = cf.requests.iter().map(|r| r.key).collect();
+        keys.sort_unstable();
+        assert_eq!(keys, (0..300).collect::<Vec<u64>>());
+        assert_eq!(cf.op_counts()[3], 0);
+        for (a, b) in orig.requests.iter().zip(&cf.requests) {
+            assert_eq!((a.id, a.arrival_ns, a.client), (b.id, b.arrival_ns, b.client));
+            assert!(b.scan_len == 0 && (a.op == b.op || a.op == OpKind::Scan));
+        }
+        assert_eq!(cf.clone().conflict_free(), cf, "idempotent");
+    }
+
+    #[test]
+    #[should_panic(expected = "keys >= requests")]
+    fn conflict_free_rejects_a_too_small_keyspace() {
+        let _ = schedule(&TrafficConfig::uniform(5, 65, 64, 1_000_000)).conflict_free();
     }
 
     #[test]

@@ -29,6 +29,11 @@ if [[ "${1:-}" == "--smoke" ]]; then
         echo "==> cargo bench --bench $bench -- --test"
         cargo bench $CARGO_FLAGS -p cables-bench --bench "$bench" -- --test
     done
+    # The benchmark (BENCHMARK.json) is a crate of its own: every workload
+    # twice at smoke size, all simulated metrics, counts and digests must
+    # agree bit for bit.
+    echo "==> benchmark --check"
+    cargo run $CARGO_FLAGS --release --manifest-path benchmark/Cargo.toml -- --check
     # Every BENCH artifact must parse against the repo's own JSON
     # grammar (obs::json, via cablestat) — the same validator the diff
     # gate relies on. The NDJSON metric streams the obs_report and
