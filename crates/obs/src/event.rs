@@ -255,14 +255,13 @@ impl ServiceOp {
 
 /// A typed observability event.
 ///
-/// The first six variants mirror the legacy `svm::TraceEvent` instants
-/// one-for-one (the old bounded ring buffer is now routed through this
-/// bus); the rest are spans and instants emitted by the other layers.
+/// The first six variants are the SVM protocol's instants; the rest are
+/// spans and instants emitted by the other layers.
 /// Addresses and pages are carried as raw `u64` so this crate depends on
 /// nothing above `sim`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Event {
-    // ---- SVM protocol instants (the legacy trace.rs taxonomy) ----
+    // ---- SVM protocol instants ----
     /// A read or write fault on `page`.
     Fault {
         /// Faulting page index.
@@ -570,21 +569,6 @@ pub enum Event {
 }
 
 impl Event {
-    /// True for the six legacy protocol instants that the deprecated
-    /// `svm::trace` ring buffer recorded; `take_trace` drains exactly
-    /// these.
-    pub const fn is_proto_instant(&self) -> bool {
-        matches!(
-            self,
-            Event::Fault { .. }
-                | Event::Place { .. }
-                | Event::Fetch { .. }
-                | Event::Diff { .. }
-                | Event::Invalidate { .. }
-                | Event::Migrate { .. }
-        )
-    }
-
     /// Stable dotted kind name (`layer.kind`), used for aggregate keys,
     /// Chrome-trace event names and the paper-table reporter.
     pub const fn kind_name(&self) -> &'static str {
@@ -848,14 +832,6 @@ mod tests {
         for (i, l) in Layer::ALL.iter().enumerate() {
             assert_eq!(l.index(), i);
         }
-    }
-
-    #[test]
-    fn proto_instants_are_exactly_the_legacy_six() {
-        assert!(Event::Fault { page: 0, write: false }.is_proto_instant());
-        assert!(Event::Migrate { base: 0 }.is_proto_instant());
-        assert!(!Event::FaultSpan { page: 0, write: false }.is_proto_instant());
-        assert!(!Event::SanSend { to: 0, bytes: 4 }.is_proto_instant());
     }
 
     #[test]

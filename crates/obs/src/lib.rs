@@ -91,19 +91,11 @@ struct SinkInner {
 /// The shared observability sink: one per cluster, reachable from every
 /// layer.
 ///
-/// Two independent toggles:
-///
-/// - [`ObsSink::set_enabled`] — the full observability layer (all events
-///   + metrics). Off by default.
-/// - [`ObsSink::set_proto_trace`] — the legacy `svm::set_tracing` channel:
-///   records only the six protocol instants, no metrics. Kept so the
-///   deprecated ring-buffer API stays source-compatible.
-///
-/// Hot paths call [`ObsSink::on`]/[`ObsSink::proto_on`] (one relaxed
-/// atomic load) before building an event.
+/// One toggle, [`ObsSink::set_enabled`] (all events + metrics), off by
+/// default. Hot paths call [`ObsSink::on`] (one relaxed atomic load)
+/// before building an event.
 pub struct ObsSink {
     enabled: AtomicBool,
-    proto_trace: AtomicBool,
     cap: usize,
     dropped: AtomicU64,
     /// Series window width in simulated ns; 0 = no series running. The
@@ -118,7 +110,6 @@ impl std::fmt::Debug for ObsSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ObsSink")
             .field("enabled", &self.on())
-            .field("proto_trace", &self.proto_trace.load(Ordering::Relaxed))
             .field("events", &self.inner.lock().events.len())
             .finish()
     }
@@ -140,7 +131,6 @@ impl ObsSink {
     pub fn with_capacity(cap: usize) -> Self {
         ObsSink {
             enabled: AtomicBool::new(false),
-            proto_trace: AtomicBool::new(false),
             cap,
             dropped: AtomicU64::new(0),
             sample_ns: AtomicU64::new(0),
@@ -159,30 +149,10 @@ impl ObsSink {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Whether protocol instants should be recorded — true when full
-    /// observability *or* the legacy tracing channel is on.
-    #[inline]
-    pub fn proto_on(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed) || self.proto_trace.load(Ordering::Relaxed)
-    }
-
     /// Enables or disables full observability. Disabling keeps already
     /// recorded data (call [`ObsSink::clear`] to discard it).
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Toggles the legacy protocol-trace channel. Turning it off clears
-    /// the recorded protocol instants (the historical `set_tracing(false)`
-    /// contract).
-    pub fn set_proto_trace(&self, on: bool) {
-        self.proto_trace.store(on, Ordering::Relaxed);
-        if !on {
-            self.inner
-                .lock()
-                .events
-                .retain(|r| !r.event.is_proto_instant());
-        }
     }
 
     /// Records a span of `dur_ns` simulated nanoseconds starting at `at`.
@@ -195,25 +165,21 @@ impl ObsSink {
         dur_ns: u64,
         event: Event,
     ) {
-        let full = self.enabled.load(Ordering::Relaxed);
-        let legacy = event.is_proto_instant() && self.proto_trace.load(Ordering::Relaxed);
-        if !full && !legacy {
+        if !self.on() {
             return;
         }
         let mut g = self.inner.lock();
-        if full {
-            if self.sample_ns.load(Ordering::Relaxed) != 0 {
-                // Streaming: cut the window *before* aggregating, so this
-                // event lands in the window containing its completion,
-                // then charge it to the live stall mix.
-                let end_ns = at.as_nanos().saturating_add(dur_ns);
-                self.series_roll_locked(&mut g, end_ns);
-                if let Some(st) = g.series.as_mut() {
-                    st.classify(node.0, track, at.as_nanos(), dur_ns, &event);
-                }
+        if self.sample_ns.load(Ordering::Relaxed) != 0 {
+            // Streaming: cut the window *before* aggregating, so this
+            // event lands in the window containing its completion,
+            // then charge it to the live stall mix.
+            let end_ns = at.as_nanos().saturating_add(dur_ns);
+            self.series_roll_locked(&mut g, end_ns);
+            if let Some(st) = g.series.as_mut() {
+                st.classify(node.0, track, at.as_nanos(), dur_ns, &event);
             }
-            g.registry.aggregate(layer, node.0, dur_ns, &event);
         }
+        g.registry.aggregate(layer, node.0, dur_ns, &event);
         if g.events.len() >= self.cap {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return;
@@ -296,24 +262,6 @@ impl ObsSink {
         std::mem::take(&mut self.inner.lock().events)
     }
 
-    /// Drains only the six legacy protocol instants (in recording order),
-    /// leaving everything else buffered — the backing store of the
-    /// deprecated `svm` `take_trace` API.
-    pub fn take_proto_events(&self) -> Vec<EventRecord> {
-        let mut g = self.inner.lock();
-        let mut taken = Vec::new();
-        let mut kept = Vec::with_capacity(g.events.len());
-        for r in g.events.drain(..) {
-            if r.event.is_proto_instant() {
-                taken.push(r);
-            } else {
-                kept.push(r);
-            }
-        }
-        g.events = kept;
-        taken
-    }
-
     /// A deterministic snapshot of every metric registry.
     pub fn snapshot(&self) -> MetricsSnapshot {
         self.inner
@@ -323,7 +271,7 @@ impl ObsSink {
     }
 
     /// Discards all recorded events and metrics and resets the dropped
-    /// counter (the toggles are left as they are). An active series is
+    /// counter (the toggle is left as it is). An active series is
     /// abandoned (its ring keeps whatever frames were already cut).
     pub fn clear(&self) {
         let mut g = self.inner.lock();
@@ -440,50 +388,6 @@ mod tests {
         );
         assert!(sink.events().is_empty());
         assert_eq!(sink.snapshot().nodes.len(), 0);
-    }
-
-    #[test]
-    fn proto_trace_channel_records_only_proto_instants() {
-        let sink = ObsSink::new();
-        sink.set_proto_trace(true);
-        rec(&sink, 10, Event::Fault { page: 1, write: true });
-        sink.span(
-            Layer::San,
-            NodeId(0),
-            NIC_TRACK,
-            SimTime::ZERO,
-            100,
-            Event::SanSend { to: 1, bytes: 4 },
-        );
-        let evs = sink.events();
-        assert_eq!(evs.len(), 1);
-        assert!(evs[0].event.is_proto_instant());
-        // The legacy channel does not feed the registries.
-        assert_eq!(sink.snapshot().nodes.len(), 0);
-        // Turning tracing off clears the proto instants.
-        sink.set_proto_trace(false);
-        assert!(sink.events().is_empty());
-    }
-
-    #[test]
-    fn take_proto_events_leaves_other_events() {
-        let sink = ObsSink::new();
-        sink.set_enabled(true);
-        rec(&sink, 10, Event::Fault { page: 1, write: true });
-        sink.span(
-            Layer::San,
-            NodeId(0),
-            NIC_TRACK,
-            SimTime::from_nanos(20),
-            100,
-            Event::SanSend { to: 1, bytes: 4 },
-        );
-        rec(&sink, 30, Event::Diff { page: 1, bytes: 64 });
-        let proto = sink.take_proto_events();
-        assert_eq!(proto.len(), 2);
-        let rest = sink.events();
-        assert_eq!(rest.len(), 1);
-        assert_eq!(rest[0].event.kind_name(), "san.send");
     }
 
     #[test]

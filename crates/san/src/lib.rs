@@ -31,7 +31,7 @@ use std::sync::{Arc, OnceLock};
 
 use chaos::{ChaosEngine, WireOutcome};
 use obs::{EdgeKind, Event, Layer, ObsSink, NIC_TRACK};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use serde::{Deserialize, Serialize};
 use sim::{NodeId, SimTime};
 
@@ -250,10 +250,17 @@ impl San {
 
     /// Ensures NIC state exists for nodes `0..=node`.
     pub fn ensure_node(&self, node: NodeId) {
+        drop(self.nics(node, node));
+    }
+
+    /// Locks the NIC table, grown to cover both endpoints of a transfer.
+    fn nics(&self, from: NodeId, to: NodeId) -> MutexGuard<'_, Vec<NicEntry>> {
         let mut s = self.state.lock();
-        while s.len() <= node.0 as usize {
+        let need = from.0.max(to.0) as usize;
+        while s.len() <= need {
             s.push(NicEntry::default());
         }
+        s
     }
 
     /// Traffic counters for `node`.
@@ -262,38 +269,38 @@ impl San {
         s.get(node.0 as usize).map(|e| e.traffic).unwrap_or_default()
     }
 
-    /// A one-way data send of `bytes` from `from` to `to`, issued at `now`.
-    ///
-    /// Returns `(local_done, arrival)`: the sender's CPU is free at
-    /// `local_done` (after handing the message to the NIC) while the data
-    /// lands in remote memory at `arrival`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from == to`; local transfers never touch the SAN.
-    pub fn send(&self, from: NodeId, to: NodeId, bytes: u64, now: SimTime) -> SendTiming {
+    /// The one one-way data message: `wire_bytes` on the wire, landing
+    /// `latency_ns` after injection. Owns the wire cost of every send —
+    /// sender NIC occupancy chaining, receive-side serialisation, wire
+    /// faults, traffic accounting and the obs span + edge. The callers
+    /// differ only in how they price the latency.
+    fn one_way(
+        &self,
+        from: NodeId,
+        to: NodeId,
+        wire_bytes: u64,
+        latency_ns: u64,
+        now: SimTime,
+    ) -> SendTiming {
         assert_ne!(from, to, "SAN send to self");
         // Drops cost retransmission timeouts (reliable transport over a
         // lossy wire), duplicates burn receive occupancy — never data.
         let chw = self.wire_outcome(from, to, now, true);
-        let mut s = self.state.lock();
-        let need = from.0.max(to.0) as usize;
-        while s.len() <= need {
-            s.push(NicEntry::default());
-        }
-        let occ = self.cfg.occupancy_ns(bytes);
+        let dups = chw.duplicates as u64;
+        let mut s = self.nics(from, to);
+        let occ = self.cfg.occupancy_ns(wire_bytes);
         let tx_start = now.max(s[from.0 as usize].nic.tx_free_at);
         s[from.0 as usize].nic.tx_free_at = tx_start + occ;
-        let lat_arrival = tx_start + self.cfg.send_latency_ns(bytes) + chw.delay_ns;
+        let lat_arrival = tx_start + latency_ns + chw.delay_ns;
         // Receive-side serialization: a stream of messages cannot land
         // faster than the wire delivers them.
         let rx_ready = s[to.0 as usize].nic.rx_free_at + occ;
         let arrival = lat_arrival.max(rx_ready);
-        s[to.0 as usize].nic.rx_free_at = arrival + chw.duplicates as u64 * occ;
+        s[to.0 as usize].nic.rx_free_at = arrival + dups * occ;
         s[from.0 as usize].traffic.messages_out += 1;
-        s[from.0 as usize].traffic.bytes_out += bytes;
-        s[to.0 as usize].traffic.messages_in += 1 + chw.duplicates as u64;
-        s[to.0 as usize].traffic.bytes_in += bytes * (1 + chw.duplicates as u64);
+        s[from.0 as usize].traffic.bytes_out += wire_bytes;
+        s[to.0 as usize].traffic.messages_in += 1 + dups;
+        s[to.0 as usize].traffic.bytes_in += wire_bytes * (1 + dups);
         drop(s);
         self.obs_wire_fault(from, to, now, &chw);
         if let Some(o) = self.obs_on() {
@@ -303,7 +310,10 @@ impl San {
                 NIC_TRACK,
                 now,
                 arrival.saturating_since(now),
-                Event::SanSend { to: to.0, bytes },
+                Event::SanSend {
+                    to: to.0,
+                    bytes: wire_bytes,
+                },
             );
             // Causal edge: wire injection at the sender's NIC to landing
             // in remote memory (the Perfetto arrow between the two NIC
@@ -316,7 +326,7 @@ impl San {
                 to,
                 NIC_TRACK,
                 arrival,
-                bytes,
+                wire_bytes,
             );
         }
         SendTiming {
@@ -325,183 +335,54 @@ impl San {
         }
     }
 
-    /// A synchronous fetch (direct remote read) of `bytes` from `to`'s
-    /// memory into `from`'s, issued at `now`. Returns completion time at
-    /// the requester.
-    pub fn fetch(&self, from: NodeId, to: NodeId, bytes: u64, now: SimTime) -> SimTime {
+    /// The one fetch round trip: a one-word request, then one reply
+    /// streaming `seg_lens` payloads, each framed by `header_bytes`.
+    /// Writes segment `i`'s cut-through completion time to `done[i]`.
+    /// Owns the wire cost of every fetch — requester and home NIC
+    /// occupancy, delay-class wire faults, traffic accounting and the obs
+    /// span + edge.
+    ///
+    /// The first segment pays the full fetch pipeline latency of just its
+    /// own framed bytes and trailing segments land at the NIC injection
+    /// rate (`occupancy_per_byte_ns`); the serve-occupancy term accrues
+    /// per cumulative byte the same way, so a contended home delays later
+    /// segments, not just the first. With one segment and no header both
+    /// terms are exactly those of a plain fetch.
+    fn round_trip(
+        &self,
+        from: NodeId,
+        to: NodeId,
+        seg_lens: &[u64],
+        header_bytes: u64,
+        now: SimTime,
+        done: &mut [SimTime],
+    ) {
         assert_ne!(from, to, "SAN fetch from self");
-        // Drops on fetches are modeled as requester-side timeouts by the
-        // caller (`vmmc::remote_fetch`), so only delay-class faults apply
-        // here.
+        let total_wire = seg_lens.iter().sum::<u64>() + seg_lens.len() as u64 * header_bytes;
+        // One message for fault purposes. Drops are modeled as
+        // requester-side timeouts by the caller (`vmmc`'s fetch path), so
+        // only delay-class faults apply here.
         let chw = self.wire_outcome(from, to, now, false);
-        let mut s = self.state.lock();
-        let need = from.0.max(to.0) as usize;
-        while s.len() <= need {
-            s.push(NicEntry::default());
-        }
+        let mut s = self.nics(from, to);
         let req_occ = self.cfg.occupancy_ns(self.cfg.word_bytes);
         let tx_start = now.max(s[from.0 as usize].nic.tx_free_at);
         s[from.0 as usize].nic.tx_free_at = tx_start + req_occ;
         // The remote NIC serves the data without CPU intervention but its
         // transmit path serializes with other outgoing traffic.
-        let data_occ = self.cfg.occupancy_ns(bytes);
-        let remote_serve_start = (tx_start + self.cfg.send_base_ns)
-            .max(s[to.0 as usize].nic.tx_free_at);
-        s[to.0 as usize].nic.tx_free_at = remote_serve_start + data_occ;
-        let latency_done = tx_start + self.cfg.fetch_latency_ns(bytes) + chw.delay_ns;
-        let contended_done = remote_serve_start + data_occ;
-        let done = latency_done.max(contended_done);
-        s[from.0 as usize].traffic.messages_out += 1;
-        s[from.0 as usize].traffic.bytes_out += self.cfg.word_bytes;
-        s[to.0 as usize].traffic.messages_out += 1;
-        s[to.0 as usize].traffic.bytes_out += bytes;
-        s[from.0 as usize].traffic.messages_in += 1;
-        s[from.0 as usize].traffic.bytes_in += bytes;
-        drop(s);
-        self.obs_wire_fault(from, to, now, &chw);
-        if let Some(o) = self.obs_on() {
-            o.span(
-                Layer::San,
-                from,
-                NIC_TRACK,
-                now,
-                done.saturating_since(now),
-                Event::SanFetch { to: to.0, bytes },
-            );
-            // Causal edge: the remote NIC starts serving the data, the
-            // reply lands at the requester.
-            o.edge(
-                EdgeKind::MsgFetch,
-                to,
-                NIC_TRACK,
-                remote_serve_start,
-                from,
-                NIC_TRACK,
-                done,
-                bytes,
-            );
-        }
-        done
-    }
-
-    /// A multi-segment (batched) send: `seg_lens` payloads travel as one
-    /// message paying one base latency and per-segment framing headers.
-    ///
-    /// Delivery is cut-through: the NIC streams the framed segments at its
-    /// injection rate (`occupancy_per_byte_ns`) — the same sustained rate a
-    /// stream of back-to-back single sends already achieves through
-    /// occupancy chaining — and the whole batch pays the per-message
-    /// pipeline latency (`send_base_ns`, plus the per-byte latency-slope
-    /// premium over the injection rate) exactly once instead of once per
-    /// payload. Occupancy, chaos, and traffic accounting are those of a
-    /// single message of the framed wire size, so a batch is one message
-    /// for drop/duplicate purposes and replays identically.
-    pub fn send_multi(&self, from: NodeId, to: NodeId, seg_lens: &[u64], now: SimTime) -> SendTiming {
-        assert!(!seg_lens.is_empty(), "empty multi-segment send");
-        let total_wire = self.cfg.multi_wire_bytes(seg_lens);
-        // Drops cost retransmission timeouts (reliable transport over a
-        // lossy wire), duplicates burn receive occupancy — never data.
-        let chw = self.wire_outcome(from, to, now, true);
-        let mut s = self.state.lock();
-        let need = from.0.max(to.0) as usize;
-        while s.len() <= need {
-            s.push(NicEntry::default());
-        }
-        let occ = self.cfg.occupancy_ns(total_wire);
-        let tx_start = now.max(s[from.0 as usize].nic.tx_free_at);
-        s[from.0 as usize].nic.tx_free_at = tx_start + occ;
-        let stream_ns = (total_wire.saturating_sub(self.cfg.word_bytes) as f64
-            * self.cfg.occupancy_per_byte_ns) as u64;
-        let lat_arrival = tx_start + self.cfg.send_base_ns + stream_ns + chw.delay_ns;
-        // Receive-side serialization: a stream of messages cannot land
-        // faster than the wire delivers them.
-        let rx_ready = s[to.0 as usize].nic.rx_free_at + occ;
-        let arrival = lat_arrival.max(rx_ready);
-        s[to.0 as usize].nic.rx_free_at = arrival + chw.duplicates as u64 * occ;
-        s[from.0 as usize].traffic.messages_out += 1;
-        s[from.0 as usize].traffic.bytes_out += total_wire;
-        s[to.0 as usize].traffic.messages_in += 1 + chw.duplicates as u64;
-        s[to.0 as usize].traffic.bytes_in += total_wire * (1 + chw.duplicates as u64);
-        drop(s);
-        self.obs_wire_fault(from, to, now, &chw);
-        if let Some(o) = self.obs_on() {
-            o.span(
-                Layer::San,
-                from,
-                NIC_TRACK,
-                now,
-                arrival.saturating_since(now),
-                Event::SanSend {
-                    to: to.0,
-                    bytes: total_wire,
-                },
-            );
-            o.edge(
-                EdgeKind::MsgSend,
-                from,
-                NIC_TRACK,
-                tx_start,
-                to,
-                NIC_TRACK,
-                arrival,
-                total_wire,
-            );
-        }
-        SendTiming {
-            local_done: tx_start + occ,
-            arrival,
-        }
-    }
-
-    /// A multi-segment (batched) fetch: one request, one reply streaming
-    /// all `seg_lens` payloads plus per-segment framing. One message on
-    /// the wire — see [`San::send_multi`] — but delivery is cut-through:
-    /// segment `i` is usable as soon as its own bytes have streamed off
-    /// the remote NIC and across the wire, before the trailing segments
-    /// finish. The first segment pays the full fetch pipeline latency of
-    /// just its own framed bytes — a single-segment batch degenerates to
-    /// an ordinary [`San::fetch`] — and trailing segments then land at the
-    /// NIC injection rate (`occupancy_per_byte_ns`), paying the
-    /// per-message round-trip cost once instead of once per payload. The
-    /// serve-occupancy term accrues per cumulative byte the same way, so a
-    /// contended home delays later segments, not just the first.
-    pub fn fetch_multi(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        seg_lens: &[u64],
-        now: SimTime,
-    ) -> Vec<SimTime> {
-        assert_ne!(from, to, "SAN fetch from self");
-        assert!(!seg_lens.is_empty(), "empty multi-segment fetch");
-        let total_wire = self.cfg.multi_wire_bytes(seg_lens);
-        // One message for drop/duplicate purposes (drops are modeled as
-        // requester-side timeouts by the caller, exactly as for `fetch`).
-        let chw = self.wire_outcome(from, to, now, false);
-        let mut s = self.state.lock();
-        let need = from.0.max(to.0) as usize;
-        while s.len() <= need {
-            s.push(NicEntry::default());
-        }
-        let req_occ = self.cfg.occupancy_ns(self.cfg.word_bytes);
-        let tx_start = now.max(s[from.0 as usize].nic.tx_free_at);
-        s[from.0 as usize].nic.tx_free_at = tx_start + req_occ;
         let remote_serve_start =
             (tx_start + self.cfg.send_base_ns).max(s[to.0 as usize].nic.tx_free_at);
         s[to.0 as usize].nic.tx_free_at = remote_serve_start + self.cfg.occupancy_ns(total_wire);
-        let mut out = Vec::with_capacity(seg_lens.len());
-        let first_framed = seg_lens[0] + self.cfg.segment_header_bytes;
+        let first_framed = seg_lens[0] + header_bytes;
         let lat_first = self.cfg.fetch_latency_ns(first_framed);
         let mut cum = 0u64;
-        for len in seg_lens {
-            cum += len + self.cfg.segment_header_bytes;
-            let stream_ns =
-                ((cum - first_framed) as f64 * self.cfg.occupancy_per_byte_ns) as u64;
+        for (len, slot) in seg_lens.iter().zip(done.iter_mut()) {
+            cum += len + header_bytes;
+            let stream_ns = ((cum - first_framed) as f64 * self.cfg.occupancy_per_byte_ns) as u64;
             let latency_done = tx_start + lat_first + stream_ns + chw.delay_ns;
             let contended_done = remote_serve_start + self.cfg.occupancy_ns(cum);
-            out.push(latency_done.max(contended_done));
+            *slot = latency_done.max(contended_done);
         }
-        let done = *out.last().expect("at least one segment");
+        let last = done[seg_lens.len() - 1];
         s[from.0 as usize].traffic.messages_out += 1;
         s[from.0 as usize].traffic.bytes_out += self.cfg.word_bytes;
         s[to.0 as usize].traffic.messages_out += 1;
@@ -516,12 +397,14 @@ impl San {
                 from,
                 NIC_TRACK,
                 now,
-                done.saturating_since(now),
+                last.saturating_since(now),
                 Event::SanFetch {
                     to: to.0,
                     bytes: total_wire,
                 },
             );
+            // Causal edge: the remote NIC starts serving the data, the
+            // reply lands at the requester.
             o.edge(
                 EdgeKind::MsgFetch,
                 to,
@@ -529,11 +412,80 @@ impl San {
                 remote_serve_start,
                 from,
                 NIC_TRACK,
-                done,
+                last,
                 total_wire,
             );
         }
-        out
+    }
+
+    /// A one-way data send of `bytes` from `from` to `to`, issued at `now`:
+    /// the unframed single-segment message.
+    ///
+    /// Returns `(local_done, arrival)`: the sender's CPU is free at
+    /// `local_done` (after handing the message to the NIC) while the data
+    /// lands in remote memory at `arrival`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from == to`; local transfers never touch the SAN.
+    pub fn send(&self, from: NodeId, to: NodeId, bytes: u64, now: SimTime) -> SendTiming {
+        self.one_way(from, to, bytes, self.cfg.send_latency_ns(bytes), now)
+    }
+
+    /// A synchronous fetch (direct remote read) of `bytes` from `to`'s
+    /// memory into `from`'s, issued at `now`: the unframed single-segment
+    /// round trip. Returns completion time at the requester.
+    pub fn fetch(&self, from: NodeId, to: NodeId, bytes: u64, now: SimTime) -> SimTime {
+        let mut done = [now];
+        self.round_trip(from, to, &[bytes], 0, now, &mut done);
+        done[0]
+    }
+
+    /// A multi-segment (batched) send: `seg_lens` payloads travel as one
+    /// message paying one base latency and per-segment framing headers.
+    ///
+    /// Delivery is cut-through: the NIC streams the framed segments at its
+    /// injection rate (`occupancy_per_byte_ns`) — the same sustained rate a
+    /// stream of back-to-back single sends already achieves through
+    /// occupancy chaining — and the whole batch pays the per-message
+    /// pipeline latency (`send_base_ns`, plus the per-byte latency-slope
+    /// premium over the injection rate) exactly once instead of once per
+    /// payload. Occupancy, chaos, and traffic accounting are those of a
+    /// single message of the framed wire size, so a batch is one message
+    /// for drop/duplicate purposes and replays identically.
+    pub fn send_multi(
+        &self,
+        from: NodeId,
+        to: NodeId,
+        seg_lens: &[u64],
+        now: SimTime,
+    ) -> SendTiming {
+        assert!(!seg_lens.is_empty(), "empty multi-segment send");
+        let total_wire = self.cfg.multi_wire_bytes(seg_lens);
+        let stream_ns = (total_wire.saturating_sub(self.cfg.word_bytes) as f64
+            * self.cfg.occupancy_per_byte_ns) as u64;
+        self.one_way(from, to, total_wire, self.cfg.send_base_ns + stream_ns, now)
+    }
+
+    /// A multi-segment (batched) fetch: one request, one reply streaming
+    /// all `seg_lens` payloads plus per-segment framing. One message on
+    /// the wire — see [`San::send_multi`] — but delivery is cut-through:
+    /// segment `i` is usable as soon as its own bytes have streamed off
+    /// the remote NIC and across the wire, before the trailing segments
+    /// finish, paying the per-message round-trip cost once instead of once
+    /// per payload. Returns one completion time per segment.
+    pub fn fetch_multi(
+        &self,
+        from: NodeId,
+        to: NodeId,
+        seg_lens: &[u64],
+        now: SimTime,
+    ) -> Vec<SimTime> {
+        assert!(!seg_lens.is_empty(), "empty multi-segment fetch");
+        let mut done = vec![now; seg_lens.len()];
+        let header = self.cfg.segment_header_bytes;
+        self.round_trip(from, to, seg_lens, header, now, &mut done);
+        done
     }
 
     /// A notification (small message that dispatches a remote handler).
@@ -541,11 +493,7 @@ impl San {
     pub fn notify(&self, from: NodeId, to: NodeId, now: SimTime) -> SendTiming {
         assert_ne!(from, to, "SAN notify to self");
         let chw = self.wire_outcome(from, to, now, true);
-        let mut s = self.state.lock();
-        let need = from.0.max(to.0) as usize;
-        while s.len() <= need {
-            s.push(NicEntry::default());
-        }
+        let mut s = self.nics(from, to);
         let occ = self.cfg.occupancy_ns(self.cfg.word_bytes);
         let tx_start = now.max(s[from.0 as usize].nic.tx_free_at);
         s[from.0 as usize].nic.tx_free_at = tx_start + occ;

@@ -27,7 +27,6 @@ mod cluster;
 mod config;
 mod proto;
 mod sync;
-mod trace;
 
 pub use api::SvmSystem;
 pub use cluster::{Cluster, ClusterConfig};
@@ -35,4 +34,3 @@ pub use config::{PlacementPolicy, ProtoMode, SvmConfig, SvmCosts};
 pub use proto::{
     NodeStats, PlacementReport, ProtoError, GLOBAL_SECTION_BASE, GLOBAL_SECTION_BYTES, HEAP_BASE,
 };
-pub use trace::{TraceEvent, TraceRecord, TRACE_CAP};

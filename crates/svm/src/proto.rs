@@ -240,6 +240,26 @@ impl ProtoState {
         }
     }
 
+    /// Starts dirty-word tracking on `node`'s copy of `page_idx` (a write
+    /// access is being granted) and records the writer in the directory.
+    fn start_write_tracking(&mut self, node: NodeId, page_idx: u64) {
+        let np = &mut self.nodes[node.0 as usize];
+        let copy = np.copies.entry(page_idx).or_insert(CopyState {
+            version: 0,
+            dirty: None,
+        });
+        if copy.dirty.is_none() {
+            copy.dirty = Some(Box::new([0; BITMAP_WORDS]));
+            np.dirty_pages.push(page_idx);
+        }
+        let d = self.dir.get_mut(&page_idx).expect("dir entry");
+        match d.first_writer {
+            None => d.first_writer = Some(node),
+            Some(w) if w != node => d.multi_writer = true,
+            _ => {}
+        }
+    }
+
     /// Charges one remote fetch/diff message from `node` to `chunk`'s
     /// sharing counters (counter-policy feed; callers gate on the policy
     /// being enabled). A touch whose node differs from the previous
@@ -266,6 +286,11 @@ impl ProtoState {
         cs.last_node = Some(node);
     }
 }
+
+/// Per-home diff batches of one release, keyed `(home, region)`: the
+/// `(region offset, bytes)` segments queued so far, the pages they came
+/// from, and when the first segment was posted.
+type DiffBatches = BTreeMap<(u32, u64), (Vec<(u64, Vec<u8>)>, u64, SimTime)>;
 
 /// Typed failure of a NIC registration-class protocol operation.
 ///
@@ -408,11 +433,10 @@ impl SvmSystem {
                 FaultKind::Write => st.nodes[node.0 as usize].stats.write_faults += 1,
             }
         }
-        self.trace(
+        self.proto_instant(
             sim,
-            crate::trace::TraceEvent::Fault {
-                node,
-                page,
+            obs::Event::Fault {
+                page: page.index(),
                 write: kind == FaultKind::Write,
             },
         );
@@ -577,140 +601,63 @@ impl SvmSystem {
         })
     }
 
-    /// A remote fetch that survives a concurrently evicted import: with
-    /// chaos armed, `NotImported` re-imports (itself recovered) and
-    /// retries; everything else is a protocol invariant violation.
-    fn fetch_with_recovery(
+    /// Makes sure `region` is imported into `node`'s NIC before a remote
+    /// operation on it: a no-op once the bookkeeping has seen the region,
+    /// unless `force` says the NIC disagrees (the import was evicted).
+    fn ensure_imported(
         &self,
         sim: &Sim,
         node: NodeId,
         what: &'static str,
         region: RegionId,
-        offset: u64,
-        len: u64,
-    ) -> Result<(Vec<u8>, SimTime), ProtoError> {
+        force: bool,
+    ) -> Result<(), ProtoError> {
+        let fresh = {
+            let mut st = self.state.lock();
+            st.nodes[node.0 as usize]
+                .imported
+                .insert(region.0, ())
+                .is_none()
+        };
+        if fresh || force {
+            self.reg_op(sim, node, what, Some(region), || {
+                self.cluster.vmmc.import_region(node, region)
+            })?;
+            sim.advance(self.cluster.vmmc.config().import_op_ns);
+        }
+        Ok(())
+    }
+
+    /// Runs a remote operation on `region` so that it survives a
+    /// concurrently evicted import: with chaos armed, `NotImported`
+    /// re-imports (itself recovered) and retries; everything else is a
+    /// protocol invariant violation. `op` is re-evaluated per attempt —
+    /// reads are idempotent, and a batch either applies completely or, on
+    /// `NotImported`, not at all, so a retry never double-applies a prefix
+    /// and a replay sees exactly one wire outcome per attempt.
+    fn with_reimport<T>(
+        &self,
+        sim: &Sim,
+        node: NodeId,
+        what: &'static str,
+        region: RegionId,
+        mut op: impl FnMut() -> Result<T, VmmcError>,
+    ) -> Result<T, ProtoError> {
         loop {
-            match self
-                .cluster
-                .vmmc
-                .remote_fetch(node, region, offset, len, sim.now())
-            {
+            match op() {
                 Ok(v) => return Ok(v),
                 Err(VmmcError::NotImported { .. }) if self.chaos_armed().is_some() => {
-                    {
-                        let mut st = self.state.lock();
-                        st.nodes[node.0 as usize].imported.insert(region.0, ());
-                    }
-                    self.reg_op(sim, node, what, Some(region), || {
-                        self.cluster.vmmc.import_region(node, region)
-                    })?;
-                    sim.advance(self.cluster.vmmc.config().import_op_ns);
+                    self.ensure_imported(sim, node, what, region, true)?;
                 }
                 Err(e) => return Err(ProtoError::Vmmc { what, source: e }),
             }
         }
     }
 
-    /// The remote-write analogue of [`SvmSystem::fetch_with_recovery`]
-    /// (diff flushes racing an import eviction).
-    fn write_with_recovery(
-        &self,
-        sim: &Sim,
-        node: NodeId,
-        what: &'static str,
-        region: RegionId,
-        offset: u64,
-        data: &[u8],
-    ) -> Result<san::SendTiming, ProtoError> {
-        loop {
-            match self
-                .cluster
-                .vmmc
-                .remote_write(node, region, offset, data, sim.now())
-            {
-                Ok(t) => return Ok(t),
-                Err(VmmcError::NotImported { .. }) if self.chaos_armed().is_some() => {
-                    {
-                        let mut st = self.state.lock();
-                        st.nodes[node.0 as usize].imported.insert(region.0, ());
-                    }
-                    self.reg_op(sim, node, what, Some(region), || {
-                        self.cluster.vmmc.import_region(node, region)
-                    })?;
-                    sim.advance(self.cluster.vmmc.config().import_op_ns);
-                }
-                Err(e) => return Err(ProtoError::Vmmc { what, source: e }),
-            }
-        }
-    }
-
-    /// Batched analogue of [`SvmSystem::fetch_with_recovery`]: several
-    /// segments of one region in a single SAN round trip. A concurrently
-    /// evicted import re-imports and retries the whole batch — reads are
-    /// idempotent, and the batch is one message for chaos purposes, so a
-    /// replay sees exactly one wire outcome per attempt.
-    fn fetch_multi_with_recovery(
-        &self,
-        sim: &Sim,
-        node: NodeId,
-        what: &'static str,
-        region: RegionId,
-        segs: &[(u64, u64)],
-    ) -> Result<(Vec<Vec<u8>>, Vec<SimTime>), ProtoError> {
-        loop {
-            match self
-                .cluster
-                .vmmc
-                .remote_fetch_multi(node, region, segs, sim.now())
-            {
-                Ok(v) => return Ok(v),
-                Err(VmmcError::NotImported { .. }) if self.chaos_armed().is_some() => {
-                    {
-                        let mut st = self.state.lock();
-                        st.nodes[node.0 as usize].imported.insert(region.0, ());
-                    }
-                    self.reg_op(sim, node, what, Some(region), || {
-                        self.cluster.vmmc.import_region(node, region)
-                    })?;
-                    sim.advance(self.cluster.vmmc.config().import_op_ns);
-                }
-                Err(e) => return Err(ProtoError::Vmmc { what, source: e }),
-            }
-        }
-    }
-
-    /// Batched analogue of [`SvmSystem::write_with_recovery`] (a whole
-    /// per-home diff batch racing an import eviction). The batch either
-    /// applies completely or — on `NotImported` — not at all, so the retry
-    /// never double-applies a prefix.
-    fn write_multi_with_recovery(
-        &self,
-        sim: &Sim,
-        node: NodeId,
-        what: &'static str,
-        region: RegionId,
-        segs: &[(u64, Vec<u8>)],
-        issue: SimTime,
-    ) -> Result<san::SendTiming, ProtoError> {
-        loop {
-            match self
-                .cluster
-                .vmmc
-                .remote_write_multi(node, region, segs, issue.min(sim.now()))
-            {
-                Ok(t) => return Ok(t),
-                Err(VmmcError::NotImported { .. }) if self.chaos_armed().is_some() => {
-                    {
-                        let mut st = self.state.lock();
-                        st.nodes[node.0 as usize].imported.insert(region.0, ());
-                    }
-                    self.reg_op(sim, node, what, Some(region), || {
-                        self.cluster.vmmc.import_region(node, region)
-                    })?;
-                    sim.advance(self.cluster.vmmc.config().import_op_ns);
-                }
-                Err(e) => return Err(ProtoError::Vmmc { what, source: e }),
-            }
+    /// Records a protocol instant on the calling thread's lane.
+    fn proto_instant(&self, sim: &Sim, event: obs::Event) {
+        if let Some(o) = self.obs_if_on() {
+            o.instant(obs::Layer::Proto, sim.node(), sim.tid().0, sim.now(), event);
         }
     }
 
@@ -917,7 +864,7 @@ impl SvmSystem {
             }
             st.nodes[node.0 as usize].stats.placements += 1;
         }
-        self.trace(sim, crate::trace::TraceEvent::Place { node, base });
+        self.proto_instant(sim, obs::Event::Place { base: base.index() });
         sim.op_point(self.cfg.costs.placement_bookkeeping_ns);
         if node != self.master {
             // Publish the new entry to the global directory.
@@ -929,46 +876,28 @@ impl SvmSystem {
         self.home_upgrade(sim, page, kind);
     }
 
+    /// Opens `page` on the faulting node for the faulting access and
+    /// charges the OS protection change.
+    fn grant(&self, sim: &Sim, page: PageNum, kind: FaultKind) {
+        let prot = match kind {
+            FaultKind::Read => Prot::Read,
+            FaultKind::Write => Prot::ReadWrite,
+        };
+        self.cluster
+            .mem
+            .set_prot(sim.node(), page, prot)
+            .expect("faulting page mapped");
+        sim.advance(self.cluster.mem.config().protect_ns);
+    }
+
     /// Grants access on a page homed at the faulting node (either the
     /// just-placed chunk or a later first touch of a chunk sibling).
     fn home_upgrade(&self, sim: &Sim, page: PageNum, kind: FaultKind) {
-        let node = sim.node();
-        let os_protect = self.cluster.mem.config().protect_ns;
-        {
+        if kind == FaultKind::Write {
             let mut st = self.state.lock();
-            let d = st.dir.get_mut(&page.index()).expect("home page in dir");
-            match kind {
-                FaultKind::Read => {
-                    drop(st);
-                    self.cluster
-                        .mem
-                        .set_prot(node, page, Prot::Read)
-                        .expect("home page mapped");
-                }
-                FaultKind::Write => {
-                    match d.first_writer {
-                        None => d.first_writer = Some(node),
-                        Some(w) if w != node => d.multi_writer = true,
-                        _ => {}
-                    }
-                    let np = &mut st.nodes[node.0 as usize];
-                    let copy = np.copies.entry(page.index()).or_insert(CopyState {
-                        version: 0,
-                        dirty: None,
-                    });
-                    if copy.dirty.is_none() {
-                        copy.dirty = Some(Box::new([0; BITMAP_WORDS]));
-                        np.dirty_pages.push(page.index());
-                    }
-                    drop(st);
-                    self.cluster
-                        .mem
-                        .set_prot(node, page, Prot::ReadWrite)
-                        .expect("home page mapped");
-                }
-            }
+            st.start_write_tracking(sim.node(), page.index());
         }
-        sim.advance(os_protect);
+        self.grant(sim, page, kind);
     }
 
     /// Fetches a page copy from its remote home.
@@ -981,24 +910,9 @@ impl SvmSystem {
         };
 
         // Lazily import the home's region.
-        let need_import = {
-            let mut st = self.state.lock();
-            st.nodes[node.0 as usize]
-                .imported
-                .insert(region.0, ())
-                .is_none()
-        };
-        if need_import {
-            self.reg_op(
-                sim,
-                node,
-                "region import failed (paper §3.4 regime)",
-                Some(region),
-                || self.cluster.vmmc.import_region(node, region),
-            )
+        let what = "region import failed (paper §3.4 regime)";
+        self.ensure_imported(sim, node, what, region, false)
             .unwrap_or_else(|e| panic!("{e}"));
-            sim.advance(self.cluster.vmmc.config().import_op_ns);
-        }
 
         // Local frame for the copy (normal page-granular OS paging).
         // Invariant: copies are evicted before node memory fills, so frame
@@ -1035,66 +949,14 @@ impl SvmSystem {
             "refetch of a locally dirty page {page} on {node}"
         );
 
-        // A write upgrade on a current clean copy needs no data transfer:
-        // only the protection changes (and dirty tracking starts).
-        if copy_current && kind == FaultKind::Write && have_frame {
-            let t_masked = sim.now();
-            let mut masked = false;
-            let mut st = self.state.lock();
-            let np = &mut st.nodes[node.0 as usize];
-            if let Some(install) = np.prefetched.remove(&page.index()) {
-                np.stats.prefetch_hits += 1;
-                masked = true;
-                drop(st);
-                // Wait out the tail of the streaming batch if the bytes
-                // have not landed yet.
-                sim.clock_at_least(install);
-                st = self.state.lock();
-            }
-            let np = &mut st.nodes[node.0 as usize];
-            let copy = np.copies.get_mut(&page.index()).expect("current copy");
-            if copy.dirty.is_none() {
-                copy.dirty = Some(Box::new([0; BITMAP_WORDS]));
-                np.dirty_pages.push(page.index());
-            }
-            {
-                let d = st.dir.get_mut(&page.index()).expect("dir entry");
-                match d.first_writer {
-                    None => d.first_writer = Some(node),
-                    Some(w) if w != node => d.multi_writer = true,
-                    _ => {}
-                }
-            }
-            drop(st);
-            self.cluster
-                .mem
-                .set_prot(node, page, Prot::ReadWrite)
-                .expect("copy mapped");
-            sim.advance(self.cluster.mem.config().protect_ns);
-            if masked {
-                if let Some(o) = self.obs_if_on() {
-                    // Nested inside the enclosing FaultSpan: the stall
-                    // profiler splits prefetch-masked stall out of the
-                    // page-fault bucket from this span.
-                    o.span(
-                        obs::Layer::Proto,
-                        node,
-                        sim.tid().0,
-                        t_masked,
-                        sim.now().saturating_since(t_masked),
-                        obs::Event::PrefetchMasked { page: page.index() },
-                    );
-                }
-            }
-            return;
-        }
-
-        // A read fault on a current clean copy needs no data transfer
-        // either: this is a prefetched page being consumed. (Unreachable
-        // with the prefetcher off — demand fetches always install a
-        // readable protection directly — so the branch is gated to keep
-        // the baseline path literally unchanged.)
-        if copy_current && kind == FaultKind::Read && have_frame && self.cfg.prefetch_degree > 0 {
+        // A fault on a current clean copy needs no data transfer: only the
+        // protection changes (and, for a write upgrade, dirty tracking
+        // starts). For a read this is a prefetched page being consumed —
+        // unreachable with the prefetcher off, where demand fetches always
+        // install a readable protection directly, so that case is gated to
+        // keep the baseline path literally unchanged.
+        let upgrade = kind == FaultKind::Write || self.cfg.prefetch_degree > 0;
+        if copy_current && have_frame && upgrade {
             let t_masked = sim.now();
             let install = {
                 let mut st = self.state.lock();
@@ -1105,18 +967,17 @@ impl SvmSystem {
                 }
                 install
             };
-            let masked = install.is_some();
             if let Some(t) = install {
                 // Wait out the tail of the streaming batch if the bytes
                 // have not landed yet.
                 sim.clock_at_least(t);
             }
-            self.cluster
-                .mem
-                .set_prot(node, page, Prot::Read)
-                .expect("copy mapped");
-            sim.advance(self.cluster.mem.config().protect_ns);
-            if masked {
+            if kind == FaultKind::Write {
+                let mut st = self.state.lock();
+                st.start_write_tracking(node, page.index());
+            }
+            self.grant(sim, page, kind);
+            if install.is_some() {
                 if let Some(o) = self.obs_if_on() {
                     // Nested inside the enclosing FaultSpan: the stall
                     // profiler splits prefetch-masked stall out of the
@@ -1189,15 +1050,20 @@ impl SvmSystem {
         // Fetch the page contents from the home — batched with any
         // confirmed-stride prefetch candidates.
         let t_fetch = sim.now();
+        let vmmc = &self.cluster.vmmc;
         let (data, done) = if prefetch.is_empty() {
-            self.fetch_with_recovery(sim, node, "page fetch failed", region, region_off, PAGE_SIZE)
-                .unwrap_or_else(|e| panic!("{e}"))
+            self.with_reimport(sim, node, "page fetch failed", region, || {
+                vmmc.remote_fetch(node, region, region_off, PAGE_SIZE, sim.now())
+            })
+            .unwrap_or_else(|e| panic!("{e}"))
         } else {
             let mut segs = Vec::with_capacity(1 + prefetch.len());
             segs.push((region_off, PAGE_SIZE));
             segs.extend(prefetch.iter().map(|(_, off, _)| (*off, PAGE_SIZE)));
             let (mut all, times) = self
-                .fetch_multi_with_recovery(sim, node, "batched page fetch failed", region, &segs)
+                .with_reimport(sim, node, "batched page fetch failed", region, || {
+                    vmmc.remote_fetch_multi(node, region, &segs, sim.now())
+                })
                 .unwrap_or_else(|e| panic!("{e}"));
             let demand = all.remove(0);
             // Install the prefetched copies: frame, inaccessible mapping,
@@ -1262,24 +1128,19 @@ impl SvmSystem {
             }
         }
         if !prefetch.is_empty() {
-            if let Some(o) = self.obs_if_on() {
-                o.instant(
-                    obs::Layer::Proto,
-                    node,
-                    sim.tid().0,
-                    sim.now(),
-                    obs::Event::Prefetch {
-                        page: page.index(),
-                        pages: prefetch.len() as u64,
-                        home: home.0,
-                    },
-                );
-            }
+            self.proto_instant(
+                sim,
+                obs::Event::Prefetch {
+                    page: page.index(),
+                    pages: prefetch.len() as u64,
+                    home: home.0,
+                },
+            );
         }
         let (frame, _) = self.cluster.mem.translate(node, page).expect("just mapped");
         self.cluster.mem.frame_write(frame, 0, &data);
 
-        {
+        let home = {
             let mut st = self.state.lock();
             let home = st.dir[&page.index()].home;
             if let Some(d) = st.dir.get_mut(&page.index()) {
@@ -1287,11 +1148,14 @@ impl SvmSystem {
                 // demand-fetched are worth shipping with lock grants.
                 d.hot = d.hot.saturating_add(1);
             }
-            {
-                let np = &mut st.nodes[node.0 as usize];
-                np.stats.remote_fetches += 1;
-                np.stats.fetch_bytes += PAGE_SIZE;
-            }
+            let np = &mut st.nodes[node.0 as usize];
+            np.stats.remote_fetches += 1;
+            np.stats.fetch_bytes += PAGE_SIZE;
+            let copy = np.copies.entry(page.index()).or_insert(CopyState {
+                version: 0,
+                dirty: None,
+            });
+            copy.version = version;
             // Affinity hint: credit the home that served this fetch.
             if home.0 as usize >= st.home_pull.len() {
                 st.home_pull.resize(home.0 as usize + 1, 0);
@@ -1301,45 +1165,19 @@ impl SvmSystem {
                 let chunk = page.chunk_base(self.cfg.home_granularity_pages).index();
                 st.note_chunk_traffic(node, chunk);
             }
-            drop(st);
-            self.trace(sim, crate::trace::TraceEvent::Fetch { node, page, home });
-            let mut st = self.state.lock();
-            let np = &mut st.nodes[node.0 as usize];
-            let copy = np.copies.entry(page.index()).or_insert(CopyState {
-                version: 0,
-                dirty: None,
-            });
-            copy.version = version;
-            match kind {
-                FaultKind::Read => {
-                    drop(st);
-                    self.cluster
-                        .mem
-                        .set_prot(node, page, Prot::Read)
-                        .expect("copy mapped");
-                }
-                FaultKind::Write => {
-                    if copy.dirty.is_none() {
-                        copy.dirty = Some(Box::new([0; BITMAP_WORDS]));
-                        np.dirty_pages.push(page.index());
-                    }
-                    {
-                        let d = st.dir.get_mut(&page.index()).expect("dir entry");
-                        match d.first_writer {
-                            None => d.first_writer = Some(node),
-                            Some(w) if w != node => d.multi_writer = true,
-                            _ => {}
-                        }
-                    }
-                    drop(st);
-                    self.cluster
-                        .mem
-                        .set_prot(node, page, Prot::ReadWrite)
-                        .expect("copy mapped");
-                }
+            if kind == FaultKind::Write {
+                st.start_write_tracking(node, page.index());
             }
-        }
-        sim.advance(self.cluster.mem.config().protect_ns);
+            home
+        };
+        self.proto_instant(
+            sim,
+            obs::Event::Fetch {
+                page: page.index(),
+                home: home.0,
+            },
+        );
+        self.grant(sim, page, kind);
     }
 
     /// Marks the dirty words covered by a write of `len` bytes at `addr`.
@@ -1355,107 +1193,151 @@ impl SvmSystem {
         }
     }
 
-    /// Early release of a single dirty page: builds its diff, writes the
-    /// dirty words home and publishes the write notice — exactly what the
-    /// next release would have done for this page, just sooner.
+    /// Flushes one dirty page: takes its dirty bitmap, builds the diff,
+    /// writes the dirty words to a remote home — directly, or queued on
+    /// `batches` for one multi-segment write per home — and publishes the
+    /// write notice. Every release of a page runs through here, whether a
+    /// whole-node [`SvmSystem::release`] or the acquire-time early flush.
     ///
-    /// The acquire path needs this when a pending write notice lands on a
-    /// page this node is concurrently writing: the copy cannot be
-    /// invalidated while it holds unreleased words (they would be lost),
-    /// but skipping the notice would leave the node reading words that
-    /// miss the remote writer's update even across a lock acquire. The
-    /// copy itself is left in place; the caller invalidates it.
-    fn flush_dirty_page(&self, sim: &Sim, page_idx: u64) {
+    /// `credit_sharing` charges the diff message to the chunk's sharing
+    /// counters (the placement policy's feed). A release does; the early
+    /// flush does not — it is forced by a remote writer's notice, not by
+    /// this node's own release pattern, and crediting it would move the
+    /// policy's ping-pong counts (`BENCH_placement.json`, service cell:
+    /// 273 → 309 handoffs).
+    ///
+    /// Returns the home, the page's version before the notice, and when
+    /// the last directly written run is visible at the home. The local
+    /// copy is left as it is: its version and protection are the caller's.
+    fn diff_page(
+        &self,
+        sim: &Sim,
+        page_idx: u64,
+        batches: Option<&mut DiffBatches>,
+        credit_sharing: bool,
+    ) -> (NodeId, u64, SimTime) {
         let node = sim.node();
         let page = PageNum::new(page_idx);
-        let (home, region, region_off, write_through) = {
-            let st = self.state.lock();
+        let (home, region, region_off, write_through, bitmap) = {
+            let mut st = self.state.lock();
             let d = &st.dir[&page_idx];
             let wt = self.cfg.write_through_single_writer
                 && !d.multi_writer
                 && d.first_writer == Some(node);
-            (d.home, d.region, d.region_off, wt)
+            let (home, region, region_off) = (d.home, d.region, d.region_off);
+            let copy = st.nodes[node.0 as usize]
+                .copies
+                .get_mut(&page_idx)
+                .expect("dirty page has copy");
+            let bitmap = copy.dirty.take().expect("dirty page has bitmap");
+            (home, region, region_off, wt, bitmap)
         };
-        let bitmap = {
-            let mut st = self.state.lock();
-            let np = &mut st.nodes[node.0 as usize];
-            np.dirty_pages.retain(|p| *p != page_idx);
-            let copy = np.copies.get_mut(&page_idx).expect("dirty page has copy");
-            copy.dirty.take().expect("dirty page has bitmap")
-        };
+        // Collect dirty runs from the bitmap.
         let runs = dirty_runs(&bitmap);
         let dirty_bytes: u64 = runs.iter().map(|r| (r.1 - r.0) * 8).sum();
-        let mut max_arrival = sim.now();
+
+        let mut arrival = SimTime::ZERO;
         if home == node {
+            // Home writer: data already authoritative, just a notice.
             sim.advance(self.cfg.costs.diff_build_ns / 4);
         } else {
             if write_through {
+                // Single-writer write-through: updates streamed during
+                // computation; release only fences.
                 sim.advance(500);
             } else {
                 sim.advance(self.cfg.costs.diff_build_ns);
             }
-            let need_import = {
-                let mut st = self.state.lock();
-                st.nodes[node.0 as usize]
-                    .imported
-                    .insert(region.0, ())
-                    .is_none()
-            };
-            if need_import {
-                self.reg_op(sim, node, "region import failed", Some(region), || {
-                    self.cluster.vmmc.import_region(node, region)
-                })
+            // The home region may have changed (migration) since we
+            // fetched this page; import lazily like the fetch path.
+            self.ensure_imported(sim, node, "region import failed", region, false)
                 .unwrap_or_else(|e| panic!("{e}"));
-                sim.advance(self.cluster.vmmc.config().import_op_ns);
-            }
             let (frame, _) = self
                 .cluster
                 .mem
                 .translate(node, page)
                 .expect("dirty page mapped");
-            for (w0, w1) in &runs {
-                let off = w0 * 8;
-                let len = (w1 - w0) * 8;
-                let mut buf = vec![0u8; len as usize];
-                self.cluster.mem.frame_read(frame, off as usize, &mut buf);
-                let t = self
-                    .write_with_recovery(
-                        sim,
-                        node,
-                        "diff write failed",
-                        region,
-                        region_off + off,
-                        &buf,
-                    )
-                    .unwrap_or_else(|e| panic!("{e}"));
-                if !write_through {
-                    max_arrival = max_arrival.max(t.arrival);
+            let segs = runs.iter().map(|(w0, w1)| {
+                let mut buf = vec![0u8; ((w1 - w0) * 8) as usize];
+                self.cluster
+                    .mem
+                    .frame_read(frame, (w0 * 8) as usize, &mut buf);
+                (region_off + w0 * 8, buf)
+            });
+            let batched = match batches {
+                Some(batches) if !write_through => {
+                    // Defer the wire transfer: collect this page's runs
+                    // into the per-home batch. Per-page build cost, trace
+                    // and version bump stay exactly as in the unbatched
+                    // path; only the messaging is amortized.
+                    let entry = batches
+                        .entry((home.0, region.0))
+                        .or_insert_with(|| (Vec::new(), 0, sim.now()));
+                    entry.0.extend(segs);
+                    entry.1 += 1;
+                    true
                 }
-            }
+                _ => {
+                    for (off, buf) in segs {
+                        let t = self
+                            .with_reimport(sim, node, "diff write failed", region, || {
+                                let vmmc = &self.cluster.vmmc;
+                                vmmc.remote_write(node, region, off, &buf, sim.now())
+                            })
+                            .unwrap_or_else(|e| panic!("{e}"));
+                        if !write_through {
+                            arrival = arrival.max(t.arrival);
+                        }
+                    }
+                    false
+                }
+            };
             {
                 let mut st = self.state.lock();
-                st.nodes[node.0 as usize].stats.diffs_sent += 1;
-                st.nodes[node.0 as usize].stats.diff_bytes += dirty_bytes;
+                let stats = &mut st.nodes[node.0 as usize].stats;
+                stats.diffs_sent += u64::from(!batched);
+                stats.diff_bytes += dirty_bytes;
+                if credit_sharing && self.cfg.placement_policy.is_some() {
+                    let chunk = page.chunk_base(self.cfg.home_granularity_pages).index();
+                    st.note_chunk_traffic(node, chunk);
+                }
             }
-            self.trace(
+            self.proto_instant(
                 sim,
-                crate::trace::TraceEvent::Diff {
-                    node,
-                    page,
+                obs::Event::Diff {
+                    page: page_idx,
                     bytes: dirty_bytes,
                 },
             );
         }
+
+        // Bump the version and publish the notice.
+        let mut st = self.state.lock();
+        let d = st.dir.get_mut(&page_idx).expect("dir entry");
+        let pre = d.version;
+        d.version += 1;
+        st.log.push((page_idx, pre + 1));
+        (home, pre, arrival)
+    }
+
+    /// Invalidates `node`'s copy of a page: unmaps it, forgets the copy
+    /// (counting a prefetched page that was never used as wasted) and
+    /// records the instant.
+    fn invalidate_copy(&self, sim: &Sim, page_idx: u64) {
+        let node = sim.node();
+        self.cluster
+            .mem
+            .set_prot(node, PageNum::new(page_idx), Prot::None)
+            .expect("cached copy mapped");
         {
             let mut st = self.state.lock();
-            let d = st.dir.get_mut(&page_idx).expect("dir entry");
-            d.version += 1;
-            let v = d.version;
-            st.log.push((page_idx, v));
+            let np = &mut st.nodes[node.0 as usize];
+            np.copies.remove(&page_idx);
+            if np.prefetched.remove(&page_idx).is_some() {
+                np.stats.prefetch_wasted += 1;
+            }
         }
-        // The flushed words must be home before the caller invalidates the
-        // copy — a refetch racing the diff would resurrect the old words.
-        sim.clock_at_least(max_arrival);
+        self.proto_instant(sim, obs::Event::Invalidate { page: page_idx });
     }
 
     /// Release: flushes this node's dirty pages to their homes and
@@ -1481,8 +1363,7 @@ impl SvmSystem {
         // streams the gather descriptor while the CPU diffs the remaining
         // pages (zero-copy gather DMA), so the wire transfer overlaps the
         // rest of the loop exactly as the unbatched per-run sends do.
-        let mut batches: BTreeMap<(u32, u64), (Vec<(u64, Vec<u8>)>, u64, SimTime)> =
-            BTreeMap::new();
+        let mut batches = DiffBatches::new();
         if self.cfg.migration_threshold.is_some() || self.cfg.placement_policy.is_some() {
             // Migration policy (extension): one decision per dirty chunk
             // per release — the streak policy bumps its sole-remote-differ
@@ -1500,138 +1381,23 @@ impl SvmSystem {
             }
         }
         for page_idx in dirty_pages {
-            let page = PageNum::new(page_idx);
-            let (home, region, region_off, write_through) = {
-                let st = self.state.lock();
-                let d = &st.dir[&page_idx];
-                let wt = self.cfg.write_through_single_writer
-                    && !d.multi_writer
-                    && d.first_writer == Some(node);
-                (d.home, d.region, d.region_off, wt)
-            };
+            let batch = self.cfg.batch_diffs.then_some(&mut batches);
+            let (home, pre, arrival) = self.diff_page(sim, page_idx, batch, true);
+            max_arrival = max_arrival.max(arrival);
+            diffed += u64::from(home != node);
 
-            // Collect dirty runs from the bitmap.
-            let bitmap = {
-                let mut st = self.state.lock();
-                let copy = st.nodes[node.0 as usize]
-                    .copies
-                    .get_mut(&page_idx)
-                    .expect("dirty page has copy");
-                copy.dirty.take().expect("dirty page has bitmap")
-            };
-            let runs = dirty_runs(&bitmap);
-            let dirty_bytes: u64 = runs.iter().map(|r| (r.1 - r.0) * 8).sum();
-
-            if home == node {
-                // Home writer: data already authoritative, just a notice.
-                sim.advance(self.cfg.costs.diff_build_ns / 4);
-            } else {
-                if write_through {
-                    // Single-writer write-through: updates streamed during
-                    // computation; release only fences.
-                    sim.advance(500);
-                } else {
-                    sim.advance(self.cfg.costs.diff_build_ns);
-                }
-                // The home region may have changed (migration) since we
-                // fetched this page; import lazily like the fetch path.
-                let need_import = {
-                    let mut st = self.state.lock();
-                    st.nodes[node.0 as usize]
-                        .imported
-                        .insert(region.0, ())
-                        .is_none()
-                };
-                if need_import {
-                    self.reg_op(sim, node, "region import failed", Some(region), || {
-                        self.cluster.vmmc.import_region(node, region)
-                    })
-                    .unwrap_or_else(|e| panic!("{e}"));
-                    sim.advance(self.cluster.vmmc.config().import_op_ns);
-                }
-                let (frame, _) = self
-                    .cluster
-                    .mem
-                    .translate(node, page)
-                    .expect("dirty page mapped");
-                if self.cfg.batch_diffs && !write_through {
-                    // Defer the wire transfer: collect this page's runs
-                    // into the per-home batch. Per-page build cost, trace
-                    // and version bump stay exactly as in the unbatched
-                    // path; only the messaging is amortized.
-                    let entry = batches
-                        .entry((home.0, region.0))
-                        .or_insert_with(|| (Vec::new(), 0, sim.now()));
-                    for (w0, w1) in &runs {
-                        let off = w0 * 8;
-                        let len = (w1 - w0) * 8;
-                        let mut buf = vec![0u8; len as usize];
-                        self.cluster.mem.frame_read(frame, off as usize, &mut buf);
-                        entry.0.push((region_off + off, buf));
-                    }
-                    entry.1 += 1;
-                    let mut st = self.state.lock();
-                    st.nodes[node.0 as usize].stats.diff_bytes += dirty_bytes;
-                    if self.cfg.placement_policy.is_some() {
-                        let chunk = page.chunk_base(self.cfg.home_granularity_pages).index();
-                        st.note_chunk_traffic(node, chunk);
-                    }
-                } else {
-                    for (w0, w1) in &runs {
-                        let off = w0 * 8;
-                        let len = (w1 - w0) * 8;
-                        let mut buf = vec![0u8; len as usize];
-                        self.cluster.mem.frame_read(frame, off as usize, &mut buf);
-                        let t = self
-                            .write_with_recovery(
-                                sim,
-                                node,
-                                "diff write failed",
-                                region,
-                                region_off + off,
-                                &buf,
-                            )
-                            .unwrap_or_else(|e| panic!("{e}"));
-                        if !write_through {
-                            max_arrival = max_arrival.max(t.arrival);
-                        }
-                    }
-                    let mut st = self.state.lock();
-                    st.nodes[node.0 as usize].stats.diffs_sent += 1;
-                    st.nodes[node.0 as usize].stats.diff_bytes += dirty_bytes;
-                    if self.cfg.placement_policy.is_some() {
-                        let chunk = page.chunk_base(self.cfg.home_granularity_pages).index();
-                        st.note_chunk_traffic(node, chunk);
-                    }
-                }
-                diffed += 1;
-                self.trace(
-                    sim,
-                    crate::trace::TraceEvent::Diff {
-                        node,
-                        page,
-                        bytes: dirty_bytes,
-                    },
-                );
-            }
-
-            // Bump the version and publish the notice. The releaser's own
-            // copy is complete only if nobody else released this page
-            // since we fetched it; a copy with a stale base misses the
-            // other writers' words, so it must not stay readable.
+            // The releaser's own copy is complete only if nobody else
+            // released this page since we fetched it; a copy with a stale
+            // base misses the other writers' words, so it must not stay
+            // readable.
             let stale_base = {
                 let mut st = self.state.lock();
-                let d = st.dir.get_mut(&page_idx).expect("dir entry");
-                let pre = d.version;
-                d.version += 1;
-                let v = d.version;
-                st.log.push((page_idx, v));
                 let copy = st.nodes[node.0 as usize]
                     .copies
                     .get_mut(&page_idx)
                     .expect("copy");
                 if copy.version == pre {
-                    copy.version = v;
+                    copy.version = pre + 1;
                     false
                 } else {
                     home != node
@@ -1641,19 +1407,12 @@ impl SvmSystem {
                 // Concurrent remote releases interleaved since this copy
                 // was fetched: drop it (the diff above is already on its
                 // way home) and refetch a complete page on next touch.
-                self.cluster
-                    .mem
-                    .set_prot(node, page, Prot::None)
-                    .expect("dirty page mapped");
-                let mut st = self.state.lock();
-                st.nodes[node.0 as usize].copies.remove(&page_idx);
-                drop(st);
-                self.trace(sim, crate::trace::TraceEvent::Invalidate { node, page });
+                self.invalidate_copy(sim, page_idx);
             } else {
                 // Downgrade to read-only so new writes are tracked again.
                 self.cluster
                     .mem
-                    .set_prot(node, page, Prot::Read)
+                    .set_prot(node, PageNum::new(page_idx), Prot::Read)
                     .expect("dirty page mapped");
             }
             sim.advance(self.cluster.mem.config().protect_ns);
@@ -1678,14 +1437,10 @@ impl SvmSystem {
             let region = RegionId(region_id);
             let t_issue = sim.now();
             let t = self
-                .write_multi_with_recovery(
-                    sim,
-                    node,
-                    "batched diff write failed",
-                    region,
-                    &merged,
-                    t_first,
-                )
+                .with_reimport(sim, node, "batched diff write failed", region, || {
+                    let vmmc = &self.cluster.vmmc;
+                    vmmc.remote_write_multi(node, region, &merged, t_first.min(sim.now()))
+                })
                 .unwrap_or_else(|e| panic!("{e}"));
             max_arrival = max_arrival.max(t.arrival);
             {
@@ -1736,83 +1491,9 @@ impl SvmSystem {
     }
 
     /// Acquire: applies all write notices this node has not yet seen,
-    /// invalidating stale copies. Called after every lock grant and
-    /// barrier departure.
+    /// invalidating stale copies. Called after every barrier departure.
     pub fn acquire(&self, sim: &Sim) {
-        let node = sim.node();
-        let t0 = sim.now();
-        let mut invalidate = Vec::new();
-        let mut flush_first = Vec::new();
-        let applied;
-        {
-            let mut st = self.state.lock();
-            let cursor = st.nodes[node.0 as usize].log_cursor;
-            let end = st.log.len();
-            applied = end - cursor;
-            for i in cursor..end {
-                let (page_idx, version) = st.log[i];
-                let home = st.dir[&page_idx].home;
-                if home == node {
-                    continue;
-                }
-                if let Some(copy) = st.nodes[node.0 as usize].copies.get(&page_idx) {
-                    if copy.version < version {
-                        if copy.dirty.is_none() {
-                            invalidate.push(page_idx);
-                        } else {
-                            // This node is concurrently writing the page
-                            // (another allocation sharing it, or a write
-                            // outside any critical section): flush those
-                            // words home first, then invalidate like the
-                            // rest — never read past the notice.
-                            flush_first.push(page_idx);
-                        }
-                    }
-                }
-            }
-            invalidate.sort_unstable();
-            invalidate.dedup();
-            flush_first.sort_unstable();
-            flush_first.dedup();
-            st.nodes[node.0 as usize].log_cursor = end;
-            st.nodes[node.0 as usize].stats.notices_applied +=
-                (invalidate.len() + flush_first.len()) as u64;
-        }
-        for page_idx in flush_first {
-            self.flush_dirty_page(sim, page_idx);
-            invalidate.push(page_idx);
-        }
-        for page_idx in &invalidate {
-            let page = PageNum::new(*page_idx);
-            self.cluster
-                .mem
-                .set_prot(node, page, Prot::None)
-                .expect("cached copy mapped");
-            {
-                let mut st = self.state.lock();
-                let np = &mut st.nodes[node.0 as usize];
-                np.copies.remove(page_idx);
-                if np.prefetched.remove(page_idx).is_some() {
-                    np.stats.prefetch_wasted += 1;
-                }
-            }
-            self.trace(sim, crate::trace::TraceEvent::Invalidate { node, page });
-        }
-        if applied > 0 {
-            sim.advance(self.cfg.costs.notice_apply_ns * invalidate.len().max(1) as u64);
-            if let Some(o) = self.obs_if_on() {
-                o.span(
-                    obs::Layer::Proto,
-                    node,
-                    sim.tid().0,
-                    t0,
-                    sim.now().saturating_since(t0),
-                    obs::Event::AcquireSpan {
-                        invals: invalidate.len() as u64,
-                    },
-                );
-            }
-        }
+        self.apply_notices(sim, false);
     }
 
     /// Acquire executed on a lock grant. With lock-data forwarding on,
@@ -1820,16 +1501,18 @@ impl SvmSystem {
     /// are resolved by refreshing the page contents from home in one
     /// batched fetch piggybacked on the grant — the acquirer keeps a
     /// current readable copy and skips the first post-acquire fault
-    /// round trip. Cold pages are invalidated as usual. With forwarding
-    /// off this is exactly [`SvmSystem::acquire`].
+    /// round trip. Cold pages are invalidated as usual.
     pub(crate) fn acquire_on_lock(&self, sim: &Sim) {
-        if !self.cfg.lock_forwarding {
-            self.acquire(sim);
-            return;
-        }
+        self.apply_notices(sim, self.cfg.lock_forwarding);
+    }
+
+    /// Applies all write notices this node has not yet seen: stale clean
+    /// copies are invalidated or, with `forwarding`, refreshed from home
+    /// when hot; stale copies this node is still writing are flushed home
+    /// first.
+    fn apply_notices(&self, sim: &Sim, forwarding: bool) {
         let node = sim.node();
         let t0 = sim.now();
-        let hot_min = self.cfg.lock_forward_hot;
         let mut invalidate = Vec::new();
         let mut flush_first = Vec::new();
         // Hot stale pages grouped per (home, region): (page, region_off,
@@ -1841,42 +1524,42 @@ impl SvmSystem {
             let cursor = st.nodes[node.0 as usize].log_cursor;
             let end = st.log.len();
             applied = end - cursor;
-            // Latest pending notice per stale page (the log may carry
-            // several intervals for the same page).
-            let mut stale: BTreeMap<u64, u64> = BTreeMap::new();
-            for i in cursor..end {
-                let (page_idx, version) = st.log[i];
+            for &(page_idx, version) in &st.log[cursor..end] {
                 if st.dir[&page_idx].home == node {
                     continue;
                 }
                 if let Some(copy) = st.nodes[node.0 as usize].copies.get(&page_idx) {
                     if copy.version < version {
                         if copy.dirty.is_none() {
-                            let e = stale.entry(page_idx).or_insert(version);
-                            if version > *e {
-                                *e = version;
-                            }
+                            invalidate.push(page_idx);
                         } else {
-                            // Concurrently written locally: flush the
-                            // dirty words home, then invalidate (see
-                            // `acquire`). Never forwarded — the grant
-                            // cannot carry a page we still owe a diff.
+                            // This node is concurrently writing the page
+                            // (another allocation sharing it, or a write
+                            // outside any critical section): flush those
+                            // words home first, then invalidate like the
+                            // rest — never read past the notice. Never
+                            // forwarded either: the grant cannot carry a
+                            // page we still owe a diff.
                             flush_first.push(page_idx);
                         }
                     }
                 }
             }
-            for (page_idx, version) in stale {
-                let d = &st.dir[&page_idx];
-                if d.hot >= hot_min {
-                    forward.entry((d.home.0, d.region.0)).or_default().push((
-                        page_idx,
-                        d.region_off,
-                        d.version.max(version),
-                    ));
-                } else {
-                    invalidate.push(page_idx);
-                }
+            // The log may hold several intervals for the same page.
+            invalidate.sort_unstable();
+            invalidate.dedup();
+            if forwarding {
+                // Hot pages are refreshed to the directory's version —
+                // never older than any notice in the log — not dropped.
+                invalidate.retain(|page_idx| {
+                    let d = &st.dir[page_idx];
+                    let hot = d.hot >= self.cfg.lock_forward_hot;
+                    if hot {
+                        let group = forward.entry((d.home.0, d.region.0)).or_default();
+                        group.push((*page_idx, d.region_off, d.version));
+                    }
+                    !hot
+                });
             }
             flush_first.sort_unstable();
             flush_first.dedup();
@@ -1886,48 +1569,41 @@ impl SvmSystem {
                 (invalidate.len() + flush_first.len()) as u64 + fwd;
         }
         for page_idx in flush_first {
-            self.flush_dirty_page(sim, page_idx);
+            // An early release of this one page — exactly what the next
+            // release would have done for it, just sooner. The copy cannot
+            // be invalidated while it holds unreleased words (they would
+            // be lost), but skipping the notice would leave the node
+            // reading words that miss the remote writer's update even
+            // across a lock acquire.
+            {
+                let mut st = self.state.lock();
+                st.nodes[node.0 as usize]
+                    .dirty_pages
+                    .retain(|p| *p != page_idx);
+            }
+            let (_, _, arrival) = self.diff_page(sim, page_idx, None, false);
+            // The flushed words must be home before the copy goes — a
+            // refetch racing the diff would resurrect the old words.
+            sim.clock_at_least(arrival);
             invalidate.push(page_idx);
         }
         for page_idx in &invalidate {
-            let page = PageNum::new(*page_idx);
-            self.cluster
-                .mem
-                .set_prot(node, page, Prot::None)
-                .expect("cached copy mapped");
-            {
-                let mut st = self.state.lock();
-                let np = &mut st.nodes[node.0 as usize];
-                np.copies.remove(page_idx);
-                if np.prefetched.remove(page_idx).is_some() {
-                    np.stats.prefetch_wasted += 1;
-                }
-            }
-            self.trace(sim, crate::trace::TraceEvent::Invalidate { node, page });
+            self.invalidate_copy(sim, *page_idx);
         }
         let mut forwarded_pages = 0u64;
-        for ((_home_id, region_id), pages) in &forward {
+        for ((home_id, region_id), pages) in &forward {
             let region = RegionId(*region_id);
             // The home region may never have been imported here (a copy
             // can originate from an earlier forward); import lazily.
-            let need_import = {
-                let mut st = self.state.lock();
-                st.nodes[node.0 as usize]
-                    .imported
-                    .insert(region.0, ())
-                    .is_none()
-            };
-            if need_import {
-                self.reg_op(sim, node, "region import failed", Some(region), || {
-                    self.cluster.vmmc.import_region(node, region)
-                })
+            self.ensure_imported(sim, node, "region import failed", region, false)
                 .unwrap_or_else(|e| panic!("{e}"));
-                sim.advance(self.cluster.vmmc.config().import_op_ns);
-            }
             let segs: Vec<(u64, u64)> = pages.iter().map(|(_, off, _)| (*off, PAGE_SIZE)).collect();
             let t_issue = sim.now();
             let (all, times) = self
-                .fetch_multi_with_recovery(sim, node, "lock-forward fetch failed", region, &segs)
+                .with_reimport(sim, node, "lock-forward fetch failed", region, || {
+                    let vmmc = &self.cluster.vmmc;
+                    vmmc.remote_fetch_multi(node, region, &segs, sim.now())
+                })
                 .unwrap_or_else(|e| panic!("{e}"));
             // The acquirer needs every forwarded page current before the
             // critical section runs, so it waits for the whole batch.
@@ -1943,7 +1619,7 @@ impl SvmSystem {
                         node,
                         sim.tid().0,
                         done,
-                        *_home_id as u64,
+                        *home_id as u64,
                     );
                 }
             }
@@ -1981,20 +1657,16 @@ impl SvmSystem {
         }
         if applied > 0 {
             sim.advance(self.cfg.costs.notice_apply_ns * invalidate.len().max(1) as u64);
+            if forwarded_pages > 0 {
+                self.proto_instant(
+                    sim,
+                    obs::Event::LockForward {
+                        pages: forwarded_pages,
+                        bytes: forwarded_pages * PAGE_SIZE,
+                    },
+                );
+            }
             if let Some(o) = self.obs_if_on() {
-                if forwarded_pages > 0 {
-                    let bytes = forwarded_pages * PAGE_SIZE;
-                    o.instant(
-                        obs::Layer::Proto,
-                        node,
-                        sim.tid().0,
-                        sim.now(),
-                        obs::Event::LockForward {
-                            pages: forwarded_pages,
-                            bytes,
-                        },
-                    );
-                }
                 o.span(
                     obs::Layer::Proto,
                     node,
@@ -2237,14 +1909,10 @@ impl SvmSystem {
                 Some(f) => self.cluster.mem.copy_frame(f, new_frame),
                 None if in_dir => {
                     let (data, done) = self
-                        .fetch_with_recovery(
-                            sim,
-                            node,
-                            "migration fetch failed",
-                            old_region,
-                            old_off,
-                            PAGE_SIZE,
-                        )
+                        .with_reimport(sim, node, "migration fetch failed", old_region, || {
+                            let vmmc = &self.cluster.vmmc;
+                            vmmc.remote_fetch(node, old_region, old_off, PAGE_SIZE, sim.now())
+                        })
                         .unwrap_or_else(|e| panic!("{e}"));
                     sim.clock_at_least(done);
                     self.cluster.mem.frame_write(new_frame, 0, &data);
@@ -2284,7 +1952,7 @@ impl SvmSystem {
             }
             stx.nodes[node.0 as usize].stats.migrations += 1;
         }
-        self.trace(sim, crate::trace::TraceEvent::Migrate { node, base });
+        self.proto_instant(sim, obs::Event::Migrate { base: base.index() });
         sim.op_point(self.cfg.costs.placement_bookkeeping_ns);
         if node != self.master {
             let t = self.cluster.san.send(node, self.master, 64, sim.now());

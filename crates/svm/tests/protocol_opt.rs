@@ -251,10 +251,34 @@ fn chaos_replay_is_bit_identical_with_all_opts_on() {
                     s3.unlock(ws, 1);
                 });
                 sim.wait_exit(worker);
+                // Ping-pong rounds: page 0 goes hot and is forwarded at the
+                // grant, page 5 is invalidated, and node 1 holds unreleased
+                // words on page 7 when the master's notice for it arrives
+                // (the acquire-time early flush).
+                for r in 0..6u64 {
+                    s2.lock(sim, 1);
+                    let s3 = Arc::clone(&s2);
+                    let worker = s2.create(sim, move |ws| {
+                        s3.write::<u64>(ws, a + 7 * PAGE + 8, 70 + r);
+                        s3.lock(ws, 1);
+                        let seen = s3.read::<u64>(ws, a) + s3.read::<u64>(ws, a + 5 * PAGE);
+                        s3.write::<u64>(ws, a + 9 * PAGE, seen);
+                        s3.unlock(ws, 1);
+                    });
+                    s2.write::<u64>(sim, a, 100 + r);
+                    s2.write::<u64>(sim, a + 5 * PAGE, 500 + r);
+                    s2.write::<u64>(sim, a + 7 * PAGE, 700 + r);
+                    sim.advance(3_000_000);
+                    s2.unlock(sim, 1);
+                    sim.wait_exit(worker);
+                }
                 s2.lock(sim, 1);
-                let v = s2.read::<u64>(sim, a + 3 * PAGE);
+                let mut digest = 0u64;
+                for p in 0..16 {
+                    digest = digest.wrapping_mul(31).wrapping_add(s2.read::<u64>(sim, a + p * PAGE));
+                }
                 s2.unlock(sim, 1);
-                *o2.lock().unwrap() = (sim.now().as_nanos(), s2.total_stats(), v);
+                *o2.lock().unwrap() = (sim.now().as_nanos(), s2.total_stats(), digest);
             })
             .unwrap();
         let v = *out.lock().unwrap();
@@ -265,6 +289,36 @@ fn chaos_replay_is_bit_identical_with_all_opts_on() {
     assert_eq!(t1, t2, "chaos replay diverged in simulated time");
     assert_eq!(st1, st2, "chaos replay diverged in protocol counters");
     assert_eq!(v1, v2, "chaos replay diverged in data");
+    // Golden values: a replay test compares a tree with itself, so a
+    // change that shifts both runs alike would pass it. These pin the
+    // fault-recovery, batching, prefetch, forwarding and early-flush paths
+    // to what the protocol computed when they were captured.
+    assert_eq!(t1, 24_342_686, "simulated end time moved");
+    assert_eq!(v1, 2_771_084_586_390_496_950, "final memory contents moved");
+    let golden = NodeStats {
+        read_faults: 19,
+        write_faults: 59,
+        remote_fetches: 15,
+        fetch_bytes: 94_208,
+        diffs_sent: 7,
+        diff_bytes: 176,
+        notices_applied: 12,
+        placements: 1,
+        migrations: 0,
+        lock_acquires: 14,
+        barrier_waits: 0,
+        diff_batches: 4,
+        batched_diff_bytes: 152,
+        prefetch_issued: 8,
+        prefetch_hits: 8,
+        prefetch_wasted: 0,
+        lock_forwards: 2,
+        lock_forward_bytes: 20_480,
+        pingpong_handoffs: 0,
+        policy_considered: 0,
+        policy_migrations: 0,
+    };
+    assert_eq!(st1, golden, "protocol counters moved");
 }
 
 /// The migration streak counter must see one diff event per chunk per

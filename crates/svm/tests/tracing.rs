@@ -1,15 +1,35 @@
-//! The protocol trace facility records the canonical event sequence of a
+//! The obs bus records the canonical protocol-instant sequence of a
 //! producer/consumer hand-off.
 
 use std::sync::Arc;
 
-use cables_svm::{Cluster, ClusterConfig, SvmConfig, SvmSystem, TraceEvent};
+use cables_svm::{Cluster, ClusterConfig, SvmConfig, SvmSystem};
+use obs::{Event, EventRecord};
+
+/// The protocol instants among `events`, by short name, in recording order.
+fn proto_kinds(events: &[EventRecord]) -> Vec<(&'static str, &EventRecord)> {
+    events
+        .iter()
+        .filter_map(|r| {
+            let kind = match r.event {
+                Event::Fault { .. } => "fault",
+                Event::Place { .. } => "place",
+                Event::Fetch { .. } => "fetch",
+                Event::Diff { .. } => "diff",
+                Event::Invalidate { .. } => "inval",
+                Event::Migrate { .. } => "migrate",
+                _ => return None,
+            };
+            Some((kind, r))
+        })
+        .collect()
+}
 
 #[test]
 fn trace_records_fault_place_fetch_diff_invalidate() {
     let cluster = Cluster::build(ClusterConfig::small(2, 1));
     let sys = SvmSystem::new(Arc::clone(&cluster), SvmConfig::cables());
-    sys.set_tracing(true);
+    sys.set_obs(true);
     let s = Arc::clone(&sys);
     cluster
         .engine
@@ -33,23 +53,14 @@ fn trace_records_fault_place_fetch_diff_invalidate() {
         })
         .unwrap();
 
-    let trace = sys.take_trace();
+    let events = sys.obs().events();
+    let trace = proto_kinds(&events);
     assert!(!trace.is_empty());
     // Timestamps are nondecreasing.
     for pair in trace.windows(2) {
-        assert!(pair[0].at <= pair[1].at, "trace out of order");
+        assert!(pair[0].1.at <= pair[1].1.at, "trace out of order");
     }
-    let kinds: Vec<&'static str> = trace
-        .iter()
-        .map(|r| match r.event {
-            TraceEvent::Fault { .. } => "fault",
-            TraceEvent::Place { .. } => "place",
-            TraceEvent::Fetch { .. } => "fetch",
-            TraceEvent::Diff { .. } => "diff",
-            TraceEvent::Invalidate { .. } => "inval",
-            TraceEvent::Migrate { .. } => "migrate",
-        })
-        .collect();
+    let kinds: Vec<&'static str> = trace.iter().map(|(k, _)| *k).collect();
     assert!(kinds.contains(&"fault"));
     assert!(kinds.contains(&"place"));
     assert!(kinds.contains(&"fetch"));
@@ -58,9 +69,24 @@ fn trace_records_fault_place_fetch_diff_invalidate() {
     let pos = |k: &str| kinds.iter().position(|x| *x == k).unwrap();
     assert!(pos("place") < pos("fetch"));
     assert!(pos("fetch") < pos("diff"));
-    // Disabled tracing records nothing.
-    sys.set_tracing(false);
-    assert!(sys.take_trace().is_empty());
+}
+
+#[test]
+fn disabled_bus_records_nothing() {
+    let cluster = Cluster::build(ClusterConfig::small(2, 1));
+    let sys = SvmSystem::new(Arc::clone(&cluster), SvmConfig::cables());
+    let s = Arc::clone(&sys);
+    cluster
+        .engine
+        .clone()
+        .run(cluster.nodes()[0], move |sim| {
+            let a = s.g_malloc(sim, 4096);
+            s.lock(sim, 1);
+            s.write::<u64>(sim, a, 1);
+            s.unlock(sim, 1);
+        })
+        .unwrap();
+    assert!(sys.obs().events().is_empty());
 }
 
 #[test]
@@ -68,7 +94,7 @@ fn trace_is_deterministic() {
     fn one() -> Vec<String> {
         let cluster = Cluster::build(ClusterConfig::small(2, 1));
         let sys = SvmSystem::new(Arc::clone(&cluster), SvmConfig::cables());
-        sys.set_tracing(true);
+        sys.set_obs(true);
         let s = Arc::clone(&sys);
         cluster
             .engine
@@ -87,9 +113,9 @@ fn trace_is_deterministic() {
                 sim.wait_exit(w);
             })
             .unwrap();
-        sys.take_trace()
+        proto_kinds(&sys.obs().events())
             .iter()
-            .map(|r| format!("{} {}", r.at, r.event))
+            .map(|(_, r)| format!("{} {} {:?}", r.at, r.node, r.event))
             .collect()
     }
     assert_eq!(one(), one());

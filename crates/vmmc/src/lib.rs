@@ -529,12 +529,14 @@ impl Vmmc {
             })
     }
 
+    /// Validates one message's segments `(offset, len)` against `region`
+    /// and splits them into per-frame pieces, in segment order. Returns the
+    /// region's owner; nothing has been touched on error.
     fn check_remote(
         &self,
         from: NodeId,
         region: RegionId,
-        offset: u64,
-        len: u64,
+        segs: impl Iterator<Item = (u64, u64)>,
     ) -> Result<(NodeId, Vec<(FrameId, usize, usize)>), VmmcError> {
         let s = self.state.lock();
         let r = s
@@ -544,60 +546,62 @@ impl Vmmc {
         if r.owner != from && !r.importers.contains(&from) {
             return Err(VmmcError::NotImported { node: from, region });
         }
-        if offset + len > r.bytes() {
-            return Err(VmmcError::OutOfBounds {
-                region,
-                offset,
-                len,
-            });
-        }
-        // Split [offset, offset+len) into per-frame pieces.
         let mut pieces = Vec::new();
-        let mut cur = offset;
-        let end = offset + len;
-        while cur < end {
-            let frame_idx = (cur / PAGE_SIZE) as usize;
-            let in_frame = (cur % PAGE_SIZE) as usize;
-            let take = ((PAGE_SIZE - cur % PAGE_SIZE) as usize).min((end - cur) as usize);
-            pieces.push((r.frames[frame_idx], in_frame, take));
-            cur += take as u64;
+        for (offset, len) in segs {
+            if offset + len > r.bytes() {
+                return Err(VmmcError::OutOfBounds {
+                    region,
+                    offset,
+                    len,
+                });
+            }
+            // Split [offset, offset+len) into per-frame pieces.
+            let mut cur = offset;
+            let end = offset + len;
+            while cur < end {
+                let frame_idx = (cur / PAGE_SIZE) as usize;
+                let in_frame = (cur % PAGE_SIZE) as usize;
+                let take = ((PAGE_SIZE - cur % PAGE_SIZE) as usize).min((end - cur) as usize);
+                pieces.push((r.frames[frame_idx], in_frame, take));
+                cur += take as u64;
+            }
         }
         Ok((r.owner, pieces))
     }
 
-    /// Direct remote write: deposits `data` at `offset` within `region` on
-    /// its owner, without remote processor intervention.
-    ///
-    /// Returns the SAN timing; the sender's CPU is busy until
-    /// `local_done`, the data is remotely visible at `arrival`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the region is unknown, not imported by `from`, or the
-    /// range is out of bounds.
-    pub fn remote_write(
+    /// The one remote write: deposits the `(offset, data)` segments of one
+    /// message into `region` on its owner. `wire` prices the message on
+    /// the SAN (skipped for an owner-local deposit, which is a memory copy);
+    /// everything else — validation before any effect, the frame copies,
+    /// the obs span and delivery edge — is the same for every write.
+    fn write_segs<D: AsRef<[u8]>>(
         &self,
         from: NodeId,
         region: RegionId,
-        offset: u64,
-        data: &[u8],
+        segs: &[(u64, D)],
         now: SimTime,
+        wire: impl FnOnce(NodeId) -> SendTiming,
     ) -> Result<SendTiming, VmmcError> {
-        let (owner, pieces) = self.check_remote(from, region, offset, data.len() as u64)?;
+        let lens = segs.iter().map(|(off, d)| (*off, d.as_ref().len() as u64));
+        let (owner, pieces) = self.check_remote(from, region, lens)?;
         let timing = if owner == from {
-            // Local deposit: a memory copy, no SAN involvement.
             SendTiming {
                 local_done: now,
                 arrival: now,
             }
         } else {
-            self.san.send(from, owner, data.len() as u64, now)
+            wire(owner)
         };
-        let mut cursor = 0usize;
-        for (frame, in_frame, take) in pieces {
-            self.mem
-                .frame_write(frame, in_frame, &data[cursor..cursor + take]);
-            cursor += take;
+        let mut pieces = pieces.into_iter();
+        for (_, data) in segs {
+            let data = data.as_ref();
+            let mut cursor = 0usize;
+            while cursor < data.len() {
+                let (frame, in_frame, take) = pieces.next().expect("pieces cover the segment");
+                self.mem
+                    .frame_write(frame, in_frame, &data[cursor..cursor + take]);
+                cursor += take;
+            }
         }
         if let Some(o) = self.obs_on() {
             o.span(
@@ -608,7 +612,7 @@ impl Vmmc {
                 timing.arrival.saturating_since(now),
                 Event::VmmcWrite {
                     region: region.0,
-                    bytes: data.len() as u64,
+                    bytes: segs.iter().map(|(_, d)| d.as_ref().len() as u64).sum(),
                 },
             );
             if owner != from {
@@ -630,52 +634,54 @@ impl Vmmc {
         Ok(timing)
     }
 
-    /// Direct remote fetch: synchronously reads `len` bytes at `offset`
-    /// from `region` on its owner. Returns the data and the completion
-    /// time at the requester.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the region is unknown, not imported by `from`, or the
-    /// range is out of bounds.
-    pub fn remote_fetch(
+    /// The one remote fetch: reads the `(offset, len)` segments of one
+    /// message from `region` on its owner into `data`, with one completion
+    /// time per segment in `times`. `wire` prices the round trip on the
+    /// SAN, issued at the time it is given (skipped for an owner-local
+    /// read); validation, the chaos timeout/backoff loop, the frame copies
+    /// and the obs span + edge are the same for every fetch.
+    #[allow(clippy::too_many_arguments)]
+    fn fetch_segs(
         &self,
         from: NodeId,
         region: RegionId,
-        offset: u64,
-        len: u64,
+        segs: &[(u64, u64)],
         now: SimTime,
-    ) -> Result<(Vec<u8>, SimTime), VmmcError> {
-        let (owner, pieces) = self.check_remote(from, region, offset, len)?;
-        let done = if owner == from {
-            now
+        data: &mut [Vec<u8>],
+        times: &mut [SimTime],
+        wire: impl FnOnce(NodeId, SimTime, &mut [SimTime]),
+    ) -> Result<(), VmmcError> {
+        let (owner, pieces) = self.check_remote(from, region, segs.iter().copied())?;
+        if owner == from {
+            times.fill(now);
         } else {
             // Chaos: a dropped fetch request or reply costs the requester
-            // a timeout, after which the (idempotent) fetch is re-issued
-            // with exponential backoff. Data is read exactly once, after
-            // the final successful round-trip.
+            // a timeout, after which the (idempotent) fetch — the whole
+            // batch, it is one message — is re-issued with exponential
+            // backoff. Data is read exactly once, after the final
+            // successful round-trip.
             let mut issue = now;
             if let Some(c) = self.chaos_wire() {
                 let (r, timeout) = c.fetch_retries(from.0, owner.0);
-                if r > 0 {
-                    for i in 0..r {
-                        let backoff = timeout << i;
-                        if let Some(o) = self.obs_on() {
-                            o.span(
-                                Layer::Chaos,
-                                from,
-                                NIC_TRACK,
-                                issue,
-                                backoff,
-                                Event::ChaosRetry {
-                                    attempt: (i + 1) as u64,
-                                    backoff_ns: backoff,
-                                },
-                            );
-                        }
-                        c.note_retry();
-                        issue = issue + backoff;
+                for i in 0..r {
+                    let backoff = timeout << i;
+                    if let Some(o) = self.obs_on() {
+                        o.span(
+                            Layer::Chaos,
+                            from,
+                            NIC_TRACK,
+                            issue,
+                            backoff,
+                            Event::ChaosRetry {
+                                attempt: (i + 1) as u64,
+                                backoff_ns: backoff,
+                            },
+                        );
                     }
+                    c.note_retry();
+                    issue += backoff;
+                }
+                if r > 0 {
                     // Recovery arrow: first (lost) issue to the re-issue
                     // that went through.
                     if let Some(o) = self.obs_on() {
@@ -692,25 +698,30 @@ impl Vmmc {
                     }
                 }
             }
-            self.san.fetch(from, owner, len, issue)
-        };
-        let mut data = vec![0u8; len as usize];
-        let mut cursor = 0usize;
-        for (frame, in_frame, take) in pieces {
-            self.mem
-                .frame_read(frame, in_frame, &mut data[cursor..cursor + take]);
-            cursor += take;
+            wire(owner, issue, times);
         }
+        let mut pieces = pieces.into_iter();
+        for ((_, len), out) in segs.iter().zip(data.iter_mut()) {
+            *out = vec![0u8; *len as usize];
+            let mut cursor = 0usize;
+            while cursor < out.len() {
+                let (frame, in_frame, take) = pieces.next().expect("pieces cover the segment");
+                self.mem
+                    .frame_read(frame, in_frame, &mut out[cursor..cursor + take]);
+                cursor += take;
+            }
+        }
+        let last = times[segs.len() - 1];
         if let Some(o) = self.obs_on() {
             o.span(
                 Layer::Vmmc,
                 from,
                 NIC_TRACK,
                 now,
-                done.saturating_since(now),
+                last.saturating_since(now),
                 Event::VmmcFetch {
                     region: region.0,
-                    bytes: len,
+                    bytes: segs.iter().map(|(_, l)| *l).sum(),
                 },
             );
             if owner != from {
@@ -721,12 +732,61 @@ impl Vmmc {
                     now,
                     from,
                     NIC_TRACK,
-                    done,
+                    last,
                     region.0,
                 );
             }
         }
-        Ok((data, done))
+        Ok(())
+    }
+
+    /// Direct remote write: deposits `data` at `offset` within `region` on
+    /// its owner, without remote processor intervention — the unframed
+    /// single-segment message.
+    ///
+    /// Returns the SAN timing; the sender's CPU is busy until
+    /// `local_done`, the data is remotely visible at `arrival`.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the region is unknown, not imported by `from`, or the
+    /// range is out of bounds.
+    pub fn remote_write(
+        &self,
+        from: NodeId,
+        region: RegionId,
+        offset: u64,
+        data: &[u8],
+        now: SimTime,
+    ) -> Result<SendTiming, VmmcError> {
+        self.write_segs(from, region, &[(offset, data)], now, |owner| {
+            self.san.send(from, owner, data.len() as u64, now)
+        })
+    }
+
+    /// Direct remote fetch: synchronously reads `len` bytes at `offset`
+    /// from `region` on its owner — the unframed single-segment round
+    /// trip. Returns the data and the completion time at the requester.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the region is unknown, not imported by `from`, or the
+    /// range is out of bounds.
+    pub fn remote_fetch(
+        &self,
+        from: NodeId,
+        region: RegionId,
+        offset: u64,
+        len: u64,
+        now: SimTime,
+    ) -> Result<(Vec<u8>, SimTime), VmmcError> {
+        let (mut data, mut done) = ([Vec::new()], [now]);
+        let wire = |owner, issue, done: &mut [SimTime]| {
+            done[0] = self.san.fetch(from, owner, len, issue);
+        };
+        self.fetch_segs(from, region, &[(offset, len)], now, &mut data, &mut done, wire)?;
+        let [data] = data;
+        Ok((data, done[0]))
     }
 
     /// Batched remote write: deposits several discontiguous segments of
@@ -751,58 +811,10 @@ impl Vmmc {
         now: SimTime,
     ) -> Result<SendTiming, VmmcError> {
         assert!(!segs.is_empty(), "empty batched write");
-        let mut owner = None;
-        let mut all_pieces = Vec::with_capacity(segs.len());
-        for (offset, data) in segs {
-            let (o, pieces) = self.check_remote(from, region, *offset, data.len() as u64)?;
-            owner = Some(o);
-            all_pieces.push(pieces);
-        }
-        let owner = owner.unwrap();
-        let total: u64 = segs.iter().map(|(_, d)| d.len() as u64).sum();
-        let timing = if owner == from {
-            SendTiming {
-                local_done: now,
-                arrival: now,
-            }
-        } else {
+        self.write_segs(from, region, segs, now, |owner| {
             let lens: Vec<u64> = segs.iter().map(|(_, d)| d.len() as u64).collect();
             self.san.send_multi(from, owner, &lens, now)
-        };
-        for ((_, data), pieces) in segs.iter().zip(all_pieces) {
-            let mut cursor = 0usize;
-            for (frame, in_frame, take) in pieces {
-                self.mem
-                    .frame_write(frame, in_frame, &data[cursor..cursor + take]);
-                cursor += take;
-            }
-        }
-        if let Some(o) = self.obs_on() {
-            o.span(
-                Layer::Vmmc,
-                from,
-                NIC_TRACK,
-                now,
-                timing.arrival.saturating_since(now),
-                Event::VmmcWrite {
-                    region: region.0,
-                    bytes: total,
-                },
-            );
-            if owner != from {
-                o.edge(
-                    EdgeKind::MsgSend,
-                    from,
-                    NIC_TRACK,
-                    now,
-                    owner,
-                    NIC_TRACK,
-                    timing.arrival,
-                    region.0,
-                );
-            }
-        }
-        Ok(timing)
+        })
     }
 
     /// Batched remote fetch: synchronously reads several discontiguous
@@ -830,95 +842,14 @@ impl Vmmc {
         now: SimTime,
     ) -> Result<(Vec<Vec<u8>>, Vec<SimTime>), VmmcError> {
         assert!(!segs.is_empty(), "empty batched fetch");
-        let mut owner = None;
-        let mut all_pieces = Vec::with_capacity(segs.len());
-        for (offset, len) in segs {
-            let (o, pieces) = self.check_remote(from, region, *offset, *len)?;
-            owner = Some(o);
-            all_pieces.push(pieces);
-        }
-        let owner = owner.unwrap();
-        let total: u64 = segs.iter().map(|(_, l)| *l).sum();
-        let times = if owner == from {
-            vec![now; segs.len()]
-        } else {
-            let mut issue = now;
-            if let Some(c) = self.chaos_wire() {
-                let (r, timeout) = c.fetch_retries(from.0, owner.0);
-                if r > 0 {
-                    for i in 0..r {
-                        let backoff = timeout << i;
-                        if let Some(o) = self.obs_on() {
-                            o.span(
-                                Layer::Chaos,
-                                from,
-                                NIC_TRACK,
-                                issue,
-                                backoff,
-                                Event::ChaosRetry {
-                                    attempt: (i + 1) as u64,
-                                    backoff_ns: backoff,
-                                },
-                            );
-                        }
-                        c.note_retry();
-                        issue = issue + backoff;
-                    }
-                    if let Some(o) = self.obs_on() {
-                        o.edge(
-                            EdgeKind::Recovery,
-                            from,
-                            NIC_TRACK,
-                            now,
-                            from,
-                            NIC_TRACK,
-                            issue,
-                            region.0,
-                        );
-                    }
-                }
-            }
+        let mut data = vec![Vec::new(); segs.len()];
+        let mut times = vec![now; segs.len()];
+        let wire = |owner, issue, times: &mut [SimTime]| {
             let lens: Vec<u64> = segs.iter().map(|(_, l)| *l).collect();
-            self.san.fetch_multi(from, owner, &lens, issue)
+            times.copy_from_slice(&self.san.fetch_multi(from, owner, &lens, issue));
         };
-        let mut out = Vec::with_capacity(segs.len());
-        for ((_, len), pieces) in segs.iter().zip(all_pieces) {
-            let mut data = vec![0u8; *len as usize];
-            let mut cursor = 0usize;
-            for (frame, in_frame, take) in pieces {
-                self.mem
-                    .frame_read(frame, in_frame, &mut data[cursor..cursor + take]);
-                cursor += take;
-            }
-            out.push(data);
-        }
-        let last = *times.last().expect("non-empty batch");
-        if let Some(o) = self.obs_on() {
-            o.span(
-                Layer::Vmmc,
-                from,
-                NIC_TRACK,
-                now,
-                last.saturating_since(now),
-                Event::VmmcFetch {
-                    region: region.0,
-                    bytes: total,
-                },
-            );
-            if owner != from {
-                o.edge(
-                    EdgeKind::MsgFetch,
-                    owner,
-                    NIC_TRACK,
-                    now,
-                    from,
-                    NIC_TRACK,
-                    last,
-                    region.0,
-                );
-            }
-        }
-        Ok((out, times))
+        self.fetch_segs(from, region, segs, now, &mut data, &mut times, wire)?;
+        Ok((data, times))
     }
 
     /// Notification: a small message that dispatches a handler on the

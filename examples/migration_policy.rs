@@ -1,4 +1,4 @@
-//! The home-migration policy extension in action, with protocol tracing.
+//! The home-migration policy extension in action, seen on the obs bus.
 //!
 //! The paper provides the page-migration *mechanisms* but leaves the
 //! policy open (§2.1.3). This example runs a producer-owned segment
@@ -9,14 +9,14 @@
 
 use std::sync::Arc;
 
-use svm::{Cluster, ClusterConfig, SvmConfig, SvmSystem, TraceEvent};
+use svm::{Cluster, ClusterConfig, SvmConfig, SvmSystem};
 
 fn run(threshold: Option<u32>) -> (u64, u64, u64, Vec<String>) {
     let cluster = Cluster::build(ClusterConfig::small(2, 1));
     let mut cfg = SvmConfig::cables();
     cfg.migration_threshold = threshold;
     let sys = SvmSystem::new(Arc::clone(&cluster), cfg);
-    sys.set_tracing(true);
+    sys.set_obs(true);
     let s = Arc::clone(&sys);
     let end = cluster
         .engine
@@ -44,10 +44,15 @@ fn run(threshold: Option<u32>) -> (u64, u64, u64, Vec<String>) {
         .expect("run");
     let st = sys.total_stats();
     let migrations: Vec<String> = sys
-        .take_trace()
+        .obs()
+        .events()
         .iter()
-        .filter(|r| matches!(r.event, TraceEvent::Migrate { .. }))
-        .map(|r| format!("  t={} {}", r.at, r.event))
+        .filter_map(|r| match r.event {
+            obs::Event::Migrate { base } => {
+                Some(format!("  t={} migrate -> {} chunk@p{base}", r.at, r.node))
+            }
+            _ => None,
+        })
         .collect();
     (end.as_nanos(), st.diffs_sent, st.diff_bytes, migrations)
 }

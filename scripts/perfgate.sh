@@ -32,10 +32,9 @@ CARGO_FLAGS=${CARGO_FLAGS:---offline}
 ABS=${PERFGATE_ABS:-0}
 REL=${PERFGATE_REL:-2.0}
 
-BENCHES=(obs_report critpath protocol_opt ablations service_bench placement)
-ARTIFACTS=(BENCH_obs_FFT.json BENCH_obs_RADIX.json BENCH_obs_stream.json
-           BENCH_critpath.json BENCH_protocol.json BENCH_ablations.json
-           BENCH_service.json BENCH_placement.json)
+source scripts/artifacts.sh
+BENCHES=("${GATE_BENCHES[@]}")
+ARTIFACTS=("${GATED_ARTIFACTS[@]}")
 
 regen=1 selftest=0 rebase=0
 for arg in "$@"; do

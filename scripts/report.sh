@@ -56,34 +56,19 @@ CARGO_FLAGS=${CARGO_FLAGS:---offline}
 # default. Override with CABLES_ENGINE_MODE=sequential to cross-check.
 export CABLES_ENGINE_MODE=${CABLES_ENGINE_MODE:-parallel}
 
-ARTIFACTS=(BENCH_obs_FFT.json BENCH_obs_RADIX.json BENCH_obs_stream.json
-           BENCH_chaos.json BENCH_protocol.json BENCH_critpath.json
-           BENCH_table3.json BENCH_table4.json BENCH_table5.json
-           BENCH_table6.json BENCH_fig5.json BENCH_fig6.json
-           BENCH_ablations.json BENCH_service.json BENCH_placement.json
-           target/artifacts/trace_fft.json
-           target/artifacts/stream_FFT.ndjson
-           target/artifacts/stream_RADIX.ndjson
-           target/artifacts/stream_CHAOS_FFT.ndjson
-           target/artifacts/stream_service.ndjson)
+source scripts/artifacts.sh
+ARTIFACTS=("${ALL_ARTIFACTS[@]}")
 
 # Drop stale copies first so a bench that no longer writes its artifact
 # cannot pass the check below on a leftover file.
 rm -f "${ARTIFACTS[@]}"
 
-cargo bench $CARGO_FLAGS -p cables-bench --bench obs_report
-cargo bench $CARGO_FLAGS -p cables-bench --bench critpath
-cargo bench $CARGO_FLAGS -p cables-bench --bench chaos_soak
-cargo bench $CARGO_FLAGS -p cables-bench --bench protocol_opt
-cargo bench $CARGO_FLAGS -p cables-bench --bench table3
-cargo bench $CARGO_FLAGS -p cables-bench --bench table4
-cargo bench $CARGO_FLAGS -p cables-bench --bench table5
-cargo bench $CARGO_FLAGS -p cables-bench --bench table6
-cargo bench $CARGO_FLAGS -p cables-bench --bench fig5
-cargo bench $CARGO_FLAGS -p cables-bench --bench fig6
-cargo bench $CARGO_FLAGS -p cables-bench --bench ablations
-cargo bench $CARGO_FLAGS -p cables-bench --bench service_bench
-cargo bench $CARGO_FLAGS -p cables-bench --bench placement
+for bench in "${BENCH_TARGETS[@]}"; do
+    # A full engine_wall run takes minutes and has its own artifact
+    # (BENCH_hotpath.json); it is not part of the report.
+    [[ "$bench" == engine_wall ]] && continue
+    cargo bench $CARGO_FLAGS -p cables-bench --bench "$bench"
+done
 
 status=0
 for f in "${ARTIFACTS[@]}"; do

@@ -14,6 +14,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 CARGO_FLAGS=${CARGO_FLAGS:---offline}
+source scripts/artifacts.sh
 
 echo "==> cargo build --release"
 cargo build $CARGO_FLAGS --release
@@ -25,7 +26,7 @@ echo "==> cargo test --workspace (engine: parallel_det, audited green threads)"
 CABLES_ENGINE_MODE=parallel_det cargo test $CARGO_FLAGS --workspace -q
 
 if [[ "${1:-}" == "--smoke" ]]; then
-    for bench in table3 table4 table5 table6 fig5 fig6 ablations engine_wall obs_report critpath chaos_soak protocol_opt service_bench placement; do
+    for bench in "${BENCH_TARGETS[@]}"; do
         echo "==> cargo bench --bench $bench -- --test"
         cargo bench $CARGO_FLAGS -p cables-bench --bench "$bench" -- --test
     done
@@ -41,9 +42,7 @@ if [[ "${1:-}" == "--smoke" ]]; then
     # including the frames-fold-to-final-snapshot exactness check.
     echo "==> cablestat check BENCH_*.json + stream_*.ndjson"
     ./target/release/cablestat check BENCH_*.json target/artifacts/trace_fft.json
-    ./target/release/cablestat check --dir target/artifacts \
-        stream_FFT.ndjson stream_RADIX.ndjson stream_CHAOS_FFT.ndjson \
-        stream_service.ndjson
+    ./target/release/cablestat check --dir target/artifacts "${STREAM_ARTIFACTS[@]}"
     # The stream tooling itself: `series` must fold + verify each stream
     # (exit 1 on divergence), `tail` must render a completed stream.
     echo "==> cablestat series / tail smoke"
@@ -56,7 +55,7 @@ if [[ "${1:-}" == "--smoke" ]]; then
     # independent parser (python is the neutral referee; skip quietly if
     # it is unavailable).
     if command -v python3 >/dev/null 2>&1; then
-        for f in BENCH_obs_FFT.json BENCH_obs_RADIX.json BENCH_obs_stream.json BENCH_critpath.json BENCH_chaos.json BENCH_protocol.json BENCH_ablations.json BENCH_service.json BENCH_placement.json BENCH_table3.json BENCH_table4.json BENCH_table5.json target/artifacts/trace_fft.json; do
+        for f in "${SMOKE_ARTIFACTS[@]}"; do
             echo "==> validate $f"
             python3 -m json.tool "$f" > /dev/null
         done
