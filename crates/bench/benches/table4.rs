@@ -8,7 +8,7 @@ use std::sync::Mutex as StdMutex;
 use std::fmt::Write as _;
 
 use cables::{CablesConfig, CablesRt, MutexCondBarrier};
-use cables_bench::{header, write_artifact};
+use cables_bench::{header, smoke_mode, write_artifact};
 use svm::{Cluster, ClusterConfig};
 
 #[derive(Clone)]
@@ -412,7 +412,12 @@ fn main() {
     println!("note: measured values come from the simulated cluster's cost model;");
     println!("      the reproduction targets the paper's magnitudes and ratios.");
 
-    let mut json = String::from("{\n  \"bench\": \"table4\",\n  \"rows\": [");
+    // Sizes are the same in smoke mode; the marker is what lets
+    // scripts/perfgate.sh tell a gate-able artifact from a stale one.
+    let mut json = format!(
+        "{{\n  \"bench\": \"table4\",\n  \"smoke\": {},\n  \"rows\": [",
+        smoke_mode()
+    );
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             json,

@@ -7,7 +7,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use cables::{CablesConfig, CablesRt, OpKind, OpTimes, RtStats};
-use cables_bench::{header, write_artifact};
+use cables_bench::{header, smoke_mode, write_artifact};
 use omp::Omp;
 use svm::{Cluster, ClusterConfig};
 
@@ -182,7 +182,12 @@ fn main() {
     println!("  (paper: remote operations about three orders of magnitude above local;");
     println!("   create averages are ms-scale because they amortize node attaches)");
 
-    let mut json = String::from("{\n  \"bench\": \"table5\",\n  \"programs\": [");
+    // Sizes are the same in smoke mode; the marker is what lets
+    // scripts/perfgate.sh tell a gate-able artifact from a stale one.
+    let mut json = format!(
+        "{{\n  \"bench\": \"table5\",\n  \"smoke\": {},\n  \"programs\": [",
+        smoke_mode()
+    );
     let avg = |ops: &OpTimes, k: OpKind| -> String {
         match ops.avg_ns(k) {
             None => "null".to_string(),

@@ -47,14 +47,14 @@
 
 mod config;
 mod mem;
+mod once_tsd;
 mod rt;
 mod sync;
-mod sync2;
 
 pub use config::{CablesConfig, CablesCosts};
 pub use mem::FreeError;
+pub use once_tsd::{Once, TsdKey};
 pub use rt::{
     CablesRt, Cancelled, ContentionStats, CtId, OpKind, OpTimes, Pth, RtStats, CRASHED_RET,
 };
-pub use sync::{Barrier, Cond, Mutex, MutexCondBarrier};
-pub use sync2::{Once, RwLock, TsdKey};
+pub use sync::{Barrier, Cond, Mutex, MutexCondBarrier, RwLock};

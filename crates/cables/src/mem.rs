@@ -84,19 +84,8 @@ impl CablesRt {
             self.state.lock().allocated.insert(addr.raw(), bytes);
             addr
         };
-        if let Some(o) = self.obs_if_on() {
-            o.span(
-                obs::Layer::Rt,
-                sim.node(),
-                sim.tid().0,
-                t0,
-                sim.now().saturating_since(t0),
-                obs::Event::GlobalAlloc {
-                    base: addr.raw(),
-                    bytes,
-                },
-            );
-        }
+        let base = addr.raw();
+        self.span(sim, t0, obs::Event::GlobalAlloc { base, bytes });
         addr
     }
 
@@ -199,26 +188,18 @@ impl CablesRt {
 impl Pth<'_> {
     /// Allocates global shared memory (`global_malloc`).
     pub fn malloc(&self, bytes: u64) -> GAddr {
-        let t0 = self.sim.now();
-        let a = self.rt().global_malloc(self.sim, bytes);
-        self.rt().record_op(OpKind::Malloc, self.sim.now() - t0);
-        a
+        self.timed(OpKind::Malloc, |rt, sim| rt.global_malloc(sim, bytes))
     }
 
     /// Frees global shared memory (`global_free`).
     pub fn free(&self, addr: GAddr) {
-        let t0 = self.sim.now();
-        self.rt().global_free(self.sim, addr);
-        self.rt().record_op(OpKind::Free, self.sim.now() - t0);
+        self.timed(OpKind::Free, |rt, sim| rt.global_free(sim, addr))
     }
 
     /// Frees global shared memory, returning `Err(`[`FreeError`]`)` on a
     /// double or wild free instead of panicking.
     pub fn try_free(&self, addr: GAddr) -> Result<(), FreeError> {
-        let t0 = self.sim.now();
-        let r = self.rt().try_global_free(self.sim, addr);
-        self.rt().record_op(OpKind::Free, self.sim.now() - t0);
-        r
+        self.timed(OpKind::Free, |rt, sim| rt.try_global_free(sim, addr))
     }
 
     /// Defines a GLOBAL static variable (the `GLOBAL` qualifier).

@@ -6,7 +6,7 @@
 //! handlers, whose costs this module charges explicitly ("administration
 //! request" in the paper's Table 4).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -15,9 +15,10 @@ use chaos::{ChaosEngine, CrashUnwind};
 use memsim::GAddr;
 use parking_lot::Mutex;
 use sim::{NodeId, Sim, SimError, SimTime, Tid};
-use svm::{Cluster, ProtoMode, SvmSystem};
+use svm::{Cluster, ProtoMode, SvmSystem, WaitQueue};
 
 use crate::config::CablesConfig;
+use crate::sync::RwState;
 
 /// The value [`CablesRt::join`] returns for a thread lost to a node crash
 /// (mirrors a POSIX `ECANCELED`-style status: the thread never produced a
@@ -59,21 +60,19 @@ pub(crate) struct ThreadRec {
     pub exit_time: SimTime,
     /// Node the thread ran on (authoritative once `phase` is `Finished`).
     pub exit_node: NodeId,
-    pub joiners: Vec<Tid>,
     pub cancel_requested: bool,
 }
 
-#[derive(Debug, Default)]
-pub(crate) struct CondState {
-    pub waiters: VecDeque<(Tid, NodeId)>,
-}
-
-#[derive(Debug, Default)]
-pub(crate) struct RwState {
-    pub writer: Option<Tid>,
-    pub readers: u64,
-    /// FIFO of waiters: `(tid, node, wants_write)`.
-    pub waiters: VecDeque<(Tid, NodeId, bool)>,
+impl ThreadRec {
+    fn running(sim_tid: Tid, node: NodeId) -> Self {
+        ThreadRec {
+            sim_tid,
+            phase: Phase::Running,
+            exit_time: SimTime::ZERO,
+            exit_node: node,
+            cancel_requested: false,
+        }
+    }
 }
 
 /// API operations whose execution times the runtime accumulates
@@ -234,10 +233,15 @@ pub(crate) struct RtState {
     pub next_ct: u64,
     pub rr: usize,
     pub next_sync_id: u64,
-    pub conds: HashMap<u64, CondState>,
+    /// Threads parked on each condition variable.
+    pub conds: HashMap<u64, WaitQueue>,
+    /// Threads parked in `join` of each (running) thread.
+    pub joiners: HashMap<u64, WaitQueue>,
     pub rwlocks: HashMap<u64, RwState>,
     pub once_done: HashMap<u64, ()>,
-    pub pool_idle: HashMap<u32, Vec<Tid>>,
+    /// Idle pooled threads per node; the most recently parked is reused
+    /// first.
+    pub pool_idle: HashMap<u32, WaitQueue>,
     pub pool_jobs: HashMap<u64, (u64, JobFn)>,
     pub pool_shutdown: bool,
     pub tsd: HashMap<(u64, u64), u64>,
@@ -308,6 +312,7 @@ impl CablesRt {
                 rr: 0,
                 next_sync_id: 1,
                 conds: HashMap::new(),
+                joiners: HashMap::new(),
                 rwlocks: HashMap::new(),
                 once_done: HashMap::new(),
                 pool_idle: HashMap::new(),
@@ -488,17 +493,8 @@ impl CablesRt {
         }
         let ct = st.next_ct;
         st.next_ct += 1;
-        st.threads.insert(
-            ct,
-            ThreadRec {
-                sim_tid: sim.tid(),
-                phase: Phase::Running,
-                exit_time: SimTime::ZERO,
-                exit_node: self.master,
-                joiners: Vec::new(),
-                cancel_requested: false,
-            },
-        );
+        st.threads
+            .insert(ct, ThreadRec::running(sim.tid(), self.master));
         st.by_tid.insert(sim.tid().0, ct);
     }
 
@@ -522,7 +518,8 @@ impl CablesRt {
         let idle: Vec<Tid> = {
             let mut st = self.state.lock();
             st.pool_shutdown = true;
-            st.pool_idle.values_mut().flat_map(std::mem::take).collect()
+            let idle = st.pool_idle.values_mut().flat_map(|q| q.0.drain(..));
+            idle.map(|(tid, ..)| tid).collect()
         };
         for tid in idle {
             sim.wake(tid, sim.now());
@@ -547,23 +544,18 @@ impl CablesRt {
     /// queued waits are purged, locks it held pass to surviving waiters,
     /// barriers it can no longer reach are forgiven its arrival, its
     /// joiners are woken, and the node is detached. Threads are processed
-    /// lowest-id first and every queue edit uses per-entry filtering, so
-    /// replay with the same seed and plan is bit-identical.
+    /// lowest-id first and every queue edit is a per-entry purge, so
+    /// replay with the same seed and plan is bit-identical. Grantees of
+    /// the hand-offs are woken by the hand-off alone: a second wake would
+    /// sit as a stale token on their next park.
     fn recover_crash(self: &Arc<Self>, sim: &Sim, node: NodeId) {
         let Some(ch) = self.cluster().chaos().cloned() else {
             return;
         };
         let t0 = sim.now();
         ch.note_crash();
-        if let Some(o) = self.obs_if_on() {
-            o.instant(
-                obs::Layer::Chaos,
-                node,
-                sim.tid().0,
-                t0,
-                obs::Event::ChaosCrash { node: node.0 },
-            );
-        }
+        let crashed = obs::Event::ChaosCrash { node: node.0 };
+        self.note(sim, obs::Layer::Chaos, node, crashed);
         let mut victims: Vec<(u64, Tid)> = {
             let st = self.state.lock();
             st.threads
@@ -579,33 +571,22 @@ impl CablesRt {
             let was_waiting_svm = self.svm().crash_purge_waiter(tid);
             let (was_waiting_rt, joiners) = {
                 let mut st = self.state.lock();
-                let mut found = false;
-                for cs in st.conds.values_mut() {
-                    let before = cs.waiters.len();
-                    cs.waiters.retain(|(t, _)| *t != tid);
-                    found |= cs.waiters.len() != before;
-                }
+                let st = &mut *st;
+                let untagged = st
+                    .conds
+                    .values_mut()
+                    .chain(st.joiners.values_mut())
+                    .chain(st.pool_idle.values_mut());
+                let mut found = untagged.fold(false, |found, q| q.purge(tid) | found);
                 for r in st.rwlocks.values_mut() {
-                    let before = r.waiters.len();
-                    r.waiters.retain(|(t, _, _)| *t != tid);
-                    found |= r.waiters.len() != before;
-                }
-                for rec in st.threads.values_mut() {
-                    let before = rec.joiners.len();
-                    rec.joiners.retain(|t| *t != tid);
-                    found |= rec.joiners.len() != before;
-                }
-                if let Some(v) = st.pool_idle.get_mut(&node.0) {
-                    let before = v.len();
-                    v.retain(|t| *t != tid);
-                    found |= v.len() != before;
+                    found |= r.waiters.purge(tid);
                 }
                 st.pool_jobs.remove(&tid.0);
                 let rec = st.threads.get_mut(&ct).expect("crashed thread registered");
                 rec.phase = Phase::Finished(CRASHED_RET);
                 rec.exit_time = t0;
                 rec.exit_node = node;
-                (found, std::mem::take(&mut rec.joiners))
+                (found, st.joiners.remove(&ct).unwrap_or_default())
             };
             // One forgiven barrier arrival per casualty (its own queued
             // arrival, if any, was retracted by the purge above).
@@ -615,109 +596,79 @@ impl CablesRt {
                 // its OS thread reaches a crash checkpoint and unwinds.
                 to_wake.push(tid);
             }
-            to_wake.extend(joiners);
+            to_wake.extend(joiners.0.iter().map(|w| w.0));
         }
-        // Locks (and write-held rwlocks) owned by the dead pass on. Read
-        // holds are counts without owners, so a reader lost mid-hold leaks
-        // its count — a documented limit of the fault model.
-        to_wake.extend(self.svm().crash_handoff_locks(sim, &dead, node));
-        to_wake.extend(self.crash_handoff_rwlocks(sim, &dead));
+        // Locks and rwlock holds (write or read) owned by the dead pass on.
+        self.svm().crash_handoff_locks(sim, &dead, node);
+        self.crash_handoff_rwlocks(sim, &dead);
         {
             let mut st = self.state.lock();
             st.threads_on.insert(node.0, 0);
-            st.pool_idle.remove(&node.0);
+            // Workers idling in the dead node's pool have no job to die
+            // in: unpark them so they see the node gone and leave.
+            let idle = st.pool_idle.remove(&node.0).unwrap_or_default();
+            to_wake.extend(idle.0.iter().map(|w| w.0));
             let before = st.attached.len();
             st.attached.retain(|n| *n != node);
             if st.attached.len() != before {
                 st.stats.nodes_detached += 1;
             }
         }
-        to_wake.extend(self.svm().crash_release_ready_barriers(sim));
+        self.svm().crash_release_ready_barriers(sim);
         to_wake.sort_unstable_by_key(|t| t.0);
         to_wake.dedup_by_key(|t| t.0);
         for t in to_wake {
             sim.wake(t, sim.now());
         }
         sim.advance(self.cfg.costs.detach_ns);
+        let detached = obs::Event::NodeDetach { node: node.0 };
+        self.note(sim, obs::Layer::Rt, node, detached);
         if let Some(o) = self.obs_if_on() {
-            o.instant(
-                obs::Layer::Rt,
-                node,
-                sim.tid().0,
-                sim.now(),
-                obs::Event::NodeDetach { node: node.0 },
-            );
-            o.edge(
-                obs::EdgeKind::Recovery,
-                node,
-                sim.tid().0,
-                t0,
-                sim.node(),
-                sim.tid().0,
-                sim.now(),
-                node.0 as u64,
-            );
+            // The recovery as one causal edge on the monitor's own lane.
+            let (here, me, now) = (sim.node(), sim.tid().0, sim.now());
+            let kind = obs::EdgeKind::Recovery;
+            o.edge(kind, node, me, t0, here, me, now, node.0 as u64);
         }
         let latency = sim.now().saturating_since(t0);
         ch.note_recovery(latency);
+        let recovered = obs::Event::ChaosRecovery {
+            node: node.0,
+            threads: victims.len() as u64,
+            latency_ns: latency,
+        };
+        self.note(sim, obs::Layer::Chaos, sim.node(), recovered);
+    }
+
+    /// An instant on the bus at this thread's clock, attributed to `node`.
+    fn note(&self, sim: &Sim, layer: obs::Layer, node: NodeId, event: obs::Event) {
         if let Some(o) = self.obs_if_on() {
-            o.instant(
-                obs::Layer::Chaos,
-                sim.node(),
-                sim.tid().0,
-                sim.now(),
-                obs::Event::ChaosRecovery {
-                    node: node.0,
-                    threads: victims.len() as u64,
-                    latency_ns: latency,
-                },
-            );
+            o.instant(layer, node, sim.tid().0, sim.now(), event);
         }
     }
 
-    /// Write-lock hand-off for rwlocks whose writer died: grants the head
-    /// waiter (or the leading run of readers), mirroring
-    /// [`CablesRt::rwlock_unlock`]'s promotion. Returns the woken grantees.
-    fn crash_handoff_rwlocks(&self, sim: &Sim, dead: &[Tid]) -> Vec<Tid> {
-        let ids: Vec<u64> = {
-            let st = self.state.lock();
-            let mut v: Vec<u64> = st.rwlocks.keys().copied().collect();
-            v.sort_unstable();
-            v
-        };
-        let mut woken = Vec::new();
-        for id in ids {
-            let grants = {
-                let mut st = self.state.lock();
-                let Some(r) = st.rwlocks.get_mut(&id) else {
-                    continue;
-                };
-                if !r.writer.map_or(false, |w| dead.contains(&w)) {
-                    continue;
+    /// Releases every rwlock hold — write or read — of the `dead` and
+    /// grants whoever [`RwState::promote`] admits next, exactly as a live
+    /// unlock would, but at `now` with no wire message. Sorted-id
+    /// iteration keeps replay deterministic.
+    fn crash_handoff_rwlocks(&self, sim: &Sim, dead: &[Tid]) {
+        let grants: Vec<(Tid, NodeId)> = {
+            let mut st = self.state.lock();
+            let mut locks: Vec<(&u64, &mut RwState)> = st.rwlocks.iter_mut().collect();
+            locks.sort_unstable_by_key(|(id, _)| **id);
+            let release = |(_, r): (&u64, &mut RwState)| {
+                if r.writer.is_some_and(|w| dead.contains(&w)) {
+                    r.writer = None;
                 }
-                r.writer = None;
-                let mut grants = Vec::new();
-                if r.readers == 0 {
-                    if let Some(&(_, _, true)) = r.waiters.front() {
-                        let (tid, _, _) = r.waiters.pop_front().expect("head");
-                        r.writer = Some(tid);
-                        grants.push(tid);
-                    } else {
-                        while let Some(&(_, _, false)) = r.waiters.front() {
-                            let (tid, _, _) = r.waiters.pop_front().expect("head");
-                            r.readers += 1;
-                            grants.push(tid);
-                        }
-                    }
+                for d in dead {
+                    while r.readers.purge(*d) {}
                 }
-                grants
+                r.promote()
             };
-            for tid in grants {
-                sim.wake(tid, sim.now());
-                woken.push(tid);
-            }
+            locks.into_iter().flat_map(release).collect()
+        };
+        for (tid, _) in grants {
+            sim.wake(tid, sim.now());
         }
-        woken
     }
 
     /// Retires a thread whose body unwound with [`chaos::CrashUnwind`]
@@ -731,31 +682,37 @@ impl CablesRt {
         // reaching this checkpoint, and nothing else will ever release
         // them (the recovery hand-off only saw holders at crash time).
         let dead = [sim.tid()];
-        let mut to_wake = self.svm().crash_handoff_locks(sim, &dead, sim.node());
-        to_wake.extend(self.crash_handoff_rwlocks(sim, &dead));
-        to_wake.sort_unstable_by_key(|t| t.0);
-        to_wake.dedup_by_key(|t| t.0);
-        for t in to_wake {
-            sim.wake(t, sim.now());
+        self.svm().crash_handoff_locks(sim, &dead, sim.node());
+        self.crash_handoff_rwlocks(sim, &dead);
+        if self.retire_self(sim, ct, CRASHED_RET).is_some() {
+            self.svm().crash_add_discount(1);
         }
-        let joiners = {
+    }
+
+    /// Marks the calling thread finished with `ret`, frees its slot on the
+    /// node and wakes its joiners; returns how many threads the node has
+    /// left. `None` when crash recovery already retired it (the
+    /// bookkeeping, and the slot, are gone): whichever of the two runs
+    /// first does the work.
+    fn retire_self(&self, sim: &Sim, ct: CtId, ret: u64) -> Option<usize> {
+        let (joiners, left) = {
             let mut st = self.state.lock();
-            let rec = st.threads.get_mut(&ct.0).expect("crashed thread registered");
+            let rec = st.threads.get_mut(&ct.0).expect("thread registered");
             if matches!(rec.phase, Phase::Finished(_)) {
-                return;
+                return None;
             }
-            rec.phase = Phase::Finished(CRASHED_RET);
+            rec.phase = Phase::Finished(ret);
             rec.exit_time = sim.now();
             rec.exit_node = sim.node();
-            let joiners = std::mem::take(&mut rec.joiners);
+            let joiners = st.joiners.remove(&ct.0).unwrap_or_default();
             let cnt = st.threads_on.entry(sim.node().0).or_insert(0);
             *cnt = cnt.saturating_sub(1);
-            joiners
+            (joiners, *cnt)
         };
-        self.svm().crash_add_discount(1);
-        for j in joiners {
+        for (j, ..) in joiners.0 {
             sim.wake(j, sim.now());
         }
+        Some(left)
     }
 
     /// An administration request: a small ACB update handled on the
@@ -769,6 +726,72 @@ impl CablesRt {
                 .notify(sim.node(), self.master, sim.now());
             sim.clock_at_least(t.arrival);
         }
+    }
+
+    /// Reads a small ACB entry on the master with a direct remote fetch
+    /// (free on the master itself).
+    pub(crate) fn acb_read(&self, sim: &Sim) {
+        if sim.node() != self.master {
+            let done = self
+                .cluster()
+                .san
+                .fetch(sim.node(), self.master, 16, sim.now());
+            sim.clock_at_least(done);
+        }
+    }
+
+    /// Posts a `bytes`-sized ACB update to the master with a direct remote
+    /// write; the writer only waits for its own NIC.
+    pub(crate) fn acb_write(&self, sim: &Sim, bytes: u64) {
+        if sim.node() != self.master {
+            let t = self
+                .cluster()
+                .san
+                .send(sim.node(), self.master, bytes, sim.now());
+            sim.clock_at_least(t.local_done);
+        }
+    }
+
+    /// A span on the bus for a call of this thread that began at `t0`.
+    pub(crate) fn span(&self, sim: &Sim, t0: SimTime, event: obs::Event) {
+        if let Some(o) = self.obs_if_on() {
+            let took = sim.now().saturating_since(t0);
+            o.span(obs::Layer::Rt, sim.node(), sim.tid().0, t0, took, event);
+        }
+    }
+
+    /// The wait record of a synchronization call that began at `t0`: the
+    /// contention counters of the primitive's class (a mutex or barrier
+    /// caller also leaves its in-flight count) and the span on the bus.
+    pub(crate) fn record_wait(&self, sim: &Sim, t0: SimTime, event: obs::Event) {
+        {
+            let mut st = self.state.lock();
+            let st = &mut *st;
+            let c = &mut st.contention;
+            let class = match event {
+                obs::Event::PthMutexWait { .. } => {
+                    let inflight = Some(&mut st.mutex_inflight);
+                    Some((&mut c.mutex_waits, &mut c.mutex_wait_ns, inflight))
+                }
+                obs::Event::PthBarrierWait { .. } => {
+                    let inflight = Some(&mut st.barrier_inflight);
+                    Some((&mut c.barrier_waits, &mut c.barrier_wait_ns, inflight))
+                }
+                obs::Event::PthCondWait { .. } => {
+                    Some((&mut c.cond_waits, &mut c.cond_wait_ns, None))
+                }
+                obs::Event::PthRwWait { .. } => Some((&mut c.rw_waits, &mut c.rw_wait_ns, None)),
+                _ => unreachable!("{event:?} is not a synchronization wait"),
+            };
+            if let Some((waits, wait_ns, inflight)) = class {
+                *waits += 1;
+                *wait_ns += sim.now() - t0;
+                if let Some(n) = inflight {
+                    *n -= 1;
+                }
+            }
+        }
+        self.span(sim, t0, event);
     }
 
     /// Picks a node for a new thread: round-robin over attached nodes with
@@ -892,16 +915,7 @@ impl CablesRt {
         st.threads_on.entry(node.0).or_insert(0);
         st.stats.nodes_attached += 1;
         drop(st);
-        if let Some(o) = self.obs_if_on() {
-            o.span(
-                obs::Layer::Rt,
-                sim.node(),
-                sim.tid().0,
-                t0,
-                sim.now().saturating_since(t0),
-                obs::Event::NodeAttach { node: node.0 },
-            );
-        }
+        self.span(sim, t0, obs::Event::NodeAttach { node: node.0 });
     }
 
     /// `pthread_create()`: starts `f` on a node chosen by the placement
@@ -918,13 +932,11 @@ impl CablesRt {
         if self.cfg.thread_pool {
             let idle = {
                 let mut st = self.state.lock();
-                st.pool_idle
-                    .get_mut(&target.0)
-                    .and_then(|v| v.pop())
+                st.pool_idle.get_mut(&target.0).and_then(|q| q.0.pop_back())
             };
-            if let Some(tid) = idle {
+            if let Some((tid, ..)) = idle {
                 let ct = self.dispatch_pooled(sim, target, tid, Box::new(f));
-                self.obs_create(sim, t0, ct, target);
+                self.span(sim, t0, Self::create_event(ct, target));
                 return ct;
             }
         }
@@ -995,11 +1007,11 @@ impl CablesRt {
                     if st.pool_shutdown {
                         return;
                     }
-                    st.pool_idle
-                        .entry(csim.node().0)
-                        .or_default()
-                        .push(csim.tid());
+                    let pool = st.pool_idle.entry(csim.node().0).or_default();
+                    pool.push(csim.tid(), csim.node(), ());
                 }
+                // Not `park`: there is no job to die in, the worker just
+                // leaves when its node is gone.
                 csim.block();
                 if rt.node_crashed(csim, csim.node()) {
                     // Woken by crash recovery, not a dispatch: there is no
@@ -1017,23 +1029,13 @@ impl CablesRt {
         });
 
         let mut st = self.state.lock();
-        st.threads.insert(
-            ct,
-            ThreadRec {
-                sim_tid,
-                phase: Phase::Running,
-                exit_time: SimTime::ZERO,
-                exit_node: target,
-                joiners: Vec::new(),
-                cancel_requested: false,
-            },
-        );
+        st.threads.insert(ct, ThreadRec::running(sim_tid, target));
         st.by_tid.insert(sim_tid.0, ct);
         drop(st);
         if run_at > t0 {
             if let Some(o) = self.obs_if_on() {
                 // Causal edge: the create call to the new thread's first
-                // instruction.
+                // instruction (it was spawned to start then, not woken).
                 o.edge(
                     obs::EdgeKind::ThreadStart,
                     sim.node(),
@@ -1046,24 +1048,14 @@ impl CablesRt {
                 );
             }
         }
-        self.obs_create(sim, t0, CtId(ct), target);
+        self.span(sim, t0, Self::create_event(CtId(ct), target));
         CtId(ct)
     }
 
-    /// Records a `ThreadCreate` span on the bus (no-op when disabled).
-    fn obs_create(&self, sim: &Sim, t0: SimTime, ct: CtId, target: NodeId) {
-        if let Some(o) = self.obs_if_on() {
-            o.span(
-                obs::Layer::Rt,
-                sim.node(),
-                sim.tid().0,
-                t0,
-                sim.now().saturating_since(t0),
-                obs::Event::ThreadCreate {
-                    ct: ct.0,
-                    on: target.0,
-                },
-            );
+    fn create_event(ct: CtId, target: NodeId) -> obs::Event {
+        obs::Event::ThreadCreate {
+            ct: ct.0,
+            on: target.0,
         }
     }
 
@@ -1072,49 +1064,21 @@ impl CablesRt {
     fn dispatch_pooled(self: &Arc<Self>, sim: &Sim, target: NodeId, tid: Tid, f: JobFn) -> CtId {
         let c = &self.cfg.costs;
         sim.op_point(c.pool_dispatch_ns);
-        let d0 = sim.now();
-        let at = if target != sim.node() {
-            self.cluster().san.notify(sim.node(), target, d0).arrival
-        } else {
-            d0
-        };
         let ct = {
             let mut st = self.state.lock();
             let ct = st.next_ct;
             st.next_ct += 1;
             *st.threads_on.entry(target.0).or_insert(0) += 1;
             st.stats.pooled_dispatches += 1;
-            st.threads.insert(
-                ct,
-                ThreadRec {
-                    sim_tid: tid,
-                    phase: Phase::Running,
-                    exit_time: SimTime::ZERO,
-                    exit_node: target,
-                    joiners: Vec::new(),
-                    cancel_requested: false,
-                },
-            );
+            st.threads.insert(ct, ThreadRec::running(tid, target));
             st.by_tid.insert(tid.0, ct);
             st.pool_jobs.insert(tid.0, (ct, f));
             ct
         };
-        if at > d0 {
-            if let Some(o) = self.obs_if_on() {
-                // Causal edge: pooled dispatch to the worker's wakeup.
-                o.edge(
-                    obs::EdgeKind::ThreadStart,
-                    sim.node(),
-                    sim.tid().0,
-                    d0,
-                    target,
-                    tid.0,
-                    at,
-                    ct,
-                );
-            }
-        }
-        sim.wake(tid, at);
+        // The dispatch notification is the worker's wakeup.
+        let edge = Some((obs::EdgeKind::ThreadStart, ct));
+        self.svm
+            .notify_handoff(sim, edge, &[target], 0, (tid, target));
         CtId(ct)
     }
 
@@ -1125,46 +1089,20 @@ impl CablesRt {
         // thread termination).
         self.svm.release(sim);
         sim.op_point(self.cfg.costs.exit_ns);
-        if sim.node() != self.master {
-            let t = self.cluster().san.send(sim.node(), self.master, 32, sim.now());
-            sim.clock_at_least(t.local_done);
-        }
+        self.acb_write(sim, 32);
         let node = sim.node();
-        let (joiners, detach) = {
-            let mut st = self.state.lock();
-            let rec = st.threads.get_mut(&ct.0).expect("exiting thread registered");
-            if matches!(rec.phase, Phase::Finished(_)) {
-                // Already retired by crash recovery; the bookkeeping (and
-                // this thread's slot on the node) is gone.
-                return;
-            }
-            rec.phase = Phase::Finished(ret);
-            rec.exit_time = sim.now();
-            rec.exit_node = node;
-            let joiners = std::mem::take(&mut rec.joiners);
-            let cnt = st.threads_on.entry(node.0).or_insert(1);
-            *cnt = cnt.saturating_sub(1);
-            let detach = *cnt == 0 && node != self.master && self.cfg.auto_detach;
-            if detach {
+        let Some(left) = self.retire_self(sim, ct, ret) else {
+            return;
+        };
+        if left == 0 && node != self.master && self.cfg.auto_detach {
+            {
+                let mut st = self.state.lock();
                 st.attached.retain(|n| *n != node);
                 st.stats.nodes_detached += 1;
             }
-            (joiners, detach)
-        };
-        for j in joiners {
-            sim.wake(j, sim.now());
-        }
-        if detach {
             sim.advance(self.cfg.costs.detach_ns);
-            if let Some(o) = self.obs_if_on() {
-                o.instant(
-                    obs::Layer::Rt,
-                    node,
-                    sim.tid().0,
-                    sim.now(),
-                    obs::Event::NodeDetach { node: node.0 },
-                );
-            }
+            let detached = obs::Event::NodeDetach { node: node.0 };
+            self.note(sim, obs::Layer::Rt, node, detached);
         }
     }
 
@@ -1177,59 +1115,33 @@ impl CablesRt {
         let t0 = sim.now();
         sim.op_point(self.cfg.costs.join_ns);
         // Reading the thread's ACB entry.
-        if sim.node() != self.master {
-            let done = self.cluster().san.fetch(sim.node(), self.master, 16, sim.now());
-            sim.clock_at_least(done);
-        }
-        loop {
-            self.svm().crash_check(sim);
+        self.acb_read(sim);
+        self.svm().crash_check(sim);
+        let (v, t, exit_node, exit_tid) = loop {
             {
                 let mut st = self.state.lock();
                 let rec = st.threads.get_mut(&ct.0).expect("join of unknown thread");
-                match rec.phase {
-                    Phase::Finished(v) => {
-                        let t = rec.exit_time;
-                        let exit_node = rec.exit_node;
-                        let exit_tid = rec.sim_tid;
-                        drop(st);
-                        sim.clock_at_least(t);
-                        self.state.lock().stats.joins += 1;
-                        // Acquire so the joiner observes the thread's
-                        // writes.
-                        self.svm.acquire(sim);
-                        if let Some(o) = self.obs_if_on() {
-                            o.span(
-                                obs::Layer::Rt,
-                                sim.node(),
-                                sim.tid().0,
-                                t0,
-                                sim.now().saturating_since(t0),
-                                obs::Event::ThreadJoin { ct: ct.0 },
-                            );
-                            if sim.now() > t {
-                                // Causal edge: the joined thread's exit to
-                                // this join's return.
-                                o.edge(
-                                    obs::EdgeKind::ThreadJoin,
-                                    exit_node,
-                                    exit_tid.0,
-                                    t,
-                                    sim.node(),
-                                    sim.tid().0,
-                                    sim.now(),
-                                    ct.0,
-                                );
-                            }
-                        }
-                        return v;
-                    }
-                    Phase::Running => {
-                        rec.joiners.push(sim.tid());
-                    }
+                if let Phase::Finished(v) = rec.phase {
+                    break (v, rec.exit_time, rec.exit_node, rec.sim_tid);
                 }
+                let joiners = st.joiners.entry(ct.0).or_default();
+                joiners.push(sim.tid(), sim.node(), ());
             }
-            sim.block();
+            self.svm().park(sim, None);
+        };
+        sim.clock_at_least(t);
+        self.state.lock().stats.joins += 1;
+        // Acquire so the joiner observes the thread's writes.
+        self.svm.acquire(sim);
+        self.span(sim, t0, obs::Event::ThreadJoin { ct: ct.0 });
+        if let Some(o) = self.obs_if_on().filter(|_| sim.now() > t) {
+            // Causal edge: the joined thread's exit to this join's return
+            // (an effect on the caller's own lane, not a wake-up).
+            let (node, me, now) = (sim.node(), sim.tid().0, sim.now());
+            let kind = obs::EdgeKind::ThreadJoin;
+            o.edge(kind, exit_node, exit_tid.0, t, node, me, now, ct.0);
         }
+        v
     }
 
     /// `pthread_cancel()`: requests cancellation of `ct`. The target
@@ -1250,27 +1162,19 @@ impl CablesRt {
                 rec.cancel_requested = true;
                 let tid = rec.sim_tid;
                 // If the target is parked in a condition wait, pull it out.
-                let mut waiting = false;
-                for cs in st.conds.values_mut() {
-                    let before = cs.waiters.len();
-                    cs.waiters.retain(|(t, _)| *t != tid);
-                    if cs.waiters.len() != before {
-                        waiting = true;
-                    }
-                }
-                waiting.then_some(tid)
+                let conds = st.conds.values_mut();
+                conds
+                    .fold(false, |found, q| q.purge(tid) | found)
+                    .then_some(tid)
             }
         };
         if let Some(tid) = wake {
-            let at = if sim.node() == self.master {
-                sim.now()
-            } else {
-                self.cluster()
-                    .san
-                    .notify(sim.node(), self.master, sim.now())
-                    .arrival
-            };
-            sim.wake(tid, at);
+            // Timing-visible asymmetry, kept: the wake travels to the
+            // master (the ACB), not on to the target's node, and no edge
+            // kind exists for it.
+            let master = self.master;
+            self.svm
+                .notify_handoff(sim, None, &[master], 0, (tid, master));
         }
     }
 
@@ -1326,23 +1230,26 @@ impl Pth<'_> {
         self.sim.node()
     }
 
+    /// Runs one API call and books its duration — wait time included, as
+    /// in the paper's Table 5 — under `kind`.
+    pub(crate) fn timed<R>(&self, kind: OpKind, f: impl FnOnce(&Arc<CablesRt>, &Sim) -> R) -> R {
+        let t0 = self.sim.now();
+        let r = f(&self.rt, self.sim);
+        self.rt.record_op(kind, self.sim.now() - t0);
+        r
+    }
+
     /// Creates a thread (`pthread_create`).
     pub fn create<F>(&self, f: F) -> CtId
     where
         F: FnOnce(&Pth) -> u64 + Send + 'static,
     {
-        let t0 = self.sim.now();
-        let ct = self.rt.thread_create(self.sim, f);
-        self.rt.record_op(OpKind::Create, self.sim.now() - t0);
-        ct
+        self.timed(OpKind::Create, |rt, sim| rt.thread_create(sim, f))
     }
 
     /// Joins a thread and returns its value (`pthread_join`).
     pub fn join(&self, ct: CtId) -> u64 {
-        let t0 = self.sim.now();
-        let v = self.rt.join(self.sim, ct);
-        self.rt.record_op(OpKind::Join, self.sim.now() - t0);
-        v
+        self.timed(OpKind::Join, |rt, sim| rt.join(sim, ct))
     }
 
     /// Requests cancellation of a thread (`pthread_cancel`).
@@ -1527,5 +1434,132 @@ mod tests {
             ..CablesConfig::paper()
         };
         let _ = CablesRt::new(cluster, cfg);
+    }
+
+    fn pooled_rt(nodes: usize, cpus: usize) -> Arc<CablesRt> {
+        let cluster = Cluster::build(ClusterConfig::small(nodes, cpus));
+        let cfg = CablesConfig {
+            thread_pool: true,
+            ..CablesConfig::paper()
+        };
+        CablesRt::new(cluster, cfg)
+    }
+
+    #[test]
+    fn pooled_threads_are_reused() {
+        let rt = pooled_rt(2, 2);
+        let rt2 = Arc::clone(&rt);
+        rt.run(|pth| {
+            for round in 0..5u64 {
+                let w = pth.create(move |p| {
+                    p.compute(10_000);
+                    round * 10
+                });
+                assert_eq!(pth.join(w), round * 10);
+            }
+            0
+        })
+        .unwrap();
+        let s = rt2.stats();
+        assert_eq!(s.local_creates + s.remote_creates, 1, "one OS create");
+        assert_eq!(s.pooled_dispatches, 4, "four reuses");
+    }
+
+    #[test]
+    fn pooled_dispatch_is_much_cheaper_than_create() {
+        let rt = pooled_rt(2, 2);
+        let times = Arc::new(std::sync::Mutex::new((0u64, 0u64)));
+        let t2 = Arc::clone(&times);
+        rt.run(move |pth| {
+            let a = pth.sim.now();
+            let w = pth.create(|_| 0);
+            let first = pth.sim.now() - a;
+            pth.join(w);
+            let b = pth.sim.now();
+            let w = pth.create(|_| 0);
+            let second = pth.sim.now() - b;
+            pth.join(w);
+            *t2.lock().unwrap() = (first, second);
+            0
+        })
+        .unwrap();
+        let (first, second) = *times.lock().unwrap();
+        assert!(
+            second * 5 < first,
+            "dispatch ({second}ns) should be far cheaper than create ({first}ns)"
+        );
+    }
+
+    #[test]
+    fn pool_respects_node_capacity_and_concurrency() {
+        let rt = pooled_rt(2, 2);
+        rt.run(|pth| {
+            // Two concurrent long-lived workers cannot share one pooled
+            // thread: the second create spawns a fresh one.
+            let m = pth.rt().mutex_new();
+            let counter = pth.malloc(8);
+            pth.write::<u64>(counter, 0);
+            let mk = |pth: &crate::Pth| {
+                pth.create(move |p| {
+                    p.compute(500_000);
+                    p.mutex_lock(m);
+                    let v = p.read::<u64>(counter);
+                    p.write::<u64>(counter, v + 1);
+                    p.mutex_unlock(m);
+                    0
+                })
+            };
+            let a = mk(pth);
+            let b = mk(pth);
+            pth.join(a);
+            pth.join(b);
+            pth.mutex_lock(m);
+            assert_eq!(pth.read::<u64>(counter), 2);
+            pth.mutex_unlock(m);
+            0
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn pool_drains_cleanly_at_end() {
+        // pthread_end must terminate parked pooled threads (otherwise the
+        // engine would deadlock waiting for them).
+        let rt = pooled_rt(2, 1);
+        let end = rt
+            .run(|pth| {
+                for _ in 0..3 {
+                    let w = pth.create(|p| {
+                        p.compute(1_000);
+                        0
+                    });
+                    pth.join(w);
+                }
+                0
+            })
+            .unwrap();
+        assert!(end.as_nanos() > 0);
+    }
+
+    #[test]
+    fn pooled_threads_get_fresh_identities() {
+        let rt = pooled_rt(2, 2);
+        rt.run(|pth| {
+            let key = pth.rt().key_create();
+            let w1 = pth.create(move |p| {
+                p.set_specific(key, 7);
+                p.self_id().0
+            });
+            let id1 = pth.join(w1);
+            let w2 = pth.create(move |p| {
+                // A reused thread must not leak the previous ct's TSD.
+                assert_eq!(p.get_specific(key), None);
+                p.self_id().0
+            });
+            let id2 = pth.join(w2);
+            assert_ne!(id1, id2, "each create gets a fresh pthread id");
+            0
+        })
+        .unwrap();
     }
 }

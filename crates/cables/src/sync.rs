@@ -1,14 +1,22 @@
-//! CableS synchronization: pthreads mutexes, condition variables, and the
-//! `pthread_barrier` extension (paper §2.3).
+//! CableS synchronization: pthreads mutexes, condition variables,
+//! read/write locks and the `pthread_barrier` extension (paper §2.3).
 //!
 //! Mutexes wrap the underlying SVM system locks, adding ACB bookkeeping and
 //! competitive spinning (spin for a bounded time, then block — after
-//! Karlin et al.). Conditions are implemented with ACB state updated by
-//! direct remote operations, as in the paper. The barrier extension uses
-//! the native SVM barrier mechanism so legacy parallel applications get
-//! efficient global synchronization.
+//! Karlin et al.). Conditions and read/write locks are implemented with ACB
+//! state on the master — the waiter queues live in the runtime's global
+//! state — updated by direct remote operations, with notifications as
+//! wake-ups, as in the paper. The barrier extension uses the native SVM
+//! barrier mechanism so legacy parallel applications get efficient global
+//! synchronization. Every variant (`trylock`, `timedwait`, read vs write)
+//! is its primitive with one argument fixed; queues, hand-offs and parks
+//! are the shared ones of [`svm`].
 
-use crate::rt::{Cancelled, CablesRt, OpKind, Pth};
+use obs::{EdgeKind, Event};
+use sim::{NodeId, Sim, Tid};
+use svm::WaitQueue;
+
+use crate::rt::{CablesRt, Cancelled, CtId, OpKind, Pth};
 
 /// A CableS mutex handle (`pthread_mutex_t`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -21,6 +29,46 @@ pub struct Cond(pub u64);
 /// A CableS barrier handle (the `pthread_barrier(n)` extension).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Barrier(pub u64);
+
+/// A CableS read/write lock handle (`pthread_rwlock_t`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct RwLock(pub u64);
+
+/// ACB state of one read/write lock. Holds are owner-tracked — the reader
+/// set is a queue of threads, one entry per hold — so crash recovery can
+/// release a dead reader's hold like a dead writer's.
+#[derive(Debug, Default)]
+pub(crate) struct RwState {
+    pub writer: Option<Tid>,
+    pub readers: WaitQueue,
+    /// Waiters, tagged `wants_write`.
+    pub waiters: WaitQueue<bool>,
+}
+
+impl RwState {
+    /// The grant decision, shared by `rwlock_unlock` and crash recovery:
+    /// once nobody holds the lock the head of the queue gets it — a
+    /// writer alone, a reader with the whole run of readers behind it.
+    pub(crate) fn promote(&mut self) -> Vec<(Tid, NodeId)> {
+        let mut grants = Vec::new();
+        if self.writer.is_some() || !self.readers.0.is_empty() {
+            return grants;
+        }
+        while let Some(&(tid, node, write)) = self.waiters.0.front() {
+            if write && !grants.is_empty() {
+                break;
+            }
+            self.waiters.0.pop_front();
+            grants.push((tid, node));
+            if write {
+                self.writer = Some(tid);
+                break;
+            }
+            self.readers.push(tid, node, ());
+        }
+        grants
+    }
+}
 
 impl CablesRt {
     /// Creates a mutex.
@@ -38,17 +86,27 @@ impl CablesRt {
         Barrier(self.sync_id())
     }
 
-    /// Locks `m`, spinning briefly before blocking, then performs the RC
-    /// acquire. Re-acquiring a mutex last held on the same node is a local
-    /// operation (paper Table 4).
-    pub fn mutex_lock(&self, sim: &sim::Sim, m: Mutex) {
-        let t0 = sim.now();
+    /// Creates a read/write lock.
+    pub fn rwlock_new(&self) -> RwLock {
+        RwLock(self.sync_id())
+    }
+
+    /// Local mutex bookkeeping, plus the remote ACB handler's work when
+    /// the system lock's ownership is cached on another node.
+    fn mutex_entry(&self, sim: &Sim, m: Mutex) {
         let c = &self.cfg.costs;
         sim.op_point(c.mutex_local_extra_ns);
         if matches!(self.svm().lock_owner_node(m.0), Some(owner) if owner != sim.node()) {
-            // Remote ACB handler work on top of the system lock.
             sim.advance(c.mutex_remote_extra_ns);
         }
+    }
+
+    /// Locks `m`, spinning briefly before blocking, then performs the RC
+    /// acquire. Re-acquiring a mutex last held on the same node is a local
+    /// operation (paper Table 4).
+    pub fn mutex_lock(&self, sim: &Sim, m: Mutex) {
+        let t0 = sim.now();
+        self.mutex_entry(sim, m);
         {
             let mut st = self.state.lock();
             st.mutex_inflight += 1;
@@ -61,28 +119,20 @@ impl CablesRt {
         // bound while waiting; after that the thread had blocked.
         let spun = sim
             .now()
-            .min(wait_start + c.spin_before_block_ns);
+            .min(wait_start + self.cfg.costs.spin_before_block_ns);
         sim.occupy_cpu_until(spun);
-        {
-            let mut st = self.state.lock();
-            st.mutex_inflight -= 1;
-            st.contention.mutex_waits += 1;
-            st.contention.mutex_wait_ns += sim.now() - t0;
-        }
-        if let Some(o) = self.obs_if_on() {
-            o.span(
-                obs::Layer::Rt,
-                sim.node(),
-                sim.tid().0,
-                t0,
-                sim.now().saturating_since(t0),
-                obs::Event::PthMutexWait { id: m.0 },
-            );
-        }
+        self.record_wait(sim, t0, Event::PthMutexWait { id: m.0 });
+    }
+
+    /// Attempts to lock `m` without blocking (`pthread_mutex_trylock`).
+    /// Returns `true` on acquisition.
+    pub fn mutex_trylock(&self, sim: &Sim, m: Mutex) -> bool {
+        self.mutex_entry(sim, m);
+        self.svm().try_lock(sim, m.0)
     }
 
     /// Unlocks `m` (RC release: dirty pages flush to their homes first).
-    pub fn mutex_unlock(&self, sim: &sim::Sim, m: Mutex) {
+    pub fn mutex_unlock(&self, sim: &Sim, m: Mutex) {
         sim.op_point(self.cfg.costs.mutex_local_extra_ns);
         self.svm().unlock(sim, m.0);
     }
@@ -96,165 +146,211 @@ impl CablesRt {
     /// mutex is *not* re-acquired in that case.
     pub fn cond_wait(
         &self,
-        sim: &sim::Sim,
-        ct: crate::rt::CtId,
+        sim: &Sim,
+        ct: CtId,
         cond: Cond,
         mutex: Mutex,
     ) -> Result<(), Cancelled> {
+        self.cond_wait_for(sim, ct, cond, mutex, None).map(drop)
+    }
+
+    /// Waits on `cond` with a relative timeout (`pthread_cond_timedwait`).
+    ///
+    /// Returns `Ok(true)` when signalled, `Ok(false)` on timeout; in both
+    /// cases the mutex is re-acquired before returning.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Cancelled`] if the thread was cancelled while waiting
+    /// (the mutex is *not* re-acquired).
+    pub fn cond_timedwait(
+        &self,
+        sim: &Sim,
+        ct: CtId,
+        cond: Cond,
+        mutex: Mutex,
+        timeout_ns: u64,
+    ) -> Result<bool, Cancelled> {
+        self.cond_wait_for(sim, ct, cond, mutex, Some(timeout_ns))
+    }
+
+    /// The condition wait: an untimed wait is a timed one without a
+    /// deadline. `Ok(woken)`.
+    fn cond_wait_for(
+        &self,
+        sim: &Sim,
+        ct: CtId,
+        cond: Cond,
+        mutex: Mutex,
+        timeout_ns: Option<u64>,
+    ) -> Result<bool, Cancelled> {
         let t0 = sim.now();
         let c = &self.cfg.costs;
         sim.op_point(c.cond_wait_local_ns);
         // Register the waiter in the ACB (direct remote write).
-        if sim.node() != self.master() {
-            let t = self
-                .cluster()
-                .san
-                .send(sim.node(), self.master(), 16, sim.now());
-            sim.clock_at_least(t.local_done);
-        }
+        self.acb_write(sim, 16);
         {
             let mut st = self.state.lock();
             st.stats.cond_waits += 1;
-            let depth = {
-                let cs = st.conds.entry(cond.0).or_default();
-                cs.waiters.push_back((sim.tid(), sim.node()));
-                cs.waiters.len() as u64
-            };
+            let queue = st.conds.entry(cond.0).or_default();
+            let depth = queue.push(sim.tid(), sim.node(), ());
             st.contention.cond_max_waiters = st.contention.cond_max_waiters.max(depth);
         }
+        let deadline = timeout_ns.map(|ns| sim.now() + ns);
         self.mutex_unlock(sim, mutex);
-        sim.block();
-        // A waiter unparked by crash recovery (its queue entry purged) must
-        // die here, before cancellation is even considered.
-        self.svm().crash_check(sim);
+        let woken = self.svm().park(sim, deadline);
+        if !woken {
+            // Deregister before anyone can signal us (no ordering point
+            // between the timeout and this removal).
+            if let Some(queue) = self.state.lock().conds.get_mut(&cond.0) {
+                queue.purge(sim.tid());
+            }
+        }
         if self.cancel_requested(ct) {
             return Err(Cancelled);
         }
         sim.advance(c.cond_wakeup_ns);
         self.mutex_lock(sim, mutex);
-        {
-            let mut st = self.state.lock();
-            st.contention.cond_waits += 1;
-            st.contention.cond_wait_ns += sim.now() - t0;
-        }
-        if let Some(o) = self.obs_if_on() {
-            o.span(
-                obs::Layer::Rt,
-                sim.node(),
-                sim.tid().0,
-                t0,
-                sim.now().saturating_since(t0),
-                obs::Event::PthCondWait { id: cond.0 },
-            );
-        }
-        Ok(())
+        self.record_wait(sim, t0, Event::PthCondWait { id: cond.0 });
+        Ok(woken)
     }
 
     /// Wakes one waiter of `cond` (`pthread_cond_signal`).
-    pub fn cond_signal(&self, sim: &sim::Sim, cond: Cond) {
-        let c = &self.cfg.costs;
-        sim.op_point(c.cond_signal_local_ns);
-        sim.advance(c.cond_os_ns);
-        // Read the condition's ACB entry.
-        if sim.node() != self.master() {
-            let done = self
-                .cluster()
-                .san
-                .fetch(sim.node(), self.master(), 16, sim.now());
-            sim.clock_at_least(done);
-        }
-        let target = {
-            let mut st = self.state.lock();
-            st.stats.cond_signals += 1;
-            st.conds.entry(cond.0).or_default().waiters.pop_front()
-        };
-        if let Some((tid, wnode)) = target {
-            // ACB update recording the hand-off.
-            if sim.node() != self.master() {
-                let t = self.cluster().san.send(sim.node(), self.master(), 16, sim.now());
-                sim.clock_at_least(t.local_done);
-            }
-            // Activation: a notification dispatching the wakeup handler on
-            // the waiter's node.
-            let sig_t = sim.now();
-            let at = if wnode != sim.node() {
-                self.cluster().san.notify(sim.node(), wnode, sig_t).arrival
-            } else {
-                sig_t
-            };
-            if at > sig_t {
-                if let Some(o) = self.obs_if_on() {
-                    // Causal edge: signal to the waiter's wakeup.
-                    o.edge(
-                        obs::EdgeKind::CondSignal,
-                        sim.node(),
-                        sim.tid().0,
-                        sig_t,
-                        wnode,
-                        tid.0,
-                        at,
-                        cond.0,
-                    );
-                }
-            }
-            sim.wake(tid, at);
-        }
+    pub fn cond_signal(&self, sim: &Sim, cond: Cond) {
+        self.cond_wake(sim, cond, false)
     }
 
     /// Wakes all waiters of `cond` (`pthread_cond_broadcast`).
     ///
     /// Cost grows with the number of waiting nodes: one remote write per
     /// waiter, as in the paper.
-    pub fn cond_broadcast(&self, sim: &sim::Sim, cond: Cond) {
+    pub fn cond_broadcast(&self, sim: &Sim, cond: Cond) {
+        self.cond_wake(sim, cond, true)
+    }
+
+    /// Signal and broadcast: wake the head waiter, or `all` of them, each
+    /// with its own local cost. Timing-visible asymmetry, kept: a signal
+    /// that finds a waiter also posts the ACB update recording the
+    /// hand-off; a broadcast does not.
+    fn cond_wake(&self, sim: &Sim, cond: Cond, all: bool) {
         let c = &self.cfg.costs;
-        sim.op_point(c.cond_broadcast_local_ns);
+        sim.op_point(match all {
+            true => c.cond_broadcast_local_ns,
+            false => c.cond_signal_local_ns,
+        });
         sim.advance(c.cond_os_ns);
-        if sim.node() != self.master() {
-            let done = self
-                .cluster()
-                .san
-                .fetch(sim.node(), self.master(), 16, sim.now());
-            sim.clock_at_least(done);
-        }
-        let targets: Vec<(sim::Tid, sim::NodeId)> = {
+        // Read the condition's ACB entry.
+        self.acb_read(sim);
+        {
             let mut st = self.state.lock();
-            st.stats.cond_broadcasts += 1;
-            st.conds
-                .entry(cond.0)
-                .or_default()
-                .waiters
-                .drain(..)
-                .collect()
-        };
-        for (tid, wnode) in targets {
-            // One remote write per waiting node, as in the paper.
-            let sig_t = sim.now();
-            let at = if wnode != sim.node() {
-                self.cluster().san.notify(sim.node(), wnode, sig_t).arrival
-            } else {
-                sig_t
-            };
-            if at > sig_t {
-                if let Some(o) = self.obs_if_on() {
-                    o.edge(
-                        obs::EdgeKind::CondSignal,
-                        sim.node(),
-                        sim.tid().0,
-                        sig_t,
-                        wnode,
-                        tid.0,
-                        at,
-                        cond.0,
-                    );
-                }
+            match all {
+                true => st.stats.cond_broadcasts += 1,
+                false => st.stats.cond_signals += 1,
             }
-            sim.wake(tid, at);
+        }
+        let next = || {
+            let mut st = self.state.lock();
+            st.conds.get_mut(&cond.0).and_then(|q| q.0.pop_front())
+        };
+        while let Some((tid, wnode, ())) = next() {
+            if !all {
+                self.acb_write(sim, 16);
+            }
+            // Activation: one notification per waiter, dispatching the
+            // wakeup handler on the waiter's node.
+            let edge = Some((EdgeKind::CondSignal, cond.0));
+            self.svm()
+                .notify_handoff(sim, edge, &[wnode], 0, (tid, wnode));
+            if !all {
+                break;
+            }
+        }
+    }
+
+    /// Acquires `rw` for reading (`pthread_rwlock_rdlock`). Multiple
+    /// readers may hold the lock; readers queue behind a writer.
+    pub fn rwlock_rdlock(&self, sim: &Sim, rw: RwLock) {
+        self.rwlock_acquire(sim, rw, false)
+    }
+
+    /// Acquires `rw` for writing (`pthread_rwlock_wrlock`).
+    pub fn rwlock_wrlock(&self, sim: &Sim, rw: RwLock) {
+        self.rwlock_acquire(sim, rw, true)
+    }
+
+    /// Read and write acquisition differ in the admission predicate only:
+    /// a writer needs the lock idle and nobody queued, a reader needs no
+    /// writer holding or queued (no writer starvation).
+    fn rwlock_acquire(&self, sim: &Sim, rw: RwLock, write: bool) {
+        let t0 = sim.now();
+        self.admin_request(sim);
+        let queued = {
+            let mut st = self.state.lock();
+            let r = st.rwlocks.entry(rw.0).or_default();
+            let (me, node) = (sim.tid(), sim.node());
+            let admit = r.writer.is_none()
+                && match write {
+                    true => r.readers.0.is_empty() && r.waiters.0.is_empty(),
+                    false => r.waiters.0.iter().all(|w| !w.2),
+                };
+            if !admit {
+                let depth = r.waiters.push(me, node, write);
+                st.contention.rw_max_waiters = st.contention.rw_max_waiters.max(depth);
+            } else if write {
+                r.writer = Some(me);
+            } else {
+                r.readers.push(me, node, ());
+            }
+            !admit
+        };
+        if queued {
+            self.svm().park(sim, None);
+        }
+        // RC acquire: observe the last writer's updates.
+        self.svm().acquire(sim);
+        self.record_wait(sim, t0, Event::PthRwWait { id: rw.0, write });
+    }
+
+    /// Releases `rw` (`pthread_rwlock_unlock`): either the write hold or
+    /// one read hold of the calling thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the calling thread does not hold the lock.
+    pub fn rwlock_unlock(&self, sim: &Sim, rw: RwLock) {
+        let me = sim.tid();
+        let was_writer = {
+            let st = self.state.lock();
+            st.rwlocks.get(&rw.0).is_some_and(|r| r.writer == Some(me))
+        };
+        if was_writer {
+            // RC release: publish this node's writes before handing over.
+            self.svm().release(sim);
+        }
+        self.admin_request(sim);
+        // The request takes simulated time: the node may have crashed
+        // meanwhile and recovery released this hold — the casualty must
+        // die here, not trip the hold check below.
+        self.svm().crash_check(sim);
+        let grants = {
+            let mut st = self.state.lock();
+            let r = st.rwlocks.get_mut(&rw.0).expect("unlock of unknown rwlock");
+            if was_writer {
+                r.writer = None;
+            } else {
+                assert!(r.readers.purge(me), "rwlock unlock without a hold");
+            }
+            r.promote()
+        };
+        for to in grants {
+            let edge = Some((EdgeKind::RwHandoff, rw.0));
+            self.svm().notify_handoff(sim, edge, &[to.1], 0, to);
         }
     }
 
     /// The `pthread_barrier(number_of_threads)` extension: global
     /// synchronization using the native SVM barrier mechanism.
-    pub fn pthread_barrier(&self, sim: &sim::Sim, b: Barrier, n: usize) {
+    pub fn pthread_barrier(&self, sim: &Sim, b: Barrier, n: usize) {
         let t0 = sim.now();
         sim.op_point(self.cfg.costs.mutex_local_extra_ns);
         {
@@ -264,22 +360,7 @@ impl CablesRt {
                 st.contention.barrier_max_waiters.max(st.barrier_inflight);
         }
         self.svm().barrier(sim, b.0, n);
-        {
-            let mut st = self.state.lock();
-            st.barrier_inflight -= 1;
-            st.contention.barrier_waits += 1;
-            st.contention.barrier_wait_ns += sim.now() - t0;
-        }
-        if let Some(o) = self.obs_if_on() {
-            o.span(
-                obs::Layer::Rt,
-                sim.node(),
-                sim.tid().0,
-                t0,
-                sim.now().saturating_since(t0),
-                obs::Event::PthBarrierWait { id: b.0 },
-            );
-        }
+        self.record_wait(sim, t0, Event::PthBarrierWait { id: b.0 });
     }
 }
 
@@ -336,16 +417,17 @@ impl MutexCondBarrier {
 impl Pth<'_> {
     /// Locks a mutex (`pthread_mutex_lock`).
     pub fn mutex_lock(&self, m: Mutex) {
-        let t0 = self.sim.now();
-        self.rt().clone().mutex_lock(self.sim, m);
-        self.rt().record_op(OpKind::MutexLock, self.sim.now() - t0);
+        self.timed(OpKind::MutexLock, |rt, sim| rt.mutex_lock(sim, m))
+    }
+
+    /// Tries to lock a mutex without blocking (`pthread_mutex_trylock`).
+    pub fn mutex_trylock(&self, m: Mutex) -> bool {
+        self.timed(OpKind::MutexLock, |rt, sim| rt.mutex_trylock(sim, m))
     }
 
     /// Unlocks a mutex (`pthread_mutex_unlock`).
     pub fn mutex_unlock(&self, m: Mutex) {
-        let t0 = self.sim.now();
-        self.rt().clone().mutex_unlock(self.sim, m);
-        self.rt().record_op(OpKind::MutexUnlock, self.sim.now() - t0);
+        self.timed(OpKind::MutexUnlock, |rt, sim| rt.mutex_unlock(sim, m))
     }
 
     /// Waits on a condition variable (`pthread_cond_wait`).
@@ -354,32 +436,49 @@ impl Pth<'_> {
     ///
     /// Returns [`Cancelled`] if this thread was cancelled while waiting.
     pub fn cond_wait(&self, c: Cond, m: Mutex) -> Result<(), Cancelled> {
-        let t0 = self.sim.now();
-        let r = self.rt().clone().cond_wait(self.sim, self.self_id(), c, m);
-        self.rt().record_op(OpKind::CondWait, self.sim.now() - t0);
-        r
+        self.timed(OpKind::CondWait, |rt, sim| rt.cond_wait(sim, self.ct, c, m))
+    }
+
+    /// Waits on a condition with a timeout (`pthread_cond_timedwait`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Cancelled`] if this thread was cancelled while waiting.
+    pub fn cond_timedwait(&self, c: Cond, m: Mutex, timeout_ns: u64) -> Result<bool, Cancelled> {
+        self.timed(OpKind::CondWait, |rt, sim| {
+            rt.cond_timedwait(sim, self.ct, c, m, timeout_ns)
+        })
     }
 
     /// Signals a condition variable (`pthread_cond_signal`).
     pub fn cond_signal(&self, c: Cond) {
-        let t0 = self.sim.now();
-        self.rt().clone().cond_signal(self.sim, c);
-        self.rt().record_op(OpKind::CondSignal, self.sim.now() - t0);
+        self.timed(OpKind::CondSignal, |rt, sim| rt.cond_signal(sim, c))
     }
 
     /// Broadcasts a condition variable (`pthread_cond_broadcast`).
     pub fn cond_broadcast(&self, c: Cond) {
-        let t0 = self.sim.now();
-        self.rt().clone().cond_broadcast(self.sim, c);
-        self.rt().record_op(OpKind::CondBroadcast, self.sim.now() - t0);
+        self.timed(OpKind::CondBroadcast, |rt, sim| rt.cond_broadcast(sim, c))
+    }
+
+    /// Read-locks a read/write lock (`pthread_rwlock_rdlock`).
+    pub fn rwlock_rdlock(&self, rw: RwLock) {
+        self.rt().rwlock_rdlock(self.sim, rw)
+    }
+
+    /// Write-locks a read/write lock (`pthread_rwlock_wrlock`).
+    pub fn rwlock_wrlock(&self, rw: RwLock) {
+        self.rt().rwlock_wrlock(self.sim, rw)
+    }
+
+    /// Unlocks a read/write lock (`pthread_rwlock_unlock`).
+    pub fn rwlock_unlock(&self, rw: RwLock) {
+        self.rt().rwlock_unlock(self.sim, rw)
     }
 
     /// Global barrier over `n` threads (the CableS `pthread_barrier`
     /// extension).
     pub fn barrier(&self, b: Barrier, n: usize) {
-        let t0 = self.sim.now();
-        self.rt().clone().pthread_barrier(self.sim, b, n);
-        self.rt().record_op(OpKind::Barrier, self.sim.now() - t0);
+        self.timed(OpKind::Barrier, |rt, sim| rt.pthread_barrier(sim, b, n))
     }
 }
 
@@ -563,5 +662,193 @@ mod tests {
             mcb_cost > native_cost * 5,
             "mutex+cond barrier ({mcb_cost}ns) should dwarf native ({native_cost}ns)"
         );
+    }
+
+    #[test]
+    fn trylock_succeeds_then_fails_under_hold() {
+        let rt = rt(2, 2);
+        rt.run(|pth| {
+            let m = pth.rt().mutex_new();
+            assert!(pth.mutex_trylock(m));
+            let holder_blocks = pth.create(move |p| u64::from(p.mutex_trylock(m)));
+            assert_eq!(pth.join(holder_blocks), 0, "held elsewhere");
+            pth.mutex_unlock(m);
+            assert!(pth.mutex_trylock(m));
+            pth.mutex_unlock(m);
+            0
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn cond_timedwait_times_out_without_signal() {
+        let rt = rt(1, 1);
+        rt.run(|pth| {
+            let m = pth.rt().mutex_new();
+            let cv = pth.rt().cond_new();
+            pth.mutex_lock(m);
+            let t0 = pth.sim.now();
+            let signalled = pth.cond_timedwait(cv, m, 250_000).unwrap();
+            assert!(!signalled);
+            assert!(pth.sim.now() - t0 >= 250_000);
+            pth.mutex_unlock(m);
+            0
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn cond_timedwait_signalled_in_time() {
+        let rt = rt(2, 2);
+        rt.run(|pth| {
+            let m = pth.rt().mutex_new();
+            let cv = pth.rt().cond_new();
+            let flag = pth.malloc(8);
+            pth.write::<u64>(flag, 0);
+            let waiter = pth.create(move |p| {
+                p.mutex_lock(m);
+                let mut sig = false;
+                while p.read::<u64>(flag) == 0 {
+                    sig = p.cond_timedwait(cv, m, sim::dur::secs(10)).unwrap();
+                    if !sig {
+                        break;
+                    }
+                }
+                p.mutex_unlock(m);
+                u64::from(sig)
+            });
+            pth.compute(300_000);
+            pth.mutex_lock(m);
+            pth.write::<u64>(flag, 1);
+            pth.cond_signal(cv);
+            pth.mutex_unlock(m);
+            assert_eq!(pth.join(waiter), 1, "signal must beat the deadline");
+            0
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn timed_out_waiter_is_deregistered() {
+        // After a timeout, a later signal must not target the departed
+        // waiter (its queue entry is removed atomically with the wake).
+        let rt = rt(2, 2);
+        rt.run(|pth| {
+            let m = pth.rt().mutex_new();
+            let cv = pth.rt().cond_new();
+            let w = pth.create(move |p| {
+                p.mutex_lock(m);
+                let sig = p.cond_timedwait(cv, m, 100_000).unwrap();
+                p.mutex_unlock(m);
+                p.compute(sim::dur::millis(5));
+                u64::from(sig)
+            });
+            pth.compute(sim::dur::millis(2));
+            pth.mutex_lock(m);
+            pth.cond_signal(cv); // no waiter left: must be a no-op
+            pth.mutex_unlock(m);
+            assert_eq!(pth.join(w), 0);
+            0
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn rwlock_allows_concurrent_readers() {
+        let rt = rt(2, 2);
+        rt.run(|pth| {
+            let rw = pth.rt().rwlock_new();
+            let cell = pth.malloc(8);
+            pth.rwlock_wrlock(rw);
+            pth.write::<u64>(cell, 9);
+            pth.rwlock_unlock(rw);
+            let mut kids = Vec::new();
+            for _ in 0..3 {
+                kids.push(pth.create(move |p| {
+                    p.rwlock_rdlock(rw);
+                    let v = p.read::<u64>(cell);
+                    p.compute(200_000);
+                    p.rwlock_unlock(rw);
+                    v
+                }));
+            }
+            for k in kids {
+                assert_eq!(pth.join(k), 9);
+            }
+            0
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn rwlock_writer_excludes_and_publishes() {
+        let rt = rt(2, 2);
+        rt.run(|pth| {
+            let rw = pth.rt().rwlock_new();
+            let cell = pth.malloc(8);
+            pth.rwlock_wrlock(rw);
+            pth.write::<u64>(cell, 0);
+            pth.rwlock_unlock(rw);
+            let mut kids = Vec::new();
+            for _ in 0..3 {
+                kids.push(pth.create(move |p| {
+                    for _ in 0..5 {
+                        p.rwlock_wrlock(rw);
+                        let v = p.read::<u64>(cell);
+                        p.compute(1_000);
+                        p.write::<u64>(cell, v + 1);
+                        p.rwlock_unlock(rw);
+                    }
+                    0
+                }));
+            }
+            for k in kids {
+                pth.join(k);
+            }
+            pth.rwlock_rdlock(rw);
+            assert_eq!(pth.read::<u64>(cell), 15);
+            pth.rwlock_unlock(rw);
+            0
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn rwlock_queued_writer_blocks_new_readers() {
+        let rt = rt(2, 2);
+        rt.run(|pth| {
+            let rw = pth.rt().rwlock_new();
+            let order = pth.malloc(8);
+            pth.rwlock_wrlock(rw);
+            pth.write::<u64>(order, 0);
+            pth.rwlock_unlock(rw);
+            // Reader holds; writer queues; late reader must wait behind
+            // the writer (no writer starvation).
+            pth.rwlock_rdlock(rw);
+            let writer = pth.create(move |p| {
+                p.rwlock_wrlock(rw);
+                p.write::<u64>(order, 1);
+                p.compute(100_000);
+                p.rwlock_unlock(rw);
+                0
+            });
+            let late_reader = pth.create(move |p| {
+                p.compute(2_000_000); // arrive after the writer queued
+                p.rwlock_rdlock(rw);
+                let v = p.read::<u64>(order);
+                p.rwlock_unlock(rw);
+                v
+            });
+            pth.compute(5_000_000);
+            pth.rwlock_unlock(rw);
+            assert_eq!(
+                pth.join(late_reader),
+                1,
+                "late reader must observe the queued writer's update"
+            );
+            pth.join(writer);
+            0
+        })
+        .unwrap();
     }
 }

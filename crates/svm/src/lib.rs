@@ -34,3 +34,5 @@ pub use config::{PlacementPolicy, ProtoMode, SvmConfig, SvmCosts};
 pub use proto::{
     NodeStats, PlacementReport, ProtoError, GLOBAL_SECTION_BASE, GLOBAL_SECTION_BYTES, HEAP_BASE,
 };
+#[doc(hidden)]
+pub use sync::WaitQueue;

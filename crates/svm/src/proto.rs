@@ -22,7 +22,7 @@
 //! data-race-free programs see identical values and at worst extra
 //! invalidations.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use chaos::ChaosEngine;
@@ -32,6 +32,7 @@ use vmmc::{RegionId, VmmcError};
 
 use crate::api::SvmSystem;
 use crate::config::{PlacementPolicy, ProtoMode};
+use crate::sync::WaitQueue;
 
 pub(crate) const WORDS_PER_PAGE: usize = (PAGE_SIZE / 8) as usize;
 pub(crate) const BITMAP_WORDS: usize = WORDS_PER_PAGE / 64;
@@ -145,14 +146,14 @@ pub(crate) struct LockState {
     pub manager: NodeId,
     pub holder: Option<Tid>,
     pub holder_node: Option<NodeId>,
-    pub waiters: VecDeque<(Tid, NodeId)>,
+    pub waiters: WaitQueue,
     pub acquired_from: HashMap<u32, ()>,
 }
 
 #[derive(Debug, Default)]
 pub(crate) struct BarrierState {
     pub count: usize,
-    pub waiters: Vec<(Tid, NodeId)>,
+    pub waiters: WaitQueue,
     pub max_arrival: SimTime,
     /// Membership of the current episode, recorded on every arrival so a
     /// crash recovery can release the barrier when the survivors plus the

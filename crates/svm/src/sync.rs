@@ -3,30 +3,183 @@
 //! Locks are the release-consistency *acquire* operations; barriers combine
 //! a release (arrival) with an acquire (departure). The M4 macro layer and
 //! CableS's pthreads mutexes are both built on these.
+//!
+//! The plumbing every blocking primitive shares — here and in `cables` —
+//! also lives in this module, once each: the [`WaitQueue`] (who waits), the
+//! hand-off ([`SvmSystem::handoff`]: what a wake-up records and when the
+//! woken thread resumes) and the park ([`SvmSystem::park`]: every block is
+//! followed by a crash checkpoint).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
 
+use obs::EdgeKind;
 use sim::{NodeId, Sim, SimTime, Tid};
 
 use crate::api::SvmSystem;
 use crate::proto::{BarrierState, LockState};
 
+/// FIFO of parked threads `(tid, node, tag)`: the one waiter queue behind
+/// locks, barriers, conditions, rwlocks (tagged with `wants_write`),
+/// joiners and the idle thread pool. A thread parks in at most one queue
+/// at a time, once.
+#[doc(hidden)]
+#[derive(Debug, Default)]
+pub struct WaitQueue<T = ()>(pub VecDeque<(Tid, NodeId, T)>);
+
+impl<T> WaitQueue<T> {
+    /// Appends a waiter and returns the new depth.
+    pub fn push(&mut self, tid: Tid, node: NodeId, tag: T) -> u64 {
+        self.0.push_back((tid, node, tag));
+        self.0.len() as u64
+    }
+
+    /// Removes `tid`'s entry, if it has one. Order-preserving and
+    /// independent of any map order, so replay stays deterministic.
+    pub fn purge(&mut self, tid: Tid) -> bool {
+        let at = self.0.iter().position(|w| w.0 == tid);
+        at.and_then(|i| self.0.remove(i)).is_some()
+    }
+}
+
+impl LockState {
+    /// The grant decision, shared by `unlock` and crash recovery: the
+    /// head waiter becomes the holder, or the lock falls free.
+    fn pass_on(&mut self) -> Option<(Tid, NodeId)> {
+        let next = self
+            .waiters
+            .0
+            .pop_front()
+            .map(|(tid, node, ())| (tid, node));
+        self.holder = next.map(|(tid, _)| tid);
+        if let Some((_, node)) = next {
+            self.holder_node = Some(node);
+        }
+        next
+    }
+}
+
+impl BarrierState {
+    /// The release decision, shared by the last arriver and crash
+    /// recovery: takes the waiters, resets the episode and returns the
+    /// nominal release time at the manager.
+    fn open(&mut self, per_node_ns: u64) -> (WaitQueue, SimTime) {
+        let release_t = self.max_arrival + per_node_ns * self.expected as u64;
+        self.count = 0;
+        self.max_arrival = SimTime::ZERO;
+        (std::mem::take(&mut self.waiters), release_t)
+    }
+}
+
 impl SvmSystem {
     /// Whether lock `id`'s ownership is currently cached at `node` (so an
     /// acquire from that node is a purely local operation).
     pub fn lock_is_local(&self, id: u64, node: sim::NodeId) -> bool {
-        let st = self.state.lock();
-        st.locks
-            .get(&id)
-            .map(|l| l.holder_node == Some(node))
-            .unwrap_or(false)
+        self.lock_owner_node(id) == Some(node)
     }
 
     /// The node where lock `id`'s ownership is currently cached, if any.
     pub fn lock_owner_node(&self, id: u64) -> Option<sim::NodeId> {
         let st = self.state.lock();
         st.locks.get(&id).and_then(|l| l.holder_node)
+    }
+
+    /// The one hand-off: thread `to` resumes at `arrival`, and when that is
+    /// later than its cause — `(node, time)` on the calling thread — the
+    /// bus gets the causal edge `(kind, object id)`. `None` for wake-ups
+    /// that have no edge kind (cancellation).
+    #[doc(hidden)]
+    pub fn handoff(
+        &self,
+        sim: &Sim,
+        edge: Option<(EdgeKind, u64)>,
+        cause: (NodeId, SimTime),
+        arrival: SimTime,
+        to: (Tid, NodeId),
+    ) {
+        let ((from, cause_t), (tid, node)) = (cause, to);
+        if let (Some((kind, id)), Some(o)) = (edge, self.obs_if_on()) {
+            if arrival > cause_t {
+                let me = sim.tid().0;
+                o.edge(kind, from, me, cause_t, node, tid.0, arrival, id);
+            }
+        }
+        sim.wake(tid, arrival);
+    }
+
+    /// A hand-off by notification: it leaves this thread's node now, is
+    /// relayed along `hops` (a hop within one node is free; the handler of
+    /// each relaying node adds `relay_ns`) and wakes `to` on arrival.
+    #[doc(hidden)]
+    pub fn notify_handoff(
+        &self,
+        sim: &Sim,
+        edge: Option<(EdgeKind, u64)>,
+        hops: &[NodeId],
+        relay_ns: u64,
+        to: (Tid, NodeId),
+    ) {
+        let cause = (sim.node(), sim.now());
+        let (mut at, mut t) = cause;
+        for (i, &hop) in hops.iter().enumerate() {
+            if i > 0 {
+                t = t + relay_ns;
+            }
+            if hop != at {
+                t = self.cluster.san.notify(at, hop, t).arrival;
+                at = hop;
+            }
+        }
+        self.handoff(sim, edge, cause, t, to);
+    }
+
+    /// The one park: blocks until woken (or until `deadline`; the result
+    /// says whether it was a wake), then runs the crash checkpoint — a
+    /// waiter unparked by crash recovery, its queue entry purged, must die
+    /// here, before it acts on a grant it never got.
+    #[doc(hidden)]
+    pub fn park(&self, sim: &Sim, deadline: Option<SimTime>) -> bool {
+        let woken = match deadline {
+            Some(d) => sim.block_deadline(d),
+            None => {
+                sim.block();
+                true
+            }
+        };
+        self.crash_check(sim);
+        woken
+    }
+
+    /// Entry of a blocking primitive: its start time, with the streaming
+    /// series clock advanced so live windows keep cutting through long
+    /// quiet stretches (no-op unless a series is running; never charges
+    /// simulated time).
+    fn sync_entry(&self, sim: &Sim) -> SimTime {
+        let t0 = sim.now();
+        if let Some(o) = self.obs_if_on() {
+            o.series_tick(t0);
+        }
+        t0
+    }
+
+    /// The wait record of a blocking primitive that started at `t0`.
+    fn sync_span(&self, sim: &Sim, t0: SimTime, event: obs::Event) {
+        if let Some(o) = self.obs_if_on() {
+            let waited = sim.now().saturating_since(t0);
+            o.span(obs::Layer::Sync, sim.node(), sim.tid().0, t0, waited, event);
+        }
+    }
+
+    /// Request/reply round trip with a remote lock manager.
+    fn manager_round_trip(&self, sim: &Sim, manager: NodeId) {
+        let san = &self.cluster.san;
+        let req = san.notify(sim.node(), manager, sim.now());
+        let reply = san.notify(
+            manager,
+            sim.node(),
+            req.arrival + self.cfg.costs.lock_handler_ns,
+        );
+        sim.clock_at_least(reply.arrival);
     }
 
     /// Acquires system lock `id`, blocking until granted, then applies
@@ -37,16 +190,25 @@ impl SvmSystem {
     /// mutex lock" vs "remote mutex lock").
     pub fn lock(&self, sim: &Sim, id: u64) {
         self.crash_check(sim);
-        let t0 = sim.now();
-        // Advance the streaming-series clock at sync entry so live
-        // windows keep cutting through long quiet stretches (no-op
-        // unless a series is running; never charges simulated time).
-        if let Some(o) = self.obs_if_on() {
-            o.series_tick(t0);
-        }
+        let t0 = self.sync_entry(sim);
+        self.lock_or(sim, id, true);
+        self.sync_span(sim, t0, obs::Event::LockWait { id });
+    }
+
+    /// Attempts to acquire system lock `id` without blocking. On success
+    /// performs the RC acquire and returns `true`.
+    pub fn try_lock(&self, sim: &Sim, id: u64) -> bool {
+        self.crash_check(sim);
+        self.lock_or(sim, id, false)
+    }
+
+    /// Takes lock `id` if it is free; otherwise queues and parks for it
+    /// (`wait`) or gives up. Timing-visible asymmetry, kept: a probe
+    /// records its node in `acquired_from` without paying the first-time
+    /// bookkeeping, and counts as an acquire only when it succeeds.
+    fn lock_or(&self, sim: &Sim, id: u64, wait: bool) -> bool {
         sim.op_point(self.cfg.costs.lock_local_ns);
         let node = sim.node();
-
         let (granted, first_time, local_grant, manager) = {
             let mut st = self.state.lock();
             let stx = &mut *st;
@@ -56,26 +218,28 @@ impl SvmSystem {
                 manager: node,
                 holder: None,
                 holder_node: None,
-                waiters: Default::default(),
+                waiters: WaitQueue::default(),
                 acquired_from: HashMap::new(),
             });
-            let manager = l.manager;
             let first_time = l.acquired_from.insert(node.0, ()).is_none();
-            stx.nodes[node.0 as usize].stats.lock_acquires += 1;
-            if l.holder.is_none() {
-                // A fresh lock acquired by its manager is also local.
-                let local_grant =
-                    l.holder_node == Some(node) || (l.holder_node.is_none() && manager == node);
+            let granted = l.holder.is_none();
+            // A fresh lock acquired by its manager is also local.
+            let local_grant = granted
+                && (l.holder_node == Some(node) || (l.holder_node.is_none() && l.manager == node));
+            if granted {
                 l.holder = Some(sim.tid());
                 l.holder_node = Some(node);
-                (true, first_time, local_grant, manager)
-            } else {
-                l.waiters.push_back((sim.tid(), node));
-                (false, first_time, false, manager)
+            } else if wait {
+                l.waiters.push(sim.tid(), node, ());
             }
+            let manager = l.manager;
+            if granted || wait {
+                stx.nodes[node.0 as usize].stats.lock_acquires += 1;
+            }
+            (granted, first_time, local_grant, manager)
         };
 
-        if first_time {
+        if wait && first_time {
             sim.advance(self.cfg.costs.lock_first_time_ns);
             if node != self.master {
                 // First-time bookkeeping reads the lock record remotely.
@@ -86,99 +250,30 @@ impl SvmSystem {
 
         if granted {
             if !local_grant && node != manager {
-                // Request/grant round trip through the manager.
-                let req = self.cluster.san.notify(node, manager, sim.now());
-                let grant = self
-                    .cluster
-                    .san
-                    .notify(manager, node, req.arrival + self.cfg.costs.lock_handler_ns);
-                sim.clock_at_least(grant.arrival);
+                self.manager_round_trip(sim, manager);
             } else if !local_grant {
                 sim.advance(self.cfg.costs.lock_handler_ns);
             }
-        } else {
+        } else if wait {
             // Request reaches the manager; we wait for a grant from the
             // releasing thread.
             if node != manager {
                 let req = self.cluster.san.notify(node, manager, sim.now());
                 sim.clock_at_least(req.local_done);
             }
-            sim.block();
-            // A waiter unparked by crash recovery (its queue entry purged)
-            // must die here, before it acts on a grant it never got.
-            self.crash_check(sim);
-        }
-
-        // With lock-data forwarding the grant carries hot-page contents,
-        // so the acquire can refresh instead of invalidate.
-        self.acquire_on_lock(sim);
-        if let Some(o) = self.obs_if_on() {
-            o.span(
-                obs::Layer::Sync,
-                node,
-                sim.tid().0,
-                t0,
-                sim.now().saturating_since(t0),
-                obs::Event::LockWait { id },
-            );
-        }
-    }
-
-    /// Attempts to acquire system lock `id` without blocking. On success
-    /// performs the RC acquire and returns `true`.
-    pub fn try_lock(&self, sim: &Sim, id: u64) -> bool {
-        self.crash_check(sim);
-        sim.op_point(self.cfg.costs.lock_local_ns);
-        let node = sim.node();
-        let (granted, local_grant, manager) = {
-            let mut st = self.state.lock();
-            let stx = &mut *st;
-            let l = stx.locks.entry(id).or_insert_with(|| LockState {
-                manager: node,
-                holder: None,
-                holder_node: None,
-                waiters: Default::default(),
-                acquired_from: HashMap::new(),
-            });
-            let manager = l.manager;
-            l.acquired_from.insert(node.0, ());
-            if l.holder.is_none() {
-                let local_grant =
-                    l.holder_node == Some(node) || (l.holder_node.is_none() && manager == node);
-                l.holder = Some(sim.tid());
-                l.holder_node = Some(node);
-                stx.nodes[node.0 as usize].stats.lock_acquires += 1;
-                (true, local_grant, manager)
-            } else {
-                (false, false, manager)
-            }
-        };
-        if granted {
-            if !local_grant && node != manager {
-                let req = self.cluster.san.notify(node, manager, sim.now());
-                let grant = self
-                    .cluster
-                    .san
-                    .notify(manager, node, req.arrival + self.cfg.costs.lock_handler_ns);
-                sim.clock_at_least(grant.arrival);
-            } else if !local_grant {
-                sim.advance(self.cfg.costs.lock_handler_ns);
-            }
-            self.acquire_on_lock(sim);
-            true
+            self.park(sim, None);
         } else {
             // A failed probe still costs the manager round trip when the
             // lock record lives elsewhere.
             if node != manager {
-                let req = self.cluster.san.notify(node, manager, sim.now());
-                let nack = self
-                    .cluster
-                    .san
-                    .notify(manager, node, req.arrival + self.cfg.costs.lock_handler_ns);
-                sim.clock_at_least(nack.arrival);
+                self.manager_round_trip(sim, manager);
             }
-            false
+            return false;
         }
+        // With lock-data forwarding the grant carries hot-page contents,
+        // so the acquire can refresh instead of invalidate.
+        self.acquire_on_lock(sim);
+        true
     }
 
     /// Releases system lock `id` after flushing this node's dirty pages
@@ -195,52 +290,18 @@ impl SvmSystem {
         // during the flush, and recovery then already passed this lock on
         // — the casualty must die here, not trip the holder check below.
         self.crash_check(sim);
-        let node = sim.node();
 
         let next = {
             let mut st = self.state.lock();
             let l = st.locks.get_mut(&id).expect("unlock of unknown lock");
             assert_eq!(l.holder, Some(sim.tid()), "unlock by non-holder");
-            match l.waiters.pop_front() {
-                Some((tid, wnode)) => {
-                    l.holder = Some(tid);
-                    l.holder_node = Some(wnode);
-                    Some((tid, wnode, l.manager))
-                }
-                None => {
-                    l.holder = None;
-                    None
-                }
-            }
+            l.pass_on().map(|to| (to, l.manager))
         };
-
-        if let Some((tid, wnode, manager)) = next {
-            // Hand-off: release to manager, grant to the waiter.
-            let rel_t = sim.now();
-            let mut t = rel_t;
-            if node != manager {
-                t = self.cluster.san.notify(node, manager, t).arrival;
-            }
-            t = t + self.cfg.costs.lock_handler_ns;
-            if manager != wnode {
-                t = self.cluster.san.notify(manager, wnode, t).arrival;
-            }
-            if t > rel_t {
-                if let Some(o) = self.obs_if_on() {
-                    // Causal edge: this release to the next holder's grant.
-                    o.edge(
-                        obs::EdgeKind::LockHandoff,
-                        node,
-                        sim.tid().0,
-                        rel_t,
-                        wnode,
-                        tid.0,
-                        t,
-                        id,
-                    );
-                }
-            }
-            sim.wake(tid, t);
+        if let Some((to, manager)) = next {
+            // Release to the manager, its handler, grant to the waiter.
+            let edge = Some((EdgeKind::LockHandoff, id));
+            let handler_ns = self.cfg.costs.lock_handler_ns;
+            self.notify_handoff(sim, edge, &[manager, to.1], handler_ns, to);
         }
     }
 
@@ -251,12 +312,7 @@ impl SvmSystem {
     pub fn barrier(&self, sim: &Sim, id: u64, n: usize) {
         assert!(n > 0, "barrier over zero threads");
         self.crash_check(sim);
-        let t0 = sim.now();
-        // See `lock`: keep the metric-series windows moving at sync
-        // entry; zero simulated cost, no-op when no series runs.
-        if let Some(o) = self.obs_if_on() {
-            o.series_tick(t0);
-        }
+        let t0 = self.sync_entry(sim);
         self.release(sim);
         sim.op_point(self.cfg.costs.lock_local_ns);
         let node = sim.node();
@@ -272,82 +328,57 @@ impl SvmSystem {
         // arrivals are forgiven via the discount (always 0 without chaos,
         // leaving the release condition untouched).
         let discount = self.crashed_discount.load(Ordering::Relaxed) as usize;
-        let is_last = {
+        let opened = {
             let mut st = self.state.lock();
             let stx = &mut *st;
             stx.nodes[node.0 as usize].stats.barrier_waits += 1;
-            let b = stx
-                .barriers
-                .entry(id)
-                .or_insert_with(BarrierState::default);
+            let b = stx.barriers.entry(id).or_default();
             b.count += 1;
             b.expected = n;
             b.max_arrival = b.max_arrival.max(arrive_at_mgr);
             if b.count + discount < n {
-                b.waiters.push((sim.tid(), node));
-                false
+                b.waiters.push(sim.tid(), node, ());
+                None
             } else {
-                true
+                Some(b.open(self.cfg.costs.barrier_per_node_ns))
             }
         };
 
-        if !is_last {
-            sim.block();
-            // Unparked by crash recovery rather than a release: die before
-            // running code that believes the barrier completed.
-            self.crash_check(sim);
-        } else {
-            let (waiters, release_t) = {
-                let mut st = self.state.lock();
-                let b = st.barriers.get_mut(&id).expect("barrier state");
-                let release_t =
-                    b.max_arrival + self.cfg.costs.barrier_per_node_ns * n as u64;
-                let waiters = std::mem::take(&mut b.waiters);
-                b.count = 0;
-                b.max_arrival = SimTime::ZERO;
-                (waiters, release_t)
-            };
-            // Release messages fan out from the manager's NIC. Every
-            // waiter pays the one-way latency from the manager; the
-            // same-node case is rare and only saves 7.8us.
-            let fan_t0 = sim.now();
-            for (tid, wnode) in waiters {
-                let wake_t = release_t + self.cluster.san.config().send_base_ns;
-                if wake_t > fan_t0 {
-                    if let Some(o) = self.obs_if_on() {
-                        // Causal edge: last arrival's fan-out to each
-                        // waiter's departure.
-                        o.edge(
-                            obs::EdgeKind::BarrierRelease,
-                            node,
-                            sim.tid().0,
-                            fan_t0,
-                            wnode,
-                            tid.0,
-                            wake_t,
-                            id,
-                        );
-                    }
-                }
-                sim.wake(tid, wake_t);
+        match opened {
+            None => {
+                self.park(sim, None);
             }
-            let back = if node != manager {
-                self.cluster.san.config().send_base_ns
-            } else {
-                0
-            };
-            sim.clock_at_least(release_t + back);
+            Some((waiters, release_t)) => {
+                self.fan_out(sim, EdgeKind::BarrierRelease, id, waiters, release_t);
+                let back = if node != manager {
+                    self.cluster.san.config().send_base_ns
+                } else {
+                    0
+                };
+                sim.clock_at_least(release_t + back);
+            }
         }
 
         self.acquire(sim);
-        if let Some(o) = self.obs_if_on() {
-            o.span(
-                obs::Layer::Sync,
-                node,
-                sim.tid().0,
-                t0,
-                sim.now().saturating_since(t0),
-                obs::Event::BarrierWait { id },
+        self.sync_span(sim, t0, obs::Event::BarrierWait { id });
+    }
+
+    /// Wakes a released barrier's waiters. Release messages fan out from
+    /// the manager's NIC; timing-visible asymmetry, kept: every waiter
+    /// pays one flat `send_base_ns` from the nominal release rather than a
+    /// NIC-serialised notify (the same-node case is rare and only saves
+    /// 7.8us). A release that crash recovery finds overdue never wakes
+    /// into the past.
+    fn fan_out(&self, sim: &Sim, kind: EdgeKind, id: u64, waiters: WaitQueue, release_t: SimTime) {
+        let now = sim.now();
+        let wake_t = release_t.max(now) + self.cluster.san.config().send_base_ns;
+        for (tid, wnode, ()) in waiters.0 {
+            self.handoff(
+                sim,
+                Some((kind, id)),
+                (sim.node(), now),
+                wake_t,
+                (tid, wnode),
             );
         }
     }
@@ -365,22 +396,17 @@ impl SvmSystem {
     /// Returns whether the thread was parked in any of them; if so the
     /// caller must wake it so its OS thread can unwind (it was removed
     /// from the queue here, so the wake cannot race a legitimate one).
-    /// Per-entry `retain` keeps the result independent of map order, so
-    /// replay with the same plan stays deterministic.
     pub fn crash_purge_waiter(&self, tid: Tid) -> bool {
         let mut st = self.state.lock();
         let mut found = false;
         for l in st.locks.values_mut() {
-            let before = l.waiters.len();
-            l.waiters.retain(|(w, _)| *w != tid);
-            found |= l.waiters.len() != before;
+            found |= l.waiters.purge(tid);
         }
         for b in st.barriers.values_mut() {
-            let before = b.waiters.len();
-            b.waiters.retain(|(w, _)| *w != tid);
-            let removed = before - b.waiters.len();
-            b.count -= removed;
-            found |= removed > 0;
+            if b.waiters.purge(tid) {
+                b.count -= 1;
+                found = true;
+            }
         }
         found
     }
@@ -389,118 +415,64 @@ impl SvmSystem {
     /// after [`SvmSystem::crash_purge_waiter`] ran for *all* of `dead`, so
     /// no grant can land on another casualty. A dead holder cannot run the
     /// release hand-off itself; the recovery thread (`sim`) grants on its
-    /// behalf. Returns the woken grantees. Iteration is in sorted id
-    /// order so replay with the same plan stays deterministic.
-    pub fn crash_handoff_locks(&self, sim: &Sim, dead: &[Tid], node: NodeId) -> Vec<Tid> {
-        let mut woken = Vec::new();
-        let lock_ids: Vec<u64> = {
-            let st = self.state.lock();
-            let mut v: Vec<u64> = st.locks.keys().copied().collect();
-            v.sort_unstable();
-            v
-        };
-        for id in lock_ids {
-            let handoff = {
-                let mut st = self.state.lock();
-                let Some(l) = st.locks.get_mut(&id) else {
-                    continue;
-                };
-                let dead_holder = l.holder.map_or(false, |h| dead.contains(&h));
-                if !dead_holder {
-                    None
-                } else {
-                    match l.waiters.pop_front() {
-                        Some((next, wnode)) => {
-                            l.holder = Some(next);
-                            l.holder_node = Some(wnode);
-                            Some((l.holder.expect("just set"), wnode))
-                        }
-                        None => {
-                            l.holder = None;
-                            // Never leave ownership cached at a dead node:
-                            // the next acquirer must pay the remote path.
-                            l.holder_node = None;
-                            None
-                        }
-                    }
+    /// behalf, at `now + lock_handler_ns` with no wire message, the edge
+    /// sourced at `node`. Iteration is in sorted id order so replay with
+    /// the same plan stays deterministic.
+    pub fn crash_handoff_locks(&self, sim: &Sim, dead: &[Tid], node: NodeId) {
+        let grants: Vec<(u64, (Tid, NodeId))> = {
+            let mut st = self.state.lock();
+            let mut held: Vec<(u64, &mut LockState)> = st
+                .locks
+                .iter_mut()
+                .filter(|(_, l)| l.holder.is_some_and(|h| dead.contains(&h)))
+                .map(|(id, l)| (*id, l))
+                .collect();
+            held.sort_unstable_by_key(|(id, _)| *id);
+            let pass = |(id, l): (u64, &mut LockState)| {
+                let next = l.pass_on();
+                if next.is_none() {
+                    // Never leave ownership cached at a dead node: the
+                    // next acquirer must pay the remote path.
+                    l.holder_node = None;
                 }
+                next.map(|to| (id, to))
             };
-            if let Some((next, wnode)) = handoff {
-                let t = sim.now() + self.cfg.costs.lock_handler_ns;
-                if let Some(o) = self.obs_if_on() {
-                    o.edge(
-                        obs::EdgeKind::Recovery,
-                        node,
-                        sim.tid().0,
-                        sim.now(),
-                        wnode,
-                        next.0,
-                        t,
-                        id,
-                    );
-                }
-                sim.wake(next, t);
-                woken.push(next);
-            }
+            held.into_iter().filter_map(pass).collect()
+        };
+        let now = sim.now();
+        for (id, to) in grants {
+            let edge = Some((EdgeKind::Recovery, id));
+            self.handoff(
+                sim,
+                edge,
+                (node, now),
+                now + self.cfg.costs.lock_handler_ns,
+                to,
+            );
         }
-        woken
     }
 
     /// Releases every barrier that only dead threads were keeping closed
     /// (arrivals + discount cover the expected count). Crash recovery calls
     /// this after removing the crashed threads and bumping the discount.
-    /// Returns the woken waiters. Sorted-id iteration keeps replay
-    /// deterministic.
-    pub fn crash_release_ready_barriers(&self, sim: &Sim) -> Vec<Tid> {
+    /// Sorted-id iteration keeps replay deterministic.
+    pub fn crash_release_ready_barriers(&self, sim: &Sim) {
         let discount = self.crashed_discount.load(Ordering::Relaxed) as usize;
         if discount == 0 {
-            return Vec::new();
+            return;
         }
-        let ready: Vec<u64> = {
-            let st = self.state.lock();
-            let mut v: Vec<u64> = st
-                .barriers
-                .iter()
+        let mut ready: Vec<(u64, (WaitQueue, SimTime))> = {
+            let mut st = self.state.lock();
+            st.barriers
+                .iter_mut()
                 .filter(|(_, b)| b.count > 0 && b.expected > 0 && b.count + discount >= b.expected)
-                .map(|(id, _)| *id)
-                .collect();
-            v.sort_unstable();
-            v
+                .map(|(id, b)| (*id, b.open(self.cfg.costs.barrier_per_node_ns)))
+                .collect()
         };
-        let mut woken = Vec::new();
-        for id in ready {
-            let (waiters, release_t) = {
-                let mut st = self.state.lock();
-                let b = st.barriers.get_mut(&id).expect("ready barrier");
-                let release_t =
-                    b.max_arrival + self.cfg.costs.barrier_per_node_ns * b.expected as u64;
-                let waiters = std::mem::take(&mut b.waiters);
-                b.count = 0;
-                b.max_arrival = SimTime::ZERO;
-                (waiters, release_t)
-            };
-            // The nominal release may predate the crash that unblocked it;
-            // never wake into the past.
-            let base = release_t.max(sim.now());
-            for (w, wnode) in waiters {
-                let wake_t = base + self.cluster.san.config().send_base_ns;
-                if let Some(o) = self.obs_if_on() {
-                    o.edge(
-                        obs::EdgeKind::Recovery,
-                        sim.node(),
-                        sim.tid().0,
-                        sim.now(),
-                        wnode,
-                        w.0,
-                        wake_t,
-                        id,
-                    );
-                }
-                sim.wake(w, wake_t);
-                woken.push(w);
-            }
+        ready.sort_unstable_by_key(|(id, _)| *id);
+        for (id, (waiters, release_t)) in ready {
+            self.fan_out(sim, EdgeKind::Recovery, id, waiters, release_t);
         }
-        woken
     }
 }
 
@@ -575,7 +547,10 @@ mod tests {
             second < first,
             "cached local relock ({second}ns) should be cheaper than first ({first}ns)"
         );
-        assert!(second < 10_000, "local lock should be a few us, got {second}ns");
+        assert!(
+            second < 10_000,
+            "local lock should be a few us, got {second}ns"
+        );
     }
 
     #[test]

@@ -11,10 +11,11 @@ BENCH_TARGETS=(table3 table4 table5 table6 fig5 fig6 ablations engine_wall
 # Artifacts gated against baselines/ (smoke-mode snapshots), and the
 # benches whose smoke run rewrites them.
 GATE_BENCHES=(obs_report critpath chaos_soak protocol_opt ablations
-              service_bench placement)
+              service_bench placement table4 table5)
 GATED_ARTIFACTS=(BENCH_obs_FFT.json BENCH_obs_RADIX.json BENCH_obs_stream.json
                  BENCH_critpath.json BENCH_chaos.json BENCH_protocol.json
-                 BENCH_ablations.json BENCH_service.json BENCH_placement.json)
+                 BENCH_ablations.json BENCH_service.json BENCH_placement.json
+                 BENCH_table4.json BENCH_table5.json)
 
 # NDJSON metric streams the obs_report, chaos_soak and service_bench runs
 # leave in target/artifacts.
@@ -24,7 +25,7 @@ STREAM_ARTIFACTS=(stream_FFT.ndjson stream_RADIX.ndjson
 # Everything scripts/report.sh regenerates at full size and tier1 --smoke
 # validates. BENCH_table6/fig5/fig6 are written by full-size runs only;
 # BENCH_hotpath.json only by a full engine_wall run (see the verify skill).
-SMOKE_ARTIFACTS=("${GATED_ARTIFACTS[@]}" BENCH_table3.json BENCH_table4.json
-                 BENCH_table5.json target/artifacts/trace_fft.json)
+SMOKE_ARTIFACTS=("${GATED_ARTIFACTS[@]}" BENCH_table3.json
+                 target/artifacts/trace_fft.json)
 ALL_ARTIFACTS=("${SMOKE_ARTIFACTS[@]}" BENCH_table6.json BENCH_fig5.json
                BENCH_fig6.json "${STREAM_ARTIFACTS[@]/#/target/artifacts/}")

@@ -19,6 +19,12 @@ source scripts/artifacts.sh
 echo "==> cargo build --release"
 cargo build $CARGO_FLAGS --release
 
+# The golden-value tests go first: a transfer or a hand-off that moved by
+# one nanosecond fails here in seconds, not after both engine sweeps.
+echo "==> pinned goldens (cables sync plumbing, san timing model)"
+cargo test $CARGO_FLAGS -q -p cables --test pinned
+cargo test $CARGO_FLAGS -q -p cables-san --test pinned
+
 echo "==> cargo test --workspace (engine: sequential oracle)"
 CABLES_ENGINE_MODE=sequential cargo test $CARGO_FLAGS --workspace -q
 
