@@ -1941,6 +1941,12 @@ mod green_mode_tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex as StdMutex;
 
+    const ALL_MODES: [EngineMode; 3] = [
+        EngineMode::Sequential,
+        EngineMode::Parallel,
+        EngineMode::ParallelDeterministic,
+    ];
+
     fn green_engine(mode: EngineMode, cpus: usize) -> (Engine, NodeId) {
         let e = Engine::new();
         e.set_mode(mode);
@@ -2000,9 +2006,18 @@ mod green_mode_tests {
                 .unwrap();
             (end, sum.load(Ordering::Relaxed), e.stats())
         };
-        let seq = run(EngineMode::Sequential);
-        assert_eq!(seq, run(EngineMode::Parallel));
-        assert_eq!(seq, run(EngineMode::ParallelDeterministic));
+        // Taken from the sequential (OS-thread) backend, PR 16.
+        let stats = EngineStats {
+            context_switches: 208,
+            threads_spawned: 5,
+            lockless_advances: 400,
+            sync_slow_path: 200,
+            ..EngineStats::default()
+        };
+        let golden = (SimTime::from_nanos(5450), 20235, stats);
+        for mode in ALL_MODES {
+            assert_eq!(run(mode), golden, "{mode}");
+        }
     }
 
     #[test]
@@ -2060,9 +2075,11 @@ mod green_mode_tests {
             let observed = log.lock().unwrap().clone();
             (end, observed)
         };
-        let seq = run(EngineMode::Sequential);
-        assert_eq!(seq, run(EngineMode::Parallel));
-        assert_eq!(seq.1, vec![(false, 30_000)]);
+        // As on the sequential (OS-thread) backend, PR 16.
+        let golden = (SimTime::from_micros(50), vec![(false, 30_000)]);
+        for mode in ALL_MODES {
+            assert_eq!(run(mode), golden, "{mode}");
+        }
     }
 
     #[test]

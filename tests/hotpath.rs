@@ -1,10 +1,16 @@
 //! Hot-path equivalence tests: the bulk access API, the software TLB and
 //! the lock-free engine fast path are wall-clock optimizations only — they
 //! must not change ANY simulated result. These tests run identical
-//! programs with the hot path on and off and require byte-identical
-//! memory, identical virtual time and identical protocol/placement
-//! output, on both the Base and CableS protocol configurations.
+//! programs through the bulk API and through per-scalar loops over the
+//! public scalar API (the bulk API's specification) and require
+//! byte-identical memory, identical virtual time and identical
+//! protocol/placement output, on both the Base and CableS protocol
+//! configurations — and both must land on goldens taken from the slow
+//! path (per-scalar loops, no TLB, kernel-locked clock) on the last tree
+//! that had one (PR 16). `PINNED_SHOW=1` with `--nocapture` prints what a
+//! cell observed.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::sync::Mutex as StdMutex;
 
@@ -12,7 +18,22 @@ use proptest::prelude::*;
 
 use cables_suite::apps::splash::{fft, radix};
 use cables_suite::apps::{M4Mode, M4System};
+use cables_suite::memsim::{GAddr, Scalar};
+use cables_suite::sim::Sim;
 use cables_suite::svm::{Cluster, ClusterConfig, SvmConfig, SvmSystem};
+
+/// FNV-1a of a rendered observation.
+fn fnv(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn show(name: &str, o: &dyn std::fmt::Debug) {
+    if std::env::var_os("PINNED_SHOW").is_some() {
+        eprintln!("{name}: {o:?}");
+    }
+}
 
 /// Region size in u64 elements: 4 pages, so random ranges straddle page
 /// boundaries.
@@ -68,10 +89,56 @@ struct Observed {
     diffs: u64,
 }
 
-/// Runs the random program once. `fast` toggles the whole hot path
-/// (bulk page runs + TLB + lockless clock cache); everything else is
-/// identical.
-fn run_program(base: bool, ops: Vec<Op>, seed: u64, fast: bool) -> Observed {
+/// How a program run performs its bulk operations.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Access {
+    /// `read_slice` / `write_slice` / `fill`.
+    Bulk,
+    /// The bulk API's specification: a loop over `read` / `write`.
+    PerScalar,
+    /// The bulk API with `set_fast_path(false)`.
+    SlowPath,
+}
+
+/// The bulk operations of one run, dispatched on [`Access`].
+struct Mem<'a> {
+    s: &'a SvmSystem,
+    sim: &'a Sim,
+    access: Access,
+}
+
+impl Mem<'_> {
+    fn write_slice<T: Scalar>(&self, addr: GAddr, data: &[T]) {
+        if self.access != Access::PerScalar {
+            return self.s.write_slice(self.sim, addr, data);
+        }
+        for (i, v) in data.iter().enumerate() {
+            self.s.write(self.sim, addr + (i * T::SIZE) as u64, *v);
+        }
+    }
+
+    fn fill(&self, addr: GAddr, v: u64, count: usize) {
+        if self.access != Access::PerScalar {
+            return self.s.fill(self.sim, addr, v, count);
+        }
+        for i in 0..count {
+            self.s.write(self.sim, addr + (i * 8) as u64, v);
+        }
+    }
+
+    fn read_slice(&self, addr: GAddr, out: &mut [u64]) {
+        if self.access != Access::PerScalar {
+            return self.s.read_slice(self.sim, addr, out);
+        }
+        for (i, slot) in out.iter_mut().enumerate() {
+            *slot = self.s.read(self.sim, addr + (i * 8) as u64);
+        }
+    }
+}
+
+/// Runs the random program once, its bulk operations performed as
+/// `access` says; everything else is identical.
+fn run_program(base: bool, ops: Vec<Op>, seed: u64, access: Access) -> Observed {
     let cfg = if base {
         SvmConfig::base()
     } else {
@@ -79,7 +146,7 @@ fn run_program(base: bool, ops: Vec<Op>, seed: u64, fast: bool) -> Observed {
     };
     let cluster = Cluster::build(ClusterConfig::small(2, 1));
     let sys = SvmSystem::new(Arc::clone(&cluster), cfg);
-    sys.set_fast_path(fast);
+    sys.set_fast_path(access != Access::SlowPath);
     let s = Arc::clone(&sys);
     let out: Arc<StdMutex<Option<(Vec<u64>, u64)>>> = Arc::new(StdMutex::new(None));
     let out2 = Arc::clone(&out);
@@ -103,20 +170,25 @@ fn run_program(base: bool, ops: Vec<Op>, seed: u64, fast: bool) -> Observed {
                 s2.barrier(ws, 9, n);
             });
             // Master applies the random bulk ops.
+            let m = Mem {
+                s: &s,
+                sim,
+                access,
+            };
             let mut checksum = 0u64;
             for op in &ops {
                 match *op {
                     Op::WriteSlice { start, len } => {
                         let data: Vec<u64> =
                             (0..len).map(|i| seed ^ (start + i).wrapping_mul(0x9E37)).collect();
-                        s.write_slice(sim, a + start * 8, &data);
+                        m.write_slice(a + start * 8, &data);
                     }
                     Op::Fill { start, len, v } => {
-                        s.fill(sim, a + start * 8, v, len as usize);
+                        m.fill(a + start * 8, v, len as usize);
                     }
                     Op::ReadSlice { start, len } => {
                         let mut buf = vec![0u64; len as usize];
-                        s.read_slice(sim, a + start * 8, &mut buf);
+                        m.read_slice(a + start * 8, &mut buf);
                         checksum = buf
                             .iter()
                             .fold(checksum, |c, &x| c.rotate_left(7).wrapping_add(x));
@@ -124,7 +196,7 @@ fn run_program(base: bool, ops: Vec<Op>, seed: u64, fast: bool) -> Observed {
                     Op::WriteBytes { start, len } => {
                         let data: Vec<u8> =
                             (0..len).map(|i| (seed.wrapping_add(start + i) & 0xFF) as u8).collect();
-                        s.write_slice(sim, a + start, &data);
+                        m.write_slice(a + start, &data);
                     }
                 }
             }
@@ -133,7 +205,7 @@ fn run_program(base: bool, ops: Vec<Op>, seed: u64, fast: bool) -> Observed {
             s.barrier(sim, 9, n);
             // Read the entire region back in one bulk op.
             let mut all = vec![0u64; LEN as usize];
-            s.read_slice(sim, a, &mut all);
+            m.read_slice(a, &mut all);
             // Per-scalar oracle within the same run: the bulk read must
             // agree with scalar reads of the same memory.
             for w in (0..LEN).step_by(97) {
@@ -158,23 +230,47 @@ fn run_program(base: bool, ops: Vec<Op>, seed: u64, fast: bool) -> Observed {
     }
 }
 
+/// Per case of `bulk_access_is_equivalent_to_per_scalar`, in generation
+/// order: `(end_ns, digest of the whole Observed)` on the slow path.
+const PROGRAM_GOLDENS: [(u64, u64); 12] = [
+    (1401021, 11371704917197300022),
+    (1308520, 3946731774562472233),
+    (1308520, 13495850981735977900),
+    (1203468, 15232991471848939652),
+    (1293520, 4415445094980561999),
+    (1293520, 745718214396519927),
+    (1059633, 6133960998786688863),
+    (1422178, 11050877386515596381),
+    (1308520, 8675361608541417616),
+    (1293256, 13429374897969287188),
+    (1323256, 8724111430237710613),
+    (1393678, 6278354824129663977),
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random page-straddling bulk ranges: the fast path (bulk page runs,
-    /// TLB, lockless clock) and the slow path (per-scalar loops, no TLB,
-    /// kernel-locked clock) produce byte-identical memory, identical
-    /// virtual time and identical placement/protocol counts.
+    /// Random page-straddling bulk ranges: the bulk API and a per-scalar
+    /// loop over the scalar API produce byte-identical memory, identical
+    /// virtual time and identical placement/protocol counts — the ones
+    /// the slow path (no TLB, kernel-locked clock) produced.
     #[test]
     fn bulk_access_is_equivalent_to_per_scalar(
         raw in prop::collection::vec((any::<u8>(), any::<u16>(), any::<u16>()), 1..10),
         seed in any::<u64>(),
         base in any::<bool>(),
     ) {
+        static CASE: AtomicUsize = AtomicUsize::new(0);
+        let golden = PROGRAM_GOLDENS[CASE.fetch_add(1, Ordering::Relaxed)];
         let ops = decode_ops(&raw, seed);
-        let fast = run_program(base, ops.clone(), seed, true);
-        let slow = run_program(base, ops, seed, false);
-        prop_assert_eq!(fast, slow);
+        let slow = run_program(base, ops.clone(), seed, Access::SlowPath);
+        let pinned = (slow.end_ns, fnv(&format!("{slow:?}")));
+        show("program", &pinned);
+        prop_assert_eq!(pinned, golden);
+        let bulk = run_program(base, ops.clone(), seed, Access::Bulk);
+        let scalar = run_program(base, ops, seed, Access::PerScalar);
+        prop_assert_eq!(&bulk, &scalar);
+        prop_assert_eq!(bulk, slow);
     }
 }
 
@@ -209,55 +305,48 @@ fn splash_run(
     )
 }
 
+/// `(end_ns, parallel window, touched pages, misplaced pages)` of FFT then
+/// RADIX, Base then CableS, on the slow path.
+const SPLASH_GOLDENS: [(u64, Option<u64>, u64, u64); 4] = [
+    (5497453, Some(3828236), 2, 0),
+    (5946144, Some(3824501), 9, 0),
+    (11049682365, Some(3885204), 2, 0),
+    (11049914951, Some(3939996), 9, 6),
+];
+
 /// Regression: the hot path must not change the simulated results of the
 /// SPLASH kernels — same final SimTime, same parallel window, same Fig-6
-/// misplacement — and the software TLB must stay hot on FFT (>90%).
+/// misplacement as the slow path gave — and the software TLB must stay
+/// hot on FFT (>90%).
 #[test]
 fn splash_fast_path_is_deterministic() {
-    for mode in [M4Mode::Base, M4Mode::Cables] {
-        let fft_body = |m: u32| {
-            move |ctx: &cables_suite::apps::M4Ctx| {
+    for (i, mode) in [M4Mode::Base, M4Mode::Cables].into_iter().enumerate() {
+        for fast in [false, true] {
+            let r = splash_run(mode, fast, |ctx| {
                 let p = fft::FftParams {
-                    m,
+                    m: 8,
                     nprocs: 8,
                     verify: true,
                 };
                 let r = fft::fft(ctx, &p);
                 let err = r.max_error.expect("verify requested");
                 assert!(err < 1e-6, "FFT round-trip error {err}");
-            }
-        };
-        let fast = splash_run(mode, true, fft_body(8));
-        let slow = splash_run(mode, false, fft_body(8));
-        assert_eq!(fast.0, slow.0, "{mode:?} FFT: SimTime changed");
-        assert_eq!(fast.1, slow.1, "{mode:?} FFT: parallel window changed");
-        assert_eq!(
-            (fast.2, fast.3),
-            (slow.2, slow.3),
-            "{mode:?} FFT: misplacement changed"
-        );
-        assert!(
-            fast.4 > 0.90,
-            "{mode:?} FFT: TLB hit rate {:.1}% <= 90%",
-            fast.4 * 100.0
-        );
-
-        let radix_body = || {
-            |ctx: &cables_suite::apps::M4Ctx| {
+            });
+            show("fft", &r);
+            assert_eq!((r.0, r.1, r.2, r.3), SPLASH_GOLDENS[2 * i], "{mode:?} FFT");
+            assert!(
+                !fast || r.4 > 0.90,
+                "{mode:?} FFT: TLB hit rate {:.1}% <= 90%",
+                r.4 * 100.0
+            );
+            let r = splash_run(mode, fast, |ctx| {
                 let p = radix::RadixParams::test(8);
                 let r = radix::radix(ctx, &p);
                 assert!(r.sorted, "RADIX output not sorted");
                 assert_eq!(r.key_sum, radix::expected_key_sum(&p));
-            }
-        };
-        let fast = splash_run(mode, true, radix_body());
-        let slow = splash_run(mode, false, radix_body());
-        assert_eq!(fast.0, slow.0, "{mode:?} RADIX: SimTime changed");
-        assert_eq!(fast.1, slow.1, "{mode:?} RADIX: parallel window changed");
-        assert_eq!(
-            (fast.2, fast.3),
-            (slow.2, slow.3),
-            "{mode:?} RADIX: misplacement changed"
-        );
+            });
+            show("radix", &r);
+            assert_eq!((r.0, r.1, r.2, r.3), SPLASH_GOLDENS[2 * i + 1], "{mode:?} RADIX");
+        }
     }
 }
