@@ -1,10 +1,10 @@
 //! The sharing-aware placement extensions are value-preserving: for any
 //! setting of the policy knobs (counter-driven migration thresholds,
 //! affinity placement, pre-attached node sets) FFT and RADIX compute
-//! bit-identical results to the policy-off paper configuration, under
-//! both engine backends. A node crash landing while the migration
-//! policy is actively re-homing chunks recovers: survivors finish, the
-//! migrated chunk stays reachable, and the dead writer is retired.
+//! bit-identical results to the policy-off paper configuration. A node
+//! crash landing while the migration policy is actively re-homing chunks
+//! recovers: survivors finish, the migrated chunk stays reachable, and the
+//! dead writer is retired.
 //! (The traffic and timing claims live in the `placement` bench.)
 
 use std::sync::Arc;
@@ -16,26 +16,23 @@ use cables_apps::splash::{fft, radix};
 use cables_apps::{M4Ctx, M4System};
 use chaos::{ChaosEngine, FaultPlan};
 use proptest::prelude::*;
-use sim::EngineMode;
 use svm::{Cluster, ClusterConfig, PlacementPolicy, SvmConfig};
 
 const NODES: usize = 2;
 const CPUS: usize = 2;
 
-fn run_one<F>(engine: EngineMode, cfg: CablesConfig, body: F) -> (u64, u64)
+fn run_one<F>(cfg: CablesConfig, body: F) -> (u64, u64)
 where
     F: Fn(&M4Ctx) -> (u64, u64) + Send + Sync + 'static,
 {
-    let mut cc = ClusterConfig::small(NODES, CPUS);
-    cc.engine = engine;
-    let cluster = Cluster::build(cc);
+    let cluster = Cluster::build(ClusterConfig::small(NODES, CPUS));
     let sys = M4System::cables_with(cluster, cfg);
     let result = Arc::new(StdMutex::new(None));
     let r2 = Arc::clone(&result);
     sys.run(move |ctx| {
         *r2.lock().unwrap() = Some(body(ctx));
     })
-    .unwrap_or_else(|e| panic!("{engine} run failed: {e}"));
+    .unwrap_or_else(|e| panic!("run failed: {e}"));
     let v = result.lock().unwrap().take().expect("result produced");
     v
 }
@@ -54,19 +51,13 @@ fn radix_digest(ctx: &M4Ctx) -> (u64, u64) {
     (r.key_sum, r.sorted as u64)
 }
 
-/// Policy-off digests, computed once per (kernel, engine) — the knobs
-/// under test never touch this cell.
-fn baseline(kernel: usize, engine: EngineMode) -> (u64, u64) {
-    static CELLS: [OnceLock<(u64, u64)>; 4] = [
-        OnceLock::new(),
-        OnceLock::new(),
-        OnceLock::new(),
-        OnceLock::new(),
-    ];
-    let slot = kernel * 2 + (engine != EngineMode::Sequential) as usize;
-    *CELLS[slot].get_or_init(|| match kernel {
-        0 => run_one(engine, CablesConfig::paper(), fft_digest),
-        _ => run_one(engine, CablesConfig::paper(), radix_digest),
+/// Policy-off digests, computed once per kernel — the knobs under test
+/// never touch this cell.
+fn baseline(kernel: usize) -> (u64, u64) {
+    static CELLS: [OnceLock<(u64, u64)>; 2] = [OnceLock::new(), OnceLock::new()];
+    *CELLS[kernel].get_or_init(|| match kernel {
+        0 => run_one(CablesConfig::paper(), fft_digest),
+        _ => run_one(CablesConfig::paper(), radix_digest),
     })
 }
 
@@ -75,8 +66,8 @@ proptest! {
 
     /// Any knob setting — migration thresholds from hair-trigger to
     /// inert, affinity placement, warm pre-attached node sets — yields
-    /// the policy-off digests, on both backends. The policies move homes
-    /// and threads, never values.
+    /// the policy-off digests. The policies move homes and threads, never
+    /// values.
     #[test]
     fn arbitrary_knobs_preserve_results(
         min_traffic in 1u32..32,
@@ -98,12 +89,8 @@ proptest! {
             pre_attach,
             ..CablesConfig::paper()
         };
-        for engine in [EngineMode::Sequential, EngineMode::Parallel] {
-            let fft_on = run_one(engine, cfg.clone(), fft_digest);
-            prop_assert_eq!(fft_on, baseline(0, engine));
-            let radix_on = run_one(engine, cfg.clone(), radix_digest);
-            prop_assert_eq!(radix_on, baseline(1, engine));
-        }
+        prop_assert_eq!(run_one(cfg.clone(), fft_digest), baseline(0));
+        prop_assert_eq!(run_one(cfg, radix_digest), baseline(1));
     }
 }
 
@@ -115,9 +102,7 @@ proptest! {
 /// survivor's data must be exactly what it wrote.
 #[test]
 fn node_crash_during_migration_recovers() {
-    let mut cc = ClusterConfig::small(3, 1);
-    cc.engine = EngineMode::Sequential;
-    let cluster = Cluster::build(cc);
+    let cluster = Cluster::build(ClusterConfig::small(3, 1));
     // Crash node 2 well inside worker 2's write loop (the loop below
     // spans hundreds of ms of simulated time; creation bookkeeping is
     // a few ms).

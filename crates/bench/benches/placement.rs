@@ -42,7 +42,6 @@ use apps::{M4Ctx, M4System};
 use cables::{CablesConfig, CablesRt};
 use cables_bench::{cluster_for, fmt_ns, header, smoke_mode, write_artifact};
 use obs::stall::{self, Bucket};
-use sim::EngineMode;
 use svm::{Cluster, NodeStats, SvmConfig};
 use traffic::{schedule, TrafficConfig};
 
@@ -88,12 +87,9 @@ fn kernel_cfg(on: bool, nodes: usize) -> CablesConfig {
     }
 }
 
-/// Runs one kernel cell on the green-thread parallel backend (same
-/// promotion as the protocol_opt grid).
+/// Runs one kernel cell (same promotion as the protocol_opt grid).
 fn run_kernel(procs: usize, cfg: CablesConfig, body: impl FnOnce(&M4Ctx) -> u64 + Send + 'static) -> Cell {
-    let mut cluster_cfg = cluster_for(procs);
-    cluster_cfg.engine = EngineMode::Parallel;
-    let cluster = Cluster::build(cluster_cfg);
+    let cluster = Cluster::build(cluster_for(procs));
     let sys = M4System::cables_with(Arc::clone(&cluster), cfg);
     let result: Arc<StdMutex<Option<u64>>> = Arc::new(StdMutex::new(None));
     let slot = Arc::clone(&result);
@@ -198,9 +194,7 @@ fn run_grid_cell(smoke: bool, migration: bool, prefetch: bool) -> (Cell, u64) {
         cfg.prefetch_degree = 4;
     }
     let procs = if smoke { 16 } else { 32 };
-    let mut cluster_cfg = cluster_for(procs);
-    cluster_cfg.engine = EngineMode::Parallel;
-    let cluster = Cluster::build(cluster_cfg);
+    let cluster = Cluster::build(cluster_for(procs));
     let sys = M4System::cables_with(
         Arc::clone(&cluster),
         CablesConfig {

@@ -34,7 +34,6 @@ use apps::{M4Ctx, M4System};
 use cables::CablesConfig;
 use cables_bench::{cluster_for, fmt_ns, header, smoke_mode};
 use obs::critpath;
-use sim::EngineMode;
 use svm::{Cluster, NodeStats, SvmConfig};
 
 struct Workload {
@@ -76,11 +75,7 @@ struct GridRun {
 }
 
 fn run_point(w: &Workload, toggles: (bool, bool, bool), observe: bool, smoke: bool) -> GridRun {
-    // The 16-node grid runs on the green-thread backend; determinism
-    // means the artifact is identical to a sequential-oracle run.
-    let mut cluster_cfg = cluster_for(w.procs);
-    cluster_cfg.engine = EngineMode::Parallel;
-    let cluster = Cluster::build(cluster_cfg);
+    let cluster = Cluster::build(cluster_for(w.procs));
     let cfg = CablesConfig {
         svm: SvmConfig::cables().with_protocol_opts(toggles.0, toggles.1, toggles.2),
         ..CablesConfig::paper()

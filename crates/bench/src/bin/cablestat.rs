@@ -301,7 +301,7 @@ fn cmd_print(args: &[String], dir: &str) -> ExitCode {
     }
     if !printed {
         // Not a snapshot-bearing artifact: show the top-level scalars so
-        // `print` is still useful on e.g. BENCH_hotpath.json.
+        // `print` is still useful on e.g. BENCH_table3.json.
         println!("{}: no metrics snapshot found; top-level fields:", path.display());
         if let Some(kvs) = v.as_obj() {
             for (k, x) in kvs {

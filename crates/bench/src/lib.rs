@@ -11,7 +11,6 @@
 //! | `fig5`   | SPLASH-2 M4 vs M4-on-pthreads execution times |
 //! | `fig6`   | misplaced-page percentages |
 //! | `ablations` | design-choice ablations (granularity, write-through, barriers) |
-//! | `engine_wall` | wall-time of the simulator itself, hot path on vs off |
 //!
 //! Problem sizes are scaled down from the paper (documented in
 //! `EXPERIMENTS.md`); shapes, ratios and crossovers are the reproduction
@@ -212,19 +211,6 @@ pub fn run_app(
     procs: usize,
     nic_regions_limit: Option<u64>,
 ) -> RunOutcome {
-    run_app_with(mode, app, procs, nic_regions_limit, true).0
-}
-
-/// Like [`run_app`] but with explicit control over the hot-path
-/// optimizations; also returns the merged engine statistics and the
-/// wall-clock duration of the run (for the `engine_wall` bench).
-pub fn run_app_with(
-    mode: M4Mode,
-    app: AppId,
-    procs: usize,
-    nic_regions_limit: Option<u64>,
-    fast_path: bool,
-) -> (RunOutcome, sim::EngineStats, std::time::Duration) {
     let mut cc = cluster_for(procs);
     if let Some(limit) = nic_regions_limit {
         cc.vmmc.max_regions_per_nic = limit;
@@ -234,12 +220,8 @@ pub fn run_app_with(
         M4Mode::Base => M4System::base(Arc::clone(&cluster)),
         M4Mode::Cables => M4System::cables(Arc::clone(&cluster)),
     };
-    sys.svm().set_fast_path(fast_path);
     let body = dispatch(app, procs);
-    let wall_start = std::time::Instant::now();
     let result = sys.run(move |ctx| body(ctx));
-    let wall = wall_start.elapsed();
-    let engine_stats = sys.svm().engine_stats();
     let stats = sys.svm().total_stats();
     let placement = sys.svm().placement_report();
     let max_nic_regions = cluster
@@ -248,7 +230,7 @@ pub fn run_app_with(
         .map(|n| cluster.vmmc.nic_stats(*n).regions)
         .max()
         .unwrap_or(0);
-    let outcome = match result {
+    match result {
         Ok(end) => RunOutcome {
             total_ns: Some(end.as_nanos()),
             parallel_ns: sys.parallel_ns(),
@@ -265,8 +247,7 @@ pub fn run_app_with(
             max_nic_regions,
             error: Some(e.to_string()),
         },
-    };
-    (outcome, engine_stats, wall)
+    }
 }
 
 /// Outcome of one run under fault injection: the application outcome plus

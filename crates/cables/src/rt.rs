@@ -593,7 +593,7 @@ impl CablesRt {
             self.svm().crash_add_discount(1);
             if was_waiting_svm || was_waiting_rt {
                 // It sat parked in a queue we just emptied: unpark it so
-                // its OS thread reaches a crash checkpoint and unwinds.
+                // it reaches a crash checkpoint and unwinds.
                 to_wake.push(tid);
             }
             to_wake.extend(joiners.0.iter().map(|w| w.0));
@@ -990,7 +990,7 @@ impl CablesRt {
                     Err(p) => {
                         if p.downcast_ref::<CrashUnwind>().is_some() {
                             // Node crash: retire with CRASHED_RET and let
-                            // the OS thread exit so the engine can drain.
+                            // the thread exit so the engine can drain.
                             rt.thread_crashed(csim, CtId(ct));
                             return;
                         }

@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use parking_lot::Mutex;
@@ -319,10 +319,6 @@ pub struct ClusterMem {
     shards: RwLock<Vec<Arc<Shard>>>,
     tlb_hits: AtomicU64,
     tlb_misses: AtomicU64,
-    /// When true, translations bypass the software TLB entirely (full
-    /// page-table walk on every access, no counter updates) — the
-    /// pre-optimization behaviour, kept as a measurement baseline.
-    slow_mode: AtomicBool,
 }
 
 impl fmt::Debug for ClusterMem {
@@ -342,15 +338,7 @@ impl ClusterMem {
             shards: RwLock::new(Vec::new()),
             tlb_hits: AtomicU64::new(0),
             tlb_misses: AtomicU64::new(0),
-            slow_mode: AtomicBool::new(false),
         }
-    }
-
-    /// Enables or disables TLB bypass. With `slow` true, every access
-    /// walks the page table; results are identical, only wall-clock speed
-    /// and the [`TlbStats`] counters differ.
-    pub fn set_slow_mode(&self, slow: bool) {
-        self.slow_mode.store(slow, Ordering::Relaxed);
     }
 
     /// The OS virtual-memory model.
@@ -383,28 +371,9 @@ impl ClusterMem {
         }
     }
 
-    /// Translates `page` on `node`, trying the node's TLB first. Installs
-    /// the translation in the TLB on a successful walk.
-    fn lookup(&self, node: NodeId, page: PageNum) -> Option<(FrameId, Prot, Arc<FrameSlot>)> {
-        let shard = self.shard(node)?;
-        let fast = !self.slow_mode.load(Ordering::Relaxed);
-        // Sample the generation *before* the walk: if an invalidation
-        // races in between, the install check below fails and the walked
-        // (possibly stale) translation is simply not cached.
-        let epoch = shard.epoch.load(Ordering::Acquire);
-        let idx = page.index() as usize % TLB_ENTRIES;
-        if fast {
-            let tlb = shard.tlb.lock();
-            if let Some(e) = &tlb[idx] {
-                if e.page == page.index() {
-                    self.tlb_hits.fetch_add(1, Ordering::Relaxed);
-                    return Some((e.frame_id, e.prot, Arc::clone(&e.slot)));
-                }
-            }
-        }
-        if fast {
-            self.tlb_misses.fetch_add(1, Ordering::Relaxed);
-        }
+    /// Translates `page` on `node` by walking its page table — the
+    /// software TLB's specification.
+    fn walk(&self, shard: &Shard, node: NodeId, page: PageNum) -> Option<(Pte, Arc<FrameSlot>)> {
         let (pte, local_slot) = {
             let m = shard.mem.lock();
             let pte = *m.page_table.get(&page.index())?;
@@ -434,17 +403,49 @@ impl ClusterMem {
                 )
             }
         };
-        if fast {
-            let mut tlb = shard.tlb.lock();
-            if shard.epoch.load(Ordering::Acquire) == epoch {
-                tlb[idx] = Some(TlbEntry {
-                    page: page.index(),
-                    frame_id: pte.frame,
-                    prot: pte.prot,
-                    slot: Arc::clone(&slot),
-                });
+        Some((pte, slot))
+    }
+
+    /// Translates `page` on `node`, trying the node's TLB first. Installs
+    /// the translation in the TLB on a successful walk. Debug builds
+    /// re-walk on every hit and assert the cached translation is the page
+    /// table's (the counters see the hit only).
+    fn lookup(&self, node: NodeId, page: PageNum) -> Option<(FrameId, Prot, Arc<FrameSlot>)> {
+        let shard = self.shard(node)?;
+        // Sample the generation *before* the walk: if an invalidation
+        // races in between, the install check below fails and the walked
+        // (possibly stale) translation is simply not cached.
+        let epoch = shard.epoch.load(Ordering::Acquire);
+        let idx = page.index() as usize % TLB_ENTRIES;
+        {
+            let tlb = shard.tlb.lock();
+            if let Some(e) = &tlb[idx] {
+                if e.page == page.index() {
+                    self.tlb_hits.fetch_add(1, Ordering::Relaxed);
+                    let hit = (e.frame_id, e.prot, Arc::clone(&e.slot));
+                    drop(tlb);
+                    debug_assert!(
+                        self.walk(&shard, node, page).is_some_and(|(pte, slot)| {
+                            (pte.frame, pte.prot) == (hit.0, hit.1) && Arc::ptr_eq(&slot, &hit.2)
+                        }),
+                        "stale TLB entry for {page:?} on {node}"
+                    );
+                    return Some(hit);
+                }
             }
         }
+        self.tlb_misses.fetch_add(1, Ordering::Relaxed);
+        let (pte, slot) = self.walk(&shard, node, page)?;
+        let mut tlb = shard.tlb.lock();
+        if shard.epoch.load(Ordering::Acquire) == epoch {
+            tlb[idx] = Some(TlbEntry {
+                page: page.index(),
+                frame_id: pte.frame,
+                prot: pte.prot,
+                slot: Arc::clone(&slot),
+            });
+        }
+        drop(tlb);
         Some((pte.frame, pte.prot, slot))
     }
 
@@ -990,6 +991,22 @@ mod tests {
             .expect_err("should fault");
         assert_eq!(err.kind, FaultKind::Read);
         assert_eq!(m.stats(NodeId(0)).faults, 1);
+    }
+
+    /// The debug walk is the TLB's referee: a page-table change that
+    /// skips the invalidation is caught at the next hit.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "stale TLB entry")]
+    fn stale_tlb_entry_trips_the_debug_walk() {
+        let m = mem();
+        let f = m.alloc_frame(NodeId(0)).unwrap();
+        let page = PageNum::new(0);
+        m.map_page(NodeId(0), page, f, Prot::ReadWrite);
+        m.read_scalar::<u8>(NodeId(0), page.base()).unwrap();
+        let shard = m.shard_must(NodeId(0));
+        shard.mem.lock().page_table.get_mut(&0).unwrap().prot = Prot::Read;
+        let _ = m.read_scalar::<u8>(NodeId(0), page.base());
     }
 
     #[test]

@@ -1,17 +1,12 @@
-//! User-level context switching for the parallel engine backends.
+//! User-level context switching: the engine's one execution carrier.
 //!
-//! The sequential backend runs every simulated thread on its own OS thread
-//! and hands the single execution baton over a futex-backed condvar. On a
-//! contended or single-core host one hand-off costs microseconds of kernel
-//! scheduling; the SPLASH kernels hand off thousands of times per run, so
-//! the OS switch dominates wall-clock time (see `DESIGN.md` §5.3).
-//!
-//! The parallel backends instead run every simulated thread as a *green
-//! thread*: a heap-allocated stack plus a saved stack pointer, all carried
-//! by the one OS thread that called [`crate::Engine::run`]. A hand-off is
-//! then [`raw_switch`] — save six callee-saved registers and the FPU
-//! control words, swap `rsp`, restore — roughly two orders of magnitude
-//! cheaper than a futex round-trip, with bit-identical scheduling order.
+//! Every simulated thread is a *green thread*: a heap-allocated stack plus
+//! a saved stack pointer, all carried by the one OS thread that called
+//! [`crate::Engine::run`]. A hand-off is [`raw_switch`] — save six
+//! callee-saved registers and the FPU control words, swap `rsp`, restore —
+//! nanoseconds where an OS-thread hand-off over a futex costs microseconds
+//! of kernel scheduling, and the SPLASH kernels hand off thousands of
+//! times per run (see `DESIGN.md` §5.3).
 //!
 //! Safety model: the whole simulation executes on a single carrier OS
 //! thread, so green-thread state (saved stack pointers, fabricated frames)
@@ -21,15 +16,28 @@
 
 use std::arch::naked_asm;
 
-/// Size of each green stack in bytes. The allocation is only reserved
-/// (glibc services it with `mmap`), so untouched pages cost no RSS; a
-/// generous reservation is the guard against silent overflow, since green
-/// stacks have no kernel guard page. The canary at the stack base (checked
-/// by the `ParallelDeterministic` audits) backstops this.
+/// Size of each green stack in bytes. The mapping is only reserved, so
+/// untouched pages cost no RSS; a generous reservation is the guard
+/// against silent overflow, since green stacks have no kernel guard page.
+/// The canary at the stack base (checked at every park in debug builds)
+/// backstops this.
 pub(crate) const GREEN_STACK_SIZE: usize = 8 << 20;
 
+// A stack is a private anonymous mapping of its own, not a `malloc` block:
+// glibc raises its mmap threshold past the first 8 MB block it frees, after
+// which "reserved" stacks are carved from the brk heap, a freed one gives
+// nothing back to the OS, and the 8 MB holes they leave decide where every
+// later large allocation lands (the `lu_sync` peak-RSS mode flip of PRs
+// 14-16). std links libc; the constants are Linux's.
+extern "C" {
+    fn mmap(addr: *mut u8, len: usize, prot: i32, flags: i32, fd: i32, off: i64) -> *mut u8;
+    fn munmap(addr: *mut u8, len: usize) -> i32;
+}
+const PROT_READ_WRITE: i32 = 0x1 | 0x2;
+const MAP_PRIVATE_ANONYMOUS: i32 = 0x02 | 0x20;
+
 /// Written at the lowest word of every green stack; if a deep frame ever
-/// reaches it, the audit mode reports the overwrite instead of letting the
+/// reaches it, a debug build reports the overwrite instead of letting the
 /// simulation corrupt the adjacent heap silently.
 pub(crate) const STACK_CANARY: u64 = 0xC0DE_CAB1_E5CA_FE55;
 
@@ -44,11 +52,9 @@ pub(crate) struct GreenCtx {
     /// Saved stack pointer while the thread is parked (fabricated frame
     /// before first dispatch). Only meaningful while parked.
     pub rsp: *mut u8,
-    /// Keeps the stack reservation alive. Capacity-only: the memory is
-    /// deliberately uninitialized so unreached pages are never committed.
-    stack: Vec<u8>,
-    /// Address of the canary word at the stack base.
-    canary: *const u64,
+    /// Base of the stack's mapping (unmapped on drop), where the canary
+    /// word sits.
+    stack: *mut u8,
     /// Whether the thread has been dispatched at least once.
     pub started: bool,
     /// The entry payload, reclaimed on drop if the thread never started.
@@ -63,8 +69,10 @@ impl GreenCtx {
     /// Builds a parked green thread whose first dispatch enters the
     /// trampoline with `payload`.
     pub fn new(payload: Box<Payload>) -> GreenCtx {
-        let mut stack: Vec<u8> = Vec::with_capacity(GREEN_STACK_SIZE);
-        let base = stack.as_mut_ptr();
+        // SAFETY: a fresh anonymous mapping aliases nothing.
+        let (len, prot, flags) = (GREEN_STACK_SIZE, PROT_READ_WRITE, MAP_PRIVATE_ANONYMOUS);
+        let base = unsafe { mmap(std::ptr::null_mut(), len, prot, flags, -1, 0) };
+        assert!(base as isize != -1, "cannot map a green-thread stack");
         let p = Box::into_raw(payload);
         // 16-align the top; the fabricated frame below mirrors exactly what
         // `raw_switch` restores: FPU words, r15..r12, rbx, rbp, then a
@@ -72,7 +80,6 @@ impl GreenCtx {
         // chosen so the trampoline starts with `rsp % 16 == 0`, making its
         // `call` leave the SysV-required `rsp % 16 == 8` at entry.
         let rsp;
-        let canary;
         unsafe {
             let top = base.add(GREEN_STACK_SIZE);
             let top = ((top as usize) & !15) as *mut u8;
@@ -89,14 +96,11 @@ impl GreenCtx {
             (top.offset(-80) as *mut u32).write(0x1F80); // MXCSR default
             (top.offset(-76) as *mut u16).write(0x037F); // x87 CW default
             rsp = top.offset(-80);
-            let c = base as *mut u64;
-            c.write(STACK_CANARY);
-            canary = c as *const u64;
+            (base as *mut u64).write(STACK_CANARY);
         }
         GreenCtx {
             rsp,
-            stack,
-            canary,
+            stack: base,
             started: false,
             payload: Some(p),
         }
@@ -104,9 +108,8 @@ impl GreenCtx {
 
     /// Whether the canary word at the stack base is intact.
     pub fn canary_ok(&self) -> bool {
-        // The stack field keeps the allocation alive for self's lifetime.
-        let _ = &self.stack;
-        unsafe { self.canary.read() == STACK_CANARY }
+        // SAFETY: the mapping lives until `self` drops.
+        unsafe { (self.stack as *const u64).read() == STACK_CANARY }
     }
 
     /// Marks the context dispatched and returns the entry/resume `rsp`.
@@ -123,6 +126,11 @@ impl Drop for GreenCtx {
                 drop(unsafe { Box::from_raw(p) });
             }
         }
+        // SAFETY: the engine drops a context only once its thread has
+        // switched away for good (or never ran), so nothing executes on
+        // or points into the mapping. A failure leaks it; `Drop` must not
+        // panic.
+        unsafe { munmap(self.stack, GREEN_STACK_SIZE) };
     }
 }
 
@@ -185,6 +193,7 @@ unsafe extern "C" fn green_entry(p: *mut Payload) -> ! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::arch::asm;
     use std::cell::Cell;
 
     thread_local! {
@@ -214,6 +223,51 @@ mod tests {
         unsafe { raw_switch(&mut here, entry) };
         assert_eq!(LOG.with(|l| l.get()), 1);
         assert!(ctx.canary_ok());
+    }
+
+    /// What an OS-thread hand-off preserved for free: the resumed side
+    /// finds its callee-saved registers and its SSE rounding mode as it
+    /// left them, whatever the other side did in between.
+    #[test]
+    fn switch_preserves_callee_saved_registers_and_mxcsr() {
+        let mut ctx = GreenCtx::new(Box::new(Payload {
+            run: Box::new(|| {
+                let mut csr = 0u32;
+                unsafe { asm!("stmxcsr [{}]", in(reg) &mut csr, options(nostack)) };
+                assert_eq!(csr & 0xFFC0, 0x1F80, "not the default MXCSR");
+                let main = unsafe { SAVE_SLOT.with(|s| s.get()).read() };
+                let mut dead: *mut u8 = std::ptr::null_mut();
+                // Trash the registers under test, then leave for good.
+                unsafe {
+                    asm!(
+                        "mov r12, 0x0bad", "mov r13, 0x0bad", "mov r14, 0x0bad", "mov r15, 0x0bad",
+                        "call {sw}",
+                        sw = sym raw_switch,
+                        in("rdi") &mut dead, in("rsi") main,
+                        options(noreturn),
+                    )
+                }
+            }),
+        }));
+        let mut here: *mut u8 = std::ptr::null_mut();
+        SAVE_SLOT.with(|s| s.set(&mut here as *mut *mut u8));
+        let entry = ctx.take_rsp();
+        let (toward_zero, mut csr) = (0x7F80u32, 0u32);
+        let (mut a, mut b, mut c, mut d) = (0x1111u64, 0x2222u64, 0x3333u64, 0x4444u64);
+        unsafe {
+            asm!(
+                "ldmxcsr [{set}]",
+                "call {sw}",
+                sw = sym raw_switch,
+                set = in(reg) &toward_zero,
+                in("rdi") &mut here, in("rsi") entry,
+                inout("r12") a, inout("r13") b, inout("r14") c, inout("r15") d,
+                clobber_abi("sysv64"),
+            );
+            asm!("stmxcsr [{}]", "ldmxcsr [{}]", in(reg) &mut csr, in(reg) &0x1F80u32, options(nostack));
+        }
+        assert_eq!((a, b, c, d), (0x1111, 0x2222, 0x3333, 0x4444));
+        assert_eq!(csr & 0xFFC0, toward_zero, "rounding mode lost");
     }
 
     #[test]

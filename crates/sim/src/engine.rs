@@ -2,10 +2,12 @@
 //!
 //! The CableS reproduction runs real Rust code (the SPLASH-2 kernels, the
 //! pthreads demo programs) on a *simulated* cluster. Each simulated thread
-//! executes on a dedicated OS thread, but the engine serializes execution:
-//! at any instant exactly one simulated thread is unparked, and scheduling
-//! points always pick the runnable thread with the smallest virtual clock
-//! (ties broken by thread id). This is direct-execution simulation in the
+//! is a green thread — its own stack, carried by the one OS thread that
+//! called [`Engine::run`] (see `carrier.rs`) — and the engine serializes
+//! execution: at any instant exactly one simulated thread holds the
+//! baton, and scheduling points always pick the runnable thread with the
+//! smallest virtual clock (ties broken by thread id), switching stacks
+//! directly to it. This is direct-execution simulation in the
 //! style of the Wisconsin Wind Tunnel: compute advances a thread's private
 //! virtual clock, and *operations* on shared simulation state (protocol
 //! actions, messages, synchronization) are executed in global timestamp
@@ -16,19 +18,20 @@
 //! only from deterministic cost charges. Blocked threads are woken at
 //! explicit virtual times by running threads, and a woken thread never
 //! resumes with a clock earlier than the waker's clock at the wake, so
-//! operations execute in nondecreasing timestamp order.
+//! operations execute in nondecreasing timestamp order. Debug builds
+//! check it as they go (`DESIGN.md` §5.3): dispatch keys must be monotone,
+//! a declared operation scope must cover the executing node, and a parking
+//! thread's stack canary must be intact; a violation poisons the run.
 
 use std::cell::Cell;
 use std::collections::BinaryHeap;
 use std::cmp::Reverse;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::str::FromStr;
-use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
+use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::carrier::{self, GreenCtx, Payload};
 use crate::time::SimTime;
@@ -53,71 +56,6 @@ impl fmt::Display for Tid {
     }
 }
 
-/// Execution backend of the engine.
-///
-/// All three modes execute operations in the *same* global `(clock, tid)`
-/// order and therefore produce bit-identical simulated results, metrics
-/// snapshots and chaos replays (enforced by `tests/parallel_engine.rs`).
-/// They differ only in scheduling mechanics:
-///
-/// | mode                    | threads          | hand-off        | audits |
-/// |-------------------------|------------------|-----------------|--------|
-/// | `Sequential`            | one OS thread each | futex/condvar | off    |
-/// | `Parallel`              | green threads, one carrier | user-level stack switch | off |
-/// | `ParallelDeterministic` | green threads, one carrier | user-level stack switch | on |
-///
-/// The parallel backends exist for wall-clock speed: a futex hand-off
-/// costs microseconds of kernel scheduling, a stack switch costs
-/// nanoseconds, and the SPLASH kernels hand off thousands of times per
-/// run. `ParallelDeterministic` additionally verifies at runtime that
-/// dispatch keys are monotone, that declared operation scopes cover the
-/// executing node, and that green stacks are intact — the machine-checked
-/// version of the determinism argument in `DESIGN.md` §5.3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineMode {
-    /// The oracle: every simulated thread on its own OS thread.
-    #[default]
-    Sequential,
-    /// Green-thread carrier backend, audits off.
-    Parallel,
-    /// Green-thread carrier backend with runtime determinism audits.
-    ParallelDeterministic,
-}
-
-impl EngineMode {
-    /// Whether this mode runs on the green-thread carrier backend.
-    pub fn is_green(self) -> bool {
-        !matches!(self, EngineMode::Sequential)
-    }
-}
-
-impl fmt::Display for EngineMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EngineMode::Sequential => write!(f, "sequential"),
-            EngineMode::Parallel => write!(f, "parallel"),
-            EngineMode::ParallelDeterministic => write!(f, "parallel_det"),
-        }
-    }
-}
-
-impl FromStr for EngineMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "sequential" | "seq" => Ok(EngineMode::Sequential),
-            "parallel" | "par" => Ok(EngineMode::Parallel),
-            "parallel_det" | "parallel-det" | "parallel_deterministic" => {
-                Ok(EngineMode::ParallelDeterministic)
-            }
-            other => Err(format!(
-                "unknown engine mode {other:?} (expected sequential | parallel | parallel_det)"
-            )),
-        }
-    }
-}
-
 /// Declared node footprint of an operation ordered at a sync point.
 ///
 /// A scope is the set of nodes whose simulation state the operation may
@@ -125,8 +63,8 @@ impl FromStr for EngineMode {
 /// page's home and the segment master; locks, barriers and releases touch
 /// every node (write notices, the global notice log). Scopes never alter
 /// scheduling — operations always execute in global timestamp order — but
-/// they feed two things: the `ParallelDeterministic` audit (an operation
-/// must at least cover its own node) and the lookahead-window telemetry
+/// they feed two things: the debug-build scope audit (an operation must at
+/// least cover its own node) and the lookahead-window telemetry
 /// ([`EngineStats::window_admissible`]), which measures how many yields a
 /// footprint-aware conservative scheduler *could* avoid if cross-node
 /// effects carried a minimum latency (see `DESIGN.md` §5.3 for why they
@@ -252,41 +190,11 @@ enum ThreadState {
     Exited,
 }
 
-/// Per-thread parking cell. `chosen` is the hand-off token.
-struct WaitCell {
-    chosen: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl WaitCell {
-    fn new() -> Arc<Self> {
-        Arc::new(WaitCell {
-            chosen: Mutex::new(false),
-            cv: Condvar::new(),
-        })
-    }
-
-    fn signal(&self) {
-        let mut g = self.chosen.lock();
-        *g = true;
-        self.cv.notify_one();
-    }
-
-    fn wait(&self) {
-        let mut g = self.chosen.lock();
-        while !*g {
-            self.cv.wait(&mut g);
-        }
-        *g = false;
-    }
-}
-
 struct ThreadRec {
     clock: SimTime,
     node: NodeId,
     cpu: usize,
     state: ThreadState,
-    cell: Arc<WaitCell>,
     exit_waiters: Vec<Tid>,
     /// A wake that arrived while the thread was not blocked; consumed by
     /// the next [`Sim::block`] (wake-token semantics).
@@ -298,7 +206,8 @@ struct ThreadRec {
     /// Declared footprint of the operation this thread is parked at
     /// ([`Scope::ALL`] for resumes, blocks and undeclared points).
     pend_scope: Scope,
-    /// Green-thread context (parallel backends only).
+    /// The thread's stack and saved context; `None` once the thread has
+    /// exited and [`Kernel::reap`] has given the stack back.
     green: Option<GreenCtx>,
     name: String,
 }
@@ -355,6 +264,10 @@ struct ReadyShards {
 /// Initial retained capacity of each node's ready shard.
 const SHARD_RESERVE: usize = 64;
 
+/// Whether the runtime determinism audits are on: debug builds, the rule
+/// the engine's `debug_assert!`s follow.
+const AUDITS: bool = cfg!(debug_assertions);
+
 struct Kernel {
     threads: Vec<ThreadRec>,
     ready: ReadyShards,
@@ -367,8 +280,9 @@ struct Kernel {
     final_time: SimTime,
     stats: EngineStats,
     fresh: u64,
-    /// Execution backend; fixed before the first spawn.
-    mode: EngineMode,
+    /// The last thread to exit, whose stack cannot be freed before it has
+    /// switched away from it (see [`Kernel::reap`]).
+    corpse: Option<Tid>,
     /// Conservative lookahead window in ns for the window telemetry
     /// (typically the SAN base message latency); `None` disables it.
     lookahead: Option<u64>,
@@ -407,11 +321,6 @@ impl Kernel {
 
     fn rec_mut(&mut self, tid: Tid) -> &mut ThreadRec {
         &mut self.threads[tid.0 as usize]
-    }
-
-    /// Whether the runtime determinism audits are on.
-    fn audits(&self) -> bool {
-        self.mode == EngineMode::ParallelDeterministic
     }
 
     /// Enqueues `tid` on its node's ready shard with a conservative
@@ -503,7 +412,7 @@ impl Kernel {
     /// nondecreasing (the determinism invariant of the engine; see the
     /// module docs and `DESIGN.md` §5.3). Violations poison the run.
     fn audit_dispatch(&mut self, key: (u64, u64)) {
-        if !self.audits() {
+        if !AUDITS {
             return;
         }
         if key.0 < self.last_dispatch.0 {
@@ -520,8 +429,8 @@ impl Kernel {
     /// Selects, marks running and accounts the next thread to execute:
     /// the minimum-clock ready thread, after waking timed sleepers whose
     /// deadlines come first. Returns `None` when nothing is runnable
-    /// (poisoning a deadlock if live threads remain). On the green backend
-    /// a poisoned run drains parked threads one by one so they unwind.
+    /// (poisoning a deadlock if live threads remain). A poisoned run drains
+    /// parked threads one by one so they unwind.
     fn pick_next(&mut self) -> Option<Tid> {
         debug_assert!(self.running.is_none());
         loop {
@@ -560,10 +469,10 @@ impl Kernel {
                 self.live, blocked
             )));
         }
-        if self.poisoned.is_some() && self.mode.is_green() {
-            // Green threads cannot be unparked by a condvar broadcast; the
-            // scheduler resumes them one at a time (any order — each will
-            // observe the poison and unwind via `check_poison`).
+        if self.poisoned.is_some() {
+            // Parked threads cannot be unparked all at once; the scheduler
+            // resumes them one at a time (any order — each will observe
+            // the poison and unwind via `check_poison`).
             for i in 0..self.threads.len() {
                 let t = &self.threads[i];
                 if matches!(t.state, ThreadState::Ready | ThreadState::Blocked) {
@@ -578,15 +487,8 @@ impl Kernel {
         None
     }
 
-    /// OS backend: hands the baton to the thread chosen by [`Kernel::pick_next`].
-    fn schedule_next(&mut self) {
-        if let Some(tid) = self.pick_next() {
-            self.rec(tid).cell.signal();
-        }
-    }
-
-    /// Exit-time bookkeeping shared by both backends: emits the event,
-    /// retires the thread, wakes exit waiters and records a panic poison.
+    /// Exit-time bookkeeping: emits the event, retires the thread, wakes
+    /// exit waiters and records a panic poison.
     fn exit_bookkeeping(&mut self, tid: Tid, panic_msg: Option<String>) {
         let clock = self.rec(tid).clock;
         let exit_node = self.rec(tid).node;
@@ -619,30 +521,29 @@ impl Kernel {
         }
     }
 
-    /// Marks the simulation failed and unparks every parked thread so its
-    /// OS thread can unwind and exit.
+    /// Marks the simulation failed (the first cause wins). Parked threads
+    /// unwind as [`Kernel::pick_next`] drains them.
     fn poison(&mut self, err: SimError) {
         if self.poisoned.is_none() {
             self.poisoned = Some(err);
         }
-        for t in &self.threads {
-            if matches!(t.state, ThreadState::Ready | ThreadState::Blocked) {
-                t.cell.signal();
-            }
+    }
+
+    /// Frees the stack of the last thread to exit. Callers run on another
+    /// stack — a later exit, or the carrier once the run has drained — so
+    /// the corpse has switched away for the last time, and live stack
+    /// reservations stay bounded by live threads + 1.
+    fn reap(&mut self) {
+        if let Some(t) = self.corpse.take() {
+            self.rec_mut(t).green = None;
         }
     }
 }
 
 struct EngineInner {
     kernel: Mutex<Kernel>,
-    done: Condvar,
-    handles: Mutex<Vec<JoinHandle<()>>>,
-    /// When false, the per-thread clock cache is never armed and every
-    /// charge takes the kernel lock (the pre-optimization behaviour, kept
-    /// as a measurement baseline).
-    lockless: AtomicBool,
-    /// Green backends: saved stack pointer of the carrier OS thread parked
-    /// in [`Engine::run`]. Only touched by that single carrier thread (the
+    /// Saved stack pointer of the carrier OS thread parked in
+    /// [`Engine::run`]. Only touched by that single carrier thread (the
     /// atomic is for `Sync`, not for cross-thread traffic).
     carrier_rsp: AtomicPtr<u8>,
 }
@@ -702,29 +603,14 @@ impl Engine {
                     final_time: SimTime::ZERO,
                     stats: EngineStats::default(),
                     fresh: 0,
-                    mode: EngineMode::Sequential,
+                    corpse: None,
                     lookahead: None,
                     last_dispatch: (0, 0),
                     sched_hook: None,
                 }),
-                done: Condvar::new(),
-                handles: Mutex::new(Vec::new()),
-                lockless: AtomicBool::new(true),
                 carrier_rsp: AtomicPtr::new(std::ptr::null_mut()),
             }),
         }
-    }
-
-    /// Enables or disables the lock-free clock-cache fast path. Disabling
-    /// it forces every time charge through the kernel mutex; simulated
-    /// results are identical either way, only wall-clock speed changes.
-    pub fn set_lockless(&self, on: bool) {
-        self.inner.lockless.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether the lock-free fast path is enabled (the default).
-    pub fn lockless(&self) -> bool {
-        self.inner.lockless.load(Ordering::Relaxed)
     }
 
     /// Installs (or removes) the scheduling-point observer. The hook is
@@ -751,26 +637,6 @@ impl Engine {
             .shards
             .push(BinaryHeap::with_capacity(SHARD_RESERVE));
         id
-    }
-
-    /// Selects the execution backend. Must be called before the first
-    /// thread is spawned; the default is [`EngineMode::Sequential`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any thread has already been spawned.
-    pub fn set_mode(&self, mode: EngineMode) {
-        let mut k = self.inner.kernel.lock();
-        assert!(
-            k.threads.is_empty(),
-            "engine mode must be set before the first spawn"
-        );
-        k.mode = mode;
-    }
-
-    /// The currently selected execution backend.
-    pub fn mode(&self) -> EngineMode {
-        self.inner.kernel.lock().mode
     }
 
     /// Sets the conservative lookahead window (ns) used for the
@@ -801,8 +667,11 @@ impl Engine {
         self.inner.kernel.lock().stats
     }
 
-    /// Runs `root` as the first simulated thread on `node` and blocks the
-    /// calling OS thread until every simulated thread has exited.
+    /// Runs `root` as the first simulated thread on `node` and returns
+    /// when every simulated thread has exited. The calling OS thread is
+    /// the *carrier*: it dispatches the root green thread and parks its own
+    /// context; green threads switch among themselves and the last exit
+    /// switches back here. Everything runs on this one OS thread.
     ///
     /// Returns the final virtual time (the latest thread exit).
     ///
@@ -814,36 +683,7 @@ impl Engine {
     where
         F: FnOnce(&Sim) + Send + 'static,
     {
-        if self.inner.kernel.lock().mode.is_green() {
-            return self.run_green(node, Box::new(root));
-        }
-        self.spawn_thread(node, SimTime::ZERO, "root".to_string(), None, Box::new(root));
-        {
-            let mut k = self.inner.kernel.lock();
-            if k.running.is_none() {
-                k.schedule_next();
-            }
-            while k.live > 0 && k.poisoned.is_none() {
-                self.inner.done.wait(&mut k);
-            }
-        }
-        // Join all OS threads so no stragglers outlive the run.
-        let handles: Vec<_> = std::mem::take(&mut *self.inner.handles.lock());
-        for h in handles {
-            let _ = h.join();
-        }
-        let k = self.inner.kernel.lock();
-        match &k.poisoned {
-            Some(e) => Err(e.clone()),
-            None => Ok(k.final_time),
-        }
-    }
-
-    /// Green-backend body of [`Engine::run`]: the calling OS thread becomes
-    /// the *carrier* — it dispatches the root green thread and parks its own
-    /// context; green threads switch among themselves and the last exit
-    /// switches back here. Everything runs on this one OS thread.
-    fn run_green(&self, node: NodeId, root: Box<dyn FnOnce(&Sim) + Send + 'static>) -> Result<SimTime, SimError> {
+        let root = Box::new(root);
         self.spawn_thread(node, SimTime::ZERO, "root".to_string(), None, root);
         let load = {
             let mut k = self.inner.kernel.lock();
@@ -851,7 +691,7 @@ impl Engine {
             k.rec_mut(first)
                 .green
                 .as_mut()
-                .expect("green mode spawn creates a green context")
+                .expect("spawn creates a green context")
                 .take_rsp()
         };
         // The green side reads `carrier_rsp` to switch back when the run
@@ -860,7 +700,8 @@ impl Engine {
         unsafe {
             carrier::raw_switch(self.inner.carrier_rsp.as_ptr() as *mut *mut u8, load);
         }
-        let k = self.inner.kernel.lock();
+        let mut k = self.inner.kernel.lock();
+        k.reap();
         debug_assert!(k.live == 0 || k.poisoned.is_some());
         match &k.poisoned {
             Some(e) => Err(e.clone()),
@@ -876,141 +717,88 @@ impl Engine {
         cause: Option<SchedCause>,
         f: Box<dyn FnOnce(&Sim) + Send + 'static>,
     ) -> Tid {
-        let inner = Arc::clone(&self.inner);
-        let tid;
-        let cell;
-        {
-            let mut k = self.inner.kernel.lock();
-            assert!(
-                (node.0 as usize) < k.nodes.len(),
-                "spawn on unknown node {node}"
-            );
-            tid = Tid(k.threads.len() as u64);
-            cell = WaitCell::new();
-            let cpu = {
-                let n = &mut k.nodes[node.0 as usize];
-                let c = n.next_cpu;
-                n.next_cpu = (n.next_cpu + 1) % n.cpus.len();
-                c
-            };
-            k.threads.push(ThreadRec {
-                clock: start,
-                node,
-                cpu,
-                state: ThreadState::Ready,
-                cell: Arc::clone(&cell),
-                exit_waiters: Vec::new(),
-                pending_wake: None,
-                sleep_gen: 0,
-                timed_out: false,
-                pend_scope: Scope::ALL,
-                green: None,
-                name: name.clone(),
-            });
-            k.live += 1;
-            k.stats.threads_spawned += 1;
-            k.push_ready(tid);
-            k.emit_sched(start, node, tid, SchedEventKind::Spawn, cause);
-            if k.mode.is_green() {
-                // Green backend: no OS thread — park a fabricated context
-                // whose first dispatch runs the same body the OS backend
-                // would, then exits by switching away.
-                let engine = self.clone();
-                let body: Box<dyn FnOnce() + Send> = Box::new(move || {
-                    if engine.inner.kernel.lock().poisoned.is_some() {
-                        Engine::green_exit(engine, tid, None);
-                    }
-                    let sim = Sim::new(engine.clone(), tid);
-                    let result = catch_unwind(AssertUnwindSafe(|| f(&sim)));
-                    // The kernel copy of the clock may be stale; make it
-                    // authoritative before exit bookkeeping reads it.
-                    sim.flush_for_exit();
-                    drop(sim);
-                    let panic_msg = result.err().and_then(|p| {
-                        if p.downcast_ref::<PoisonUnwind>().is_some() {
-                            // Cascade from an already-recorded failure.
-                            return None;
-                        }
-                        Some(
-                            p.downcast_ref::<&str>()
-                                .map(|s| s.to_string())
-                                .or_else(|| p.downcast_ref::<String>().cloned())
-                                .unwrap_or_else(|| "non-string panic payload".to_string()),
-                        )
-                    });
-                    Engine::green_exit(engine, tid, panic_msg)
-                });
-                k.rec_mut(tid).green = Some(GreenCtx::new(Box::new(Payload { run: body })));
-                return tid;
-            }
-        }
+        let mut k = self.inner.kernel.lock();
+        assert!(
+            (node.0 as usize) < k.nodes.len(),
+            "spawn on unknown node {node}"
+        );
+        let tid = Tid(k.threads.len() as u64);
+        let cpu = {
+            let n = &mut k.nodes[node.0 as usize];
+            let c = n.next_cpu;
+            n.next_cpu = (n.next_cpu + 1) % n.cpus.len();
+            c
+        };
+        // Park a fabricated context whose first dispatch runs the body,
+        // then exits by switching away.
         let engine = self.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("sim-{name}"))
-            .spawn(move || {
-                cell.wait();
-                {
-                    let k = inner.kernel.lock();
-                    if k.poisoned.is_some() {
-                        drop(k);
-                        engine.thread_exit(tid, None);
-                        return;
-                    }
+        let body: Box<dyn FnOnce() + Send> = Box::new(move || {
+            if engine.inner.kernel.lock().poisoned.is_some() {
+                Engine::green_exit(engine, tid, None);
+            }
+            let sim = Sim::new(engine.clone(), tid);
+            let result = catch_unwind(AssertUnwindSafe(|| f(&sim)));
+            // The kernel copy of the clock may be stale; make it
+            // authoritative before exit bookkeeping reads it.
+            sim.flush_for_exit();
+            drop(sim);
+            let panic_msg = result.err().and_then(|p| {
+                if p.downcast_ref::<PoisonUnwind>().is_some() {
+                    // Cascade from an already-recorded failure.
+                    return None;
                 }
-                let sim = Sim::new(engine.clone(), tid);
-                let result = catch_unwind(AssertUnwindSafe(|| f(&sim)));
-                // The kernel copy of the clock may be stale; make it
-                // authoritative before `thread_exit` reads it.
-                sim.flush_for_exit();
-                let panic_msg = result.err().and_then(|p| {
-                    if p.downcast_ref::<PoisonUnwind>().is_some() {
-                        // Cascade from an already-recorded failure.
-                        return None;
-                    }
-                    Some(
-                        p.downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| p.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".to_string()),
-                    )
-                });
-                engine.thread_exit(tid, panic_msg);
-            })
-            .expect("failed to spawn OS thread for simulated thread");
-        self.inner.handles.lock().push(handle);
+                Some(
+                    p.downcast_ref::<&str>()
+                        .map(|s| s.to_string())
+                        .or_else(|| p.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "non-string panic payload".to_string()),
+                )
+            });
+            Engine::green_exit(engine, tid, panic_msg)
+        });
+        k.threads.push(ThreadRec {
+            clock: start,
+            node,
+            cpu,
+            state: ThreadState::Ready,
+            exit_waiters: Vec::new(),
+            pending_wake: None,
+            sleep_gen: 0,
+            timed_out: false,
+            pend_scope: Scope::ALL,
+            green: Some(GreenCtx::new(Box::new(Payload { run: body }))),
+            name,
+        });
+        k.live += 1;
+        k.stats.threads_spawned += 1;
+        k.push_ready(tid);
+        k.emit_sched(start, node, tid, SchedEventKind::Spawn, cause);
         tid
     }
 
-    fn thread_exit(&self, tid: Tid, panic_msg: Option<String>) {
-        let mut k = self.inner.kernel.lock();
-        k.exit_bookkeeping(tid, panic_msg);
-        if k.running.is_none() {
-            k.schedule_next();
-        }
-        if k.live == 0 || k.poisoned.is_some() {
-            self.inner.done.notify_all();
-        }
-    }
-
-    /// Green-backend thread exit: records the exit, then switches straight
-    /// to the next runnable green thread — or back to the carrier parked in
-    /// [`Engine::run_green`] when the run has drained. Consumes the calling
+    /// Thread exit: records the exit, then switches straight to the next
+    /// runnable green thread — or back to the carrier parked in
+    /// [`Engine::run`] when the run has drained. Consumes the calling
     /// green thread's `Engine` handle (dropping it before the final switch,
     /// since this stack frame is abandoned, never unwound).
     fn green_exit(engine: Engine, tid: Tid, panic_msg: Option<String>) -> ! {
         let mut k = engine.inner.kernel.lock();
         k.exit_bookkeeping(tid, panic_msg);
+        // The previous corpse left its stack long ago; this thread is
+        // still standing on its own until the switch below.
+        k.reap();
+        k.corpse = Some(tid);
         let next = k.pick_next();
         let load = match next {
             Some(t) => k
                 .rec_mut(t)
                 .green
                 .as_mut()
-                .expect("green mode threads all have a green context")
+                .expect("live threads all have a green context")
                 .take_rsp(),
             // Nothing runnable: the run is over (drained or poisoned);
-            // resume the carrier. The slot was filled by `run_green`'s
-            // switch before any green code ran.
+            // resume the carrier. The slot was filled by `run`'s switch
+            // before any green code ran.
             None => engine.inner.carrier_rsp.load(Ordering::Relaxed),
         };
         drop(k);
@@ -1130,9 +918,6 @@ impl Sim {
 
     /// Loads the cache from kernel state (under the lock `k`).
     fn warm_cache(&self, k: &Kernel) {
-        if !self.engine.inner.lockless.load(Ordering::Relaxed) {
-            return;
-        }
         let r = k.rec(self.tid);
         let (node, cpu, clock) = (r.node, r.cpu, r.clock);
         let free_at = k.nodes[node.0 as usize].cpus[cpu].free_at;
@@ -1145,10 +930,26 @@ impl Sim {
     }
 
     /// Called by the spawn shim after the thread body returns, so
-    /// `thread_exit` sees the final clock.
+    /// exit bookkeeping sees the final clock.
     fn flush_for_exit(&self) {
         let mut k = self.engine.inner.kernel.lock();
         self.flush_into(&mut k);
+    }
+
+    /// The clock cache, loaded from the kernel first when it is cold.
+    fn warm(&self) -> ClockCache {
+        if self.cache.get().is_none() {
+            let mut k = self.engine.inner.kernel.lock();
+            self.flush_into(&mut k);
+            self.warm_cache(&k);
+        }
+        self.cache.get().expect("cache warmed")
+    }
+
+    /// Stores one lock-free charge back into the cache.
+    fn charge(&self, c: ClockCache) {
+        self.cache.set(Some(c));
+        self.n_lockless.set(self.n_lockless.get() + 1);
     }
 
     /// Cache-only advance; returns false when the cache is cold.
@@ -1156,12 +957,10 @@ impl Sim {
         let Some(mut c) = self.cache.get() else {
             return false;
         };
-        let start = c.clock.max(c.free_at);
-        let end = start + ns;
+        let end = c.clock.max(c.free_at) + ns;
         c.clock = end;
         c.free_at = end;
-        self.cache.set(Some(c));
-        self.n_lockless.set(self.n_lockless.get() + 1);
+        self.charge(c);
         true
     }
 
@@ -1170,63 +969,25 @@ impl Sim {
     /// Threads sharing a processor serialize here: the segment starts no
     /// earlier than the processor's previous segment ended.
     pub fn advance(&self, ns: u64) {
-        if self.cached_advance(ns) {
-            return;
-        }
-        let mut k = self.engine.inner.kernel.lock();
-        self.flush_into(&mut k);
-        self.warm_cache(&k);
-        if self.cache.get().is_some() {
-            drop(k);
+        if !self.cached_advance(ns) {
+            self.warm();
             self.cached_advance(ns);
-            return;
         }
-        // Lockless mode disabled: charge directly in the kernel.
-        let (node, cpu) = {
-            let r = k.rec(self.tid);
-            (r.node, r.cpu)
-        };
-        let free_at = k.nodes[node.0 as usize].cpus[cpu].free_at;
-        let end = k.rec(self.tid).clock.max(free_at) + ns;
-        k.rec_mut(self.tid).clock = end;
-        k.nodes[node.0 as usize].cpus[cpu].free_at = end;
     }
 
     /// Charges `ns` nanoseconds of latency that does *not* occupy the
     /// processor (e.g., waiting on an OS event).
     pub fn advance_idle(&self, ns: u64) {
-        if self.cache.get().is_none() {
-            let mut k = self.engine.inner.kernel.lock();
-            self.flush_into(&mut k);
-            self.warm_cache(&k);
-            if self.cache.get().is_none() {
-                let c = k.rec(self.tid).clock + ns;
-                k.rec_mut(self.tid).clock = c;
-                return;
-            }
-        }
-        let mut c = self.cache.get().expect("cache warmed");
-        c.clock = c.clock + ns;
-        self.cache.set(Some(c));
-        self.n_lockless.set(self.n_lockless.get() + 1);
+        let mut c = self.warm();
+        c.clock += ns;
+        self.charge(c);
     }
 
     /// Raises this thread's clock to at least `t`.
     pub fn clock_at_least(&self, t: SimTime) {
-        if self.cache.get().is_none() {
-            let mut k = self.engine.inner.kernel.lock();
-            self.flush_into(&mut k);
-            self.warm_cache(&k);
-            if self.cache.get().is_none() {
-                let c = k.rec(self.tid).clock.max(t);
-                k.rec_mut(self.tid).clock = c;
-                return;
-            }
-        }
-        let mut c = self.cache.get().expect("cache warmed");
+        let mut c = self.warm();
         c.clock = c.clock.max(t);
-        self.cache.set(Some(c));
-        self.n_lockless.set(self.n_lockless.get() + 1);
+        self.charge(c);
     }
 
     /// Timestamp-ordering point: yields until this thread has the smallest
@@ -1240,8 +1001,8 @@ impl Sim {
     /// nodes whose shared state the upcoming operation may touch. The
     /// declaration never changes scheduling (see `DESIGN.md` §5.3 for why
     /// any reordering would break determinism) — it feeds the
-    /// [`EngineStats::window_admissible`] telemetry and, under
-    /// [`EngineMode::ParallelDeterministic`], the scope audits.
+    /// [`EngineStats::window_admissible`] telemetry and, in debug builds,
+    /// the scope audit.
     pub fn sync_point_scoped(&self, scope: Scope) {
         let mut k = self.engine.inner.kernel.lock();
         self.flush_into(&mut k);
@@ -1273,8 +1034,7 @@ impl Sim {
         // Window telemetry: count yields a footprint-aware conservative
         // scheduler could have admitted — the op is within the lookahead
         // window of the earliest pending one and its declared scope is
-        // disjoint from every earlier pending op's. Computed identically
-        // in every mode so [`EngineStats`] stays mode-invariant.
+        // disjoint from every earlier pending op's.
         if let Some(w) = k.lookahead {
             if !sleeper_first {
                 if let Some((min_key, _)) = k.peek_ready_shard() {
@@ -1292,7 +1052,7 @@ impl Sim {
                 }
             }
         }
-        if k.audits() {
+        if AUDITS {
             let me_node = k.rec(self.tid).node;
             if !scope.contains(me_node) {
                 let name = k.rec(self.tid).name.clone();
@@ -1339,19 +1099,11 @@ impl Sim {
 
     /// Parks the calling thread (whose scheduling state the caller has
     /// already updated, clearing `running`) and transfers control to the
-    /// next runnable thread; returns when this thread is next dispatched.
-    /// Sequential backend: hand the baton over the wait cell. Green
-    /// backends: switch stacks directly on the carrier OS thread.
+    /// next runnable thread by switching stacks on the carrier OS thread;
+    /// returns when this thread is next dispatched.
     fn park_and_switch(&self, mut k: MutexGuard<'_, Kernel>) {
         debug_assert!(k.running.is_none());
-        if !k.mode.is_green() {
-            let cell = Arc::clone(&k.rec(self.tid).cell);
-            k.schedule_next();
-            drop(k);
-            cell.wait();
-            return;
-        }
-        if k.audits() {
+        if AUDITS {
             let ok = k
                 .rec(self.tid)
                 .green
@@ -1373,14 +1125,14 @@ impl Sim {
                     .rec_mut(t)
                     .green
                     .as_mut()
-                    .expect("green mode threads all have a green context")
+                    .expect("live threads all have a green context")
                     .take_rsp();
                 let save = {
                     let g = k
                         .rec_mut(self.tid)
                         .green
                         .as_mut()
-                        .expect("green mode threads all have a green context");
+                        .expect("live threads all have a green context");
                     &mut g.rsp as *mut *mut u8
                 };
                 drop(k);
@@ -1498,24 +1250,9 @@ impl Sim {
     /// to time `t` (e.g. after a competitive-spinning wait, so co-located
     /// threads cannot have used the processor meanwhile).
     pub fn occupy_cpu_until(&self, t: SimTime) {
-        if self.cache.get().is_none() {
-            let mut k = self.engine.inner.kernel.lock();
-            self.flush_into(&mut k);
-            self.warm_cache(&k);
-            if self.cache.get().is_none() {
-                let (node, cpu) = {
-                    let r = k.rec(self.tid);
-                    (r.node, r.cpu)
-                };
-                let f = k.nodes[node.0 as usize].cpus[cpu].free_at.max(t);
-                k.nodes[node.0 as usize].cpus[cpu].free_at = f;
-                return;
-            }
-        }
-        let mut c = self.cache.get().expect("cache warmed");
+        let mut c = self.warm();
         c.free_at = c.free_at.max(t);
-        self.cache.set(Some(c));
-        self.n_lockless.set(self.n_lockless.get() + 1);
+        self.charge(c);
     }
 
     /// Spawns a new simulated thread on `node`, starting at virtual time
@@ -1937,35 +1674,13 @@ mod timed_block_tests {
 #[cfg(test)]
 mod green_mode_tests {
     use super::*;
-    use std::str::FromStr;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex as StdMutex;
 
-    const ALL_MODES: [EngineMode; 3] = [
-        EngineMode::Sequential,
-        EngineMode::Parallel,
-        EngineMode::ParallelDeterministic,
-    ];
-
-    fn green_engine(mode: EngineMode, cpus: usize) -> (Engine, NodeId) {
+    fn green_engine(cpus: usize) -> (Engine, NodeId) {
         let e = Engine::new();
-        e.set_mode(mode);
         let n = e.add_node(cpus);
         (e, n)
-    }
-
-    #[test]
-    fn mode_parsing_round_trips() {
-        for mode in [
-            EngineMode::Sequential,
-            EngineMode::Parallel,
-            EngineMode::ParallelDeterministic,
-        ] {
-            assert_eq!(EngineMode::from_str(&mode.to_string()).unwrap(), mode);
-        }
-        assert_eq!(EngineMode::from_str("seq").unwrap(), EngineMode::Sequential);
-        assert_eq!(EngineMode::from_str("par").unwrap(), EngineMode::Parallel);
-        assert!(EngineMode::from_str("turbo").is_err());
     }
 
     #[test]
@@ -1981,8 +1696,8 @@ mod green_mode_tests {
 
     #[test]
     fn green_run_matches_sequential_results_and_stats() {
-        let run = |mode: EngineMode| {
-            let (e, n) = green_engine(mode, 2);
+        let run = || {
+            let (e, n) = green_engine(2);
             e.set_lookahead(Some(5_000));
             let sum = Arc::new(AtomicU64::new(0));
             let s2 = Arc::clone(&sum);
@@ -2006,7 +1721,7 @@ mod green_mode_tests {
                 .unwrap();
             (end, sum.load(Ordering::Relaxed), e.stats())
         };
-        // Taken from the sequential (OS-thread) backend, PR 16.
+        // Taken from the OS-thread engine this one replaced (PR 16).
         let stats = EngineStats {
             context_switches: 208,
             threads_spawned: 5,
@@ -2014,78 +1729,65 @@ mod green_mode_tests {
             sync_slow_path: 200,
             ..EngineStats::default()
         };
-        let golden = (SimTime::from_nanos(5450), 20235, stats);
-        for mode in ALL_MODES {
-            assert_eq!(run(mode), golden, "{mode}");
-        }
+        assert_eq!(run(), (SimTime::from_nanos(5450), 20235, stats));
     }
 
     #[test]
     fn green_deadlock_detected_and_drained() {
-        for mode in [EngineMode::Parallel, EngineMode::ParallelDeterministic] {
-            let (e, n) = green_engine(mode, 2);
-            let err = e
-                .run(n, |sim| {
-                    let c = sim.spawn_on(sim.node(), SimTime::ZERO, "stuck", |s| s.block());
-                    sim.wait_exit(c);
-                })
-                .expect_err("should deadlock");
-            assert!(matches!(err, SimError::Deadlock(_)), "{mode}: {err:?}");
-        }
+        let (e, n) = green_engine(2);
+        let err = e
+            .run(n, |sim| {
+                let c = sim.spawn_on(sim.node(), SimTime::ZERO, "stuck", |s| s.block());
+                sim.wait_exit(c);
+            })
+            .expect_err("should deadlock");
+        assert!(matches!(err, SimError::Deadlock(_)), "{err:?}");
     }
 
     #[test]
     fn green_panic_reports_error_and_unwinds_peers() {
-        for mode in [EngineMode::Parallel, EngineMode::ParallelDeterministic] {
-            let (e, n) = green_engine(mode, 2);
-            let err = e
-                .run(n, |sim| {
-                    // A parked peer that must be drained after the poison.
-                    sim.spawn_on(sim.node(), SimTime::ZERO, "parked", |s| s.block());
-                    sim.advance(10);
-                    sim.sync_point();
-                    panic!("green boom");
-                })
-                .expect_err("should fail");
-            match err {
-                SimError::Panicked(m) => assert!(m.contains("green boom"), "{mode}: {m}"),
-                other => panic!("{mode}: unexpected {other:?}"),
-            }
+        let (e, n) = green_engine(2);
+        let err = e
+            .run(n, |sim| {
+                // A parked peer that must be drained after the poison.
+                sim.spawn_on(sim.node(), SimTime::ZERO, "parked", |s| s.block());
+                sim.advance(10);
+                sim.sync_point();
+                panic!("green boom");
+            })
+            .expect_err("should fail");
+        match err {
+            SimError::Panicked(m) => assert!(m.contains("green boom"), "{m}"),
+            other => panic!("unexpected {other:?}"),
         }
     }
 
     #[test]
     fn green_timed_blocks_and_wakes() {
-        let run = |mode: EngineMode| {
-            let (e, n) = green_engine(mode, 2);
-            let log = Arc::new(StdMutex::new(Vec::new()));
-            let l2 = Arc::clone(&log);
-            let end = e
-                .run(n, move |sim| {
-                    let l3 = Arc::clone(&l2);
-                    let c = sim.spawn_on(sim.node(), SimTime::ZERO, "sleeper", move |s| {
-                        let woken = s.block_deadline(SimTime::from_micros(30));
-                        l3.lock().unwrap().push((woken, s.now().as_nanos()));
-                    });
-                    sim.advance(50_000);
-                    sim.sync_point();
-                    sim.wait_exit(c);
-                })
-                .unwrap();
-            let observed = log.lock().unwrap().clone();
-            (end, observed)
-        };
-        // As on the sequential (OS-thread) backend, PR 16.
-        let golden = (SimTime::from_micros(50), vec![(false, 30_000)]);
-        for mode in ALL_MODES {
-            assert_eq!(run(mode), golden, "{mode}");
-        }
+        let (e, n) = green_engine(2);
+        let log = Arc::new(StdMutex::new(Vec::new()));
+        let l2 = Arc::clone(&log);
+        let end = e
+            .run(n, move |sim| {
+                let l3 = Arc::clone(&l2);
+                let c = sim.spawn_on(sim.node(), SimTime::ZERO, "sleeper", move |s| {
+                    let woken = s.block_deadline(SimTime::from_micros(30));
+                    l3.lock().unwrap().push((woken, s.now().as_nanos()));
+                });
+                sim.advance(50_000);
+                sim.sync_point();
+                sim.wait_exit(c);
+            })
+            .unwrap();
+        // As on the OS-thread engine this one replaced (PR 16).
+        assert_eq!(end, SimTime::from_micros(50));
+        assert_eq!(*log.lock().unwrap(), vec![(false, 30_000)]);
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     fn scope_audit_rejects_foreign_only_footprint() {
         let e = Engine::new();
-        e.set_mode(EngineMode::ParallelDeterministic);
         let n0 = e.add_node(1);
         let _n1 = e.add_node(1);
         let err = e
@@ -2111,7 +1813,6 @@ mod green_mode_tests {
     fn window_telemetry_counts_disjoint_yields() {
         let run = |lookahead: Option<u64>| {
             let e = Engine::new();
-            e.set_mode(EngineMode::Parallel);
             let n0 = e.add_node(1);
             let n1 = e.add_node(1);
             e.set_lookahead(lookahead);
@@ -2146,7 +1847,7 @@ mod green_mode_tests {
 
     #[test]
     fn ready_reallocs_flat_in_steady_state() {
-        let (e, n) = green_engine(EngineMode::Parallel, 2);
+        let (e, n) = green_engine(2);
         e.run(n, move |sim| {
             let mut kids = Vec::new();
             for _ in 0..8 {
@@ -2170,10 +1871,19 @@ mod green_mode_tests {
     }
 
     #[test]
-    #[should_panic(expected = "engine mode must be set before the first spawn")]
-    fn set_mode_after_spawn_panics() {
-        let (e, n) = green_engine(EngineMode::Sequential, 1);
-        e.run(n, |_| {}).unwrap();
-        e.set_mode(EngineMode::Parallel);
+    fn exited_threads_give_their_stacks_back() {
+        let (e, n) = green_engine(1);
+        e.run(n, |sim| {
+            for _ in 0..2000 {
+                let c = sim.spawn_on(sim.node(), sim.now(), "short", |s| s.advance(10));
+                sim.wait_exit(c);
+                let k = sim.engine().inner.kernel.lock();
+                let held = k.threads.iter().filter(|t| t.green.is_some()).count();
+                assert!(held <= 2, "{held} stacks held by one live thread");
+            }
+        })
+        .unwrap();
+        let k = e.inner.kernel.lock();
+        assert!(k.threads.iter().all(|t| t.green.is_none()));
     }
 }

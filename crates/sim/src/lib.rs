@@ -9,7 +9,9 @@
 //! Key types:
 //!
 //! - [`Engine`] — owns the cluster topology (nodes × processors) and the
-//!   sequential, deterministic scheduler.
+//!   deterministic scheduler: every simulated thread is a green thread on
+//!   the one OS thread that called [`Engine::run`], dispatched in global
+//!   `(clock, tid)` order.
 //! - [`Sim`] — the per-thread handle: charge compute ([`Sim::advance`]),
 //!   order operations ([`Sim::sync_point`]), park/unpark
 //!   ([`Sim::block`]/[`Sim::wake`]), spawn threads ([`Sim::spawn_on`]).
@@ -44,8 +46,8 @@ mod rng;
 mod time;
 
 pub use engine::{
-    Engine, EngineMode, EngineStats, NodeId, SchedCause, SchedEvent, SchedEventKind, SchedHook,
-    Scope, Sim, SimError, Tid,
+    Engine, EngineStats, NodeId, SchedCause, SchedEvent, SchedEventKind, SchedHook, Scope, Sim,
+    SimError, Tid,
 };
 pub use rng::DetRng;
 pub use time::{dur, SimTime};

@@ -5,7 +5,7 @@
 //! same instance with [`crate::config::ProtoMode::Cables`]).
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use memsim::{GAddr, PAGE_SIZE};
@@ -39,9 +39,6 @@ pub struct SvmSystem {
     pub(crate) cfg: SvmConfig,
     pub(crate) state: Mutex<ProtoState>,
     pub(crate) master: NodeId,
-    /// When false, the bulk slice API degrades to per-scalar loops and the
-    /// memory layer's software TLB is bypassed (measurement baseline).
-    pub(crate) fast_path: AtomicBool,
     /// Number of threads removed by node-crash recovery whose barrier
     /// arrivals must be forgiven (see `crash_add_discount`). Always zero
     /// without chaos, so the release check is unchanged in normal runs.
@@ -67,7 +64,6 @@ impl SvmSystem {
             cfg,
             state: Mutex::new(ProtoState::new(nodes)),
             master,
-            fast_path: AtomicBool::new(true),
             crashed_discount: AtomicU64::new(0),
         })
     }
@@ -86,21 +82,6 @@ impl SvmSystem {
         }
     }
 
-    /// Enables or disables the hot-path optimizations end to end: bulk
-    /// page-run access, the memory layer's software TLB, and the engine's
-    /// lock-free clock cache. Simulated results are identical either way;
-    /// only wall-clock speed changes. On by default.
-    pub fn set_fast_path(&self, on: bool) {
-        self.fast_path.store(on, Ordering::Relaxed);
-        self.cluster.mem.set_slow_mode(!on);
-        self.cluster.engine.set_lockless(on);
-    }
-
-    /// Whether the hot-path optimizations are enabled.
-    pub fn fast_path(&self) -> bool {
-        self.fast_path.load(Ordering::Relaxed)
-    }
-
     /// Engine statistics with the memory layer's software-TLB counters
     /// merged in (the engine itself reports zeros for those fields).
     pub fn engine_stats(&self) -> sim::EngineStats {
@@ -115,9 +96,7 @@ impl SvmSystem {
     /// registry (`engine.*` names), so snapshots and the paper-style
     /// reporter surface parallel-engine headroom without grepping engine
     /// internals. No-op when observability is off; the gauges are
-    /// deterministic across engine backends (`tests/parallel_engine.rs`
-    /// pins `EngineStats` equality), so snapshot equality across modes is
-    /// preserved.
+    /// deterministic (`tests/parallel_engine.rs` pins `EngineStats`).
     pub fn publish_engine_telemetry(&self) {
         if !self.cluster.obs.on() {
             return;
@@ -166,9 +145,9 @@ impl SvmSystem {
     }
 
     /// Enables or disables the cluster-wide observability layer (event
-    /// bus + metric registries, see the `obs` crate). Like
-    /// [`SvmSystem::set_fast_path`], toggling never changes simulated
-    /// results — recording charges no virtual time. Off by default.
+    /// bus + metric registries, see the `obs` crate). Toggling never
+    /// changes simulated results — recording charges no virtual time. Off
+    /// by default.
     pub fn set_obs(&self, on: bool) {
         self.cluster.obs.set_enabled(on);
     }

@@ -7,21 +7,8 @@ use chaos::ChaosEngine;
 use memsim::{ClusterMem, OsVmConfig};
 use obs::{EdgeKind, Event, Layer, ObsSink, SchedKind};
 use san::{San, SanConfig};
-use sim::{Engine, EngineMode, NodeId, SchedEvent, SchedEventKind};
+use sim::{Engine, NodeId, SchedEvent, SchedEventKind};
 use vmmc::{Vmmc, VmmcConfig};
-
-/// The engine backend selected by `CABLES_ENGINE_MODE`, defaulting to
-/// [`EngineMode::Sequential`]. Unknown values panic loudly rather than
-/// silently falling back — a typo'd benchmark run must not masquerade as
-/// a parallel one.
-fn engine_mode_from_env() -> EngineMode {
-    match std::env::var("CABLES_ENGINE_MODE") {
-        Ok(v) if !v.is_empty() => v
-            .parse()
-            .unwrap_or_else(|e| panic!("CABLES_ENGINE_MODE: {e}")),
-        _ => EngineMode::Sequential,
-    }
-}
 
 /// Hardware/OS description of the simulated cluster.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,12 +26,6 @@ pub struct ClusterConfig {
     /// Capacity of the observability event buffer (records beyond this
     /// are dropped-and-counted; metrics still aggregate them).
     pub obs_cap: usize,
-    /// Engine execution backend. All modes produce bit-identical results;
-    /// they differ only in wall-clock speed and runtime audits (see
-    /// [`EngineMode`]). Defaults from the `CABLES_ENGINE_MODE` environment
-    /// variable (`sequential` | `parallel` | `parallel_det`) so the whole
-    /// test suite can be re-run under another backend without code changes.
-    pub engine: EngineMode,
 }
 
 impl ClusterConfig {
@@ -58,7 +39,6 @@ impl ClusterConfig {
             os: OsVmConfig::windows_nt(),
             vmmc: VmmcConfig::paper(),
             obs_cap: obs::DEFAULT_CAP,
-            engine: engine_mode_from_env(),
         }
     }
 
@@ -103,7 +83,6 @@ impl Cluster {
     /// Builds a cluster: engine nodes, NICs and memories for every node.
     pub fn build(cfg: ClusterConfig) -> Arc<Cluster> {
         let engine = Engine::new();
-        engine.set_mode(cfg.engine);
         engine.set_lookahead(Some(cfg.san.lookahead_ns()));
         let san = Arc::new(San::new(cfg.san));
         let mem = Arc::new(ClusterMem::new(cfg.os));

@@ -2113,6 +2113,7 @@ impl SvmSystem {
     /// charges sum, and once the first element of a run succeeds the rest
     /// of the run cannot fault (there is no scheduling point in between,
     /// so no other thread can change the page's protection).
+    /// `tests/hotpath.rs` holds it to that loop on random programs.
     ///
     /// # Panics
     ///
@@ -2120,12 +2121,6 @@ impl SvmSystem {
     pub fn read_slice<T: Scalar>(&self, sim: &Sim, addr: GAddr, out: &mut [T]) {
         self.crash_check(sim);
         Self::assert_bulk_align::<T>(addr);
-        if !self.fast_path.load(std::sync::atomic::Ordering::Relaxed) {
-            for (i, slot) in out.iter_mut().enumerate() {
-                *slot = self.read(sim, addr + (i * T::SIZE) as u64);
-            }
-            return;
-        }
         let a = self.cfg.costs.access_check_ns;
         let node = sim.node();
         let total = out.len() * T::SIZE;
@@ -2163,12 +2158,6 @@ impl SvmSystem {
     pub fn write_slice<T: Scalar>(&self, sim: &Sim, addr: GAddr, data: &[T]) {
         self.crash_check(sim);
         Self::assert_bulk_align::<T>(addr);
-        if !self.fast_path.load(std::sync::atomic::Ordering::Relaxed) {
-            for (i, v) in data.iter().enumerate() {
-                self.write(sim, addr + (i * T::SIZE) as u64, *v);
-            }
-            return;
-        }
         let a = self.cfg.costs.access_check_ns;
         let node = sim.node();
         let total = data.len() * T::SIZE;
@@ -2201,12 +2190,6 @@ impl SvmSystem {
     pub fn fill<T: Scalar>(&self, sim: &Sim, addr: GAddr, v: T, count: usize) {
         self.crash_check(sim);
         Self::assert_bulk_align::<T>(addr);
-        if !self.fast_path.load(std::sync::atomic::Ordering::Relaxed) {
-            for i in 0..count {
-                self.write(sim, addr + (i * T::SIZE) as u64, v);
-            }
-            return;
-        }
         let mut pat = [0u8; 8];
         v.store(&mut pat[..T::SIZE]);
         // A uniform byte pattern (zeros, 0xFF…) can use the memset path;

@@ -394,7 +394,7 @@ impl SvmSystem {
     /// waiter list. A purged barrier waiter's arrival is also retracted —
     /// the crash discount stands in for it, so it must not count twice.
     /// Returns whether the thread was parked in any of them; if so the
-    /// caller must wake it so its OS thread can unwind (it was removed
+    /// caller must wake it so that it can unwind (it was removed
     /// from the queue here, so the wake cannot race a legitimate one).
     pub fn crash_purge_waiter(&self, tid: Tid) -> bool {
         let mut st = self.state.lock();

@@ -4,9 +4,8 @@
 # gated artifact is one edit here. (CI uploads BENCH_*.json by glob.)
 
 # Every bench target of crates/bench (tier1 --smoke runs each with --test).
-BENCH_TARGETS=(table3 table4 table5 table6 fig5 fig6 ablations engine_wall
-               obs_report critpath chaos_soak protocol_opt service_bench
-               placement)
+BENCH_TARGETS=(table3 table4 table5 table6 fig5 fig6 ablations obs_report
+               critpath chaos_soak protocol_opt service_bench placement)
 
 # Artifacts gated against baselines/ (smoke-mode snapshots), and the
 # benches whose smoke run rewrites them.
@@ -23,8 +22,7 @@ STREAM_ARTIFACTS=(stream_FFT.ndjson stream_RADIX.ndjson
                   stream_CHAOS_FFT.ndjson stream_service.ndjson)
 
 # Everything scripts/report.sh regenerates at full size and tier1 --smoke
-# validates. BENCH_table6/fig5/fig6 are written by full-size runs only;
-# BENCH_hotpath.json only by a full engine_wall run (see the verify skill).
+# validates. BENCH_table6/fig5/fig6 are written by full-size runs only.
 SMOKE_ARTIFACTS=("${GATED_ARTIFACTS[@]}" BENCH_table3.json
                  target/artifacts/trace_fft.json)
 ALL_ARTIFACTS=("${SMOKE_ARTIFACTS[@]}" BENCH_table6.json BENCH_fig5.json

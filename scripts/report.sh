@@ -50,12 +50,6 @@ cd "$(dirname "$0")/.."
 
 CARGO_FLAGS=${CARGO_FLAGS:---offline}
 
-# The full-size grids are what the green-thread parallel engine backend
-# exists for: every run is bit-identical to the sequential oracle (the
-# test suite enforces it), so the report uses the fast backend by
-# default. Override with CABLES_ENGINE_MODE=sequential to cross-check.
-export CABLES_ENGINE_MODE=${CABLES_ENGINE_MODE:-parallel}
-
 source scripts/artifacts.sh
 ARTIFACTS=("${ALL_ARTIFACTS[@]}")
 
@@ -64,9 +58,6 @@ ARTIFACTS=("${ALL_ARTIFACTS[@]}")
 rm -f "${ARTIFACTS[@]}"
 
 for bench in "${BENCH_TARGETS[@]}"; do
-    # A full engine_wall run takes minutes and has its own artifact
-    # (BENCH_hotpath.json); it is not part of the report.
-    [[ "$bench" == engine_wall ]] && continue
     cargo bench $CARGO_FLAGS -p cables-bench --bench "$bench"
 done
 
@@ -78,10 +69,9 @@ for f in "${ARTIFACTS[@]}"; do
     fi
 done
 
-# Cross-PR summary: one table over every BENCH_*.json in the repo root
-# (including artifacts produced by earlier PRs' benches, e.g.
-# BENCH_hotpath.json), so one `scripts/report.sh` run ends with the
-# repo's whole quantitative story in ~a screenful.
+# Cross-PR summary: one table over every BENCH_*.json in the repo root,
+# so one `scripts/report.sh` run ends with the repo's whole quantitative
+# story in ~a screenful.
 if command -v python3 >/dev/null 2>&1; then
     python3 - <<'PYEOF'
 import glob, json
@@ -111,20 +101,6 @@ for path in sorted(glob.glob("BENCH_*.json")):
         for k in d["kernels"]:
             rows.append((k["kernel"], f"sim {ms(k['sim_time_ns'])}, "
                          f"{k['causal_edges']} causal edges"))
-    elif name == "hotpath":
-        for w in d["workloads"]:
-            par = (f", par {w['par_wall_ms']:.0f} ms ({w['par_speedup']:.2f}x)"
-                   if "par_wall_ms" in w else "")
-            rows.append((f"{w['kernel']}/{w['mode']}",
-                         f"wall {w['slow_wall_ms']:.0f} -> "
-                         f"{w['fast_wall_ms']:.0f} ms "
-                         f"({w['speedup']:.2f}x){par}, "
-                         f"TLB {w['tlb_hit_pct']:.1f}%"))
-        for w in d.get("eight_node", []):
-            rows.append((f"{w['kernel']}@8n",
-                         f"parallel engine {w['seq_wall_ms']:.0f} -> "
-                         f"{w['par_wall_ms']:.0f} ms ({w['speedup']:.2f}x, "
-                         f"floor {w['floor']}x)"))
     elif name == "protocol":
         for k in d["kernels"]:
             g = {(p["batch_diffs"], p["prefetch"], p["lock_forwarding"]): p

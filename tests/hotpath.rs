@@ -7,8 +7,11 @@
 //! protocol/placement output, on both the Base and CableS protocol
 //! configurations — and both must land on goldens taken from the slow
 //! path (per-scalar loops, no TLB, kernel-locked clock) on the last tree
-//! that had one (PR 16). `PINNED_SHOW=1` with `--nocapture` prints what a
+//! that had one (PR 16), where this file's three-way comparison passed
+//! with these constants. `PINNED_SHOW=1` with `--nocapture` prints what a
 //! cell observed.
+
+mod common;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -16,24 +19,13 @@ use std::sync::Mutex as StdMutex;
 
 use proptest::prelude::*;
 
+use common::{fnv, show};
+
 use cables_suite::apps::splash::{fft, radix};
 use cables_suite::apps::{M4Mode, M4System};
 use cables_suite::memsim::{GAddr, Scalar};
 use cables_suite::sim::Sim;
 use cables_suite::svm::{Cluster, ClusterConfig, SvmConfig, SvmSystem};
-
-/// FNV-1a of a rendered observation.
-fn fnv(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
-fn show(name: &str, o: &dyn std::fmt::Debug) {
-    if std::env::var_os("PINNED_SHOW").is_some() {
-        eprintln!("{name}: {o:?}");
-    }
-}
 
 /// Region size in u64 elements: 4 pages, so random ranges straddle page
 /// boundaries.
@@ -89,27 +81,17 @@ struct Observed {
     diffs: u64,
 }
 
-/// How a program run performs its bulk operations.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Access {
-    /// `read_slice` / `write_slice` / `fill`.
-    Bulk,
-    /// The bulk API's specification: a loop over `read` / `write`.
-    PerScalar,
-    /// The bulk API with `set_fast_path(false)`.
-    SlowPath,
-}
-
-/// The bulk operations of one run, dispatched on [`Access`].
+/// The bulk operations of one run: through the bulk API, or through its
+/// specification — a loop over `read` / `write`.
 struct Mem<'a> {
     s: &'a SvmSystem,
     sim: &'a Sim,
-    access: Access,
+    bulk: bool,
 }
 
 impl Mem<'_> {
     fn write_slice<T: Scalar>(&self, addr: GAddr, data: &[T]) {
-        if self.access != Access::PerScalar {
+        if self.bulk {
             return self.s.write_slice(self.sim, addr, data);
         }
         for (i, v) in data.iter().enumerate() {
@@ -118,7 +100,7 @@ impl Mem<'_> {
     }
 
     fn fill(&self, addr: GAddr, v: u64, count: usize) {
-        if self.access != Access::PerScalar {
+        if self.bulk {
             return self.s.fill(self.sim, addr, v, count);
         }
         for i in 0..count {
@@ -127,7 +109,7 @@ impl Mem<'_> {
     }
 
     fn read_slice(&self, addr: GAddr, out: &mut [u64]) {
-        if self.access != Access::PerScalar {
+        if self.bulk {
             return self.s.read_slice(self.sim, addr, out);
         }
         for (i, slot) in out.iter_mut().enumerate() {
@@ -136,9 +118,9 @@ impl Mem<'_> {
     }
 }
 
-/// Runs the random program once, its bulk operations performed as
-/// `access` says; everything else is identical.
-fn run_program(base: bool, ops: Vec<Op>, seed: u64, access: Access) -> Observed {
+/// Runs the random program once, its bulk operations through the bulk
+/// API or per scalar; everything else is identical.
+fn run_program(base: bool, ops: Vec<Op>, seed: u64, bulk: bool) -> Observed {
     let cfg = if base {
         SvmConfig::base()
     } else {
@@ -146,7 +128,6 @@ fn run_program(base: bool, ops: Vec<Op>, seed: u64, access: Access) -> Observed 
     };
     let cluster = Cluster::build(ClusterConfig::small(2, 1));
     let sys = SvmSystem::new(Arc::clone(&cluster), cfg);
-    sys.set_fast_path(access != Access::SlowPath);
     let s = Arc::clone(&sys);
     let out: Arc<StdMutex<Option<(Vec<u64>, u64)>>> = Arc::new(StdMutex::new(None));
     let out2 = Arc::clone(&out);
@@ -170,11 +151,7 @@ fn run_program(base: bool, ops: Vec<Op>, seed: u64, access: Access) -> Observed 
                 s2.barrier(ws, 9, n);
             });
             // Master applies the random bulk ops.
-            let m = Mem {
-                s: &s,
-                sim,
-                access,
-            };
+            let m = Mem { s: &s, sim, bulk };
             let mut checksum = 0u64;
             for op in &ops {
                 match *op {
@@ -263,14 +240,12 @@ proptest! {
         static CASE: AtomicUsize = AtomicUsize::new(0);
         let golden = PROGRAM_GOLDENS[CASE.fetch_add(1, Ordering::Relaxed)];
         let ops = decode_ops(&raw, seed);
-        let slow = run_program(base, ops.clone(), seed, Access::SlowPath);
-        let pinned = (slow.end_ns, fnv(&format!("{slow:?}")));
+        let bulk = run_program(base, ops.clone(), seed, true);
+        let scalar = run_program(base, ops, seed, false);
+        prop_assert_eq!(&bulk, &scalar);
+        let pinned = (bulk.end_ns, fnv(&format!("{bulk:?}")));
         show("program", &pinned);
         prop_assert_eq!(pinned, golden);
-        let bulk = run_program(base, ops.clone(), seed, Access::Bulk);
-        let scalar = run_program(base, ops, seed, Access::PerScalar);
-        prop_assert_eq!(&bulk, &scalar);
-        prop_assert_eq!(bulk, slow);
     }
 }
 
@@ -278,7 +253,6 @@ proptest! {
 /// touched pages, misplaced pages, TLB hit rate).
 fn splash_run(
     mode: M4Mode,
-    fast: bool,
     body: impl FnOnce(&cables_suite::apps::M4Ctx) + Send + 'static,
 ) -> (u64, Option<u64>, u64, u64, f64) {
     let cluster = Cluster::build(ClusterConfig::small(4, 2));
@@ -286,7 +260,6 @@ fn splash_run(
         M4Mode::Base => M4System::base(Arc::clone(&cluster)),
         M4Mode::Cables => M4System::cables(Arc::clone(&cluster)),
     };
-    sys.svm().set_fast_path(fast);
     let end = sys.run(body).expect("splash run");
     let placement = sys.svm().placement_report();
     let st = sys.svm().engine_stats();
@@ -321,32 +294,32 @@ const SPLASH_GOLDENS: [(u64, Option<u64>, u64, u64); 4] = [
 #[test]
 fn splash_fast_path_is_deterministic() {
     for (i, mode) in [M4Mode::Base, M4Mode::Cables].into_iter().enumerate() {
-        for fast in [false, true] {
-            let r = splash_run(mode, fast, |ctx| {
-                let p = fft::FftParams {
-                    m: 8,
-                    nprocs: 8,
-                    verify: true,
-                };
-                let r = fft::fft(ctx, &p);
-                let err = r.max_error.expect("verify requested");
-                assert!(err < 1e-6, "FFT round-trip error {err}");
-            });
-            show("fft", &r);
-            assert_eq!((r.0, r.1, r.2, r.3), SPLASH_GOLDENS[2 * i], "{mode:?} FFT");
-            assert!(
-                !fast || r.4 > 0.90,
-                "{mode:?} FFT: TLB hit rate {:.1}% <= 90%",
-                r.4 * 100.0
-            );
-            let r = splash_run(mode, fast, |ctx| {
-                let p = radix::RadixParams::test(8);
-                let r = radix::radix(ctx, &p);
-                assert!(r.sorted, "RADIX output not sorted");
-                assert_eq!(r.key_sum, radix::expected_key_sum(&p));
-            });
-            show("radix", &r);
-            assert_eq!((r.0, r.1, r.2, r.3), SPLASH_GOLDENS[2 * i + 1], "{mode:?} RADIX");
-        }
+        let r = splash_run(mode, |ctx| {
+            let p = fft::FftParams {
+                m: 8,
+                nprocs: 8,
+                verify: true,
+            };
+            let r = fft::fft(ctx, &p);
+            let err = r.max_error.expect("verify requested");
+            assert!(err < 1e-6, "FFT round-trip error {err}");
+        });
+        show("fft", &r);
+        let pinned = (r.0, r.1, r.2, r.3);
+        assert_eq!(pinned, SPLASH_GOLDENS[2 * i], "{mode:?} FFT");
+        assert!(
+            r.4 > 0.90,
+            "{mode:?} FFT: TLB hit rate {:.1}% <= 90%",
+            r.4 * 100.0
+        );
+        let r = splash_run(mode, |ctx| {
+            let p = radix::RadixParams::test(8);
+            let r = radix::radix(ctx, &p);
+            assert!(r.sorted, "RADIX output not sorted");
+            assert_eq!(r.key_sum, radix::expected_key_sum(&p));
+        });
+        show("radix", &r);
+        let pinned = (r.0, r.1, r.2, r.3);
+        assert_eq!(pinned, SPLASH_GOLDENS[2 * i + 1], "{mode:?} RADIX");
     }
 }

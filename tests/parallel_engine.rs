@@ -1,13 +1,15 @@
-//! Engine-backend equivalence tests: the green-thread parallel backends
-//! (`EngineMode::Parallel`, `EngineMode::ParallelDeterministic`) are
-//! wall-clock optimizations only — they must reproduce the sequential
-//! oracle's results **bit-identically**: the same simulated times, the
-//! same memory contents, the same obs snapshots and event streams, the
-//! same chaos replays, and the same engine counters. Every comparison
-//! is against a golden taken from the sequential oracle (PR 16, on the
-//! tree that still had it), so a backend that drifts from the oracle
-//! fails here even once the oracle is gone. `PINNED_SHOW=1` with
-//! `--nocapture` prints what a cell observed.
+//! Carrier-equivalence tests: the green-thread carrier is a wall-clock
+//! optimization only — it must reproduce the results of the OS-thread
+//! engine it replaced (one OS thread per simulated thread, a futex
+//! hand-off, kernel-mutex clocks) **bit-identically**: the same simulated
+//! times, the same memory contents, the same obs snapshots and event
+//! streams, the same chaos replays, and the same engine counters. Every
+//! comparison is against a golden taken from that engine on the last tree
+//! that had it (PR 16), where all three engine modes passed this file
+//! with these constants. `PINNED_SHOW=1` with `--nocapture` prints what a
+//! cell observed.
+
+mod common;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -15,36 +17,17 @@ use std::sync::Mutex as StdMutex;
 
 use proptest::prelude::*;
 
+use common::{fnv, show};
+
 use cables_suite::apps::splash::{fft, radix};
 use cables_suite::apps::M4System;
 use cables_suite::chaos::{ChaosEngine, FaultPlan, WireFaults};
 use cables_suite::obs::{canonical_sort, chrome};
-use cables_suite::sim::{EngineMode, EngineStats};
+use cables_suite::sim::EngineStats;
 use cables_suite::svm::{Cluster, ClusterConfig, SvmConfig, SvmSystem};
 
-const MODES: [EngineMode; 3] = [
-    EngineMode::Sequential,
-    EngineMode::Parallel,
-    EngineMode::ParallelDeterministic,
-];
-
-fn small_cluster(nodes: usize, cpus: usize, mode: EngineMode) -> Arc<Cluster> {
-    let mut cfg = ClusterConfig::small(nodes, cpus);
-    cfg.engine = mode;
-    Cluster::build(cfg)
-}
-
-/// FNV-1a of a rendered observation.
-fn fnv(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
-fn show(name: &str, o: &dyn std::fmt::Debug) {
-    if std::env::var_os("PINNED_SHOW").is_some() {
-        eprintln!("{name}: {o:?}");
-    }
+fn small_cluster(nodes: usize, cpus: usize) -> Arc<Cluster> {
+    Cluster::build(ClusterConfig::small(nodes, cpus))
 }
 
 /// Region size in u64 elements: 4 pages, so random ranges straddle page
@@ -91,14 +74,14 @@ struct Observed {
     stats: EngineStats,
 }
 
-/// Runs the random two-thread lock/barrier program under `mode`.
-fn run_program(base: bool, ops: Vec<Op>, seed: u64, mode: EngineMode) -> Observed {
+/// Runs the random two-thread lock/barrier program.
+fn run_program(base: bool, ops: Vec<Op>, seed: u64) -> Observed {
     let cfg = if base {
         SvmConfig::base()
     } else {
         SvmConfig::cables()
     };
-    let cluster = small_cluster(2, 1, mode);
+    let cluster = small_cluster(2, 1);
     let sys = SvmSystem::new(Arc::clone(&cluster), cfg);
     let s = Arc::clone(&sys);
     let out: Arc<StdMutex<Option<(Vec<u64>, u64)>>> = Arc::new(StdMutex::new(None));
@@ -179,10 +162,10 @@ const PROGRAM_GOLDENS: [(u64, u64, u64); 6] = [
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Random bulk programs: every engine backend produces byte-identical
-    /// memory, identical virtual time, identical protocol counts and —
-    /// the strongest claim — identical [`EngineStats`], context switches
-    /// and fast/slow sync-path splits included.
+    /// Random bulk programs: byte-identical memory, identical virtual
+    /// time, identical protocol counts and — the strongest claim —
+    /// identical [`EngineStats`], context switches and fast/slow sync-path
+    /// splits included, to what the OS-thread engine produced.
     #[test]
     fn engine_modes_are_bit_identical(
         raw in prop::collection::vec((any::<u8>(), any::<u16>(), any::<u16>()), 1..8),
@@ -191,13 +174,10 @@ proptest! {
     ) {
         static CASE: AtomicUsize = AtomicUsize::new(0);
         let golden = PROGRAM_GOLDENS[CASE.fetch_add(1, Ordering::Relaxed)];
-        let ops = decode_ops(&raw, seed);
-        for mode in MODES {
-            let o = run_program(base, ops.clone(), seed, mode);
-            let pinned = (o.end_ns, o.stats.context_switches, fnv(&format!("{o:?}")));
-            show("program", &pinned);
-            prop_assert_eq!(pinned, golden, "{}", mode);
-        }
+        let o = run_program(base, decode_ops(&raw, seed), seed);
+        let pinned = (o.end_ns, o.stats.context_switches, fnv(&format!("{o:?}")));
+        show("program", &pinned);
+        prop_assert_eq!(pinned, golden);
     }
 }
 
@@ -207,11 +187,8 @@ proptest! {
 /// and engine stats.
 type Splash = (u64, Option<u64>, usize, u64, u64, String, String);
 
-fn splash_observe(
-    mode: EngineMode,
-    body: impl FnOnce(&cables_suite::apps::M4Ctx) + Send + 'static,
-) -> Splash {
-    let cluster = small_cluster(4, 2, mode);
+fn splash_observe(body: impl FnOnce(&cables_suite::apps::M4Ctx) + Send + 'static) -> Splash {
+    let cluster = small_cluster(4, 2);
     let sys = M4System::cables(Arc::clone(&cluster));
     sys.svm().set_obs(true);
     let end = sys.run(body).expect("splash run");
@@ -232,30 +209,28 @@ fn splash_observe(
     o
 }
 
-/// FFT and RADIX reproduce the sequential oracle's simulated results,
-/// obs snapshots and event streams under every engine backend.
+/// FFT and RADIX reproduce the OS-thread engine's simulated results, obs
+/// snapshots and event streams.
 #[test]
 fn splash_kernels_identical_across_modes() {
-    for mode in MODES {
-        let fft = splash_observe(mode, |ctx| {
-            let p = fft::FftParams {
-                m: 8,
-                nprocs: 8,
-                verify: true,
-            };
-            let r = fft::fft(ctx, &p);
-            let err = r.max_error.expect("verify requested");
-            assert!(err < 1e-6, "FFT round-trip error {err}");
-        });
-        assert_eq!(fft, golden_fft(), "{mode}: FFT diverged from the oracle");
-        let radix = splash_observe(mode, |ctx| {
-            let p = radix::RadixParams::test(8);
-            let r = radix::radix(ctx, &p);
-            assert!(r.sorted, "RADIX output not sorted");
-            assert_eq!(r.key_sum, radix::expected_key_sum(&p));
-        });
-        assert_eq!(radix, golden_radix(), "{mode}: RADIX diverged from the oracle");
-    }
+    let fft = splash_observe(|ctx| {
+        let p = fft::FftParams {
+            m: 8,
+            nprocs: 8,
+            verify: true,
+        };
+        let r = fft::fft(ctx, &p);
+        let err = r.max_error.expect("verify requested");
+        assert!(err < 1e-6, "FFT round-trip error {err}");
+    });
+    assert_eq!(fft, golden_fft(), "FFT diverged from the oracle");
+    let radix = splash_observe(|ctx| {
+        let p = radix::RadixParams::test(8);
+        let r = radix::radix(ctx, &p);
+        assert!(r.sorted, "RADIX output not sorted");
+        assert_eq!(r.key_sum, radix::expected_key_sum(&p));
+    });
+    assert_eq!(radix, golden_radix(), "RADIX diverged from the oracle");
 }
 
 fn golden_radix() -> Splash {
@@ -267,73 +242,29 @@ fn golden_fft() -> Splash {
 }
 
 /// `(end_ns, Chrome-export digest, snapshot digest, wire faults, retries,
-/// recoveries, crashes)` of the chaos replay on the sequential oracle.
+/// recoveries, crashes)` of the chaos replay on the OS-thread engine.
 const CHAOS_GOLDEN: (u64, u64, u64, u64, u64, u64, u64) =
     (7262765921, 8305716914733192344, 8629365771862502697, 111, 2, 1, 1);
 
 /// A chaos-injected FFT (lossy wire + mid-run node crash) replays the
-/// sequential oracle's run under every backend: same virtual end time,
-/// same Chrome trace, same injected-fault counters.
+/// OS-thread engine's run: same virtual end time, same Chrome trace, same
+/// injected-fault counters.
 #[test]
 fn chaos_replay_identical_across_modes() {
-    let plan = || {
-        FaultPlan::new()
-            .wire(WireFaults {
-                drop_p: 0.05,
-                dup_p: 0.03,
-                jitter_ns: 2_000,
-                ..WireFaults::default()
-            })
-            .crash(2, 40_000_000)
-    };
-    let run = |mode: EngineMode| {
-        let cluster = small_cluster(4, 2, mode);
-        cluster.set_chaos(ChaosEngine::new(7, plan()));
-        let sys = M4System::cables(Arc::clone(&cluster));
-        sys.svm().set_obs(true);
-        let end = sys
-            .run(|ctx| {
-                let p = fft::FftParams {
-                    m: 8,
-                    nprocs: 8,
-                    verify: false,
-                };
-                fft::fft(ctx, &p);
-            })
-            .expect("chaos fft run");
-        let svm = sys.svm();
-        let sink = svm.obs();
-        let stats = cluster.chaos().expect("chaos attached").stats();
-        (
-            end.as_nanos(),
-            fnv(&chrome::export(&sink.events())),
-            fnv(&sink.snapshot().to_json()),
-            stats.wire_faults,
-            stats.retries,
-            stats.recoveries,
-            stats.crashes,
-        )
-    };
-    assert!(CHAOS_GOLDEN.3 > 0, "plan injected no wire faults");
-    assert_eq!(CHAOS_GOLDEN.6, 1, "the planned crash never fired");
-    for mode in MODES {
-        let o = run(mode);
-        show("chaos", &o);
-        assert_eq!(o, CHAOS_GOLDEN, "{mode}: chaos replay diverged");
-    }
-}
-
-/// Deadlock freedom under node crash: crashing a node mid-run on the
-/// parallel backend must neither hang nor trip the deterministic audits —
-/// the survivors run to completion through the barrier recovery path,
-/// exactly as on the sequential backend.
-#[test]
-fn node_crash_is_deadlock_free_on_parallel_backend() {
-    // Calibrate the crash to mid-run so worker threads are actually live.
-    let clean = {
-        let cluster = small_cluster(4, 2, EngineMode::Parallel);
-        let sys = M4System::cables(Arc::clone(&cluster));
-        sys.run(|ctx| {
+    let plan = FaultPlan::new()
+        .wire(WireFaults {
+            drop_p: 0.05,
+            dup_p: 0.03,
+            jitter_ns: 2_000,
+            ..WireFaults::default()
+        })
+        .crash(2, 40_000_000);
+    let cluster = small_cluster(4, 2);
+    cluster.set_chaos(ChaosEngine::new(7, plan));
+    let sys = M4System::cables(Arc::clone(&cluster));
+    sys.svm().set_obs(true);
+    let end = sys
+        .run(|ctx| {
             let p = fft::FftParams {
                 m: 8,
                 nprocs: 8,
@@ -341,28 +272,52 @@ fn node_crash_is_deadlock_free_on_parallel_backend() {
             };
             fft::fft(ctx, &p);
         })
-        .expect("clean run")
-        .as_nanos()
+        .expect("chaos fft run");
+    let svm = sys.svm();
+    let sink = svm.obs();
+    let stats = cluster.chaos().expect("chaos attached").stats();
+    let o = (
+        end.as_nanos(),
+        fnv(&chrome::export(&sink.events())),
+        fnv(&sink.snapshot().to_json()),
+        stats.wire_faults,
+        stats.retries,
+        stats.recoveries,
+        stats.crashes,
+    );
+    show("chaos", &o);
+    assert!(CHAOS_GOLDEN.3 > 0, "plan injected no wire faults");
+    assert_eq!(CHAOS_GOLDEN.6, 1, "the planned crash never fired");
+    assert_eq!(o, CHAOS_GOLDEN, "chaos replay diverged");
+}
+
+/// Deadlock freedom under node crash: crashing a node mid-run must
+/// neither hang nor trip the debug-build determinism audits — the
+/// survivors run to completion through the barrier recovery path.
+#[test]
+fn node_crash_is_deadlock_free_on_parallel_backend() {
+    let fft = |ctx: &cables_suite::apps::M4Ctx| {
+        let p = fft::FftParams {
+            m: 8,
+            nprocs: 8,
+            verify: false,
+        };
+        fft::fft(ctx, &p);
     };
-    for mode in [EngineMode::Parallel, EngineMode::ParallelDeterministic] {
-        let cluster = small_cluster(4, 2, mode);
-        cluster.set_chaos(ChaosEngine::new(11, FaultPlan::new().crash(2, clean / 3)));
-        let sys = M4System::cables(Arc::clone(&cluster));
-        let end = sys
-            .run(|ctx| {
-                let p = fft::FftParams {
-                    m: 8,
-                    nprocs: 8,
-                    verify: false,
-                };
-                fft::fft(ctx, &p);
-            })
-            .expect("crashed run must still complete");
-        assert!(end.as_nanos() > 0, "{mode}: crashed run did not complete");
-        let stats = cluster.chaos().expect("chaos attached").stats();
-        assert_eq!(stats.crashes, 1, "{mode}: the planned crash never fired");
-        assert!(stats.recoveries >= 1, "{mode}: no recovery was recorded");
-    }
+    // Calibrate the crash to mid-run so worker threads are actually live.
+    let clean = M4System::cables(small_cluster(4, 2))
+        .run(fft)
+        .expect("clean run")
+        .as_nanos();
+    let cluster = small_cluster(4, 2);
+    cluster.set_chaos(ChaosEngine::new(11, FaultPlan::new().crash(2, clean / 3)));
+    let end = M4System::cables(Arc::clone(&cluster))
+        .run(fft)
+        .expect("crashed run must still complete");
+    assert!(end.as_nanos() > 0, "crashed run did not complete");
+    let stats = cluster.chaos().expect("chaos attached").stats();
+    assert_eq!(stats.crashes, 1, "the planned crash never fired");
+    assert!(stats.recoveries >= 1, "no recovery was recorded");
 }
 
 /// The lookahead window wired from the SAN config is pure telemetry: it
@@ -370,7 +325,7 @@ fn node_crash_is_deadlock_free_on_parallel_backend() {
 #[test]
 fn lookahead_window_is_telemetry_only() {
     let run = |lookahead: Option<u64>| {
-        let cluster = small_cluster(4, 2, EngineMode::Parallel);
+        let cluster = small_cluster(4, 2);
         cluster.engine.set_lookahead(lookahead);
         let sys = M4System::cables(Arc::clone(&cluster));
         let end = sys

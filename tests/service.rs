@@ -1,9 +1,7 @@
 //! Integration tests for the sharded KV service under generated
 //! traffic: full-stack runs (traffic schedule -> dispatcher/clients ->
-//! worker pools -> SVM store) that must behave identically under both
-//! engine backends — tier1 runs this file once per
-//! `CABLES_ENGINE_MODE`, so determinism here pins the service across
-//! the sequential oracle and the audited green-thread backend.
+//! worker pools -> SVM store) that must replay identically; `cargo test`
+//! is a debug build, so they run under the engine's determinism audits.
 
 use std::sync::{Arc, Mutex as StdMutex};
 
