@@ -42,14 +42,17 @@
 
 mod carrier;
 mod engine;
+mod kernel;
 mod rng;
+mod sim_handle;
 mod time;
 
-pub use engine::{
-    Engine, EngineStats, NodeId, SchedCause, SchedEvent, SchedEventKind, SchedHook, Scope, Sim,
-    SimError, Tid,
+pub use engine::Engine;
+pub use kernel::{
+    EngineStats, NodeId, SchedCause, SchedEvent, SchedEventKind, SchedHook, Scope, SimError, Tid,
 };
 pub use rng::DetRng;
+pub use sim_handle::Sim;
 pub use time::{dur, SimTime};
 
 #[cfg(test)]
