@@ -865,11 +865,21 @@ mod tests {
 
     /// A fresh runtime on `nodes` 2-way nodes, observability on.
     fn rt(nodes: usize, chaos: Option<FaultPlan>) -> StdArc<CablesRt> {
+        rt_with(nodes, chaos, CablesConfig::paper())
+    }
+
+    /// [`rt`] with every node attached before the run (a warm deployment).
+    fn warm_rt(nodes: usize) -> StdArc<CablesRt> {
+        let cfg = CablesConfig { pre_attach: nodes, ..CablesConfig::paper() };
+        rt_with(nodes, None, cfg)
+    }
+
+    fn rt_with(nodes: usize, chaos: Option<FaultPlan>, cfg: CablesConfig) -> StdArc<CablesRt> {
         let cluster = Cluster::build(ClusterConfig::small(nodes, 2));
         if let Some(plan) = chaos {
             cluster.set_chaos(ChaosEngine::new(0xFACE, plan));
         }
-        let rt = CablesRt::new(cluster, CablesConfig::paper());
+        let rt = CablesRt::new(cluster, cfg);
         rt.svm().set_obs(true);
         rt
     }
@@ -924,6 +934,30 @@ mod tests {
         let (_, o) = run(4, &sched, ServiceParams::test());
         assert_eq!(o.served, 100);
         assert_eq!(o.retries, 0);
+    }
+
+    /// Response digests of the two conflict-free schedules below, taken
+    /// while pools were placed round-robin and all responses shared one
+    /// table. Where threads run and where response slots live moves
+    /// *when* a request is answered, never *what* it answers.
+    const OPEN_DIGEST: u64 = 0xc3e6_78e8_950b_c345;
+    const CLOSED_DIGEST: u64 = 0x514a_dc1d_5499_ad45;
+
+    #[test]
+    fn responses_are_pinned_across_node_counts_and_attach_modes() {
+        let open = schedule(&TrafficConfig::uniform(21, 160, 256, 20_000)).conflict_free();
+        let closed = schedule(&TrafficConfig::zipfian(22, 160, 256, 1_000_000).closed_loop(4, 2_000))
+            .conflict_free();
+        for nodes in [2, 4] {
+            for warm in [false, true] {
+                let fresh = || if warm { warm_rt(nodes) } else { rt(nodes, None) };
+                let (_, o) = run_on(&fresh(), &open, ServiceParams::test());
+                let (_, c) = run_on(&fresh(), &closed, ServiceParams::test());
+                assert_eq!((o.served, c.served), (160, 160), "{nodes} nodes, warm {warm}");
+                assert_eq!(o.digest, OPEN_DIGEST, "open loop, {nodes} nodes, warm {warm}");
+                assert_eq!(c.digest, CLOSED_DIGEST, "closed loop, {nodes} nodes, warm {warm}");
+            }
+        }
     }
 
     #[test]
