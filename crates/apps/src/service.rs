@@ -3,11 +3,17 @@
 //!
 //! Unlike the SPLASH kernels (start, barrier, exit), this is a
 //! request-driven long-runner: keys map round-robin to per-shard store
-//! regions in `global_malloc`'d memory (each region first-touched by its
-//! own shard's workers, so first-touch placement homes shards across the
-//! cluster), per-shard pthread worker pools drain per-shard ring-buffer
-//! request queues, and every bucket access happens under a fine-grained
-//! bucket mutex — the access pattern lock-data forwarding exists for.
+//! regions in `global_malloc`'d memory, per-shard pthread worker pools
+//! drain per-shard ring-buffer request queues, and every bucket access
+//! happens under a fine-grained bucket mutex — the access pattern
+//! lock-data forwarding exists for.
+//!
+//! The service is *shard-affine*: a shard's whole pool runs on one node
+//! (worker 0 where the placement policy puts it, the others
+//! [`Pth::create_beside`] it), and each shard's responses live on pages
+//! no other shard writes. A shard's queue and bucket locks, its store
+//! pages and its response pages are then one node's business; only the
+//! dispatcher's enqueue crosses nodes.
 //!
 //! Two drivers (mirroring [`traffic::Driver`]):
 //!
@@ -53,7 +59,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cables::{Cond, Mutex, Pth};
-use memsim::GAddr;
+use memsim::{GAddr, PAGE_SIZE};
 use obs::{Event, Layer, ServiceOp};
 use sim::SimTime;
 use traffic::{Driver, OpKind, Request, Schedule};
@@ -72,7 +78,7 @@ const Q_HEAD: u64 = 0;
 const Q_TAIL: u64 = 8;
 /// Requests completed by the shard's workers (the drain's progress
 /// signal; a crash can lose one unflushed count per dead worker, so the
-/// final tally comes from the response table instead).
+/// final tally comes from the response arrays instead).
 const Q_SERVED: u64 = 16;
 /// Producers blocked on `not_full`.
 const Q_FULL_WAITERS: u64 = 24;
@@ -217,8 +223,11 @@ struct Plan {
     keys: u64,
     val_words: u32,
     shards: Vec<Shard>,
-    /// Response region: `requests * 2` words (`[done, value]` each).
-    resp: GAddr,
+    /// Each request's response slot (`[done, value]`, two words), by
+    /// request id. The slots form per-shard arrays, each starting on a
+    /// page of its own: a response page is written by one pool only, so
+    /// one pool's write notices never invalidate another pool's copy.
+    resp: Vec<GAddr>,
     requests: Arc<Vec<Request>>,
     /// Per-client response mutex/cond (closed loop only).
     client_m: Vec<Mutex>,
@@ -251,7 +260,7 @@ impl Plan {
     }
 
     fn resp_addr(&self, id: u32) -> GAddr {
-        self.resp + id as u64 * 16
+        self.resp[id as usize]
     }
 
     /// A request's scheduled arrival on the simulation clock (open loop):
@@ -489,6 +498,19 @@ fn enqueue(p: &Pth, s: &Shard, items: &[u64], timeout_ns: u64, attempts: u32) ->
     sent
 }
 
+/// The open-loop dispatcher's reap: direct-serves every still-unanswered
+/// request of the shards `of` selects and returns how many it served.
+fn reap(p: &Pth, plan: &Plan, of: impl Fn(u32) -> bool) -> u64 {
+    let mut served = 0;
+    for r in plan.requests.iter().filter(|r| of(plan.shard_of(r.key))) {
+        if serve_direct(p, plan, r) {
+            emit_span(p, plan, r, plan.arrival_at(r));
+            served += 1;
+        }
+    }
+    served
+}
+
 /// Runs the service for `sched` on the current CableS runtime and
 /// returns the outcome. Must be called from the runtime's main thread
 /// (it creates and joins every worker/client).
@@ -528,9 +550,36 @@ pub fn run_service(pth: &Pth, sched: &Schedule, params: ServiceParams) -> Servic
                 .collect(),
         });
     }
-    let resp = pth.malloc(nreq as u64 * 16);
-    for id in 0..nreq as u64 {
-        pth.write::<u64>(resp + id * 16, 0);
+    // Response arrays: one allocation, each shard's array padded to whole
+    // pages, a request's slot its rank among the schedule's requests for
+    // its shard; zeroed — hence homed — here on the master, the one node
+    // a crash never takes.
+    let mut per_shard = vec![0u64; params.shards as usize];
+    let ranked: Vec<(usize, u64)> = sched
+        .requests
+        .iter()
+        .map(|r| {
+            let sh = (r.key % params.shards as u64) as usize;
+            per_shard[sh] += 1;
+            (sh, per_shard[sh] - 1)
+        })
+        .collect();
+    let mut resp_bytes = 0;
+    let array_off: Vec<u64> = per_shard
+        .iter()
+        .map(|&n| {
+            let off = resp_bytes;
+            resp_bytes += (n * 16).next_multiple_of(PAGE_SIZE);
+            off
+        })
+        .collect();
+    let resp_base = pth.malloc(resp_bytes);
+    let resp: Vec<GAddr> = ranked
+        .iter()
+        .map(|&(sh, rank)| resp_base + array_off[sh] + rank * 16)
+        .collect();
+    for &slot in &resp {
+        pth.write::<u64>(slot, 0);
     }
     // Adaptation region, allocated last so the fixed-pool layout (and
     // every address above) is untouched when adaptation is off.
@@ -571,9 +620,13 @@ pub fn run_service(pth: &Pth, sched: &Schedule, params: ServiceParams) -> Servic
     let open_loop = matches!(cfg.driver, Driver::OpenLoop);
     let mut workers = Vec::with_capacity(total_workers as usize);
     for sh in 0..params.shards {
+        // The placement policy picks worker 0's node; the rest of the pool
+        // starts beside it, so queue and bucket locks, store pages and the
+        // shard's response pages all stay on one node.
+        let mut first = None;
         for w in 0..pool_size {
             let plan = Arc::clone(&plan);
-            workers.push(pth.create(move |p| {
+            let body = move |p: &Pth| {
                 let s = &plan.shards[sh as usize];
                 if w == 0 {
                     // First touch: worker 0 claims the shard's store
@@ -610,7 +663,13 @@ pub fn run_service(pth: &Pth, sched: &Schedule, params: ServiceParams) -> Servic
                     completed = 1;
                 }
                 0
-            }));
+            };
+            let ct = match first {
+                None => pth.create(body),
+                Some(sibling) => pth.create_beside(sibling, body),
+            };
+            first.get_or_insert(ct);
+            workers.push(ct);
         }
     }
     pth.barrier(ready, total_workers as usize + 1);
@@ -632,6 +691,11 @@ pub fn run_service(pth: &Pth, sched: &Schedule, params: ServiceParams) -> Servic
             // ever enqueued (what the drain waits for).
             let mut due_items: Vec<Vec<u64>> = vec![Vec::new(); plan.shards.len()];
             let mut enqueued = vec![0u64; plan.shards.len()];
+            // Shards whose queue once stayed full for a whole enqueue: a
+            // node crash takes a shard's whole pool, so detection is paid
+            // once — later requests are served from here, and the drain
+            // does not wait for the dead.
+            let mut dead = vec![false; plan.shards.len()];
             let mut next = 0;
             while next < reqs.len() {
                 let now = pth.sim.now().as_nanos();
@@ -669,7 +733,12 @@ pub fn run_service(pth: &Pth, sched: &Schedule, params: ServiceParams) -> Servic
                     if items.is_empty() {
                         continue;
                     }
-                    let sent = enqueue(pth, &plan.shards[sh], items, params.timeout_ns, 4);
+                    let sent = if dead[sh] {
+                        0
+                    } else {
+                        enqueue(pth, &plan.shards[sh], items, params.timeout_ns, 4)
+                    };
+                    dead[sh] |= sent < items.len();
                     enqueued[sh] += sent as u64;
                     // Shard queue dead (crashed pool): serve from here.
                     for &id in &items[sent..] {
@@ -683,7 +752,13 @@ pub fn run_service(pth: &Pth, sched: &Schedule, params: ServiceParams) -> Servic
                 }
             }
             // ---- Drain: wait for the pools, reap if progress stalls ----
-            'drain: for (s, &want) in plan.shards.iter().zip(&enqueued) {
+            // What a dead pool left in its ring is reaped at once; the
+            // other pools are still busy, so only its own requests.
+            direct_served += reap(pth, &plan, |sh| dead[sh as usize]);
+            'drain: for (sh, (s, &want)) in plan.shards.iter().zip(&enqueued).enumerate() {
+                if dead[sh] {
+                    continue;
+                }
                 // The served counter is read under the queue mutex: the
                 // lock acquire is what makes the workers' increments
                 // (released at their unlocks) visible here — an unlocked
@@ -710,13 +785,10 @@ pub fn run_service(pth: &Pth, sched: &Schedule, params: ServiceParams) -> Servic
                     // not slow.
                     if stalled >= 8 {
                         pth.mutex_unlock(s.q_m);
-                        // Reap every unanswered request right here.
-                        for r in reqs.iter() {
-                            if serve_direct(pth, &plan, r) {
-                                emit_span(pth, &plan, r, plan.arrival_at(r));
-                                direct_served += 1;
-                            }
-                        }
+                        // Reap every unanswered request right here: the
+                        // shards drained before this one are done, and any
+                        // other still short after these windows is dead too.
+                        direct_served += reap(pth, &plan, |_| true);
                         break 'drain;
                     }
                 }
@@ -817,8 +889,8 @@ pub fn run_service(pth: &Pth, sched: &Schedule, params: ServiceParams) -> Servic
         let _ = pth.join(w);
     }
 
-    // ---- Digest over the response table ----
-    // The table is also the tally: a crashed worker's counts die with it
+    // ---- Digest over the response arrays, in request-id order ----
+    // The arrays are also the tally: a crashed worker's counts die with it
     // (its last one possibly unflushed), but every published response
     // survives in SVM.
     let mut answered = 0u64;
@@ -946,8 +1018,9 @@ mod tests {
     #[test]
     fn responses_are_pinned_across_node_counts_and_attach_modes() {
         let open = schedule(&TrafficConfig::uniform(21, 160, 256, 20_000)).conflict_free();
-        let closed = schedule(&TrafficConfig::zipfian(22, 160, 256, 1_000_000).closed_loop(4, 2_000))
-            .conflict_free();
+        let closed =
+            schedule(&TrafficConfig::zipfian(22, 160, 256, 1_000_000).closed_loop(4, 2_000))
+                .conflict_free();
         for nodes in [2, 4] {
             for warm in [false, true] {
                 let fresh = || if warm { warm_rt(nodes) } else { rt(nodes, None) };
@@ -958,6 +1031,84 @@ mod tests {
                 assert_eq!(c.digest, CLOSED_DIGEST, "closed loop, {nodes} nodes, warm {warm}");
             }
         }
+    }
+
+    /// The node each worker was created on, pool by pool (workers are the
+    /// run's first creates, shard-major).
+    fn pool_nodes(rt: &CablesRt, params: ServiceParams) -> Vec<Vec<u32>> {
+        let on: Vec<u32> = rt
+            .svm()
+            .obs()
+            .events()
+            .iter()
+            .filter_map(|e| match e.event {
+                Event::ThreadCreate { on, .. } => Some(on),
+                _ => None,
+            })
+            .take((params.shards * params.workers_per_shard) as usize)
+            .collect();
+        on.chunks(params.workers_per_shard as usize).map(<[u32]>::to_vec).collect()
+    }
+
+    #[test]
+    fn each_pool_runs_on_one_node() {
+        let sched = schedule(&TrafficConfig::uniform(5, 40, 64, 2_000_000));
+        for (nodes, want) in [(2, [0, 1, 0, 1]), (4, [0, 1, 2, 3])] {
+            for warm in [false, true] {
+                let rt = if warm { warm_rt(nodes) } else { rt(nodes, None) };
+                let (_, o) = run_on(&rt, &sched, ServiceParams::test());
+                assert_eq!(o.served, 40);
+                let want: Vec<Vec<u32>> = want.iter().map(|&n| vec![n; 2]).collect();
+                let got = pool_nodes(&rt, ServiceParams::test());
+                assert_eq!(got, want, "{nodes} nodes, warm {warm}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_response_page_has_one_writer_node_and_fetches_stay_rare() {
+        // The benchmark's open-loop shape (4 nodes, 4096 keys, 4000 rps).
+        // With each pool on one node and each shard's responses on pages
+        // of their own, a request costs under one remote page fetch
+        // (round-robin pools sharing one response table paid 1.9).
+        let n = 2_000u32;
+        let rt = rt(4, None);
+        let sched = schedule(&TrafficConfig::uniform(11, n, 4_096, 4_000));
+        let (_, o) = run_on(&rt, &sched, ServiceParams::test());
+        assert_eq!(o.served, u64::from(n));
+        let per_req = rt.svm().total_stats().remote_fetches as f64 / f64::from(n);
+        assert!(per_req <= 1.0, "{per_req} remote fetches per request");
+
+        // The responses are the last allocation before the pools start
+        // (adaptation is off); the main thread's zeroing faults come
+        // before the first create, the workers' publishes after it.
+        let events = rt.svm().obs().events();
+        let first_create = events
+            .iter()
+            .position(|e| matches!(e.event, Event::ThreadCreate { .. }))
+            .expect("worker creates");
+        let (base, bytes) = events[..first_create]
+            .iter()
+            .rev()
+            .find_map(|e| match e.event {
+                Event::GlobalAlloc { base, bytes } => Some((base, bytes)),
+                _ => None,
+            })
+            .expect("response allocation");
+        let pages = GAddr::new(base).page().index()..=GAddr::new(base + bytes - 1).page().index();
+        let mut writers = std::collections::BTreeMap::<u64, BTreeSet<u32>>::new();
+        for e in &events {
+            match e.event {
+                Event::Fault { page, write: true }
+                    if e.at >= events[first_create].at && pages.contains(&page) =>
+                {
+                    writers.entry(page).or_default().insert(e.node.0);
+                }
+                _ => {}
+            }
+        }
+        assert!(writers.len() >= 4, "one page per shard at least: {writers:?}");
+        assert!(writers.values().all(|nodes| nodes.len() == 1), "{writers:?}");
     }
 
     #[test]
@@ -1082,9 +1233,12 @@ mod tests {
         // A worker that dies between publishing a response and its next
         // dequeue takes its unflushed completion count with it. Whether
         // the response itself survives depends on which side of a release
-        // the crash lands (the node's other worker may have flushed the
-        // page); the tally is derived from the response table, so it is
-        // exact either way.
+        // the crash lands: one nanosecond after the publish it is still
+        // unflushed and gets reaped; once the pool-mate — same node, same
+        // dirty page — has gone to sleep on the empty queue, its
+        // `cond_wait`'s unlock has flushed the response home and only the
+        // count is lost. The tally is derived from the response arrays,
+        // so it is exact either way.
         let sched = schedule(&TrafficConfig::uniform(5, 120, 128, 2_000_000));
         let clean_rt = rt(4, None);
         let (_, clean) = run_on(&clean_rt, &sched, ServiceParams::test());
@@ -1094,12 +1248,30 @@ mod tests {
             .filter(|e| e.node.0 != 0)
             .collect();
         assert!(publishes.len() >= 40, "workers off the master served requests");
+        let mut instants: Vec<(u32, u64)> =
+            publishes.iter().step_by(3).map(|e| (e.node.0, end_ns(e) + 1)).collect();
+        // Off the master only workers wait on a cond, and only on
+        // `not_empty`: the instant after each such wait's release.
+        let events = clean_rt.svm().obs().events();
+        let waits = events
+            .iter()
+            .filter(|e| e.node.0 != 0 && matches!(e.event, Event::PthCondWait { .. }));
+        for w in waits {
+            let release = events
+                .iter()
+                .find(|r| {
+                    r.track == w.track
+                        && r.at >= w.at
+                        && matches!(r.event, Event::ReleaseSpan { .. })
+                })
+                .expect("a cond_wait releases its mutex");
+            instants.push((w.node.0, end_ns(release) + 1));
+        }
         let mut count_lost_response_kept = 0;
-        for e in publishes.iter().step_by(3) {
-            let at = end_ns(e) + 1;
-            let plan = FaultPlan::new().crash(e.node.0, at);
+        for (node, at) in instants {
+            let plan = FaultPlan::new().crash(node, at);
             let (_, o) = run_on(&rt(4, Some(plan)), &sched, ServiceParams::test());
-            assert_eq!(o.served + o.direct_served, 120, "crash of node {} at {at}", e.node.0);
+            assert_eq!(o.served + o.direct_served, 120, "crash of node {node} at {at}");
             // Nothing to reap, yet the drain sat out its eight stall
             // windows: a completion count died unflushed.
             let stalled = o.serve_ns >= 8 * ServiceParams::test().timeout_ns;

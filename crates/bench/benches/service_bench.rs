@@ -43,11 +43,16 @@ const CRASH_NODE: u32 = 2;
 
 struct CellOut {
     sim_ns: u64,
+    /// Where the serving window opened: the end of the pools' ready
+    /// barrier, the only barrier of the run.
+    serve_start_ns: u64,
     outcome: ServiceOutcome,
     /// Request-latency percentiles [p50, p95, p99] from the service hist.
     p: [u64; 3],
     /// Request spans recorded (must equal the request count fault-free).
     svc_count: u64,
+    /// The node each shard's pool runs on, in shard order.
+    pools: Vec<u32>,
     lock_forwards: u64,
     nodes_detached: u64,
     crashes: u64,
@@ -97,11 +102,42 @@ fn run_cell(
     } else {
         Vec::new()
     };
+    let events = sink.events();
+    let serve_start_ns = events
+        .iter()
+        .filter(|e| matches!(e.event, obs::Event::PthBarrierWait { .. }))
+        .map(|e| e.at.as_nanos() + e.dur_ns)
+        .max()
+        .expect("ready barrier");
+    // Placement guard: the workers are the run's first creates, pool by
+    // pool. A pool split across nodes turns every hand-off inside it into
+    // a remote lock transfer and costs a third of the capacity — fail
+    // here, not in a number nobody reads.
+    let created: Vec<u32> = events
+        .iter()
+        .filter_map(|e| match e.event {
+            obs::Event::ThreadCreate { on, .. } => Some(on),
+            _ => None,
+        })
+        .take((p.shards * p.workers_per_shard) as usize)
+        .collect();
+    let pools: Vec<u32> = created
+        .chunks(p.workers_per_shard as usize)
+        .map(|pool| {
+            assert!(
+                pool.iter().all(|&n| n == pool[0]),
+                "a shard's pool is split across nodes (creates landed on {created:?})"
+            );
+            pool[0]
+        })
+        .collect();
     let snap = sink.snapshot();
     let h = &snap.hists[Layer::Service.index()];
     CellOut {
         sim_ns: end.as_nanos(),
+        serve_start_ns,
         outcome,
+        pools,
         p: [h.percentile(50.0), h.percentile(95.0), h.percentile(99.0)],
         svc_count: h.count(),
         lock_forwards: svm.total_stats().lock_forwards,
@@ -117,6 +153,12 @@ fn run_cell(
 
 fn throughput_rps(requests: u32, serve_ns: u64) -> f64 {
     requests as f64 / (serve_ns.max(1) as f64 / 1e9)
+}
+
+/// `0|1|2|3`: the node of each shard's pool.
+fn pool_nodes(c: &CellOut) -> String {
+    let nodes: Vec<String> = c.pools.iter().map(u32::to_string).collect();
+    nodes.join("|")
 }
 
 fn cell_json(
@@ -171,7 +213,7 @@ fn main() {
     let mut first = true;
 
     println!(
-        "{:<10} {:<7} {:>5} {:>6} {:>12} {:>10} {:>10} {:>10}",
+        "{:<10} {:<7} {:>5} {:>6} {:>12} {:>10} {:>10} {:>10}  pool nodes",
         "pattern", "driver", "nodes", "reqs", "rps", "p50", "p95", "p99"
     );
     for &nodes in &node_counts {
@@ -191,7 +233,7 @@ fn main() {
                 "{name}@{nodes}: one request span per request"
             );
             println!(
-                "{:<10} {:<7} {:>5} {:>6} {:>12.0} {:>10} {:>10} {:>10}",
+                "{:<10} {:<7} {:>5} {:>6} {:>12.0} {:>10} {:>10} {:>10}  {}",
                 name,
                 "open",
                 nodes,
@@ -200,6 +242,7 @@ fn main() {
                 fmt_ns(c.p[0]),
                 fmt_ns(c.p[1]),
                 fmt_ns(c.p[2]),
+                pool_nodes(&c),
             );
             if !first {
                 artifact.push(',');
@@ -216,7 +259,7 @@ fn main() {
         assert_eq!(c.outcome.retries, 0);
         assert_eq!(c.svc_count as usize, closed.requests.len());
         println!(
-            "{:<10} {:<7} {:>5} {:>6} {:>12.0} {:>10} {:>10} {:>10}",
+            "{:<10} {:<7} {:>5} {:>6} {:>12.0} {:>10} {:>10} {:>10}  {}",
             "zipfian",
             "closed",
             4,
@@ -225,6 +268,7 @@ fn main() {
             fmt_ns(c.p[0]),
             fmt_ns(c.p[1]),
             fmt_ns(c.p[2]),
+            pool_nodes(&c),
         );
         artifact.push(',');
         let _ = write!(artifact, "\n    {}", cell_json("zipfian", "closed", 4, &closed, &c));
@@ -261,8 +305,7 @@ fn main() {
         rate,
     ));
     let reference = run_cell(&chaos_sched, 8, CablesConfig::paper(), None, None);
-    let serve_start = reference.sim_ns - reference.outcome.serve_ns;
-    let crash_at = serve_start + reference.outcome.serve_ns / 2;
+    let crash_at = reference.serve_start_ns + reference.outcome.serve_ns / 2;
     let sample_ns = (reference.outcome.serve_ns / 16).max(1);
     let plan = FaultPlan::new().crash(CRASH_NODE, crash_at);
     let c = run_cell(

@@ -5,8 +5,9 @@
 //! cluster, with
 //!
 //! - **dynamic thread management** — `pthread_create`/`join`/`cancel` at
-//!   any time; threads placed round-robin, new cluster nodes attached on
-//!   demand and detached when empty (paper §2.2);
+//!   any time; threads placed round-robin (or, an extension, beside a
+//!   named sibling: [`Pth::create_beside`]), new cluster nodes attached
+//!   on demand and detached when empty (paper §2.2);
 //! - **dynamic memory management** — `global_malloc`/`global_free`
 //!   anywhere in the program, first-touch home placement (bound by the
 //!   WindowsNT 64 KB mapping granularity), double virtual mapping so all

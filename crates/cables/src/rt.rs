@@ -58,7 +58,7 @@ pub(crate) struct ThreadRec {
     pub sim_tid: Tid,
     pub phase: Phase,
     pub exit_time: SimTime,
-    /// Node the thread ran on (authoritative once `phase` is `Finished`).
+    /// Node the thread runs on, or ran on once `phase` is `Finished`.
     pub exit_node: NodeId,
     pub cancel_requested: bool,
 }
@@ -260,6 +260,23 @@ pub(crate) struct RtState {
     pub monitor: Option<Tid>,
     /// Tells the monitor to exit at its next wakeup (set at teardown).
     pub monitor_stop: bool,
+}
+
+impl RtState {
+    /// Removes `tid` from every cond, join, pool and rwlock wait queue;
+    /// true when it sat in one.
+    fn purge_waiter(&mut self, tid: Tid) -> bool {
+        let untagged = self
+            .conds
+            .values_mut()
+            .chain(self.joiners.values_mut())
+            .chain(self.pool_idle.values_mut());
+        let mut found = untagged.fold(false, |found, q| q.purge(tid) | found);
+        for r in self.rwlocks.values_mut() {
+            found |= r.waiters.purge(tid);
+        }
+        found
+    }
 }
 
 /// The CableS runtime (one per application).
@@ -571,16 +588,7 @@ impl CablesRt {
             let was_waiting_svm = self.svm().crash_purge_waiter(tid);
             let (was_waiting_rt, joiners) = {
                 let mut st = self.state.lock();
-                let st = &mut *st;
-                let untagged = st
-                    .conds
-                    .values_mut()
-                    .chain(st.joiners.values_mut())
-                    .chain(st.pool_idle.values_mut());
-                let mut found = untagged.fold(false, |found, q| q.purge(tid) | found);
-                for r in st.rwlocks.values_mut() {
-                    found |= r.waiters.purge(tid);
-                }
+                let found = st.purge_waiter(tid);
                 st.pool_jobs.remove(&tid.0);
                 let rec = st.threads.get_mut(&ct).expect("crashed thread registered");
                 rec.phase = Phase::Finished(CRASHED_RET);
@@ -682,6 +690,11 @@ impl CablesRt {
         // reaching this checkpoint, and nothing else will ever release
         // them (the recovery hand-off only saw holders at crash time).
         let dead = [sim.tid()];
+        // It can die queued but not parked: a `cond_wait` registers, then
+        // unlocks its mutex, and that unlock is a crash checkpoint. When
+        // recovery retired it before it registered, nobody else will drop
+        // the entry, and the next signal would wake an exited thread.
+        self.state.lock().purge_waiter(sim.tid());
         self.svm().crash_handoff_locks(sim, &dead, sim.node());
         self.crash_handoff_rwlocks(sim, &dead);
         if self.retire_self(sim, ct, CRASHED_RET).is_some() {
@@ -799,8 +812,15 @@ impl CablesRt {
     /// [`CablesConfig::affinity_placement`] the round-robin pick is
     /// replaced by the eligible node that has served the most demand
     /// fetches as a home (ties resolve in round-robin order, so a cold
-    /// cluster degenerates to the paper's policy).
-    fn place_thread(&self, sim: &Sim) -> NodeId {
+    /// cluster degenerates to the paper's policy). A `prefer`red node —
+    /// the caller vouches that a thread runs there, so it is attached —
+    /// is taken as is unless it has crashed: over capacity if need be, and
+    /// without moving the round-robin cursor, so the picks around it are
+    /// what they would have been.
+    fn place_thread(&self, sim: &Sim, prefer: Option<NodeId>) -> NodeId {
+        if let Some(node) = prefer.filter(|n| !self.node_crashed(sim, *n)) {
+            return node;
+        }
         let cap = if self.cfg.max_threads_per_node == 0 {
             self.cluster().cpus_per_node()
         } else {
@@ -924,11 +944,33 @@ impl CablesRt {
     where
         F: FnOnce(&Pth) -> u64 + Send + 'static,
     {
+        self.thread_create_near(sim, None, f)
+    }
+
+    /// [`CablesRt::thread_create`] with a placement hint: the new thread
+    /// starts on the node where `near` is running. When `near` has
+    /// finished (a node detaches or is recovered only once nothing runs on
+    /// it) or its node has just crashed, the hint is void and the
+    /// placement policy picks as for a plain create.
+    pub(crate) fn thread_create_near<F>(
+        self: &Arc<Self>,
+        sim: &Sim,
+        near: Option<CtId>,
+        f: F,
+    ) -> CtId
+    where
+        F: FnOnce(&Pth) -> u64 + Send + 'static,
+    {
         // pthread_create is a release point: the new thread observes the
         // creator's writes.
         let t0 = sim.now();
         self.svm().release(sim);
-        let target = self.place_thread(sim);
+        let prefer = near.and_then(|ct| {
+            let st = self.state.lock();
+            let rec = st.threads.get(&ct.0).expect("create beside an unknown thread");
+            (rec.phase == Phase::Running).then_some(rec.exit_node)
+        });
+        let target = self.place_thread(sim, prefer);
         if self.cfg.thread_pool {
             let idle = {
                 let mut st = self.state.lock();
@@ -1247,6 +1289,21 @@ impl Pth<'_> {
         self.timed(OpKind::Create, |rt, sim| rt.thread_create(sim, f))
     }
 
+    /// Creates a thread on the node where `sibling` runs — threads that
+    /// share data belong together — even when that node is already full.
+    /// Falls back to [`Pth::create`]'s placement when `sibling` has
+    /// finished or its node is gone (crashed or detached).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sibling` was never created.
+    pub fn create_beside<F>(&self, sibling: CtId, f: F) -> CtId
+    where
+        F: FnOnce(&Pth) -> u64 + Send + 'static,
+    {
+        self.timed(OpKind::Create, |rt, sim| rt.thread_create_near(sim, Some(sibling), f))
+    }
+
     /// Joins a thread and returns its value (`pthread_join`).
     pub fn join(&self, ct: CtId) -> u64 {
         self.timed(OpKind::Join, |rt, sim| rt.join(sim, ct))
@@ -1561,5 +1618,208 @@ mod tests {
             0
         })
         .unwrap();
+    }
+
+    /// Runs `main` and returns what it returned plus the runtime's stats.
+    fn run_for<F>(rt: &Arc<CablesRt>, main: F) -> (u64, RtStats)
+    where
+        F: FnOnce(&Pth) -> u64 + Send + 'static,
+    {
+        let out = Arc::new(std::sync::Mutex::new(0));
+        let o2 = Arc::clone(&out);
+        rt.run(move |pth| {
+            *o2.lock().unwrap() = main(pth);
+            0
+        })
+        .unwrap();
+        let v = *out.lock().unwrap();
+        (v, rt.stats())
+    }
+
+    /// A body that outlives every attach of the test and returns its node.
+    fn resident(p: &Pth) -> u64 {
+        p.compute(sim::dur::secs(30));
+        u64::from(p.node().0)
+    }
+
+    #[test]
+    fn create_beside_lands_on_the_siblings_full_node() {
+        // Lazily attached and warm: the sibling's node takes the thread
+        // over capacity, and the plain creates around it pick what they
+        // would have picked anyway.
+        for pre_attach in [0, 3] {
+            let cluster = Cluster::build(ClusterConfig::small(3, 2));
+            let rt = CablesRt::new(cluster, CablesConfig { pre_attach, ..CablesConfig::paper() });
+            let (nodes, stats) = run_for(&rt, |pth| {
+                let a = pth.create(resident);
+                let b = pth.create(resident);
+                let c = pth.create_beside(b, resident);
+                let d = pth.create_beside(b, resident);
+                let e = pth.create(resident);
+                let per_node = || {
+                    let st = pth.rt().state.lock();
+                    [0, 1, 2].map(|n| st.threads_on[&n])
+                };
+                assert_eq!(per_node(), [2, 3, 1]);
+                let nodes = [a, b, c, d, e].map(|t| pth.join(t));
+                assert_eq!(per_node(), [1, 0, 0]);
+                nodes.iter().fold(0, |acc, n| acc * 10 + n)
+            });
+            assert_eq!(nodes, 1112, "pre_attach {pre_attach}");
+            assert_eq!((stats.local_creates, stats.remote_creates), (1, 4));
+            assert_eq!(stats.nodes_attached, if pre_attach == 0 { 2 } else { 0 });
+        }
+    }
+
+    #[test]
+    fn create_beside_reuses_the_siblings_idle_pooled_thread() {
+        let (node, stats) = run_for(&pooled_rt(2, 2), |pth| {
+            let filler = pth.create(resident);
+            let sibling = pth.create(resident);
+            // A first thread beside it is a fresh one; it then idles in
+            // the sibling's node's pool.
+            let first = pth.create_beside(sibling, |_| 0);
+            pth.join(first);
+            let before = pth.rt().stats();
+            let second = pth.create_beside(sibling, |p| u64::from(p.node().0));
+            let after = pth.rt().stats();
+            assert_eq!(after.pooled_dispatches, before.pooled_dispatches + 1);
+            assert_eq!(after.remote_creates, before.remote_creates);
+            let node = pth.join(second);
+            pth.join(sibling);
+            pth.join(filler);
+            node
+        });
+        assert_eq!(node, 1);
+        assert_eq!((stats.local_creates, stats.remote_creates, stats.pooled_dispatches), (1, 2, 1));
+    }
+
+    #[test]
+    fn a_void_hint_is_exactly_creates_pick() {
+        // The sibling finished; finished and its node detached; its node
+        // crashed. Each time `create_beside` must land where `create`
+        // lands, with the same runtime counters.
+        #[derive(Clone, Copy, Debug)]
+        enum Gone {
+            Finished,
+            Detached,
+            Crashed,
+        }
+        let pick = |gone: Gone, beside: bool| {
+            let cluster = Cluster::build(ClusterConfig::small(3, 2));
+            if matches!(gone, Gone::Crashed) {
+                let plan = chaos::FaultPlan::new().crash(1, sim::dur::secs(6));
+                cluster.set_chaos(ChaosEngine::new(7, plan));
+            }
+            let cfg = CablesConfig {
+                auto_detach: matches!(gone, Gone::Detached),
+                ..CablesConfig::paper()
+            };
+            run_for(&CablesRt::new(cluster, cfg), move |pth| {
+                let filler = pth.create(resident);
+                // Lands on node 1 (attached for it, ~3.7 s in).
+                let sibling = match gone {
+                    Gone::Crashed => pth.create(|p| {
+                        for _ in 0..1_000 {
+                            p.compute(10_000_000);
+                        }
+                        0
+                    }),
+                    _ => pth.create(|_| 0),
+                };
+                match gone {
+                    Gone::Crashed => pth.compute(sim::dur::secs(3)),
+                    _ => assert_eq!(pth.join(sibling), 0),
+                }
+                let node = |p: &Pth| u64::from(p.node().0);
+                let last = match beside {
+                    true => pth.create_beside(sibling, node),
+                    false => pth.create(node),
+                };
+                let landed = pth.join(last);
+                if matches!(gone, Gone::Crashed) {
+                    assert_eq!(pth.join(sibling), CRASHED_RET);
+                    assert_ne!(landed, 1, "placed on the dead node");
+                }
+                pth.join(filler);
+                landed
+            })
+        };
+        for gone in [Gone::Finished, Gone::Detached, Gone::Crashed] {
+            assert_eq!(pick(gone, true), pick(gone, false), "{gone:?}");
+        }
+    }
+
+    #[test]
+    fn a_hint_at_a_node_that_just_crashed_is_void() {
+        // The creator's clock can pass the crash before the monitor's
+        // recovery runs: the sibling still reads as running there.
+        let cluster = Cluster::build(ClusterConfig::small(3, 2));
+        let plan = chaos::FaultPlan::new().crash(1, sim::dur::secs(6));
+        cluster.set_chaos(ChaosEngine::new(7, plan));
+        run_for(&CablesRt::new(cluster, CablesConfig::paper()), |pth| {
+            let filler = pth.create(resident);
+            let sibling = pth.create(|p| {
+                for _ in 0..1_000 {
+                    p.compute(10_000_000);
+                }
+                0
+            });
+            // No ordering point in here, so no recovery yet.
+            pth.compute(sim::dur::secs(3));
+            let rt = pth.rt();
+            assert!(rt.node_crashed(pth.sim, NodeId(1)));
+            assert_eq!(rt.state.lock().threads[&sibling.0].phase, Phase::Running);
+            assert_eq!(rt.place_thread(pth.sim, Some(NodeId(1))), NodeId(2));
+            assert_eq!(pth.join(sibling), CRASHED_RET);
+            pth.join(filler)
+        });
+    }
+
+    #[test]
+    fn a_casualty_that_queues_after_recovery_leaves_no_waiter_behind() {
+        // A cond_wait entered one nanosecond before its node dies: its
+        // first charge carries the thread past the crash, recovery runs
+        // and finds it in no queue, then it registers on the cond and dies
+        // in the mutex unlock. The entry must die with it, or the signal
+        // below wakes an exited thread.
+        let scenario = |crash_at: Option<u64>| {
+            let cluster = Cluster::build(ClusterConfig::small(2, 2));
+            if let Some(at) = crash_at {
+                let plan = chaos::FaultPlan::new().crash(1, at);
+                cluster.set_chaos(ChaosEngine::new(7, plan));
+            }
+            let cfg = CablesConfig { pre_attach: 2, ..CablesConfig::paper() };
+            let rt = CablesRt::new(cluster, cfg);
+            rt.svm().set_obs(true);
+            let (ret, _) = run_for(&rt, |pth| {
+                let (m, cv) = (pth.rt().mutex_new(), pth.rt().cond_new());
+                let filler = pth.create(|p| {
+                    p.compute(20_000_000);
+                    0
+                });
+                let waiter = pth.create(move |p| {
+                    p.mutex_lock(m);
+                    p.cond_wait(cv, m).expect("not cancelled");
+                    p.mutex_unlock(m);
+                    0
+                });
+                pth.compute(10_000_000);
+                pth.mutex_lock(m);
+                pth.cond_signal(cv);
+                pth.mutex_unlock(m);
+                pth.join(filler);
+                pth.join(waiter)
+            });
+            let events = rt.svm().obs().events();
+            let wait = events
+                .iter()
+                .find(|e| e.node.0 == 1 && matches!(e.event, obs::Event::PthCondWait { .. }));
+            (ret, wait.map(|e| e.at.as_nanos()))
+        };
+        let (ret, wait_at) = scenario(None);
+        assert_eq!(ret, 0);
+        let wait_at = wait_at.expect("the waiter waited on node 1");
+        assert_eq!(scenario(Some(wait_at + 1)).0, CRASHED_RET);
     }
 }

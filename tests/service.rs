@@ -79,3 +79,24 @@ fn node_crash_mid_traffic_loses_no_requests() {
         "crashed run converges to the clean run's responses"
     );
 }
+
+#[test]
+fn whole_pool_crash_is_detected_once() {
+    // A shard's pool lives on one node, so a node crash takes the whole
+    // pool and its ring fills. The dispatcher waits out one enqueue (four
+    // timeout windows), remembers the shard as dead, serves the rest of
+    // its requests itself and reaps its ring at the drain without
+    // waiting. Enough requests after the crash to fill the ring: 800 at
+    // 20 000 rps, node 1 — shard 1's pool — dying a quarter in.
+    let sched = schedule(&TrafficConfig::uniform(13, 800, 1024, 20_000)).conflict_free();
+    let (end, clean) = run(4, &sched, None);
+    assert_eq!((clean.served, clean.direct_served), (800, 0));
+    let crash_at = end - clean.serve_ns + clean.serve_ns / 4;
+    let plan = FaultPlan::new().crash(1, crash_at);
+    let (_, out) = run(4, &sched, Some((0xFACE, plan)));
+    assert_eq!(out.served + out.direct_served, 800);
+    assert!(out.direct_served > 64, "only {} served directly", out.direct_served);
+    assert_eq!(out.digest, clean.digest, "crashed run converges to the clean run's responses");
+    let bound = clean.serve_ns + 9 * ServiceParams::test().timeout_ns;
+    assert!(out.serve_ns < bound, "serve_ns {} (clean {})", out.serve_ns, clean.serve_ns);
+}
