@@ -95,39 +95,6 @@ pub fn val_word(key: u64, i: u32) -> u64 {
     key.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ i as u64
 }
 
-/// Per-shard concurrency adaptation (the placement extension's service
-/// leg): worker pools are sized `max_workers` but only an *active*
-/// prefix dequeues; the open-loop dispatcher moves each shard's active
-/// target at `obs::series` window boundaries, shrinking every pool when
-/// lock/barrier stalls dominate the window's stall mix and growing a
-/// shard when its queue backlog exceeds its pool. Inert unless
-/// observability is on and a series is running (the stall-mix sensor is
-/// [`obs::ObsSink::series_last_window`]); response digests are identical
-/// either way — adaptation moves *when* requests are served, never what
-/// they return.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdaptParams {
-    /// Lower bound on a shard's active workers (≥ 1).
-    pub min_workers: u32,
-    /// Pool size actually spawned per shard; upper bound on active.
-    pub max_workers: u32,
-    /// Shrink when lock-ish stalls (mutex + barrier + rwlock) reach this
-    /// percentage of the last window's total stall time.
-    pub lock_stall_pct: u32,
-}
-
-impl AdaptParams {
-    /// Defaults around a static pool of `workers` per shard: may halve
-    /// or double it.
-    pub fn around(workers: u32) -> AdaptParams {
-        AdaptParams {
-            min_workers: (workers / 2).max(1),
-            max_workers: workers * 2,
-            lock_stall_pct: 40,
-        }
-    }
-}
-
 /// Service deployment parameters (the store's shape; the workload's
 /// shape lives in [`traffic::TrafficConfig`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,9 +111,6 @@ pub struct ServiceParams {
     pub proc_ns: u64,
     /// Response-wait window before a crash fallback fires, ns.
     pub timeout_ns: u64,
-    /// Per-shard concurrency adaptation; `None` (the default shape)
-    /// reproduces the fixed `workers_per_shard` pools exactly.
-    pub adapt: Option<AdaptParams>,
 }
 
 impl ServiceParams {
@@ -159,14 +123,7 @@ impl ServiceParams {
             queue_cap: 64,
             proc_ns: 500,
             timeout_ns: 20_000_000,
-            adapt: None,
         }
-    }
-
-    /// This deployment with adaptation around its static pool size.
-    pub fn with_adapt(mut self) -> ServiceParams {
-        self.adapt = Some(AdaptParams::around(self.workers_per_shard));
-        self
     }
 }
 
@@ -208,9 +165,6 @@ struct Shard {
     /// Signalled by the worker whose flush completes the shard's last
     /// enqueued request while `Q_DRAINING` is raised.
     drained: Cond,
-    /// Parked-worker cond (adaptation only; `None` keeps the fixed-pool
-    /// runtime state byte-for-byte as before).
-    park: Option<Cond>,
     /// Striped bucket locks.
     locks: Vec<Mutex>,
 }
@@ -232,10 +186,6 @@ struct Plan {
     /// Per-client response mutex/cond (closed loop only).
     client_m: Vec<Mutex>,
     client_c: Vec<Cond>,
-    /// Adaptation region: one `active` word per shard (shard `sh`'s
-    /// target at `base + sh*8`), read/written under that shard's queue
-    /// mutex. `None` when adaptation is off.
-    adapt_active: Option<GAddr>,
     /// Simulated ns the open-loop schedule's clock zero maps to (set
     /// after the ready barrier, before the first enqueue; host-side
     /// plumbing of a deterministic value, not shared service state).
@@ -374,12 +324,8 @@ fn bump(p: &Pth, word: GAddr, by: i64) -> u64 {
 /// caller's count of requests served since its last dequeue: it is folded
 /// into the shard's `served` counter here, at the top of the one critical
 /// section the worker needs anyway and before any wait, so a blocked
-/// worker never sits on an unflushed count. With adaptation (`active` =
-/// the shard's active-target address), worker `w` parks on the shard's
-/// park cond while `w >= active`: parked workers never wait on
-/// `not_empty`, so an enqueue signal always lands on a worker that will
-/// consume the item.
-fn dequeue(p: &Pth, s: &Shard, w: u32, active: Option<GAddr>, completed: i64) -> u64 {
+/// worker never sits on an unflushed count.
+fn dequeue(p: &Pth, s: &Shard, completed: i64) -> u64 {
     p.mutex_lock(s.q_m);
     if completed > 0 {
         let served = bump(p, s.queue + Q_SERVED, completed);
@@ -389,13 +335,6 @@ fn dequeue(p: &Pth, s: &Shard, w: u32, active: Option<GAddr>, completed: i64) ->
         }
     }
     loop {
-        if let Some(a) = active {
-            if u64::from(w) >= p.read::<u64>(a) {
-                p.cond_wait(s.park.expect("park cond with adaptation"), s.q_m)
-                    .expect("worker cancelled");
-                continue;
-            }
-        }
         if p.read::<u64>(s.queue + Q_HEAD) > p.read::<u64>(s.queue + Q_TAIL) {
             break;
         }
@@ -413,43 +352,6 @@ fn dequeue(p: &Pth, s: &Shard, w: u32, active: Option<GAddr>, completed: i64) ->
     }
     p.mutex_unlock(s.q_m);
     item
-}
-
-/// One adaptation step against the last cut series window's stall mix:
-/// lock-ish stalls dominating shrink every pool toward `min_workers`
-/// (contention — fewer workers fight over the bucket locks); otherwise
-/// any shard whose backlog exceeds its active pool grows toward
-/// `max_workers` (queueing — the pool is the bottleneck). Growth
-/// broadcasts the park cond so benched workers re-check their rank.
-fn adapt_adjust(p: &Pth, plan: &Plan, ad: &AdaptParams, stall: &[u64; obs::stall::BUCKETS]) {
-    use obs::stall::Bucket;
-    let base = plan.adapt_active.expect("adjust requires adaptation");
-    let total: u64 = stall.iter().sum();
-    if total == 0 {
-        return;
-    }
-    let lockish = stall[Bucket::MutexWait as usize]
-        + stall[Bucket::BarrierWait as usize]
-        + stall[Bucket::RwWait as usize];
-    let shrink = lockish * 100 >= u64::from(ad.lock_stall_pct) * total;
-    for (sh, s) in plan.shards.iter().enumerate() {
-        let a_addr = base + sh as u64 * 8;
-        p.mutex_lock(s.q_m);
-        let active = p.read::<u64>(a_addr);
-        if shrink {
-            if active > u64::from(ad.min_workers) {
-                p.write::<u64>(a_addr, active - 1);
-            }
-        } else {
-            let head = p.read::<u64>(s.queue + Q_HEAD);
-            let tail = p.read::<u64>(s.queue + Q_TAIL);
-            if head - tail > active && active < u64::from(ad.max_workers) {
-                p.write::<u64>(a_addr, active + 1);
-                p.cond_broadcast(s.park.expect("park cond with adaptation"));
-            }
-        }
-        p.mutex_unlock(s.q_m);
-    }
 }
 
 /// Enqueues `items` on `shard` in order under one queue-lock hold,
@@ -544,7 +446,6 @@ pub fn run_service(pth: &Pth, sched: &Schedule, params: ServiceParams) -> Servic
             not_empty: pth.rt().cond_new(),
             not_full: pth.rt().cond_new(),
             drained: pth.rt().cond_new(),
-            park: params.adapt.map(|_| pth.rt().cond_new()),
             locks: (0..params.locks_per_shard)
                 .map(|_| pth.rt().mutex_new())
                 .collect(),
@@ -581,19 +482,6 @@ pub fn run_service(pth: &Pth, sched: &Schedule, params: ServiceParams) -> Servic
     for &slot in &resp {
         pth.write::<u64>(slot, 0);
     }
-    // Adaptation region, allocated last so the fixed-pool layout (and
-    // every address above) is untouched when adaptation is off.
-    let adapt_active = params.adapt.map(|ad| {
-        let base = pth.malloc(params.shards as u64 * 8);
-        let init = params
-            .workers_per_shard
-            .clamp(ad.min_workers, ad.max_workers) as u64;
-        for sh in 0..params.shards as u64 {
-            pth.write::<u64>(base + sh * 8, init);
-        }
-        base
-    });
-
     let (clients, think_ns) = match cfg.driver {
         Driver::ClosedLoop { clients, think_ns } => (clients, think_ns),
         Driver::OpenLoop => (0, 0),
@@ -607,15 +495,11 @@ pub fn run_service(pth: &Pth, sched: &Schedule, params: ServiceParams) -> Servic
         requests: Arc::new(sched.requests.clone()),
         client_m: (0..clients).map(|_| pth.rt().mutex_new()).collect(),
         client_c: (0..clients).map(|_| pth.rt().cond_new()).collect(),
-        adapt_active,
         base_ns: AtomicU64::new(0),
     });
 
     // ---- Worker pools (per shard) ----
-    // With adaptation the pool is sized max_workers; ranks at or above
-    // the shard's active target park inside dequeue.
-    let pool_size = params.adapt.map_or(params.workers_per_shard, |ad| ad.max_workers);
-    let total_workers = params.shards * pool_size;
+    let total_workers = params.shards * params.workers_per_shard;
     let ready = pth.rt().barrier_new();
     let open_loop = matches!(cfg.driver, Driver::OpenLoop);
     let mut workers = Vec::with_capacity(total_workers as usize);
@@ -624,7 +508,7 @@ pub fn run_service(pth: &Pth, sched: &Schedule, params: ServiceParams) -> Servic
         // starts beside it, so queue and bucket locks, store pages and the
         // shard's response pages all stay on one node.
         let mut first = None;
-        for w in 0..pool_size {
+        for w in 0..params.workers_per_shard {
             let plan = Arc::clone(&plan);
             let body = move |p: &Pth| {
                 let s = &plan.shards[sh as usize];
@@ -636,10 +520,9 @@ pub fn run_service(pth: &Pth, sched: &Schedule, params: ServiceParams) -> Servic
                     }
                 }
                 p.barrier(ready, total_workers as usize + 1);
-                let active = plan.adapt_active.map(|b| b + sh as u64 * 8);
                 let mut completed = 0;
                 loop {
-                    let item = dequeue(p, s, w, active, completed);
+                    let item = dequeue(p, s, completed);
                     if item == POISON {
                         break;
                     }
@@ -686,7 +569,6 @@ pub fn run_service(pth: &Pth, sched: &Schedule, params: ServiceParams) -> Servic
             // requests they dequeued, i.e. after it was published.
             plan.base_ns.store(serve_t0.as_nanos(), Ordering::SeqCst);
             let reqs = &plan.requests;
-            let mut last_window_end = 0u64;
             // Per shard: this wake-up's due items, and how many were
             // ever enqueued (what the drain waits for).
             let mut due_items: Vec<Vec<u64>> = vec![Vec::new(); plan.shards.len()];
@@ -702,19 +584,6 @@ pub fn run_service(pth: &Pth, sched: &Schedule, params: ServiceParams) -> Servic
                 let due = plan.arrival_at(&reqs[next]);
                 if due > now {
                     pth.compute(due - now);
-                }
-                if let Some(ad) = params.adapt.as_ref() {
-                    // One adjustment per cut series window: the sensor
-                    // only reads already-cut state, so polling it every
-                    // wake-up never perturbs the series.
-                    if let Some((end_ns, stall)) =
-                        pth.rt().svm().obs().series_last_window()
-                    {
-                        if end_ns > last_window_end {
-                            last_window_end = end_ns;
-                            adapt_adjust(pth, &plan, ad, &stall);
-                        }
-                    }
                 }
                 // Group dispatch: everything already past its scheduled
                 // arrival goes in now, one queue-lock hold per shard.
@@ -870,16 +739,7 @@ pub fn run_service(pth: &Pth, sched: &Schedule, params: ServiceParams) -> Servic
     let serve_ns = pth.sim.now().saturating_since(serve_t0);
 
     // ---- Shutdown: poison every pool, join every worker ----
-    if let Some(base) = plan.adapt_active {
-        // Unpark everyone first: each worker must consume one poison.
-        for (sh, s) in plan.shards.iter().enumerate() {
-            pth.mutex_lock(s.q_m);
-            pth.write::<u64>(base + sh as u64 * 8, u64::from(pool_size));
-            pth.cond_broadcast(s.park.expect("park cond with adaptation"));
-            pth.mutex_unlock(s.q_m);
-        }
-    }
-    let poison = vec![POISON; pool_size as usize];
+    let poison = vec![POISON; params.workers_per_shard as usize];
     for s in plan.shards.iter() {
         // Best-effort: a dead shard's full queue times out and the
         // poison is dropped (its workers are dead too).
@@ -1079,9 +939,9 @@ mod tests {
         let per_req = rt.svm().total_stats().remote_fetches as f64 / f64::from(n);
         assert!(per_req <= 1.0, "{per_req} remote fetches per request");
 
-        // The responses are the last allocation before the pools start
-        // (adaptation is off); the main thread's zeroing faults come
-        // before the first create, the workers' publishes after it.
+        // The responses are the last allocation before the pools start;
+        // the main thread's zeroing faults come before the first create,
+        // the workers' publishes after it.
         let events = rt.svm().obs().events();
         let first_create = events
             .iter()
@@ -1109,60 +969,6 @@ mod tests {
         }
         assert!(writers.len() >= 4, "one page per shard at least: {writers:?}");
         assert!(writers.values().all(|nodes| nodes.len() == 1), "{writers:?}");
-    }
-
-    #[test]
-    fn adaptive_pool_preserves_digest() {
-        // Fixed pools vs adaptation under a live series: the response
-        // digest and served count must match exactly — adaptation only
-        // moves when requests are served. Timing differs between the
-        // runs, so the schedule is conflict-free (digest parity is then
-        // implied by correctness). The rate sits just above capacity:
-        // queues build, and the dispatcher still wakes (and polls the
-        // sensor) every few requests instead of dispatching the whole
-        // schedule in one group.
-        let sched = schedule(&TrafficConfig::zipfian(7, 300, 512, 20_000)).conflict_free();
-        let (_, fixed) = run(4, &sched, ServiceParams::test());
-        assert_eq!(fixed.served, 300);
-
-        // Distinct worker lanes per shard over the run's completions,
-        // the first `skip` left out.
-        let lanes = |rt: &CablesRt, skip: usize| {
-            let mut per_shard = vec![BTreeSet::new(); ServiceParams::test().shards as usize];
-            for e in request_spans(rt).iter().skip(skip) {
-                let Event::ServiceRequest { shard, .. } = e.event else { unreachable!() };
-                per_shard[shard as usize].insert(e.track);
-            }
-            per_shard
-        };
-        // lock_stall_pct = 0: every window shrinks toward min (parks
-        // workers); 100: shrink requires pure lock stall, so backlogged
-        // shards grow instead (unparks). Both must preserve visible
-        // behavior and drain.
-        for pct in [0, 100] {
-            let rt = rt(4, None);
-            let ring = rt.svm().obs().series_start(100_000);
-            let mut params = ServiceParams::test().with_adapt();
-            params.adapt = params.adapt.map(|mut a| {
-                a.lock_stall_pct = pct;
-                a
-            });
-            let (_, o) = run_on(&rt, &sched, params);
-            drop(ring);
-            assert_eq!(o.digest, fixed.digest, "pct={pct}");
-            assert_eq!(o.served, fixed.served, "pct={pct}");
-            assert_eq!(o.direct_served, 0, "pct={pct}");
-            if pct == 0 {
-                // Shrunk to min_workers = 1: one lane per shard serves
-                // the second half.
-                let late = lanes(&rt, 150);
-                assert!(late.iter().all(|l| l.len() == 1), "{late:?}");
-            } else {
-                // Grown past the initial 2 active: a parked rank woke.
-                let all = lanes(&rt, 0);
-                assert!(all.iter().any(|l| l.len() > 2), "{all:?}");
-            }
-        }
     }
 
     #[test]

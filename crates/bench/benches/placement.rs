@@ -1,15 +1,13 @@
 //! Sharing-aware placement policy sweep: counters → migration, affinity
-//! threads, adaptive service pools.
+//! threads.
 //!
 //! Runs three workloads — OCEAN (boundary-row chunk sharing), RADIX
 //! (permutation-phase all-to-all) and the zipfian open-loop KV service —
 //! with the placement extensions off and on, and produces
 //! `BENCH_placement.json` with per-cell traffic counters, simulated
-//! times and policy decision counts. "On" means all three legs at once:
-//! the counter-driven home-migration policy
-//! (`SvmConfig::placement_policy`), affinity thread placement
-//! (`CablesConfig::affinity_placement`) and — for the service — adaptive
-//! per-shard worker pools (`ServiceParams::adapt`).
+//! times and policy decision counts. "On" means both legs at once: the
+//! counter-driven home-migration policy (`SvmConfig::placement_policy`)
+//! and affinity thread placement (`CablesConfig::affinity_placement`).
 //!
 //! Asserted invariants:
 //!
@@ -23,25 +21,17 @@
 //! - the policy actually decides: `policy_considered > 0` everywhere,
 //!   and at least one workload migrates.
 //!
-//! The artifact also answers the carried-over prefetch question with a
-//! 2×2 migration×prefetch grid on OCEAN under the *legacy* streak policy
-//! (`migration_threshold`): stride prefetch masks demand faults, so does
-//! it also starve the release-time differ streaks the old policy keys
-//! on? Each cell records migration counts, prefetch counters and the
-//! `prefetch_masked` stall-bucket total.
-//!
 //! Run with `--test` for the CI smoke mode: tiny sizes, same artifact,
 //! same assertions except the end-to-end time comparison.
 
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex as StdMutex};
 
-use apps::service::{run_service, AdaptParams, ServiceParams};
+use apps::service::{run_service, ServiceParams};
 use apps::splash::{ocean, radix};
 use apps::{M4Ctx, M4System};
 use cables::{CablesConfig, CablesRt};
 use cables_bench::{cluster_for, fmt_ns, header, smoke_mode, write_artifact};
-use obs::stall::{self, Bucket};
 use svm::{Cluster, NodeStats, SvmConfig};
 use traffic::{schedule, TrafficConfig};
 
@@ -135,9 +125,7 @@ fn radix_body(smoke: bool) -> impl FnOnce(&M4Ctx) -> u64 + Send + 'static {
     }
 }
 
-/// Runs one service cell: the zipfian open-loop schedule under `cfg`,
-/// with observability + a live series on (adaptation's sensor; obs is
-/// inert for simulated time either way).
+/// Runs one service cell: the zipfian open-loop schedule under `cfg`.
 fn run_service_cell(smoke: bool, on: bool) -> Cell {
     // A rate the 4-node deployment absorbs without tripping the
     // enqueue dead-shard fallback, hot-key zipfian skew. The off and on
@@ -153,29 +141,14 @@ fn run_service_cell(smoke: bool, on: bool) -> Cell {
     .conflict_free();
     let cluster = Cluster::build(cluster_for(procs));
     let rt = CablesRt::new(Arc::clone(&cluster), kernel_cfg(on, procs.div_ceil(2)));
-    rt.svm().set_obs(true);
-    let _ring = rt.svm().obs().series_start(100_000);
-    let mut params = ServiceParams::test();
-    if on {
-        // max_workers == workers_per_shard keeps the pool layout (and so
-        // thread placement) identical to the off cell: the only delta is
-        // parking — a parked remote-rank worker stops generating the
-        // fetch+diff traffic of pulling the shard's pages to its node.
-        params.adapt = Some(AdaptParams {
-            min_workers: 1,
-            max_workers: params.workers_per_shard,
-            lock_stall_pct: 30,
-        });
-    }
     let out = Arc::new(StdMutex::new(None));
     let o2 = Arc::clone(&out);
     let end = rt
         .run(move |pth| {
-            *o2.lock().unwrap() = Some(run_service(pth, &sched, params));
+            *o2.lock().unwrap() = Some(run_service(pth, &sched, ServiceParams::test()));
             0
         })
         .expect("service run");
-    let _ = rt.svm().obs().series_finish();
     let outcome = out.lock().unwrap().take().expect("service outcome");
     assert_eq!(outcome.direct_served, 0, "service cell used a crash fallback");
     Cell {
@@ -185,60 +158,10 @@ fn run_service_cell(smoke: bool, on: bool) -> Cell {
     }
 }
 
-/// One migration×prefetch grid cell on OCEAN under the legacy streak
-/// policy, with observability on for the `prefetch_masked` stall total.
-fn run_grid_cell(smoke: bool, migration: bool, prefetch: bool) -> (Cell, u64) {
-    let mut cfg = SvmConfig::cables();
-    cfg.migration_threshold = migration.then_some(3);
-    if prefetch {
-        cfg.prefetch_degree = 4;
-    }
-    let procs = if smoke { 16 } else { 32 };
-    let cluster = Cluster::build(cluster_for(procs));
-    let sys = M4System::cables_with(
-        Arc::clone(&cluster),
-        CablesConfig {
-            svm: cfg,
-            ..CablesConfig::paper()
-        },
-    );
-    sys.svm().set_obs(true);
-    let body = ocean_body(smoke);
-    let result: Arc<StdMutex<Option<u64>>> = Arc::new(StdMutex::new(None));
-    let slot = Arc::clone(&result);
-    let end = sys
-        .run(move |ctx| {
-            *slot.lock().unwrap() = Some(body(ctx));
-        })
-        .expect("grid run");
-    let sim_ns = end.as_nanos();
-    let svm = sys.svm();
-    let sink = svm.obs();
-    let events = sink.events();
-    let dropped = sink.dropped_events();
-    let slice_ns = (sim_ns / 64).max(1);
-    let profile = stall::analyze(&events, dropped, slice_ns).expect("stall profile");
-    let masked_ns: u64 = profile
-        .threads
-        .iter()
-        .map(|t| t.buckets[Bucket::PrefetchMasked as usize])
-        .sum();
-    let checksum = result.lock().unwrap().take().expect("grid result");
-    let stats = svm.total_stats();
-    (
-        Cell {
-            sim_ns,
-            checksum,
-            stats,
-        },
-        masked_ns,
-    )
-}
-
 fn main() {
     let smoke = smoke_mode();
     header(
-        "placement: sharing-aware adaptive placement, policy off vs on",
+        "placement: sharing-aware placement, policy off vs on",
         "extension; the paper provides migration mechanisms but no policy (§2.1.3)",
     );
 
@@ -335,61 +258,6 @@ fn main() {
         );
     }
     assert!(any_migrated, "the placement policy never migrated a chunk");
-
-    // ---- Carried-over question: does prefetch starve the old streak
-    // policy? 2×2 on OCEAN: legacy migration × stride prefetch. ----
-    println!(
-        "{:<28} {:>13} {:>9} {:>10} {:>9} {:>14}",
-        "grid cell (OCEAN, legacy)", "sim time", "migr", "pf issued", "pf hits", "pf_masked ns"
-    );
-    artifact.push_str("\n  ],\n  \"migration_prefetch_grid\": [");
-    let mut grid_cells = Vec::new();
-    for (gi, (migration, prefetch)) in [(false, false), (false, true), (true, false), (true, true)]
-        .into_iter()
-        .enumerate()
-    {
-        let (c, masked_ns) = run_grid_cell(smoke, migration, prefetch);
-        println!(
-            "{:<28} {:>13} {:>9} {:>10} {:>9} {:>14}",
-            format!("migration={} prefetch={}", migration as u8, prefetch as u8),
-            c.sim_ns,
-            c.stats.migrations,
-            c.stats.prefetch_issued,
-            c.stats.prefetch_hits,
-            masked_ns
-        );
-        if gi > 0 {
-            artifact.push(',');
-        }
-        let _ = write!(
-            artifact,
-            "\n    {{\"migration\": {migration}, \"prefetch\": {prefetch}, \
-             \"sim_time_ns\": {}, \"migrations\": {}, \"prefetch_issued\": {}, \
-             \"prefetch_hits\": {}, \"prefetch_masked_ns\": {}, \"checksum\": {}}}",
-            c.sim_ns,
-            c.stats.migrations,
-            c.stats.prefetch_issued,
-            c.stats.prefetch_hits,
-            masked_ns,
-            c.checksum
-        );
-        grid_cells.push((migration, prefetch, c, masked_ns));
-    }
-    // All four grid cells compute identical bits.
-    for (m, p, c, _) in &grid_cells[1..] {
-        assert_eq!(
-            c.checksum, grid_cells[0].2.checksum,
-            "OCEAN grid result differs at migration={m} prefetch={p}"
-        );
-    }
-    let migr_only = grid_cells[2].2.stats.migrations;
-    let migr_with_pf = grid_cells[3].2.stats.migrations;
-    println!(
-        "\nanswer: prefetch does not starve the streak policy — {migr_only} migration(s) \
-         without prefetch,\n{migr_with_pf} with it. Streaks are counted at release from \
-         differ sets, which prefetch does not\nthin: masked faults change *when* pages \
-         arrive, not who diffs them (prefetch_masked_ns\nper cell quantifies the masking)."
-    );
 
     artifact.push_str("\n  ]\n}\n");
     write_artifact("BENCH_placement.json", &artifact);

@@ -70,12 +70,11 @@ impl Default for SvmCosts {
 }
 
 /// Counter-driven home-migration policy (the sharing-aware placement
-/// extension). Where [`SvmConfig::migration_threshold`] keys on raw
-/// sole-remote-differ streaks, this policy keys on per-chunk sharing
-/// counters the protocol maintains incrementally — sharer sets, remote
-/// fetch+diff traffic per node, ping-pong handoffs — the same taxonomy
-/// `obs::sharing` ranks pages by, but kept in the protocol directory so
-/// decisions never depend on whether observability is enabled.
+/// extension): keys on per-chunk sharing counters the protocol maintains
+/// incrementally — remote fetch+diff traffic per node, ping-pong
+/// handoffs — the same taxonomy `obs::sharing` ranks pages by, but kept
+/// in the protocol directory so decisions never depend on whether
+/// observability is enabled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PlacementPolicy {
     /// Minimum remote fetch+diff messages a chunk must have generated
@@ -112,16 +111,11 @@ pub struct SvmConfig {
     /// Enable the base system's single-writer write-through optimization
     /// (paper §3.4, responsible for the OCEAN gap).
     pub write_through_single_writer: bool,
-    /// Home-migration policy (an extension: the paper provides the
-    /// mechanisms but no policy, §2.1.3). `Some(k)` migrates a placement
-    /// chunk to a node after `k` consecutive releases in which that node
-    /// was its only remote writer; `None` reproduces the paper.
-    pub migration_threshold: Option<u32>,
-    /// Counter-driven migration policy (CableS mode, like
-    /// `migration_threshold`). When set it *replaces* the streak policy:
-    /// chunks migrate to the node dominating their remote fetch+diff
-    /// traffic, with a traffic floor and post-migration cooldown. `None`
-    /// (with `migration_threshold: None`) reproduces the paper.
+    /// Home-migration policy (CableS mode; an extension: the paper
+    /// provides the mechanisms but no policy, §2.1.3). Chunks migrate to
+    /// the node dominating their remote fetch+diff traffic, with a
+    /// traffic floor and post-migration cooldown. `None` reproduces the
+    /// paper.
     pub placement_policy: Option<PlacementPolicy>,
     /// Release-time diff batching: ship all diffs bound for the same home
     /// as one multi-segment VMMC write (one message header and one fence
@@ -163,7 +157,6 @@ impl SvmConfig {
             mode: ProtoMode::Base,
             home_granularity_pages: 1,
             write_through_single_writer: true,
-            migration_threshold: None,
             placement_policy: None,
             batch_diffs: false,
             prefetch_degree: 0,
@@ -180,7 +173,6 @@ impl SvmConfig {
             mode: ProtoMode::Cables,
             home_granularity_pages: 16,
             write_through_single_writer: false,
-            migration_threshold: None,
             placement_policy: None,
             batch_diffs: false,
             prefetch_degree: 0,

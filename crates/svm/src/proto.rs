@@ -116,8 +116,7 @@ pub struct NodeStats {
     /// Release-time migration decisions the counter policy evaluated for
     /// chunks homed remotely from this node.
     pub policy_considered: u64,
-    /// Migrations the counter policy triggered to this node (a subset of
-    /// `migrations`, which also counts streak-policy moves).
+    /// Migrations the placement policy triggered to this node.
     pub policy_migrations: u64,
 }
 
@@ -161,23 +160,18 @@ pub(crate) struct BarrierState {
     pub expected: usize,
 }
 
-/// Per-chunk sharing counters backing the counter-driven placement
-/// policy: the `obs::sharing` taxonomy (sharer set, per-node traffic,
-/// ping-pong handoffs) maintained incrementally in the protocol, so the
-/// policy works with observability off. Only populated while
-/// `SvmConfig::placement_policy` is set; the map is indexed, never
-/// iterated, so decisions stay deterministic.
+/// Per-chunk sharing counters backing the placement policy: the
+/// `obs::sharing` taxonomy (per-node traffic, ping-pong handoffs)
+/// maintained incrementally in the protocol, so the policy works with
+/// observability off. Only populated while `SvmConfig::placement_policy`
+/// is set; the map is indexed, never iterated, so decisions stay
+/// deterministic.
 #[derive(Debug)]
 pub(crate) struct ChunkSharing {
-    /// Bitmask of nodes that generated remote traffic on the chunk
-    /// (node `i` sets bit `min(i, 63)`).
-    pub sharers: u64,
     /// Remote fetch+diff messages per node since the last (re)homing.
     pub traffic: Vec<u32>,
     /// Last remote node to touch the chunk (ping-pong detector).
     pub last_node: Option<NodeId>,
-    /// Remote touches whose node differed from the previous toucher.
-    pub handoffs: u32,
     /// Release-time considerations since the last migration; starts
     /// saturated so a fresh chunk is never in cooldown.
     pub cooldown: u32,
@@ -186,10 +180,8 @@ pub(crate) struct ChunkSharing {
 impl ChunkSharing {
     fn new(nodes: usize) -> Self {
         ChunkSharing {
-            sharers: 0,
             traffic: vec![0; nodes],
             last_node: None,
-            handoffs: 0,
             cooldown: u32::MAX,
         }
     }
@@ -205,9 +197,7 @@ pub(crate) struct ProtoState {
     /// current length in bytes.
     pub home_region: Vec<Option<(RegionId, u64)>>,
     pub first_toucher: HashMap<u64, NodeId>,
-    /// Migration policy state: chunk -> (last sole remote differ, streak).
-    pub diff_streaks: HashMap<u64, (NodeId, u32)>,
-    /// Counter-policy state: chunk -> incremental sharing counters.
+    /// Placement-policy state: chunk -> incremental sharing counters.
     pub chunk_sharing: HashMap<u64, ChunkSharing>,
     /// Demand fetches each node has served as home — the thread-affinity
     /// placement hint (maintained unconditionally; one add per remote
@@ -229,7 +219,6 @@ impl ProtoState {
             log: Vec::new(),
             home_region: vec![None; nodes],
             first_toucher: HashMap::new(),
-            diff_streaks: HashMap::new(),
             chunk_sharing: HashMap::new(),
             home_pull: vec![0; nodes],
             alloc_next: HEAP_BASE.raw(),
@@ -262,8 +251,8 @@ impl ProtoState {
     }
 
     /// Charges one remote fetch/diff message from `node` to `chunk`'s
-    /// sharing counters (counter-policy feed; callers gate on the policy
-    /// being enabled). A touch whose node differs from the previous
+    /// sharing counters (the placement policy's feed; callers gate on the
+    /// policy being enabled). A touch whose node differs from the previous
     /// toucher is a ping-pong handoff, charged to the toucher's stats.
     pub fn note_chunk_traffic(&mut self, node: NodeId, chunk: u64) {
         let nodes = self.nodes.len();
@@ -271,18 +260,13 @@ impl ProtoState {
             .chunk_sharing
             .entry(chunk)
             .or_insert_with(|| ChunkSharing::new(nodes));
-        cs.sharers |= 1 << node.0.min(63);
         let i = node.0 as usize;
         if i >= cs.traffic.len() {
             cs.traffic.resize(i + 1, 0);
         }
         cs.traffic[i] = cs.traffic[i].saturating_add(1);
-        match cs.last_node {
-            Some(prev) if prev != node => {
-                cs.handoffs = cs.handoffs.saturating_add(1);
-                self.nodes[i].stats.pingpong_handoffs += 1;
-            }
-            _ => {}
+        if cs.last_node.is_some_and(|prev| prev != node) {
+            self.nodes[i].stats.pingpong_handoffs += 1;
         }
         cs.last_node = Some(node);
     }
@@ -1200,13 +1184,6 @@ impl SvmSystem {
     /// write notice. Every release of a page runs through here, whether a
     /// whole-node [`SvmSystem::release`] or the acquire-time early flush.
     ///
-    /// `credit_sharing` charges the diff message to the chunk's sharing
-    /// counters (the placement policy's feed). A release does; the early
-    /// flush does not — it is forced by a remote writer's notice, not by
-    /// this node's own release pattern, and crediting it would move the
-    /// policy's ping-pong counts (`BENCH_placement.json`, service cell:
-    /// 273 → 309 handoffs).
-    ///
     /// Returns the home, the page's version before the notice, and when
     /// the last directly written run is visible at the home. The local
     /// copy is left as it is: its version and protection are the caller's.
@@ -1215,7 +1192,6 @@ impl SvmSystem {
         sim: &Sim,
         page_idx: u64,
         batches: Option<&mut DiffBatches>,
-        credit_sharing: bool,
     ) -> (NodeId, u64, SimTime) {
         let node = sim.node();
         let page = PageNum::new(page_idx);
@@ -1298,10 +1274,6 @@ impl SvmSystem {
                 let stats = &mut st.nodes[node.0 as usize].stats;
                 stats.diffs_sent += u64::from(!batched);
                 stats.diff_bytes += dirty_bytes;
-                if credit_sharing && self.cfg.placement_policy.is_some() {
-                    let chunk = page.chunk_base(self.cfg.home_granularity_pages).index();
-                    st.note_chunk_traffic(node, chunk);
-                }
             }
             self.proto_instant(
                 sim,
@@ -1365,12 +1337,11 @@ impl SvmSystem {
         // pages (zero-copy gather DMA), so the wire transfer overlaps the
         // rest of the loop exactly as the unbatched per-run sends do.
         let mut batches = DiffBatches::new();
-        if self.cfg.migration_threshold.is_some() || self.cfg.placement_policy.is_some() {
+        let gran = self.cfg.home_granularity_pages;
+        if let Some(policy) = self.cfg.placement_policy {
             // Migration policy (extension): one decision per dirty chunk
-            // per release — the streak policy bumps its sole-remote-differ
-            // streak, the counter policy weighs the chunk's accumulated
-            // sharing counters.
-            let gran = self.cfg.home_granularity_pages;
+            // per release, weighing the chunk's accumulated sharing
+            // counters.
             let mut chunks: Vec<u64> = dirty_pages
                 .iter()
                 .map(|p| PageNum::new(*p).chunk_base(gran).index())
@@ -1378,12 +1349,12 @@ impl SvmSystem {
             chunks.sort_unstable();
             chunks.dedup();
             for chunk in chunks {
-                self.consider_migration(sim, PageNum::new(chunk));
+                self.consider_migration(sim, PageNum::new(chunk), policy);
             }
         }
         for page_idx in dirty_pages {
             let batch = self.cfg.batch_diffs.then_some(&mut batches);
-            let (home, pre, arrival) = self.diff_page(sim, page_idx, batch, true);
+            let (home, pre, arrival) = self.diff_page(sim, page_idx, batch);
             max_arrival = max_arrival.max(arrival);
             diffed += u64::from(home != node);
 
@@ -1393,6 +1364,13 @@ impl SvmSystem {
             // readable.
             let stale_base = {
                 let mut st = self.state.lock();
+                // A remote diff of this node's own release feeds the
+                // placement policy; the acquire-time early flush does not
+                // — a remote writer's notice forced it.
+                if home != node && self.cfg.placement_policy.is_some() {
+                    let chunk = PageNum::new(page_idx).chunk_base(gran).index();
+                    st.note_chunk_traffic(node, chunk);
+                }
                 let copy = st.nodes[node.0 as usize]
                     .copies
                     .get_mut(&page_idx)
@@ -1582,7 +1560,7 @@ impl SvmSystem {
                     .dirty_pages
                     .retain(|p| *p != page_idx);
             }
-            let (_, _, arrival) = self.diff_page(sim, page_idx, None, false);
+            let (_, _, arrival) = self.diff_page(sim, page_idx, None);
             // The flushed words must be home before the copy goes — a
             // refetch racing the diff would resurrect the old words.
             sim.clock_at_least(arrival);
@@ -1698,65 +1676,18 @@ impl SvmSystem {
         out
     }
 
-    /// Applies the configured migration policy for one dirty chunk at
-    /// release time. The counter policy takes precedence when both knobs
-    /// are set; with neither set this is never called.
-    fn consider_migration(&self, sim: &Sim, page: PageNum) {
-        if let Some(policy) = self.cfg.placement_policy {
-            self.consider_migration_counters(sim, page, policy);
-        } else if let Some(threshold) = self.cfg.migration_threshold {
-            self.consider_migration_streak(sim, page, threshold);
-        }
-    }
-
-    /// The legacy streak policy: bump the chunk's sole-remote-differ
-    /// streak and migrate the chunk here once the streak reaches
-    /// `threshold`.
-    fn consider_migration_streak(&self, sim: &Sim, page: PageNum, threshold: u32) {
+    /// The placement policy for one dirty chunk at release time: migrate
+    /// the chunk here when this node dominates its accumulated remote
+    /// fetch+diff traffic, the traffic cleared the policy floor, and the
+    /// chunk is out of its post-migration cooldown (hysteresis against
+    /// home thrash). The dominance test refuses chunks whose traffic is
+    /// split between alternating remote nodes; it does not see the home
+    /// node's own writes (DESIGN §9).
+    fn consider_migration(&self, sim: &Sim, page: PageNum, policy: PlacementPolicy) {
         let node = sim.node();
         let gran = self.cfg.home_granularity_pages;
         let chunk_base = page.chunk_base(gran);
-        let migrate = {
-            let mut st = self.state.lock();
-            let home = match st.dir.get(&page.index()) {
-                Some(d) => d.home,
-                None => return,
-            };
-            if home == node {
-                return;
-            }
-            if !self.chunk_migratable(&st, node, chunk_base) {
-                return;
-            }
-            let e = st
-                .diff_streaks
-                .entry(chunk_base.index())
-                .or_insert((node, 0));
-            if e.0 == node {
-                e.1 += 1;
-            } else {
-                *e = (node, 1);
-            }
-            e.1 >= threshold
-        };
-        if migrate {
-            self.migrate_chunk(sim, chunk_base);
-            let mut st = self.state.lock();
-            st.diff_streaks.remove(&chunk_base.index());
-        }
-    }
-
-    /// The counter-driven policy: migrate the chunk here when this node
-    /// dominates its accumulated remote fetch+diff traffic, the traffic
-    /// cleared the policy floor, and the chunk is out of its
-    /// post-migration cooldown (hysteresis against home thrash). The
-    /// dominance test inherently refuses ping-ponging chunks — traffic
-    /// split between alternating nodes never clears it.
-    fn consider_migration_counters(&self, sim: &Sim, page: PageNum, policy: PlacementPolicy) {
-        let node = sim.node();
-        let gran = self.cfg.home_granularity_pages;
-        let chunk_base = page.chunk_base(gran);
-        let migrate = {
+        {
             let mut st = self.state.lock();
             let home = match st.dir.get(&page.index()) {
                 Some(d) => d.home,
@@ -1789,30 +1720,25 @@ impl SvmSystem {
             if !self.chunk_migratable(&st, node, chunk_base) {
                 return;
             }
-            true
-        };
-        if migrate {
-            self.migrate_chunk(sim, chunk_base);
-            let mut st = self.state.lock();
-            st.nodes[node.0 as usize].stats.policy_migrations += 1;
-            // Restart the chunk's sharing profile under the new home and
-            // arm the cooldown clock.
-            let nodes = st.nodes.len();
-            let cs = st
-                .chunk_sharing
-                .entry(chunk_base.index())
-                .or_insert_with(|| ChunkSharing::new(nodes));
-            cs.sharers = 0;
-            cs.traffic.iter_mut().for_each(|t| *t = 0);
-            cs.last_node = None;
-            cs.cooldown = 0;
         }
+        self.migrate_chunk(sim, chunk_base);
+        let mut st = self.state.lock();
+        st.nodes[node.0 as usize].stats.policy_migrations += 1;
+        // Restart the chunk's sharing profile under the new home and arm
+        // the cooldown clock.
+        let nodes = st.nodes.len();
+        let cs = st
+            .chunk_sharing
+            .entry(chunk_base.index())
+            .or_insert_with(|| ChunkSharing::new(nodes));
+        cs.traffic.iter_mut().for_each(|t| *t = 0);
+        cs.last_node = None;
+        cs.cooldown = 0;
     }
 
-    /// Safety invariants shared by both migration policies: only migrate
-    /// chunks whose local copies are all current (another interval's diff
-    /// would otherwise be lost) and on which no other node holds
-    /// unflushed dirty words.
+    /// Safety invariants of a migration: only migrate chunks whose local
+    /// copies are all current (another interval's diff would otherwise be
+    /// lost) and on which no other node holds unflushed dirty words.
     fn chunk_migratable(&self, st: &ProtoState, node: NodeId, chunk_base: PageNum) -> bool {
         let gran = self.cfg.home_granularity_pages;
         let current = (0..gran).all(|i| {

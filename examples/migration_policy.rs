@@ -11,10 +11,12 @@ use std::sync::Arc;
 
 use svm::{Cluster, ClusterConfig, SvmConfig, SvmSystem};
 
-fn run(threshold: Option<u32>) -> (u64, u64, u64, Vec<String>) {
+fn run(policy: bool) -> (u64, u64, u64, Vec<String>) {
     let cluster = Cluster::build(ClusterConfig::small(2, 1));
     let mut cfg = SvmConfig::cables();
-    cfg.migration_threshold = threshold;
+    if policy {
+        cfg = cfg.with_placement_policy();
+    }
     let sys = SvmSystem::new(Arc::clone(&cluster), cfg);
     sys.set_obs(true);
     let s = Arc::clone(&sys);
@@ -59,8 +61,8 @@ fn run(threshold: Option<u32>) -> (u64, u64, u64, Vec<String>) {
 
 fn main() {
     println!("producer-owned segment, homed on the wrong node (100 locked rounds)\n");
-    for (label, threshold) in [("policy off (paper)", None), ("migrate after 3 sole-writer releases", Some(3))] {
-        let (ns, diffs, bytes, migrations) = run(threshold);
+    for (label, policy) in [("policy off (paper)", false), ("placement policy (default)", true)] {
+        let (ns, diffs, bytes, migrations) = run(policy);
         println!("{label}:");
         println!(
             "  total {:.2} ms, remote diffs {diffs}, diff bytes {bytes}",

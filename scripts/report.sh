@@ -27,8 +27,7 @@
 #                         metric series)
 #   BENCH_placement.json  sharing-aware placement policy: off/on message
 #                         and time deltas for OCEAN, RADIX and the
-#                         zipfian service (bit-identical results), plus
-#                         the migration x prefetch interaction grid
+#                         zipfian service (bit-identical results)
 #   target/artifacts/trace_fft.json
 #                         Chrome-trace timeline of the FFT run on 8 nodes
 #                         (load in chrome://tracing or ui.perfetto.dev;
@@ -153,7 +152,7 @@ for path in sorted(glob.glob("BENCH_*.json")):
                          f"page {ms(g['pg_parallel_ns'])} "
                          f"({g['pg_misplaced_pct']:.0f}%)"))
         mig = {m["mode"]: m for m in d["migration"]}
-        off, on = mig["off"], mig["migrate_after_3"]
+        off, on = mig["off"], mig["placement_policy"]
         rows.append(("migration", f"diffs {off['diffs_sent']} -> "
                      f"{on['diffs_sent']}, time {ms(off['total_ns'])} -> "
                      f"{ms(on['total_ns'])}"))
@@ -186,12 +185,6 @@ for path in sorted(glob.glob("BENCH_*.json")):
                          f"msgs {off['remote_fetches'] + off['diffs_sent']} -> "
                          f"{on['remote_fetches'] + on['diffs_sent']}, "
                          f"time {ms(off['sim_time_ns'])} -> {ms(on['sim_time_ns'])}"))
-        g = {(p["migration"], p["prefetch"]): p
-             for p in d["migration_prefetch_grid"]}
-        rows.append(("mig x prefetch",
-                     f"migrations {g[(True, False)]['migrations']} alone, "
-                     f"{g[(True, True)]['migrations']} with prefetch "
-                     f"({g[(True, True)]['prefetch_issued']} issued)"))
     else:  # future artifacts: stay visible even before a custom row
         rows.append(("-", f"keys: {', '.join(list(d)[:6])}"))
     for subject, headline in rows:

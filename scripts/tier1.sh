@@ -20,12 +20,13 @@ source scripts/artifacts.sh
 echo "==> cargo build --release"
 cargo build $CARGO_FLAGS --release
 
-# The engine has no mode and the access path no toggle; a name from that
-# lattice coming back is a regression of the design, not of a number.
-echo "==> no engine-mode / slow-path switches"
-if grep -rnE 'EngineMode|set_mode\(|set_lockless|set_fast_path|set_slow_mode|engine_wall|BENCH_hotpath' \
+# The engine has no mode, the access path no toggle, migration one policy
+# and the service's pools no adaptation; a name from those lattices coming
+# back is a regression of the design, not of a number.
+echo "==> no engine-mode / slow-path / second-policy switches"
+if grep -rnE 'EngineMode|set_mode\(|set_lockless|set_fast_path|set_slow_mode|engine_wall|BENCH_hotpath|migration_threshold|diff_streaks|AdaptParams|with_adapt|series_last_window|credit_sharing|migration_prefetch_grid' \
         crates/ src/ tests/ examples/ scripts/ --exclude=tier1.sh; then
-    echo "tier1: a deleted engine/slow-path switch is back (see above)" >&2
+    echo "tier1: a deleted switch is back (see above)" >&2
     exit 1
 fi
 
