@@ -3,18 +3,24 @@
 //! Concurrency model: the simulation engine unparks exactly one simulated
 //! thread at a time, so these structures see no real contention — the locks
 //! exist to satisfy `Sync`, and every lock here is per-node (or per-frame),
-//! never global. The hot path is the software TLB in each node's [`Shard`]:
-//! a direct-mapped cache of `page → (frame, prot, frame data)` so a hit
-//! skips both the page-table HashMap walk and the page-table lock.
-//! Invalidation is precise — a mapping or protection change clears exactly
-//! the affected page's slot (and `free_frame` clears entries caching the
-//! freed frame on every node); the shard's generation counter only guards
-//! the walk-then-install window in [`ClusterMem::lookup`].
+//! never global. Each node's [`Shard`] sits in a table of [`MAX_NODES`]
+//! slots allocated with the [`ClusterMem`] and filled once, so finding it
+//! takes no lock and no refcount. The hot path is the shard's software TLB:
+//! a direct-mapped cache of `page → (frame, prot, frame data)` that also
+//! holds the node's hit/miss counts. A hit runs the access on the cached
+//! frame under the TLB lock — two uncontended mutexes (TLB, frame data), no
+//! page-table walk, no refcount, no counter shared with another node.
+//! Lock order: TLB → frame data and page table → frame data; nothing takes a
+//! TLB lock while holding a page-table or frame lock. Invalidation is
+//! precise — a mapping or protection change clears exactly the affected
+//! page's slot (and `free_frame` clears entries caching the freed frame on
+//! every node); the shard's generation counter only guards the
+//! walk-then-install window in [`ClusterMem::lookup`].
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -184,9 +190,9 @@ struct Pte {
     prot: Prot,
 }
 
-/// A physical frame's backing store. Page tables, TLB entries and in-flight
-/// DMA all share the same `Arc`, so frame data has one identity no matter
-/// how many mappings point at it.
+/// A physical frame's backing store. The frame table and TLB entries share
+/// the same `Arc`, so frame data has one identity no matter how many
+/// mappings point at it.
 struct FrameSlot {
     data: Mutex<Box<[u8]>>,
 }
@@ -198,6 +204,10 @@ impl FrameSlot {
         })
     }
 }
+
+/// Most nodes a [`ClusterMem`] can hold: the width of `sim::Scope`'s
+/// node mask, and the size of the shard table allocated up front.
+pub const MAX_NODES: usize = 64;
 
 /// Number of direct-mapped entries in each node's software TLB.
 const TLB_ENTRIES: usize = 256;
@@ -235,11 +245,18 @@ impl NodeMem {
     }
 }
 
+/// A node's software TLB and its hit/miss counts, under one lock.
+struct Tlb {
+    entries: Vec<Option<TlbEntry>>,
+    hits: u64,
+    misses: u64,
+}
+
 /// One node's memory state: page table + frames under a per-node lock, the
 /// software TLB, and the generation counter guarding TLB installs.
 struct Shard {
     mem: Mutex<NodeMem>,
-    tlb: Mutex<Vec<Option<TlbEntry>>>,
+    tlb: Mutex<Tlb>,
     /// Bumped by every invalidation *before* the slot is cleared. A lookup
     /// samples it before walking the page table and only installs the
     /// walked translation if it is unchanged, so a mutation racing the
@@ -248,12 +265,16 @@ struct Shard {
 }
 
 impl Shard {
-    fn new() -> Arc<Self> {
-        Arc::new(Shard {
+    fn new() -> Self {
+        Shard {
             mem: Mutex::new(NodeMem::new()),
-            tlb: Mutex::new((0..TLB_ENTRIES).map(|_| None).collect()),
+            tlb: Mutex::new(Tlb {
+                entries: (0..TLB_ENTRIES).map(|_| None).collect(),
+                hits: 0,
+                misses: 0,
+            }),
             epoch: AtomicU64::new(0),
-        })
+        }
     }
 
     fn bump_epoch(&self) {
@@ -266,7 +287,7 @@ impl Shard {
     fn invalidate_page(&self, page: u64) {
         self.bump_epoch();
         let mut tlb = self.tlb.lock();
-        let e = &mut tlb[page as usize % TLB_ENTRIES];
+        let e = &mut tlb.entries[page as usize % TLB_ENTRIES];
         if e.as_ref().is_some_and(|e| e.page == page) {
             *e = None;
         }
@@ -275,8 +296,7 @@ impl Shard {
     /// Drops every cached translation that points at `frame`.
     fn invalidate_frame(&self, frame: FrameId) {
         self.bump_epoch();
-        let mut tlb = self.tlb.lock();
-        for e in tlb.iter_mut() {
+        for e in self.tlb.lock().entries.iter_mut() {
             if e.as_ref().is_some_and(|e| e.frame_id == frame) {
                 *e = None;
             }
@@ -314,17 +334,15 @@ pub struct MemStats {
 /// hardware would have trapped.
 pub struct ClusterMem {
     cfg: OsVmConfig,
-    /// Per-node shards. The `RwLock` only guards the registry vector
-    /// (grown during setup); all per-node state is inside each shard.
-    shards: RwLock<Vec<Arc<Shard>>>,
-    tlb_hits: AtomicU64,
-    tlb_misses: AtomicU64,
+    /// One slot per possible node, allocated once. `ensure_node` fills
+    /// slots and nothing empties them, so reading one takes no lock.
+    shards: Box<[OnceLock<Shard>]>,
 }
 
 impl fmt::Debug for ClusterMem {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ClusterMem")
-            .field("nodes", &self.shards.read().unwrap().len())
+            .field("nodes", &self.live().count())
             .field("cfg", &self.cfg)
             .finish()
     }
@@ -335,9 +353,7 @@ impl ClusterMem {
     pub fn new(cfg: OsVmConfig) -> Self {
         ClusterMem {
             cfg,
-            shards: RwLock::new(Vec::new()),
-            tlb_hits: AtomicU64::new(0),
-            tlb_misses: AtomicU64::new(0),
+            shards: (0..MAX_NODES).map(|_| OnceLock::new()).collect(),
         }
     }
 
@@ -347,28 +363,44 @@ impl ClusterMem {
     }
 
     /// Ensures per-node state exists for nodes `0..=node`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is past [`MAX_NODES`].
     pub fn ensure_node(&self, node: NodeId) {
-        let mut shards = self.shards.write().unwrap();
-        while shards.len() <= node.0 as usize {
-            shards.push(Shard::new());
+        let n = node.0 as usize;
+        assert!(
+            n < MAX_NODES,
+            "node {node} is past MAX_NODES = {MAX_NODES}, the width of sim::Scope"
+        );
+        for s in &self.shards[..=n] {
+            s.get_or_init(Shard::new);
         }
     }
 
-    fn shard(&self, node: NodeId) -> Option<Arc<Shard>> {
-        self.shards.read().unwrap().get(node.0 as usize).cloned()
+    fn shard(&self, node: NodeId) -> Option<&Shard> {
+        self.shards.get(node.0 as usize)?.get()
     }
 
-    fn shard_must(&self, node: NodeId) -> Arc<Shard> {
+    fn shard_must(&self, node: NodeId) -> &Shard {
         self.shard(node)
             .unwrap_or_else(|| panic!("no such node {node}"))
     }
 
-    /// Software-TLB counters accumulated since construction.
+    fn live(&self) -> impl Iterator<Item = &Shard> {
+        self.shards.iter().filter_map(OnceLock::get)
+    }
+
+    /// Software-TLB counters accumulated since construction, summed over
+    /// every node.
     pub fn tlb_stats(&self) -> TlbStats {
-        TlbStats {
-            hits: self.tlb_hits.load(Ordering::Relaxed),
-            misses: self.tlb_misses.load(Ordering::Relaxed),
-        }
+        self.live().fold(TlbStats::default(), |t, s| {
+            let tlb = s.tlb.lock();
+            TlbStats {
+                hits: t.hits + tlb.hits,
+                misses: t.misses + tlb.misses,
+            }
+        })
     }
 
     /// Translates `page` on `node` by walking its page table — the
@@ -406,47 +438,52 @@ impl ClusterMem {
         Some((pte, slot))
     }
 
-    /// Translates `page` on `node`, trying the node's TLB first. Installs
-    /// the translation in the TLB on a successful walk. Debug builds
-    /// re-walk on every hit and assert the cached translation is the page
-    /// table's (the counters see the hit only).
-    fn lookup(&self, node: NodeId, page: PageNum) -> Option<(FrameId, Prot, Arc<FrameSlot>)> {
+    /// Translates `page` on `node` and runs `f` on the translation, trying
+    /// the node's TLB first: a hit runs `f` on the cached entry under the
+    /// TLB lock and clones nothing; a successful walk installs the
+    /// translation. Debug builds re-walk on every hit, after the TLB lock
+    /// is released, and assert the cached translation is the page table's
+    /// (the counters see the hit only).
+    fn lookup<R>(
+        &self,
+        node: NodeId,
+        page: PageNum,
+        f: impl FnOnce(FrameId, Prot, &FrameSlot) -> R,
+    ) -> Option<R> {
         let shard = self.shard(node)?;
+        let idx = page.index() as usize % TLB_ENTRIES;
+        let mut tlb = shard.tlb.lock();
+        if let Some(e) = tlb.entries[idx].as_ref().filter(|e| e.page == page.index()) {
+            let hit = (e.frame_id, e.prot, Arc::as_ptr(&e.slot));
+            let r = f(e.frame_id, e.prot, &e.slot);
+            tlb.hits += 1;
+            drop(tlb);
+            debug_assert!(
+                self.walk(shard, node, page)
+                    .map(|(p, s)| (p.frame, p.prot, Arc::as_ptr(&s)))
+                    == Some(hit),
+                "stale TLB entry for {page:?} on {node}"
+            );
+            return Some(r);
+        }
+        tlb.misses += 1;
         // Sample the generation *before* the walk: if an invalidation
         // races in between, the install check below fails and the walked
         // (possibly stale) translation is simply not cached.
         let epoch = shard.epoch.load(Ordering::Acquire);
-        let idx = page.index() as usize % TLB_ENTRIES;
-        {
-            let tlb = shard.tlb.lock();
-            if let Some(e) = &tlb[idx] {
-                if e.page == page.index() {
-                    self.tlb_hits.fetch_add(1, Ordering::Relaxed);
-                    let hit = (e.frame_id, e.prot, Arc::clone(&e.slot));
-                    drop(tlb);
-                    debug_assert!(
-                        self.walk(&shard, node, page).is_some_and(|(pte, slot)| {
-                            (pte.frame, pte.prot) == (hit.0, hit.1) && Arc::ptr_eq(&slot, &hit.2)
-                        }),
-                        "stale TLB entry for {page:?} on {node}"
-                    );
-                    return Some(hit);
-                }
-            }
-        }
-        self.tlb_misses.fetch_add(1, Ordering::Relaxed);
-        let (pte, slot) = self.walk(&shard, node, page)?;
+        drop(tlb);
+        let (pte, slot) = self.walk(shard, node, page)?;
+        let r = f(pte.frame, pte.prot, &slot);
         let mut tlb = shard.tlb.lock();
         if shard.epoch.load(Ordering::Acquire) == epoch {
-            tlb[idx] = Some(TlbEntry {
+            tlb.entries[idx] = Some(TlbEntry {
                 page: page.index(),
                 frame_id: pte.frame,
                 prot: pte.prot,
-                slot: Arc::clone(&slot),
+                slot,
             });
         }
-        drop(tlb);
-        Some((pte.frame, pte.prot, slot))
+        Some(r)
     }
 
     /// Usage counters for `node`.
@@ -511,7 +548,7 @@ impl ClusterMem {
             n.used_bytes -= PAGE_SIZE;
             n.free_frames.push(frame.index);
         }
-        for s in self.shards.read().unwrap().iter() {
+        for s in self.live() {
             s.invalidate_frame(frame);
         }
     }
@@ -610,12 +647,31 @@ impl ClusterMem {
 
     /// Returns `(frame, prot)` for a mapped page (TLB-accelerated).
     pub fn translate(&self, node: NodeId, page: PageNum) -> Option<(FrameId, Prot)> {
-        self.lookup(node, page).map(|(frame, prot, _)| (frame, prot))
+        self.lookup(node, page, |frame, prot, _| (frame, prot))
     }
 
-    fn record_fault(&self, node: NodeId) {
-        let shard = self.shard_must(node);
-        shard.mem.lock().faults += 1;
+    /// Runs `f` on the data of the frame `page` maps to on `node` if the
+    /// mapping allows a `kind` access; otherwise counts the fault on `node`
+    /// and returns it.
+    fn access<R>(
+        &self,
+        node: NodeId,
+        page: PageNum,
+        kind: FaultKind,
+        f: impl FnOnce(&mut [u8]) -> R,
+    ) -> Result<R, Fault> {
+        let allowed = |prot| match kind {
+            FaultKind::Read => prot != Prot::None,
+            FaultKind::Write => prot == Prot::ReadWrite,
+        };
+        self.lookup(node, page, |_, prot, slot| {
+            allowed(prot).then(|| f(&mut slot.data.lock()))
+        })
+        .flatten()
+        .ok_or_else(|| {
+            self.shard_must(node).mem.lock().faults += 1;
+            Fault { node, page, kind }
+        })
     }
 
     /// Reads a scalar at `addr` through `node`'s page table.
@@ -633,22 +689,10 @@ impl ClusterMem {
             addr.fits_in_page(T::SIZE as u64),
             "scalar read at {addr} straddles a page"
         );
-        let page = addr.page();
-        match self.lookup(node, page) {
-            Some((_, prot, slot)) if prot != Prot::None => {
-                let data = slot.data.lock();
-                let off = addr.page_offset() as usize;
-                Ok(T::load(&data[off..off + T::SIZE]))
-            }
-            _ => {
-                self.record_fault(node);
-                Err(Fault {
-                    node,
-                    page,
-                    kind: FaultKind::Read,
-                })
-            }
-        }
+        let off = addr.page_offset() as usize;
+        self.access(node, addr.page(), FaultKind::Read, |data| {
+            T::load(&data[off..off + T::SIZE])
+        })
     }
 
     /// Writes a scalar at `addr` through `node`'s page table.
@@ -665,23 +709,10 @@ impl ClusterMem {
             addr.fits_in_page(T::SIZE as u64),
             "scalar write at {addr} straddles a page"
         );
-        let page = addr.page();
-        match self.lookup(node, page) {
-            Some((_, Prot::ReadWrite, slot)) => {
-                let mut data = slot.data.lock();
-                let off = addr.page_offset() as usize;
-                v.store(&mut data[off..off + T::SIZE]);
-                Ok(())
-            }
-            _ => {
-                self.record_fault(node);
-                Err(Fault {
-                    node,
-                    page,
-                    kind: FaultKind::Write,
-                })
-            }
-        }
+        let off = addr.page_offset() as usize;
+        self.access(node, addr.page(), FaultKind::Write, |data| {
+            v.store(&mut data[off..off + T::SIZE])
+        })
     }
 
     /// Reads the intersection of `[addr, addr + out.len())` with `addr`'s
@@ -694,24 +725,12 @@ impl ClusterMem {
     /// Returns a [`Fault`] (copying nothing) if the page is unmapped or
     /// `Prot::None`.
     pub fn read_page_run(&self, node: NodeId, addr: GAddr, out: &mut [u8]) -> Result<usize, Fault> {
-        let page = addr.page();
         let off = addr.page_offset() as usize;
         let n = out.len().min(PAGE_SIZE as usize - off);
-        match self.lookup(node, page) {
-            Some((_, prot, slot)) if prot != Prot::None => {
-                let data = slot.data.lock();
-                out[..n].copy_from_slice(&data[off..off + n]);
-                Ok(n)
-            }
-            _ => {
-                self.record_fault(node);
-                Err(Fault {
-                    node,
-                    page,
-                    kind: FaultKind::Read,
-                })
-            }
-        }
+        self.access(node, addr.page(), FaultKind::Read, |data| {
+            out[..n].copy_from_slice(&data[off..off + n]);
+            n
+        })
     }
 
     /// Typed [`ClusterMem::read_page_run`]: decodes `out.len()` scalars
@@ -727,26 +746,13 @@ impl ClusterMem {
         addr: GAddr,
         out: &mut [T],
     ) -> Result<(), Fault> {
-        let page = addr.page();
         let off = addr.page_offset() as usize;
-        match self.lookup(node, page) {
-            Some((_, prot, slot)) if prot != Prot::None => {
-                let data = slot.data.lock();
-                let bytes = &data[off..off + out.len() * T::SIZE];
-                for (v, b) in out.iter_mut().zip(bytes.chunks_exact(T::SIZE)) {
-                    *v = T::load(b);
-                }
-                Ok(())
+        self.access(node, addr.page(), FaultKind::Read, |data| {
+            let bytes = &data[off..off + out.len() * T::SIZE];
+            for (v, b) in out.iter_mut().zip(bytes.chunks_exact(T::SIZE)) {
+                *v = T::load(b);
             }
-            _ => {
-                self.record_fault(node);
-                Err(Fault {
-                    node,
-                    page,
-                    kind: FaultKind::Read,
-                })
-            }
-        }
+        })
     }
 
     /// Typed [`ClusterMem::write_page_run`]: encodes `data` straight into
@@ -761,26 +767,13 @@ impl ClusterMem {
         addr: GAddr,
         data: &[T],
     ) -> Result<(), Fault> {
-        let page = addr.page();
         let off = addr.page_offset() as usize;
-        match self.lookup(node, page) {
-            Some((_, Prot::ReadWrite, slot)) => {
-                let mut buf = slot.data.lock();
-                let bytes = &mut buf[off..off + data.len() * T::SIZE];
-                for (v, b) in data.iter().zip(bytes.chunks_exact_mut(T::SIZE)) {
-                    v.store(b);
-                }
-                Ok(())
+        self.access(node, addr.page(), FaultKind::Write, |buf| {
+            let bytes = &mut buf[off..off + data.len() * T::SIZE];
+            for (v, b) in data.iter().zip(bytes.chunks_exact_mut(T::SIZE)) {
+                v.store(b);
             }
-            _ => {
-                self.record_fault(node);
-                Err(Fault {
-                    node,
-                    page,
-                    kind: FaultKind::Write,
-                })
-            }
-        }
+        })
     }
 
     /// Write-side counterpart of [`ClusterMem::read_page_run`]: one
@@ -790,24 +783,12 @@ impl ClusterMem {
     ///
     /// Returns a [`Fault`] (writing nothing) if the page is not writable.
     pub fn write_page_run(&self, node: NodeId, addr: GAddr, data: &[u8]) -> Result<usize, Fault> {
-        let page = addr.page();
         let off = addr.page_offset() as usize;
         let n = data.len().min(PAGE_SIZE as usize - off);
-        match self.lookup(node, page) {
-            Some((_, Prot::ReadWrite, slot)) => {
-                let mut buf = slot.data.lock();
-                buf[off..off + n].copy_from_slice(&data[..n]);
-                Ok(n)
-            }
-            _ => {
-                self.record_fault(node);
-                Err(Fault {
-                    node,
-                    page,
-                    kind: FaultKind::Write,
-                })
-            }
-        }
+        self.access(node, addr.page(), FaultKind::Write, |buf| {
+            buf[off..off + n].copy_from_slice(&data[..n]);
+            n
+        })
     }
 
     /// Fill-side counterpart of [`ClusterMem::write_page_run`]: sets up to
@@ -823,24 +804,12 @@ impl ClusterMem {
         byte: u8,
         len: usize,
     ) -> Result<usize, Fault> {
-        let page = addr.page();
         let off = addr.page_offset() as usize;
         let n = len.min(PAGE_SIZE as usize - off);
-        match self.lookup(node, page) {
-            Some((_, Prot::ReadWrite, slot)) => {
-                let mut buf = slot.data.lock();
-                buf[off..off + n].fill(byte);
-                Ok(n)
-            }
-            _ => {
-                self.record_fault(node);
-                Err(Fault {
-                    node,
-                    page,
-                    kind: FaultKind::Write,
-                })
-            }
-        }
+        self.access(node, addr.page(), FaultKind::Write, |buf| {
+            buf[off..off + n].fill(byte);
+            n
+        })
     }
 
     /// Reads `out.len()` bytes starting at `addr`, one page run at a time.
@@ -889,28 +858,29 @@ impl ClusterMem {
         Ok(())
     }
 
-    fn frame_slot(&self, frame: FrameId, what: &str) -> Arc<FrameSlot> {
-        let shard = self.shard_must(frame.node);
-        let n = shard.mem.lock();
-        Arc::clone(
-            n.frames[frame.index as usize]
-                .as_ref()
-                .unwrap_or_else(|| panic!("{what} of freed frame {frame}")),
-        )
+    /// Runs `f` on a physical frame's data, holding its node's page-table
+    /// lock (the NIC's DMA path; lock order page table → frame data).
+    fn with_frame<R>(&self, frame: FrameId, what: &str, f: impl FnOnce(&mut [u8]) -> R) -> R {
+        let n = self.shard_must(frame.node).mem.lock();
+        let slot = n.frames[frame.index as usize]
+            .as_ref()
+            .unwrap_or_else(|| panic!("{what} of freed frame {frame}"));
+        let mut data = slot.data.lock();
+        f(&mut data)
     }
 
     /// Copies bytes out of a physical frame (NIC DMA read path).
     pub fn frame_read(&self, frame: FrameId, offset: usize, out: &mut [u8]) {
-        let slot = self.frame_slot(frame, "frame_read");
-        let data = slot.data.lock();
-        out.copy_from_slice(&data[offset..offset + out.len()]);
+        self.with_frame(frame, "frame_read", |data| {
+            out.copy_from_slice(&data[offset..offset + out.len()])
+        });
     }
 
     /// Copies bytes into a physical frame (NIC DMA write path).
     pub fn frame_write(&self, frame: FrameId, offset: usize, data: &[u8]) {
-        let slot = self.frame_slot(frame, "frame_write");
-        let mut buf = slot.data.lock();
-        buf[offset..offset + data.len()].copy_from_slice(data);
+        self.with_frame(frame, "frame_write", |buf| {
+            buf[offset..offset + data.len()].copy_from_slice(data)
+        });
     }
 
     /// Copies a whole frame `src` → `dst` (page transfer landing).
@@ -1073,6 +1043,39 @@ mod tests {
         let mut buf = [0u8; 4];
         m.frame_read(f1, 100, &mut buf);
         assert_eq!(buf, [1, 2, 3, 4]);
+    }
+
+    /// A TLB hit on a frame another node owns reads the frame's one copy
+    /// of the data, so NIC DMA into it shows at the next hit; each node
+    /// counts its own hits and misses, and `tlb_stats` is their sum.
+    #[test]
+    fn remote_frame_tlb_hit_sees_dma() {
+        let m = mem();
+        let f = m.alloc_frame(NodeId(1)).unwrap();
+        let page = PageNum::new(9);
+        m.map_page(NodeId(0), page, f, Prot::Read);
+        m.map_page(NodeId(1), page, f, Prot::ReadWrite);
+        assert_eq!(m.read_scalar::<u32>(NodeId(0), page.base()).unwrap(), 0);
+        assert_eq!(m.translate(NodeId(0), page), Some((f, Prot::Read)));
+        m.frame_write(f, 0, &7u32.to_le_bytes());
+        assert_eq!(m.read_scalar::<u32>(NodeId(0), page.base()).unwrap(), 7);
+        m.write_scalar(NodeId(1), page.base() + 4, 9u32).unwrap();
+        assert_eq!(m.read_scalar::<u32>(NodeId(0), page.base() + 4).unwrap(), 9);
+        let counts = |n| {
+            let t = m.shard_must(NodeId(n)).tlb.lock();
+            (t.hits, t.misses)
+        };
+        assert_eq!((counts(0), counts(1)), ((3, 1), (0, 1)));
+        assert_eq!(m.tlb_stats(), TlbStats { hits: 3, misses: 2 });
+    }
+
+    #[test]
+    #[should_panic(expected = "past MAX_NODES = 64")]
+    fn ensure_node_past_the_cap_panics() {
+        let m = ClusterMem::new(OsVmConfig::windows_nt());
+        m.ensure_node(NodeId(MAX_NODES as u32 - 1));
+        assert!(m.alloc_frame(NodeId(0)).is_ok());
+        m.ensure_node(NodeId(MAX_NODES as u32));
     }
 
     #[test]

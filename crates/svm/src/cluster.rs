@@ -4,7 +4,7 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use chaos::ChaosEngine;
-use memsim::{ClusterMem, OsVmConfig};
+use memsim::{ClusterMem, OsVmConfig, MAX_NODES};
 use obs::{EdgeKind, Event, Layer, ObsSink, SchedKind};
 use san::{San, SanConfig};
 use sim::{Engine, NodeId, SchedEvent, SchedEventKind};
@@ -81,7 +81,16 @@ impl fmt::Debug for Cluster {
 
 impl Cluster {
     /// Builds a cluster: engine nodes, NICs and memories for every node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.nodes` is past [`MAX_NODES`].
     pub fn build(cfg: ClusterConfig) -> Arc<Cluster> {
+        assert!(
+            cfg.nodes <= MAX_NODES,
+            "{} nodes is past MAX_NODES = {MAX_NODES}, the width of sim::Scope",
+            cfg.nodes
+        );
         let engine = Engine::new();
         engine.set_lookahead(Some(cfg.san.lookahead_ns()));
         let san = Arc::new(San::new(cfg.san));
@@ -186,5 +195,11 @@ mod tests {
         let c = Cluster::build(ClusterConfig::small(2, 1));
         assert_eq!(c.nodes().len(), 2);
         assert_eq!(c.total_cpus(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "past MAX_NODES = 64")]
+    fn build_past_the_node_cap_panics() {
+        Cluster::build(ClusterConfig::small(MAX_NODES + 1, 1));
     }
 }

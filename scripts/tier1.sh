@@ -100,6 +100,10 @@ for k in doc["kernels"]:
         bad |= not ok
 sys.exit(1 if bad else 0)
 PYEOF
+        # The parent-vs-change comparison tool: its verdicts and exact-metric
+        # diff, checked on two recorded sample files.
+        echo "==> scripts/pairs.sh --self-test"
+        ./scripts/pairs.sh --self-test
     fi
     # Causal edges must survive export: the trace carries Perfetto flow
     # events (ph "s"/"f" pairs) linking cause to effect across lanes.
