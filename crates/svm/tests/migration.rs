@@ -4,7 +4,7 @@
 use std::sync::Arc;
 use std::sync::Mutex as StdMutex;
 
-use cables_svm::{Cluster, ClusterConfig, PlacementPolicy, SvmConfig, SvmSystem};
+use cables_svm::{Cluster, ClusterConfig, NodeStats, PlacementPolicy, SvmConfig, SvmSystem};
 
 /// The counter policy with a traffic floor of `min_traffic` remote
 /// fetch+diff messages, no cooldown, and the default dominance share;
@@ -207,4 +207,123 @@ fn migration_does_not_resurrect_an_invalidated_copy() {
             assert!(s2.node_stats(cluster.nodes()[1]).migrations >= 1);
         })
         .unwrap();
+}
+
+/// FNV-1a, folded one word at a time.
+fn fnv(h: &mut u64, bytes: &[u8]) {
+    for b in bytes {
+        *h ^= u64::from(*b);
+        *h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+}
+
+#[test]
+fn migration_golden_both_pull_sources() {
+    // Two chunks move to node 1 under the counter policy with the bus on.
+    // Chunk A is pulled from both sources: its page A1 from node 1's
+    // current (dirty) copy, its page A0 — cached by node 1, then rewritten
+    // by the home and invalidated at node 1's next acquire — from the old
+    // home. Chunk B is written by node 1 alone. Pinned: end time, per-node
+    // counters, the memory both nodes read back and the protocol events.
+    const CHUNK: u64 = 16 * 4096;
+    let cluster = Cluster::build(ClusterConfig::small(2, 1));
+    let sys = SvmSystem::new(Arc::clone(&cluster), policy_cfg(Some(2)));
+    sys.set_obs(true);
+    let s2 = Arc::clone(&sys);
+    let out = Arc::new(StdMutex::new((0u64, 0u64)));
+    let o2 = Arc::clone(&out);
+    cluster
+        .engine
+        .clone()
+        .run(cluster.nodes()[0], move |sim| {
+            let a = s2.g_malloc(sim, 2 * CHUNK);
+            let (a0, a1, b0) = (a, a + 4096 + 8, a + CHUNK + 16);
+            s2.write::<u64>(sim, a0, 1);
+            s2.write::<u64>(sim, a1, 0);
+            s2.write::<u64>(sim, b0, 0);
+            let s3 = Arc::clone(&s2);
+            let cacher = s2.create(sim, move |ws| {
+                s3.lock(ws, 1);
+                assert_eq!(s3.read::<u64>(ws, a0), 1);
+                s3.unlock(ws, 1);
+            });
+            sim.wait_exit(cacher);
+            s2.lock(sim, 1);
+            s2.write::<u64>(sim, a0, 2);
+            s2.unlock(sim, 1);
+            // Creation is round-robin over processors: burn node 0's turn.
+            let filler = s2.create(sim, |_| {});
+            sim.wait_exit(filler);
+            let s3 = Arc::clone(&s2);
+            let migrator = s2.create(sim, move |ws| {
+                for r in 0..6u64 {
+                    s3.lock(ws, 1);
+                    s3.write::<u64>(ws, a1, 10 + r);
+                    s3.write::<u64>(ws, b0, 20 + r);
+                    s3.unlock(ws, 1);
+                }
+                s3.lock(ws, 1);
+                assert_eq!(s3.read::<u64>(ws, a0), 2, "stale bytes became the new home");
+                s3.unlock(ws, 1);
+            });
+            sim.wait_exit(migrator);
+            s2.lock(sim, 1);
+            let mut mem = 0xcbf2_9ce4_8422_2325u64;
+            for p in 0..32 {
+                for w in 0..3 {
+                    let v = s2.read::<u64>(sim, a + p * 4096 + w * 8);
+                    fnv(&mut mem, &v.to_le_bytes());
+                }
+            }
+            s2.unlock(sim, 1);
+            *o2.lock().unwrap() = (sim.now().as_nanos(), mem);
+        })
+        .unwrap();
+    let (end, mem) = *out.lock().unwrap();
+    let mut events = 0xcbf2_9ce4_8422_2325u64;
+    let mut proto = 0u64;
+    for r in sys.obs().events() {
+        if r.layer == obs::Layer::Proto {
+            proto += 1;
+            let line = format!("{} {} {} {} {:?}", r.at, r.dur_ns, r.node, r.track, r.event);
+            fnv(&mut events, line.as_bytes());
+        }
+    }
+    let n0 = sys.node_stats(cluster.nodes()[0]);
+    let n1 = sys.node_stats(cluster.nodes()[1]);
+    if std::env::var_os("PINNED_SHOW").is_some() {
+        println!("end {end} mem {mem} proto {proto} events {events}\n{n0:#?}\n{n1:#?}");
+    }
+    assert_eq!(n1.migrations, 2, "both chunks move to the writer");
+    assert_eq!(end, 8_801_346, "simulated end time moved");
+    assert_eq!(mem, 10_737_715_805_422_153_329, "memory read back moved");
+    assert_eq!(
+        (proto, events),
+        (226, 14_317_024_852_919_278_956),
+        "protocol event stream moved"
+    );
+    let stats = |read_faults, write_faults, remote_fetches, diffs_sent, diff_bytes| NodeStats {
+        read_faults,
+        write_faults,
+        remote_fetches,
+        fetch_bytes: remote_fetches * 4096,
+        diffs_sent,
+        diff_bytes,
+        ..NodeStats::default()
+    };
+    let golden0 = NodeStats {
+        notices_applied: 32,
+        placements: 2,
+        lock_acquires: 2,
+        ..stats(32, 4, 32, 0, 0)
+    };
+    let golden1 = NodeStats {
+        notices_applied: 1,
+        migrations: 2,
+        lock_acquires: 8,
+        policy_considered: 3,
+        policy_migrations: 2,
+        ..stats(2, 12, 3, 1, 8)
+    };
+    assert_eq!((n0, n1), (golden0, golden1), "protocol counters moved");
 }
