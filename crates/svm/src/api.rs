@@ -14,7 +14,7 @@ use sim::{NodeId, Sim, Tid};
 
 use crate::cluster::Cluster;
 use crate::config::SvmConfig;
-use crate::proto::{ProtoState, HEAP_BASE};
+use crate::core::{NodeStats, PlacementReport, ProtoState, HEAP_BASE};
 
 /// A shared-virtual-memory system instance over a [`Cluster`].
 ///
@@ -61,8 +61,8 @@ impl SvmSystem {
         let master = cluster.nodes()[0];
         Arc::new(SvmSystem {
             cluster,
+            state: Mutex::new(ProtoState::new(nodes, cfg.clone(), master)),
             cfg,
-            state: Mutex::new(ProtoState::new(nodes)),
             master,
             crashed_discount: AtomicU64::new(0),
         })
@@ -203,6 +203,35 @@ impl SvmSystem {
         base
     }
 
+    /// Detailed misplacement list `(page, first_toucher, home)` for
+    /// diagnostics.
+    pub fn misplaced_pages(&self) -> Vec<(u64, NodeId, NodeId)> {
+        self.state.lock().misplaced_pages()
+    }
+
+    /// Placement quality of the run so far (paper Fig. 6).
+    pub fn placement_report(&self) -> PlacementReport {
+        self.state.lock().placement_report()
+    }
+
+    /// Protocol counters for `node`.
+    pub fn node_stats(&self, node: NodeId) -> NodeStats {
+        self.state.lock().nodes[node.0 as usize].stats
+    }
+
+    /// Sum of protocol counters over all nodes.
+    pub fn total_stats(&self) -> NodeStats {
+        self.state.lock().total_stats()
+    }
+
+    /// Per-node remote-pull counts: demand fetches each node has served
+    /// as home. The thread-affinity placement hint the CableS runtime
+    /// consults when `affinity_placement` is on (reading it never
+    /// perturbs the protocol).
+    pub fn home_pull(&self) -> Vec<u64> {
+        self.state.lock().home_pull.clone()
+    }
+
     /// Total bytes of global shared memory allocated so far.
     pub fn allocated_bytes(&self) -> u64 {
         let st = self.state.lock();
@@ -270,7 +299,7 @@ impl SvmSystem {
 mod tests {
     use super::*;
     use crate::cluster::ClusterConfig;
-    use crate::proto::HEAP_BASE;
+    use crate::core::HEAP_BASE;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn setup(nodes: usize, cpus: usize, cfg: SvmConfig) -> (Arc<Cluster>, Arc<SvmSystem>) {

@@ -25,14 +25,16 @@
 mod api;
 mod cluster;
 mod config;
+mod core;
+#[cfg(test)]
+mod explore;
 mod proto;
 mod sync;
 
 pub use api::SvmSystem;
 pub use cluster::{Cluster, ClusterConfig};
 pub use config::{PlacementPolicy, ProtoMode, SvmConfig, SvmCosts};
-pub use proto::{
-    NodeStats, PlacementReport, ProtoError, GLOBAL_SECTION_BASE, GLOBAL_SECTION_BYTES, HEAP_BASE,
-};
+pub use core::{NodeStats, PlacementReport, GLOBAL_SECTION_BASE, GLOBAL_SECTION_BYTES, HEAP_BASE};
+pub use proto::ProtoError;
 #[doc(hidden)]
 pub use sync::WaitQueue;

@@ -10,21 +10,20 @@
 //! woken thread resumes) and the park ([`SvmSystem::park`]: every block is
 //! followed by a crash checkpoint).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::Ordering;
 
 use obs::EdgeKind;
 use sim::{NodeId, Sim, SimTime, Tid};
 
 use crate::api::SvmSystem;
-use crate::proto::{BarrierState, LockState};
 
 /// FIFO of parked threads `(tid, node, tag)`: the one waiter queue behind
 /// locks, barriers, conditions, rwlocks (tagged with `wants_write`),
 /// joiners and the idle thread pool. A thread parks in at most one queue
 /// at a time, once.
 #[doc(hidden)]
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct WaitQueue<T = ()>(pub VecDeque<(Tid, NodeId, T)>);
 
 impl<T> WaitQueue<T> {
@@ -40,6 +39,26 @@ impl<T> WaitQueue<T> {
         let at = self.0.iter().position(|w| w.0 == tid);
         at.and_then(|i| self.0.remove(i)).is_some()
     }
+}
+
+#[derive(Debug, Clone)]
+pub(crate) struct LockState {
+    pub manager: NodeId,
+    pub holder: Option<Tid>,
+    pub holder_node: Option<NodeId>,
+    pub waiters: WaitQueue,
+    pub acquired_from: HashSet<u32>,
+}
+
+#[derive(Debug, Default, Clone)]
+pub(crate) struct BarrierState {
+    pub count: usize,
+    pub waiters: WaitQueue,
+    pub max_arrival: SimTime,
+    /// Membership of the current episode, recorded on every arrival so a
+    /// crash recovery can release the barrier when the survivors plus the
+    /// crashed-thread discount cover it.
+    pub expected: usize,
 }
 
 impl LockState {
@@ -219,9 +238,9 @@ impl SvmSystem {
                 holder: None,
                 holder_node: None,
                 waiters: WaitQueue::default(),
-                acquired_from: HashMap::new(),
+                acquired_from: HashSet::new(),
             });
-            let first_time = l.acquired_from.insert(node.0, ()).is_none();
+            let first_time = l.acquired_from.insert(node.0);
             let granted = l.holder.is_none();
             // A fresh lock acquired by its manager is also local.
             let local_grant = granted

@@ -30,6 +30,16 @@ if grep -rnE 'EngineMode|set_mode\(|set_lockless|set_fast_path|set_slow_mode|eng
     exit 1
 fi
 
+# The page-protocol core is sans-I/O: it decides, `proto.rs` performs. It
+# names no engine, cluster, memory, NIC or wire handle, no lock and no
+# observability item; plain id and value types (`NodeId`, `RegionId`,
+# `PageNum`, `SimTime`) are fine.
+echo "==> svm protocol core names no engine, I/O, lock or obs item"
+if grep -nE '\b(Sim|Cluster|ClusterMem|Vmmc|San|Mutex)\b|\.lock\(\)|\bobs::' crates/svm/src/core.rs; then
+    echo "tier1: crates/svm/src/core.rs reaches past the directory (see above)" >&2
+    exit 1
+fi
+
 # The golden-value tests go first: a transfer or a hand-off that moved by
 # one nanosecond fails here in seconds, not after the workspace sweep.
 echo "==> pinned goldens (cables sync plumbing, san timing model)"
