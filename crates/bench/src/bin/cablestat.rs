@@ -56,7 +56,7 @@ use std::process::ExitCode;
 
 use obs::diff::{diff, Thresholds};
 use obs::explain::explain_diff;
-use obs::json::{line_col, parse, validate, Value};
+use obs::json::{line_col, parse, validate, Value, Writer};
 use obs::series::windowed_table;
 use obs::stream::{parse_stream, Stream};
 use obs::{report, MetricsSnapshot};
@@ -161,43 +161,21 @@ fn load_stream(path: &Path) -> Result<Stream, String> {
     parse_stream(&text).map_err(|e| format!("{}:{e}", path.display()))
 }
 
-/// Finds every snapshot-shaped subtree (an object with the
-/// `MetricsSnapshot::to_json` fields) and returns it with a breadcrumb
-/// label, so both raw snapshots and `BENCH_obs_*.json` wrappers print.
-fn find_snapshots<'a>(label: &str, v: &'a Value, out: &mut Vec<(String, &'a Value)>) {
-    let looks_like_snapshot = v.get("dropped_events").is_some()
-        && v.get("nodes").is_some()
-        && v.get("kinds").is_some()
-        && v.get("hists").is_some();
-    if looks_like_snapshot {
-        out.push((label.to_string(), v));
-        return;
-    }
-    match v {
-        Value::Obj(kvs) => {
-            for (k, sub) in kvs {
-                let l = if label.is_empty() { k.clone() } else { format!("{label}.{k}") };
-                find_snapshots(&l, sub, out);
-            }
-        }
-        Value::Arr(xs) => {
-            for (i, sub) in xs.iter().enumerate() {
-                let id = sub
-                    .get("kernel")
-                    .and_then(|x| x.as_str())
-                    .map(str::to_string)
-                    .unwrap_or_else(|| i.to_string());
-                find_snapshots(&format!("{label}[{id}]"), sub, out);
-            }
-        }
-        _ => {}
-    }
+/// A snapshot-shaped object (the `MetricsSnapshot::to_json` fields).
+fn is_snapshot(v: &Value) -> bool {
+    ["dropped_events", "nodes", "kinds", "hists"].iter().all(|k| v.get(k).is_some())
 }
 
-/// Finds every stall-profile-shaped subtree (`obs::stall::StallProfile`
-/// JSON: totals + threads with bucket fields).
-fn find_stalls<'a>(label: &str, v: &'a Value, out: &mut Vec<(String, &'a Value)>) {
-    if v.get("totals").is_some() && v.get("threads").is_some() && v.get("slice_ns").is_some() {
+/// A stall-profile-shaped object (`obs::stall::StallProfile` JSON: totals
+/// + threads with bucket fields).
+fn is_stall(v: &Value) -> bool {
+    ["totals", "threads", "slice_ns"].iter().all(|k| v.get(k).is_some())
+}
+
+/// Finds every subtree `is` accepts and returns it with a breadcrumb
+/// label, so both raw documents and `BENCH_obs_*.json` wrappers print.
+fn find<'a>(label: &str, v: &'a Value, is: fn(&Value) -> bool, out: &mut Vec<(String, &'a Value)>) {
+    if is(v) {
         out.push((label.to_string(), v));
         return;
     }
@@ -205,7 +183,7 @@ fn find_stalls<'a>(label: &str, v: &'a Value, out: &mut Vec<(String, &'a Value)>
         Value::Obj(kvs) => {
             for (k, sub) in kvs {
                 let l = if label.is_empty() { k.clone() } else { format!("{label}.{k}") };
-                find_stalls(&l, sub, out);
+                find(&l, sub, is, out);
             }
         }
         Value::Arr(xs) => {
@@ -215,7 +193,7 @@ fn find_stalls<'a>(label: &str, v: &'a Value, out: &mut Vec<(String, &'a Value)>
                     .and_then(|x| x.as_str())
                     .map(str::to_string)
                     .unwrap_or_else(|| i.to_string());
-                find_stalls(&format!("{label}[{id}]"), sub, out);
+                find(&format!("{label}[{id}]"), sub, is, out);
             }
         }
         _ => {}
@@ -270,7 +248,7 @@ fn cmd_print(args: &[String], dir: &str) -> ExitCode {
         }
     };
     let mut snaps = Vec::new();
-    find_snapshots("", &v, &mut snaps);
+    find("", &v, is_snapshot, &mut snaps);
     let mut printed = false;
     for (label, sv) in &snaps {
         match MetricsSnapshot::from_value(sv) {
@@ -287,7 +265,7 @@ fn cmd_print(args: &[String], dir: &str) -> ExitCode {
         }
     }
     let mut stalls = Vec::new();
-    find_stalls("", &v, &mut stalls);
+    find("", &v, is_stall, &mut stalls);
     for (label, sv) in &stalls {
         let title = if label.is_empty() {
             path.display().to_string()
@@ -612,15 +590,11 @@ fn cmd_series(args: &[String], dir: &str) -> ExitCode {
         None => true,
     };
     if as_json {
-        let rows = windowed_table(&s.frames);
-        println!(
-            "{{\n  \"kernel\": \"{}\",\n  \"sample_ns\": {},\n  \"frames\": {},\n  \"fold_exact\": {},\n  \"windows\": {}\n}}",
-            s.header.kernel,
-            s.header.sample_ns,
-            s.frames.len(),
-            fold_ok,
-            obs::series::window_table_json(&rows)
-        );
+        let mut w = Writer::pretty();
+        w.obj().field("kernel", &s.header.kernel).field("sample_ns", s.header.sample_ns);
+        w.field("frames", s.frames.len()).field("fold_exact", fold_ok);
+        w.field("windows", windowed_table(&s.frames)).end();
+        print!("{}", w.finish());
     } else {
         println!(
             "stream {} (kernel {}, sample {}ns)",

@@ -28,6 +28,7 @@ use std::fmt;
 use std::fmt::Write as _;
 
 use crate::event::{EdgeKind, Event, EventRecord, Layer, NIC_TRACK};
+use crate::json::{ToJson, Writer};
 
 /// Why [`analyze`] refused to produce a result.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -454,59 +455,29 @@ impl CritPath {
         }
         out
     }
+}
 
-    /// Serializes the report as deterministic JSON (sorted keys; the
-    /// workspace's `serde` is an offline marker shim, so this is
-    /// hand-rolled like `MetricsSnapshot::to_json`).
-    pub fn to_json(&self) -> String {
-        let mut j = String::with_capacity(1024);
-        let _ = write!(
-            j,
-            "{{\n  \"total_ns\": {},\n  \"edges_on_path\": {},",
-            self.total_ns, self.edges_on_path
-        );
-        let map = |j: &mut String, name: &str, items: &[(String, u64)]| {
-            let _ = write!(j, "\n  \"{name}\": {{");
-            for (i, (k, v)) in items.iter().enumerate() {
-                if i > 0 {
-                    j.push(',');
-                }
-                let _ = write!(j, "\n    \"{k}\": {v}");
+impl ToJson for CritPath {
+    fn write_json(&self, w: &mut Writer) {
+        fn map<K: fmt::Display>(w: &mut Writer, name: &str, items: &[(K, u64)]) {
+            w.key(name).obj();
+            for (k, v) in items {
+                w.field(&k.to_string(), v);
             }
-            j.push_str("\n  },");
-        };
-        map(&mut j, "by_layer", &self.by_layer);
-        map(&mut j, "by_kind", &self.by_kind);
-        let nodes: Vec<(String, u64)> = self
-            .by_node
-            .iter()
-            .map(|&(n, v)| (n.to_string(), v))
-            .collect();
-        map(&mut j, "by_node", &nodes);
-        let pages: Vec<(String, u64)> = self
-            .by_page
-            .iter()
-            .map(|&(p, v)| (p.to_string(), v))
-            .collect();
-        map(&mut j, "by_page", &pages);
-        j.push_str("\n  \"blame\": [");
-        for (i, r) in self.blame.iter().enumerate() {
-            if i > 0 {
-                j.push(',');
-            }
-            let _ = write!(
-                j,
-                "\n    {{\"kind\": \"{}\", \"src_node\": {}, \"dst_node\": {}, \"obj\": {}, \"total_ns\": {}, \"count\": {}}}",
-                r.kind.name(),
-                r.src_node,
-                r.dst_node,
-                r.obj,
-                r.total_ns,
-                r.count
-            );
+            w.end();
         }
-        j.push_str("\n  ]\n}\n");
-        j
+        w.obj().field("total_ns", self.total_ns).field("edges_on_path", self.edges_on_path);
+        map(w, "by_layer", &self.by_layer);
+        map(w, "by_kind", &self.by_kind);
+        map(w, "by_node", &self.by_node);
+        map(w, "by_page", &self.by_page);
+        w.key("blame").arr();
+        for r in &self.blame {
+            w.obj().field("kind", r.kind.name()).field("src_node", r.src_node);
+            w.field("dst_node", r.dst_node).field("obj", r.obj);
+            w.field("total_ns", r.total_ns).field("count", r.count).end();
+        }
+        w.end().end();
     }
 }
 
@@ -663,8 +634,8 @@ mod tests {
         let a = analyze(&evs, 100, 0).unwrap();
         let b = analyze(&evs, 100, 0).unwrap();
         assert_eq!(a, b);
-        assert_eq!(a.to_json(), b.to_json());
-        crate::json::validate(&a.to_json()).expect("critpath JSON parses");
+        assert_eq!(crate::json::pretty(&a), crate::json::pretty(&b));
+        crate::json::validate(&crate::json::pretty(&a)).expect("critpath JSON parses");
         let text = a.render("TEST", 5);
         assert!(text.contains("lock_handoff"));
         assert!(text.contains("critical path"));

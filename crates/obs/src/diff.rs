@@ -29,7 +29,7 @@
 use std::fmt;
 use std::fmt::Write as _;
 
-use crate::json::Value;
+use crate::json::{self, Fixed, ToJson, Value, Writer};
 
 /// Significance thresholds. A delta is significant when `|delta| >
 /// abs` **and** `|rel%| > rel_pct` (a vanished/appeared value counts as
@@ -154,13 +154,7 @@ const ID_KEYS: &[&str] = &[
 
 fn scalar_str(v: &Value) -> String {
     match v {
-        Value::Num(n) => {
-            if n.fract() == 0.0 && n.abs() < 9e15 {
-                format!("{}", *n as i64)
-            } else {
-                format!("{n}")
-            }
-        }
+        Value::Num(n) => n.to_string(),
         Value::Str(s) => s.clone(),
         Value::Bool(b) => b.to_string(),
         Value::Null => "null".to_string(),
@@ -356,8 +350,8 @@ impl Diff {
                 "{:<9} {:<58} {:>14} {:>14} {:>10}",
                 mark,
                 format!("{} [{}]", r.path, r.section),
-                fmt_f64(r.before),
-                fmt_f64(r.after),
+                Fixed::or_int(r.before, 4),
+                Fixed::or_int(r.after, 4),
                 rel
             );
         }
@@ -385,82 +379,25 @@ impl Diff {
 
     /// Deterministic JSON of the delta report.
     pub fn to_json(&self) -> String {
-        let mut j = String::with_capacity(1024);
-        j.push_str("{\n  \"rows\": [");
-        for (i, r) in self.rows.iter().enumerate() {
-            if i > 0 {
-                j.push(',');
-            }
-            let rel = if r.rel_pct.is_finite() {
-                format!("{:.4}", r.rel_pct)
-            } else {
-                "null".to_string()
-            };
-            let _ = write!(
-                j,
-                "\n    {{\"path\": \"{}\", \"section\": \"{}\", \"before\": {}, \"after\": {}, \
-                 \"delta\": {}, \"rel_pct\": {}, \"significant\": {}, \"regression\": {}}}",
-                escape(&r.path),
-                r.section,
-                fmt_f64(r.before),
-                fmt_f64(r.after),
-                fmt_f64(r.delta),
-                rel,
-                r.significant,
-                r.regression
-            );
-        }
-        j.push_str("\n  ],\n  \"labels\": [");
-        for (i, (p, x, y)) in self.labels.iter().enumerate() {
-            if i > 0 {
-                j.push(',');
-            }
-            let _ = write!(
-                j,
-                "\n    {{\"path\": \"{}\", \"before\": \"{}\", \"after\": \"{}\"}}",
-                escape(p),
-                escape(x),
-                escape(y)
-            );
-        }
-        let list = |j: &mut String, name: &str, items: &[String]| {
-            let _ = write!(j, "\n  ],\n  \"{name}\": [");
-            for (i, p) in items.iter().enumerate() {
-                if i > 0 {
-                    j.push(',');
-                }
-                let _ = write!(j, "\n    \"{}\"", escape(p));
-            }
-        };
-        list(&mut j, "added", &self.added);
-        list(&mut j, "removed", &self.removed);
-        j.push_str("\n  ]\n}\n");
-        j
+        json::pretty(self)
     }
 }
 
-fn fmt_f64(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 9e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v:.4}")
-    }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+impl ToJson for Diff {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj().key("rows").arr();
+        for r in &self.rows {
+            w.obj().field("path", &r.path).field("section", r.section);
+            w.field("before", Fixed::or_int(r.before, 4)).field("after", Fixed::or_int(r.after, 4));
+            w.field("delta", Fixed::or_int(r.delta, 4)).field("rel_pct", Fixed(r.rel_pct, 4));
+            w.field("significant", r.significant).field("regression", r.regression).end();
         }
+        w.end().key("labels").arr();
+        for (p, x, y) in &self.labels {
+            w.obj().field("path", p).field("before", x).field("after", y).end();
+        }
+        w.end().field("added", &self.added).field("removed", &self.removed).end();
     }
-    out
 }
 
 impl fmt::Display for Diff {

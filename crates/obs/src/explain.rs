@@ -28,7 +28,7 @@
 use std::fmt::Write as _;
 
 use crate::diff::{diff, DeltaRow, Diff, Thresholds};
-use crate::json::Value;
+use crate::json::{self, Fixed, ToJson, Value, Writer};
 use crate::stall::{Bucket, BUCKETS};
 use crate::stream::Stream;
 
@@ -329,14 +329,6 @@ pub fn explain_diff(
     }
 }
 
-fn fmt_val(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 9e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v:.2}")
-    }
-}
-
 impl Explanation {
     /// Whether anything regressed at all.
     pub fn is_clean(&self) -> bool {
@@ -361,8 +353,8 @@ impl Explanation {
                 "#{} {}: {} -> {} ({})",
                 i + 1,
                 f.path,
-                fmt_val(f.before),
-                fmt_val(f.after),
+                Fixed::or_int(f.before, 2),
+                Fixed::or_int(f.after, 2),
                 rel
             );
             if f.causes.is_empty() {
@@ -378,8 +370,8 @@ impl Explanation {
                     "   {:<9} {:<40} {:>14} -> {:<14} {:+}{share}",
                     c.kind.tag(),
                     c.name,
-                    fmt_val(c.before),
-                    fmt_val(c.after),
+                    Fixed::or_int(c.before, 2),
+                    Fixed::or_int(c.after, 2),
                     c.delta as i64
                 );
             }
@@ -392,46 +384,25 @@ impl Explanation {
 
     /// Deterministic JSON of the report.
     pub fn to_json(&self) -> String {
-        let mut j = String::from("{\n  \"findings\": [");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                j.push(',');
+        json::pretty(self)
+    }
+}
+
+impl ToJson for Explanation {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj().key("findings").arr();
+        for f in &self.findings {
+            w.obj().field("path", &f.path);
+            w.field("before", Fixed::or_int(f.before, 2)).field("after", Fixed::or_int(f.after, 2));
+            w.key("causes").arr();
+            for c in &f.causes {
+                w.obj().field("kind", c.kind.tag()).field("name", &c.name);
+                w.field("before", Fixed::or_int(c.before, 2)).field("after", Fixed::or_int(c.after, 2));
+                w.field("share_pct", c.share_pct.map(|s| Fixed(s, 2))).end();
             }
-            let _ = write!(
-                j,
-                "\n    {{\"path\": \"{}\", \"before\": {}, \"after\": {}, \"causes\": [",
-                f.path,
-                fmt_val(f.before),
-                fmt_val(f.after)
-            );
-            for (k, c) in f.causes.iter().enumerate() {
-                if k > 0 {
-                    j.push(',');
-                }
-                let share = c
-                    .share_pct
-                    .map(|s| format!("{s:.2}"))
-                    .unwrap_or_else(|| "null".into());
-                let _ = write!(
-                    j,
-                    "\n      {{\"kind\": \"{}\", \"name\": \"{}\", \"before\": {}, \"after\": {}, \"share_pct\": {share}}}",
-                    c.kind.tag(),
-                    c.name,
-                    fmt_val(c.before),
-                    fmt_val(c.after)
-                );
-            }
-            j.push_str("\n    ]}");
+            w.end().end();
         }
-        j.push_str("\n  ],\n  \"notes\": [");
-        for (i, n) in self.notes.iter().enumerate() {
-            if i > 0 {
-                j.push_str(", ");
-            }
-            let _ = write!(j, "\"{n}\"");
-        }
-        j.push_str("]\n}\n");
-        j
+        w.end().field("notes", &self.notes).end();
     }
 }
 
@@ -490,6 +461,22 @@ mod tests {
         // Ranked by |delta| within the kind: considered moved more.
         assert_eq!(migr, ["proto.policy_considered", "proto.migrations"]);
         assert!(e.render("t").contains("migration"));
+    }
+
+    #[test]
+    fn json_escapes_user_supplied_paths() {
+        // Metric keys come from the compared documents; `"` and `\` in one
+        // must not break the report's JSON.
+        let mk = |sim: u64| {
+            json::parse(&format!(r#"{{"we\"ird\\key_ns": {sim}, "stall": {{"totals": {{"compute": {sim}}}}}}}"#))
+                .unwrap()
+        };
+        let th = Thresholds { abs: 0.0, rel_pct: 2.0 };
+        let e = explain(&mk(1_000), &mk(2_000), &th, None, 5);
+        assert_eq!(e.findings[0].path, "we\"ird\\key_ns");
+        let v = json::parse(&e.to_json()).expect("explain JSON parses");
+        let path = v.get("findings").and_then(|f| f.as_arr()).and_then(|f| f[0].get("path"));
+        assert_eq!(path.and_then(Value::as_str), Some("we\"ird\\key_ns"));
     }
 
     #[test]

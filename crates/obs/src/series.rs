@@ -49,6 +49,7 @@
 use std::sync::Arc;
 
 use crate::event::{EdgeKind, Event, Layer, NIC_TRACK};
+use crate::json::{ToJson, Writer};
 use crate::metrics::{Histogram, KindAgg, MetricsSnapshot, NodeMetrics, PageMetrics};
 use crate::stall::{bucket_for_kind, Bucket, BUCKETS};
 use crate::stream::FrameRing;
@@ -558,47 +559,32 @@ pub fn windowed_table(frames: &[DeltaFrame]) -> Vec<WindowRow> {
         .collect()
 }
 
-/// Serializes table rows as a JSON array (the `"windows"` section of
-/// `BENCH_obs_*.json`).
-pub fn window_table_json(rows: &[WindowRow]) -> String {
-    use std::fmt::Write as _;
-    let mut j = String::from("[");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            j.push(',');
-        }
-        let _ = write!(
-            j,
-            "\n      {{\"start_ns\": {}, \"end_ns\": {}, \"merged\": {}, \"events\": {}, \"faults\": {}, \"fetches\": {}, \"diffs\": {}, \"invals\": {}, ",
-            r.start_ns, r.end_ns, r.merged, r.events, r.faults, r.fetches, r.diffs, r.invals
-        );
+/// One row of the `"windows"` table of `BENCH_obs_*.json` and
+/// `cablestat series --json`.
+impl ToJson for WindowRow {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj().field("start_ns", self.start_ns).field("end_ns", self.end_ns);
+        w.field("merged", self.merged).field("events", self.events);
+        w.field("faults", self.faults).field("fetches", self.fetches);
+        w.field("diffs", self.diffs).field("invals", self.invals);
         // Sparse, like the stall buckets below: policy-off runs never
-        // migrate, keeping their artifacts byte-identical to before the
-        // column existed.
-        if r.migrates > 0 {
-            let _ = write!(j, "\"migrates\": {}, ", r.migrates);
+        // migrate, so their tables carry no migration column.
+        if self.migrates > 0 {
+            w.field("migrates", self.migrates);
         }
-        j.push_str("\"stall_ns\": {");
-        let mut first = true;
+        w.key("stall_ns").obj();
         for b in Bucket::ALL {
-            let v = r.stall_ns[b as usize];
-            if v == 0 {
-                continue;
+            let v = self.stall_ns[b as usize];
+            if v > 0 {
+                w.field(b.name(), v);
             }
-            if !first {
-                j.push_str(", ");
-            }
-            first = false;
-            let _ = write!(j, "\"{}\": {}", b.name(), v);
         }
-        let _ = write!(
-            j,
-            "}}, \"san_p50\": {}, \"san_p95\": {}, \"san_p99\": {}, \"svc\": {}, \"svc_p50\": {}, \"svc_p95\": {}, \"svc_p99\": {}}}",
-            r.san_p[0], r.san_p[1], r.san_p[2], r.svc, r.svc_p[0], r.svc_p[1], r.svc_p[2]
-        );
+        w.end();
+        let (s, v) = (self.san_p, self.svc_p);
+        w.field("san_p50", s[0]).field("san_p95", s[1]).field("san_p99", s[2]);
+        w.field("svc", self.svc);
+        w.field("svc_p50", v[0]).field("svc_p95", v[1]).field("svc_p99", v[2]).end();
     }
-    j.push_str("\n    ]");
-    j
 }
 
 #[cfg(test)]

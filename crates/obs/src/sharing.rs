@@ -18,6 +18,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::event::{EdgeKind, Event, EventRecord};
+use crate::json::{ToJson, Writer};
 use crate::metrics::MetricsSnapshot;
 
 /// Sharing profile of one page.
@@ -269,35 +270,19 @@ impl SharingReport {
         );
         out
     }
+}
 
-    /// Serializes the report as deterministic JSON.
-    pub fn to_json(&self) -> String {
-        let mut j = String::with_capacity(512);
-        let _ = write!(
-            j,
-            "{{\n  \"total_diff_bytes\": {},\n  \"total_fetch_wait_ns\": {},\n  \"pages\": [",
-            self.total_diff_bytes, self.total_fetch_wait_ns
-        );
-        for (i, p) in self.pages.iter().enumerate() {
-            if i > 0 {
-                j.push(',');
-            }
-            let _ = write!(
-                j,
-                "\n    {{\"page\": {}, \"sharers\": {}, \"faults\": {}, \"fetches\": {}, \"diffs\": {}, \"diff_bytes\": {}, \"invals\": {}, \"handoffs\": {}, \"fetch_wait_ns\": {}}}",
-                p.page,
-                p.sharers,
-                p.faults,
-                p.fetches,
-                p.diffs,
-                p.diff_bytes,
-                p.invals,
-                p.handoffs,
-                p.fetch_wait_ns
-            );
+impl ToJson for SharingReport {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj().field("total_diff_bytes", self.total_diff_bytes);
+        w.field("total_fetch_wait_ns", self.total_fetch_wait_ns).key("pages").arr();
+        for p in &self.pages {
+            w.obj().field("page", p.page).field("sharers", p.sharers).field("faults", p.faults);
+            w.field("fetches", p.fetches).field("diffs", p.diffs);
+            w.field("diff_bytes", p.diff_bytes).field("invals", p.invals);
+            w.field("handoffs", p.handoffs).field("fetch_wait_ns", p.fetch_wait_ns).end();
         }
-        j.push_str("\n  ]\n}\n");
-        j
+        w.end().end();
     }
 }
 
@@ -353,7 +338,7 @@ mod tests {
         assert_eq!(rep.pages[1].page, 8);
         assert_eq!(rep.pages[1].sharers, 1);
         assert_eq!(rep.total_diff_bytes, 128);
-        let json = rep.to_json();
+        let json = crate::json::pretty(&rep);
         crate::json::validate(&json).expect("sharing JSON parses");
         assert!(rep.render("T", 10).contains("p5"));
 

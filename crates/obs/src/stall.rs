@@ -34,6 +34,7 @@ use std::fmt;
 use std::fmt::Write as _;
 
 use crate::event::{EdgeKind, Event, EventRecord, NIC_TRACK};
+use crate::json::{ToJson, Writer};
 
 /// The stall buckets, in display order. `Compute` is the residue bucket;
 /// the other eight come from classified spans. Declaration order doubles
@@ -427,50 +428,34 @@ impl StallProfile {
         out
     }
 
-    /// Deterministic JSON (hand-rolled — the workspace `serde` is an
-    /// offline marker shim).
-    pub fn to_json(&self) -> String {
-        let mut j = String::with_capacity(1024);
-        let _ = write!(
-            j,
-            "{{\n  \"slice_ns\": {},\n  \"lifetime_ns\": {},",
-            self.slice_ns,
-            self.lifetime_ns()
-        );
-        let buckets = |j: &mut String, indent: &str, b: &[u64; BUCKETS]| {
-            for (i, bk) in Bucket::ALL.iter().enumerate() {
-                if i > 0 {
-                    j.push(',');
-                }
-                let _ = write!(j, "\n{indent}\"{}\": {}", bk.name(), b[i]);
-            }
-        };
-        j.push_str("\n  \"totals\": {");
-        buckets(&mut j, "    ", &self.totals());
-        j.push_str("\n  },\n  \"threads\": [");
-        for (i, t) in self.threads.iter().enumerate() {
-            if i > 0 {
-                j.push(',');
-            }
-            let _ = write!(
-                j,
-                "\n    {{\"node\": {}, \"track\": {}, \"start_ns\": {}, \"end_ns\": {},",
-                t.node, t.track, t.start_ns, t.end_ns
-            );
-            buckets(&mut j, "     ", &t.buckets);
-            j.push('}');
+}
+
+/// One `"bucket": ns` member per bucket, in display order.
+fn bucket_fields(w: &mut Writer, b: &[u64; BUCKETS]) {
+    for bk in Bucket::ALL {
+        w.field(bk.name(), b[bk as usize]);
+    }
+}
+
+impl ToJson for StallProfile {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj().field("slice_ns", self.slice_ns).field("lifetime_ns", self.lifetime_ns());
+        w.key("totals").obj();
+        bucket_fields(w, &self.totals());
+        w.end().key("threads").arr();
+        for t in &self.threads {
+            w.obj().field("node", t.node).field("track", t.track);
+            w.field("start_ns", t.start_ns).field("end_ns", t.end_ns);
+            bucket_fields(w, &t.buckets);
+            w.end();
         }
-        j.push_str("\n  ],\n  \"slices\": [");
-        for (i, s) in self.slices.iter().enumerate() {
-            if i > 0 {
-                j.push(',');
-            }
-            let _ = write!(j, "\n    {{\"start_ns\": {},", s.start_ns);
-            buckets(&mut j, "     ", &s.buckets);
-            j.push('}');
+        w.end().key("slices").arr();
+        for s in &self.slices {
+            w.obj().field("start_ns", s.start_ns);
+            bucket_fields(w, &s.buckets);
+            w.end();
         }
-        j.push_str("\n  ]\n}\n");
-        j
+        w.end().end();
     }
 }
 
@@ -568,12 +553,12 @@ mod tests {
         assert_eq!(p.threads.len(), 1);
         let folded = p.collapsed();
         assert!(folded.contains("node0;t1;mutex_wait 50"));
-        crate::json::validate(&p.to_json()).expect("stall JSON parses");
+        crate::json::validate(&crate::json::pretty(&p)).expect("stall JSON parses");
         let text = p.render("TEST");
         assert!(text.contains("per-thread stall profile"));
         // Determinism: same input, same bytes.
         let q = analyze(&evs, 0, 16).unwrap();
         assert_eq!(p, q);
-        assert_eq!(p.to_json(), q.to_json());
+        assert_eq!(crate::json::pretty(&p), crate::json::pretty(&q));
     }
 }

@@ -31,11 +31,10 @@
 //! `[index, count]` pairs.
 
 use std::cell::UnsafeCell;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::event::Layer;
-use crate::json::{self, Value};
+use crate::json::{self, Value, Writer};
 use crate::metrics::{Histogram, KindAgg, MetricsSnapshot, NodeMetrics, PageMetrics};
 use crate::series::DeltaFrame;
 use crate::stall::{Bucket, BUCKETS};
@@ -184,146 +183,81 @@ impl FrameRing {
 
 /// The stream's header line.
 pub fn header_line(kernel: &str, sample_ns: u64) -> String {
-    format!(
-        "{{\"type\":\"header\",\"version\":{STREAM_VERSION},\"kernel\":\"{kernel}\",\"sample_ns\":{sample_ns}}}"
-    )
+    let mut w = Writer::line();
+    w.obj().field("type", "header").field("version", STREAM_VERSION);
+    w.field("kernel", kernel).field("sample_ns", sample_ns).end();
+    w.finish()
 }
 
 /// One frame as a single NDJSON line (no trailing newline).
 pub fn frame_line(f: &DeltaFrame) -> String {
-    let mut j = String::with_capacity(256);
-    let _ = write!(
-        j,
-        "{{\"type\":\"frame\",\"seq\":{},\"start_ns\":{},\"end_ns\":{},\"merged\":{},\"stall\":{{",
-        f.seq, f.start_ns, f.end_ns, f.merged
-    );
-    let mut first = true;
-    for b in Bucket::ALL {
-        let v = f.stall_ns[b as usize];
-        if v == 0 {
-            continue;
+    /// The nonzero entries of a per-layer (or per-bucket) array, by name.
+    fn sparse<'a>(w: &mut Writer, named: impl Iterator<Item = (&'a str, u64)>) {
+        w.obj();
+        for (name, v) in named.filter(|&(_, v)| v > 0) {
+            w.field(name, v);
         }
-        if !first {
-            j.push(',');
-        }
-        first = false;
-        let _ = write!(j, "\"{}\":{}", b.name(), v);
+        w.end();
     }
+    let layers = |a: &[u64; Layer::COUNT]| Layer::ALL.map(|l| (l.name(), a[l.index()])).into_iter();
+    let mut w = Writer::line();
+    w.obj().field("type", "frame").field("seq", f.seq);
+    w.field("start_ns", f.start_ns).field("end_ns", f.end_ns).field("merged", f.merged);
+    w.key("stall");
+    sparse(&mut w, Bucket::ALL.map(|b| (b.name(), f.stall_ns[b as usize])).into_iter());
     let d = &f.delta;
-    let _ = write!(j, "}},\"delta\":{{\"dropped_events\":{},\"nodes\":[", d.dropped_events);
-    for (i, n) in d.nodes.iter().enumerate() {
-        if i > 0 {
-            j.push(',');
-        }
-        let _ = write!(j, "{{\"node\":{},\"ns\":{{", n.node);
-        let mut first = true;
-        for l in Layer::ALL {
-            let v = n.layer_ns[l.index()];
-            if v == 0 {
-                continue;
-            }
-            if !first {
-                j.push(',');
-            }
-            first = false;
-            let _ = write!(j, "\"{}\":{}", l.name(), v);
-        }
-        j.push_str("},\"events\":{");
-        let mut first = true;
-        for l in Layer::ALL {
-            let v = n.layer_events[l.index()];
-            if v == 0 {
-                continue;
-            }
-            if !first {
-                j.push(',');
-            }
-            first = false;
-            let _ = write!(j, "\"{}\":{}", l.name(), v);
-        }
-        j.push_str("}}");
+    w.key("delta").obj().field("dropped_events", d.dropped_events).key("nodes").arr();
+    for n in &d.nodes {
+        w.obj().field("node", n.node).key("ns");
+        sparse(&mut w, layers(&n.layer_ns));
+        w.key("events");
+        sparse(&mut w, layers(&n.layer_events));
+        w.end();
     }
-    j.push_str("],\"kinds\":[");
-    for (i, k) in d.kinds.iter().enumerate() {
-        if i > 0 {
-            j.push(',');
-        }
-        let _ = write!(
-            j,
-            "{{\"name\":\"{}\",\"count\":{},\"total_ns\":{},\"min_ns\":{},\"max_ns\":{}}}",
-            k.name, k.count, k.total_ns, k.min_ns, k.max_ns
-        );
+    w.end().key("kinds").arr();
+    for k in &d.kinds {
+        w.obj().field("name", &k.name).field("count", k.count).field("total_ns", k.total_ns);
+        w.field("min_ns", k.min_ns).field("max_ns", k.max_ns).end();
     }
-    j.push_str("],\"hists\":{");
-    let mut first_h = true;
+    w.end().key("hists").obj();
     for l in Layer::ALL {
         let h = &d.hists[l.index()];
         if h.buckets.iter().all(|&b| b == 0) {
             continue;
         }
-        if !first_h {
-            j.push(',');
+        w.key(l.name()).obj().key("buckets").arr();
+        for (i, &b) in h.buckets.iter().enumerate().filter(|&(_, &b)| b > 0) {
+            w.val(&[i as u64, b][..]);
         }
-        first_h = false;
-        let _ = write!(j, "\"{}\":{{\"buckets\":[", l.name());
-        let mut first = true;
-        for (i, &b) in h.buckets.iter().enumerate() {
-            if b == 0 {
-                continue;
-            }
-            if !first {
-                j.push(',');
-            }
-            first = false;
-            let _ = write!(j, "[{i},{b}]");
-        }
-        let _ = write!(
-            j,
-            "],\"p50\":{},\"p95\":{},\"p99\":{}}}",
-            h.percentile(50.0),
-            h.percentile(95.0),
-            h.percentile(99.0)
-        );
+        w.end().field("p50", h.percentile(50.0)).field("p95", h.percentile(95.0));
+        w.field("p99", h.percentile(99.0)).end();
     }
-    j.push_str("},\"pages\":[");
-    for (i, p) in d.pages.iter().enumerate() {
-        if i > 0 {
-            j.push(',');
-        }
-        let _ = write!(
-            j,
-            "{{\"page\":{},\"faults\":{},\"fetches\":{},\"diffs\":{},\"invals\":{},\"migrates\":{},\"mask\":{},\"handoffs\":{}}}",
-            p.page, p.faults, p.fetches, p.diffs, p.invals, p.migrates, p.nodes_mask, p.handoffs
-        );
+    w.end().key("pages").arr();
+    for p in &d.pages {
+        w.obj().field("page", p.page).field("faults", p.faults).field("fetches", p.fetches);
+        w.field("diffs", p.diffs).field("invals", p.invals).field("migrates", p.migrates);
+        w.field("mask", p.nodes_mask).field("handoffs", p.handoffs).end();
     }
-    j.push_str("],\"gauges\":{");
-    for (i, (name, v)) in d.gauges.iter().enumerate() {
-        if i > 0 {
-            j.push(',');
-        }
-        let _ = write!(j, "\"{name}\":{v}");
+    w.end().key("gauges").obj();
+    for (name, v) in &d.gauges {
+        w.field(name, v);
     }
-    j.push_str("}}}");
-    j
+    w.end().end().end();
+    w.finish()
 }
 
-/// The stream's end line, embedding the final snapshot (compacted onto
-/// one line).
+/// The stream's end line, embedding the final snapshot.
 pub fn end_line(
     sim_time_ns: u64,
     frames: u64,
     overflow_merges: u64,
     snapshot: &MetricsSnapshot,
 ) -> String {
-    let compact: String = snapshot
-        .to_json()
-        .lines()
-        .map(|l| l.trim_start())
-        .collect::<Vec<_>>()
-        .join("");
-    format!(
-        "{{\"type\":\"end\",\"sim_time_ns\":{sim_time_ns},\"frames\":{frames},\"overflow_merges\":{overflow_merges},\"snapshot\":{compact}}}"
-    )
+    let snapshot = json::parse(&snapshot.to_json()).expect("snapshot JSON parses");
+    let mut w = Writer::line();
+    w.obj().field("type", "end").field("sim_time_ns", sim_time_ns).field("frames", frames);
+    w.field("overflow_merges", overflow_merges).field("snapshot", &snapshot).end();
+    w.finish()
 }
 
 /// A parsed stream header.

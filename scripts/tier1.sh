@@ -40,6 +40,22 @@ if grep -nE '\b(Sim|Cluster|ClusterMem|Vmmc|San|Mutex)\b|\.lock\(\)|\bobs::' cra
     exit 1
 fi
 
+# Every artifact, report and stream line goes through one serializer,
+# obs::json::Writer; an escaped-quote JSON key (`\"name\":`) in a format
+# string means hand-built JSON is back. Checked in crates/bench and the
+# obs modules that emit through the writer, outside `#[cfg(test)]`.
+# Exempt: obs/src/metrics.rs (MetricsSnapshot::to_json) and chrome.rs
+# (chrome::export, with the trace args in event.rs) keep their
+# hand-rolled bytes because tests/parallel_engine.rs pins both by hash.
+echo "==> no hand-formatted JSON outside obs::json::Writer"
+if for f in crates/bench/benches/*.rs crates/bench/src/*.rs crates/bench/src/bin/*.rs \
+            crates/obs/src/{critpath,diff,explain,json,series,sharing,stall,stream}.rs; do
+       awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f"
+   done | grep -E '\\"[A-Za-z_][A-Za-z0-9_]*\\":'; then
+    echo "tier1: hand-formatted JSON keys (see above); write through obs::json::Writer" >&2
+    exit 1
+fi
+
 # The golden-value tests go first: a transfer or a hand-off that moved by
 # one nanosecond fails here in seconds, not after the workspace sweep.
 echo "==> pinned goldens (cables sync plumbing, san timing model)"
@@ -50,6 +66,9 @@ echo "==> cargo test --workspace"
 cargo test $CARGO_FLAGS --workspace -q
 
 if [[ "${1:-}" == "--smoke" ]]; then
+    # The protocol_opt smoke run also asserts the all-on corner's message
+    # counts stay under the ceilings snapshotted when the optimizations
+    # landed (protocol_opt.rs, `smoke_ceilings`).
     for bench in "${BENCH_TARGETS[@]}"; do
         echo "==> cargo bench --bench $bench -- --test"
         cargo bench $CARGO_FLAGS -p cables-bench --bench "$bench" -- --test
@@ -83,33 +102,6 @@ if [[ "${1:-}" == "--smoke" ]]; then
             echo "==> validate $f"
             python3 -m json.tool "$f" > /dev/null
         done
-        # Protocol-traffic regression guard: the all-on corner must keep
-        # beating the all-off corner on message counts, and must stay
-        # under hard ceilings snapshotted when the optimizations landed
-        # (smoke sizes: FFT m=10, RADIX 16K keys — all-on measured
-        # 124/74 and 553/61; the simulator is deterministic, so the
-        # ceilings are tight). A protocol change that re-inflates
-        # traffic fails here, not in review.
-        echo "==> protocol traffic ceilings (BENCH_protocol.json)"
-        python3 - <<'PYEOF'
-import json, sys
-CEILINGS = {"FFT": (130, 78), "RADIX": (560, 70)}
-doc = json.load(open("BENCH_protocol.json"))
-assert doc["smoke"], "guard ceilings are calibrated for smoke sizes"
-bad = False
-for k in doc["kernels"]:
-    grid = {(g["batch_diffs"], g["prefetch"], g["lock_forwarding"]): g for g in k["grid"]}
-    off, on = grid[(False, False, False)], grid[(True, True, True)]
-    fc, dc = CEILINGS[k["kernel"]]
-    for name, o0, o1, cap in [
-        ("remote_fetches", off["remote_fetches"], on["remote_fetches"], fc),
-        ("diffs_sent", off["diffs_sent"], on["diffs_sent"], dc),
-    ]:
-        ok = o1 < o0 and o1 <= cap
-        print(f"    {k['kernel']:<6} {name:<15} off={o0:>5} on={o1:>5} ceiling={cap:>5} {'OK' if ok else 'REGRESSED'}")
-        bad |= not ok
-sys.exit(1 if bad else 0)
-PYEOF
         # The parent-vs-change comparison tool: its verdicts and exact-metric
         # diff, checked on two recorded sample files.
         echo "==> scripts/pairs.sh --self-test"
