@@ -22,11 +22,11 @@ use std::sync::{Arc, Mutex as StdMutex};
 
 use apps::splash::{fft, radix};
 use apps::{M4Ctx, M4System};
-use cables_bench::{artifact, cluster_for, fmt_ns, header, smoke_mode, StreamExporter};
+use cables_bench::{artifact, cluster_for, fmt_ns, header, smoke_mode, streamed};
 use chaos::{ChaosEngine, ChaosStats, FaultPlan, ResourceFaults, WireFaults};
 use obs::json::Fixed;
 use obs::series;
-use obs::stream::parse_stream;
+use obs::stream::Stream;
 use svm::Cluster;
 
 /// The node sacrificed by the crash level (never 0: the master survives).
@@ -142,46 +142,35 @@ fn run_level(w: &Workload, plan: Option<FaultPlan>, seed: u64, smoke: bool) -> L
 }
 
 /// [`run_level`] with an optional live metric stream: `stream` names the
-/// stream kernel and carries the window width; the series + exporter run
-/// for the whole level (observability is inert, so the level's simulated
-/// time is unchanged). Also returns the stream's summary and its frames,
-/// read back from the file.
+/// stream kernel and carries the window width; the series runs for the
+/// whole level (observability is inert, so the level's simulated time is
+/// unchanged). Also returns the stream, read back from its file.
 fn run_level_streamed(
     w: &Workload,
     plan: Option<FaultPlan>,
     seed: u64,
     smoke: bool,
     stream: Option<(&str, u64)>,
-) -> (LevelOutcome, Option<(series::SeriesSummary, Vec<series::DeltaFrame>)>) {
+) -> (LevelOutcome, Option<Stream>) {
     let cluster = Cluster::build(cluster_for(w.procs));
     let attached = plan.is_some();
     if let Some(plan) = plan {
         cluster.set_chaos(ChaosEngine::new(seed, plan));
     }
     let sys = M4System::cables(Arc::clone(&cluster));
-    let exporter = stream.map(|(name, sample_ns)| {
-        sys.svm().set_obs(true);
-        let ring = sys.svm().obs().series_start(sample_ns);
-        StreamExporter::start(name, sample_ns, ring)
-    });
+    let svm = sys.svm();
+    svm.set_obs(stream.is_some());
     let body = w.body;
     let err_slot = Arc::new(StdMutex::new(None));
     let err2 = Arc::clone(&err_slot);
-    let result = sys.run(move |ctx| {
-        *err2.lock().unwrap() = body(ctx, smoke);
+    let (result, stream) = streamed(svm.obs(), stream, || {
+        let result = sys.run(move |ctx| {
+            *err2.lock().unwrap() = body(ctx, smoke);
+        });
+        let sim_ns = result.as_ref().map_or(0, |t| t.as_nanos());
+        (result, sim_ns)
     });
     let max_error = *err_slot.lock().unwrap();
-    let summary = exporter.map(|e| {
-        let svm = sys.svm();
-        let sink = svm.obs();
-        let summary = sink.series_finish().expect("series was running");
-        let sim_ns = result.as_ref().map(|t| t.as_nanos()).unwrap_or(0);
-        let export = e.finish(&summary, sim_ns, &sink.snapshot());
-        let text = std::fs::read_to_string(&export.path).expect("read stream back");
-        let s = parse_stream(&text).expect("chaos stream grammar");
-        s.verify_fold().expect("chaos stream folds to final snapshot");
-        (summary, s.frames)
-    });
     let outcome = LevelOutcome {
         total_ns: result.ok().map(|t| t.as_nanos()),
         parallel_ns: sys.parallel_ns(),
@@ -196,7 +185,7 @@ fn run_level_streamed(
             .map(|rt| rt.stats().nodes_detached)
             .unwrap_or(0),
     };
-    (outcome, summary)
+    (outcome, stream)
 }
 
 fn main() {
@@ -243,17 +232,17 @@ fn main() {
             // proof that streaming survives a mid-run node loss.
             let stream = (level.crashes && w.name == "FFT")
                 .then(|| ("CHAOS_FFT", (clean_ns / 24).max(1)));
-            let (out, stream_summary) =
+            let (out, stream) =
                 run_level_streamed(w, Some((level.plan)(crash_at)), seed, smoke, stream);
             let s = &out.stats;
-            if let Some((sum, frames)) = &stream_summary {
+            if let Some(stream) = &stream {
                 println!(
                     "  crash-level metric stream: {} frame(s), {}ns windows, crash at {} -> target/artifacts/stream_CHAOS_FFT.ndjson",
-                    sum.frames,
-                    sum.sample_ns,
+                    stream.frames.len(),
+                    stream.header.sample_ns,
                     fmt_ns(crash_at)
                 );
-                print!("{}", obs::report::window_table(&series::windowed_table(frames)));
+                print!("{}", obs::report::window_table(&series::windowed_table(&stream.frames)));
             }
 
             if level.name == "clean" {

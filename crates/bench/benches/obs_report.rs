@@ -8,10 +8,10 @@
 //!   (`obs::series`), and the top-10 page-sharing ranking
 //!   (`obs::sharing`);
 //! - `target/artifacts/stream_<kernel>.ndjson` — the online metric
-//!   series, streamed *during* the run by a drain thread (watch a live
-//!   run with `cablestat tail --follow stream_FFT.ndjson`);
+//!   series, written *during* the run as each window is cut (watch a
+//!   live run with `cablestat tail --follow stream_FFT.ndjson`);
 //! - `BENCH_obs_stream.json` — streaming-path accounting per kernel
-//!   (frames, overflow merges, fold exactness), perfgate-tracked;
+//!   (frames, fold exactness), perfgate-tracked;
 //! - `target/artifacts/trace_fft.json` — a Chrome-trace / Perfetto
 //!   timeline of the FFT run on an 8-node cluster, one process per node,
 //!   one track per simulated thread plus the NIC lane;
@@ -31,15 +31,13 @@
 use cables_bench::{artifact, header, smoke_mode, write_aux_artifact, OBS_KERNELS};
 use obs::json::Value;
 use obs::series;
-use obs::stream::parse_stream;
 use obs::{chrome, report, stall, Layer};
 
 /// One kernel's row in `BENCH_obs_stream.json`.
 struct StreamRow {
     kernel: &'static str,
     sample_ns: u64,
-    frames: u64,
-    overflow_merges: u64,
+    frames: usize,
     windows: usize,
     sim_time_ns: u64,
     parallel_ns: u64,
@@ -60,8 +58,8 @@ fn main() {
         // frame count is stable run-to-run.
         let sample_ns =
             series::sample_ns_from_env().unwrap_or_else(|| (off.total_ns / 48).max(1));
-        let (on, streamed) = w.run(true, smoke, Some(sample_ns));
-        let (summary, export) = streamed.expect("streaming run");
+        let (on, stream) = w.run(true, smoke, Some(sample_ns));
+        let stream = stream.expect("streaming run");
 
         // The observability layer must be free when disabled and inert
         // when enabled: identical virtual time either way — with the
@@ -82,21 +80,15 @@ fn main() {
 
         println!("{}", report::full_report_with_events(w.name, &on.snapshot, &on.events));
 
-        // Parse the stream back: grammar-valid, frames fold byte-exactly
-        // to the embedded final snapshot.
-        let text = std::fs::read_to_string(&export.path).expect("read stream back");
-        let stream = parse_stream(&text)
-            .unwrap_or_else(|e| panic!("{}: stream grammar: {e}", w.name));
-        stream
-            .verify_fold()
-            .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        assert_eq!(stream.frames.len() as u64, summary.frames);
+        // The stream was read back: grammar-valid, frames fold
+        // byte-exactly to the embedded final snapshot.
+        let frames = stream.frames.len();
         let rows = series::windowed_table(&stream.frames);
         println!("=== {}: windowed metric series ({}ns windows) ===", w.name, sample_ns);
         print!("{}", report::window_table(&rows));
         println!(
-            "stream: {} frame(s), {} overflow merge(s), fold exact -> target/artifacts/stream_{}.ndjson\n",
-            summary.frames, summary.overflow_merges, w.name
+            "stream: {frames} frame(s), fold exact -> target/artifacts/stream_{}.ndjson\n",
+            w.name
         );
 
         // Per-thread stall profile: the bucket totals must partition each
@@ -134,15 +126,13 @@ fn main() {
                 doc.field(l.name(), on.snapshot.layer_total_ns(l));
             }
             doc.end().field("snapshot", &snapshot).field("stall", &profile);
-            doc.key("series").obj().field("sample_ns", summary.sample_ns);
-            doc.field("frames", summary.frames).field("overflow_merges", summary.overflow_merges);
+            doc.key("series").obj().field("sample_ns", sample_ns).field("frames", frames);
             doc.field("windows", &rows).end().field("sharing", &sharing);
         });
         stream_rows.push(StreamRow {
             kernel: w.name,
             sample_ns,
-            frames: summary.frames,
-            overflow_merges: summary.overflow_merges,
+            frames,
             windows: rows.len(),
             sim_time_ns: on.total_ns,
             parallel_ns: on.parallel_ns,
@@ -178,8 +168,7 @@ fn main() {
         doc.key("kernels").arr();
         for r in &stream_rows {
             doc.obj().field("kernel", r.kernel).field("sample_ns", r.sample_ns);
-            doc.field("frames", r.frames).field("overflow_merges", r.overflow_merges);
-            doc.field("windows", r.windows).field("fold_exact", true);
+            doc.field("frames", r.frames).field("windows", r.windows).field("fold_exact", true);
             doc.field("sim_time_ns", r.sim_time_ns).field("parallel_ns", r.parallel_ns).end();
         }
         doc.end();

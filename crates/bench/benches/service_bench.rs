@@ -29,11 +29,10 @@ use std::sync::{Arc, Mutex as StdMutex};
 
 use apps::service::{run_service, ServiceOutcome, ServiceParams};
 use cables::{CablesConfig, CablesRt};
-use cables_bench::{artifact, cluster_for, fmt_ns, header, smoke_mode, StreamExporter};
+use cables_bench::{artifact, cluster_for, fmt_ns, header, smoke_mode, streamed};
 use chaos::{ChaosEngine, FaultPlan};
 use obs::json::{Fixed, Writer};
 use obs::series;
-use obs::stream::parse_stream;
 use obs::Layer;
 use svm::{Cluster, SvmConfig};
 use traffic::{schedule, Schedule, TrafficConfig};
@@ -74,34 +73,24 @@ fn run_cell(
         cluster.set_chaos(ChaosEngine::new(seed, plan));
     }
     let rt = CablesRt::new(Arc::clone(&cluster), cfg);
-    rt.svm().set_obs(true);
-    let exporter = stream.map(|(name, sample_ns)| {
-        let ring = rt.svm().obs().series_start(sample_ns);
-        StreamExporter::start(name, sample_ns, ring)
-    });
+    let svm = rt.svm();
+    svm.set_obs(true);
+    let sink = svm.obs();
     let out = Arc::new(StdMutex::new(None));
     let o2 = Arc::clone(&out);
     let s = sched.clone();
     let p = ServiceParams::test();
-    let end = rt
-        .run(move |pth| {
-            *o2.lock().unwrap() = Some(run_service(pth, &s, p));
-            0
-        })
-        .expect("service run");
+    let (end, stream) = streamed(sink, stream, || {
+        let end = rt
+            .run(move |pth| {
+                *o2.lock().unwrap() = Some(run_service(pth, &s, p));
+                0
+            })
+            .expect("service run");
+        (end, end.as_nanos())
+    });
     let outcome = out.lock().unwrap().take().expect("service outcome");
-    let svm = rt.svm();
-    let sink = svm.obs();
-    let windows = if let Some(e) = exporter {
-        let summary = sink.series_finish().expect("series was running");
-        let export = e.finish(&summary, end.as_nanos(), &sink.snapshot());
-        let text = std::fs::read_to_string(&export.path).expect("read stream back");
-        let s = parse_stream(&text).expect("service stream grammar");
-        s.verify_fold().expect("service stream folds to final snapshot");
-        series::windowed_table(&s.frames)
-    } else {
-        Vec::new()
-    };
+    let windows = stream.map_or_else(Vec::new, |s| series::windowed_table(&s.frames));
     let events = sink.events();
     let serve_start_ns = events
         .iter()

@@ -476,10 +476,9 @@ fn render_rows(s: &Stream, from: usize, with_header: bool) -> String {
 fn stream_summary(s: &Stream) -> String {
     match &s.end {
         Some(e) => format!(
-            "end: sim_time {}ns, {} frame(s), {} overflow merge(s), fold {}",
+            "end: sim_time {}ns, {} frame(s), fold {}",
             e.sim_time_ns,
             e.frames,
-            e.overflow_merges,
             match s.verify_fold() {
                 Ok(()) => "exact".to_string(),
                 Err(err) => format!("DIVERGED ({err})"),

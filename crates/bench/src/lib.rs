@@ -290,35 +290,30 @@ pub struct ObsRun {
 impl ObsKernel {
     /// Runs the kernel under CableS with the event bus on or off;
     /// `stream_sample_ns` additionally turns on the online metric series
-    /// and exports it live to `stream_<name>.ndjson`.
+    /// and writes it live to `stream_<name>.ndjson` (see [`streamed`]).
     pub fn run(
         &self,
         observe: bool,
         smoke: bool,
         stream_sample_ns: Option<u64>,
-    ) -> (ObsRun, Option<(obs::series::SeriesSummary, StreamExport)>) {
+    ) -> (ObsRun, Option<obs::stream::Stream>) {
         let sys = M4System::cables(Cluster::build(cluster_for(self.procs)));
-        sys.svm().set_obs(observe);
-        let exporter = stream_sample_ns.map(|sample_ns| {
-            let ring = sys.svm().obs().series_start(sample_ns);
-            StreamExporter::start(self.name, sample_ns, ring)
-        });
-        let body = self.body;
-        let end = sys.run(move |ctx| body(ctx, smoke)).expect("workload run");
         let svm = sys.svm();
+        svm.set_obs(observe);
         let sink = svm.obs();
+        let body = self.body;
+        let stream = stream_sample_ns.map(|sample_ns| (self.name, sample_ns));
+        let (end, stream) = streamed(sink, stream, || {
+            let end = sys.run(move |ctx| body(ctx, smoke)).expect("workload run").as_nanos();
+            (end, end)
+        });
         let run = ObsRun {
-            total_ns: end.as_nanos(),
+            total_ns: end,
             parallel_ns: sys.parallel_ns().expect("kernel records its parallel section"),
             snapshot: sink.snapshot(),
             events: sink.events(),
         };
-        let streamed = exporter.map(|e| {
-            let summary = sink.series_finish().expect("series was running");
-            let export = e.finish(&summary, run.total_ns, &run.snapshot);
-            (summary, export)
-        });
-        (run, streamed)
+        (run, stream)
     }
 }
 
@@ -433,101 +428,36 @@ pub fn write_aux_artifact(name: &str, contents: &str) -> String {
     path
 }
 
-/// Streaming NDJSON exporter: a wall-clock thread that drains a series
-/// [`FrameRing`](obs::stream::FrameRing) into
-/// `target/artifacts/stream_<kernel>.ndjson` *while the run executes*, so
-/// `cablestat tail --follow` can watch a live run. Wall-clock timing never
-/// leaks into the file: content is the frame order, which is a pure
-/// function of the simulated program.
-pub struct StreamExporter {
-    path: String,
-    stop: Arc<std::sync::atomic::AtomicBool>,
-    handle: std::thread::JoinHandle<(std::fs::File, u64)>,
-}
-
-/// What [`StreamExporter::finish`] wrote.
-#[derive(Debug, Clone)]
-pub struct StreamExport {
-    /// Full path of the `.ndjson` file.
-    pub path: String,
-    /// Frame lines written (must equal the series' frame count).
-    pub frames: u64,
-}
-
-impl StreamExporter {
-    /// Opens `target/artifacts/stream_<kernel>.ndjson`, writes the header
-    /// line, and starts the drain thread.
-    pub fn start(kernel: &str, sample_ns: u64, ring: Arc<obs::stream::FrameRing>) -> StreamExporter {
-        use std::io::Write as _;
-        let dir = format!("{}/target/artifacts", repo_root());
-        std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("mkdir {dir}: {e}"));
-        let path = format!("{dir}/stream_{kernel}.ndjson");
-        let mut file = std::fs::File::create(&path).unwrap_or_else(|e| panic!("create {path}: {e}"));
-        writeln!(file, "{}", obs::stream::header_line(kernel, sample_ns))
-            .expect("write stream header");
-        file.flush().expect("flush stream header");
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
-            let mut written = 0u64;
-            loop {
-                // Observe the stop flag BEFORE draining: series_finish()
-                // pushes the flush frame first, so one more sweep after
-                // the flag is set catches everything.
-                let stopping = stop2.load(std::sync::atomic::Ordering::Acquire);
-                let mut idle = true;
-                while let Some(f) = ring.pop() {
-                    writeln!(file, "{}", obs::stream::frame_line(&f))
-                        .expect("write stream frame");
-                    written += 1;
-                    idle = false;
-                }
-                if !idle {
-                    file.flush().expect("flush stream frames");
-                }
-                if stopping {
-                    return (file, written);
-                }
-                if idle {
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                }
-            }
-        });
-        StreamExporter { path, stop, handle }
+/// Runs `run` with the sink's metric series on when `stream` names a
+/// kernel and a window width: the sink writes
+/// `target/artifacts/stream_<kernel>.ndjson` line by line as windows are
+/// cut, so `cablestat tail --follow` can watch the run. `run` returns its
+/// value and the run's final simulated time (the end line's
+/// `sim_time_ns`). The file is read back; it must parse and its frames
+/// must fold to the end line's snapshot.
+pub fn streamed<R>(
+    sink: &obs::ObsSink,
+    stream: Option<(&str, u64)>,
+    run: impl FnOnce() -> (R, u64),
+) -> (R, Option<obs::stream::Stream>) {
+    let Some((kernel, sample_ns)) = stream else {
+        return (run().0, None);
+    };
+    let dir = format!("{}/target/artifacts", repo_root());
+    std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("mkdir {dir}: {e}"));
+    let path = format!("{dir}/stream_{kernel}.ndjson");
+    let file = std::fs::File::create(&path).unwrap_or_else(|e| panic!("create {path}: {e}"));
+    sink.series_start(kernel, sample_ns, Box::new(std::io::BufWriter::new(file)));
+    let (out, sim_time_ns) = run();
+    let summary = sink.series_finish(sim_time_ns).expect("series was running");
+    if let Some(e) = summary.error {
+        panic!("write {path}: {e}");
     }
-
-    /// Stops the drain thread (after the owning sink's `series_finish`),
-    /// appends any leftover frame plus the end line, and closes the file.
-    pub fn finish(
-        self,
-        summary: &obs::series::SeriesSummary,
-        sim_time_ns: u64,
-        snapshot: &obs::MetricsSnapshot,
-    ) -> StreamExport {
-        use std::io::Write as _;
-        self.stop.store(true, std::sync::atomic::Ordering::Release);
-        let (mut file, mut written) = self.handle.join().expect("stream exporter thread");
-        if let Some(f) = &summary.leftover {
-            writeln!(file, "{}", obs::stream::frame_line(f)).expect("write leftover frame");
-            written += 1;
-        }
-        writeln!(
-            file,
-            "{}",
-            obs::stream::end_line(sim_time_ns, summary.frames, summary.overflow_merges, snapshot)
-        )
-        .expect("write stream end");
-        file.flush().expect("flush stream end");
-        assert_eq!(
-            written, summary.frames,
-            "stream exporter lost frames ({written} written, {} produced)",
-            summary.frames
-        );
-        StreamExport {
-            path: self.path,
-            frames: written,
-        }
-    }
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+    let s = obs::stream::parse_stream(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+    s.verify_fold().unwrap_or_else(|e| panic!("{path}: {e}"));
+    assert_eq!(s.frames.len() as u64, summary.frames, "{path}: frame count");
+    (out, Some(s))
 }
 
 /// Prints a standard bench header.

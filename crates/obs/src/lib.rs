@@ -21,7 +21,10 @@
 //! Exporters: [`chrome::export`] writes a `chrome://tracing`/Perfetto
 //! JSON file (nodes → processes, threads → tracks);
 //! [`report::full_report`] renders paper-style tables from a snapshot;
-//! [`MetricsSnapshot::to_json`] serializes the registries.
+//! [`MetricsSnapshot::to_json`] serializes the registries; a running
+//! series ([`ObsSink::series_start`]) writes its [`stream`] line by line
+//! from the recording path, so the file too is a pure function of the
+//! program.
 //!
 //! # Examples
 //!
@@ -47,6 +50,7 @@
 //! cables_obs::json::validate(&json).unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -63,8 +67,8 @@ pub mod sharing;
 pub mod stall;
 pub mod stream;
 
+use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 
 use parking_lot::Mutex;
 use sim::{NodeId, SimTime};
@@ -76,7 +80,6 @@ pub use metrics::{Histogram, KindAgg, MetricsSnapshot, NodeMetrics, PageMetrics,
 
 use metrics::Registry;
 use series::{SeriesState, SeriesSummary};
-use stream::FrameRing;
 
 /// Default event-buffer capacity (records beyond this are dropped and
 /// counted, never silently discarded).
@@ -272,7 +275,8 @@ impl ObsSink {
 
     /// Discards all recorded events and metrics and resets the dropped
     /// counter (the toggle is left as it is). An active series is
-    /// abandoned (its ring keeps whatever frames were already cut).
+    /// abandoned: its writer is dropped after the frames already cut, with
+    /// no end line.
     pub fn clear(&self) {
         let mut g = self.inner.lock();
         g.events.clear();
@@ -283,26 +287,17 @@ impl ObsSink {
         self.dropped.store(0, Ordering::Relaxed);
     }
 
-    /// Starts an online metric series with the default ring capacity
-    /// (see [`series`] for the delta grammar). Frames cover everything
-    /// recorded since the sink was created/cleared, so the fold of the
-    /// stream reproduces [`ObsSink::snapshot`] exactly. Returns the ring
-    /// the exporter drains. Replaces any series already running.
-    pub fn series_start(&self, sample_ns: u64) -> Arc<FrameRing> {
-        self.series_start_with(sample_ns, series::DEFAULT_RING_CAP)
-    }
-
-    /// [`ObsSink::series_start`] with an explicit ring capacity (frames;
-    /// a full ring carries frames forward by merging windows, never by
-    /// dropping data).
-    pub fn series_start_with(&self, sample_ns: u64, ring_cap: usize) -> Arc<FrameRing> {
-        assert!(sample_ns > 0, "sample_ns must be positive");
-        let ring = Arc::new(FrameRing::with_capacity(ring_cap));
-        let mut g = self.inner.lock();
-        g.series = Some(SeriesState::new(sample_ns, ring.clone()));
+    /// Starts an online metric series (see [`series`] for the delta
+    /// grammar) that writes the [`stream`] for `kernel` to `out`: the
+    /// header now, each frame when its window is cut. Frames cover
+    /// everything recorded since the sink was created/cleared, so the fold
+    /// of the stream reproduces [`ObsSink::snapshot`] exactly. Replaces
+    /// any series already running.
+    pub fn series_start(&self, kernel: &str, sample_ns: u64, out: Box<dyn Write + Send>) {
+        let st = SeriesState::new(out, kernel, sample_ns);
+        self.inner.lock().series = Some(st);
         self.sample_ns.store(sample_ns, Ordering::Relaxed);
         self.next_boundary.store(sample_ns, Ordering::Relaxed);
-        ring
     }
 
     /// Whether a series is running (one relaxed load).
@@ -327,17 +322,18 @@ impl ObsSink {
         self.series_roll_locked(&mut g, now.as_nanos());
     }
 
-    /// Flushes the final partial window and stops the series, returning
-    /// its accounting (or `None` if no series was running). The exporter
-    /// drains the ring, appends [`SeriesSummary::leftover`] if present,
-    /// and writes the end line.
-    pub fn series_finish(&self) -> Option<SeriesSummary> {
+    /// Cuts the final partial window, writes the end line (run end
+    /// `sim_time_ns`, the final snapshot) and stops the series, returning
+    /// its accounting (or `None` if no series was running). A write error
+    /// is reported in [`SeriesSummary::error`], never raised on the
+    /// simulated thread that cut the window.
+    pub fn series_finish(&self, sim_time_ns: u64) -> Option<SeriesSummary> {
         let mut g = self.inner.lock();
         let st = g.series.take()?;
         self.sample_ns.store(0, Ordering::Relaxed);
         self.next_boundary.store(u64::MAX, Ordering::Relaxed);
         let cur = g.registry.snapshot(self.dropped.load(Ordering::Relaxed));
-        Some(st.finish(cur))
+        Some(st.finish(cur, sim_time_ns))
     }
 
     /// Cuts windows up to (but excluding) the one containing `now_ns`.
@@ -358,6 +354,7 @@ impl ObsSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn rec(sink: &ObsSink, at: u64, event: Event) {
         sink.instant(Layer::Proto, NodeId(0), 1, SimTime::from_nanos(at), event);
@@ -394,11 +391,33 @@ mod tests {
         assert_eq!(snap.nodes[0].layer_events[Layer::Proto.index()], 5);
     }
 
+    /// An in-memory stream the test reads back while the sink owns the
+    /// writer.
+    #[derive(Clone, Default)]
+    struct Buf(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for Buf {
+        fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().extend_from_slice(b);
+            Ok(b.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Buf {
+        fn stream(&self) -> stream::Stream {
+            stream::parse_stream(std::str::from_utf8(&self.0.lock()).unwrap()).unwrap()
+        }
+    }
+
     #[test]
     fn series_frames_fold_back_to_the_snapshot() {
         let sink = ObsSink::new();
         sink.set_enabled(true);
-        let ring = sink.series_start(100);
+        let buf = Buf::default();
+        sink.series_start("T", 100, Box::new(buf.clone()));
         // Three windows of activity with an empty window (200..300) in
         // between; window boundaries are cut by later completions.
         for (at, dur, page) in [(10, 20, 1), (120, 30, 2), (310, 5, 3), (350, 0, 1)] {
@@ -412,14 +431,16 @@ mod tests {
             );
         }
         sink.gauge_set("g", 7);
-        let summary = sink.series_finish().expect("series was running");
-        assert!(summary.leftover.is_none());
+        let summary = sink.series_finish(400).expect("series was running");
+        assert!(summary.error.is_none());
         assert!(!sink.series_on());
-        let frames = ring.drain();
-        assert_eq!(frames.len() as u64, summary.frames);
-        assert_eq!(frames.len(), 3, "empty window emits no frame");
-        assert!(frames.windows(2).all(|w| w[0].end_ns <= w[1].start_ns));
-        assert_eq!(series::fold(frames.iter()), sink.snapshot());
+        let s = buf.stream();
+        assert_eq!(s.frames.len() as u64, summary.frames);
+        assert_eq!(s.frames.len(), 3, "empty window emits no frame");
+        assert!(s.frames.windows(2).all(|w| w[0].end_ns <= w[1].start_ns));
+        assert_eq!(series::fold(s.frames.iter()), sink.snapshot());
+        s.verify_fold().unwrap();
+        assert_eq!(s.end.unwrap().sim_time_ns, 400);
         // Streaming never perturbs what was recorded.
         assert_eq!(sink.events().len(), 4);
     }
@@ -428,7 +449,8 @@ mod tests {
     fn series_tick_cuts_windows_without_events() {
         let sink = ObsSink::new();
         sink.set_enabled(true);
-        let ring = sink.series_start(100);
+        let buf = Buf::default();
+        sink.series_start("T", 100, Box::new(buf.clone()));
         sink.instant(
             Layer::Proto,
             NodeId(0),
@@ -436,12 +458,35 @@ mod tests {
             SimTime::from_nanos(10),
             Event::Fault { page: 1, write: true },
         );
-        assert!(ring.is_empty(), "window still open");
+        assert!(buf.stream().frames.is_empty(), "window still open");
         sink.series_tick(SimTime::from_nanos(250));
-        let frames = ring.drain();
-        assert_eq!(frames.len(), 1);
-        assert_eq!(frames[0].end_ns, 200);
-        sink.series_finish();
+        let s = buf.stream();
+        assert_eq!(s.frames.len(), 1);
+        assert_eq!(s.frames[0].end_ns, 200);
+        assert!(s.end.is_none(), "live stream");
+        sink.series_finish(250);
+    }
+
+    #[test]
+    fn series_write_errors_are_returned_not_raised() {
+        struct Broken;
+        impl Write for Broken {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::Error::other("disk full"))
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let sink = ObsSink::new();
+        sink.set_enabled(true);
+        sink.series_start("T", 10, Box::new(Broken));
+        for at in [5, 15, 25] {
+            rec(&sink, at, Event::Invalidate { page: at });
+        }
+        let summary = sink.series_finish(30).expect("series was running");
+        assert_eq!(summary.frames, 3);
+        assert_eq!(summary.error.expect("write error kept").to_string(), "disk full");
     }
 
     #[test]

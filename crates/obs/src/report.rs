@@ -207,15 +207,10 @@ pub fn window_table(rows: &[crate::series::WindowRow]) -> String {
                 .collect::<Vec<_>>()
                 .join(" ")
         };
-        let merged = if r.merged > 0 {
-            format!(" (+{} merged)", r.merged)
-        } else {
-            String::new()
-        };
         let _ = writeln!(
             out,
             "{:<26} {:>7} {:>6} {:>6} {:>6} {:>6}{}  {:<34} {:>8} {:>8} {:>8}{}",
-            format!("[{}..{}){merged}", fmt_ns(r.start_ns), fmt_ns(r.end_ns)),
+            format!("[{}..{})", fmt_ns(r.start_ns), fmt_ns(r.end_ns)),
             r.events,
             r.faults,
             r.fetches,

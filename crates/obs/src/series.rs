@@ -3,10 +3,11 @@
 //! The post-hoc pipeline ([`crate::MetricsSnapshot`] at end of run) gains
 //! a streaming sibling: when a series is started on the sink
 //! ([`crate::ObsSink::series_start`]), the recording path slices the run
-//! into fixed windows of `sample_ns` simulated nanoseconds and emits one
-//! [`DeltaFrame`] per non-empty window into a bounded lock-free ring
-//! ([`crate::stream::FrameRing`]), which an exporter drains into NDJSON
-//! while the run is still going.
+//! into fixed windows of `sample_ns` simulated nanoseconds and writes one
+//! [`DeltaFrame`] per non-empty window as an NDJSON line
+//! ([`crate::stream`]) the moment the window is cut. Memory stays
+//! O(1) in the run length: the sampler keeps the previous snapshot and
+//! the open window's stall mix, nothing else.
 //!
 //! # Delta grammar
 //!
@@ -35,32 +36,24 @@
 //! [`fold`]` == `[`crate::ObsSink::snapshot`] byte-for-byte (proptested by
 //! `tests/obs_stream.rs`).
 //!
-//! Ring overflow never breaks the invariant: an un-pushable frame is
-//! *carried* and merged into the next one ([`merge_frames`] — counters
-//! add, levels take the newer side), trading window resolution for
-//! exactness and recording the merge in [`DeltaFrame::merged`].
-//!
 //! A window is attributed by *completion*: a span recorded with
 //! `at + dur_ns` in window `w` lands in `w`'s frame, and the frame for a
 //! window is cut the first time a later completion (or an explicit
 //! [`crate::ObsSink::series_tick`]) is observed. Empty windows emit
 //! nothing.
 
-use std::sync::Arc;
+use std::io::{self, Write};
 
 use crate::event::{EdgeKind, Event, Layer, NIC_TRACK};
 use crate::json::{ToJson, Writer};
 use crate::metrics::{Histogram, KindAgg, MetricsSnapshot, NodeMetrics, PageMetrics};
 use crate::stall::{bucket_for_kind, Bucket, BUCKETS};
-use crate::stream::FrameRing;
+use crate::stream::{end_line, frame_line, header_line};
 
 /// Default sample window when neither the caller nor the environment
 /// picks one: 64µs of simulated time (a smoke FFT run is a few ms, so
 /// this yields tens of windows).
 pub const DEFAULT_SAMPLE_NS: u64 = 65_536;
-
-/// Default frame-ring capacity (frames, not events).
-pub const DEFAULT_RING_CAP: usize = 1024;
 
 /// Reads `CABLES_OBS_SAMPLE_NS` (simulated ns per window). Unset, empty,
 /// unparsable, or zero means "no override".
@@ -83,9 +76,6 @@ pub struct DeltaFrame {
     /// Window end, simulated ns (exclusive; `end_ns - start_ns` is a
     /// multiple of `sample_ns` except for the final partial window).
     pub end_ns: u64,
-    /// How many extra frames were folded into this one because the ring
-    /// was full when they were cut (0 = pristine window resolution).
-    pub merged: u64,
     /// Classified span time recorded this window, by stall bucket, in
     /// [`Bucket::ALL`] order. An online approximation of the exact
     /// post-hoc [`crate::stall::analyze`] partition: spans are charged
@@ -317,36 +307,14 @@ pub fn fold<'a>(frames: impl IntoIterator<Item = &'a DeltaFrame>) -> MetricsSnap
     acc
 }
 
-/// Merges two *consecutive* frames into one wider window (ring-overflow
-/// carry): counters add, levels take `b`'s side, stall mixes add.
-pub fn merge_frames(mut a: DeltaFrame, b: &DeltaFrame) -> DeltaFrame {
-    debug_assert!(a.start_ns <= b.start_ns && a.end_ns <= b.end_ns);
-    fold_into(&mut a.delta, &b.delta);
-    for i in 0..BUCKETS {
-        a.stall_ns[i] += b.stall_ns[i];
-    }
-    a.end_ns = b.end_ns;
-    a.merged += b.merged + 1;
-    a
-}
-
 /// End-of-series accounting returned by [`crate::ObsSink::series_finish`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SeriesSummary {
-    /// The window width the series ran with.
-    pub sample_ns: u64,
-    /// Frames pushed into the ring over the series' lifetime (including
-    /// any `leftover`).
+    /// Frames cut over the series' lifetime (one per non-empty window).
     pub frames: u64,
-    /// How many window boundaries were folded into a neighbor because
-    /// the ring was full.
-    pub overflow_merges: u64,
-    /// A final frame that could not be pushed because the ring was still
-    /// full at finish; the exporter must write it after draining the
-    /// ring.
-    pub leftover: Option<DeltaFrame>,
-    /// The exclusive end of the last (possibly partial) window.
-    pub final_end_ns: u64,
+    /// The first error the stream's writer returned; nothing was written
+    /// after it.
+    pub error: Option<io::Error>,
 }
 
 /// Live sampler state, owned by the sink behind its mutex.
@@ -356,13 +324,11 @@ pub(crate) struct SeriesState {
     /// Largest completion timestamp observed (end of the final partial
     /// window).
     pub(crate) last_ns: u64,
-    seq: u64,
     frames: u64,
-    overflow_merges: u64,
     prev: MetricsSnapshot,
     window_stall: [u64; BUCKETS],
-    carry: Option<DeltaFrame>,
-    ring: Arc<FrameRing>,
+    out: Box<dyn Write + Send>,
+    error: Option<io::Error>,
 }
 
 impl std::fmt::Debug for SeriesState {
@@ -376,19 +342,29 @@ impl std::fmt::Debug for SeriesState {
 }
 
 impl SeriesState {
-    pub(crate) fn new(sample_ns: u64, ring: Arc<FrameRing>) -> Self {
+    /// A series over `out`, whose header line is written at once.
+    pub(crate) fn new(out: Box<dyn Write + Send>, kernel: &str, sample_ns: u64) -> Self {
         assert!(sample_ns > 0, "sample_ns must be positive");
-        SeriesState {
+        let mut st = SeriesState {
             sample_ns,
             window_start: 0,
             last_ns: 0,
-            seq: 0,
             frames: 0,
-            overflow_merges: 0,
             prev: empty_snapshot(),
             window_stall: [0; BUCKETS],
-            carry: None,
-            ring,
+            out,
+            error: None,
+        };
+        st.write_line(&header_line(kernel, sample_ns));
+        st
+    }
+
+    /// Writes and flushes one line; after the first error nothing more is
+    /// written.
+    fn write_line(&mut self, line: &str) {
+        if self.error.is_none() {
+            let res = writeln!(self.out, "{line}").and_then(|()| self.out.flush());
+            self.error = res.err();
         }
     }
 
@@ -417,7 +393,7 @@ impl SeriesState {
     }
 
     /// Cuts the current window at `boundary_ns` (already aligned down by
-    /// the caller) against the registry snapshot `cur`, pushing a frame
+    /// the caller) against the registry snapshot `cur`, writing a frame
     /// if anything changed.
     pub(crate) fn roll(&mut self, cur: MetricsSnapshot, boundary_ns: u64) {
         debug_assert!(boundary_ns > self.window_start);
@@ -425,28 +401,15 @@ impl SeriesState {
         let empty =
             delta_is_empty(self.prev.dropped_events, &d) && self.window_stall.iter().all(|&s| s == 0);
         if !empty {
-            let mut frame = DeltaFrame {
-                seq: self.seq,
+            let frame = DeltaFrame {
+                seq: self.frames,
                 start_ns: self.window_start,
                 end_ns: boundary_ns,
-                merged: 0,
                 stall_ns: std::mem::take(&mut self.window_stall),
                 delta: d,
             };
-            if let Some(carry) = self.carry.take() {
-                frame = merge_frames(carry, &frame);
-                frame.seq = self.seq;
-            }
-            match self.ring.push(frame) {
-                Ok(()) => {
-                    self.seq += 1;
-                    self.frames += 1;
-                }
-                Err(f) => {
-                    self.carry = Some(f);
-                    self.overflow_merges += 1;
-                }
-            }
+            self.write_line(&frame_line(&frame));
+            self.frames += 1;
             self.prev = cur;
         }
         self.window_start = boundary_ns;
@@ -458,32 +421,15 @@ impl SeriesState {
         self.window_start.saturating_add(self.sample_ns)
     }
 
-    /// Flushes the final partial window and any carried frame; consumes
-    /// the state.
-    pub(crate) fn finish(mut self, cur: MetricsSnapshot) -> SeriesSummary {
+    /// Cuts the final partial window and writes the end line; consumes
+    /// the state (closing the writer).
+    pub(crate) fn finish(mut self, cur: MetricsSnapshot, sim_time_ns: u64) -> SeriesSummary {
         let end = self.last_ns.max(self.window_start) + 1;
-        self.roll(cur, end.max(self.window_start + 1));
-        let mut leftover = self.carry.take();
-        if let Some(f) = leftover.take() {
-            match self.ring.push(f) {
-                Ok(()) => {
-                    self.seq += 1;
-                    self.frames += 1;
-                }
-                Err(mut f) => {
-                    f.seq = self.seq;
-                    self.seq += 1;
-                    self.frames += 1;
-                    leftover = Some(f);
-                }
-            }
-        }
+        self.roll(cur.clone(), end);
+        self.write_line(&end_line(sim_time_ns, self.frames, &cur));
         SeriesSummary {
-            sample_ns: self.sample_ns,
             frames: self.frames,
-            overflow_merges: self.overflow_merges,
-            leftover,
-            final_end_ns: end,
+            error: self.error,
         }
     }
 }
@@ -496,8 +442,6 @@ pub struct WindowRow {
     pub start_ns: u64,
     /// Window end, simulated ns (exclusive).
     pub end_ns: u64,
-    /// Ring-overflow merges folded into this row.
-    pub merged: u64,
     /// Event records aggregated this window.
     pub events: u64,
     /// Protocol counter deltas this window: faults, fetches, diffs,
@@ -535,7 +479,6 @@ pub fn windowed_table(frames: &[DeltaFrame]) -> Vec<WindowRow> {
             WindowRow {
                 start_ns: f.start_ns,
                 end_ns: f.end_ns,
-                merged: f.merged,
                 events: f.events(),
                 faults: f.delta.pages.iter().map(|p| p.faults).sum(),
                 fetches: f.delta.pages.iter().map(|p| p.fetches).sum(),
@@ -564,7 +507,7 @@ pub fn windowed_table(frames: &[DeltaFrame]) -> Vec<WindowRow> {
 impl ToJson for WindowRow {
     fn write_json(&self, w: &mut Writer) {
         w.obj().field("start_ns", self.start_ns).field("end_ns", self.end_ns);
-        w.field("merged", self.merged).field("events", self.events);
+        w.field("events", self.events);
         w.field("faults", self.faults).field("fetches", self.fetches);
         w.field("diffs", self.diffs).field("invals", self.invals);
         // Sparse, like the stall buckets below: policy-off runs never
@@ -628,38 +571,6 @@ mod tests {
         assert!(delta_is_empty(s.dropped_events, &d));
         let d0 = delta(&empty_snapshot(), &s);
         assert!(!delta_is_empty(0, &d0));
-    }
-
-    #[test]
-    fn merge_preserves_fold() {
-        let (mut r, s1) = snap_after(6);
-        let d1 = delta(&empty_snapshot(), &s1);
-        r.aggregate(Layer::Sync, 0, 999, &Event::LockWait { id: 1 });
-        let s2 = r.snapshot(0);
-        let d2 = delta(&s1, &s2);
-        let f1 = DeltaFrame {
-            seq: 0,
-            start_ns: 0,
-            end_ns: 100,
-            merged: 0,
-            stall_ns: [1; BUCKETS],
-            delta: d1,
-        };
-        let f2 = DeltaFrame {
-            seq: 1,
-            start_ns: 100,
-            end_ns: 200,
-            merged: 0,
-            stall_ns: [2; BUCKETS],
-            delta: d2,
-        };
-        let separate = fold([&f1, &f2]);
-        let merged = merge_frames(f1, &f2);
-        assert_eq!(merged.merged, 1);
-        assert_eq!(merged.end_ns, 200);
-        assert_eq!(merged.stall_ns, [3; BUCKETS]);
-        assert_eq!(fold([&merged]), separate);
-        assert_eq!(separate, s2);
     }
 
     #[test]

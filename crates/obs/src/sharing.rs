@@ -6,13 +6,11 @@
 //! ping-pong between nodes (consecutive faults from different nodes — the
 //! false-sharing smell the paper's §6 layout discussion is about).
 //!
-//! The analysis is incremental: an [`Accumulator`] ingests event records
-//! one at a time ([`Accumulator::feed`]) and can rank the hottest pages
-//! at any point ([`Accumulator::top`]) — the shape a live policy loop
-//! needs. [`analyze`] is the post-hoc wrapper: it folds the whole event
-//! buffer through an accumulator and then overlays the registry's page
-//! counts (authoritative even when event *records* were dropped on
-//! buffer overflow, since metrics aggregate everything).
+//! Counts and sharer masks come from the registry's per-page metrics
+//! (authoritative even when event *records* were dropped on buffer
+//! overflow, since metrics aggregate everything); only what the registry
+//! does not keep — diffed bytes and fetch waits — is summed from the
+//! events.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -63,46 +61,6 @@ pub struct SharingReport {
     pub total_fetch_wait_ns: u64,
 }
 
-/// Incrementally maintained sharing profile — the same taxonomy
-/// [`analyze`] reports, built one event at a time so a policy loop (or a
-/// live viewer) can rank the hottest pages mid-run without replaying the
-/// buffer.
-#[derive(Debug, Clone, Default)]
-pub struct Accumulator {
-    rows: BTreeMap<u64, AccRow>,
-    /// Last node to fault on each page (ping-pong handoff detection,
-    /// mirroring the registry's `page_last`).
-    last_fault: BTreeMap<u64, u32>,
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct AccRow {
-    nodes_mask: u64,
-    faults: u64,
-    fetches: u64,
-    diffs: u64,
-    diff_bytes: u64,
-    invals: u64,
-    handoffs: u64,
-    fetch_wait_ns: u64,
-}
-
-impl AccRow {
-    fn to_sharing(self, page: u64) -> PageSharing {
-        PageSharing {
-            page,
-            sharers: self.nodes_mask.count_ones(),
-            faults: self.faults,
-            fetches: self.fetches,
-            diffs: self.diffs,
-            diff_bytes: self.diff_bytes,
-            invals: self.invals,
-            handoffs: self.handoffs,
-            fetch_wait_ns: self.fetch_wait_ns,
-        }
-    }
-}
-
 fn rank(pages: &mut Vec<PageSharing>) {
     pages.sort_by_key(|p| {
         (
@@ -113,105 +71,36 @@ fn rank(pages: &mut Vec<PageSharing>) {
     });
 }
 
-impl Accumulator {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Accumulator::default()
-    }
-
-    /// Ingests one event record. Faults update sharer masks and handoff
-    /// streaks; fetch/diff/invalidate events update traffic counts; diff
-    /// events add byte volume; page-fetch causal edges add fetch wait.
-    /// All other events are ignored.
-    pub fn feed(&mut self, rec: &EventRecord) {
+/// Builds the sharing report from a metric snapshot plus the event buffer:
+/// counts and sharer masks from the snapshot (whose aggregation never
+/// drops), diffed bytes and page-fetch waits summed from the events.
+pub fn analyze(snapshot: &MetricsSnapshot, events: &[EventRecord]) -> SharingReport {
+    // page -> (diff bytes, fetch wait ns)
+    let mut from_events: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+    for rec in events {
         match rec.event {
-            Event::Fault { page, .. } => {
-                let row = self.rows.entry(page).or_default();
-                row.faults += 1;
-                row.nodes_mask |= 1 << rec.node.0.min(63);
-                match self.last_fault.insert(page, rec.node.0) {
-                    Some(prev) if prev != rec.node.0 => {
-                        self.rows.entry(page).or_default().handoffs += 1;
-                    }
-                    _ => {}
-                }
-            }
-            Event::Fetch { page, .. } => self.rows.entry(page).or_default().fetches += 1,
-            Event::Diff { page, bytes } => {
-                let row = self.rows.entry(page).or_default();
-                row.diffs += 1;
-                row.diff_bytes += bytes;
-            }
-            Event::Invalidate { page } => self.rows.entry(page).or_default().invals += 1,
-            Event::Edge {
-                kind: EdgeKind::PageFetch,
-                src_ns,
-                obj,
-                ..
-            } => {
-                self.rows.entry(obj).or_default().fetch_wait_ns +=
-                    rec.at.as_nanos().saturating_sub(src_ns);
+            Event::Diff { page, bytes } => from_events.entry(page).or_default().0 += bytes,
+            Event::Edge { kind: EdgeKind::PageFetch, src_ns, obj, .. } => {
+                from_events.entry(obj).or_default().1 += rec.at.as_nanos().saturating_sub(src_ns);
             }
             _ => {}
         }
-    }
-
-    /// Number of pages with any recorded activity so far.
-    pub fn pages_seen(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// The `k` hottest pages right now, ranked like the report (sharers
-    /// desc, traffic desc, page asc).
-    pub fn top(&self, k: usize) -> Vec<PageSharing> {
-        let mut pages: Vec<PageSharing> =
-            self.rows.iter().map(|(&p, r)| r.to_sharing(p)).collect();
-        rank(&mut pages);
-        pages.truncate(k);
-        pages
-    }
-
-    /// The full report from the accumulated events alone (exact when no
-    /// event records were dropped; [`analyze`] overlays registry counts
-    /// to stay exact even under drop).
-    pub fn report(&self) -> SharingReport {
-        let mut pages: Vec<PageSharing> =
-            self.rows.iter().map(|(&p, r)| r.to_sharing(p)).collect();
-        rank(&mut pages);
-        let total_diff_bytes = pages.iter().map(|p| p.diff_bytes).sum();
-        let total_fetch_wait_ns = pages.iter().map(|p| p.fetch_wait_ns).sum();
-        SharingReport {
-            pages,
-            total_diff_bytes,
-            total_fetch_wait_ns,
-        }
-    }
-}
-
-/// Builds the sharing report from a metric snapshot plus the event buffer:
-/// a fold of the events through an [`Accumulator`], with counts and
-/// sharer masks taken from the snapshot (whose aggregation never drops)
-/// and byte volumes / fetch waits from the accumulated events.
-pub fn analyze(snapshot: &MetricsSnapshot, events: &[EventRecord]) -> SharingReport {
-    let mut acc = Accumulator::new();
-    for e in events {
-        acc.feed(e);
     }
     let mut pages: Vec<PageSharing> = snapshot
         .pages
         .iter()
         .map(|p| {
-            let row = acc.rows.get(&p.page).copied().unwrap_or_default();
+            let (diff_bytes, fetch_wait_ns) = from_events.get(&p.page).copied().unwrap_or_default();
             PageSharing {
                 page: p.page,
                 sharers: p.sharers(),
                 faults: p.faults,
                 fetches: p.fetches,
                 diffs: p.diffs,
-                diff_bytes: row.diff_bytes,
+                diff_bytes,
                 invals: p.invals,
                 handoffs: p.handoffs,
-                fetch_wait_ns: row.fetch_wait_ns,
+                fetch_wait_ns,
             }
         })
         .collect();
@@ -341,41 +230,6 @@ mod tests {
         let json = crate::json::pretty(&rep);
         crate::json::validate(&json).expect("sharing JSON parses");
         assert!(rep.render("T", 10).contains("p5"));
-
-        // The incremental fold agrees with the post-hoc analysis when no
-        // event records were dropped.
-        let mut acc = Accumulator::new();
-        for e in sink.events() {
-            acc.feed(&e);
-        }
-        assert_eq!(acc.report(), rep);
-        assert_eq!(acc.top(1), rep.pages[..1].to_vec());
-    }
-
-    #[test]
-    fn accumulator_ranks_mid_stream() {
-        let sink = ObsSink::new();
-        sink.set_enabled(true);
-        let mut acc = Accumulator::new();
-        fault(&sink, 10, 0, 3);
-        fault(&sink, 20, 1, 3);
-        for e in sink.take_events() {
-            acc.feed(&e);
-        }
-        assert_eq!(acc.pages_seen(), 1);
-        assert_eq!(acc.top(5)[0].page, 3);
-        assert_eq!(acc.top(5)[0].sharers, 2);
-        assert_eq!(acc.top(5)[0].handoffs, 1);
-        // Later events shift the ranking: page 9 gains a third sharer.
-        for (at, node) in [(30, 0), (40, 1), (50, 2)] {
-            fault(&sink, at, node, 9);
-        }
-        for e in sink.take_events() {
-            acc.feed(&e);
-        }
-        let top = acc.top(5);
-        assert_eq!(top[0].page, 9);
-        assert_eq!(top[0].sharers, 3);
-        assert_eq!(top[1].page, 3);
+        assert_eq!(rep.top(1).pages, rep.pages[..1].to_vec());
     }
 }

@@ -1,18 +1,19 @@
-//! Bounded lock-free frame ring and the NDJSON stream grammar.
+//! The NDJSON stream grammar.
 //!
-//! The sampler ([`crate::series`]) pushes [`DeltaFrame`]s into a
-//! [`FrameRing`] from inside the sink; an exporter (a plain OS thread in
-//! the benches — wall-clock scheduling never touches simulated state)
-//! pops them and appends one JSON object per line to
-//! `target/artifacts/stream_<kernel>.ndjson` while the run progresses.
+//! A running series ([`crate::series`]) writes one JSON object per line
+//! to the writer handed to [`crate::ObsSink::series_start`]: the header
+//! when the series starts, each frame the moment its window is cut
+//! (flushed, so `cablestat tail --follow` watches a live run), and the end
+//! line at [`crate::ObsSink::series_finish`]. The benches point it at
+//! `target/artifacts/stream_<kernel>.ndjson`.
 //!
-//! # NDJSON grammar (version 1)
+//! # NDJSON grammar (version 2)
 //!
 //! ```text
-//! {"type":"header","version":1,"kernel":"FFT","sample_ns":65536}
-//! {"type":"frame","seq":0,"start_ns":...,"end_ns":...,"merged":0,"stall":{...},"delta":{...}}
+//! {"type":"header","version":2,"kernel":"FFT","sample_ns":65536}
+//! {"type":"frame","seq":0,"start_ns":...,"end_ns":...,"stall":{...},"delta":{...}}
 //! ...
-//! {"type":"end","sim_time_ns":...,"frames":N,"overflow_merges":M,"snapshot":{...}}
+//! {"type":"end","sim_time_ns":...,"frames":N,"snapshot":{...}}
 //! ```
 //!
 //! - every line is a complete RFC-8259 object (validated by
@@ -30,9 +31,6 @@
 //! stall buckets are omitted from frame lines; histogram buckets are
 //! `[index, count]` pairs.
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use crate::event::Layer;
 use crate::json::{self, Value, Writer};
 use crate::metrics::{Histogram, KindAgg, MetricsSnapshot, NodeMetrics, PageMetrics};
@@ -40,146 +38,7 @@ use crate::series::DeltaFrame;
 use crate::stall::{Bucket, BUCKETS};
 
 /// Stream grammar version written into the header line.
-pub const STREAM_VERSION: u64 = 1;
-
-struct Slot {
-    seq: AtomicUsize,
-    frame: UnsafeCell<Option<DeltaFrame>>,
-}
-
-/// A bounded lock-free multi-producer/multi-consumer ring of
-/// [`DeltaFrame`]s (Vyukov's bounded MPMC queue). In practice the
-/// producer side is the sink's recording path (serialized by the sink
-/// mutex) and the consumer is one exporter thread, but the ring itself
-/// assumes neither.
-pub struct FrameRing {
-    slots: Box<[Slot]>,
-    mask: usize,
-    head: AtomicUsize,
-    tail: AtomicUsize,
-}
-
-// SAFETY: slot payloads are only touched by the thread that won the
-// corresponding sequence ticket (the Vyukov protocol): a producer writes
-// a slot only after observing `seq == pos`, a consumer reads it only
-// after observing `seq == pos + 1`, and the acquire/release pairs on
-// `seq` order those accesses.
-unsafe impl Send for FrameRing {}
-unsafe impl Sync for FrameRing {}
-
-impl std::fmt::Debug for FrameRing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FrameRing")
-            .field("capacity", &(self.mask + 1))
-            .field("len", &self.len())
-            .finish()
-    }
-}
-
-impl FrameRing {
-    /// Creates a ring holding up to `cap` frames (rounded up to a power
-    /// of two, minimum 2).
-    pub fn with_capacity(cap: usize) -> Self {
-        let cap = cap.max(2).next_power_of_two();
-        let slots = (0..cap)
-            .map(|i| Slot {
-                seq: AtomicUsize::new(i),
-                frame: UnsafeCell::new(None),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        FrameRing {
-            slots,
-            mask: cap - 1,
-            head: AtomicUsize::new(0),
-            tail: AtomicUsize::new(0),
-        }
-    }
-
-    /// Frames currently queued (racy estimate; exact when quiescent).
-    pub fn len(&self) -> usize {
-        self.head
-            .load(Ordering::Relaxed)
-            .saturating_sub(self.tail.load(Ordering::Relaxed))
-    }
-
-    /// Whether the ring is empty (racy estimate; exact when quiescent).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Enqueues a frame; on a full ring the frame is handed back (the
-    /// sampler then carries it into the next window).
-    pub fn push(&self, frame: DeltaFrame) -> Result<(), DeltaFrame> {
-        let mut pos = self.head.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq == pos {
-                match self.head.compare_exchange_weak(
-                    pos,
-                    pos + 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: winning the CAS for `pos` grants
-                        // exclusive write access to this slot until the
-                        // release store below publishes it.
-                        unsafe { *slot.frame.get() = Some(frame) };
-                        slot.seq.store(pos + 1, Ordering::Release);
-                        return Ok(());
-                    }
-                    Err(p) => pos = p,
-                }
-            } else if seq < pos {
-                return Err(frame); // full
-            } else {
-                pos = self.head.load(Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Dequeues the oldest frame, if any.
-    pub fn pop(&self) -> Option<DeltaFrame> {
-        let mut pos = self.tail.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let expect = pos + 1;
-            if seq == expect {
-                match self.tail.compare_exchange_weak(
-                    pos,
-                    pos + 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: winning the CAS for `pos` grants
-                        // exclusive read access to this published slot.
-                        let f = unsafe { (*slot.frame.get()).take() };
-                        slot.seq.store(pos + self.mask + 1, Ordering::Release);
-                        return f;
-                    }
-                    Err(p) => pos = p,
-                }
-            } else if seq < expect {
-                return None; // empty
-            } else {
-                pos = self.tail.load(Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Drains everything currently queued, in order.
-    pub fn drain(&self) -> Vec<DeltaFrame> {
-        let mut out = Vec::new();
-        while let Some(f) = self.pop() {
-            out.push(f);
-        }
-        out
-    }
-}
+pub const STREAM_VERSION: u64 = 2;
 
 /// The stream's header line.
 pub fn header_line(kernel: &str, sample_ns: u64) -> String {
@@ -202,7 +61,7 @@ pub fn frame_line(f: &DeltaFrame) -> String {
     let layers = |a: &[u64; Layer::COUNT]| Layer::ALL.map(|l| (l.name(), a[l.index()])).into_iter();
     let mut w = Writer::line();
     w.obj().field("type", "frame").field("seq", f.seq);
-    w.field("start_ns", f.start_ns).field("end_ns", f.end_ns).field("merged", f.merged);
+    w.field("start_ns", f.start_ns).field("end_ns", f.end_ns);
     w.key("stall");
     sparse(&mut w, Bucket::ALL.map(|b| (b.name(), f.stall_ns[b as usize])).into_iter());
     let d = &f.delta;
@@ -247,16 +106,11 @@ pub fn frame_line(f: &DeltaFrame) -> String {
 }
 
 /// The stream's end line, embedding the final snapshot.
-pub fn end_line(
-    sim_time_ns: u64,
-    frames: u64,
-    overflow_merges: u64,
-    snapshot: &MetricsSnapshot,
-) -> String {
+pub fn end_line(sim_time_ns: u64, frames: u64, snapshot: &MetricsSnapshot) -> String {
     let snapshot = json::parse(&snapshot.to_json()).expect("snapshot JSON parses");
     let mut w = Writer::line();
     w.obj().field("type", "end").field("sim_time_ns", sim_time_ns).field("frames", frames);
-    w.field("overflow_merges", overflow_merges).field("snapshot", &snapshot).end();
+    w.field("snapshot", &snapshot).end();
     w.finish()
 }
 
@@ -278,8 +132,6 @@ pub struct StreamEnd {
     pub sim_time_ns: u64,
     /// Frame count the producer claims (must match the lines).
     pub frames: u64,
-    /// Ring-overflow merges over the series' lifetime.
-    pub overflow_merges: u64,
     /// The final snapshot the frames must fold back into.
     pub snapshot: MetricsSnapshot,
 }
@@ -438,7 +290,6 @@ pub fn parse_frame(v: &Value) -> Result<DeltaFrame, String> {
         seq: need(v.get("seq"), "frame.seq")?,
         start_ns: need(v.get("start_ns"), "frame.start_ns")?,
         end_ns: need(v.get("end_ns"), "frame.end_ns")?,
-        merged: need(v.get("merged"), "frame.merged")?,
         stall_ns: stall,
         delta: MetricsSnapshot {
             dropped_events: need(d.get("dropped_events"), "delta.dropped_events")?,
@@ -522,8 +373,6 @@ pub fn parse_stream(text: &str) -> Result<Stream, String> {
                 end = Some(StreamEnd {
                     sim_time_ns: need(v.get("sim_time_ns"), "end.sim_time_ns").map_err(at)?,
                     frames: need(v.get("frames"), "end.frames").map_err(at)?,
-                    overflow_merges: need(v.get("overflow_merges"), "end.overflow_merges")
-                        .map_err(at)?,
                     snapshot,
                 });
             }
@@ -547,7 +396,6 @@ mod tests {
             seq,
             start_ns: start,
             end_ns: end,
-            merged: 0,
             stall_ns: [0; BUCKETS],
             delta: MetricsSnapshot {
                 dropped_events: 0,
@@ -576,47 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_pushes_and_pops_fifo() {
-        let r = FrameRing::with_capacity(4);
-        for i in 0..4 {
-            r.push(frame(i, i * 10, i * 10 + 10)).unwrap();
-        }
-        assert!(r.push(frame(4, 40, 50)).is_err(), "full ring hands the frame back");
-        let out = r.drain();
-        assert_eq!(out.len(), 4);
-        assert!(out.iter().enumerate().all(|(i, f)| f.seq == i as u64));
-        assert!(r.pop().is_none());
-    }
-
-    #[test]
-    fn ring_survives_concurrent_producer_consumer() {
-        let r = std::sync::Arc::new(FrameRing::with_capacity(8));
-        let p = {
-            let r = r.clone();
-            std::thread::spawn(move || {
-                let mut pushed = 0u64;
-                while pushed < 200 {
-                    if r.push(frame(pushed, pushed, pushed + 1)).is_ok() {
-                        pushed += 1;
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
-            })
-        };
-        let mut seen = 0u64;
-        while seen < 200 {
-            if let Some(f) = r.pop() {
-                assert_eq!(f.seq, seen);
-                seen += 1;
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        p.join().unwrap();
-    }
-
-    #[test]
     fn ndjson_roundtrips_and_verifies() {
         let frames = vec![frame(0, 0, 100), frame(1, 100, 200)];
         let folded = series::fold(frames.iter());
@@ -627,7 +434,7 @@ mod tests {
             text.push_str(&frame_line(f));
             text.push('\n');
         }
-        text.push_str(&end_line(200, 2, 0, &folded));
+        text.push_str(&end_line(200, 2, &folded));
         text.push('\n');
         for line in text.lines() {
             json::validate(line).expect("every line is valid JSON");

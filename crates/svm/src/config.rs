@@ -132,9 +132,6 @@ pub struct SvmConfig {
     /// same acquire-time write notices that invalidate demand-fetched
     /// copies invalidate them.
     pub prefetch_degree: u32,
-    /// Consecutive same-stride faults required before the detector trusts
-    /// the run and starts prefetching. Ignored when `prefetch_degree == 0`.
-    pub prefetch_confirm: u32,
     /// Lock-data forwarding (GCS-style): at lock acquisition, pages made
     /// stale by pending write notices whose demand-fetch count reached
     /// `lock_forward_hot` are *refreshed* from home in one batched fetch
@@ -160,7 +157,6 @@ impl SvmConfig {
             placement_policy: None,
             batch_diffs: false,
             prefetch_degree: 0,
-            prefetch_confirm: 2,
             lock_forwarding: false,
             lock_forward_hot: 4,
             costs: SvmCosts::default(),
@@ -176,7 +172,6 @@ impl SvmConfig {
             placement_policy: None,
             batch_diffs: false,
             prefetch_degree: 0,
-            prefetch_confirm: 2,
             lock_forwarding: false,
             lock_forward_hot: 4,
             costs: SvmCosts::default(),
@@ -185,7 +180,7 @@ impl SvmConfig {
 
     /// Applies the three protocol-traffic optimizations as a 3-bit grid
     /// point (used by the ablation bench and tests). `prefetch` enables a
-    /// degree-4 prefetcher with the default confirmation threshold.
+    /// degree-4 prefetcher.
     pub fn with_protocol_opts(mut self, batch: bool, prefetch: bool, forward: bool) -> Self {
         self.batch_diffs = batch;
         self.prefetch_degree = if prefetch { 4 } else { 0 };

@@ -37,6 +37,9 @@ use crate::config::{ProtoMode, SvmConfig};
 use crate::sync::{BarrierState, LockState};
 
 pub(crate) const WORDS_PER_PAGE: usize = (PAGE_SIZE / 8) as usize;
+/// Consecutive same-stride faults the detector needs before it trusts a
+/// run and starts prefetching.
+const PREFETCH_CONFIRM: u32 = 2;
 pub(crate) const BITMAP_WORDS: usize = WORDS_PER_PAGE / 64;
 
 /// Base of the heap portion of the shared virtual address space.
@@ -455,7 +458,7 @@ impl ProtoState {
         have_frame: bool,
     ) -> Fetch {
         let idx = page.index();
-        let (degree, confirm) = (self.cfg.prefetch_degree, self.cfg.prefetch_confirm);
+        let degree = self.cfg.prefetch_degree;
         let chunk = self.chunk_of(idx);
         let d = &self.dir[&idx];
         let (home, region, off, version) = (d.home, d.region, d.region_off, d.version);
@@ -485,7 +488,7 @@ impl ProtoState {
                 None => (0, 0),
             };
             np.stride.insert(tid, (idx, stride, streak));
-            if stride != 0 && streak >= confirm {
+            if stride != 0 && streak >= PREFETCH_CONFIRM {
                 for k in 1..=i64::from(degree) {
                     let Ok(cand) = u64::try_from(idx as i64 + stride * k) else {
                         break;

@@ -20,11 +20,12 @@ source scripts/artifacts.sh
 echo "==> cargo build --release"
 cargo build $CARGO_FLAGS --release
 
-# The engine has no mode, the access path no toggle, migration one policy
-# and the service's pools no adaptation; a name from those lattices coming
-# back is a regression of the design, not of a number.
+# The engine has no mode, the access path no toggle, migration one policy,
+# the service's pools no adaptation and the metric stream no ring, merge
+# path or drain thread; a name from those coming back is a regression of
+# the design, not of a number.
 echo "==> no engine-mode / slow-path / second-policy switches"
-if grep -rnE 'EngineMode|set_mode\(|set_lockless|set_fast_path|set_slow_mode|engine_wall|BENCH_hotpath|migration_threshold|diff_streaks|AdaptParams|with_adapt|series_last_window|credit_sharing|migration_prefetch_grid' \
+if grep -rnE 'EngineMode|set_mode\(|set_lockless|set_fast_path|set_slow_mode|engine_wall|BENCH_hotpath|migration_threshold|diff_streaks|AdaptParams|with_adapt|series_last_window|credit_sharing|migration_prefetch_grid|FrameRing|merge_frames|overflow_merges|series_start_with|DEFAULT_RING_CAP|StreamExporter|prefetch_confirm' \
         crates/ src/ tests/ examples/ scripts/ --exclude=tier1.sh; then
     echo "tier1: a deleted switch is back (see above)" >&2
     exit 1
