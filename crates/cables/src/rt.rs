@@ -6,7 +6,6 @@
 //! handlers, whose costs this module charges explicitly ("administration
 //! request" in the paper's Table 4).
 
-use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -14,7 +13,7 @@ use std::sync::Arc;
 use chaos::{ChaosEngine, CrashUnwind};
 use memsim::GAddr;
 use parking_lot::Mutex;
-use sim::{NodeId, Sim, SimError, SimTime, Tid};
+use sim::{IdMap, NodeId, Sim, SimError, SimTime, Tid};
 use svm::{Cluster, ProtoMode, SvmSystem, WaitQueue};
 
 use crate::config::CablesConfig;
@@ -227,28 +226,28 @@ pub struct RtStats {
 
 pub(crate) struct RtState {
     pub attached: Vec<NodeId>,
-    pub threads_on: HashMap<u32, usize>,
-    pub threads: HashMap<u64, ThreadRec>,
-    pub by_tid: HashMap<u64, u64>,
+    pub threads_on: IdMap<u32, usize>,
+    pub threads: IdMap<u64, ThreadRec>,
+    pub by_tid: IdMap<u64, u64>,
     pub next_ct: u64,
     pub rr: usize,
     pub next_sync_id: u64,
     /// Threads parked on each condition variable.
-    pub conds: HashMap<u64, WaitQueue>,
+    pub conds: IdMap<u64, WaitQueue>,
     /// Threads parked in `join` of each (running) thread.
-    pub joiners: HashMap<u64, WaitQueue>,
-    pub rwlocks: HashMap<u64, RwState>,
-    pub once_done: HashMap<u64, ()>,
+    pub joiners: IdMap<u64, WaitQueue>,
+    pub rwlocks: IdMap<u64, RwState>,
+    pub once_done: IdMap<u64, ()>,
     /// Idle pooled threads per node; the most recently parked is reused
     /// first.
-    pub pool_idle: HashMap<u32, WaitQueue>,
-    pub pool_jobs: HashMap<u64, (u64, JobFn)>,
+    pub pool_idle: IdMap<u32, WaitQueue>,
+    pub pool_jobs: IdMap<u64, (u64, JobFn)>,
     pub pool_shutdown: bool,
-    pub tsd: HashMap<(u64, u64), u64>,
+    pub tsd: IdMap<(u64, u64), u64>,
     pub next_tsd_key: u64,
     pub global_next: u64,
     pub free_list: std::collections::BTreeMap<u64, u64>,
-    pub allocated: HashMap<u64, u64>,
+    pub allocated: IdMap<u64, u64>,
     pub stats: RtStats,
     pub op_times: OpTimes,
     pub contention: ContentionStats,
@@ -322,24 +321,24 @@ impl CablesRt {
             cfg,
             state: Mutex::new(RtState {
                 attached: Vec::new(),
-                threads_on: HashMap::new(),
-                threads: HashMap::new(),
-                by_tid: HashMap::new(),
+                threads_on: IdMap::default(),
+                threads: IdMap::default(),
+                by_tid: IdMap::default(),
                 next_ct: 0,
                 rr: 0,
                 next_sync_id: 1,
-                conds: HashMap::new(),
-                joiners: HashMap::new(),
-                rwlocks: HashMap::new(),
-                once_done: HashMap::new(),
-                pool_idle: HashMap::new(),
-                pool_jobs: HashMap::new(),
+                conds: IdMap::default(),
+                joiners: IdMap::default(),
+                rwlocks: IdMap::default(),
+                once_done: IdMap::default(),
+                pool_idle: IdMap::default(),
+                pool_jobs: IdMap::default(),
                 pool_shutdown: false,
-                tsd: HashMap::new(),
+                tsd: IdMap::default(),
                 next_tsd_key: 1,
                 global_next: svm::GLOBAL_SECTION_BASE.raw(),
                 free_list: std::collections::BTreeMap::new(),
-                allocated: HashMap::new(),
+                allocated: IdMap::default(),
                 stats: RtStats::default(),
                 op_times: OpTimes::default(),
                 contention: ContentionStats::default(),

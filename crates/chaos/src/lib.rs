@@ -28,11 +28,10 @@
 
 mod plan;
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use sim::DetRng;
+use sim::{DetRng, IdMap};
 
 pub use plan::{FaultPlan, NodeFault, ResourceFaults, WireFaults};
 
@@ -140,7 +139,7 @@ pub struct ChaosEngine {
     resource_armed: bool,
     crashes: Vec<(u32, u64)>,
     rng: Mutex<DetRng>,
-    consec: Mutex<HashMap<(u32, u8), u32>>,
+    consec: Mutex<IdMap<(u32, u8), u32>>,
     stats: Mutex<ChaosStats>,
 }
 
@@ -178,7 +177,7 @@ impl ChaosEngine {
             resource_armed,
             crashes,
             rng: Mutex::new(DetRng::new(seed)),
-            consec: Mutex::new(HashMap::new()),
+            consec: Mutex::new(IdMap::default()),
             stats: Mutex::new(ChaosStats::default()),
         })
     }

@@ -17,14 +17,13 @@
 //! every node); the shard's generation counter only guards the
 //! walk-then-install window in [`ClusterMem::lookup`].
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use sim::NodeId;
+use sim::{IdMap, NodeId};
 
 use crate::addr::{GAddr, PageNum, PAGE_SIZE};
 use crate::scalar::Scalar;
@@ -209,8 +208,11 @@ impl FrameSlot {
 /// node mask, and the size of the shard table allocated up front.
 pub const MAX_NODES: usize = 64;
 
-/// Number of direct-mapped entries in each node's software TLB.
-const TLB_ENTRIES: usize = 256;
+/// Number of direct-mapped entries in each node's software TLB: 2 MB of
+/// pages, RADIX's scatter target. At 256 its bucket cursors, two pages
+/// apart across a 512-page array, alias and evict each other on every key;
+/// past 512 the miss count barely moves (DESIGN §5.1).
+const TLB_ENTRIES: usize = 512;
 
 /// One cached translation. Valid while it occupies its slot — mapping,
 /// protection and frame-free operations clear the affected slots directly.
@@ -225,7 +227,7 @@ struct NodeMem {
     frames: Vec<Option<Arc<FrameSlot>>>,
     free_frames: Vec<u32>,
     pinned: Vec<bool>,
-    page_table: HashMap<u64, Pte>,
+    page_table: IdMap<u64, Pte>,
     used_bytes: u64,
     pinned_bytes: u64,
     faults: u64,
@@ -237,7 +239,7 @@ impl NodeMem {
             frames: Vec::new(),
             free_frames: Vec::new(),
             pinned: Vec::new(),
-            page_table: HashMap::new(),
+            page_table: IdMap::default(),
             used_bytes: 0,
             pinned_bytes: 0,
             faults: 0,
@@ -1127,6 +1129,30 @@ mod tests {
         let after = m.tlb_stats();
         assert_eq!(after.hits - before.hits, 100);
         assert_eq!(after.misses, before.misses);
+    }
+
+    /// RADIX's bucket cursors walk a 512-page (2 MB) destination array;
+    /// at 256 entries page `p` and `p + 256` evicted each other on every
+    /// key. The whole array must stay resident.
+    #[test]
+    fn tlb_holds_a_two_megabyte_working_set() {
+        let m = mem();
+        let pages = (2 << 20) / PAGE_SIZE;
+        for p in 0..pages {
+            let f = m.alloc_frame(NodeId(0)).unwrap();
+            m.map_page(NodeId(0), PageNum::new(1000 + p), f, Prot::ReadWrite);
+        }
+        let sweep = || {
+            let before = m.tlb_stats();
+            for p in 0..pages {
+                m.read_scalar::<u64>(NodeId(0), PageNum::new(1000 + p).base())
+                    .unwrap();
+            }
+            let after = m.tlb_stats();
+            (after.hits - before.hits, after.misses - before.misses)
+        };
+        assert_eq!(sweep(), (0, pages));
+        assert_eq!(sweep(), (pages, 0));
     }
 
     #[test]

@@ -50,11 +50,6 @@ use crate::metrics::{Histogram, KindAgg, MetricsSnapshot, NodeMetrics, PageMetri
 use crate::stall::{bucket_for_kind, Bucket, BUCKETS};
 use crate::stream::{end_line, frame_line, header_line};
 
-/// Default sample window when neither the caller nor the environment
-/// picks one: 64µs of simulated time (a smoke FFT run is a few ms, so
-/// this yields tens of windows).
-pub const DEFAULT_SAMPLE_NS: u64 = 65_536;
-
 /// Reads `CABLES_OBS_SAMPLE_NS` (simulated ns per window). Unset, empty,
 /// unparsable, or zero means "no override".
 pub fn sample_ns_from_env() -> Option<u64> {

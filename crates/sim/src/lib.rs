@@ -17,6 +17,8 @@
 //!   ([`Sim::block`]/[`Sim::wake`]), spawn threads ([`Sim::spawn_on`]).
 //! - [`SimTime`] — nanosecond virtual clock.
 //! - [`DetRng`] — deterministic RNG for workloads and policies.
+//! - [`IdMap`] / [`IdSet`] — hash containers for integer ids, with a fixed
+//!   hasher and so a run-independent iteration order.
 //!
 //! # Examples
 //!
@@ -42,12 +44,14 @@
 
 mod carrier;
 mod engine;
+mod idmap;
 mod kernel;
 mod rng;
 mod sim_handle;
 mod time;
 
 pub use engine::Engine;
+pub use idmap::{IdHasher, IdMap, IdSet};
 pub use kernel::{
     EngineStats, NodeId, SchedCause, SchedEvent, SchedEventKind, SchedHook, Scope, SimError, Tid,
 };

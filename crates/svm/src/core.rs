@@ -27,10 +27,10 @@
 //! data-race-free programs see identical values and at worst extra
 //! invalidations.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 use memsim::{FaultKind, GAddr, PageNum, Prot, PAGE_SIZE};
-use sim::{NodeId, SimTime, Tid};
+use sim::{IdMap, IdSet, NodeId, SimTime, Tid};
 use vmmc::RegionId;
 
 use crate::config::{ProtoMode, SvmConfig};
@@ -127,21 +127,21 @@ pub struct NodeStats {
 
 #[derive(Debug, Default, Clone)]
 pub(crate) struct NodeProto {
-    pub copies: HashMap<u64, CopyState>,
+    pub copies: IdMap<u64, CopyState>,
     pub dirty_pages: Vec<u64>,
-    pub seg_cache: HashSet<u64>,
-    pub imported: HashSet<u64>,
+    pub seg_cache: IdSet<u64>,
+    pub imported: IdSet<u64>,
     pub log_cursor: usize,
     /// Stride detectors over this node's demand-fault stream, one per
     /// faulting thread — two CPUs interleaving sequential scans would
     /// otherwise shred each other's runs:
     /// `tid → (last demand page, stride in pages, same-stride streak)`.
-    pub stride: HashMap<u64, (u64, i64, u32)>,
+    pub stride: IdMap<u64, (u64, i64, u32)>,
     /// Pages installed by the prefetcher and not yet consumed or
     /// invalidated, with the simulated time their bytes finish streaming
     /// in (cut-through delivery: a consumer faulting earlier must wait
     /// out the remainder).
-    pub prefetched: HashMap<u64, SimTime>,
+    pub prefetched: IdMap<u64, SimTime>,
     pub stats: NodeStats,
 }
 
@@ -182,24 +182,24 @@ pub(crate) struct ChunkSharing {
 pub(crate) struct ProtoState {
     pub cfg: SvmConfig,
     pub master: NodeId,
-    pub dir: HashMap<u64, PageDir>,
+    pub dir: IdMap<u64, PageDir>,
     pub nodes: Vec<NodeProto>,
     /// Global interval log of write notices `(page, version)`.
     pub log: Vec<(u64, u64)>,
     /// CableS mode: the single growing home region per node, with its
     /// current length in bytes.
     pub home_region: Vec<Option<(RegionId, u64)>>,
-    pub first_toucher: HashMap<u64, NodeId>,
+    pub first_toucher: IdMap<u64, NodeId>,
     /// Placement-policy state: chunk -> incremental sharing counters.
-    pub chunk_sharing: HashMap<u64, ChunkSharing>,
+    pub chunk_sharing: IdMap<u64, ChunkSharing>,
     /// Demand fetches each node has served as home — the thread-affinity
     /// placement hint (maintained unconditionally; one add per remote
     /// fetch, never branched on by the protocol itself).
     pub home_pull: Vec<u64>,
     pub alloc_next: u64,
     pub alloc_ranges: Vec<(u64, u64)>,
-    pub locks: HashMap<u64, LockState>,
-    pub barriers: HashMap<u64, BarrierState>,
+    pub locks: IdMap<u64, LockState>,
+    pub barriers: IdMap<u64, BarrierState>,
     pub next_proc: usize,
     pub created: Vec<Tid>,
 }
@@ -291,17 +291,17 @@ impl ProtoState {
         ProtoState {
             cfg,
             master,
-            dir: HashMap::new(),
+            dir: IdMap::default(),
             nodes: vec![NodeProto::default(); nodes],
             log: Vec::new(),
             home_region: vec![None; nodes],
-            first_toucher: HashMap::new(),
-            chunk_sharing: HashMap::new(),
+            first_toucher: IdMap::default(),
+            chunk_sharing: IdMap::default(),
             home_pull: vec![0; nodes],
             alloc_next: HEAP_BASE.raw(),
             alloc_ranges: Vec::new(),
-            locks: HashMap::new(),
-            barriers: HashMap::new(),
+            locks: IdMap::default(),
+            barriers: IdMap::default(),
             next_proc: 1,
             created: Vec::new(),
         }

@@ -10,11 +10,11 @@
 //! woken thread resumes) and the park ([`SvmSystem::park`]: every block is
 //! followed by a crash checkpoint).
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 
 use obs::EdgeKind;
-use sim::{NodeId, Sim, SimTime, Tid};
+use sim::{IdSet, NodeId, Sim, SimTime, Tid};
 
 use crate::api::SvmSystem;
 
@@ -47,7 +47,7 @@ pub(crate) struct LockState {
     pub holder: Option<Tid>,
     pub holder_node: Option<NodeId>,
     pub waiters: WaitQueue,
-    pub acquired_from: HashSet<u32>,
+    pub acquired_from: IdSet<u32>,
 }
 
 #[derive(Debug, Default, Clone)]
@@ -238,7 +238,7 @@ impl SvmSystem {
                 holder: None,
                 holder_node: None,
                 waiters: WaitQueue::default(),
-                acquired_from: HashSet::new(),
+                acquired_from: IdSet::default(),
             });
             let first_time = l.acquired_from.insert(node.0);
             let granted = l.holder.is_none();

@@ -25,7 +25,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -36,7 +35,7 @@ use serde::{Deserialize, Serialize};
 
 use memsim::{ClusterMem, FrameId, PAGE_SIZE};
 use san::{San, SendTiming};
-use sim::{NodeId, SimTime};
+use sim::{IdMap, NodeId, SimTime};
 
 /// NIC and registration resource limits plus registration costs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -186,7 +185,7 @@ pub struct NicStats {
 }
 
 struct State {
-    regions: HashMap<u64, Region>,
+    regions: IdMap<u64, Region>,
     nics: Vec<NicState>,
     next_region: u64,
 }
@@ -219,7 +218,7 @@ impl Vmmc {
             san,
             mem,
             state: Mutex::new(State {
-                regions: HashMap::new(),
+                regions: IdMap::default(),
                 nics: Vec::new(),
                 next_region: 0,
             }),

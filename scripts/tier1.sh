@@ -25,9 +25,24 @@ cargo build $CARGO_FLAGS --release
 # path or drain thread; a name from those coming back is a regression of
 # the design, not of a number.
 echo "==> no engine-mode / slow-path / second-policy switches"
-if grep -rnE 'EngineMode|set_mode\(|set_lockless|set_fast_path|set_slow_mode|engine_wall|BENCH_hotpath|migration_threshold|diff_streaks|AdaptParams|with_adapt|series_last_window|credit_sharing|migration_prefetch_grid|FrameRing|merge_frames|overflow_merges|series_start_with|DEFAULT_RING_CAP|StreamExporter|prefetch_confirm' \
+if grep -rnE 'EngineMode|set_mode\(|set_lockless|set_fast_path|set_slow_mode|engine_wall|BENCH_hotpath|migration_threshold|diff_streaks|AdaptParams|with_adapt|series_last_window|credit_sharing|migration_prefetch_grid|FrameRing|merge_frames|overflow_merges|series_start_with|DEFAULT_RING_CAP|StreamExporter|prefetch_confirm|DEFAULT_SAMPLE_NS' \
         crates/ src/ tests/ examples/ scripts/ --exclude=tier1.sh; then
     echo "tier1: a deleted switch is back (see above)" >&2
+    exit 1
+fi
+
+# The simulator's maps are keyed by integer ids and hash them with
+# sim::IdHasher (`sim::IdMap` / `sim::IdSet`): one multiply instead of
+# SipHash, and an iteration order that is the same in every process. A std
+# HashMap/HashSet outside tests brings RandomState back. Checked up to the
+# first top-level `#[cfg(test)]`; exempt: sim/src/idmap.rs, which defines
+# the aliases, and svm/src/explore.rs, a `#[cfg(test)] mod`.
+echo "==> simulator maps hash with sim::IdHasher"
+if for f in crates/{sim,memsim,san,vmmc,svm,cables,chaos}/src/*.rs; do
+       case "$f" in crates/sim/src/idmap.rs|crates/svm/src/explore.rs) continue ;; esac
+       awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f"
+   done | grep -E 'std::collections::.*\bHash(Map|Set)\b|\bHash(Map|Set)<'; then
+    echo "tier1: std HashMap/HashSet in simulator code (see above); use sim::IdMap / sim::IdSet" >&2
     exit 1
 fi
 
