@@ -5,8 +5,7 @@
 //! request-driven long-runner: keys map round-robin to per-shard store
 //! regions in `global_malloc`'d memory, per-shard pthread worker pools
 //! drain per-shard ring-buffer request queues, and every bucket access
-//! happens under a fine-grained bucket mutex — the access pattern
-//! lock-data forwarding exists for.
+//! happens under a fine-grained bucket mutex.
 //!
 //! The service is *shard-affine*: a shard's whole pool runs on one node
 //! (worker 0 where the placement policy puts it, the others

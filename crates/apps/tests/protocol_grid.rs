@@ -1,8 +1,7 @@
-//! The protocol-traffic optimizations (batched diffs, stride prefetch,
-//! lock-data forwarding) are value-preserving on real kernels: FFT and
-//! RADIX compute bit-identical results at every point of the 2×2×2
-//! toggle grid. (The full-size version of this check, plus the traffic
-//! and timing claims, lives in the `protocol_opt` bench.)
+//! Release-time diff batching is value-preserving on real kernels: FFT
+//! and RADIX compute bit-identical results with it off and on. (The
+//! full-size version of this check, plus the traffic and timing claims,
+//! lives in the `protocol_opt` bench.)
 
 use std::sync::Arc;
 use std::sync::Mutex as StdMutex;
@@ -12,26 +11,21 @@ use cables_apps::splash::{fft, radix};
 use cables_apps::{M4Ctx, M4System};
 use svm::{Cluster, ClusterConfig, SvmConfig};
 
-const GRID: [(bool, bool, bool); 8] = [
-    (false, false, false),
-    (true, false, false),
-    (false, true, false),
-    (false, false, true),
-    (true, true, false),
-    (true, false, true),
-    (false, true, true),
-    (true, true, true),
-];
+/// `batch_diffs` off, then on.
+const GRID: [bool; 2] = [false, true];
 
 fn run_grid<F>(body: F) -> Vec<u64>
 where
     F: Fn(&M4Ctx) -> u64 + Send + Sync + Clone + 'static,
 {
     GRID.iter()
-        .map(|&(b, p, f)| {
+        .map(|&batch| {
             let cluster = Cluster::build(ClusterConfig::small(2, 2));
             let cfg = CablesConfig {
-                svm: SvmConfig::cables().with_protocol_opts(b, p, f),
+                svm: SvmConfig {
+                    batch_diffs: batch,
+                    ..SvmConfig::cables()
+                },
                 ..CablesConfig::paper()
             };
             let sys = M4System::cables_with(Arc::clone(&cluster), cfg);
@@ -41,7 +35,7 @@ where
             sys.run(move |ctx| {
                 *r2.lock().unwrap() = Some(body(ctx));
             })
-            .unwrap_or_else(|e| panic!("batch={b} prefetch={p} fwd={f}: {e}"));
+            .unwrap_or_else(|e| panic!("batch={batch}: {e}"));
             let v = result.lock().unwrap().take().expect("result produced");
             v
         })
@@ -49,7 +43,7 @@ where
 }
 
 #[test]
-fn fft_is_bit_identical_across_the_toggle_grid() {
+fn fft_is_bit_identical_with_batching_off_and_on() {
     let p = fft::FftParams {
         m: 8,
         nprocs: 4,
@@ -64,14 +58,14 @@ fn fft_is_bit_identical_across_the_toggle_grid() {
     for (i, s) in sums.iter().enumerate() {
         assert_eq!(
             *s, sums[0],
-            "FFT checksum diverged at grid point {:?}",
+            "FFT checksum diverged at batch_diffs = {}",
             GRID[i]
         );
     }
 }
 
 #[test]
-fn radix_is_bit_identical_across_the_toggle_grid() {
+fn radix_is_bit_identical_with_batching_off_and_on() {
     let p = radix::RadixParams {
         keys: 4096,
         digit_bits: 8,
@@ -86,7 +80,7 @@ fn radix_is_bit_identical_across_the_toggle_grid() {
     for (i, s) in sums.iter().enumerate() {
         assert_eq!(
             *s, sums[0],
-            "RADIX key sum diverged at grid point {:?}",
+            "RADIX key sum diverged at batch_diffs = {}",
             GRID[i]
         );
     }

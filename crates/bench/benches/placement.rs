@@ -5,7 +5,8 @@
 //! (permutation-phase all-to-all) and the zipfian open-loop KV service —
 //! with the placement extensions off and on, and produces
 //! `BENCH_placement.json` with per-cell traffic counters, simulated
-//! times and policy decision counts. "On" means both legs at once: the
+//! times, the measured window (`parallel_ns` for the kernels, `serve_ns`
+//! for the service) and policy decision counts. "On" means both legs at once: the
 //! counter-driven home-migration policy (`SvmConfig::placement_policy`)
 //! and affinity thread placement (`CablesConfig::affinity_placement`).
 //!
@@ -37,6 +38,9 @@ use traffic::{schedule, TrafficConfig};
 
 struct Cell {
     sim_ns: u64,
+    /// The window the workload measures, under its artifact key: the
+    /// kernels' parallel section or the service's serving window.
+    window: (&'static str, u64),
     checksum: u64,
     stats: NodeStats,
 }
@@ -44,7 +48,8 @@ struct Cell {
 impl ToJson for Cell {
     fn write_json(&self, w: &mut Writer) {
         let s = &self.stats;
-        w.obj().field("sim_time_ns", self.sim_ns).field("remote_fetches", s.remote_fetches);
+        w.obj().field("sim_time_ns", self.sim_ns).field(self.window.0, self.window.1);
+        w.field("remote_fetches", s.remote_fetches);
         w.field("diffs_sent", s.diffs_sent).field("fetch_bytes", s.fetch_bytes);
         w.field("diff_bytes", s.diff_bytes).field("migrations", s.migrations);
         w.field("pingpong_handoffs", s.pingpong_handoffs);
@@ -83,8 +88,10 @@ fn run_kernel(procs: usize, cfg: CablesConfig, body: impl FnOnce(&M4Ctx) -> u64 
         .expect("kernel run");
     let checksum = result.lock().unwrap().take().expect("kernel result");
     let stats = sys.svm().total_stats();
+    let parallel_ns = sys.parallel_ns().expect("kernel records its parallel section");
     Cell {
         sim_ns: end.as_nanos(),
+        window: ("parallel_ns", parallel_ns),
         checksum,
         stats,
     }
@@ -146,6 +153,7 @@ fn run_service_cell(smoke: bool, on: bool) -> Cell {
     assert_eq!(outcome.direct_served, 0, "service cell used a crash fallback");
     Cell {
         sim_ns: end.as_nanos(),
+        window: ("serve_ns", outcome.serve_ns),
         checksum: outcome.digest,
         stats: rt.svm().total_stats(),
     }

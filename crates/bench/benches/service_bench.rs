@@ -6,8 +6,7 @@
 //! histogram and throughput from the serving window, then stresses the
 //! deployment with a chaos node crash under live traffic (recovery
 //! visible in the windowed percentile series streamed to
-//! `stream_service.ndjson`) and a lock-data-forwarding ablation.
-//! Produces `BENCH_service.json`.
+//! `stream_service.ndjson`). Produces `BENCH_service.json`.
 //!
 //! Asserted invariants:
 //!
@@ -17,10 +16,7 @@
 //! - replaying a cell from the same `TrafficConfig` is bit-identical
 //!   (same digest, same simulated times, same percentiles);
 //! - the crash cell answers every request, detaches the dead node, and
-//!   the windowed series shows completions resuming after the crash;
-//! - lock-data forwarding fires (`lock_forwards > 0`) when enabled and
-//!   stays exactly zero when disabled, with identical response digests
-//!   (on a conflict-free schedule: the two cells differ in timing).
+//!   the windowed series shows completions resuming after the crash.
 //!
 //! Run with `--test` for the CI smoke mode (fewer requests, same
 //! assertions, same artifact).
@@ -34,7 +30,7 @@ use chaos::{ChaosEngine, FaultPlan};
 use obs::json::{Fixed, Writer};
 use obs::series;
 use obs::Layer;
-use svm::{Cluster, SvmConfig};
+use svm::Cluster;
 use traffic::{schedule, Schedule, TrafficConfig};
 
 /// The node sacrificed by the crash cell (never 0: the master survives).
@@ -52,7 +48,6 @@ struct CellOut {
     svc_count: u64,
     /// The node each shard's pool runs on, in shard order.
     pools: Vec<u32>,
-    lock_forwards: u64,
     nodes_detached: u64,
     crashes: u64,
     windows: Vec<series::WindowRow>,
@@ -129,7 +124,6 @@ fn run_cell(
         pools,
         p: [h.percentile(50.0), h.percentile(95.0), h.percentile(99.0)],
         svc_count: h.count(),
-        lock_forwards: svm.total_stats().lock_forwards,
         nodes_detached: rt.stats().nodes_detached,
         crashes: if has_chaos {
             cluster.chaos().expect("chaos attached").stats().crashes
@@ -308,46 +302,6 @@ fn main() {
     print!("{}", obs::report::window_table(&c.windows));
     println!("live series -> target/artifacts/stream_service.ndjson");
 
-    // ---- Ablation: lock-data forwarding off vs on ----
-    // The zipfian pattern hammers a few hot buckets: their store pages
-    // are exactly the frequently-demand-fetched pages forwarding targets.
-    // Forwarding changes timing, so the two cells' digests are compared
-    // on the conflict-free form of the schedule (one request per key;
-    // the bucket locks, eight per shard, stay hot), where parity is
-    // implied by correctness.
-    let zkeys = keys.max(u64::from(nreq));
-    let zsched = &schedule(&TrafficConfig::zipfian(13, nreq, zkeys, rate)).conflict_free();
-    let cfg_off = CablesConfig {
-        svm: SvmConfig::cables().with_protocol_opts(false, false, false),
-        ..CablesConfig::paper()
-    };
-    let cfg_on = CablesConfig {
-        svm: SvmConfig::cables().with_protocol_opts(false, false, true),
-        ..CablesConfig::paper()
-    };
-    let off = run_cell(zsched, 8, cfg_off, None, None);
-    let on = run_cell(zsched, 8, cfg_on, None, None);
-    assert_eq!(
-        off.lock_forwards, 0,
-        "forwarding-off cell must not forward"
-    );
-    assert!(
-        on.lock_forwards > 0,
-        "forwarding-on cell never forwarded a page under the hot-bucket workload"
-    );
-    assert_eq!(
-        off.outcome.digest, on.outcome.digest,
-        "lock forwarding changed the service's responses"
-    );
-    println!(
-        "\nablation (zipfian, 4 nodes): lock_forwards off={} on={}; \
-         p95 off={} on={} (digests identical)",
-        off.lock_forwards,
-        on.lock_forwards,
-        fmt_ns(off.p[1]),
-        fmt_ns(on.p[1]),
-    );
-
     println!();
     artifact("BENCH_service.json", "service", |doc| {
         doc.key("cells").arr();
@@ -364,12 +318,6 @@ fn main() {
         doc.field("post_crash_window_completions", post);
         doc.field("p50_ns", c.p[0]).field("p95_ns", c.p[1]).field("p99_ns", c.p[2]);
         doc.field("stream", "target/artifacts/stream_service.ndjson").end();
-        doc.key("ablation").obj().field("pattern", "zipfian").field("nodes", 4u64);
-        for (name, x) in [("off", &off), ("on", &on)] {
-            doc.key(name).obj().field("lock_forwards", x.lock_forwards);
-            doc.field("sim_time_ns", x.sim_ns).field("p95_ns", x.p[1]).end();
-        }
-        doc.end();
     });
     println!("determinism: every cell is a pure function of (TrafficConfig, params);");
     println!("rerunning this bench reproduces every digest and percentile exactly.");

@@ -148,8 +148,8 @@ pub struct Diff {
 /// composite of every present key forms the element's identity.
 const ID_KEYS: &[&str] = &[
     "kernel", "name", "program", "mode", "section", "node", "page", "kind", "src_node",
-    "dst_node", "obj", "nodes", "procs", "m", "keys", "prefetch", "batch_diffs",
-    "lock_forwarding", "id", "track", "bucket", "start_ns", "level",
+    "dst_node", "obj", "nodes", "procs", "m", "keys", "batch_diffs", "id", "track", "bucket",
+    "start_ns", "level",
 ];
 
 fn scalar_str(v: &Value) -> String {

@@ -119,10 +119,6 @@ pub enum EdgeKind {
     ThreadStart,
     /// Thread exit → its joiner's resume.
     ThreadJoin,
-    /// Batched multi-page fetch (demand page + prefetched run, or
-    /// lock-forwarded contents) → data back at the requester, collapsed
-    /// onto the requesting thread's own lane like [`EdgeKind::PageFetch`].
-    BatchFetch,
     /// Batched release diff (all diffs bound for one home in one message)
     /// → the release fence observing its arrival, on the releaser's lane.
     BatchDiff,
@@ -137,7 +133,7 @@ pub enum EdgeKind {
 
 impl EdgeKind {
     /// Number of kinds (array dimension for breakdowns).
-    pub const COUNT: usize = 14;
+    pub const COUNT: usize = 13;
 
     /// All kinds, in display order.
     pub const ALL: [EdgeKind; EdgeKind::COUNT] = [
@@ -151,7 +147,6 @@ impl EdgeKind {
         EdgeKind::PageFetch,
         EdgeKind::ThreadStart,
         EdgeKind::ThreadJoin,
-        EdgeKind::BatchFetch,
         EdgeKind::BatchDiff,
         EdgeKind::Wakeup,
         EdgeKind::Recovery,
@@ -169,7 +164,7 @@ impl EdgeKind {
             | EdgeKind::RwHandoff
             | EdgeKind::ThreadStart
             | EdgeKind::ThreadJoin => Layer::Rt,
-            EdgeKind::PageFetch | EdgeKind::BatchFetch | EdgeKind::BatchDiff => Layer::Proto,
+            EdgeKind::PageFetch | EdgeKind::BatchDiff => Layer::Proto,
             EdgeKind::Wakeup => Layer::Sched,
             EdgeKind::Recovery => Layer::Chaos,
         }
@@ -188,7 +183,6 @@ impl EdgeKind {
             EdgeKind::PageFetch => "page_fetch",
             EdgeKind::ThreadStart => "thread_start",
             EdgeKind::ThreadJoin => "thread_join",
-            EdgeKind::BatchFetch => "batch_fetch",
             EdgeKind::BatchDiff => "batch_diff",
             EdgeKind::Wakeup => "wakeup",
             EdgeKind::Recovery => "recovery",
@@ -309,33 +303,6 @@ pub enum Event {
         pages: u64,
         /// Payload bytes (after cross-page run merging).
         bytes: u64,
-    },
-    /// A confirmed-stride prefetch riding on a demand fetch: `pages`
-    /// extra pages fetched from `home` in the same batched message.
-    Prefetch {
-        /// The demand page that triggered the batch.
-        page: u64,
-        /// Extra (prefetched) pages in the batch.
-        pages: u64,
-        /// Home node served the batch.
-        home: u32,
-    },
-    /// Lock-data forwarding: hot pages refreshed from home on the lock
-    /// grant instead of invalidated.
-    LockForward {
-        /// Pages refreshed.
-        pages: u64,
-        /// Payload bytes forwarded.
-        bytes: u64,
-    },
-    /// A fault satisfied by an already-prefetched copy: no remote fetch,
-    /// only the tail of the streaming install (if any) plus protection
-    /// work. Emitted as a span nested inside the enclosing
-    /// [`Event::FaultSpan`], so the stall profiler can split
-    /// prefetch-masked stall from full page-fault stall.
-    PrefetchMasked {
-        /// The page the fault was masked on.
-        page: u64,
     },
 
     // ---- SAN spans ----
@@ -580,9 +547,6 @@ impl Event {
             Event::Invalidate { .. } => "proto.inval",
             Event::Migrate { .. } => "proto.migrate",
             Event::DiffBatch { .. } => "proto.diff_batch",
-            Event::Prefetch { .. } => "proto.prefetch",
-            Event::LockForward { .. } => "proto.lock_forward",
-            Event::PrefetchMasked { .. } => "proto.prefetch_masked",
             Event::SanSend { .. } => "san.send",
             Event::SanFetch { .. } => "san.fetch",
             Event::SanNotify { .. } => "san.notify",
@@ -629,7 +593,6 @@ impl Event {
             Event::Edge { kind: EdgeKind::PageFetch, .. } => "edge.page_fetch",
             Event::Edge { kind: EdgeKind::ThreadStart, .. } => "edge.thread_start",
             Event::Edge { kind: EdgeKind::ThreadJoin, .. } => "edge.thread_join",
-            Event::Edge { kind: EdgeKind::BatchFetch, .. } => "edge.batch_fetch",
             Event::Edge { kind: EdgeKind::BatchDiff, .. } => "edge.batch_diff",
             Event::Edge { kind: EdgeKind::Wakeup, .. } => "edge.wakeup",
             Event::Edge { kind: EdgeKind::Recovery, .. } => "edge.recovery",
@@ -658,17 +621,11 @@ impl Event {
             Event::Diff { page, bytes } => {
                 let _ = write!(out, "\"page\":{page},\"bytes\":{bytes}");
             }
-            Event::Invalidate { page } | Event::PrefetchMasked { page } => {
+            Event::Invalidate { page } => {
                 let _ = write!(out, "\"page\":{page}");
             }
             Event::DiffBatch { home, pages, bytes } => {
                 let _ = write!(out, "\"home\":{home},\"pages\":{pages},\"bytes\":{bytes}");
-            }
-            Event::Prefetch { page, pages, home } => {
-                let _ = write!(out, "\"page\":{page},\"pages\":{pages},\"home\":{home}");
-            }
-            Event::LockForward { pages, bytes } => {
-                let _ = write!(out, "\"pages\":{pages},\"bytes\":{bytes}");
             }
             Event::SanSend { to, bytes } | Event::SanFetch { to, bytes } => {
                 let _ = write!(out, "\"to\":{to},\"bytes\":{bytes}");

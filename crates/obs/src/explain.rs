@@ -5,7 +5,7 @@
 //! against the *explanatory* rows of the same diff:
 //!
 //! - **stall buckets** — `stall.totals.<bucket>` deltas say where the
-//!   extra simulated time was spent (the nine-bucket lifetime partition
+//!   extra simulated time was spent (the eight-bucket lifetime partition
 //!   of [`crate::stall`]);
 //! - **critical path** — `critpath.by_kind`/`by_layer`/`blame` deltas
 //!   say whether the regression sits on the critical path at all;

@@ -373,10 +373,7 @@ impl SeriesState {
         }
         if let Event::Edge { kind, src_node, src_track, src_ns, .. } = *event {
             let self_lane = src_node == node && src_track == track;
-            let moves_data = matches!(
-                kind,
-                EdgeKind::PageFetch | EdgeKind::BatchFetch | EdgeKind::BatchDiff
-            );
+            let moves_data = matches!(kind, EdgeKind::PageFetch | EdgeKind::BatchDiff);
             if self_lane && moves_data && src_ns < at_ns {
                 self.window_stall[Bucket::MsgLatency as usize] += at_ns - src_ns;
             }

@@ -1,25 +1,23 @@
 //! Per-thread stall profiler: exact time accounting over the span stream.
 //!
 //! [`analyze`] partitions every simulated thread's lifetime — the interval
-//! from its first to its last recorded event — into nine disjoint buckets:
+//! from its first to its last recorded event — into eight disjoint buckets:
 //!
 //! | bucket            | source spans                                     |
 //! |-------------------|--------------------------------------------------|
 //! | `compute`         | time covered by no classified span               |
 //! | `page_fault`      | `proto.fault_handling`                           |
-//! | `prefetch_masked` | `proto.prefetch_masked` (nested in fault spans)  |
 //! | `mutex_wait`      | `sync.lock`, `rt.mutex_wait`                     |
 //! | `cond_wait`       | `rt.cond_wait`                                   |
 //! | `barrier_wait`    | `sync.barrier`, `rt.barrier_wait`                |
 //! | `rwlock_wait`     | `rt.rwlock_wait`                                 |
 //! | `join_wait`       | `rt.thread_join`                                 |
-//! | `msg_latency`     | self-lane `page_fetch`/`batch_fetch`/`batch_diff` edges |
+//! | `msg_latency`     | self-lane `page_fetch`/`batch_diff` edges        |
 //!
 //! Spans on one lane nest (they come from one thread's call stack), so the
 //! partition uses the same innermost-wins flattening as [`crate::critpath`]:
-//! a `prefetch_masked` span inside a fault span claims its interval from
-//! `page_fault`, and the wire time reported by a self-lane fetch edge claims
-//! its interval from whatever span surrounds it. Whatever no classified span
+//! the wire time reported by a self-lane fetch edge claims its interval
+//! from whatever span surrounds it. Whatever no classified span
 //! covers is `compute`. The buckets therefore sum to the lifetime *exactly*
 //! — the invariant `tests/stall_diff.rs` proptests.
 //!
@@ -37,10 +35,9 @@ use crate::event::{EdgeKind, Event, EventRecord, NIC_TRACK};
 use crate::json::{ToJson, Writer};
 
 /// The stall buckets, in display order. `Compute` is the residue bucket;
-/// the other eight come from classified spans. Declaration order doubles
+/// the other seven come from classified spans. Declaration order doubles
 /// as the flattening tiebreak: for identical intervals the higher-indexed
-/// bucket is treated as innermost (`msg_latency` beats everything,
-/// `prefetch_masked` beats `page_fault`).
+/// bucket is treated as innermost (`msg_latency` beats everything).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(usize)]
 pub enum Bucket {
@@ -48,31 +45,28 @@ pub enum Bucket {
     Compute = 0,
     /// Page-fault handling (`proto.fault_handling`).
     PageFault = 1,
-    /// Fault satisfied from an already-prefetched copy.
-    PrefetchMasked = 2,
     /// Mutex/lock acquisition wait (`sync.lock`, `rt.mutex_wait`).
-    MutexWait = 3,
+    MutexWait = 2,
     /// Condition-variable wait (`rt.cond_wait`).
-    CondWait = 4,
+    CondWait = 3,
     /// Barrier wait (`sync.barrier`, `rt.barrier_wait`).
-    BarrierWait = 5,
+    BarrierWait = 4,
     /// Reader-writer lock wait (`rt.rwlock_wait`).
-    RwWait = 6,
+    RwWait = 5,
     /// `thread_join` wait (`rt.thread_join`).
-    JoinWait = 7,
+    JoinWait = 6,
     /// Wire time of page/batch movement, from self-lane causal edges.
-    MsgLatency = 8,
+    MsgLatency = 7,
 }
 
 /// Number of buckets (length of [`Bucket::ALL`]).
-pub const BUCKETS: usize = 9;
+pub const BUCKETS: usize = 8;
 
 impl Bucket {
     /// Every bucket, in display order.
     pub const ALL: [Bucket; BUCKETS] = [
         Bucket::Compute,
         Bucket::PageFault,
-        Bucket::PrefetchMasked,
         Bucket::MutexWait,
         Bucket::CondWait,
         Bucket::BarrierWait,
@@ -86,7 +80,6 @@ impl Bucket {
         match self {
             Bucket::Compute => "compute",
             Bucket::PageFault => "page_fault",
-            Bucket::PrefetchMasked => "prefetch_masked",
             Bucket::MutexWait => "mutex_wait",
             Bucket::CondWait => "cond_wait",
             Bucket::BarrierWait => "barrier_wait",
@@ -101,7 +94,6 @@ impl Bucket {
         match self {
             Bucket::Compute => "comp",
             Bucket::PageFault => "pf",
-            Bucket::PrefetchMasked => "pfm",
             Bucket::MutexWait => "mtx",
             Bucket::CondWait => "cond",
             Bucket::BarrierWait => "barr",
@@ -117,7 +109,6 @@ impl Bucket {
 pub fn bucket_for_kind(kind: &str) -> Option<Bucket> {
     Some(match kind {
         "proto.fault_handling" => Bucket::PageFault,
-        "proto.prefetch_masked" => Bucket::PrefetchMasked,
         "sync.lock" | "rt.mutex_wait" => Bucket::MutexWait,
         "rt.cond_wait" => Bucket::CondWait,
         "sync.barrier" | "rt.barrier_wait" => Bucket::BarrierWait,
@@ -298,10 +289,7 @@ pub fn analyze(
             // Wire time surfaces as a self-lane edge: the thread blocked
             // from issuing the fetch (src) until the data landed (at).
             let self_lane = src_node == e.node.0 && src_track == e.track;
-            let moves_data = matches!(
-                kind,
-                EdgeKind::PageFetch | EdgeKind::BatchFetch | EdgeKind::BatchDiff
-            );
+            let moves_data = matches!(kind, EdgeKind::PageFetch | EdgeKind::BatchDiff);
             if self_lane && moves_data && src_ns < at {
                 spans
                     .entry(lane)
@@ -501,12 +489,11 @@ mod tests {
 
     #[test]
     fn exact_partition_with_nested_spans() {
-        // Lifetime 0..100; fault 10..50 with a prefetch-masked tail
-        // 30..40 and wire time 15..25 nested inside; barrier 60..90.
+        // Lifetime 0..100; fault 10..50 with wire time 15..25 nested
+        // inside; barrier 60..90.
         let evs = vec![
             span(0, 0, 0, 1, Event::Sched { kind: crate::SchedKind::Spawn }, Layer::Sched),
             span(10, 40, 0, 1, Event::FaultSpan { page: 9, write: false }, Layer::Proto),
-            span(30, 10, 0, 1, Event::PrefetchMasked { page: 9 }, Layer::Proto),
             self_edge(0, 1, 15, 25, EdgeKind::PageFetch),
             span(60, 30, 0, 1, Event::BarrierWait { id: 1 }, Layer::Sync),
             span(100, 0, 0, 1, Event::Sched { kind: crate::SchedKind::Exit }, Layer::Sched),
@@ -515,9 +502,8 @@ mod tests {
         assert_eq!(p.threads.len(), 1);
         let t = &p.threads[0];
         assert_eq!((t.start_ns, t.end_ns), (0, 100));
-        assert_eq!(t.buckets[Bucket::PageFault as usize], 20); // 10..15, 25..30, 40..50
+        assert_eq!(t.buckets[Bucket::PageFault as usize], 30); // 10..15, 25..50
         assert_eq!(t.buckets[Bucket::MsgLatency as usize], 10); // 15..25
-        assert_eq!(t.buckets[Bucket::PrefetchMasked as usize], 10); // 30..40
         assert_eq!(t.buckets[Bucket::BarrierWait as usize], 30); // 60..90
         assert_eq!(t.buckets[Bucket::Compute as usize], 30); // 0..10, 50..60, 90..100
         assert_eq!(t.buckets.iter().sum::<u64>(), t.lifetime_ns());

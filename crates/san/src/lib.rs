@@ -335,89 +335,6 @@ impl San {
         }
     }
 
-    /// The one fetch round trip: a one-word request, then one reply
-    /// streaming `seg_lens` payloads, each framed by `header_bytes`.
-    /// Writes segment `i`'s cut-through completion time to `done[i]`.
-    /// Owns the wire cost of every fetch — requester and home NIC
-    /// occupancy, delay-class wire faults, traffic accounting and the obs
-    /// span + edge.
-    ///
-    /// The first segment pays the full fetch pipeline latency of just its
-    /// own framed bytes and trailing segments land at the NIC injection
-    /// rate (`occupancy_per_byte_ns`); the serve-occupancy term accrues
-    /// per cumulative byte the same way, so a contended home delays later
-    /// segments, not just the first. With one segment and no header both
-    /// terms are exactly those of a plain fetch.
-    fn round_trip(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        seg_lens: &[u64],
-        header_bytes: u64,
-        now: SimTime,
-        done: &mut [SimTime],
-    ) {
-        assert_ne!(from, to, "SAN fetch from self");
-        let total_wire = seg_lens.iter().sum::<u64>() + seg_lens.len() as u64 * header_bytes;
-        // One message for fault purposes. Drops are modeled as
-        // requester-side timeouts by the caller (`vmmc`'s fetch path), so
-        // only delay-class faults apply here.
-        let chw = self.wire_outcome(from, to, now, false);
-        let mut s = self.nics(from, to);
-        let req_occ = self.cfg.occupancy_ns(self.cfg.word_bytes);
-        let tx_start = now.max(s[from.0 as usize].nic.tx_free_at);
-        s[from.0 as usize].nic.tx_free_at = tx_start + req_occ;
-        // The remote NIC serves the data without CPU intervention but its
-        // transmit path serializes with other outgoing traffic.
-        let remote_serve_start =
-            (tx_start + self.cfg.send_base_ns).max(s[to.0 as usize].nic.tx_free_at);
-        s[to.0 as usize].nic.tx_free_at = remote_serve_start + self.cfg.occupancy_ns(total_wire);
-        let first_framed = seg_lens[0] + header_bytes;
-        let lat_first = self.cfg.fetch_latency_ns(first_framed);
-        let mut cum = 0u64;
-        for (len, slot) in seg_lens.iter().zip(done.iter_mut()) {
-            cum += len + header_bytes;
-            let stream_ns = ((cum - first_framed) as f64 * self.cfg.occupancy_per_byte_ns) as u64;
-            let latency_done = tx_start + lat_first + stream_ns + chw.delay_ns;
-            let contended_done = remote_serve_start + self.cfg.occupancy_ns(cum);
-            *slot = latency_done.max(contended_done);
-        }
-        let last = done[seg_lens.len() - 1];
-        s[from.0 as usize].traffic.messages_out += 1;
-        s[from.0 as usize].traffic.bytes_out += self.cfg.word_bytes;
-        s[to.0 as usize].traffic.messages_out += 1;
-        s[to.0 as usize].traffic.bytes_out += total_wire;
-        s[from.0 as usize].traffic.messages_in += 1;
-        s[from.0 as usize].traffic.bytes_in += total_wire;
-        drop(s);
-        self.obs_wire_fault(from, to, now, &chw);
-        if let Some(o) = self.obs_on() {
-            o.span(
-                Layer::San,
-                from,
-                NIC_TRACK,
-                now,
-                last.saturating_since(now),
-                Event::SanFetch {
-                    to: to.0,
-                    bytes: total_wire,
-                },
-            );
-            // Causal edge: the remote NIC starts serving the data, the
-            // reply lands at the requester.
-            o.edge(
-                EdgeKind::MsgFetch,
-                to,
-                NIC_TRACK,
-                remote_serve_start,
-                from,
-                NIC_TRACK,
-                last,
-                total_wire,
-            );
-        }
-    }
-
     /// A one-way data send of `bytes` from `from` to `to`, issued at `now`:
     /// the unframed single-segment message.
     ///
@@ -433,12 +350,58 @@ impl San {
     }
 
     /// A synchronous fetch (direct remote read) of `bytes` from `to`'s
-    /// memory into `from`'s, issued at `now`: the unframed single-segment
-    /// round trip. Returns completion time at the requester.
+    /// memory into `from`'s, issued at `now`: a one-word request, then one
+    /// reply. Returns completion time at the requester. Owns the wire cost
+    /// of every fetch — requester and home NIC occupancy, delay-class wire
+    /// faults, traffic accounting and the obs span + edge.
     pub fn fetch(&self, from: NodeId, to: NodeId, bytes: u64, now: SimTime) -> SimTime {
-        let mut done = [now];
-        self.round_trip(from, to, &[bytes], 0, now, &mut done);
-        done[0]
+        assert_ne!(from, to, "SAN fetch from self");
+        // One message for fault purposes. Drops are modeled as
+        // requester-side timeouts by the caller (`vmmc`'s fetch path), so
+        // only delay-class faults apply here.
+        let chw = self.wire_outcome(from, to, now, false);
+        let mut s = self.nics(from, to);
+        let req_occ = self.cfg.occupancy_ns(self.cfg.word_bytes);
+        let tx_start = now.max(s[from.0 as usize].nic.tx_free_at);
+        s[from.0 as usize].nic.tx_free_at = tx_start + req_occ;
+        // The remote NIC serves the data without CPU intervention but its
+        // transmit path serializes with other outgoing traffic.
+        let remote_serve_start =
+            (tx_start + self.cfg.send_base_ns).max(s[to.0 as usize].nic.tx_free_at);
+        let served = remote_serve_start + self.cfg.occupancy_ns(bytes);
+        s[to.0 as usize].nic.tx_free_at = served;
+        let done = (tx_start + self.cfg.fetch_latency_ns(bytes) + chw.delay_ns).max(served);
+        s[from.0 as usize].traffic.messages_out += 1;
+        s[from.0 as usize].traffic.bytes_out += self.cfg.word_bytes;
+        s[to.0 as usize].traffic.messages_out += 1;
+        s[to.0 as usize].traffic.bytes_out += bytes;
+        s[from.0 as usize].traffic.messages_in += 1;
+        s[from.0 as usize].traffic.bytes_in += bytes;
+        drop(s);
+        self.obs_wire_fault(from, to, now, &chw);
+        if let Some(o) = self.obs_on() {
+            o.span(
+                Layer::San,
+                from,
+                NIC_TRACK,
+                now,
+                done.saturating_since(now),
+                Event::SanFetch { to: to.0, bytes },
+            );
+            // Causal edge: the remote NIC starts serving the data, the
+            // reply lands at the requester.
+            o.edge(
+                EdgeKind::MsgFetch,
+                to,
+                NIC_TRACK,
+                remote_serve_start,
+                from,
+                NIC_TRACK,
+                done,
+                bytes,
+            );
+        }
+        done
     }
 
     /// A multi-segment (batched) send: `seg_lens` payloads travel as one
@@ -465,27 +428,6 @@ impl San {
         let stream_ns = (total_wire.saturating_sub(self.cfg.word_bytes) as f64
             * self.cfg.occupancy_per_byte_ns) as u64;
         self.one_way(from, to, total_wire, self.cfg.send_base_ns + stream_ns, now)
-    }
-
-    /// A multi-segment (batched) fetch: one request, one reply streaming
-    /// all `seg_lens` payloads plus per-segment framing. One message on
-    /// the wire — see [`San::send_multi`] — but delivery is cut-through:
-    /// segment `i` is usable as soon as its own bytes have streamed off
-    /// the remote NIC and across the wire, before the trailing segments
-    /// finish, paying the per-message round-trip cost once instead of once
-    /// per payload. Returns one completion time per segment.
-    pub fn fetch_multi(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        seg_lens: &[u64],
-        now: SimTime,
-    ) -> Vec<SimTime> {
-        assert!(!seg_lens.is_empty(), "empty multi-segment fetch");
-        let mut done = vec![now; seg_lens.len()];
-        let header = self.cfg.segment_header_bytes;
-        self.round_trip(from, to, seg_lens, header, now, &mut done);
-        done
     }
 
     /// A notification (small message that dispatches a remote handler).
@@ -748,25 +690,6 @@ mod tests {
             san.traffic(NodeId(0)).bytes_out,
             3 * 128 + 3 * cfg.segment_header_bytes
         );
-    }
-
-    #[test]
-    fn multi_segment_fetch_amortizes_rtt() {
-        let cfg = SanConfig::paper();
-        let times = San::new(cfg.clone()).fetch_multi(NodeId(0), NodeId(1), &[4096, 4096, 4096], t(0));
-        assert_eq!(times.len(), 3);
-        // Cut-through delivery: the first segment is usable for roughly a
-        // single-page fetch latency; later segments land strictly later.
-        let first = times[0].as_nanos();
-        assert!(
-            first < cfg.fetch_latency_ns(4096) + 2_000,
-            "first segment {first} should cost about one single-page fetch"
-        );
-        assert!(times[0] < times[1] && times[1] < times[2]);
-        // The whole batch still beats three separate round trips.
-        let batched = times[2].as_nanos();
-        let three_singles = 3 * cfg.fetch_latency_ns(4096);
-        assert!(batched < three_singles, "batched {batched} vs {three_singles}");
     }
 
     #[test]

@@ -10,8 +10,8 @@ use cables_san::{San, SanConfig, SendTiming, TrafficStats};
 use sim::{NodeId, SimTime};
 
 /// Drives the fixed sequence and returns every observed time in ns, in
-/// issue order: `local_done, arrival` per send, one time per fetched
-/// segment.
+/// issue order: `local_done, arrival` per send, the completion time per
+/// fetch.
 fn drive(san: &San) -> Vec<u64> {
     let (a, b, c) = (NodeId(0), NodeId(1), NodeId(2));
     let at = SimTime::from_nanos;
@@ -19,28 +19,22 @@ fn drive(san: &San) -> Vec<u64> {
     let send = |out: &mut Vec<u64>, t: SendTiming| {
         out.extend([t.local_done.as_nanos(), t.arrival.as_nanos()]);
     };
-    let fetch = |out: &mut Vec<u64>, ts: &[SimTime]| out.extend(ts.iter().map(|t| t.as_nanos()));
+    let fetch = |out: &mut Vec<u64>, t: SimTime| out.push(t.as_nanos());
     // Two senders converge on b's receive path, then b's transmit path
     // serves fetches from both while it is still sending.
     send(&mut out, san.send(a, b, 4096, at(0)));
     send(&mut out, san.send(c, b, 4096, at(1_000)));
     send(&mut out, san.send_multi(a, b, &[64, 4096, 8], at(2_000)));
     send(&mut out, san.send(b, c, 128, at(2_500)));
-    fetch(&mut out, &[san.fetch(a, b, 4096, at(3_000))]);
-    fetch(
-        &mut out,
-        &san.fetch_multi(c, b, &[4096, 4096, 512], at(3_500)),
-    );
-    fetch(&mut out, &[san.fetch(c, a, 4, at(4_000))]);
+    fetch(&mut out, san.fetch(a, b, 4096, at(3_000)));
+    fetch(&mut out, san.fetch(c, a, 4, at(4_000)));
     // Mostly idle network: the one-segment batch still pays its framing.
-    fetch(&mut out, &san.fetch_multi(a, c, &[4096], at(200_000)));
     send(&mut out, san.send_multi(b, a, &[8], at(200_500)));
     send(&mut out, san.send(c, a, 4, at(201_000)));
     // A back-to-back burst queueing on one home's transmit path.
     for i in 0..3 {
-        fetch(&mut out, &[san.fetch(a, b, 4096, at(400_000 + i))]);
+        fetch(&mut out, san.fetch(a, b, 4096, at(400_000 + i)));
     }
-    fetch(&mut out, &san.fetch_multi(c, b, &[4096, 4096], at(400_010)));
     out
 }
 
@@ -63,16 +57,16 @@ fn clean_sequence_matches_pinned_times_and_traffic() {
     assert_eq!(
         drive(&san),
         [
-            32968, 51993, 33968, 84961, 67280, 119273, 3724, 11639, 148286, 141272, 174296, 178648,
-            67744, 281468, 201020, 208588, 241256, 248824, 481006, 481238, 506704, 539928, 572952
+            32968, 51993, 33968, 84961, 67280, 119273, 3724, 11639, 148286, 67744, 201020, 208588,
+            201232, 208820, 481006, 481238, 506704
         ]
     );
     assert_eq!(
         traffic(&san),
         [
-            stats(8, 8384, 7, 20556),
-            stats(8, 33608, 3, 12456),
-            stats(6, 8240, 4, 17188)
+            stats(7, 8380, 6, 16428),
+            stats(6, 16552, 3, 12456),
+            stats(3, 4104, 2, 132)
         ]
     );
 }
@@ -93,9 +87,8 @@ fn faulted_sequence_matches_pinned_times_and_traffic() {
     assert_eq!(
         drive(&san),
         [
-            32968, 52333, 33968, 118269, 67280, 196230, 3724, 113325, 149596, 141272, 174296,
-            178648, 67744, 283016, 201020, 209937, 241256, 250204, 481257, 502185, 506704, 539928,
-            572952
+            32968, 52333, 33968, 118269, 67280, 196230, 3724, 113325, 149596, 67744, 201020,
+            209761, 201232, 210513, 481429, 482529, 506704
         ]
     );
     // Duplicated sends burn receive traffic; fetch replies are never
@@ -103,9 +96,9 @@ fn faulted_sequence_matches_pinned_times_and_traffic() {
     assert_eq!(
         traffic(&san),
         [
-            stats(8, 8384, 8, 20596),
-            stats(8, 33608, 5, 20648),
-            stats(6, 8240, 4, 17188)
+            stats(7, 8380, 7, 16468),
+            stats(6, 16552, 5, 20648),
+            stats(3, 4104, 2, 132)
         ]
     );
 }

@@ -124,25 +124,6 @@ pub struct SvmConfig {
     /// changes message counts and simulated time only. Off reproduces the
     /// per-page protocol exactly.
     pub batch_diffs: bool,
-    /// Adaptive multi-page prefetch degree: after a per-thread stride
-    /// detector confirms a sequential/strided fault run, up to this many
-    /// extra pages from the same home ride along with the demand fetch in
-    /// one batched message. `0` disables prefetching (the per-page
-    /// protocol). Prefetched copies obey normal release consistency: the
-    /// same acquire-time write notices that invalidate demand-fetched
-    /// copies invalidate them.
-    pub prefetch_degree: u32,
-    /// Lock-data forwarding (GCS-style): at lock acquisition, pages made
-    /// stale by pending write notices whose demand-fetch count reached
-    /// `lock_forward_hot` are *refreshed* from home in one batched fetch
-    /// piggybacked on the grant, instead of invalidated and re-fetched on
-    /// the first post-acquire fault. Off reproduces invalidate-only
-    /// acquires exactly.
-    pub lock_forwarding: bool,
-    /// Demand-fetch count a page must reach before lock forwarding ships
-    /// its contents (cold pages are still invalidated — forwarding them
-    /// would waste grant-message bytes).
-    pub lock_forward_hot: u32,
     /// Cost constants.
     pub costs: SvmCosts,
 }
@@ -156,9 +137,6 @@ impl SvmConfig {
             write_through_single_writer: true,
             placement_policy: None,
             batch_diffs: false,
-            prefetch_degree: 0,
-            lock_forwarding: false,
-            lock_forward_hot: 4,
             costs: SvmCosts::default(),
         }
     }
@@ -171,21 +149,8 @@ impl SvmConfig {
             write_through_single_writer: false,
             placement_policy: None,
             batch_diffs: false,
-            prefetch_degree: 0,
-            lock_forwarding: false,
-            lock_forward_hot: 4,
             costs: SvmCosts::default(),
         }
-    }
-
-    /// Applies the three protocol-traffic optimizations as a 3-bit grid
-    /// point (used by the ablation bench and tests). `prefetch` enables a
-    /// degree-4 prefetcher.
-    pub fn with_protocol_opts(mut self, batch: bool, prefetch: bool, forward: bool) -> Self {
-        self.batch_diffs = batch;
-        self.prefetch_degree = if prefetch { 4 } else { 0 };
-        self.lock_forwarding = forward;
-        self
     }
 
     /// Enables the counter-driven placement policy with the default
@@ -214,16 +179,11 @@ mod tests {
     fn protocol_opts_default_off_in_both_presets() {
         for cfg in [SvmConfig::base(), SvmConfig::cables()] {
             assert!(!cfg.batch_diffs);
-            assert_eq!(cfg.prefetch_degree, 0);
-            assert!(!cfg.lock_forwarding);
             assert!(cfg.placement_policy.is_none());
         }
         let pol = SvmConfig::cables().with_placement_policy();
         let p = pol.placement_policy.expect("policy set");
         assert!(p.min_traffic > 0 && p.dominance_pct > 50);
-        let on = SvmConfig::cables().with_protocol_opts(true, true, true);
-        assert!(on.batch_diffs && on.lock_forwarding);
-        assert_eq!(on.prefetch_degree, 4);
     }
 
     #[test]

@@ -2,15 +2,15 @@
 //!
 //! [`ProtoState`] is the protocol's whole directory: homes, versions,
 //! per-node copies with their dirty-word bitmaps, the write-notice log,
-//! home regions, stride detectors, prefetched pages, the placement
-//! policy's sharing counters and the event counters. Its transitions are
-//! plain `&mut self` methods that take (node, page, access kind, the
-//! facts the interpreter observed) and return what must happen next: a
-//! [`Route`] or [`Fetch`] for a fault, a registration for a placement or
-//! a [`Migrate`] plan, [`Diff`]s to ship, an [`Acquire`]'s flushes,
-//! invalidations and forwards. Nothing here charges time, moves bytes or
-//! records an event; `proto.rs` performs every effect, in order, and is
-//! the only interpreter outside the small-scope explorer's test double.
+//! home regions, the placement policy's sharing counters and the event
+//! counters. Its transitions are plain `&mut self` methods that take
+//! (node, page, access kind, the facts the interpreter observed) and
+//! return what must happen next: a [`Route`] or [`Fetch`] for a fault, a
+//! registration for a placement or a [`Migrate`] plan, [`Diff`]s to ship,
+//! an [`Acquire`]'s flushes and invalidations. Nothing here charges time,
+//! moves bytes or records an event; `proto.rs` performs every effect, in
+//! order, and is the only interpreter outside the small-scope explorer's
+//! test double.
 //!
 //! Each transition commits its bookkeeping when it decides: no transition
 //! spans a scheduling point, so nothing else runs between a decision and
@@ -27,19 +27,16 @@
 //! data-race-free programs see identical values and at worst extra
 //! invalidations.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use memsim::{FaultKind, GAddr, PageNum, Prot, PAGE_SIZE};
-use sim::{IdMap, IdSet, NodeId, SimTime, Tid};
+use sim::{IdMap, IdSet, NodeId, Tid};
 use vmmc::RegionId;
 
 use crate::config::{ProtoMode, SvmConfig};
 use crate::sync::{BarrierState, LockState};
 
 pub(crate) const WORDS_PER_PAGE: usize = (PAGE_SIZE / 8) as usize;
-/// Consecutive same-stride faults the detector needs before it trusts a
-/// run and starts prefetching.
-const PREFETCH_CONFIRM: u32 = 2;
 pub(crate) const BITMAP_WORDS: usize = WORDS_PER_PAGE / 64;
 
 /// Base of the heap portion of the shared virtual address space.
@@ -58,10 +55,6 @@ pub(crate) struct PageDir {
     pub region_off: u64,
     pub first_writer: Option<NodeId>,
     pub multi_writer: bool,
-    /// Demand fetches served for this page; the lock-forwarding hotness
-    /// signal (kept in the protocol directory, not the obs sharing table,
-    /// so behaviour never depends on whether observability is enabled).
-    pub hot: u32,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -101,18 +94,6 @@ pub struct NodeStats {
     pub diff_batches: u64,
     /// Payload bytes that travelled inside batched diffs.
     pub batched_diff_bytes: u64,
-    /// Pages fetched ahead of demand by the stride prefetcher.
-    pub prefetch_issued: u64,
-    /// Prefetched pages later consumed by a local fault (a fault that
-    /// needed no new message).
-    pub prefetch_hits: u64,
-    /// Prefetched pages invalidated by acquire-time notices before use.
-    pub prefetch_wasted: u64,
-    /// Lock grants that carried forwarded page contents (one per home per
-    /// grant).
-    pub lock_forwards: u64,
-    /// Page-content bytes refreshed by lock-data forwarding.
-    pub lock_forward_bytes: u64,
     /// Ping-pong handoffs this node completed: remote fetch/diff messages
     /// on a chunk whose previous remote toucher was a different node (the
     /// false-sharing smell, charged to the node whose touch completed the
@@ -132,16 +113,6 @@ pub(crate) struct NodeProto {
     pub seg_cache: IdSet<u64>,
     pub imported: IdSet<u64>,
     pub log_cursor: usize,
-    /// Stride detectors over this node's demand-fault stream, one per
-    /// faulting thread — two CPUs interleaving sequential scans would
-    /// otherwise shred each other's runs:
-    /// `tid → (last demand page, stride in pages, same-stride streak)`.
-    pub stride: IdMap<u64, (u64, i64, u32)>,
-    /// Pages installed by the prefetcher and not yet consumed or
-    /// invalidated, with the simulated time their bytes finish streaming
-    /// in (cut-through delivery: a consumer faulting earlier must wait
-    /// out the remainder).
-    pub prefetched: IdMap<u64, SimTime>,
     pub stats: NodeStats,
 }
 
@@ -149,15 +120,6 @@ impl NodeProto {
     /// This node's copy of `page`, created clean at version 0 if absent.
     fn copy(&mut self, page: u64) -> &mut CopyState {
         self.copies.entry(page).or_default()
-    }
-
-    /// Forgets this node's copy of `page`, counting a prefetched page that
-    /// was never used as wasted.
-    fn drop_copy(&mut self, page: u64) {
-        self.copies.remove(&page);
-        if self.prefetched.remove(&page).is_some() {
-            self.stats.prefetch_wasted += 1;
-        }
     }
 }
 
@@ -218,12 +180,10 @@ pub(crate) enum Route {
 /// A remote-homed fault, decided.
 #[derive(Debug, Clone)]
 pub(crate) enum Fetch {
-    /// The local copy is current: grant, after waiting out a prefetched
-    /// page's streaming tail (`ready`).
-    Local { ready: Option<SimTime> },
-    /// Fetch the page at `off` in the home region, with `prefetch`
-    /// `(page, offset)` candidates riding along in one message.
-    Remote { off: u64, prefetch: Vec<(u64, u64)> },
+    /// A write on a current clean copy: grant it in place.
+    Local,
+    /// Fetch the page at `off` in the home region.
+    Remote { off: u64 },
 }
 
 /// How a diff travels to its home.
@@ -253,14 +213,12 @@ pub(crate) struct Diff {
 }
 
 /// An acquire, decided: flush the stale pages this node is still writing
-/// (in order), invalidate (clean stale copies, then the flushed ones),
-/// and refresh the forwarded hot pages per `(home, region)` from
-/// `(page, offset)`. `applied` says whether any notice was new.
+/// (in order), then invalidate (clean stale copies, then the flushed
+/// ones). `applied` says whether any notice was new.
 #[derive(Debug, Clone)]
 pub(crate) struct Acquire {
     pub flush: Vec<Diff>,
     pub invalidate: Vec<u64>,
-    pub forward: BTreeMap<(u32, u64), Vec<(u64, u64)>>,
     pub applied: bool,
 }
 
@@ -406,7 +364,6 @@ impl ProtoState {
                 region_off: off + i * PAGE_SIZE,
                 first_writer: None,
                 multi_writer: false,
-                hot: 0,
             };
             self.dir.insert(base + i, dir);
             self.np(node).copies.insert(base + i, CopyState::default());
@@ -442,26 +399,19 @@ impl ProtoState {
 
     /// A fault served by a remote home, with the home region imported and
     /// the page given a local frame (`have_frame`: it had one already). A
-    /// fault on a current clean copy needs no transfer, only the
-    /// protection change — for a read that is a prefetched page being
-    /// consumed, so with the prefetcher off a read always refetches.
-    /// Otherwise the per-thread stride detector (`tid`) may confirm a run,
-    /// and candidates from the same home region ride along; the new copies
-    /// are committed here, the prefetched ones' streaming times by
-    /// [`ProtoState::prefetched`].
+    /// write fault on a current clean copy needs no transfer, only the
+    /// protection change; a read fault always refetches.
     pub fn fetch(
         &mut self,
         node: NodeId,
-        tid: u64,
         page: PageNum,
         kind: FaultKind,
         have_frame: bool,
     ) -> Fetch {
         let idx = page.index();
-        let degree = self.cfg.prefetch_degree;
         let chunk = self.chunk_of(idx);
         let d = &self.dir[&idx];
-        let (home, region, off, version) = (d.home, d.region, d.region_off, d.version);
+        let (home, off, version) = (d.home, d.region_off, d.version);
         let np = &mut self.nodes[node.0 as usize];
         let (dirty, current) = np.copies.get(&idx).map_or((false, false), |c| {
             (c.dirty.is_some(), c.version >= version)
@@ -469,54 +419,13 @@ impl ProtoState {
         // A locally dirty copy is never overwritten by a refetch — its
         // unflushed words would be lost.
         assert!(!dirty, "refetch of a locally dirty page {page} on {node}");
-        if current && have_frame && (kind == FaultKind::Write || degree > 0) {
-            let ready = np.prefetched.remove(&idx);
-            np.stats.prefetch_hits += u64::from(ready.is_some());
-            if kind == FaultKind::Write {
-                self.start_write_tracking(node, idx);
-            }
-            return Fetch::Local { ready };
-        }
-        let mut prefetch = Vec::new();
-        if degree > 0 {
-            let (stride, streak) = match np.stride.get(&tid) {
-                Some(&(last, stride, streak)) => match idx as i64 - last as i64 {
-                    0 => (stride, streak),
-                    d if d == stride => (stride, streak.saturating_add(1)),
-                    d => (d, 1),
-                },
-                None => (0, 0),
-            };
-            np.stride.insert(tid, (idx, stride, streak));
-            if stride != 0 && streak >= PREFETCH_CONFIRM {
-                for k in 1..=i64::from(degree) {
-                    let Ok(cand) = u64::try_from(idx as i64 + stride * k) else {
-                        break;
-                    };
-                    // Stop at directory or home-region boundaries; skip
-                    // (but keep walking past) pages already usable here.
-                    let Some(d) = self.dir.get(&cand) else { break };
-                    if d.region != region || d.home == node {
-                        break;
-                    }
-                    let copy = np.copies.get(&cand);
-                    if copy.is_some_and(|c| c.dirty.is_some() || c.version >= d.version) {
-                        continue;
-                    }
-                    prefetch.push((cand, d.region_off));
-                    np.copy(cand).version = d.version;
-                    np.stats.prefetch_issued += 1;
-                    np.stats.fetch_bytes += PAGE_SIZE;
-                }
-            }
+        if current && have_frame && kind == FaultKind::Write {
+            self.start_write_tracking(node, idx);
+            return Fetch::Local;
         }
         np.stats.remote_fetches += 1;
         np.stats.fetch_bytes += PAGE_SIZE;
         np.copy(idx).version = version;
-        // Hotness for lock-data forwarding: pages that keep being
-        // demand-fetched are worth shipping with lock grants.
-        let d = self.dir.get_mut(&idx).expect("dir entry");
-        d.hot = d.hot.saturating_add(1);
         // Affinity hint: credit the home that served this fetch.
         self.home_pull[home.0 as usize] += 1;
         if self.cfg.placement_policy.is_some() {
@@ -525,16 +434,7 @@ impl ProtoState {
         if kind == FaultKind::Write {
             self.start_write_tracking(node, idx);
         }
-        Fetch::Remote { off, prefetch }
-    }
-
-    /// The prefetched copies of a [`Fetch::Remote`] landed: candidate `i`
-    /// finishes streaming in at `times[i + 1]` (the demand page is first).
-    pub fn prefetched(&mut self, node: NodeId, prefetch: &[(u64, u64)], times: &[SimTime]) {
-        let np = self.np(node);
-        for (&(page, _), &t) in prefetch.iter().zip(&times[1..]) {
-            np.prefetched.insert(page, t);
-        }
+        Fetch::Remote { off }
     }
 
     /// Charges one remote fetch/diff message from `node` to `chunk`'s
@@ -751,7 +651,7 @@ impl ProtoState {
                 if copy.version == pre {
                     copy.version = pre + 1;
                 } else if stale {
-                    np.drop_copy(page);
+                    np.copies.remove(&page);
                 }
                 (diff, stale)
             })
@@ -763,14 +663,10 @@ impl ProtoState {
     }
 
     /// Acquire: applies all write notices `node` has not yet seen. Stale
-    /// clean copies are invalidated or, with `forwarding`, refreshed from
-    /// home when hot (to the directory's version, never older than any
-    /// notice in the log); stale copies this node is still writing are
-    /// flushed home first, then invalidated like the rest — never read
-    /// past the notice, never forwarded (the grant cannot carry a page we
-    /// still owe a diff).
-    pub fn acquire(&mut self, node: NodeId, forwarding: bool) -> Acquire {
-        let hot = self.cfg.lock_forward_hot;
+    /// clean copies are invalidated; stale copies this node is still
+    /// writing are flushed home first, then invalidated like the rest —
+    /// never read past the notice.
+    pub fn acquire(&mut self, node: NodeId) -> Acquire {
         let me = &self.nodes[node.0 as usize];
         let (cursor, end) = (me.log_cursor, self.log.len());
         let (mut invalidate, mut flush) = (Vec::new(), Vec::new());
@@ -789,27 +685,9 @@ impl ProtoState {
         invalidate.dedup();
         flush.sort_unstable();
         flush.dedup();
-        let mut forward = BTreeMap::<_, Vec<_>>::new();
-        if forwarding {
-            invalidate.retain(|page| {
-                let d = &self.dir[page];
-                if d.hot >= hot {
-                    let group = forward.entry((d.home.0, d.region.0)).or_default();
-                    group.push((*page, d.region_off));
-                }
-                d.hot < hot
-            });
-        }
-        let fwd: usize = forward.values().map(Vec::len).sum();
         let np = &mut self.nodes[node.0 as usize];
         np.log_cursor = end;
-        np.stats.notices_applied += (invalidate.len() + flush.len() + fwd) as u64;
-        np.stats.lock_forwards += forward.len() as u64;
-        np.stats.lock_forward_bytes += PAGE_SIZE * fwd as u64;
-        for &(page, _) in forward.values().flatten() {
-            np.copy(page).version = self.dir[&page].version;
-            np.prefetched.remove(&page);
-        }
+        np.stats.notices_applied += (invalidate.len() + flush.len()) as u64;
         // An early release of each still-written page — exactly what the
         // next release would have done for it, just sooner.
         let flush: Vec<Diff> = flush
@@ -822,12 +700,11 @@ impl ProtoState {
         invalidate.extend(flush.iter().map(|d| d.page));
         let np = self.np(node);
         for &page in &invalidate {
-            np.drop_copy(page);
+            np.copies.remove(&page);
         }
         Acquire {
             flush,
             invalidate,
-            forward,
             applied: end > cursor,
         }
     }
@@ -878,11 +755,6 @@ impl ProtoState {
             out.barrier_waits += s.barrier_waits;
             out.diff_batches += s.diff_batches;
             out.batched_diff_bytes += s.batched_diff_bytes;
-            out.prefetch_issued += s.prefetch_issued;
-            out.prefetch_hits += s.prefetch_hits;
-            out.prefetch_wasted += s.prefetch_wasted;
-            out.lock_forwards += s.lock_forwards;
-            out.lock_forward_bytes += s.lock_forward_bytes;
             out.pingpong_handoffs += s.pingpong_handoffs;
             out.policy_considered += s.policy_considered;
             out.policy_migrations += s.policy_migrations;
@@ -1036,6 +908,24 @@ mod tests {
         }
         let full = [u64::MAX; BITMAP_WORDS];
         assert_eq!(dirty_runs(&full), vec![(0, WORDS_PER_PAGE as u64)]);
+    }
+
+    #[test]
+    fn a_current_clean_copy_refetches_on_read_and_upgrades_on_write() {
+        let (home, other) = (NodeId(0), NodeId(1));
+        let mut st = ProtoState::new(2, SvmConfig::cables(), home);
+        let page = HEAP_BASE.page();
+        st.placed(home, page, RegionId(0), 0);
+        let first = st.fetch(other, page, FaultKind::Read, false);
+        assert!(matches!(first, Fetch::Remote { off: 0 }));
+        // The copy is current, yet a read fault still goes to the home.
+        let again = st.fetch(other, page, FaultKind::Read, true);
+        assert!(matches!(again, Fetch::Remote { off: 0 }));
+        // A write fault on it upgrades in place and starts dirty tracking.
+        let write = st.fetch(other, page, FaultKind::Write, true);
+        assert!(matches!(write, Fetch::Local));
+        assert_eq!(st.nodes[1].dirty_pages, vec![page.index()]);
+        assert_eq!(st.nodes[1].stats.remote_fetches, 2);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use memsim::{FaultKind, GAddr, PageNum, Prot, PAGE_SIZE};
-use sim::{NodeId, SimTime};
+use sim::NodeId;
 use vmmc::RegionId;
 
 use crate::config::{ProtoMode, SvmConfig};
@@ -200,20 +200,10 @@ impl World {
                     let f = self.alloc(1)[0];
                     self.pt[n][page as usize] = Some((f, Prot::None));
                 }
-                let fetch = self
-                    .core
-                    .fetch(node, n as u64, PageNum::new(page), kind, have_frame);
-                if let Fetch::Remote { off, prefetch } = fetch {
-                    for &(p, o) in std::iter::once(&(page, off)).chain(&prefetch) {
-                        if self.pt[n][p as usize].is_none() {
-                            let f = self.alloc(1)[0];
-                            self.pt[n][p as usize] = Some((f, Prot::None));
-                        }
-                        let local = self.pt[n][p as usize].expect("mapped").0;
-                        self.copy_frame(self.region_frame(region, o), local);
-                    }
-                    let times = vec![SimTime::ZERO; prefetch.len() + 1];
-                    self.core.prefetched(node, &prefetch, &times);
+                let fetch = self.core.fetch(node, PageNum::new(page), kind, have_frame);
+                if let Fetch::Remote { off } = fetch {
+                    let local = self.pt[n][page as usize].expect("mapped").0;
+                    self.copy_frame(self.region_frame(region, off), local);
                 }
             }
         }
@@ -246,20 +236,13 @@ impl World {
         }
     }
 
-    fn acquire(&mut self, n: usize, forwarding: bool) {
-        let a = self.core.acquire(NodeId(n as u32), forwarding);
+    fn acquire(&mut self, n: usize) {
+        let a = self.core.acquire(NodeId(n as u32));
         for d in &a.flush {
             self.ship(n, d);
         }
         for &page in &a.invalidate {
             self.set_prot(n, page, Prot::None);
-        }
-        for (&(_, region), pages) in &a.forward {
-            for &(page, off) in pages {
-                let local = self.pt[n][page as usize].expect("stale copy mapped").0;
-                self.copy_frame(self.region_frame(RegionId(region), off), local);
-                self.set_prot(n, page, Prot::Read);
-            }
         }
     }
 
@@ -320,7 +303,6 @@ impl World {
     }
 
     fn step(&mut self, n: usize, act: Act) -> Outcome {
-        let forwarding = self.core.cfg.lock_forwarding;
         match act {
             Act::Read(p) => {
                 let (other, own) = ((n + 1) % WORDS, n % WORDS);
@@ -361,7 +343,7 @@ impl World {
             Act::Lock => {
                 self.lock = Some(n);
                 join(&mut self.vc[n], &self.lock_vc.clone());
-                self.acquire(n, forwarding);
+                self.acquire(n);
             }
             Act::Unlock => {
                 self.release(n);
@@ -387,7 +369,7 @@ impl World {
                 };
                 join(&mut self.vc[n], &episode);
                 self.phase[n] = Phase::Run;
-                self.acquire(n, false);
+                self.acquire(n);
             }
             Act::Migrate => self.migrate(n),
         }
@@ -446,23 +428,16 @@ impl World {
             if self.core.cfg.write_through_single_writer {
                 (d.first_writer, d.multi_writer).hash(&mut h);
             }
-            if self.core.cfg.lock_forwarding {
-                d.hot.min(self.core.cfg.lock_forward_hot).hash(&mut h);
-            }
             canon(self.region_frame(d.region, d.region_off), p, &mut h);
             for np in &self.core.nodes {
                 let copy = np.copies.get(&p);
                 copy.map(|c| (rank(c.version), c.dirty.as_ref().map(|b| b[0])))
                     .hash(&mut h);
                 pending(np).map(rank).hash(&mut h);
-                np.prefetched.contains_key(&p).hash(&mut h);
             }
         }
         for np in &self.core.nodes {
             np.dirty_pages.hash(&mut h);
-            let mut stride: Vec<_> = np.stride.iter().collect();
-            stride.sort_unstable();
-            stride.hash(&mut h);
         }
         // Happens-before, per clock component by rank: only the order of
         // the values a join or a race test can still compare matters, and
@@ -590,10 +565,10 @@ fn every_drf_read_sees_the_latest_write_on_a_cables_chunk() {
 }
 
 #[test]
-fn every_drf_read_sees_the_latest_write_with_batching_and_forwarding() {
+fn every_drf_read_sees_the_latest_write_with_batching() {
     let cfg = SvmConfig {
-        lock_forward_hot: 1,
-        ..small(SvmConfig::cables().with_protocol_opts(true, false, true))
+        batch_diffs: true,
+        ..small(SvmConfig::cables())
     };
     check(cfg, 8);
 }

@@ -479,95 +479,26 @@ impl SvmSystem {
             mem.map_page(node, page, f, Prot::None);
             sim.advance(mem.config().frame_alloc_ns);
         }
-        let decided = self
-            .state
-            .lock()
-            .fetch(node, sim.tid().0, page, kind, have_frame);
-        let (off, prefetch) = match decided {
-            Fetch::Local { ready } => {
-                let t_masked = sim.now();
-                if let Some(t) = ready {
-                    // Wait out the tail of the streaming batch if the
-                    // bytes have not landed yet.
-                    sim.clock_at_least(t);
-                }
-                self.grant(sim, page, kind);
-                if let (Some(_), Some(o)) = (ready, self.obs_if_on()) {
-                    // Nested inside the enclosing FaultSpan: the stall
-                    // profiler splits prefetch-masked stall out of the
-                    // page-fault bucket from this span.
-                    let dur = sim.now().saturating_since(t_masked);
-                    let event = obs::Event::PrefetchMasked { page: page.index() };
-                    o.span(obs::Layer::Proto, node, sim.tid().0, t_masked, dur, event);
-                }
-                return;
-            }
-            Fetch::Remote { off, prefetch } => (off, prefetch),
+        let decided = self.state.lock().fetch(node, page, kind, have_frame);
+        let Fetch::Remote { off } = decided else {
+            self.grant(sim, page, kind);
+            return;
         };
 
-        // Fetch the page contents from the home — batched with any
-        // confirmed-stride prefetch candidates.
+        // Fetch the page contents from the home.
         let t_fetch = sim.now();
-        let vmmc = &self.cluster.vmmc;
-        let (data, done) = if prefetch.is_empty() {
-            self.with_reimport(sim, node, "page fetch failed", region, || {
-                vmmc.remote_fetch(node, region, off, PAGE_SIZE, sim.now())
-            })
-        } else {
-            let offs = std::iter::once(off).chain(prefetch.iter().map(|p| p.1));
-            let segs: Vec<(u64, u64)> = offs.map(|o| (o, PAGE_SIZE)).collect();
-            let (mut all, times) =
-                self.with_reimport(sim, node, "batched page fetch failed", region, || {
-                    vmmc.remote_fetch_multi(node, region, &segs, sim.now())
-                });
-            let demand = all.remove(0);
-            // Install the prefetched copies: frame, inaccessible mapping,
-            // current contents. The next local fault takes the
-            // no-transfer shortcut above and waits out the per-segment
-            // streaming install time; acquire-time notices invalidate
-            // them exactly like demand-fetched copies, which is what makes
-            // prefetching safe under release consistency.
-            for ((cand, _), bytes) in prefetch.iter().zip(all) {
-                let cp = PageNum::new(*cand);
-                if mem.translate(node, cp).is_none() {
-                    let f = mem
-                        .alloc_frame(node)
-                        .unwrap_or_else(|e| panic!("prefetch frame allocation failed: {e}"));
-                    // No clock advance: the NIC deposits segments straight
-                    // into these frames, and the mapping bookkeeping
-                    // overlaps the demand segment still streaming in.
-                    mem.map_page(node, cp, f, Prot::None);
-                }
-                let (f, _) = mem.translate(node, cp).expect("just mapped");
-                mem.frame_write(f, 0, &bytes);
-            }
-            self.state.lock().prefetched(node, &prefetch, &times);
-            // Cut-through delivery: the faulting thread resumes as soon as
-            // its demand segment (the first) has streamed in.
-            (demand, times[0])
-        };
+        let (data, done) = self.with_reimport(sim, node, "page fetch failed", region, || {
+            self.cluster
+                .vmmc
+                .remote_fetch(node, region, off, PAGE_SIZE, sim.now())
+        });
         sim.clock_at_least(done);
         if let (true, Some(o)) = (done > t_fetch, self.obs_if_on()) {
             // Self-lane causal edge: the fault issued the home fetch at
             // t_fetch and resumed at `done`, the fetch wait the
-            // critical-path walk can cross. Batched transfers get their
-            // own lane so the blame table shows demand-fetch waits
-            // shrinking separately.
-            let kind = match prefetch.is_empty() {
-                true => obs::EdgeKind::PageFetch,
-                false => obs::EdgeKind::BatchFetch,
-            };
-            let me = sim.tid().0;
+            // critical-path walk can cross.
+            let (kind, me) = (obs::EdgeKind::PageFetch, sim.tid().0);
             o.edge(kind, node, me, t_fetch, node, me, done, page.index());
-        }
-        if !prefetch.is_empty() {
-            let pages = prefetch.len() as u64;
-            let event = obs::Event::Prefetch {
-                page: page.index(),
-                pages,
-                home: home.0,
-            };
-            self.proto_instant(sim, event);
         }
         let (frame, _) = mem.translate(node, page).expect("just mapped");
         mem.frame_write(frame, 0, &data);
@@ -745,26 +676,12 @@ impl SvmSystem {
     }
 
     /// Acquire: applies all write notices this node has not yet seen,
-    /// invalidating stale copies. Called after every barrier departure.
+    /// invalidating stale copies (see [`crate::core::ProtoState::acquire`]).
+    /// Called after every barrier departure and lock grant.
     pub fn acquire(&self, sim: &Sim) {
-        self.apply_notices(sim, false);
-    }
-
-    /// Acquire executed on a lock grant. With lock-data forwarding on,
-    /// pending write notices for *hot* pages (frequently demand-fetched)
-    /// are resolved by refreshing the page contents from home in one
-    /// batched fetch piggybacked on the grant — the acquirer keeps a
-    /// current readable copy and skips the first post-acquire fault
-    /// round trip. Cold pages are invalidated as usual.
-    pub(crate) fn acquire_on_lock(&self, sim: &Sim) {
-        self.apply_notices(sim, self.cfg.lock_forwarding);
-    }
-
-    /// Performs an acquire (see [`crate::core::ProtoState::acquire`]).
-    fn apply_notices(&self, sim: &Sim, forwarding: bool) {
         let node = sim.node();
         let t0 = sim.now();
-        let a = self.state.lock().acquire(node, forwarding);
+        let a = self.state.lock().acquire(node);
         for d in &a.flush {
             // The flushed words must be home before the copy goes — a
             // refetch racing the diff would resurrect the old words.
@@ -774,52 +691,9 @@ impl SvmSystem {
         for page in &a.invalidate {
             self.invalidate_copy(sim, *page);
         }
-        let mem = &self.cluster.mem;
-        let mut forwarded = 0u64;
-        for (&(home, region), pages) in &a.forward {
-            let region = RegionId(region);
-            // The home region may never have been imported here (a copy
-            // can originate from an earlier forward); import lazily.
-            self.ensure_imported(sim, node, "region import failed", region, false)
-                .unwrap_or_else(|e| panic!("{e}"));
-            let segs: Vec<(u64, u64)> = pages.iter().map(|(_, off)| (*off, PAGE_SIZE)).collect();
-            let t_issue = sim.now();
-            let (all, times) =
-                self.with_reimport(sim, node, "lock-forward fetch failed", region, || {
-                    self.cluster
-                        .vmmc
-                        .remote_fetch_multi(node, region, &segs, sim.now())
-                });
-            // The acquirer needs every forwarded page current before the
-            // critical section runs, so it waits for the whole batch.
-            let done = *times.last().expect("at least one segment");
-            sim.clock_at_least(done);
-            if let (true, Some(o)) = (done > t_issue, self.obs_if_on()) {
-                let (kind, me) = (obs::EdgeKind::BatchFetch, sim.tid().0);
-                o.edge(kind, node, me, t_issue, node, me, done, u64::from(home));
-            }
-            for ((page, _), data) in pages.iter().zip(all) {
-                let (frame, _) = mem
-                    .translate(node, PageNum::new(*page))
-                    .expect("stale copy mapped");
-                mem.frame_write(frame, 0, &data);
-                self.protect(sim, *page, Prot::Read, "stale copy mapped");
-                forwarded += 1;
-            }
-        }
         if a.applied {
             let invals = a.invalidate.len() as u64;
             sim.advance(self.cfg.costs.notice_apply_ns * invals.max(1));
-            if forwarded > 0 {
-                let bytes = forwarded * PAGE_SIZE;
-                self.proto_instant(
-                    sim,
-                    obs::Event::LockForward {
-                        pages: forwarded,
-                        bytes,
-                    },
-                );
-            }
             if let Some(o) = self.obs_if_on() {
                 let dur = sim.now().saturating_since(t0);
                 let event = obs::Event::AcquireSpan { invals };

@@ -289,9 +289,7 @@ impl SvmSystem {
             }
             return false;
         }
-        // With lock-data forwarding the grant carries hot-page contents,
-        // so the acquire can refresh instead of invalidate.
-        self.acquire_on_lock(sim);
+        self.acquire(sim);
         true
     }
 

@@ -1,7 +1,5 @@
-//! The protocol-traffic optimizations (batched diffs, stride prefetch,
-//! lock-data forwarding) are value-preserving, off-by-default, and
-//! replay-identical under chaos; migration policy decisions are
-//! independent of diff batching.
+//! Release-time diff batching is value-preserving and replay-identical
+//! under chaos; migration policy decisions are independent of it.
 
 use std::sync::Arc;
 use std::sync::Mutex as StdMutex;
@@ -10,8 +8,11 @@ use cables_svm::{Cluster, ClusterConfig, NodeStats, PlacementPolicy, SvmConfig, 
 
 const PAGE: u64 = 4096;
 
-fn opts_cfg(batch: bool, prefetch: bool, forward: bool) -> SvmConfig {
-    SvmConfig::cables().with_protocol_opts(batch, prefetch, forward)
+fn batch_cfg(batch: bool) -> SvmConfig {
+    SvmConfig {
+        batch_diffs: batch,
+        ..SvmConfig::cables()
+    }
 }
 
 /// Master first-touches `pages` pages on node 0, a worker on node 1 scans
@@ -61,26 +62,9 @@ fn scan_run(cfg: SvmConfig, pages: u64) -> (NodeStats, u64) {
 }
 
 #[test]
-fn sequential_scan_prefetches_and_preserves_values() {
-    let (off, sum_off) = scan_run(opts_cfg(false, false, false), 16);
-    let (on, sum_on) = scan_run(opts_cfg(false, true, false), 16);
-    assert_eq!(sum_on, sum_off, "prefetch changed observed values");
-    assert_eq!(off.prefetch_issued, 0);
-    assert_eq!(off.prefetch_hits, 0);
-    assert!(on.prefetch_issued >= 4, "stride run never confirmed");
-    assert!(on.prefetch_hits >= 4, "prefetched pages were not consumed");
-    assert!(
-        on.remote_fetches < off.remote_fetches,
-        "prefetch did not reduce fetch messages ({} -> {})",
-        off.remote_fetches,
-        on.remote_fetches
-    );
-}
-
-#[test]
 fn batched_diffs_cut_messages_not_bytes() {
-    let (off, sum_off) = scan_run(opts_cfg(false, false, false), 16);
-    let (on, sum_on) = scan_run(opts_cfg(true, false, false), 16);
+    let (off, sum_off) = scan_run(batch_cfg(false), 16);
+    let (on, sum_on) = scan_run(batch_cfg(true), 16);
     assert_eq!(sum_on, sum_off, "batching changed observed values");
     assert_eq!(off.diff_batches, 0);
     assert!(on.diff_batches >= 1, "no diff batch was shipped");
@@ -96,124 +80,11 @@ fn batched_diffs_cut_messages_not_bytes() {
     );
 }
 
-/// Master bumps a page under a lock; a fresh worker is spawned each round
-/// to read it back. Workers alternate nodes (round-robin placement), so
-/// node 1 re-fetches the page round after round — exactly the hot-page
-/// pattern lock forwarding targets.
-fn pingpong_run(cfg: SvmConfig, rounds: u64) -> NodeStats {
-    let cluster = Cluster::build(ClusterConfig::small(2, 1));
-    let sys = SvmSystem::new(Arc::clone(&cluster), cfg);
-    let out = Arc::new(StdMutex::new(NodeStats::default()));
-    let o2 = Arc::clone(&out);
-    let s2 = Arc::clone(&sys);
-    cluster
-        .engine
-        .clone()
-        .run(cluster.nodes()[0], move |sim| {
-            let a = s2.g_malloc(sim, PAGE);
-            s2.write::<u64>(sim, a, 0);
-            for r in 0..rounds {
-                s2.lock(sim, 1);
-                s2.write::<u64>(sim, a, 100 + r);
-                s2.unlock(sim, 1);
-                let s3 = Arc::clone(&s2);
-                let worker = s2.create(sim, move |ws| {
-                    s3.lock(ws, 1);
-                    assert_eq!(s3.read::<u64>(ws, a), 100 + r, "round {r}");
-                    s3.unlock(ws, 1);
-                });
-                sim.wait_exit(worker);
-            }
-            *o2.lock().unwrap() = s2.total_stats();
-        })
-        .unwrap();
-    let v = *out.lock().unwrap();
-    v
-}
-
 #[test]
-fn lock_forwarding_refreshes_hot_pages_at_grant() {
-    let mut on = opts_cfg(false, false, true);
-    on.lock_forward_hot = 2;
-    let st_on = pingpong_run(on, 10);
-    let st_off = pingpong_run(opts_cfg(false, false, false), 10);
-    assert_eq!(st_off.lock_forwards, 0);
-    assert!(
-        st_on.lock_forwards >= 1,
-        "hot stale page was never forwarded at a lock grant"
-    );
-    assert!(
-        st_on.remote_fetches < st_off.remote_fetches,
-        "forwarding did not displace demand fetches ({} -> {})",
-        st_off.remote_fetches,
-        st_on.remote_fetches
-    );
-}
-
-#[test]
-fn all_off_matches_baseline_config_byte_for_byte() {
-    // `with_protocol_opts(false, false, false)` and an untouched
-    // `SvmConfig::cables()` must drive byte-identical runs: same stats,
-    // same simulated times, same Chrome-trace export.
-    let run = |cfg: SvmConfig| -> (NodeStats, String, u64) {
-        let cluster = Cluster::build(ClusterConfig::small(2, 1));
-        let sys = SvmSystem::new(Arc::clone(&cluster), cfg);
-        sys.set_obs(true);
-        let out = Arc::new(StdMutex::new((NodeStats::default(), String::new(), 0u64)));
-        let o2 = Arc::clone(&out);
-        let s2 = Arc::clone(&sys);
-        cluster
-            .engine
-            .clone()
-            .run(cluster.nodes()[0], move |sim| {
-                let a = s2.g_malloc(sim, 8 * PAGE);
-                for p in 0..8 {
-                    s2.write::<u64>(sim, a + p * PAGE, p);
-                }
-                let s3 = Arc::clone(&s2);
-                let worker = s2.create(sim, move |ws| {
-                    s3.lock(ws, 1);
-                    for p in 0..8 {
-                        let v = s3.read::<u64>(ws, a + p * PAGE);
-                        s3.write::<u64>(ws, a + p * PAGE, v + 10);
-                    }
-                    s3.unlock(ws, 1);
-                });
-                sim.wait_exit(worker);
-                s2.lock(sim, 1);
-                let v = s2.read::<u64>(sim, a + 7 * PAGE);
-                s2.unlock(sim, 1);
-                let export = obs::chrome::export(&s2.obs().events());
-                *o2.lock().unwrap() = (s2.total_stats(), export, v);
-            })
-            .unwrap();
-        let v = out.lock().unwrap().clone();
-        v
-    };
-    let (st_base, trace_base, v_base) = run(SvmConfig::cables());
-    let (st_off, trace_off, v_off) = run(opts_cfg(false, false, false));
-    assert_eq!(v_base, 17);
-    assert_eq!(v_off, v_base);
-    assert_eq!(st_off, st_base, "all-off must not perturb any counter");
-    assert_eq!(
-        trace_off, trace_base,
-        "all-off must export a byte-identical trace"
-    );
-    // And the new counters are all zero on the untouched protocol.
-    assert_eq!(st_base.diff_batches, 0);
-    assert_eq!(st_base.batched_diff_bytes, 0);
-    assert_eq!(st_base.prefetch_issued, 0);
-    assert_eq!(st_base.prefetch_hits, 0);
-    assert_eq!(st_base.prefetch_wasted, 0);
-    assert_eq!(st_base.lock_forwards, 0);
-    assert_eq!(st_base.lock_forward_bytes, 0);
-}
-
-#[test]
-fn chaos_replay_is_bit_identical_with_all_opts_on() {
+fn chaos_replay_is_bit_identical_with_batching_on() {
     // A batch is one message for drop/duplicate purposes: the same seed
     // must reproduce the same simulated end time and the same counters
-    // with every optimization enabled.
+    // with diff batching enabled.
     let run = || -> (u64, NodeStats, u64) {
         let cluster = Cluster::build(ClusterConfig::small(2, 1));
         cluster.set_chaos(chaos::ChaosEngine::new(
@@ -224,9 +95,7 @@ fn chaos_replay_is_bit_identical_with_all_opts_on() {
                 ..chaos::WireFaults::default()
             }),
         ));
-        let mut cfg = opts_cfg(true, true, true);
-        cfg.lock_forward_hot = 2;
-        let sys = SvmSystem::new(Arc::clone(&cluster), cfg);
+        let sys = SvmSystem::new(Arc::clone(&cluster), batch_cfg(true));
         let out = Arc::new(StdMutex::new((0u64, NodeStats::default(), 0u64)));
         let o2 = Arc::clone(&out);
         let s2 = Arc::clone(&sys);
@@ -251,10 +120,10 @@ fn chaos_replay_is_bit_identical_with_all_opts_on() {
                     s3.unlock(ws, 1);
                 });
                 sim.wait_exit(worker);
-                // Ping-pong rounds: page 0 goes hot and is forwarded at the
-                // grant, page 5 is invalidated, and node 1 holds unreleased
-                // words on page 7 when the master's notice for it arrives
-                // (the acquire-time early flush).
+                // Ping-pong rounds: pages 0 and 5 are invalidated at the
+                // grant, and node 1 holds unreleased words on page 7 when
+                // the master's notice for it arrives (the acquire-time
+                // early flush).
                 for r in 0..6u64 {
                     s2.lock(sim, 1);
                     let s3 = Arc::clone(&s2);
@@ -291,15 +160,15 @@ fn chaos_replay_is_bit_identical_with_all_opts_on() {
     assert_eq!(v1, v2, "chaos replay diverged in data");
     // Golden values: a replay test compares a tree with itself, so a
     // change that shifts both runs alike would pass it. These pin the
-    // fault-recovery, batching, prefetch, forwarding and early-flush paths
-    // to what the protocol computed when they were captured.
-    assert_eq!(t1, 24_342_686, "simulated end time moved");
+    // fault-recovery, batching and early-flush paths to what the protocol
+    // computed when they were captured.
+    assert_eq!(t1, 25_034_760, "simulated end time moved");
     assert_eq!(v1, 2_771_084_586_390_496_950, "final memory contents moved");
     let golden = NodeStats {
-        read_faults: 19,
+        read_faults: 22,
         write_faults: 59,
-        remote_fetches: 15,
-        fetch_bytes: 94_208,
+        remote_fetches: 28,
+        fetch_bytes: 114_688,
         diffs_sent: 7,
         diff_bytes: 176,
         notices_applied: 12,
@@ -309,11 +178,6 @@ fn chaos_replay_is_bit_identical_with_all_opts_on() {
         barrier_waits: 0,
         diff_batches: 4,
         batched_diff_bytes: 152,
-        prefetch_issued: 8,
-        prefetch_hits: 8,
-        prefetch_wasted: 0,
-        lock_forwards: 2,
-        lock_forward_bytes: 20_480,
         pingpong_handoffs: 0,
         policy_considered: 0,
         policy_migrations: 0,
@@ -326,7 +190,7 @@ fn chaos_replay_is_bit_identical_with_all_opts_on() {
 /// must migrate at exactly the same traffic floor (`min_traffic`, no
 /// cooldown; `None`: no policy).
 fn migration_run(min_traffic: Option<u32>, batch: bool, rounds: u64) -> (u64, u64, u64) {
-    let mut cfg = opts_cfg(batch, false, false);
+    let mut cfg = batch_cfg(batch);
     cfg.placement_policy = min_traffic.map(|k| PlacementPolicy {
         min_traffic: k,
         dominance_pct: 60,

@@ -633,32 +633,54 @@ impl Vmmc {
         Ok(timing)
     }
 
-    /// The one remote fetch: reads the `(offset, len)` segments of one
-    /// message from `region` on its owner into `data`, with one completion
-    /// time per segment in `times`. `wire` prices the round trip on the
-    /// SAN, issued at the time it is given (skipped for an owner-local
-    /// read); validation, the chaos timeout/backoff loop, the frame copies
-    /// and the obs span + edge are the same for every fetch.
-    #[allow(clippy::too_many_arguments)]
-    fn fetch_segs(
+    /// Direct remote write: deposits `data` at `offset` within `region` on
+    /// its owner, without remote processor intervention — the unframed
+    /// single-segment message.
+    ///
+    /// Returns the SAN timing; the sender's CPU is busy until
+    /// `local_done`, the data is remotely visible at `arrival`.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the region is unknown, not imported by `from`, or the
+    /// range is out of bounds.
+    pub fn remote_write(
         &self,
         from: NodeId,
         region: RegionId,
-        segs: &[(u64, u64)],
+        offset: u64,
+        data: &[u8],
         now: SimTime,
-        data: &mut [Vec<u8>],
-        times: &mut [SimTime],
-        wire: impl FnOnce(NodeId, SimTime, &mut [SimTime]),
-    ) -> Result<(), VmmcError> {
-        let (owner, pieces) = self.check_remote(from, region, segs.iter().copied())?;
-        if owner == from {
-            times.fill(now);
-        } else {
+    ) -> Result<SendTiming, VmmcError> {
+        self.write_segs(from, region, &[(offset, data)], now, |owner| {
+            self.san.send(from, owner, data.len() as u64, now)
+        })
+    }
+
+    /// Direct remote fetch: synchronously reads `len` bytes at `offset`
+    /// from `region` on its owner — one round trip on the SAN (none for an
+    /// owner-local read). Returns the data and the completion time at the
+    /// requester.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the region is unknown, not imported by `from`, or the
+    /// range is out of bounds.
+    pub fn remote_fetch(
+        &self,
+        from: NodeId,
+        region: RegionId,
+        offset: u64,
+        len: u64,
+        now: SimTime,
+    ) -> Result<(Vec<u8>, SimTime), VmmcError> {
+        let (owner, pieces) = self.check_remote(from, region, [(offset, len)].into_iter())?;
+        let mut done = now;
+        if owner != from {
             // Chaos: a dropped fetch request or reply costs the requester
-            // a timeout, after which the (idempotent) fetch — the whole
-            // batch, it is one message — is re-issued with exponential
-            // backoff. Data is read exactly once, after the final
-            // successful round-trip.
+            // a timeout, after which the (idempotent) fetch is re-issued
+            // with exponential backoff. Data is read exactly once, after
+            // the final successful round-trip.
             let mut issue = now;
             if let Some(c) = self.chaos_wire() {
                 let (r, timeout) = c.fetch_retries(from.0, owner.0);
@@ -697,30 +719,25 @@ impl Vmmc {
                     }
                 }
             }
-            wire(owner, issue, times);
+            done = self.san.fetch(from, owner, len, issue);
         }
-        let mut pieces = pieces.into_iter();
-        for ((_, len), out) in segs.iter().zip(data.iter_mut()) {
-            *out = vec![0u8; *len as usize];
-            let mut cursor = 0usize;
-            while cursor < out.len() {
-                let (frame, in_frame, take) = pieces.next().expect("pieces cover the segment");
-                self.mem
-                    .frame_read(frame, in_frame, &mut out[cursor..cursor + take]);
-                cursor += take;
-            }
+        let mut data = vec![0u8; len as usize];
+        let mut cursor = 0usize;
+        for (frame, in_frame, take) in pieces {
+            self.mem
+                .frame_read(frame, in_frame, &mut data[cursor..cursor + take]);
+            cursor += take;
         }
-        let last = times[segs.len() - 1];
         if let Some(o) = self.obs_on() {
             o.span(
                 Layer::Vmmc,
                 from,
                 NIC_TRACK,
                 now,
-                last.saturating_since(now),
+                done.saturating_since(now),
                 Event::VmmcFetch {
                     region: region.0,
-                    bytes: segs.iter().map(|(_, l)| *l).sum(),
+                    bytes: len,
                 },
             );
             if owner != from {
@@ -731,61 +748,12 @@ impl Vmmc {
                     now,
                     from,
                     NIC_TRACK,
-                    last,
+                    done,
                     region.0,
                 );
             }
         }
-        Ok(())
-    }
-
-    /// Direct remote write: deposits `data` at `offset` within `region` on
-    /// its owner, without remote processor intervention — the unframed
-    /// single-segment message.
-    ///
-    /// Returns the SAN timing; the sender's CPU is busy until
-    /// `local_done`, the data is remotely visible at `arrival`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the region is unknown, not imported by `from`, or the
-    /// range is out of bounds.
-    pub fn remote_write(
-        &self,
-        from: NodeId,
-        region: RegionId,
-        offset: u64,
-        data: &[u8],
-        now: SimTime,
-    ) -> Result<SendTiming, VmmcError> {
-        self.write_segs(from, region, &[(offset, data)], now, |owner| {
-            self.san.send(from, owner, data.len() as u64, now)
-        })
-    }
-
-    /// Direct remote fetch: synchronously reads `len` bytes at `offset`
-    /// from `region` on its owner — the unframed single-segment round
-    /// trip. Returns the data and the completion time at the requester.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the region is unknown, not imported by `from`, or the
-    /// range is out of bounds.
-    pub fn remote_fetch(
-        &self,
-        from: NodeId,
-        region: RegionId,
-        offset: u64,
-        len: u64,
-        now: SimTime,
-    ) -> Result<(Vec<u8>, SimTime), VmmcError> {
-        let (mut data, mut done) = ([Vec::new()], [now]);
-        let wire = |owner, issue, done: &mut [SimTime]| {
-            done[0] = self.san.fetch(from, owner, len, issue);
-        };
-        self.fetch_segs(from, region, &[(offset, len)], now, &mut data, &mut done, wire)?;
-        let [data] = data;
-        Ok((data, done[0]))
+        Ok((data, done))
     }
 
     /// Batched remote write: deposits several discontiguous segments of
@@ -814,41 +782,6 @@ impl Vmmc {
             let lens: Vec<u64> = segs.iter().map(|(_, d)| d.len() as u64).collect();
             self.san.send_multi(from, owner, &lens, now)
         })
-    }
-
-    /// Batched remote fetch: synchronously reads several discontiguous
-    /// segments of `region` from its owner in **one** SAN round trip.
-    ///
-    /// Returns the segment payloads and one cut-through completion time
-    /// per segment (see [`San::fetch_multi`]): the caller may resume as
-    /// soon as its demand segment has landed while the rest stream in.
-    ///
-    /// `segs` is a list of `(offset, len)` pairs; the result vector is in
-    /// the same order. Like [`Vmmc::remote_fetch`], a dropped request or
-    /// reply costs the requester a timeout and the whole (idempotent)
-    /// batch is re-issued with exponential backoff; data is read exactly
-    /// once after the final successful round trip.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the region is unknown, not imported by `from`, or any
-    /// segment is out of bounds.
-    pub fn remote_fetch_multi(
-        &self,
-        from: NodeId,
-        region: RegionId,
-        segs: &[(u64, u64)],
-        now: SimTime,
-    ) -> Result<(Vec<Vec<u8>>, Vec<SimTime>), VmmcError> {
-        assert!(!segs.is_empty(), "empty batched fetch");
-        let mut data = vec![Vec::new(); segs.len()];
-        let mut times = vec![now; segs.len()];
-        let wire = |owner, issue, times: &mut [SimTime]| {
-            let lens: Vec<u64> = segs.iter().map(|(_, l)| *l).collect();
-            times.copy_from_slice(&self.san.fetch_multi(from, owner, &lens, issue));
-        };
-        self.fetch_segs(from, region, segs, now, &mut data, &mut times, wire)?;
-        Ok((data, times))
     }
 
     /// Notification: a small message that dispatches a handler on the
@@ -1110,51 +1043,6 @@ mod tests {
             .remote_write(NodeId(0), r2, PAGE_SIZE + 16, &[9, 9], a.arrival)
             .unwrap();
         assert!(t_batch.arrival < b.arrival);
-    }
-
-    #[test]
-    fn batched_fetch_returns_segments_in_order() {
-        let (v, mem) = setup();
-        let fs = frames(&mem, NodeId(1), 2);
-        mem.frame_write(fs[0], 0, &[5, 6]);
-        mem.frame_write(fs[1], 4, &[7, 8, 9]);
-        let r = v.export_region(NodeId(1), fs).unwrap();
-        v.import_region(NodeId(0), r).unwrap();
-        let (data, times) = v
-            .remote_fetch_multi(NodeId(0), r, &[(0, 2), (PAGE_SIZE + 4, 3)], SimTime::ZERO)
-            .unwrap();
-        assert_eq!(data, vec![vec![5, 6], vec![7, 8, 9]]);
-        // Cut-through: the first segment lands first, the last segment
-        // still pays the full round trip.
-        assert!(times[0] <= times[1]);
-        assert!(times[1].as_nanos() >= 22_000);
-        // One batched round trip beats two back-to-back fetches.
-        assert!(times[1].as_nanos() < 2 * 22_000);
-    }
-
-    #[test]
-    fn batched_fetch_retries_whole_batch_without_corruption() {
-        let (v, mem) = setup();
-        v.set_chaos(chaos::ChaosEngine::new(
-            3,
-            chaos::FaultPlan::new().wire(chaos::WireFaults {
-                drop_p: 1.0,
-                max_retransmits: 2,
-                retransmit_timeout_ns: 10_000,
-                ..chaos::WireFaults::default()
-            }),
-        ));
-        let fs = frames(&mem, NodeId(1), 2);
-        mem.frame_write(fs[0], 0, &[42]);
-        mem.frame_write(fs[1], 0, &[43]);
-        let r = v.export_region(NodeId(1), fs).unwrap();
-        v.import_region(NodeId(0), r).unwrap();
-        let (data, times) = v
-            .remote_fetch_multi(NodeId(0), r, &[(0, 1), (PAGE_SIZE, 1)], SimTime::ZERO)
-            .unwrap();
-        assert_eq!(data, vec![vec![42], vec![43]]);
-        let done = *times.last().unwrap();
-        assert!(done.as_nanos() >= 30_000 + 22_000, "got {}", done.as_nanos());
     }
 
     #[test]

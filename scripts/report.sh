@@ -6,10 +6,10 @@
 #   BENCH_critpath.json   critical-path profile + blame table, both kernels
 #   BENCH_chaos.json      fault-injection ladder: completion, retries and
 #                         recovery latencies per escalating fault level
-#   BENCH_protocol.json   protocol-traffic ablation: batched diffs x
-#                         stride prefetch x lock forwarding, full 2x2x2
-#                         grid at 16 nodes with per-point message counts
-#                         and the critical-path blame of both corners
+#   BENCH_protocol.json   protocol-traffic ablation: release-time diff
+#                         batching off vs on at 16 nodes, with message
+#                         counts, parallel sections and the critical-path
+#                         blame of both points
 #   BENCH_table3.json     paper Table 3: basic VMMC costs
 #   BENCH_table4.json     paper Table 4: CableS basic-event costs
 #   BENCH_table5.json     paper Table 5: pthreads/OpenMP API usage + op times
@@ -22,9 +22,8 @@
 #   BENCH_service.json    sharded KV service under generated traffic:
 #                         throughput + p50/p95/p99 per arrival pattern x
 #                         node count, replay identity, chaos crash cell
-#                         with windowed recovery, lock-forwarding
-#                         ablation (stream_service.ndjson is its live
-#                         metric series)
+#                         with windowed recovery (stream_service.ndjson
+#                         is its live metric series)
 #   BENCH_placement.json  sharing-aware placement policy: off/on message
 #                         and time deltas for OCEAN, RADIX and the
 #                         zipfian service (bit-identical results)
@@ -102,13 +101,11 @@ for path in sorted(glob.glob("BENCH_*.json")):
                          f"{k['causal_edges']} causal edges"))
     elif name == "protocol":
         for k in d["kernels"]:
-            g = {(p["batch_diffs"], p["prefetch"], p["lock_forwarding"]): p
-                 for p in k["grid"]}
-            off, on = g[(False, False, False)], g[(True, True, True)]
+            g = {p["batch_diffs"]: p for p in k["grid"]}
+            off, on = g[False], g[True]
             rows.append((k["kernel"],
-                         f"fetches {off['remote_fetches']} -> {on['remote_fetches']}, "
-                         f"diffs {off['diffs_sent']} -> {on['diffs_sent']}, "
-                         f"time {ms(off['sim_time_ns'])} -> {ms(on['sim_time_ns'])}"))
+                         f"batching: diffs {off['diffs_sent']} -> {on['diffs_sent']}, "
+                         f"window {ms(off['parallel_ns'])} -> {ms(on['parallel_ns'])}"))
     elif name == "table3":
         g = {r["op"]: r for r in d["rows"]}
         send = g["1-word send (one-way lat)"]
@@ -174,10 +171,6 @@ for path in sorted(glob.glob("BENCH_*.json")):
         rows.append(("chaos", f"crash node {ch['crash_node']}, "
                      f"{ch['served']}+{ch['direct_served']} of {ch['requests']} "
                      f"answered, {ch['post_crash_window_completions']} post-crash"))
-        ab = d["ablation"]
-        rows.append(("forwarding", f"lock_forwards "
-                     f"{ab['off']['lock_forwards']} -> "
-                     f"{ab['on']['lock_forwards']} (digests identical)"))
     elif name == "placement":
         for w in d["workloads"]:
             off, on = w["off"], w["on"]

@@ -21,11 +21,13 @@ echo "==> cargo build --release"
 cargo build $CARGO_FLAGS --release
 
 # The engine has no mode, the access path no toggle, migration one policy,
-# the service's pools no adaptation and the metric stream no ring, merge
-# path or drain thread; a name from those coming back is a regression of
-# the design, not of a number.
+# the service's pools no adaptation, the metric stream no ring, merge
+# path or drain thread, and the page protocol one traffic lever (diff
+# batching: no prefetcher, no lock-data forwarding, no multi-segment
+# fetch); a name from those coming back is a regression of the design,
+# not of a number.
 echo "==> no engine-mode / slow-path / second-policy switches"
-if grep -rnE 'EngineMode|set_mode\(|set_lockless|set_fast_path|set_slow_mode|engine_wall|BENCH_hotpath|migration_threshold|diff_streaks|AdaptParams|with_adapt|series_last_window|credit_sharing|migration_prefetch_grid|FrameRing|merge_frames|overflow_merges|series_start_with|DEFAULT_RING_CAP|StreamExporter|prefetch_confirm|DEFAULT_SAMPLE_NS' \
+if grep -rnE 'EngineMode|set_mode\(|set_lockless|set_fast_path|set_slow_mode|engine_wall|BENCH_hotpath|migration_threshold|diff_streaks|AdaptParams|with_adapt|series_last_window|credit_sharing|migration_prefetch_grid|FrameRing|merge_frames|overflow_merges|series_start_with|DEFAULT_RING_CAP|StreamExporter|prefetch_confirm|DEFAULT_SAMPLE_NS|prefetch_degree|lock_forwarding|lock_forward_hot|with_protocol_opts|PrefetchMasked|LockForward|fetch_multi|BatchFetch|acquire_on_lock' \
         crates/ src/ tests/ examples/ scripts/ --exclude=tier1.sh; then
     echo "tier1: a deleted switch is back (see above)" >&2
     exit 1
@@ -82,9 +84,9 @@ echo "==> cargo test --workspace"
 cargo test $CARGO_FLAGS --workspace -q
 
 if [[ "${1:-}" == "--smoke" ]]; then
-    # The protocol_opt smoke run also asserts the all-on corner's message
-    # counts stay under the ceilings snapshotted when the optimizations
-    # landed (protocol_opt.rs, `smoke_ceilings`).
+    # The protocol_opt smoke run also asserts the batch-on point's message
+    # counts stay under snapshotted ceilings (protocol_opt.rs,
+    # `smoke_ceilings`).
     for bench in "${BENCH_TARGETS[@]}"; do
         echo "==> cargo bench --bench $bench -- --test"
         cargo bench $CARGO_FLAGS -p cables-bench --bench "$bench" -- --test

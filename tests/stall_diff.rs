@@ -140,7 +140,7 @@ fn span(at: u64, dur: u64, track: u64, event: Event, layer: Layer) -> EventRecor
 fn wait_event(idx: u8) -> (Event, Layer) {
     match idx % 7 {
         0 => (Event::FaultSpan { page: 3, write: false }, Layer::Proto),
-        1 => (Event::PrefetchMasked { page: 3 }, Layer::Proto),
+        1 => (Event::ThreadJoin { ct: 3 }, Layer::Rt),
         2 => (Event::LockWait { id: 1 }, Layer::Sync),
         3 => (Event::BarrierWait { id: 2 }, Layer::Sync),
         4 => (Event::PthMutexWait { id: 1 }, Layer::Rt),
