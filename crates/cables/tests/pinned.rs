@@ -1,6 +1,8 @@
 //! Golden values of the blocking-primitive plumbing: one 4-node tour of
-//! every pthreads primitive on its cross-node path, and one crash tableau
-//! in which a worker node dies holding and waiting on one of everything.
+//! every pthreads primitive on its cross-node path, one crash tableau
+//! in which a worker node dies holding and waiting on one of everything,
+//! and one cell of the runtime paths neither reaches (a broadcast to two
+//! nodes, `create_beside`, an auto-detach).
 //! End time, counters, per-operation times, summed protocol stats and a
 //! digest of the ordered causal-edge list are pinned, so a change to the
 //! waiter queues, hand-offs or parks that moves one nanosecond or reorders
@@ -87,6 +89,7 @@ enum Program {
     Tableau {
         dead_reader: bool,
     },
+    Sides,
 }
 
 /// Everything a cell pins.
@@ -131,6 +134,7 @@ fn run(cell: Cell) -> Observed {
             *r2.lock().unwrap() = match program {
                 Program::Tour => tour(pth),
                 Program::Tableau { dead_reader } => tableau(pth, dead_reader),
+                Program::Sides => sides(pth),
             };
             0
         })
@@ -334,6 +338,45 @@ fn tour(pth: &Pth) -> Vec<u64> {
     pth.compute(5 * MS);
     rets.push(pth.join(fast));
     rets.push(pth.join(slow));
+    rets
+}
+
+// ---------------------------------------------------------------------
+// The side paths: a broadcast that wakes waiters on two nodes, creates
+// beside a sibling (on a full node, and with a void hint), and a worker
+// node that detaches when its last thread exits.
+// ---------------------------------------------------------------------
+
+fn sides(pth: &Pth) -> Vec<u64> {
+    let x = Ctx::new(pth);
+    let waiter = move |p: &Pth| {
+        p.mutex_lock(x.mc);
+        while p.read::<u64>(x.flag()) == 0 {
+            p.cond_wait(x.cv, x.mc).unwrap();
+        }
+        p.mutex_unlock(x.mc);
+        10 * u64::from(p.node().0) + 1
+    };
+    // Two processors per node: `a` fits beside main, `b` attaches node
+    // 1, `c` joins it there and `d` lands on the full master.
+    let a = pth.create(waiter);
+    let b = pth.create(waiter);
+    let c = pth.create_beside(b, waiter);
+    let d = pth.create_beside(a, waiter);
+    // Attaches node 2 and leaves it empty: the node detaches.
+    let e = pth.create(|p| {
+        p.compute(MS);
+        10 * u64::from(p.node().0) + 2
+    });
+    pth.compute(20 * MS);
+    pth.mutex_lock(x.mc);
+    pth.write::<u64>(x.flag(), 1);
+    pth.cond_broadcast(x.cv);
+    pth.mutex_unlock(x.mc);
+    let mut rets: Vec<u64> = [a, b, c, d, e].into_iter().map(|k| pth.join(k)).collect();
+    // `e` has finished: the hint is void and placement picks as usual.
+    let f = pth.create_beside(e, |p| 10 * u64::from(p.node().0) + 3);
+    rets.push(pth.join(f));
     rets
 }
 
@@ -594,10 +637,29 @@ fn crash_grantees_park_again_cleanly() {
     assert_casualties(&o);
 }
 
+#[test]
+fn side_paths_match_pinned_goldens() {
+    let o = run(Cell {
+        cpus: 2,
+        cfg: CablesConfig {
+            auto_detach: true,
+            ..CablesConfig::paper()
+        },
+        chaos: None,
+        program: Program::Sides,
+    });
+    show("sides", &o);
+    assert_eq!(o, golden_sides());
+}
+
 fn golden_tour() -> Observed {
     Observed { end_ns: 11070130886, rets: vec![0, 1100, 2007, 3284, 4007, 5000, 6008, 2, 1], rt: "RtStats { local_creates: 1, remote_creates: 7, nodes_attached: 3, nodes_detached: 0, joins: 10, cancels: 1, cond_waits: 7, cond_signals: 1, cond_broadcasts: 1, mallocs: 1, frees: 0, pooled_dispatches: 2 }".into(), contention: "ContentionStats { mutex_waits: 39, mutex_wait_ns: 20095674, mutex_max_waiters: 8, cond_waits: 6, cond_wait_ns: 47390461, cond_max_waiters: 5, barrier_waits: 48, barrier_wait_ns: 33571040492, barrier_max_waiters: 8, rw_waits: 6, rw_wait_ns: 1947892, rw_max_waiters: 5 }".into(), ops: vec![(10, 1103146913), (10, 307700), (36, 532109), (34, 11647), (7, 6912065), (1, 38501), (1, 9000), (48, 699396676), (1, 7000), (0, 0)], nodes: "NodeStats { read_faults: 15, write_faults: 29, remote_fetches: 16, fetch_bytes: 65536, diffs_sent: 21, diff_bytes: 168, notices_applied: 15, placements: 1, migrations: 0, lock_acquires: 41, barrier_waits: 48, diff_batches: 0, batched_diff_bytes: 0, pingpong_handoffs: 0, policy_considered: 0, policy_migrations: 0 }".into(), edges: (461, 9743236524895054402), recovery: vec![], chaos: None }
 }
 
 fn golden_dead_writer() -> Observed {
     Observed { end_ns: 212632214, rets: vec![0, 60015030, 125, 60236862, 4, 60016015, 125, 60155062, 8, 60137204, 125, 60008800, 12, 60000000, 125, 60007800, 16, 17], rt: "RtStats { local_creates: 4, remote_creates: 14, nodes_attached: 0, nodes_detached: 1, joins: 19, cancels: 0, cond_waits: 1, cond_signals: 0, cond_broadcasts: 0, mallocs: 1, frees: 0, pooled_dispatches: 0 }".into(), contention: "ContentionStats { mutex_waits: 4, mutex_wait_ns: 38150539, mutex_max_waiters: 2, cond_waits: 0, cond_wait_ns: 0, cond_max_waiters: 1, barrier_waits: 2, barrier_wait_ns: 76628900, barrier_max_waiters: 3, rw_waits: 4, rw_wait_ns: 51315347, rw_max_waiters: 3 }".into(), ops: vec![(18, 810574), (19, 4734121), (4, 9537634), (2, 16629), (0, 0), (0, 0), (0, 0), (2, 38314450), (1, 7000), (0, 0)], nodes: "NodeStats { read_faults: 3, write_faults: 21, remote_fetches: 3, fetch_bytes: 12288, diffs_sent: 2, diff_bytes: 24, notices_applied: 1, placements: 1, migrations: 0, lock_acquires: 4, barrier_waits: 3, diff_batches: 0, batched_diff_bytes: 0, pingpong_handoffs: 0, policy_considered: 0, policy_migrations: 0 }".into(), edges: (125, 10104864910775370282), recovery: vec![(3, 60005000, 2), (13, 60007800, 1), (17, 60007800, 1), (1, 61000000, 2)], chaos: Some((1, 1, vec![1000000])) }
+}
+
+fn golden_sides() -> Observed {
+    Observed { end_ns: 7280205714, rets: vec![1, 11, 11, 1, 22, 3], rt: "RtStats { local_creates: 3, remote_creates: 3, nodes_attached: 2, nodes_detached: 2, joins: 6, cancels: 0, cond_waits: 4, cond_signals: 0, cond_broadcasts: 1, mallocs: 1, frees: 0, pooled_dispatches: 0 }".into(), contention: "ContentionStats { mutex_waits: 9, mutex_wait_ns: 3696474673, mutex_max_waiters: 3, cond_waits: 4, cond_wait_ns: 14656650637, cond_max_waiters: 4, barrier_waits: 0, barrier_wait_ns: 0, barrier_max_waiters: 0, rw_waits: 0, rw_wait_ns: 0, rw_max_waiters: 0 }".into(), ops: vec![(6, 1207454952), (6, 43915), (5, 739226173), (5, 7400), (4, 3664162659), (0, 0), (1, 9000), (0, 0), (1, 7000), (0, 0)], nodes: "NodeStats { read_faults: 2, write_faults: 2, remote_fetches: 2, fetch_bytes: 8192, diffs_sent: 0, diff_bytes: 0, notices_applied: 1, placements: 1, migrations: 0, lock_acquires: 9, barrier_waits: 0, diff_batches: 0, batched_diff_bytes: 0, pingpong_handoffs: 0, policy_considered: 0, policy_migrations: 0 }".into(), edges: (54, 4684428033430509596), recovery: vec![], chaos: None }
 }
