@@ -62,7 +62,9 @@ pub struct M4System {
 
 impl fmt::Debug for M4System {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("M4System").field("mode", &self.mode()).finish()
+        f.debug_struct("M4System")
+            .field("mode", &self.mode())
+            .finish()
     }
 }
 
@@ -399,11 +401,7 @@ mod tests {
                 ctx.wait_for_end();
                 ctx.barrier(0, 1);
                 for i in 0..3u64 {
-                    assert_eq!(
-                        ctx.read::<u64>(a + 8 * (i + 1)),
-                        i + 100,
-                        "mode {mode:?}"
-                    );
+                    assert_eq!(ctx.read::<u64>(a + 8 * (i + 1)), i + 100, "mode {mode:?}");
                 }
             })
             .unwrap();

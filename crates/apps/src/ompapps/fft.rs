@@ -62,8 +62,18 @@ fn six_step(omp: &Arc<Omp>, pth: &Pth, data: GAddr, scratch: GAddr, m: u32, inve
         c.for_static(sqrt_n as usize, |r| {
             let r = r as u64;
             for col in 0..sqrt_n {
-                wr(c.pth(), scratch, idx(r, col), rw(c.pth(), data, idx(col, r)));
-                wr(c.pth(), scratch, idx(r, col) + 1, rw(c.pth(), data, idx(col, r) + 1));
+                wr(
+                    c.pth(),
+                    scratch,
+                    idx(r, col),
+                    rw(c.pth(), data, idx(col, r)),
+                );
+                wr(
+                    c.pth(),
+                    scratch,
+                    idx(r, col) + 1,
+                    rw(c.pth(), data, idx(col, r) + 1),
+                );
             }
         });
     });
@@ -72,7 +82,12 @@ fn six_step(omp: &Arc<Omp>, pth: &Pth, data: GAddr, scratch: GAddr, m: u32, inve
         c.for_static(sqrt_n as usize, |r| {
             let r = r as u64;
             let mut buf: Vec<(f64, f64)> = (0..sqrt_n)
-                .map(|col| (rw(c.pth(), scratch, idx(r, col)), rw(c.pth(), scratch, idx(r, col) + 1)))
+                .map(|col| {
+                    (
+                        rw(c.pth(), scratch, idx(r, col)),
+                        rw(c.pth(), scratch, idx(r, col) + 1),
+                    )
+                })
                 .collect();
             fft_local(&mut buf, inverse);
             c.pth().compute(5 * sqrt_n * (m as u64 / 2) * FLOP_NS);
@@ -90,8 +105,18 @@ fn six_step(omp: &Arc<Omp>, pth: &Pth, data: GAddr, scratch: GAddr, m: u32, inve
         c.for_static(sqrt_n as usize, |r| {
             let r = r as u64;
             for col in 0..sqrt_n {
-                wr(c.pth(), data, idx(r, col), rw(c.pth(), scratch, idx(col, r)));
-                wr(c.pth(), data, idx(r, col) + 1, rw(c.pth(), scratch, idx(col, r) + 1));
+                wr(
+                    c.pth(),
+                    data,
+                    idx(r, col),
+                    rw(c.pth(), scratch, idx(col, r)),
+                );
+                wr(
+                    c.pth(),
+                    data,
+                    idx(r, col) + 1,
+                    rw(c.pth(), scratch, idx(col, r) + 1),
+                );
             }
         });
     });
@@ -100,7 +125,12 @@ fn six_step(omp: &Arc<Omp>, pth: &Pth, data: GAddr, scratch: GAddr, m: u32, inve
         c.for_static(sqrt_n as usize, |r| {
             let r = r as u64;
             let mut buf: Vec<(f64, f64)> = (0..sqrt_n)
-                .map(|col| (rw(c.pth(), data, idx(r, col)), rw(c.pth(), data, idx(r, col) + 1)))
+                .map(|col| {
+                    (
+                        rw(c.pth(), data, idx(r, col)),
+                        rw(c.pth(), data, idx(r, col) + 1),
+                    )
+                })
                 .collect();
             fft_local(&mut buf, inverse);
             c.pth().compute(5 * sqrt_n * (m as u64 / 2) * FLOP_NS);
@@ -116,8 +146,18 @@ fn six_step(omp: &Arc<Omp>, pth: &Pth, data: GAddr, scratch: GAddr, m: u32, inve
         c.for_static(sqrt_n as usize, |r| {
             let r = r as u64;
             for col in 0..sqrt_n {
-                wr(c.pth(), scratch, idx(r, col), rw(c.pth(), data, idx(col, r)));
-                wr(c.pth(), scratch, idx(r, col) + 1, rw(c.pth(), data, idx(col, r) + 1));
+                wr(
+                    c.pth(),
+                    scratch,
+                    idx(r, col),
+                    rw(c.pth(), data, idx(col, r)),
+                );
+                wr(
+                    c.pth(),
+                    scratch,
+                    idx(r, col) + 1,
+                    rw(c.pth(), data, idx(col, r) + 1),
+                );
             }
         });
     });
@@ -125,8 +165,18 @@ fn six_step(omp: &Arc<Omp>, pth: &Pth, data: GAddr, scratch: GAddr, m: u32, inve
         c.for_static(sqrt_n as usize, |r| {
             let r = r as u64;
             for col in 0..sqrt_n {
-                wr(c.pth(), data, idx(r, col), rw(c.pth(), scratch, idx(r, col)));
-                wr(c.pth(), data, idx(r, col) + 1, rw(c.pth(), scratch, idx(r, col) + 1));
+                wr(
+                    c.pth(),
+                    data,
+                    idx(r, col),
+                    rw(c.pth(), scratch, idx(r, col)),
+                );
+                wr(
+                    c.pth(),
+                    data,
+                    idx(r, col) + 1,
+                    rw(c.pth(), scratch, idx(r, col) + 1),
+                );
             }
         });
     });

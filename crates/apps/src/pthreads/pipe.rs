@@ -92,7 +92,8 @@ impl Queue {
 /// The per-stage calculation: an odd affine step (invertible, so the
 /// pipeline result is a deterministic function of the input).
 fn stage_fn(stage: usize, v: u64) -> u64 {
-    v.wrapping_mul(2 * stage as u64 + 3).wrapping_add(stage as u64 + 1)
+    v.wrapping_mul(2 * stage as u64 + 3)
+        .wrapping_add(stage as u64 + 1)
 }
 
 /// Runs PIPE; returns the sum of items leaving the last stage.

@@ -328,8 +328,7 @@ fn dequeue(p: &Pth, s: &Shard, completed: i64) -> u64 {
     p.mutex_lock(s.q_m);
     if completed > 0 {
         let served = bump(p, s.queue + Q_SERVED, completed);
-        if p.read::<u64>(s.queue + Q_DRAINING) != 0 && served == p.read::<u64>(s.queue + Q_HEAD)
-        {
+        if p.read::<u64>(s.queue + Q_DRAINING) != 0 && served == p.read::<u64>(s.queue + Q_HEAD) {
             p.cond_signal(s.drained);
         }
     }
@@ -425,8 +424,7 @@ pub fn run_service(pth: &Pth, sched: &Schedule, params: ServiceParams) -> Servic
     // ---- Global layout ----
     let mut shards = Vec::with_capacity(params.shards as usize);
     for sh in 0..params.shards as u64 {
-        let slots = keys / params.shards as u64
-            + u64::from(sh < keys % params.shards as u64);
+        let slots = keys / params.shards as u64 + u64::from(sh < keys % params.shards as u64);
         let slots = slots.max(1);
         let store = pth.malloc(slots * (1 + val_words as u64) * 8);
         let queue = pth.malloc(Q_RING + params.queue_cap * 8);
@@ -801,7 +799,10 @@ mod tests {
 
     /// [`rt`] with every node attached before the run (a warm deployment).
     fn warm_rt(nodes: usize) -> StdArc<CablesRt> {
-        let cfg = CablesConfig { pre_attach: nodes, ..CablesConfig::paper() };
+        let cfg = CablesConfig {
+            pre_attach: nodes,
+            ..CablesConfig::paper()
+        };
         rt_with(nodes, None, cfg)
     }
 
@@ -855,13 +856,16 @@ mod tests {
         let (t2, o2) = run(4, &sched, ServiceParams::test());
         assert_eq!(o1.served, 120);
         assert_eq!(o1.direct_served, 0);
-        assert_eq!((t1, o1), (t2, o2), "same schedule must replay bit-identically");
+        assert_eq!(
+            (t1, o1),
+            (t2, o2),
+            "same schedule must replay bit-identically"
+        );
     }
 
     #[test]
     fn closed_loop_serves_everything() {
-        let sched =
-            schedule(&TrafficConfig::zipfian(9, 100, 128, 1_000_000).closed_loop(4, 2_000));
+        let sched = schedule(&TrafficConfig::zipfian(9, 100, 128, 1_000_000).closed_loop(4, 2_000));
         let (_, o) = run(4, &sched, ServiceParams::test());
         assert_eq!(o.served, 100);
         assert_eq!(o.retries, 0);
@@ -882,12 +886,28 @@ mod tests {
                 .conflict_free();
         for nodes in [2, 4] {
             for warm in [false, true] {
-                let fresh = || if warm { warm_rt(nodes) } else { rt(nodes, None) };
+                let fresh = || {
+                    if warm {
+                        warm_rt(nodes)
+                    } else {
+                        rt(nodes, None)
+                    }
+                };
                 let (_, o) = run_on(&fresh(), &open, ServiceParams::test());
                 let (_, c) = run_on(&fresh(), &closed, ServiceParams::test());
-                assert_eq!((o.served, c.served), (160, 160), "{nodes} nodes, warm {warm}");
-                assert_eq!(o.digest, OPEN_DIGEST, "open loop, {nodes} nodes, warm {warm}");
-                assert_eq!(c.digest, CLOSED_DIGEST, "closed loop, {nodes} nodes, warm {warm}");
+                assert_eq!(
+                    (o.served, c.served),
+                    (160, 160),
+                    "{nodes} nodes, warm {warm}"
+                );
+                assert_eq!(
+                    o.digest, OPEN_DIGEST,
+                    "open loop, {nodes} nodes, warm {warm}"
+                );
+                assert_eq!(
+                    c.digest, CLOSED_DIGEST,
+                    "closed loop, {nodes} nodes, warm {warm}"
+                );
             }
         }
     }
@@ -906,7 +926,9 @@ mod tests {
             })
             .take((params.shards * params.workers_per_shard) as usize)
             .collect();
-        on.chunks(params.workers_per_shard as usize).map(<[u32]>::to_vec).collect()
+        on.chunks(params.workers_per_shard as usize)
+            .map(<[u32]>::to_vec)
+            .collect()
     }
 
     #[test]
@@ -914,7 +936,11 @@ mod tests {
         let sched = schedule(&TrafficConfig::uniform(5, 40, 64, 2_000_000));
         for (nodes, want) in [(2, [0, 1, 0, 1]), (4, [0, 1, 2, 3])] {
             for warm in [false, true] {
-                let rt = if warm { warm_rt(nodes) } else { rt(nodes, None) };
+                let rt = if warm {
+                    warm_rt(nodes)
+                } else {
+                    rt(nodes, None)
+                };
                 let (_, o) = run_on(&rt, &sched, ServiceParams::test());
                 assert_eq!(o.served, 40);
                 let want: Vec<Vec<u32>> = want.iter().map(|&n| vec![n; 2]).collect();
@@ -966,8 +992,14 @@ mod tests {
                 _ => {}
             }
         }
-        assert!(writers.len() >= 4, "one page per shard at least: {writers:?}");
-        assert!(writers.values().all(|nodes| nodes.len() == 1), "{writers:?}");
+        assert!(
+            writers.len() >= 4,
+            "one page per shard at least: {writers:?}"
+        );
+        assert!(
+            writers.values().all(|nodes| nodes.len() == 1),
+            "{writers:?}"
+        );
     }
 
     #[test]
@@ -985,7 +1017,11 @@ mod tests {
         params.queue_cap = 2;
         let (_, o) = run(2, &sched, params);
         assert_eq!((o.served, o.direct_served), (5, 0));
-        assert!(o.serve_ns < params.timeout_ns, "a timeout fired: serve_ns {}", o.serve_ns);
+        assert!(
+            o.serve_ns < params.timeout_ns,
+            "a timeout fired: serve_ns {}",
+            o.serve_ns
+        );
     }
 
     #[test]
@@ -1001,7 +1037,10 @@ mod tests {
         let (_, o) = run_on(&rt, &schedule(&cfg), ServiceParams::test());
         assert_eq!(o.served, u64::from(n));
         let per_req = rt.svm().total_stats().lock_acquires as f64 / f64::from(n);
-        assert!((4.0..=4.2).contains(&per_req), "{per_req} lock acquisitions per request");
+        assert!(
+            (4.0..=4.2).contains(&per_req),
+            "{per_req} lock acquisitions per request"
+        );
     }
 
     #[test]
@@ -1052,9 +1091,15 @@ mod tests {
             .into_iter()
             .filter(|e| e.node.0 != 0)
             .collect();
-        assert!(publishes.len() >= 40, "workers off the master served requests");
-        let mut instants: Vec<(u32, u64)> =
-            publishes.iter().step_by(3).map(|e| (e.node.0, end_ns(e) + 1)).collect();
+        assert!(
+            publishes.len() >= 40,
+            "workers off the master served requests"
+        );
+        let mut instants: Vec<(u32, u64)> = publishes
+            .iter()
+            .step_by(3)
+            .map(|e| (e.node.0, end_ns(e) + 1))
+            .collect();
         // Off the master only workers wait on a cond, and only on
         // `not_empty`: the instant after each such wait's release.
         let events = clean_rt.svm().obs().events();
@@ -1076,13 +1121,20 @@ mod tests {
         for (node, at) in instants {
             let plan = FaultPlan::new().crash(node, at);
             let (_, o) = run_on(&rt(4, Some(plan)), &sched, ServiceParams::test());
-            assert_eq!(o.served + o.direct_served, 120, "crash of node {node} at {at}");
+            assert_eq!(
+                o.served + o.direct_served,
+                120,
+                "crash of node {node} at {at}"
+            );
             // Nothing to reap, yet the drain sat out its eight stall
             // windows: a completion count died unflushed.
             let stalled = o.serve_ns >= 8 * ServiceParams::test().timeout_ns;
             count_lost_response_kept += u32::from(o.direct_served == 0 && stalled);
         }
-        assert!(count_lost_response_kept > 0, "no crash landed between release and flush");
+        assert!(
+            count_lost_response_kept > 0,
+            "no crash landed between release and flush"
+        );
     }
 
     #[test]
@@ -1091,9 +1143,21 @@ mod tests {
         // must return val_word(key, 0) (checked inside execute()), and
         // the digests must differ between the two phases.
         let mut cfg = TrafficConfig::uniform(3, 60, 32, 1_000_000);
-        cfg.mix = traffic::OpMix { get: 0, put: 1, delete: 0, scan: 0, scan_len: 0 };
+        cfg.mix = traffic::OpMix {
+            get: 0,
+            put: 1,
+            delete: 0,
+            scan: 0,
+            scan_len: 0,
+        };
         let puts = schedule(&cfg);
-        cfg.mix = traffic::OpMix { get: 1, put: 0, delete: 0, scan: 0, scan_len: 0 };
+        cfg.mix = traffic::OpMix {
+            get: 1,
+            put: 0,
+            delete: 0,
+            scan: 0,
+            scan_len: 0,
+        };
         cfg.seed = 4;
         let gets = schedule(&cfg);
         let (_, op) = run(2, &puts, ServiceParams::test());

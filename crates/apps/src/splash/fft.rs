@@ -45,7 +45,10 @@ pub struct FftResult {
 /// In-place iterative radix-2 FFT of a local buffer.
 pub fn fft_local(buf: &mut [(f64, f64)], inverse: bool) {
     let n = buf.len();
-    assert!(n.is_power_of_two(), "local FFT length must be a power of two");
+    assert!(
+        n.is_power_of_two(),
+        "local FFT length must be a power of two"
+    );
     // Bit reversal.
     let mut j = 0usize;
     for i in 0..n {

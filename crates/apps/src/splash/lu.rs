@@ -87,7 +87,10 @@ fn write_block(ctx: &M4Ctx, a: Arr<f64>, g: &Grid, bi: usize, bj: usize, data: &
 fn factor_diag(blk: &mut [f64], b: usize) {
     for k in 0..b {
         let pivot = blk[k * b + k];
-        assert!(pivot.abs() > 1e-12, "zero pivot in LU (diagonally dominant init expected)");
+        assert!(
+            pivot.abs() > 1e-12,
+            "zero pivot in LU (diagonally dominant init expected)"
+        );
         for i in k + 1..b {
             blk[i * b + k] /= pivot;
             for j in k + 1..b {

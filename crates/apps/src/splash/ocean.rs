@@ -102,9 +102,8 @@ fn ocean_worker(
     let (lo, hi) = block_range(n, p.nprocs, id);
     // Owner initialization (rows lo+1 ..= hi of the interior, plus the
     // boundary rows by their neighbours' owners).
-    let init_row = |i: usize| -> Vec<f64> {
-        (0..n + 2).map(|j| det_f64(11, idx(n, i, j))).collect()
-    };
+    let init_row =
+        |i: usize| -> Vec<f64> { (0..n + 2).map(|j| det_f64(11, idx(n, i, j))).collect() };
     for i in lo + 1..=hi {
         grid.set_slice(ctx, idx(n, i, 0), &init_row(i));
     }

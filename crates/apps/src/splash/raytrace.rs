@@ -68,7 +68,14 @@ fn sphere_value(i: u64, f: u64) -> f64 {
 
 /// Traces one primary ray from the origin through pixel (px, py);
 /// returns the shaded color or `None` on a miss. Pure local math.
-fn trace(scene: &[f64], spheres: usize, width: usize, height: usize, px: usize, py: usize) -> Option<[f64; 3]> {
+fn trace(
+    scene: &[f64],
+    spheres: usize,
+    width: usize,
+    height: usize,
+    px: usize,
+    py: usize,
+) -> Option<[f64; 3]> {
     // Camera at origin looking down +z; pixel grid on the z=1 plane.
     let dx = (px as f64 + 0.5) / width as f64 * 2.0 - 1.0;
     let dy = (py as f64 + 0.5) / height as f64 * 2.0 - 1.0;
@@ -102,7 +109,11 @@ fn trace(scene: &[f64], spheres: usize, width: usize, height: usize, px: usize, 
             scene[(sphere_field(s as u64, 2)) as usize],
         ];
         let r = scene[(sphere_field(s as u64, 3)) as usize];
-        let n = [(hit[0] - c[0]) / r, (hit[1] - c[1]) / r, (hit[2] - c[2]) / r];
+        let n = [
+            (hit[0] - c[0]) / r,
+            (hit[1] - c[1]) / r,
+            (hit[2] - c[2]) / r,
+        ];
         // Headlight shading.
         let lambert = (-(n[0] * d[0] + n[1] * d[1] + n[2] * d[2])).max(0.1);
         [

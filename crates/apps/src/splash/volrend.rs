@@ -9,7 +9,6 @@
 use crate::m4::M4Ctx;
 use crate::util::{block_range, Arr, FLOP_NS};
 
-
 /// VOLREND parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VolrendParams {
@@ -79,7 +78,9 @@ fn cast(ctx: &M4Ctx, sh: &Shared, p: &VolrendParams, px: usize, py: usize) -> f6
     let mut brightness = 0.0f64;
     let mut transparency = 1.0f64;
     for z in 0..size {
-        let d = sh.volume.get(ctx, vidx(size, x0.min(size - 1), y0.min(size - 1), z));
+        let d = sh
+            .volume
+            .get(ctx, vidx(size, x0.min(size - 1), y0.min(size - 1), z));
         let alpha = d * 0.4;
         brightness += transparency * alpha * (1.0 - z as f64 / size as f64);
         transparency *= 1.0 - alpha;
@@ -103,7 +104,8 @@ fn volrend_worker(
     for x in xlo..xhi {
         for y in 0..p.size {
             for z in 0..p.size {
-                sh.volume.set(ctx, vidx(p.size, x, y, z), density(p.size, x, y, z));
+                sh.volume
+                    .set(ctx, vidx(p.size, x, y, z), density(p.size, x, y, z));
             }
         }
     }

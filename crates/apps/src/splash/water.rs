@@ -87,7 +87,6 @@ impl Layout {
             (self.mols * 9) as u64
         }
     }
-
 }
 
 fn cell_index(cells: usize, x: usize, y: usize, z: usize) -> usize {
@@ -118,7 +117,11 @@ fn water_worker(
                 };
                 let pos = latt + 0.5 + 0.1 * det_f64(21, (m * 3 + comp) as u64);
                 data.set(ctx, l.offset(0, m, comp), pos);
-                data.set(ctx, l.offset(1, m, comp), 0.01 * det_f64(22, (m * 3 + comp) as u64));
+                data.set(
+                    ctx,
+                    l.offset(1, m, comp),
+                    0.01 * det_f64(22, (m * 3 + comp) as u64),
+                );
                 data.set(ctx, l.offset(2, m, comp), 0.0);
             }
         }

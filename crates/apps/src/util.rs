@@ -96,7 +96,11 @@ impl<T: Scalar> Arr<T> {
             return;
         }
         let end = start + out.len() as u64;
-        assert!(end <= self.len, "range {start}..{end} out of bounds (len {})", self.len);
+        assert!(
+            end <= self.len,
+            "range {start}..{end} out of bounds (len {})",
+            self.len
+        );
         ctx.read_slice(self.base + start * T::SIZE as u64, out)
     }
 
@@ -111,7 +115,11 @@ impl<T: Scalar> Arr<T> {
             return;
         }
         let end = start + data.len() as u64;
-        assert!(end <= self.len, "range {start}..{end} out of bounds (len {})", self.len);
+        assert!(
+            end <= self.len,
+            "range {start}..{end} out of bounds (len {})",
+            self.len
+        );
         ctx.write_slice(self.base + start * T::SIZE as u64, data)
     }
 
@@ -125,7 +133,11 @@ impl<T: Scalar> Arr<T> {
             return;
         }
         let end = start + count;
-        assert!(end <= self.len, "range {start}..{end} out of bounds (len {})", self.len);
+        assert!(
+            end <= self.len,
+            "range {start}..{end} out of bounds (len {})",
+            self.len
+        );
         ctx.fill(self.base + start * T::SIZE as u64, v, count as usize)
     }
 }

@@ -106,10 +106,7 @@ fn node_crash_during_migration_recovers() {
     // Crash node 2 well inside worker 2's write loop (the loop below
     // spans hundreds of ms of simulated time; creation bookkeeping is
     // a few ms).
-    cluster.set_chaos(ChaosEngine::new(
-        7,
-        FaultPlan::new().crash(2, 100_000_000),
-    ));
+    cluster.set_chaos(ChaosEngine::new(7, FaultPlan::new().crash(2, 100_000_000)));
     let cfg = CablesConfig {
         svm: SvmConfig {
             // Hair-trigger policy: migrations start within a few

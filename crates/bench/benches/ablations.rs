@@ -18,7 +18,12 @@ use svm::Cluster;
 
 /// Runs an app body under a CableS config and returns
 /// (parallel time ns, misplaced %).
-fn run_cables_with<F>(cfg: CablesConfig, page_granular_os: bool, procs: usize, body: F) -> (u64, f64)
+fn run_cables_with<F>(
+    cfg: CablesConfig,
+    page_granular_os: bool,
+    procs: usize,
+    body: F,
+) -> (u64, f64)
 where
     F: FnOnce(&M4Ctx) + Send + 'static,
 {
@@ -121,7 +126,9 @@ fn granularity(w: &mut Writer, smoke: bool, procs: usize) {
             nt.placement.misplaced_pct(),
             pg_mis
         );
-        w.obj().field("kernel", name).field("nt_parallel_ns", nt.parallel_ns.unwrap_or(0));
+        w.obj()
+            .field("kernel", name)
+            .field("nt_parallel_ns", nt.parallel_ns.unwrap_or(0));
         w.field("pg_parallel_ns", pg_ns);
         w.field("nt_misplaced_pct", Fixed(nt.placement.misplaced_pct(), 2));
         w.field("pg_misplaced_pct", Fixed(pg_mis, 2)).end();
@@ -190,7 +197,10 @@ fn nic_pressure(w: &mut Writer, procs: usize) {
 ///    cluster sizes (Table 4 shows one point).
 fn barriers(w: &mut Writer, smoke: bool) {
     println!("4) barrier construction, native extension vs mutex+cond:");
-    println!("   {:<8} {:>14} {:>16} {:>8}", "nodes", "native", "mutex+cond", "ratio");
+    println!(
+        "   {:<8} {:>14} {:>16} {:>8}",
+        "nodes", "native", "mutex+cond", "ratio"
+    );
     let node_sizes: &[usize] = if smoke { &[2] } else { &[2, 4, 8] };
     w.key("barriers").arr();
     for &nodes in node_sizes {
@@ -293,8 +303,11 @@ fn migration(w: &mut Writer) {
             st.migrations
         );
         let mode = if policy { "placement_policy" } else { "off" };
-        w.obj().field("mode", mode).field("total_ns", end.as_nanos());
-        w.field("diffs_sent", st.diffs_sent).field("diff_bytes", st.diff_bytes);
+        w.obj()
+            .field("mode", mode)
+            .field("total_ns", end.as_nanos());
+        w.field("diffs_sent", st.diffs_sent)
+            .field("diff_bytes", st.diff_bytes);
         w.field("migrations", st.migrations).end();
     }
     w.end();

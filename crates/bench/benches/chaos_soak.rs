@@ -217,7 +217,12 @@ fn main() {
         let clean_parallel_ns = baseline.parallel_ns.expect("clean parallel section");
         let crash_at = clean_ns / 3;
 
-        println!("{} ({} procs, clean run {}):", w.name, w.procs, fmt_ns(clean_ns));
+        println!(
+            "{} ({} procs, clean run {}):",
+            w.name,
+            w.procs,
+            fmt_ns(clean_ns)
+        );
         println!(
             "  {:<10} {:>10} {:>8} {:>8} {:>8} {:>8} {:>8}  {}",
             "level", "time", "wireflt", "retries", "evicts", "crashes", "recov", "recovery latency"
@@ -230,8 +235,8 @@ fn main() {
             // the windowed series around the crash instant is the §3.4
             // degraded-regime evidence (EXPERIMENTS.md), and doubles as
             // proof that streaming survives a mid-run node loss.
-            let stream = (level.crashes && w.name == "FFT")
-                .then(|| ("CHAOS_FFT", (clean_ns / 24).max(1)));
+            let stream =
+                (level.crashes && w.name == "FFT").then(|| ("CHAOS_FFT", (clean_ns / 24).max(1)));
             let (out, stream) =
                 run_level_streamed(w, Some((level.plan)(crash_at)), seed, smoke, stream);
             let s = &out.stats;
@@ -242,7 +247,10 @@ fn main() {
                     stream.header.sample_ns,
                     fmt_ns(crash_at)
                 );
-                print!("{}", obs::report::window_table(&series::windowed_table(&stream.frames)));
+                print!(
+                    "{}",
+                    obs::report::window_table(&series::windowed_table(&stream.frames))
+                );
             }
 
             if level.name == "clean" {
@@ -254,9 +262,9 @@ fn main() {
                 );
                 assert_eq!(s.wire_faults + s.resource_faults + s.crashes, 0);
             }
-            let total_ns = out.total_ns.unwrap_or_else(|| {
-                panic!("{}: level '{}' did not complete", w.name, level.name)
-            });
+            let total_ns = out
+                .total_ns
+                .unwrap_or_else(|| panic!("{}: level '{}' did not complete", w.name, level.name));
             if !level.crashes {
                 // Wire drops/dups/reorders and NIC pressure must never
                 // corrupt answers. (The crash level is exempt: the dead
@@ -319,23 +327,35 @@ fn main() {
         doc.key("kernels").arr();
         for (w, clean_ns, clean_parallel_ns, levels) in &kernels {
             doc.obj().field("kernel", w.name).field("procs", w.procs);
-            doc.field("clean_ns", clean_ns).field("clean_parallel_ns", clean_parallel_ns);
+            doc.field("clean_ns", clean_ns)
+                .field("clean_parallel_ns", clean_parallel_ns);
             doc.key("levels").arr();
             for (name, total_ns, out) in levels {
                 let s = &out.stats;
                 doc.obj().field("level", *name).field("completed", true);
-                doc.field("sim_time_ns", total_ns).field("parallel_ns", out.parallel_ns);
-                let slowdown = out.parallel_ns.map(|p| p as f64 / *clean_parallel_ns as f64);
+                doc.field("sim_time_ns", total_ns)
+                    .field("parallel_ns", out.parallel_ns);
+                let slowdown = out
+                    .parallel_ns
+                    .map(|p| p as f64 / *clean_parallel_ns as f64);
                 doc.field("slowdown", slowdown.map(|x| Fixed(x, 4)));
-                doc.field("wire_faults", s.wire_faults).field("retransmits", s.retransmits);
-                doc.field("duplicates", s.duplicates).field("resource_faults", s.resource_faults);
-                doc.field("retries", s.retries).field("evictions", s.evictions);
-                doc.field("crashes", s.crashes).field("recoveries", s.recoveries);
-                doc.field("nodes_detached", out.nodes_detached).key("recovery_latency_ns");
+                doc.field("wire_faults", s.wire_faults)
+                    .field("retransmits", s.retransmits);
+                doc.field("duplicates", s.duplicates)
+                    .field("resource_faults", s.resource_faults);
+                doc.field("retries", s.retries)
+                    .field("evictions", s.evictions);
+                doc.field("crashes", s.crashes)
+                    .field("recoveries", s.recoveries);
+                doc.field("nodes_detached", out.nodes_detached)
+                    .key("recovery_latency_ns");
                 match s.recovery_latency_summary() {
-                    Some((min, avg, max)) => {
-                        doc.obj().field("min", min).field("avg", avg).field("max", max).end()
-                    }
+                    Some((min, avg, max)) => doc
+                        .obj()
+                        .field("min", min)
+                        .field("avg", avg)
+                        .field("max", max)
+                        .end(),
                     None => doc.val(None::<u64>),
                 };
                 doc.end();

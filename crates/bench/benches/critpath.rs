@@ -46,11 +46,7 @@ fn main() {
             "{}: obs buffer overflowed ({} dropped); raise CABLES_OBS_CAP",
             w.name, on.snapshot.dropped_events
         );
-        let edges = on
-            .events
-            .iter()
-            .filter(|e| e.event.is_edge())
-            .count();
+        let edges = on.events.iter().filter(|e| e.event.is_edge()).count();
         assert!(edges > 0, "{}: no causal edges recorded", w.name);
 
         let cp = critpath::analyze(&on.events, on.total_ns, on.snapshot.dropped_events)
@@ -89,16 +85,26 @@ fn main() {
             busiest
         );
         println!();
-        kernels.push((w, on.total_ns, on.parallel_ns, on.events.len(), edges, busiest, cp));
+        kernels.push((
+            w,
+            on.total_ns,
+            on.parallel_ns,
+            on.events.len(),
+            edges,
+            busiest,
+            cp,
+        ));
     }
 
     artifact("BENCH_critpath.json", "critpath", |doc| {
         doc.key("kernels").arr();
         for (w, total_ns, parallel_ns, events, edges, busiest, cp) in &kernels {
             doc.obj().field("kernel", w.name).field("procs", w.procs);
-            doc.field("sim_time_ns", total_ns).field("parallel_ns", parallel_ns);
+            doc.field("sim_time_ns", total_ns)
+                .field("parallel_ns", parallel_ns);
             doc.field("events_recorded", events);
-            doc.field("causal_edges", edges).field("busiest_lane_ns", busiest);
+            doc.field("causal_edges", edges)
+                .field("busiest_lane_ns", busiest);
             doc.field("critpath", cp).end();
         }
         doc.end();

@@ -89,8 +89,12 @@ fn main() {
         for (name, runs) in &results {
             w.obj().field("app", *name).key("runs").arr();
             for &(mode, procs, ns) in runs {
-                w.obj().field("mode", format!("{mode:?}")).field("procs", procs);
-                w.field("parallel_ns", ns).field("failed", ns.is_none()).end();
+                w.obj()
+                    .field("mode", format!("{mode:?}"))
+                    .field("procs", procs);
+                w.field("parallel_ns", ns)
+                    .field("failed", ns.is_none())
+                    .end();
             }
             w.end().end();
         }

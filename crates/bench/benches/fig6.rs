@@ -57,7 +57,9 @@ fn main() {
         for (name, points) in &results {
             w.obj().field("app", *name).key("points").arr();
             for (procs, p) in points {
-                w.obj().field("procs", procs).field("misplaced_pct", Fixed(p.misplaced_pct(), 3));
+                w.obj()
+                    .field("procs", procs)
+                    .field("misplaced_pct", Fixed(p.misplaced_pct(), 3));
                 w.field("misplaced_pages", p.misplaced_pages);
                 w.field("touched_pages", p.touched_pages).end();
             }

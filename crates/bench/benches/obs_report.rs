@@ -56,8 +56,7 @@ fn main() {
         // ~48 windows per run unless CABLES_OBS_SAMPLE_NS pins the width;
         // derived from the (deterministic) uninstrumented run time so the
         // frame count is stable run-to-run.
-        let sample_ns =
-            series::sample_ns_from_env().unwrap_or_else(|| (off.total_ns / 48).max(1));
+        let sample_ns = series::sample_ns_from_env().unwrap_or_else(|| (off.total_ns / 48).max(1));
         let (on, stream) = w.run(true, smoke, Some(sample_ns));
         let stream = stream.expect("streaming run");
 
@@ -78,13 +77,19 @@ fn main() {
             w.name
         );
 
-        println!("{}", report::full_report_with_events(w.name, &on.snapshot, &on.events));
+        println!(
+            "{}",
+            report::full_report_with_events(w.name, &on.snapshot, &on.events)
+        );
 
         // The stream was read back: grammar-valid, frames fold
         // byte-exactly to the embedded final snapshot.
         let frames = stream.frames.len();
         let rows = series::windowed_table(&stream.frames);
-        println!("=== {}: windowed metric series ({}ns windows) ===", w.name, sample_ns);
+        println!(
+            "=== {}: windowed metric series ({}ns windows) ===",
+            w.name, sample_ns
+        );
         print!("{}", report::window_table(&rows));
         println!(
             "stream: {frames} frame(s), fold exact -> target/artifacts/stream_{}.ndjson\n",
@@ -107,10 +112,7 @@ fn main() {
             );
         }
         println!("{}", profile.render(w.name));
-        write_aux_artifact(
-            &format!("stall_{}.collapsed", w.name),
-            &profile.collapsed(),
-        );
+        write_aux_artifact(&format!("stall_{}.collapsed", w.name), &profile.collapsed());
 
         // The `BENCH_obs_<kernel>.json` document: run identity, per-layer
         // totals, the embedded metric snapshot, the per-thread stall
@@ -119,14 +121,22 @@ fn main() {
         let snapshot = obs::json::parse(&on.snapshot.to_json()).expect("snapshot JSON parses");
         artifact(&format!("BENCH_obs_{}.json", w.name), "obs_report", |doc| {
             doc.field("kernel", w.name).field("mode", "cables");
-            doc.field("procs", w.procs).field("sim_time_ns", on.total_ns);
+            doc.field("procs", w.procs)
+                .field("sim_time_ns", on.total_ns);
             doc.field("parallel_ns", on.parallel_ns);
-            doc.field("events_recorded", on.events.len()).key("layers_ns").obj();
+            doc.field("events_recorded", on.events.len())
+                .key("layers_ns")
+                .obj();
             for l in Layer::ALL {
                 doc.field(l.name(), on.snapshot.layer_total_ns(l));
             }
-            doc.end().field("snapshot", &snapshot).field("stall", &profile);
-            doc.key("series").obj().field("sample_ns", sample_ns).field("frames", frames);
+            doc.end()
+                .field("snapshot", &snapshot)
+                .field("stall", &profile);
+            doc.key("series")
+                .obj()
+                .field("sample_ns", sample_ns)
+                .field("frames", frames);
             doc.field("windows", &rows).end().field("sharing", &sharing);
         });
         stream_rows.push(StreamRow {
@@ -143,7 +153,10 @@ fn main() {
             let doc = obs::json::parse(&trace).expect("chrome trace is well-formed");
             // 16 processors on 2-way SMP nodes: the timeline must show all
             // eight node processes (per-node tracks in Perfetto).
-            let events = doc.get("traceEvents").and_then(Value::as_arr).expect("traceEvents");
+            let events = doc
+                .get("traceEvents")
+                .and_then(Value::as_arr)
+                .expect("traceEvents");
             let processes: Vec<&str> = events
                 .iter()
                 .filter(|e| e.get("name").and_then(Value::as_str) == Some("process_name"))
@@ -167,9 +180,15 @@ fn main() {
     artifact("BENCH_obs_stream.json", "obs_stream", |doc| {
         doc.key("kernels").arr();
         for r in &stream_rows {
-            doc.obj().field("kernel", r.kernel).field("sample_ns", r.sample_ns);
-            doc.field("frames", r.frames).field("windows", r.windows).field("fold_exact", true);
-            doc.field("sim_time_ns", r.sim_time_ns).field("parallel_ns", r.parallel_ns).end();
+            doc.obj()
+                .field("kernel", r.kernel)
+                .field("sample_ns", r.sample_ns);
+            doc.field("frames", r.frames)
+                .field("windows", r.windows)
+                .field("fold_exact", true);
+            doc.field("sim_time_ns", r.sim_time_ns)
+                .field("parallel_ns", r.parallel_ns)
+                .end();
         }
         doc.end();
     });

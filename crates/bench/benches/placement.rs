@@ -48,13 +48,19 @@ struct Cell {
 impl ToJson for Cell {
     fn write_json(&self, w: &mut Writer) {
         let s = &self.stats;
-        w.obj().field("sim_time_ns", self.sim_ns).field(self.window.0, self.window.1);
+        w.obj()
+            .field("sim_time_ns", self.sim_ns)
+            .field(self.window.0, self.window.1);
         w.field("remote_fetches", s.remote_fetches);
-        w.field("diffs_sent", s.diffs_sent).field("fetch_bytes", s.fetch_bytes);
-        w.field("diff_bytes", s.diff_bytes).field("migrations", s.migrations);
+        w.field("diffs_sent", s.diffs_sent)
+            .field("fetch_bytes", s.fetch_bytes);
+        w.field("diff_bytes", s.diff_bytes)
+            .field("migrations", s.migrations);
         w.field("pingpong_handoffs", s.pingpong_handoffs);
         w.field("policy_considered", s.policy_considered);
-        w.field("policy_migrations", s.policy_migrations).field("checksum", self.checksum).end();
+        w.field("policy_migrations", s.policy_migrations)
+            .field("checksum", self.checksum)
+            .end();
     }
 }
 
@@ -76,7 +82,11 @@ fn kernel_cfg(on: bool, nodes: usize) -> CablesConfig {
 }
 
 /// Runs one kernel cell (same promotion as the protocol_opt grid).
-fn run_kernel(procs: usize, cfg: CablesConfig, body: impl FnOnce(&M4Ctx) -> u64 + Send + 'static) -> Cell {
+fn run_kernel(
+    procs: usize,
+    cfg: CablesConfig,
+    body: impl FnOnce(&M4Ctx) -> u64 + Send + 'static,
+) -> Cell {
     let cluster = Cluster::build(cluster_for(procs));
     let sys = M4System::cables_with(Arc::clone(&cluster), cfg);
     let result: Arc<StdMutex<Option<u64>>> = Arc::new(StdMutex::new(None));
@@ -88,7 +98,9 @@ fn run_kernel(procs: usize, cfg: CablesConfig, body: impl FnOnce(&M4Ctx) -> u64 
         .expect("kernel run");
     let checksum = result.lock().unwrap().take().expect("kernel result");
     let stats = sys.svm().total_stats();
-    let parallel_ns = sys.parallel_ns().expect("kernel records its parallel section");
+    let parallel_ns = sys
+        .parallel_ns()
+        .expect("kernel records its parallel section");
     Cell {
         sim_ns: end.as_nanos(),
         window: ("parallel_ns", parallel_ns),
@@ -150,7 +162,10 @@ fn run_service_cell(smoke: bool, on: bool) -> Cell {
         })
         .expect("service run");
     let outcome = out.lock().unwrap().take().expect("service outcome");
-    assert_eq!(outcome.direct_served, 0, "service cell used a crash fallback");
+    assert_eq!(
+        outcome.direct_served, 0,
+        "service cell used a crash fallback"
+    );
     Cell {
         sim_ns: end.as_nanos(),
         window: ("serve_ns", outcome.serve_ns),
@@ -212,8 +227,14 @@ fn main() {
         );
         // The paper configuration is untouched: no policy counter moves.
         assert_eq!(off.stats.migrations, 0, "{name}: policy-off migrated");
-        assert_eq!(off.stats.policy_considered, 0, "{name}: policy-off considered");
-        assert_eq!(off.stats.pingpong_handoffs, 0, "{name}: policy-off counted handoffs");
+        assert_eq!(
+            off.stats.policy_considered, 0,
+            "{name}: policy-off considered"
+        );
+        assert_eq!(
+            off.stats.pingpong_handoffs, 0,
+            "{name}: policy-off counted handoffs"
+        );
         // The policy engages everywhere it is on.
         assert!(
             on.stats.policy_considered > 0,
@@ -250,7 +271,10 @@ fn main() {
     artifact("BENCH_placement.json", "placement", |w| {
         w.key("workloads").arr();
         for (name, off, on) in &cells {
-            w.obj().field("workload", *name).field("off", off).field("on", on);
+            w.obj()
+                .field("workload", *name)
+                .field("off", off)
+                .field("on", on);
             w.field("identical_results", true).end();
         }
         w.end();

@@ -95,7 +95,9 @@ fn run_point(w: &Workload, batch: bool, observe: bool, smoke: bool) -> GridRun {
     let sink = svm.obs();
     GridRun {
         total_ns: end.as_nanos(),
-        parallel_ns: sys.parallel_ns().expect("kernel records its parallel section"),
+        parallel_ns: sys
+            .parallel_ns()
+            .expect("kernel records its parallel section"),
         checksum,
         stats: svm.total_stats(),
         events: sink.events(),
@@ -108,7 +110,11 @@ fn run_point(w: &Workload, batch: bool, observe: bool, smoke: bool) -> GridRun {
 /// fencing release diffs).
 fn critpath_of(r: &GridRun) -> (CritPath, u64) {
     let cp = critpath::analyze(&r.events, r.total_ns, r.dropped).expect("critical-path analysis");
-    assert_eq!(cp.layer_sum_ns(), r.total_ns, "critpath must partition the run");
+    assert_eq!(
+        cp.layer_sum_ns(),
+        r.total_ns,
+        "critpath must partition the run"
+    );
     let release_ns = cp
         .by_kind
         .iter()
@@ -155,7 +161,12 @@ fn main() {
     // Per kernel: both points and their critical paths.
     let mut kernels = Vec::new();
     for w in &workloads {
-        println!("--- {} ({} procs, {} nodes) ---", w.name, w.procs, w.procs / 2);
+        println!(
+            "--- {} ({} procs, {} nodes) ---",
+            w.name,
+            w.procs,
+            w.procs / 2
+        );
         println!(
             "{:<8} {:>15} {:>12} {:>14} {:>11}",
             "point", "sim time", "parallel", "remote_fetches", "diffs_sent"
@@ -173,8 +184,16 @@ fn main() {
             r
         });
 
-        assert_eq!(on.checksum, off.checksum, "{}: batching changed the result", w.name);
-        assert_eq!(off.stats.diff_batches, 0, "{}: batch-off batched a diff", w.name);
+        assert_eq!(
+            on.checksum, off.checksum,
+            "{}: batching changed the result",
+            w.name
+        );
+        assert_eq!(
+            off.stats.diff_batches, 0,
+            "{}: batch-off batched a diff",
+            w.name
+        );
         assert!(
             on.stats.diffs_sent <= off.stats.diffs_sent,
             "{}: diff messages grew ({} -> {})",
@@ -258,18 +277,29 @@ fn main() {
     artifact("BENCH_protocol.json", "protocol_opt", |doc| {
         doc.key("kernels").arr();
         for (w, points, cp_off, cp_on) in &kernels {
-            doc.obj().field("kernel", w.name).field("procs", w.procs).key("grid").arr();
+            doc.obj()
+                .field("kernel", w.name)
+                .field("procs", w.procs)
+                .key("grid")
+                .arr();
             for (batch, r) in [false, true].iter().zip(points) {
                 let s = &r.stats;
-                doc.obj().field("batch_diffs", batch).field("sim_time_ns", r.total_ns);
+                doc.obj()
+                    .field("batch_diffs", batch)
+                    .field("sim_time_ns", r.total_ns);
                 doc.field("parallel_ns", r.parallel_ns);
-                doc.field("remote_fetches", s.remote_fetches).field("fetch_bytes", s.fetch_bytes);
-                doc.field("diffs_sent", s.diffs_sent).field("diff_bytes", s.diff_bytes);
+                doc.field("remote_fetches", s.remote_fetches)
+                    .field("fetch_bytes", s.fetch_bytes);
+                doc.field("diffs_sent", s.diffs_sent)
+                    .field("diff_bytes", s.diff_bytes);
                 doc.field("diff_batches", s.diff_batches);
                 doc.field("batched_diff_bytes", s.batched_diff_bytes);
                 doc.field("checksum", r.checksum).end();
             }
-            doc.end().field("critpath_all_off", cp_off).field("critpath_all_on", cp_on).end();
+            doc.end()
+                .field("critpath_all_off", cp_off)
+                .field("critpath_all_on", cp_on)
+                .end();
         }
         doc.end();
     });

@@ -145,15 +145,35 @@ fn pool_nodes(c: &CellOut) -> String {
 }
 
 /// One sweep cell of the artifact's `cells` table.
-fn cell_json(w: &mut Writer, pattern: &str, driver: &str, nodes: usize, sched: &Schedule, c: &CellOut) {
+fn cell_json(
+    w: &mut Writer,
+    pattern: &str,
+    driver: &str,
+    nodes: usize,
+    sched: &Schedule,
+    c: &CellOut,
+) {
     let (o, n) = (&c.outcome, sched.requests.len());
-    w.obj().field("pattern", pattern).field("driver", driver).field("nodes", nodes);
-    w.field("requests", n).field("schedule_fingerprint", sched.fingerprint());
-    w.field("sim_time_ns", c.sim_ns).field("serve_ns", o.serve_ns);
-    w.field("throughput_rps", Fixed(throughput_rps(n as u32, o.serve_ns), 1));
-    w.field("p50_ns", c.p[0]).field("p95_ns", c.p[1]).field("p99_ns", c.p[2]);
-    w.field("served", o.served).field("direct_served", o.direct_served);
-    w.field("retries", o.retries).field("digest", o.digest).end();
+    w.obj()
+        .field("pattern", pattern)
+        .field("driver", driver)
+        .field("nodes", nodes);
+    w.field("requests", n)
+        .field("schedule_fingerprint", sched.fingerprint());
+    w.field("sim_time_ns", c.sim_ns)
+        .field("serve_ns", o.serve_ns);
+    w.field(
+        "throughput_rps",
+        Fixed(throughput_rps(n as u32, o.serve_ns), 1),
+    );
+    w.field("p50_ns", c.p[0])
+        .field("p95_ns", c.p[1])
+        .field("p99_ns", c.p[2]);
+    w.field("served", o.served)
+        .field("direct_served", o.direct_served);
+    w.field("retries", o.retries)
+        .field("digest", o.digest)
+        .end();
 }
 
 fn main() {
@@ -167,9 +187,18 @@ fn main() {
     let rate: u64 = 2_000_000;
 
     let patterns: Vec<(&str, Schedule)> = vec![
-        ("uniform", schedule(&TrafficConfig::uniform(11, nreq, keys, rate))),
-        ("bursty", schedule(&TrafficConfig::bursty(12, nreq, keys, rate))),
-        ("zipfian", schedule(&TrafficConfig::zipfian(13, nreq, keys, rate))),
+        (
+            "uniform",
+            schedule(&TrafficConfig::uniform(11, nreq, keys, rate)),
+        ),
+        (
+            "bursty",
+            schedule(&TrafficConfig::bursty(12, nreq, keys, rate)),
+        ),
+        (
+            "zipfian",
+            schedule(&TrafficConfig::zipfian(13, nreq, keys, rate)),
+        ),
     ];
     let closed = schedule(&TrafficConfig::zipfian(14, nreq, keys, rate).closed_loop(4, 2_000));
     // 2-way SMP nodes: 4 procs = 2 nodes, 8 procs = 4 nodes.
@@ -190,7 +219,10 @@ fn main() {
                 sched.requests.len(),
                 "{name}@{nodes}: workers must serve every request"
             );
-            assert_eq!(c.outcome.direct_served, 0, "{name}@{nodes}: no crash fallbacks");
+            assert_eq!(
+                c.outcome.direct_served, 0,
+                "{name}@{nodes}: no crash fallbacks"
+            );
             assert_eq!(c.outcome.retries, 0, "{name}@{nodes}: no retries");
             assert_eq!(
                 c.svc_count as usize,
@@ -251,12 +283,7 @@ fn main() {
     // ---- Chaos: node crash mid-serving, live stream running ----
     // Calibrate the crash instant from a clean reference: mid-way through
     // the serving window, well past attach.
-    let chaos_sched = schedule(&TrafficConfig::uniform(
-        21,
-        nreq * 2,
-        keys,
-        rate,
-    ));
+    let chaos_sched = schedule(&TrafficConfig::uniform(21, nreq * 2, keys, rate));
     let reference = run_cell(&chaos_sched, 8, CablesConfig::paper(), None, None);
     let crash_at = reference.serve_start_ns + reference.outcome.serve_ns / 2;
     let sample_ns = (reference.outcome.serve_ns / 16).max(1);
@@ -308,16 +335,30 @@ fn main() {
         for (pattern, driver, nodes, sched, c) in &cells {
             cell_json(doc, pattern, driver, *nodes, sched, c);
         }
-        doc.end().key("replay").obj().field("pattern", *rname).field("nodes", 4u64);
-        doc.field("identical", true).field("digest", a.outcome.digest).end();
+        doc.end()
+            .key("replay")
+            .obj()
+            .field("pattern", *rname)
+            .field("nodes", 4u64);
+        doc.field("identical", true)
+            .field("digest", a.outcome.digest)
+            .end();
         let o = &c.outcome;
-        doc.key("chaos").obj().field("crash_node", CRASH_NODE).field("crash_at_ns", crash_at);
-        doc.field("requests", chaos_sched.requests.len()).field("served", o.served);
-        doc.field("direct_served", o.direct_served).field("retries", o.retries);
+        doc.key("chaos")
+            .obj()
+            .field("crash_node", CRASH_NODE)
+            .field("crash_at_ns", crash_at);
+        doc.field("requests", chaos_sched.requests.len())
+            .field("served", o.served);
+        doc.field("direct_served", o.direct_served)
+            .field("retries", o.retries);
         doc.field("nodes_detached", c.nodes_detached);
         doc.field("post_crash_window_completions", post);
-        doc.field("p50_ns", c.p[0]).field("p95_ns", c.p[1]).field("p99_ns", c.p[2]);
-        doc.field("stream", "target/artifacts/stream_service.ndjson").end();
+        doc.field("p50_ns", c.p[0])
+            .field("p95_ns", c.p[1])
+            .field("p99_ns", c.p[2]);
+        doc.field("stream", "target/artifacts/stream_service.ndjson")
+            .end();
     });
     println!("determinism: every cell is a pure function of (TrafficConfig, params);");
     println!("rerunning this bench reproduces every digest and percentile exactly.");

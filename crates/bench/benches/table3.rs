@@ -103,7 +103,10 @@ fn main() {
             let mut done = SimTime::ZERO;
             for i in 0..n_msgs {
                 let off = (i % 256) * PAGE_SIZE;
-                done = vm2.remote_fetch(n0, region, off, PAGE_SIZE, start).unwrap().1;
+                done = vm2
+                    .remote_fetch(n0, region, off, PAGE_SIZE, start)
+                    .unwrap()
+                    .1;
             }
             let mbs = (n_msgs * PAGE_SIZE) as f64 / (done - start) as f64 * 1e3;
             rows2.lock().unwrap().push(Row {
@@ -121,7 +124,10 @@ fn main() {
         })
         .expect("table3 microbench");
 
-    println!("{:<34} {:>14} {:>14}", "VMMC operation", "paper", "measured");
+    println!(
+        "{:<34} {:>14} {:>14}",
+        "VMMC operation", "paper", "measured"
+    );
     println!("{}", "-".repeat(64));
     let rows = rows.lock().unwrap();
     for r in rows.iter() {
@@ -133,7 +139,9 @@ fn main() {
         w.key("rows").arr();
         for r in rows.iter() {
             w.obj().field("op", r.op).field("paper", r.paper);
-            w.field("value", Fixed(r.value, 3)).field("unit", r.unit).end();
+            w.field("value", Fixed(r.value, 3))
+                .field("unit", r.unit)
+                .end();
         }
         w.end();
     });

@@ -415,7 +415,9 @@ fn main() {
     artifact("BENCH_table4.json", "table4", |w| {
         w.key("rows").arr();
         for r in rows.iter() {
-            w.obj().field("mechanism", r.mechanism).field("paper", r.paper);
+            w.obj()
+                .field("mechanism", r.mechanism)
+                .field("paper", r.paper);
             w.field("measured_ns", r.measured_ns).end();
         }
         w.end();

@@ -98,7 +98,10 @@ fn main() {
         "{:<10} {:>16} {:>16} {:>16}",
         "PROGRAM", "4 procs", "8 procs", "16 procs"
     );
-    println!("{:<10} {:>16} {:>16} {:>16}", "", "ours (paper)", "ours (paper)", "ours (paper)");
+    println!(
+        "{:<10} {:>16} {:>16} {:>16}",
+        "", "ours (paper)", "ours (paper)", "ours (paper)"
+    );
     println!("{}", "-".repeat(62));
     // `--test` smoke mode: one program, one team size (CI check).
     let smoke = smoke_mode();
@@ -140,10 +143,16 @@ fn main() {
     artifact("BENCH_table6.json", "table6", |w| {
         w.key("programs").arr();
         for (name, t1, points) in &results {
-            w.obj().field("program", *name).field("t1_ns", t1).key("points").arr();
+            w.obj()
+                .field("program", *name)
+                .field("t1_ns", t1)
+                .key("points")
+                .arr();
             for &(procs, tp, speedup, paper) in points {
                 w.obj().field("procs", procs).field("tp_ns", tp);
-                w.field("speedup", Fixed(speedup, 3)).field("paper_speedup", paper).end();
+                w.field("speedup", Fixed(speedup, 3))
+                    .field("paper_speedup", paper)
+                    .end();
             }
             w.end().end();
         }

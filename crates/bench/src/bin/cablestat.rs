@@ -106,7 +106,11 @@ fn resolve(dir: &str, path: &str) -> PathBuf {
 /// Whether `path` deserves a staleness warning: a regenerable artifact
 /// (`BENCH_*` / `stream_*`, but not a committed baseline — those are
 /// historical by design) whose mtime predates the tool's.
-fn is_stale(path: &Path, artifact_mtime: std::time::SystemTime, exe_mtime: std::time::SystemTime) -> bool {
+fn is_stale(
+    path: &Path,
+    artifact_mtime: std::time::SystemTime,
+    exe_mtime: std::time::SystemTime,
+) -> bool {
     let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
     if !(name.starts_with("BENCH_") || name.starts_with("stream_")) {
         return false;
@@ -123,7 +127,9 @@ fn is_stale(path: &Path, artifact_mtime: std::time::SystemTime, exe_mtime: std::
 fn warn_if_stale(path: &Path) {
     let (Ok(artifact), Ok(exe)) = (
         path.metadata().and_then(|m| m.modified()),
-        std::env::current_exe().and_then(|e| e.metadata()).and_then(|m| m.modified()),
+        std::env::current_exe()
+            .and_then(|e| e.metadata())
+            .and_then(|m| m.modified()),
     ) else {
         return;
     };
@@ -163,13 +169,17 @@ fn load_stream(path: &Path) -> Result<Stream, String> {
 
 /// A snapshot-shaped object (the `MetricsSnapshot::to_json` fields).
 fn is_snapshot(v: &Value) -> bool {
-    ["dropped_events", "nodes", "kinds", "hists"].iter().all(|k| v.get(k).is_some())
+    ["dropped_events", "nodes", "kinds", "hists"]
+        .iter()
+        .all(|k| v.get(k).is_some())
 }
 
 /// A stall-profile-shaped object (`obs::stall::StallProfile` JSON: totals
 /// + threads with bucket fields).
 fn is_stall(v: &Value) -> bool {
-    ["totals", "threads", "slice_ns"].iter().all(|k| v.get(k).is_some())
+    ["totals", "threads", "slice_ns"]
+        .iter()
+        .all(|k| v.get(k).is_some())
 }
 
 /// Finds every subtree `is` accepts and returns it with a breadcrumb
@@ -182,7 +192,11 @@ fn find<'a>(label: &str, v: &'a Value, is: fn(&Value) -> bool, out: &mut Vec<(St
     match v {
         Value::Obj(kvs) => {
             for (k, sub) in kvs {
-                let l = if label.is_empty() { k.clone() } else { format!("{label}.{k}") };
+                let l = if label.is_empty() {
+                    k.clone()
+                } else {
+                    format!("{label}.{k}")
+                };
                 find(&l, sub, is, out);
             }
         }
@@ -203,7 +217,12 @@ fn find<'a>(label: &str, v: &'a Value, is: fn(&Value) -> bool, out: &mut Vec<(St
 fn render_stall_value(title: &str, v: &Value) -> Option<String> {
     use std::fmt::Write as _;
     let threads = v.get("threads")?.as_arr()?;
-    let buckets: Vec<&str> = v.get("totals")?.as_obj()?.iter().map(|(k, _)| k.as_str()).collect();
+    let buckets: Vec<&str> = v
+        .get("totals")?
+        .as_obj()?
+        .iter()
+        .map(|(k, _)| k.as_str())
+        .collect();
     let mut out = String::new();
     let _ = writeln!(out, "=== {title}: per-thread stall profile ===");
     let _ = write!(out, "{:<10} {:>12}", "thread", "lifetime");
@@ -217,7 +236,11 @@ fn render_stall_value(title: &str, v: &Value) -> Option<String> {
         let _ = write!(out, "{:<10} {:>12}", label, life);
         for b in &buckets {
             let v = src.get(b).and_then(|x| x.as_u64()).unwrap_or(0);
-            let pct = if life == 0 { 0.0 } else { 100.0 * v as f64 / life as f64 };
+            let pct = if life == 0 {
+                0.0
+            } else {
+                100.0 * v as f64 / life as f64
+            };
             let _ = write!(out, " {:>5.1}%", pct);
         }
         let _ = writeln!(out);
@@ -280,7 +303,10 @@ fn cmd_print(args: &[String], dir: &str) -> ExitCode {
     if !printed {
         // Not a snapshot-bearing artifact: show the top-level scalars so
         // `print` is still useful on e.g. BENCH_table3.json.
-        println!("{}: no metrics snapshot found; top-level fields:", path.display());
+        println!(
+            "{}: no metrics snapshot found; top-level fields:",
+            path.display()
+        );
         if let Some(kvs) = v.as_obj() {
             for (k, x) in kvs {
                 match x {
@@ -365,7 +391,10 @@ fn cmd_diff(args: &[String], dir: &str) -> ExitCode {
     } else {
         print!(
             "{}",
-            d.render(&format!("{} -> {}", a_path.display(), b_path.display()), all)
+            d.render(
+                &format!("{} -> {}", a_path.display(), b_path.display()),
+                all
+            )
         );
     }
     let regressions = d.regressions().count();
@@ -444,12 +473,7 @@ fn cmd_explain(args: &[String], dir: &str) -> ExitCode {
         None => None,
     };
     let d = diff(&a, &b, &th);
-    let e = explain_diff(
-        &d,
-        &th,
-        parsed_streams.as_ref().map(|(x, y)| (x, y)),
-        top,
-    );
+    let e = explain_diff(&d, &th, parsed_streams.as_ref().map(|(x, y)| (x, y)), top);
     if as_json {
         print!("{}", e.to_json());
     } else {
@@ -484,7 +508,10 @@ fn stream_summary(s: &Stream) -> String {
                 Err(err) => format!("DIVERGED ({err})"),
             }
         ),
-        None => format!("(live stream: {} frame(s), no end line yet)", s.frames.len()),
+        None => format!(
+            "(live stream: {} frame(s), no end line yet)",
+            s.frames.len()
+        ),
     }
 }
 
@@ -590,8 +617,11 @@ fn cmd_series(args: &[String], dir: &str) -> ExitCode {
     };
     if as_json {
         let mut w = Writer::pretty();
-        w.obj().field("kernel", &s.header.kernel).field("sample_ns", s.header.sample_ns);
-        w.field("frames", s.frames.len()).field("fold_exact", fold_ok);
+        w.obj()
+            .field("kernel", &s.header.kernel)
+            .field("sample_ns", s.header.sample_ns);
+        w.field("frames", s.frames.len())
+            .field("fold_exact", fold_ok);
         w.field("windows", windowed_table(&s.frames)).end();
         print!("{}", w.finish());
     } else {
@@ -630,7 +660,11 @@ fn cmd_check(args: &[String], dir: &str) -> ExitCode {
                         "ok      {} ({} frame(s){})",
                         p.display(),
                         s.frames.len(),
-                        if s.end.is_some() { ", fold exact" } else { ", live" }
+                        if s.end.is_some() {
+                            ", fold exact"
+                        } else {
+                            ", live"
+                        }
                     );
                 }
                 Err(e) => {
@@ -691,7 +725,10 @@ fn cmd_inflate(args: &[String], dir: &str) -> ExitCode {
     };
     let n = inflate(&mut v, key, factor);
     if n == 0 {
-        eprintln!("cablestat inflate: no numeric leaf named `{key}` in {}", src.display());
+        eprintln!(
+            "cablestat inflate: no numeric leaf named `{key}` in {}",
+            src.display()
+        );
         return ExitCode::FAILURE;
     }
     if let Err(e) = std::fs::write(dst, v.to_json()) {
@@ -722,8 +759,16 @@ mod tests {
         assert!(is_stale(&p("BENCH_service.json"), older, exe));
         assert!(!is_stale(&p("BENCH_service.json"), newer, exe));
         // Streams (the live NDJSON exports) follow the same rule.
-        assert!(is_stale(&p("target/artifacts/stream_service.ndjson"), older, exe));
-        assert!(!is_stale(&p("target/artifacts/stream_service.ndjson"), newer, exe));
+        assert!(is_stale(
+            &p("target/artifacts/stream_service.ndjson"),
+            older,
+            exe
+        ));
+        assert!(!is_stale(
+            &p("target/artifacts/stream_service.ndjson"),
+            newer,
+            exe
+        ));
         // Committed baselines are historical by design: never stale.
         assert!(!is_stale(&p("baselines/BENCH_service.json"), older, exe));
         // Files cablestat does not regenerate are exempt.

@@ -260,18 +260,41 @@ pub struct ObsKernel {
 /// FFT (m = 12, smoke 8) on 16 processors and RADIX (64 K keys, smoke
 /// 4 K) on 8.
 pub const OBS_KERNELS: [ObsKernel; 2] = [
-    ObsKernel { name: "FFT", procs: 16, body: obs_fft },
-    ObsKernel { name: "RADIX", procs: 8, body: obs_radix },
+    ObsKernel {
+        name: "FFT",
+        procs: 16,
+        body: obs_fft,
+    },
+    ObsKernel {
+        name: "RADIX",
+        procs: 8,
+        body: obs_radix,
+    },
 ];
 
 fn obs_fft(ctx: &M4Ctx, smoke: bool) {
     let m = if smoke { 8 } else { 12 };
-    fft::fft(ctx, &fft::FftParams { m, nprocs: 16, verify: false });
+    fft::fft(
+        ctx,
+        &fft::FftParams {
+            m,
+            nprocs: 16,
+            verify: false,
+        },
+    );
 }
 
 fn obs_radix(ctx: &M4Ctx, smoke: bool) {
     let keys = if smoke { 4_096 } else { 65_536 };
-    radix::radix(ctx, &radix::RadixParams { keys, digit_bits: 8, max_key: 1 << 16, nprocs: 8 });
+    radix::radix(
+        ctx,
+        &radix::RadixParams {
+            keys,
+            digit_bits: 8,
+            max_key: 1 << 16,
+            nprocs: 8,
+        },
+    );
 }
 
 /// One CableS run of an [`ObsKernel`].
@@ -304,12 +327,17 @@ impl ObsKernel {
         let body = self.body;
         let stream = stream_sample_ns.map(|sample_ns| (self.name, sample_ns));
         let (end, stream) = streamed(sink, stream, || {
-            let end = sys.run(move |ctx| body(ctx, smoke)).expect("workload run").as_nanos();
+            let end = sys
+                .run(move |ctx| body(ctx, smoke))
+                .expect("workload run")
+                .as_nanos();
             (end, end)
         });
         let run = ObsRun {
             total_ns: end,
-            parallel_ns: sys.parallel_ns().expect("kernel records its parallel section"),
+            parallel_ns: sys
+                .parallel_ns()
+                .expect("kernel records its parallel section"),
             snapshot: sink.snapshot(),
             events: sink.events(),
         };

@@ -164,8 +164,7 @@ impl CablesRt {
             let addr = GAddr::new(st.global_next).align_up(8);
             st.global_next = addr.raw() + bytes;
             assert!(
-                st.global_next
-                    <= svm::GLOBAL_SECTION_BASE.raw() + svm::GLOBAL_SECTION_BYTES,
+                st.global_next <= svm::GLOBAL_SECTION_BASE.raw() + svm::GLOBAL_SECTION_BYTES,
                 "GLOBAL_DATA section exhausted"
             );
             addr
@@ -342,7 +341,9 @@ mod tests {
             pth.try_free(a).expect("first free is legal");
             let err = pth.try_free(a).expect_err("double free must be caught");
             assert_eq!(err.addr, a);
-            assert!(err.to_string().contains("global_free of unallocated address"));
+            assert!(err
+                .to_string()
+                .contains("global_free of unallocated address"));
             // The allocator survived: the same block is reusable.
             let b = pth.malloc(8);
             assert_eq!(b, a);

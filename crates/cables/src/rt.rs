@@ -966,7 +966,10 @@ impl CablesRt {
         self.svm().release(sim);
         let prefer = near.and_then(|ct| {
             let st = self.state.lock();
-            let rec = st.threads.get(&ct.0).expect("create beside an unknown thread");
+            let rec = st
+                .threads
+                .get(&ct.0)
+                .expect("create beside an unknown thread");
             (rec.phase == Phase::Running).then_some(rec.exit_node)
         });
         let target = self.place_thread(sim, prefer);
@@ -1300,7 +1303,9 @@ impl Pth<'_> {
     where
         F: FnOnce(&Pth) -> u64 + Send + 'static,
     {
-        self.timed(OpKind::Create, |rt, sim| rt.thread_create_near(sim, Some(sibling), f))
+        self.timed(OpKind::Create, |rt, sim| {
+            rt.thread_create_near(sim, Some(sibling), f)
+        })
     }
 
     /// Joins a thread and returns its value (`pthread_join`).
@@ -1648,7 +1653,13 @@ mod tests {
         // would have picked anyway.
         for pre_attach in [0, 3] {
             let cluster = Cluster::build(ClusterConfig::small(3, 2));
-            let rt = CablesRt::new(cluster, CablesConfig { pre_attach, ..CablesConfig::paper() });
+            let rt = CablesRt::new(
+                cluster,
+                CablesConfig {
+                    pre_attach,
+                    ..CablesConfig::paper()
+                },
+            );
             let (nodes, stats) = run_for(&rt, |pth| {
                 let a = pth.create(resident);
                 let b = pth.create(resident);
@@ -1690,7 +1701,14 @@ mod tests {
             node
         });
         assert_eq!(node, 1);
-        assert_eq!((stats.local_creates, stats.remote_creates, stats.pooled_dispatches), (1, 2, 1));
+        assert_eq!(
+            (
+                stats.local_creates,
+                stats.remote_creates,
+                stats.pooled_dispatches
+            ),
+            (1, 2, 1)
+        );
     }
 
     #[test]
@@ -1788,7 +1806,10 @@ mod tests {
                 let plan = chaos::FaultPlan::new().crash(1, at);
                 cluster.set_chaos(ChaosEngine::new(7, plan));
             }
-            let cfg = CablesConfig { pre_attach: 2, ..CablesConfig::paper() };
+            let cfg = CablesConfig {
+                pre_attach: 2,
+                ..CablesConfig::paper()
+            };
             let rt = CablesRt::new(cluster, cfg);
             rt.svm().set_obs(true);
             let (ret, _) = run_for(&rt, |pth| {

@@ -95,9 +95,7 @@ fn global_statics_pack_and_are_shared() {
         assert_eq!(b.raw() % 8, 0, "8-aligned");
         pth.write::<u32>(a, 0xAABB);
         pth.write::<u64>(b, 42);
-        let w = pth.create(move |p| {
-            u64::from(p.read::<u32>(a)) + p.read::<u64>(b)
-        });
+        let w = pth.create(move |p| u64::from(p.read::<u32>(a)) + p.read::<u64>(b));
         assert_eq!(pth.join(w), 0xAABB + 42);
         0
     })

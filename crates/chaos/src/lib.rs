@@ -125,8 +125,8 @@ impl ChaosStats {
         }
         let min = *self.recovery_latency_ns.iter().min().unwrap();
         let max = *self.recovery_latency_ns.iter().max().unwrap();
-        let avg = self.recovery_latency_ns.iter().sum::<u64>()
-            / self.recovery_latency_ns.len() as u64;
+        let avg =
+            self.recovery_latency_ns.iter().sum::<u64>() / self.recovery_latency_ns.len() as u64;
         Some((min, avg, max))
     }
 }
@@ -454,12 +454,15 @@ mod tests {
 
     #[test]
     fn drops_are_bounded() {
-        let ch = ChaosEngine::new(3, FaultPlan::new().wire(WireFaults {
-            drop_p: 1.0,
-            max_retransmits: 3,
-            retransmit_timeout_ns: 1_000,
-            ..WireFaults::default()
-        }));
+        let ch = ChaosEngine::new(
+            3,
+            FaultPlan::new().wire(WireFaults {
+                drop_p: 1.0,
+                max_retransmits: 3,
+                retransmit_timeout_ns: 1_000,
+                ..WireFaults::default()
+            }),
+        );
         let out = ch.wire_outcome(0, 1, 0, true);
         assert_eq!(out.retransmits, 3);
         assert_eq!(out.delay_ns, 3_000);
@@ -467,11 +470,14 @@ mod tests {
 
     #[test]
     fn resource_faults_are_bounded_per_op() {
-        let ch = ChaosEngine::new(5, FaultPlan::new().resources(ResourceFaults {
-            export_fail_p: 1.0,
-            max_consecutive: 2,
-            ..ResourceFaults::default()
-        }));
+        let ch = ChaosEngine::new(
+            5,
+            FaultPlan::new().resources(ResourceFaults {
+                export_fail_p: 1.0,
+                max_consecutive: 2,
+                ..ResourceFaults::default()
+            }),
+        );
         // p = 1.0: the first two injections hit, the third is forced
         // through so a bounded retry loop always completes.
         assert!(ch.resource_inject(ResourceOp::Export, 1));

@@ -237,10 +237,16 @@ mod tests {
     #[test]
     fn any_active_fault_arms_the_plan() {
         assert!(!FaultPlan::new()
-            .wire(WireFaults { drop_p: 0.1, ..WireFaults::default() })
+            .wire(WireFaults {
+                drop_p: 0.1,
+                ..WireFaults::default()
+            })
             .is_empty());
         assert!(!FaultPlan::new()
-            .resources(ResourceFaults { export_fail_p: 0.5, ..ResourceFaults::default() })
+            .resources(ResourceFaults {
+                export_fail_p: 0.5,
+                ..ResourceFaults::default()
+            })
             .is_empty());
         assert!(!FaultPlan::new().crash(1, 1_000).is_empty());
         assert!(!FaultPlan::new().pause(2, 0, 100).is_empty());

@@ -38,7 +38,12 @@ pub fn export(events: &[EventRecord]) -> String {
     for e in events {
         nodes.insert(e.node.0);
         tracks.insert((e.node.0, e.track));
-        if let Event::Edge { src_node, src_track, .. } = e.event {
+        if let Event::Edge {
+            src_node,
+            src_track,
+            ..
+        } = e.event
+        {
             nodes.insert(src_node);
             tracks.insert((src_node, src_track));
         }
@@ -71,7 +76,13 @@ pub fn export(events: &[EventRecord]) -> String {
     }
     let mut flow_id = 0u64;
     for e in events {
-        if let Event::Edge { src_node, src_track, src_ns, .. } = e.event {
+        if let Event::Edge {
+            src_node,
+            src_track,
+            src_ns,
+            ..
+        } = e.event
+        {
             // A causal edge renders as a Perfetto flow pair: `"s"` at the
             // cause endpoint, `"f"` (binding to the enclosing slice end)
             // at the effect endpoint.
@@ -145,9 +156,36 @@ mod tests {
     #[test]
     fn export_is_valid_json_and_deterministic() {
         let evs = vec![
-            rec(0, 7_800, 0, NIC_TRACK, Event::SanSend { to: 1, bytes: 4 }, Layer::San),
-            rec(500, 0, 1, 3, Event::Fault { page: 7, write: true }, Layer::Proto),
-            rec(900, 22_000, 1, 3, Event::FaultSpan { page: 7, write: true }, Layer::Proto),
+            rec(
+                0,
+                7_800,
+                0,
+                NIC_TRACK,
+                Event::SanSend { to: 1, bytes: 4 },
+                Layer::San,
+            ),
+            rec(
+                500,
+                0,
+                1,
+                3,
+                Event::Fault {
+                    page: 7,
+                    write: true,
+                },
+                Layer::Proto,
+            ),
+            rec(
+                900,
+                22_000,
+                1,
+                3,
+                Event::FaultSpan {
+                    page: 7,
+                    write: true,
+                },
+                Layer::Proto,
+            ),
         ];
         let a = export(&evs);
         let b = export(&evs);
@@ -187,7 +225,10 @@ mod tests {
         let a = export(&evs);
         crate::json::validate(&a).expect("flow trace parses");
         assert!(a.contains("\"ph\":\"s\""), "missing flow start: {a}");
-        assert!(a.contains("\"ph\":\"f\",\"bp\":\"e\""), "missing flow finish: {a}");
+        assert!(
+            a.contains("\"ph\":\"f\",\"bp\":\"e\""),
+            "missing flow finish: {a}"
+        );
         // Both endpoints get track metadata, and the pair shares an id.
         assert!(a.contains("\"pid\":0,\"tid\":3,\"ts\":0.100"));
         assert!(a.contains("\"pid\":1,\"tid\":5,\"ts\":0.900"));

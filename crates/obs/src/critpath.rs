@@ -52,7 +52,10 @@ impl fmt::Display for CritPathError {
                  (ObsSink::with_capacity / CABLES_OBS_CAP) and rerun"
             ),
             CritPathError::NoEvents => {
-                write!(f, "critical-path analysis needs at least one thread-lane event")
+                write!(
+                    f,
+                    "critical-path analysis needs at least one thread-lane event"
+                )
             }
         }
     }
@@ -135,7 +138,12 @@ fn flatten(mut spans: Vec<(u64, u64, Layer, &'static str)>) -> Vec<Flat> {
     let mut pos = 0u64;
     let emit = |out: &mut Vec<Flat>, start: u64, end: u64, layer: Layer, kind| {
         if end > start {
-            out.push(Flat { start, end, layer, kind });
+            out.push(Flat {
+                start,
+                end,
+                layer,
+                kind,
+            });
         }
     };
     for (s, e, layer, kind) in spans {
@@ -227,7 +235,14 @@ pub fn analyze(
     for e in events {
         let lane = (e.node.0, e.track);
         let at = e.at.as_nanos();
-        if let Event::Edge { kind, src_node, src_track, src_ns, obj } = e.event {
+        if let Event::Edge {
+            kind,
+            src_node,
+            src_track,
+            src_ns,
+            obj,
+        } = e.event
+        {
             // Only forward-in-time edges enter the walk index: the cursor
             // must strictly decrease, which guarantees termination and
             // acyclicity. Zero-latency edges (local same-time handoffs)
@@ -243,10 +258,12 @@ pub fn analyze(
                 });
             }
         } else if e.dur_ns > 0 {
-            span_by_lane
-                .entry(lane)
-                .or_default()
-                .push((at, at + e.dur_ns, e.layer, e.event.kind_name()));
+            span_by_lane.entry(lane).or_default().push((
+                at,
+                at + e.dur_ns,
+                e.layer,
+                e.event.kind_name(),
+            ));
         }
         if e.track != NIC_TRACK {
             let end = at + e.dur_ns;
@@ -288,10 +305,12 @@ pub fn analyze(
 
     // Attributes the local interval [a, b) on `lane` by span coverage.
     let empty: Vec<Flat> = Vec::new();
-    let local = |lane: Lane, a: u64, b: u64,
-                     by_layer: &mut BTreeMap<String, u64>,
-                     by_kind: &mut BTreeMap<String, u64>,
-                     by_node: &mut BTreeMap<u32, u64>| {
+    let local = |lane: Lane,
+                 a: u64,
+                 b: u64,
+                 by_layer: &mut BTreeMap<String, u64>,
+                 by_kind: &mut BTreeMap<String, u64>,
+                 by_node: &mut BTreeMap<u32, u64>| {
         if b <= a {
             return;
         }
@@ -331,10 +350,19 @@ pub fn analyze(
         });
         match cand {
             Some(e) => {
-                local(lane, e.effect_ns, cursor, &mut by_layer, &mut by_kind, &mut by_node);
+                local(
+                    lane,
+                    e.effect_ns,
+                    cursor,
+                    &mut by_layer,
+                    &mut by_kind,
+                    &mut by_node,
+                );
                 let w = e.effect_ns - e.src_ns;
                 let kind_name = format!("edge.{}", e.kind.name());
-                *by_layer.entry(e.kind.layer().name().to_string()).or_default() += w;
+                *by_layer
+                    .entry(e.kind.layer().name().to_string())
+                    .or_default() += w;
                 *by_kind.entry(kind_name).or_default() += w;
                 *by_node.entry(e.dst_node).or_default() += w;
                 if e.kind == EdgeKind::PageFetch {
@@ -364,14 +392,16 @@ pub fn analyze(
 
     let mut blame: Vec<BlameRow> = blame
         .into_iter()
-        .map(|((kind_idx, src_node, dst_node, obj), (total_ns, count))| BlameRow {
-            kind: EdgeKind::ALL[kind_idx_to_pos(kind_idx)],
-            src_node,
-            dst_node,
-            obj,
-            total_ns,
-            count,
-        })
+        .map(
+            |((kind_idx, src_node, dst_node, obj), (total_ns, count))| BlameRow {
+                kind: EdgeKind::ALL[kind_idx_to_pos(kind_idx)],
+                src_node,
+                dst_node,
+                obj,
+                total_ns,
+                count,
+            },
+        )
         .collect();
     blame.sort_by_key(|r| {
         (
@@ -466,16 +496,22 @@ impl ToJson for CritPath {
             }
             w.end();
         }
-        w.obj().field("total_ns", self.total_ns).field("edges_on_path", self.edges_on_path);
+        w.obj()
+            .field("total_ns", self.total_ns)
+            .field("edges_on_path", self.edges_on_path);
         map(w, "by_layer", &self.by_layer);
         map(w, "by_kind", &self.by_kind);
         map(w, "by_node", &self.by_node);
         map(w, "by_page", &self.by_page);
         w.key("blame").arr();
         for r in &self.blame {
-            w.obj().field("kind", r.kind.name()).field("src_node", r.src_node);
+            w.obj()
+                .field("kind", r.kind.name())
+                .field("src_node", r.src_node);
             w.field("dst_node", r.dst_node).field("obj", r.obj);
-            w.field("total_ns", r.total_ns).field("count", r.count).end();
+            w.field("total_ns", r.total_ns)
+                .field("count", r.count)
+                .end();
         }
         w.end().end();
     }
@@ -538,14 +574,7 @@ mod tests {
 
     #[test]
     fn single_lane_is_all_local() {
-        let evs = vec![span(
-            10,
-            50,
-            0,
-            1,
-            Event::LockWait { id: 7 },
-            Layer::Sync,
-        )];
+        let evs = vec![span(10, 50, 0, 1, Event::LockWait { id: 7 }, Layer::Sync)];
         let cp = analyze(&evs, 100, 0).unwrap();
         assert_eq!(cp.layer_sum_ns(), 100);
         assert_eq!(cp.edges_on_path, 0);
@@ -592,7 +621,17 @@ mod tests {
     #[test]
     fn page_fetch_edges_feed_by_page() {
         let evs = vec![
-            span(0, 100, 0, 1, Event::FaultSpan { page: 9, write: true }, Layer::Proto),
+            span(
+                0,
+                100,
+                0,
+                1,
+                Event::FaultSpan {
+                    page: 9,
+                    write: true,
+                },
+                Layer::Proto,
+            ),
             edge(80, 0, 1, EdgeKind::PageFetch, 0, 1, 20, 9),
         ];
         let cp = analyze(&evs, 100, 0).unwrap();
@@ -619,7 +658,14 @@ mod tests {
             span(25, 50, 0, 1, Event::LockWait { id: 2 }, Layer::Sync),
             span(0, 10, 1, 2, Event::LockWait { id: 3 }, Layer::Sync),
             // NIC lanes never count.
-            span(0, 500, 0, NIC_TRACK, Event::SanSend { to: 1, bytes: 4 }, Layer::San),
+            span(
+                0,
+                500,
+                0,
+                NIC_TRACK,
+                Event::SanSend { to: 1, bytes: 4 },
+                Layer::San,
+            ),
         ];
         assert_eq!(busiest_lane_span_ns(&evs), 75);
     }

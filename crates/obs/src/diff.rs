@@ -44,7 +44,10 @@ pub struct Thresholds {
 
 impl Default for Thresholds {
     fn default() -> Self {
-        Thresholds { abs: 0.0, rel_pct: 0.0 }
+        Thresholds {
+            abs: 0.0,
+            rel_pct: 0.0,
+        }
     }
 }
 
@@ -73,9 +76,26 @@ pub fn direction_for(leaf: &str) -> Direction {
         return Direction::LowerWorse;
     }
     const HIGHER_WORSE: &[&str] = &[
-        "_ns", "p50", "p95", "p99", "fault", "fetch", "diff", "inval", "msg", "bytes",
-        "dropped", "realloc", "wasted", "wait", "stall", "count", "retrans", "latency",
-        "compute", "misplaced",
+        "_ns",
+        "p50",
+        "p95",
+        "p99",
+        "fault",
+        "fetch",
+        "diff",
+        "inval",
+        "msg",
+        "bytes",
+        "dropped",
+        "realloc",
+        "wasted",
+        "wait",
+        "stall",
+        "count",
+        "retrans",
+        "latency",
+        "compute",
+        "misplaced",
     ];
     if HIGHER_WORSE.iter().any(|w| k.contains(w)) {
         return Direction::HigherWorse;
@@ -147,9 +167,27 @@ pub struct Diff {
 /// Keys that identify an object inside an array, in priority order. The
 /// composite of every present key forms the element's identity.
 const ID_KEYS: &[&str] = &[
-    "kernel", "name", "program", "mode", "section", "node", "page", "kind", "src_node",
-    "dst_node", "obj", "nodes", "procs", "m", "keys", "batch_diffs", "id", "track", "bucket",
-    "start_ns", "level",
+    "kernel",
+    "name",
+    "program",
+    "mode",
+    "section",
+    "node",
+    "page",
+    "kind",
+    "src_node",
+    "dst_node",
+    "obj",
+    "nodes",
+    "procs",
+    "m",
+    "keys",
+    "batch_diffs",
+    "id",
+    "track",
+    "bucket",
+    "start_ns",
+    "level",
 ];
 
 fn scalar_str(v: &Value) -> String {
@@ -208,7 +246,11 @@ fn walk(path: &str, a: &Value, b: &Value, th: &Thresholds, out: &mut Diff) {
         }
         (Value::Obj(ka), Value::Obj(kb)) => {
             for (k, va) in ka {
-                let sub = if path.is_empty() { k.clone() } else { format!("{path}.{k}") };
+                let sub = if path.is_empty() {
+                    k.clone()
+                } else {
+                    format!("{path}.{k}")
+                };
                 match kb.iter().find(|(kk, _)| kk == k) {
                     Some((_, vb)) => walk(&sub, va, vb, th, out),
                     None => out.removed.push(sub),
@@ -216,7 +258,11 @@ fn walk(path: &str, a: &Value, b: &Value, th: &Thresholds, out: &mut Diff) {
             }
             for (k, _) in kb {
                 if !ka.iter().any(|(kk, _)| kk == k) {
-                    let sub = if path.is_empty() { k.clone() } else { format!("{path}.{k}") };
+                    let sub = if path.is_empty() {
+                        k.clone()
+                    } else {
+                        format!("{path}.{k}")
+                    };
                     out.added.push(sub);
                 }
             }
@@ -224,14 +270,10 @@ fn walk(path: &str, a: &Value, b: &Value, th: &Thresholds, out: &mut Diff) {
         (Value::Arr(xa), Value::Arr(xb)) => {
             // Match object elements by identity when every element on both
             // sides has a unique id; otherwise pair by index.
-            let ids_a: Vec<Option<String>> = xa
-                .iter()
-                .map(|v| v.as_obj().and_then(id_of))
-                .collect();
-            let ids_b: Vec<Option<String>> = xb
-                .iter()
-                .map(|v| v.as_obj().and_then(id_of))
-                .collect();
+            let ids_a: Vec<Option<String>> =
+                xa.iter().map(|v| v.as_obj().and_then(id_of)).collect();
+            let ids_b: Vec<Option<String>> =
+                xb.iter().map(|v| v.as_obj().and_then(id_of)).collect();
             let unique = |ids: &[Option<String>]| {
                 let mut seen = std::collections::BTreeSet::new();
                 ids.iter().all(|i| match i {
@@ -321,8 +363,7 @@ impl Diff {
             let _ = writeln!(out, "(identical)");
             return out;
         }
-        let shown: Vec<&DeltaRow> =
-            self.rows.iter().filter(|r| all || r.significant).collect();
+        let shown: Vec<&DeltaRow> = self.rows.iter().filter(|r| all || r.significant).collect();
         let _ = writeln!(
             out,
             "{:<9} {:<58} {:>14} {:>14} {:>10}",
@@ -388,15 +429,26 @@ impl ToJson for Diff {
         w.obj().key("rows").arr();
         for r in &self.rows {
             w.obj().field("path", &r.path).field("section", r.section);
-            w.field("before", Fixed::or_int(r.before, 4)).field("after", Fixed::or_int(r.after, 4));
-            w.field("delta", Fixed::or_int(r.delta, 4)).field("rel_pct", Fixed(r.rel_pct, 4));
-            w.field("significant", r.significant).field("regression", r.regression).end();
+            w.field("before", Fixed::or_int(r.before, 4))
+                .field("after", Fixed::or_int(r.after, 4));
+            w.field("delta", Fixed::or_int(r.delta, 4))
+                .field("rel_pct", Fixed(r.rel_pct, 4));
+            w.field("significant", r.significant)
+                .field("regression", r.regression)
+                .end();
         }
         w.end().key("labels").arr();
         for (p, x, y) in &self.labels {
-            w.obj().field("path", p).field("before", x).field("after", y).end();
+            w.obj()
+                .field("path", p)
+                .field("before", x)
+                .field("after", y)
+                .end();
         }
-        w.end().field("added", &self.added).field("removed", &self.removed).end();
+        w.end()
+            .field("added", &self.added)
+            .field("removed", &self.removed)
+            .end();
     }
 }
 
@@ -429,19 +481,35 @@ mod tests {
         assert!(by_path("total_ns").regression); // higher-worse, grew
         assert!(by_path("speedup").regression); // lower-worse, shrank
         assert!(!by_path("wall_ms").regression); // neutral never gates
-        // Thresholding is monotone: a 60% rel floor keeps only the speedup.
-        let d2 = diff(&a, &b, &Thresholds { abs: 0.0, rel_pct: 49.0 });
+                                                 // Thresholding is monotone: a 60% rel floor keeps only the speedup.
+        let d2 = diff(
+            &a,
+            &b,
+            &Thresholds {
+                abs: 0.0,
+                rel_pct: 49.0,
+            },
+        );
         let sig: Vec<_> = d2.significant().map(|r| r.path.as_str()).collect();
         assert_eq!(sig, vec!["total_ns", "speedup", "wall_ms"]);
-        let d3 = diff(&a, &b, &Thresholds { abs: 0.0, rel_pct: 60.0 });
+        let d3 = diff(
+            &a,
+            &b,
+            &Thresholds {
+                abs: 0.0,
+                rel_pct: 60.0,
+            },
+        );
         let sig3: Vec<_> = d3.significant().map(|r| r.path.as_str()).collect();
         assert_eq!(sig3, vec!["wall_ms"]); // 80% growth; others below 60%
     }
 
     #[test]
     fn arrays_match_by_identity_key() {
-        let a = parse(r#"{"kernels": [{"kernel": "FFT", "faults": 10}, {"kernel": "RADIX", "faults": 5}]}"#)
-            .unwrap();
+        let a = parse(
+            r#"{"kernels": [{"kernel": "FFT", "faults": 10}, {"kernel": "RADIX", "faults": 5}]}"#,
+        )
+        .unwrap();
         let b = parse(r#"{"kernels": [{"kernel": "RADIX", "faults": 5}, {"kernel": "FFT", "faults": 12}, {"kernel": "LU", "faults": 1}]}"#)
             .unwrap();
         let d = diff(&a, &b, &Thresholds::default());

@@ -233,8 +233,12 @@ impl ServiceOp {
     pub const COUNT: usize = 4;
 
     /// All ops, in display order.
-    pub const ALL: [ServiceOp; ServiceOp::COUNT] =
-        [ServiceOp::Get, ServiceOp::Put, ServiceOp::Delete, ServiceOp::Scan];
+    pub const ALL: [ServiceOp; ServiceOp::COUNT] = [
+        ServiceOp::Get,
+        ServiceOp::Put,
+        ServiceOp::Delete,
+        ServiceOp::Scan,
+    ];
 
     /// Display name (last path segment of the dotted kind name).
     pub const fn name(self) -> &'static str {
@@ -569,33 +573,90 @@ impl Event {
             Event::GlobalAlloc { .. } => "rt.global_alloc",
             Event::NodeAttach { .. } => "rt.node_attach",
             Event::NodeDetach { .. } => "rt.node_detach",
-            Event::Sched { kind: SchedKind::Spawn } => "sched.spawn",
-            Event::Sched { kind: SchedKind::Exit } => "sched.exit",
-            Event::Sched { kind: SchedKind::Block } => "sched.block",
-            Event::Sched { kind: SchedKind::Wake } => "sched.wake",
+            Event::Sched {
+                kind: SchedKind::Spawn,
+            } => "sched.spawn",
+            Event::Sched {
+                kind: SchedKind::Exit,
+            } => "sched.exit",
+            Event::Sched {
+                kind: SchedKind::Block,
+            } => "sched.block",
+            Event::Sched {
+                kind: SchedKind::Wake,
+            } => "sched.wake",
             Event::ChaosWireFault { .. } => "chaos.wire_fault",
             Event::ChaosResourceFault { .. } => "chaos.resource_fault",
             Event::ChaosRetry { .. } => "chaos.retry",
             Event::ChaosEvict { .. } => "chaos.evict",
             Event::ChaosCrash { .. } => "chaos.crash",
             Event::ChaosRecovery { .. } => "chaos.recovery",
-            Event::ServiceRequest { op: ServiceOp::Get, .. } => "service.request.get",
-            Event::ServiceRequest { op: ServiceOp::Put, .. } => "service.request.put",
-            Event::ServiceRequest { op: ServiceOp::Delete, .. } => "service.request.delete",
-            Event::ServiceRequest { op: ServiceOp::Scan, .. } => "service.request.scan",
-            Event::Edge { kind: EdgeKind::MsgSend, .. } => "edge.msg_send",
-            Event::Edge { kind: EdgeKind::MsgFetch, .. } => "edge.msg_fetch",
-            Event::Edge { kind: EdgeKind::MsgNotify, .. } => "edge.msg_notify",
-            Event::Edge { kind: EdgeKind::LockHandoff, .. } => "edge.lock_handoff",
-            Event::Edge { kind: EdgeKind::BarrierRelease, .. } => "edge.barrier_release",
-            Event::Edge { kind: EdgeKind::CondSignal, .. } => "edge.cond_signal",
-            Event::Edge { kind: EdgeKind::RwHandoff, .. } => "edge.rw_handoff",
-            Event::Edge { kind: EdgeKind::PageFetch, .. } => "edge.page_fetch",
-            Event::Edge { kind: EdgeKind::ThreadStart, .. } => "edge.thread_start",
-            Event::Edge { kind: EdgeKind::ThreadJoin, .. } => "edge.thread_join",
-            Event::Edge { kind: EdgeKind::BatchDiff, .. } => "edge.batch_diff",
-            Event::Edge { kind: EdgeKind::Wakeup, .. } => "edge.wakeup",
-            Event::Edge { kind: EdgeKind::Recovery, .. } => "edge.recovery",
+            Event::ServiceRequest {
+                op: ServiceOp::Get, ..
+            } => "service.request.get",
+            Event::ServiceRequest {
+                op: ServiceOp::Put, ..
+            } => "service.request.put",
+            Event::ServiceRequest {
+                op: ServiceOp::Delete,
+                ..
+            } => "service.request.delete",
+            Event::ServiceRequest {
+                op: ServiceOp::Scan,
+                ..
+            } => "service.request.scan",
+            Event::Edge {
+                kind: EdgeKind::MsgSend,
+                ..
+            } => "edge.msg_send",
+            Event::Edge {
+                kind: EdgeKind::MsgFetch,
+                ..
+            } => "edge.msg_fetch",
+            Event::Edge {
+                kind: EdgeKind::MsgNotify,
+                ..
+            } => "edge.msg_notify",
+            Event::Edge {
+                kind: EdgeKind::LockHandoff,
+                ..
+            } => "edge.lock_handoff",
+            Event::Edge {
+                kind: EdgeKind::BarrierRelease,
+                ..
+            } => "edge.barrier_release",
+            Event::Edge {
+                kind: EdgeKind::CondSignal,
+                ..
+            } => "edge.cond_signal",
+            Event::Edge {
+                kind: EdgeKind::RwHandoff,
+                ..
+            } => "edge.rw_handoff",
+            Event::Edge {
+                kind: EdgeKind::PageFetch,
+                ..
+            } => "edge.page_fetch",
+            Event::Edge {
+                kind: EdgeKind::ThreadStart,
+                ..
+            } => "edge.thread_start",
+            Event::Edge {
+                kind: EdgeKind::ThreadJoin,
+                ..
+            } => "edge.thread_join",
+            Event::Edge {
+                kind: EdgeKind::BatchDiff,
+                ..
+            } => "edge.batch_diff",
+            Event::Edge {
+                kind: EdgeKind::Wakeup,
+                ..
+            } => "edge.wakeup",
+            Event::Edge {
+                kind: EdgeKind::Recovery,
+                ..
+            } => "edge.recovery",
         }
     }
 
@@ -686,7 +747,10 @@ impl Event {
             Event::ChaosResourceFault { op } => {
                 let _ = write!(out, "\"op\":\"{op}\"");
             }
-            Event::ChaosRetry { attempt, backoff_ns } => {
+            Event::ChaosRetry {
+                attempt,
+                backoff_ns,
+            } => {
                 let _ = write!(out, "\"attempt\":{attempt},\"backoff_ns\":{backoff_ns}");
             }
             Event::ChaosEvict { region } => {
@@ -696,7 +760,11 @@ impl Event {
                 let _ = write!(out, "\"node\":{node}");
             }
             Event::ServiceRequest { op, shard, key } => {
-                let _ = write!(out, "\"op\":\"{}\",\"shard\":{shard},\"key\":{key}", op.name());
+                let _ = write!(
+                    out,
+                    "\"op\":\"{}\",\"shard\":{shard},\"key\":{key}",
+                    op.name()
+                );
             }
             Event::ChaosRecovery {
                 node,
@@ -795,7 +863,10 @@ mod tests {
     fn kind_names_carry_their_layer() {
         assert_eq!(Event::SanSend { to: 1, bytes: 4 }.kind_name(), "san.send");
         assert_eq!(
-            Event::Sched { kind: SchedKind::Wake }.kind_name(),
+            Event::Sched {
+                kind: SchedKind::Wake
+            }
+            .kind_name(),
             "sched.wake"
         );
     }

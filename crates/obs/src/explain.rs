@@ -393,11 +393,13 @@ impl ToJson for Explanation {
         w.obj().key("findings").arr();
         for f in &self.findings {
             w.obj().field("path", &f.path);
-            w.field("before", Fixed::or_int(f.before, 2)).field("after", Fixed::or_int(f.after, 2));
+            w.field("before", Fixed::or_int(f.before, 2))
+                .field("after", Fixed::or_int(f.after, 2));
             w.key("causes").arr();
             for c in &f.causes {
                 w.obj().field("kind", c.kind.tag()).field("name", &c.name);
-                w.field("before", Fixed::or_int(c.before, 2)).field("after", Fixed::or_int(c.after, 2));
+                w.field("before", Fixed::or_int(c.before, 2))
+                    .field("after", Fixed::or_int(c.after, 2));
                 w.field("share_pct", c.share_pct.map(|s| Fixed(s, 2))).end();
             }
             w.end().end();
@@ -426,7 +428,10 @@ mod tests {
     fn injected_stall_regression_is_attributed() {
         let base = doc(1_000_000, 400_000, 10_000);
         let cand = doc(1_500_000, 900_000, 10_000);
-        let th = Thresholds { abs: 0.0, rel_pct: 2.0 };
+        let th = Thresholds {
+            abs: 0.0,
+            rel_pct: 2.0,
+        };
         let e = explain(&base, &cand, &th, None, 5);
         assert_eq!(e.findings.len(), 1);
         assert_eq!(e.findings[0].path, "sim_time_ns");
@@ -449,7 +454,10 @@ mod tests {
             ))
             .unwrap()
         };
-        let th = Thresholds { abs: 0.0, rel_pct: 2.0 };
+        let th = Thresholds {
+            abs: 0.0,
+            rel_pct: 2.0,
+        };
         let e = explain(&mk(1_000_000, 2), &mk(1_400_000, 40), &th, None, 5);
         assert_eq!(e.findings[0].path, "sim_time_ns");
         let migr: Vec<&str> = e.findings[0]
@@ -468,21 +476,32 @@ mod tests {
         // Metric keys come from the compared documents; `"` and `\` in one
         // must not break the report's JSON.
         let mk = |sim: u64| {
-            json::parse(&format!(r#"{{"we\"ird\\key_ns": {sim}, "stall": {{"totals": {{"compute": {sim}}}}}}}"#))
-                .unwrap()
+            json::parse(&format!(
+                r#"{{"we\"ird\\key_ns": {sim}, "stall": {{"totals": {{"compute": {sim}}}}}}}"#
+            ))
+            .unwrap()
         };
-        let th = Thresholds { abs: 0.0, rel_pct: 2.0 };
+        let th = Thresholds {
+            abs: 0.0,
+            rel_pct: 2.0,
+        };
         let e = explain(&mk(1_000), &mk(2_000), &th, None, 5);
         assert_eq!(e.findings[0].path, "we\"ird\\key_ns");
         let v = json::parse(&e.to_json()).expect("explain JSON parses");
-        let path = v.get("findings").and_then(|f| f.as_arr()).and_then(|f| f[0].get("path"));
+        let path = v
+            .get("findings")
+            .and_then(|f| f.as_arr())
+            .and_then(|f| f[0].get("path"));
         assert_eq!(path.and_then(Value::as_str), Some("we\"ird\\key_ns"));
     }
 
     #[test]
     fn clean_diff_explains_nothing() {
         let a = doc(1_000, 400, 10);
-        let th = Thresholds { abs: 0.0, rel_pct: 2.0 };
+        let th = Thresholds {
+            abs: 0.0,
+            rel_pct: 2.0,
+        };
         let e = explain(&a, &a, &th, None, 5);
         assert!(e.is_clean());
     }

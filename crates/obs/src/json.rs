@@ -80,12 +80,20 @@ pub fn line(value: &(impl ToJson + ?Sized)) -> String {
 impl Writer {
     /// A writer in the pretty layout (artifacts and reports).
     pub fn pretty() -> Writer {
-        Writer { pretty: true, stack: Vec::new(), key: None, out: None }
+        Writer {
+            pretty: true,
+            stack: Vec::new(),
+            key: None,
+            out: None,
+        }
     }
 
     /// A writer in the line layout (NDJSON records).
     pub fn line() -> Writer {
-        Writer { pretty: false, ..Writer::pretty() }
+        Writer {
+            pretty: false,
+            ..Writer::pretty()
+        }
     }
 
     /// Opens an object as the next value.
@@ -117,8 +125,14 @@ impl Writer {
 
     /// Closes the innermost open container.
     pub fn end(&mut self) -> &mut Self {
-        let o = self.stack.pop().expect("json::Writer: end() without an open container");
-        assert!(self.key.is_none(), "json::Writer: a key without a value at end()");
+        let o = self
+            .stack
+            .pop()
+            .expect("json::Writer: end() without an open container");
+        assert!(
+            self.key.is_none(),
+            "json::Writer: a key without a value at end()"
+        );
         let (open, close) = if o.obj { ('{', '}') } else { ('[', ']') };
         let text = if self.pretty && o.nested {
             let pad = "  ".repeat(self.stack.len());
@@ -135,7 +149,10 @@ impl Writer {
 
     /// The finished document; the pretty layout ends with a newline.
     pub fn finish(self) -> String {
-        assert!(self.stack.is_empty(), "json::Writer: finish() with open containers");
+        assert!(
+            self.stack.is_empty(),
+            "json::Writer: finish() with open containers"
+        );
         let out = self.out.expect("json::Writer: finish() before any value");
         if self.pretty {
             out + "\n"
@@ -146,7 +163,12 @@ impl Writer {
 
     fn open(&mut self, obj: bool) -> &mut Self {
         let key = self.key.take();
-        self.stack.push(Open { obj, key, members: Vec::new(), nested: false });
+        self.stack.push(Open {
+            obj,
+            key,
+            members: Vec::new(),
+            nested: false,
+        });
         self
     }
 
@@ -160,11 +182,18 @@ impl Writer {
     fn push(&mut self, text: String, container: bool) {
         let (key, colon) = (self.key.take(), if self.pretty { ": " } else { ":" });
         let Some(top) = self.stack.last_mut() else {
-            assert!(self.out.is_none() && key.is_none(), "json::Writer: one keyless top-level value");
+            assert!(
+                self.out.is_none() && key.is_none(),
+                "json::Writer: one keyless top-level value"
+            );
             self.out = Some(text);
             return;
         };
-        assert_eq!(top.obj, key.is_some(), "json::Writer: object members need a key, elements none");
+        assert_eq!(
+            top.obj,
+            key.is_some(),
+            "json::Writer: object members need a key, elements none"
+        );
         top.nested |= container;
         top.members.push(match key {
             Some(k) => escape(&k) + colon + &text,
@@ -771,16 +800,7 @@ mod tests {
     #[test]
     fn rejects_invalid_json() {
         for bad in [
-            "",
-            "{",
-            "[1,]",
-            "{\"a\"}",
-            "{a: 1}",
-            "01",
-            "1.",
-            "\"\x01\"",
-            "nul",
-            "[1] x",
+            "", "{", "[1,]", "{\"a\"}", "{a: 1}", "01", "1.", "\"\x01\"", "nul", "[1] x",
         ] {
             assert!(validate(bad).is_err(), "{bad:?} accepted");
         }
@@ -809,7 +829,11 @@ mod tests {
         let ok = format!("{}1{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
         validate(&ok).unwrap();
         parse(&ok).unwrap();
-        let deep = format!("{}1{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let deep = format!(
+            "{}1{}",
+            "[".repeat(MAX_DEPTH + 1),
+            "]".repeat(MAX_DEPTH + 1)
+        );
         assert!(validate(&deep).unwrap_err().contains("nesting"));
         assert!(parse(&deep).unwrap_err().contains("nesting"));
         // A pathological unclosed ramp must also fail cleanly.
@@ -849,9 +873,22 @@ mod tests {
 
     /// `{"a": 1, "b": [1, 2], "c": {}, "d": [{"x": "y"}, []], "e": []}`.
     fn sample(w: &mut Writer) {
-        w.obj().field("a", 1u64).key("b").arr().val(1u64).val(2u64).end();
+        w.obj()
+            .field("a", 1u64)
+            .key("b")
+            .arr()
+            .val(1u64)
+            .val(2u64)
+            .end();
         w.key("c").obj().end();
-        w.key("d").arr().obj().field("x", "y").end().arr().end().end();
+        w.key("d")
+            .arr()
+            .obj()
+            .field("x", "y")
+            .end()
+            .arr()
+            .end()
+            .end();
         w.key("e").arr().end().end();
     }
 
@@ -889,8 +926,14 @@ mod tests {
     #[test]
     fn writer_integers_are_exact() {
         let mut w = Writer::pretty();
-        w.obj().field("max", u64::MAX).field("big", (1u64 << 53) + 1).end();
-        assert_eq!(w.finish(), "{\"max\": 18446744073709551615, \"big\": 9007199254740993}\n");
+        w.obj()
+            .field("max", u64::MAX)
+            .field("big", (1u64 << 53) + 1)
+            .end();
+        assert_eq!(
+            w.finish(),
+            "{\"max\": 18446744073709551615, \"big\": 9007199254740993}\n"
+        );
     }
 
     #[test]

@@ -339,7 +339,9 @@ impl ObsSink {
     /// Cuts windows up to (but excluding) the one containing `now_ns`.
     /// Caller holds the sink lock and has checked the fast path.
     fn series_roll_locked(&self, g: &mut SinkInner, now_ns: u64) {
-        let SinkInner { registry, series, .. } = g;
+        let SinkInner {
+            registry, series, ..
+        } = g;
         let Some(st) = series.as_mut() else { return };
         if now_ns < st.next_boundary() {
             return;
@@ -347,7 +349,8 @@ impl ObsSink {
         let boundary = now_ns - now_ns % st.sample_ns;
         let cur = registry.snapshot(self.dropped.load(Ordering::Relaxed));
         st.roll(cur, boundary);
-        self.next_boundary.store(st.next_boundary(), Ordering::Relaxed);
+        self.next_boundary
+            .store(st.next_boundary(), Ordering::Relaxed);
     }
 }
 
@@ -363,7 +366,14 @@ mod tests {
     #[test]
     fn disabled_sink_records_nothing() {
         let sink = ObsSink::new();
-        rec(&sink, 10, Event::Fault { page: 1, write: false });
+        rec(
+            &sink,
+            10,
+            Event::Fault {
+                page: 1,
+                write: false,
+            },
+        );
         sink.span(
             Layer::San,
             NodeId(0),
@@ -456,7 +466,10 @@ mod tests {
             NodeId(0),
             1,
             SimTime::from_nanos(10),
-            Event::Fault { page: 1, write: true },
+            Event::Fault {
+                page: 1,
+                write: true,
+            },
         );
         assert!(buf.stream().frames.is_empty(), "window still open");
         sink.series_tick(SimTime::from_nanos(250));
@@ -486,7 +499,10 @@ mod tests {
         }
         let summary = sink.series_finish(30).expect("series was running");
         assert_eq!(summary.frames, 3);
-        assert_eq!(summary.error.expect("write error kept").to_string(), "disk full");
+        assert_eq!(
+            summary.error.expect("write error kept").to_string(),
+            "disk full"
+        );
     }
 
     #[test]

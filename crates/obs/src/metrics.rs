@@ -80,11 +80,7 @@ impl Histogram {
         }
         // Unreachable for p <= 100; fall back to the top of the last
         // non-empty bucket.
-        let last = self
-            .buckets
-            .iter()
-            .rposition(|&c| c > 0)
-            .unwrap_or(0);
+        let last = self.buckets.iter().rposition(|&c| c > 0).unwrap_or(0);
         1u64 << (last + 1)
     }
 }
@@ -183,10 +179,7 @@ impl MetricsSnapshot {
 
     /// Looks up a gauge by name.
     pub fn gauge(&self, name: &str) -> Option<u64> {
-        self.gauges
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
+        self.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
     }
 
     /// Serializes the snapshot as deterministic JSON (hand-rolled: the
@@ -286,7 +279,10 @@ impl MetricsSnapshot {
         let need = |o: Option<u64>, what: &str| o.ok_or_else(|| format!("missing {what}"));
         let obj = v.as_obj().ok_or("snapshot is not an object")?;
         let _ = obj;
-        let dropped_events = need(v.get("dropped_events").and_then(|x| x.as_u64()), "dropped_events")?;
+        let dropped_events = need(
+            v.get("dropped_events").and_then(|x| x.as_u64()),
+            "dropped_events",
+        )?;
         let mut nodes = Vec::new();
         for (i, n) in v
             .get("nodes")
@@ -299,11 +295,15 @@ impl MetricsSnapshot {
             let mut m = NodeMetrics::new(node);
             for l in Layer::ALL {
                 m.layer_ns[l.index()] = need(
-                    n.get("layer_ns").and_then(|x| x.get(l.name())).and_then(|x| x.as_u64()),
+                    n.get("layer_ns")
+                        .and_then(|x| x.get(l.name()))
+                        .and_then(|x| x.as_u64()),
                     &format!("nodes[{i}].layer_ns.{}", l.name()),
                 )?;
                 m.layer_events[l.index()] = need(
-                    n.get("layer_events").and_then(|x| x.get(l.name())).and_then(|x| x.as_u64()),
+                    n.get("layer_events")
+                        .and_then(|x| x.get(l.name()))
+                        .and_then(|x| x.as_u64()),
                     &format!("nodes[{i}].layer_events.{}", l.name()),
                 )?;
             }
@@ -481,11 +481,7 @@ impl Registry {
                 .collect(),
             hists: self.hists.clone(),
             pages: self.pages.values().copied().collect(),
-            gauges: self
-                .gauges
-                .iter()
-                .map(|(k, &v)| (k.clone(), v))
-                .collect(),
+            gauges: self.gauges.iter().map(|(k, &v)| (k.clone(), v)).collect(),
         }
     }
 
@@ -511,7 +507,15 @@ mod tests {
     #[test]
     fn aggregate_grows_nodes_and_tracks_pages() {
         let mut r = Registry::new();
-        r.aggregate(Layer::Proto, 2, 0, &Event::Fault { page: 7, write: true });
+        r.aggregate(
+            Layer::Proto,
+            2,
+            0,
+            &Event::Fault {
+                page: 7,
+                write: true,
+            },
+        );
         r.aggregate(Layer::Proto, 2, 0, &Event::Diff { page: 7, bytes: 64 });
         r.aggregate(Layer::San, 0, 7_800, &Event::SanSend { to: 1, bytes: 4 });
         let s = r.snapshot(3);

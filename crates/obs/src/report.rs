@@ -253,7 +253,9 @@ pub fn full_report(title: &str, s: &MetricsSnapshot) -> String {
     );
     let gauges = gauge_table(s);
     if !gauges.is_empty() {
-        rep.push_str(&format!("\n=== {title}: gauges (engine + sync) ===\n{gauges}"));
+        rep.push_str(&format!(
+            "\n=== {title}: gauges (engine + sync) ===\n{gauges}"
+        ));
     }
     rep
 }
@@ -281,7 +283,15 @@ mod tests {
     fn report_renders_all_sections() {
         let mut r = Registry::new();
         r.aggregate(Layer::San, 0, 7_800, &Event::SanSend { to: 1, bytes: 4 });
-        r.aggregate(Layer::Proto, 1, 0, &Event::Fault { page: 3, write: false });
+        r.aggregate(
+            Layer::Proto,
+            1,
+            0,
+            &Event::Fault {
+                page: 3,
+                write: false,
+            },
+        );
         r.aggregate(Layer::Sync, 1, 40_000, &Event::LockWait { id: 1 });
         let s = r.snapshot(2);
         let rep = full_report("TEST", &s);

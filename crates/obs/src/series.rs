@@ -366,12 +366,26 @@ impl SeriesState {
     /// Charges one just-recorded event to the current window's stall mix
     /// (same classification sources as [`crate::stall::analyze`], minus
     /// the flattening).
-    pub(crate) fn classify(&mut self, node: u32, track: u64, at_ns: u64, dur_ns: u64, event: &Event) {
+    pub(crate) fn classify(
+        &mut self,
+        node: u32,
+        track: u64,
+        at_ns: u64,
+        dur_ns: u64,
+        event: &Event,
+    ) {
         self.last_ns = self.last_ns.max(at_ns + dur_ns);
         if track == NIC_TRACK {
             return;
         }
-        if let Event::Edge { kind, src_node, src_track, src_ns, .. } = *event {
+        if let Event::Edge {
+            kind,
+            src_node,
+            src_track,
+            src_ns,
+            ..
+        } = *event
+        {
             let self_lane = src_node == node && src_track == track;
             let moves_data = matches!(kind, EdgeKind::PageFetch | EdgeKind::BatchDiff);
             if self_lane && moves_data && src_ns < at_ns {
@@ -390,8 +404,8 @@ impl SeriesState {
     pub(crate) fn roll(&mut self, cur: MetricsSnapshot, boundary_ns: u64) {
         debug_assert!(boundary_ns > self.window_start);
         let d = delta(&self.prev, &cur);
-        let empty =
-            delta_is_empty(self.prev.dropped_events, &d) && self.window_stall.iter().all(|&s| s == 0);
+        let empty = delta_is_empty(self.prev.dropped_events, &d)
+            && self.window_stall.iter().all(|&s| s == 0);
         if !empty {
             let frame = DeltaFrame {
                 seq: self.frames,
@@ -498,9 +512,12 @@ pub fn windowed_table(frames: &[DeltaFrame]) -> Vec<WindowRow> {
 /// `cablestat series --json`.
 impl ToJson for WindowRow {
     fn write_json(&self, w: &mut Writer) {
-        w.obj().field("start_ns", self.start_ns).field("end_ns", self.end_ns);
+        w.obj()
+            .field("start_ns", self.start_ns)
+            .field("end_ns", self.end_ns);
         w.field("events", self.events);
-        w.field("faults", self.faults).field("fetches", self.fetches);
+        w.field("faults", self.faults)
+            .field("fetches", self.fetches);
         w.field("diffs", self.diffs).field("invals", self.invals);
         // Sparse, like the stall buckets below: policy-off runs never
         // migrate, so their tables carry no migration column.
@@ -516,9 +533,14 @@ impl ToJson for WindowRow {
         }
         w.end();
         let (s, v) = (self.san_p, self.svc_p);
-        w.field("san_p50", s[0]).field("san_p95", s[1]).field("san_p99", s[2]);
+        w.field("san_p50", s[0])
+            .field("san_p95", s[1])
+            .field("san_p99", s[2]);
         w.field("svc", self.svc);
-        w.field("svc_p50", v[0]).field("svc_p95", v[1]).field("svc_p99", v[2]).end();
+        w.field("svc_p50", v[0])
+            .field("svc_p95", v[1])
+            .field("svc_p99", v[2])
+            .end();
     }
 }
 
@@ -535,7 +557,10 @@ mod tests {
                 Layer::Proto,
                 (i % 3) as u32,
                 (i as u64) * 7,
-                &Event::Fault { page: (i % 5) as u64, write: i % 2 == 0 },
+                &Event::Fault {
+                    page: (i % 5) as u64,
+                    write: i % 2 == 0,
+                },
             );
         }
         let s = r.snapshot(0);
@@ -569,6 +594,9 @@ mod tests {
     fn env_override_parses() {
         // Can't mutate the environment safely under the parallel test
         // harness; exercise the parse path only.
-        assert_eq!("4096".trim().parse::<u64>().ok().filter(|&n| n > 0), Some(4096));
+        assert_eq!(
+            "4096".trim().parse::<u64>().ok().filter(|&n| n > 0),
+            Some(4096)
+        );
     }
 }

@@ -80,7 +80,12 @@ pub fn analyze(snapshot: &MetricsSnapshot, events: &[EventRecord]) -> SharingRep
     for rec in events {
         match rec.event {
             Event::Diff { page, bytes } => from_events.entry(page).or_default().0 += bytes,
-            Event::Edge { kind: EdgeKind::PageFetch, src_ns, obj, .. } => {
+            Event::Edge {
+                kind: EdgeKind::PageFetch,
+                src_ns,
+                obj,
+                ..
+            } => {
                 from_events.entry(obj).or_default().1 += rec.at.as_nanos().saturating_sub(src_ns);
             }
             _ => {}
@@ -164,12 +169,20 @@ impl SharingReport {
 impl ToJson for SharingReport {
     fn write_json(&self, w: &mut Writer) {
         w.obj().field("total_diff_bytes", self.total_diff_bytes);
-        w.field("total_fetch_wait_ns", self.total_fetch_wait_ns).key("pages").arr();
+        w.field("total_fetch_wait_ns", self.total_fetch_wait_ns)
+            .key("pages")
+            .arr();
         for p in &self.pages {
-            w.obj().field("page", p.page).field("sharers", p.sharers).field("faults", p.faults);
+            w.obj()
+                .field("page", p.page)
+                .field("sharers", p.sharers)
+                .field("faults", p.faults);
             w.field("fetches", p.fetches).field("diffs", p.diffs);
-            w.field("diff_bytes", p.diff_bytes).field("invals", p.invals);
-            w.field("handoffs", p.handoffs).field("fetch_wait_ns", p.fetch_wait_ns).end();
+            w.field("diff_bytes", p.diff_bytes)
+                .field("invals", p.invals);
+            w.field("handoffs", p.handoffs)
+                .field("fetch_wait_ns", p.fetch_wait_ns)
+                .end();
         }
         w.end().end();
     }
@@ -206,7 +219,10 @@ mod tests {
             NodeId(1),
             1,
             SimTime::from_nanos(25),
-            Event::Diff { page: 5, bytes: 128 },
+            Event::Diff {
+                page: 5,
+                bytes: 128,
+            },
         );
         sink.edge(
             EdgeKind::PageFetch,

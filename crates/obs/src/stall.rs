@@ -285,7 +285,14 @@ pub fn analyze(
         let lf = life.entry(lane).or_insert((at, end));
         lf.0 = lf.0.min(at);
         lf.1 = lf.1.max(end);
-        if let Event::Edge { kind, src_node, src_track, src_ns, .. } = e.event {
+        if let Event::Edge {
+            kind,
+            src_node,
+            src_track,
+            src_ns,
+            ..
+        } = e.event
+        {
             // Wire time surfaces as a self-lane edge: the thread blocked
             // from issuing the fetch (src) until the data landed (at).
             let self_lane = src_node == e.node.0 && src_track == e.track;
@@ -348,7 +355,11 @@ pub fn analyze(
         });
     }
 
-    Ok(StallProfile { slice_ns, threads, slices })
+    Ok(StallProfile {
+        slice_ns,
+        threads,
+        slices,
+    })
 }
 
 impl StallProfile {
@@ -415,7 +426,6 @@ impl StallProfile {
         }
         out
     }
-
 }
 
 /// One `"bucket": ns` member per bucket, in display order.
@@ -427,7 +437,9 @@ fn bucket_fields(w: &mut Writer, b: &[u64; BUCKETS]) {
 
 impl ToJson for StallProfile {
     fn write_json(&self, w: &mut Writer) {
-        w.obj().field("slice_ns", self.slice_ns).field("lifetime_ns", self.lifetime_ns());
+        w.obj()
+            .field("slice_ns", self.slice_ns)
+            .field("lifetime_ns", self.lifetime_ns());
         w.key("totals").obj();
         bucket_fields(w, &self.totals());
         w.end().key("threads").arr();
@@ -483,7 +495,10 @@ mod tests {
 
     #[test]
     fn dropped_refused_and_empty_refused() {
-        assert_eq!(analyze(&[], 2, 0).unwrap_err(), StallError::DroppedEvents(2));
+        assert_eq!(
+            analyze(&[], 2, 0).unwrap_err(),
+            StallError::DroppedEvents(2)
+        );
         assert_eq!(analyze(&[], 0, 0).unwrap_err(), StallError::NoThreads);
     }
 
@@ -492,11 +507,39 @@ mod tests {
         // Lifetime 0..100; fault 10..50 with wire time 15..25 nested
         // inside; barrier 60..90.
         let evs = vec![
-            span(0, 0, 0, 1, Event::Sched { kind: crate::SchedKind::Spawn }, Layer::Sched),
-            span(10, 40, 0, 1, Event::FaultSpan { page: 9, write: false }, Layer::Proto),
+            span(
+                0,
+                0,
+                0,
+                1,
+                Event::Sched {
+                    kind: crate::SchedKind::Spawn,
+                },
+                Layer::Sched,
+            ),
+            span(
+                10,
+                40,
+                0,
+                1,
+                Event::FaultSpan {
+                    page: 9,
+                    write: false,
+                },
+                Layer::Proto,
+            ),
             self_edge(0, 1, 15, 25, EdgeKind::PageFetch),
             span(60, 30, 0, 1, Event::BarrierWait { id: 1 }, Layer::Sync),
-            span(100, 0, 0, 1, Event::Sched { kind: crate::SchedKind::Exit }, Layer::Sched),
+            span(
+                100,
+                0,
+                0,
+                1,
+                Event::Sched {
+                    kind: crate::SchedKind::Exit,
+                },
+                Layer::Sched,
+            ),
         ];
         let p = analyze(&evs, 0, 0).unwrap();
         assert_eq!(p.threads.len(), 1);
@@ -533,7 +576,14 @@ mod tests {
     fn nic_lane_ignored_and_collapsed_and_json_valid() {
         let evs = vec![
             span(0, 50, 0, 1, Event::LockWait { id: 7 }, Layer::Sync),
-            span(0, 500, 0, NIC_TRACK, Event::SanSend { to: 1, bytes: 4 }, Layer::San),
+            span(
+                0,
+                500,
+                0,
+                NIC_TRACK,
+                Event::SanSend { to: 1, bytes: 4 },
+                Layer::San,
+            ),
         ];
         let p = analyze(&evs, 0, 16).unwrap();
         assert_eq!(p.threads.len(), 1);

@@ -43,8 +43,12 @@ pub const STREAM_VERSION: u64 = 2;
 /// The stream's header line.
 pub fn header_line(kernel: &str, sample_ns: u64) -> String {
     let mut w = Writer::line();
-    w.obj().field("type", "header").field("version", STREAM_VERSION);
-    w.field("kernel", kernel).field("sample_ns", sample_ns).end();
+    w.obj()
+        .field("type", "header")
+        .field("version", STREAM_VERSION);
+    w.field("kernel", kernel)
+        .field("sample_ns", sample_ns)
+        .end();
     w.finish()
 }
 
@@ -63,9 +67,18 @@ pub fn frame_line(f: &DeltaFrame) -> String {
     w.obj().field("type", "frame").field("seq", f.seq);
     w.field("start_ns", f.start_ns).field("end_ns", f.end_ns);
     w.key("stall");
-    sparse(&mut w, Bucket::ALL.map(|b| (b.name(), f.stall_ns[b as usize])).into_iter());
+    sparse(
+        &mut w,
+        Bucket::ALL
+            .map(|b| (b.name(), f.stall_ns[b as usize]))
+            .into_iter(),
+    );
     let d = &f.delta;
-    w.key("delta").obj().field("dropped_events", d.dropped_events).key("nodes").arr();
+    w.key("delta")
+        .obj()
+        .field("dropped_events", d.dropped_events)
+        .key("nodes")
+        .arr();
     for n in &d.nodes {
         w.obj().field("node", n.node).key("ns");
         sparse(&mut w, layers(&n.layer_ns));
@@ -75,7 +88,10 @@ pub fn frame_line(f: &DeltaFrame) -> String {
     }
     w.end().key("kinds").arr();
     for k in &d.kinds {
-        w.obj().field("name", &k.name).field("count", k.count).field("total_ns", k.total_ns);
+        w.obj()
+            .field("name", &k.name)
+            .field("count", k.count)
+            .field("total_ns", k.total_ns);
         w.field("min_ns", k.min_ns).field("max_ns", k.max_ns).end();
     }
     w.end().key("hists").obj();
@@ -88,14 +104,23 @@ pub fn frame_line(f: &DeltaFrame) -> String {
         for (i, &b) in h.buckets.iter().enumerate().filter(|&(_, &b)| b > 0) {
             w.val(&[i as u64, b][..]);
         }
-        w.end().field("p50", h.percentile(50.0)).field("p95", h.percentile(95.0));
+        w.end()
+            .field("p50", h.percentile(50.0))
+            .field("p95", h.percentile(95.0));
         w.field("p99", h.percentile(99.0)).end();
     }
     w.end().key("pages").arr();
     for p in &d.pages {
-        w.obj().field("page", p.page).field("faults", p.faults).field("fetches", p.fetches);
-        w.field("diffs", p.diffs).field("invals", p.invals).field("migrates", p.migrates);
-        w.field("mask", p.nodes_mask).field("handoffs", p.handoffs).end();
+        w.obj()
+            .field("page", p.page)
+            .field("faults", p.faults)
+            .field("fetches", p.fetches);
+        w.field("diffs", p.diffs)
+            .field("invals", p.invals)
+            .field("migrates", p.migrates);
+        w.field("mask", p.nodes_mask)
+            .field("handoffs", p.handoffs)
+            .end();
     }
     w.end().key("gauges").obj();
     for (name, v) in &d.gauges {
@@ -109,7 +134,10 @@ pub fn frame_line(f: &DeltaFrame) -> String {
 pub fn end_line(sim_time_ns: u64, frames: u64, snapshot: &MetricsSnapshot) -> String {
     let snapshot = json::parse(&snapshot.to_json()).expect("snapshot JSON parses");
     let mut w = Writer::line();
-    w.obj().field("type", "end").field("sim_time_ns", sim_time_ns).field("frames", frames);
+    w.obj()
+        .field("type", "end")
+        .field("sim_time_ns", sim_time_ns)
+        .field("frames", frames);
     w.field("snapshot", &snapshot).end();
     w.finish()
 }
@@ -156,7 +184,10 @@ impl Stream {
     ///
     /// A message naming the first divergence, or the missing end line.
     pub fn verify_fold(&self) -> Result<(), String> {
-        let end = self.end.as_ref().ok_or("stream has no end line (live or truncated)")?;
+        let end = self
+            .end
+            .as_ref()
+            .ok_or("stream has no end line (live or truncated)")?;
         if end.frames != self.frames.len() as u64 {
             return Err(format!(
                 "end line claims {} frames, stream has {}",
@@ -185,7 +216,8 @@ impl Stream {
 }
 
 fn need(v: Option<&Value>, what: &str) -> Result<u64, String> {
-    v.and_then(|x| x.as_u64()).ok_or_else(|| format!("missing {what}"))
+    v.and_then(|x| x.as_u64())
+        .ok_or_else(|| format!("missing {what}"))
 }
 
 fn parse_header(v: &Value) -> Result<StreamHeader, String> {
@@ -218,7 +250,11 @@ pub fn parse_frame(v: &Value) -> Result<DeltaFrame, String> {
     }
     let d = v.get("delta").ok_or("frame without delta")?;
     let mut nodes = Vec::new();
-    for n in d.get("nodes").and_then(|x| x.as_arr()).ok_or("missing delta.nodes")? {
+    for n in d
+        .get("nodes")
+        .and_then(|x| x.as_arr())
+        .ok_or("missing delta.nodes")?
+    {
         let mut row = NodeMetrics {
             node: need(n.get("node"), "node id")? as u32,
             layer_ns: [0; Layer::COUNT],
@@ -235,7 +271,11 @@ pub fn parse_frame(v: &Value) -> Result<DeltaFrame, String> {
         nodes.push(row);
     }
     let mut kinds = Vec::new();
-    for k in d.get("kinds").and_then(|x| x.as_arr()).ok_or("missing delta.kinds")? {
+    for k in d
+        .get("kinds")
+        .and_then(|x| x.as_arr())
+        .ok_or("missing delta.kinds")?
+    {
         kinds.push(KindAgg {
             name: k
                 .get("name")
@@ -255,7 +295,11 @@ pub fn parse_frame(v: &Value) -> Result<DeltaFrame, String> {
                 .iter()
                 .find(|l| l.name() == lname)
                 .ok_or_else(|| format!("unknown hist layer {lname}"))?;
-            for pair in h.get("buckets").and_then(|x| x.as_arr()).ok_or("hist without buckets")? {
+            for pair in h
+                .get("buckets")
+                .and_then(|x| x.as_arr())
+                .ok_or("hist without buckets")?
+            {
                 let p = pair.as_arr().ok_or("hist bucket not a pair")?;
                 if p.len() != 2 {
                     return Err("hist bucket pair malformed".into());
@@ -269,7 +313,11 @@ pub fn parse_frame(v: &Value) -> Result<DeltaFrame, String> {
         }
     }
     let mut pages = Vec::new();
-    for p in d.get("pages").and_then(|x| x.as_arr()).ok_or("missing delta.pages")? {
+    for p in d
+        .get("pages")
+        .and_then(|x| x.as_arr())
+        .ok_or("missing delta.pages")?
+    {
         let g = |k: &str| need(p.get(k), k);
         pages.push(PageMetrics {
             page: g("page")?,
@@ -283,7 +331,11 @@ pub fn parse_frame(v: &Value) -> Result<DeltaFrame, String> {
         });
     }
     let mut gauges = Vec::new();
-    for (name, x) in d.get("gauges").and_then(|x| x.as_obj()).ok_or("missing delta.gauges")? {
+    for (name, x) in d
+        .get("gauges")
+        .and_then(|x| x.as_obj())
+        .ok_or("missing delta.gauges")?
+    {
         gauges.push((name.clone(), x.as_u64().ok_or("gauge value not a number")?));
     }
     Ok(DeltaFrame {
@@ -451,8 +503,14 @@ mod tests {
         let bad = format!("{}\n{}\n", header_line("X", 10), header_line("X", 10));
         assert!(parse_stream(&bad).unwrap_err().starts_with("line 2:"));
         let noheader = frame_line(&frame(0, 0, 10));
-        assert!(parse_stream(&noheader).unwrap_err().contains("frame before header"));
-        let mut skipped = format!("{}\n{}\n", header_line("X", 10), frame_line(&frame(1, 0, 10)));
+        assert!(parse_stream(&noheader)
+            .unwrap_err()
+            .contains("frame before header"));
+        let mut skipped = format!(
+            "{}\n{}\n",
+            header_line("X", 10),
+            frame_line(&frame(1, 0, 10))
+        );
         assert!(parse_stream(&skipped).unwrap_err().contains("out of order"));
         skipped = format!("{}\nnot json\n", header_line("X", 10));
         assert!(parse_stream(&skipped).unwrap_err().starts_with("line 2:"));

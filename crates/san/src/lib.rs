@@ -220,7 +220,13 @@ impl San {
 
     /// Evaluates wire faults for one message; `WireOutcome::default()`
     /// (the no-fault outcome) when no armed engine is attached.
-    fn wire_outcome(&self, from: NodeId, to: NodeId, now: SimTime, include_drops: bool) -> WireOutcome {
+    fn wire_outcome(
+        &self,
+        from: NodeId,
+        to: NodeId,
+        now: SimTime,
+        include_drops: bool,
+    ) -> WireOutcome {
         match self.chaos_wire() {
             Some(c) => c.wire_outcome(from.0, to.0, now.as_nanos(), include_drops),
             None => WireOutcome::default(),
@@ -266,7 +272,9 @@ impl San {
     /// Traffic counters for `node`.
     pub fn traffic(&self, node: NodeId) -> TrafficStats {
         let s = self.state.lock();
-        s.get(node.0 as usize).map(|e| e.traffic).unwrap_or_default()
+        s.get(node.0 as usize)
+            .map(|e| e.traffic)
+            .unwrap_or_default()
     }
 
     /// The one one-way data message: `wire_bytes` on the wire, landing
@@ -534,7 +542,10 @@ mod tests {
         let b = NodeId(1);
         let s = san.send(a, b, 4096, t(0));
         assert!(s.local_done < s.arrival);
-        assert_eq!(s.arrival.as_nanos(), SanConfig::paper().send_latency_ns(4096));
+        assert_eq!(
+            s.arrival.as_nanos(),
+            SanConfig::paper().send_latency_ns(4096)
+        );
     }
 
     #[test]

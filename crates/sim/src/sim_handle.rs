@@ -307,11 +307,7 @@ impl Sim {
     fn park_and_switch(&self, mut k: MutexGuard<'_, Kernel>) {
         debug_assert!(k.running.is_none());
         if AUDITS {
-            let ok = k
-                .rec(self.tid)
-                .green
-                .as_ref()
-                .is_none_or(|g| g.canary_ok());
+            let ok = k.rec(self.tid).green.as_ref().is_none_or(|g| g.canary_ok());
             if !ok {
                 let name = k.rec(self.tid).name.clone();
                 k.poison(SimError::Panicked(format!(

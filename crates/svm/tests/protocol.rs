@@ -335,7 +335,11 @@ fn deterministic_stats_across_identical_runs() {
             s.wait_for_end(sim);
         });
         let t = sys.total_stats();
-        (t.read_faults + t.write_faults, t.remote_fetches, t.diffs_sent)
+        (
+            t.read_faults + t.write_faults,
+            t.remote_fetches,
+            t.diffs_sent,
+        )
     }
     assert_eq!(one(), one());
 }

@@ -39,7 +39,9 @@ fn scan_run(cfg: SvmConfig, pages: u64) -> (NodeStats, u64) {
                 s3.lock(ws, 1);
                 let mut acc = 0u64;
                 for p in 0..pages {
-                    acc = acc.wrapping_mul(31).wrapping_add(s3.read::<u64>(ws, a + p * PAGE));
+                    acc = acc
+                        .wrapping_mul(31)
+                        .wrapping_add(s3.read::<u64>(ws, a + p * PAGE));
                 }
                 for p in 0..pages {
                     s3.write::<u64>(ws, a + p * PAGE, 2000 + p);
@@ -112,7 +114,9 @@ fn chaos_replay_is_bit_identical_with_batching_on() {
                     s3.lock(ws, 1);
                     let mut acc = 0u64;
                     for p in 0..16 {
-                        acc = acc.wrapping_mul(31).wrapping_add(s3.read::<u64>(ws, a + p * PAGE));
+                        acc = acc
+                            .wrapping_mul(31)
+                            .wrapping_add(s3.read::<u64>(ws, a + p * PAGE));
                     }
                     for p in 0..16 {
                         s3.write::<u64>(ws, a + p * PAGE, acc + p);
@@ -144,7 +148,9 @@ fn chaos_replay_is_bit_identical_with_batching_on() {
                 s2.lock(sim, 1);
                 let mut digest = 0u64;
                 for p in 0..16 {
-                    digest = digest.wrapping_mul(31).wrapping_add(s2.read::<u64>(sim, a + p * PAGE));
+                    digest = digest
+                        .wrapping_mul(31)
+                        .wrapping_add(s2.read::<u64>(sim, a + p * PAGE));
                 }
                 s2.unlock(sim, 1);
                 *o2.lock().unwrap() = (sim.now().as_nanos(), s2.total_stats(), digest);

@@ -81,12 +81,24 @@ impl OpMix {
     /// A read-mostly mix in YCSB-B's spirit: 75% get, 20% put, 3%
     /// delete, 2% scan of 8 keys.
     pub const fn read_mostly() -> OpMix {
-        OpMix { get: 75, put: 20, delete: 3, scan: 2, scan_len: 8 }
+        OpMix {
+            get: 75,
+            put: 20,
+            delete: 3,
+            scan: 2,
+            scan_len: 8,
+        }
     }
 
     /// An update-heavy mix: 50% get, 50% put.
     pub const fn update_heavy() -> OpMix {
-        OpMix { get: 50, put: 50, delete: 0, scan: 0, scan_len: 0 }
+        OpMix {
+            get: 50,
+            put: 50,
+            delete: 0,
+            scan: 0,
+            scan_len: 0,
+        }
     }
 }
 
@@ -301,7 +313,11 @@ impl Schedule {
 
     /// Last scheduled arrival (0 for closed loop / empty schedules).
     pub fn horizon_ns(&self) -> u64 {
-        self.requests.iter().map(|r| r.arrival_ns).max().unwrap_or(0)
+        self.requests
+            .iter()
+            .map(|r| r.arrival_ns)
+            .max()
+            .unwrap_or(0)
     }
 
     /// This schedule with every key touched by at most one request: a
@@ -480,7 +496,15 @@ pub fn schedule(cfg: &TrafficConfig) -> Schedule {
                 now += jittered_gap(&mut arr_rng, rate_rps);
                 now
             }
-            (Driver::OpenLoop, Arrival::Bursty { on_ns, off_ns, on_rate_rps, off_rate_rps }) => {
+            (
+                Driver::OpenLoop,
+                Arrival::Bursty {
+                    on_ns,
+                    off_ns,
+                    on_rate_rps,
+                    off_rate_rps,
+                },
+            ) => {
                 assert!(on_rate_rps > 0, "bursty on-phase at rate 0");
                 assert!(on_ns > 0, "bursty with no on phase");
                 loop {
@@ -538,11 +562,18 @@ pub fn schedule(cfg: &TrafficConfig) -> Schedule {
             client: id % clients,
             op,
             key,
-            scan_len: if op == OpKind::Scan { cfg.mix.scan_len.max(1) } else { 0 },
+            scan_len: if op == OpKind::Scan {
+                cfg.mix.scan_len.max(1)
+            } else {
+                0
+            },
         });
     }
 
-    Schedule { config: cfg.clone(), requests }
+    Schedule {
+        config: cfg.clone(),
+        requests,
+    }
 }
 
 #[cfg(test)]
@@ -588,7 +619,11 @@ mod tests {
         let s = schedule(&cfg);
         for r in &s.requests {
             let in_phase = r.arrival_ns % 2_000_000;
-            assert!(in_phase <= 1_000_000, "arrival {} in silent phase", r.arrival_ns);
+            assert!(
+                in_phase <= 1_000_000,
+                "arrival {} in silent phase",
+                r.arrival_ns
+            );
         }
     }
 
@@ -629,7 +664,10 @@ mod tests {
         assert_eq!(keys, (0..300).collect::<Vec<u64>>());
         assert_eq!(cf.op_counts()[3], 0);
         for (a, b) in orig.requests.iter().zip(&cf.requests) {
-            assert_eq!((a.id, a.arrival_ns, a.client), (b.id, b.arrival_ns, b.client));
+            assert_eq!(
+                (a.id, a.arrival_ns, a.client),
+                (b.id, b.arrival_ns, b.client)
+            );
             assert!(b.scan_len == 0 && (a.op == b.op || a.op == OpKind::Scan));
         }
         assert_eq!(cf.clone().conflict_free(), cf, "idempotent");

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use cables_traffic::{
-    schedule, scatter_stride, Arrival, Driver, KeyDist, OpMix, TrafficConfig, Zipf,
+    scatter_stride, schedule, Arrival, Driver, KeyDist, OpMix, TrafficConfig, Zipf,
 };
 use sim::DetRng;
 

@@ -136,10 +136,16 @@ impl fmt::Display for VmmcError {
                 write!(f, "NIC region limit ({limit}) exceeded on {node}")
             }
             VmmcError::RegisteredBytesLimit { node, limit } => {
-                write!(f, "NIC registered-memory limit ({limit} bytes) exceeded on {node}")
+                write!(
+                    f,
+                    "NIC registered-memory limit ({limit} bytes) exceeded on {node}"
+                )
             }
             VmmcError::PinnedBytesLimit { node, limit } => {
-                write!(f, "OS pinned-memory limit ({limit} bytes) exceeded on {node}")
+                write!(
+                    f,
+                    "OS pinned-memory limit ({limit} bytes) exceeded on {node}"
+                )
             }
             VmmcError::NoSuchRegion(r) => write!(f, "no such region {r}"),
             VmmcError::NotImported { node, region } => {
@@ -344,11 +350,8 @@ impl Vmmc {
                 limit: self.cfg.max_registered_bytes,
             });
         }
-        let newly_pinned: u64 = frames
-            .iter()
-            .filter(|f| !self.mem.is_pinned(**f))
-            .count() as u64
-            * PAGE_SIZE;
+        let newly_pinned: u64 =
+            frames.iter().filter(|f| !self.mem.is_pinned(**f)).count() as u64 * PAGE_SIZE;
         if self.mem.stats(owner).pinned_bytes + newly_pinned > self.cfg.max_pinned_bytes {
             return Err(VmmcError::PinnedBytesLimit {
                 node: owner,
@@ -388,11 +391,7 @@ impl Vmmc {
     ///
     /// Fails on the registered-byte or pinned-byte limits, or if the
     /// region does not exist.
-    pub fn extend_region(
-        &self,
-        region: RegionId,
-        frames: Vec<FrameId>,
-    ) -> Result<(), VmmcError> {
+    pub fn extend_region(&self, region: RegionId, frames: Vec<FrameId>) -> Result<(), VmmcError> {
         let bytes = frames.len() as u64 * PAGE_SIZE;
         let mut s = self.state.lock();
         let owner = s
@@ -415,11 +414,8 @@ impl Vmmc {
                 limit: self.cfg.max_registered_bytes,
             });
         }
-        let newly_pinned: u64 = frames
-            .iter()
-            .filter(|f| !self.mem.is_pinned(**f))
-            .count() as u64
-            * PAGE_SIZE;
+        let newly_pinned: u64 =
+            frames.iter().filter(|f| !self.mem.is_pinned(**f)).count() as u64 * PAGE_SIZE;
         if self.mem.stats(owner).pinned_bytes + newly_pinned > self.cfg.max_pinned_bytes {
             return Err(VmmcError::PinnedBytesLimit {
                 node: owner,
@@ -472,7 +468,11 @@ impl Vmmc {
             });
         }
         s.nics[importer.0 as usize].regions += 1;
-        s.regions.get_mut(&region.0).unwrap().importers.push(importer);
+        s.regions
+            .get_mut(&region.0)
+            .unwrap()
+            .importers
+            .push(importer);
         Ok(())
     }
 
@@ -518,14 +518,11 @@ impl Vmmc {
             .get(&region.0)
             .ok_or(VmmcError::NoSuchRegion(region))?;
         let idx = (offset / PAGE_SIZE) as usize;
-        r.frames
-            .get(idx)
-            .copied()
-            .ok_or(VmmcError::OutOfBounds {
-                region,
-                offset,
-                len: 0,
-            })
+        r.frames.get(idx).copied().ok_or(VmmcError::OutOfBounds {
+            region,
+            offset,
+            len: 0,
+        })
     }
 
     /// Validates one message's segments `(offset, len)` against `region`
@@ -1038,7 +1035,9 @@ mod tests {
         let fs2 = frames(&mem2, NodeId(1), 2);
         let r2 = v2.export_region(NodeId(1), fs2).unwrap();
         v2.import_region(NodeId(0), r2).unwrap();
-        let a = v2.remote_write(NodeId(0), r2, 8, &[1, 2, 3], SimTime::ZERO).unwrap();
+        let a = v2
+            .remote_write(NodeId(0), r2, 8, &[1, 2, 3], SimTime::ZERO)
+            .unwrap();
         let b = v2
             .remote_write(NodeId(0), r2, PAGE_SIZE + 16, &[9, 9], a.arrival)
             .unwrap();
@@ -1111,6 +1110,10 @@ mod tests {
         assert_eq!(data, vec![42, 43], "retried fetch must not corrupt data");
         // Two forced timeouts with exponential backoff (10us + 20us) plus
         // the nominal round trip.
-        assert!(done.as_nanos() >= 30_000 + 22_000, "got {}", done.as_nanos());
+        assert!(
+            done.as_nanos() >= 30_000 + 22_000,
+            "got {}",
+            done.as_nanos()
+        );
     }
 }

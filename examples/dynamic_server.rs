@@ -32,10 +32,7 @@ fn main() {
             let batches = 5;
             for batch in 0..batches {
                 let burst = 2 + rng.next_below(4); // 2..=5 requests
-                println!(
-                    "t={} batch {batch}: {burst} requests arrive",
-                    pth.sim.now()
-                );
+                println!("t={} batch {batch}: {burst} requests arrive", pth.sim.now());
                 for _ in 0..burst {
                     let work = 200_000 + rng.next_below(800_000);
                     let item_value = 1 + rng.next_below(100);

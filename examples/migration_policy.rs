@@ -61,7 +61,10 @@ fn run(policy: bool) -> (u64, u64, u64, Vec<String>) {
 
 fn main() {
     println!("producer-owned segment, homed on the wrong node (100 locked rounds)\n");
-    for (label, policy) in [("policy off (paper)", false), ("placement policy (default)", true)] {
+    for (label, policy) in [
+        ("policy off (paper)", false),
+        ("placement policy (default)", true),
+    ] {
         let (ns, diffs, bytes, migrations) = run(policy);
         println!("{label}:");
         println!(

@@ -78,9 +78,7 @@ fn main() {
     let stats = rt2.stats();
     println!(
         "virtual time {end}; nodes attached {}; creates {} local / {} remote",
-        stats.nodes_attached,
-        stats.local_creates,
-        stats.remote_creates
+        stats.nodes_attached, stats.local_creates, stats.remote_creates
     );
     let placement = rt2.svm().placement_report();
     println!(

@@ -157,8 +157,7 @@ fn crash_mid_cycle_keeps_ledger_and_releases_locks() {
     let clean = crash_run(None);
     assert_eq!(clean.2, 0, "clean run detached a node");
     assert_eq!(clean.5, 0, "clean run reported crashed joins");
-    let (end, attached, detached, now_attached, joins, crashed) =
-        crash_run(Some(clean.0 / 2));
+    let (end, attached, detached, now_attached, joins, crashed) = crash_run(Some(clean.0 / 2));
     assert!(end > 0);
     assert!(detached >= 1, "crashed node was not detached");
     assert!(crashed >= 1, "no worker joined as CRASHED_RET");

@@ -156,8 +156,9 @@ fn run_program(base: bool, ops: Vec<Op>, seed: u64, bulk: bool) -> Observed {
             for op in &ops {
                 match *op {
                     Op::WriteSlice { start, len } => {
-                        let data: Vec<u64> =
-                            (0..len).map(|i| seed ^ (start + i).wrapping_mul(0x9E37)).collect();
+                        let data: Vec<u64> = (0..len)
+                            .map(|i| seed ^ (start + i).wrapping_mul(0x9E37))
+                            .collect();
                         m.write_slice(a + start * 8, &data);
                     }
                     Op::Fill { start, len, v } => {
@@ -171,8 +172,9 @@ fn run_program(base: bool, ops: Vec<Op>, seed: u64, bulk: bool) -> Observed {
                             .fold(checksum, |c, &x| c.rotate_left(7).wrapping_add(x));
                     }
                     Op::WriteBytes { start, len } => {
-                        let data: Vec<u8> =
-                            (0..len).map(|i| (seed.wrapping_add(start + i) & 0xFF) as u8).collect();
+                        let data: Vec<u8> = (0..len)
+                            .map(|i| (seed.wrapping_add(start + i) & 0xFF) as u8)
+                            .collect();
                         m.write_slice(a + start, &data);
                     }
                 }

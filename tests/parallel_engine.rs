@@ -243,8 +243,15 @@ fn golden_fft() -> Splash {
 
 /// `(end_ns, Chrome-export digest, snapshot digest, wire faults, retries,
 /// recoveries, crashes)` of the chaos replay on the OS-thread engine.
-const CHAOS_GOLDEN: (u64, u64, u64, u64, u64, u64, u64) =
-    (7262765921, 8305716914733192344, 8629365771862502697, 111, 2, 1, 1);
+const CHAOS_GOLDEN: (u64, u64, u64, u64, u64, u64, u64) = (
+    7262765921,
+    8305716914733192344,
+    8629365771862502697,
+    111,
+    2,
+    1,
+    1,
+);
 
 /// A chaos-injected FFT (lossy wire + mid-run node crash) replays the
 /// OS-thread engine's run: same virtual end time, same Chrome trace, same

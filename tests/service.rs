@@ -11,11 +11,7 @@ use cables_suite::chaos::{ChaosEngine, FaultPlan};
 use cables_suite::svm::{Cluster, ClusterConfig};
 use cables_suite::traffic::{schedule, Schedule, TrafficConfig};
 
-fn run(
-    nodes: usize,
-    sched: &Schedule,
-    chaos: Option<(u64, FaultPlan)>,
-) -> (u64, ServiceOutcome) {
+fn run(nodes: usize, sched: &Schedule, chaos: Option<(u64, FaultPlan)>) -> (u64, ServiceOutcome) {
     let cluster = Cluster::build(ClusterConfig::small(nodes, 2));
     if let Some((seed, plan)) = chaos {
         cluster.set_chaos(ChaosEngine::new(seed, plan));
@@ -47,8 +43,7 @@ fn open_loop_uniform_serves_all_and_replays() {
 
 #[test]
 fn closed_loop_zipfian_serves_all() {
-    let sched =
-        schedule(&TrafficConfig::zipfian(9, 60, 64, 2_000_000).closed_loop(3, 1_000));
+    let sched = schedule(&TrafficConfig::zipfian(9, 60, 64, 2_000_000).closed_loop(3, 1_000));
     let (_, out) = run(4, &sched, None);
     assert_eq!(out.served, 60);
     assert_eq!(out.retries, 0);
@@ -95,8 +90,20 @@ fn whole_pool_crash_is_detected_once() {
     let plan = FaultPlan::new().crash(1, crash_at);
     let (_, out) = run(4, &sched, Some((0xFACE, plan)));
     assert_eq!(out.served + out.direct_served, 800);
-    assert!(out.direct_served > 64, "only {} served directly", out.direct_served);
-    assert_eq!(out.digest, clean.digest, "crashed run converges to the clean run's responses");
+    assert!(
+        out.direct_served > 64,
+        "only {} served directly",
+        out.direct_served
+    );
+    assert_eq!(
+        out.digest, clean.digest,
+        "crashed run converges to the clean run's responses"
+    );
     let bound = clean.serve_ns + 9 * ServiceParams::test().timeout_ns;
-    assert!(out.serve_ns < bound, "serve_ns {} (clean {})", out.serve_ns, clean.serve_ns);
+    assert!(
+        out.serve_ns < bound,
+        "serve_ns {} (clean {})",
+        out.serve_ns,
+        clean.serve_ns
+    );
 }

@@ -139,7 +139,13 @@ fn span(at: u64, dur: u64, track: u64, event: Event, layer: Layer) -> EventRecor
 /// index so the proptest strategy stays a plain integer tuple.
 fn wait_event(idx: u8) -> (Event, Layer) {
     match idx % 7 {
-        0 => (Event::FaultSpan { page: 3, write: false }, Layer::Proto),
+        0 => (
+            Event::FaultSpan {
+                page: 3,
+                write: false,
+            },
+            Layer::Proto,
+        ),
         1 => (Event::ThreadJoin { ct: 3 }, Layer::Rt),
         2 => (Event::LockWait { id: 1 }, Layer::Sync),
         3 => (Event::BarrierWait { id: 2 }, Layer::Sync),
@@ -194,9 +200,25 @@ proptest! {
 #[test]
 fn stall_lifetime_pinned_by_sched_markers() {
     let evs = vec![
-        span(0, 0, 1, Event::Sched { kind: SchedKind::Spawn }, Layer::Sched),
+        span(
+            0,
+            0,
+            1,
+            Event::Sched {
+                kind: SchedKind::Spawn,
+            },
+            Layer::Sched,
+        ),
         span(400, 100, 1, Event::BarrierWait { id: 1 }, Layer::Sync),
-        span(1_000, 0, 1, Event::Sched { kind: SchedKind::Exit }, Layer::Sched),
+        span(
+            1_000,
+            0,
+            1,
+            Event::Sched {
+                kind: SchedKind::Exit,
+            },
+            Layer::Sched,
+        ),
     ];
     let p = stall::analyze(&evs, 0, 0).unwrap();
     let t = &p.threads[0];
@@ -271,14 +293,21 @@ fn diff_regressions_are_directional() {
     let a = doc(&[1_000, 600, 400, 50, 60, 3]);
     let worse = doc(&[1_500, 600, 400, 50, 60, 3]);
     let better = doc(&[500, 600, 400, 50, 60, 3]);
-    let th = Thresholds { abs: 0.0, rel_pct: 2.0 };
+    let th = Thresholds {
+        abs: 0.0,
+        rel_pct: 2.0,
+    };
 
     let d = diff(&a, &worse, &th);
     assert_eq!(d.regressions().count(), 1, "1.5x sim_time_ns must gate");
     assert_eq!(d.regressions().next().unwrap().path, "sim_time_ns");
 
     let d = diff(&a, &better, &th);
-    assert_eq!(d.significant().count(), 1, "the improvement is still significant");
+    assert_eq!(
+        d.significant().count(),
+        1,
+        "the improvement is still significant"
+    );
     assert_eq!(d.regressions().count(), 0, "an improvement must not gate");
 }
 
