@@ -47,6 +47,7 @@
 #![warn(missing_debug_implementations)]
 
 mod config;
+mod core;
 mod mem;
 mod once_tsd;
 mod rt;
@@ -59,3 +60,6 @@ pub use rt::{
     CablesRt, Cancelled, ContentionStats, CtId, OpKind, OpTimes, Pth, RtStats, CRASHED_RET,
 };
 pub use sync::{Barrier, Cond, Mutex, MutexCondBarrier, RwLock};
+
+#[cfg(test)]
+mod explore;

@@ -52,37 +52,15 @@ impl CablesRt {
         self.admin_request(sim);
         sim.advance(self.cfg.costs.malloc_ns);
         let align = if bytes >= PAGE_SIZE { PAGE_SIZE } else { 8 };
-        let addr = 'alloc: {
-            {
-                let mut st = self.state.lock();
-                st.stats.mallocs += 1;
-                // First fit from the free list.
-                let mut found = None;
-                for (&start, &size) in st.free_list.iter() {
-                    let aligned = GAddr::new(start).align_up(align).raw();
-                    let pad = aligned - start;
-                    if size >= pad + bytes {
-                        found = Some((start, size, aligned, pad));
-                        break;
-                    }
-                }
-                if let Some((start, size, aligned, pad)) = found {
-                    st.free_list.remove(&start);
-                    if pad > 0 {
-                        st.free_list.insert(start, pad);
-                    }
-                    let tail = size - pad - bytes;
-                    if tail > 0 {
-                        st.free_list.insert(aligned + bytes, tail);
-                    }
-                    st.allocated.insert(aligned, bytes);
-                    break 'alloc GAddr::new(aligned);
-                }
+        let fit = self.state.lock().malloc(bytes, align);
+        let addr = match fit {
+            Some(addr) => GAddr::new(addr),
+            None => {
+                // Fresh space from the shared heap.
+                let addr = self.svm().g_malloc(sim, bytes);
+                self.state.lock().allocated.insert(addr.raw(), bytes);
+                addr
             }
-            // Fresh space from the shared heap.
-            let addr = self.svm().g_malloc(sim, bytes);
-            self.state.lock().allocated.insert(addr.raw(), bytes);
-            addr
         };
         let base = addr.raw();
         self.span(sim, t0, obs::Event::GlobalAlloc { base, bytes });
@@ -109,26 +87,7 @@ impl CablesRt {
     pub fn try_global_free(&self, sim: &Sim, addr: GAddr) -> Result<(), FreeError> {
         self.admin_request(sim);
         sim.advance(self.cfg.costs.malloc_ns);
-        let mut st = self.state.lock();
-        st.stats.frees += 1;
-        let bytes = st.allocated.remove(&addr.raw()).ok_or(FreeError { addr })?;
-        let mut start = addr.raw();
-        let mut size = bytes;
-        // Coalesce with the previous block.
-        if let Some((&pstart, &psize)) = st.free_list.range(..start).next_back() {
-            if pstart + psize == start {
-                st.free_list.remove(&pstart);
-                start = pstart;
-                size += psize;
-            }
-        }
-        // Coalesce with the following block.
-        if let Some(&nsize) = st.free_list.get(&(start + size)) {
-            st.free_list.remove(&(start + size));
-            size += nsize;
-        }
-        st.free_list.insert(start, size);
-        Ok(())
+        self.state.lock().free(addr.raw()).ok_or(FreeError { addr })
     }
 
     /// Bytes currently held on the free list (diagnostics).

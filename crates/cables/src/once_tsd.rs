@@ -31,9 +31,8 @@ impl CablesRt {
     /// Creates a thread-specific-data key (`pthread_key_create`).
     pub fn key_create(&self) -> TsdKey {
         let mut st = self.state.lock();
-        let k = st.next_tsd_key;
         st.next_tsd_key += 1;
-        TsdKey(k)
+        TsdKey(st.next_tsd_key)
     }
 
     /// Runs `f` exactly once across all threads (`pthread_once`): the
@@ -42,10 +41,7 @@ impl CablesRt {
     pub fn once<F: FnOnce(&Pth)>(&self, pth: &Pth, o: Once, f: F) {
         // The once flag is ACB state guarded by an internal system lock.
         self.svm().lock(pth.sim, o.0);
-        let first = {
-            let mut st = self.state.lock();
-            st.once_done.insert(o.0, ()).is_none()
-        };
+        let first = self.state.lock().once_done.insert(o.0, ()).is_none();
         if first {
             f(pth);
         }
@@ -54,14 +50,12 @@ impl CablesRt {
 
     /// Stores a thread-specific value (`pthread_setspecific`).
     pub fn set_specific(&self, ct: CtId, key: TsdKey, value: u64) {
-        let mut st = self.state.lock();
-        st.tsd.insert((ct.0, key.0), value);
+        self.state.lock().tsd.insert((ct.0, key.0), value);
     }
 
     /// Loads a thread-specific value (`pthread_getspecific`).
     pub fn get_specific(&self, ct: CtId, key: TsdKey) -> Option<u64> {
-        let st = self.state.lock();
-        st.tsd.get(&(ct.0, key.0)).copied()
+        self.state.lock().tsd.get(&(ct.0, key.0)).copied()
     }
 }
 

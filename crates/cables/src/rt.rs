@@ -14,10 +14,10 @@ use chaos::{ChaosEngine, CrashUnwind};
 use memsim::GAddr;
 use parking_lot::Mutex;
 use sim::{IdMap, NodeId, Sim, SimError, SimTime, Tid};
-use svm::{Cluster, ProtoMode, SvmSystem, WaitQueue};
+use svm::{Cluster, ProtoMode, SvmSystem};
 
 use crate::config::CablesConfig;
-use crate::sync::RwState;
+use crate::core::{Joined, Recovery, RtState, Wait};
 
 /// The value [`CablesRt::join`] returns for a thread lost to a node crash
 /// (mirrors a POSIX `ECANCELED`-style status: the thread never produced a
@@ -45,34 +45,6 @@ impl fmt::Display for Cancelled {
 }
 
 impl std::error::Error for Cancelled {}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Phase {
-    Running,
-    Finished(u64),
-}
-
-#[derive(Debug)]
-pub(crate) struct ThreadRec {
-    pub sim_tid: Tid,
-    pub phase: Phase,
-    pub exit_time: SimTime,
-    /// Node the thread runs on, or ran on once `phase` is `Finished`.
-    pub exit_node: NodeId,
-    pub cancel_requested: bool,
-}
-
-impl ThreadRec {
-    fn running(sim_tid: Tid, node: NodeId) -> Self {
-        ThreadRec {
-            sim_tid,
-            phase: Phase::Running,
-            exit_time: SimTime::ZERO,
-            exit_node: node,
-            cancel_requested: false,
-        }
-    }
-}
 
 /// API operations whose execution times the runtime accumulates
 /// (the paper's Table 5 reports the average execution time of each
@@ -108,18 +80,7 @@ impl OpKind {
     ];
 
     fn index(self) -> usize {
-        match self {
-            OpKind::Create => 0,
-            OpKind::Join => 1,
-            OpKind::MutexLock => 2,
-            OpKind::MutexUnlock => 3,
-            OpKind::CondWait => 4,
-            OpKind::CondSignal => 5,
-            OpKind::CondBroadcast => 6,
-            OpKind::Barrier => 7,
-            OpKind::Malloc => 8,
-            OpKind::Free => 9,
-        }
+        self as usize
     }
 
     /// Short label for tables.
@@ -157,6 +118,11 @@ impl OpTimes {
     pub fn avg_ns(&self, kind: OpKind) -> Option<u64> {
         let i = kind.index();
         (self.counts[i] > 0).then(|| self.sums[i] / self.counts[i])
+    }
+
+    pub(crate) fn add(&mut self, kind: OpKind, ns: u64) {
+        self.sums[kind.index()] += ns;
+        self.counts[kind.index()] += 1;
     }
 }
 
@@ -224,60 +190,6 @@ pub struct RtStats {
     pub pooled_dispatches: u64,
 }
 
-pub(crate) struct RtState {
-    pub attached: Vec<NodeId>,
-    pub threads_on: IdMap<u32, usize>,
-    pub threads: IdMap<u64, ThreadRec>,
-    pub by_tid: IdMap<u64, u64>,
-    pub next_ct: u64,
-    pub rr: usize,
-    pub next_sync_id: u64,
-    /// Threads parked on each condition variable.
-    pub conds: IdMap<u64, WaitQueue>,
-    /// Threads parked in `join` of each (running) thread.
-    pub joiners: IdMap<u64, WaitQueue>,
-    pub rwlocks: IdMap<u64, RwState>,
-    pub once_done: IdMap<u64, ()>,
-    /// Idle pooled threads per node; the most recently parked is reused
-    /// first.
-    pub pool_idle: IdMap<u32, WaitQueue>,
-    pub pool_jobs: IdMap<u64, (u64, JobFn)>,
-    pub pool_shutdown: bool,
-    pub tsd: IdMap<(u64, u64), u64>,
-    pub next_tsd_key: u64,
-    pub global_next: u64,
-    pub free_list: std::collections::BTreeMap<u64, u64>,
-    pub allocated: IdMap<u64, u64>,
-    pub stats: RtStats,
-    pub op_times: OpTimes,
-    pub contention: ContentionStats,
-    /// Threads currently inside `mutex_lock` (drives `mutex_max_waiters`).
-    pub mutex_inflight: u64,
-    /// Threads currently inside `pthread_barrier`.
-    pub barrier_inflight: u64,
-    /// The chaos crash monitor's engine thread, while it is alive.
-    pub monitor: Option<Tid>,
-    /// Tells the monitor to exit at its next wakeup (set at teardown).
-    pub monitor_stop: bool,
-}
-
-impl RtState {
-    /// Removes `tid` from every cond, join, pool and rwlock wait queue;
-    /// true when it sat in one.
-    fn purge_waiter(&mut self, tid: Tid) -> bool {
-        let untagged = self
-            .conds
-            .values_mut()
-            .chain(self.joiners.values_mut())
-            .chain(self.pool_idle.values_mut());
-        let mut found = untagged.fold(false, |found, q| q.purge(tid) | found);
-        for r in self.rwlocks.values_mut() {
-            found |= r.waiters.purge(tid);
-        }
-        found
-    }
-}
-
 /// The CableS runtime (one per application).
 ///
 /// Construct with [`CablesRt::new`], then start the application with
@@ -287,6 +199,8 @@ pub struct CablesRt {
     svm: Arc<SvmSystem>,
     pub(crate) cfg: CablesConfig,
     pub(crate) state: Mutex<RtState>,
+    /// Jobs handed to pooled threads that have not picked them up yet.
+    jobs: Mutex<IdMap<u64, JobFn>>,
     master: NodeId,
 }
 
@@ -319,34 +233,8 @@ impl CablesRt {
         Arc::new(CablesRt {
             svm,
             cfg,
-            state: Mutex::new(RtState {
-                attached: Vec::new(),
-                threads_on: IdMap::default(),
-                threads: IdMap::default(),
-                by_tid: IdMap::default(),
-                next_ct: 0,
-                rr: 0,
-                next_sync_id: 1,
-                conds: IdMap::default(),
-                joiners: IdMap::default(),
-                rwlocks: IdMap::default(),
-                once_done: IdMap::default(),
-                pool_idle: IdMap::default(),
-                pool_jobs: IdMap::default(),
-                pool_shutdown: false,
-                tsd: IdMap::default(),
-                next_tsd_key: 1,
-                global_next: svm::GLOBAL_SECTION_BASE.raw(),
-                free_list: std::collections::BTreeMap::new(),
-                allocated: IdMap::default(),
-                stats: RtStats::default(),
-                op_times: OpTimes::default(),
-                contention: ContentionStats::default(),
-                mutex_inflight: 0,
-                barrier_inflight: 0,
-                monitor: None,
-                monitor_stop: false,
-            }),
+            state: Mutex::new(RtState::new(svm::GLOBAL_SECTION_BASE.raw())),
+            jobs: Mutex::default(),
             master,
         })
     }
@@ -382,20 +270,12 @@ impl CablesRt {
     }
 
     /// The cluster's observability sink, only when fully enabled.
-    #[inline]
     pub(crate) fn obs_if_on(&self) -> Option<&obs::ObsSink> {
-        let o = &self.svm.cluster().obs;
-        if o.on() {
-            Some(o)
-        } else {
-            None
-        }
+        self.svm.obs_if_on()
     }
 
     pub(crate) fn record_op(&self, kind: OpKind, ns: u64) {
-        let mut st = self.state.lock();
-        st.op_times.sums[kind.index()] += ns;
-        st.op_times.counts[kind.index()] += 1;
+        self.state.lock().op(kind, ns);
     }
 
     /// Nodes currently attached to the application.
@@ -429,20 +309,15 @@ impl CablesRt {
         })
     }
 
-    /// The attached chaos engine, when its plan contains node crashes.
-    fn chaos_crashes(&self) -> Option<Arc<ChaosEngine>> {
-        self.cluster()
-            .chaos()
-            .filter(|c| c.crashes_armed())
-            .cloned()
-    }
-
     /// Whether the chaos plan says `node` is dead at this thread's clock.
     pub(crate) fn node_crashed(&self, sim: &Sim, node: NodeId) -> bool {
-        match self.cluster().chaos() {
-            Some(c) => c.crashes_armed() && c.crashed(node.0, sim.now().as_nanos()),
-            None => false,
-        }
+        let crashed = |c: &Arc<ChaosEngine>| c.crashed(node.0, sim.now().as_nanos());
+        self.chaos_crashes().is_some_and(crashed)
+    }
+
+    /// The attached chaos engine, when its plan contains node crashes.
+    fn chaos_crashes(&self) -> Option<&Arc<ChaosEngine>> {
+        self.cluster().chaos().filter(|c| c.crashes_armed())
     }
 
     /// Starts the crash monitor: a runtime-internal engine thread on the
@@ -450,7 +325,7 @@ impl CablesRt {
     /// [`CablesRt::recover_crash`] for the dead node. Nothing is spawned
     /// without a crash plan, so fault-free runs are bit-identical.
     fn spawn_crash_monitor(self: &Arc<Self>, sim: &Sim) {
-        let Some(ch) = self.chaos_crashes() else {
+        let Some(ch) = self.chaos_crashes().cloned() else {
             return;
         };
         // Crash unwinds are controlled, not bugs: keep the default panic
@@ -466,24 +341,20 @@ impl CablesRt {
         });
         let rt = Arc::clone(self);
         let tid = sim.spawn_on(self.master, sim.now(), "chaos-monitor", move |msim| {
+            let leaves = |done| rt.state.lock().monitor_leaves(done);
             for &(node, at) in ch.crash_times() {
                 loop {
-                    if rt.state.lock().monitor_stop {
-                        rt.state.lock().monitor = None;
+                    if leaves(false) {
                         return;
                     }
                     if msim.now().as_nanos() >= at {
                         break;
                     }
-                    let woken = msim.block_deadline(SimTime::ZERO + at);
-                    if woken && rt.state.lock().monitor_stop {
-                        rt.state.lock().monitor = None;
-                        return;
-                    }
+                    msim.block_deadline(SimTime::ZERO + at);
                 }
                 rt.recover_crash(msim, NodeId(node));
             }
-            rt.state.lock().monitor = None;
+            leaves(true);
         });
         self.state.lock().monitor = Some(tid);
     }
@@ -492,51 +363,23 @@ impl CablesRt {
     /// node and registering the initial thread.
     pub fn pthread_start(&self, sim: &Sim) {
         sim.op_point(self.cfg.costs.start_init_ns);
-        let mut st = self.state.lock();
-        assert!(st.attached.is_empty(), "pthread_start called twice");
-        st.attached.push(self.master);
-        st.threads_on.insert(self.master.0, 1);
-        // Warm deployments start with their node set attached (the
-        // multi-second attach handshakes were paid before this run).
-        for node in self.cluster().nodes().iter().copied() {
-            if st.attached.len() >= self.cfg.pre_attach {
-                break;
-            }
-            if node != self.master {
-                st.attached.push(node);
-                st.threads_on.entry(node.0).or_insert(0);
-            }
-        }
-        let ct = st.next_ct;
-        st.next_ct += 1;
-        st.threads
-            .insert(ct, ThreadRec::running(sim.tid(), self.master));
-        st.by_tid.insert(sim.tid().0, ct);
+        let nodes = self.cluster().nodes();
+        let pre = self.cfg.pre_attach;
+        self.state.lock().start(self.master, nodes, pre, sim.tid());
     }
 
     /// `pthread_end()`: waits for all remaining threads and tears the
     /// runtime down.
     pub fn pthread_end(&self, sim: &Sim) {
+        let me = sim.tid();
         loop {
-            let next = {
-                let st = self.state.lock();
-                st.threads
-                    .values()
-                    .find(|t| t.phase == Phase::Running && t.sim_tid != sim.tid())
-                    .map(|t| t.sim_tid)
+            let Some(tid) = self.state.lock().running_other_than(me) else {
+                break;
             };
-            match next {
-                Some(tid) => sim.wait_exit(tid),
-                None => break,
-            }
+            sim.wait_exit(tid);
         }
         // Drain the thread pool: parked workers exit on wakeup.
-        let idle: Vec<Tid> = {
-            let mut st = self.state.lock();
-            st.pool_shutdown = true;
-            let idle = st.pool_idle.values_mut().flat_map(|q| q.0.drain(..));
-            idle.map(|(tid, ..)| tid).collect()
-        };
+        let idle = self.state.lock().pool_close();
         for tid in idle {
             sim.wake(tid, sim.now());
             sim.wait_exit(tid);
@@ -555,15 +398,9 @@ impl CablesRt {
         sim.op_point(self.cfg.costs.end_teardown_ns);
     }
 
-    /// Node-crash recovery (run by the monitor at the planned crash time):
-    /// every thread on the dead node is retired with [`CRASHED_RET`], its
-    /// queued waits are purged, locks it held pass to surviving waiters,
-    /// barriers it can no longer reach are forgiven its arrival, its
-    /// joiners are woken, and the node is detached. Threads are processed
-    /// lowest-id first and every queue edit is a per-entry purge, so
-    /// replay with the same seed and plan is bit-identical. Grantees of
-    /// the hand-offs are woken by the hand-off alone: a second wake would
-    /// sit as a stale token on their next park.
+    /// Node-crash recovery, run by the monitor at the planned crash time
+    /// ([`RtState::crash`]): the grants first, then one wake per thread
+    /// the recovery unparks, in thread order, so replay is bit-identical.
     fn recover_crash(self: &Arc<Self>, sim: &Sim, node: NodeId) {
         let Some(ch) = self.cluster().chaos().cloned() else {
             return;
@@ -572,59 +409,15 @@ impl CablesRt {
         ch.note_crash();
         let crashed = obs::Event::ChaosCrash { node: node.0 };
         self.note(sim, obs::Layer::Chaos, node, crashed);
-        let mut victims: Vec<(u64, Tid)> = {
-            let st = self.state.lock();
-            st.threads
-                .iter()
-                .filter(|(_, r)| r.phase == Phase::Running && r.exit_node == node)
-                .map(|(ct, r)| (*ct, r.sim_tid))
-                .collect()
-        };
-        victims.sort_unstable();
-        let dead: Vec<Tid> = victims.iter().map(|&(_, tid)| tid).collect();
-        let mut to_wake: Vec<Tid> = Vec::new();
-        for &(ct, tid) in &victims {
-            let was_waiting_svm = self.svm().crash_purge_waiter(tid);
-            let (was_waiting_rt, joiners) = {
-                let mut st = self.state.lock();
-                let found = st.purge_waiter(tid);
-                st.pool_jobs.remove(&tid.0);
-                let rec = st.threads.get_mut(&ct).expect("crashed thread registered");
-                rec.phase = Phase::Finished(CRASHED_RET);
-                rec.exit_time = t0;
-                rec.exit_node = node;
-                (found, st.joiners.remove(&ct).unwrap_or_default())
-            };
-            // One forgiven barrier arrival per casualty (its own queued
-            // arrival, if any, was retracted by the purge above).
-            self.svm().crash_add_discount(1);
-            if was_waiting_svm || was_waiting_rt {
-                // It sat parked in a queue we just emptied: unpark it so
-                // it reaches a crash checkpoint and unwinds.
-                to_wake.push(tid);
-            }
-            to_wake.extend(joiners.0.iter().map(|w| w.0));
-        }
-        // Locks and rwlock holds (write or read) owned by the dead pass on.
-        self.svm().crash_handoff_locks(sim, &dead, node);
-        self.crash_handoff_rwlocks(sim, &dead);
-        {
-            let mut st = self.state.lock();
-            st.threads_on.insert(node.0, 0);
-            // Workers idling in the dead node's pool have no job to die
-            // in: unpark them so they see the node gone and leave.
-            let idle = st.pool_idle.remove(&node.0).unwrap_or_default();
-            to_wake.extend(idle.0.iter().map(|w| w.0));
-            let before = st.attached.len();
-            st.attached.retain(|n| *n != node);
-            if st.attached.len() != before {
-                st.stats.nodes_detached += 1;
-            }
-        }
-        self.svm().crash_release_ready_barriers(sim);
-        to_wake.sort_unstable_by_key(|t| t.0);
-        to_wake.dedup_by_key(|t| t.0);
-        for t in to_wake {
+        let rec = self.state.lock().crash(node, t0, None);
+        // A job dispatched to a casualty it never picked up dies with it.
+        self.jobs
+            .lock()
+            .retain(|tid, _| !rec.dead.contains(&Tid(*tid)));
+        let mut wakes = self.crash_effects(sim, &rec, true, node);
+        wakes.sort_unstable_by_key(|t| t.0);
+        wakes.dedup_by_key(|t| t.0);
+        for t in wakes {
             sim.wake(t, sim.now());
         }
         sim.advance(self.cfg.costs.detach_ns);
@@ -640,7 +433,7 @@ impl CablesRt {
         ch.note_recovery(latency);
         let recovered = obs::Event::ChaosRecovery {
             node: node.0,
-            threads: victims.len() as u64,
+            threads: rec.dead.len() as u64,
             latency_ns: latency,
         };
         self.note(sim, obs::Layer::Chaos, sim.node(), recovered);
@@ -653,78 +446,30 @@ impl CablesRt {
         }
     }
 
-    /// Releases every rwlock hold — write or read — of the `dead` and
-    /// grants whoever [`RwState::promote`] admits next, exactly as a live
-    /// unlock would, but at `now` with no wire message. Sorted-id
-    /// iteration keeps replay deterministic.
-    fn crash_handoff_rwlocks(&self, sim: &Sim, dead: &[Tid]) {
-        let grants: Vec<(Tid, NodeId)> = {
-            let mut st = self.state.lock();
-            let mut locks: Vec<(&u64, &mut RwState)> = st.rwlocks.iter_mut().collect();
-            locks.sort_unstable_by_key(|(id, _)| **id);
-            let release = |(_, r): (&u64, &mut RwState)| {
-                if r.writer.is_some_and(|w| dead.contains(&w)) {
-                    r.writer = None;
-                }
-                for d in dead {
-                    while r.readers.purge(*d) {}
-                }
-                r.promote()
-            };
-            locks.into_iter().flat_map(release).collect()
-        };
-        for (tid, _) in grants {
-            sim.wake(tid, sim.now());
-        }
-    }
-
-    /// Retires a thread whose body unwound with [`chaos::CrashUnwind`]
-    /// before the monitor processed its node (per-thread clocks can run
-    /// ahead of the recovery). Idempotent with [`CablesRt::recover_crash`]:
-    /// whichever runs first does the bookkeeping, the other is a no-op.
+    /// Retires a thread whose body unwound with [`chaos::CrashUnwind`],
+    /// before or after the monitor processed its node ([`RtState::crash`]:
+    /// a clock can sprint past the recovery and take fresh holds).
     pub(crate) fn thread_crashed(&self, sim: &Sim, ct: CtId) {
-        // Release sync state held right now, even when the monitor's
-        // recovery already retired this thread: a per-thread clock can
-        // sprint past the recovery and acquire fresh locks before
-        // reaching this checkpoint, and nothing else will ever release
-        // them (the recovery hand-off only saw holders at crash time).
-        let dead = [sim.tid()];
-        // It can die queued but not parked: a `cond_wait` registers, then
-        // unlocks its mutex, and that unlock is a crash checkpoint. When
-        // recovery retired it before it registered, nobody else will drop
-        // the entry, and the next signal would wake an exited thread.
-        self.state.lock().purge_waiter(sim.tid());
-        self.svm().crash_handoff_locks(sim, &dead, sim.node());
-        self.crash_handoff_rwlocks(sim, &dead);
-        if self.retire_self(sim, ct, CRASHED_RET).is_some() {
-            self.svm().crash_add_discount(1);
-        }
-    }
-
-    /// Marks the calling thread finished with `ret`, frees its slot on the
-    /// node and wakes its joiners; returns how many threads the node has
-    /// left. `None` when crash recovery already retired it (the
-    /// bookkeeping, and the slot, are gone): whichever of the two runs
-    /// first does the work.
-    fn retire_self(&self, sim: &Sim, ct: CtId, ret: u64) -> Option<usize> {
-        let (joiners, left) = {
-            let mut st = self.state.lock();
-            let rec = st.threads.get_mut(&ct.0).expect("thread registered");
-            if matches!(rec.phase, Phase::Finished(_)) {
-                return None;
-            }
-            rec.phase = Phase::Finished(ret);
-            rec.exit_time = sim.now();
-            rec.exit_node = sim.node();
-            let joiners = st.joiners.remove(&ct.0).unwrap_or_default();
-            let cnt = st.threads_on.entry(sim.node().0).or_insert(0);
-            *cnt = cnt.saturating_sub(1);
-            (joiners, *cnt)
-        };
-        for (j, ..) in joiners.0 {
+        let (me, node, now) = (sim.tid(), sim.node(), sim.now());
+        let rec = self.state.lock().crash(node, now, Some((ct, me)));
+        for j in self.crash_effects(sim, &rec, false, node) {
             sim.wake(j, sim.now());
         }
-        Some(left)
+    }
+
+    /// The grants of a [`Recovery`] — the lock and barrier managers' and
+    /// the rwlocks' — performed in order; the threads left to wake.
+    fn crash_effects(&self, sim: &Sim, rec: &Recovery, open: bool, node: NodeId) -> Vec<Tid> {
+        let rw_grants = || {
+            for (tid, _) in &rec.rw_grants {
+                sim.wake(*tid, sim.now());
+            }
+        };
+        let decided = (&rec.dead[..], rec.forgive, open);
+        let parked = self.svm().crash(sim, decided, node, rw_grants);
+        // A thread unwinding on its own is running: nothing to unpark.
+        let parked = parked.into_iter().filter(|_| open);
+        rec.wakes.iter().copied().chain(parked).collect()
     }
 
     /// An administration request: a small ACB update handled on the
@@ -732,11 +477,8 @@ impl CablesRt {
     pub fn admin_request(&self, sim: &Sim) {
         sim.op_point(self.cfg.costs.admin_local_ns);
         if sim.node() != self.master {
-            let t = self
-                .cluster()
-                .san
-                .notify(sim.node(), self.master, sim.now());
-            sim.clock_at_least(t.arrival);
+            let san = &self.cluster().san;
+            sim.clock_at_least(san.notify(sim.node(), self.master, sim.now()).arrival);
         }
     }
 
@@ -744,11 +486,8 @@ impl CablesRt {
     /// (free on the master itself).
     pub(crate) fn acb_read(&self, sim: &Sim) {
         if sim.node() != self.master {
-            let done = self
-                .cluster()
-                .san
-                .fetch(sim.node(), self.master, 16, sim.now());
-            sim.clock_at_least(done);
+            let san = &self.cluster().san;
+            sim.clock_at_least(san.fetch(sim.node(), self.master, 16, sim.now()));
         }
     }
 
@@ -772,50 +511,19 @@ impl CablesRt {
         }
     }
 
-    /// The wait record of a synchronization call that began at `t0`: the
-    /// contention counters of the primitive's class (a mutex or barrier
-    /// caller also leaves its in-flight count) and the span on the bus.
-    pub(crate) fn record_wait(&self, sim: &Sim, t0: SimTime, event: obs::Event) {
-        {
-            let mut st = self.state.lock();
-            let st = &mut *st;
-            let c = &mut st.contention;
-            let class = match event {
-                obs::Event::PthMutexWait { .. } => {
-                    let inflight = Some(&mut st.mutex_inflight);
-                    Some((&mut c.mutex_waits, &mut c.mutex_wait_ns, inflight))
-                }
-                obs::Event::PthBarrierWait { .. } => {
-                    let inflight = Some(&mut st.barrier_inflight);
-                    Some((&mut c.barrier_waits, &mut c.barrier_wait_ns, inflight))
-                }
-                obs::Event::PthCondWait { .. } => {
-                    Some((&mut c.cond_waits, &mut c.cond_wait_ns, None))
-                }
-                obs::Event::PthRwWait { .. } => Some((&mut c.rw_waits, &mut c.rw_wait_ns, None)),
-                _ => unreachable!("{event:?} is not a synchronization wait"),
-            };
-            if let Some((waits, wait_ns, inflight)) = class {
-                *waits += 1;
-                *wait_ns += sim.now() - t0;
-                if let Some(n) = inflight {
-                    *n -= 1;
-                }
-            }
-        }
+    /// The wait record of a synchronization call of `class` that began at
+    /// `t0`: the contention counters (`RtState::waited`) and the span on
+    /// the bus.
+    pub(crate) fn record_wait(&self, sim: &Sim, t0: SimTime, class: Wait, event: obs::Event) {
+        self.state.lock().waited(class, sim.now() - t0);
         self.span(sim, t0, event);
     }
 
-    /// Picks a node for a new thread: round-robin over attached nodes with
-    /// spare capacity; attaches a new node when all are full. With
-    /// [`CablesConfig::affinity_placement`] the round-robin pick is
-    /// replaced by the eligible node that has served the most demand
-    /// fetches as a home (ties resolve in round-robin order, so a cold
-    /// cluster degenerates to the paper's policy). A `prefer`red node —
-    /// the caller vouches that a thread runs there, so it is attached —
-    /// is taken as is unless it has crashed: over capacity if need be, and
-    /// without moving the round-robin cursor, so the picks around it are
-    /// what they would have been.
+    /// Picks a node for a new thread (`RtState::place`), attaching it when
+    /// all attached nodes are full. A `prefer`red node — the caller vouches
+    /// that a thread runs there, so it is attached — is taken as is unless
+    /// it has crashed: over capacity if need be, and without moving the
+    /// round-robin cursor.
     fn place_thread(&self, sim: &Sim, prefer: Option<NodeId>) -> NodeId {
         if let Some(node) = prefer.filter(|n| !self.node_crashed(sim, *n)) {
             return node;
@@ -827,71 +535,13 @@ impl CablesRt {
         };
         // Home-fetch credits are read before taking the runtime lock (the
         // protocol state has its own lock; never hold both).
-        let pull = if self.cfg.affinity_placement {
-            self.svm().home_pull()
-        } else {
-            Vec::new()
-        };
-        let (target, need_attach) = {
-            let mut st = self.state.lock();
-            let n = st.attached.len();
-            let mut chosen = None;
-            if self.cfg.affinity_placement {
-                // Two-level score: nodes that served the most demand
-                // fetches as a home first (threads follow the data), then
-                // the fullest node with spare capacity (pack). Packing
-                // co-locates consecutively created threads — SPLASH ranks
-                // and per-shard worker pools are spawned in sharing order,
-                // so spawn adjacency is the cold-start sharing prior.
-                let mut best: Option<((u64, usize), usize)> = None;
-                for i in 0..n {
-                    let idx = (st.rr + i) % n;
-                    let node = st.attached[idx];
-                    let occ = *st.threads_on.get(&node.0).unwrap_or(&0);
-                    if occ < cap {
-                        let score = (pull.get(node.0 as usize).copied().unwrap_or(0), occ);
-                        if best.map_or(true, |(b, _)| score > b) {
-                            best = Some((score, idx));
-                        }
-                    }
-                }
-                if let Some((_, idx)) = best {
-                    st.rr = (idx + 1) % n;
-                    chosen = Some(st.attached[idx]);
-                }
-            } else {
-                for i in 0..n {
-                    let idx = (st.rr + i) % n;
-                    let node = st.attached[idx];
-                    if *st.threads_on.get(&node.0).unwrap_or(&0) < cap {
-                        st.rr = (idx + 1) % n;
-                        chosen = Some(node);
-                        break;
-                    }
-                }
-            }
-            match chosen {
-                Some(node) => (node, false),
-                None => {
-                    // All attached nodes full: attach the next cluster
-                    // node, or oversubscribe round-robin if none is left.
-                    let unattached = self
-                        .cluster()
-                        .nodes()
-                        .iter()
-                        .find(|n| !st.attached.contains(n) && !self.node_crashed(sim, **n))
-                        .copied();
-                    match unattached {
-                        Some(node) => (node, true),
-                        None => {
-                            let node = st.attached[st.rr % n];
-                            st.rr = (st.rr + 1) % n;
-                            (node, false)
-                        }
-                    }
-                }
-            }
-        };
+        let pull = self.cfg.affinity_placement.then(|| self.svm().home_pull());
+        let nodes = self.cluster().nodes();
+        let crashed = |n| self.node_crashed(sim, n);
+        let (target, need_attach) = self
+            .state
+            .lock()
+            .place(nodes, cap, pull.as_deref(), crashed);
         if need_attach {
             self.attach_node(sim, target);
         }
@@ -916,10 +566,7 @@ impl CablesRt {
         sim.advance_idle(c.attach_remote_os_ns);
         // Remote CableS initialization: mappings for already-allocated
         // global memory and pairwise import/export with attached nodes.
-        let attached_now = {
-            let st = self.state.lock();
-            st.attached.len() as u64
-        };
+        let attached_now = self.state.lock().attached.len() as u64;
         sim.advance_idle(c.attach_remote_cables_ns + c.attach_per_node_ns * attached_now);
         // Broadcast the new node to all attached nodes.
         for other in 0..attached_now {
@@ -929,34 +576,22 @@ impl CablesRt {
                 sim.clock_at_least(t.local_done);
             }
         }
-        let mut st = self.state.lock();
-        st.attached.push(node);
-        st.threads_on.entry(node.0).or_insert(0);
-        st.stats.nodes_attached += 1;
-        drop(st);
+        {
+            let mut st = self.state.lock();
+            st.attach(node);
+            st.stats.nodes_attached += 1;
+        }
         self.span(sim, t0, obs::Event::NodeAttach { node: node.0 });
     }
 
     /// `pthread_create()`: starts `f` on a node chosen by the placement
     /// policy (attaching a node if required) and returns its thread id.
-    pub fn thread_create<F>(self: &Arc<Self>, sim: &Sim, f: F) -> CtId
-    where
-        F: FnOnce(&Pth) -> u64 + Send + 'static,
-    {
-        self.thread_create_near(sim, None, f)
-    }
-
-    /// [`CablesRt::thread_create`] with a placement hint: the new thread
-    /// starts on the node where `near` is running. When `near` has
+    /// With a hint the new thread starts on the node where `near` is
+    /// running. When `near` has
     /// finished (a node detaches or is recovered only once nothing runs on
     /// it) or its node has just crashed, the hint is void and the
     /// placement policy picks as for a plain create.
-    pub(crate) fn thread_create_near<F>(
-        self: &Arc<Self>,
-        sim: &Sim,
-        near: Option<CtId>,
-        f: F,
-    ) -> CtId
+    pub(crate) fn thread_create<F>(self: &Arc<Self>, sim: &Sim, near: Option<CtId>, f: F) -> CtId
     where
         F: FnOnce(&Pth) -> u64 + Send + 'static,
     {
@@ -964,21 +599,11 @@ impl CablesRt {
         // creator's writes.
         let t0 = sim.now();
         self.svm().release(sim);
-        let prefer = near.and_then(|ct| {
-            let st = self.state.lock();
-            let rec = st
-                .threads
-                .get(&ct.0)
-                .expect("create beside an unknown thread");
-            (rec.phase == Phase::Running).then_some(rec.exit_node)
-        });
+        let prefer = near.and_then(|ct| self.state.lock().beside(ct));
         let target = self.place_thread(sim, prefer);
         if self.cfg.thread_pool {
-            let idle = {
-                let mut st = self.state.lock();
-                st.pool_idle.get_mut(&target.0).and_then(|q| q.0.pop_back())
-            };
-            if let Some((tid, ..)) = idle {
+            let idle = self.state.lock().pool_take(target);
+            if let Some(tid) = idle {
                 let ct = self.dispatch_pooled(sim, target, tid, Box::new(f));
                 self.span(sim, t0, Self::create_event(ct, target));
                 return ct;
@@ -1002,32 +627,19 @@ impl CablesRt {
             sim.clock_at_least(ack.arrival);
         }
 
-        let ct = {
-            let mut st = self.state.lock();
-            let ct = st.next_ct;
-            st.next_ct += 1;
-            *st.threads_on.entry(target.0).or_insert(0) += 1;
-            if local {
-                st.stats.local_creates += 1;
-            } else {
-                st.stats.remote_creates += 1;
-            }
-            ct
-        };
-
         let rt = Arc::clone(self);
         let pool = self.cfg.thread_pool;
         let run_at = start.max(sim.now());
         let sim_tid = sim.spawn_on(target, run_at, "cables", move |csim| {
-            let mut job: Option<(u64, JobFn)> = Some((ct, Box::new(f)));
-            loop {
-                let (ct, body) = job.take().expect("pooled thread woken without a job");
+            let me = csim.tid();
+            let mut job = Some((rt.state.lock().ct_of(me), Box::new(f) as JobFn));
+            while let Some((ct, body)) = job.take() {
                 // Acquire: observe the creator's released writes.
                 rt.svm().acquire(csim);
                 let pth = Pth {
                     sim: csim,
                     rt: Arc::clone(&rt),
-                    ct: CtId(ct),
+                    ct,
                 };
                 let ret = match catch_unwind(AssertUnwindSafe(|| body(&pth))) {
                     Ok(v) => v,
@@ -1035,24 +647,16 @@ impl CablesRt {
                         if p.downcast_ref::<CrashUnwind>().is_some() {
                             // Node crash: retire with CRASHED_RET and let
                             // the thread exit so the engine can drain.
-                            rt.thread_crashed(csim, CtId(ct));
+                            rt.thread_crashed(csim, ct);
                             return;
                         }
                         resume_unwind(p);
                     }
                 };
-                rt.thread_exit(csim, CtId(ct), ret);
-                if !pool {
-                    return;
-                }
+                rt.thread_exit(csim, ct, ret);
                 // Park in the node's pool until redispatched.
-                {
-                    let mut st = rt.state.lock();
-                    if st.pool_shutdown {
-                        return;
-                    }
-                    let pool = st.pool_idle.entry(csim.node().0).or_default();
-                    pool.push(csim.tid(), csim.node(), ());
+                if !pool || !rt.state.lock().pool_idle(me, csim.node()) {
+                    return;
                 }
                 // Not `park`: there is no job to die in, the worker just
                 // leaves when its node is gone.
@@ -1062,38 +666,30 @@ impl CablesRt {
                     // job, and the node is gone.
                     return;
                 }
-                {
-                    let mut st = rt.state.lock();
-                    if st.pool_shutdown {
-                        return;
-                    }
-                    job = st.pool_jobs.remove(&csim.tid().0);
-                }
+                let Some(ct) = rt.state.lock().pool_resume(me) else {
+                    return;
+                };
+                let body = rt.jobs.lock().remove(&me.0);
+                job = Some((ct, body.expect("pooled thread woken without a job")));
             }
         });
 
-        let mut st = self.state.lock();
-        st.threads.insert(ct, ThreadRec::running(sim_tid, target));
-        st.by_tid.insert(sim_tid.0, ct);
-        drop(st);
-        if run_at > t0 {
-            if let Some(o) = self.obs_if_on() {
-                // Causal edge: the create call to the new thread's first
-                // instruction (it was spawned to start then, not woken).
-                o.edge(
-                    obs::EdgeKind::ThreadStart,
-                    sim.node(),
-                    sim.tid().0,
-                    t0,
-                    target,
-                    sim_tid.0,
-                    run_at,
-                    ct,
-                );
+        let ct = {
+            let mut st = self.state.lock();
+            match local {
+                true => st.stats.local_creates += 1,
+                false => st.stats.remote_creates += 1,
             }
+            st.register(target, sim_tid)
+        };
+        if let Some(o) = self.obs_if_on().filter(|_| run_at > t0) {
+            // Causal edge: the create call to the new thread's first
+            // instruction (it was spawned to start then, not woken).
+            let (here, me, kind) = (sim.node(), sim.tid().0, obs::EdgeKind::ThreadStart);
+            o.edge(kind, here, me, t0, target, sim_tid.0, run_at, ct.0);
         }
-        self.span(sim, t0, Self::create_event(CtId(ct), target));
-        CtId(ct)
+        self.span(sim, t0, Self::create_event(ct, target));
+        ct
     }
 
     fn create_event(ct: CtId, target: NodeId) -> obs::Event {
@@ -1108,22 +704,13 @@ impl CablesRt {
     fn dispatch_pooled(self: &Arc<Self>, sim: &Sim, target: NodeId, tid: Tid, f: JobFn) -> CtId {
         let c = &self.cfg.costs;
         sim.op_point(c.pool_dispatch_ns);
-        let ct = {
-            let mut st = self.state.lock();
-            let ct = st.next_ct;
-            st.next_ct += 1;
-            *st.threads_on.entry(target.0).or_insert(0) += 1;
-            st.stats.pooled_dispatches += 1;
-            st.threads.insert(ct, ThreadRec::running(tid, target));
-            st.by_tid.insert(tid.0, ct);
-            st.pool_jobs.insert(tid.0, (ct, f));
-            ct
-        };
+        let ct = self.state.lock().dispatch(target, tid);
+        self.jobs.lock().insert(tid.0, f);
         // The dispatch notification is the worker's wakeup.
-        let edge = Some((obs::EdgeKind::ThreadStart, ct));
+        let edge = Some((obs::EdgeKind::ThreadStart, ct.0));
         self.svm
             .notify_handoff(sim, edge, &[target], 0, (tid, target));
-        CtId(ct)
+        ct
     }
 
     /// Thread exit bookkeeping: records the return value in the ACB,
@@ -1135,15 +722,22 @@ impl CablesRt {
         sim.op_point(self.cfg.costs.exit_ns);
         self.acb_write(sim, 32);
         let node = sim.node();
-        let Some(left) = self.retire_self(sim, ct, ret) else {
-            return;
-        };
-        if left == 0 && node != self.master && self.cfg.auto_detach {
-            {
-                let mut st = self.state.lock();
-                st.attached.retain(|n| *n != node);
+        let (joiners, detached) = {
+            let mut st = self.state.lock();
+            let Some((joiners, left)) = st.retire(ct, ret, sim.now(), node) else {
+                return;
+            };
+            let detach = left == 0 && node != self.master && self.cfg.auto_detach;
+            if detach {
+                st.detach(node);
                 st.stats.nodes_detached += 1;
             }
+            (joiners, detach)
+        };
+        for (j, ..) in joiners.0 {
+            sim.wake(j, sim.now());
+        }
+        if detached {
             sim.advance(self.cfg.costs.detach_ns);
             let detached = obs::Event::NodeDetach { node: node.0 };
             self.note(sim, obs::Layer::Rt, node, detached);
@@ -1162,19 +756,13 @@ impl CablesRt {
         self.acb_read(sim);
         self.svm().crash_check(sim);
         let (v, t, exit_node, exit_tid) = loop {
-            {
-                let mut st = self.state.lock();
-                let rec = st.threads.get_mut(&ct.0).expect("join of unknown thread");
-                if let Phase::Finished(v) = rec.phase {
-                    break (v, rec.exit_time, rec.exit_node, rec.sim_tid);
-                }
-                let joiners = st.joiners.entry(ct.0).or_default();
-                joiners.push(sim.tid(), sim.node(), ());
+            let joined = self.state.lock().join(ct, sim.tid(), sim.node());
+            if let Joined::Finished { ret, at, node, tid } = joined {
+                break (ret, at, node, tid);
             }
             self.svm().park(sim, None);
         };
         sim.clock_at_least(t);
-        self.state.lock().stats.joins += 1;
         // Acquire so the joiner observes the thread's writes.
         self.svm.acquire(sim);
         self.span(sim, t0, obs::Event::ThreadJoin { ct: ct.0 });
@@ -1193,25 +781,7 @@ impl CablesRt {
     /// ([`Pth::test_cancel`], [`Pth::cond_wait`]).
     pub fn cancel(&self, sim: &Sim, ct: CtId) {
         self.admin_request(sim);
-        let wake = {
-            let mut st = self.state.lock();
-            st.stats.cancels += 1;
-            let rec = match st.threads.get_mut(&ct.0) {
-                Some(r) => r,
-                None => return,
-            };
-            if rec.phase != Phase::Running || rec.cancel_requested {
-                None
-            } else {
-                rec.cancel_requested = true;
-                let tid = rec.sim_tid;
-                // If the target is parked in a condition wait, pull it out.
-                let conds = st.conds.values_mut();
-                conds
-                    .fold(false, |found, q| q.purge(tid) | found)
-                    .then_some(tid)
-            }
-        };
+        let wake = self.state.lock().cancel(ct);
         if let Some(tid) = wake {
             // Timing-visible asymmetry, kept: the wake travels to the
             // master (the ACB), not on to the target's node, and no edge
@@ -1224,20 +794,13 @@ impl CablesRt {
 
     /// Whether cancellation was requested for `ct`.
     pub(crate) fn cancel_requested(&self, ct: CtId) -> bool {
-        let st = self.state.lock();
-        st.threads
-            .get(&ct.0)
-            .map(|r| r.cancel_requested)
-            .unwrap_or(false)
+        self.state.lock().cancel_requested(ct)
     }
 
     /// Allocates a fresh synchronization-object id (mutexes, conditions
     /// and barriers share the namespace).
     pub fn sync_id(&self) -> u64 {
-        let mut st = self.state.lock();
-        let id = st.next_sync_id;
-        st.next_sync_id += 1;
-        id
+        self.state.lock().next_id()
     }
 }
 
@@ -1288,7 +851,7 @@ impl Pth<'_> {
     where
         F: FnOnce(&Pth) -> u64 + Send + 'static,
     {
-        self.timed(OpKind::Create, |rt, sim| rt.thread_create(sim, f))
+        self.timed(OpKind::Create, |rt, sim| rt.thread_create(sim, None, f))
     }
 
     /// Creates a thread on the node where `sibling` runs — threads that
@@ -1304,7 +867,7 @@ impl Pth<'_> {
         F: FnOnce(&Pth) -> u64 + Send + 'static,
     {
         self.timed(OpKind::Create, |rt, sim| {
-            rt.thread_create_near(sim, Some(sibling), f)
+            rt.thread_create(sim, Some(sibling), f)
         })
     }
 
@@ -1355,6 +918,7 @@ impl Pth<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::core::Phase;
     use svm::ClusterConfig;
 
     fn rt(nodes: usize, cpus: usize) -> Arc<CablesRt> {

@@ -13,9 +13,9 @@
 //! are the shared ones of [`svm`].
 
 use obs::{EdgeKind, Event};
-use sim::{NodeId, Sim, Tid};
-use svm::WaitQueue;
+use sim::Sim;
 
+use crate::core::Wait;
 use crate::rt::{CablesRt, Cancelled, CtId, OpKind, Pth};
 
 /// A CableS mutex handle (`pthread_mutex_t`).
@@ -33,42 +33,6 @@ pub struct Barrier(pub u64);
 /// A CableS read/write lock handle (`pthread_rwlock_t`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RwLock(pub u64);
-
-/// ACB state of one read/write lock. Holds are owner-tracked — the reader
-/// set is a queue of threads, one entry per hold — so crash recovery can
-/// release a dead reader's hold like a dead writer's.
-#[derive(Debug, Default)]
-pub(crate) struct RwState {
-    pub writer: Option<Tid>,
-    pub readers: WaitQueue,
-    /// Waiters, tagged `wants_write`.
-    pub waiters: WaitQueue<bool>,
-}
-
-impl RwState {
-    /// The grant decision, shared by `rwlock_unlock` and crash recovery:
-    /// once nobody holds the lock the head of the queue gets it — a
-    /// writer alone, a reader with the whole run of readers behind it.
-    pub(crate) fn promote(&mut self) -> Vec<(Tid, NodeId)> {
-        let mut grants = Vec::new();
-        if self.writer.is_some() || !self.readers.0.is_empty() {
-            return grants;
-        }
-        while let Some(&(tid, node, write)) = self.waiters.0.front() {
-            if write && !grants.is_empty() {
-                break;
-            }
-            self.waiters.0.pop_front();
-            grants.push((tid, node));
-            if write {
-                self.writer = Some(tid);
-                break;
-            }
-            self.readers.push(tid, node, ());
-        }
-        grants
-    }
-}
 
 impl CablesRt {
     /// Creates a mutex.
@@ -107,12 +71,7 @@ impl CablesRt {
     pub fn mutex_lock(&self, sim: &Sim, m: Mutex) {
         let t0 = sim.now();
         self.mutex_entry(sim, m);
-        {
-            let mut st = self.state.lock();
-            st.mutex_inflight += 1;
-            st.contention.mutex_max_waiters =
-                st.contention.mutex_max_waiters.max(st.mutex_inflight);
-        }
+        self.state.lock().enter(Wait::Lock);
         let wait_start = sim.now();
         self.svm().lock(sim, m.0);
         // Competitive spinning: the processor is burnt for up to the spin
@@ -121,7 +80,7 @@ impl CablesRt {
             .now()
             .min(wait_start + self.cfg.costs.spin_before_block_ns);
         sim.occupy_cpu_until(spun);
-        self.record_wait(sim, t0, Event::PthMutexWait { id: m.0 });
+        self.record_wait(sim, t0, Wait::Lock, Event::PthMutexWait { id: m.0 });
     }
 
     /// Attempts to lock `m` without blocking (`pthread_mutex_trylock`).
@@ -138,45 +97,11 @@ impl CablesRt {
     }
 
     /// Waits on `cond`, releasing `mutex` while waiting and re-acquiring
-    /// it before returning (`pthread_cond_wait`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Cancelled`] if the thread was cancelled while waiting; the
-    /// mutex is *not* re-acquired in that case.
-    pub fn cond_wait(
-        &self,
-        sim: &Sim,
-        ct: CtId,
-        cond: Cond,
-        mutex: Mutex,
-    ) -> Result<(), Cancelled> {
-        self.cond_wait_for(sim, ct, cond, mutex, None).map(drop)
-    }
-
-    /// Waits on `cond` with a relative timeout (`pthread_cond_timedwait`).
-    ///
-    /// Returns `Ok(true)` when signalled, `Ok(false)` on timeout; in both
-    /// cases the mutex is re-acquired before returning.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Cancelled`] if the thread was cancelled while waiting
-    /// (the mutex is *not* re-acquired).
-    pub fn cond_timedwait(
-        &self,
-        sim: &Sim,
-        ct: CtId,
-        cond: Cond,
-        mutex: Mutex,
-        timeout_ns: u64,
-    ) -> Result<bool, Cancelled> {
-        self.cond_wait_for(sim, ct, cond, mutex, Some(timeout_ns))
-    }
-
-    /// The condition wait: an untimed wait is a timed one without a
-    /// deadline. `Ok(woken)`.
-    fn cond_wait_for(
+    /// it before returning (`pthread_cond_wait`); with `timeout_ns`, a
+    /// relative timeout (`pthread_cond_timedwait`). `Ok(woken)`: `false`
+    /// on timeout. [`Cancelled`] if the thread was cancelled while
+    /// waiting (the mutex is *not* re-acquired then).
+    pub(crate) fn cond_wait(
         &self,
         sim: &Sim,
         ct: CtId,
@@ -189,50 +114,31 @@ impl CablesRt {
         sim.op_point(c.cond_wait_local_ns);
         // Register the waiter in the ACB (direct remote write).
         self.acb_write(sim, 16);
-        {
-            let mut st = self.state.lock();
-            st.stats.cond_waits += 1;
-            let queue = st.conds.entry(cond.0).or_default();
-            let depth = queue.push(sim.tid(), sim.node(), ());
-            st.contention.cond_max_waiters = st.contention.cond_max_waiters.max(depth);
-        }
+        self.state.lock().cond_wait(cond.0, sim.tid(), sim.node());
         let deadline = timeout_ns.map(|ns| sim.now() + ns);
         self.mutex_unlock(sim, mutex);
         let woken = self.svm().park(sim, deadline);
         if !woken {
             // Deregister before anyone can signal us (no ordering point
             // between the timeout and this removal).
-            if let Some(queue) = self.state.lock().conds.get_mut(&cond.0) {
-                queue.purge(sim.tid());
-            }
+            self.state.lock().cond_timeout(cond.0, sim.tid());
         }
         if self.cancel_requested(ct) {
             return Err(Cancelled);
         }
         sim.advance(c.cond_wakeup_ns);
         self.mutex_lock(sim, mutex);
-        self.record_wait(sim, t0, Event::PthCondWait { id: cond.0 });
+        self.record_wait(sim, t0, Wait::Cond, Event::PthCondWait { id: cond.0 });
         Ok(woken)
     }
 
-    /// Wakes one waiter of `cond` (`pthread_cond_signal`).
-    pub fn cond_signal(&self, sim: &Sim, cond: Cond) {
-        self.cond_wake(sim, cond, false)
-    }
-
-    /// Wakes all waiters of `cond` (`pthread_cond_broadcast`).
-    ///
-    /// Cost grows with the number of waiting nodes: one remote write per
-    /// waiter, as in the paper.
-    pub fn cond_broadcast(&self, sim: &Sim, cond: Cond) {
-        self.cond_wake(sim, cond, true)
-    }
-
-    /// Signal and broadcast: wake the head waiter, or `all` of them, each
-    /// with its own local cost. Timing-visible asymmetry, kept: a signal
-    /// that finds a waiter also posts the ACB update recording the
-    /// hand-off; a broadcast does not.
-    fn cond_wake(&self, sim: &Sim, cond: Cond, all: bool) {
+    /// Signal (`pthread_cond_signal`) and broadcast
+    /// (`pthread_cond_broadcast`): wake the head waiter, or `all` of them,
+    /// each with its own notification (a broadcast's cost grows with the
+    /// number of waiting nodes, as in the paper). Timing-visible
+    /// asymmetry, kept: a signal that finds a waiter also posts the ACB
+    /// update recording the hand-off; a broadcast does not.
+    pub(crate) fn cond_wake(&self, sim: &Sim, cond: Cond, all: bool) {
         let c = &self.cfg.costs;
         sim.op_point(match all {
             true => c.cond_broadcast_local_ns,
@@ -241,18 +147,8 @@ impl CablesRt {
         sim.advance(c.cond_os_ns);
         // Read the condition's ACB entry.
         self.acb_read(sim);
-        {
-            let mut st = self.state.lock();
-            match all {
-                true => st.stats.cond_broadcasts += 1,
-                false => st.stats.cond_signals += 1,
-            }
-        }
-        let next = || {
-            let mut st = self.state.lock();
-            st.conds.get_mut(&cond.0).and_then(|q| q.0.pop_front())
-        };
-        while let Some((tid, wnode, ())) = next() {
+        let woken = self.state.lock().cond_wake(cond.0, all);
+        for (tid, wnode) in woken {
             if !all {
                 self.acb_write(sim, 16);
             }
@@ -261,54 +157,26 @@ impl CablesRt {
             let edge = Some((EdgeKind::CondSignal, cond.0));
             self.svm()
                 .notify_handoff(sim, edge, &[wnode], 0, (tid, wnode));
-            if !all {
-                break;
-            }
         }
     }
 
-    /// Acquires `rw` for reading (`pthread_rwlock_rdlock`). Multiple
-    /// readers may hold the lock; readers queue behind a writer.
-    pub fn rwlock_rdlock(&self, sim: &Sim, rw: RwLock) {
-        self.rwlock_acquire(sim, rw, false)
-    }
-
-    /// Acquires `rw` for writing (`pthread_rwlock_wrlock`).
-    pub fn rwlock_wrlock(&self, sim: &Sim, rw: RwLock) {
-        self.rwlock_acquire(sim, rw, true)
-    }
-
-    /// Read and write acquisition differ in the admission predicate only:
-    /// a writer needs the lock idle and nobody queued, a reader needs no
-    /// writer holding or queued (no writer starvation).
-    fn rwlock_acquire(&self, sim: &Sim, rw: RwLock, write: bool) {
+    /// Acquires `rw` for reading (`pthread_rwlock_rdlock`: readers share
+    /// it and queue behind a writer) or for `write`
+    /// (`pthread_rwlock_wrlock`); the two differ in the admission
+    /// predicate only (`RtState::rw_acquire`).
+    pub(crate) fn rwlock_acquire(&self, sim: &Sim, rw: RwLock, write: bool) {
         let t0 = sim.now();
         self.admin_request(sim);
-        let queued = {
-            let mut st = self.state.lock();
-            let r = st.rwlocks.entry(rw.0).or_default();
-            let (me, node) = (sim.tid(), sim.node());
-            let admit = r.writer.is_none()
-                && match write {
-                    true => r.readers.0.is_empty() && r.waiters.0.is_empty(),
-                    false => r.waiters.0.iter().all(|w| !w.2),
-                };
-            if !admit {
-                let depth = r.waiters.push(me, node, write);
-                st.contention.rw_max_waiters = st.contention.rw_max_waiters.max(depth);
-            } else if write {
-                r.writer = Some(me);
-            } else {
-                r.readers.push(me, node, ());
-            }
-            !admit
-        };
+        let queued = self
+            .state
+            .lock()
+            .rw_acquire(rw.0, sim.tid(), sim.node(), write);
         if queued {
             self.svm().park(sim, None);
         }
         // RC acquire: observe the last writer's updates.
         self.svm().acquire(sim);
-        self.record_wait(sim, t0, Event::PthRwWait { id: rw.0, write });
+        self.record_wait(sim, t0, Wait::Rw, Event::PthRwWait { id: rw.0, write });
     }
 
     /// Releases `rw` (`pthread_rwlock_unlock`): either the write hold or
@@ -318,12 +186,7 @@ impl CablesRt {
     ///
     /// Panics if the calling thread does not hold the lock.
     pub fn rwlock_unlock(&self, sim: &Sim, rw: RwLock) {
-        let me = sim.tid();
-        let was_writer = {
-            let st = self.state.lock();
-            st.rwlocks.get(&rw.0).is_some_and(|r| r.writer == Some(me))
-        };
-        if was_writer {
+        if self.state.lock().rw_writer(rw.0, sim.tid()) {
             // RC release: publish this node's writes before handing over.
             self.svm().release(sim);
         }
@@ -332,16 +195,7 @@ impl CablesRt {
         // meanwhile and recovery released this hold — the casualty must
         // die here, not trip the hold check below.
         self.svm().crash_check(sim);
-        let grants = {
-            let mut st = self.state.lock();
-            let r = st.rwlocks.get_mut(&rw.0).expect("unlock of unknown rwlock");
-            if was_writer {
-                r.writer = None;
-            } else {
-                assert!(r.readers.purge(me), "rwlock unlock without a hold");
-            }
-            r.promote()
-        };
+        let grants = self.state.lock().rw_release(rw.0, sim.tid());
         for to in grants {
             let edge = Some((EdgeKind::RwHandoff, rw.0));
             self.svm().notify_handoff(sim, edge, &[to.1], 0, to);
@@ -353,14 +207,9 @@ impl CablesRt {
     pub fn pthread_barrier(&self, sim: &Sim, b: Barrier, n: usize) {
         let t0 = sim.now();
         sim.op_point(self.cfg.costs.mutex_local_extra_ns);
-        {
-            let mut st = self.state.lock();
-            st.barrier_inflight += 1;
-            st.contention.barrier_max_waiters =
-                st.contention.barrier_max_waiters.max(st.barrier_inflight);
-        }
+        self.state.lock().enter(Wait::Barrier);
         self.svm().barrier(sim, b.0, n);
-        self.record_wait(sim, t0, Event::PthBarrierWait { id: b.0 });
+        self.record_wait(sim, t0, Wait::Barrier, Event::PthBarrierWait { id: b.0 });
     }
 }
 
@@ -436,7 +285,9 @@ impl Pth<'_> {
     ///
     /// Returns [`Cancelled`] if this thread was cancelled while waiting.
     pub fn cond_wait(&self, c: Cond, m: Mutex) -> Result<(), Cancelled> {
-        self.timed(OpKind::CondWait, |rt, sim| rt.cond_wait(sim, self.ct, c, m))
+        self.timed(OpKind::CondWait, |rt, sim| {
+            rt.cond_wait(sim, self.ct, c, m, None).map(drop)
+        })
     }
 
     /// Waits on a condition with a timeout (`pthread_cond_timedwait`).
@@ -446,28 +297,28 @@ impl Pth<'_> {
     /// Returns [`Cancelled`] if this thread was cancelled while waiting.
     pub fn cond_timedwait(&self, c: Cond, m: Mutex, timeout_ns: u64) -> Result<bool, Cancelled> {
         self.timed(OpKind::CondWait, |rt, sim| {
-            rt.cond_timedwait(sim, self.ct, c, m, timeout_ns)
+            rt.cond_wait(sim, self.ct, c, m, Some(timeout_ns))
         })
     }
 
     /// Signals a condition variable (`pthread_cond_signal`).
     pub fn cond_signal(&self, c: Cond) {
-        self.timed(OpKind::CondSignal, |rt, sim| rt.cond_signal(sim, c))
+        self.timed(OpKind::CondSignal, |rt, sim| rt.cond_wake(sim, c, false))
     }
 
     /// Broadcasts a condition variable (`pthread_cond_broadcast`).
     pub fn cond_broadcast(&self, c: Cond) {
-        self.timed(OpKind::CondBroadcast, |rt, sim| rt.cond_broadcast(sim, c))
+        self.timed(OpKind::CondBroadcast, |rt, sim| rt.cond_wake(sim, c, true))
     }
 
     /// Read-locks a read/write lock (`pthread_rwlock_rdlock`).
     pub fn rwlock_rdlock(&self, rw: RwLock) {
-        self.rt().rwlock_rdlock(self.sim, rw)
+        self.rt.rwlock_acquire(self.sim, rw, false)
     }
 
     /// Write-locks a read/write lock (`pthread_rwlock_wrlock`).
     pub fn rwlock_wrlock(&self, rw: RwLock) {
-        self.rt().rwlock_wrlock(self.sim, rw)
+        self.rt.rwlock_acquire(self.sim, rw, true)
     }
 
     /// Unlocks a read/write lock (`pthread_rwlock_unlock`).

@@ -5,7 +5,6 @@
 //! same instance with [`crate::config::ProtoMode::Cables`]).
 
 use std::fmt;
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use memsim::{GAddr, PAGE_SIZE};
@@ -39,10 +38,6 @@ pub struct SvmSystem {
     pub(crate) cfg: SvmConfig,
     pub(crate) state: Mutex<ProtoState>,
     pub(crate) master: NodeId,
-    /// Number of threads removed by node-crash recovery whose barrier
-    /// arrivals must be forgiven (see `crash_add_discount`). Always zero
-    /// without chaos, so the release check is unchanged in normal runs.
-    pub(crate) crashed_discount: AtomicU64,
 }
 
 impl fmt::Debug for SvmSystem {
@@ -64,7 +59,6 @@ impl SvmSystem {
             state: Mutex::new(ProtoState::new(nodes, cfg.clone(), master)),
             cfg,
             master,
-            crashed_discount: AtomicU64::new(0),
         })
     }
 
@@ -158,14 +152,11 @@ impl SvmSystem {
     }
 
     /// The sink, only when full observability is enabled (hot-path check).
+    #[doc(hidden)]
     #[inline]
-    pub(crate) fn obs_if_on(&self) -> Option<&obs::ObsSink> {
+    pub fn obs_if_on(&self) -> Option<&obs::ObsSink> {
         let o = &self.cluster.obs;
-        if o.on() {
-            Some(o)
-        } else {
-            None
-        }
+        o.on().then_some(o)
     }
 
     /// The cluster this system runs on.

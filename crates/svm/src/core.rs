@@ -30,11 +30,11 @@
 use std::collections::BTreeSet;
 
 use memsim::{FaultKind, GAddr, PageNum, Prot, PAGE_SIZE};
-use sim::{IdMap, IdSet, NodeId, Tid};
+use sim::{IdMap, IdSet, NodeId, SimTime, Tid};
 use vmmc::RegionId;
 
 use crate::config::{ProtoMode, SvmConfig};
-use crate::sync::{BarrierState, LockState};
+use crate::sync::WaitQueue;
 
 pub(crate) const WORDS_PER_PAGE: usize = (PAGE_SIZE / 8) as usize;
 pub(crate) const BITMAP_WORDS: usize = WORDS_PER_PAGE / 64;
@@ -141,29 +141,34 @@ pub(crate) struct ChunkSharing {
 }
 
 #[derive(Debug, Clone)]
-pub(crate) struct ProtoState {
-    pub cfg: SvmConfig,
-    pub master: NodeId,
-    pub dir: IdMap<u64, PageDir>,
-    pub nodes: Vec<NodeProto>,
+#[doc(hidden)]
+pub struct ProtoState {
+    pub(crate) cfg: SvmConfig,
+    pub(crate) master: NodeId,
+    pub(crate) dir: IdMap<u64, PageDir>,
+    pub(crate) nodes: Vec<NodeProto>,
     /// Global interval log of write notices `(page, version)`.
-    pub log: Vec<(u64, u64)>,
+    pub(crate) log: Vec<(u64, u64)>,
     /// CableS mode: the single growing home region per node, with its
     /// current length in bytes.
-    pub home_region: Vec<Option<(RegionId, u64)>>,
-    pub first_toucher: IdMap<u64, NodeId>,
+    pub(crate) home_region: Vec<Option<(RegionId, u64)>>,
+    pub(crate) first_toucher: IdMap<u64, NodeId>,
     /// Placement-policy state: chunk -> incremental sharing counters.
-    pub chunk_sharing: IdMap<u64, ChunkSharing>,
+    pub(crate) chunk_sharing: IdMap<u64, ChunkSharing>,
     /// Demand fetches each node has served as home — the thread-affinity
     /// placement hint (maintained unconditionally; one add per remote
     /// fetch, never branched on by the protocol itself).
-    pub home_pull: Vec<u64>,
-    pub alloc_next: u64,
-    pub alloc_ranges: Vec<(u64, u64)>,
-    pub locks: IdMap<u64, LockState>,
-    pub barriers: IdMap<u64, BarrierState>,
-    pub next_proc: usize,
-    pub created: Vec<Tid>,
+    pub(crate) home_pull: Vec<u64>,
+    pub(crate) alloc_next: u64,
+    pub(crate) alloc_ranges: Vec<(u64, u64)>,
+    pub(crate) locks: IdMap<u64, LockState>,
+    pub(crate) barriers: IdMap<u64, BarrierState>,
+    /// Barrier arrivals forgiven for threads that node-crash recovery
+    /// removed; always zero without chaos, so a barrier opens on its
+    /// full count in normal runs.
+    pub forgiven: u64,
+    pub(crate) next_proc: usize,
+    pub(crate) created: Vec<Tid>,
 }
 
 /// Where a fault goes once its directory entry is known.
@@ -260,6 +265,7 @@ impl ProtoState {
             alloc_ranges: Vec::new(),
             locks: IdMap::default(),
             barriers: IdMap::default(),
+            forgiven: 0,
             next_proc: 1,
             created: Vec::new(),
         }
@@ -276,7 +282,7 @@ impl ProtoState {
     }
 
     /// The home of `page`, once placed.
-    pub fn home(&self, page: PageNum) -> Option<NodeId> {
+    pub(crate) fn home(&self, page: PageNum) -> Option<NodeId> {
         self.dir.get(&page.index()).map(|d| d.home)
     }
 
@@ -287,7 +293,7 @@ impl ProtoState {
     /// the master ("segment owner detect": CableS caches entries per node;
     /// the base system broadcasts placement, so its lookups are local) and
     /// the route. First-touch attribution happens here, at fault order.
-    pub fn fault(
+    pub(crate) fn fault(
         &mut self,
         node: NodeId,
         page: PageNum,
@@ -334,7 +340,7 @@ impl ProtoState {
     /// single home region (the double virtual mapping); the base system
     /// extends the same-home run ending just below the chunk (runs only
     /// ever grow at their end, so that page ends its region).
-    pub fn place(&self, node: NodeId, page: PageNum) -> (Option<RegionId>, u64) {
+    pub(crate) fn place(&self, node: NodeId, page: PageNum) -> (Option<RegionId>, u64) {
         let base = page.chunk_base(self.cfg.home_granularity_pages).index();
         match self.cfg.mode {
             ProtoMode::Cables => match self.home_region[node.0 as usize] {
@@ -350,7 +356,7 @@ impl ProtoState {
 
     /// The placement's directory update, once its frames are registered
     /// at `off` in `region` (on the master / ACB owner).
-    pub fn placed(&mut self, node: NodeId, page: PageNum, region: RegionId, off: u64) {
+    pub(crate) fn placed(&mut self, node: NodeId, page: PageNum, region: RegionId, off: u64) {
         let gran = self.cfg.home_granularity_pages;
         let base = page.chunk_base(gran).index();
         if self.cfg.mode == ProtoMode::Cables {
@@ -373,7 +379,7 @@ impl ProtoState {
 
     /// Starts dirty-word tracking on `node`'s copy of `page` (a write
     /// access is being granted) and records the writer in the directory.
-    pub fn start_write_tracking(&mut self, node: NodeId, page: u64) {
+    pub(crate) fn start_write_tracking(&mut self, node: NodeId, page: u64) {
         let np = self.np(node);
         let copy = np.copy(page);
         if copy.dirty.is_none() {
@@ -389,7 +395,7 @@ impl ProtoState {
     }
 
     /// Marks the dirty words covered by a write of `len` bytes at `addr`.
-    pub fn mark_dirty(&mut self, node: NodeId, addr: GAddr, len: u64) {
+    pub(crate) fn mark_dirty(&mut self, node: NodeId, addr: GAddr, len: u64) {
         let copy = self.np(node).copies.get_mut(&addr.page().index());
         if let Some(dirty) = copy.and_then(|c| c.dirty.as_mut()) {
             let first = addr.page_offset() / 8;
@@ -401,7 +407,7 @@ impl ProtoState {
     /// the page given a local frame (`have_frame`: it had one already). A
     /// write fault on a current clean copy needs no transfer, only the
     /// protection change; a read fault always refetches.
-    pub fn fetch(
+    pub(crate) fn fetch(
         &mut self,
         node: NodeId,
         page: PageNum,
@@ -465,7 +471,7 @@ impl ProtoState {
     /// A release begins: takes `node`'s dirty pages, and the chunks among
     /// them the placement policy weighs first (one decision per dirty
     /// chunk per release; none without a policy).
-    pub fn release_begin(&mut self, node: NodeId) -> (Vec<u64>, Vec<u64>) {
+    pub(crate) fn release_begin(&mut self, node: NodeId) -> (Vec<u64>, Vec<u64>) {
         let pages = std::mem::take(&mut self.np(node).dirty_pages);
         let mut chunks = Vec::new();
         if self.cfg.placement_policy.is_some() {
@@ -483,7 +489,7 @@ impl ProtoState {
     /// home thrash). The dominance test refuses chunks whose traffic is
     /// split between alternating remote nodes; it does not see the home
     /// node's own writes (DESIGN §9).
-    pub fn consider(&mut self, node: NodeId, chunk: u64) -> Option<Migrate> {
+    pub(crate) fn consider(&mut self, node: NodeId, chunk: u64) -> Option<Migrate> {
         let policy = self.cfg.placement_policy?;
         if self.dir.get(&chunk)?.home == node {
             return None;
@@ -506,7 +512,7 @@ impl ProtoState {
 
     /// A policy migration of `chunk` to `node` is published: restart the
     /// chunk's sharing profile under the new home and arm the cooldown.
-    pub fn moved(&mut self, node: NodeId, chunk: u64) {
+    pub(crate) fn moved(&mut self, node: NodeId, chunk: u64) {
         self.np(node).stats.policy_migrations += 1;
         let cs = self.sharing(chunk);
         cs.traffic.iter_mut().for_each(|t| *t = 0);
@@ -520,7 +526,7 @@ impl ProtoState {
     /// unless every local copy in the chunk is current (another
     /// interval's diff would otherwise be lost) and no other node holds
     /// unflushed dirty words in it.
-    pub fn migrate(&self, node: NodeId, base: PageNum) -> Option<Migrate> {
+    pub(crate) fn migrate(&self, node: NodeId, base: PageNum) -> Option<Migrate> {
         debug_assert_eq!(
             self.cfg.mode,
             ProtoMode::Cables,
@@ -564,7 +570,7 @@ impl ProtoState {
     /// registered at `off` in `region` and filled: the version bump
     /// invalidates every remote copy. A pending dirty map stays attached:
     /// the flush that follows is a (free) home-local release.
-    pub fn migrated(&mut self, node: NodeId, base: PageNum, region: RegionId, off: u64) {
+    pub(crate) fn migrated(&mut self, node: NodeId, base: PageNum, region: RegionId, off: u64) {
         let gran = self.cfg.home_granularity_pages;
         self.home_region[node.0 as usize] = Some((region, off + gran * PAGE_SIZE));
         for i in 0..gran {
@@ -630,7 +636,7 @@ impl ProtoState {
     /// a copy with a stale base (someone else released the page since it
     /// was fetched) misses the other writers' words, so it must not stay
     /// readable — rather than downgraded to read-only.
-    pub fn release(&mut self, node: NodeId, pages: Vec<u64>) -> Vec<(Diff, bool)> {
+    pub(crate) fn release(&mut self, node: NodeId, pages: Vec<u64>) -> Vec<(Diff, bool)> {
         let mut batches = BTreeSet::new();
         let out = pages
             .into_iter()
@@ -666,7 +672,7 @@ impl ProtoState {
     /// clean copies are invalidated; stale copies this node is still
     /// writing are flushed home first, then invalidated like the rest —
     /// never read past the notice.
-    pub fn acquire(&mut self, node: NodeId) -> Acquire {
+    pub(crate) fn acquire(&mut self, node: NodeId) -> Acquire {
         let me = &self.nodes[node.0 as usize];
         let (cursor, end) = (me.log_cursor, self.log.len());
         let (mut invalidate, mut flush) = (Vec::new(), Vec::new());
@@ -710,7 +716,7 @@ impl ProtoState {
     }
 
     /// Detailed misplacement list `(page, first_toucher, home)`.
-    pub fn misplaced_pages(&self) -> Vec<(u64, NodeId, NodeId)> {
+    pub(crate) fn misplaced_pages(&self) -> Vec<(u64, NodeId, NodeId)> {
         let mut out: Vec<_> = self
             .first_toucher
             .iter()
@@ -727,7 +733,7 @@ impl ProtoState {
     /// *misplaced* when its home is not its first toucher — i.e. when the
     /// 64 KB binding granularity overruled the page-granular first-touch
     /// placement the base system would have produced.
-    pub fn placement_report(&self) -> PlacementReport {
+    pub(crate) fn placement_report(&self) -> PlacementReport {
         let placed = self
             .first_toucher
             .keys()
@@ -739,7 +745,7 @@ impl ProtoState {
     }
 
     /// Sum of protocol counters over all nodes.
-    pub fn total_stats(&self) -> NodeStats {
+    pub(crate) fn total_stats(&self) -> NodeStats {
         let mut out = NodeStats::default();
         for s in self.nodes.iter().map(|n| &n.stats) {
             out.read_faults += s.read_faults;
@@ -758,6 +764,203 @@ impl ProtoState {
             out.pingpong_handoffs += s.pingpong_handoffs;
             out.policy_considered += s.policy_considered;
             out.policy_migrations += s.policy_migrations;
+        }
+        out
+    }
+}
+
+/// A system lock's manager record.
+#[derive(Debug, Clone)]
+pub(crate) struct LockState {
+    pub manager: NodeId,
+    pub holder: Option<Tid>,
+    pub holder_node: Option<NodeId>,
+    pub waiters: WaitQueue,
+    pub acquired_from: IdSet<u32>,
+}
+
+/// A native barrier's manager record.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct BarrierState {
+    pub count: usize,
+    pub waiters: WaitQueue,
+    pub max_arrival: SimTime,
+    /// Membership of the current episode, recorded on every arrival so a
+    /// crash recovery can release the barrier when the survivors plus the
+    /// crashed-thread discount cover it.
+    pub expected: usize,
+}
+
+/// A lock request, decided: whether the requester holds the lock now,
+/// whether it is its node's first acquire, whether ownership was cached
+/// at its node, and the lock's manager.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Grant {
+    pub granted: bool,
+    pub first_time: bool,
+    pub local: bool,
+    pub manager: NodeId,
+}
+
+/// A barrier the last arrival (or crash recovery) opened: its waiters
+/// and the nominal release time at the manager.
+pub type Opened = (WaitQueue, SimTime);
+
+/// What crash recovery must perform for the lock and barrier managers:
+/// wake the dead that sat parked in a queue, grant the locks the dead
+/// held (`(lock, grantee)`) and release the barriers the forgiven
+/// arrivals opened, both in id order.
+#[doc(hidden)]
+#[derive(Debug, Default)]
+pub struct Crash {
+    pub parked: Vec<Tid>,
+    pub grants: Vec<(u64, (Tid, NodeId))>,
+    pub opened: Vec<(u64, Opened)>,
+}
+
+impl LockState {
+    /// The grant decision, shared by `unlock` and crash recovery: the
+    /// head waiter becomes the holder, or the lock falls free.
+    fn pass_on(&mut self) -> Option<(Tid, NodeId)> {
+        self.holder = None;
+        let (tid, node, ()) = self.waiters.0.pop_front()?;
+        (self.holder, self.holder_node) = (Some(tid), Some(node));
+        Some((tid, node))
+    }
+}
+
+impl BarrierState {
+    /// The release decision, shared by the last arriver and crash
+    /// recovery: takes the waiters and resets the episode.
+    fn open(&mut self, per_node_ns: u64) -> Opened {
+        let release_t = self.max_arrival + per_node_ns * self.expected as u64;
+        self.count = 0;
+        self.max_arrival = SimTime::ZERO;
+        (std::mem::take(&mut self.waiters), release_t)
+    }
+}
+
+/// The lock and barrier managers. Lock ownership is cached at nodes; the
+/// first acquirer's node manages a lock (GeNIMA's distributed managers,
+/// assigned at first use); barriers are managed on the master.
+impl ProtoState {
+    /// `tid` on `node` requests lock `id`: it takes the lock if it is free,
+    /// else queues for it (`wait`) or gives up. A probe records its node
+    /// in `acquired_from` but counts as an acquire only when it succeeds.
+    pub fn lock(&mut self, id: u64, tid: Tid, node: NodeId, wait: bool) -> Grant {
+        let l = self.locks.entry(id).or_insert_with(|| LockState {
+            manager: node,
+            holder: None,
+            holder_node: None,
+            waiters: WaitQueue::default(),
+            acquired_from: IdSet::default(),
+        });
+        let first_time = l.acquired_from.insert(node.0);
+        let granted = l.holder.is_none();
+        // A fresh lock acquired by its manager is also local.
+        let local = granted
+            && (l.holder_node == Some(node) || (l.holder_node.is_none() && l.manager == node));
+        if granted {
+            l.holder = Some(tid);
+            l.holder_node = Some(node);
+        } else if wait {
+            l.waiters.push(tid, node, ());
+        }
+        let manager = l.manager;
+        if granted || wait {
+            self.np(node).stats.lock_acquires += 1;
+        }
+        Grant {
+            granted,
+            first_time,
+            local,
+            manager,
+        }
+    }
+
+    /// The thread holding lock `id`, if any.
+    pub fn lock_holder(&self, id: u64) -> Option<Tid> {
+        self.locks.get(&id).and_then(|l| l.holder)
+    }
+
+    /// `tid` releases lock `id`: the grantee and the lock's manager, when
+    /// a waiter takes it over. Panics if `tid` does not hold the lock.
+    pub fn unlock(&mut self, id: u64, tid: Tid) -> Option<((Tid, NodeId), NodeId)> {
+        let l = self.locks.get_mut(&id).expect("unlock of unknown lock");
+        assert_eq!(l.holder, Some(tid), "unlock by non-holder");
+        l.pass_on().map(|to| (to, l.manager))
+    }
+
+    /// `tid` on `node` arrives at barrier `id` of `n` threads, its arrival
+    /// reaching the manager at `at`: `None` while it must wait, else the
+    /// opened barrier. Arrivals forgiven by crash recovery count.
+    pub fn arrive(
+        &mut self,
+        id: u64,
+        tid: Tid,
+        node: NodeId,
+        n: usize,
+        at: SimTime,
+    ) -> Option<Opened> {
+        self.np(node).stats.barrier_waits += 1;
+        let discount = self.forgiven as usize;
+        let b = self.barriers.entry(id).or_default();
+        b.count += 1;
+        b.expected = n;
+        b.max_arrival = b.max_arrival.max(at);
+        if b.count + discount < n {
+            b.waiters.push(tid, node, ());
+            return None;
+        }
+        Some(b.open(self.cfg.costs.barrier_per_node_ns))
+    }
+
+    /// `dead` are gone: they leave every lock and barrier queue (a queued
+    /// barrier arrival is retracted, the discount stands in for it),
+    /// `forgive` future barrier arrivals are forgiven, and every lock a
+    /// dead thread holds passes to its next waiter. A node's recovery
+    /// (`open`) also opens every barrier that only the dead kept closed.
+    /// Iteration is in sorted id order, so replay stays deterministic.
+    pub fn crash(&mut self, dead: &[Tid], forgive: u64, open: bool) -> Crash {
+        let mut out = Crash::default();
+        for &tid in dead {
+            let mut found = false;
+            for l in self.locks.values_mut() {
+                found |= l.waiters.purge(tid);
+            }
+            for b in self.barriers.values_mut() {
+                if b.waiters.purge(tid) {
+                    b.count -= 1;
+                    found = true;
+                }
+            }
+            if found {
+                out.parked.push(tid);
+            }
+        }
+        self.forgiven += forgive;
+        for (&id, l) in self.locks.iter_mut() {
+            if !l.holder.is_some_and(|h| dead.contains(&h)) {
+                continue;
+            }
+            match l.pass_on() {
+                Some(to) => out.grants.push((id, to)),
+                // Never leave ownership cached at a dead node: the next
+                // acquirer must pay the remote path.
+                None => l.holder_node = None,
+            }
+        }
+        out.grants.sort_unstable_by_key(|g| g.0);
+        let discount = self.forgiven as usize;
+        if open && discount > 0 {
+            let per_node_ns = self.cfg.costs.barrier_per_node_ns;
+            for (&id, b) in self.barriers.iter_mut() {
+                if b.count > 0 && b.expected > 0 && b.count + discount >= b.expected {
+                    out.opened.push((id, b.open(per_node_ns)));
+                }
+            }
+            out.opened.sort_unstable_by_key(|o| o.0);
         }
         out
     }
@@ -936,5 +1139,37 @@ mod tests {
         };
         assert!((r.misplaced_pct() - 25.0).abs() < 1e-9);
         assert_eq!(PlacementReport::default().misplaced_pct(), 0.0);
+    }
+
+    #[test]
+    fn one_crash_grants_the_dead_holders_lock_and_opens_the_barrier_once() {
+        let mut st = ProtoState::new(2, SvmConfig::cables(), NodeId(0));
+        let (n0, n1) = (NodeId(0), NodeId(1));
+        let (holder, waiter) = (Tid(1), Tid(2));
+        let (arrived, dead_arrived) = (Tid(3), Tid(4));
+        let (other, other_dead) = (Tid(5), Tid(6));
+        assert!(st.lock(7, holder, n1, true).granted);
+        assert!(!st.lock(7, waiter, n0, true).granted);
+        let at = SimTime::ZERO + 10;
+        // Barrier 9 of 3 threads: a live and a dead arrival, the dead
+        // holder never comes. Barrier 10 of 5 threads shows the dead
+        // arrival retracted: counted, it would open too.
+        assert!(st.arrive(9, arrived, n0, 3, at).is_none());
+        assert!(st.arrive(9, dead_arrived, n1, 3, at).is_none());
+        assert!(st.arrive(10, other, n0, 5, at).is_none());
+        assert!(st.arrive(10, other_dead, n1, 5, at).is_none());
+
+        let c = st.crash(&[holder, dead_arrived, other_dead], 3, true);
+        assert_eq!(c.parked, vec![dead_arrived, other_dead]);
+        assert_eq!(c.grants, vec![(7, (waiter, n0))]);
+        assert_eq!(st.lock_holder(7), Some(waiter));
+        assert_eq!(c.opened.len(), 1);
+        let (id, (waiters, _)) = &c.opened[0];
+        assert_eq!((*id, &waiters.0), (9, &[(arrived, n0, ())].into()));
+        assert_eq!((st.barriers[&10].count, st.forgiven), (1, 3));
+
+        let again = st.crash(&[], 0, true);
+        assert!(again.grants.is_empty() && again.opened.is_empty());
+        assert_eq!(st.lock_holder(7), Some(waiter));
     }
 }

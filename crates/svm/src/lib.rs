@@ -34,6 +34,8 @@ mod sync;
 pub use api::SvmSystem;
 pub use cluster::{Cluster, ClusterConfig};
 pub use config::{PlacementPolicy, ProtoMode, SvmConfig, SvmCosts};
+#[doc(hidden)]
+pub use core::{Crash, Grant, Opened, ProtoState};
 pub use core::{NodeStats, PlacementReport, GLOBAL_SECTION_BASE, GLOBAL_SECTION_BYTES, HEAP_BASE};
 pub use proto::ProtoError;
 #[doc(hidden)]

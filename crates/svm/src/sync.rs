@@ -11,10 +11,9 @@
 //! followed by a crash checkpoint).
 
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
 
 use obs::EdgeKind;
-use sim::{IdSet, NodeId, Sim, SimTime, Tid};
+use sim::{NodeId, Sim, SimTime, Tid};
 
 use crate::api::SvmSystem;
 
@@ -41,66 +40,10 @@ impl<T> WaitQueue<T> {
     }
 }
 
-#[derive(Debug, Clone)]
-pub(crate) struct LockState {
-    pub manager: NodeId,
-    pub holder: Option<Tid>,
-    pub holder_node: Option<NodeId>,
-    pub waiters: WaitQueue,
-    pub acquired_from: IdSet<u32>,
-}
-
-#[derive(Debug, Default, Clone)]
-pub(crate) struct BarrierState {
-    pub count: usize,
-    pub waiters: WaitQueue,
-    pub max_arrival: SimTime,
-    /// Membership of the current episode, recorded on every arrival so a
-    /// crash recovery can release the barrier when the survivors plus the
-    /// crashed-thread discount cover it.
-    pub expected: usize,
-}
-
-impl LockState {
-    /// The grant decision, shared by `unlock` and crash recovery: the
-    /// head waiter becomes the holder, or the lock falls free.
-    fn pass_on(&mut self) -> Option<(Tid, NodeId)> {
-        let next = self
-            .waiters
-            .0
-            .pop_front()
-            .map(|(tid, node, ())| (tid, node));
-        self.holder = next.map(|(tid, _)| tid);
-        if let Some((_, node)) = next {
-            self.holder_node = Some(node);
-        }
-        next
-    }
-}
-
-impl BarrierState {
-    /// The release decision, shared by the last arriver and crash
-    /// recovery: takes the waiters, resets the episode and returns the
-    /// nominal release time at the manager.
-    fn open(&mut self, per_node_ns: u64) -> (WaitQueue, SimTime) {
-        let release_t = self.max_arrival + per_node_ns * self.expected as u64;
-        self.count = 0;
-        self.max_arrival = SimTime::ZERO;
-        (std::mem::take(&mut self.waiters), release_t)
-    }
-}
-
 impl SvmSystem {
-    /// Whether lock `id`'s ownership is currently cached at `node` (so an
-    /// acquire from that node is a purely local operation).
-    pub fn lock_is_local(&self, id: u64, node: sim::NodeId) -> bool {
-        self.lock_owner_node(id) == Some(node)
-    }
-
     /// The node where lock `id`'s ownership is currently cached, if any.
     pub fn lock_owner_node(&self, id: u64) -> Option<sim::NodeId> {
-        let st = self.state.lock();
-        st.locks.get(&id).and_then(|l| l.holder_node)
+        self.state.lock().locks.get(&id).and_then(|l| l.holder_node)
     }
 
     /// The one hand-off: thread `to` resumes at `arrival`, and when that is
@@ -193,11 +136,8 @@ impl SvmSystem {
     fn manager_round_trip(&self, sim: &Sim, manager: NodeId) {
         let san = &self.cluster.san;
         let req = san.notify(sim.node(), manager, sim.now());
-        let reply = san.notify(
-            manager,
-            sim.node(),
-            req.arrival + self.cfg.costs.lock_handler_ns,
-        );
+        let handled = req.arrival + self.cfg.costs.lock_handler_ns;
+        let reply = san.notify(manager, sim.node(), handled);
         sim.clock_at_least(reply.arrival);
     }
 
@@ -228,37 +168,9 @@ impl SvmSystem {
     fn lock_or(&self, sim: &Sim, id: u64, wait: bool) -> bool {
         sim.op_point(self.cfg.costs.lock_local_ns);
         let node = sim.node();
-        let (granted, first_time, local_grant, manager) = {
-            let mut st = self.state.lock();
-            let stx = &mut *st;
-            // The first acquirer's node manages the lock (as with GeNIMA's
-            // distributed lock managers assigned at first use).
-            let l = stx.locks.entry(id).or_insert_with(|| LockState {
-                manager: node,
-                holder: None,
-                holder_node: None,
-                waiters: WaitQueue::default(),
-                acquired_from: IdSet::default(),
-            });
-            let first_time = l.acquired_from.insert(node.0);
-            let granted = l.holder.is_none();
-            // A fresh lock acquired by its manager is also local.
-            let local_grant = granted
-                && (l.holder_node == Some(node) || (l.holder_node.is_none() && l.manager == node));
-            if granted {
-                l.holder = Some(sim.tid());
-                l.holder_node = Some(node);
-            } else if wait {
-                l.waiters.push(sim.tid(), node, ());
-            }
-            let manager = l.manager;
-            if granted || wait {
-                stx.nodes[node.0 as usize].stats.lock_acquires += 1;
-            }
-            (granted, first_time, local_grant, manager)
-        };
+        let g = self.state.lock().lock(id, sim.tid(), node, wait);
 
-        if wait && first_time {
+        if wait && g.first_time {
             sim.advance(self.cfg.costs.lock_first_time_ns);
             if node != self.master {
                 // First-time bookkeeping reads the lock record remotely.
@@ -267,25 +179,25 @@ impl SvmSystem {
             }
         }
 
-        if granted {
-            if !local_grant && node != manager {
-                self.manager_round_trip(sim, manager);
-            } else if !local_grant {
+        if g.granted {
+            if !g.local && node != g.manager {
+                self.manager_round_trip(sim, g.manager);
+            } else if !g.local {
                 sim.advance(self.cfg.costs.lock_handler_ns);
             }
         } else if wait {
             // Request reaches the manager; we wait for a grant from the
             // releasing thread.
-            if node != manager {
-                let req = self.cluster.san.notify(node, manager, sim.now());
+            if node != g.manager {
+                let req = self.cluster.san.notify(node, g.manager, sim.now());
                 sim.clock_at_least(req.local_done);
             }
             self.park(sim, None);
         } else {
             // A failed probe still costs the manager round trip when the
             // lock record lives elsewhere.
-            if node != manager {
-                self.manager_round_trip(sim, manager);
+            if node != g.manager {
+                self.manager_round_trip(sim, g.manager);
             }
             return false;
         }
@@ -308,12 +220,7 @@ impl SvmSystem {
         // — the casualty must die here, not trip the holder check below.
         self.crash_check(sim);
 
-        let next = {
-            let mut st = self.state.lock();
-            let l = st.locks.get_mut(&id).expect("unlock of unknown lock");
-            assert_eq!(l.holder, Some(sim.tid()), "unlock by non-holder");
-            l.pass_on().map(|to| (to, l.manager))
-        };
+        let next = self.state.lock().unlock(id, sim.tid());
         if let Some((to, manager)) = next {
             // Release to the manager, its handler, grant to the waiter.
             let edge = Some((EdgeKind::LockHandoff, id));
@@ -341,26 +248,10 @@ impl SvmSystem {
             sim.now()
         };
 
-        // Threads removed by node-crash recovery never arrive; their
-        // arrivals are forgiven via the discount (always 0 without chaos,
-        // leaving the release condition untouched).
-        let discount = self.crashed_discount.load(Ordering::Relaxed) as usize;
-        let opened = {
-            let mut st = self.state.lock();
-            let stx = &mut *st;
-            stx.nodes[node.0 as usize].stats.barrier_waits += 1;
-            let b = stx.barriers.entry(id).or_default();
-            b.count += 1;
-            b.expected = n;
-            b.max_arrival = b.max_arrival.max(arrive_at_mgr);
-            if b.count + discount < n {
-                b.waiters.push(sim.tid(), node, ());
-                None
-            } else {
-                Some(b.open(self.cfg.costs.barrier_per_node_ns))
-            }
-        };
-
+        let opened = self
+            .state
+            .lock()
+            .arrive(id, sim.tid(), node, n, arrive_at_mgr);
         match opened {
             None => {
                 self.park(sim, None);
@@ -390,106 +281,38 @@ impl SvmSystem {
         let now = sim.now();
         let wake_t = release_t.max(now) + self.cluster.san.config().send_base_ns;
         for (tid, wnode, ()) in waiters.0 {
-            self.handoff(
-                sim,
-                Some((kind, id)),
-                (sim.node(), now),
-                wake_t,
-                (tid, wnode),
-            );
+            let cause = (sim.node(), now);
+            self.handoff(sim, Some((kind, id)), cause, wake_t, (tid, wnode));
         }
     }
 
-    /// Forgives `k` future barrier arrivals: crash recovery calls this once
-    /// per thread it removes, so barriers the dead threads can never reach
-    /// still release once every surviving participant has arrived.
-    pub fn crash_add_discount(&self, k: u64) {
-        self.crashed_discount.fetch_add(k, Ordering::Relaxed);
-    }
-
-    /// Purges a crashed thread from every lock wait queue and barrier
-    /// waiter list. A purged barrier waiter's arrival is also retracted —
-    /// the crash discount stands in for it, so it must not count twice.
-    /// Returns whether the thread was parked in any of them; if so the
-    /// caller must wake it so that it can unwind (it was removed
-    /// from the queue here, so the wake cannot race a legitimate one).
-    pub fn crash_purge_waiter(&self, tid: Tid) -> bool {
-        let mut st = self.state.lock();
-        let mut found = false;
-        for l in st.locks.values_mut() {
-            found |= l.waiters.purge(tid);
-        }
-        for b in st.barriers.values_mut() {
-            if b.waiters.purge(tid) {
-                b.count -= 1;
-                found = true;
-            }
-        }
-        found
-    }
-
-    /// Hands every lock held by a dead thread to its next waiter. Call
-    /// after [`SvmSystem::crash_purge_waiter`] ran for *all* of `dead`, so
-    /// no grant can land on another casualty. A dead holder cannot run the
-    /// release hand-off itself; the recovery thread (`sim`) grants on its
-    /// behalf, at `now + lock_handler_ns` with no wire message, the edge
-    /// sourced at `node`. Iteration is in sorted id order so replay with
-    /// the same plan stays deterministic.
-    pub fn crash_handoff_locks(&self, sim: &Sim, dead: &[Tid], node: NodeId) {
-        let grants: Vec<(u64, (Tid, NodeId))> = {
-            let mut st = self.state.lock();
-            let mut held: Vec<(u64, &mut LockState)> = st
-                .locks
-                .iter_mut()
-                .filter(|(_, l)| l.holder.is_some_and(|h| dead.contains(&h)))
-                .map(|(id, l)| (*id, l))
-                .collect();
-            held.sort_unstable_by_key(|(id, _)| *id);
-            let pass = |(id, l): (u64, &mut LockState)| {
-                let next = l.pass_on();
-                if next.is_none() {
-                    // Never leave ownership cached at a dead node: the
-                    // next acquirer must pay the remote path.
-                    l.holder_node = None;
-                }
-                next.map(|to| (id, to))
-            };
-            held.into_iter().filter_map(pass).collect()
-        };
+    /// Crash recovery of the lock and barrier managers
+    /// ([`ProtoState::crash`](crate::core::ProtoState::crash)): the dead
+    /// found parked, to be woken so they unwind. The recovering thread
+    /// grants a dead holder's locks on its behalf, at `now +
+    /// lock_handler_ns` with no wire message, the edge sourced at `node`;
+    /// then `between` runs (the caller's own grants keep their place in
+    /// the wake order); then the barriers the recovery opened release.
+    #[doc(hidden)]
+    pub fn crash(
+        &self,
+        sim: &Sim,
+        (dead, forgive, open): (&[Tid], u64, bool),
+        node: NodeId,
+        between: impl FnOnce(),
+    ) -> Vec<Tid> {
+        let c = self.state.lock().crash(dead, forgive, open);
         let now = sim.now();
-        for (id, to) in grants {
+        for (id, to) in c.grants {
             let edge = Some((EdgeKind::Recovery, id));
-            self.handoff(
-                sim,
-                edge,
-                (node, now),
-                now + self.cfg.costs.lock_handler_ns,
-                to,
-            );
+            let arrival = now + self.cfg.costs.lock_handler_ns;
+            self.handoff(sim, edge, (node, now), arrival, to);
         }
-    }
-
-    /// Releases every barrier that only dead threads were keeping closed
-    /// (arrivals + discount cover the expected count). Crash recovery calls
-    /// this after removing the crashed threads and bumping the discount.
-    /// Sorted-id iteration keeps replay deterministic.
-    pub fn crash_release_ready_barriers(&self, sim: &Sim) {
-        let discount = self.crashed_discount.load(Ordering::Relaxed) as usize;
-        if discount == 0 {
-            return;
-        }
-        let mut ready: Vec<(u64, (WaitQueue, SimTime))> = {
-            let mut st = self.state.lock();
-            st.barriers
-                .iter_mut()
-                .filter(|(_, b)| b.count > 0 && b.expected > 0 && b.count + discount >= b.expected)
-                .map(|(id, b)| (*id, b.open(self.cfg.costs.barrier_per_node_ns)))
-                .collect()
-        };
-        ready.sort_unstable_by_key(|(id, _)| *id);
-        for (id, (waiters, release_t)) in ready {
+        between();
+        for (id, (waiters, release_t)) in c.opened {
             self.fan_out(sim, EdgeKind::Recovery, id, waiters, release_t);
         }
+        c.parked
     }
 }
 
