@@ -20,14 +20,19 @@ source scripts/artifacts.sh
 echo "==> cargo build --release"
 cargo build $CARGO_FLAGS --release
 
+# The tree is rustfmt-clean, so line tallies and diffs read straight off it.
+echo "==> cargo fmt --check"
+cargo fmt --all -- --check
+
 # The engine has no mode, the access path no toggle, migration one policy,
 # the service's pools no adaptation, the metric stream no ring, merge
 # path or drain thread, and the page protocol one traffic lever (diff
 # batching: no prefetcher, no lock-data forwarding, no multi-segment
-# fetch); a name from those coming back is a regression of the design,
-# not of a number.
+# fetch), and crash recovery one transition per core (no per-step crash
+# helpers, no second retirement path); a name from those coming back is a
+# regression of the design, not of a number.
 echo "==> no engine-mode / slow-path / second-policy switches"
-if grep -rnE 'EngineMode|set_mode\(|set_lockless|set_fast_path|set_slow_mode|engine_wall|BENCH_hotpath|migration_threshold|diff_streaks|AdaptParams|with_adapt|series_last_window|credit_sharing|migration_prefetch_grid|FrameRing|merge_frames|overflow_merges|series_start_with|DEFAULT_RING_CAP|StreamExporter|prefetch_confirm|DEFAULT_SAMPLE_NS|prefetch_degree|lock_forwarding|lock_forward_hot|with_protocol_opts|PrefetchMasked|LockForward|fetch_multi|BatchFetch|acquire_on_lock' \
+if grep -rnE 'EngineMode|set_mode\(|set_lockless|set_fast_path|set_slow_mode|engine_wall|BENCH_hotpath|migration_threshold|diff_streaks|AdaptParams|with_adapt|series_last_window|credit_sharing|migration_prefetch_grid|FrameRing|merge_frames|overflow_merges|series_start_with|DEFAULT_RING_CAP|StreamExporter|prefetch_confirm|DEFAULT_SAMPLE_NS|prefetch_degree|lock_forwarding|lock_forward_hot|with_protocol_opts|PrefetchMasked|LockForward|fetch_multi|BatchFetch|acquire_on_lock|crash_purge_waiter|crash_handoff_locks|crash_handoff_rwlocks|crash_release_ready_barriers|crash_add_discount|crashed_discount|retire_self|thread_create_near|cond_wait_for' \
         crates/ src/ tests/ examples/ scripts/ --exclude=tier1.sh; then
     echo "tier1: a deleted switch is back (see above)" >&2
     exit 1
@@ -38,23 +43,26 @@ fi
 # SipHash, and an iteration order that is the same in every process. A std
 # HashMap/HashSet outside tests brings RandomState back. Checked up to the
 # first top-level `#[cfg(test)]`; exempt: sim/src/idmap.rs, which defines
-# the aliases, and svm/src/explore.rs, a `#[cfg(test)] mod`.
+# the aliases, and svm/src/explore.rs and cables/src/explore.rs, each a
+# `#[cfg(test)] mod`.
 echo "==> simulator maps hash with sim::IdHasher"
 if for f in crates/{sim,memsim,san,vmmc,svm,cables,chaos}/src/*.rs; do
-       case "$f" in crates/sim/src/idmap.rs|crates/svm/src/explore.rs) continue ;; esac
+       case "$f" in crates/sim/src/idmap.rs|crates/svm/src/explore.rs|crates/cables/src/explore.rs) continue ;; esac
        awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f"
    done | grep -E 'std::collections::.*\bHash(Map|Set)\b|\bHash(Map|Set)<'; then
     echo "tier1: std HashMap/HashSet in simulator code (see above); use sim::IdMap / sim::IdSet" >&2
     exit 1
 fi
 
-# The page-protocol core is sans-I/O: it decides, `proto.rs` performs. It
-# names no engine, cluster, memory, NIC or wire handle, no lock and no
-# observability item; plain id and value types (`NodeId`, `RegionId`,
-# `PageNum`, `SimTime`) are fine.
-echo "==> svm protocol core names no engine, I/O, lock or obs item"
-if grep -nE '\b(Sim|Cluster|ClusterMem|Vmmc|San|Mutex)\b|\.lock\(\)|\bobs::' crates/svm/src/core.rs; then
-    echo "tier1: crates/svm/src/core.rs reaches past the directory (see above)" >&2
+# The page-protocol core (with the lock and barrier managers) and the
+# runtime core are sans-I/O: they decide, `proto.rs`/`sync.rs` and
+# `rt.rs`/`sync.rs` perform. They name no engine, cluster, memory, NIC,
+# wire or chaos handle, no lock and no observability item; plain id and
+# value types (`NodeId`, `RegionId`, `PageNum`, `SimTime`, `Tid`) are fine.
+echo "==> svm and cables cores name no engine, I/O, lock or obs item"
+if grep -nE '\b(Sim|Cluster|ClusterMem|Vmmc|San|SvmSystem|ChaosEngine|Mutex)\b|\.lock\(\)|\bobs::' \
+        crates/svm/src/core.rs crates/cables/src/core.rs; then
+    echo "tier1: a sans-I/O core reaches past its state (see above)" >&2
     exit 1
 fi
 
