@@ -238,7 +238,7 @@ impl RtState {
             let occ = *self.threads_on.get(&node.0).unwrap_or(&0);
             let pull = |p: &[u64]| (p.get(node.0 as usize).copied().unwrap_or(0), occ);
             let score = affinity.map_or((0, 0), pull);
-            if occ < cap && best.map_or(true, |(b, _)| score > b) {
+            if occ < cap && best.is_none_or(|(b, _)| score > b) {
                 best = Some((score, idx));
             }
         }

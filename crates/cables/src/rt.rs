@@ -270,6 +270,7 @@ impl CablesRt {
     }
 
     /// The cluster's observability sink, only when fully enabled.
+    #[inline]
     pub(crate) fn obs_if_on(&self) -> Option<&obs::ObsSink> {
         self.svm.obs_if_on()
     }
