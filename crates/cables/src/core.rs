@@ -242,8 +242,7 @@ impl RtState {
                 best = Some((score, idx));
             }
         }
-        let chosen = best.map(|(_, idx)| idx);
-        if let Some(idx) = chosen {
+        if let Some((_, idx)) = best {
             self.rr = (idx + 1) % n;
             return (self.attached[idx], false);
         }
