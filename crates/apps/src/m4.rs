@@ -189,8 +189,8 @@ impl M4System {
         };
         // Surface the engine's scheduling telemetry and any migration
         // activity in the obs snapshot (no-ops when observability is off;
-        // the placement gauges skip zero values so policy-off snapshots
-        // are unchanged).
+        // the placement gauges skip zero values, so a run without
+        // migrations adds none).
         self.svm().publish_engine_telemetry();
         self.svm().publish_placement_telemetry();
         res

@@ -1,8 +1,7 @@
-//! The sharing-aware placement extensions are value-preserving: for any
-//! setting of the policy knobs (counter-driven migration thresholds,
-//! affinity placement, pre-attached node sets) FFT and RADIX compute
-//! bit-identical results to the policy-off paper configuration. A node
-//! crash landing while the migration policy is actively re-homing chunks
+//! The placement extensions are value-preserving: for any setting of
+//! the knobs (affinity placement, pre-attached node sets) FFT and RADIX
+//! compute bit-identical results to the paper configuration. A node
+//! crash landing while chunks are being re-homed (`migrate_home`)
 //! recovers: survivors finish, the migrated chunk stays reachable, and the
 //! dead writer is retired.
 //! (The traffic and timing claims live in the `placement` bench.)
@@ -16,7 +15,7 @@ use cables_apps::splash::{fft, radix};
 use cables_apps::{M4Ctx, M4System};
 use chaos::{ChaosEngine, FaultPlan};
 use proptest::prelude::*;
-use svm::{Cluster, ClusterConfig, PlacementPolicy, SvmConfig};
+use svm::{Cluster, ClusterConfig};
 
 const NODES: usize = 2;
 const CPUS: usize = 2;
@@ -51,8 +50,8 @@ fn radix_digest(ctx: &M4Ctx) -> (u64, u64) {
     (r.key_sum, r.sorted as u64)
 }
 
-/// Policy-off digests, computed once per kernel — the knobs under test
-/// never touch this cell.
+/// Paper-configuration digests, computed once per kernel — the knobs
+/// under test never touch this cell.
 fn baseline(kernel: usize) -> (u64, u64) {
     static CELLS: [OnceLock<(u64, u64)>; 2] = [OnceLock::new(), OnceLock::new()];
     *CELLS[kernel].get_or_init(|| match kernel {
@@ -64,27 +63,15 @@ fn baseline(kernel: usize) -> (u64, u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Any knob setting — migration thresholds from hair-trigger to
-    /// inert, affinity placement, warm pre-attached node sets — yields
-    /// the policy-off digests. The policies move homes and threads, never
-    /// values.
+    /// Any knob setting — affinity placement, warm pre-attached node
+    /// sets — yields the paper configuration's digests. The knobs move
+    /// threads, never values.
     #[test]
     fn arbitrary_knobs_preserve_results(
-        min_traffic in 1u32..32,
-        dominance_pct in 51u32..96,
-        cooldown_releases in 0u32..8,
         affinity in any::<bool>(),
         pre_attach in 0usize..4,
     ) {
         let cfg = CablesConfig {
-            svm: SvmConfig {
-                placement_policy: Some(PlacementPolicy {
-                    min_traffic,
-                    dominance_pct,
-                    cooldown_releases,
-                }),
-                ..SvmConfig::cables()
-            },
             affinity_placement: affinity,
             pre_attach,
             ..CablesConfig::paper()
@@ -94,12 +81,12 @@ proptest! {
     }
 }
 
-/// A node crash while the counter-driven policy is mid-campaign: worker
-/// 1's chunk has already migrated to node 1, worker 2 is still building
-/// the traffic that would re-home its chunk when node 2 dies. The run
-/// must complete (the dead writer is retired, its lock handed off), the
-/// migrated chunk must stay reachable from the master, and the
-/// survivor's data must be exactly what it wrote.
+/// A node crash amid migrations: each worker takes its chunk home with
+/// `migrate_home` early in its loop, and node 2 dies while worker 2 is
+/// still writing its migrated chunk. The run must complete (the dead
+/// writer is retired, its lock handed off), worker 1's migrated chunk
+/// must stay reachable from the master, and the survivor's data must be
+/// exactly what it wrote.
 #[test]
 fn node_crash_during_migration_recovers() {
     let cluster = Cluster::build(ClusterConfig::small(3, 1));
@@ -108,16 +95,6 @@ fn node_crash_during_migration_recovers() {
     // a few ms).
     cluster.set_chaos(ChaosEngine::new(7, FaultPlan::new().crash(2, 100_000_000)));
     let cfg = CablesConfig {
-        svm: SvmConfig {
-            // Hair-trigger policy: migrations start within a few
-            // releases, so the crash lands amid policy activity.
-            placement_policy: Some(PlacementPolicy {
-                min_traffic: 2,
-                dominance_pct: 51,
-                cooldown_releases: 0,
-            }),
-            ..SvmConfig::cables()
-        },
         // Warm node set: both workers start within milliseconds instead
         // of behind multi-second attach handshakes.
         pre_attach: 3,
@@ -133,25 +110,30 @@ fn node_crash_during_migration_recovers() {
         let b = ctx.g_malloc(65_536);
         ctx.write::<u64>(a, 0);
         ctx.write::<u64>(b, 0);
-        // Worker on node 1 (round-robin): builds a short streak on its
-        // chunk — migrated home by the time the crash fires — and
-        // survives.
+        // Worker on node 1 (round-robin): takes its chunk home in its
+        // second round — long before the crash fires — and survives.
         ctx.create(move |w| {
             for r in 0..40u64 {
                 w.lock(1);
                 for i in 0..8u64 {
                     w.write::<u64>(a + i * 8, r * 100 + i);
                 }
+                if r == 1 {
+                    assert!(w.system().svm().migrate_home(w.sim, a));
+                }
                 w.unlock(1);
                 w.compute(100_000);
             }
         });
-        // Worker on node 2: still looping (and still generating the
-        // remote traffic the policy counts) at the crash instant.
+        // Worker on node 2: takes its chunk home too, and is still
+        // looping at the crash instant.
         ctx.create(move |w| {
             for r in 0..4_000u64 {
                 w.lock(2);
                 w.write::<u64>(b, r);
+                if r == 1 {
+                    assert!(w.system().svm().migrate_home(w.sim, b));
+                }
                 w.unlock(2);
                 w.compute(100_000);
             }
@@ -168,15 +150,7 @@ fn node_crash_during_migration_recovers() {
     assert_eq!(*seen.lock().unwrap(), (0..8u64).map(|i| 3900 + i).sum());
     let svm = sys.svm();
     let total = svm.total_stats();
-    assert!(
-        total.policy_considered > 0,
-        "policy was active before the crash"
-    );
-    assert!(
-        total.migrations >= 1,
-        "worker 1's chunk migrated (got {} migrations)",
-        total.migrations
-    );
+    assert_eq!(total.migrations, 2, "both workers' chunks migrated");
     let rt = sys.cables_rt().expect("cables backend");
     assert!(
         rt.stats().nodes_detached >= 1,

@@ -166,7 +166,6 @@ mod tests {
         // The placement extensions are off: lazy attach, round-robin.
         assert_eq!(c.pre_attach, 0);
         assert!(!c.affinity_placement);
-        assert!(c.svm.placement_policy.is_none());
     }
 
     #[test]

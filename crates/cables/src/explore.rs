@@ -8,17 +8,18 @@
 //! threads: main `A` on the master, `B` on node 1, and `W`, node 1's
 //! one-worker pool, which `A` hands one job. They share one mutex, one
 //! condition, one rwlock and one barrier, each thread following a fixed
-//! script. Node 1 crashes at every action boundary; the monitor's
-//! recovery runs at every later one; a casualty may take up to
-//! [`SPRINT`] more checkpoint-free actions (its clock ran ahead) before
-//! it must die at its next checkpoint. Every interleaving is explored,
-//! breadth first, so a failure prints the shortest schedule that
-//! reaches it. Invariants:
+//! script. `B`'s condition wait is timed: it ends by a signal or, at
+//! most once per schedule, by a timeout. Node 1 crashes at every action
+//! boundary; the monitor's recovery runs at every later one; a casualty
+//! may take up to [`SPRINT`] more checkpoint-free actions (its clock ran
+//! ahead) before it must die at its next checkpoint. Every interleaving
+//! is explored, breadth first, so a failure prints the shortest schedule
+//! that reaches it. Invariants:
 //!
 //! - no lock or rwlock hold of a dead thread survives its recovery or
 //!   its own unwind;
 //! - every wake lands on a parked thread — a waiter is woken exactly
-//!   once, and no exited thread is woken;
+//!   once, and no exited or timed-out thread is woken;
 //! - recovery unparks every thread of the dead node, and a schedule
 //!   only ends with every thread finished (or idle in the pool);
 //! - a joiner of a casualty sees [`CRASHED_RET`];
@@ -147,6 +148,8 @@ enum Act {
     Step(usize),
     Resume(usize),
     Checkpoint(usize),
+    /// `B`'s timed condition wait expires.
+    Timeout,
     Crash,
     Recover,
 }
@@ -162,6 +165,9 @@ struct World {
     casualties: u64,
     /// `B` retired itself with its own value (before any recovery).
     b_exited: bool,
+    /// `B`'s condition wait timed out (at most once, so the world stays
+    /// finite).
+    timed_out: bool,
 }
 
 type Check = Result<(), String>;
@@ -206,6 +212,7 @@ impl World {
             recovered: false,
             casualties: 0,
             b_exited: false,
+            timed_out: false,
         }
     }
 
@@ -232,6 +239,7 @@ impl World {
                 self.th[t].pending = true;
                 Ok(())
             }
+            Run::Ready if t == B && self.timed_out => Err("woke timed-out B".into()),
             Run::Ready | Run::Woken => Err(format!("woke {} twice", NAME[t])),
         }
     }
@@ -267,6 +275,10 @@ impl World {
         } else if !self.recovered {
             acts.push(Act::Recover);
         }
+        let b = &self.th[B];
+        if !self.timed_out && b.run == Run::Parked && b.script[b.pc] == Op::UnlockPark {
+            acts.push(Act::Timeout);
+        }
         for (t, th) in self.th.iter().enumerate() {
             let doomed = self.doomed(t);
             match th.run {
@@ -298,6 +310,7 @@ impl World {
                 Ok(())
             }
             Act::Recover => self.recover(),
+            Act::Timeout => self.timeout(),
             Act::Checkpoint(t) => self.unwind(t),
             Act::Resume(t) => self.resume(t),
             Act::Step(t) => {
@@ -361,6 +374,20 @@ impl World {
         self.wake_all(rec.rw_grants.iter().map(|g| g.0))?;
         self.wake_all(rec.wakes)?;
         self.holds_nothing(tid)
+    }
+
+    /// `B`'s timed park returns unwoken. Its crash checkpoint comes
+    /// first: on a crashed node it dies there, still queued. Otherwise it
+    /// deregisters with no ordering point in between, as `sync.rs` does,
+    /// then re-locks and re-checks the flag.
+    fn timeout(&mut self) -> Check {
+        self.timed_out = true;
+        if self.doomed(B) {
+            return self.unwind(B);
+        }
+        self.rt.cond_timeout(COND, self.th[B].tid);
+        (self.th[B].run, self.th[B].pc) = (Run::Ready, 1);
+        Ok(())
     }
 
     /// A woken thread continues past its park's checkpoint.
@@ -519,7 +546,7 @@ impl World {
         format!("{:?}{:?}", self.rt, self.svm).hash(&mut h);
         self.th.hash(&mut h);
         (self.flag, self.crashed, self.recovered).hash(&mut h);
-        (self.casualties, self.b_exited).hash(&mut h);
+        (self.casualties, self.b_exited, self.timed_out).hash(&mut h);
         h.finish()
     }
 }
@@ -560,6 +587,7 @@ fn explore() -> Result<usize, Vec<String>> {
                 }
                 Act::Resume(t) => format!("{} resumes", NAME[t]),
                 Act::Checkpoint(t) => format!("{} dies at its checkpoint", NAME[t]),
+                Act::Timeout => "B's wait times out".into(),
                 Act::Crash => "node 1 crashes".into(),
                 Act::Recover => "recovery".into(),
             };

@@ -653,13 +653,13 @@ fn side_paths_match_pinned_goldens() {
 }
 
 fn golden_tour() -> Observed {
-    Observed { end_ns: 11070130886, rets: vec![0, 1100, 2007, 3284, 4007, 5000, 6008, 2, 1], rt: "RtStats { local_creates: 1, remote_creates: 7, nodes_attached: 3, nodes_detached: 0, joins: 10, cancels: 1, cond_waits: 7, cond_signals: 1, cond_broadcasts: 1, mallocs: 1, frees: 0, pooled_dispatches: 2 }".into(), contention: "ContentionStats { mutex_waits: 39, mutex_wait_ns: 20095674, mutex_max_waiters: 8, cond_waits: 6, cond_wait_ns: 47390461, cond_max_waiters: 5, barrier_waits: 48, barrier_wait_ns: 33571040492, barrier_max_waiters: 8, rw_waits: 6, rw_wait_ns: 1947892, rw_max_waiters: 5 }".into(), ops: vec![(10, 1103146913), (10, 307700), (36, 532109), (34, 11647), (7, 6912065), (1, 38501), (1, 9000), (48, 699396676), (1, 7000), (0, 0)], nodes: "NodeStats { read_faults: 15, write_faults: 29, remote_fetches: 16, fetch_bytes: 65536, diffs_sent: 21, diff_bytes: 168, notices_applied: 15, placements: 1, migrations: 0, lock_acquires: 41, barrier_waits: 48, diff_batches: 0, batched_diff_bytes: 0, pingpong_handoffs: 0, policy_considered: 0, policy_migrations: 0 }".into(), edges: (461, 9743236524895054402), recovery: vec![], chaos: None }
+    Observed { end_ns: 11070130886, rets: vec![0, 1100, 2007, 3284, 4007, 5000, 6008, 2, 1], rt: "RtStats { local_creates: 1, remote_creates: 7, nodes_attached: 3, nodes_detached: 0, joins: 10, cancels: 1, cond_waits: 7, cond_signals: 1, cond_broadcasts: 1, mallocs: 1, frees: 0, pooled_dispatches: 2 }".into(), contention: "ContentionStats { mutex_waits: 39, mutex_wait_ns: 20095674, mutex_max_waiters: 8, cond_waits: 6, cond_wait_ns: 47390461, cond_max_waiters: 5, barrier_waits: 48, barrier_wait_ns: 33571040492, barrier_max_waiters: 8, rw_waits: 6, rw_wait_ns: 1947892, rw_max_waiters: 5 }".into(), ops: vec![(10, 1103146913), (10, 307700), (36, 532109), (34, 11647), (7, 6912065), (1, 38501), (1, 9000), (48, 699396676), (1, 7000), (0, 0)], nodes: "NodeStats { read_faults: 15, write_faults: 29, remote_fetches: 16, fetch_bytes: 65536, diffs_sent: 21, diff_bytes: 168, notices_applied: 15, placements: 1, migrations: 0, lock_acquires: 41, barrier_waits: 48, diff_batches: 0, batched_diff_bytes: 0 }".into(), edges: (461, 9743236524895054402), recovery: vec![], chaos: None }
 }
 
 fn golden_dead_writer() -> Observed {
-    Observed { end_ns: 212632214, rets: vec![0, 60015030, 125, 60236862, 4, 60016015, 125, 60155062, 8, 60137204, 125, 60008800, 12, 60000000, 125, 60007800, 16, 17], rt: "RtStats { local_creates: 4, remote_creates: 14, nodes_attached: 0, nodes_detached: 1, joins: 19, cancels: 0, cond_waits: 1, cond_signals: 0, cond_broadcasts: 0, mallocs: 1, frees: 0, pooled_dispatches: 0 }".into(), contention: "ContentionStats { mutex_waits: 4, mutex_wait_ns: 38150539, mutex_max_waiters: 2, cond_waits: 0, cond_wait_ns: 0, cond_max_waiters: 1, barrier_waits: 2, barrier_wait_ns: 76628900, barrier_max_waiters: 3, rw_waits: 4, rw_wait_ns: 51315347, rw_max_waiters: 3 }".into(), ops: vec![(18, 810574), (19, 4734121), (4, 9537634), (2, 16629), (0, 0), (0, 0), (0, 0), (2, 38314450), (1, 7000), (0, 0)], nodes: "NodeStats { read_faults: 3, write_faults: 21, remote_fetches: 3, fetch_bytes: 12288, diffs_sent: 2, diff_bytes: 24, notices_applied: 1, placements: 1, migrations: 0, lock_acquires: 4, barrier_waits: 3, diff_batches: 0, batched_diff_bytes: 0, pingpong_handoffs: 0, policy_considered: 0, policy_migrations: 0 }".into(), edges: (125, 10104864910775370282), recovery: vec![(3, 60005000, 2), (13, 60007800, 1), (17, 60007800, 1), (1, 61000000, 2)], chaos: Some((1, 1, vec![1000000])) }
+    Observed { end_ns: 212632214, rets: vec![0, 60015030, 125, 60236862, 4, 60016015, 125, 60155062, 8, 60137204, 125, 60008800, 12, 60000000, 125, 60007800, 16, 17], rt: "RtStats { local_creates: 4, remote_creates: 14, nodes_attached: 0, nodes_detached: 1, joins: 19, cancels: 0, cond_waits: 1, cond_signals: 0, cond_broadcasts: 0, mallocs: 1, frees: 0, pooled_dispatches: 0 }".into(), contention: "ContentionStats { mutex_waits: 4, mutex_wait_ns: 38150539, mutex_max_waiters: 2, cond_waits: 0, cond_wait_ns: 0, cond_max_waiters: 1, barrier_waits: 2, barrier_wait_ns: 76628900, barrier_max_waiters: 3, rw_waits: 4, rw_wait_ns: 51315347, rw_max_waiters: 3 }".into(), ops: vec![(18, 810574), (19, 4734121), (4, 9537634), (2, 16629), (0, 0), (0, 0), (0, 0), (2, 38314450), (1, 7000), (0, 0)], nodes: "NodeStats { read_faults: 3, write_faults: 21, remote_fetches: 3, fetch_bytes: 12288, diffs_sent: 2, diff_bytes: 24, notices_applied: 1, placements: 1, migrations: 0, lock_acquires: 4, barrier_waits: 3, diff_batches: 0, batched_diff_bytes: 0 }".into(), edges: (125, 10104864910775370282), recovery: vec![(3, 60005000, 2), (13, 60007800, 1), (17, 60007800, 1), (1, 61000000, 2)], chaos: Some((1, 1, vec![1000000])) }
 }
 
 fn golden_sides() -> Observed {
-    Observed { end_ns: 7280205714, rets: vec![1, 11, 11, 1, 22, 3], rt: "RtStats { local_creates: 3, remote_creates: 3, nodes_attached: 2, nodes_detached: 2, joins: 6, cancels: 0, cond_waits: 4, cond_signals: 0, cond_broadcasts: 1, mallocs: 1, frees: 0, pooled_dispatches: 0 }".into(), contention: "ContentionStats { mutex_waits: 9, mutex_wait_ns: 3696474673, mutex_max_waiters: 3, cond_waits: 4, cond_wait_ns: 14656650637, cond_max_waiters: 4, barrier_waits: 0, barrier_wait_ns: 0, barrier_max_waiters: 0, rw_waits: 0, rw_wait_ns: 0, rw_max_waiters: 0 }".into(), ops: vec![(6, 1207454952), (6, 43915), (5, 739226173), (5, 7400), (4, 3664162659), (0, 0), (1, 9000), (0, 0), (1, 7000), (0, 0)], nodes: "NodeStats { read_faults: 2, write_faults: 2, remote_fetches: 2, fetch_bytes: 8192, diffs_sent: 0, diff_bytes: 0, notices_applied: 1, placements: 1, migrations: 0, lock_acquires: 9, barrier_waits: 0, diff_batches: 0, batched_diff_bytes: 0, pingpong_handoffs: 0, policy_considered: 0, policy_migrations: 0 }".into(), edges: (54, 4684428033430509596), recovery: vec![], chaos: None }
+    Observed { end_ns: 7280205714, rets: vec![1, 11, 11, 1, 22, 3], rt: "RtStats { local_creates: 3, remote_creates: 3, nodes_attached: 2, nodes_detached: 2, joins: 6, cancels: 0, cond_waits: 4, cond_signals: 0, cond_broadcasts: 1, mallocs: 1, frees: 0, pooled_dispatches: 0 }".into(), contention: "ContentionStats { mutex_waits: 9, mutex_wait_ns: 3696474673, mutex_max_waiters: 3, cond_waits: 4, cond_wait_ns: 14656650637, cond_max_waiters: 4, barrier_waits: 0, barrier_wait_ns: 0, barrier_max_waiters: 0, rw_waits: 0, rw_wait_ns: 0, rw_max_waiters: 0 }".into(), ops: vec![(6, 1207454952), (6, 43915), (5, 739226173), (5, 7400), (4, 3664162659), (0, 0), (1, 9000), (0, 0), (1, 7000), (0, 0)], nodes: "NodeStats { read_faults: 2, write_faults: 2, remote_fetches: 2, fetch_bytes: 8192, diffs_sent: 0, diff_bytes: 0, notices_applied: 1, placements: 1, migrations: 0, lock_acquires: 9, barrier_waits: 0, diff_batches: 0, batched_diff_bytes: 0 }".into(), edges: (54, 4684428033430509596), recovery: vec![], chaos: None }
 }

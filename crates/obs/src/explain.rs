@@ -43,10 +43,9 @@ pub enum CauseKind {
     Kind,
     /// A page's protocol counters moved (`pages[page=…]`).
     Page,
-    /// A placement/migration gauge moved (`gauges.proto.migrations`,
-    /// `gauges.proto.policy_*`, `gauges.proto.*pingpong*`): the
-    /// migration policy was active and its decision rate changed — a
-    /// regression may be home-thrash rather than app behavior.
+    /// A migration gauge moved (`gauges.proto.*migrations`): chunks
+    /// changed home — a regression may be home-thrash rather than app
+    /// behavior.
     Migration,
     /// The series diverged in a specific time window.
     Window,
@@ -146,9 +145,7 @@ fn cause_kind(path: &str) -> Option<(CauseKind, String)> {
         }
     }
     if let Some((_, name)) = path.split_once("gauges.") {
-        if name.starts_with("proto.")
-            && (name.contains("migration") || name.contains("policy") || name.contains("pingpong"))
-        {
+        if name.starts_with("proto.") && name.contains("migration") {
             return Some((CauseKind::Migration, name.to_string()));
         }
     }
@@ -449,7 +446,8 @@ mod tests {
         let mk = |sim: u64, migr: u64| {
             json::parse(&format!(
                 r#"{{"sim_time_ns": {sim},
-                    "snapshot": {{"gauges": {{"proto.migrations": {migr}, "proto.policy_considered": {}}}}}}}"#,
+                    "snapshot": {{"gauges": {{"proto.migrations": {}, "proto.node1.migrations": {}}}}}}}"#,
+                migr * 11,
                 migr * 10
             ))
             .unwrap()
@@ -466,8 +464,8 @@ mod tests {
             .filter(|c| c.kind == CauseKind::Migration)
             .map(|c| c.name.as_str())
             .collect();
-        // Ranked by |delta| within the kind: considered moved more.
-        assert_eq!(migr, ["proto.policy_considered", "proto.migrations"]);
+        // Ranked by |delta| within the kind: the total moved more.
+        assert_eq!(migr, ["proto.migrations", "proto.node1.migrations"]);
         assert!(e.render("t").contains("migration"));
     }
 

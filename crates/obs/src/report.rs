@@ -161,8 +161,8 @@ pub fn window_table(rows: &[crate::series::WindowRow]) -> String {
     use crate::stall::Bucket;
     let mut out = String::new();
     let any_svc = rows.iter().any(|r| r.svc > 0);
-    // Migration column only when a migration policy actually fired, so
-    // policy-off tables render exactly as before.
+    // Migration column only when a chunk actually migrated, so tables of
+    // runs without migrations render without it.
     let any_migr = rows.iter().any(|r| r.migrates > 0);
     let _ = writeln!(
         out,

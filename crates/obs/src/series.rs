@@ -460,7 +460,7 @@ pub struct WindowRow {
     /// Acquire-time invalidations this window.
     pub invals: u64,
     /// Home migrations this window (summed over pages; nonzero only when
-    /// a migration policy is active).
+    /// something calls `migrate_home`).
     pub migrates: u64,
     /// Stall mix recorded this window, in [`Bucket::ALL`] order.
     pub stall_ns: [u64; BUCKETS],
@@ -519,8 +519,8 @@ impl ToJson for WindowRow {
         w.field("faults", self.faults)
             .field("fetches", self.fetches);
         w.field("diffs", self.diffs).field("invals", self.invals);
-        // Sparse, like the stall buckets below: policy-off runs never
-        // migrate, so their tables carry no migration column.
+        // Sparse, like the stall buckets below: runs without migrations
+        // carry no migration column.
         if self.migrates > 0 {
             w.field("migrates", self.migrates);
         }

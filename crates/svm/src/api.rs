@@ -103,35 +103,21 @@ impl SvmSystem {
         o.gauge_set("engine.sync_fast_path", s.sync_fast_path);
     }
 
-    /// Publishes migration/placement activity into the obs gauge registry
-    /// (`proto.*` names): total migrations, per-node ping-pong handoffs,
-    /// and the counter policy's decision counters. Zero-valued gauges are
-    /// skipped — a run without migration activity publishes nothing, so
-    /// artifacts from policy-off runs stay byte-identical to pre-policy
-    /// ones. No-op when observability is off.
+    /// Publishes migration activity into the obs gauge registry (`proto.*`
+    /// names): total and per-node migrations. Zero-valued gauges are
+    /// skipped — a run without migrations publishes nothing. No-op when
+    /// observability is off.
     pub fn publish_placement_telemetry(&self) {
         if !self.cluster.obs.on() {
             return;
         }
         let o = &self.cluster.obs;
-        let t = self.total_stats();
-        let set = |name: &str, v: u64| {
-            if v > 0 {
-                o.gauge_set(name, v);
-            }
-        };
-        set("proto.migrations", t.migrations);
-        set("proto.pingpong_handoffs", t.pingpong_handoffs);
-        set("proto.policy_considered", t.policy_considered);
-        set("proto.policy_migrations", t.policy_migrations);
+        let total = self.total_stats().migrations;
+        if total > 0 {
+            o.gauge_set("proto.migrations", total);
+        }
         let st = self.state.lock();
         for (i, n) in st.nodes.iter().enumerate() {
-            if n.stats.pingpong_handoffs > 0 {
-                o.gauge_set(
-                    &format!("proto.node{i}.pingpong_handoffs"),
-                    n.stats.pingpong_handoffs,
-                );
-            }
             if n.stats.migrations > 0 {
                 o.gauge_set(&format!("proto.node{i}.migrations"), n.stats.migrations);
             }

@@ -69,37 +69,6 @@ impl Default for SvmCosts {
     }
 }
 
-/// Counter-driven home-migration policy (the sharing-aware placement
-/// extension): keys on per-chunk sharing counters the protocol maintains
-/// incrementally — remote fetch+diff traffic per node, ping-pong
-/// handoffs — the same taxonomy `obs::sharing` ranks pages by, but kept
-/// in the protocol directory so decisions never depend on whether
-/// observability is enabled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PlacementPolicy {
-    /// Minimum remote fetch+diff messages a chunk must have generated
-    /// since its last (re)homing before migration is considered.
-    pub min_traffic: u32,
-    /// Minimum share (percent) of the chunk's remote traffic the
-    /// candidate node must account for to become the new home. The
-    /// dominance test is what keeps ping-ponging chunks — traffic split
-    /// between alternating nodes — in place instead of thrashing.
-    pub dominance_pct: u32,
-    /// Release-time considerations a chunk sits out after migrating
-    /// before it may migrate again (hysteresis against home thrash).
-    pub cooldown_releases: u32,
-}
-
-impl Default for PlacementPolicy {
-    fn default() -> Self {
-        PlacementPolicy {
-            min_traffic: 8,
-            dominance_pct: 60,
-            cooldown_releases: 4,
-        }
-    }
-}
-
 /// Full protocol configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SvmConfig {
@@ -111,12 +80,6 @@ pub struct SvmConfig {
     /// Enable the base system's single-writer write-through optimization
     /// (paper §3.4, responsible for the OCEAN gap).
     pub write_through_single_writer: bool,
-    /// Home-migration policy (CableS mode; an extension: the paper
-    /// provides the mechanisms but no policy, §2.1.3). Chunks migrate to
-    /// the node dominating their remote fetch+diff traffic, with a
-    /// traffic floor and post-migration cooldown. `None` reproduces the
-    /// paper.
-    pub placement_policy: Option<PlacementPolicy>,
     /// Release-time diff batching: ship all diffs bound for the same home
     /// as one multi-segment VMMC write (one message header and one fence
     /// contribution per home instead of per page), merging runs that are
@@ -135,7 +98,6 @@ impl SvmConfig {
             mode: ProtoMode::Base,
             home_granularity_pages: 1,
             write_through_single_writer: true,
-            placement_policy: None,
             batch_diffs: false,
             costs: SvmCosts::default(),
         }
@@ -147,17 +109,9 @@ impl SvmConfig {
             mode: ProtoMode::Cables,
             home_granularity_pages: 16,
             write_through_single_writer: false,
-            placement_policy: None,
             batch_diffs: false,
             costs: SvmCosts::default(),
         }
-    }
-
-    /// Enables the counter-driven placement policy with the default
-    /// parameters (the placement bench's on-cell).
-    pub fn with_placement_policy(mut self) -> Self {
-        self.placement_policy = Some(PlacementPolicy::default());
-        self
     }
 }
 
@@ -179,11 +133,7 @@ mod tests {
     fn protocol_opts_default_off_in_both_presets() {
         for cfg in [SvmConfig::base(), SvmConfig::cables()] {
             assert!(!cfg.batch_diffs);
-            assert!(cfg.placement_policy.is_none());
         }
-        let pol = SvmConfig::cables().with_placement_policy();
-        let p = pol.placement_policy.expect("policy set");
-        assert!(p.min_traffic > 0 && p.dominance_pct > 50);
     }
 
     #[test]

@@ -2,19 +2,18 @@
 //!
 //! [`ProtoState`] is the protocol's whole directory: homes, versions,
 //! per-node copies with their dirty-word bitmaps, the write-notice log,
-//! home regions, the placement policy's sharing counters and the event
-//! counters. Its transitions are plain `&mut self` methods that take
-//! (node, page, access kind, the facts the interpreter observed) and
-//! return what must happen next: a [`Route`] or [`Fetch`] for a fault, a
-//! registration for a placement or a [`Migrate`] plan, [`Diff`]s to ship,
-//! an [`Acquire`]'s flushes and invalidations. Nothing here charges time,
-//! moves bytes or records an event; `proto.rs` performs every effect, in
-//! order, and is the only interpreter outside the small-scope explorer's
-//! test double.
+//! home regions and the event counters. Its transitions are plain
+//! `&mut self` methods that take (node, page, access kind, the facts the
+//! interpreter observed) and return what must happen next: a [`Route`]
+//! or [`Fetch`] for a fault, a registration for a placement or a
+//! [`Migrate`] plan, [`Diff`]s to ship, an [`Acquire`]'s flushes and
+//! invalidations. Nothing here charges time, moves bytes or records an
+//! event; `proto.rs` performs every effect, in order, and is the only
+//! interpreter outside the small-scope explorer's test double.
 //!
 //! Each transition commits its bookkeeping when it decides: no transition
 //! spans a scheduling point, so nothing else runs between a decision and
-//! its effects. A placement and a policy migration are therefore two
+//! its effects. A placement and a migration are therefore two
 //! transitions each, one on either side of their ordering point.
 //!
 //! Consistency: writers track dirty words per page (the software-MMU
@@ -83,7 +82,7 @@ pub struct NodeStats {
     pub notices_applied: u64,
     /// Placements performed (chunks homed here).
     pub placements: u64,
-    /// Chunks migrated to this node by the migration policy.
+    /// Chunks whose home migrated to this node.
     pub migrations: u64,
     /// Lock acquires by threads of this node.
     pub lock_acquires: u64,
@@ -94,16 +93,6 @@ pub struct NodeStats {
     pub diff_batches: u64,
     /// Payload bytes that travelled inside batched diffs.
     pub batched_diff_bytes: u64,
-    /// Ping-pong handoffs this node completed: remote fetch/diff messages
-    /// on a chunk whose previous remote toucher was a different node (the
-    /// false-sharing smell, charged to the node whose touch completed the
-    /// handoff). Counted only while the counter placement policy is on.
-    pub pingpong_handoffs: u64,
-    /// Release-time migration decisions the counter policy evaluated for
-    /// chunks homed remotely from this node.
-    pub policy_considered: u64,
-    /// Migrations the placement policy triggered to this node.
-    pub policy_migrations: u64,
 }
 
 #[derive(Debug, Default, Clone)]
@@ -123,23 +112,6 @@ impl NodeProto {
     }
 }
 
-/// Per-chunk sharing counters backing the placement policy: the
-/// observability layer's sharing taxonomy (per-node traffic, ping-pong handoffs)
-/// maintained incrementally in the protocol, so the policy works with
-/// observability off. Only populated while `SvmConfig::placement_policy`
-/// is set; the map is indexed, never iterated, so decisions stay
-/// deterministic.
-#[derive(Debug, Clone)]
-pub(crate) struct ChunkSharing {
-    /// Remote fetch+diff messages per node since the last (re)homing.
-    pub traffic: Vec<u32>,
-    /// Last remote node to touch the chunk (ping-pong detector).
-    pub last_node: Option<NodeId>,
-    /// Release-time considerations since the last migration; starts
-    /// saturated so a fresh chunk is never in cooldown.
-    pub cooldown: u32,
-}
-
 #[derive(Debug, Clone)]
 #[doc(hidden)]
 pub struct ProtoState {
@@ -153,8 +125,6 @@ pub struct ProtoState {
     /// current length in bytes.
     pub(crate) home_region: Vec<Option<(RegionId, u64)>>,
     pub(crate) first_toucher: IdMap<u64, NodeId>,
-    /// Placement-policy state: chunk -> incremental sharing counters.
-    pub(crate) chunk_sharing: IdMap<u64, ChunkSharing>,
     /// Demand fetches each node has served as home — the thread-affinity
     /// placement hint (maintained unconditionally; one add per remote
     /// fetch, never branched on by the protocol itself).
@@ -259,7 +229,6 @@ impl ProtoState {
             log: Vec::new(),
             home_region: vec![None; nodes],
             first_toucher: IdMap::default(),
-            chunk_sharing: IdMap::default(),
             home_pull: vec![0; nodes],
             alloc_next: HEAP_BASE.raw(),
             alloc_ranges: Vec::new(),
@@ -273,12 +242,6 @@ impl ProtoState {
 
     fn np(&mut self, node: NodeId) -> &mut NodeProto {
         &mut self.nodes[node.0 as usize]
-    }
-
-    fn chunk_of(&self, page: u64) -> u64 {
-        PageNum::new(page)
-            .chunk_base(self.cfg.home_granularity_pages)
-            .index()
     }
 
     /// The home of `page`, once placed.
@@ -415,7 +378,6 @@ impl ProtoState {
         have_frame: bool,
     ) -> Fetch {
         let idx = page.index();
-        let chunk = self.chunk_of(idx);
         let d = &self.dir[&idx];
         let (home, off, version) = (d.home, d.region_off, d.version);
         let np = &mut self.nodes[node.0 as usize];
@@ -434,104 +396,27 @@ impl ProtoState {
         np.copy(idx).version = version;
         // Affinity hint: credit the home that served this fetch.
         self.home_pull[home.0 as usize] += 1;
-        if self.cfg.placement_policy.is_some() {
-            self.note_chunk_traffic(node, chunk);
-        }
         if kind == FaultKind::Write {
             self.start_write_tracking(node, idx);
         }
         Fetch::Remote { off }
     }
 
-    /// Charges one remote fetch/diff message from `node` to `chunk`'s
-    /// sharing counters (the placement policy's feed; callers gate on the
-    /// policy being enabled). A touch whose node differs from the previous
-    /// toucher is a ping-pong handoff, charged to the toucher's stats.
-    fn note_chunk_traffic(&mut self, node: NodeId, chunk: u64) {
-        let cs = self.sharing(chunk);
-        let t = &mut cs.traffic[node.0 as usize];
-        *t = t.saturating_add(1);
-        let handoff = cs.last_node.is_some_and(|prev| prev != node);
-        cs.last_node = Some(node);
-        self.np(node).stats.pingpong_handoffs += u64::from(handoff);
-    }
-
-    /// `chunk`'s sharing counters, fresh ones out of cooldown.
-    fn sharing(&mut self, chunk: u64) -> &mut ChunkSharing {
-        let nodes = self.nodes.len();
-        self.chunk_sharing
-            .entry(chunk)
-            .or_insert_with(|| ChunkSharing {
-                traffic: vec![0; nodes],
-                last_node: None,
-                cooldown: u32::MAX,
-            })
-    }
-
-    /// A release begins: takes `node`'s dirty pages, and the chunks among
-    /// them the placement policy weighs first (one decision per dirty
-    /// chunk per release; none without a policy).
-    pub(crate) fn release_begin(&mut self, node: NodeId) -> (Vec<u64>, Vec<u64>) {
-        let pages = std::mem::take(&mut self.np(node).dirty_pages);
-        let mut chunks = Vec::new();
-        if self.cfg.placement_policy.is_some() {
-            chunks = pages.iter().map(|p| self.chunk_of(*p)).collect();
-            chunks.sort_unstable();
-            chunks.dedup();
-        }
-        (pages, chunks)
-    }
-
-    /// The placement policy for one dirty chunk at release time: migrate
-    /// the chunk here when this node dominates its accumulated remote
-    /// fetch+diff traffic, the traffic cleared the policy floor, and the
-    /// chunk is out of its post-migration cooldown (hysteresis against
-    /// home thrash). The dominance test refuses chunks whose traffic is
-    /// split between alternating remote nodes; it does not see the home
-    /// node's own writes (DESIGN §9).
-    pub(crate) fn consider(&mut self, node: NodeId, chunk: u64) -> Option<Migrate> {
-        let policy = self.cfg.placement_policy?;
-        if self.dir.get(&chunk)?.home == node {
-            return None;
-        }
-        self.np(node).stats.policy_considered += 1;
-        let cs = self.sharing(chunk);
-        if cs.cooldown < policy.cooldown_releases {
-            cs.cooldown += 1;
-            return None;
-        }
-        let total: u64 = cs.traffic.iter().map(|&t| u64::from(t)).sum();
-        let mine = u64::from(cs.traffic[node.0 as usize]);
-        if total < u64::from(policy.min_traffic)
-            || mine * 100 < total * u64::from(policy.dominance_pct)
-        {
-            return None;
-        }
-        self.migrate(node, PageNum::new(chunk))
-    }
-
-    /// A policy migration of `chunk` to `node` is published: restart the
-    /// chunk's sharing profile under the new home and arm the cooldown.
-    pub(crate) fn moved(&mut self, node: NodeId, chunk: u64) {
-        self.np(node).stats.policy_migrations += 1;
-        let cs = self.sharing(chunk);
-        cs.traffic.iter_mut().for_each(|t| *t = 0);
-        cs.last_node = None;
-        cs.cooldown = 0;
-    }
-
     /// Migrates the chunk at `base` to `node` (the mechanism of paper
     /// §2.1.3): its new home frames extend the node's single home region,
     /// and each page's current contents are pulled over. Refused (`None`)
-    /// unless every local copy in the chunk is current (another
-    /// interval's diff would otherwise be lost) and no other node holds
-    /// unflushed dirty words in it.
+    /// unless the chunk is placed and homed elsewhere, every local copy in
+    /// it is current (another interval's diff would otherwise be lost) and
+    /// no other node holds unflushed dirty words in it.
     pub(crate) fn migrate(&self, node: NodeId, base: PageNum) -> Option<Migrate> {
         debug_assert_eq!(
             self.cfg.mode,
             ProtoMode::Cables,
             "migration is a CableS mechanism"
         );
+        if self.home(base)? == node {
+            return None;
+        }
         let pages = base.index()..base.index() + self.cfg.home_granularity_pages;
         let me = &self.nodes[node.0 as usize];
         let current = pages
@@ -631,25 +516,19 @@ impl ProtoState {
         (diff, pre)
     }
 
-    /// A release's flush of `pages` (from [`ProtoState::release_begin`]):
-    /// each page's diff, and whether the copy must then be invalidated —
-    /// a copy with a stale base (someone else released the page since it
-    /// was fetched) misses the other writers' words, so it must not stay
-    /// readable — rather than downgraded to read-only.
-    pub(crate) fn release(&mut self, node: NodeId, pages: Vec<u64>) -> Vec<(Diff, bool)> {
+    /// A release takes `node`'s dirty pages: each page's diff, and
+    /// whether the copy must then be invalidated — a copy with a stale
+    /// base (someone else released the page since it was fetched) misses
+    /// the other writers' words, so it must not stay readable — rather
+    /// than downgraded to read-only.
+    pub(crate) fn release(&mut self, node: NodeId) -> Vec<(Diff, bool)> {
         let mut batches = BTreeSet::new();
-        let out = pages
+        let out = std::mem::take(&mut self.np(node).dirty_pages)
             .into_iter()
             .map(|page| {
                 let (diff, pre) = self.diff(node, page, self.cfg.batch_diffs);
                 if diff.ship == Ship::Batch {
                     batches.insert((diff.home.0, diff.region.0));
-                }
-                // A remote diff of this node's own release feeds the
-                // placement policy; the acquire-time early flush does not
-                // — a remote writer's notice forced it.
-                if diff.home != node && self.cfg.placement_policy.is_some() {
-                    self.note_chunk_traffic(node, self.chunk_of(page));
                 }
                 let np = self.np(node);
                 let copy = np.copies.get_mut(&page).expect("copy");
@@ -761,9 +640,6 @@ impl ProtoState {
             out.barrier_waits += s.barrier_waits;
             out.diff_batches += s.diff_batches;
             out.batched_diff_bytes += s.batched_diff_bytes;
-            out.pingpong_handoffs += s.pingpong_handoffs;
-            out.policy_considered += s.policy_considered;
-            out.policy_migrations += s.policy_migrations;
         }
         out
     }

@@ -229,8 +229,7 @@ impl World {
 
     fn release(&mut self, n: usize) {
         let node = NodeId(n as u32);
-        let (pages, _) = self.core.release_begin(node);
-        for (d, stale) in self.core.release(node, pages) {
+        for (d, stale) in self.core.release(node) {
             self.ship(n, &d);
             self.set_prot(n, d.page, if stale { Prot::None } else { Prot::Read });
         }
@@ -246,12 +245,10 @@ impl World {
         }
     }
 
-    /// Whether the core would migrate the (placed, remote-homed) chunk
-    /// to `n` now.
+    /// Whether the core would migrate the chunk to `n` now.
     fn can_migrate(&self, n: usize) -> bool {
         let node = NodeId(n as u32);
-        let remote = self.core.home(PageNum::new(0)).is_some_and(|h| h != node);
-        remote && self.core.migrate(node, PageNum::new(0)).is_some()
+        self.core.migrate(node, PageNum::new(0)).is_some()
     }
 
     /// A direct migration of the chunk to `n`.

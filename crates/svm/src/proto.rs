@@ -592,21 +592,11 @@ impl SvmSystem {
         let node = sim.node();
         let t0 = sim.now();
         sim.sync_point();
-        let (pages, chunks) = self.state.lock().release_begin(node);
-        if pages.is_empty() {
+        let diffs = self.state.lock().release(node);
+        if diffs.is_empty() {
             return;
         }
         let mut max_arrival = sim.now();
-        // Migration policy (extension): one decision per dirty chunk. A
-        // migration passes an ordering point, so the pages are diffed
-        // after the last one.
-        for chunk in chunks {
-            let plan = self.state.lock().consider(node, chunk);
-            if let Some(plan) = plan {
-                self.migrate_chunk(sim, plan);
-                self.state.lock().moved(node, chunk);
-            }
-        }
         // Diff batching: runs destined to the same home region accumulate
         // here and ship as one multi-segment write per home after the
         // loop. BTreeMap keeps the per-home issue order deterministic. The
@@ -615,7 +605,6 @@ impl SvmSystem {
         // pages (zero-copy gather DMA), so the wire transfer overlaps the
         // rest of the loop exactly as the unbatched per-run sends do.
         let mut batches = DiffBatches::new();
-        let diffs = self.state.lock().release(node, pages);
         for (d, stale) in &diffs {
             max_arrival = max_arrival.max(self.ship(sim, d, &mut batches));
             if *stale {
@@ -702,6 +691,23 @@ impl SvmSystem {
         }
     }
 
+    /// Migrates the home of the chunk holding `addr` to the calling node
+    /// (CableS mode; the paper's mechanism, §2.1.3, with no policy
+    /// deciding when): its new home frames extend the node's home region,
+    /// each page's current contents are pulled over and the move is
+    /// published. `false`, with nothing done, when the chunk is unplaced
+    /// or already homed here, a local copy in it is stale, or another
+    /// node holds unflushed writes in it.
+    pub fn migrate_home(&self, sim: &Sim, addr: GAddr) -> bool {
+        sim.sync_point();
+        let base = addr.page().chunk_base(self.cfg.home_granularity_pages);
+        let Some(m) = self.state.lock().migrate(sim.node(), base) else {
+            return false;
+        };
+        self.migrate_chunk(sim, m);
+        true
+    }
+
     /// Performs a migration of a chunk to the calling node: new home
     /// frames in its home region, current contents pulled over, the chunk
     /// remapped locally, then — past the ordering point — published.
@@ -727,6 +733,9 @@ impl SvmSystem {
             match (local, pull.from) {
                 (Some((f, _)), _) => mem.copy_frame(f, new_frame),
                 (None, Some((old, off))) => {
+                    // A node may take a chunk it never touched.
+                    self.ensure_imported(sim, node, "migration import failed", old, false)
+                        .unwrap_or_else(|e| panic!("{e}"));
                     let (data, done) =
                         self.with_reimport(sim, node, "migration fetch failed", old, || {
                             self.cluster

@@ -1,30 +1,17 @@
-//! The home-migration policy extension (paper §2.1.3 provides the
-//! mechanisms; the policy here is the counter-driven `PlacementPolicy`).
+//! Home migration through `SvmSystem::migrate_home`, the paper's
+//! mechanism (§2.1.3) with no policy deciding when to use it.
 
 use std::sync::Arc;
 use std::sync::Mutex as StdMutex;
 
-use cables_svm::{Cluster, ClusterConfig, NodeStats, PlacementPolicy, SvmConfig, SvmSystem};
+use cables_svm::{Cluster, ClusterConfig, NodeStats, SvmConfig, SvmSystem};
 
-/// The counter policy with a traffic floor of `min_traffic` remote
-/// fetch+diff messages, no cooldown, and the default dominance share;
-/// `None` is the paper's configuration.
-fn policy_cfg(min_traffic: Option<u32>) -> SvmConfig {
-    let mut cfg = SvmConfig::cables();
-    cfg.placement_policy = min_traffic.map(|k| PlacementPolicy {
-        min_traffic: k,
-        dominance_pct: 60,
-        cooldown_releases: 0,
-    });
-    cfg
-}
-
-/// Node 1 repeatedly writes a segment homed on node 0 under a lock.
-/// Returns (diffs sent by node 1, migrations to node 1, final value seen
-/// by node 0).
-fn run(min_traffic: Option<u32>, rounds: u64) -> (u64, u64, u64) {
+/// Node 1 repeatedly writes a segment homed on node 0 under a lock,
+/// migrating it home before round `migrate_at`'s release. Returns (diffs
+/// sent by node 1, migrations to node 1, final value seen by node 0).
+fn run(migrate_at: Option<u64>, rounds: u64) -> (u64, u64, u64) {
     let cluster = Cluster::build(ClusterConfig::small(2, 1));
-    let sys = SvmSystem::new(Arc::clone(&cluster), policy_cfg(min_traffic));
+    let sys = SvmSystem::new(Arc::clone(&cluster), SvmConfig::cables());
     let out = Arc::new(StdMutex::new((0u64, 0u64, 0u64)));
     let o2 = Arc::clone(&out);
     let s2 = Arc::clone(&sys);
@@ -41,6 +28,9 @@ fn run(min_traffic: Option<u32>, rounds: u64) -> (u64, u64, u64) {
                     s3.lock(ws, 1);
                     for w in 0..16u64 {
                         s3.write::<u64>(ws, a + w * 8, r * 100 + w);
+                    }
+                    if migrate_at == Some(r) {
+                        assert!(s3.migrate_home(ws, a), "the writer takes the segment");
                     }
                     s3.unlock(ws, 1);
                 }
@@ -59,7 +49,7 @@ fn run(min_traffic: Option<u32>, rounds: u64) -> (u64, u64, u64) {
 }
 
 #[test]
-fn without_policy_every_release_diffs_remotely() {
+fn without_migration_every_release_diffs_remotely() {
     let (diffs, migrations, v) = run(None, 8);
     assert_eq!(migrations, 0, "paper configuration never migrates");
     assert_eq!(diffs, 8, "one remote diff per release");
@@ -67,13 +57,10 @@ fn without_policy_every_release_diffs_remotely() {
 }
 
 #[test]
-fn policy_migrates_and_stops_remote_diffs() {
-    let (diffs, migrations, v) = run(Some(3), 8);
+fn migrate_home_stops_the_writers_remote_diffs() {
+    let (diffs, migrations, v) = run(Some(2), 8);
     assert_eq!(migrations, 1, "one chunk migration to the writer");
-    assert!(
-        diffs <= 3,
-        "after migration the writer is home (got {diffs} diffs)"
-    );
+    assert_eq!(diffs, 2, "after migration the writer is home");
     assert_eq!(v, 701, "data survives the migration");
 }
 
@@ -82,7 +69,7 @@ fn reader_on_old_home_sees_post_migration_writes() {
     // After the chunk moves to node 1, node 0's stale copy must be
     // invalidated by the migration notice and refetched from the new home.
     let cluster = Cluster::build(ClusterConfig::small(2, 1));
-    let sys = SvmSystem::new(Arc::clone(&cluster), policy_cfg(Some(2)));
+    let sys = SvmSystem::new(Arc::clone(&cluster), SvmConfig::cables());
     let s2 = Arc::clone(&sys);
     cluster
         .engine
@@ -95,6 +82,9 @@ fn reader_on_old_home_sees_post_migration_writes() {
                 for r in 0..6u64 {
                     s3.lock(ws, 1);
                     s3.write::<u64>(ws, a, 10 + r);
+                    if r == 1 {
+                        assert!(s3.migrate_home(ws, a));
+                    }
                     s3.unlock(ws, 1);
                 }
             });
@@ -104,16 +94,69 @@ fn reader_on_old_home_sees_post_migration_writes() {
             s2.unlock(sim, 1);
             // The migration actually happened.
             let st = s2.node_stats(cluster.nodes()[1]);
-            assert!(st.migrations >= 1);
+            assert_eq!(st.migrations, 1);
         })
         .unwrap();
 }
 
-/// Writers on nodes 1 and 2 take turns incrementing a word homed on node
-/// 0, `rounds` each. Returns the migrations.
-fn ping_pong(cfg: SvmConfig, rounds: u64) -> u64 {
+#[test]
+fn migrate_home_takes_a_chunk_the_caller_never_touched() {
+    // Node 1 has neither a copy nor the old home's region imported: the
+    // pull imports it first.
+    let cluster = Cluster::build(ClusterConfig::small(2, 1));
+    let sys = SvmSystem::new(Arc::clone(&cluster), SvmConfig::cables());
+    let s2 = Arc::clone(&sys);
+    cluster
+        .engine
+        .clone()
+        .run(cluster.nodes()[0], move |sim| {
+            let a = s2.g_malloc(sim, 4096);
+            s2.write::<u64>(sim, a, 5);
+            let s3 = Arc::clone(&s2);
+            let worker = s2.create(sim, move |ws| {
+                assert!(s3.migrate_home(ws, a));
+                s3.lock(ws, 1);
+                assert_eq!(s3.read::<u64>(ws, a), 5);
+                s3.write::<u64>(ws, a, 6);
+                s3.unlock(ws, 1);
+            });
+            sim.wait_exit(worker);
+            s2.lock(sim, 1);
+            assert_eq!(s2.read::<u64>(sim, a), 6);
+            s2.unlock(sim, 1);
+            let n1 = s2.node_stats(cluster.nodes()[1]);
+            assert_eq!((n1.migrations, n1.diffs_sent), (1, 0));
+        })
+        .unwrap();
+}
+
+#[test]
+fn migrate_home_refuses_a_chunk_homed_here_and_changes_nothing() {
+    let cluster = Cluster::build(ClusterConfig::small(2, 1));
+    let sys = SvmSystem::new(Arc::clone(&cluster), SvmConfig::cables());
+    let s2 = Arc::clone(&sys);
+    cluster
+        .engine
+        .clone()
+        .run(cluster.nodes()[0], move |sim| {
+            let a = s2.g_malloc(sim, 4096);
+            assert!(!s2.migrate_home(sim, a), "an unplaced chunk has no home");
+            s2.write::<u64>(sim, a, 1);
+            let (before, t) = (s2.total_stats(), sim.now());
+            assert!(!s2.migrate_home(sim, a), "the chunk is homed here");
+            assert_eq!(s2.total_stats(), before);
+            assert_eq!(sim.now(), t);
+        })
+        .unwrap();
+}
+
+#[test]
+fn migrate_home_refuses_a_chunk_another_node_holds_unflushed_writes_in() {
+    // Node 0 homes the segment; node 1 writes a word of it and holds the
+    // write past node 2's attempt to take the chunk. The move would leave
+    // node 1's diff aimed at the old home, so it is refused.
     let cluster = Cluster::build(ClusterConfig::small(3, 1));
-    let sys = SvmSystem::new(Arc::clone(&cluster), cfg);
+    let sys = SvmSystem::new(Arc::clone(&cluster), SvmConfig::cables());
     let s2 = Arc::clone(&sys);
     cluster
         .engine
@@ -121,54 +164,43 @@ fn ping_pong(cfg: SvmConfig, rounds: u64) -> u64 {
         .run(cluster.nodes()[0], move |sim| {
             let a = s2.g_malloc(sim, 4096);
             s2.write::<u64>(sim, a, 0);
-            let mk = |sysr: Arc<SvmSystem>, delay: u64| {
-                move |ws: &sim::Sim| {
-                    ws.advance(delay);
-                    for _ in 0..rounds {
-                        sysr.lock(ws, 1);
-                        let v = sysr.read::<u64>(ws, a);
-                        sysr.write::<u64>(ws, a, v + 1);
-                        sysr.unlock(ws, 1);
-                        ws.advance(50_000);
-                    }
-                }
-            };
-            let w1 = s2.create(sim, mk(Arc::clone(&s2), 0));
-            let w2 = s2.create(sim, mk(Arc::clone(&s2), 25_000));
-            sim.wait_exit(w1);
-            sim.wait_exit(w2);
+            let s3 = Arc::clone(&s2);
+            let writer = s2.create(sim, move |ws| {
+                assert_eq!(ws.node().0, 1);
+                s3.lock(ws, 1);
+                s3.write::<u64>(ws, a, 7);
+                ws.advance(50_000_000);
+                s3.unlock(ws, 1);
+            });
+            let s3 = Arc::clone(&s2);
+            let mover = s2.create(sim, move |ws| {
+                assert_eq!(ws.node().0, 2);
+                ws.advance(20_000_000);
+                // Let every thread with an earlier clock run first.
+                ws.sync_point();
+                let before = s3.total_stats();
+                assert!(!s3.migrate_home(ws, a + 8));
+                assert_eq!(s3.total_stats(), before);
+            });
+            sim.wait_exit(writer);
+            sim.wait_exit(mover);
             s2.lock(sim, 1);
-            assert_eq!(s2.read::<u64>(sim, a), 2 * rounds);
+            assert_eq!(s2.read::<u64>(sim, a), 7);
             s2.unlock(sim, 1);
+            assert_eq!(s2.total_stats().migrations, 0);
         })
         .unwrap();
-    sys.total_stats().migrations
-}
-
-#[test]
-fn ping_pong_writers_do_not_thrash_migration() {
-    // Alternating writers split the chunk's traffic: neither dominates.
-    let defaults = SvmConfig::cables().with_placement_policy();
-    assert_eq!(ping_pong(defaults, 100), 0);
-}
-
-#[test]
-fn ping_pong_writers_move_a_hair_trigger_policy() {
-    // The known limit of the dominance test: once a writer becomes home,
-    // its own writes are home-local and never reach the chunk's traffic,
-    // so the other writer dominates what is left and takes the chunk back.
-    assert_eq!(ping_pong(policy_cfg(Some(3)), 6), 4);
 }
 
 #[test]
 fn migration_does_not_resurrect_an_invalidated_copy() {
     // Node 1 caches page A, node 0 (its home) then rewrites it, and node
     // 1's next acquire invalidates the copy — the frame stays mapped
-    // (`Prot::None`) with the old bytes. When node 1 then earns the
-    // chunk by writing its neighbour page B, the migration must pull A
+    // (`Prot::None`) with the old bytes. When node 1 then takes the
+    // chunk while writing its neighbour page B, the migration must pull A
     // from the old home, not from that dead frame.
     let cluster = Cluster::build(ClusterConfig::small(2, 1));
-    let sys = SvmSystem::new(Arc::clone(&cluster), policy_cfg(Some(2)));
+    let sys = SvmSystem::new(Arc::clone(&cluster), SvmConfig::cables());
     let s2 = Arc::clone(&sys);
     cluster
         .engine
@@ -197,6 +229,9 @@ fn migration_does_not_resurrect_an_invalidated_copy() {
                 for r in 0..6u64 {
                     s3.lock(ws, 1);
                     s3.write::<u64>(ws, b, r);
+                    if r == 0 {
+                        assert!(s3.migrate_home(ws, b));
+                    }
                     s3.unlock(ws, 1);
                 }
                 s3.lock(ws, 1);
@@ -204,7 +239,7 @@ fn migration_does_not_resurrect_an_invalidated_copy() {
                 s3.unlock(ws, 1);
             });
             sim.wait_exit(migrator);
-            assert!(s2.node_stats(cluster.nodes()[1]).migrations >= 1);
+            assert_eq!(s2.node_stats(cluster.nodes()[1]).migrations, 1);
         })
         .unwrap();
 }
@@ -219,7 +254,7 @@ fn fnv(h: &mut u64, bytes: &[u8]) {
 
 #[test]
 fn migration_golden_both_pull_sources() {
-    // Two chunks move to node 1 under the counter policy with the bus on.
+    // Two chunks move to node 1 through `migrate_home` with the bus on.
     // Chunk A is pulled from both sources: its page A1 from node 1's
     // current (dirty) copy, its page A0 — cached by node 1, then rewritten
     // by the home and invalidated at node 1's next acquire — from the old
@@ -227,7 +262,7 @@ fn migration_golden_both_pull_sources() {
     // counters, the memory both nodes read back and the protocol events.
     const CHUNK: u64 = 16 * 4096;
     let cluster = Cluster::build(ClusterConfig::small(2, 1));
-    let sys = SvmSystem::new(Arc::clone(&cluster), policy_cfg(Some(2)));
+    let sys = SvmSystem::new(Arc::clone(&cluster), SvmConfig::cables());
     sys.set_obs(true);
     let s2 = Arc::clone(&sys);
     let out = Arc::new(StdMutex::new((0u64, 0u64)));
@@ -260,6 +295,11 @@ fn migration_golden_both_pull_sources() {
                     s3.lock(ws, 1);
                     s3.write::<u64>(ws, a1, 10 + r);
                     s3.write::<u64>(ws, b0, 20 + r);
+                    match r {
+                        0 => assert!(s3.migrate_home(ws, a1)),
+                        1 => assert!(s3.migrate_home(ws, b0)),
+                        _ => {}
+                    }
                     s3.unlock(ws, 1);
                 }
                 s3.lock(ws, 1);
@@ -299,7 +339,7 @@ fn migration_golden_both_pull_sources() {
     assert_eq!(mem, 10_737_715_805_422_153_329, "memory read back moved");
     assert_eq!(
         (proto, events),
-        (226, 14_317_024_852_919_278_956),
+        (226, 12_841_983_908_859_580_264),
         "protocol event stream moved"
     );
     let stats = |read_faults, write_faults, remote_fetches, diffs_sent, diff_bytes| NodeStats {
@@ -321,8 +361,6 @@ fn migration_golden_both_pull_sources() {
         notices_applied: 1,
         migrations: 2,
         lock_acquires: 8,
-        policy_considered: 3,
-        policy_migrations: 2,
         ..stats(2, 12, 3, 1, 8)
     };
     assert_eq!((n0, n1), (golden0, golden1), "protocol counters moved");

@@ -1,10 +1,11 @@
 //! Release-time diff batching is value-preserving and replay-identical
-//! under chaos; migration policy decisions are independent of it.
+//! under chaos, and agrees with the per-page protocol around a home
+//! migration.
 
 use std::sync::Arc;
 use std::sync::Mutex as StdMutex;
 
-use cables_svm::{Cluster, ClusterConfig, NodeStats, PlacementPolicy, SvmConfig, SvmSystem};
+use cables_svm::{Cluster, ClusterConfig, NodeStats, SvmConfig, SvmSystem};
 
 const PAGE: u64 = 4096;
 
@@ -184,26 +185,17 @@ fn chaos_replay_is_bit_identical_with_batching_on() {
         barrier_waits: 0,
         diff_batches: 4,
         batched_diff_bytes: 152,
-        pingpong_handoffs: 0,
-        policy_considered: 0,
-        policy_migrations: 0,
     };
     assert_eq!(st1, golden, "protocol counters moved");
 }
 
-/// The migration policy's traffic counters must see one diff per chunk
-/// per release regardless of how the diffs travel: batching on and off
-/// must migrate at exactly the same traffic floor (`min_traffic`, no
-/// cooldown; `None`: no policy).
-fn migration_run(min_traffic: Option<u32>, batch: bool, rounds: u64) -> (u64, u64, u64) {
-    let mut cfg = batch_cfg(batch);
-    cfg.placement_policy = min_traffic.map(|k| PlacementPolicy {
-        min_traffic: k,
-        dominance_pct: 60,
-        cooldown_releases: 0,
-    });
+/// Node 1 writes a page homed on node 0 under a lock for `rounds`
+/// releases, taking its chunk home with one `migrate_home` before round
+/// `migrate_at`'s release. Returns (diffs sent by node 1, migrations to
+/// node 1, the value node 0 reads back).
+fn migration_run(migrate_at: Option<u64>, batch: bool, rounds: u64) -> (u64, u64, u64) {
     let cluster = Cluster::build(ClusterConfig::small(2, 1));
-    let sys = SvmSystem::new(Arc::clone(&cluster), cfg);
+    let sys = SvmSystem::new(Arc::clone(&cluster), batch_cfg(batch));
     let out = Arc::new(StdMutex::new((0u64, 0u64, 0u64)));
     let o2 = Arc::clone(&out);
     let s2 = Arc::clone(&sys);
@@ -219,6 +211,9 @@ fn migration_run(min_traffic: Option<u32>, batch: bool, rounds: u64) -> (u64, u6
                     s3.lock(ws, 1);
                     for w in 0..16u64 {
                         s3.write::<u64>(ws, a + w * 8, r * 100 + w);
+                    }
+                    if migrate_at == Some(r) {
+                        assert!(s3.migrate_home(ws, a));
                     }
                     s3.unlock(ws, 1);
                 }
@@ -236,20 +231,19 @@ fn migration_run(min_traffic: Option<u32>, batch: bool, rounds: u64) -> (u64, u6
 }
 
 #[test]
-fn migration_triggers_at_the_same_threshold_with_batching() {
-    for min_traffic in [None, Some(3)] {
-        let (diffs_off, mig_off, v_off) = migration_run(min_traffic, false, 8);
-        let (diffs_on, mig_on, v_on) = migration_run(min_traffic, true, 8);
+fn batching_on_and_off_agree_around_one_migrate_home() {
+    for migrate_at in [None, Some(2)] {
+        let (diffs_off, mig_off, v_off) = migration_run(migrate_at, false, 8);
+        let (diffs_on, mig_on, v_on) = migration_run(migrate_at, true, 8);
+        assert_eq!(mig_on, mig_off, "batching changed the migration");
         assert_eq!(
-            mig_on, mig_off,
-            "batching changed the migration decision at floor {min_traffic:?}"
+            v_on, v_off,
+            "data diverged with migration at {migrate_at:?}"
         );
-        assert_eq!(v_on, v_off, "data diverged at floor {min_traffic:?}");
         // One page to one home per release: message counts agree too.
         assert_eq!(diffs_on, diffs_off);
     }
-    // And the policy still actually fires at its traffic floor.
-    let (_, mig, v) = migration_run(Some(3), true, 8);
-    assert_eq!(mig, 1);
-    assert_eq!(v, 701);
+    // And the migration happens, and ends the remote diffs.
+    let (diffs, mig, v) = migration_run(Some(2), true, 8);
+    assert_eq!((diffs, mig, v), (2, 1, 701));
 }

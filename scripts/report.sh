@@ -24,8 +24,8 @@
 #                         node count, replay identity, chaos crash cell
 #                         with windowed recovery (stream_service.ndjson
 #                         is its live metric series)
-#   BENCH_placement.json  sharing-aware placement policy: off/on message
-#                         and time deltas for OCEAN, RADIX and the
+#   BENCH_placement.json  affinity thread placement: off/on message and
+#                         window deltas for OCEAN, RADIX and the
 #                         zipfian service (bit-identical results)
 #   target/artifacts/trace_fft.json
 #                         Chrome-trace timeline of the FFT run on 8 nodes
@@ -149,7 +149,7 @@ for path in sorted(glob.glob("BENCH_*.json")):
                          f"page {ms(g['pg_parallel_ns'])} "
                          f"({g['pg_misplaced_pct']:.0f}%)"))
         mig = {m["mode"]: m for m in d["migration"]}
-        off, on = mig["off"], mig["placement_policy"]
+        off, on = mig["off"], mig["migrate_home"]
         rows.append(("migration", f"diffs {off['diffs_sent']} -> "
                      f"{on['diffs_sent']}, time {ms(off['total_ns'])} -> "
                      f"{ms(on['total_ns'])}"))
@@ -174,10 +174,11 @@ for path in sorted(glob.glob("BENCH_*.json")):
     elif name == "placement":
         for w in d["workloads"]:
             off, on = w["off"], w["on"]
+            key = "parallel_ns" if "parallel_ns" in off else "serve_ns"
             rows.append((w["workload"],
                          f"msgs {off['remote_fetches'] + off['diffs_sent']} -> "
                          f"{on['remote_fetches'] + on['diffs_sent']}, "
-                         f"time {ms(off['sim_time_ns'])} -> {ms(on['sim_time_ns'])}"))
+                         f"window {ms(off[key])} -> {ms(on[key])}"))
     else:  # future artifacts: stay visible even before a custom row
         rows.append(("-", f"keys: {', '.join(list(d)[:6])}"))
     for subject, headline in rows:

@@ -234,11 +234,11 @@ fn splash_kernels_identical_across_modes() {
 }
 
 fn golden_radix() -> Splash {
-    (11049914951, Some(3939996), 2721, 15401063057093611816, 14034056715592507187, "NodeStats { read_faults: 21, write_faults: 99, remote_fetches: 88, fetch_bytes: 360448, diffs_sent: 69, diff_bytes: 78336, notices_applied: 16, placements: 1, migrations: 0, lock_acquires: 0, barrier_waits: 104, diff_batches: 0, batched_diff_bytes: 0, pingpong_handoffs: 0, policy_considered: 0, policy_migrations: 0 }".into(), "EngineStats { context_switches: 440, threads_spawned: 8, lockless_advances: 9854, sync_fast_path: 214, sync_slow_path: 340, tlb_hits: 0, tlb_misses: 0, ready_reallocs: 0, window_admissible: 0 }".into())
+    (11049914951, Some(3939996), 2721, 15401063057093611816, 14034056715592507187, "NodeStats { read_faults: 21, write_faults: 99, remote_fetches: 88, fetch_bytes: 360448, diffs_sent: 69, diff_bytes: 78336, notices_applied: 16, placements: 1, migrations: 0, lock_acquires: 0, barrier_waits: 104, diff_batches: 0, batched_diff_bytes: 0 }".into(), "EngineStats { context_switches: 440, threads_spawned: 8, lockless_advances: 9854, sync_fast_path: 214, sync_slow_path: 340, tlb_hits: 0, tlb_misses: 0, ready_reallocs: 0, window_admissible: 0 }".into())
 }
 
 fn golden_fft() -> Splash {
-    (11049682365, Some(3885204), 1932, 11987086374669126268, 12301491234228088131, "NodeStats { read_faults: 36, write_faults: 68, remote_fetches: 75, fetch_bytes: 307200, diffs_sent: 54, diff_bytes: 39936, notices_applied: 14, placements: 1, migrations: 0, lock_acquires: 0, barrier_waits: 104, diff_batches: 0, batched_diff_bytes: 0, pingpong_handoffs: 0, policy_considered: 0, policy_migrations: 0 }".into(), "EngineStats { context_switches: 440, threads_spawned: 8, lockless_advances: 5098, sync_fast_path: 193, sync_slow_path: 340, tlb_hits: 0, tlb_misses: 0, ready_reallocs: 0, window_admissible: 0 }".into())
+    (11049682365, Some(3885204), 1932, 11987086374669126268, 12301491234228088131, "NodeStats { read_faults: 36, write_faults: 68, remote_fetches: 75, fetch_bytes: 307200, diffs_sent: 54, diff_bytes: 39936, notices_applied: 14, placements: 1, migrations: 0, lock_acquires: 0, barrier_waits: 104, diff_batches: 0, batched_diff_bytes: 0 }".into(), "EngineStats { context_switches: 440, threads_spawned: 8, lockless_advances: 5098, sync_fast_path: 193, sync_slow_path: 340, tlb_hits: 0, tlb_misses: 0, ready_reallocs: 0, window_admissible: 0 }".into())
 }
 
 /// `(end_ns, Chrome-export digest, snapshot digest, wire faults, retries,
