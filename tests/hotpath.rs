@@ -252,11 +252,11 @@ proptest! {
 }
 
 /// Runs a SPLASH kernel under M4 and returns (SimTime, parallel window,
-/// touched pages, misplaced pages, TLB hit rate).
+/// touched pages, misplaced pages, TLB hits, TLB misses).
 fn splash_run(
     mode: M4Mode,
     body: impl FnOnce(&cables_suite::apps::M4Ctx) + Send + 'static,
-) -> (u64, Option<u64>, u64, u64, f64) {
+) -> (u64, Option<u64>, u64, u64, u64, u64) {
     let cluster = Cluster::build(ClusterConfig::small(4, 2));
     let sys = match mode {
         M4Mode::Base => M4System::base(Arc::clone(&cluster)),
@@ -265,18 +265,13 @@ fn splash_run(
     let end = sys.run(body).expect("splash run");
     let placement = sys.svm().placement_report();
     let st = sys.svm().engine_stats();
-    let total = st.tlb_hits + st.tlb_misses;
-    let hit_rate = if total > 0 {
-        st.tlb_hits as f64 / total as f64
-    } else {
-        0.0
-    };
     (
         end.as_nanos(),
         sys.parallel_ns(),
         placement.touched_pages,
         placement.misplaced_pages,
-        hit_rate,
+        st.tlb_hits,
+        st.tlb_misses,
     )
 }
 
@@ -289,10 +284,16 @@ const SPLASH_GOLDENS: [(u64, Option<u64>, u64, u64); 4] = [
     (11049914951, Some(3939996), 9, 6),
 ];
 
+/// `(TLB hits, TLB misses)` of the same four runs, in the same order. The
+/// TLB moves no simulated number, so these pin only its size, its
+/// indexing and its invalidations.
+const SPLASH_TLB_GOLDENS: [(u64, u64); 4] = [(3798, 196), (8575, 372), (3813, 199), (8640, 325)];
+
 /// Regression: the hot path must not change the simulated results of the
 /// SPLASH kernels — same final SimTime, same parallel window, same Fig-6
-/// misplacement as the slow path gave — and the software TLB must stay
-/// hot on FFT (>90%).
+/// misplacement as the slow path gave — and the software TLB must count
+/// exactly the hits and misses it counted before, and stay hot on FFT
+/// (>90%).
 #[test]
 fn splash_fast_path_is_deterministic() {
     for (i, mode) in [M4Mode::Base, M4Mode::Cables].into_iter().enumerate() {
@@ -309,10 +310,11 @@ fn splash_fast_path_is_deterministic() {
         show("fft", &r);
         let pinned = (r.0, r.1, r.2, r.3);
         assert_eq!(pinned, SPLASH_GOLDENS[2 * i], "{mode:?} FFT");
+        assert_eq!((r.4, r.5), SPLASH_TLB_GOLDENS[2 * i], "{mode:?} FFT TLB");
         assert!(
-            r.4 > 0.90,
+            r.4 * 10 > (r.4 + r.5) * 9,
             "{mode:?} FFT: TLB hit rate {:.1}% <= 90%",
-            r.4 * 100.0
+            r.4 as f64 * 100.0 / (r.4 + r.5) as f64
         );
         let r = splash_run(mode, |ctx| {
             let p = radix::RadixParams::test(8);
@@ -323,5 +325,10 @@ fn splash_fast_path_is_deterministic() {
         show("radix", &r);
         let pinned = (r.0, r.1, r.2, r.3);
         assert_eq!(pinned, SPLASH_GOLDENS[2 * i + 1], "{mode:?} RADIX");
+        assert_eq!(
+            (r.4, r.5),
+            SPLASH_TLB_GOLDENS[2 * i + 1],
+            "{mode:?} RADIX TLB"
+        );
     }
 }
