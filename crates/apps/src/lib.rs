@@ -15,6 +15,7 @@
 //! verification oracles, so the benchmark harness double-checks outputs
 //! while measuring virtual time.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

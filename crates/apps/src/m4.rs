@@ -111,10 +111,10 @@ impl M4System {
     }
 
     /// The underlying protocol engine (both backends have one).
-    pub fn svm(&self) -> Arc<SvmSystem> {
+    pub fn svm(&self) -> &Arc<SvmSystem> {
         match &self.inner {
-            Inner::Base(s) => Arc::clone(s),
-            Inner::Cables(rt) => Arc::clone(rt.svm()),
+            Inner::Base(s) => s,
+            Inner::Cables(rt) => rt.svm(),
         }
     }
 

@@ -8,7 +8,9 @@
 //! - [`ClusterMem`] holds every node's physical frames and page tables;
 //! - shared accesses go through [`ClusterMem::read_scalar`] /
 //!   [`ClusterMem::write_scalar`] and return a [`Fault`] exactly where real
-//!   hardware would trap into the DSM protocol's handler;
+//!   hardware would trap into the DSM protocol's handler; each node's page
+//!   table, frames and 512-entry software TLB sit under one mutex, so a TLB
+//!   hit is one uncontended lock and no refcount;
 //! - [`OsVmConfig`] models mapping granularity, per-node memory size, and
 //!   OS operation costs (map, protect, fault entry);
 //! - frames can be pinned ([`ClusterMem::pin_frame`]) — the NIC may only
@@ -30,6 +32,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -23,6 +23,7 @@
 //!
 //! [`cables-vmmc`]: ../cables_vmmc/index.html
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

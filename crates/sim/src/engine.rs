@@ -235,7 +235,7 @@ impl Engine {
             if engine.inner.kernel.lock().poisoned.is_some() {
                 Engine::green_exit(engine, tid, None);
             }
-            let sim = Sim::new(engine.clone(), tid);
+            let sim = Sim::new(engine.clone(), tid, node);
             let result = catch_unwind(AssertUnwindSafe(|| f(&sim)));
             // The kernel copy of the clock may be stale; make it
             // authoritative before exit bookkeeping reads it.

@@ -26,7 +26,6 @@ use crate::time::SimTime;
 struct ClockCache {
     clock: SimTime,
     free_at: SimTime,
-    node: NodeId,
     cpu: usize,
 }
 
@@ -49,6 +48,8 @@ struct ClockCache {
 pub struct Sim {
     engine: Engine,
     tid: Tid,
+    /// Set at spawn: a thread never changes node.
+    node: NodeId,
     cache: Cell<Option<ClockCache>>,
     n_lockless: Cell<u64>,
     n_sync_fast: Cell<u64>,
@@ -62,10 +63,11 @@ impl fmt::Debug for Sim {
 }
 
 impl Sim {
-    pub(crate) fn new(engine: Engine, tid: Tid) -> Self {
+    pub(crate) fn new(engine: Engine, tid: Tid, node: NodeId) -> Self {
         Sim {
             engine,
             tid,
+            node,
             cache: Cell::new(None),
             n_lockless: Cell::new(0),
             n_sync_fast: Cell::new(0),
@@ -80,10 +82,7 @@ impl Sim {
 
     /// The node this thread runs on.
     pub fn node(&self) -> NodeId {
-        if let Some(c) = self.cache.get() {
-            return c.node;
-        }
-        self.engine.inner.kernel.lock().rec(self.tid).node
+        self.node
     }
 
     /// The engine driving this simulation.
@@ -112,7 +111,7 @@ impl Sim {
     fn flush_into(&self, k: &mut Kernel) {
         if let Some(c) = self.cache.take() {
             k.rec_mut(self.tid).clock = c.clock;
-            k.nodes[c.node.0 as usize].cpus[c.cpu].free_at = c.free_at;
+            k.nodes[self.node.0 as usize].cpus[c.cpu].free_at = c.free_at;
         }
         k.stats.lockless_advances += self.n_lockless.take();
         k.stats.sync_fast_path += self.n_sync_fast.take();
@@ -122,12 +121,11 @@ impl Sim {
     /// Loads the cache from kernel state (under the lock `k`).
     fn warm_cache(&self, k: &Kernel) {
         let r = k.rec(self.tid);
-        let (node, cpu, clock) = (r.node, r.cpu, r.clock);
-        let free_at = k.nodes[node.0 as usize].cpus[cpu].free_at;
+        let (cpu, clock) = (r.cpu, r.clock);
+        let free_at = k.nodes[self.node.0 as usize].cpus[cpu].free_at;
         self.cache.set(Some(ClockCache {
             clock,
             free_at,
-            node,
             cpu,
         }));
     }
@@ -255,14 +253,12 @@ impl Sim {
                 }
             }
         }
-        if AUDITS {
-            let me_node = k.rec(self.tid).node;
-            if !scope.contains(me_node) {
-                let name = k.rec(self.tid).name.clone();
-                k.poison(SimError::Panicked(format!(
-                    "scope audit: thread {name} declared a footprint excluding its own node {me_node}"
-                )));
-            }
+        if AUDITS && !scope.contains(self.node) {
+            let name = k.rec(self.tid).name.clone();
+            k.poison(SimError::Panicked(format!(
+                "scope audit: thread {name} declared a footprint excluding its own node {}",
+                self.node
+            )));
         }
         k.running = None;
         k.push_ready_scoped(self.tid, scope);
@@ -285,15 +281,12 @@ impl Sim {
         if cost > 0 && !self.cached_advance(cost) {
             let mut k = self.engine.inner.kernel.lock();
             self.flush_into(&mut k);
-            let (node, cpu) = {
-                let r = k.rec(self.tid);
-                (r.node, r.cpu)
-            };
-            let free_at = k.nodes[node.0 as usize].cpus[cpu].free_at;
+            let (node, cpu) = (self.node.0 as usize, k.rec(self.tid).cpu);
+            let free_at = k.nodes[node].cpus[cpu].free_at;
             let clock = k.rec(self.tid).clock;
             let end = clock.max(free_at) + cost;
             k.rec_mut(self.tid).clock = end;
-            k.nodes[node.0 as usize].cpus[cpu].free_at = end;
+            k.nodes[node].cpus[cpu].free_at = end;
             self.sync_point_with(k, scope);
             return;
         }
@@ -362,7 +355,7 @@ impl Sim {
         }
         k.emit_sched(
             k.rec(self.tid).clock,
-            k.rec(self.tid).node,
+            self.node,
             self.tid,
             SchedEventKind::Block,
             None,
@@ -389,7 +382,7 @@ impl Sim {
         }
         k.emit_sched(
             k.rec(self.tid).clock,
-            k.rec(self.tid).node,
+            self.node,
             self.tid,
             SchedEventKind::Block,
             None,
@@ -424,7 +417,7 @@ impl Sim {
         let at = at.max(mine);
         let cause = Some(SchedCause {
             tid: self.tid,
-            node: k.rec(self.tid).node,
+            node: self.node,
             at: mine,
         });
         k.emit_sched(at, k.rec(target).node, target, SchedEventKind::Wake, cause);

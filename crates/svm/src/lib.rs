@@ -19,6 +19,7 @@
 //! points. [`SvmSystem::placement_report`] quantifies misplaced pages
 //! (paper Fig. 6).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

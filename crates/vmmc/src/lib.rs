@@ -22,6 +22,7 @@
 //! time (callers order themselves with `Sim::sync_point` first), which is
 //! indistinguishable for data-race-free programs.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -4,7 +4,7 @@
 #   release build + the full test suite of every workspace crate, once:
 #   there is one engine (green threads on one carrier) and one access
 #   path, and a debug build — what `cargo test` is — runs with the
-#   determinism audits and the TLB's page-table re-walk on. What the
+#   determinism audits and the TLB's in-lock page-table check on. What the
 #   OS-thread engine and the slow path used to cross-check is pinned as
 #   goldens in tests/parallel_engine.rs and tests/hotpath.rs.
 #
@@ -28,11 +28,13 @@ cargo fmt --all -- --check
 # (one `migrate_home` call), the service's pools no adaptation, the metric stream no ring, merge
 # path or drain thread, and the page protocol one traffic lever (diff
 # batching: no prefetcher, no lock-data forwarding, no multi-segment
-# fetch), and crash recovery one transition per core (no per-step crash
-# helpers, no second retirement path); a name from those coming back is a
-# regression of the design, not of a number.
+# fetch), crash recovery one transition per core (no per-step crash
+# helpers, no second retirement path), and a node's memory one lock (no
+# refcounted frame slot with its own data lock, no TLB generation counter);
+# a name from those coming back is a regression of the design, not of a
+# number.
 echo "==> no engine-mode / slow-path / migration-policy switches"
-if grep -rnE 'EngineMode|set_mode\(|set_lockless|set_fast_path|set_slow_mode|engine_wall|BENCH_hotpath|migration_threshold|diff_streaks|AdaptParams|with_adapt|series_last_window|credit_sharing|migration_prefetch_grid|FrameRing|merge_frames|overflow_merges|series_start_with|DEFAULT_RING_CAP|StreamExporter|prefetch_confirm|DEFAULT_SAMPLE_NS|prefetch_degree|lock_forwarding|lock_forward_hot|with_protocol_opts|PrefetchMasked|LockForward|fetch_multi|BatchFetch|acquire_on_lock|crash_purge_waiter|crash_handoff_locks|crash_handoff_rwlocks|crash_release_ready_barriers|crash_add_discount|crashed_discount|retire_self|thread_create_near|cond_wait_for|PlacementPolicy|placement_policy|with_placement_policy|ChunkSharing|chunk_sharing|note_chunk_traffic|policy_considered|policy_migrations|pingpong_handoffs|release_begin' \
+if grep -rnE 'EngineMode|set_mode\(|set_lockless|set_fast_path|set_slow_mode|engine_wall|BENCH_hotpath|migration_threshold|diff_streaks|AdaptParams|with_adapt|series_last_window|credit_sharing|migration_prefetch_grid|FrameRing|merge_frames|overflow_merges|series_start_with|DEFAULT_RING_CAP|StreamExporter|prefetch_confirm|DEFAULT_SAMPLE_NS|prefetch_degree|lock_forwarding|lock_forward_hot|with_protocol_opts|PrefetchMasked|LockForward|fetch_multi|BatchFetch|acquire_on_lock|crash_purge_waiter|crash_handoff_locks|crash_handoff_rwlocks|crash_release_ready_barriers|crash_add_discount|crashed_discount|retire_self|thread_create_near|cond_wait_for|PlacementPolicy|placement_policy|with_placement_policy|ChunkSharing|chunk_sharing|note_chunk_traffic|policy_considered|policy_migrations|pingpong_handoffs|release_begin|FrameSlot|bump_epoch' \
         crates/ src/ tests/ examples/ scripts/ --exclude=tier1.sh; then
     echo "tier1: a deleted switch is back (see above)" >&2
     exit 1
