@@ -56,7 +56,7 @@ use std::process::ExitCode;
 
 use obs::diff::{diff, Thresholds};
 use obs::explain::explain_diff;
-use obs::json::{line_col, parse, validate, Value, Writer};
+use obs::json::{line_col, parse, Value, Writer};
 use obs::series::windowed_table;
 use obs::stream::{parse_stream, Stream};
 use obs::{report, MetricsSnapshot};
@@ -141,12 +141,11 @@ fn warn_if_stale(path: &Path) {
     }
 }
 
-/// Reads + validates + parses one artifact; parse errors are reported as
+/// Reads and parses one artifact; parse errors are reported as
 /// `path:line:col`.
 fn load(path: &Path) -> Result<Value, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     warn_if_stale(path);
-    validate(&text).map_err(|e| located(path, &text, &e))?;
     parse(&text).map_err(|e| located(path, &text, &e))
 }
 

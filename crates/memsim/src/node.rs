@@ -189,8 +189,8 @@ struct Pte {
     prot: Prot,
 }
 
-/// Most nodes a [`ClusterMem`] can hold: the width of `sim::Scope`'s
-/// node mask, and the size of the shard table allocated up front.
+/// Most nodes a [`ClusterMem`] can hold: the size of the table of node
+/// slots it allocates up front, so finding a node's memory takes no lock.
 pub const MAX_NODES: usize = 64;
 
 /// Number of direct-mapped entries in each node's software TLB: 2 MB of
@@ -358,7 +358,7 @@ impl ClusterMem {
         let n = node.0 as usize;
         assert!(
             n < MAX_NODES,
-            "node {node} is past MAX_NODES = {MAX_NODES}, the width of sim::Scope"
+            "node {node} is past MAX_NODES = {MAX_NODES}, the size of memsim's node table"
         );
         for s in &self.shards[..=n] {
             s.get_or_init(|| Mutex::new(NodeMem::new()));

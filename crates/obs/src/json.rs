@@ -315,27 +315,19 @@ impl ToJson for Value {
 }
 
 /// Validates that `s` is one well-formed JSON value (with nothing but
-/// whitespace after it).
+/// whitespace after it): [`parse`], with the tree dropped.
 ///
 /// # Errors
 ///
 /// Returns a message with the byte offset of the first syntax error.
 pub fn validate(s: &str) -> Result<(), String> {
-    let b = s.as_bytes();
-    let mut p = Parser { b, i: 0, depth: 0 };
-    p.ws();
-    p.value()?;
-    p.ws();
-    if p.i != b.len() {
-        return Err(format!("trailing data at byte {}", p.i));
-    }
-    Ok(())
+    parse(s).map(drop)
 }
 
-/// Maximum container nesting depth either parser accepts. The artifacts
-/// nest a handful of levels; the bound exists so adversarial or corrupt
-/// input (`[[[[…`) fails with an error instead of exhausting the stack —
-/// both [`validate`] and [`parse`] recurse per nesting level.
+/// Maximum container nesting depth [`parse`] accepts. The artifacts nest
+/// a handful of levels; the bound exists so adversarial or corrupt input
+/// (`[[[[…`) fails with an error instead of exhausting the stack — the
+/// parser recurses per nesting level.
 pub const MAX_DEPTH: usize = 128;
 
 /// Converts a byte offset in `s` (as reported in [`validate`]/[`parse`]
@@ -609,79 +601,12 @@ impl Parser<'_> {
         Ok(out)
     }
 
-    fn value(&mut self) -> Result<(), String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => self.err("expected a JSON value"),
-        }
-    }
-
     fn literal(&mut self, word: &str) -> Result<(), String> {
         if self.b[self.i..].starts_with(word.as_bytes()) {
             self.i += word.len();
             Ok(())
         } else {
             self.err(&format!("expected '{word}'"))
-        }
-    }
-
-    fn object(&mut self) -> Result<(), String> {
-        self.descend()?;
-        self.eat(b'{')?;
-        self.ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            self.depth -= 1;
-            return Ok(());
-        }
-        loop {
-            self.ws();
-            self.string()?;
-            self.ws();
-            self.eat(b':')?;
-            self.ws();
-            self.value()?;
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    self.depth -= 1;
-                    return Ok(());
-                }
-                _ => return self.err("expected ',' or '}'"),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<(), String> {
-        self.descend()?;
-        self.eat(b'[')?;
-        self.ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            self.depth -= 1;
-            return Ok(());
-        }
-        loop {
-            self.ws();
-            self.value()?;
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    self.depth -= 1;
-                    return Ok(());
-                }
-                _ => return self.err("expected ',' or ']'"),
-            }
         }
     }
 

@@ -95,14 +95,6 @@ impl SanConfig {
         SanConfig::default()
     }
 
-    /// Conservative lookahead bound for the engine's window telemetry: no
-    /// cross-node effect can land sooner than the base message latency, so
-    /// a conservative-window parallel scheduler could admit operations up
-    /// to this many ns past the global minimum (see `DESIGN.md` §5.3).
-    pub fn lookahead_ns(&self) -> u64 {
-        self.send_base_ns
-    }
-
     /// One-way latency of a `bytes`-long send, ns.
     pub fn send_latency_ns(&self, bytes: u64) -> u64 {
         let extra = bytes.saturating_sub(self.word_bytes) as f64 * self.send_per_byte_ns;

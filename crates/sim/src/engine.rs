@@ -19,9 +19,9 @@
 //! explicit virtual times by running threads, and a woken thread never
 //! resumes with a clock earlier than the waker's clock at the wake, so
 //! operations execute in nondecreasing timestamp order. Debug builds
-//! check it as they go (`DESIGN.md` §5.3): dispatch keys must be monotone,
-//! a declared operation scope must cover the executing node, and a parking
-//! thread's stack canary must be intact; a violation poisons the run.
+//! check it as they go (`DESIGN.md` §5.3): dispatch keys must be monotone
+//! and a parking thread's stack canary must be intact; a violation poisons
+//! the run.
 
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -33,8 +33,8 @@ use parking_lot::Mutex;
 
 use crate::carrier::{self, GreenCtx, Payload};
 use crate::kernel::{
-    CpuRec, EngineStats, Kernel, NodeId, NodeRec, PoisonUnwind, ReadyShards, SchedCause,
-    SchedEventKind, SchedHook, Scope, SimError, ThreadRec, ThreadState, Tid, SHARD_RESERVE,
+    CpuRec, EngineStats, Kernel, NodeId, NodeRec, PoisonUnwind, SchedCause, SchedEventKind,
+    SchedHook, SimError, ThreadRec, ThreadState, Tid, READY_RESERVE,
 };
 use crate::sim_handle::Sim;
 use crate::time::SimTime;
@@ -93,7 +93,7 @@ impl Engine {
             inner: Arc::new(EngineInner {
                 kernel: Mutex::new(Kernel {
                     threads: Vec::new(),
-                    ready: ReadyShards::default(),
+                    ready: BinaryHeap::new(),
                     sleepers: BinaryHeap::new(),
                     running: None,
                     live: 0,
@@ -103,7 +103,6 @@ impl Engine {
                     stats: EngineStats::default(),
                     fresh: 0,
                     corpse: None,
-                    lookahead: None,
                     last_dispatch: (0, 0),
                     sched_hook: None,
                 }),
@@ -132,23 +131,12 @@ impl Engine {
             cpus: vec![CpuRec::default(); cpus],
             next_cpu: 0,
         });
-        k.ready
-            .shards
-            .push(BinaryHeap::with_capacity(SHARD_RESERVE));
+        // Retain room for this node's share of the ready heap, so
+        // steady-state scheduling never allocates.
+        let want = k.nodes.len() * READY_RESERVE;
+        let len = k.ready.len();
+        k.ready.reserve_exact(want.saturating_sub(len));
         id
-    }
-
-    /// Sets the conservative lookahead window (ns) used for the
-    /// [`EngineStats::window_admissible`] telemetry — typically the SAN
-    /// base message latency. `None` (the default) disables the telemetry.
-    /// Never affects scheduling order (see `DESIGN.md` §5.3).
-    pub fn set_lookahead(&self, window_ns: Option<u64>) {
-        self.inner.kernel.lock().lookahead = window_ns;
-    }
-
-    /// The configured lookahead window, if any.
-    pub fn lookahead(&self) -> Option<u64> {
-        self.inner.kernel.lock().lookahead
     }
 
     /// Number of nodes added so far.
@@ -264,7 +252,6 @@ impl Engine {
             pending_wake: None,
             sleep_gen: 0,
             timed_out: false,
-            pend_scope: Scope::ALL,
             green: Some(GreenCtx::new(Box::new(Payload { run: body }))),
             name,
         });

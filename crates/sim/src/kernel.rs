@@ -1,6 +1,6 @@
 //! Scheduler state of the engine: identifiers and scheduling-point
-//! vocabulary, the thread table, the per-node ready shards, dispatch in
-//! global `(clock, tid)` order, exit bookkeeping, poison and stack
+//! vocabulary, the thread table, the ready heap, dispatch in global
+//! `(clock, tid)` order, exit bookkeeping, poison and stack
 //! reclamation. Everything here runs under the one kernel mutex (see
 //! `engine.rs` for the execution model).
 
@@ -31,62 +31,6 @@ pub struct Tid(pub u64);
 impl fmt::Display for Tid {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "t{}", self.0)
-    }
-}
-
-/// Declared node footprint of an operation ordered at a sync point.
-///
-/// A scope is the set of nodes whose simulation state the operation may
-/// read or write. Page faults, for example, touch the faulting node, the
-/// page's home and the segment master; locks, barriers and releases touch
-/// every node (write notices, the global notice log). Scopes never alter
-/// scheduling — operations always execute in global timestamp order — but
-/// they feed two things: the debug-build scope audit (an operation must at
-/// least cover its own node) and the lookahead-window telemetry
-/// ([`EngineStats::window_admissible`]), which measures how many yields a
-/// footprint-aware conservative scheduler *could* avoid if cross-node
-/// effects carried a minimum latency (see `DESIGN.md` §5.3 for why they
-/// currently do not).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Scope(u64);
-
-impl Scope {
-    /// The conservative scope: every node.
-    pub const ALL: Scope = Scope(u64::MAX);
-
-    /// Scope containing exactly `n`. Node ids ≥ 64 saturate to [`Scope::ALL`]
-    /// (conservative: false conflicts are sound, missed ones are not).
-    pub fn node(n: NodeId) -> Scope {
-        if n.0 >= 64 {
-            Scope::ALL
-        } else {
-            Scope(1 << n.0)
-        }
-    }
-
-    /// This scope extended with node `n`.
-    #[must_use]
-    pub fn with(self, n: NodeId) -> Scope {
-        if n.0 >= 64 {
-            Scope::ALL
-        } else {
-            Scope(self.0 | (1 << n.0))
-        }
-    }
-
-    /// Whether `n` is covered by this scope.
-    pub fn contains(self, n: NodeId) -> bool {
-        n.0 >= 64 || self.0 & (1 << n.0) != 0
-    }
-
-    /// Whether the two scopes share a node.
-    pub fn intersects(self, other: Scope) -> bool {
-        self.0 & other.0 != 0
-    }
-
-    /// Whether this is the conservative all-nodes scope.
-    pub fn is_all(self) -> bool {
-        self.0 == u64::MAX
     }
 }
 
@@ -181,9 +125,6 @@ pub(crate) struct ThreadRec {
     pub(crate) sleep_gen: u64,
     /// Set when the last timed block expired instead of being woken.
     pub(crate) timed_out: bool,
-    /// Declared footprint of the operation this thread is parked at
-    /// ([`Scope::ALL`] for resumes, blocks and undeclared points).
-    pub(crate) pend_scope: Scope,
     /// The thread's stack and saved context; `None` once the thread has
     /// exited and [`Kernel::reap`] has given the stack back.
     pub(crate) green: Option<GreenCtx>,
@@ -219,28 +160,17 @@ pub struct EngineStats {
     pub tlb_hits: u64,
     /// Software-TLB misses, merged in by the memory layer.
     pub tlb_misses: u64,
-    /// Times a per-node ready shard had to grow its retained storage.
-    /// Flat after warm-up: steady-state scheduling does not allocate.
+    /// Times the ready heap had to grow its retained storage. Flat after
+    /// warm-up: steady-state scheduling does not allocate.
     pub ready_reallocs: u64,
-    /// Slow-path yields whose operation a footprint-aware conservative
-    /// scheduler could have admitted without yielding: the declared scope
-    /// was disjoint from every earlier pending operation and the timestamp
-    /// was within the configured lookahead window of the earliest one.
-    /// Pure telemetry — the yield still happens (see `DESIGN.md` §5.3).
+    /// Always 0. The engine admits nothing out of `(clock, tid)` order
+    /// (`DESIGN.md` §5.3); the field stays only because recorded artifacts
+    /// and the benchmark read it, and goes with ROADMAP item 8(i).
     pub window_admissible: u64,
 }
 
-/// Per-node ready queues. Selection is identical to one global min-heap —
-/// the scheduler always takes the global minimum `(clock, tid)` — but each
-/// node's storage is retained for the whole run, so steady-state
-/// scheduling never allocates ([`EngineStats::ready_reallocs`] proves it).
-#[derive(Default)]
-pub(crate) struct ReadyShards {
-    pub(crate) shards: Vec<BinaryHeap<Reverse<(u64, u64)>>>,
-}
-
-/// Initial retained capacity of each node's ready shard.
-pub(crate) const SHARD_RESERVE: usize = 64;
+/// Ready-heap slots reserved for each node [`Engine::add_node`] adds.
+pub(crate) const READY_RESERVE: usize = 64;
 
 /// Whether the runtime determinism audits are on: debug builds, the rule
 /// the engine's `debug_assert!`s follow.
@@ -248,7 +178,10 @@ pub(crate) const AUDITS: bool = cfg!(debug_assertions);
 
 pub(crate) struct Kernel {
     pub(crate) threads: Vec<ThreadRec>,
-    pub(crate) ready: ReadyShards,
+    /// The run queue: one min-heap of `(clock ns, tid)` keys, retained for
+    /// the whole run. A key goes stale when its thread leaves `Ready`
+    /// without being popped (the poison drain) and is dropped on peek.
+    pub(crate) ready: BinaryHeap<Reverse<(u64, u64)>>,
     /// Sleeping (timed-blocked) threads: (deadline ns, tid, sleep_gen).
     pub(crate) sleepers: BinaryHeap<Reverse<(u64, u64, u64)>>,
     pub(crate) running: Option<Tid>,
@@ -261,9 +194,6 @@ pub(crate) struct Kernel {
     /// The last thread to exit, whose stack cannot be freed before it has
     /// switched away from it (see [`Kernel::reap`]).
     pub(crate) corpse: Option<Tid>,
-    /// Conservative lookahead window in ns for the window telemetry
-    /// (typically the SAN base message latency); `None` disables it.
-    pub(crate) lookahead: Option<u64>,
     /// Last dispatched `(clock, tid)` key, for the monotonicity audit.
     pub(crate) last_dispatch: (u64, u64),
     /// Observability hook for scheduling points (None = zero overhead
@@ -301,29 +231,14 @@ impl Kernel {
         &mut self.threads[tid.0 as usize]
     }
 
-    /// Enqueues `tid` on its node's ready shard with a conservative
-    /// (all-nodes) pending scope — the right default for wakes, spawns and
-    /// expired sleeps, whose continuation may touch anything.
+    /// Marks `tid` ready and enqueues it at its current clock.
     pub(crate) fn push_ready(&mut self, tid: Tid) {
-        self.push_ready_scoped(tid, Scope::ALL);
-    }
-
-    /// Enqueues `tid` with the declared footprint of the operation it is
-    /// parked at.
-    pub(crate) fn push_ready_scoped(&mut self, tid: Tid, scope: Scope) {
-        let (clock, node) = {
-            let r = self.rec(tid);
-            (r.clock, r.node)
-        };
-        {
-            let r = self.rec_mut(tid);
-            r.state = ThreadState::Ready;
-            r.pend_scope = scope;
-        }
-        let shard = &mut self.ready.shards[node.0 as usize];
-        let cap = shard.capacity();
-        shard.push(Reverse((clock.as_nanos(), tid.0)));
-        if shard.capacity() != cap {
+        let r = self.rec_mut(tid);
+        r.state = ThreadState::Ready;
+        let key = (r.clock.as_nanos(), tid.0);
+        let cap = self.ready.capacity();
+        self.ready.push(Reverse(key));
+        if self.ready.capacity() != cap {
             self.stats.ready_reallocs += 1;
         }
     }
@@ -343,31 +258,16 @@ impl Kernel {
         None
     }
 
-    /// Drops invalidated shard tops and returns the global minimum ready
-    /// key with its shard index, without popping it.
-    pub(crate) fn peek_ready_shard(&mut self) -> Option<((u64, u64), usize)> {
-        let mut best: Option<((u64, u64), usize)> = None;
-        for si in 0..self.ready.shards.len() {
-            loop {
-                let Some(&Reverse(top)) = self.ready.shards[si].peek() else {
-                    break;
-                };
-                if self.threads[top.1 as usize].state != ThreadState::Ready {
-                    self.ready.shards[si].pop();
-                    continue;
-                }
-                if best.map_or(true, |(b, _)| top < b) {
-                    best = Some((top, si));
-                }
-                break;
-            }
-        }
-        best
-    }
-
-    /// Drops invalidated ready entries and returns the minimum ready key.
+    /// Drops invalidated ready entries and returns the minimum ready key
+    /// without popping it.
     pub(crate) fn peek_ready(&mut self) -> Option<(u64, u64)> {
-        self.peek_ready_shard().map(|(key, _)| key)
+        while let Some(&Reverse(top)) = self.ready.peek() {
+            if self.threads[top.1 as usize].state == ThreadState::Ready {
+                return Some(top);
+            }
+            self.ready.pop();
+        }
+        None
     }
 
     /// Fires the earliest sleeper as a timeout: it becomes ready at its
@@ -413,9 +313,9 @@ impl Kernel {
         debug_assert!(self.running.is_none());
         loop {
             let sleeper = self.peek_sleeper();
-            let ready = self.peek_ready_shard();
+            let ready = self.peek_ready();
             match (ready, sleeper) {
-                (Some(((rt, _), _)), Some(st)) if st < rt => {
+                (Some((rt, _)), Some(st)) if st < rt => {
                     self.fire_sleeper();
                     continue;
                 }
@@ -423,9 +323,9 @@ impl Kernel {
                     self.fire_sleeper();
                     continue;
                 }
-                (Some((key, si)), _) => {
+                (Some(key), _) => {
                     let tid = Tid(key.1);
-                    self.ready.shards[si].pop();
+                    self.ready.pop();
                     self.rec_mut(tid).state = ThreadState::Running;
                     self.running = Some(tid);
                     self.stats.context_switches += 1;
@@ -536,21 +436,9 @@ mod green_mode_tests {
     }
 
     #[test]
-    fn scope_algebra() {
-        let a = Scope::node(NodeId(3));
-        assert!(a.contains(NodeId(3)));
-        assert!(!a.contains(NodeId(4)));
-        assert!(a.with(NodeId(4)).contains(NodeId(4)));
-        assert!(!a.intersects(Scope::node(NodeId(4))));
-        assert!(a.intersects(Scope::ALL));
-        assert!(Scope::node(NodeId(64)).is_all());
-    }
-
-    #[test]
     fn green_run_matches_sequential_results_and_stats() {
         let run = || {
             let (e, n) = green_engine(2);
-            e.set_lookahead(Some(5_000));
             let sum = Arc::new(AtomicU64::new(0));
             let s2 = Arc::clone(&sum);
             let end = e
@@ -637,89 +525,76 @@ mod green_mode_tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
-    fn scope_audit_rejects_foreign_only_footprint() {
-        let e = Engine::new();
-        let n0 = e.add_node(1);
-        let _n1 = e.add_node(1);
-        let err = e
-            .run(n0, |sim| {
-                // Needs a competing earlier thread so the scoped point takes
-                // the slow path where the audit runs.
-                let c = sim.spawn_on(sim.node(), SimTime::ZERO, "early", |s| {
-                    s.advance(5);
-                    s.sync_point();
-                });
-                sim.advance(100);
-                sim.sync_point_scoped(Scope::node(NodeId(1))); // excludes own node 0
-                sim.wait_exit(c);
-            })
-            .expect_err("audit should fire");
-        match err {
-            SimError::Panicked(m) => assert!(m.contains("scope audit"), "{m}"),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn window_telemetry_counts_disjoint_yields() {
-        let run = |lookahead: Option<u64>| {
+    fn ready_reallocs_flat_in_steady_state() {
+        let run = |nodes: u32, threads: u32| {
             let e = Engine::new();
-            let n0 = e.add_node(1);
-            let n1 = e.add_node(1);
-            e.set_lookahead(lookahead);
-            e.run(n0, move |sim| {
-                let a = sim.spawn_on(n0, SimTime::ZERO, "a", |s| {
-                    for _ in 0..10 {
-                        s.advance(100);
-                        s.sync_point_scoped(Scope::node(NodeId(0)));
-                    }
-                });
-                let b = sim.spawn_on(n1, SimTime::ZERO, "b", |s| {
-                    for _ in 0..10 {
-                        s.advance(110);
-                        s.sync_point_scoped(Scope::node(NodeId(1)));
-                    }
-                });
-                sim.wait_exit(a);
-                sim.wait_exit(b);
+            let ns: Vec<NodeId> = (0..nodes).map(|_| e.add_node(2)).collect();
+            e.run(ns[0], move |sim| {
+                let kids: Vec<Tid> = (0..threads)
+                    .map(|i| {
+                        let node = ns[(i % nodes) as usize];
+                        sim.spawn_on(node, SimTime::ZERO, "k", |s| {
+                            for _ in 0..200 {
+                                s.advance(10);
+                                s.sync_point();
+                            }
+                        })
+                    })
+                    .collect();
+                for k in kids {
+                    sim.wait_exit(k);
+                }
             })
             .unwrap();
             e.stats()
         };
-        let off = run(None);
-        assert_eq!(off.window_admissible, 0);
-        let on = run(Some(1_000));
-        // Same schedule, same counters, except the telemetry: the two
-        // threads' footprints are disjoint, so their mutual yields count.
-        assert!(on.window_admissible > 0);
-        assert_eq!(off.context_switches, on.context_switches);
-        assert_eq!(off.sync_slow_path, on.sync_slow_path);
+        // 9 threads on one node × hundreds of sync points each: the heap
+        // never grows past one node's reserve.
+        let st = run(1, 8);
+        assert_eq!(st.ready_reallocs, 0);
+        assert!(st.sync_slow_path > 500);
+        // 101 threads over four nodes: more than one node's reserve
+        // (READY_RESERVE = 64) is ready at once, and the reserve of every
+        // node added holds them.
+        let st = run(4, 100);
+        assert_eq!(st.ready_reallocs, 0);
+        assert!(st.sync_slow_path > 10_000);
     }
 
     #[test]
-    fn ready_reallocs_flat_in_steady_state() {
-        let (e, n) = green_engine(2);
-        e.run(n, move |sim| {
-            let mut kids = Vec::new();
-            for _ in 0..8 {
-                kids.push(sim.spawn_on(sim.node(), SimTime::ZERO, "k", |s| {
-                    for _ in 0..200 {
-                        s.advance(10);
+    fn cross_node_ties_dispatch_in_tid_order() {
+        let e = Engine::new();
+        let ns = [e.add_node(1), e.add_node(1), e.add_node(1)];
+        let log = Arc::new(StdMutex::new(Vec::new()));
+        let l2 = Arc::clone(&log);
+        e.run(ns[0], move |sim| {
+            // Tids 1, 2, 3 on nodes 2, 1, 0 reach clock 100 in tid order,
+            // each at a sync point; tid 3 then yields to a three-way tie
+            // that the lowest tid wins, though it is on the highest node.
+            let kids: Vec<Tid> = [(ns[2], 10), (ns[1], 50), (ns[0], 90)]
+                .into_iter()
+                .map(|(node, first)| {
+                    let l3 = Arc::clone(&l2);
+                    sim.spawn_on(node, SimTime::ZERO, "k", move |s| {
+                        s.advance(first);
                         s.sync_point();
-                    }
-                }));
-            }
+                        s.advance(100 - first);
+                        s.sync_point();
+                        l3.lock()
+                            .unwrap()
+                            .push((s.tid().0, s.node().0, s.now().as_nanos()));
+                    })
+                })
+                .collect();
             for k in kids {
                 sim.wait_exit(k);
             }
         })
         .unwrap();
-        let st = e.stats();
-        // 9 threads × hundreds of sync points each, but the shard only ever
-        // grows past the initial reserve... never: 9 < SHARD_RESERVE.
-        assert_eq!(st.ready_reallocs, 0);
-        assert!(st.sync_slow_path > 500);
+        assert_eq!(
+            *log.lock().unwrap(),
+            vec![(1, 2, 100), (2, 1, 100), (3, 0, 100)]
+        );
     }
 
     #[test]

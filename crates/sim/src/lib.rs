@@ -53,7 +53,7 @@ mod time;
 pub use engine::Engine;
 pub use idmap::{IdHasher, IdMap, IdSet};
 pub use kernel::{
-    EngineStats, NodeId, SchedCause, SchedEvent, SchedEventKind, SchedHook, Scope, SimError, Tid,
+    EngineStats, NodeId, SchedCause, SchedEvent, SchedEventKind, SchedHook, SimError, Tid,
 };
 pub use rng::DetRng;
 pub use sim_handle::Sim;

@@ -10,11 +10,8 @@ use parking_lot::MutexGuard;
 
 use crate::carrier;
 use crate::engine::Engine;
-#[cfg(doc)]
-use crate::kernel::EngineStats;
 use crate::kernel::{
-    Kernel, NodeId, PoisonUnwind, SchedCause, SchedEventKind, Scope, SimError, ThreadState, Tid,
-    AUDITS,
+    Kernel, NodeId, PoisonUnwind, SchedCause, SchedEventKind, SimError, ThreadState, Tid, AUDITS,
 };
 use crate::time::SimTime;
 
@@ -195,23 +192,13 @@ impl Sim {
     /// `(clock, tid)` among runnable threads. Call before every operation
     /// on shared simulation state.
     pub fn sync_point(&self) {
-        self.sync_point_scoped(Scope::ALL);
-    }
-
-    /// Like [`Sim::sync_point`], with a declared footprint: the set of
-    /// nodes whose shared state the upcoming operation may touch. The
-    /// declaration never changes scheduling (see `DESIGN.md` §5.3 for why
-    /// any reordering would break determinism) — it feeds the
-    /// [`EngineStats::window_admissible`] telemetry and, in debug builds,
-    /// the scope audit.
-    pub fn sync_point_scoped(&self, scope: Scope) {
         let mut k = self.engine.inner.kernel.lock();
         self.flush_into(&mut k);
-        self.sync_point_with(k, scope);
+        self.sync_point_with(k);
     }
 
     /// Sync-point body; expects the cache already flushed under `k`.
-    fn sync_point_with(&self, mut k: MutexGuard<'_, Kernel>, scope: Scope) {
+    fn sync_point_with(&self, mut k: MutexGuard<'_, Kernel>) {
         debug_assert_eq!(k.running, Some(self.tid), "sync_point while not running");
         let my = (k.rec(self.tid).clock.as_nanos(), self.tid.0);
         // Fast path: still the global minimum among ready threads and
@@ -232,36 +219,8 @@ impl Sim {
             return;
         }
         self.n_sync_slow.set(self.n_sync_slow.get() + 1);
-        // Window telemetry: count yields a footprint-aware conservative
-        // scheduler could have admitted — the op is within the lookahead
-        // window of the earliest pending one and its declared scope is
-        // disjoint from every earlier pending op's.
-        if let Some(w) = k.lookahead {
-            if !sleeper_first {
-                if let Some((min_key, _)) = k.peek_ready_shard() {
-                    if my.0 < min_key.0.saturating_add(w) {
-                        let disjoint = k.threads.iter().enumerate().all(|(i, t)| {
-                            i as u64 == self.tid.0
-                                || t.state != ThreadState::Ready
-                                || (t.clock.as_nanos(), i as u64) >= my
-                                || !t.pend_scope.intersects(scope)
-                        });
-                        if disjoint {
-                            k.stats.window_admissible += 1;
-                        }
-                    }
-                }
-            }
-        }
-        if AUDITS && !scope.contains(self.node) {
-            let name = k.rec(self.tid).name.clone();
-            k.poison(SimError::Panicked(format!(
-                "scope audit: thread {name} declared a footprint excluding its own node {}",
-                self.node
-            )));
-        }
         k.running = None;
-        k.push_ready_scoped(self.tid, scope);
+        k.push_ready(self.tid);
         self.park_and_switch(k);
         self.check_poison();
     }
@@ -272,12 +231,6 @@ impl Sim {
     /// ordering check takes the kernel lock; when it is cold, both happen
     /// under a single critical section.
     pub fn op_point(&self, cost: u64) {
-        self.op_point_scoped(cost, Scope::ALL);
-    }
-
-    /// Like [`Sim::op_point`], with a declared footprint (see
-    /// [`Sim::sync_point_scoped`]).
-    pub fn op_point_scoped(&self, cost: u64, scope: Scope) {
         if cost > 0 && !self.cached_advance(cost) {
             let mut k = self.engine.inner.kernel.lock();
             self.flush_into(&mut k);
@@ -287,10 +240,10 @@ impl Sim {
             let end = clock.max(free_at) + cost;
             k.rec_mut(self.tid).clock = end;
             k.nodes[node].cpus[cpu].free_at = end;
-            self.sync_point_with(k, scope);
+            self.sync_point_with(k);
             return;
         }
-        self.sync_point_scoped(scope);
+        self.sync_point();
     }
 
     /// Parks the calling thread (whose scheduling state the caller has

@@ -88,11 +88,10 @@ impl Cluster {
     pub fn build(cfg: ClusterConfig) -> Arc<Cluster> {
         assert!(
             cfg.nodes <= MAX_NODES,
-            "{} nodes is past MAX_NODES = {MAX_NODES}, the width of sim::Scope",
+            "{} nodes is past MAX_NODES = {MAX_NODES}, the size of memsim's node table",
             cfg.nodes
         );
         let engine = Engine::new();
-        engine.set_lookahead(Some(cfg.san.lookahead_ns()));
         let san = Arc::new(San::new(cfg.san));
         let mem = Arc::new(ClusterMem::new(cfg.os));
         let vmmc = Arc::new(Vmmc::new(cfg.vmmc, Arc::clone(&san), Arc::clone(&mem)));

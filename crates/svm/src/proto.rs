@@ -26,7 +26,7 @@ use std::fmt;
 
 use chaos::ChaosEngine;
 use memsim::{FaultKind, FrameId, GAddr, PageNum, Prot, Scalar, PAGE_SIZE};
-use sim::{NodeId, Scope, Sim, SimTime};
+use sim::{NodeId, Sim, SimTime};
 use vmmc::{RegionId, VmmcError};
 
 use crate::api::SvmSystem;
@@ -115,17 +115,9 @@ impl SvmSystem {
         if let Some(o) = self.obs_if_on() {
             o.series_tick(t0);
         }
-        // Declared footprint of the fault: the faulting node, the page's
-        // home and the directory master. A page without a home yet goes
-        // through placement, which updates the global first-touch
-        // directory — conservatively everything. The peek races ahead of
-        // the ordering point, but scopes are telemetry/audit only and this
-        // one always covers the executing node (see `sim::Scope`).
-        let home = self.state.lock().home(page);
-        let scope = home.map_or(Scope::ALL, |h| Scope::node(node).with(h).with(self.master));
         // OS fault entry + protocol handler, ordered against other ops.
         sim.advance(self.cluster.mem.config().fault_overhead_ns);
-        sim.op_point_scoped(self.cfg.costs.fault_handler_ns, scope);
+        sim.op_point(self.cfg.costs.fault_handler_ns);
 
         let prot = self.cluster.mem.translate(node, page).map(|(_, p)| p);
         let step = self.state.lock().fault(node, page, kind, prot);

@@ -326,33 +326,3 @@ fn node_crash_is_deadlock_free_on_parallel_backend() {
     assert_eq!(stats.crashes, 1, "the planned crash never fired");
     assert!(stats.recoveries >= 1, "no recovery was recorded");
 }
-
-/// The lookahead window wired from the SAN config is pure telemetry: it
-/// must count admissible yields without perturbing any result.
-#[test]
-fn lookahead_window_is_telemetry_only() {
-    let run = |lookahead: Option<u64>| {
-        let cluster = small_cluster(4, 2);
-        cluster.engine.set_lookahead(lookahead);
-        let sys = M4System::cables(Arc::clone(&cluster));
-        let end = sys
-            .run(|ctx| {
-                let p = fft::FftParams {
-                    m: 8,
-                    nprocs: 8,
-                    verify: false,
-                };
-                fft::fft(ctx, &p);
-            })
-            .expect("fft run");
-        (end.as_nanos(), cluster.engine.stats())
-    };
-    let off = run(None);
-    let on = run(Some(7_800));
-    assert_eq!(off.0, on.0, "lookahead changed the virtual end time");
-    assert_eq!(
-        off.1.context_switches, on.1.context_switches,
-        "lookahead changed the schedule"
-    );
-    assert_eq!(off.1.window_admissible, 0);
-}
