@@ -14,8 +14,7 @@ use std::sync::Arc;
 
 use cables::{CablesConfig, CablesRt, CtId, Pth};
 use memsim::{GAddr, Scalar};
-use parking_lot::Mutex as PlMutex;
-use sim::{Sim, SimError, SimTime};
+use sim::{Local, Sim, SimError, SimTime};
 use svm::{Cluster, SvmConfig, SvmSystem};
 
 /// Which backend an [`M4System`] drives.
@@ -54,10 +53,10 @@ enum Inner {
 /// ```
 pub struct M4System {
     inner: Inner,
-    mutexes: PlMutex<HashMap<u64, cables::Mutex>>,
-    barriers: PlMutex<HashMap<u64, cables::Barrier>>,
-    created: PlMutex<Vec<CtId>>,
-    parallel_window: PlMutex<Option<(SimTime, SimTime)>>,
+    mutexes: Local<HashMap<u64, cables::Mutex>>,
+    barriers: Local<HashMap<u64, cables::Barrier>>,
+    created: Local<Vec<CtId>>,
+    parallel_window: Local<Option<(SimTime, SimTime)>>,
 }
 
 impl fmt::Debug for M4System {
@@ -79,10 +78,10 @@ impl M4System {
     pub fn base_with(cluster: Arc<Cluster>, cfg: SvmConfig) -> Arc<Self> {
         Arc::new(M4System {
             inner: Inner::Base(SvmSystem::new(cluster, cfg)),
-            mutexes: PlMutex::new(HashMap::new()),
-            barriers: PlMutex::new(HashMap::new()),
-            created: PlMutex::new(Vec::new()),
-            parallel_window: PlMutex::new(None),
+            mutexes: Local::new(HashMap::new()),
+            barriers: Local::new(HashMap::new()),
+            created: Local::new(Vec::new()),
+            parallel_window: Local::new(None),
         })
     }
 
@@ -95,10 +94,10 @@ impl M4System {
     pub fn cables_with(cluster: Arc<Cluster>, cfg: CablesConfig) -> Arc<Self> {
         Arc::new(M4System {
             inner: Inner::Cables(CablesRt::new(cluster, cfg)),
-            mutexes: PlMutex::new(HashMap::new()),
-            barriers: PlMutex::new(HashMap::new()),
-            created: PlMutex::new(Vec::new()),
-            parallel_window: PlMutex::new(None),
+            mutexes: Local::new(HashMap::new()),
+            barriers: Local::new(HashMap::new()),
+            created: Local::new(Vec::new()),
+            parallel_window: Local::new(None),
         })
     }
 

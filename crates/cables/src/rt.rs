@@ -12,8 +12,7 @@ use std::sync::Arc;
 
 use chaos::{ChaosEngine, CrashUnwind};
 use memsim::GAddr;
-use parking_lot::Mutex;
-use sim::{IdMap, NodeId, Sim, SimError, SimTime, Tid};
+use sim::{IdMap, Local, NodeId, Sim, SimError, SimTime, Tid};
 use svm::{Cluster, ProtoMode, SvmSystem};
 
 use crate::config::CablesConfig;
@@ -198,15 +197,17 @@ pub struct RtStats {
 pub struct CablesRt {
     svm: Arc<SvmSystem>,
     pub(crate) cfg: CablesConfig,
-    pub(crate) state: Mutex<RtState>,
+    pub(crate) state: Local<RtState>,
     /// Jobs handed to pooled threads that have not picked them up yet.
-    jobs: Mutex<IdMap<u64, JobFn>>,
+    jobs: Local<IdMap<u64, JobFn>>,
     master: NodeId,
 }
 
 impl fmt::Debug for CablesRt {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let st = self.state.lock();
+        let Some(st) = self.state.try_lock() else {
+            return f.write_str("CablesRt { <borrowed> }");
+        };
         f.debug_struct("CablesRt")
             .field("attached_nodes", &st.attached.len())
             .field("threads", &st.threads.len())
@@ -233,8 +234,8 @@ impl CablesRt {
         Arc::new(CablesRt {
             svm,
             cfg,
-            state: Mutex::new(RtState::new(svm::GLOBAL_SECTION_BASE.raw())),
-            jobs: Mutex::default(),
+            state: Local::new(RtState::new(svm::GLOBAL_SECTION_BASE.raw())),
+            jobs: Local::default(),
             master,
         })
     }

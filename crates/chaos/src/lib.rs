@@ -30,8 +30,7 @@ mod plan;
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-use sim::{DetRng, IdMap};
+use sim::{DetRng, IdMap, Local};
 
 pub use plan::{FaultPlan, NodeFault, ResourceFaults, WireFaults};
 
@@ -138,9 +137,9 @@ pub struct ChaosEngine {
     wire_armed: bool,
     resource_armed: bool,
     crashes: Vec<(u32, u64)>,
-    rng: Mutex<DetRng>,
-    consec: Mutex<IdMap<(u32, u8), u32>>,
-    stats: Mutex<ChaosStats>,
+    rng: Local<DetRng>,
+    consec: Local<IdMap<(u32, u8), u32>>,
+    stats: Local<ChaosStats>,
 }
 
 impl std::fmt::Debug for ChaosEngine {
@@ -176,9 +175,9 @@ impl ChaosEngine {
             wire_armed,
             resource_armed,
             crashes,
-            rng: Mutex::new(DetRng::new(seed)),
-            consec: Mutex::new(IdMap::default()),
-            stats: Mutex::new(ChaosStats::default()),
+            rng: Local::new(DetRng::new(seed)),
+            consec: Local::default(),
+            stats: Local::default(),
         })
     }
 

@@ -9,8 +9,8 @@
 //! - shared accesses go through [`ClusterMem::read_scalar`] /
 //!   [`ClusterMem::write_scalar`] and return a [`Fault`] exactly where real
 //!   hardware would trap into the DSM protocol's handler; each node's page
-//!   table, frames and 512-entry software TLB sit under one mutex, so a TLB
-//!   hit is one uncontended lock and no refcount;
+//!   table, frames and 512-entry software TLB sit in one `sim::Local`, so a
+//!   TLB hit is one borrow-flag check and no refcount;
 //! - [`OsVmConfig`] models mapping granularity, per-node memory size, and
 //!   OS operation costs (map, protect, fault entry);
 //! - frames can be pinned ([`ClusterMem::pin_frame`]) — the NIC may only

@@ -1,29 +1,28 @@
 //! Per-node physical memory and page tables.
 //!
 //! Concurrency model: the simulation engine unparks exactly one simulated
-//! thread at a time, so these structures see no real contention — the lock
-//! exists to satisfy `Sync`, and it is per node, never global. A node's
-//! page table, frames, software TLB and hit/miss counts are one `NodeMem`
-//! under one mutex, in a table of [`MAX_NODES`] slots allocated with the
-//! [`ClusterMem`] and filled once, so finding it takes no lock and no
-//! refcount. The hot path is the node's software TLB, a direct-mapped cache
-//! of `page → (frame, prot)`: a hit runs the access on the frame under that
-//! one lock — one uncontended mutex, no page-table walk, no refcount, no
-//! counter shared with another node — and a miss walks the page table and
-//! installs under the same lock. A page mapped to another node's frame
-//! copies `(frame, prot)` out, releases its own lock and takes the owner's:
-//! no thread ever holds two node locks. Invalidation is precise — a mapping
-//! or protection change clears exactly the affected page's slot, and
-//! `free_frame` clears entries caching the freed frame on every node, since
-//! a cached [`FrameId`] would otherwise reach whatever frame next takes its
-//! index.
+//! thread at a time, on one carrier OS thread, so these structures see no
+//! contention and need no lock. A node's page table, frames, software TLB
+//! and hit/miss counts are one `NodeMem` in that node's own [`sim::Local`]
+//! (a borrow flag, never a global one), in a table of [`MAX_NODES`] slots
+//! allocated with the [`ClusterMem`] and filled once, so finding it takes
+//! no lock and no refcount. The hot path is the node's software TLB, a
+//! direct-mapped cache of `page → (frame, prot)`: a hit runs the access on
+//! the frame inside that one borrow — a flag check, no page-table walk, no
+//! refcount, no counter shared with another node — and a miss walks the
+//! page table and installs inside the same borrow. A page mapped to another
+//! node's frame copies `(frame, prot)` out, ends its own borrow and takes
+//! the owner's: no thread ever holds two node borrows. Invalidation is
+//! precise — a mapping or protection change clears exactly the affected
+//! page's slot, and `free_frame` clears entries caching the freed frame on
+//! every node, since a cached [`FrameId`] would otherwise reach whatever
+//! frame next takes its index.
 
 use std::fmt;
 use std::sync::OnceLock;
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use sim::{IdMap, NodeId};
+use sim::{IdMap, Local, NodeId};
 
 use crate::addr::{GAddr, PageNum, PAGE_SIZE};
 use crate::scalar::Scalar;
@@ -209,7 +208,7 @@ struct TlbEntry {
 }
 
 /// One node's memory: frames, page table, software TLB and its hit/miss
-/// counts, all under the node's one lock.
+/// counts, all inside the node's one borrow.
 struct NodeMem {
     frames: Vec<Option<Box<[u8]>>>,
     free_frames: Vec<u32>,
@@ -323,7 +322,7 @@ pub struct ClusterMem {
     cfg: OsVmConfig,
     /// One slot per possible node, allocated once. `ensure_node` fills
     /// slots and nothing empties them, so reading one takes no lock.
-    shards: Box<[OnceLock<Mutex<NodeMem>>]>,
+    shards: Box<[OnceLock<Local<NodeMem>>]>,
 }
 
 impl fmt::Debug for ClusterMem {
@@ -361,20 +360,20 @@ impl ClusterMem {
             "node {node} is past MAX_NODES = {MAX_NODES}, the size of memsim's node table"
         );
         for s in &self.shards[..=n] {
-            s.get_or_init(|| Mutex::new(NodeMem::new()));
+            s.get_or_init(|| Local::new(NodeMem::new()));
         }
     }
 
-    fn shard(&self, node: NodeId) -> Option<&Mutex<NodeMem>> {
+    fn shard(&self, node: NodeId) -> Option<&Local<NodeMem>> {
         self.shards.get(node.0 as usize)?.get()
     }
 
-    fn shard_must(&self, node: NodeId) -> &Mutex<NodeMem> {
+    fn shard_must(&self, node: NodeId) -> &Local<NodeMem> {
         self.shard(node)
             .unwrap_or_else(|| panic!("no such node {node}"))
     }
 
-    fn live(&self) -> impl Iterator<Item = &Mutex<NodeMem>> {
+    fn live(&self) -> impl Iterator<Item = &Local<NodeMem>> {
         self.shards.iter().filter_map(OnceLock::get)
     }
 
@@ -545,9 +544,9 @@ impl ClusterMem {
 
     /// Runs `f` on the data of the frame `page` maps to on `node` if the
     /// mapping allows a `kind` access; otherwise counts the fault on `node`
-    /// and returns it. A local frame is accessed under the node lock the
-    /// translation took; another node's frame under its owner's lock, taken
-    /// after this node's is released.
+    /// and returns it. A local frame is accessed inside the node borrow the
+    /// translation took; another node's frame inside its owner's borrow,
+    /// taken after this node's ends.
     fn access<R>(
         &self,
         node: NodeId,
@@ -758,7 +757,7 @@ impl ClusterMem {
         Ok(())
     }
 
-    /// Runs `f` on a physical frame's data under its owner's node lock.
+    /// Runs `f` on a physical frame's data inside its owner's node borrow.
     fn with_frame<R>(&self, frame: FrameId, what: &str, f: impl FnOnce(&mut [u8]) -> R) -> R {
         f(self.shard_must(frame.node).lock().frame_mut(frame, what))
     }
@@ -778,7 +777,7 @@ impl ClusterMem {
     }
 
     /// Copies a whole frame `src` → `dst` (page transfer landing), through
-    /// a stack buffer so that no two node locks are ever held at once.
+    /// a stack buffer so that no two node borrows are ever held at once.
     pub fn copy_frame(&self, src: FrameId, dst: FrameId) {
         let mut buf = [0u8; PAGE_SIZE as usize];
         self.frame_read(src, 0, &mut buf);

@@ -70,8 +70,7 @@ pub mod stream;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use parking_lot::Mutex;
-use sim::{NodeId, SimTime};
+use sim::{Local, NodeId, SimTime};
 
 pub use event::{
     canonical_sort, EdgeKind, Event, EventRecord, Layer, SchedKind, ServiceOp, NIC_TRACK,
@@ -104,16 +103,20 @@ pub struct ObsSink {
     /// Series window width in simulated ns; 0 = no series running. The
     /// hot-path streaming check is one relaxed load of this.
     sample_ns: AtomicU64,
-    /// Next window boundary (pre-lock fast check for [`ObsSink::series_tick`]).
+    /// Next window boundary ([`ObsSink::series_tick`]'s check before it
+    /// borrows the sink).
     next_boundary: AtomicU64,
-    inner: Mutex<SinkInner>,
+    inner: Local<SinkInner>,
 }
 
 impl std::fmt::Debug for ObsSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let Some(inner) = self.inner.try_lock() else {
+            return f.write_str("ObsSink { <borrowed> }");
+        };
         f.debug_struct("ObsSink")
             .field("enabled", &self.on())
-            .field("events", &self.inner.lock().events.len())
+            .field("events", &inner.events.len())
             .finish()
     }
 }
@@ -138,7 +141,7 @@ impl ObsSink {
             dropped: AtomicU64::new(0),
             sample_ns: AtomicU64::new(0),
             next_boundary: AtomicU64::new(u64::MAX),
-            inner: Mutex::new(SinkInner {
+            inner: Local::new(SinkInner {
                 events: Vec::new(),
                 registry: Registry::new(),
                 series: None,
@@ -337,7 +340,7 @@ impl ObsSink {
     }
 
     /// Cuts windows up to (but excluding) the one containing `now_ns`.
-    /// Caller holds the sink lock and has checked the fast path.
+    /// Caller holds the sink borrow and has checked the fast path.
     fn series_roll_locked(&self, g: &mut SinkInner, now_ns: u64) {
         let SinkInner {
             registry, series, ..
@@ -404,7 +407,7 @@ mod tests {
     /// An in-memory stream the test reads back while the sink owns the
     /// writer.
     #[derive(Clone, Default)]
-    struct Buf(Arc<Mutex<Vec<u8>>>);
+    struct Buf(Arc<Local<Vec<u8>>>);
 
     impl Write for Buf {
         fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {

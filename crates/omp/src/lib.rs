@@ -45,7 +45,7 @@ use std::sync::Arc;
 
 use cables::{Barrier, CablesRt, Cond, CtId, Mutex, Pth};
 use memsim::GAddr;
-use parking_lot::Mutex as PlMutex;
+use sim::Local;
 
 type RegionFn = Arc<dyn Fn(&OmpCtx) + Send + Sync>;
 
@@ -74,8 +74,8 @@ pub struct Omp {
     region_barrier: Barrier,
     /// Shared-memory cell holding the current region generation — workers
     /// poll it under the dispatch mutex, like OdinMP's generated code.
-    gen_addr: PlMutex<Option<GAddr>>,
-    state: PlMutex<PoolState>,
+    gen_addr: Local<Option<GAddr>>,
+    state: Local<PoolState>,
 }
 
 impl fmt::Debug for Omp {
@@ -104,8 +104,8 @@ impl Omp {
             dispatch_mutex,
             dispatch_cond,
             region_barrier,
-            gen_addr: PlMutex::new(None),
-            state: PlMutex::new(PoolState::default()),
+            gen_addr: Local::new(None),
+            state: Local::new(PoolState::default()),
         })
     }
 

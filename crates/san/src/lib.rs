@@ -32,9 +32,8 @@ use std::sync::{Arc, OnceLock};
 
 use chaos::{ChaosEngine, WireOutcome};
 use obs::{EdgeKind, Event, Layer, ObsSink, NIC_TRACK};
-use parking_lot::{Mutex, MutexGuard};
 use serde::{Deserialize, Serialize};
-use sim::{NodeId, SimTime};
+use sim::{Local, LocalGuard, NodeId, SimTime};
 
 /// Timing parameters of the SAN. Defaults reproduce the paper's Table 3.
 ///
@@ -145,7 +144,7 @@ pub struct TrafficStats {
 /// concurrent transfers contend for link bandwidth.
 pub struct San {
     cfg: SanConfig,
-    state: Mutex<Vec<NicEntry>>,
+    state: Local<Vec<NicEntry>>,
     obs: OnceLock<Arc<ObsSink>>,
     chaos: OnceLock<Arc<ChaosEngine>>,
 }
@@ -158,8 +157,11 @@ struct NicEntry {
 
 impl fmt::Debug for San {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Some(s) = self.state.try_lock() else {
+            return f.write_str("San { <borrowed> }");
+        };
         f.debug_struct("San")
-            .field("nodes", &self.state.lock().len())
+            .field("nodes", &s.len())
             .field("cfg", &self.cfg)
             .finish()
     }
@@ -170,7 +172,7 @@ impl San {
     pub fn new(cfg: SanConfig) -> Self {
         San {
             cfg,
-            state: Mutex::new(Vec::new()),
+            state: Local::new(Vec::new()),
             obs: OnceLock::new(),
             chaos: OnceLock::new(),
         }
@@ -252,8 +254,8 @@ impl San {
         drop(self.nics(node, node));
     }
 
-    /// Locks the NIC table, grown to cover both endpoints of a transfer.
-    fn nics(&self, from: NodeId, to: NodeId) -> MutexGuard<'_, Vec<NicEntry>> {
+    /// Borrows the NIC table, grown to cover both endpoints of a transfer.
+    fn nics(&self, from: NodeId, to: NodeId) -> LocalGuard<'_, Vec<NicEntry>> {
         let mut s = self.state.lock();
         let need = from.0.max(to.0) as usize;
         while s.len() <= need {

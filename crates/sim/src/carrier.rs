@@ -61,8 +61,10 @@ pub(crate) struct GreenCtx {
     payload: Option<*mut Payload>,
 }
 
-// GreenCtx lives inside the kernel mutex and is only ever dereferenced by
-// the single carrier OS thread of the run; the mutex makes the moves safe.
+// SAFETY: a GreenCtx lives in the kernel's `Local` and is only ever created,
+// dereferenced and dropped by the single carrier OS thread of the run; it
+// never crosses threads. The impl exists so `Local<Kernel>` is `Sync` and
+// `Engine` keeps the `Send + Sync` its public `Arc`s need.
 unsafe impl Send for GreenCtx {}
 
 impl GreenCtx {

@@ -29,21 +29,23 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use crate::carrier::{self, GreenCtx, Payload};
 use crate::kernel::{
     CpuRec, EngineStats, Kernel, NodeId, NodeRec, PoisonUnwind, SchedCause, SchedEventKind,
     SchedHook, SimError, ThreadRec, ThreadState, Tid, READY_RESERVE,
 };
+use crate::local::Local;
 use crate::sim_handle::Sim;
 use crate::time::SimTime;
 
 pub(crate) struct EngineInner {
-    pub(crate) kernel: Mutex<Kernel>,
+    pub(crate) kernel: Local<Kernel>,
     /// Saved stack pointer of the carrier OS thread parked in
-    /// [`Engine::run`]. Only touched by that single carrier thread (the
-    /// atomic is for `Sync`, not for cross-thread traffic).
+    /// [`Engine::run`]. Only touched by that single carrier thread. It sits
+    /// beside the kernel's `Local`, not in it, because `raw_switch` writes
+    /// it through a raw pointer while no kernel borrow is live; it is an
+    /// atomic (relaxed, a plain move) only so `EngineInner` is `Sync`
+    /// without a second `unsafe impl`.
     pub(crate) carrier_rsp: AtomicPtr<u8>,
 }
 
@@ -77,7 +79,9 @@ impl Default for Engine {
 
 impl fmt::Debug for Engine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let k = self.inner.kernel.lock();
+        let Some(k) = self.inner.kernel.try_lock() else {
+            return f.write_str("Engine { <borrowed> }");
+        };
         f.debug_struct("Engine")
             .field("threads", &k.threads.len())
             .field("live", &k.live)
@@ -91,7 +95,7 @@ impl Engine {
     pub fn new() -> Self {
         Engine {
             inner: Arc::new(EngineInner {
-                kernel: Mutex::new(Kernel {
+                kernel: Local::new(Kernel {
                     threads: Vec::new(),
                     ready: BinaryHeap::new(),
                     sleepers: BinaryHeap::new(),
@@ -498,6 +502,16 @@ mod tests {
             assert_ne!(a, b);
         })
         .unwrap();
+    }
+
+    /// Formatting the engine from inside a kernel borrow (a panic
+    /// message, a debugger) prints a placeholder instead of panicking.
+    #[test]
+    fn debug_of_a_borrowed_engine_does_not_borrow() {
+        let (e, _) = one_node_engine(1);
+        assert_eq!(format!("{e:?}"), "Engine { threads: 0, live: 0, nodes: 1 }");
+        let _k = e.inner.kernel.lock();
+        assert_eq!(format!("{e:?}"), "Engine { <borrowed> }");
     }
 
     #[test]

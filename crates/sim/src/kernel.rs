@@ -1,8 +1,8 @@
 //! Scheduler state of the engine: identifiers and scheduling-point
 //! vocabulary, the thread table, the ready heap, dispatch in global
 //! `(clock, tid)` order, exit bookkeeping, poison and stack
-//! reclamation. Everything here runs under the one kernel mutex (see
-//! `engine.rs` for the execution model).
+//! reclamation. Everything here runs inside the one kernel borrow, a
+//! [`Local`] (see `engine.rs` for the execution model).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -12,7 +12,7 @@ use std::sync::Arc;
 use crate::carrier::GreenCtx;
 use crate::time::SimTime;
 #[cfg(doc)]
-use crate::{engine::Engine, sim_handle::Sim};
+use crate::{engine::Engine, local::Local, sim_handle::Sim};
 
 /// Identifier of a simulated cluster node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -99,9 +99,10 @@ pub struct SchedEvent {
 
 /// Observer callback for engine scheduling points.
 ///
-/// Called synchronously at deterministic points with the kernel lock
-/// held; implementations must not call back into the engine and must not
-/// block on anything a simulated thread could hold.
+/// Called synchronously at deterministic points with the kernel
+/// borrowed; implementations must not call back into the engine (the
+/// second borrow panics) and must not block on anything a simulated
+/// thread could hold.
 pub type SchedHook = Arc<dyn Fn(&SchedEvent) + Send + Sync>;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,8 +149,8 @@ pub struct EngineStats {
     pub context_switches: u64,
     /// Number of simulated threads ever spawned.
     pub threads_spawned: u64,
-    /// Clock/cpu charges served from the per-thread cache without taking
-    /// the kernel lock ([`Sim::advance`], [`Sim::advance_idle`], ...).
+    /// Clock/cpu charges served from the per-thread cache without
+    /// borrowing the kernel ([`Sim::advance`], [`Sim::advance_idle`], ...).
     pub lockless_advances: u64,
     /// Sync points that kept the baton (no re-park needed).
     pub sync_fast_path: u64,

@@ -19,6 +19,9 @@
 //! - [`DetRng`] — deterministic RNG for workloads and policies.
 //! - [`IdMap`] / [`IdSet`] — hash containers for integer ids, with a fixed
 //!   hasher and so a run-independent iteration order.
+//! - [`Local`] — per-world simulator state behind a borrow flag: the
+//!   carrier serializes every access, so no lock is needed, and a
+//!   re-entrant borrow panics where a mutex would deadlock.
 //!
 //! # Examples
 //!
@@ -46,6 +49,7 @@ mod carrier;
 mod engine;
 mod idmap;
 mod kernel;
+mod local;
 mod rng;
 mod sim_handle;
 mod time;
@@ -55,6 +59,7 @@ pub use idmap::{IdHasher, IdMap, IdSet};
 pub use kernel::{
     EngineStats, NodeId, SchedCause, SchedEvent, SchedEventKind, SchedHook, SimError, Tid,
 };
+pub use local::{local_borrows, Local, LocalGuard};
 pub use rng::DetRng;
 pub use sim_handle::Sim;
 pub use time::{dur, SimTime};
@@ -70,5 +75,6 @@ mod sendsync {
         assert_send_sync::<SimTime>();
         assert_send_sync::<NodeId>();
         assert_send_sync::<Tid>();
+        assert_send_sync::<Local<u64>>();
     }
 }

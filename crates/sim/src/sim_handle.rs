@@ -6,13 +6,12 @@ use std::cell::Cell;
 use std::cmp::Reverse;
 use std::fmt;
 
-use parking_lot::MutexGuard;
-
 use crate::carrier;
 use crate::engine::Engine;
 use crate::kernel::{
     Kernel, NodeId, PoisonUnwind, SchedCause, SchedEventKind, SimError, ThreadState, Tid, AUDITS,
 };
+use crate::local::LocalGuard;
 use crate::time::SimTime;
 
 /// Snapshot of the scheduling state the hot path needs: this thread's
@@ -37,11 +36,14 @@ struct ClockCache {
 /// thread holds the baton no other thread can read or write its clock or
 /// its processor's `free_at`. `Sim` exploits that: `advance`, `advance_idle`,
 /// `clock_at_least`, `occupy_cpu_until` and `now` operate on a `Cell`-cached
-/// copy and never take the kernel mutex once the cache is warm. Every
+/// copy and never borrow the kernel once the cache is warm. Every
 /// scheduling point (`sync_point`, `block`, `block_deadline`, `wake`,
 /// `wait_exit`, thread exit) flushes the cache back into the kernel first,
 /// so any state another thread can observe is always up to date. The `Cell`s
 /// make `Sim` `!Sync`, which is exactly the contract: one owner thread.
+/// A kernel borrow is only a flag check, but a cached charge still skips
+/// the thread-table and processor lookups, and
+/// `EngineStats::lockless_advances` counts exactly its hits.
 pub struct Sim {
     engine: Engine,
     tid: Tid,
@@ -198,7 +200,7 @@ impl Sim {
     }
 
     /// Sync-point body; expects the cache already flushed under `k`.
-    fn sync_point_with(&self, mut k: MutexGuard<'_, Kernel>) {
+    fn sync_point_with(&self, mut k: LocalGuard<'_, Kernel>) {
         debug_assert_eq!(k.running, Some(self.tid), "sync_point while not running");
         let my = (k.rec(self.tid).clock.as_nanos(), self.tid.0);
         // Fast path: still the global minimum among ready threads and
@@ -250,7 +252,7 @@ impl Sim {
     /// already updated, clearing `running`) and transfers control to the
     /// next runnable thread by switching stacks on the carrier OS thread;
     /// returns when this thread is next dispatched.
-    fn park_and_switch(&self, mut k: MutexGuard<'_, Kernel>) {
+    fn park_and_switch(&self, mut k: LocalGuard<'_, Kernel>) {
         debug_assert!(k.running.is_none());
         if AUDITS {
             let ok = k.rec(self.tid).green.as_ref().is_none_or(|g| g.canary_ok());

@@ -8,8 +8,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use memsim::{GAddr, PAGE_SIZE};
-use parking_lot::Mutex;
-use sim::{NodeId, Sim, Tid};
+use sim::{Local, NodeId, Sim, Tid};
 
 use crate::cluster::Cluster;
 use crate::config::SvmConfig;
@@ -36,7 +35,7 @@ use crate::core::{NodeStats, PlacementReport, ProtoState, HEAP_BASE};
 pub struct SvmSystem {
     pub(crate) cluster: Arc<Cluster>,
     pub(crate) cfg: SvmConfig,
-    pub(crate) state: Mutex<ProtoState>,
+    pub(crate) state: Local<ProtoState>,
     pub(crate) master: NodeId,
 }
 
@@ -56,7 +55,7 @@ impl SvmSystem {
         let master = cluster.nodes()[0];
         Arc::new(SvmSystem {
             cluster,
-            state: Mutex::new(ProtoState::new(nodes, cfg.clone(), master)),
+            state: Local::new(ProtoState::new(nodes, cfg.clone(), master)),
             cfg,
             master,
         })

@@ -12,14 +12,15 @@
 //!   chunk. Home frames extend one contiguous per-node region (the double
 //!   virtual mapping), so NIC registration pressure stays constant.
 //!
-//! Every step here is decide → perform → commit: lock the directory, run
-//! one core transition, drop the lock, then perform the effects it
-//! returned — frame allocation and mapping, `vmmc` registration, fetches
-//! and writes, protection changes — charging simulated time exactly where
-//! the protocol spends it and emitting every obs event. NIC-registration
-//! recovery (`reg_op`, `with_reimport`) lives here too. Lock order: the
-//! directory lock is never held across an effect, a scheduling point or
-//! another lock of this crate.
+//! Every step here is decide → perform → commit: borrow the directory (a
+//! `sim::Local`), run one core transition, end the borrow, then perform
+//! the effects it returned — frame allocation and mapping, `vmmc`
+//! registration, fetches and writes, protection changes — charging
+//! simulated time exactly where the protocol spends it and emitting every
+//! obs event. NIC-registration recovery (`reg_op`, `with_reimport`) lives
+//! here too. Borrow discipline: the directory borrow is never held across
+//! an effect, a scheduling point or another borrow of this crate; a
+//! second borrow while one is live panics.
 
 use std::collections::BTreeMap;
 use std::fmt;

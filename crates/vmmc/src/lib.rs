@@ -31,12 +31,11 @@ use std::sync::{Arc, OnceLock};
 
 use chaos::{ChaosEngine, ResourceOp};
 use obs::{EdgeKind, Event, Layer, ObsSink, NIC_TRACK};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use memsim::{ClusterMem, FrameId, PAGE_SIZE};
 use san::{San, SendTiming};
-use sim::{IdMap, NodeId, SimTime};
+use sim::{IdMap, Local, NodeId, SimTime};
 
 /// NIC and registration resource limits plus registration costs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -202,14 +201,16 @@ pub struct Vmmc {
     cfg: VmmcConfig,
     san: Arc<San>,
     mem: Arc<ClusterMem>,
-    state: Mutex<State>,
+    state: Local<State>,
     obs: OnceLock<Arc<ObsSink>>,
     chaos: OnceLock<Arc<ChaosEngine>>,
 }
 
 impl fmt::Debug for Vmmc {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = self.state.lock();
+        let Some(s) = self.state.try_lock() else {
+            return f.write_str("Vmmc { <borrowed> }");
+        };
         f.debug_struct("Vmmc")
             .field("regions", &s.regions.len())
             .field("nodes", &s.nics.len())
@@ -224,7 +225,7 @@ impl Vmmc {
             cfg,
             san,
             mem,
-            state: Mutex::new(State {
+            state: Local::new(State {
                 regions: IdMap::default(),
                 nics: Vec::new(),
                 next_region: 0,

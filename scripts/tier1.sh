@@ -29,10 +29,11 @@ cargo fmt --all -- --check
 # path or drain thread, and the page protocol one traffic lever (diff
 # batching: no prefetcher, no lock-data forwarding, no multi-segment
 # fetch), crash recovery one transition per core (no per-step crash
-# helpers, no second retirement path), and a node's memory one lock (no
-# refcounted frame slot with its own data lock, no TLB generation counter),
-# and the run queue one heap (no per-node shards, no footprint scopes, no
-# lookahead window); a name from those coming back is a regression of the design, not of a
+# helpers, no second retirement path), a node's memory, the kernel and the
+# protocol state one borrow each (a `sim::Local`; no refcounted frame slot
+# with its own data lock, no TLB generation counter), and the run queue one
+# heap (no per-node shards, no footprint scopes, no lookahead window); a
+# name from those coming back is a regression of the design, not of a
 # number.
 echo "==> no engine-mode / slow-path / migration-policy switches"
 if grep -rnE 'EngineMode|set_mode\(|set_lockless|set_fast_path|set_slow_mode|engine_wall|BENCH_hotpath|migration_threshold|diff_streaks|AdaptParams|with_adapt|series_last_window|credit_sharing|migration_prefetch_grid|FrameRing|merge_frames|overflow_merges|series_start_with|DEFAULT_RING_CAP|StreamExporter|prefetch_confirm|DEFAULT_SAMPLE_NS|prefetch_degree|lock_forwarding|lock_forward_hot|with_protocol_opts|PrefetchMasked|LockForward|fetch_multi|BatchFetch|acquire_on_lock|crash_purge_waiter|crash_handoff_locks|crash_handoff_rwlocks|crash_release_ready_barriers|crash_add_discount|crashed_discount|retire_self|thread_create_near|cond_wait_for|PlacementPolicy|placement_policy|with_placement_policy|ChunkSharing|chunk_sharing|note_chunk_traffic|policy_considered|policy_migrations|pingpong_handoffs|release_begin|FrameSlot|bump_epoch|sync_point_scoped|op_point_scoped|set_lookahead|lookahead_ns|ReadyShards|push_ready_scoped|pend_scope|peek_ready_shard|sim::Scope|Scope::ALL' \
@@ -57,13 +58,25 @@ if for f in crates/{sim,memsim,san,vmmc,svm,cables,chaos}/src/*.rs; do
     exit 1
 fi
 
+# The carrier is the lock: every simulated thread runs on the one OS thread
+# that called `Engine::run`, so per-world state is a `sim::Local` (a borrow
+# flag), never a mutex. Checked up to the first top-level `#[cfg(test)]`,
+# like the map check above.
+echo "==> simulator state is sim::Local, not parking_lot"
+if for f in $(find crates/{sim,memsim,san,vmmc,svm,cables,chaos,obs,omp,apps}/src -name '*.rs' | sort); do
+       awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f"
+   done | grep -E 'parking_lot::'; then
+    echo "tier1: parking_lot in simulator code (see above); use sim::Local" >&2
+    exit 1
+fi
+
 # The page-protocol core (with the lock and barrier managers) and the
 # runtime core are sans-I/O: they decide, `proto.rs`/`sync.rs` and
 # `rt.rs`/`sync.rs` perform. They name no engine, cluster, memory, NIC,
 # wire or chaos handle, no lock and no observability item; plain id and
 # value types (`NodeId`, `RegionId`, `PageNum`, `SimTime`, `Tid`) are fine.
 echo "==> svm and cables cores name no engine, I/O, lock or obs item"
-if grep -nE '\b(Sim|Cluster|ClusterMem|Vmmc|San|SvmSystem|ChaosEngine|Mutex)\b|\.lock\(\)|\bobs::' \
+if grep -nE '\b(Sim|Cluster|ClusterMem|Vmmc|San|SvmSystem|ChaosEngine|Mutex|LocalGuard)\b|\bLocal<|\.lock\(\)|\bobs::' \
         crates/svm/src/core.rs crates/cables/src/core.rs; then
     echo "tier1: a sans-I/O core reaches past its state (see above)" >&2
     exit 1

@@ -1,7 +1,13 @@
 //! Minimal offline stand-in for the `parking_lot` crate, implemented on top
-//! of `std::sync`. Only the surface this workspace uses is provided:
-//! `Mutex` (no poisoning — a poisoned std mutex is transparently recovered)
-//! and `Condvar` with the `wait(&mut MutexGuard)` calling convention.
+//! of `std::sync`: `Mutex` (no poisoning — a poisoned std mutex is
+//! transparently recovered) and `Condvar` with the `wait(&mut MutexGuard)`
+//! calling convention.
+//!
+//! No simulator crate uses it any more: per-world state is a `sim::Local`
+//! (the one carrier thread is the lock), and `scripts/tier1.sh` rejects
+//! `parking_lot::` in their non-test code. The shim and the crates'
+//! `parking_lot` dependency lines stay only because `benchmark/Cargo.lock`
+//! records them.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};

@@ -24,7 +24,7 @@ use common::{fnv, show};
 use cables_suite::apps::splash::{fft, radix};
 use cables_suite::apps::{M4Mode, M4System};
 use cables_suite::memsim::{GAddr, Scalar};
-use cables_suite::sim::Sim;
+use cables_suite::sim::{local_borrows, Sim};
 use cables_suite::svm::{Cluster, ClusterConfig, SvmConfig, SvmSystem};
 
 /// Region size in u64 elements: 4 pages, so random ranges straddle page
@@ -252,17 +252,20 @@ proptest! {
 }
 
 /// Runs a SPLASH kernel under M4 and returns (SimTime, parallel window,
-/// touched pages, misplaced pages, TLB hits, TLB misses).
+/// touched pages, misplaced pages, TLB hits, TLB misses, `sim::Local`
+/// borrows taken during the run).
 fn splash_run(
     mode: M4Mode,
     body: impl FnOnce(&cables_suite::apps::M4Ctx) + Send + 'static,
-) -> (u64, Option<u64>, u64, u64, u64, u64) {
+) -> (u64, Option<u64>, u64, u64, u64, u64, u64) {
     let cluster = Cluster::build(ClusterConfig::small(4, 2));
     let sys = match mode {
         M4Mode::Base => M4System::base(Arc::clone(&cluster)),
         M4Mode::Cables => M4System::cables(Arc::clone(&cluster)),
     };
+    let before = local_borrows();
     let end = sys.run(body).expect("splash run");
+    let borrows = local_borrows().wrapping_sub(before);
     let placement = sys.svm().placement_report();
     let st = sys.svm().engine_stats();
     (
@@ -272,6 +275,7 @@ fn splash_run(
         placement.misplaced_pages,
         st.tlb_hits,
         st.tlb_misses,
+        borrows,
     )
 }
 
@@ -289,11 +293,18 @@ const SPLASH_GOLDENS: [(u64, Option<u64>, u64, u64); 4] = [
 /// indexing and its invalidations.
 const SPLASH_TLB_GOLDENS: [(u64, u64); 4] = [(3798, 196), (8575, 372), (3813, 199), (8640, 325)];
 
+/// `sim::Local` borrows of the same four runs, in the same order: the
+/// host work of the simulator's state accesses, counted exactly. A lever
+/// that removes a borrow from the hot path shows here as a counted drop;
+/// one that adds a borrow per access, as a counted rise.
+const SPLASH_BORROW_GOLDENS: [u64; 4] = [7382, 21660, 8338, 22194];
+
 /// Regression: the hot path must not change the simulated results of the
 /// SPLASH kernels — same final SimTime, same parallel window, same Fig-6
 /// misplacement as the slow path gave — and the software TLB must count
 /// exactly the hits and misses it counted before, and stay hot on FFT
-/// (>90%).
+/// (>90%). The runs also take exactly the `sim::Local` borrows they took
+/// when these goldens were pinned.
 #[test]
 fn splash_fast_path_is_deterministic() {
     for (i, mode) in [M4Mode::Base, M4Mode::Cables].into_iter().enumerate() {
@@ -311,6 +322,7 @@ fn splash_fast_path_is_deterministic() {
         let pinned = (r.0, r.1, r.2, r.3);
         assert_eq!(pinned, SPLASH_GOLDENS[2 * i], "{mode:?} FFT");
         assert_eq!((r.4, r.5), SPLASH_TLB_GOLDENS[2 * i], "{mode:?} FFT TLB");
+        assert_eq!(r.6, SPLASH_BORROW_GOLDENS[2 * i], "{mode:?} FFT borrows");
         assert!(
             r.4 * 10 > (r.4 + r.5) * 9,
             "{mode:?} FFT: TLB hit rate {:.1}% <= 90%",
@@ -329,6 +341,11 @@ fn splash_fast_path_is_deterministic() {
             (r.4, r.5),
             SPLASH_TLB_GOLDENS[2 * i + 1],
             "{mode:?} RADIX TLB"
+        );
+        assert_eq!(
+            r.6,
+            SPLASH_BORROW_GOLDENS[2 * i + 1],
+            "{mode:?} RADIX borrows"
         );
     }
 }
