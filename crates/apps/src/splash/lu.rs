@@ -72,41 +72,56 @@ impl Grid {
     }
 }
 
-fn read_block(ctx: &M4Ctx, a: Arr<f64>, g: &Grid, bi: usize, bj: usize) -> Vec<f64> {
+fn read_block(ctx: &M4Ctx, a: Arr<f64>, g: &Grid, bi: usize, bj: usize, out: &mut [f64]) {
     // Blocks are stored contiguously: one bulk read per block.
-    let mut out = vec![0.0f64; g.b * g.b];
-    a.get_slice(ctx, g.block_off(bi, bj), &mut out);
-    out
+    a.get_slice(ctx, g.block_off(bi, bj), out);
 }
 
 fn write_block(ctx: &M4Ctx, a: Arr<f64>, g: &Grid, bi: usize, bj: usize, data: &[f64]) {
     a.set_slice(ctx, g.block_off(bi, bj), data);
 }
 
+// The four block kernels sweep whole rows through `chunks_exact`,
+// `split_at_mut` and `zip`, so their inner loops carry no index arithmetic
+// or bounds checks and vectorise. Each element still receives the same
+// subtractions in the same `k` order as the textbook index form (kept as
+// `tests::reference`), so the results are equal bit for bit.
+
 /// Factor the diagonal block in place: A = L·U with unit-diagonal L.
 fn factor_diag(blk: &mut [f64], b: usize) {
     for k in 0..b {
-        let pivot = blk[k * b + k];
+        let (top, below) = blk.split_at_mut((k + 1) * b);
+        let urow = &top[k * b..];
+        let pivot = urow[k];
         assert!(
             pivot.abs() > 1e-12,
             "zero pivot in LU (diagonally dominant init expected)"
         );
-        for i in k + 1..b {
-            blk[i * b + k] /= pivot;
-            for j in k + 1..b {
-                blk[i * b + j] -= blk[i * b + k] * blk[k * b + j];
+        for row in below.chunks_exact_mut(b) {
+            let (head, rest) = row.split_at_mut(k + 1);
+            head[k] /= pivot;
+            let l = head[k];
+            for (x, &u) in rest.iter_mut().zip(&urow[k + 1..]) {
+                *x -= l * u;
             }
         }
     }
 }
 
 /// Solve L·X = B for a perimeter block in row k (L from the diagonal).
+/// Row i of X is row i of B minus `L[i][k]·X[k]` for each `k < i`, in
+/// ascending `k`.
 fn solve_lower(diag: &[f64], blk: &mut [f64], b: usize) {
-    for j in 0..b {
-        for k in 0..b {
-            let x = blk[k * b + j];
-            for i in k + 1..b {
-                blk[i * b + j] -= diag[i * b + k] * x;
+    for k in 0..b {
+        let (top, below) = blk.split_at_mut((k + 1) * b);
+        let xrow = &top[k * b..];
+        for (row, lrow) in below
+            .chunks_exact_mut(b)
+            .zip(diag.chunks_exact(b).skip(k + 1))
+        {
+            let l = lrow[k];
+            for (x, &xk) in row.iter_mut().zip(xrow) {
+                *x -= l * xk;
             }
         }
     }
@@ -114,27 +129,48 @@ fn solve_lower(diag: &[f64], blk: &mut [f64], b: usize) {
 
 /// Solve X·U = B for a perimeter block in column k (U from the diagonal).
 fn solve_upper(diag: &[f64], blk: &mut [f64], b: usize) {
-    for i in 0..b {
-        for k in 0..b {
-            blk[i * b + k] /= diag[k * b + k];
-            let x = blk[i * b + k];
-            for j in k + 1..b {
-                blk[i * b + j] -= x * diag[k * b + j];
+    for row in blk.chunks_exact_mut(b) {
+        for (k, urow) in diag.chunks_exact(b).enumerate() {
+            let (head, rest) = row.split_at_mut(k + 1);
+            head[k] /= urow[k];
+            let x = head[k];
+            for (y, &u) in rest.iter_mut().zip(&urow[k + 1..]) {
+                *y -= x * u;
             }
         }
     }
 }
 
-/// Interior update: C -= A·B.
+/// Columns of C that `multiply_sub` keeps in registers across its `k` loop.
+const STRIP: usize = 8;
+
+/// Interior update: C -= A·B. Each row of C is swept in strips of `STRIP`
+/// columns, a strip held in registers for the whole `k` loop instead of
+/// being reloaded and stored once per `k`; the columns past the last full
+/// strip take the plain row sweep.
 fn multiply_sub(a: &[f64], bmat: &[f64], c: &mut [f64], b: usize) {
-    for i in 0..b {
-        for k in 0..b {
-            let aik = a[i * b + k];
+    for (arow, crow) in a.chunks_exact(b).zip(c.chunks_exact_mut(b)) {
+        let mut strips = crow.chunks_exact_mut(STRIP);
+        for (s, strip) in (&mut strips).enumerate() {
+            let mut acc = <[f64; STRIP]>::try_from(&*strip).expect("a full strip");
+            for (&aik, brow) in arow.iter().zip(bmat.chunks_exact(b)) {
+                if aik == 0.0 {
+                    continue;
+                }
+                for (x, &bkj) in acc.iter_mut().zip(&brow[s * STRIP..][..STRIP]) {
+                    *x -= aik * bkj;
+                }
+            }
+            strip.copy_from_slice(&acc);
+        }
+        let tail = strips.into_remainder();
+        let j0 = b - tail.len();
+        for (&aik, brow) in arow.iter().zip(bmat.chunks_exact(b)) {
             if aik == 0.0 {
                 continue;
             }
-            for j in 0..b {
-                c[i * b + j] -= aik * bmat[k * b + j];
+            for (x, &bkj) in tail.iter_mut().zip(&brow[j0..]) {
+                *x -= aik * bkj;
             }
         }
     }
@@ -149,16 +185,21 @@ fn lu_worker(ctx: &M4Ctx, p: &LuParams, a: Arr<f64>, id: usize) -> (sim::SimTime
         pc,
     };
     let b = g.b;
+    // Three block buffers, reused by every step: `diag` holds the diagonal
+    // block, `blk` a perimeter block; the interior update reuses both for
+    // L(i,k) and U(k,j) and reads C(i,j) into `c`.
+    let mut diag = vec![0.0f64; b * b];
+    let mut blk = vec![0.0f64; b * b];
+    let mut c = vec![0.0f64; b * b];
     // Owner-initialized, diagonally dominant matrix.
     for bi in 0..g.nb {
         for bj in 0..g.nb {
             if g.owner(bi, bj) != id {
                 continue;
             }
-            let mut blk = vec![0.0f64; b * b];
-            for i in 0..b {
-                for j in 0..b {
-                    blk[i * b + j] = init_elem(p.n, bi * b + i, bj * b + j);
+            for (i, row) in blk.chunks_exact_mut(b).enumerate() {
+                for (j, x) in row.iter_mut().enumerate() {
+                    *x = init_elem(p.n, bi * b + i, bj * b + j);
                 }
             }
             write_block(ctx, a, &g, bi, bj, &blk);
@@ -171,18 +212,18 @@ fn lu_worker(ctx: &M4Ctx, p: &LuParams, a: Arr<f64>, id: usize) -> (sim::SimTime
     let mut bar = 2_001u64;
     for k in 0..g.nb {
         if g.owner(k, k) == id {
-            let mut d = read_block(ctx, a, &g, k, k);
-            factor_diag(&mut d, b);
+            read_block(ctx, a, &g, k, k, &mut diag);
+            factor_diag(&mut diag, b);
             flop(ctx, (b * b * b) as u64 / 3);
-            write_block(ctx, a, &g, k, k, &d);
+            write_block(ctx, a, &g, k, k, &diag);
         }
         ctx.barrier(bar, p.nprocs);
         bar += 1;
         // Perimeter.
-        let diag = read_block(ctx, a, &g, k, k);
+        read_block(ctx, a, &g, k, k, &mut diag);
         for j in k + 1..g.nb {
             if g.owner(k, j) == id {
-                let mut blk = read_block(ctx, a, &g, k, j);
+                read_block(ctx, a, &g, k, j, &mut blk);
                 solve_lower(&diag, &mut blk, b);
                 flop(ctx, (b * b * b) as u64 / 2);
                 write_block(ctx, a, &g, k, j, &blk);
@@ -190,7 +231,7 @@ fn lu_worker(ctx: &M4Ctx, p: &LuParams, a: Arr<f64>, id: usize) -> (sim::SimTime
         }
         for i in k + 1..g.nb {
             if g.owner(i, k) == id {
-                let mut blk = read_block(ctx, a, &g, i, k);
+                read_block(ctx, a, &g, i, k, &mut blk);
                 solve_upper(&diag, &mut blk, b);
                 flop(ctx, (b * b * b) as u64 / 2);
                 write_block(ctx, a, &g, i, k, &blk);
@@ -199,15 +240,16 @@ fn lu_worker(ctx: &M4Ctx, p: &LuParams, a: Arr<f64>, id: usize) -> (sim::SimTime
         ctx.barrier(bar, p.nprocs);
         bar += 1;
         // Interior.
+        let (lik, ukj) = (&mut diag, &mut blk);
         for i in k + 1..g.nb {
             for j in k + 1..g.nb {
                 if g.owner(i, j) != id {
                     continue;
                 }
-                let lik = read_block(ctx, a, &g, i, k);
-                let ukj = read_block(ctx, a, &g, k, j);
-                let mut c = read_block(ctx, a, &g, i, j);
-                multiply_sub(&lik, &ukj, &mut c, b);
+                read_block(ctx, a, &g, i, k, lik);
+                read_block(ctx, a, &g, k, j, ukj);
+                read_block(ctx, a, &g, i, j, &mut c);
+                multiply_sub(lik, ukj, &mut c, b);
                 flop(ctx, 2 * (b * b * b) as u64);
                 write_block(ctx, a, &g, i, j, &c);
             }
@@ -291,6 +333,128 @@ pub fn lu(ctx: &M4Ctx, p: &LuParams) -> LuResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The block kernels in textbook index form: the oracle the row sweeps
+    /// above must match bit for bit.
+    mod reference {
+        pub fn factor_diag(blk: &mut [f64], b: usize) {
+            for k in 0..b {
+                let pivot = blk[k * b + k];
+                assert!(pivot.abs() > 1e-12, "zero pivot");
+                for i in k + 1..b {
+                    blk[i * b + k] /= pivot;
+                    for j in k + 1..b {
+                        blk[i * b + j] -= blk[i * b + k] * blk[k * b + j];
+                    }
+                }
+            }
+        }
+
+        pub fn solve_lower(diag: &[f64], blk: &mut [f64], b: usize) {
+            for j in 0..b {
+                for k in 0..b {
+                    let x = blk[k * b + j];
+                    for i in k + 1..b {
+                        blk[i * b + j] -= diag[i * b + k] * x;
+                    }
+                }
+            }
+        }
+
+        pub fn solve_upper(diag: &[f64], blk: &mut [f64], b: usize) {
+            for i in 0..b {
+                for k in 0..b {
+                    blk[i * b + k] /= diag[k * b + k];
+                    let x = blk[i * b + k];
+                    for j in k + 1..b {
+                        blk[i * b + j] -= x * diag[k * b + j];
+                    }
+                }
+            }
+        }
+
+        pub fn multiply_sub(a: &[f64], bmat: &[f64], c: &mut [f64], b: usize) {
+            for i in 0..b {
+                for k in 0..b {
+                    let aik = a[i * b + k];
+                    if aik == 0.0 {
+                        continue;
+                    }
+                    for j in 0..b {
+                        c[i * b + j] -= aik * bmat[k * b + j];
+                    }
+                }
+            }
+        }
+    }
+
+    /// A random `b × b` block in (-1, 1) in which a share `zeros` of the
+    /// entries are exact zeros, half `0.0` and half `-0.0`. `dominant`
+    /// replaces the diagonal with `b + 1 + |x|`, so every pivot stays far
+    /// from zero.
+    fn block(seed: u64, b: usize, zeros: f64, dominant: bool) -> Vec<f64> {
+        (0..b * b)
+            .map(|x| {
+                let (i, j) = (x / b, x % b);
+                let v = det_f64(seed, x as u64);
+                match det_f64(seed.wrapping_add(1), x as u64) {
+                    _ if dominant && i == j => b as f64 + 1.0 + v.abs(),
+                    s if s < zeros - 1.0 => 0.0,
+                    s if s > 1.0 - zeros => -0.0,
+                    _ => v,
+                }
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Each row-sweep kernel returns exactly the bits of its index-form
+        /// reference, on every block size up to 17 (with and without a
+        /// remainder after `STRIP`) and on blocks from no zeros to all
+        /// zeros, `0.0` and `-0.0` alike. A skipped `aik == 0.0` shows only
+        /// where it would have turned a `-0.0` of C into `0.0` and no later
+        /// `k` overwrote it, hence the mostly-zero blocks.
+        #[test]
+        fn row_sweeps_match_index_form_bit_for_bit(
+            b in 1usize..=17,
+            quarters in 0u8..=4,
+            seed in any::<u64>(),
+        ) {
+            let zeros = f64::from(quarters) / 4.0;
+            let diag = block(seed, b, zeros, true);
+            let a = block(seed ^ 0xA, b, zeros, false);
+            let bm = block(seed ^ 0xB, b, zeros, false);
+            let c = block(seed ^ 0xC, b, zeros, false);
+
+            let (mut fast, mut slow) = (diag.clone(), diag.clone());
+            factor_diag(&mut fast, b);
+            reference::factor_diag(&mut slow, b);
+            prop_assert_eq!(bits(&fast), bits(&slow), "factor_diag b={}", b);
+            let lu = fast;
+
+            let (mut fast, mut slow) = (a.clone(), a.clone());
+            solve_lower(&lu, &mut fast, b);
+            reference::solve_lower(&lu, &mut slow, b);
+            prop_assert_eq!(bits(&fast), bits(&slow), "solve_lower b={}", b);
+
+            let (mut fast, mut slow) = (a.clone(), a.clone());
+            solve_upper(&lu, &mut fast, b);
+            reference::solve_upper(&lu, &mut slow, b);
+            prop_assert_eq!(bits(&fast), bits(&slow), "solve_upper b={}", b);
+
+            let (mut fast, mut slow) = (c.clone(), c.clone());
+            multiply_sub(&a, &bm, &mut fast, b);
+            reference::multiply_sub(&a, &bm, &mut slow, b);
+            prop_assert_eq!(bits(&fast), bits(&slow), "multiply_sub b={}", b);
+        }
+    }
 
     #[test]
     fn proc_grids_factor() {
@@ -308,12 +472,6 @@ mod tests {
         // and reconstruct.
         let n = 16;
         let b = 8;
-        let g = Grid {
-            nb: 2,
-            b,
-            pr: 1,
-            pc: 1,
-        };
         let mut m: Vec<f64> = (0..n * n).map(|x| init_elem(n, x / n, x % n)).collect();
         let get_block = |m: &Vec<f64>, bi: usize, bj: usize| -> Vec<f64> {
             let mut out = vec![0.0; b * b];
@@ -331,7 +489,6 @@ mod tests {
                 }
             }
         };
-        let _ = g;
         for k in 0..2 {
             let mut d = get_block(&m, k, k);
             factor_diag(&mut d, b);

@@ -148,6 +148,13 @@ if [[ "${1:-}" == "--smoke" ]]; then
         # diff, checked on two recorded sample files.
         echo "==> scripts/pairs.sh --self-test"
         ./scripts/pairs.sh --self-test
+        # The host profiler: its sampler must find a known hot function.
+        if command -v gcc >/dev/null 2>&1; then
+            echo "==> scripts/hostprof.sh --self-test"
+            ./scripts/hostprof.sh --self-test
+        else
+            echo "==> scripts/hostprof.sh --self-test: skipped, no gcc"
+        fi
     fi
     # Causal edges must survive export: the trace carries Perfetto flow
     # events (ph "s"/"f" pairs) linking cause to effect across lanes.

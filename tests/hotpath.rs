@@ -21,8 +21,8 @@ use proptest::prelude::*;
 
 use common::{fnv, show};
 
-use cables_suite::apps::splash::{fft, radix};
-use cables_suite::apps::{M4Mode, M4System};
+use cables_suite::apps::splash::{fft, lu, radix};
+use cables_suite::apps::{M4Ctx, M4Mode, M4System};
 use cables_suite::memsim::{GAddr, Scalar};
 use cables_suite::sim::{local_borrows, Sim};
 use cables_suite::svm::{Cluster, ClusterConfig, SvmConfig, SvmSystem};
@@ -251,101 +251,149 @@ proptest! {
     }
 }
 
-/// Runs a SPLASH kernel under M4 and returns (SimTime, parallel window,
-/// touched pages, misplaced pages, TLB hits, TLB misses, `sim::Local`
-/// borrows taken during the run).
-fn splash_run(
-    mode: M4Mode,
-    body: impl FnOnce(&cables_suite::apps::M4Ctx) + Send + 'static,
-) -> (u64, Option<u64>, u64, u64, u64, u64, u64) {
+/// What one SPLASH run shows: (SimTime, parallel window, touched pages,
+/// misplaced pages, TLB hits, TLB misses, `sim::Local` borrows taken
+/// during the run).
+type SplashObs = (u64, Option<u64>, u64, u64, u64, u64, u64);
+
+/// A SPLASH kernel body that returns the result bits it pins.
+type Kernel = fn(&M4Ctx) -> Vec<u64>;
+
+/// Runs a SPLASH kernel under M4; returns what the run shows and the bits
+/// the kernel returned.
+fn splash_run(mode: M4Mode, kernel: Kernel) -> (SplashObs, Vec<u64>) {
     let cluster = Cluster::build(ClusterConfig::small(4, 2));
     let sys = match mode {
         M4Mode::Base => M4System::base(Arc::clone(&cluster)),
         M4Mode::Cables => M4System::cables(Arc::clone(&cluster)),
     };
+    let bits = Arc::new(StdMutex::new(Vec::new()));
+    let out = Arc::clone(&bits);
     let before = local_borrows();
-    let end = sys.run(body).expect("splash run");
+    let end = sys
+        .run(move |ctx| *out.lock().unwrap() = kernel(ctx))
+        .expect("splash run");
     let borrows = local_borrows().wrapping_sub(before);
     let placement = sys.svm().placement_report();
     let st = sys.svm().engine_stats();
+    let bits = std::mem::take(&mut *bits.lock().unwrap());
     (
-        end.as_nanos(),
-        sys.parallel_ns(),
-        placement.touched_pages,
-        placement.misplaced_pages,
-        st.tlb_hits,
-        st.tlb_misses,
-        borrows,
+        (
+            end.as_nanos(),
+            sys.parallel_ns(),
+            placement.touched_pages,
+            placement.misplaced_pages,
+            st.tlb_hits,
+            st.tlb_misses,
+            borrows,
+        ),
+        bits,
     )
 }
 
-/// `(end_ns, parallel window, touched pages, misplaced pages)` of FFT then
-/// RADIX, Base then CableS, on the slow path.
-const SPLASH_GOLDENS: [(u64, Option<u64>, u64, u64); 4] = [
+/// FFT m=8 on 8 procs: the checksum's and the round-trip error's bits.
+fn fft_bits(ctx: &M4Ctx) -> Vec<u64> {
+    let p = fft::FftParams {
+        m: 8,
+        nprocs: 8,
+        verify: true,
+    };
+    let r = fft::fft(ctx, &p);
+    let err = r.max_error.expect("verify requested");
+    assert!(err < 1e-6, "FFT round-trip error {err}");
+    vec![r.checksum.to_bits(), err.to_bits()]
+}
+
+/// RADIX's test size on 8 procs: the key sum.
+fn radix_bits(ctx: &M4Ctx) -> Vec<u64> {
+    let p = radix::RadixParams::test(8);
+    let r = radix::radix(ctx, &p);
+    assert!(r.sorted, "RADIX output not sorted");
+    assert_eq!(r.key_sum, radix::expected_key_sum(&p));
+    vec![r.key_sum]
+}
+
+/// LU n=64, block 8, on 8 procs: the diagonal checksum's and the
+/// reconstruction error's bits.
+fn lu_bits(ctx: &M4Ctx) -> Vec<u64> {
+    let r = lu::lu(ctx, &lu::LuParams::test(8));
+    let err = r.max_error.expect("verify requested");
+    assert!(err < 1e-8, "LU reconstruction error {err}");
+    vec![r.diag_checksum.to_bits(), err.to_bits()]
+}
+
+/// The kernels of `splash_fast_path_is_deterministic`, in golden order.
+const SPLASH_KERNELS: [(&str, Kernel); 3] =
+    [("fft", fft_bits), ("radix", radix_bits), ("lu", lu_bits)];
+
+/// `(end_ns, parallel window, touched pages, misplaced pages)` of FFT,
+/// RADIX then LU, Base then CableS. FFT's and RADIX's are the slow path's;
+/// LU's were taken on the index-form block kernels, before the row sweeps
+/// replaced them.
+const SPLASH_GOLDENS: [(u64, Option<u64>, u64, u64); 6] = [
     (5497453, Some(3828236), 2, 0),
     (5946144, Some(3824501), 9, 0),
+    (9515001, Some(7460772), 8, 0),
     (11049682365, Some(3885204), 2, 0),
     (11049914951, Some(3939996), 9, 6),
+    (11054350641, Some(8342304), 8, 4),
 ];
 
-/// `(TLB hits, TLB misses)` of the same four runs, in the same order. The
+/// `(TLB hits, TLB misses)` of the same six runs, in the same order. The
 /// TLB moves no simulated number, so these pin only its size, its
 /// indexing and its invalidations.
-const SPLASH_TLB_GOLDENS: [(u64, u64); 4] = [(3798, 196), (8575, 372), (3813, 199), (8640, 325)];
+const SPLASH_TLB_GOLDENS: [(u64, u64); 6] = [
+    (3798, 196),
+    (8575, 372),
+    (5338, 484),
+    (3813, 199),
+    (8640, 325),
+    (5490, 474),
+];
 
-/// `sim::Local` borrows of the same four runs, in the same order: the
+/// `sim::Local` borrows of the same six runs, in the same order: the
 /// host work of the simulator's state accesses, counted exactly. A lever
 /// that removes a borrow from the hot path shows here as a counted drop;
 /// one that adds a borrow per access, as a counted rise.
-const SPLASH_BORROW_GOLDENS: [u64; 4] = [7382, 21660, 8338, 22194];
+const SPLASH_BORROW_GOLDENS: [u64; 6] = [7382, 21660, 11573, 8338, 22194, 13648];
+
+/// The bits each of the six runs returned (see `fft_bits`, `radix_bits`,
+/// `lu_bits`): a kernel's arithmetic, however it is computed on the host,
+/// must land on these exactly.
+const SPLASH_RESULT_GOLDENS: [&[u64]; 6] = [
+    &[4643125378397716845, 4383128337338335232],
+    &[66913696],
+    &[4661332938598454885, 4410149935102558208],
+    &[4643125378397716845, 4383128337338335232],
+    &[66913696],
+    &[4661332938598454885, 4410149935102558208],
+];
 
 /// Regression: the hot path must not change the simulated results of the
 /// SPLASH kernels — same final SimTime, same parallel window, same Fig-6
 /// misplacement as the slow path gave — and the software TLB must count
 /// exactly the hits and misses it counted before, and stay hot on FFT
 /// (>90%). The runs also take exactly the `sim::Local` borrows they took
-/// when these goldens were pinned.
+/// when these goldens were pinned, and return the same result bits.
 #[test]
 fn splash_fast_path_is_deterministic() {
     for (i, mode) in [M4Mode::Base, M4Mode::Cables].into_iter().enumerate() {
-        let r = splash_run(mode, |ctx| {
-            let p = fft::FftParams {
-                m: 8,
-                nprocs: 8,
-                verify: true,
-            };
-            let r = fft::fft(ctx, &p);
-            let err = r.max_error.expect("verify requested");
-            assert!(err < 1e-6, "FFT round-trip error {err}");
-        });
-        show("fft", &r);
-        let pinned = (r.0, r.1, r.2, r.3);
-        assert_eq!(pinned, SPLASH_GOLDENS[2 * i], "{mode:?} FFT");
-        assert_eq!((r.4, r.5), SPLASH_TLB_GOLDENS[2 * i], "{mode:?} FFT TLB");
-        assert_eq!(r.6, SPLASH_BORROW_GOLDENS[2 * i], "{mode:?} FFT borrows");
-        assert!(
-            r.4 * 10 > (r.4 + r.5) * 9,
-            "{mode:?} FFT: TLB hit rate {:.1}% <= 90%",
-            r.4 as f64 * 100.0 / (r.4 + r.5) as f64
-        );
-        let r = splash_run(mode, |ctx| {
-            let p = radix::RadixParams::test(8);
-            let r = radix::radix(ctx, &p);
-            assert!(r.sorted, "RADIX output not sorted");
-            assert_eq!(r.key_sum, radix::expected_key_sum(&p));
-        });
-        show("radix", &r);
-        let pinned = (r.0, r.1, r.2, r.3);
-        assert_eq!(pinned, SPLASH_GOLDENS[2 * i + 1], "{mode:?} RADIX");
-        assert_eq!(
-            (r.4, r.5),
-            SPLASH_TLB_GOLDENS[2 * i + 1],
-            "{mode:?} RADIX TLB"
-        );
-        assert_eq!(
-            r.6,
-            SPLASH_BORROW_GOLDENS[2 * i + 1],
-            "{mode:?} RADIX borrows"
-        );
+        for (j, (name, kernel)) in SPLASH_KERNELS.into_iter().enumerate() {
+            let g = 3 * i + j;
+            let (r, bits) = splash_run(mode, kernel);
+            show(name, &(r, &bits));
+            let pinned = (r.0, r.1, r.2, r.3);
+            assert_eq!(pinned, SPLASH_GOLDENS[g], "{mode:?} {name}");
+            assert_eq!((r.4, r.5), SPLASH_TLB_GOLDENS[g], "{mode:?} {name} TLB");
+            assert_eq!(r.6, SPLASH_BORROW_GOLDENS[g], "{mode:?} {name} borrows");
+            assert_eq!(bits, SPLASH_RESULT_GOLDENS[g], "{mode:?} {name} bits");
+            if name == "fft" {
+                assert!(
+                    r.4 * 10 > (r.4 + r.5) * 9,
+                    "{mode:?} FFT: TLB hit rate {:.1}% <= 90%",
+                    r.4 as f64 * 100.0 / (r.4 + r.5) as f64
+                );
+            }
+        }
     }
 }
