@@ -107,14 +107,8 @@ pub struct CritPath {
 /// A lane: one Chrome-trace track — a simulated thread or a node's NIC.
 type Lane = (u32, u64);
 
-/// A flattened, disjoint piece of a lane's span coverage.
-#[derive(Debug, Clone, Copy)]
-struct Flat {
-    start: u64,
-    end: u64,
-    layer: Layer,
-    kind: &'static str,
-}
+/// A disjoint piece `(start, end, label)` of a lane's span coverage.
+pub(crate) type Piece<L> = (u64, u64, L);
 
 /// An edge indexed by its effect lane.
 #[derive(Debug, Clone, Copy)]
@@ -127,44 +121,44 @@ struct EdgeRef {
     dst_node: u32,
 }
 
-/// Flattens one lane's spans into disjoint intervals where the innermost
-/// covering span wins (spans on a thread lane come from one thread's
-/// nested scopes, so they nest properly; slight violations degrade to a
-/// deterministic stack order, never to overlap).
-fn flatten(mut spans: Vec<(u64, u64, Layer, &'static str)>) -> Vec<Flat> {
-    spans.sort_by_key(|&(s, e, _, _)| (s, std::cmp::Reverse(e)));
-    let mut out: Vec<Flat> = Vec::with_capacity(spans.len());
-    let mut stack: Vec<(u64, Layer, &'static str)> = Vec::new();
+/// Flattens one lane's labelled intervals into disjoint pieces where the
+/// innermost covering interval wins: a stack sweep over the intervals in
+/// `key` order (spans on a thread lane come from one thread's nested
+/// scopes, so they nest properly; slight violations degrade to a
+/// deterministic stack order, never to overlap). The stall profile runs
+/// the same sweep with its own key.
+pub(crate) fn flatten<L: Copy, K: Ord>(
+    mut spans: Vec<Piece<L>>,
+    key: impl FnMut(&Piece<L>) -> K,
+) -> Vec<Piece<L>> {
+    spans.sort_by_key(key);
+    let mut out: Vec<Piece<L>> = Vec::with_capacity(spans.len());
+    let mut stack: Vec<(u64, L)> = Vec::new();
     let mut pos = 0u64;
-    let emit = |out: &mut Vec<Flat>, start: u64, end: u64, layer: Layer, kind| {
+    let emit = |out: &mut Vec<Piece<L>>, start: u64, end: u64, label: L| {
         if end > start {
-            out.push(Flat {
-                start,
-                end,
-                layer,
-                kind,
-            });
+            out.push((start, end, label));
         }
     };
-    for (s, e, layer, kind) in spans {
-        while let Some(&(top_end, t_layer, t_kind)) = stack.last() {
+    for (s, e, label) in spans {
+        while let Some(&(top_end, top)) = stack.last() {
             if top_end > s {
                 break;
             }
-            emit(&mut out, pos.max(0), top_end, t_layer, t_kind);
+            emit(&mut out, pos, top_end, top);
             pos = pos.max(top_end);
             stack.pop();
         }
-        if let Some(&(_, t_layer, t_kind)) = stack.last() {
-            emit(&mut out, pos, s, t_layer, t_kind);
+        if let Some(&(_, top)) = stack.last() {
+            emit(&mut out, pos, s, top);
         }
         pos = pos.max(s);
         if e > pos {
-            stack.push((e, layer, kind));
+            stack.push((e, label));
         }
     }
-    while let Some((top_end, t_layer, t_kind)) = stack.pop() {
-        emit(&mut out, pos, top_end, t_layer, t_kind);
+    while let Some((top_end, top)) = stack.pop() {
+        emit(&mut out, pos, top_end, top);
         pos = pos.max(top_end);
     }
     out
@@ -229,7 +223,7 @@ pub fn analyze(
     }
 
     // Index spans and edges by lane.
-    let mut span_by_lane: BTreeMap<Lane, Vec<(u64, u64, Layer, &'static str)>> = BTreeMap::new();
+    let mut span_by_lane: BTreeMap<Lane, Vec<Piece<(Layer, &'static str)>>> = BTreeMap::new();
     let mut edges_by_lane: BTreeMap<Lane, Vec<EdgeRef>> = BTreeMap::new();
     let mut lane_last: BTreeMap<Lane, u64> = BTreeMap::new();
     for e in events {
@@ -258,12 +252,11 @@ pub fn analyze(
                 });
             }
         } else if e.dur_ns > 0 {
-            span_by_lane.entry(lane).or_default().push((
-                at,
-                at + e.dur_ns,
-                e.layer,
-                e.event.kind_name(),
-            ));
+            let label = (e.layer, e.event.kind_name());
+            span_by_lane
+                .entry(lane)
+                .or_default()
+                .push((at, at + e.dur_ns, label));
         }
         if e.track != NIC_TRACK {
             let end = at + e.dur_ns;
@@ -284,9 +277,9 @@ pub fn analyze(
             )
         });
     }
-    let flat_by_lane: BTreeMap<Lane, Vec<Flat>> = span_by_lane
+    let flat_by_lane: BTreeMap<Lane, Vec<Piece<_>>> = span_by_lane
         .into_iter()
-        .map(|(lane, spans)| (lane, flatten(spans)))
+        .map(|(lane, spans)| (lane, flatten(spans, |&(s, e, _)| (s, std::cmp::Reverse(e)))))
         .collect();
 
     // The walk ends on the lane that was active last (ties: lowest lane).
@@ -304,7 +297,7 @@ pub fn analyze(
     let mut edges_on_path = 0u64;
 
     // Attributes the local interval [a, b) on `lane` by span coverage.
-    let empty: Vec<Flat> = Vec::new();
+    let empty = Vec::new();
     let local = |lane: Lane,
                  a: u64,
                  b: u64,
@@ -317,16 +310,16 @@ pub fn analyze(
         *by_node.entry(lane.0).or_default() += b - a;
         let flats = flat_by_lane.get(&lane).unwrap_or(&empty);
         let mut covered = 0u64;
-        let from = flats.partition_point(|f| f.end <= a);
-        for f in &flats[from..] {
-            if f.start >= b {
+        let from = flats.partition_point(|f| f.1 <= a);
+        for &(start, end, (layer, kind)) in &flats[from..] {
+            if start >= b {
                 break;
             }
-            let lo = f.start.max(a);
-            let hi = f.end.min(b);
+            let lo = start.max(a);
+            let hi = end.min(b);
             if hi > lo {
-                *by_layer.entry(f.layer.name().to_string()).or_default() += hi - lo;
-                *by_kind.entry(f.kind.to_string()).or_default() += hi - lo;
+                *by_layer.entry(layer.name().to_string()).or_default() += hi - lo;
+                *by_kind.entry(kind.to_string()).or_default() += hi - lo;
                 covered += hi - lo;
             }
         }

@@ -44,10 +44,10 @@
 
 use std::io::{self, Write};
 
-use crate::event::{EdgeKind, Event, Layer, NIC_TRACK};
+use crate::event::{Event, Layer, NIC_TRACK};
 use crate::json::{ToJson, Writer};
 use crate::metrics::{Histogram, KindAgg, MetricsSnapshot, NodeMetrics, PageMetrics};
-use crate::stall::{bucket_for_kind, Bucket, BUCKETS};
+use crate::stall::{self, Bucket, BUCKETS};
 use crate::stream::{end_line, frame_line, header_line};
 
 /// Reads `CABLES_OBS_SAMPLE_NS` (simulated ns per window). Unset, empty,
@@ -364,8 +364,8 @@ impl SeriesState {
     }
 
     /// Charges one just-recorded event to the current window's stall mix
-    /// (same classification sources as [`crate::stall::analyze`], minus
-    /// the flattening).
+    /// ([`stall::classify`], as [`stall::analyze`] does, minus the
+    /// flattening).
     pub(crate) fn classify(
         &mut self,
         node: u32,
@@ -378,23 +378,8 @@ impl SeriesState {
         if track == NIC_TRACK {
             return;
         }
-        if let Event::Edge {
-            kind,
-            src_node,
-            src_track,
-            src_ns,
-            ..
-        } = *event
-        {
-            let self_lane = src_node == node && src_track == track;
-            let moves_data = matches!(kind, EdgeKind::PageFetch | EdgeKind::BatchDiff);
-            if self_lane && moves_data && src_ns < at_ns {
-                self.window_stall[Bucket::MsgLatency as usize] += at_ns - src_ns;
-            }
-        } else if dur_ns > 0 {
-            if let Some(b) = bucket_for_kind(event.kind_name()) {
-                self.window_stall[b as usize] += dur_ns;
-            }
+        if let Some((s, e, b)) = stall::classify(node, track, at_ns, dur_ns, event) {
+            self.window_stall[b as usize] += e - s;
         }
     }
 

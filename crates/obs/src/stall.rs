@@ -31,6 +31,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 
+use crate::critpath::{flatten, Piece};
 use crate::event::{EdgeKind, Event, EventRecord, NIC_TRACK};
 use crate::json::{ToJson, Writer};
 
@@ -193,43 +194,39 @@ pub struct StallProfile {
 }
 
 /// A disjoint, bucket-labelled piece of one lane's lifetime.
-type Seg = (u64, u64, Bucket);
+type Seg = Piece<Bucket>;
 
-/// Flattens classified intervals innermost-wins (critpath's algorithm,
-/// with the bucket index as the deterministic tiebreak for identical
-/// intervals), then fills the gaps inside `[start, end]` with `Compute`.
-/// The result is a disjoint cover of the whole lifetime.
-fn partition_lane(mut spans: Vec<(u64, u64, Bucket)>, start: u64, end: u64) -> Vec<Seg> {
-    spans.sort_by_key(|&(s, e, b)| (s, std::cmp::Reverse(e), b as usize));
-    let mut flat: Vec<Seg> = Vec::with_capacity(spans.len());
-    let mut stack: Vec<(u64, Bucket)> = Vec::new();
-    let mut pos = 0u64;
-    let emit = |out: &mut Vec<Seg>, s: u64, e: u64, b: Bucket| {
-        if e > s {
-            out.push((s, e, b));
-        }
-    };
-    for (s, e, b) in spans {
-        while let Some(&(top_end, tb)) = stack.last() {
-            if top_end > s {
-                break;
-            }
-            emit(&mut flat, pos, top_end, tb);
-            pos = pos.max(top_end);
-            stack.pop();
-        }
-        if let Some(&(_, tb)) = stack.last() {
-            emit(&mut flat, pos, s, tb);
-        }
-        pos = pos.max(s);
-        if e > pos {
-            stack.push((e, b));
-        }
+/// The interval an event charges to a stall bucket, if any. A self-lane
+/// data-moving edge is wire time: the thread blocked from issuing the
+/// fetch or batched diff (`src_ns`) until the data landed (`at`), so it
+/// charges `MsgLatency`; a span charges its kind's bucket
+/// ([`bucket_for_kind`]). The stream's per-window stall mix charges
+/// exactly these intervals, without the flattening.
+pub(crate) fn classify(node: u32, track: u64, at: u64, dur: u64, event: &Event) -> Option<Seg> {
+    if let Event::Edge {
+        kind,
+        src_node,
+        src_track,
+        src_ns,
+        ..
+    } = *event
+    {
+        let self_lane = src_node == node && src_track == track;
+        let moves_data = matches!(kind, EdgeKind::PageFetch | EdgeKind::BatchDiff);
+        (self_lane && moves_data && src_ns < at).then_some((src_ns, at, Bucket::MsgLatency))
+    } else if dur > 0 {
+        bucket_for_kind(event.kind_name()).map(|b| (at, at + dur, b))
+    } else {
+        None
     }
-    while let Some((top_end, tb)) = stack.pop() {
-        emit(&mut flat, pos, top_end, tb);
-        pos = pos.max(top_end);
-    }
+}
+
+/// Flattens classified intervals innermost-wins ([`flatten`], with the
+/// bucket index as the deterministic tiebreak for identical intervals),
+/// then fills the gaps inside `[start, end]` with `Compute`. The result
+/// is a disjoint cover of the whole lifetime.
+fn partition_lane(spans: Vec<Seg>, start: u64, end: u64) -> Vec<Seg> {
+    let flat = flatten(spans, |&(s, e, b)| (s, std::cmp::Reverse(e), b as usize));
 
     // Clip to the lifetime and interleave Compute gaps.
     let mut out: Vec<Seg> = Vec::with_capacity(flat.len() * 2 + 1);
@@ -273,7 +270,7 @@ pub fn analyze(
     }
 
     type Lane = (u32, u64);
-    let mut spans: BTreeMap<Lane, Vec<(u64, u64, Bucket)>> = BTreeMap::new();
+    let mut spans: BTreeMap<Lane, Vec<Seg>> = BTreeMap::new();
     let mut life: BTreeMap<Lane, (u64, u64)> = BTreeMap::new();
     for e in events {
         if e.track == NIC_TRACK {
@@ -285,28 +282,8 @@ pub fn analyze(
         let lf = life.entry(lane).or_insert((at, end));
         lf.0 = lf.0.min(at);
         lf.1 = lf.1.max(end);
-        if let Event::Edge {
-            kind,
-            src_node,
-            src_track,
-            src_ns,
-            ..
-        } = e.event
-        {
-            // Wire time surfaces as a self-lane edge: the thread blocked
-            // from issuing the fetch (src) until the data landed (at).
-            let self_lane = src_node == e.node.0 && src_track == e.track;
-            let moves_data = matches!(kind, EdgeKind::PageFetch | EdgeKind::BatchDiff);
-            if self_lane && moves_data && src_ns < at {
-                spans
-                    .entry(lane)
-                    .or_default()
-                    .push((src_ns, at, Bucket::MsgLatency));
-            }
-        } else if e.dur_ns > 0 {
-            if let Some(b) = bucket_for_kind(e.event.kind_name()) {
-                spans.entry(lane).or_default().push((at, end, b));
-            }
+        if let Some(seg) = classify(e.node.0, e.track, at, e.dur_ns, &e.event) {
+            spans.entry(lane).or_default().push(seg);
         }
     }
     if life.is_empty() {

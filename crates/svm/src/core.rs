@@ -9,7 +9,8 @@
 //! [`Migrate`] plan, [`Diff`]s to ship, an [`Acquire`]'s flushes and
 //! invalidations. Nothing here charges time, moves bytes or records an
 //! event; `proto.rs` performs every effect, in order, and is the only
-//! interpreter outside the small-scope explorer's test double.
+//! interpreter: the small-scope explorer runs it too, on an in-memory
+//! model.
 //!
 //! Each transition commits its bookkeeping when it decides: no transition
 //! spans a scheduling point, so nothing else runs between a decision and

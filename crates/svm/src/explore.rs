@@ -1,29 +1,31 @@
 //! Small-scope exhaustive check of the protocol core against release
 //! consistency, with no engine and no simulated time.
 //!
-//! A test-side interpreter performs the core's effects on an in-memory
-//! model of what `proto.rs` drives — frames, per-node page tables, NIC
-//! regions — and the explorer enumerates every interleaving of two nodes'
-//! actions on one two-page chunk: reads and writes (each node owns a word
-//! of every page), one lock, one barrier, and a direct chunk migration,
-//! up to a fixed number of actions. Shared-memory
-//! happens-before is tracked with vector clocks; a schedule stops at its
-//! first data race, and in a race-free schedule every read must return the
-//! happens-before-latest write to its word. States that are equal up to
-//! renaming (frames, regions, version numbers) are explored once. A
-//! failure prints the shortest action sequence that reaches it.
+//! `proto.rs`'s interpreter runs here unchanged, its effects performed on
+//! an in-memory model of what it drives in the simulator — frames,
+//! per-node page tables, NIC regions — and the explorer enumerates every
+//! interleaving of two nodes' actions on one two-page chunk: reads and
+//! writes (each node owns a word of every page), one lock, one barrier,
+//! and a direct chunk migration, up to a fixed number of actions.
+//! Shared-memory happens-before is tracked with vector clocks; a schedule
+//! stops at its first data race, and in a race-free schedule every read
+//! must return the happens-before-latest write to its word. States that
+//! are equal up to renaming (frames, regions, version numbers) are
+//! explored once. A failure prints the shortest action sequence that
+//! reaches it.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use memsim::{FaultKind, GAddr, PageNum, Prot, PAGE_SIZE};
-use sim::NodeId;
+use memsim::{FaultKind, FrameId, GAddr, PageNum, Prot, PAGE_SIZE};
+use sim::{NodeId, SimTime};
 use vmmc::RegionId;
 
 use crate::config::{ProtoMode, SvmConfig};
-use crate::core::{Diff, Fetch, ProtoState, Route, Ship};
+use crate::core::ProtoState;
+use crate::proto::{self, Effects};
 
 /// Nodes, and words per page the programs touch: one per node.
 const NODES: usize = 2;
@@ -71,13 +73,15 @@ enum Outcome {
 #[derive(Clone)]
 struct World {
     core: ProtoState,
+    /// The node whose action the interpreter is running.
+    node: NodeId,
     pages: u64,
     /// Frame contents (only the touched words).
     frames: Vec<[u64; WORDS]>,
     /// `page table[node][page]`: frame and protection.
-    pt: Vec<Vec<Option<(usize, Prot)>>>,
+    pt: Vec<Vec<Option<(FrameId, Prot)>>>,
     /// Exported regions: frames in offset order.
-    regions: Vec<Vec<usize>>,
+    regions: Vec<Vec<FrameId>>,
     lock: Option<usize>,
     phase: Vec<Phase>,
     vc: Vec<[u32; NODES]>,
@@ -100,6 +104,7 @@ impl World {
         }
         World {
             core: ProtoState::new(NODES, cfg, NodeId(0)),
+            node: NodeId(0),
             pages,
             frames: Vec::new(),
             pt: vec![vec![None; pages as usize]; NODES],
@@ -113,45 +118,26 @@ impl World {
         }
     }
 
-    fn region_frame(&self, region: RegionId, off: u64) -> usize {
+    /// The world as node `n`'s effects.
+    fn at(&mut self, n: usize) -> &mut Self {
+        self.node = NodeId(n as u32);
+        self
+    }
+
+    fn region_frame(&self, region: RegionId, off: u64) -> FrameId {
         self.regions[region.0 as usize][(off / PAGE_SIZE) as usize]
     }
 
-    fn alloc(&mut self, n: u64) -> Vec<usize> {
-        let first = self.frames.len();
-        self.frames.resize(first + n as usize, [0; WORDS]);
-        (first..self.frames.len()).collect()
-    }
-
-    fn register(&mut self, extend: Option<RegionId>, frames: &[usize]) -> RegionId {
-        match extend {
-            Some(r) => {
-                self.regions[r.0 as usize].extend(frames);
-                r
-            }
-            None => {
-                self.regions.push(frames.to_vec());
-                RegionId(self.regions.len() as u64 - 1)
-            }
+    /// Stores `data` at byte `off` of a frame, word by word.
+    fn store(&mut self, frame: FrameId, off: u64, data: &[u8]) {
+        let words = &mut self.frames[frame.index as usize][(off / 8) as usize..];
+        for (w, b) in words.iter_mut().zip(data.chunks_exact(8)) {
+            *w = u64::from_le_bytes(b.try_into().expect("a word"));
         }
     }
 
-    fn map_chunk(&mut self, n: usize, base: u64, frames: &[usize]) {
-        for (i, f) in frames.iter().enumerate() {
-            self.pt[n][base as usize + i] = Some((*f, Prot::None));
-        }
-    }
-
-    fn set_prot(&mut self, n: usize, page: u64, prot: Prot) {
-        self.pt[n][page as usize].as_mut().expect("mapped").1 = prot;
-    }
-
-    fn copy_frame(&mut self, from: usize, to: usize) {
-        self.frames[to] = self.frames[from];
-    }
-
-    // ---- the test-side interpreter: `proto.rs`'s effects, minus time ----
-
+    /// A program's read or write of `word` of `page` on node `n`, faulting
+    /// into the interpreter until the mapping allows it.
     fn access(&mut self, n: usize, page: u64, word: usize, write: Option<u64>) -> u64 {
         for _ in 0..4 {
             let kind = if write.is_some() {
@@ -161,88 +147,18 @@ impl World {
             };
             match self.pt[n][page as usize] {
                 Some((f, p)) if p == Prot::ReadWrite || (p == Prot::Read && write.is_none()) => {
+                    let frame = &mut self.frames[f.index as usize];
                     if let Some(v) = write {
-                        self.frames[f][word] = v;
+                        frame[word] = v;
                         let addr = GAddr::new(page * PAGE_SIZE + word as u64 * 8);
                         self.core.mark_dirty(NodeId(n as u32), addr, 8);
                     }
-                    return self.frames[f][word];
+                    return frame[word];
                 }
-                _ => self.fault(n, page, kind),
+                _ => proto::handle_fault(self.at(n), PageNum::new(page), kind),
             }
         }
         panic!("fault loop on page {page}");
-    }
-
-    fn fault(&mut self, n: usize, page: u64, kind: FaultKind) {
-        let node = NodeId(n as u32);
-        let prot = self.pt[n][page as usize].map(|(_, p)| p);
-        let Some((_, route)) = self.core.fault(node, PageNum::new(page), kind, prot) else {
-            return;
-        };
-        match route {
-            Route::Place => {
-                let gran = self.core.cfg.home_granularity_pages;
-                let base = PageNum::new(page).chunk_base(gran).index();
-                let frames = self.alloc(gran);
-                let (extend, off) = self.core.place(node, PageNum::new(page));
-                let region = self.register(extend, &frames);
-                self.map_chunk(n, base, &frames);
-                self.core.placed(node, PageNum::new(page), region, off);
-                if kind == FaultKind::Write {
-                    self.core.start_write_tracking(node, page);
-                }
-            }
-            Route::Home => {}
-            Route::Remote { region, .. } => {
-                let have_frame = self.pt[n][page as usize].is_some();
-                if !have_frame {
-                    let f = self.alloc(1)[0];
-                    self.pt[n][page as usize] = Some((f, Prot::None));
-                }
-                let fetch = self.core.fetch(node, PageNum::new(page), kind, have_frame);
-                if let Fetch::Remote { off } = fetch {
-                    let local = self.pt[n][page as usize].expect("mapped").0;
-                    self.copy_frame(self.region_frame(region, off), local);
-                }
-            }
-        }
-        let prot = match kind {
-            FaultKind::Read => Prot::Read,
-            FaultKind::Write => Prot::ReadWrite,
-        };
-        self.set_prot(n, page, prot);
-    }
-
-    fn ship(&mut self, n: usize, d: &Diff) {
-        if d.ship == Ship::Home {
-            return;
-        }
-        let local = self.pt[n][d.page as usize].expect("dirty page mapped").0;
-        let home = self.region_frame(d.region, d.off);
-        for &(w0, w1) in &d.runs {
-            for w in w0 as usize..(w1 as usize).min(WORDS) {
-                self.frames[home][w] = self.frames[local][w];
-            }
-        }
-    }
-
-    fn release(&mut self, n: usize) {
-        let node = NodeId(n as u32);
-        for (d, stale) in self.core.release(node) {
-            self.ship(n, &d);
-            self.set_prot(n, d.page, if stale { Prot::None } else { Prot::Read });
-        }
-    }
-
-    fn acquire(&mut self, n: usize) {
-        let a = self.core.acquire(NodeId(n as u32));
-        for d in &a.flush {
-            self.ship(n, d);
-        }
-        for &page in &a.invalidate {
-            self.set_prot(n, page, Prot::None);
-        }
     }
 
     /// Whether the core would migrate the chunk to `n` now.
@@ -250,32 +166,6 @@ impl World {
         let node = NodeId(n as u32);
         self.core.migrate(node, PageNum::new(0)).is_some()
     }
-
-    /// A direct migration of the chunk to `n`.
-    fn migrate(&mut self, n: usize) {
-        let node = NodeId(n as u32);
-        let m = self
-            .core
-            .migrate(node, PageNum::new(0))
-            .expect("migratable");
-        let frames = self.alloc(self.pages);
-        let region = self.register(m.extend, &frames);
-        for (pull, &to) in m.pulls.iter().zip(&frames) {
-            let local = pull
-                .prefer_local
-                .then(|| self.pt[n][pull.page as usize])
-                .flatten();
-            match (local, pull.from) {
-                (Some((f, _)), _) => self.copy_frame(f, to),
-                (None, Some((r, off))) => self.copy_frame(self.region_frame(r, off), to),
-                (None, None) => {}
-            }
-        }
-        self.map_chunk(n, 0, &frames);
-        self.core.migrated(node, m.base, region, m.off);
-    }
-
-    // ---- the program layer: actions, happens-before, expected values ----
 
     fn enabled(&self, n: usize) -> Vec<Act> {
         match self.phase[n] {
@@ -340,16 +230,16 @@ impl World {
             Act::Lock => {
                 self.lock = Some(n);
                 join(&mut self.vc[n], &self.lock_vc.clone());
-                self.acquire(n);
+                proto::acquire(self.at(n));
             }
             Act::Unlock => {
-                self.release(n);
+                proto::release(self.at(n));
                 self.lock_vc = self.vc[n];
                 self.vc[n][n] += 1;
                 self.lock = None;
             }
             Act::Barrier => {
-                self.release(n);
+                proto::release(self.at(n));
                 join(&mut self.bar_vc, &self.vc[n].clone());
                 self.vc[n][n] += 1;
                 self.phase[n] = Phase::AtBarrier;
@@ -366,9 +256,12 @@ impl World {
                 };
                 join(&mut self.vc[n], &episode);
                 self.phase[n] = Phase::Run;
-                self.acquire(n);
+                proto::acquire(self.at(n));
             }
-            Act::Migrate => self.migrate(n),
+            Act::Migrate => {
+                let moved = proto::migrate_home(self.at(n), GAddr::new(0));
+                assert!(moved, "migratable");
+            }
         }
         Outcome::Ok
     }
@@ -378,16 +271,16 @@ impl World {
     /// and history the race check can no longer use forgotten.
     fn fingerprint(&self) -> u64 {
         let mut h = DefaultHasher::new();
-        let mut ids: HashMap<usize, usize> = HashMap::new();
+        let mut ids: HashMap<FrameId, usize> = HashMap::new();
         // A frame's words matter only as "the latest write" or "stale":
         // values only grow, so a stale value never becomes current again.
-        let mut canon = |f: usize, page: u64, h: &mut DefaultHasher| {
+        let mut canon = |f: FrameId, page: u64, h: &mut DefaultHasher| {
             let next = ids.len();
             let id = *ids.entry(f).or_insert(next);
             id.hash(h);
             if id == next {
                 let latest = &self.shadow[page as usize];
-                for (v, word) in self.frames[f].iter().zip(latest) {
+                for (v, word) in self.frames[f.index as usize].iter().zip(latest) {
                     (*v == word.value).hash(h);
                 }
             }
@@ -484,6 +377,91 @@ impl World {
     }
 }
 
+/// `proto.rs`'s effects on the in-memory model: frames, page tables and
+/// regions change; time, the wire and obs do nothing.
+impl Effects for World {
+    fn cfg(&self) -> &SvmConfig {
+        &self.core.cfg
+    }
+
+    fn node(&self) -> NodeId {
+        self.node
+    }
+
+    fn with_core<R>(&mut self, f: impl FnOnce(&mut ProtoState) -> R) -> R {
+        f(&mut self.core)
+    }
+
+    fn translate(&self, page: PageNum) -> Option<(FrameId, Prot)> {
+        self.pt[self.node.0 as usize][page.index() as usize]
+    }
+
+    fn alloc_frame(&mut self, _: &str) -> FrameId {
+        self.frames.push([0; WORDS]);
+        let index = self.frames.len() as u32 - 1;
+        FrameId {
+            node: self.node,
+            index,
+        }
+    }
+
+    fn register(
+        &mut self,
+        extend: Option<RegionId>,
+        frames: &[FrameId],
+        _: [&'static str; 2],
+    ) -> RegionId {
+        match extend {
+            Some(r) => {
+                self.regions[r.0 as usize].extend(frames);
+                r
+            }
+            None => {
+                self.regions.push(frames.to_vec());
+                RegionId(self.regions.len() as u64 - 1)
+            }
+        }
+    }
+
+    fn map(&mut self, base: PageNum, frames: &[FrameId], _: Option<&str>) {
+        for (i, f) in (base.index()..).zip(frames) {
+            self.pt[self.node.0 as usize][i as usize] = Some((*f, Prot::None));
+        }
+    }
+
+    fn set_prot(&mut self, page: u64, prot: Prot, mapped: &str) {
+        let n = self.node.0 as usize;
+        self.pt[n][page as usize].as_mut().expect(mapped).1 = prot;
+    }
+
+    fn copy_frame(&mut self, from: FrameId, to: FrameId) {
+        self.frames[to.index as usize] = self.frames[from.index as usize];
+    }
+
+    fn read(&self, frame: FrameId, off: u64, len: u64) -> Vec<u8> {
+        let words = &self.frames[frame.index as usize][(off / 8) as usize..];
+        let words = &words[..(len / 8) as usize];
+        words.iter().flat_map(|w| w.to_le_bytes()).collect()
+    }
+
+    fn fetch(&mut self, region: RegionId, off: u64, to: FrameId, _: &'static str) -> SimTime {
+        self.copy_frame(self.region_frame(region, off), to);
+        SimTime::ZERO
+    }
+
+    fn write(&mut self, region: RegionId, off: u64, data: &[u8]) -> SimTime {
+        self.store(self.region_frame(region, off), off % PAGE_SIZE, data);
+        SimTime::ZERO
+    }
+
+    fn write_batch(&mut self, region: RegionId, segs: &[(u64, Vec<u8>)], _: SimTime) -> SimTime {
+        for (off, data) in segs {
+            self.write(region, *off, data);
+        }
+        SimTime::ZERO
+    }
+}
+
 /// Explores every schedule of up to `depth` actions from `start`;
 /// returns the states expanded, or the first failing schedule found.
 fn explore(start: &World, depth: usize) -> Result<usize, Vec<String>> {
@@ -557,8 +535,7 @@ fn small(cfg: SvmConfig) -> SvmConfig {
 
 #[test]
 fn every_drf_read_sees_the_latest_write_on_a_cables_chunk() {
-    let states = check(small(SvmConfig::cables()), 8);
-    assert!(states > 10_000, "explored only {states} states");
+    assert_eq!(check(small(SvmConfig::cables()), 8), 50_878);
 }
 
 #[test]
@@ -567,10 +544,10 @@ fn every_drf_read_sees_the_latest_write_with_batching() {
         batch_diffs: true,
         ..small(SvmConfig::cables())
     };
-    check(cfg, 8);
+    assert_eq!(check(cfg, 8), 50_878);
 }
 
 #[test]
 fn every_drf_read_sees_the_latest_write_on_base_pages() {
-    check(SvmConfig::base(), 8);
+    assert_eq!(check(SvmConfig::base(), 8), 23_168);
 }

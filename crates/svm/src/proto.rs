@@ -12,27 +12,32 @@
 //!   chunk. Home frames extend one contiguous per-node region (the double
 //!   virtual mapping), so NIC registration pressure stays constant.
 //!
-//! Every step here is decide → perform → commit: borrow the directory (a
-//! `sim::Local`), run one core transition, end the borrow, then perform
-//! the effects it returned — frame allocation and mapping, `vmmc`
-//! registration, fetches and writes, protection changes — charging
-//! simulated time exactly where the protocol spends it and emitting every
-//! obs event. NIC-registration recovery (`reg_op`, `with_reimport`) lives
-//! here too. Borrow discipline: the directory borrow is never held across
-//! an effect, a scheduling point or another borrow of this crate; a
-//! second borrow while one is live panics.
+//! Every step here is decide → perform → commit: borrow the directory, run
+//! one core transition, end the borrow, then perform the effects it
+//! returned — frame allocation and mapping, NIC registration, fetches and
+//! writes, protection changes — charging simulated time exactly where the
+//! protocol spends it and emitting every obs event. The interpreter is
+//! written once, generic over [`Effects`], and runs on two effect sets:
+//! the simulated cluster ([`Real`], a `sim::Local` directory borrow, the
+//! engine, `memsim`, `vmmc` and the wire) and the small-scope explorer's
+//! in-memory model, where time, wire and obs do nothing. NIC-registration
+//! recovery (`reg_op`, `with_reimport`) is the real set's. Borrow
+//! discipline: the directory borrow is never held across an effect, a
+//! scheduling point or another borrow of this crate; a second borrow while
+//! one is live panics.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 
 use chaos::ChaosEngine;
-use memsim::{FaultKind, FrameId, GAddr, PageNum, Prot, Scalar, PAGE_SIZE};
+use memsim::{Fault, FaultKind, FrameId, GAddr, OsVmConfig, PageNum, Prot, Scalar, PAGE_SIZE};
 use sim::{NodeId, Sim, SimTime};
-use vmmc::{RegionId, VmmcError};
+use vmmc::{RegionId, VmmcConfig, VmmcError};
 
 use crate::api::SvmSystem;
-use crate::config::ProtoMode;
-use crate::core::{Diff, Fetch, Migrate, Route, Ship};
+use crate::config::{ProtoMode, SvmConfig};
+use crate::core::{Diff, Fetch, Migrate, ProtoState, Route, Ship};
 
 /// Per-home diff batches of one release, keyed `(home, region)`: the
 /// `(region offset, bytes)` segments queued so far, the pages they came
@@ -99,65 +104,266 @@ const REG_RETRY_ATTEMPTS: u32 = 6;
 /// Base backoff of the registration-recovery loop, ns (doubles per try).
 const REG_RETRY_BASE_NS: u64 = 20_000;
 
-impl SvmSystem {
-    /// Handles a simulated page fault: placement on first touch, page
-    /// fetch from a remote home, or a write upgrade.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a NIC registration limit is exceeded — this mirrors the
-    /// paper's base system failing to run OCEAN on 32 processors; the
-    /// benchmark harness reports such runs as failed.
-    pub(crate) fn handle_fault(&self, sim: &Sim, page: PageNum, kind: FaultKind) {
-        let node = sim.node();
-        let t0 = sim.now();
-        // Advance the streaming-series clock at fault entry (no-op unless
-        // a series is running; recording charges no simulated time).
-        if let Some(o) = self.obs_if_on() {
-            o.series_tick(t0);
-        }
-        // OS fault entry + protocol handler, ordered against other ops.
-        sim.advance(self.cluster.mem.config().fault_overhead_ns);
-        sim.op_point(self.cfg.costs.fault_handler_ns);
+/// Everything the page interpreter does outside [`ProtoState`], for one
+/// thread of [`Effects::node`]. Statically dispatched, so the real set
+/// compiles to the calls the interpreter made before it was generic. The
+/// provided bodies are the explorer's: no time passes, nothing crosses
+/// the wire and nothing is recorded; [`Real`] overrides each of them.
+pub(crate) trait Effects {
+    fn cfg(&self) -> &SvmConfig;
+    fn node(&self) -> NodeId;
+    /// Runs one core transition under the directory borrow.
+    fn with_core<R>(&mut self, f: impl FnOnce(&mut ProtoState) -> R) -> R;
 
-        let prot = self.cluster.mem.translate(node, page).map(|(_, p)| p);
-        let step = self.state.lock().fault(node, page, kind, prot);
-        let Some((remote_lookup, route)) = step else {
-            return;
-        };
-        let write = kind == FaultKind::Write;
-        self.proto_instant(
-            sim,
-            obs::Event::Fault {
-                page: page.index(),
-                write,
-            },
-        );
-        if remote_lookup {
-            // Fetch the directory entry from the master (ACB owner).
-            let done = self.cluster.san.fetch(node, self.master, 32, sim.now());
-            sim.clock_at_least(done);
-        }
-        sim.advance(1_000);
-        match route {
-            Route::Place => self.place_chunk(sim, page, kind),
-            Route::Home => self.grant(sim, page, kind),
-            Route::Remote { home, region } => self.fetch_page(sim, page, home, region, kind),
-        }
-        if let Some(o) = self.obs_if_on() {
-            let dur = sim.now().saturating_since(t0);
-            let event = obs::Event::FaultSpan {
-                page: page.index(),
-                write,
-            };
-            o.span(obs::Layer::Proto, node, sim.tid().0, t0, dur, event);
+    // The node's memory and NIC.
+    fn translate(&self, page: PageNum) -> Option<(FrameId, Prot)>;
+    fn alloc_frame(&mut self, what: &str) -> FrameId;
+    /// Registers home `frames`: extends `extend`, or exports a new region
+    /// (`what` holds the two failure texts).
+    fn register(
+        &mut self,
+        extend: Option<RegionId>,
+        frames: &[FrameId],
+        what: [&'static str; 2],
+    ) -> RegionId;
+    /// Maps `frames` inaccessible from `base` on: as one OS chunk (which
+    /// fails with `chunk`), else page by page.
+    fn map(&mut self, base: PageNum, frames: &[FrameId], chunk: Option<&str>);
+    fn set_prot(&mut self, page: u64, prot: Prot, mapped: &str);
+    /// Imports `region` into this node's NIC, once.
+    fn import(&self, _region: RegionId, _what: &'static str) {}
+    /// Imports a newly exported `region` into every other node's NIC.
+    fn import_everywhere(&self, _region: RegionId) {}
+
+    // Data: frame copies here, pages from and diff runs to a home; the
+    // transfers return when they are complete at their destination.
+    fn copy_frame(&mut self, from: FrameId, to: FrameId);
+    fn read(&self, frame: FrameId, off: u64, len: u64) -> Vec<u8>;
+    fn fetch(&mut self, region: RegionId, off: u64, to: FrameId, what: &'static str) -> SimTime;
+    fn write(&mut self, region: RegionId, off: u64, data: &[u8]) -> SimTime;
+    /// One multi-segment write, its first segment posted at `first`.
+    fn write_batch(&mut self, region: RegionId, segs: &[(u64, Vec<u8>)], first: SimTime)
+        -> SimTime;
+
+    // The calling thread's clock and ordering points; `charge` advances
+    // it by a cost of the node's OS or NIC.
+    fn now(&self) -> SimTime {
+        SimTime::ZERO
+    }
+    fn advance(&self, _ns: u64) {}
+    fn charge(&self, _cost: impl FnOnce(&OsVmConfig, &VmmcConfig) -> u64) {}
+    fn clock_at_least(&self, _t: SimTime) {}
+    fn op_point(&self, _ns: u64) {}
+    fn sync_point(&self) {}
+
+    // The wire to the master (the directory's ACB owner): a directory
+    // entry lookup, and `bytes` of directory news unless this is it.
+    fn lookup(&self) {}
+    fn send_master(&self, _bytes: u64) {}
+
+    /// The obs sink and the calling thread's lane, while recording.
+    fn obs(&self) -> Option<(&obs::ObsSink, u64)> {
+        None
+    }
+
+    /// Records a protocol instant on the calling thread's lane.
+    fn instant(&self, event: obs::Event) {
+        if let Some((o, me)) = self.obs() {
+            o.instant(obs::Layer::Proto, self.node(), me, self.now(), event);
         }
     }
 
+    /// Records a protocol span from `t0` to now; `event` is built only
+    /// while recording.
+    fn span(&self, t0: SimTime, event: impl FnOnce() -> obs::Event) {
+        if let Some((o, me)) = self.obs() {
+            let dur = self.now().saturating_since(t0);
+            o.span(obs::Layer::Proto, self.node(), me, t0, dur, event());
+        }
+    }
+
+    /// Records a self-lane causal edge: the thread issued a transfer at
+    /// `from` and waited for it until `to`, a wait the critical-path walk
+    /// can cross.
+    fn edge(&self, kind: obs::EdgeKind, from: SimTime, to: SimTime, arg: u64) {
+        if let Some((o, me)) = self.obs() {
+            let node = self.node();
+            o.edge(kind, node, me, from, node, me, to, arg);
+        }
+    }
+}
+
+/// The simulated cluster as the interpreter's effects, for the thread
+/// `sim` runs. NIC-registration recovery lives here.
+struct Real<'a> {
+    sys: &'a SvmSystem,
+    sim: &'a Sim,
+}
+
+impl Effects for Real<'_> {
+    fn cfg(&self) -> &SvmConfig {
+        &self.sys.cfg
+    }
+
+    fn node(&self) -> NodeId {
+        self.sim.node()
+    }
+
+    fn with_core<R>(&mut self, f: impl FnOnce(&mut ProtoState) -> R) -> R {
+        f(&mut self.sys.state.lock())
+    }
+
+    fn translate(&self, page: PageNum) -> Option<(FrameId, Prot)> {
+        self.sys.cluster.mem.translate(self.sim.node(), page)
+    }
+
+    /// Invariant: reachable only on genuine physical-frame exhaustion (the
+    /// workloads are sized within node memory, copies are evicted before
+    /// it fills, and chaos never injects here), so a failure stays fatal.
+    fn alloc_frame(&mut self, what: &str) -> FrameId {
+        let frame = self.sys.cluster.mem.alloc_frame(self.sim.node());
+        frame.unwrap_or_else(|e| panic!("{what} frame allocation failed: {e}"))
+    }
+
+    fn register(
+        &mut self,
+        extend: Option<RegionId>,
+        frames: &[FrameId],
+        what: [&'static str; 2],
+    ) -> RegionId {
+        let (vmmc, node) = (&self.sys.cluster.vmmc, self.sim.node());
+        match extend {
+            Some(r) => {
+                self.reg_op(node, what[0], Some(r), || {
+                    vmmc.extend_region(r, frames.to_vec())
+                });
+                r
+            }
+            None => self.reg_op(node, what[1], None, || {
+                vmmc.export_region(node, frames.to_vec())
+            }),
+        }
+    }
+
+    fn map(&mut self, base: PageNum, frames: &[FrameId], chunk: Option<&str>) {
+        let (mem, node) = (&self.sys.cluster.mem, self.sim.node());
+        match chunk {
+            Some(what) => mem.map_chunk(node, base, frames, Prot::None).expect(what),
+            None => {
+                for (i, f) in (base.index()..).zip(frames) {
+                    mem.map_page(node, PageNum::new(i), *f, Prot::None);
+                }
+            }
+        }
+    }
+
+    fn set_prot(&mut self, page: u64, prot: Prot, mapped: &str) {
+        let mem = &self.sys.cluster.mem;
+        mem.set_prot(self.sim.node(), PageNum::new(page), prot)
+            .expect(mapped);
+    }
+
+    fn import(&self, region: RegionId, what: &'static str) {
+        self.ensure_imported(what, region, false);
+    }
+
+    fn import_everywhere(&self, region: RegionId) {
+        let (vmmc, node) = (&self.sys.cluster.vmmc, self.sim.node());
+        for &other in self.sys.cluster.nodes().iter().filter(|n| **n != node) {
+            let import = || vmmc.import_region(other, region);
+            self.reg_op(other, OCEAN_REGIME, Some(region), import);
+        }
+    }
+
+    fn copy_frame(&mut self, from: FrameId, to: FrameId) {
+        self.sys.cluster.mem.copy_frame(from, to);
+    }
+
+    fn read(&self, frame: FrameId, off: u64, len: u64) -> Vec<u8> {
+        let (mem, mut buf) = (&self.sys.cluster.mem, vec![0u8; len as usize]);
+        mem.frame_read(frame, off as usize, &mut buf);
+        buf
+    }
+
+    fn fetch(&mut self, region: RegionId, off: u64, to: FrameId, what: &'static str) -> SimTime {
+        let (vmmc, sim) = (&self.sys.cluster.vmmc, self.sim);
+        let (data, done) = self.with_reimport(what, region, || {
+            vmmc.remote_fetch(sim.node(), region, off, PAGE_SIZE, sim.now())
+        });
+        self.sys.cluster.mem.frame_write(to, 0, &data);
+        done
+    }
+
+    fn write(&mut self, region: RegionId, off: u64, data: &[u8]) -> SimTime {
+        let (vmmc, sim) = (&self.sys.cluster.vmmc, self.sim);
+        let t = self.with_reimport("diff write failed", region, || {
+            vmmc.remote_write(sim.node(), region, off, data, sim.now())
+        });
+        t.arrival
+    }
+
+    fn write_batch(
+        &mut self,
+        region: RegionId,
+        segs: &[(u64, Vec<u8>)],
+        first: SimTime,
+    ) -> SimTime {
+        let (vmmc, sim) = (&self.sys.cluster.vmmc, self.sim);
+        let t = self.with_reimport("batched diff write failed", region, || {
+            vmmc.remote_write_multi(sim.node(), region, segs, first.min(sim.now()))
+        });
+        t.arrival
+    }
+
+    fn now(&self) -> SimTime {
+        self.sim.now()
+    }
+
+    fn advance(&self, ns: u64) {
+        self.sim.advance(ns);
+    }
+
+    fn charge(&self, cost: impl FnOnce(&OsVmConfig, &VmmcConfig) -> u64) {
+        let c = &self.sys.cluster;
+        self.sim.advance(cost(c.mem.config(), c.vmmc.config()));
+    }
+
+    fn clock_at_least(&self, t: SimTime) {
+        self.sim.clock_at_least(t);
+    }
+
+    fn op_point(&self, ns: u64) {
+        self.sim.op_point(ns);
+    }
+
+    fn sync_point(&self) {
+        self.sim.sync_point();
+    }
+
+    fn lookup(&self) {
+        let (sys, sim) = (self.sys, self.sim);
+        let done = sys.cluster.san.fetch(sim.node(), sys.master, 32, sim.now());
+        sim.clock_at_least(done);
+    }
+
+    fn send_master(&self, bytes: u64) {
+        let (san, master, sim) = (&self.sys.cluster.san, self.sys.master, self.sim);
+        if sim.node() != master {
+            let t = san.send(sim.node(), master, bytes, sim.now());
+            sim.clock_at_least(t.local_done);
+        }
+    }
+
+    fn obs(&self) -> Option<(&obs::ObsSink, u64)> {
+        self.sys.obs_if_on().map(|o| (o, self.sim.tid().0))
+    }
+}
+
+impl Real<'_> {
     /// The attached chaos engine, when it can inject anything at all.
     #[inline]
     fn chaos_armed(&self) -> Option<&ChaosEngine> {
-        match self.cluster.chaos() {
+        match self.sys.cluster.chaos() {
             Some(c) if c.armed() => Some(c),
             _ => None,
         }
@@ -167,15 +373,9 @@ impl SvmSystem {
     /// registration slot (never `protect`, which the caller is using).
     /// The victim is the lowest-numbered import so replay is
     /// deterministic.
-    fn evict_one_import(
-        &self,
-        sim: &Sim,
-        node: NodeId,
-        protect: Option<RegionId>,
-        ch: &ChaosEngine,
-    ) {
+    fn evict_one_import(&self, node: NodeId, protect: Option<RegionId>, ch: &ChaosEngine) {
         let victim = {
-            let mut st = self.state.lock();
+            let mut st = self.sys.state.lock();
             let imported = &mut st.nodes[node.0 as usize].imported;
             let victim = imported
                 .iter()
@@ -189,48 +389,56 @@ impl SvmSystem {
         };
         // The lazy-import paths re-import on the next touch, so dropping
         // a cold import costs latency, never data.
-        let _ = self.cluster.vmmc.unimport_region(node, RegionId(victim));
+        let _ = self
+            .sys
+            .cluster
+            .vmmc
+            .unimport_region(node, RegionId(victim));
         ch.note_eviction();
-        if let Some(o) = self.obs_if_on() {
+        if let Some((o, me)) = self.obs() {
             let event = obs::Event::ChaosEvict { region: victim };
-            o.instant(obs::Layer::Chaos, node, sim.tid().0, sim.now(), event);
+            o.instant(obs::Layer::Chaos, node, me, self.sim.now(), event);
         }
     }
 
-    /// Runs a registration-class VMMC operation with recovery.
+    /// Runs a registration-class VMMC operation of `node` with recovery;
+    /// a failure panics with its [`ProtoError`] text.
     ///
-    /// Without chaos the operation runs exactly once and a failure is the
-    /// caller's to surface (legacy §3.4 semantics). With chaos armed the
-    /// operation is retried with exponential backoff, evicting one cold
-    /// import per retry after the first, so transient (injected) NIC
-    /// pressure degrades the run instead of killing it.
+    /// Without chaos the operation runs exactly once (legacy §3.4
+    /// semantics). With chaos armed the operation is retried with
+    /// exponential backoff, evicting one cold import per retry after the
+    /// first, so transient (injected) NIC pressure degrades the run
+    /// instead of killing it.
     fn reg_op<T>(
         &self,
-        sim: &Sim,
         node: NodeId,
         what: &'static str,
         protect: Option<RegionId>,
         mut f: impl FnMut() -> Result<T, VmmcError>,
-    ) -> Result<T, ProtoError> {
+    ) -> T {
         let first = match f() {
-            Ok(v) => return Ok(v),
+            Ok(v) => return v,
             Err(e) => e,
         };
         let Some(ch) = self.chaos_armed() else {
-            return Err(ProtoError::Vmmc {
-                what,
-                source: first,
-            });
+            panic!(
+                "{}",
+                ProtoError::Vmmc {
+                    what,
+                    source: first
+                }
+            );
         };
+        let sim = self.sim;
         let (me, t_fail) = (sim.tid().0, sim.now());
-        if let Some(o) = self.obs_if_on() {
+        if let Some(o) = self.sys.obs_if_on() {
             let event = obs::Event::ChaosResourceFault { op: what };
             o.instant(obs::Layer::Chaos, node, me, t_fail, event);
         }
         let mut last = first;
         for attempt in 1..=REG_RETRY_ATTEMPTS {
             let backoff = REG_RETRY_BASE_NS << (attempt - 1);
-            if let Some(o) = self.obs_if_on() {
+            if let Some(o) = self.sys.obs_if_on() {
                 let event = obs::Event::ChaosRetry {
                     attempt: attempt as u64,
                     backoff_ns: backoff,
@@ -240,47 +448,46 @@ impl SvmSystem {
             ch.note_retry();
             sim.advance(backoff);
             if attempt > 1 {
-                self.evict_one_import(sim, node, protect, ch);
+                self.evict_one_import(node, protect, ch);
             }
             match f() {
                 Ok(v) => {
-                    if let Some(o) = self.obs_if_on() {
+                    if let Some(o) = self.sys.obs_if_on() {
                         let kind = obs::EdgeKind::Recovery;
                         o.edge(kind, node, me, t_fail, node, me, sim.now(), attempt as u64);
                     }
-                    return Ok(v);
+                    return v;
                 }
                 Err(e) => last = e,
             }
         }
-        Err(ProtoError::Exhausted {
-            what,
-            attempts: REG_RETRY_ATTEMPTS,
-            last,
-        })
+        let attempts = REG_RETRY_ATTEMPTS;
+        panic!(
+            "{}",
+            ProtoError::Exhausted {
+                what,
+                attempts,
+                last
+            }
+        )
     }
 
-    /// Makes sure `region` is imported into `node`'s NIC before a remote
-    /// operation on it: a no-op once the bookkeeping has seen the region,
-    /// unless `force` says the NIC disagrees (the import was evicted).
-    fn ensure_imported(
-        &self,
-        sim: &Sim,
-        node: NodeId,
-        what: &'static str,
-        region: RegionId,
-        force: bool,
-    ) -> Result<(), ProtoError> {
-        let fresh = self.state.lock().nodes[node.0 as usize]
+    /// Makes sure `region` is imported into this node's NIC before a
+    /// remote operation on it: a no-op once the bookkeeping has seen the
+    /// region, unless `force` says the NIC disagrees (the import was
+    /// evicted).
+    fn ensure_imported(&self, what: &'static str, region: RegionId, force: bool) {
+        let node = self.sim.node();
+        let fresh = self.sys.state.lock().nodes[node.0 as usize]
             .imported
             .insert(region.0);
         if fresh || force {
-            self.reg_op(sim, node, what, Some(region), || {
-                self.cluster.vmmc.import_region(node, region)
-            })?;
-            sim.advance(self.cluster.vmmc.config().import_op_ns);
+            let vmmc = &self.sys.cluster.vmmc;
+            self.reg_op(node, what, Some(region), || {
+                vmmc.import_region(node, region)
+            });
+            self.sim.advance(vmmc.config().import_op_ns);
         }
-        Ok(())
     }
 
     /// Runs a remote operation on `region` so that it survives a
@@ -293,8 +500,6 @@ impl SvmSystem {
     /// panic with their text.
     fn with_reimport<T>(
         &self,
-        sim: &Sim,
-        node: NodeId,
         what: &'static str,
         region: RegionId,
         mut op: impl FnMut() -> Result<T, VmmcError>,
@@ -303,385 +508,27 @@ impl SvmSystem {
             match op() {
                 Ok(v) => return v,
                 Err(VmmcError::NotImported { .. }) if self.chaos_armed().is_some() => {
-                    self.ensure_imported(sim, node, what, region, true)
-                        .unwrap_or_else(|e| panic!("{e}"));
+                    self.ensure_imported(what, region, true);
                 }
                 Err(e) => panic!("{}", ProtoError::Vmmc { what, source: e }),
             }
         }
     }
+}
 
-    /// Records a protocol instant on the calling thread's lane.
-    fn proto_instant(&self, sim: &Sim, event: obs::Event) {
-        if let Some(o) = self.obs_if_on() {
-            o.instant(obs::Layer::Proto, sim.node(), sim.tid().0, sim.now(), event);
-        }
-    }
-
-    /// Allocates `n` fresh frames on `node` for home copies. Invariant:
-    /// reachable only on genuine physical-frame exhaustion (the workloads
-    /// are sized within node memory and chaos never injects here), so a
-    /// failure stays fatal.
-    fn alloc_frames(&self, sim: &Sim, node: NodeId, n: u64, what: &str) -> Vec<FrameId> {
-        let mem = &self.cluster.mem;
-        let alloc = |_| {
-            mem.alloc_frame(node)
-                .unwrap_or_else(|e| panic!("{what} frame allocation failed: {e}"))
-        };
-        let frames = (0..n).map(alloc).collect();
-        sim.advance(mem.config().frame_alloc_ns * n);
-        frames
-    }
-
-    /// Registers home `frames` with the NIC: extends `extend`, or exports a
-    /// new region (`what` holds the two failure texts).
-    fn register(
-        &self,
-        sim: &Sim,
-        node: NodeId,
-        extend: Option<RegionId>,
-        frames: &[FrameId],
-        what: [&'static str; 2],
-    ) -> RegionId {
-        let vmmc = &self.cluster.vmmc;
-        let region = match extend {
-            Some(r) => self
-                .reg_op(sim, node, what[0], Some(r), || {
-                    vmmc.extend_region(r, frames.to_vec())
-                })
-                .map(|()| r),
-            None => self.reg_op(sim, node, what[1], None, || {
-                vmmc.export_region(node, frames.to_vec())
-            }),
-        };
-        region.unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Publishes a directory change to the master (ACB owner).
-    fn publish(&self, sim: &Sim, node: NodeId) {
-        if node != self.master {
-            let t = self.cluster.san.send(node, self.master, 64, sim.now());
-            sim.clock_at_least(t.local_done);
-        }
-    }
-
-    /// First touch: registers and maps the chunk's home frames here, then
-    /// — past the ordering point — publishes the entry and grants.
-    fn place_chunk(&self, sim: &Sim, page: PageNum, kind: FaultKind) {
-        let node = sim.node();
-        let gran = self.cfg.home_granularity_pages;
-        let base = page.chunk_base(gran);
-        let (mem, vmmc) = (&self.cluster.mem, &self.cluster.vmmc);
-        let frames = self.alloc_frames(sim, node, gran, "home");
-        let (extend, off) = self.state.lock().place(node, page);
-        let what = match self.cfg.mode {
-            ProtoMode::Cables => ["home region extension failed", "home region export failed"],
-            ProtoMode::Base => ["run extension failed", OCEAN_REGIME],
-        };
-        let region = self.register(sim, node, extend, &frames, what);
-        let nic = vmmc.config();
-        sim.advance(extend.map_or(nic.register_op_ns, |_| nic.extend_op_ns));
-
-        // In the base system every other node registers each newly
-        // exported region with its NIC at creation time (paper §2.1.3:
-        // "Every other node in the system registers the newly allocated
-        // virtual memory region with the NIC") — this is what exhausts
-        // NIC region entries on irregular placements (OCEAN, §3.4).
-        if self.cfg.mode == ProtoMode::Base && extend.is_none() {
-            for &other in self.cluster.nodes().iter().filter(|n| **n != node) {
-                let import = || vmmc.import_region(other, region);
-                let done = self.reg_op(sim, other, OCEAN_REGIME, Some(region), import);
-                done.unwrap_or_else(|e| panic!("{e}"));
-            }
-            // Announce the new region to the cluster.
-            if node != self.master {
-                let t = self.cluster.san.send(node, self.master, 32, sim.now());
-                sim.clock_at_least(t.local_done);
-            }
-        }
-
-        // Map the chunk into the application address space. All pages
-        // start inaccessible so later first touches are observable.
-        match self.cfg.mode {
-            ProtoMode::Cables => {
-                let mapped = mem.map_chunk(node, base, &frames, Prot::None);
-                mapped.expect("chunk-aligned mapping");
-            }
-            ProtoMode::Base => {
-                for (i, f) in (base.index()..).zip(&frames) {
-                    mem.map_page(node, PageNum::new(i), *f, Prot::None);
-                }
-            }
-        }
-        sim.advance(mem.config().map_op_ns);
-        self.state.lock().placed(node, page, region, off);
-        self.proto_instant(sim, obs::Event::Place { base: base.index() });
-        sim.op_point(self.cfg.costs.placement_bookkeeping_ns);
-        self.publish(sim, node);
-        if kind == FaultKind::Write {
-            self.state.lock().start_write_tracking(node, page.index());
-        }
-        self.grant(sim, page, kind);
-    }
-
-    /// Opens `page` on the faulting node for the faulting access and
-    /// charges the OS protection change.
-    fn grant(&self, sim: &Sim, page: PageNum, kind: FaultKind) {
-        let prot = match kind {
-            FaultKind::Read => Prot::Read,
-            FaultKind::Write => Prot::ReadWrite,
-        };
-        self.protect(sim, page.index(), prot, "faulting page mapped");
-    }
-
-    /// Changes `page`'s protection on the calling node and charges it.
-    fn protect(&self, sim: &Sim, page: u64, prot: Prot, mapped: &str) {
-        let mem = &self.cluster.mem;
-        mem.set_prot(sim.node(), PageNum::new(page), prot)
-            .expect(mapped);
-        sim.advance(mem.config().protect_ns);
-    }
-
-    /// Fetches a page copy from its remote home `region`.
-    fn fetch_page(
-        &self,
-        sim: &Sim,
-        page: PageNum,
-        home: NodeId,
-        region: RegionId,
-        kind: FaultKind,
-    ) {
-        let node = sim.node();
-        let mem = &self.cluster.mem;
-        self.ensure_imported(
-            sim,
-            node,
-            "region import failed (paper §3.4 regime)",
-            region,
-            false,
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
-        // Local frame for the copy (normal page-granular OS paging).
-        // Invariant: copies are evicted before node memory fills, so frame
-        // exhaustion here is a simulator bug, not injectable pressure.
-        let have_frame = mem.translate(node, page).is_some();
-        if !have_frame {
-            let f = mem
-                .alloc_frame(node)
-                .unwrap_or_else(|e| panic!("copy frame allocation failed: {e}"));
-            mem.map_page(node, page, f, Prot::None);
-            sim.advance(mem.config().frame_alloc_ns);
-        }
-        let decided = self.state.lock().fetch(node, page, kind, have_frame);
-        let Fetch::Remote { off } = decided else {
-            self.grant(sim, page, kind);
-            return;
-        };
-
-        // Fetch the page contents from the home.
-        let t_fetch = sim.now();
-        let (data, done) = self.with_reimport(sim, node, "page fetch failed", region, || {
-            self.cluster
-                .vmmc
-                .remote_fetch(node, region, off, PAGE_SIZE, sim.now())
-        });
-        sim.clock_at_least(done);
-        if let (true, Some(o)) = (done > t_fetch, self.obs_if_on()) {
-            // Self-lane causal edge: the fault issued the home fetch at
-            // t_fetch and resumed at `done`, the fetch wait the
-            // critical-path walk can cross.
-            let (kind, me) = (obs::EdgeKind::PageFetch, sim.tid().0);
-            o.edge(kind, node, me, t_fetch, node, me, done, page.index());
-        }
-        let (frame, _) = mem.translate(node, page).expect("just mapped");
-        mem.frame_write(frame, 0, &data);
-        self.proto_instant(
-            sim,
-            obs::Event::Fetch {
-                page: page.index(),
-                home: home.0,
-            },
-        );
-        self.grant(sim, page, kind);
-    }
-
-    /// Marks the dirty words covered by a write of `len` bytes at `addr`.
-    pub(crate) fn mark_dirty(&self, node: NodeId, addr: GAddr, len: u64) {
-        self.state.lock().mark_dirty(node, addr, len);
-    }
-
-    /// Ships one page's diff: charges its build, writes the dirty words to
-    /// a remote home — directly, or queued on `batches` for one
-    /// multi-segment write per home — and records it. Returns when the last
-    /// directly written run is visible at the home.
-    fn ship(&self, sim: &Sim, d: &Diff, batches: &mut DiffBatches) -> SimTime {
-        let node = sim.node();
-        let mut arrival = SimTime::ZERO;
-        let build = self.cfg.costs.diff_build_ns;
-        if d.ship == Ship::Home {
-            // Home writer: data already authoritative, just a notice.
-            sim.advance(build / 4);
-            return arrival;
-        }
-        sim.advance(if d.ship == Ship::Through { 500 } else { build });
-        // The home region may have changed (migration) since we fetched
-        // this page; import lazily like the fetch path.
-        self.ensure_imported(sim, node, "region import failed", d.region, false)
-            .unwrap_or_else(|e| panic!("{e}"));
-        let mem = &self.cluster.mem;
-        let (frame, _) = mem
-            .translate(node, PageNum::new(d.page))
-            .expect("dirty page mapped");
-        let segs = d.runs.iter().map(|(w0, w1)| {
-            let mut buf = vec![0u8; ((w1 - w0) * 8) as usize];
-            mem.frame_read(frame, (w0 * 8) as usize, &mut buf);
-            (d.off + w0 * 8, buf)
-        });
-        if d.ship == Ship::Batch {
-            // Per-page build cost, trace and version bump stay exactly as
-            // in the unbatched path; only the messaging is amortized.
-            let key = (d.home.0, d.region.0);
-            let entry = batches
-                .entry(key)
-                .or_insert_with(|| (Vec::new(), 0, sim.now()));
-            entry.0.extend(segs);
-            entry.1 += 1;
-        } else {
-            for (off, buf) in segs {
-                let t = self.with_reimport(sim, node, "diff write failed", d.region, || {
-                    self.cluster
-                        .vmmc
-                        .remote_write(node, d.region, off, &buf, sim.now())
-                });
-                if d.ship == Ship::Direct {
-                    arrival = arrival.max(t.arrival);
-                }
-            }
-        }
-        let bytes = d.runs.iter().map(|r| (r.1 - r.0) * 8).sum();
-        self.proto_instant(
-            sim,
-            obs::Event::Diff {
-                page: d.page,
-                bytes,
-            },
-        );
-        arrival
-    }
-
-    /// Unmaps the calling node's invalidated copy of a page and records
-    /// the instant.
-    fn invalidate_copy(&self, sim: &Sim, page: u64) {
-        let mem = &self.cluster.mem;
-        mem.set_prot(sim.node(), PageNum::new(page), Prot::None)
-            .expect("cached copy mapped");
-        self.proto_instant(sim, obs::Event::Invalidate { page });
-    }
-
+impl SvmSystem {
     /// Release: flushes this node's dirty pages to their homes and
     /// publishes write notices. Called before every lock release and
     /// barrier arrival.
     pub fn release(&self, sim: &Sim) {
-        let node = sim.node();
-        let t0 = sim.now();
-        sim.sync_point();
-        let diffs = self.state.lock().release(node);
-        if diffs.is_empty() {
-            return;
-        }
-        let mut max_arrival = sim.now();
-        // Diff batching: runs destined to the same home region accumulate
-        // here and ship as one multi-segment write per home after the
-        // loop. BTreeMap keeps the per-home issue order deterministic. The
-        // SimTime is when the batch's first segment was posted: the NIC
-        // streams the gather descriptor while the CPU diffs the remaining
-        // pages (zero-copy gather DMA), so the wire transfer overlaps the
-        // rest of the loop exactly as the unbatched per-run sends do.
-        let mut batches = DiffBatches::new();
-        for (d, stale) in &diffs {
-            max_arrival = max_arrival.max(self.ship(sim, d, &mut batches));
-            if *stale {
-                // Concurrent remote releases interleaved since this copy
-                // was fetched: drop it (the diff above is already on its
-                // way home) and refetch a complete page on next touch.
-                self.invalidate_copy(sim, d.page);
-                sim.advance(self.cluster.mem.config().protect_ns);
-            } else {
-                // Downgrade to read-only so new writes are tracked again.
-                self.protect(sim, d.page, Prot::Read, "dirty page mapped");
-            }
-        }
-        // Ship the accumulated per-home batches: one multi-segment write
-        // (one header, one fence contribution) per home instead of one
-        // message per dirty run.
-        for ((home, region), (mut segs, pages, t_first)) in batches {
-            // Merge runs adjacent in region-offset space — this is where
-            // dirty runs fuse across page boundaries within a chunk.
-            segs.sort_by_key(|(off, _)| *off);
-            let mut merged: Vec<(u64, Vec<u8>)> = Vec::with_capacity(segs.len());
-            for (off, buf) in segs {
-                match merged.last_mut() {
-                    Some((m_off, m_buf)) if *m_off + m_buf.len() as u64 == off => {
-                        m_buf.extend_from_slice(&buf);
-                    }
-                    _ => merged.push((off, buf)),
-                }
-            }
-            let bytes = merged.iter().map(|(_, b)| b.len() as u64).sum();
-            let region = RegionId(region);
-            let t_issue = sim.now();
-            let t = self.with_reimport(sim, node, "batched diff write failed", region, || {
-                let at = t_first.min(sim.now());
-                self.cluster
-                    .vmmc
-                    .remote_write_multi(node, region, &merged, at)
-            });
-            max_arrival = max_arrival.max(t.arrival);
-            if let Some(o) = self.obs_if_on() {
-                let (me, now) = (sim.tid().0, sim.now());
-                let event = obs::Event::DiffBatch { home, pages, bytes };
-                o.instant(obs::Layer::Proto, node, me, now, event);
-                if t.arrival > t_issue {
-                    let kind = obs::EdgeKind::BatchDiff;
-                    o.edge(kind, node, me, t_issue, node, me, t.arrival, home as u64);
-                }
-            }
-        }
-        // Release fence: diffs must be remotely visible.
-        sim.clock_at_least(max_arrival);
-        if let Some(o) = self.obs_if_on() {
-            let dur = sim.now().saturating_since(t0);
-            let diffs = diffs.iter().filter(|(d, _)| d.home != node).count() as u64;
-            let event = obs::Event::ReleaseSpan { diffs };
-            o.span(obs::Layer::Proto, node, sim.tid().0, t0, dur, event);
-        }
+        release(&mut Real { sys: self, sim });
     }
 
     /// Acquire: applies all write notices this node has not yet seen,
     /// invalidating stale copies (see [`crate::core::ProtoState::acquire`]).
     /// Called after every barrier departure and lock grant.
     pub fn acquire(&self, sim: &Sim) {
-        let node = sim.node();
-        let t0 = sim.now();
-        let a = self.state.lock().acquire(node);
-        for d in &a.flush {
-            // The flushed words must be home before the copy goes — a
-            // refetch racing the diff would resurrect the old words.
-            let arrival = self.ship(sim, d, &mut DiffBatches::new());
-            sim.clock_at_least(arrival);
-        }
-        for page in &a.invalidate {
-            self.invalidate_copy(sim, *page);
-        }
-        if a.applied {
-            let invals = a.invalidate.len() as u64;
-            sim.advance(self.cfg.costs.notice_apply_ns * invals.max(1));
-            if let Some(o) = self.obs_if_on() {
-                let dur = sim.now().saturating_since(t0);
-                let event = obs::Event::AcquireSpan { invals };
-                o.span(obs::Layer::Proto, node, sim.tid().0, t0, dur, event);
-            }
-        }
+        acquire(&mut Real { sys: self, sim });
     }
 
     /// Migrates the home of the chunk holding `addr` to the calling node
@@ -692,68 +539,351 @@ impl SvmSystem {
     /// or already homed here, a local copy in it is stale, or another
     /// node holds unflushed writes in it.
     pub fn migrate_home(&self, sim: &Sim, addr: GAddr) -> bool {
-        sim.sync_point();
-        let base = addr.page().chunk_base(self.cfg.home_granularity_pages);
-        let Some(m) = self.state.lock().migrate(sim.node(), base) else {
-            return false;
-        };
-        self.migrate_chunk(sim, m);
-        true
+        migrate_home(&mut Real { sys: self, sim }, addr)
+    }
+}
+
+/// Handles a page fault: placement on first touch, page fetch from a
+/// remote home, or a write upgrade.
+///
+/// # Panics
+///
+/// Panics if a NIC registration limit is exceeded — this mirrors the
+/// paper's base system failing to run OCEAN on 32 processors; the
+/// benchmark harness reports such runs as failed.
+pub(crate) fn handle_fault<E: Effects>(e: &mut E, page: PageNum, kind: FaultKind) {
+    let node = e.node();
+    let t0 = e.now();
+    // Advance the streaming-series clock at fault entry (no-op unless
+    // a series is running; recording charges no simulated time).
+    if let Some((o, _)) = e.obs() {
+        o.series_tick(t0);
+    }
+    // OS fault entry + protocol handler, ordered against other ops.
+    e.charge(|os, _| os.fault_overhead_ns);
+    e.op_point(e.cfg().costs.fault_handler_ns);
+
+    let prot = e.translate(page).map(|(_, p)| p);
+    let step = e.with_core(|c| c.fault(node, page, kind, prot));
+    let Some((remote_lookup, route)) = step else {
+        return;
+    };
+    let write = kind == FaultKind::Write;
+    e.instant(obs::Event::Fault {
+        page: page.index(),
+        write,
+    });
+    if remote_lookup {
+        e.lookup();
+    }
+    e.advance(1_000);
+    match route {
+        Route::Place => place_chunk(e, page, kind),
+        Route::Home => grant(e, page, kind),
+        Route::Remote { home, region } => fetch_page(e, page, home, region, kind),
+    }
+    e.span(t0, || obs::Event::FaultSpan {
+        page: page.index(),
+        write,
+    });
+}
+
+/// Allocates `n` fresh frames on the calling node for home copies.
+fn alloc_frames<E: Effects>(e: &mut E, n: u64, what: &str) -> Vec<FrameId> {
+    let frames = (0..n).map(|_| e.alloc_frame(what)).collect();
+    e.charge(|os, _| os.frame_alloc_ns * n);
+    frames
+}
+
+/// First touch: registers and maps the chunk's home frames here, then
+/// — past the ordering point — publishes the entry and grants.
+fn place_chunk<E: Effects>(e: &mut E, page: PageNum, kind: FaultKind) {
+    let node = e.node();
+    let (mode, gran) = (e.cfg().mode, e.cfg().home_granularity_pages);
+    let base = page.chunk_base(gran);
+    let frames = alloc_frames(e, gran, "home");
+    let (extend, off) = e.with_core(|c| c.place(node, page));
+    let what = match mode {
+        ProtoMode::Cables => ["home region extension failed", "home region export failed"],
+        ProtoMode::Base => ["run extension failed", OCEAN_REGIME],
+    };
+    let region = e.register(extend, &frames, what);
+    e.charge(|_, nic| extend.map_or(nic.register_op_ns, |_| nic.extend_op_ns));
+
+    // In the base system every other node registers each newly
+    // exported region with its NIC at creation time (paper §2.1.3:
+    // "Every other node in the system registers the newly allocated
+    // virtual memory region with the NIC") — this is what exhausts
+    // NIC region entries on irregular placements (OCEAN, §3.4).
+    if mode == ProtoMode::Base && extend.is_none() {
+        e.import_everywhere(region);
+        // Announce the new region to the cluster.
+        e.send_master(32);
     }
 
-    /// Performs a migration of a chunk to the calling node: new home
-    /// frames in its home region, current contents pulled over, the chunk
-    /// remapped locally, then — past the ordering point — published.
-    fn migrate_chunk(&self, sim: &Sim, m: Migrate) {
-        let node = sim.node();
-        let mem = &self.cluster.mem;
-        let gran = self.cfg.home_granularity_pages;
-        // Invariant: migration targets the node's own memory, which the
-        // workloads never exhaust — a failure here is fatal.
-        let frames = self.alloc_frames(sim, node, gran, "migration");
-        let what = [
-            "migration region extension failed",
-            "migration region export failed",
-        ];
-        let region = self.register(sim, node, m.extend, &frames, what);
-        sim.advance(self.cluster.vmmc.config().extend_op_ns);
-        for (pull, &new_frame) in m.pulls.iter().zip(&frames) {
-            let page = PageNum::new(pull.page);
-            let local = pull
-                .prefer_local
-                .then(|| mem.translate(node, page))
-                .flatten();
-            match (local, pull.from) {
-                (Some((f, _)), _) => mem.copy_frame(f, new_frame),
-                (None, Some((old, off))) => {
-                    // A node may take a chunk it never touched.
-                    self.ensure_imported(sim, node, "migration import failed", old, false)
-                        .unwrap_or_else(|e| panic!("{e}"));
-                    let (data, done) =
-                        self.with_reimport(sim, node, "migration fetch failed", old, || {
-                            self.cluster
-                                .vmmc
-                                .remote_fetch(node, old, off, PAGE_SIZE, sim.now())
-                        });
-                    sim.clock_at_least(done);
-                    mem.frame_write(new_frame, 0, &data);
-                }
-                (None, None) => {}
+    // Map the chunk into the application address space. All pages
+    // start inaccessible so later first touches are observable.
+    let chunk = (mode == ProtoMode::Cables).then_some("chunk-aligned mapping");
+    e.map(base, &frames, chunk);
+    e.charge(|os, _| os.map_op_ns);
+    e.with_core(|c| c.placed(node, page, region, off));
+    e.instant(obs::Event::Place { base: base.index() });
+    e.op_point(e.cfg().costs.placement_bookkeeping_ns);
+    // Publish the directory change to the master.
+    e.send_master(64);
+    if kind == FaultKind::Write {
+        e.with_core(|c| c.start_write_tracking(node, page.index()));
+    }
+    grant(e, page, kind);
+}
+
+/// Opens `page` on the faulting node for the faulting access and
+/// charges the OS protection change.
+fn grant<E: Effects>(e: &mut E, page: PageNum, kind: FaultKind) {
+    let prot = match kind {
+        FaultKind::Read => Prot::Read,
+        FaultKind::Write => Prot::ReadWrite,
+    };
+    protect(e, page.index(), prot, "faulting page mapped");
+}
+
+/// Changes `page`'s protection on the calling node and charges it.
+fn protect<E: Effects>(e: &mut E, page: u64, prot: Prot, mapped: &str) {
+    e.set_prot(page, prot, mapped);
+    e.charge(|os, _| os.protect_ns);
+}
+
+/// Fetches a page copy from its remote home `region`.
+fn fetch_page<E: Effects>(
+    e: &mut E,
+    page: PageNum,
+    home: NodeId,
+    region: RegionId,
+    kind: FaultKind,
+) {
+    let node = e.node();
+    e.import(region, "region import failed (paper §3.4 regime)");
+    // Local frame for the copy (normal page-granular OS paging).
+    let have_frame = e.translate(page).is_some();
+    if !have_frame {
+        let f = e.alloc_frame("copy");
+        e.map(page, &[f], None);
+        e.charge(|os, _| os.frame_alloc_ns);
+    }
+    let decided = e.with_core(|c| c.fetch(node, page, kind, have_frame));
+    let Fetch::Remote { off } = decided else {
+        grant(e, page, kind);
+        return;
+    };
+
+    // Fetch the page contents from the home.
+    let (frame, _) = e.translate(page).expect("just mapped");
+    let t_fetch = e.now();
+    let done = e.fetch(region, off, frame, "page fetch failed");
+    e.clock_at_least(done);
+    if done > t_fetch {
+        e.edge(obs::EdgeKind::PageFetch, t_fetch, done, page.index());
+    }
+    e.instant(obs::Event::Fetch {
+        page: page.index(),
+        home: home.0,
+    });
+    grant(e, page, kind);
+}
+
+/// Ships one page's diff: charges its build, writes the dirty words to
+/// a remote home — directly, or queued on `batches` for one
+/// multi-segment write per home — and records it. Returns when the last
+/// directly written run is visible at the home.
+fn ship<E: Effects>(e: &mut E, d: &Diff, batches: &mut DiffBatches) -> SimTime {
+    let mut arrival = SimTime::ZERO;
+    let build = e.cfg().costs.diff_build_ns;
+    if d.ship == Ship::Home {
+        // Home writer: data already authoritative, just a notice.
+        e.advance(build / 4);
+        return arrival;
+    }
+    e.advance(if d.ship == Ship::Through { 500 } else { build });
+    // The home region may have changed (migration) since we fetched
+    // this page; import lazily like the fetch path.
+    e.import(d.region, "region import failed");
+    let (frame, _) = e
+        .translate(PageNum::new(d.page))
+        .expect("dirty page mapped");
+    // One dirty run as a `(home offset, bytes)` segment.
+    let seg = |e: &E, &(w0, w1): &(u64, u64)| {
+        let bytes = e.read(frame, w0 * 8, (w1 - w0) * 8);
+        (d.off + w0 * 8, bytes)
+    };
+    if d.ship == Ship::Batch {
+        // Per-page build cost, trace and version bump stay exactly as
+        // in the unbatched path; only the messaging is amortized.
+        let key = (d.home.0, d.region.0);
+        let entry = batches
+            .entry(key)
+            .or_insert_with(|| (Vec::new(), 0, e.now()));
+        entry.0.extend(d.runs.iter().map(|r| seg(e, r)));
+        entry.1 += 1;
+    } else {
+        for r in &d.runs {
+            let (off, buf) = seg(e, r);
+            let t = e.write(d.region, off, &buf);
+            if d.ship == Ship::Direct {
+                arrival = arrival.max(t);
             }
         }
-        let mapped = mem.map_chunk(node, m.base, &frames, Prot::None);
-        mapped.expect("chunk-aligned migration mapping");
-        sim.advance(mem.config().map_op_ns);
-        self.state.lock().migrated(node, m.base, region, m.off);
-        self.proto_instant(
-            sim,
-            obs::Event::Migrate {
-                base: m.base.index(),
-            },
-        );
-        sim.op_point(self.cfg.costs.placement_bookkeeping_ns);
-        self.publish(sim, node);
     }
+    let bytes = d.runs.iter().map(|r| (r.1 - r.0) * 8).sum();
+    e.instant(obs::Event::Diff {
+        page: d.page,
+        bytes,
+    });
+    arrival
+}
+
+/// Unmaps the calling node's invalidated copy of a page and records
+/// the instant.
+fn invalidate_copy<E: Effects>(e: &mut E, page: u64) {
+    e.set_prot(page, Prot::None, "cached copy mapped");
+    e.instant(obs::Event::Invalidate { page });
+}
+
+/// Release: flushes the calling node's dirty pages to their homes and
+/// publishes write notices.
+pub(crate) fn release<E: Effects>(e: &mut E) {
+    let node = e.node();
+    let t0 = e.now();
+    e.sync_point();
+    let diffs = e.with_core(|c| c.release(node));
+    if diffs.is_empty() {
+        return;
+    }
+    let mut max_arrival = e.now();
+    // Diff batching: runs destined to the same home region accumulate
+    // here and ship as one multi-segment write per home after the
+    // loop. BTreeMap keeps the per-home issue order deterministic. The
+    // SimTime is when the batch's first segment was posted: the NIC
+    // streams the gather descriptor while the CPU diffs the remaining
+    // pages (zero-copy gather DMA), so the wire transfer overlaps the
+    // rest of the loop exactly as the unbatched per-run sends do.
+    let mut batches = DiffBatches::new();
+    for (d, stale) in &diffs {
+        max_arrival = max_arrival.max(ship(e, d, &mut batches));
+        if *stale {
+            // Concurrent remote releases interleaved since this copy
+            // was fetched: drop it (the diff above is already on its
+            // way home) and refetch a complete page on next touch.
+            invalidate_copy(e, d.page);
+            e.charge(|os, _| os.protect_ns);
+        } else {
+            // Downgrade to read-only so new writes are tracked again.
+            protect(e, d.page, Prot::Read, "dirty page mapped");
+        }
+    }
+    // Ship the accumulated per-home batches: one multi-segment write
+    // (one header, one fence contribution) per home instead of one
+    // message per dirty run.
+    for ((home, region), (mut segs, pages, t_first)) in batches {
+        // Merge runs adjacent in region-offset space — this is where
+        // dirty runs fuse across page boundaries within a chunk.
+        segs.sort_by_key(|(off, _)| *off);
+        let mut merged: Vec<(u64, Vec<u8>)> = Vec::with_capacity(segs.len());
+        for (off, buf) in segs {
+            match merged.last_mut() {
+                Some((m_off, m_buf)) if *m_off + m_buf.len() as u64 == off => {
+                    m_buf.extend_from_slice(&buf);
+                }
+                _ => merged.push((off, buf)),
+            }
+        }
+        let bytes = merged.iter().map(|(_, b)| b.len() as u64).sum();
+        let t_issue = e.now();
+        let arrival = e.write_batch(RegionId(region), &merged, t_first);
+        max_arrival = max_arrival.max(arrival);
+        e.instant(obs::Event::DiffBatch { home, pages, bytes });
+        if arrival > t_issue {
+            e.edge(obs::EdgeKind::BatchDiff, t_issue, arrival, home as u64);
+        }
+    }
+    // Release fence: diffs must be remotely visible.
+    e.clock_at_least(max_arrival);
+    e.span(t0, || {
+        let diffs = diffs.iter().filter(|(d, _)| d.home != node).count() as u64;
+        obs::Event::ReleaseSpan { diffs }
+    });
+}
+
+/// Acquire: applies all write notices the calling node has not yet seen.
+pub(crate) fn acquire<E: Effects>(e: &mut E) {
+    let node = e.node();
+    let t0 = e.now();
+    let a = e.with_core(|c| c.acquire(node));
+    for d in &a.flush {
+        // The flushed words must be home before the copy goes — a
+        // refetch racing the diff would resurrect the old words.
+        let arrival = ship(e, d, &mut DiffBatches::new());
+        e.clock_at_least(arrival);
+    }
+    for page in &a.invalidate {
+        invalidate_copy(e, *page);
+    }
+    if a.applied {
+        let invals = a.invalidate.len() as u64;
+        e.advance(e.cfg().costs.notice_apply_ns * invals.max(1));
+        e.span(t0, || obs::Event::AcquireSpan { invals });
+    }
+}
+
+/// Migrates the home of the chunk holding `addr` to the calling node, if
+/// the core allows it now.
+pub(crate) fn migrate_home<E: Effects>(e: &mut E, addr: GAddr) -> bool {
+    e.sync_point();
+    let (node, base) = (
+        e.node(),
+        addr.page().chunk_base(e.cfg().home_granularity_pages),
+    );
+    let Some(m) = e.with_core(|c| c.migrate(node, base)) else {
+        return false;
+    };
+    migrate_chunk(e, m);
+    true
+}
+
+/// Performs a migration of a chunk to the calling node: new home
+/// frames in its home region, current contents pulled over, the chunk
+/// remapped locally, then — past the ordering point — published.
+fn migrate_chunk<E: Effects>(e: &mut E, m: Migrate) {
+    let node = e.node();
+    let gran = e.cfg().home_granularity_pages;
+    let frames = alloc_frames(e, gran, "migration");
+    let what = [
+        "migration region extension failed",
+        "migration region export failed",
+    ];
+    let region = e.register(m.extend, &frames, what);
+    e.charge(|_, nic| nic.extend_op_ns);
+    for (pull, &new_frame) in m.pulls.iter().zip(&frames) {
+        let page = PageNum::new(pull.page);
+        let local = pull.prefer_local.then(|| e.translate(page)).flatten();
+        match (local, pull.from) {
+            (Some((f, _)), _) => e.copy_frame(f, new_frame),
+            (None, Some((old, off))) => {
+                // A node may take a chunk it never touched.
+                e.import(old, "migration import failed");
+                let done = e.fetch(old, off, new_frame, "migration fetch failed");
+                e.clock_at_least(done);
+            }
+            (None, None) => {}
+        }
+    }
+    e.map(m.base, &frames, Some("chunk-aligned migration mapping"));
+    e.charge(|os, _| os.map_op_ns);
+    e.with_core(|c| c.migrated(node, m.base, region, m.off));
+    e.instant(obs::Event::Migrate {
+        base: m.base.index(),
+    });
+    e.op_point(e.cfg().costs.placement_bookkeeping_ns);
+    e.send_master(64);
 }
 
 /// The base system's registration failure text (paper §3.4).
@@ -769,7 +899,7 @@ impl SvmSystem {
         loop {
             match self.cluster.mem.read_scalar::<T>(sim.node(), addr) {
                 Ok(v) => return v,
-                Err(f) => self.handle_fault(sim, f.page, f.kind),
+                Err(f) => handle_fault(&mut Real { sys: self, sim }, f.page, f.kind),
             }
         }
     }
@@ -783,21 +913,14 @@ impl SvmSystem {
         loop {
             match self.cluster.mem.write_scalar::<T>(sim.node(), addr, v) {
                 Ok(()) => {
-                    self.mark_dirty(sim.node(), addr, T::SIZE as u64);
+                    self.state
+                        .lock()
+                        .mark_dirty(sim.node(), addr, T::SIZE as u64);
                     return;
                 }
-                Err(f) => self.handle_fault(sim, f.page, f.kind),
+                Err(f) => handle_fault(&mut Real { sys: self, sim }, f.page, f.kind),
             }
         }
-    }
-
-    fn assert_bulk_align<T: Scalar>(addr: GAddr) {
-        assert_eq!(
-            addr.raw() % T::SIZE as u64,
-            0,
-            "bulk access must be aligned to the element size ({} bytes)",
-            T::SIZE
-        );
     }
 
     /// Reads `out.len()` consecutive scalars starting at `addr`.
@@ -815,30 +938,10 @@ impl SvmSystem {
     ///
     /// Panics if `addr` is not aligned to `T`'s size.
     pub fn read_slice<T: Scalar>(&self, sim: &Sim, addr: GAddr, out: &mut [T]) {
-        self.crash_check(sim);
-        Self::assert_bulk_align::<T>(addr);
-        let a = self.cfg.costs.access_check_ns;
-        let node = sim.node();
-        let total = out.len() * T::SIZE;
-        let mut off = 0usize;
-        while off < total {
-            let run_addr = addr + off as u64;
-            let n = (total - off).min((PAGE_SIZE - run_addr.page_offset()) as usize);
-            let k = (n / T::SIZE) as u64;
-            let run = &mut out[off / T::SIZE..(off + n) / T::SIZE];
-            // One access check up front so a fault is charged exactly as
-            // the scalar path charges it; the remaining k-1 checks follow
-            // the successful copy.
-            sim.advance(a);
-            loop {
-                match self.cluster.mem.read_scalar_run(node, run_addr, run) {
-                    Ok(()) => break,
-                    Err(f) => self.handle_fault(sim, f.page, f.kind),
-                }
-            }
-            sim.advance((k - 1) * a);
-            off += n;
-        }
+        let (mem, node, size) = (&self.cluster.mem, sim.node(), T::SIZE);
+        self.page_runs::<T>(sim, addr, out.len() * size, false, |at, r| {
+            mem.read_scalar_run(node, at, &mut out[r.start / size..r.end / size])
+        });
     }
 
     /// Writes `data` as consecutive scalars starting at `addr`.
@@ -852,28 +955,10 @@ impl SvmSystem {
     ///
     /// Panics if `addr` is not aligned to `T`'s size.
     pub fn write_slice<T: Scalar>(&self, sim: &Sim, addr: GAddr, data: &[T]) {
-        self.crash_check(sim);
-        Self::assert_bulk_align::<T>(addr);
-        let a = self.cfg.costs.access_check_ns;
-        let node = sim.node();
-        let total = data.len() * T::SIZE;
-        let mut off = 0usize;
-        while off < total {
-            let run_addr = addr + off as u64;
-            let n = (total - off).min((PAGE_SIZE - run_addr.page_offset()) as usize);
-            let k = (n / T::SIZE) as u64;
-            let run = &data[off / T::SIZE..(off + n) / T::SIZE];
-            sim.advance(a);
-            loop {
-                match self.cluster.mem.write_scalar_run(node, run_addr, run) {
-                    Ok(()) => break,
-                    Err(f) => self.handle_fault(sim, f.page, f.kind),
-                }
-            }
-            self.mark_dirty(node, run_addr, n as u64);
-            sim.advance((k - 1) * a);
-            off += n;
-        }
+        let (mem, node, size) = (&self.cluster.mem, sim.node(), T::SIZE);
+        self.page_runs::<T>(sim, addr, data.len() * size, true, |at, r| {
+            mem.write_scalar_run(node, at, &data[r.start / size..r.end / size])
+        });
     }
 
     /// Writes `count` copies of `v` starting at `addr` — the bulk
@@ -884,8 +969,6 @@ impl SvmSystem {
     ///
     /// Panics if `addr` is not aligned to `T`'s size.
     pub fn fill<T: Scalar>(&self, sim: &Sim, addr: GAddr, v: T, count: usize) {
-        self.crash_check(sim);
-        Self::assert_bulk_align::<T>(addr);
         let mut pat = [0u8; 8];
         v.store(&mut pat[..T::SIZE]);
         // A uniform byte pattern (zeros, 0xFF…) can use the memset path;
@@ -897,28 +980,55 @@ impl SvmSystem {
                 chunk.copy_from_slice(&pat[..T::SIZE]);
             }
         }
+        let (mem, node) = (&self.cluster.mem, sim.node());
+        self.page_runs::<T>(sim, addr, count * T::SIZE, true, |at, r| {
+            let done = if uniform {
+                mem.fill_page_run(node, at, pat[0], r.len())
+            } else {
+                mem.write_page_run(node, at, &buf[..r.len()])
+            };
+            done.map(drop)
+        });
+    }
+
+    /// A bulk access of `total` bytes at `addr`, one page run at a time:
+    /// one access check is charged before each run, so a fault is charged
+    /// exactly as the scalar path charges it; `run(address, byte range)`
+    /// is retried through the fault handler until the mapping allows it;
+    /// a write marks the run's words dirty; the run's other `k - 1` checks
+    /// follow.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is not aligned to `T`'s size.
+    fn page_runs<T: Scalar>(
+        &self,
+        sim: &Sim,
+        addr: GAddr,
+        total: usize,
+        write: bool,
+        mut run: impl FnMut(GAddr, Range<usize>) -> Result<(), Fault>,
+    ) {
+        self.crash_check(sim);
+        assert_eq!(
+            addr.raw() % T::SIZE as u64,
+            0,
+            "bulk access must be aligned to the element size ({} bytes)",
+            T::SIZE
+        );
         let a = self.cfg.costs.access_check_ns;
-        let node = sim.node();
-        let total = count * T::SIZE;
         let mut off = 0usize;
         while off < total {
             let run_addr = addr + off as u64;
             let n = (total - off).min((PAGE_SIZE - run_addr.page_offset()) as usize);
-            let k = (n / T::SIZE) as u64;
             sim.advance(a);
-            loop {
-                let res = if uniform {
-                    self.cluster.mem.fill_page_run(node, run_addr, pat[0], n)
-                } else {
-                    self.cluster.mem.write_page_run(node, run_addr, &buf[..n])
-                };
-                match res {
-                    Ok(_) => break,
-                    Err(f) => self.handle_fault(sim, f.page, f.kind),
-                }
+            while let Err(f) = run(run_addr, off..off + n) {
+                handle_fault(&mut Real { sys: self, sim }, f.page, f.kind);
             }
-            self.mark_dirty(node, run_addr, n as u64);
-            sim.advance((k - 1) * a);
+            if write {
+                self.state.lock().mark_dirty(sim.node(), run_addr, n as u64);
+            }
+            sim.advance((n / T::SIZE - 1) as u64 * a);
             off += n;
         }
     }

@@ -82,6 +82,17 @@ if grep -nE '\b(Sim|Cluster|ClusterMem|Vmmc|San|SvmSystem|ChaosEngine|Mutex|Loca
     exit 1
 fi
 
+# The page explorer runs proto.rs's interpreter on its in-memory model
+# (`impl Effects for World`); it performs no page transition itself, so a
+# second interpreter cannot grow back there. The core's `migrate(..)` as
+# the enabled check is a query, not a transition, and stays allowed.
+echo "==> the page explorer runs proto.rs's interpreter, not a replica"
+if grep -nE 'core\.(fault|place|placed|fetch|release|acquire|migrated|start_write_tracking)\(' \
+        crates/svm/src/explore.rs; then
+    echo "tier1: svm/src/explore.rs performs a page transition itself (see above); call proto.rs's interpreter" >&2
+    exit 1
+fi
+
 # Every artifact, report and stream line goes through one serializer,
 # obs::json::Writer; an escaped-quote JSON key (`\"name\":`) in a format
 # string means hand-built JSON is back. Checked in crates/bench and the
