@@ -374,11 +374,10 @@ fn main() {
             pth.join(w);
 
             // Administration request from a remote node.
-            let rt3 = Arc::clone(&rt2);
             let rows3 = Arc::clone(&rows2);
             let w = pth.create(move |p| {
                 let t0 = p.sim.now();
-                rt3.admin_request(p.sim);
+                p.admin_request();
                 rows3.lock().unwrap().push(Row {
                     mechanism: "administration request",
                     paper: "20 us",

@@ -1,20 +1,30 @@
-//! Small-scope exhaustive check of crash recovery over the two cores —
-//! the runtime's [`RtState`] and the protocol's lock and barrier managers
-//! (`svm::ProtoState`) — with no engine and no simulated time.
+//! Small-scope exhaustive check of crash recovery over the synchronisation
+//! interpreter — `svm`'s `sync.rs` and this crate's `sync.rs` and `rt.rs`
+//! — and the two cores it drives (the runtime's [`RtState`] and the
+//! protocol's lock and barrier managers, `svm::ProtoState`), with no
+//! engine and no simulated time.
 //!
-//! A test-side interpreter performs the cores' effects on a model of
-//! what `rt.rs`, `sync.rs` and `svm`'s `sync.rs` drive: thread states,
-//! parks, wakes and crash checkpoints. The world is two nodes and three
-//! threads: main `A` on the master, `B` on node 1, and `W`, node 1's
-//! one-worker pool, which `A` hands one job. They share one mutex, one
-//! condition, one rwlock and one barrier, each thread following a fixed
-//! script. `B`'s condition wait is timed: it ends by a signal or, at
-//! most once per schedule, by a timeout. Node 1 crashes at every action
-//! boundary; the monitor's recovery runs at every later one; a casualty
-//! may take up to [`SPRINT`] more checkpoint-free actions (its clock ran
-//! ahead) before it must die at its next checkpoint. Every interleaving
-//! is explored, breadth first, so a failure prints the shortest schedule
-//! that reaches it. Invariants:
+//! The interpreter runs here unchanged: [`World`] is its effects
+//! ([`SyncEffects`], [`RtEffects`]) on a model of thread states. A wake
+//! lands on a modelled thread, a crash checkpoint unwinds a thread of the
+//! dead node (the step that reached it stops there and `rt.rs`'s crash
+//! step retires the thread), and time, the wire and obs do nothing. Each
+//! script op below runs one step of a blocking call — the call's parks
+//! and the ordering points where a crash may land split it — and a parked
+//! thread, once woken, runs on from its park: the park's checkpoint, then
+//! what follows it.
+//!
+//! The world is two nodes and three threads: main `A` on the master, `B`
+//! on node 1, and `W`, node 1's one-worker pool, which `A` hands one job.
+//! They share one mutex, one condition, one rwlock and one barrier, each
+//! thread following a fixed script. `B`'s condition wait is timed: it
+//! ends by a signal or, at most once per schedule, by a timeout. Node 1
+//! crashes at every action boundary; the monitor's recovery runs at every
+//! later one; a casualty may take up to [`SPRINT`] more steps (its clock
+//! ran ahead) — a step that reaches a checkpoint kills it there — and it
+//! may die at a checkpoint between two steps at any time. Every
+//! interleaving is explored, breadth first, so a failure prints the
+//! shortest schedule that reaches it. Invariants:
 //!
 //! - no lock or rwlock hold of a dead thread survives its recovery or
 //!   its own unwind;
@@ -28,27 +38,38 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, panic_any, resume_unwind, AssertUnwindSafe};
+use std::sync::LazyLock;
 
+use chaos::CrashUnwind;
 use sim::{NodeId, SimTime, Tid};
+use svm::sync::{self, SyncEffects};
 use svm::{ProtoState, SvmConfig};
 
-use crate::core::{Joined, Phase, RtState};
-use crate::rt::{CtId, CRASHED_RET};
+use crate::config::CablesConfig;
+use crate::core::{Phase, RtState};
+use crate::rt::{self, CtId, RtEffects, CRASHED_RET};
+use crate::sync::{cond_register, cond_wake, cond_woken, rw_acquire, rw_unlock, Cond, RwLock};
 
 const MASTER: NodeId = NodeId(0);
 const DOOMED: NodeId = NodeId(1);
 const MUTEX: u64 = 1;
-const COND: u64 = 2;
-const RW: u64 = 3;
+const COND: Cond = Cond(2);
+const RW: RwLock = RwLock(3);
 const BARRIER: u64 = 4;
-/// Checkpoint-free actions a casualty may take after its node crashed.
+/// Steps a casualty may take after its node crashed.
 const SPRINT: u8 = 2;
 /// `B`'s return value.
 const B_RET: u64 = 1;
 /// `W`'s script position while it idles in the pool, or was just woken
 /// there.
 const POOLED: usize = usize::MAX;
+
+/// The paper's runtime, with the idle pool `W` sits in.
+static CFG: LazyLock<CablesConfig> = LazyLock::new(|| CablesConfig {
+    thread_pool: true,
+    ..CablesConfig::paper()
+});
 
 /// One step of a thread's script. `Lock`/`Release`/`Unlock` is the mutex
 /// (the unlock is two steps: the RC release takes simulated time, so the
@@ -70,17 +91,6 @@ enum Op {
     Dispatch,
     Join,
     Exit,
-}
-
-impl Op {
-    /// Whether the interpreter reaches a crash checkpoint before the
-    /// step's transition (a casualty cannot take it).
-    fn checkpoint_first(self) -> bool {
-        !matches!(
-            self,
-            Op::Register { .. } | Op::RdLock | Op::WrLock | Op::Exit
-        )
-    }
 }
 
 /// `A` signals under the mutex, hands `W` its job, then takes the rwlock
@@ -117,7 +127,7 @@ enum Run {
     Ready,
     /// Parked in a queue, waiting for its one wake.
     Parked,
-    /// Woken, not yet past its crash checkpoint.
+    /// Woken, not yet past its park's crash checkpoint.
     Woken,
     /// An idle pooled worker (parked, not through `park`).
     Idle,
@@ -145,13 +155,18 @@ struct Thread {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Act {
+    /// The thread runs the step at its script position.
     Step(usize),
-    Resume(usize),
-    Checkpoint(usize),
+    /// A woken thread runs on from its park.
+    Woken(usize),
+    /// A thread of the crashed node dies at a checkpoint between two
+    /// steps (`Pth::compute`'s, say).
+    Die(usize),
     /// `B`'s timed condition wait expires.
-    Timeout,
+    Expire,
     Crash,
-    Recover,
+    /// The crash monitor runs node 1's recovery.
+    Monitor,
 }
 
 #[derive(Clone)]
@@ -159,6 +174,9 @@ struct World {
     rt: RtState,
     svm: ProtoState,
     th: [Thread; 3],
+    /// The thread the interpreter runs for; `None` while the crash
+    /// monitor (on the master) does.
+    cur: Option<usize>,
     flag: bool,
     crashed: bool,
     recovered: bool,
@@ -191,29 +209,30 @@ impl World {
             pending: false,
         };
         let mut rt = RtState::new(0);
-        let mut th = [
+        let th = [
             thread(1, MASTER, SCRIPT_A),
             thread(2, DOOMED, SCRIPT_B),
             thread(3, DOOMED, SCRIPT_W),
         ];
         rt.start(MASTER, &[MASTER, DOOMED], 2, th[A].tid);
         rt.register(DOOMED, th[B].tid);
-        // `W` finished an earlier job and idles in node 1's pool.
         let ct = rt.register(DOOMED, th[W].tid);
-        rt.retire(ct, 0, SimTime::ZERO, DOOMED);
-        assert!(rt.pool_idle(th[W].tid, DOOMED));
-        (th[W].run, th[W].running, th[W].pc) = (Run::Idle, false, POOLED);
-        World {
+        let mut w = World {
             rt,
-            svm: ProtoState::new(2, SvmConfig::cables(), MASTER),
+            svm: ProtoState::new(2, CFG.svm.clone(), MASTER),
             th,
+            cur: Some(W),
             flag: false,
             crashed: false,
             recovered: false,
             casualties: 0,
             b_exited: false,
             timed_out: false,
-        }
+        };
+        // `W` finished an earlier job and idles in node 1's pool.
+        assert!(rt::thread_exit(&mut w, ct, 0, true));
+        (w.th[W].run, w.th[W].running, w.th[W].pc) = (Run::Idle, false, POOLED);
+        w
     }
 
     fn doomed(&self, t: usize) -> bool {
@@ -227,7 +246,9 @@ impl World {
             .expect("a model thread")
     }
 
-    fn wake(&mut self, tid: Tid) -> Check {
+    /// A wake lands on thread `tid`: it must be parked, or queued on the
+    /// condition but not parked yet (its park then returns at once).
+    fn land(&mut self, tid: Tid) -> Check {
         let t = self.who(tid);
         match self.th[t].run {
             Run::Parked | Run::Idle => {
@@ -251,13 +272,9 @@ impl World {
         at(th.pc) || at(th.pc + 1)
     }
 
-    fn wake_all(&mut self, tids: impl IntoIterator<Item = Tid>) -> Check {
-        tids.into_iter().try_for_each(|tid| self.wake(tid))
-    }
-
     fn holds_nothing(&self, tid: Tid) -> Check {
         let t = self.who(tid);
-        let rw = self.rt.rwlocks.get(&RW);
+        let rw = self.rt.rwlocks.get(&RW.0);
         let reads = rw.is_some_and(|r| r.readers.0.iter().any(|h| h.0 == tid));
         if self.svm.lock_holder(MUTEX) == Some(tid) {
             return Err(format!("dead {} still holds the mutex", NAME[t]));
@@ -273,34 +290,31 @@ impl World {
         if !self.crashed {
             acts.push(Act::Crash);
         } else if !self.recovered {
-            acts.push(Act::Recover);
+            acts.push(Act::Monitor);
         }
         let b = &self.th[B];
         if !self.timed_out && b.run == Run::Parked && b.script[b.pc] == Op::UnlockPark {
-            acts.push(Act::Timeout);
+            acts.push(Act::Expire);
         }
         for (t, th) in self.th.iter().enumerate() {
             let doomed = self.doomed(t);
             match th.run {
                 Run::Ready if th.pc < th.script.len() => {
                     if doomed {
-                        acts.push(Act::Checkpoint(t));
+                        acts.push(Act::Die(t));
                     }
-                    let op = th.script[th.pc];
-                    if !doomed || (th.sprint > 0 && !op.checkpoint_first()) {
+                    if !doomed || th.sprint > 0 {
                         acts.push(Act::Step(t));
                     }
                 }
-                // A pooled worker woken from idle has no checkpoint to pass.
-                Run::Woken if doomed && th.pc != POOLED => acts.push(Act::Checkpoint(t)),
-                Run::Woken => acts.push(Act::Resume(t)),
+                Run::Woken => acts.push(Act::Woken(t)),
                 _ => {}
             }
         }
         acts
     }
 
-    fn step(&mut self, act: Act) -> Check {
+    fn act(&mut self, act: Act) -> Check {
         match act {
             Act::Crash => {
                 self.crashed = true;
@@ -309,42 +323,69 @@ impl World {
                 }
                 Ok(())
             }
-            Act::Recover => self.recover(),
-            Act::Timeout => self.timeout(),
-            Act::Checkpoint(t) => self.unwind(t),
-            Act::Resume(t) => self.resume(t),
+            Act::Monitor => self.monitor(),
+            Act::Expire => {
+                self.timed_out = true;
+                // The park's checkpoint first: on a crashed node B dies
+                // there, still queued.
+                self.run(B, |w| {
+                    w.crash_check();
+                    let ct = w.rt.ct_of(w.th[B].tid);
+                    cond_woken(w, ct, COND, false).expect("B is not cancelled");
+                    (w.th[B].run, w.th[B].pc) = (Run::Ready, 1);
+                    Ok(())
+                })
+            }
+            Act::Die(t) => self.run(t, |w| {
+                w.crash_check();
+                unreachable!("a casualty passed its checkpoint")
+            }),
+            Act::Woken(t) => self.run(t, |w| w.woken(t)),
             Act::Step(t) => {
-                if self.doomed(t) {
+                // A casualty's step uses up one of its sprint unless it
+                // reached a checkpoint and died there, as `Die` would.
+                let doomed = self.doomed(t);
+                let done = self.run(t, |w| w.step(t));
+                if doomed && self.th[t].run != Run::Dead {
                     self.th[t].sprint -= 1;
                 }
-                self.op(t)
+                done
             }
         }
     }
 
-    /// `recover_crash`.
-    fn recover(&mut self) -> Check {
+    /// Runs `f` as thread `t`. A crash checkpoint it reaches on the dead
+    /// node unwinds the thread, and `rt.rs`'s crash step retires it — as
+    /// a thread body's catch does in the engine.
+    fn run(&mut self, t: usize, f: impl FnOnce(&mut World) -> Check) -> Check {
+        self.cur = Some(t);
+        match catch_unwind(AssertUnwindSafe(|| f(self))) {
+            Ok(done) => done,
+            Err(p) if p.is::<CrashUnwind>() => {
+                let tid = self.th[t].tid;
+                let ct = self.rt.ct_of(tid);
+                if self.th[t].running && !self.th[t].recovered {
+                    self.casualties += 1;
+                }
+                self.th[t].run = Run::Dead;
+                rt::crash(self, self.th[t].node, SimTime::ZERO, Some(ct));
+                self.holds_nothing(tid)
+            }
+            Err(p) => resume_unwind(p),
+        }
+    }
+
+    /// Node 1's recovery, run by the monitor.
+    fn monitor(&mut self) -> Check {
         self.recovered = true;
-        let rec = self.rt.crash(DOOMED, SimTime::ZERO, None);
-        let c = self.svm.crash(&rec.dead, rec.forgive, true);
         for th in self.th.iter_mut() {
             if th.node == DOOMED && th.running && th.run != Run::Dead {
                 th.recovered = true;
                 self.casualties += 1;
             }
         }
-        for (_, (tid, _)) in c.grants {
-            self.wake(tid)?;
-        }
-        self.wake_all(rec.rw_grants.iter().map(|g| g.0))?;
-        for (_, (waiters, _)) in c.opened {
-            self.wake_all(waiters.0.iter().map(|w| w.0))?;
-        }
-        let mut wakes = rec.wakes;
-        wakes.extend(c.parked);
-        wakes.sort_unstable_by_key(|t| t.0);
-        wakes.dedup_by_key(|t| t.0);
-        self.wake_all(wakes)?;
+        self.cur = None;
+        let rec = rt::crash(self, DOOMED, SimTime::ZERO, None);
         for &tid in &rec.dead {
             self.holds_nothing(tid)?;
         }
@@ -358,158 +399,122 @@ impl World {
         }
     }
 
-    /// `thread_crashed`: thread `t` dies at its crash checkpoint.
-    fn unwind(&mut self, t: usize) -> Check {
-        let (tid, node) = (self.th[t].tid, self.th[t].node);
-        let ct = self.rt.ct_of(tid);
-        let rec = self.rt.crash(node, SimTime::ZERO, Some((ct, tid)));
-        let c = self.svm.crash(&rec.dead, rec.forgive, false);
-        if self.th[t].running && !self.th[t].recovered {
-            self.casualties += 1;
-        }
-        self.th[t].run = Run::Dead;
-        for (_, (tid, _)) in c.grants {
-            self.wake(tid)?;
-        }
-        self.wake_all(rec.rw_grants.iter().map(|g| g.0))?;
-        self.wake_all(rec.wakes)?;
-        self.holds_nothing(tid)
-    }
-
-    /// `B`'s timed park returns unwoken. Its crash checkpoint comes
-    /// first: on a crashed node it dies there, still queued. Otherwise it
-    /// deregisters with no ordering point in between, as `sync.rs` does,
-    /// then re-locks and re-checks the flag.
-    fn timeout(&mut self) -> Check {
-        self.timed_out = true;
-        if self.doomed(B) {
-            return self.unwind(B);
-        }
-        self.rt.cond_timeout(COND, self.th[B].tid);
-        (self.th[B].run, self.th[B].pc) = (Run::Ready, 1);
-        Ok(())
-    }
-
-    /// A woken thread continues past its park's checkpoint.
-    fn resume(&mut self, t: usize) -> Check {
+    /// A woken thread runs on from its park: a pooled worker from its idle
+    /// block, any other thread from the park's crash checkpoint.
+    fn woken(&mut self, t: usize) -> Check {
         let th = self.th[t];
-        self.th[t].run = Run::Ready;
         if th.pc == POOLED {
-            // Woken from idle: by a dispatch, or by the dead node's
-            // recovery (then it just leaves).
-            if self.crashed {
-                self.th[t].run = Run::Exited;
-                return Ok(());
-            }
-            let ct = self.rt.pool_resume(th.tid).expect("pool open");
-            let rec = &self.rt.threads[&ct.0];
-            assert_eq!(rec.phase, Phase::Running, "dispatched job not running");
-            self.th[t].pc = 0;
+            // Woken by a dispatch, or by the dead node's recovery (then it
+            // just leaves).
+            self.th[t].run = match rt::pool_woken(self) {
+                None => Run::Exited,
+                Some(ct) => {
+                    let rec = &self.rt.threads[&ct.0];
+                    assert_eq!(rec.phase, Phase::Running, "dispatched job not running");
+                    self.th[t].pc = 0;
+                    Run::Ready
+                }
+            };
             return Ok(());
         }
-        let rw = self.rt.rwlocks.get(&RW);
+        self.crash_check();
+        let rw = self.rt.rwlocks.get(&RW.0);
         let granted = match th.script[th.pc] {
             Op::Lock => self.svm.lock_holder(MUTEX) == Some(th.tid),
             Op::RdLock => rw.is_some_and(|r| r.readers.0.iter().any(|h| h.0 == th.tid)),
             Op::WrLock => rw.is_some_and(|r| r.writer == Some(th.tid)),
             Op::UnlockPark => {
                 // Signalled: re-lock and re-check the flag.
-                self.th[t].pc = 1;
+                let ct = self.rt.ct_of(th.tid);
+                cond_woken(self, ct, COND, true).expect("B is not cancelled");
+                (self.th[t].run, self.th[t].pc) = (Run::Ready, 1);
                 return Ok(());
             }
-            Op::Join => return Ok(()),
+            // The join step runs again.
+            Op::Join => {
+                self.th[t].run = Run::Ready;
+                return Ok(());
+            }
             _ => true,
         };
         if !granted {
             return Err(format!("{} woken without its grant", NAME[t]));
         }
-        self.th[t].pc += 1;
+        (self.th[t].run, self.th[t].pc) = (Run::Ready, th.pc + 1);
         Ok(())
     }
 
-    /// Thread `t` performs the step at its `pc`.
-    fn op(&mut self, t: usize) -> Check {
-        let Thread { tid, node, pc, .. } = self.th[t];
+    /// Thread `t` runs the step at its script position; its position moves
+    /// on (or it parks) once the step returns.
+    fn step(&mut self, t: usize) -> Check {
+        let Thread { tid, pc, .. } = self.th[t];
         let op = self.th[t].script[pc];
-        self.th[t].pc += 1;
-        // A parked thread stays at its step until it resumes.
-        let park = |w: &mut World| (w.th[t].pc, w.th[t].run) = (pc, Run::Parked);
-        match op {
-            Op::Lock => {
-                if !self.svm.lock(MUTEX, tid, node, true).granted {
-                    park(self);
-                }
+        let parks = match op {
+            Op::Lock => sync::lock(self, MUTEX).1,
+            Op::Release => {
+                sync::unlock_release(self);
+                false
             }
-            Op::Release => {}
             Op::Unlock | Op::UnlockPark => {
-                if let Some((to, _)) = self.svm.unlock(MUTEX, tid) {
-                    self.wake(to.0)?;
-                }
-                if op == Op::UnlockPark {
-                    park(self);
-                    if std::mem::take(&mut self.th[t].pending) {
-                        self.th[t].run = Run::Woken;
-                    }
-                }
+                sync::unlock(self, MUTEX);
+                op == Op::UnlockPark
             }
-            Op::Register { skip } => match self.flag {
-                true => self.th[t].pc = skip,
-                false => self.rt.cond_wait(COND, tid, node),
-            },
+            Op::Register { skip } if self.flag => {
+                self.th[t].pc = skip;
+                return Ok(());
+            }
+            Op::Register { .. } => {
+                cond_register(self, COND);
+                false
+            }
             Op::Signal => {
                 self.flag = true;
-                let woken = self.rt.cond_wake(COND, false);
-                self.wake_all(woken.into_iter().map(|w| w.0))?;
+                cond_wake(self, COND, false);
+                false
             }
-            Op::RdLock | Op::WrLock => {
-                if self.rt.rw_acquire(RW, tid, node, op == Op::WrLock) {
-                    park(self);
-                }
-            }
+            Op::RdLock | Op::WrLock => rw_acquire(self, RW, op == Op::WrLock),
             Op::RwUnlock => {
-                let grants = self.rt.rw_release(RW, tid);
-                self.wake_all(grants.into_iter().map(|g| g.0))?;
+                rw_unlock(self, RW);
+                false
             }
-            Op::Barrier => match self.svm.arrive(BARRIER, tid, node, 2, SimTime::ZERO) {
-                None => park(self),
-                Some((waiters, _)) => self.wake_all(waiters.0.iter().map(|w| w.0))?,
-            },
+            Op::Barrier => sync::barrier(self, BARRIER, 2).1,
             Op::Dispatch => {
-                let worker = match self.rt.attached.contains(&DOOMED) {
-                    true => self.rt.pool_take(DOOMED),
-                    false => None,
-                };
-                if let Some(w) = worker {
-                    self.rt.dispatch(DOOMED, w);
+                // Placement picks node 1 while it is attached.
+                if self.rt.attached.contains(&DOOMED) && rt::dispatch(self, DOOMED).is_some() {
                     self.th[W].running = true;
-                    self.wake(w)?;
                 }
+                false
             }
-            Op::Join => match self.rt.join(CtId(1), tid, node) {
-                Joined::Parked => park(self),
-                Joined::Finished { ret, .. } => {
+            Op::Join => match rt::joined(self, CtId(1), SimTime::ZERO) {
+                None => true,
+                Some(ret) => {
                     let want = if self.b_exited { B_RET } else { CRASHED_RET };
                     if ret != want {
                         return Err(format!("join of B returned {ret}, want {want}"));
                     }
+                    false
                 }
             },
             Op::Exit => {
                 let ct = self.rt.ct_of(tid);
-                let retired = self.rt.retire(ct, B_RET, SimTime::ZERO, node);
+                let idle = rt::thread_exit(self, ct, B_RET, t == W);
                 if t == B && !self.recovered {
                     self.b_exited = true;
                 }
-                if let Some((joiners, _)) = retired {
-                    self.wake_all(joiners.0.iter().map(|w| w.0))?;
-                }
                 self.th[t].running = false;
-                if t == W && self.rt.pool_idle(tid, node) {
-                    (self.th[t].run, self.th[t].pc) = (Run::Idle, POOLED);
-                } else {
-                    self.th[t].run = Run::Exited;
-                }
+                (self.th[t].run, self.th[t].pc) = match idle {
+                    true => (Run::Idle, POOLED),
+                    false => (Run::Exited, pc + 1),
+                };
+                return Ok(());
             }
+        };
+        if !parks {
+            self.th[t].pc += 1;
+        } else if std::mem::take(&mut self.th[t].pending) {
+            self.th[t].run = Run::Woken;
+        } else {
+            self.th[t].run = Run::Parked;
         }
         Ok(())
     }
@@ -551,9 +556,63 @@ impl World {
     }
 }
 
+/// The interpreter's effects on the model: the thread [`World::cur`]
+/// runs, its wakes and crash checkpoints; time, the wire, the RC release
+/// and acquire and obs do nothing (the trait's provided bodies).
+impl SyncEffects for World {
+    fn cfg(&self) -> &SvmConfig {
+        &CFG.svm
+    }
+
+    fn node(&self) -> NodeId {
+        self.cur.map_or(MASTER, |t| self.th[t].node)
+    }
+
+    fn tid(&self) -> Tid {
+        self.th[self.cur.expect("a model thread runs")].tid
+    }
+
+    fn master(&self) -> NodeId {
+        MASTER
+    }
+
+    fn with_proto<R>(&mut self, f: impl FnOnce(&mut ProtoState) -> R) -> R {
+        f(&mut self.svm)
+    }
+
+    /// A thread of the crashed node unwinds.
+    fn crash_check(&mut self) {
+        if self.cur.is_some_and(|t| self.doomed(t)) {
+            panic_any(CrashUnwind);
+        }
+    }
+
+    /// Every wake must land on a parked thread.
+    fn wake(&mut self, tid: Tid, _: SimTime) {
+        if let Err(why) = self.land(tid) {
+            panic!("{why}");
+        }
+    }
+}
+
+impl RtEffects for World {
+    fn rt_cfg(&self) -> &CablesConfig {
+        &CFG
+    }
+
+    fn with_rt<R>(&mut self, f: impl FnOnce(&mut RtState) -> R) -> R {
+        f(&mut self.rt)
+    }
+
+    fn node_crashed(&self) -> bool {
+        self.cur.is_some_and(|t| self.doomed(t))
+    }
+}
+
 /// Explores every schedule breadth first: the number of distinct states,
 /// or the shortest failing schedule.
 fn explore() -> Result<usize, Vec<String>> {
+    rt::quiet_crash_unwinds();
     let start = World::new();
     let mut seen = HashSet::from([start.fingerprint()]);
     // Schedules as `(parent, action)` links; the queue holds their ends.
@@ -575,21 +634,26 @@ fn explore() -> Result<usize, Vec<String>> {
         }
         for act in acts {
             let mut next = w.clone();
-            let outcome = catch_unwind(AssertUnwindSafe(|| next.step(act))).unwrap_or_else(|e| {
+            let outcome = catch_unwind(AssertUnwindSafe(|| next.act(act))).unwrap_or_else(|e| {
                 let msg = e.downcast_ref::<String>().cloned();
                 let msg = msg.or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()));
-                Err(format!("panicked: {}", msg.unwrap_or_default()))
+                Err(msg.unwrap_or_default())
             });
             let label = match act {
                 Act::Step(t) => {
                     let th = &w.th[t];
-                    format!("{} {:?}", NAME[t], th.script[th.pc])
+                    let died = next.th[t].run == Run::Dead;
+                    let died = if died { ", dies at its checkpoint" } else { "" };
+                    format!("{} {:?}{died}", NAME[t], th.script[th.pc])
                 }
-                Act::Resume(t) => format!("{} resumes", NAME[t]),
-                Act::Checkpoint(t) => format!("{} dies at its checkpoint", NAME[t]),
-                Act::Timeout => "B's wait times out".into(),
+                Act::Woken(t) if next.th[t].run == Run::Dead => {
+                    format!("{} dies at its park's checkpoint", NAME[t])
+                }
+                Act::Woken(t) => format!("{} runs on from its park", NAME[t]),
+                Act::Die(t) => format!("{} dies at a checkpoint", NAME[t]),
+                Act::Expire => "B's wait times out".into(),
                 Act::Crash => "node 1 crashes".into(),
-                Act::Recover => "recovery".into(),
+                Act::Monitor => "recovery".into(),
             };
             if let Err(why) = outcome {
                 links.push((at, label));
@@ -607,7 +671,7 @@ fn explore() -> Result<usize, Vec<String>> {
 #[test]
 fn crash_recovery_keeps_every_invariant_at_every_crash_instant() {
     match explore() {
-        Ok(states) => assert!(states > 1_000, "explored only {states} states"),
+        Ok(states) => assert_eq!(states, 53_368, "explored states"),
         Err(trace) => panic!(
             "crash recovery invariant violated after:\n  {}",
             trace.join("\n  ")

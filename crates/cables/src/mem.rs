@@ -17,7 +17,7 @@ use std::fmt;
 use memsim::{GAddr, PAGE_SIZE};
 use sim::Sim;
 
-use crate::rt::{CablesRt, OpKind, Pth};
+use crate::rt::{CablesRt, OpKind, Pth, RtEffects};
 
 /// A `global_free` the allocator could not honor: the address was never
 /// returned by [`CablesRt::global_malloc`], was already freed, or points
@@ -47,9 +47,9 @@ impl CablesRt {
     /// Panics if `bytes == 0`.
     pub fn global_malloc(&self, sim: &Sim, bytes: u64) -> GAddr {
         assert!(bytes > 0, "global_malloc of zero bytes");
-        let t0 = sim.now();
+        let (t0, e) = (sim.now(), self.at(sim));
         // Global allocator state lives in the ACB.
-        self.admin_request(sim);
+        e.admin_request();
         sim.advance(self.cfg.costs.malloc_ns);
         let align = if bytes >= PAGE_SIZE { PAGE_SIZE } else { 8 };
         let fit = self.state.lock().malloc(bytes, align);
@@ -63,7 +63,7 @@ impl CablesRt {
             }
         };
         let base = addr.raw();
-        self.span(sim, t0, obs::Event::GlobalAlloc { base, bytes });
+        e.span(t0, obs::Event::GlobalAlloc { base, bytes });
         addr
     }
 
@@ -85,7 +85,7 @@ impl CablesRt {
     /// counted in [`RtStats::frees`](crate::RtStats) either way — the call
     /// happened).
     pub fn try_global_free(&self, sim: &Sim, addr: GAddr) -> Result<(), FreeError> {
-        self.admin_request(sim);
+        self.at(sim).admin_request();
         sim.advance(self.cfg.costs.malloc_ns);
         self.state.lock().free(addr.raw()).ok_or(FreeError { addr })
     }

@@ -13,6 +13,7 @@ use std::sync::Arc;
 use chaos::{ChaosEngine, CrashUnwind};
 use memsim::GAddr;
 use sim::{IdMap, Local, NodeId, Sim, SimError, SimTime, Tid};
+use svm::sync::{Real, SyncEffects};
 use svm::{Cluster, ProtoMode, SvmSystem};
 
 use crate::config::CablesConfig;
@@ -189,6 +190,66 @@ pub struct RtStats {
     pub pooled_dispatches: u64,
 }
 
+/// The runtime interpreter's effects: `svm`'s synchronisation effects,
+/// plus the runtime core (the ACB) and the crash plan's verdict on the
+/// calling thread's node. The real set is [`Real`] over the runtime; the
+/// crash explorer's world is the other.
+pub(crate) trait RtEffects: SyncEffects {
+    fn rt_cfg(&self) -> &CablesConfig;
+    /// Runs one runtime-core transition under the ACB borrow.
+    fn with_rt<R>(&mut self, f: impl FnOnce(&mut RtState) -> R) -> R;
+    /// Whether the chaos plan says this thread's node is dead now.
+    fn node_crashed(&self) -> bool;
+
+    /// An administration request: a small ACB update handled on the
+    /// master (paper Table 4: ~20 µs from a non-master node).
+    fn admin_request(&self) {
+        self.op_point(self.rt_cfg().costs.admin_local_ns);
+        if self.node() != self.master() {
+            let t = self.notify(self.node(), self.master(), self.now());
+            self.clock_at_least(t.arrival);
+        }
+    }
+
+    /// A span on the bus for a call of this thread that began at `t0`.
+    fn span(&self, t0: SimTime, event: obs::Event) {
+        if let Some((o, me)) = self.obs() {
+            let took = self.now().saturating_since(t0);
+            o.span(obs::Layer::Rt, self.node(), me, t0, took, event);
+        }
+    }
+
+    /// An instant on the bus at this thread's clock, attributed to `node`.
+    fn note(&self, layer: obs::Layer, node: NodeId, event: obs::Event) {
+        if let Some((o, me)) = self.obs() {
+            o.instant(layer, node, me, self.now(), event);
+        }
+    }
+
+    /// The wait record of a synchronization call of `class` that began at
+    /// `t0`: the contention counters (`RtState::waited`) and the span on
+    /// the bus.
+    fn record_wait(&mut self, t0: SimTime, class: Wait, event: obs::Event) {
+        let ns = self.now() - t0;
+        self.with_rt(|st| st.waited(class, ns));
+        self.span(t0, event);
+    }
+}
+
+impl RtEffects for Real<'_, CablesRt> {
+    fn rt_cfg(&self) -> &CablesConfig {
+        &self.ext.cfg
+    }
+
+    fn with_rt<R>(&mut self, f: impl FnOnce(&mut RtState) -> R) -> R {
+        f(&mut self.ext.state.lock())
+    }
+
+    fn node_crashed(&self) -> bool {
+        self.ext.node_crashed(self.sim, self.sim.node())
+    }
+}
+
 /// The CableS runtime (one per application).
 ///
 /// Construct with [`CablesRt::new`], then start the application with
@@ -245,6 +306,15 @@ impl CablesRt {
         &self.svm
     }
 
+    /// The interpreter's effects for the thread `sim` runs.
+    pub(crate) fn at<'a>(&'a self, sim: &'a Sim) -> Real<'a, CablesRt> {
+        Real {
+            sys: &self.svm,
+            sim,
+            ext: self,
+        }
+    }
+
     /// The cluster this runtime runs on.
     pub fn cluster(&self) -> &Arc<Cluster> {
         self.svm.cluster()
@@ -268,12 +338,6 @@ impl CablesRt {
     /// Synchronization contention counters (always collected).
     pub fn contention(&self) -> ContentionStats {
         self.state.lock().contention
-    }
-
-    /// The cluster's observability sink, only when fully enabled.
-    #[inline]
-    pub(crate) fn obs_if_on(&self) -> Option<&obs::ObsSink> {
-        self.svm.obs_if_on()
     }
 
     pub(crate) fn record_op(&self, kind: OpKind, ns: u64) {
@@ -330,17 +394,7 @@ impl CablesRt {
         let Some(ch) = self.chaos_crashes().cloned() else {
             return;
         };
-        // Crash unwinds are controlled, not bugs: keep the default panic
-        // hook from spamming a backtrace for every simulated casualty.
-        static CRASH_HOOK: std::sync::Once = std::sync::Once::new();
-        CRASH_HOOK.call_once(|| {
-            let prev = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                if info.payload().downcast_ref::<CrashUnwind>().is_none() {
-                    prev(info);
-                }
-            }));
-        });
+        quiet_crash_unwinds();
         let rt = Arc::clone(self);
         let tid = sim.spawn_on(self.master, sim.now(), "chaos-monitor", move |msim| {
             let leaves = |done| rt.state.lock().monitor_leaves(done);
@@ -407,27 +461,22 @@ impl CablesRt {
         let Some(ch) = self.cluster().chaos().cloned() else {
             return;
         };
+        let e = &mut self.at(sim);
         let t0 = sim.now();
         ch.note_crash();
         let crashed = obs::Event::ChaosCrash { node: node.0 };
-        self.note(sim, obs::Layer::Chaos, node, crashed);
-        let rec = self.state.lock().crash(node, t0, None);
+        e.note(obs::Layer::Chaos, node, crashed);
+        let rec = crash(e, node, t0, None);
         // A job dispatched to a casualty it never picked up dies with it.
         self.jobs
             .lock()
             .retain(|tid, _| !rec.dead.contains(&Tid(*tid)));
-        let mut wakes = self.crash_effects(sim, &rec, true, node);
-        wakes.sort_unstable_by_key(|t| t.0);
-        wakes.dedup_by_key(|t| t.0);
-        for t in wakes {
-            sim.wake(t, sim.now());
-        }
         sim.advance(self.cfg.costs.detach_ns);
         let detached = obs::Event::NodeDetach { node: node.0 };
-        self.note(sim, obs::Layer::Rt, node, detached);
-        if let Some(o) = self.obs_if_on() {
+        e.note(obs::Layer::Rt, node, detached);
+        if let Some((o, me)) = e.obs() {
             // The recovery as one causal edge on the monitor's own lane.
-            let (here, me, now) = (sim.node(), sim.tid().0, sim.now());
+            let (here, now) = (sim.node(), sim.now());
             let kind = obs::EdgeKind::Recovery;
             o.edge(kind, node, me, t0, here, me, now, node.0 as u64);
         }
@@ -438,87 +487,7 @@ impl CablesRt {
             threads: rec.dead.len() as u64,
             latency_ns: latency,
         };
-        self.note(sim, obs::Layer::Chaos, sim.node(), recovered);
-    }
-
-    /// An instant on the bus at this thread's clock, attributed to `node`.
-    fn note(&self, sim: &Sim, layer: obs::Layer, node: NodeId, event: obs::Event) {
-        if let Some(o) = self.obs_if_on() {
-            o.instant(layer, node, sim.tid().0, sim.now(), event);
-        }
-    }
-
-    /// Retires a thread whose body unwound with [`chaos::CrashUnwind`],
-    /// before or after the monitor processed its node ([`RtState::crash`]:
-    /// a clock can sprint past the recovery and take fresh holds).
-    pub(crate) fn thread_crashed(&self, sim: &Sim, ct: CtId) {
-        let (me, node, now) = (sim.tid(), sim.node(), sim.now());
-        let rec = self.state.lock().crash(node, now, Some((ct, me)));
-        for j in self.crash_effects(sim, &rec, false, node) {
-            sim.wake(j, sim.now());
-        }
-    }
-
-    /// The grants of a [`Recovery`] — the lock and barrier managers' and
-    /// the rwlocks' — performed in order; the threads left to wake.
-    fn crash_effects(&self, sim: &Sim, rec: &Recovery, open: bool, node: NodeId) -> Vec<Tid> {
-        let rw_grants = || {
-            for (tid, _) in &rec.rw_grants {
-                sim.wake(*tid, sim.now());
-            }
-        };
-        let decided = (&rec.dead[..], rec.forgive, open);
-        let parked = self.svm().crash(sim, decided, node, rw_grants);
-        // A thread unwinding on its own is running: nothing to unpark.
-        let parked = parked.into_iter().filter(|_| open);
-        rec.wakes.iter().copied().chain(parked).collect()
-    }
-
-    /// An administration request: a small ACB update handled on the
-    /// master (paper Table 4: ~20 µs from a non-master node).
-    pub fn admin_request(&self, sim: &Sim) {
-        sim.op_point(self.cfg.costs.admin_local_ns);
-        if sim.node() != self.master {
-            let san = &self.cluster().san;
-            sim.clock_at_least(san.notify(sim.node(), self.master, sim.now()).arrival);
-        }
-    }
-
-    /// Reads a small ACB entry on the master with a direct remote fetch
-    /// (free on the master itself).
-    pub(crate) fn acb_read(&self, sim: &Sim) {
-        if sim.node() != self.master {
-            let san = &self.cluster().san;
-            sim.clock_at_least(san.fetch(sim.node(), self.master, 16, sim.now()));
-        }
-    }
-
-    /// Posts a `bytes`-sized ACB update to the master with a direct remote
-    /// write; the writer only waits for its own NIC.
-    pub(crate) fn acb_write(&self, sim: &Sim, bytes: u64) {
-        if sim.node() != self.master {
-            let t = self
-                .cluster()
-                .san
-                .send(sim.node(), self.master, bytes, sim.now());
-            sim.clock_at_least(t.local_done);
-        }
-    }
-
-    /// A span on the bus for a call of this thread that began at `t0`.
-    pub(crate) fn span(&self, sim: &Sim, t0: SimTime, event: obs::Event) {
-        if let Some(o) = self.obs_if_on() {
-            let took = sim.now().saturating_since(t0);
-            o.span(obs::Layer::Rt, sim.node(), sim.tid().0, t0, took, event);
-        }
-    }
-
-    /// The wait record of a synchronization call of `class` that began at
-    /// `t0`: the contention counters (`RtState::waited`) and the span on
-    /// the bus.
-    pub(crate) fn record_wait(&self, sim: &Sim, t0: SimTime, class: Wait, event: obs::Event) {
-        self.state.lock().waited(class, sim.now() - t0);
-        self.span(sim, t0, event);
+        e.note(obs::Layer::Chaos, sim.node(), recovered);
     }
 
     /// Picks a node for a new thread (`RtState::place`), attaching it when
@@ -557,9 +526,10 @@ impl CablesRt {
     pub fn attach_node(&self, sim: &Sim, node: NodeId) {
         let t0 = sim.now();
         let c = &self.cfg.costs;
+        let e = &mut self.at(sim);
         if sim.node() != self.master {
             // The master performs the attach; ask it first.
-            self.admin_request(sim);
+            e.admin_request();
         }
         sim.op_point(c.attach_local_cables_ns);
         // Local OS process handshake.
@@ -583,7 +553,7 @@ impl CablesRt {
             st.attach(node);
             st.stats.nodes_attached += 1;
         }
-        self.span(sim, t0, obs::Event::NodeAttach { node: node.0 });
+        e.span(t0, obs::Event::NodeAttach { node: node.0 });
     }
 
     /// `pthread_create()`: starts `f` on a node chosen by the placement
@@ -600,14 +570,14 @@ impl CablesRt {
         // pthread_create is a release point: the new thread observes the
         // creator's writes.
         let t0 = sim.now();
-        self.svm().release(sim);
+        let e = &mut self.at(sim);
+        e.release();
         let prefer = near.and_then(|ct| self.state.lock().beside(ct));
         let target = self.place_thread(sim, prefer);
         if self.cfg.thread_pool {
-            let idle = self.state.lock().pool_take(target);
-            if let Some(tid) = idle {
-                let ct = self.dispatch_pooled(sim, target, tid, Box::new(f));
-                self.span(sim, t0, Self::create_event(ct, target));
+            if let Some((tid, ct)) = dispatch(e, target) {
+                self.jobs.lock().insert(tid.0, Box::new(f));
+                e.span(t0, Self::create_event(ct, target));
                 return ct;
             }
         }
@@ -649,26 +619,21 @@ impl CablesRt {
                         if p.downcast_ref::<CrashUnwind>().is_some() {
                             // Node crash: retire with CRASHED_RET and let
                             // the thread exit so the engine can drain.
-                            rt.thread_crashed(csim, ct);
+                            crash(&mut rt.at(csim), csim.node(), csim.now(), Some(ct));
                             return;
                         }
                         resume_unwind(p);
                     }
                 };
-                rt.thread_exit(csim, ct, ret);
                 // Park in the node's pool until redispatched.
-                if !pool || !rt.state.lock().pool_idle(me, csim.node()) {
+                let e = &mut rt.at(csim);
+                if !thread_exit(e, ct, ret, pool) {
                     return;
                 }
                 // Not `park`: there is no job to die in, the worker just
                 // leaves when its node is gone.
                 csim.block();
-                if rt.node_crashed(csim, csim.node()) {
-                    // Woken by crash recovery, not a dispatch: there is no
-                    // job, and the node is gone.
-                    return;
-                }
-                let Some(ct) = rt.state.lock().pool_resume(me) else {
+                let Some(ct) = pool_woken(e) else {
                     return;
                 };
                 let body = rt.jobs.lock().remove(&me.0);
@@ -684,13 +649,13 @@ impl CablesRt {
             }
             st.register(target, sim_tid)
         };
-        if let Some(o) = self.obs_if_on().filter(|_| run_at > t0) {
+        if let Some((o, me)) = e.obs().filter(|_| run_at > t0) {
             // Causal edge: the create call to the new thread's first
             // instruction (it was spawned to start then, not woken).
-            let (here, me, kind) = (sim.node(), sim.tid().0, obs::EdgeKind::ThreadStart);
+            let (here, kind) = (sim.node(), obs::EdgeKind::ThreadStart);
             o.edge(kind, here, me, t0, target, sim_tid.0, run_at, ct.0);
         }
-        self.span(sim, t0, Self::create_event(ct, target));
+        e.span(t0, Self::create_event(ct, target));
         ct
     }
 
@@ -701,51 +666,6 @@ impl CablesRt {
         }
     }
 
-    /// Hands `f` to an idle pooled thread on `target` (much cheaper than
-    /// an OS thread create — the reuse Table 4's creation costs motivate).
-    fn dispatch_pooled(self: &Arc<Self>, sim: &Sim, target: NodeId, tid: Tid, f: JobFn) -> CtId {
-        let c = &self.cfg.costs;
-        sim.op_point(c.pool_dispatch_ns);
-        let ct = self.state.lock().dispatch(target, tid);
-        self.jobs.lock().insert(tid.0, f);
-        // The dispatch notification is the worker's wakeup.
-        let edge = Some((obs::EdgeKind::ThreadStart, ct.0));
-        self.svm
-            .notify_handoff(sim, edge, &[target], 0, (tid, target));
-        ct
-    }
-
-    /// Thread exit bookkeeping: records the return value in the ACB,
-    /// wakes joiners, and detaches the node if it became empty.
-    fn thread_exit(&self, sim: &Sim, ct: CtId, ret: u64) {
-        // Flush this node's writes so joiners observe them (RC release on
-        // thread termination).
-        self.svm.release(sim);
-        sim.op_point(self.cfg.costs.exit_ns);
-        self.acb_write(sim, 32);
-        let node = sim.node();
-        let (joiners, detached) = {
-            let mut st = self.state.lock();
-            let Some((joiners, left)) = st.retire(ct, ret, sim.now(), node) else {
-                return;
-            };
-            let detach = left == 0 && node != self.master && self.cfg.auto_detach;
-            if detach {
-                st.detach(node);
-                st.stats.nodes_detached += 1;
-            }
-            (joiners, detach)
-        };
-        for (j, ..) in joiners.0 {
-            sim.wake(j, sim.now());
-        }
-        if detached {
-            sim.advance(self.cfg.costs.detach_ns);
-            let detached = obs::Event::NodeDetach { node: node.0 };
-            self.note(sim, obs::Layer::Rt, node, detached);
-        }
-    }
-
     /// `pthread_join()`: waits for `ct` and returns its value.
     ///
     /// # Panics
@@ -753,44 +673,31 @@ impl CablesRt {
     /// Panics if `ct` was never created.
     pub fn join(&self, sim: &Sim, ct: CtId) -> u64 {
         let t0 = sim.now();
-        sim.op_point(self.cfg.costs.join_ns);
+        let e = &mut self.at(sim);
+        e.op_point(self.cfg.costs.join_ns);
         // Reading the thread's ACB entry.
-        self.acb_read(sim);
-        self.svm().crash_check(sim);
-        let (v, t, exit_node, exit_tid) = loop {
-            let joined = self.state.lock().join(ct, sim.tid(), sim.node());
-            if let Joined::Finished { ret, at, node, tid } = joined {
-                break (ret, at, node, tid);
+        e.fetch_master(16);
+        e.crash_check();
+        loop {
+            if let Some(v) = joined(e, ct, t0) {
+                return v;
             }
             self.svm().park(sim, None);
-        };
-        sim.clock_at_least(t);
-        // Acquire so the joiner observes the thread's writes.
-        self.svm.acquire(sim);
-        self.span(sim, t0, obs::Event::ThreadJoin { ct: ct.0 });
-        if let Some(o) = self.obs_if_on().filter(|_| sim.now() > t) {
-            // Causal edge: the joined thread's exit to this join's return
-            // (an effect on the caller's own lane, not a wake-up).
-            let (node, me, now) = (sim.node(), sim.tid().0, sim.now());
-            let kind = obs::EdgeKind::ThreadJoin;
-            o.edge(kind, exit_node, exit_tid.0, t, node, me, now, ct.0);
         }
-        v
     }
 
     /// `pthread_cancel()`: requests cancellation of `ct`. The target
     /// observes it at its next cancellation point
     /// ([`Pth::test_cancel`], [`Pth::cond_wait`]).
     pub fn cancel(&self, sim: &Sim, ct: CtId) {
-        self.admin_request(sim);
-        let wake = self.state.lock().cancel(ct);
-        if let Some(tid) = wake {
+        let e = &mut self.at(sim);
+        e.admin_request();
+        if let Some(tid) = e.with_rt(|st| st.cancel(ct)) {
             // Timing-visible asymmetry, kept: the wake travels to the
             // master (the ACB), not on to the target's node, and no edge
             // kind exists for it.
             let master = self.master;
-            self.svm
-                .notify_handoff(sim, None, &[master], 0, (tid, master));
+            e.notify_handoff(None, &[master], 0, (tid, master));
         }
     }
 
@@ -804,6 +711,144 @@ impl CablesRt {
     pub fn sync_id(&self) -> u64 {
         self.state.lock().next_id()
     }
+}
+
+/// Crash unwinds are controlled, not bugs: keeps the panic hook from
+/// spamming a backtrace for every simulated casualty.
+pub(crate) fn quiet_crash_unwinds() {
+    static CRASH_HOOK: std::sync::Once = std::sync::Once::new();
+    CRASH_HOOK.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if info.payload().downcast_ref::<CrashUnwind>().is_none() {
+                prev(info);
+            }
+        }));
+    });
+}
+
+/// Crash recovery as one step: [`RtState::crash`], then `svm`'s. A node's
+/// recovery (`unwound` is `None`; the crash monitor runs it at the crash
+/// time `at`) or a casualty's own unwind (its thread id; it runs the step
+/// once its body unwound with [`chaos::CrashUnwind`], before or after the
+/// monitor processed its node — a clock can sprint past the recovery and
+/// take fresh holds). The grants — the lock and barrier managers' and the
+/// rwlocks' — are performed in order, then the threads left to unpark are
+/// woken: on a recovery once each, in thread order, so replay is
+/// bit-identical.
+pub(crate) fn crash<E: RtEffects>(
+    e: &mut E,
+    node: NodeId,
+    at: SimTime,
+    unwound: Option<CtId>,
+) -> Recovery {
+    let me = unwound.map(|ct| (ct, e.tid()));
+    let rec = e.with_rt(|st| st.crash(node, at, me));
+    let open = unwound.is_none();
+    let rw_grants = |e: &mut E| {
+        for (tid, _) in &rec.rw_grants {
+            let now = e.now();
+            e.wake(*tid, now);
+        }
+    };
+    let decided = (&rec.dead[..], rec.forgive, open);
+    let parked = svm::sync::crash(e, decided, node, rw_grants);
+    // A thread unwinding on its own is running: nothing to unpark.
+    let parked = parked.into_iter().filter(|_| open);
+    let mut wakes: Vec<Tid> = rec.wakes.iter().copied().chain(parked).collect();
+    if open {
+        wakes.sort_unstable_by_key(|t| t.0);
+        wakes.dedup_by_key(|t| t.0);
+    }
+    for t in wakes {
+        let now = e.now();
+        e.wake(t, now);
+    }
+    rec
+}
+
+/// Hands a job to the idle pooled worker most recently parked on `target`,
+/// if there is one — much cheaper than an OS thread create, the reuse
+/// Table 4's creation costs motivate: the worker and its thread id. The
+/// dispatch notification is the worker's wakeup.
+pub(crate) fn dispatch<E: RtEffects>(e: &mut E, target: NodeId) -> Option<(Tid, CtId)> {
+    let tid = e.with_rt(|st| st.pool_take(target))?;
+    e.op_point(e.rt_cfg().costs.pool_dispatch_ns);
+    let ct = e.with_rt(|st| st.dispatch(target, tid));
+    let edge = Some((obs::EdgeKind::ThreadStart, ct.0));
+    e.notify_handoff(edge, &[target], 0, (tid, target));
+    Some((tid, ct))
+}
+
+/// Thread exit: the RC release (joiners observe the thread's writes), the
+/// return value in the ACB, the joiners woken and the node detached if it
+/// became empty; then, for a pooled worker (`pool`), whether it parks idle
+/// in its node's pool (else it exits).
+pub(crate) fn thread_exit<E: RtEffects>(e: &mut E, ct: CtId, ret: u64, pool: bool) -> bool {
+    e.release();
+    e.op_point(e.rt_cfg().costs.exit_ns);
+    e.send_master(32);
+    let (tid, node, now) = (e.tid(), e.node(), e.now());
+    let may_detach = node != e.master() && e.rt_cfg().auto_detach;
+    let retired = e.with_rt(|st| {
+        let (joiners, left) = st.retire(ct, ret, now, node)?;
+        let detach = left == 0 && may_detach;
+        if detach {
+            st.detach(node);
+            st.stats.nodes_detached += 1;
+        }
+        Some((joiners, detach))
+    });
+    if let Some((joiners, detached)) = retired {
+        for (j, ..) in joiners.0 {
+            let now = e.now();
+            e.wake(j, now);
+        }
+        if detached {
+            e.advance(e.rt_cfg().costs.detach_ns);
+            let detached = obs::Event::NodeDetach { node: node.0 };
+            e.note(obs::Layer::Rt, node, detached);
+        }
+    }
+    pool && e.with_rt(|st| st.pool_idle(tid, node))
+}
+
+/// A pooled worker woken from idle: its next job's thread id, or `None`
+/// when it leaves — woken by its node's crash recovery (there is no job,
+/// and the node is gone) or by the pool's shutdown.
+pub(crate) fn pool_woken<E: RtEffects>(e: &mut E) -> Option<CtId> {
+    if e.node_crashed() {
+        return None;
+    }
+    let tid = e.tid();
+    e.with_rt(|st| st.pool_resume(tid))
+}
+
+/// A join's step, after its entry checkpoint or a park's: `ct`'s value
+/// once it has finished — the clock catches up with its exit, the RC
+/// acquire observes its writes, the span and the exit-to-return edge are
+/// recorded — or `None`, queued as a joiner to park.
+pub(crate) fn joined<E: RtEffects>(e: &mut E, ct: CtId, t0: SimTime) -> Option<u64> {
+    let (tid, node) = (e.tid(), e.node());
+    let Joined::Finished {
+        ret,
+        at,
+        node: from,
+        tid: exited,
+    } = e.with_rt(|st| st.join(ct, tid, node))
+    else {
+        return None;
+    };
+    e.clock_at_least(at);
+    e.acquire();
+    e.span(t0, obs::Event::ThreadJoin { ct: ct.0 });
+    if let Some((o, me)) = e.obs().filter(|_| e.now() > at) {
+        // Causal edge: the joined thread's exit to this join's return (an
+        // effect on the caller's own lane, not a wake-up).
+        let kind = obs::EdgeKind::ThreadJoin;
+        o.edge(kind, from, exited.0, at, node, me, e.now(), ct.0);
+    }
+    Some(ret)
 }
 
 /// Per-thread handle passed to every CableS thread: the pthreads-like API.
@@ -881,6 +926,12 @@ impl Pth<'_> {
     /// Requests cancellation of a thread (`pthread_cancel`).
     pub fn cancel(&self, ct: CtId) {
         self.rt.cancel(self.sim, ct)
+    }
+
+    /// An administration request: a small ACB update handled on the
+    /// master (paper Table 4: ~20 µs from a non-master node).
+    pub fn admin_request(&self) {
+        self.rt.at(self.sim).admin_request()
     }
 
     /// Cancellation point (`pthread_testcancel`).

@@ -14,9 +14,10 @@
 
 use obs::{EdgeKind, Event};
 use sim::Sim;
+use svm::sync::SyncEffects;
 
 use crate::core::Wait;
-use crate::rt::{CablesRt, Cancelled, CtId, OpKind, Pth};
+use crate::rt::{CablesRt, Cancelled, CtId, OpKind, Pth, RtEffects};
 
 /// A CableS mutex handle (`pthread_mutex_t`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -80,7 +81,8 @@ impl CablesRt {
             .now()
             .min(wait_start + self.cfg.costs.spin_before_block_ns);
         sim.occupy_cpu_until(spun);
-        self.record_wait(sim, t0, Wait::Lock, Event::PthMutexWait { id: m.0 });
+        let event = Event::PthMutexWait { id: m.0 };
+        self.at(sim).record_wait(t0, Wait::Lock, event);
     }
 
     /// Attempts to lock `m` without blocking (`pthread_mutex_trylock`).
@@ -110,96 +112,28 @@ impl CablesRt {
         timeout_ns: Option<u64>,
     ) -> Result<bool, Cancelled> {
         let t0 = sim.now();
-        let c = &self.cfg.costs;
-        sim.op_point(c.cond_wait_local_ns);
-        // Register the waiter in the ACB (direct remote write).
-        self.acb_write(sim, 16);
-        self.state.lock().cond_wait(cond.0, sim.tid(), sim.node());
+        let e = &mut self.at(sim);
+        cond_register(e, cond);
         let deadline = timeout_ns.map(|ns| sim.now() + ns);
         self.mutex_unlock(sim, mutex);
         let woken = self.svm().park(sim, deadline);
-        if !woken {
-            // Deregister before anyone can signal us (no ordering point
-            // between the timeout and this removal).
-            self.state.lock().cond_timeout(cond.0, sim.tid());
-        }
-        if self.cancel_requested(ct) {
-            return Err(Cancelled);
-        }
-        sim.advance(c.cond_wakeup_ns);
+        cond_woken(e, ct, cond, woken)?;
         self.mutex_lock(sim, mutex);
-        self.record_wait(sim, t0, Wait::Cond, Event::PthCondWait { id: cond.0 });
+        e.record_wait(t0, Wait::Cond, Event::PthCondWait { id: cond.0 });
         Ok(woken)
     }
 
-    /// Signal (`pthread_cond_signal`) and broadcast
-    /// (`pthread_cond_broadcast`): wake the head waiter, or `all` of them,
-    /// each with its own notification (a broadcast's cost grows with the
-    /// number of waiting nodes, as in the paper). Timing-visible
-    /// asymmetry, kept: a signal that finds a waiter also posts the ACB
-    /// update recording the hand-off; a broadcast does not.
-    pub(crate) fn cond_wake(&self, sim: &Sim, cond: Cond, all: bool) {
-        let c = &self.cfg.costs;
-        sim.op_point(match all {
-            true => c.cond_broadcast_local_ns,
-            false => c.cond_signal_local_ns,
-        });
-        sim.advance(c.cond_os_ns);
-        // Read the condition's ACB entry.
-        self.acb_read(sim);
-        let woken = self.state.lock().cond_wake(cond.0, all);
-        for (tid, wnode) in woken {
-            if !all {
-                self.acb_write(sim, 16);
-            }
-            // Activation: one notification per waiter, dispatching the
-            // wakeup handler on the waiter's node.
-            let edge = Some((EdgeKind::CondSignal, cond.0));
-            self.svm()
-                .notify_handoff(sim, edge, &[wnode], 0, (tid, wnode));
-        }
-    }
-
-    /// Acquires `rw` for reading (`pthread_rwlock_rdlock`: readers share
-    /// it and queue behind a writer) or for `write`
-    /// (`pthread_rwlock_wrlock`); the two differ in the admission
-    /// predicate only (`RtState::rw_acquire`).
+    /// Acquires `rw` for reading or writing ([`rw_acquire`]), parking
+    /// while it is queued, then performs the RC acquire.
     pub(crate) fn rwlock_acquire(&self, sim: &Sim, rw: RwLock, write: bool) {
         let t0 = sim.now();
-        self.admin_request(sim);
-        let queued = self
-            .state
-            .lock()
-            .rw_acquire(rw.0, sim.tid(), sim.node(), write);
-        if queued {
+        let e = &mut self.at(sim);
+        if rw_acquire(e, rw, write) {
             self.svm().park(sim, None);
         }
         // RC acquire: observe the last writer's updates.
-        self.svm().acquire(sim);
-        self.record_wait(sim, t0, Wait::Rw, Event::PthRwWait { id: rw.0, write });
-    }
-
-    /// Releases `rw` (`pthread_rwlock_unlock`): either the write hold or
-    /// one read hold of the calling thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the calling thread does not hold the lock.
-    pub fn rwlock_unlock(&self, sim: &Sim, rw: RwLock) {
-        if self.state.lock().rw_writer(rw.0, sim.tid()) {
-            // RC release: publish this node's writes before handing over.
-            self.svm().release(sim);
-        }
-        self.admin_request(sim);
-        // The request takes simulated time: the node may have crashed
-        // meanwhile and recovery released this hold — the casualty must
-        // die here, not trip the hold check below.
-        self.svm().crash_check(sim);
-        let grants = self.state.lock().rw_release(rw.0, sim.tid());
-        for to in grants {
-            let edge = Some((EdgeKind::RwHandoff, rw.0));
-            self.svm().notify_handoff(sim, edge, &[to.1], 0, to);
-        }
+        e.acquire();
+        e.record_wait(t0, Wait::Rw, Event::PthRwWait { id: rw.0, write });
     }
 
     /// The `pthread_barrier(number_of_threads)` extension: global
@@ -209,7 +143,97 @@ impl CablesRt {
         sim.op_point(self.cfg.costs.mutex_local_extra_ns);
         self.state.lock().enter(Wait::Barrier);
         self.svm().barrier(sim, b.0, n);
-        self.record_wait(sim, t0, Wait::Barrier, Event::PthBarrierWait { id: b.0 });
+        let event = Event::PthBarrierWait { id: b.0 };
+        self.at(sim).record_wait(t0, Wait::Barrier, event);
+    }
+}
+
+/// A condition wait's first step: the waiter registers in the ACB (a
+/// direct remote write), before its mutex is unlocked.
+pub(crate) fn cond_register<E: RtEffects>(e: &mut E, cond: Cond) {
+    e.op_point(e.rt_cfg().costs.cond_wait_local_ns);
+    e.send_master(16);
+    let (tid, node) = (e.tid(), e.node());
+    e.with_rt(|st| st.cond_wait(cond.0, tid, node));
+}
+
+/// A condition wait's step after its park (and the park's checkpoint): a
+/// timed-out waiter (`!woken`) deregisters before anyone can signal it
+/// (no ordering point between the timeout and this removal); then
+/// [`Cancelled`] if the thread was cancelled while waiting, else the
+/// wakeup's processing before the mutex is locked again.
+pub(crate) fn cond_woken<E: RtEffects>(
+    e: &mut E,
+    ct: CtId,
+    cond: Cond,
+    woken: bool,
+) -> Result<(), Cancelled> {
+    let tid = e.tid();
+    if !woken {
+        e.with_rt(|st| st.cond_timeout(cond.0, tid));
+    }
+    if e.with_rt(|st| st.cancel_requested(ct)) {
+        return Err(Cancelled);
+    }
+    e.advance(e.rt_cfg().costs.cond_wakeup_ns);
+    Ok(())
+}
+
+/// Signal (`pthread_cond_signal`) and broadcast (`pthread_cond_broadcast`):
+/// wake the head waiter, or `all` of them, each with its own notification
+/// (a broadcast's cost grows with the number of waiting nodes, as in the
+/// paper). Timing-visible asymmetry, kept: a signal that finds a waiter
+/// also posts the ACB update recording the hand-off; a broadcast does not.
+pub(crate) fn cond_wake<E: RtEffects>(e: &mut E, cond: Cond, all: bool) {
+    let c = &e.rt_cfg().costs;
+    e.op_point(match all {
+        true => c.cond_broadcast_local_ns,
+        false => c.cond_signal_local_ns,
+    });
+    e.advance(c.cond_os_ns);
+    // Read the condition's ACB entry.
+    e.fetch_master(16);
+    for (tid, wnode) in e.with_rt(|st| st.cond_wake(cond.0, all)) {
+        if !all {
+            e.send_master(16);
+        }
+        // Activation: one notification per waiter, dispatching the wakeup
+        // handler on the waiter's node.
+        let edge = Some((EdgeKind::CondSignal, cond.0));
+        e.notify_handoff(edge, &[wnode], 0, (tid, wnode));
+    }
+}
+
+/// A rwlock acquire's step, `pthread_rwlock_rdlock` (readers share the
+/// lock and queue behind a writer) or, with `write`,
+/// `pthread_rwlock_wrlock` — the two differ in the admission predicate
+/// only (`RtState::rw_acquire`): the administration request and the
+/// admission. Whether it queued and parks.
+pub(crate) fn rw_acquire<E: RtEffects>(e: &mut E, rw: RwLock, write: bool) -> bool {
+    e.admin_request();
+    let (tid, node) = (e.tid(), e.node());
+    e.with_rt(|st| st.rw_acquire(rw.0, tid, node, write))
+}
+
+/// Releases `rw` (`pthread_rwlock_unlock`): either the write hold or one
+/// read hold of the calling thread.
+///
+/// # Panics
+///
+/// Panics if the calling thread does not hold the lock.
+pub(crate) fn rw_unlock<E: RtEffects>(e: &mut E, rw: RwLock) {
+    let tid = e.tid();
+    if e.with_rt(|st| st.rw_writer(rw.0, tid)) {
+        // RC release: publish this node's writes before handing over.
+        e.release();
+    }
+    e.admin_request();
+    // The request takes simulated time: the node may have crashed
+    // meanwhile and recovery released this hold — the casualty must die
+    // here, not trip the hold check below.
+    e.crash_check();
+    for to in e.with_rt(|st| st.rw_release(rw.0, tid)) {
+        e.notify_handoff(Some((EdgeKind::RwHandoff, rw.0)), &[to.1], 0, to);
     }
 }
 
@@ -303,12 +327,16 @@ impl Pth<'_> {
 
     /// Signals a condition variable (`pthread_cond_signal`).
     pub fn cond_signal(&self, c: Cond) {
-        self.timed(OpKind::CondSignal, |rt, sim| rt.cond_wake(sim, c, false))
+        self.timed(OpKind::CondSignal, |rt, sim| {
+            cond_wake(&mut rt.at(sim), c, false)
+        })
     }
 
     /// Broadcasts a condition variable (`pthread_cond_broadcast`).
     pub fn cond_broadcast(&self, c: Cond) {
-        self.timed(OpKind::CondBroadcast, |rt, sim| rt.cond_wake(sim, c, true))
+        self.timed(OpKind::CondBroadcast, |rt, sim| {
+            cond_wake(&mut rt.at(sim), c, true)
+        })
     }
 
     /// Read-locks a read/write lock (`pthread_rwlock_rdlock`).
@@ -323,7 +351,7 @@ impl Pth<'_> {
 
     /// Unlocks a read/write lock (`pthread_rwlock_unlock`).
     pub fn rwlock_unlock(&self, rw: RwLock) {
-        self.rt().rwlock_unlock(self.sim, rw)
+        rw_unlock(&mut self.rt.at(self.sim), rw)
     }
 
     /// Global barrier over `n` threads (the CableS `pthread_barrier`

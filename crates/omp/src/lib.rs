@@ -335,7 +335,7 @@ impl<'a> OmpCtx<'a> {
     pub fn single<F: FnOnce()>(&self, body: F) -> bool {
         // The single "ticket" is ACB state: charge an administration
         // request like any other global bookkeeping.
-        self.pth.rt().admin_request(self.pth.sim);
+        self.pth.admin_request();
         let won = {
             let mut st = self.omp.state.lock();
             let id = st.next_single;

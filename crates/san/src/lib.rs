@@ -479,7 +479,7 @@ impl San {
 }
 
 /// Timing of an asynchronous SAN operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SendTiming {
     /// When the issuing CPU is free again (message handed to the NIC).
     pub local_done: SimTime,

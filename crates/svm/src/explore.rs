@@ -20,12 +20,13 @@ use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use memsim::{FaultKind, FrameId, GAddr, PageNum, Prot, PAGE_SIZE};
-use sim::{NodeId, SimTime};
+use sim::{NodeId, SimTime, Tid};
 use vmmc::RegionId;
 
 use crate::config::{ProtoMode, SvmConfig};
 use crate::core::ProtoState;
 use crate::proto::{self, Effects};
+use crate::sync::SyncEffects;
 
 /// Nodes, and words per page the programs touch: one per node.
 const NODES: usize = 2;
@@ -377,9 +378,9 @@ impl World {
     }
 }
 
-/// `proto.rs`'s effects on the in-memory model: frames, page tables and
-/// regions change; time, the wire and obs do nothing.
-impl Effects for World {
+/// The node running the interpreter; time, the wire and obs do nothing,
+/// and nothing parks, so there is no crash to check and no one to wake.
+impl SyncEffects for World {
     fn cfg(&self) -> &SvmConfig {
         &self.core.cfg
     }
@@ -388,10 +389,26 @@ impl Effects for World {
         self.node
     }
 
-    fn with_core<R>(&mut self, f: impl FnOnce(&mut ProtoState) -> R) -> R {
+    fn tid(&self) -> Tid {
+        Tid(self.node.0 as u64)
+    }
+
+    fn master(&self) -> NodeId {
+        NodeId(0)
+    }
+
+    fn with_proto<R>(&mut self, f: impl FnOnce(&mut ProtoState) -> R) -> R {
         f(&mut self.core)
     }
 
+    fn crash_check(&mut self) {}
+
+    fn wake(&mut self, _: Tid, _: SimTime) {}
+}
+
+/// `proto.rs`'s effects on the in-memory model: frames, page tables and
+/// regions change.
+impl Effects for World {
     fn translate(&self, page: PageNum) -> Option<(FrameId, Prot)> {
         self.pt[self.node.0 as usize][page.index() as usize]
     }

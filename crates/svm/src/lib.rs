@@ -30,7 +30,8 @@ mod core;
 #[cfg(test)]
 mod explore;
 mod proto;
-mod sync;
+#[doc(hidden)]
+pub mod sync;
 
 pub use api::SvmSystem;
 pub use cluster::{Cluster, ClusterConfig};

@@ -36,8 +36,9 @@ use sim::{NodeId, Sim, SimTime};
 use vmmc::{RegionId, VmmcConfig, VmmcError};
 
 use crate::api::SvmSystem;
-use crate::config::{ProtoMode, SvmConfig};
-use crate::core::{Diff, Fetch, Migrate, ProtoState, Route, Ship};
+use crate::config::ProtoMode;
+use crate::core::{Diff, Fetch, Migrate, Route, Ship};
+use crate::sync::{Real, SyncEffects};
 
 /// Per-home diff batches of one release, keyed `(home, region)`: the
 /// `(region offset, bytes)` segments queued so far, the pages they came
@@ -109,12 +110,7 @@ const REG_RETRY_BASE_NS: u64 = 20_000;
 /// compiles to the calls the interpreter made before it was generic. The
 /// provided bodies are the explorer's: no time passes, nothing crosses
 /// the wire and nothing is recorded; [`Real`] overrides each of them.
-pub(crate) trait Effects {
-    fn cfg(&self) -> &SvmConfig;
-    fn node(&self) -> NodeId;
-    /// Runs one core transition under the directory borrow.
-    fn with_core<R>(&mut self, f: impl FnOnce(&mut ProtoState) -> R) -> R;
-
+pub(crate) trait Effects: SyncEffects {
     // The node's memory and NIC.
     fn translate(&self, page: PageNum) -> Option<(FrameId, Prot)>;
     fn alloc_frame(&mut self, what: &str) -> FrameId;
@@ -145,26 +141,12 @@ pub(crate) trait Effects {
     fn write_batch(&mut self, region: RegionId, segs: &[(u64, Vec<u8>)], first: SimTime)
         -> SimTime;
 
-    // The calling thread's clock and ordering points; `charge` advances
-    // it by a cost of the node's OS or NIC.
-    fn now(&self) -> SimTime {
-        SimTime::ZERO
-    }
-    fn advance(&self, _ns: u64) {}
+    // Beyond the clock and ordering points: `charge` advances the clock
+    // by a cost of the node's OS or NIC, and a directory entry lookup on
+    // the master.
     fn charge(&self, _cost: impl FnOnce(&OsVmConfig, &VmmcConfig) -> u64) {}
-    fn clock_at_least(&self, _t: SimTime) {}
-    fn op_point(&self, _ns: u64) {}
     fn sync_point(&self) {}
-
-    // The wire to the master (the directory's ACB owner): a directory
-    // entry lookup, and `bytes` of directory news unless this is it.
     fn lookup(&self) {}
-    fn send_master(&self, _bytes: u64) {}
-
-    /// The obs sink and the calling thread's lane, while recording.
-    fn obs(&self) -> Option<(&obs::ObsSink, u64)> {
-        None
-    }
 
     /// Records a protocol instant on the calling thread's lane.
     fn instant(&self, event: obs::Event) {
@@ -193,26 +175,9 @@ pub(crate) trait Effects {
     }
 }
 
-/// The simulated cluster as the interpreter's effects, for the thread
-/// `sim` runs. NIC-registration recovery lives here.
-struct Real<'a> {
-    sys: &'a SvmSystem,
-    sim: &'a Sim,
-}
-
+/// The simulated cluster's page effects; NIC-registration recovery lives
+/// here.
 impl Effects for Real<'_> {
-    fn cfg(&self) -> &SvmConfig {
-        &self.sys.cfg
-    }
-
-    fn node(&self) -> NodeId {
-        self.sim.node()
-    }
-
-    fn with_core<R>(&mut self, f: impl FnOnce(&mut ProtoState) -> R) -> R {
-        f(&mut self.sys.state.lock())
-    }
-
     fn translate(&self, page: PageNum) -> Option<(FrameId, Prot)> {
         self.sys.cluster.mem.translate(self.sim.node(), page)
     }
@@ -315,25 +280,9 @@ impl Effects for Real<'_> {
         t.arrival
     }
 
-    fn now(&self) -> SimTime {
-        self.sim.now()
-    }
-
-    fn advance(&self, ns: u64) {
-        self.sim.advance(ns);
-    }
-
     fn charge(&self, cost: impl FnOnce(&OsVmConfig, &VmmcConfig) -> u64) {
         let c = &self.sys.cluster;
         self.sim.advance(cost(c.mem.config(), c.vmmc.config()));
-    }
-
-    fn clock_at_least(&self, t: SimTime) {
-        self.sim.clock_at_least(t);
-    }
-
-    fn op_point(&self, ns: u64) {
-        self.sim.op_point(ns);
     }
 
     fn sync_point(&self) {
@@ -344,18 +293,6 @@ impl Effects for Real<'_> {
         let (sys, sim) = (self.sys, self.sim);
         let done = sys.cluster.san.fetch(sim.node(), sys.master, 32, sim.now());
         sim.clock_at_least(done);
-    }
-
-    fn send_master(&self, bytes: u64) {
-        let (san, master, sim) = (&self.sys.cluster.san, self.sys.master, self.sim);
-        if sim.node() != master {
-            let t = san.send(sim.node(), master, bytes, sim.now());
-            sim.clock_at_least(t.local_done);
-        }
-    }
-
-    fn obs(&self) -> Option<(&obs::ObsSink, u64)> {
-        self.sys.obs_if_on().map(|o| (o, self.sim.tid().0))
     }
 }
 
@@ -521,14 +458,14 @@ impl SvmSystem {
     /// publishes write notices. Called before every lock release and
     /// barrier arrival.
     pub fn release(&self, sim: &Sim) {
-        release(&mut Real { sys: self, sim });
+        release(&mut self.at(sim));
     }
 
     /// Acquire: applies all write notices this node has not yet seen,
     /// invalidating stale copies (see [`crate::core::ProtoState::acquire`]).
     /// Called after every barrier departure and lock grant.
     pub fn acquire(&self, sim: &Sim) {
-        acquire(&mut Real { sys: self, sim });
+        acquire(&mut self.at(sim));
     }
 
     /// Migrates the home of the chunk holding `addr` to the calling node
@@ -539,7 +476,7 @@ impl SvmSystem {
     /// or already homed here, a local copy in it is stale, or another
     /// node holds unflushed writes in it.
     pub fn migrate_home(&self, sim: &Sim, addr: GAddr) -> bool {
-        migrate_home(&mut Real { sys: self, sim }, addr)
+        migrate_home(&mut self.at(sim), addr)
     }
 }
 
@@ -564,7 +501,7 @@ pub(crate) fn handle_fault<E: Effects>(e: &mut E, page: PageNum, kind: FaultKind
     e.op_point(e.cfg().costs.fault_handler_ns);
 
     let prot = e.translate(page).map(|(_, p)| p);
-    let step = e.with_core(|c| c.fault(node, page, kind, prot));
+    let step = e.with_proto(|c| c.fault(node, page, kind, prot));
     let Some((remote_lookup, route)) = step else {
         return;
     };
@@ -602,7 +539,7 @@ fn place_chunk<E: Effects>(e: &mut E, page: PageNum, kind: FaultKind) {
     let (mode, gran) = (e.cfg().mode, e.cfg().home_granularity_pages);
     let base = page.chunk_base(gran);
     let frames = alloc_frames(e, gran, "home");
-    let (extend, off) = e.with_core(|c| c.place(node, page));
+    let (extend, off) = e.with_proto(|c| c.place(node, page));
     let what = match mode {
         ProtoMode::Cables => ["home region extension failed", "home region export failed"],
         ProtoMode::Base => ["run extension failed", OCEAN_REGIME],
@@ -626,13 +563,13 @@ fn place_chunk<E: Effects>(e: &mut E, page: PageNum, kind: FaultKind) {
     let chunk = (mode == ProtoMode::Cables).then_some("chunk-aligned mapping");
     e.map(base, &frames, chunk);
     e.charge(|os, _| os.map_op_ns);
-    e.with_core(|c| c.placed(node, page, region, off));
+    e.with_proto(|c| c.placed(node, page, region, off));
     e.instant(obs::Event::Place { base: base.index() });
     e.op_point(e.cfg().costs.placement_bookkeeping_ns);
     // Publish the directory change to the master.
     e.send_master(64);
     if kind == FaultKind::Write {
-        e.with_core(|c| c.start_write_tracking(node, page.index()));
+        e.with_proto(|c| c.start_write_tracking(node, page.index()));
     }
     grant(e, page, kind);
 }
@@ -670,7 +607,7 @@ fn fetch_page<E: Effects>(
         e.map(page, &[f], None);
         e.charge(|os, _| os.frame_alloc_ns);
     }
-    let decided = e.with_core(|c| c.fetch(node, page, kind, have_frame));
+    let decided = e.with_proto(|c| c.fetch(node, page, kind, have_frame));
     let Fetch::Remote { off } = decided else {
         grant(e, page, kind);
         return;
@@ -754,7 +691,7 @@ pub(crate) fn release<E: Effects>(e: &mut E) {
     let node = e.node();
     let t0 = e.now();
     e.sync_point();
-    let diffs = e.with_core(|c| c.release(node));
+    let diffs = e.with_proto(|c| c.release(node));
     if diffs.is_empty() {
         return;
     }
@@ -817,7 +754,7 @@ pub(crate) fn release<E: Effects>(e: &mut E) {
 pub(crate) fn acquire<E: Effects>(e: &mut E) {
     let node = e.node();
     let t0 = e.now();
-    let a = e.with_core(|c| c.acquire(node));
+    let a = e.with_proto(|c| c.acquire(node));
     for d in &a.flush {
         // The flushed words must be home before the copy goes — a
         // refetch racing the diff would resurrect the old words.
@@ -842,7 +779,7 @@ pub(crate) fn migrate_home<E: Effects>(e: &mut E, addr: GAddr) -> bool {
         e.node(),
         addr.page().chunk_base(e.cfg().home_granularity_pages),
     );
-    let Some(m) = e.with_core(|c| c.migrate(node, base)) else {
+    let Some(m) = e.with_proto(|c| c.migrate(node, base)) else {
         return false;
     };
     migrate_chunk(e, m);
@@ -878,7 +815,7 @@ fn migrate_chunk<E: Effects>(e: &mut E, m: Migrate) {
     }
     e.map(m.base, &frames, Some("chunk-aligned migration mapping"));
     e.charge(|os, _| os.map_op_ns);
-    e.with_core(|c| c.migrated(node, m.base, region, m.off));
+    e.with_proto(|c| c.migrated(node, m.base, region, m.off));
     e.instant(obs::Event::Migrate {
         base: m.base.index(),
     });
@@ -899,7 +836,7 @@ impl SvmSystem {
         loop {
             match self.cluster.mem.read_scalar::<T>(sim.node(), addr) {
                 Ok(v) => return v,
-                Err(f) => handle_fault(&mut Real { sys: self, sim }, f.page, f.kind),
+                Err(f) => handle_fault(&mut self.at(sim), f.page, f.kind),
             }
         }
     }
@@ -918,7 +855,7 @@ impl SvmSystem {
                         .mark_dirty(sim.node(), addr, T::SIZE as u64);
                     return;
                 }
-                Err(f) => handle_fault(&mut Real { sys: self, sim }, f.page, f.kind),
+                Err(f) => handle_fault(&mut self.at(sim), f.page, f.kind),
             }
         }
     }
@@ -1023,7 +960,7 @@ impl SvmSystem {
             let n = (total - off).min((PAGE_SIZE - run_addr.page_offset()) as usize);
             sim.advance(a);
             while let Err(f) = run(run_addr, off..off + n) {
-                handle_fault(&mut Real { sys: self, sim }, f.page, f.kind);
+                handle_fault(&mut self.at(sim), f.page, f.kind);
             }
             if write {
                 self.state.lock().mark_dirty(sim.node(), run_addr, n as u64);

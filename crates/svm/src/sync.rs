@@ -6,16 +6,22 @@
 //!
 //! The plumbing every blocking primitive shares — here and in `cables` —
 //! also lives in this module, once each: the [`WaitQueue`] (who waits), the
-//! hand-off ([`SvmSystem::handoff`]: what a wake-up records and when the
+//! hand-off ([`SyncEffects::handoff`]: what a wake-up records and when the
 //! woken thread resumes) and the park ([`SvmSystem::park`]: every block is
-//! followed by a crash checkpoint).
+//! followed by a crash checkpoint). The interpreter is written once over
+//! [`SyncEffects`], each blocking call a few steps split at its parks and
+//! at the ordering points where a crash may land; the simulated cluster
+//! ([`Real`]) and the crash explorer both run them.
 
 use std::collections::VecDeque;
 
 use obs::EdgeKind;
+use san::SendTiming;
 use sim::{NodeId, Sim, SimTime, Tid};
 
 use crate::api::SvmSystem;
+use crate::config::SvmConfig;
+use crate::core::ProtoState;
 
 /// FIFO of parked threads `(tid, node, tag)`: the one waiter queue behind
 /// locks, barriers, conditions, rwlocks (tagged with `wants_write`),
@@ -40,59 +46,231 @@ impl<T> WaitQueue<T> {
     }
 }
 
-impl SvmSystem {
-    /// The node where lock `id`'s ownership is currently cached, if any.
-    pub fn lock_owner_node(&self, id: u64) -> Option<sim::NodeId> {
-        self.state.lock().locks.get(&id).and_then(|l| l.holder_node)
+/// Everything the synchronisation interpreter does outside the cores, for
+/// one thread; `proto.rs`'s page effects and `cables`' runtime effects
+/// extend it. Statically dispatched. The provided bodies of the time, wire
+/// and obs effects are the explorers' (nothing happens); [`Real`]
+/// overrides each of them.
+pub trait SyncEffects {
+    fn cfg(&self) -> &SvmConfig;
+    fn node(&self) -> NodeId;
+    fn tid(&self) -> Tid;
+    /// The node holding the directory and the ACB.
+    fn master(&self) -> NodeId;
+    /// Runs one core transition under the protocol-state borrow.
+    fn with_proto<R>(&mut self, f: impl FnOnce(&mut ProtoState) -> R) -> R;
+    /// The crash checkpoint: a thread of a crashed node unwinds here.
+    fn crash_check(&mut self);
+    fn wake(&mut self, tid: Tid, at: SimTime);
+
+    // The thread's clock and ordering points; the wire (a notification
+    // posted at `at`, `bytes` sent to `to` now, a small record read on
+    // the master, free there); the RC release and acquire (`proto.rs`);
+    // the obs sink and the thread's lane, while recording.
+    fn now(&self) -> SimTime {
+        SimTime::ZERO
+    }
+    fn advance(&self, _ns: u64) {}
+    fn clock_at_least(&self, _t: SimTime) {}
+    fn op_point(&self, _ns: u64) {}
+    fn notify(&self, _from: NodeId, _to: NodeId, _at: SimTime) -> SendTiming {
+        SendTiming::default()
+    }
+    fn send(&self, _to: NodeId, _bytes: u64) -> SendTiming {
+        SendTiming::default()
+    }
+    fn send_base_ns(&self) -> u64 {
+        0
+    }
+    fn fetch_master(&self, _bytes: u64) {}
+    fn release(&mut self) {}
+    fn acquire(&mut self) {}
+    fn obs(&self) -> Option<(&obs::ObsSink, u64)> {
+        None
+    }
+
+    /// `bytes` of news to the master (an ACB or directory update), unless
+    /// this is it: a direct remote write, waiting for its own NIC only.
+    fn send_master(&self, bytes: u64) {
+        if self.node() != self.master() {
+            let t = self.send(self.master(), bytes);
+            self.clock_at_least(t.local_done);
+        }
     }
 
     /// The one hand-off: thread `to` resumes at `arrival`, and when that is
     /// later than its cause — `(node, time)` on the calling thread — the
     /// bus gets the causal edge `(kind, object id)`. `None` for wake-ups
     /// that have no edge kind (cancellation).
-    #[doc(hidden)]
-    pub fn handoff(
-        &self,
-        sim: &Sim,
+    fn handoff(
+        &mut self,
         edge: Option<(EdgeKind, u64)>,
         cause: (NodeId, SimTime),
         arrival: SimTime,
         to: (Tid, NodeId),
     ) {
         let ((from, cause_t), (tid, node)) = (cause, to);
-        if let (Some((kind, id)), Some(o)) = (edge, self.obs_if_on()) {
+        if let (Some((kind, id)), Some((o, me))) = (edge, self.obs()) {
             if arrival > cause_t {
-                let me = sim.tid().0;
                 o.edge(kind, from, me, cause_t, node, tid.0, arrival, id);
             }
         }
-        sim.wake(tid, arrival);
+        self.wake(tid, arrival);
     }
 
     /// A hand-off by notification: it leaves this thread's node now, is
     /// relayed along `hops` (a hop within one node is free; the handler of
     /// each relaying node adds `relay_ns`) and wakes `to` on arrival.
-    #[doc(hidden)]
-    pub fn notify_handoff(
-        &self,
-        sim: &Sim,
+    fn notify_handoff(
+        &mut self,
         edge: Option<(EdgeKind, u64)>,
         hops: &[NodeId],
         relay_ns: u64,
         to: (Tid, NodeId),
     ) {
-        let cause = (sim.node(), sim.now());
+        let cause = (self.node(), self.now());
         let (mut at, mut t) = cause;
         for (i, &hop) in hops.iter().enumerate() {
             if i > 0 {
                 t = t + relay_ns;
             }
             if hop != at {
-                t = self.cluster.san.notify(at, hop, t).arrival;
+                t = self.notify(at, hop, t).arrival;
                 at = hop;
             }
         }
-        self.handoff(sim, edge, cause, t, to);
+        self.handoff(edge, cause, t, to);
+    }
+
+    /// Entry of a blocking primitive: its start time, with the streaming
+    /// series clock advanced so live windows keep cutting through long
+    /// quiet stretches (no-op unless a series is running; never charges
+    /// simulated time).
+    fn sync_entry(&self) -> SimTime {
+        let t0 = self.now();
+        if let Some((o, _)) = self.obs() {
+            o.series_tick(t0);
+        }
+        t0
+    }
+
+    /// The wait record of a blocking primitive that started at `t0`.
+    fn sync_span(&self, t0: SimTime, event: obs::Event) {
+        if let Some((o, me)) = self.obs() {
+            let waited = self.now().saturating_since(t0);
+            o.span(obs::Layer::Sync, self.node(), me, t0, waited, event);
+        }
+    }
+
+    /// Request/reply round trip with a remote lock manager.
+    fn manager_round_trip(&self, manager: NodeId) {
+        let req = self.notify(self.node(), manager, self.now());
+        let handled = req.arrival + self.cfg().costs.lock_handler_ns;
+        let reply = self.notify(manager, self.node(), handled);
+        self.clock_at_least(reply.arrival);
+    }
+}
+
+/// The simulated cluster as the interpreters' effects, for the thread
+/// `sim` runs; `ext` is the layer above's state (the CableS runtime).
+#[derive(Debug)]
+pub struct Real<'a, X = ()> {
+    pub sys: &'a SvmSystem,
+    pub sim: &'a Sim,
+    pub ext: &'a X,
+}
+
+impl<X> SyncEffects for Real<'_, X> {
+    fn cfg(&self) -> &SvmConfig {
+        &self.sys.cfg
+    }
+
+    fn node(&self) -> NodeId {
+        self.sim.node()
+    }
+
+    fn tid(&self) -> Tid {
+        self.sim.tid()
+    }
+
+    fn master(&self) -> NodeId {
+        self.sys.master
+    }
+
+    fn with_proto<R>(&mut self, f: impl FnOnce(&mut ProtoState) -> R) -> R {
+        f(&mut self.sys.state.lock())
+    }
+
+    fn crash_check(&mut self) {
+        self.sys.crash_check(self.sim);
+    }
+
+    fn wake(&mut self, tid: Tid, at: SimTime) {
+        self.sim.wake(tid, at);
+    }
+
+    fn now(&self) -> SimTime {
+        self.sim.now()
+    }
+
+    fn advance(&self, ns: u64) {
+        self.sim.advance(ns);
+    }
+
+    fn clock_at_least(&self, t: SimTime) {
+        self.sim.clock_at_least(t);
+    }
+
+    fn op_point(&self, ns: u64) {
+        self.sim.op_point(ns);
+    }
+
+    fn notify(&self, from: NodeId, to: NodeId, at: SimTime) -> SendTiming {
+        self.sys.cluster.san.notify(from, to, at)
+    }
+
+    fn send(&self, to: NodeId, bytes: u64) -> SendTiming {
+        let sim = self.sim;
+        self.sys.cluster.san.send(sim.node(), to, bytes, sim.now())
+    }
+
+    fn send_base_ns(&self) -> u64 {
+        self.sys.cluster.san.config().send_base_ns
+    }
+
+    fn fetch_master(&self, bytes: u64) {
+        let (san, sim, master) = (&self.sys.cluster.san, self.sim, self.sys.master);
+        if sim.node() != master {
+            sim.clock_at_least(san.fetch(sim.node(), master, bytes, sim.now()));
+        }
+    }
+
+    fn release(&mut self) {
+        self.sys.release(self.sim);
+    }
+
+    fn acquire(&mut self) {
+        self.sys.acquire(self.sim);
+    }
+
+    fn obs(&self) -> Option<(&obs::ObsSink, u64)> {
+        self.sys.obs_if_on().map(|o| (o, self.sim.tid().0))
+    }
+}
+
+impl SvmSystem {
+    /// The interpreters' effects for the thread `sim` runs.
+    pub(crate) fn at<'a>(&'a self, sim: &'a Sim) -> Real<'a> {
+        Real {
+            sys: self,
+            sim,
+            ext: &(),
+        }
+    }
+
+    /// The node where lock `id`'s ownership is currently cached, if any.
+    pub fn lock_owner_node(&self, id: u64) -> Option<sim::NodeId> {
+        self.state.lock().locks.get(&id).and_then(|l| l.holder_node)
     }
 
     /// The one park: blocks until woken (or until `deadline`; the result
@@ -112,35 +290,6 @@ impl SvmSystem {
         woken
     }
 
-    /// Entry of a blocking primitive: its start time, with the streaming
-    /// series clock advanced so live windows keep cutting through long
-    /// quiet stretches (no-op unless a series is running; never charges
-    /// simulated time).
-    fn sync_entry(&self, sim: &Sim) -> SimTime {
-        let t0 = sim.now();
-        if let Some(o) = self.obs_if_on() {
-            o.series_tick(t0);
-        }
-        t0
-    }
-
-    /// The wait record of a blocking primitive that started at `t0`.
-    fn sync_span(&self, sim: &Sim, t0: SimTime, event: obs::Event) {
-        if let Some(o) = self.obs_if_on() {
-            let waited = sim.now().saturating_since(t0);
-            o.span(obs::Layer::Sync, sim.node(), sim.tid().0, t0, waited, event);
-        }
-    }
-
-    /// Request/reply round trip with a remote lock manager.
-    fn manager_round_trip(&self, sim: &Sim, manager: NodeId) {
-        let san = &self.cluster.san;
-        let req = san.notify(sim.node(), manager, sim.now());
-        let handled = req.arrival + self.cfg.costs.lock_handler_ns;
-        let reply = san.notify(manager, sim.node(), handled);
-        sim.clock_at_least(reply.arrival);
-    }
-
     /// Acquires system lock `id`, blocking until granted, then applies
     /// pending write notices (the RC acquire).
     ///
@@ -148,61 +297,25 @@ impl SvmSystem {
     /// the same node is a purely local operation (paper Table 4, "local
     /// mutex lock" vs "remote mutex lock").
     pub fn lock(&self, sim: &Sim, id: u64) {
-        self.crash_check(sim);
-        let t0 = self.sync_entry(sim);
-        self.lock_or(sim, id, true);
-        self.sync_span(sim, t0, obs::Event::LockWait { id });
+        let e = &mut self.at(sim);
+        let (t0, parks) = lock(e, id);
+        if parks {
+            self.park(sim, None);
+        }
+        e.acquire();
+        e.sync_span(t0, obs::Event::LockWait { id });
     }
 
     /// Attempts to acquire system lock `id` without blocking. On success
     /// performs the RC acquire and returns `true`.
     pub fn try_lock(&self, sim: &Sim, id: u64) -> bool {
-        self.crash_check(sim);
-        self.lock_or(sim, id, false)
-    }
-
-    /// Takes lock `id` if it is free; otherwise queues and parks for it
-    /// (`wait`) or gives up. Timing-visible asymmetry, kept: a probe
-    /// records its node in `acquired_from` without paying the first-time
-    /// bookkeeping, and counts as an acquire only when it succeeds.
-    fn lock_or(&self, sim: &Sim, id: u64, wait: bool) -> bool {
-        sim.op_point(self.cfg.costs.lock_local_ns);
-        let node = sim.node();
-        let g = self.state.lock().lock(id, sim.tid(), node, wait);
-
-        if wait && g.first_time {
-            sim.advance(self.cfg.costs.lock_first_time_ns);
-            if node != self.master {
-                // First-time bookkeeping reads the lock record remotely.
-                let done = self.cluster.san.fetch(node, self.master, 16, sim.now());
-                sim.clock_at_least(done);
-            }
+        let e = &mut self.at(sim);
+        e.crash_check();
+        let got = lock_or(e, id, false).is_some();
+        if got {
+            e.acquire();
         }
-
-        if g.granted {
-            if !g.local && node != g.manager {
-                self.manager_round_trip(sim, g.manager);
-            } else if !g.local {
-                sim.advance(self.cfg.costs.lock_handler_ns);
-            }
-        } else if wait {
-            // Request reaches the manager; we wait for a grant from the
-            // releasing thread.
-            if node != g.manager {
-                let req = self.cluster.san.notify(node, g.manager, sim.now());
-                sim.clock_at_least(req.local_done);
-            }
-            self.park(sim, None);
-        } else {
-            // A failed probe still costs the manager round trip when the
-            // lock record lives elsewhere.
-            if node != g.manager {
-                self.manager_round_trip(sim, g.manager);
-            }
-            return false;
-        }
-        self.acquire(sim);
-        true
+        got
     }
 
     /// Releases system lock `id` after flushing this node's dirty pages
@@ -212,21 +325,9 @@ impl SvmSystem {
     ///
     /// Panics if the calling thread does not hold the lock.
     pub fn unlock(&self, sim: &Sim, id: u64) {
-        self.crash_check(sim);
-        self.release(sim);
-        sim.op_point(self.cfg.costs.lock_local_ns);
-        // The release takes simulated time: the node may have crashed
-        // during the flush, and recovery then already passed this lock on
-        // — the casualty must die here, not trip the holder check below.
-        self.crash_check(sim);
-
-        let next = self.state.lock().unlock(id, sim.tid());
-        if let Some((to, manager)) = next {
-            // Release to the manager, its handler, grant to the waiter.
-            let edge = Some((EdgeKind::LockHandoff, id));
-            let handler_ns = self.cfg.costs.lock_handler_ns;
-            self.notify_handoff(sim, edge, &[manager, to.1], handler_ns, to);
-        }
+        let e = &mut self.at(sim);
+        unlock_release(e);
+        unlock(e, id);
     }
 
     /// Native (GeNIMA) barrier across `n` threads: releases, waits for all
@@ -234,86 +335,156 @@ impl SvmSystem {
     ///
     /// Distinct barrier episodes may reuse the same `id`.
     pub fn barrier(&self, sim: &Sim, id: u64, n: usize) {
-        assert!(n > 0, "barrier over zero threads");
-        self.crash_check(sim);
-        let t0 = self.sync_entry(sim);
-        self.release(sim);
-        sim.op_point(self.cfg.costs.lock_local_ns);
-        let node = sim.node();
-        let manager = self.master;
-
-        let arrive_at_mgr = if node != manager {
-            self.cluster.san.send(node, manager, 8, sim.now()).arrival
-        } else {
-            sim.now()
-        };
-
-        let opened = self
-            .state
-            .lock()
-            .arrive(id, sim.tid(), node, n, arrive_at_mgr);
-        match opened {
-            None => {
-                self.park(sim, None);
-            }
-            Some((waiters, release_t)) => {
-                self.fan_out(sim, EdgeKind::BarrierRelease, id, waiters, release_t);
-                let back = if node != manager {
-                    self.cluster.san.config().send_base_ns
-                } else {
-                    0
-                };
-                sim.clock_at_least(release_t + back);
-            }
+        let e = &mut self.at(sim);
+        let (t0, parks) = barrier(e, id, n);
+        if parks {
+            self.park(sim, None);
         }
-
-        self.acquire(sim);
-        self.sync_span(sim, t0, obs::Event::BarrierWait { id });
+        e.acquire();
+        e.sync_span(t0, obs::Event::BarrierWait { id });
     }
+}
 
-    /// Wakes a released barrier's waiters. Release messages fan out from
-    /// the manager's NIC; timing-visible asymmetry, kept: every waiter
-    /// pays one flat `send_base_ns` from the nominal release rather than a
-    /// NIC-serialised notify (the same-node case is rare and only saves
-    /// 7.8us). A release that crash recovery finds overdue never wakes
-    /// into the past.
-    fn fan_out(&self, sim: &Sim, kind: EdgeKind, id: u64, waiters: WaitQueue, release_t: SimTime) {
-        let now = sim.now();
-        let wake_t = release_t.max(now) + self.cluster.san.config().send_base_ns;
-        for (tid, wnode, ()) in waiters.0 {
-            let cause = (sim.node(), now);
-            self.handoff(sim, Some((kind, id)), cause, wake_t, (tid, wnode));
-        }
-    }
+/// [`SvmSystem::lock`] up to its park: the entry checkpoint, then the
+/// request. Its start time, and whether it parks.
+pub fn lock<E: SyncEffects>(e: &mut E, id: u64) -> (SimTime, bool) {
+    e.crash_check();
+    let t0 = e.sync_entry();
+    (t0, lock_or(e, id, true) == Some(true))
+}
 
-    /// Crash recovery of the lock and barrier managers
-    /// ([`ProtoState::crash`](crate::core::ProtoState::crash)): the dead
-    /// found parked, to be woken so they unwind. The recovering thread
-    /// grants a dead holder's locks on its behalf, at `now +
-    /// lock_handler_ns` with no wire message, the edge sourced at `node`;
-    /// then `between` runs (the caller's own grants keep their place in
-    /// the wake order); then the barriers the recovery opened release.
-    #[doc(hidden)]
-    pub fn crash(
-        &self,
-        sim: &Sim,
-        (dead, forgive, open): (&[Tid], u64, bool),
-        node: NodeId,
-        between: impl FnOnce(),
-    ) -> Vec<Tid> {
-        let c = self.state.lock().crash(dead, forgive, open);
-        let now = sim.now();
-        for (id, to) in c.grants {
-            let edge = Some((EdgeKind::Recovery, id));
-            let arrival = now + self.cfg.costs.lock_handler_ns;
-            self.handoff(sim, edge, (node, now), arrival, to);
-        }
-        between();
-        for (id, (waiters, release_t)) in c.opened {
-            self.fan_out(sim, EdgeKind::Recovery, id, waiters, release_t);
-        }
-        c.parked
+/// Takes lock `id` if it is free (`Some(false)`); otherwise queues for it
+/// (`wait`: `Some(true)`, the caller parks) or gives up (`None`).
+/// Timing-visible asymmetry, kept: a probe records its node in
+/// `acquired_from` without paying the first-time bookkeeping, and counts
+/// as an acquire only when it succeeds.
+fn lock_or<E: SyncEffects>(e: &mut E, id: u64, wait: bool) -> Option<bool> {
+    e.op_point(e.cfg().costs.lock_local_ns);
+    let (node, tid) = (e.node(), e.tid());
+    let g = e.with_proto(|p| p.lock(id, tid, node, wait));
+    if wait && g.first_time {
+        e.advance(e.cfg().costs.lock_first_time_ns);
+        // First-time bookkeeping reads the lock record remotely.
+        e.fetch_master(16);
     }
+    if g.granted {
+        if !g.local && node != g.manager {
+            e.manager_round_trip(g.manager);
+        } else if !g.local {
+            e.advance(e.cfg().costs.lock_handler_ns);
+        }
+        Some(false)
+    } else if wait {
+        // Request reaches the manager; we wait for a grant from the
+        // releasing thread.
+        if node != g.manager {
+            let req = e.notify(node, g.manager, e.now());
+            e.clock_at_least(req.local_done);
+        }
+        Some(true)
+    } else {
+        // A failed probe still costs the manager round trip when the
+        // lock record lives elsewhere.
+        if node != g.manager {
+            e.manager_round_trip(g.manager);
+        }
+        None
+    }
+}
+
+/// An unlock's first step: the entry checkpoint and the RC release.
+pub fn unlock_release<E: SyncEffects>(e: &mut E) {
+    e.crash_check();
+    e.release();
+}
+
+/// An unlock's second step. The release took simulated time: the node
+/// may have crashed during the flush, and recovery then already passed
+/// this lock on — past the ordering point the casualty must die at the
+/// checkpoint, not trip the holder check. Then the hand-off: release to
+/// the manager, its handler, grant to the waiter.
+pub fn unlock<E: SyncEffects>(e: &mut E, id: u64) {
+    e.op_point(e.cfg().costs.lock_local_ns);
+    e.crash_check();
+    let tid = e.tid();
+    if let Some((to, manager)) = e.with_proto(|p| p.unlock(id, tid)) {
+        let edge = Some((EdgeKind::LockHandoff, id));
+        let handler_ns = e.cfg().costs.lock_handler_ns;
+        e.notify_handoff(edge, &[manager, to.1], handler_ns, to);
+    }
+}
+
+/// [`SvmSystem::barrier`] up to its park: the entry checkpoint, the
+/// release, the arrival at the manager, and the fan-out when it is the
+/// last. Its start time, and whether it parks.
+pub fn barrier<E: SyncEffects>(e: &mut E, id: u64, n: usize) -> (SimTime, bool) {
+    assert!(n > 0, "barrier over zero threads");
+    e.crash_check();
+    let t0 = e.sync_entry();
+    e.release();
+    e.op_point(e.cfg().costs.lock_local_ns);
+    let (node, tid, manager) = (e.node(), e.tid(), e.master());
+    let arrive_at_mgr = if node != manager {
+        e.send(manager, 8).arrival
+    } else {
+        e.now()
+    };
+    let opened = e.with_proto(|p| p.arrive(id, tid, node, n, arrive_at_mgr));
+    let Some((waiters, release_t)) = opened else {
+        return (t0, true);
+    };
+    fan_out(e, EdgeKind::BarrierRelease, id, waiters, release_t);
+    let back = if node != manager { e.send_base_ns() } else { 0 };
+    e.clock_at_least(release_t + back);
+    (t0, false)
+}
+
+/// Wakes a released barrier's waiters. Release messages fan out from the
+/// manager's NIC; timing-visible asymmetry, kept: every waiter pays one
+/// flat `send_base_ns` from the nominal release rather than a
+/// NIC-serialised notify (the same-node case is rare and only saves
+/// 7.8us). A release that crash recovery finds overdue never wakes into
+/// the past.
+fn fan_out<E: SyncEffects>(
+    e: &mut E,
+    kind: EdgeKind,
+    id: u64,
+    waiters: WaitQueue,
+    release_t: SimTime,
+) {
+    let now = e.now();
+    let wake_t = release_t.max(now) + e.send_base_ns();
+    for (tid, wnode, ()) in waiters.0 {
+        let cause = (e.node(), now);
+        e.handoff(Some((kind, id)), cause, wake_t, (tid, wnode));
+    }
+}
+
+/// Crash recovery of the lock and barrier managers
+/// ([`ProtoState::crash`]): the dead found parked, to be woken so they
+/// unwind. The recovering thread grants a dead holder's locks on its
+/// behalf, at `now + lock_handler_ns` with no wire message, the edge
+/// sourced at `node`; then `between` runs (the caller's own grants keep
+/// their place in the wake order); then the barriers the recovery opened
+/// release.
+pub fn crash<E: SyncEffects>(
+    e: &mut E,
+    (dead, forgive, open): (&[Tid], u64, bool),
+    node: NodeId,
+    between: impl FnOnce(&mut E),
+) -> Vec<Tid> {
+    let c = e.with_proto(|p| p.crash(dead, forgive, open));
+    let now = e.now();
+    for (id, to) in c.grants {
+        let edge = Some((EdgeKind::Recovery, id));
+        let arrival = now + e.cfg().costs.lock_handler_ns;
+        e.handoff(edge, (node, now), arrival, to);
+    }
+    between(e);
+    for (id, (waiters, release_t)) in c.opened {
+        fan_out(e, EdgeKind::Recovery, id, waiters, release_t);
+    }
+    c.parked
 }
 
 #[cfg(test)]

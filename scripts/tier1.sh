@@ -93,6 +93,19 @@ if grep -nE 'core\.(fault|place|placed|fetch|release|acquire|migrated|start_writ
     exit 1
 fi
 
+# The crash explorer runs the synchronisation interpreter (`svm`'s
+# `sync.rs`, `cables`' `sync.rs` and `rt.rs`) on its thread model
+# (`impl SyncEffects`/`impl RtEffects for World`); it performs no sync
+# transition itself and keeps no replica's recovery, unwind, timeout or
+# resume of its own. Queries (`lock_holder`, `ct_of`, reads of the queues)
+# stay allowed, and so does `World::new`'s setup on a local `rt`.
+echo "==> the crash explorer runs the sync interpreter, not a replica"
+if grep -nE '\.(rt|svm)\.(lock|unlock|arrive|crash|cond_wait|cond_wake|cond_timeout|rw_acquire|rw_release|join|retire|dispatch|pool_take|pool_idle|pool_resume|cancel|enter|waited)\(|fn (recover|unwind|timeout|resume)\b|checkpoint_first' \
+        crates/cables/src/explore.rs; then
+    echo "tier1: cables/src/explore.rs performs a sync transition itself (see above); call the interpreter's steps" >&2
+    exit 1
+fi
+
 # Every artifact, report and stream line goes through one serializer,
 # obs::json::Writer; an escaped-quote JSON key (`\"name\":`) in a format
 # string means hand-built JSON is back. Checked in crates/bench and the
