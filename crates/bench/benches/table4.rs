@@ -114,26 +114,25 @@ fn main() {
             // first on node 1 is a local acquire with first-time ACB
             // bookkeeping.
             let m_local = rt2.mutex_new();
-            let rt9 = Arc::clone(&rt2);
             let rows9 = Arc::clone(&rows2);
             let w = pth.create(move |p| {
                 let t0 = p.sim.now();
-                rt9.mutex_lock(p.sim, m_local);
+                p.mutex_lock(m_local);
                 rows9.lock().unwrap().push(Row {
                     mechanism: "local mutex lock (first time)",
                     paper: "33 us",
                     measured_ns: p.sim.now() - t0,
                 });
-                rt9.mutex_unlock(p.sim, m_local);
+                p.mutex_unlock(m_local);
                 let t0 = p.sim.now();
-                rt9.mutex_lock(p.sim, m_local);
+                p.mutex_lock(m_local);
                 rows9.lock().unwrap().push(Row {
                     mechanism: "local mutex lock",
                     paper: "4 us",
                     measured_ns: p.sim.now() - t0,
                 });
                 let t0 = p.sim.now();
-                rt9.mutex_unlock(p.sim, m_local);
+                p.mutex_unlock(m_local);
                 rows9.lock().unwrap().push(Row {
                     mechanism: "mutex unlock",
                     paper: "6 us",
@@ -146,38 +145,36 @@ fn main() {
             // Remote mutex: a worker on node 1 acquires a lock whose
             // ownership is cached on the master.
             let m_rem = rt2.mutex_new();
-            rt2.mutex_lock(pth.sim, m_rem);
-            rt2.mutex_unlock(pth.sim, m_rem);
-            let rt3 = Arc::clone(&rt2);
+            pth.mutex_lock(m_rem);
+            pth.mutex_unlock(m_rem);
             let rows3 = Arc::clone(&rows2);
             let w = pth.create(move |p| {
                 let t0 = p.sim.now();
-                rt3.mutex_lock(p.sim, m_rem);
+                p.mutex_lock(m_rem);
                 rows3.lock().unwrap().push(Row {
                     mechanism: "remote mutex lock (first time)",
                     paper: "122 us",
                     measured_ns: p.sim.now() - t0,
                 });
-                rt3.mutex_unlock(p.sim, m_rem);
+                p.mutex_unlock(m_rem);
                 0
             });
             pth.join(w);
             // Second remote acquire after the master takes the lock back:
             // ownership is again elsewhere, but the node's first-time
             // bookkeeping is done.
-            rt2.mutex_lock(pth.sim, m_rem);
-            rt2.mutex_unlock(pth.sim, m_rem);
-            let rt3 = Arc::clone(&rt2);
+            pth.mutex_lock(m_rem);
+            pth.mutex_unlock(m_rem);
             let rows3 = Arc::clone(&rows2);
             let w = pth.create(move |p| {
                 let t0 = p.sim.now();
-                rt3.mutex_lock(p.sim, m_rem);
+                p.mutex_lock(m_rem);
                 rows3.lock().unwrap().push(Row {
                     mechanism: "remote mutex lock",
                     paper: "101 us",
                     measured_ns: p.sim.now() - t0,
                 });
-                rt3.mutex_unlock(p.sim, m_rem);
+                p.mutex_unlock(m_rem);
                 0
             });
             pth.join(w);

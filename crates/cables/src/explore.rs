@@ -557,8 +557,9 @@ impl World {
 }
 
 /// The interpreter's effects on the model: the thread [`World::cur`]
-/// runs, its wakes and crash checkpoints; time, the wire, the RC release
-/// and acquire and obs do nothing (the trait's provided bodies).
+/// runs, its wakes and crash checkpoints. State only: time, the wire, the
+/// RC release and acquire and obs have their one body in the trait,
+/// through `SyncEffects::real`, which is `None` here.
 impl SyncEffects for World {
     fn cfg(&self) -> &SvmConfig {
         &CFG.svm

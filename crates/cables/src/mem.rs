@@ -15,7 +15,9 @@
 use std::fmt;
 
 use memsim::{GAddr, PAGE_SIZE};
+use obs::{Event, Layer};
 use sim::Sim;
+use svm::sync::SyncEffects;
 
 use crate::rt::{CablesRt, OpKind, Pth, RtEffects};
 
@@ -63,31 +65,8 @@ impl CablesRt {
             }
         };
         let base = addr.raw();
-        e.span(t0, obs::Event::GlobalAlloc { base, bytes });
+        e.span(Layer::Rt, t0, || Event::GlobalAlloc { base, bytes });
         addr
-    }
-
-    /// Frees a block returned by [`CablesRt::global_malloc`]
-    /// (`global_free`). Adjacent free blocks coalesce.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a double free or an address that was never allocated.
-    /// Use [`CablesRt::try_global_free`] for the non-panicking variant.
-    pub fn global_free(&self, sim: &Sim, addr: GAddr) {
-        self.try_global_free(sim, addr)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Frees a block returned by [`CablesRt::global_malloc`], reporting a
-    /// double free or wild free as a typed [`FreeError`] instead of
-    /// panicking. The allocator state is untouched on error (the free is
-    /// counted in [`RtStats::frees`](crate::RtStats) either way — the call
-    /// happened).
-    pub fn try_global_free(&self, sim: &Sim, addr: GAddr) -> Result<(), FreeError> {
-        self.at(sim).admin_request();
-        sim.advance(self.cfg.costs.malloc_ns);
-        self.state.lock().free(addr.raw()).ok_or(FreeError { addr })
     }
 
     /// Bytes currently held on the free list (diagnostics).
@@ -99,11 +78,43 @@ impl CablesRt {
     pub fn live_allocations(&self) -> usize {
         self.state.lock().allocated.len()
     }
+}
 
-    /// Defines a GLOBAL static variable of `bytes` bytes, returning its
-    /// address in the GLOBAL_DATA section. The section's primary copies
-    /// live on the master node, which this call establishes eagerly (the
-    /// paper homes the section on the first node at initialization).
+impl Pth<'_> {
+    /// Allocates global shared memory (`global_malloc`).
+    pub fn malloc(&self, bytes: u64) -> GAddr {
+        self.timed(OpKind::Malloc, |rt, sim| rt.global_malloc(sim, bytes))
+    }
+
+    /// Frees a block returned by [`CablesRt::global_malloc`]
+    /// (`global_free`). Adjacent free blocks coalesce.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a double free or an address that was never allocated.
+    /// Use [`Pth::try_free`] for the non-panicking variant.
+    pub fn free(&self, addr: GAddr) {
+        self.try_free(addr).unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// Frees a block returned by [`CablesRt::global_malloc`], reporting a
+    /// double free or wild free as a typed [`FreeError`] instead of
+    /// panicking. The allocator state is untouched on error (the free is
+    /// counted in [`RtStats::frees`](crate::RtStats) either way — the call
+    /// happened).
+    pub fn try_free(&self, addr: GAddr) -> Result<(), FreeError> {
+        self.timed(OpKind::Free, |rt, sim| {
+            rt.at(sim).admin_request();
+            sim.advance(rt.cfg.costs.malloc_ns);
+            rt.state.lock().free(addr.raw()).ok_or(FreeError { addr })
+        })
+    }
+
+    /// Defines a GLOBAL static variable of `bytes` bytes (the `GLOBAL`
+    /// qualifier), returning its address in the GLOBAL_DATA section. The
+    /// section's primary copies live on the master node, which this call
+    /// establishes eagerly (the paper homes the section on the first node
+    /// at initialization).
     ///
     /// Must be called from the master node, before worker threads use the
     /// variable (as with statics in a real executable image).
@@ -111,15 +122,16 @@ impl CablesRt {
     /// # Panics
     ///
     /// Panics when called off the master node, or if the section is full.
-    pub fn define_global(&self, sim: &Sim, bytes: u64) -> GAddr {
+    pub fn define_global(&self, bytes: u64) -> GAddr {
+        let (rt, sim) = (&self.rt, self.sim);
         assert!(bytes > 0, "GLOBAL variable of zero bytes");
         assert_eq!(
             sim.node(),
-            self.master(),
+            rt.master(),
             "GLOBAL statics are established by the first node"
         );
         let addr = {
-            let mut st = self.state.lock();
+            let mut st = rt.state.lock();
             let addr = GAddr::new(st.global_next).align_up(8);
             st.global_next = addr.raw() + bytes;
             assert!(
@@ -129,40 +141,17 @@ impl CablesRt {
             addr
         };
         // Touch each mapping chunk so the master becomes its home.
-        let chunk = self.cfg.svm.home_granularity_pages * PAGE_SIZE;
+        let chunk = rt.cfg.svm.home_granularity_pages * PAGE_SIZE;
         let mut probe = addr.align_down(chunk);
         while probe.raw() < addr.raw() + bytes {
             let cur: u8 = {
                 // A write fault homes the chunk on the master.
-                self.svm().read::<u8>(sim, probe)
+                rt.svm().read::<u8>(sim, probe)
             };
-            self.svm().write::<u8>(sim, probe, cur);
+            rt.svm().write::<u8>(sim, probe, cur);
             probe += chunk;
         }
         addr
-    }
-}
-
-impl Pth<'_> {
-    /// Allocates global shared memory (`global_malloc`).
-    pub fn malloc(&self, bytes: u64) -> GAddr {
-        self.timed(OpKind::Malloc, |rt, sim| rt.global_malloc(sim, bytes))
-    }
-
-    /// Frees global shared memory (`global_free`).
-    pub fn free(&self, addr: GAddr) {
-        self.timed(OpKind::Free, |rt, sim| rt.global_free(sim, addr))
-    }
-
-    /// Frees global shared memory, returning `Err(`[`FreeError`]`)` on a
-    /// double or wild free instead of panicking.
-    pub fn try_free(&self, addr: GAddr) -> Result<(), FreeError> {
-        self.timed(OpKind::Free, |rt, sim| rt.try_global_free(sim, addr))
-    }
-
-    /// Defines a GLOBAL static variable (the `GLOBAL` qualifier).
-    pub fn define_global(&self, bytes: u64) -> GAddr {
-        self.rt().define_global(self.sim, bytes)
     }
 }
 

@@ -6,7 +6,7 @@ use std::fmt;
 
 use sim::SimTime;
 
-use crate::rt::{CablesRt, CtId, Pth};
+use crate::rt::{CablesRt, Pth};
 
 /// A once-control handle (`pthread_once_t`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -34,45 +34,30 @@ impl CablesRt {
         st.next_tsd_key += 1;
         TsdKey(st.next_tsd_key)
     }
-
-    /// Runs `f` exactly once across all threads (`pthread_once`): the
-    /// first caller executes it under the once-control's mutex semantics;
-    /// everyone returning from `once` observes its effects.
-    pub fn once<F: FnOnce(&Pth)>(&self, pth: &Pth, o: Once, f: F) {
-        // The once flag is ACB state guarded by an internal system lock.
-        self.svm().lock(pth.sim, o.0);
-        let first = self.state.lock().once_done.insert(o.0, ()).is_none();
-        if first {
-            f(pth);
-        }
-        self.svm().unlock(pth.sim, o.0);
-    }
-
-    /// Stores a thread-specific value (`pthread_setspecific`).
-    pub fn set_specific(&self, ct: CtId, key: TsdKey, value: u64) {
-        self.state.lock().tsd.insert((ct.0, key.0), value);
-    }
-
-    /// Loads a thread-specific value (`pthread_getspecific`).
-    pub fn get_specific(&self, ct: CtId, key: TsdKey) -> Option<u64> {
-        self.state.lock().tsd.get(&(ct.0, key.0)).copied()
-    }
 }
 
 impl Pth<'_> {
-    /// Runs `f` exactly once across all threads (`pthread_once`).
+    /// Runs `f` exactly once across all threads (`pthread_once`): the
+    /// first caller executes it under the once-control's mutex semantics;
+    /// everyone returning from `once` observes its effects.
     pub fn once<F: FnOnce(&Pth)>(&self, o: Once, f: F) {
-        self.rt().clone().once(self, o, f)
+        // The once flag is ACB state guarded by an internal system lock.
+        self.rt.svm().lock(self.sim, o.0);
+        let first = self.rt.state.lock().once_done.insert(o.0, ()).is_none();
+        if first {
+            f(self);
+        }
+        self.rt.svm().unlock(self.sim, o.0);
     }
 
     /// Stores a thread-specific value (`pthread_setspecific`).
     pub fn set_specific(&self, key: TsdKey, value: u64) {
-        self.rt().set_specific(self.self_id(), key, value)
+        self.rt.state.lock().tsd.insert((self.ct.0, key.0), value);
     }
 
     /// Loads this thread's value for `key` (`pthread_getspecific`).
     pub fn get_specific(&self, key: TsdKey) -> Option<u64> {
-        self.rt().get_specific(self.self_id(), key)
+        self.rt.state.lock().tsd.get(&(self.ct.0, key.0)).copied()
     }
 
     /// The deadline helper for timed waits: current time plus `ns`.

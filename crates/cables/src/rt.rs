@@ -5,6 +5,10 @@
 //! nodes read and update it with direct remote operations and notification
 //! handlers, whose costs this module charges explicitly ("administration
 //! request" in the paper's Table 4).
+//!
+//! Each pthreads call is one [`Pth`] method: it runs the interpreter's
+//! steps (generic over [`RtEffects`], which adds the runtime's state to
+//! `svm`'s effects), parks between them, and books the call once.
 
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -12,6 +16,7 @@ use std::sync::Arc;
 
 use chaos::{ChaosEngine, CrashUnwind};
 use memsim::GAddr;
+use obs::Layer;
 use sim::{IdMap, Local, NodeId, Sim, SimError, SimTime, Tid};
 use svm::sync::{Real, SyncEffects};
 use svm::{Cluster, ProtoMode, SvmSystem};
@@ -19,7 +24,7 @@ use svm::{Cluster, ProtoMode, SvmSystem};
 use crate::config::CablesConfig;
 use crate::core::{Joined, Recovery, RtState, Wait};
 
-/// The value [`CablesRt::join`] returns for a thread lost to a node crash
+/// The value [`Pth::join`] returns for a thread lost to a node crash
 /// (mirrors a POSIX `ECANCELED`-style status: the thread never produced a
 /// result of its own).
 pub const CRASHED_RET: u64 = 125;
@@ -192,8 +197,9 @@ pub struct RtStats {
 
 /// The runtime interpreter's effects: `svm`'s synchronisation effects,
 /// plus the runtime core (the ACB) and the crash plan's verdict on the
-/// calling thread's node. The real set is [`Real`] over the runtime; the
-/// crash explorer's world is the other.
+/// calling thread's node — state only; time, the wire and obs are
+/// [`SyncEffects`]'. The real set is [`Real`] over the runtime; the crash
+/// explorer's world is the other.
 pub(crate) trait RtEffects: SyncEffects {
     fn rt_cfg(&self) -> &CablesConfig;
     /// Runs one runtime-core transition under the ACB borrow.
@@ -209,30 +215,6 @@ pub(crate) trait RtEffects: SyncEffects {
             let t = self.notify(self.node(), self.master(), self.now());
             self.clock_at_least(t.arrival);
         }
-    }
-
-    /// A span on the bus for a call of this thread that began at `t0`.
-    fn span(&self, t0: SimTime, event: obs::Event) {
-        if let Some((o, me)) = self.obs() {
-            let took = self.now().saturating_since(t0);
-            o.span(obs::Layer::Rt, self.node(), me, t0, took, event);
-        }
-    }
-
-    /// An instant on the bus at this thread's clock, attributed to `node`.
-    fn note(&self, layer: obs::Layer, node: NodeId, event: obs::Event) {
-        if let Some((o, me)) = self.obs() {
-            o.instant(layer, node, me, self.now(), event);
-        }
-    }
-
-    /// The wait record of a synchronization call of `class` that began at
-    /// `t0`: the contention counters (`RtState::waited`) and the span on
-    /// the bus.
-    fn record_wait(&mut self, t0: SimTime, class: Wait, event: obs::Event) {
-        let ns = self.now() - t0;
-        self.with_rt(|st| st.waited(class, ns));
-        self.span(t0, event);
     }
 }
 
@@ -338,10 +320,6 @@ impl CablesRt {
     /// Synchronization contention counters (always collected).
     pub fn contention(&self) -> ContentionStats {
         self.state.lock().contention
-    }
-
-    pub(crate) fn record_op(&self, kind: OpKind, ns: u64) {
-        self.state.lock().op(kind, ns);
     }
 
     /// Nodes currently attached to the application.
@@ -464,22 +442,17 @@ impl CablesRt {
         let e = &mut self.at(sim);
         let t0 = sim.now();
         ch.note_crash();
-        let crashed = obs::Event::ChaosCrash { node: node.0 };
-        e.note(obs::Layer::Chaos, node, crashed);
+        e.instant(Layer::Chaos, node, obs::Event::ChaosCrash { node: node.0 });
         let rec = crash(e, node, t0, None);
         // A job dispatched to a casualty it never picked up dies with it.
         self.jobs
             .lock()
             .retain(|tid, _| !rec.dead.contains(&Tid(*tid)));
         sim.advance(self.cfg.costs.detach_ns);
-        let detached = obs::Event::NodeDetach { node: node.0 };
-        e.note(obs::Layer::Rt, node, detached);
-        if let Some((o, me)) = e.obs() {
-            // The recovery as one causal edge on the monitor's own lane.
-            let (here, now) = (sim.node(), sim.now());
-            let kind = obs::EdgeKind::Recovery;
-            o.edge(kind, node, me, t0, here, me, now, node.0 as u64);
-        }
+        e.instant(Layer::Rt, node, obs::Event::NodeDetach { node: node.0 });
+        // The recovery as one causal edge on the monitor's own lane.
+        let (from, to) = ((node, None, t0), (sim.node(), None, sim.now()));
+        e.edge(obs::EdgeKind::Recovery, from, to, node.0 as u64);
         let latency = sim.now().saturating_since(t0);
         ch.note_recovery(latency);
         let recovered = obs::Event::ChaosRecovery {
@@ -487,7 +460,7 @@ impl CablesRt {
             threads: rec.dead.len() as u64,
             latency_ns: latency,
         };
-        e.note(obs::Layer::Chaos, sim.node(), recovered);
+        e.instant(Layer::Chaos, sim.node(), recovered);
     }
 
     /// Picks a node for a new thread (`RtState::place`), attaching it when
@@ -553,110 +526,7 @@ impl CablesRt {
             st.attach(node);
             st.stats.nodes_attached += 1;
         }
-        e.span(t0, obs::Event::NodeAttach { node: node.0 });
-    }
-
-    /// `pthread_create()`: starts `f` on a node chosen by the placement
-    /// policy (attaching a node if required) and returns its thread id.
-    /// With a hint the new thread starts on the node where `near` is
-    /// running. When `near` has
-    /// finished (a node detaches or is recovered only once nothing runs on
-    /// it) or its node has just crashed, the hint is void and the
-    /// placement policy picks as for a plain create.
-    pub(crate) fn thread_create<F>(self: &Arc<Self>, sim: &Sim, near: Option<CtId>, f: F) -> CtId
-    where
-        F: FnOnce(&Pth) -> u64 + Send + 'static,
-    {
-        // pthread_create is a release point: the new thread observes the
-        // creator's writes.
-        let t0 = sim.now();
-        let e = &mut self.at(sim);
-        e.release();
-        let prefer = near.and_then(|ct| self.state.lock().beside(ct));
-        let target = self.place_thread(sim, prefer);
-        if self.cfg.thread_pool {
-            if let Some((tid, ct)) = dispatch(e, target) {
-                self.jobs.lock().insert(tid.0, Box::new(f));
-                e.span(t0, Self::create_event(ct, target));
-                return ct;
-            }
-        }
-        let local = target == sim.node();
-        let c = &self.cfg.costs;
-        let start;
-        if local {
-            sim.op_point(c.create_local_ns);
-            sim.advance(self.cfg.svm.costs.os_thread_create_ns);
-            start = sim.now();
-        } else {
-            sim.op_point(c.create_remote_local_ns);
-            let req = self.cluster().san.notify(sim.node(), target, sim.now());
-            start = req.arrival + c.create_remote_remote_ns + c.os_remote_thread_create_ns;
-            // The creator waits until the remote thread is running (the
-            // paper's 819 us remote create is creator-visible and includes
-            // the remote OS create).
-            let ack = self.cluster().san.notify(target, sim.node(), start);
-            sim.clock_at_least(ack.arrival);
-        }
-
-        let rt = Arc::clone(self);
-        let pool = self.cfg.thread_pool;
-        let run_at = start.max(sim.now());
-        let sim_tid = sim.spawn_on(target, run_at, "cables", move |csim| {
-            let me = csim.tid();
-            let mut job = Some((rt.state.lock().ct_of(me), Box::new(f) as JobFn));
-            while let Some((ct, body)) = job.take() {
-                // Acquire: observe the creator's released writes.
-                rt.svm().acquire(csim);
-                let pth = Pth {
-                    sim: csim,
-                    rt: Arc::clone(&rt),
-                    ct,
-                };
-                let ret = match catch_unwind(AssertUnwindSafe(|| body(&pth))) {
-                    Ok(v) => v,
-                    Err(p) => {
-                        if p.downcast_ref::<CrashUnwind>().is_some() {
-                            // Node crash: retire with CRASHED_RET and let
-                            // the thread exit so the engine can drain.
-                            crash(&mut rt.at(csim), csim.node(), csim.now(), Some(ct));
-                            return;
-                        }
-                        resume_unwind(p);
-                    }
-                };
-                // Park in the node's pool until redispatched.
-                let e = &mut rt.at(csim);
-                if !thread_exit(e, ct, ret, pool) {
-                    return;
-                }
-                // Not `park`: there is no job to die in, the worker just
-                // leaves when its node is gone.
-                csim.block();
-                let Some(ct) = pool_woken(e) else {
-                    return;
-                };
-                let body = rt.jobs.lock().remove(&me.0);
-                job = Some((ct, body.expect("pooled thread woken without a job")));
-            }
-        });
-
-        let ct = {
-            let mut st = self.state.lock();
-            match local {
-                true => st.stats.local_creates += 1,
-                false => st.stats.remote_creates += 1,
-            }
-            st.register(target, sim_tid)
-        };
-        if let Some((o, me)) = e.obs().filter(|_| run_at > t0) {
-            // Causal edge: the create call to the new thread's first
-            // instruction (it was spawned to start then, not woken).
-            let (here, kind) = (sim.node(), obs::EdgeKind::ThreadStart);
-            o.edge(kind, here, me, t0, target, sim_tid.0, run_at, ct.0);
-        }
-        e.span(t0, Self::create_event(ct, target));
-        ct
+        e.span(Layer::Rt, t0, || obs::Event::NodeAttach { node: node.0 });
     }
 
     fn create_event(ct: CtId, target: NodeId) -> obs::Event {
@@ -664,46 +534,6 @@ impl CablesRt {
             ct: ct.0,
             on: target.0,
         }
-    }
-
-    /// `pthread_join()`: waits for `ct` and returns its value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ct` was never created.
-    pub fn join(&self, sim: &Sim, ct: CtId) -> u64 {
-        let t0 = sim.now();
-        let e = &mut self.at(sim);
-        e.op_point(self.cfg.costs.join_ns);
-        // Reading the thread's ACB entry.
-        e.fetch_master(16);
-        e.crash_check();
-        loop {
-            if let Some(v) = joined(e, ct, t0) {
-                return v;
-            }
-            self.svm().park(sim, None);
-        }
-    }
-
-    /// `pthread_cancel()`: requests cancellation of `ct`. The target
-    /// observes it at its next cancellation point
-    /// ([`Pth::test_cancel`], [`Pth::cond_wait`]).
-    pub fn cancel(&self, sim: &Sim, ct: CtId) {
-        let e = &mut self.at(sim);
-        e.admin_request();
-        if let Some(tid) = e.with_rt(|st| st.cancel(ct)) {
-            // Timing-visible asymmetry, kept: the wake travels to the
-            // master (the ACB), not on to the target's node, and no edge
-            // kind exists for it.
-            let master = self.master;
-            e.notify_handoff(None, &[master], 0, (tid, master));
-        }
-    }
-
-    /// Whether cancellation was requested for `ct`.
-    pub(crate) fn cancel_requested(&self, ct: CtId) -> bool {
-        self.state.lock().cancel_requested(ct)
     }
 
     /// Allocates a fresh synchronization-object id (mutexes, conditions
@@ -806,8 +636,7 @@ pub(crate) fn thread_exit<E: RtEffects>(e: &mut E, ct: CtId, ret: u64, pool: boo
         }
         if detached {
             e.advance(e.rt_cfg().costs.detach_ns);
-            let detached = obs::Event::NodeDetach { node: node.0 };
-            e.note(obs::Layer::Rt, node, detached);
+            e.instant(Layer::Rt, node, obs::Event::NodeDetach { node: node.0 });
         }
     }
     pool && e.with_rt(|st| st.pool_idle(tid, node))
@@ -841,12 +670,12 @@ pub(crate) fn joined<E: RtEffects>(e: &mut E, ct: CtId, t0: SimTime) -> Option<u
     };
     e.clock_at_least(at);
     e.acquire();
-    e.span(t0, obs::Event::ThreadJoin { ct: ct.0 });
-    if let Some((o, me)) = e.obs().filter(|_| e.now() > at) {
+    e.span(Layer::Rt, t0, || obs::Event::ThreadJoin { ct: ct.0 });
+    if e.obs().is_some() && e.now() > at {
         // Causal edge: the joined thread's exit to this join's return (an
         // effect on the caller's own lane, not a wake-up).
-        let kind = obs::EdgeKind::ThreadJoin;
-        o.edge(kind, from, exited.0, at, node, me, e.now(), ct.0);
+        let (from, to) = ((from, Some(exited), at), (node, None, e.now()));
+        e.edge(obs::EdgeKind::ThreadJoin, from, to, ct.0);
     }
     Some(ret)
 }
@@ -884,13 +713,31 @@ impl Pth<'_> {
         self.sim.node()
     }
 
-    /// Runs one API call and books its duration — wait time included, as
-    /// in the paper's Table 5 — under `kind`.
+    /// Runs one API call and books it under `kind` ([`Pth::book`]).
     pub(crate) fn timed<R>(&self, kind: OpKind, f: impl FnOnce(&Arc<CablesRt>, &Sim) -> R) -> R {
         let t0 = self.sim.now();
         let r = f(&self.rt, self.sim);
-        self.rt.record_op(kind, self.sim.now() - t0);
+        self.book(t0, Some(kind), None);
         r
+    }
+
+    /// Books a call that began at `t0`, in one ACB borrow: its duration —
+    /// wait time included, as in the paper's Table 5 — under `op`, and the
+    /// contention counters of a synchronisation `wait`'s class; then the
+    /// wait's span on the bus.
+    pub(crate) fn book(&self, t0: SimTime, op: Option<OpKind>, wait: Option<(Wait, obs::Event)>) {
+        let (e, ns) = (&mut self.rt.at(self.sim), self.sim.now() - t0);
+        e.with_rt(|st| {
+            if let Some(kind) = op {
+                st.op(kind, ns);
+            }
+            if let Some((class, _)) = wait {
+                st.waited(class, ns);
+            }
+        });
+        if let Some((_, event)) = wait {
+            e.span(Layer::Rt, t0, || event);
+        }
     }
 
     /// Creates a thread (`pthread_create`).
@@ -898,7 +745,7 @@ impl Pth<'_> {
     where
         F: FnOnce(&Pth) -> u64 + Send + 'static,
     {
-        self.timed(OpKind::Create, |rt, sim| rt.thread_create(sim, None, f))
+        self.create_near(None, f)
     }
 
     /// Creates a thread on the node where `sibling` runs — threads that
@@ -913,19 +760,147 @@ impl Pth<'_> {
     where
         F: FnOnce(&Pth) -> u64 + Send + 'static,
     {
+        self.create_near(Some(sibling), f)
+    }
+
+    /// `pthread_create()`: starts `f` on a node chosen by the placement
+    /// policy (attaching a node if required) and returns its thread id.
+    /// With a hint the new thread starts on the node where `near` is
+    /// running. When `near` has finished (a node detaches or is recovered
+    /// only once nothing runs on it) or its node has just crashed, the hint
+    /// is void and the placement policy picks as for a plain create.
+    fn create_near<F>(&self, near: Option<CtId>, f: F) -> CtId
+    where
+        F: FnOnce(&Pth) -> u64 + Send + 'static,
+    {
         self.timed(OpKind::Create, |rt, sim| {
-            rt.thread_create(sim, Some(sibling), f)
+            // pthread_create is a release point: the new thread observes the
+            // creator's writes.
+            let t0 = sim.now();
+            let e = &mut rt.at(sim);
+            e.release();
+            let prefer = near.and_then(|ct| rt.state.lock().beside(ct));
+            let target = rt.place_thread(sim, prefer);
+            if rt.cfg.thread_pool {
+                if let Some((tid, ct)) = dispatch(e, target) {
+                    rt.jobs.lock().insert(tid.0, Box::new(f));
+                    e.span(Layer::Rt, t0, || CablesRt::create_event(ct, target));
+                    return ct;
+                }
+            }
+            let local = target == sim.node();
+            let c = &rt.cfg.costs;
+            let start;
+            if local {
+                sim.op_point(c.create_local_ns);
+                sim.advance(rt.cfg.svm.costs.os_thread_create_ns);
+                start = sim.now();
+            } else {
+                sim.op_point(c.create_remote_local_ns);
+                let req = rt.cluster().san.notify(sim.node(), target, sim.now());
+                start = req.arrival + c.create_remote_remote_ns + c.os_remote_thread_create_ns;
+                // The creator waits until the remote thread is running (the
+                // paper's 819 us remote create is creator-visible and includes
+                // the remote OS create).
+                let ack = rt.cluster().san.notify(target, sim.node(), start);
+                sim.clock_at_least(ack.arrival);
+            }
+
+            let runtime = Arc::clone(rt);
+            let pool = rt.cfg.thread_pool;
+            let run_at = start.max(sim.now());
+            let sim_tid = sim.spawn_on(target, run_at, "cables", move |csim| {
+                let me = csim.tid();
+                let mut job = Some((runtime.state.lock().ct_of(me), Box::new(f) as JobFn));
+                while let Some((ct, body)) = job.take() {
+                    // Acquire: observe the creator's released writes.
+                    runtime.svm().acquire(csim);
+                    let pth = Pth {
+                        sim: csim,
+                        rt: Arc::clone(&runtime),
+                        ct,
+                    };
+                    let ret = match catch_unwind(AssertUnwindSafe(|| body(&pth))) {
+                        Ok(v) => v,
+                        Err(p) => {
+                            if p.downcast_ref::<CrashUnwind>().is_some() {
+                                // Node crash: retire with CRASHED_RET and let
+                                // the thread exit so the engine can drain.
+                                crash(&mut runtime.at(csim), csim.node(), csim.now(), Some(ct));
+                                return;
+                            }
+                            resume_unwind(p);
+                        }
+                    };
+                    // Park in the node's pool until redispatched.
+                    let e = &mut runtime.at(csim);
+                    if !thread_exit(e, ct, ret, pool) {
+                        return;
+                    }
+                    // Not `park`: there is no job to die in, the worker just
+                    // leaves when its node is gone.
+                    csim.block();
+                    let Some(ct) = pool_woken(e) else {
+                        return;
+                    };
+                    let body = runtime.jobs.lock().remove(&me.0);
+                    job = Some((ct, body.expect("pooled thread woken without a job")));
+                }
+            });
+
+            let ct = {
+                let mut st = rt.state.lock();
+                match local {
+                    true => st.stats.local_creates += 1,
+                    false => st.stats.remote_creates += 1,
+                }
+                st.register(target, sim_tid)
+            };
+            if run_at > t0 {
+                // Causal edge: the create call to the new thread's first
+                // instruction (it was spawned to start then, not woken).
+                let (from, to) = ((sim.node(), None, t0), (target, Some(sim_tid), run_at));
+                e.edge(obs::EdgeKind::ThreadStart, from, to, ct.0);
+            }
+            e.span(Layer::Rt, t0, || CablesRt::create_event(ct, target));
+            ct
         })
     }
 
     /// Joins a thread and returns its value (`pthread_join`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ct` was never created.
     pub fn join(&self, ct: CtId) -> u64 {
-        self.timed(OpKind::Join, |rt, sim| rt.join(sim, ct))
+        self.timed(OpKind::Join, |rt, sim| {
+            let (t0, e) = (sim.now(), &mut rt.at(sim));
+            e.op_point(rt.cfg.costs.join_ns);
+            // Reading the thread's ACB entry.
+            e.fetch_master(16);
+            e.crash_check();
+            loop {
+                if let Some(v) = joined(e, ct, t0) {
+                    return v;
+                }
+                rt.svm().park(sim, None);
+            }
+        })
     }
 
-    /// Requests cancellation of a thread (`pthread_cancel`).
+    /// Requests cancellation of a thread (`pthread_cancel`). The target
+    /// observes it at its next cancellation point ([`Pth::test_cancel`],
+    /// [`Pth::cond_wait`]).
     pub fn cancel(&self, ct: CtId) {
-        self.rt.cancel(self.sim, ct)
+        let e = &mut self.rt.at(self.sim);
+        e.admin_request();
+        if let Some(tid) = e.with_rt(|st| st.cancel(ct)) {
+            // Timing-visible asymmetry, kept: the wake travels to the
+            // master (the ACB), not on to the target's node, and no edge
+            // kind exists for it.
+            let master = self.rt.master;
+            e.notify_handoff(None, &[master], 0, (tid, master));
+        }
     }
 
     /// An administration request: a small ACB update handled on the
@@ -944,7 +919,7 @@ impl Pth<'_> {
         // Reading the cancellation flag is an ACB access: order it against
         // other threads' operations.
         self.sim.sync_point();
-        if self.rt.cancel_requested(self.ct) {
+        if self.rt.state.lock().cancel_requested(self.ct) {
             Err(Cancelled)
         } else {
             Ok(())

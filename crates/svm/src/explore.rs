@@ -378,8 +378,10 @@ impl World {
     }
 }
 
-/// The node running the interpreter; time, the wire and obs do nothing,
-/// and nothing parks, so there is no crash to check and no one to wake.
+/// The node running the interpreter. State only: time, the wire and obs
+/// have their one body in the trait, through `SyncEffects::real`, which is
+/// `None` here; nothing parks, so there is no crash to check and no one
+/// to wake.
 impl SyncEffects for World {
     fn cfg(&self) -> &SvmConfig {
         &self.core.cfg

@@ -11,7 +11,9 @@
 //! followed by a crash checkpoint). The interpreter is written once over
 //! [`SyncEffects`], each blocking call a few steps split at its parks and
 //! at the ordering points where a crash may land; the simulated cluster
-//! ([`Real`]) and the crash explorer both run them.
+//! ([`Real`]) and the crash explorer both run them. Both implement only
+//! state; every time, wire, RC and obs effect has one body, written through
+//! [`SyncEffects::real`], that does nothing in the explorer.
 
 use std::collections::VecDeque;
 
@@ -46,11 +48,17 @@ impl<T> WaitQueue<T> {
     }
 }
 
+/// One end of a causal edge on the bus: `(node, lane, time)`, lane `None`
+/// being the calling thread's.
+pub type Point = (NodeId, Option<Tid>, SimTime);
+
 /// Everything the synchronisation interpreter does outside the cores, for
 /// one thread; `proto.rs`'s page effects and `cables`' runtime effects
-/// extend it. Statically dispatched. The provided bodies of the time, wire
-/// and obs effects are the explorers' (nothing happens); [`Real`]
-/// overrides each of them.
+/// extend it. Statically dispatched. An effect set implements the state
+/// effects — the cores, the crash checkpoint, the wake — and
+/// [`SyncEffects::real`]. The time, wire, RC and obs effects have one body
+/// each, written through `real`: [`Real`] performs them on the simulated
+/// cluster, and in an explorer's world they do nothing.
 pub trait SyncEffects {
     fn cfg(&self) -> &SvmConfig;
     fn node(&self) -> NodeId;
@@ -63,30 +71,98 @@ pub trait SyncEffects {
     fn crash_check(&mut self);
     fn wake(&mut self, tid: Tid, at: SimTime);
 
-    // The thread's clock and ordering points; the wire (a notification
-    // posted at `at`, `bytes` sent to `to` now, a small record read on
-    // the master, free there); the RC release and acquire (`proto.rs`);
-    // the obs sink and the thread's lane, while recording.
+    /// The simulated cluster and the thread it runs; `None` in a world
+    /// without time, wire or obs.
+    fn real(&self) -> Option<(&SvmSystem, &Sim)> {
+        None
+    }
+
+    /// Runs `f` on [`SyncEffects::real`]; `R`'s default without it.
+    fn on_real<'s, R: Default>(&'s self, f: impl FnOnce(&'s SvmSystem, &'s Sim) -> R) -> R {
+        self.real()
+            .map_or_else(R::default, |(sys, sim)| f(sys, sim))
+    }
+
+    // The thread's clock and ordering points (`op_point(0)` only orders);
+    // the wire (a notification posted at `at`, `bytes` sent to `to` now,
+    // a small record read on the master, free there); the RC release and
+    // acquire (`proto.rs`); the obs sink and the thread's lane, while
+    // recording.
     fn now(&self) -> SimTime {
-        SimTime::ZERO
+        self.on_real(|_, sim| sim.now())
     }
-    fn advance(&self, _ns: u64) {}
-    fn clock_at_least(&self, _t: SimTime) {}
-    fn op_point(&self, _ns: u64) {}
-    fn notify(&self, _from: NodeId, _to: NodeId, _at: SimTime) -> SendTiming {
-        SendTiming::default()
+    fn advance(&self, ns: u64) {
+        self.on_real(|_, sim| sim.advance(ns));
     }
-    fn send(&self, _to: NodeId, _bytes: u64) -> SendTiming {
-        SendTiming::default()
+    fn clock_at_least(&self, t: SimTime) {
+        self.on_real(|_, sim| sim.clock_at_least(t));
+    }
+    fn op_point(&self, ns: u64) {
+        self.on_real(|_, sim| sim.op_point(ns));
+    }
+    fn notify(&self, from: NodeId, to: NodeId, at: SimTime) -> SendTiming {
+        self.on_real(|sys, _| sys.cluster.san.notify(from, to, at))
+    }
+    fn send(&self, to: NodeId, bytes: u64) -> SendTiming {
+        self.on_real(|sys, sim| sys.cluster.san.send(sim.node(), to, bytes, sim.now()))
     }
     fn send_base_ns(&self) -> u64 {
-        0
+        self.on_real(|sys, _| sys.cluster.san.config().send_base_ns)
     }
-    fn fetch_master(&self, _bytes: u64) {}
-    fn release(&mut self) {}
-    fn acquire(&mut self) {}
+    fn fetch_master(&self, bytes: u64) {
+        self.on_real(|sys, sim| {
+            if sim.node() != sys.master {
+                let san = &sys.cluster.san;
+                sim.clock_at_least(san.fetch(sim.node(), sys.master, bytes, sim.now()));
+            }
+        });
+    }
+    fn release(&mut self) {
+        self.on_real(|sys, sim| sys.release(sim));
+    }
+    fn acquire(&mut self) {
+        self.on_real(|sys, sim| sys.acquire(sim));
+    }
     fn obs(&self) -> Option<(&obs::ObsSink, u64)> {
-        None
+        self.on_real(|sys, sim| sys.obs_if_on().map(|o| (o, sim.tid().0)))
+    }
+
+    /// Entry of a blocking primitive or a fault: its start time, with the
+    /// streaming series clock advanced so live windows keep cutting through
+    /// long quiet stretches (no-op unless a series is running; recording
+    /// never charges simulated time).
+    fn entry(&self) -> SimTime {
+        let t0 = self.now();
+        if let Some((o, _)) = self.obs() {
+            o.series_tick(t0);
+        }
+        t0
+    }
+
+    /// Records an instant on this thread's lane at its clock, attributed to
+    /// `node`.
+    fn instant(&self, layer: obs::Layer, node: NodeId, event: obs::Event) {
+        if let Some((o, me)) = self.obs() {
+            o.instant(layer, node, me, self.now(), event);
+        }
+    }
+
+    /// Records a span on this thread's lane from `t0` to now; `event` is
+    /// built only while recording.
+    fn span(&self, layer: obs::Layer, t0: SimTime, event: impl FnOnce() -> obs::Event) {
+        if let Some((o, me)) = self.obs() {
+            let took = self.now().saturating_since(t0);
+            o.span(layer, self.node(), me, t0, took, event());
+        }
+    }
+
+    /// Records the causal edge `from` → `to`.
+    fn edge(&self, kind: EdgeKind, from: Point, to: Point, arg: u64) {
+        if let Some((o, me)) = self.obs() {
+            let ((n0, l0, t0), (n1, l1, t1)) = (from, to);
+            let lane = |t: Option<Tid>| t.map_or(me, |t| t.0);
+            o.edge(kind, n0, lane(l0), t0, n1, lane(l1), t1, arg);
+        }
     }
 
     /// `bytes` of news to the master (an ACB or directory update), unless
@@ -110,10 +186,8 @@ pub trait SyncEffects {
         to: (Tid, NodeId),
     ) {
         let ((from, cause_t), (tid, node)) = (cause, to);
-        if let (Some((kind, id)), Some((o, me))) = (edge, self.obs()) {
-            if arrival > cause_t {
-                o.edge(kind, from, me, cause_t, node, tid.0, arrival, id);
-            }
+        if let Some((kind, id)) = edge.filter(|_| arrival > cause_t) {
+            self.edge(kind, (from, None, cause_t), (node, Some(tid), arrival), id);
         }
         self.wake(tid, arrival);
     }
@@ -142,26 +216,6 @@ pub trait SyncEffects {
         self.handoff(edge, cause, t, to);
     }
 
-    /// Entry of a blocking primitive: its start time, with the streaming
-    /// series clock advanced so live windows keep cutting through long
-    /// quiet stretches (no-op unless a series is running; never charges
-    /// simulated time).
-    fn sync_entry(&self) -> SimTime {
-        let t0 = self.now();
-        if let Some((o, _)) = self.obs() {
-            o.series_tick(t0);
-        }
-        t0
-    }
-
-    /// The wait record of a blocking primitive that started at `t0`.
-    fn sync_span(&self, t0: SimTime, event: obs::Event) {
-        if let Some((o, me)) = self.obs() {
-            let waited = self.now().saturating_since(t0);
-            o.span(obs::Layer::Sync, self.node(), me, t0, waited, event);
-        }
-    }
-
     /// Request/reply round trip with a remote lock manager.
     fn manager_round_trip(&self, manager: NodeId) {
         let req = self.notify(self.node(), manager, self.now());
@@ -172,7 +226,8 @@ pub trait SyncEffects {
 }
 
 /// The simulated cluster as the interpreters' effects, for the thread
-/// `sim` runs; `ext` is the layer above's state (the CableS runtime).
+/// `sim` runs; `ext` is the layer above's state (the CableS runtime). It
+/// implements the state effects and [`SyncEffects::real`], nothing else.
 #[derive(Debug)]
 pub struct Real<'a, X = ()> {
     pub sys: &'a SvmSystem,
@@ -209,52 +264,8 @@ impl<X> SyncEffects for Real<'_, X> {
         self.sim.wake(tid, at);
     }
 
-    fn now(&self) -> SimTime {
-        self.sim.now()
-    }
-
-    fn advance(&self, ns: u64) {
-        self.sim.advance(ns);
-    }
-
-    fn clock_at_least(&self, t: SimTime) {
-        self.sim.clock_at_least(t);
-    }
-
-    fn op_point(&self, ns: u64) {
-        self.sim.op_point(ns);
-    }
-
-    fn notify(&self, from: NodeId, to: NodeId, at: SimTime) -> SendTiming {
-        self.sys.cluster.san.notify(from, to, at)
-    }
-
-    fn send(&self, to: NodeId, bytes: u64) -> SendTiming {
-        let sim = self.sim;
-        self.sys.cluster.san.send(sim.node(), to, bytes, sim.now())
-    }
-
-    fn send_base_ns(&self) -> u64 {
-        self.sys.cluster.san.config().send_base_ns
-    }
-
-    fn fetch_master(&self, bytes: u64) {
-        let (san, sim, master) = (&self.sys.cluster.san, self.sim, self.sys.master);
-        if sim.node() != master {
-            sim.clock_at_least(san.fetch(sim.node(), master, bytes, sim.now()));
-        }
-    }
-
-    fn release(&mut self) {
-        self.sys.release(self.sim);
-    }
-
-    fn acquire(&mut self) {
-        self.sys.acquire(self.sim);
-    }
-
-    fn obs(&self) -> Option<(&obs::ObsSink, u64)> {
-        self.sys.obs_if_on().map(|o| (o, self.sim.tid().0))
+    fn real(&self) -> Option<(&SvmSystem, &Sim)> {
+        Some((self.sys, self.sim))
     }
 }
 
@@ -298,12 +309,8 @@ impl SvmSystem {
     /// mutex lock" vs "remote mutex lock").
     pub fn lock(&self, sim: &Sim, id: u64) {
         let e = &mut self.at(sim);
-        let (t0, parks) = lock(e, id);
-        if parks {
-            self.park(sim, None);
-        }
-        e.acquire();
-        e.sync_span(t0, obs::Event::LockWait { id });
+        let entered = lock(e, id);
+        self.granted(e, entered, obs::Event::LockWait { id });
     }
 
     /// Attempts to acquire system lock `id` without blocking. On success
@@ -336,12 +343,18 @@ impl SvmSystem {
     /// Distinct barrier episodes may reuse the same `id`.
     pub fn barrier(&self, sim: &Sim, id: u64, n: usize) {
         let e = &mut self.at(sim);
-        let (t0, parks) = barrier(e, id, n);
+        let entered = barrier(e, id, n);
+        self.granted(e, entered, obs::Event::BarrierWait { id });
+    }
+
+    /// A lock's or a barrier's end, once its step `entered` at `t0`: the
+    /// park while queued (`parks`), the RC acquire, the wait's span.
+    fn granted(&self, e: &mut Real, (t0, parks): (SimTime, bool), event: obs::Event) {
         if parks {
-            self.park(sim, None);
+            self.park(e.sim, None);
         }
         e.acquire();
-        e.sync_span(t0, obs::Event::BarrierWait { id });
+        e.span(obs::Layer::Sync, t0, || event);
     }
 }
 
@@ -349,7 +362,7 @@ impl SvmSystem {
 /// request. Its start time, and whether it parks.
 pub fn lock<E: SyncEffects>(e: &mut E, id: u64) -> (SimTime, bool) {
     e.crash_check();
-    let t0 = e.sync_entry();
+    let t0 = e.entry();
     (t0, lock_or(e, id, true) == Some(true))
 }
 
@@ -420,7 +433,7 @@ pub fn unlock<E: SyncEffects>(e: &mut E, id: u64) {
 pub fn barrier<E: SyncEffects>(e: &mut E, id: u64, n: usize) -> (SimTime, bool) {
     assert!(n > 0, "barrier over zero threads");
     e.crash_check();
-    let t0 = e.sync_entry();
+    let t0 = e.entry();
     e.release();
     e.op_point(e.cfg().costs.lock_local_ns);
     let (node, tid, manager) = (e.node(), e.tid(), e.master());

@@ -106,6 +106,18 @@ if grep -nE '\.(rt|svm)\.(lock|unlock|arrive|crash|cond_wait|cond_wake|cond_time
     exit 1
 fi
 
+# The effect vocabulary splits state from cost: a World implements the
+# state effects (cores, memory, NIC, data, wakes, crash checkpoints); every
+# time, wire, RC and obs effect has its one body in the traits, written
+# through `SyncEffects::real`, which only the simulator's `Real` returns.
+# An explorer that defines one (or `real` itself) has grown a second body.
+echo "==> the explorers implement state effects only"
+if grep -nE 'fn (now|advance|clock_at_least|op_point|notify|send|send_base_ns|fetch_master|release|acquire|obs|charge|sync_point|lookup|real|on_real|entry|instant|span|edge)\(' \
+        crates/svm/src/explore.rs crates/cables/src/explore.rs; then
+    echo "tier1: an explorer defines a time, wire, RC or obs effect (see above); those have one body, through SyncEffects::real" >&2
+    exit 1
+fi
+
 # Every artifact, report and stream line goes through one serializer,
 # obs::json::Writer; an escaped-quote JSON key (`\"name\":`) in a format
 # string means hand-built JSON is back. Checked in crates/bench and the

@@ -355,7 +355,7 @@ const SPLASH_TLB_GOLDENS: [(u64, u64); 6] = [
 /// host work of the simulator's state accesses, counted exactly. A lever
 /// that removes a borrow from the hot path shows here as a counted drop;
 /// one that adds a borrow per access, as a counted rise.
-const SPLASH_BORROW_GOLDENS: [u64; 6] = [7382, 21660, 11573, 8338, 22194, 13648];
+const SPLASH_BORROW_GOLDENS: [u64; 6] = [7382, 21660, 11573, 8182, 22022, 13301];
 
 /// The bits each of the six runs returned (see `fft_bits`, `radix_bits`,
 /// `lu_bits`): a kernel's arithmetic, however it is computed on the host,
