@@ -4,7 +4,8 @@
 //! crash landing while chunks are being re-homed (`migrate_home`)
 //! recovers: survivors finish, the migrated chunk stays reachable, and the
 //! dead writer is retired.
-//! (The traffic and timing claims live in the `placement` bench.)
+//! (The traffic and timing claims live in the `ablations` bench, section
+//! `affinity`.)
 
 use std::sync::Arc;
 use std::sync::Mutex as StdMutex;

@@ -1,7 +1,7 @@
 //! Release-time diff batching is value-preserving on real kernels: FFT
 //! and RADIX compute bit-identical results with it off and on. (The
 //! full-size version of this check, plus the traffic and timing claims,
-//! lives in the `protocol_opt` bench.)
+//! lives in the `ablations` bench, section `batching`.)
 
 use std::sync::Arc;
 use std::sync::Mutex as StdMutex;

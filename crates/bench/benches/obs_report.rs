@@ -5,8 +5,10 @@
 //!   (san / vmmc / proto / sync / rt / sched) per node, plus the full
 //!   metric snapshot (kind latencies, page activity, gauges), the
 //!   per-thread stall profile (`obs::stall`), the windowed metric series
-//!   (`obs::series`), and the top-10 page-sharing ranking
-//!   (`obs::sharing`);
+//!   (`obs::series`), the top-10 page-sharing ranking (`obs::sharing`)
+//!   and the critical path (`obs::critpath`: the longest cause→effect
+//!   chain from program start to the last join, with its per-layer /
+//!   per-kind / per-node breakdowns and blame table);
 //! - `target/artifacts/stream_<kernel>.ndjson` — the online metric
 //!   series, written *during* the run as each window is cut (watch a
 //!   live run with `cablestat tail --follow stream_FFT.ndjson`);
@@ -22,8 +24,11 @@
 //! streaming series enabled* — and asserts the final virtual time is
 //! bit-identical (recording and streaming charge no simulated time).
 //! Every stream is parsed back and its frames must fold byte-exactly to
-//! the embedded final snapshot. Both JSON artifacts are validated before
-//! they are written.
+//! the embedded final snapshot. The event buffer must not overflow
+//! (otherwise `critpath::analyze` refuses; raise `CABLES_OBS_CAP`), the
+//! critical path's layer breakdown must sum to the run's simulated time,
+//! and the path can be no shorter than the busiest lane's span coverage.
+//! Both JSON artifacts are validated before they are written.
 //!
 //! Run with `--test` for the CI smoke mode (tiny sizes, same assertions,
 //! same artifacts).
@@ -31,7 +36,7 @@
 use cables_bench::{artifact, header, smoke_mode, write_aux_artifact, OBS_KERNELS};
 use obs::json::Value;
 use obs::series;
-use obs::{chrome, report, stall, Layer};
+use obs::{chrome, critpath, report, stall, Layer};
 
 /// One kernel's row in `BENCH_obs_stream.json`.
 struct StreamRow {
@@ -114,9 +119,52 @@ fn main() {
         println!("{}", profile.render(w.name));
         write_aux_artifact(&format!("stall_{}.collapsed", w.name), &profile.collapsed());
 
+        // Critical path over the causal-edge DAG of the same events.
+        assert_eq!(
+            on.snapshot.dropped_events, 0,
+            "{}: obs buffer overflowed ({} dropped); raise CABLES_OBS_CAP",
+            w.name, on.snapshot.dropped_events
+        );
+        let edges = on.events.iter().filter(|e| e.event.is_edge()).count();
+        assert!(edges > 0, "{}: no causal edges recorded", w.name);
+        let cp = critpath::analyze(&on.events, on.total_ns, on.snapshot.dropped_events)
+            .expect("critical-path analysis");
+        // The breakdown partitions the run: it must sum to the run's
+        // simulated time exactly, never exceed it.
+        assert_eq!(
+            cp.layer_sum_ns(),
+            on.total_ns,
+            "{}: critical-path breakdown does not sum to the simulated time",
+            w.name
+        );
+        assert!(
+            cp.total_ns <= on.total_ns,
+            "{}: critical path longer than the run",
+            w.name
+        );
+        // ... and it can never be shorter than the busiest single lane.
+        let busiest = critpath::busiest_lane_span_ns(&on.events);
+        assert!(
+            cp.total_ns >= busiest,
+            "{}: critical path ({}) shorter than the busiest lane ({})",
+            w.name,
+            cp.total_ns,
+            busiest
+        );
+        println!("{}", cp.render(w.name, 10));
+        println!(
+            "({}: {} events, {} causal edges, {} edges on the path, busiest lane {} ns)\n",
+            w.name,
+            on.events.len(),
+            edges,
+            cp.edges_on_path,
+            busiest
+        );
+
         // The `BENCH_obs_<kernel>.json` document: run identity, per-layer
         // totals, the embedded metric snapshot, the per-thread stall
-        // profile, the windowed series and the top-10 sharing ranking.
+        // profile, the windowed series, the top-10 sharing ranking and
+        // the critical path.
         let sharing = obs::sharing::analyze(&on.snapshot, &on.events).top(10);
         let snapshot = obs::json::parse(&on.snapshot.to_json()).expect("snapshot JSON parses");
         artifact(&format!("BENCH_obs_{}.json", w.name), "obs_report", |doc| {
@@ -138,6 +186,9 @@ fn main() {
                 .field("sample_ns", sample_ns)
                 .field("frames", frames);
             doc.field("windows", &rows).end().field("sharing", &sharing);
+            doc.field("causal_edges", edges)
+                .field("busiest_lane_ns", busiest);
+            doc.field("critpath", &cp);
         });
         stream_rows.push(StreamRow {
             kernel: w.name,
@@ -194,5 +245,7 @@ fn main() {
     });
 
     println!("determinism: every kernel produced identical SimTime with the");
-    println!("observability layer (and the streaming series) on and off.");
+    println!("observability layer (and the streaming series) on and off, and");
+    println!("the per-layer critical-path breakdown sums exactly to each run's");
+    println!("simulated time.");
 }

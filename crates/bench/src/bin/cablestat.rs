@@ -10,6 +10,7 @@
 //!     --rel PCT     relative significance floor, percent (default 0)
 //!     --all         print every changed leaf, not just significant ones
 //!     --gate        exit 1 when any regression survives the thresholds
+//!                   or the second file lacks a path of the first
 //!     --json        emit the delta as JSON instead of a table
 //! cablestat explain A B [OPTS]    root-cause a failing diff: join each
 //!                                 regressed metric against stall-bucket,
@@ -396,15 +397,39 @@ fn cmd_diff(args: &[String], dir: &str) -> ExitCode {
             )
         );
     }
-    let regressions = d.regressions().count();
-    if gate && regressions > 0 {
-        eprintln!(
-            "cablestat: GATE FAILED — {regressions} regression(s) beyond abs>{} rel>{}%",
-            th.abs, th.rel_pct
-        );
-        return ExitCode::FAILURE;
+    if gate {
+        if let Err(why) = gate_verdict(&d, &th) {
+            eprintln!("cablestat: GATE FAILED — {why}");
+            return ExitCode::FAILURE;
+        }
     }
     ExitCode::SUCCESS
+}
+
+/// What `diff --gate` fails on: a regression beyond the thresholds, or a
+/// leaf of the baseline that the candidate lacks (a dropped metric can
+/// no longer be compared, so it would hide any regression it had).
+fn gate_verdict(d: &obs::diff::Diff, th: &Thresholds) -> Result<(), String> {
+    let mut why = Vec::new();
+    let regressions = d.regressions().count();
+    if regressions > 0 {
+        why.push(format!(
+            "{regressions} regression(s) beyond abs>{} rel>{}%",
+            th.abs, th.rel_pct
+        ));
+    }
+    if !d.removed.is_empty() {
+        why.push(format!(
+            "{} baseline path(s) missing from the candidate:\n  {}",
+            d.removed.len(),
+            d.removed.join("\n  ")
+        ));
+    }
+    if why.is_empty() {
+        Ok(())
+    } else {
+        Err(why.join("; "))
+    }
 }
 
 fn cmd_explain(args: &[String], dir: &str) -> ExitCode {
@@ -745,7 +770,26 @@ fn cmd_inflate(args: &[String], dir: &str) -> ExitCode {
 mod tests {
     use std::time::{Duration, SystemTime};
 
-    use super::is_stale;
+    use obs::diff::{diff, Thresholds};
+    use obs::json::parse;
+
+    use super::{gate_verdict, is_stale};
+
+    #[test]
+    fn gate_fails_when_the_candidate_drops_a_leaf() {
+        let th = Thresholds::default();
+        let base = parse(r#"{"sim_time_ns": 100, "critpath": {"total_ns": 90}}"#).unwrap();
+        assert_eq!(gate_verdict(&diff(&base, &base, &th), &th), Ok(()));
+        let dropped = parse(r#"{"sim_time_ns": 100}"#).unwrap();
+        let why = gate_verdict(&diff(&base, &dropped, &th), &th).unwrap_err();
+        assert!(why.contains("missing") && why.contains("critpath"), "{why}");
+        // A leaf the candidate adds is no loss.
+        assert_eq!(gate_verdict(&diff(&dropped, &base, &th), &th), Ok(()));
+        // A regression alone still fails.
+        let slower = parse(r#"{"sim_time_ns": 200, "critpath": {"total_ns": 90}}"#).unwrap();
+        let why = gate_verdict(&diff(&base, &slower, &th), &th).unwrap_err();
+        assert!(why.contains("1 regression"), "{why}");
+    }
 
     #[test]
     fn stale_warning_fires_only_for_old_regenerable_artifacts() {

@@ -1,6 +1,7 @@
 //! # cables-bench — shared harness for the table/figure regeneration
 //!
-//! Every evaluation artifact of the paper has a bench target:
+//! Every evaluation artifact of the paper has a bench target, and each
+//! other bench answers one question per run set:
 //!
 //! | target | artifact |
 //! |--------|----------|
@@ -8,9 +9,11 @@
 //! | `table4` | CableS basic-event costs with breakdowns |
 //! | `table5` | pthreads programs: API usage + average op times |
 //! | `table6` | OpenMP SPLASH-2 speedups |
-//! | `fig5`   | SPLASH-2 M4 vs M4-on-pthreads execution times |
-//! | `fig6`   | misplaced-page percentages |
-//! | `ablations` | design-choice ablations (granularity, write-through, barriers) |
+//! | `fig5`   | SPLASH-2 M4 vs M4-on-pthreads execution times, and Fig. 6's misplaced-page percentages from the same CableS runs |
+//! | `ablations` | design-choice ablations (granularity, write-through, NIC pressure, barriers, migration, diff batching, affinity placement) |
+//! | `obs_report` | layer breakdown, stall profile, series, sharing and critical path of two instrumented kernels |
+//! | `chaos_soak` | kernels under escalating fault injection |
+//! | `service_bench` | the sharded KV service under generated traffic |
 //!
 //! Problem sizes are scaled down from the paper (documented in
 //! `EXPERIMENTS.md`); shapes, ratios and crossovers are the reproduction
@@ -21,6 +24,7 @@ use std::sync::Mutex as StdMutex;
 
 use apps::splash::{fft, lu, ocean, radix, raytrace, volrend, water};
 use apps::{M4Ctx, M4Mode, M4System};
+use cables::CablesConfig;
 use obs::json::Writer;
 use svm::{Cluster, ClusterConfig, NodeStats, PlacementReport};
 
@@ -87,8 +91,7 @@ impl AppId {
     }
 }
 
-/// Outcome of one application run.
-#[derive(Debug, Clone)]
+/// Outcome of one [`cables_bench`] run.
 pub struct RunOutcome {
     /// Total virtual time, ns (None if the run failed).
     pub total_ns: Option<u64>,
@@ -100,6 +103,12 @@ pub struct RunOutcome {
     pub placement: PlacementReport,
     /// Largest per-node NIC region count observed.
     pub max_nic_regions: u64,
+    /// The value the body returned: the application's result bits.
+    pub checksum: Option<u64>,
+    /// The recorded events (none with the bus off).
+    pub events: Vec<obs::EventRecord>,
+    /// Events the bounded buffer had to drop.
+    pub dropped_events: u64,
     /// Failure message (e.g. registration limits), if the run died.
     pub error: Option<String>,
 }
@@ -121,34 +130,28 @@ pub fn obs_cap_override() -> Option<usize> {
     std::env::var("CABLES_OBS_CAP").ok()?.parse().ok()
 }
 
-fn dispatch(app: AppId, procs: usize, verify: bool) -> Box<dyn FnOnce(&M4Ctx) + Send> {
+fn dispatch(app: AppId, procs: usize) -> Box<dyn FnOnce(&M4Ctx) -> u64 + Send> {
     match app {
         AppId::Fft => {
             let p = fft::FftParams {
                 m: 16,
                 nprocs: procs,
-                verify,
+                verify: false,
             };
-            Box::new(move |ctx| {
-                fft::fft(ctx, &p);
-            })
+            Box::new(move |ctx| fft::fft(ctx, &p).checksum.to_bits())
         }
         AppId::Lu => {
             let p = lu::LuParams {
                 n: 128,
                 block: 16,
                 nprocs: procs,
-                verify,
+                verify: false,
             };
-            Box::new(move |ctx| {
-                lu::lu(ctx, &p);
-            })
+            Box::new(move |ctx| lu::lu(ctx, &p).diag_checksum.to_bits())
         }
         AppId::Ocean => {
             let p = ocean::OceanParams::bench(514, 2, procs);
-            Box::new(move |ctx| {
-                ocean::ocean(ctx, &p);
-            })
+            Box::new(move |ctx| ocean::ocean(ctx, &p).checksum.to_bits())
         }
         AppId::Radix => {
             let p = radix::RadixParams {
@@ -157,9 +160,7 @@ fn dispatch(app: AppId, procs: usize, verify: bool) -> Box<dyn FnOnce(&M4Ctx) + 
                 max_key: 1 << 16,
                 nprocs: procs,
             };
-            Box::new(move |ctx| {
-                radix::radix(ctx, &p);
-            })
+            Box::new(move |ctx| radix::radix(ctx, &p).key_sum)
         }
         AppId::WaterSpatial | AppId::WaterFl => {
             let p = water::WaterParams {
@@ -169,9 +170,7 @@ fn dispatch(app: AppId, procs: usize, verify: bool) -> Box<dyn FnOnce(&M4Ctx) + 
                 nprocs: procs,
                 friendly_layout: app == AppId::WaterFl,
             };
-            Box::new(move |ctx| {
-                water::water(ctx, &p);
-            })
+            Box::new(move |ctx| water::water(ctx, &p).kinetic_energy.to_bits())
         }
         AppId::Raytrace => {
             let p = raytrace::RayParams {
@@ -181,9 +180,7 @@ fn dispatch(app: AppId, procs: usize, verify: bool) -> Box<dyn FnOnce(&M4Ctx) + 
                 tile: 16,
                 nprocs: procs,
             };
-            Box::new(move |ctx| {
-                raytrace::raytrace(ctx, &p);
-            })
+            Box::new(move |ctx| raytrace::raytrace(ctx, &p).image_checksum)
         }
         AppId::Volrend => {
             let p = volrend::VolrendParams {
@@ -192,9 +189,7 @@ fn dispatch(app: AppId, procs: usize, verify: bool) -> Box<dyn FnOnce(&M4Ctx) + 
                 tile: 8,
                 nprocs: procs,
             };
-            Box::new(move |ctx| {
-                volrend::volrend(ctx, &p);
-            })
+            Box::new(move |ctx| volrend::volrend(ctx, &p).image_checksum)
         }
     }
 }
@@ -212,21 +207,32 @@ pub fn run_app(
     if let Some(limit) = nic_regions_limit {
         cc.vmmc.max_regions_per_nic = limit;
     }
-    run_on(&Cluster::build(cc), mode, dispatch(app, procs, false)).0
+    let cfg = (mode == M4Mode::Cables).then(CablesConfig::paper);
+    cables_bench(cc, cfg, false, dispatch(app, procs))
 }
 
-/// Runs `body` under `mode` on `cluster` and collects the outcome; also
-/// returns the system for callers that read more of it.
-fn run_on(
-    cluster: &Arc<Cluster>,
-    mode: M4Mode,
-    body: Box<dyn FnOnce(&M4Ctx) + Send>,
-) -> (RunOutcome, Arc<M4System>) {
-    let sys = match mode {
-        M4Mode::Base => M4System::base(Arc::clone(cluster)),
-        M4Mode::Cables => M4System::cables(Arc::clone(cluster)),
+/// Runs `body` once as the application's initial thread on a cluster
+/// built from `cc`: under CableS with `cfg`, or on the base system
+/// (page-granular homes, per-run registration) when `cfg` is `None`.
+/// `observe` turns the event bus on. Every bench run of an M4 program
+/// goes through here except the streamed ones ([`ObsKernel::run`] and
+/// `chaos_soak`'s fault levels).
+pub fn cables_bench(
+    cc: ClusterConfig,
+    cfg: Option<CablesConfig>,
+    observe: bool,
+    body: impl FnOnce(&M4Ctx) -> u64 + Send + 'static,
+) -> RunOutcome {
+    let cluster = Cluster::build(cc);
+    let sys = match cfg {
+        Some(cfg) => M4System::cables_with(Arc::clone(&cluster), cfg),
+        None => M4System::base(Arc::clone(&cluster)),
     };
-    let result = sys.run(move |ctx| body(ctx));
+    let svm = sys.svm();
+    svm.set_obs(observe);
+    let slot = Arc::new(StdMutex::new(None));
+    let out = Arc::clone(&slot);
+    let result = sys.run(move |ctx| *out.lock().expect("checksum slot") = Some(body(ctx)));
     let max_nic_regions = cluster
         .nodes()
         .iter()
@@ -237,18 +243,21 @@ fn run_on(
         Ok(end) => (Some(end.as_nanos()), sys.parallel_ns(), None),
         Err(e) => (None, None, Some(e.to_string())),
     };
-    let run = RunOutcome {
+    let checksum = slot.lock().expect("checksum slot").take();
+    RunOutcome {
         total_ns,
         parallel_ns,
-        stats: sys.svm().total_stats(),
-        placement: sys.svm().placement_report(),
+        stats: svm.total_stats(),
+        placement: svm.placement_report(),
         max_nic_regions,
+        checksum,
+        events: svm.obs().events(),
+        dropped_events: svm.obs().dropped_events(),
         error,
-    };
-    (run, sys)
+    }
 }
 
-/// A kernel of the observability benches (`obs_report`, `critpath`).
+/// A kernel of `obs_report`, the observability bench.
 pub struct ObsKernel {
     /// Kernel name: the artifact key and the stream file's suffix.
     pub name: &'static str,
@@ -345,41 +354,6 @@ impl ObsKernel {
     }
 }
 
-/// Outcome of one run under fault injection: the application outcome plus
-/// the chaos engine's fault/recovery counters and (CableS mode) the
-/// runtime's node bookkeeping.
-#[derive(Debug, Clone)]
-pub struct ChaosRunOutcome {
-    /// The application outcome.
-    pub run: RunOutcome,
-    /// Fault-injection and recovery counters.
-    pub chaos: chaos::ChaosStats,
-    /// CableS runtime statistics (attach/detach counts), when applicable.
-    pub rt_stats: Option<cables::RtStats>,
-}
-
-/// Runs `app` on `procs` processors with a fault-injection plan attached
-/// to every cluster layer. `verify` turns on the application's result
-/// check where it has one (FFT, LU) — the proof that drops and duplicates
-/// degrade time, not answers.
-pub fn run_app_chaos(
-    mode: M4Mode,
-    app: AppId,
-    procs: usize,
-    verify: bool,
-    seed: u64,
-    plan: chaos::FaultPlan,
-) -> ChaosRunOutcome {
-    let cluster = Cluster::build(cluster_for(procs));
-    cluster.set_chaos(chaos::ChaosEngine::new(seed, plan));
-    let (run, sys) = run_on(&cluster, mode, dispatch(app, procs, verify));
-    ChaosRunOutcome {
-        run,
-        chaos: cluster.chaos().expect("chaos attached").stats(),
-        rt_stats: sys.cables_rt().map(|rt| rt.stats()),
-    }
-}
-
 /// True when the binary was invoked with `--test` (the smoke mode the CI
 /// uses so bench targets run in seconds; mirrors criterion's
 /// `cargo bench -- --test`).
@@ -398,27 +372,6 @@ pub fn fmt_ns(ns: u64) -> String {
     } else {
         format!("{ns}ns")
     }
-}
-
-/// Runs a closure inside a fresh CableS runtime and returns the value it
-/// produced plus the final time (helper for table benches).
-pub fn on_cables<R, F>(nodes: usize, cpus: usize, f: F) -> (sim::SimTime, R)
-where
-    R: Send + 'static + Clone,
-    F: FnOnce(&cables::Pth) -> R + Send + 'static,
-{
-    let cluster = Cluster::build(ClusterConfig::small(nodes, cpus));
-    let rt = cables::CablesRt::new(cluster, cables::CablesConfig::paper());
-    let out = Arc::new(StdMutex::new(None));
-    let o2 = Arc::clone(&out);
-    let end = rt
-        .run(move |pth| {
-            *o2.lock().unwrap() = Some(f(pth));
-            0
-        })
-        .expect("bench run failed");
-    let r = out.lock().unwrap().clone().expect("result produced");
-    (end, r)
 }
 
 /// Writes the artifact `name`, validates it and lands it at the repo root
@@ -523,6 +476,7 @@ mod tests {
             assert!(out.error.is_none(), "{mode:?}: {:?}", out.error);
             assert!(out.total_ns.unwrap() > 0);
             assert!(out.parallel_ns.unwrap() > 0);
+            assert!(out.checksum.is_some(), "{mode:?}: no result");
         }
     }
 }

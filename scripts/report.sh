@@ -1,32 +1,30 @@
 #!/usr/bin/env bash
 # Regenerate every quantitative artifact at full size:
 #
-#   BENCH_obs_FFT.json    layer breakdown + metric snapshot, FFT m=12
-#   BENCH_obs_RADIX.json  layer breakdown + metric snapshot, RADIX 64K keys
-#   BENCH_critpath.json   critical-path profile + blame table, both kernels
+#   BENCH_obs_FFT.json    layer breakdown + metric snapshot + critical
+#                         path, FFT m=12
+#   BENCH_obs_RADIX.json  the same for RADIX 64K keys
 #   BENCH_chaos.json      fault-injection ladder: completion, retries and
 #                         recovery latencies per escalating fault level
-#   BENCH_protocol.json   protocol-traffic ablation: release-time diff
-#                         batching off vs on at 16 nodes, with message
-#                         counts, parallel sections and the critical-path
-#                         blame of both points
 #   BENCH_table3.json     paper Table 3: basic VMMC costs
 #   BENCH_table4.json     paper Table 4: CableS basic-event costs
 #   BENCH_table5.json     paper Table 5: pthreads/OpenMP API usage + op times
 #   BENCH_table6.json     paper Table 6: OpenMP SPLASH-2 speedups
 #   BENCH_fig5.json       paper Fig. 5: M4 vs M4-on-pthreads exec times
-#   BENCH_fig6.json       paper Fig. 6: misplaced-page percentages
+#   BENCH_fig6.json       paper Fig. 6: misplaced-page percentages (written
+#                         by fig5, from its CableS runs)
 #   BENCH_ablations.json  design-space ablations: sharing granularity,
 #                         write-through, NIC pressure, barrier builds,
-#                         home migration
+#                         home migration, release-time diff batching off
+#                         vs on at 16 nodes (message counts, parallel
+#                         sections, critical-path blame of both points)
+#                         and affinity thread placement off vs on (OCEAN,
+#                         RADIX, the zipfian service; bit-identical results)
 #   BENCH_service.json    sharded KV service under generated traffic:
 #                         throughput + p50/p95/p99 per arrival pattern x
 #                         node count, replay identity, chaos crash cell
 #                         with windowed recovery (stream_service.ndjson
 #                         is its live metric series)
-#   BENCH_placement.json  affinity thread placement: off/on message and
-#                         window deltas for OCEAN, RADIX and the
-#                         zipfian service (bit-identical results)
 #   target/artifacts/trace_fft.json
 #                         Chrome-trace timeline of the FFT run on 8 nodes
 #                         (load in chrome://tracing or ui.perfetto.dev;
@@ -38,7 +36,7 @@
 #                         obs and chaos runs, plus their fold summary
 #                         (replay with `cablestat tail` / `series`)
 #
-# The obs/protocol runs execute each kernel twice (bus off, then on) and
+# The obs and diff-batching runs execute each kernel twice (bus off, then on) and
 # assert the simulated result is bit-identical, so a successful exit also
 # re-proves the observability layer is free. The script fails (non-zero
 # exit) if any expected artifact is missing or empty afterwards — a bench
@@ -89,23 +87,13 @@ for path in sorted(glob.glob("BENCH_*.json")):
     rows = []
     if "layers_ns" in d:  # obs_report: per-kernel layer breakdown
         rows.append((d["kernel"], f"sim {ms(d['sim_time_ns'])}, "
-                     f"{d['events_recorded']} events"))
+                     f"{d['events_recorded']} events, "
+                     f"{d['causal_edges']} causal edges"))
     elif name == "chaos":
         for k in d["kernels"]:
             rows.append((k["kernel"], f"clean {ms(k['clean_ns'])}, "
                          f"{len(k['levels'])} fault levels, "
                          f"completion {k['completion_rate']:.2f}"))
-    elif name == "critpath":
-        for k in d["kernels"]:
-            rows.append((k["kernel"], f"sim {ms(k['sim_time_ns'])}, "
-                         f"{k['causal_edges']} causal edges"))
-    elif name == "protocol":
-        for k in d["kernels"]:
-            g = {p["batch_diffs"]: p for p in k["grid"]}
-            off, on = g[False], g[True]
-            rows.append((k["kernel"],
-                         f"batching: diffs {off['diffs_sent']} -> {on['diffs_sent']}, "
-                         f"window {ms(off['parallel_ns'])} -> {ms(on['parallel_ns'])}"))
     elif name == "table3":
         g = {r["op"]: r for r in d["rows"]}
         send = g["1-word send (one-way lat)"]
@@ -156,6 +144,19 @@ for path in sorted(glob.glob("BENCH_*.json")):
         nic = {m["mode"]: m for m in d["nic_pressure"]}
         rows.append(("nic", f"max regions Base {nic['Base']['max_nic_regions']}"
                      f" -> Cables {nic['Cables']['max_nic_regions']}"))
+        for k in d["batching"]:
+            g = {p["batch_diffs"]: p for p in k["grid"]}
+            off, on = g[False], g[True]
+            rows.append((k["kernel"],
+                         f"batching: diffs {off['diffs_sent']} -> {on['diffs_sent']}, "
+                         f"window {ms(off['parallel_ns'])} -> {ms(on['parallel_ns'])}"))
+        for w in d["affinity"]:
+            off, on = w["off"], w["on"]
+            key = "parallel_ns" if "parallel_ns" in off else "serve_ns"
+            rows.append((w["workload"],
+                         f"affinity: msgs {off['remote_fetches'] + off['diffs_sent']} -> "
+                         f"{on['remote_fetches'] + on['diffs_sent']}, "
+                         f"window {ms(off[key])} -> {ms(on[key])}"))
     elif name == "fig6":
         for a in d["apps"]:
             pts = a["points"]
@@ -171,14 +172,6 @@ for path in sorted(glob.glob("BENCH_*.json")):
         rows.append(("chaos", f"crash node {ch['crash_node']}, "
                      f"{ch['served']}+{ch['direct_served']} of {ch['requests']} "
                      f"answered, {ch['post_crash_window_completions']} post-crash"))
-    elif name == "placement":
-        for w in d["workloads"]:
-            off, on = w["off"], w["on"]
-            key = "parallel_ns" if "parallel_ns" in off else "serve_ns"
-            rows.append((w["workload"],
-                         f"msgs {off['remote_fetches'] + off['diffs_sent']} -> "
-                         f"{on['remote_fetches'] + on['diffs_sent']}, "
-                         f"window {ms(off[key])} -> {ms(on[key])}"))
     else:  # future artifacts: stay visible even before a custom row
         rows.append(("-", f"keys: {', '.join(list(d)[:6])}"))
     for subject, headline in rows:

@@ -32,13 +32,32 @@ cargo fmt --all -- --check
 # helpers, no second retirement path), a node's memory, the kernel and the
 # protocol state one borrow each (a `sim::Local`; no refcounted frame slot
 # with its own data lock, no TLB generation counter), and the run queue one
-# heap (no per-node shards, no footprint scopes, no lookahead window); a
-# name from those coming back is a regression of the design, not of a
-# number.
+# heap (no per-node shards, no footprint scopes, no lookahead window), and
+# each bench question one run set (the critical path is part of
+# obs_report, diff batching and affinity placement are ablations, Fig. 6
+# reads fig5's CableS runs: no BENCH_critpath/protocol/placement, no
+# critpath/protocol_opt/placement/fig6 target); a name from those coming
+# back is a regression of the design, not of a number.
 echo "==> no engine-mode / slow-path / migration-policy switches"
-if grep -rnE 'EngineMode|set_mode\(|set_lockless|set_fast_path|set_slow_mode|engine_wall|BENCH_hotpath|migration_threshold|diff_streaks|AdaptParams|with_adapt|series_last_window|credit_sharing|migration_prefetch_grid|FrameRing|merge_frames|overflow_merges|series_start_with|DEFAULT_RING_CAP|StreamExporter|prefetch_confirm|DEFAULT_SAMPLE_NS|prefetch_degree|lock_forwarding|lock_forward_hot|with_protocol_opts|PrefetchMasked|LockForward|fetch_multi|BatchFetch|acquire_on_lock|crash_purge_waiter|crash_handoff_locks|crash_handoff_rwlocks|crash_release_ready_barriers|crash_add_discount|crashed_discount|retire_self|thread_create_near|cond_wait_for|PlacementPolicy|placement_policy|with_placement_policy|ChunkSharing|chunk_sharing|note_chunk_traffic|policy_considered|policy_migrations|pingpong_handoffs|release_begin|FrameSlot|bump_epoch|sync_point_scoped|op_point_scoped|set_lookahead|lookahead_ns|ReadyShards|push_ready_scoped|pend_scope|peek_ready_shard|sim::Scope|Scope::ALL' \
+if grep -rnE 'EngineMode|set_mode\(|set_lockless|set_fast_path|set_slow_mode|engine_wall|BENCH_hotpath|migration_threshold|diff_streaks|AdaptParams|with_adapt|series_last_window|credit_sharing|migration_prefetch_grid|FrameRing|merge_frames|overflow_merges|series_start_with|DEFAULT_RING_CAP|StreamExporter|prefetch_confirm|DEFAULT_SAMPLE_NS|prefetch_degree|lock_forwarding|lock_forward_hot|with_protocol_opts|PrefetchMasked|LockForward|fetch_multi|BatchFetch|acquire_on_lock|crash_purge_waiter|crash_handoff_locks|crash_handoff_rwlocks|crash_release_ready_barriers|crash_add_discount|crashed_discount|retire_self|thread_create_near|cond_wait_for|PlacementPolicy|placement_policy|with_placement_policy|ChunkSharing|chunk_sharing|note_chunk_traffic|policy_considered|policy_migrations|pingpong_handoffs|release_begin|FrameSlot|bump_epoch|sync_point_scoped|op_point_scoped|set_lookahead|lookahead_ns|ReadyShards|push_ready_scoped|pend_scope|peek_ready_shard|sim::Scope|Scope::ALL|BENCH_critpath|BENCH_protocol\.json|BENCH_placement|--bench (critpath|protocol_opt|placement|fig6)\b' \
         crates/ src/ tests/ examples/ scripts/ --exclude=tier1.sh; then
     echo "tier1: a deleted switch is back (see above)" >&2
+    exit 1
+fi
+
+# One list of bench targets: the files under crates/bench/benches, the
+# [[bench]] entries of its Cargo.toml and artifacts.sh's BENCH_TARGETS
+# (which the smoke loop, the report and the referee run) name the same set.
+echo "==> bench targets: benches/*.rs = [[bench]] names = BENCH_TARGETS"
+bench_files=$(for f in crates/bench/benches/*.rs; do basename "$f" .rs; done | sort)
+bench_entries=$(awk '/^\[\[bench\]\]/ { b = 1; next } b && /^name *=/ { gsub(/^name *= *"|"$/, ""); print; b = 0 }' \
+                    crates/bench/Cargo.toml | sort)
+bench_targets=$(printf '%s\n' "${BENCH_TARGETS[@]}" | sort)
+if [[ "$bench_files" != "$bench_entries" || "$bench_files" != "$bench_targets" ]]; then
+    echo "tier1: bench targets disagree:" >&2
+    echo "  benches/*.rs:   $(echo $bench_files)" >&2
+    echo "  [[bench]]:      $(echo $bench_entries)" >&2
+    echo "  BENCH_TARGETS:  $(echo $bench_targets)" >&2
     exit 1
 fi
 
@@ -144,9 +163,9 @@ echo "==> cargo test --workspace"
 cargo test $CARGO_FLAGS --workspace -q
 
 if [[ "${1:-}" == "--smoke" ]]; then
-    # The protocol_opt smoke run also asserts the batch-on point's message
-    # counts stay under snapshotted ceilings (protocol_opt.rs,
-    # `smoke_ceilings`).
+    # The ablations smoke run also asserts the diff-batching section's
+    # batch-on message counts stay under snapshotted ceilings
+    # (ablations.rs, `smoke_ceilings`).
     for bench in "${BENCH_TARGETS[@]}"; do
         echo "==> cargo bench --bench $bench -- --test"
         cargo bench $CARGO_FLAGS -p cables-bench --bench "$bench" -- --test
