@@ -36,48 +36,17 @@
 use std::sync::Arc;
 
 use apps::service::{run_service, ServiceParams};
-use apps::splash::{fft, lu, ocean, radix, volrend};
+use apps::splash::{fft, ocean, radix};
 use apps::{M4Ctx, M4Mode};
 use cables::{CablesConfig, CablesRt};
 use cables_bench::{
-    artifact, cables_bench, cluster_for, fmt_ns, header, run_app, smoke_mode, AppId, RunOutcome,
+    artifact, cables_bench, cluster_for, dispatch, fmt_ns, header, run_app, smoke_mode, AppId,
+    RunOutcome,
 };
 use obs::critpath;
 use obs::json::{Fixed, ToJson, Writer};
 use svm::{Cluster, NodeStats, SvmConfig};
 use traffic::{schedule, TrafficConfig};
-
-fn app_body(app: AppId, procs: usize) -> Box<dyn FnOnce(&M4Ctx) -> u64 + Send> {
-    match app {
-        AppId::Radix => {
-            let p = radix::RadixParams {
-                keys: 16_384,
-                digit_bits: 8,
-                max_key: 1 << 16,
-                nprocs: procs,
-            };
-            Box::new(move |ctx| radix::radix(ctx, &p).key_sum)
-        }
-        AppId::Volrend => {
-            let p = volrend::VolrendParams {
-                size: 24,
-                image: 48,
-                tile: 8,
-                nprocs: procs,
-            };
-            Box::new(move |ctx| volrend::volrend(ctx, &p).image_checksum)
-        }
-        _ => {
-            let p = lu::LuParams {
-                n: 128,
-                block: 16,
-                nprocs: procs,
-                verify: false,
-            };
-            Box::new(move |ctx| lu::lu(ctx, &p).diag_checksum.to_bits())
-        }
-    }
-}
 
 fn main() {
     header("Ablations of CableS design choices", "DESIGN.md §3");
@@ -121,7 +90,7 @@ fn granularity(w: &mut Writer, smoke: bool, procs: usize) {
         pg_cfg.svm.home_granularity_pages = 1;
         let mut pg_cc = cluster_for(procs);
         pg_cc.os.map_chunk_pages = 1;
-        let pg = cables_bench(pg_cc, Some(pg_cfg), false, app_body(app, procs));
+        let pg = cables_bench(pg_cc, Some(pg_cfg), false, dispatch(app, procs));
         let pg_ns = pg.parallel_ns.expect("ablation run");
         let pg_mis = pg.placement.misplaced_pct();
         println!(
@@ -140,8 +109,8 @@ fn granularity(w: &mut Writer, smoke: bool, procs: usize) {
         w.field("pg_misplaced_pct", Fixed(pg_mis, 2)).end();
     }
     w.end();
-    println!("   -> page-granular binding removes all misplacement (the paper's");
-    println!("      NT limitation is the sole source of CableS's parallel overhead)");
+    println!("   -> page-granular binding removes all misplacement, at one placement");
+    println!("      per page instead of one per 64 KB chunk");
     println!();
 }
 

@@ -130,7 +130,9 @@ pub fn obs_cap_override() -> Option<usize> {
     std::env::var("CABLES_OBS_CAP").ok()?.parse().ok()
 }
 
-fn dispatch(app: AppId, procs: usize) -> Box<dyn FnOnce(&M4Ctx) -> u64 + Send> {
+/// The body of `app` at its bench size on `procs` processors, returning
+/// its result bits: what [`run_app`] runs.
+pub fn dispatch(app: AppId, procs: usize) -> Box<dyn FnOnce(&M4Ctx) -> u64 + Send> {
     match app {
         AppId::Fft => {
             let p = fft::FftParams {

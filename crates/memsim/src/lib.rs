@@ -42,7 +42,7 @@ mod scalar;
 
 pub use addr::{pages_covering, GAddr, PageNum, PAGE_SIZE};
 pub use node::{
-    ClusterMem, Fault, FaultKind, FrameId, MemError, MemStats, OsVmConfig, Prot, TlbStats,
-    MAX_NODES,
+    ClusterMem, CopyStats, Fault, FaultKind, FrameId, MemError, MemStats, OsVmConfig, Prot,
+    TlbStats, MAX_NODES,
 };
 pub use scalar::Scalar;

@@ -17,9 +17,19 @@
 //! page's slot, and `free_frame` clears entries caching the freed frame on
 //! every node, since a cached [`FrameId`] would otherwise reach whatever
 //! frame next takes its index.
+//!
+//! A frame's bytes are its own or shared. A whole-page landing that is
+//! only read next ([`ClusterMem::share_frame`], a read fetch) hands the
+//! destination the source's bytes without copying them; the first write
+//! to either frame takes that frame's bytes private — reclaimed if no
+//! other frame holds them any more, else copied once — and every other
+//! holder keeps the old bytes, which is what a stale copy must see until
+//! an acquire invalidates it. Owned and shared bytes sit in two tables,
+//! so an access to owned bytes takes no refcount, no atomic and no extra
+//! branch.
 
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 use sim::{IdMap, Local, NodeId};
@@ -208,9 +218,17 @@ struct TlbEntry {
 }
 
 /// One node's memory: frames, page table, software TLB and its hit/miss
-/// counts, all inside the node's one borrow.
+/// counts, and its page share and copy counts, all inside the node's one
+/// borrow.
 struct NodeMem {
+    /// Each frame's own bytes, written in place; `None` while the frame is
+    /// free or holds shared bytes.
     frames: Vec<Option<Box<[u8]>>>,
+    /// Each frame's shared bytes, which other frames may hold too (handed
+    /// over by [`ClusterMem::share_frame`]); `Some` only where `frames` is
+    /// `None`. Kept apart from `frames` so that an access to owned bytes
+    /// takes no extra branch.
+    shared: Vec<Option<Arc<Box<[u8]>>>>,
     free_frames: Vec<u32>,
     pinned: Vec<bool>,
     page_table: IdMap<u64, Pte>,
@@ -220,12 +238,15 @@ struct NodeMem {
     tlb: Box<[Option<TlbEntry>]>,
     tlb_hits: u64,
     tlb_misses: u64,
+    shares: u64,
+    copies: u64,
 }
 
 impl NodeMem {
     fn new() -> Self {
         NodeMem {
             frames: Vec::new(),
+            shared: Vec::new(),
             free_frames: Vec::new(),
             pinned: Vec::new(),
             page_table: IdMap::default(),
@@ -235,6 +256,8 @@ impl NodeMem {
             tlb: vec![None; TLB_ENTRIES].into_boxed_slice(),
             tlb_hits: 0,
             tlb_misses: 0,
+            shares: 0,
+            copies: 0,
         }
     }
 
@@ -282,12 +305,53 @@ impl NodeMem {
         }
     }
 
-    /// The data of `frame`, which this node owns.
-    fn frame_mut(&mut self, frame: FrameId, what: &str) -> &mut [u8] {
-        self.frames[frame.index as usize]
-            .as_deref_mut()
-            .unwrap_or_else(|| panic!("{what} of freed frame {frame}"))
+    /// The data of `frame`, which this node owns, to read.
+    fn frame(&self, frame: FrameId, what: &str) -> &[u8] {
+        let i = frame.index as usize;
+        match &self.frames[i] {
+            Some(b) => b,
+            None => self.shared[i]
+                .as_deref()
+                .unwrap_or_else(|| freed(frame, what)),
+        }
     }
+
+    /// The data of `frame`, which this node owns, to write: shared bytes
+    /// are taken private first.
+    fn frame_mut(&mut self, frame: FrameId, what: &str) -> &mut [u8] {
+        let i = frame.index as usize;
+        if self.frames[i].is_none() {
+            self.unshare(frame, what);
+        }
+        self.frames[i].as_deref_mut().expect("just taken private")
+    }
+
+    /// Takes `frame`'s shared bytes private: reclaimed when no other frame
+    /// holds them any more, else copied (counted in `copies`). Out of
+    /// line: it runs on the first write after a share only.
+    #[cold]
+    #[inline(never)]
+    fn unshare(&mut self, frame: FrameId, what: &str) {
+        let i = frame.index as usize;
+        let bytes = self.shared[i].take().unwrap_or_else(|| freed(frame, what));
+        self.frames[i] = Some(Arc::try_unwrap(bytes).unwrap_or_else(|bytes| {
+            self.copies += 1;
+            Box::from(&bytes[..])
+        }));
+    }
+
+    /// Drops `frame`'s bytes, own or shared; false if it held none (free).
+    fn clear(&mut self, frame: FrameId) -> bool {
+        let i = frame.index as usize;
+        let own = self.frames[i].take();
+        let shared = self.shared[i].take();
+        own.is_some() || shared.is_some()
+    }
+}
+
+#[cold]
+fn freed(frame: FrameId, what: &str) -> ! {
+    panic!("{what} of freed frame {frame}")
 }
 
 /// Software-TLB hit/miss counters, cluster-wide.
@@ -297,6 +361,19 @@ pub struct TlbStats {
     pub hits: u64,
     /// Translations that had to walk the page table (or found no mapping).
     pub misses: u64,
+}
+
+/// Whole-page landings, cluster-wide: the host work of page transfers,
+/// counted exactly.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct CopyStats {
+    /// Landings that handed the destination the source's bytes
+    /// ([`ClusterMem::share_frame`]).
+    pub shares: u64,
+    /// Pages of bytes copied: private landings
+    /// ([`ClusterMem::copy_frame`]) and writes that took shared bytes
+    /// private while another frame still held them.
+    pub copies: u64,
 }
 
 /// Per-node memory usage counters.
@@ -389,6 +466,18 @@ impl ClusterMem {
         })
     }
 
+    /// Page share and copy counters accumulated since construction,
+    /// summed over every node.
+    pub fn copy_stats(&self) -> CopyStats {
+        self.live().fold(CopyStats::default(), |c, s| {
+            let m = s.lock();
+            CopyStats {
+                shares: c.shares + m.shares,
+                copies: c.copies + m.copies,
+            }
+        })
+    }
+
     /// Usage counters for `node`.
     pub fn stats(&self, node: NodeId) -> MemStats {
         match self.shard(node) {
@@ -423,6 +512,7 @@ impl ClusterMem {
             i
         } else {
             n.frames.push(Some(zeroed));
+            n.shared.push(None);
             n.pinned.push(false);
             (n.frames.len() - 1) as u32
         };
@@ -441,9 +531,7 @@ impl ClusterMem {
     pub fn free_frame(&self, frame: FrameId) {
         {
             let mut n = self.shard_must(frame.node).lock();
-            let slot = &mut n.frames[frame.index as usize];
-            assert!(slot.is_some(), "double free of {frame}");
-            *slot = None;
+            assert!(n.clear(frame), "double free of {frame}");
             if n.pinned[frame.index as usize] {
                 n.pinned[frame.index as usize] = false;
                 n.pinned_bytes -= PAGE_SIZE;
@@ -542,17 +630,17 @@ impl ClusterMem {
         self.shard(node)?.lock().translate(node, page)
     }
 
-    /// Runs `f` on the data of the frame `page` maps to on `node` if the
-    /// mapping allows a `kind` access; otherwise counts the fault on `node`
-    /// and returns it. A local frame is accessed inside the node borrow the
-    /// translation took; another node's frame inside its owner's borrow,
-    /// taken after this node's ends.
+    /// Runs `f` on the frame `page` maps to on `node` and its owner's
+    /// memory if the mapping allows a `kind` access; otherwise counts the
+    /// fault on `node` and returns it. A local frame is accessed inside the
+    /// node borrow the translation took; another node's frame inside its
+    /// owner's borrow, taken after this node's ends.
     fn access<R>(
         &self,
         node: NodeId,
         page: PageNum,
         kind: FaultKind,
-        f: impl FnOnce(&mut [u8]) -> R,
+        f: impl FnOnce(&mut NodeMem, FrameId) -> R,
     ) -> Result<R, Fault> {
         let allowed = |prot| match kind {
             FaultKind::Read => prot != Prot::None,
@@ -561,16 +649,40 @@ impl ClusterMem {
         let mut n = self.shard_must(node).lock();
         match n.translate(node, page) {
             Some((frame, prot)) if allowed(prot) => Ok(if frame.node == node {
-                f(n.frame_mut(frame, "access"))
+                f(&mut n, frame)
             } else {
                 drop(n);
-                self.with_frame(frame, "access", f)
+                f(&mut self.shard_must(frame.node).lock(), frame)
             }),
             _ => {
                 n.faults += 1;
                 Err(Fault { node, page, kind })
             }
         }
+    }
+
+    /// [`ClusterMem::access`] for a read of the frame's data.
+    fn read_access<R>(
+        &self,
+        node: NodeId,
+        page: PageNum,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, Fault> {
+        self.access(node, page, FaultKind::Read, |n, frame| {
+            f(n.frame(frame, "access"))
+        })
+    }
+
+    /// [`ClusterMem::access`] for a write of the frame's data.
+    fn write_access<R>(
+        &self,
+        node: NodeId,
+        page: PageNum,
+        f: impl FnOnce(&mut [u8]) -> R,
+    ) -> Result<R, Fault> {
+        self.access(node, page, FaultKind::Write, |n, frame| {
+            f(n.frame_mut(frame, "access"))
+        })
     }
 
     /// Reads a scalar at `addr` through `node`'s page table.
@@ -589,9 +701,7 @@ impl ClusterMem {
             "scalar read at {addr} straddles a page"
         );
         let off = addr.page_offset() as usize;
-        self.access(node, addr.page(), FaultKind::Read, |data| {
-            T::load(&data[off..off + T::SIZE])
-        })
+        self.read_access(node, addr.page(), |data| T::load(&data[off..off + T::SIZE]))
     }
 
     /// Writes a scalar at `addr` through `node`'s page table.
@@ -609,7 +719,7 @@ impl ClusterMem {
             "scalar write at {addr} straddles a page"
         );
         let off = addr.page_offset() as usize;
-        self.access(node, addr.page(), FaultKind::Write, |data| {
+        self.write_access(node, addr.page(), |data| {
             v.store(&mut data[off..off + T::SIZE])
         })
     }
@@ -626,7 +736,7 @@ impl ClusterMem {
     pub fn read_page_run(&self, node: NodeId, addr: GAddr, out: &mut [u8]) -> Result<usize, Fault> {
         let off = addr.page_offset() as usize;
         let n = out.len().min(PAGE_SIZE as usize - off);
-        self.access(node, addr.page(), FaultKind::Read, |data| {
+        self.read_access(node, addr.page(), |data| {
             out[..n].copy_from_slice(&data[off..off + n]);
             n
         })
@@ -646,7 +756,7 @@ impl ClusterMem {
         out: &mut [T],
     ) -> Result<(), Fault> {
         let off = addr.page_offset() as usize;
-        self.access(node, addr.page(), FaultKind::Read, |data| {
+        self.read_access(node, addr.page(), |data| {
             let bytes = &data[off..off + out.len() * T::SIZE];
             for (v, b) in out.iter_mut().zip(bytes.chunks_exact(T::SIZE)) {
                 *v = T::load(b);
@@ -667,7 +777,7 @@ impl ClusterMem {
         data: &[T],
     ) -> Result<(), Fault> {
         let off = addr.page_offset() as usize;
-        self.access(node, addr.page(), FaultKind::Write, |buf| {
+        self.write_access(node, addr.page(), |buf| {
             let bytes = &mut buf[off..off + data.len() * T::SIZE];
             for (v, b) in data.iter().zip(bytes.chunks_exact_mut(T::SIZE)) {
                 v.store(b);
@@ -684,7 +794,7 @@ impl ClusterMem {
     pub fn write_page_run(&self, node: NodeId, addr: GAddr, data: &[u8]) -> Result<usize, Fault> {
         let off = addr.page_offset() as usize;
         let n = data.len().min(PAGE_SIZE as usize - off);
-        self.access(node, addr.page(), FaultKind::Write, |buf| {
+        self.write_access(node, addr.page(), |buf| {
             buf[off..off + n].copy_from_slice(&data[..n]);
             n
         })
@@ -705,7 +815,7 @@ impl ClusterMem {
     ) -> Result<usize, Fault> {
         let off = addr.page_offset() as usize;
         let n = len.min(PAGE_SIZE as usize - off);
-        self.access(node, addr.page(), FaultKind::Write, |buf| {
+        self.write_access(node, addr.page(), |buf| {
             buf[off..off + n].fill(byte);
             n
         })
@@ -757,31 +867,64 @@ impl ClusterMem {
         Ok(())
     }
 
-    /// Runs `f` on a physical frame's data inside its owner's node borrow.
-    fn with_frame<R>(&self, frame: FrameId, what: &str, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        f(self.shard_must(frame.node).lock().frame_mut(frame, what))
-    }
-
     /// Copies bytes out of a physical frame (NIC DMA read path).
     pub fn frame_read(&self, frame: FrameId, offset: usize, out: &mut [u8]) {
-        self.with_frame(frame, "frame_read", |data| {
-            out.copy_from_slice(&data[offset..offset + out.len()])
-        });
+        let n = self.shard_must(frame.node).lock();
+        let data = n.frame(frame, "frame_read");
+        out.copy_from_slice(&data[offset..offset + out.len()]);
     }
 
     /// Copies bytes into a physical frame (NIC DMA write path).
     pub fn frame_write(&self, frame: FrameId, offset: usize, data: &[u8]) {
-        self.with_frame(frame, "frame_write", |buf| {
-            buf[offset..offset + data.len()].copy_from_slice(data)
-        });
+        let mut n = self.shard_must(frame.node).lock();
+        let buf = n.frame_mut(frame, "frame_write");
+        buf[offset..offset + data.len()].copy_from_slice(data);
     }
 
-    /// Copies a whole frame `src` → `dst` (page transfer landing), through
-    /// a stack buffer so that no two node borrows are ever held at once.
+    /// Lands the whole of `src` in `dst` without copying it: both frames
+    /// hold the same bytes until either is written, and a write takes only
+    /// the written frame's bytes private. For a page that is read next (a
+    /// read fetch). Takes `src`'s borrow, then `dst`'s.
+    pub fn share_frame(&self, src: FrameId, dst: FrameId) {
+        let bytes = {
+            let mut n = self.shard_must(src.node).lock();
+            let i = src.index as usize;
+            if let Some(own) = n.frames[i].take() {
+                n.shared[i] = Some(Arc::new(own));
+            }
+            let bytes = n.shared[i]
+                .as_ref()
+                .unwrap_or_else(|| freed(src, "share_frame"));
+            Arc::clone(bytes)
+        };
+        let mut n = self.shard_must(dst.node).lock();
+        n.shares += 1;
+        if !n.clear(dst) {
+            freed(dst, "share_frame");
+        }
+        n.shared[dst.index as usize] = Some(bytes);
+    }
+
+    /// Copies the whole of `src` into `dst`'s own bytes, through a stack
+    /// buffer so that no two node borrows are ever held at once. For a
+    /// page that is written next (a write fault's fetch, a migration
+    /// pull): no heap allocation unless `dst` held shared bytes.
     pub fn copy_frame(&self, src: FrameId, dst: FrameId) {
         let mut buf = [0u8; PAGE_SIZE as usize];
         self.frame_read(src, 0, &mut buf);
-        self.frame_write(dst, 0, &buf);
+        let mut n = self.shard_must(dst.node).lock();
+        n.copies += 1;
+        let i = dst.index as usize;
+        if let Some(own) = n.frames[i].as_deref_mut() {
+            own.copy_from_slice(&buf);
+        } else {
+            // Taking shared bytes private would copy them only to
+            // overwrite them.
+            n.shared[i]
+                .take()
+                .unwrap_or_else(|| freed(dst, "copy_frame"));
+            n.frames[i] = Some(Box::from(buf));
+        }
     }
 }
 
@@ -941,6 +1084,127 @@ mod tests {
         let mut buf = [0u8; 4];
         m.frame_read(f1, 100, &mut buf);
         assert_eq!(buf, [1, 2, 3, 4]);
+        assert_eq!(
+            m.copy_stats(),
+            CopyStats {
+                shares: 0,
+                copies: 1
+            }
+        );
+    }
+
+    /// Both frames of a share and their two mappings, `page` on node 0
+    /// (the source, the home) and node 1 (the destination, the reader).
+    fn shared_pair(m: &ClusterMem, page: PageNum) -> (FrameId, FrameId) {
+        let home = m.alloc_frame(NodeId(0)).unwrap();
+        let copy = m.alloc_frame(NodeId(1)).unwrap();
+        m.map_page(NodeId(0), page, home, Prot::ReadWrite);
+        m.map_page(NodeId(1), page, copy, Prot::ReadWrite);
+        m.write_scalar_run(NodeId(0), page.base(), &[1u64, 2, 3])
+            .unwrap();
+        m.share_frame(home, copy);
+        (home, copy)
+    }
+
+    fn words(m: &ClusterMem, node: u32, page: PageNum) -> [u64; 3] {
+        let mut out = [0u64; 3];
+        m.read_scalar_run(NodeId(node), page.base(), &mut out)
+            .unwrap();
+        out
+    }
+
+    /// A shared frame reads its source's bytes; a write on either side
+    /// copies that side's bytes once and leaves the other side's alone.
+    #[test]
+    fn shared_frame_reads_its_source_until_a_side_writes() {
+        let m = mem();
+        let page = PageNum::new(4);
+        let (home, copy) = shared_pair(&m, page);
+        assert_eq!(words(&m, 1, page), [1, 2, 3]);
+        let mut all = [0u8; PAGE_SIZE as usize];
+        m.frame_read(copy, 0, &mut all);
+        let mut src = [0u8; PAGE_SIZE as usize];
+        m.frame_read(home, 0, &mut src);
+        assert_eq!(all, src);
+        assert_eq!(
+            m.copy_stats(),
+            CopyStats {
+                shares: 1,
+                copies: 0
+            }
+        );
+
+        // The home writes: the reader keeps the old words.
+        m.write_scalar(NodeId(0), page.base(), 10u64).unwrap();
+        assert_eq!(words(&m, 0, page), [10, 2, 3]);
+        assert_eq!(words(&m, 1, page), [1, 2, 3]);
+        assert_eq!(
+            m.copy_stats(),
+            CopyStats {
+                shares: 1,
+                copies: 1
+            }
+        );
+
+        // Share again, then the reader writes: the home keeps its words,
+        // and the NIC path takes bytes private the same way.
+        m.share_frame(home, copy);
+        m.write_page_run(NodeId(1), page.base() + 8, &20u64.to_le_bytes())
+            .unwrap();
+        assert_eq!(words(&m, 1, page), [10, 20, 3]);
+        assert_eq!(words(&m, 0, page), [10, 2, 3]);
+        m.frame_write(home, 16, &30u64.to_le_bytes());
+        assert_eq!(words(&m, 0, page), [10, 2, 30]);
+        assert_eq!(words(&m, 1, page), [10, 20, 3]);
+        // The reader's write copied; the home's then held its bytes alone.
+        assert_eq!(
+            m.copy_stats(),
+            CopyStats {
+                shares: 2,
+                copies: 2
+            }
+        );
+    }
+
+    /// Freeing one side of a share keeps the other's bytes, and the
+    /// survivor's next write takes them back without a copy.
+    #[test]
+    fn freeing_one_side_of_a_share_keeps_the_other() {
+        let m = mem();
+        let page = PageNum::new(4);
+        let (home, copy) = shared_pair(&m, page);
+        m.unmap_page(NodeId(0), page);
+        m.free_frame(home);
+        let g = m.alloc_frame(NodeId(0)).unwrap();
+        assert_eq!(g, home, "the freed index is reused, zeroed");
+        let mut buf = [0u8; 8];
+        m.frame_read(g, 0, &mut buf);
+        assert_eq!(buf, [0; 8]);
+        assert_eq!(words(&m, 1, page), [1, 2, 3]);
+        m.fill_page_run(NodeId(1), page.base() + 16, 0, 8).unwrap();
+        assert_eq!(words(&m, 1, page), [1, 2, 0]);
+        assert_eq!(
+            m.copy_stats(),
+            CopyStats {
+                shares: 1,
+                copies: 0
+            }
+        );
+
+        // A private landing on a shared frame leaves its source alone.
+        m.share_frame(copy, g);
+        let zero = m.alloc_frame(NodeId(0)).unwrap();
+        m.copy_frame(zero, copy);
+        assert_eq!(words(&m, 1, page), [0, 0, 0]);
+        m.map_page(NodeId(0), page, g, Prot::Read);
+        assert_eq!(words(&m, 0, page), [1, 2, 0]);
+        assert_eq!(
+            m.copy_stats(),
+            CopyStats {
+                shares: 2,
+                copies: 1
+            }
+        );
     }
 
     /// A TLB hit on a frame another node owns reads the frame's one copy

@@ -14,7 +14,7 @@
 //!
 //! Because the segments partition `[0, total_ns]` exactly, the reported
 //! critical-path breakdown always sums to the run's simulated time — the
-//! invariant the `critpath` bench asserts.
+//! invariant the `obs_report` bench asserts.
 //!
 //! The walk only ever stands on thread lanes: the SAN's NIC→NIC message
 //! edges ([`EdgeKind::MsgSend`]/[`MsgFetch`](EdgeKind::MsgFetch)/
@@ -166,7 +166,7 @@ pub(crate) fn flatten<L: Copy, K: Ord>(
 
 /// Union (merged-interval) span coverage of the busiest non-NIC lane, in
 /// nanoseconds — a provable lower bound on the critical path, used by the
-/// `critpath` bench's sanity assertion.
+/// `obs_report` bench's sanity assertion.
 pub fn busiest_lane_span_ns(events: &[EventRecord]) -> u64 {
     let mut lanes: BTreeMap<Lane, Vec<(u64, u64)>> = BTreeMap::new();
     for e in events {

@@ -463,7 +463,14 @@ impl Effects for World {
         words.iter().flat_map(|w| w.to_le_bytes()).collect()
     }
 
-    fn fetch(&mut self, region: RegionId, off: u64, to: FrameId, _: &'static str) -> SimTime {
+    fn fetch(
+        &mut self,
+        region: RegionId,
+        off: u64,
+        to: FrameId,
+        _: bool,
+        _: &'static str,
+    ) -> SimTime {
         self.copy_frame(self.region_frame(region, off), to);
         SimTime::ZERO
     }

@@ -139,7 +139,17 @@ pub(crate) trait Effects: SyncEffects {
     // transfers return when they are complete at their destination.
     fn copy_frame(&mut self, from: FrameId, to: FrameId);
     fn read(&self, frame: FrameId, off: u64, len: u64) -> Vec<u8>;
-    fn fetch(&mut self, region: RegionId, off: u64, to: FrameId, what: &'static str) -> SimTime;
+    /// Lands the page at `off` of `region` in `to`: sharing the home's
+    /// bytes until either side writes (`share`, a page read next), else
+    /// as a private copy.
+    fn fetch(
+        &mut self,
+        region: RegionId,
+        off: u64,
+        to: FrameId,
+        share: bool,
+        what: &'static str,
+    ) -> SimTime;
     fn write(&mut self, region: RegionId, off: u64, data: &[u8]) -> SimTime;
     /// One multi-segment write, its first segment posted at `first`.
     fn write_batch(&mut self, region: RegionId, segs: &[(u64, Vec<u8>)], first: SimTime)
@@ -231,13 +241,18 @@ impl Effects for Real<'_> {
         buf
     }
 
-    fn fetch(&mut self, region: RegionId, off: u64, to: FrameId, what: &'static str) -> SimTime {
+    fn fetch(
+        &mut self,
+        region: RegionId,
+        off: u64,
+        to: FrameId,
+        share: bool,
+        what: &'static str,
+    ) -> SimTime {
         let (vmmc, sim) = (&self.sys.cluster.vmmc, self.sim);
-        let (data, done) = self.with_reimport(what, region, || {
-            vmmc.remote_fetch(sim.node(), region, off, PAGE_SIZE, sim.now())
-        });
-        self.sys.cluster.mem.frame_write(to, 0, &data);
-        done
+        self.with_reimport(what, region, || {
+            vmmc.remote_fetch_page(sim.node(), region, off, to, share, sim.now())
+        })
     }
 
     fn write(&mut self, region: RegionId, off: u64, data: &[u8]) -> SimTime {
@@ -567,10 +582,12 @@ fn fetch_page<E: Effects>(
         return;
     };
 
-    // Fetch the page contents from the home.
+    // Fetch the page contents from the home: a read shares the home's
+    // bytes, a write lands a private copy it is about to write.
     let (frame, _) = e.translate(page).expect("just mapped");
     let t_fetch = e.now();
-    let done = e.fetch(region, off, frame, "page fetch failed");
+    let share = kind == FaultKind::Read;
+    let done = e.fetch(region, off, frame, share, "page fetch failed");
     e.clock_at_least(done);
     if done > t_fetch {
         let (from, to) = ((node, None, t_fetch), (node, None, done));
@@ -771,7 +788,7 @@ fn migrate_chunk<E: Effects>(e: &mut E, m: Migrate) {
             (None, Some((old, off))) => {
                 // A node may take a chunk it never touched.
                 e.import(old, "migration import failed");
-                let done = e.fetch(old, off, new_frame, "migration fetch failed");
+                let done = e.fetch(old, off, new_frame, false, "migration fetch failed");
                 e.clock_at_least(done);
             }
             (None, None) => {}

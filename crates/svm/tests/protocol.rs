@@ -76,6 +76,50 @@ fn stale_read_allowed_until_acquire_then_fresh() {
 }
 
 #[test]
+fn read_copy_keeps_the_home_bytes_it_shares_until_acquire() {
+    // A read fetch lands the home's bytes in the reader's frame without
+    // copying them; the home's next write copies its own bytes once, and
+    // the reader's copy keeps the pre-write words until its next acquire
+    // invalidates it.
+    let (cluster, sys) = system(2, 1, SvmConfig::cables());
+    let (s, c) = (Arc::clone(&sys), Arc::clone(&cluster));
+    run_root(&cluster, move |sim| {
+        let a = s.g_malloc(sim, 16);
+        s.lock(sim, 1);
+        s.write::<u64>(sim, a, 1);
+        s.write::<u64>(sim, a + 8, 10);
+        s.unlock(sim, 1);
+        let (s2, c2) = (Arc::clone(&s), Arc::clone(&c));
+        let w = s.create(sim, move |ws| {
+            let before = c2.mem.copy_stats();
+            s2.lock(ws, 1);
+            assert_eq!(s2.read::<u64>(ws, a), 1);
+            s2.unlock(ws, 1);
+            let fetched = c2.mem.copy_stats();
+            assert_eq!(fetched.shares, before.shares + 1, "the read fetch shares");
+            assert_eq!(fetched.copies, before.copies, "and copies nothing");
+            ws.advance(10_000_000);
+            // Let the home's write, at 1 ms, run first.
+            ws.sync_point();
+            let stale = (s2.read::<u64>(ws, a), s2.read::<u64>(ws, a + 8));
+            assert_eq!(stale, (1, 10));
+            let copied = c2.mem.copy_stats().copies - fetched.copies;
+            assert_eq!(copied, 1, "the home's write took its bytes private");
+            s2.lock(ws, 1);
+            let fresh = (s2.read::<u64>(ws, a), s2.read::<u64>(ws, a + 8));
+            assert_eq!(fresh, (2, 20));
+            s2.unlock(ws, 1);
+        });
+        sim.advance(1_000_000);
+        s.lock(sim, 1);
+        s.write::<u64>(sim, a, 2);
+        s.write::<u64>(sim, a + 8, 20);
+        s.unlock(sim, 1);
+        sim.wait_exit(w);
+    });
+}
+
+#[test]
 fn concurrent_writers_merge_word_level() {
     // Two nodes write disjoint words of the SAME page in the same
     // barrier interval: word-granularity diffs must merge at the home.

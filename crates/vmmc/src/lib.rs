@@ -18,7 +18,9 @@
 //! make the base system unable to run OCEAN on 32 processors (paper §3.4).
 //!
 //! Timing comes from the [`san`] cost model; data movement is real byte
-//! copies between [`memsim`] frames. Remote effects are applied at issue
+//! copies between [`memsim`] frames, except that a page fetch for reading
+//! hands the requester's frame the home's bytes until either side writes
+//! ([`Vmmc::remote_fetch_page`]). Remote effects are applied at issue
 //! time (callers order themselves with `Sim::sync_point` first), which is
 //! indistinguishable for data-race-free programs.
 
@@ -673,6 +675,69 @@ impl Vmmc {
         len: u64,
         now: SimTime,
     ) -> Result<(Vec<u8>, SimTime), VmmcError> {
+        self.fetch_into(from, region, offset, len, now, |pieces| {
+            let mut data = vec![0u8; len as usize];
+            let mut cursor = 0usize;
+            for &(frame, in_frame, take) in pieces {
+                self.mem
+                    .frame_read(frame, in_frame, &mut data[cursor..cursor + take]);
+                cursor += take;
+            }
+            data
+        })
+    }
+
+    /// Direct remote fetch of the page at `offset` (page-aligned) of
+    /// `region` into the frame `to` of the requester: the same round trip
+    /// as [`Vmmc::remote_fetch`] of that page, landed without a buffer.
+    /// With `share` the frame holds the home's bytes until either side
+    /// writes ([`ClusterMem::share_frame`], for a page read next);
+    /// otherwise it gets a private copy ([`ClusterMem::copy_frame`]).
+    /// Returns the completion time at the requester.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the region is unknown, not imported by `from`, or the
+    /// page is out of bounds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offset` is not page-aligned.
+    pub fn remote_fetch_page(
+        &self,
+        from: NodeId,
+        region: RegionId,
+        offset: u64,
+        to: FrameId,
+        share: bool,
+        now: SimTime,
+    ) -> Result<SimTime, VmmcError> {
+        assert_eq!(offset % PAGE_SIZE, 0, "page fetch at unaligned {offset}");
+        let (_, done) = self.fetch_into(from, region, offset, PAGE_SIZE, now, |pieces| {
+            let src = pieces[0].0;
+            if share {
+                self.mem.share_frame(src, to);
+            } else {
+                self.mem.copy_frame(src, to);
+            }
+        })?;
+        Ok(done)
+    }
+
+    /// The one remote fetch: validates `[offset, offset + len)` of
+    /// `region`, prices the round trip (with chaos retries; none for an
+    /// owner-local read), lands the per-frame pieces with `land` once,
+    /// after the final successful round trip, and records the obs span
+    /// and edge. Nothing has been touched on error.
+    fn fetch_into<T>(
+        &self,
+        from: NodeId,
+        region: RegionId,
+        offset: u64,
+        len: u64,
+        now: SimTime,
+        land: impl FnOnce(&[(FrameId, usize, usize)]) -> T,
+    ) -> Result<(T, SimTime), VmmcError> {
         let (owner, pieces) = self.check_remote(from, region, [(offset, len)].into_iter())?;
         let mut done = now;
         if owner != from {
@@ -720,13 +785,7 @@ impl Vmmc {
             }
             done = self.san.fetch(from, owner, len, issue);
         }
-        let mut data = vec![0u8; len as usize];
-        let mut cursor = 0usize;
-        for (frame, in_frame, take) in pieces {
-            self.mem
-                .frame_read(frame, in_frame, &mut data[cursor..cursor + take]);
-            cursor += take;
-        }
+        let data = land(&pieces);
         if let Some(o) = self.obs_on() {
             o.span(
                 Layer::Vmmc,
@@ -927,6 +986,45 @@ mod tests {
             .unwrap();
         assert_eq!(&data[2..], &[1, 2, 3, 4]);
         assert!(done.as_nanos() >= 22_000);
+    }
+
+    /// A page fetch into a frame lands the bytes and completes at the time
+    /// a `remote_fetch` of that page does, shared or private; only the
+    /// private landing copies.
+    #[test]
+    fn remote_fetch_page_lands_what_remote_fetch_reads() {
+        let page: Vec<u8> = (0..PAGE_SIZE).map(|i| (i * 7) as u8).collect();
+        // A fresh cluster each time, so every fetch finds the SAN idle.
+        let fresh = || {
+            let (v, mem) = setup();
+            let fs = frames(&mem, NodeId(1), 2);
+            mem.frame_write(fs[1], 0, &page);
+            let r = v.export_region(NodeId(1), fs).unwrap();
+            v.import_region(NodeId(0), r).unwrap();
+            let to = mem.alloc_frame(NodeId(0)).unwrap();
+            (v, mem, r, to)
+        };
+        let (v, _, r, _) = fresh();
+        let (data, done) = v
+            .remote_fetch(NodeId(0), r, PAGE_SIZE, PAGE_SIZE, SimTime::ZERO)
+            .unwrap();
+        assert_eq!(data, page);
+        for share in [true, false] {
+            let (v, mem, r, to) = fresh();
+            let landed = v
+                .remote_fetch_page(NodeId(0), r, PAGE_SIZE, to, share, SimTime::ZERO)
+                .unwrap();
+            assert_eq!(landed, done, "share = {share}");
+            let mut back = vec![0u8; PAGE_SIZE as usize];
+            mem.frame_read(to, 0, &mut back);
+            assert_eq!(back, data, "share = {share}");
+            let c = mem.copy_stats();
+            assert_eq!((c.shares, c.copies), if share { (1, 0) } else { (0, 1) });
+            assert!(matches!(
+                v.remote_fetch_page(NodeId(0), r, 2 * PAGE_SIZE, to, share, SimTime::ZERO),
+                Err(VmmcError::OutOfBounds { .. })
+            ));
+        }
     }
 
     #[test]

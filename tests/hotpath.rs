@@ -253,8 +253,8 @@ proptest! {
 
 /// What one SPLASH run shows: (SimTime, parallel window, touched pages,
 /// misplaced pages, TLB hits, TLB misses, `sim::Local` borrows taken
-/// during the run).
-type SplashObs = (u64, Option<u64>, u64, u64, u64, u64, u64);
+/// during the run, `memsim`'s page shares and page copies).
+type SplashObs = (u64, Option<u64>, u64, u64, u64, u64, u64, (u64, u64));
 
 /// A SPLASH kernel body that returns the result bits it pins.
 type Kernel = fn(&M4Ctx) -> Vec<u64>;
@@ -276,6 +276,7 @@ fn splash_run(mode: M4Mode, kernel: Kernel) -> (SplashObs, Vec<u64>) {
     let borrows = local_borrows().wrapping_sub(before);
     let placement = sys.svm().placement_report();
     let st = sys.svm().engine_stats();
+    let copies = cluster.mem.copy_stats();
     let bits = std::mem::take(&mut *bits.lock().unwrap());
     (
         (
@@ -286,6 +287,7 @@ fn splash_run(mode: M4Mode, kernel: Kernel) -> (SplashObs, Vec<u64>) {
             st.tlb_hits,
             st.tlb_misses,
             borrows,
+            (copies.shares, copies.copies),
         ),
         bits,
     )
@@ -357,6 +359,14 @@ const SPLASH_TLB_GOLDENS: [(u64, u64); 6] = [
 /// one that adds a borrow per access, as a counted rise.
 const SPLASH_BORROW_GOLDENS: [u64; 6] = [7382, 21660, 11573, 8182, 22022, 13301];
 
+/// `(page shares, page copies)` of the same six runs, in the same order:
+/// the host work of page landings, counted exactly. A read fetch shares
+/// the home's bytes; a write fault's fetch, a migration pull and a write
+/// to bytes another frame still holds copy a page. Taken when the frames
+/// became copy-on-write; before, every one of the fetches copied.
+const SPLASH_COPY_GOLDENS: [(u64, u64); 6] =
+    [(35, 58), (15, 66), (59, 51), (36, 58), (21, 76), (72, 77)];
+
 /// The bits each of the six runs returned (see `fft_bits`, `radix_bits`,
 /// `lu_bits`): a kernel's arithmetic, however it is computed on the host,
 /// must land on these exactly.
@@ -374,7 +384,8 @@ const SPLASH_RESULT_GOLDENS: [&[u64]; 6] = [
 /// misplacement as the slow path gave — and the software TLB must count
 /// exactly the hits and misses it counted before, and stay hot on FFT
 /// (>90%). The runs also take exactly the `sim::Local` borrows they took
-/// when these goldens were pinned, and return the same result bits.
+/// when these goldens were pinned, share and copy exactly the pages they
+/// did, and return the same result bits.
 #[test]
 fn splash_fast_path_is_deterministic() {
     for (i, mode) in [M4Mode::Base, M4Mode::Cables].into_iter().enumerate() {
@@ -386,6 +397,7 @@ fn splash_fast_path_is_deterministic() {
             assert_eq!(pinned, SPLASH_GOLDENS[g], "{mode:?} {name}");
             assert_eq!((r.4, r.5), SPLASH_TLB_GOLDENS[g], "{mode:?} {name} TLB");
             assert_eq!(r.6, SPLASH_BORROW_GOLDENS[g], "{mode:?} {name} borrows");
+            assert_eq!(r.7, SPLASH_COPY_GOLDENS[g], "{mode:?} {name} copies");
             assert_eq!(bits, SPLASH_RESULT_GOLDENS[g], "{mode:?} {name} bits");
             if name == "fft" {
                 assert!(
