@@ -58,10 +58,9 @@ fn main() {
 
     for w in &OBS_KERNELS {
         let (off, _) = w.run(false, smoke, None);
-        // ~48 windows per run unless CABLES_OBS_SAMPLE_NS pins the width;
-        // derived from the (deterministic) uninstrumented run time so the
-        // frame count is stable run-to-run.
-        let sample_ns = series::sample_ns_from_env().unwrap_or_else(|| (off.total_ns / 48).max(1));
+        // ~48 windows per run, derived from the (deterministic)
+        // uninstrumented run time so the frame count is stable run-to-run.
+        let sample_ns = (off.total_ns / 48).max(1);
         let (on, stream) = w.run(true, smoke, Some(sample_ns));
         let stream = stream.expect("streaming run");
 

@@ -54,7 +54,7 @@ mod once_tsd;
 mod rt;
 mod sync;
 
-pub use config::{CablesConfig, CablesCosts};
+pub use config::{cost, CablesConfig};
 pub use mem::FreeError;
 pub use once_tsd::{Once, TsdKey};
 pub use rt::{

@@ -19,6 +19,7 @@ use obs::{Event, Layer};
 use sim::Sim;
 use svm::sync::SyncEffects;
 
+use crate::config::cost;
 use crate::rt::{CablesRt, OpKind, Pth, RtEffects};
 
 /// A `global_free` the allocator could not honor: the address was never
@@ -52,7 +53,7 @@ impl CablesRt {
         let (t0, e) = (sim.now(), self.at(sim));
         // Global allocator state lives in the ACB.
         e.admin_request();
-        sim.advance(self.cfg.costs.malloc_ns);
+        sim.advance(cost::MALLOC_NS);
         let align = if bytes >= PAGE_SIZE { PAGE_SIZE } else { 8 };
         let fit = self.state.lock().malloc(bytes, align);
         let addr = match fit {
@@ -105,7 +106,7 @@ impl Pth<'_> {
     pub fn try_free(&self, addr: GAddr) -> Result<(), FreeError> {
         self.timed(OpKind::Free, |rt, sim| {
             rt.at(sim).admin_request();
-            sim.advance(rt.cfg.costs.malloc_ns);
+            sim.advance(cost::MALLOC_NS);
             rt.state.lock().free(addr.raw()).ok_or(FreeError { addr })
         })
     }

@@ -21,7 +21,7 @@ use sim::{IdMap, Local, NodeId, Sim, SimError, SimTime, Tid};
 use svm::sync::{Real, SyncEffects};
 use svm::{Cluster, ProtoMode, SvmSystem};
 
-use crate::config::CablesConfig;
+use crate::config::{cost, CablesConfig};
 use crate::core::{Joined, Recovery, RtState, Wait};
 
 /// The value [`Pth::join`] returns for a thread lost to a node crash
@@ -210,7 +210,7 @@ pub(crate) trait RtEffects: SyncEffects {
     /// An administration request: a small ACB update handled on the
     /// master (paper Table 4: ~20 µs from a non-master node).
     fn admin_request(&self) {
-        self.op_point(self.rt_cfg().costs.admin_local_ns);
+        self.op_point(cost::ADMIN_LOCAL_NS);
         if self.node() != self.master() {
             let t = self.notify(self.node(), self.master(), self.now());
             self.clock_at_least(t.arrival);
@@ -396,7 +396,7 @@ impl CablesRt {
     /// `pthread_start()`: initializes the runtime, attaching the master
     /// node and registering the initial thread.
     pub fn pthread_start(&self, sim: &Sim) {
-        sim.op_point(self.cfg.costs.start_init_ns);
+        sim.op_point(cost::START_INIT_NS);
         let nodes = self.cluster().nodes();
         let pre = self.cfg.pre_attach;
         self.state.lock().start(self.master, nodes, pre, sim.tid());
@@ -429,7 +429,7 @@ impl CablesRt {
             sim.wake(tid, sim.now());
             sim.wait_exit(tid);
         }
-        sim.op_point(self.cfg.costs.end_teardown_ns);
+        sim.op_point(cost::END_TEARDOWN_NS);
     }
 
     /// Node-crash recovery, run by the monitor at the planned crash time
@@ -448,7 +448,7 @@ impl CablesRt {
         self.jobs
             .lock()
             .retain(|tid, _| !rec.dead.contains(&Tid(*tid)));
-        sim.advance(self.cfg.costs.detach_ns);
+        sim.advance(cost::DETACH_NS);
         e.instant(Layer::Rt, node, obs::Event::NodeDetach { node: node.0 });
         // The recovery as one causal edge on the monitor's own lane.
         let (from, to) = ((node, None, t0), (sim.node(), None, sim.now()));
@@ -498,21 +498,20 @@ impl CablesRt {
     /// master broadcasts its existence (paper §2.2, case ii).
     pub fn attach_node(&self, sim: &Sim, node: NodeId) {
         let t0 = sim.now();
-        let c = &self.cfg.costs;
         let e = &mut self.at(sim);
         if sim.node() != self.master {
             // The master performs the attach; ask it first.
             e.admin_request();
         }
-        sim.op_point(c.attach_local_cables_ns);
+        sim.op_point(cost::ATTACH_LOCAL_CABLES_NS);
         // Local OS process handshake.
-        sim.advance(c.attach_local_os_ns);
+        sim.advance(cost::ATTACH_LOCAL_OS_NS);
         // Remote process creation (the new node's OS).
-        sim.advance_idle(c.attach_remote_os_ns);
+        sim.advance_idle(cost::ATTACH_REMOTE_OS_NS);
         // Remote CableS initialization: mappings for already-allocated
         // global memory and pairwise import/export with attached nodes.
         let attached_now = self.state.lock().attached.len() as u64;
-        sim.advance_idle(c.attach_remote_cables_ns + c.attach_per_node_ns * attached_now);
+        sim.advance_idle(cost::ATTACH_REMOTE_CABLES_NS + cost::ATTACH_PER_NODE_NS * attached_now);
         // Broadcast the new node to all attached nodes.
         for other in 0..attached_now {
             let other = NodeId(other as u32);
@@ -603,7 +602,7 @@ pub(crate) fn crash<E: RtEffects>(
 /// dispatch notification is the worker's wakeup.
 pub(crate) fn dispatch<E: RtEffects>(e: &mut E, target: NodeId) -> Option<(Tid, CtId)> {
     let tid = e.with_rt(|st| st.pool_take(target))?;
-    e.op_point(e.rt_cfg().costs.pool_dispatch_ns);
+    e.op_point(cost::POOL_DISPATCH_NS);
     let ct = e.with_rt(|st| st.dispatch(target, tid));
     let edge = Some((obs::EdgeKind::ThreadStart, ct.0));
     e.notify_handoff(edge, &[target], 0, (tid, target));
@@ -616,7 +615,7 @@ pub(crate) fn dispatch<E: RtEffects>(e: &mut E, target: NodeId) -> Option<(Tid, 
 /// in its node's pool (else it exits).
 pub(crate) fn thread_exit<E: RtEffects>(e: &mut E, ct: CtId, ret: u64, pool: bool) -> bool {
     e.release();
-    e.op_point(e.rt_cfg().costs.exit_ns);
+    e.op_point(cost::EXIT_NS);
     e.send_master(32);
     let (tid, node, now) = (e.tid(), e.node(), e.now());
     let may_detach = node != e.master() && e.rt_cfg().auto_detach;
@@ -635,7 +634,7 @@ pub(crate) fn thread_exit<E: RtEffects>(e: &mut E, ct: CtId, ret: u64, pool: boo
             e.wake(j, now);
         }
         if detached {
-            e.advance(e.rt_cfg().costs.detach_ns);
+            e.advance(cost::DETACH_NS);
             e.instant(Layer::Rt, node, obs::Event::NodeDetach { node: node.0 });
         }
     }
@@ -789,16 +788,16 @@ impl Pth<'_> {
                 }
             }
             let local = target == sim.node();
-            let c = &rt.cfg.costs;
             let start;
             if local {
-                sim.op_point(c.create_local_ns);
-                sim.advance(rt.cfg.svm.costs.os_thread_create_ns);
+                sim.op_point(cost::CREATE_LOCAL_NS);
+                sim.advance(svm::cost::OS_THREAD_CREATE_NS);
                 start = sim.now();
             } else {
-                sim.op_point(c.create_remote_local_ns);
+                sim.op_point(cost::CREATE_REMOTE_LOCAL_NS);
                 let req = rt.cluster().san.notify(sim.node(), target, sim.now());
-                start = req.arrival + c.create_remote_remote_ns + c.os_remote_thread_create_ns;
+                start =
+                    req.arrival + cost::CREATE_REMOTE_REMOTE_NS + cost::OS_REMOTE_THREAD_CREATE_NS;
                 // The creator waits until the remote thread is running (the
                 // paper's 819 us remote create is creator-visible and includes
                 // the remote OS create).
@@ -875,7 +874,7 @@ impl Pth<'_> {
     pub fn join(&self, ct: CtId) -> u64 {
         self.timed(OpKind::Join, |rt, sim| {
             let (t0, e) = (sim.now(), &mut rt.at(sim));
-            e.op_point(rt.cfg.costs.join_ns);
+            e.op_point(cost::JOIN_NS);
             // Reading the thread's ACB entry.
             e.fetch_master(16);
             e.crash_check();

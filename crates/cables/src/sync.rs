@@ -15,6 +15,7 @@
 use obs::{EdgeKind, Event};
 use svm::sync::SyncEffects;
 
+use crate::config::cost;
 use crate::core::Wait;
 use crate::rt::{CablesRt, Cancelled, CtId, OpKind, Pth, RtEffects};
 
@@ -59,7 +60,7 @@ impl CablesRt {
 /// A condition wait's first step: the waiter registers in the ACB (a
 /// direct remote write), before its mutex is unlocked.
 pub(crate) fn cond_register<E: RtEffects>(e: &mut E, cond: Cond) {
-    e.op_point(e.rt_cfg().costs.cond_wait_local_ns);
+    e.op_point(cost::COND_WAIT_LOCAL_NS);
     e.send_master(16);
     let (tid, node) = (e.tid(), e.node());
     e.with_rt(|st| st.cond_wait(cond.0, tid, node));
@@ -83,7 +84,7 @@ pub(crate) fn cond_woken<E: RtEffects>(
     if e.with_rt(|st| st.cancel_requested(ct)) {
         return Err(Cancelled);
     }
-    e.advance(e.rt_cfg().costs.cond_wakeup_ns);
+    e.advance(cost::COND_WAKEUP_NS);
     Ok(())
 }
 
@@ -93,12 +94,11 @@ pub(crate) fn cond_woken<E: RtEffects>(
 /// paper). Timing-visible asymmetry, kept: a signal that finds a waiter
 /// also posts the ACB update recording the hand-off; a broadcast does not.
 pub(crate) fn cond_wake<E: RtEffects>(e: &mut E, cond: Cond, all: bool) {
-    let c = &e.rt_cfg().costs;
     e.op_point(match all {
-        true => c.cond_broadcast_local_ns,
-        false => c.cond_signal_local_ns,
+        true => cost::COND_BROADCAST_LOCAL_NS,
+        false => cost::COND_SIGNAL_LOCAL_NS,
     });
-    e.advance(c.cond_os_ns);
+    e.advance(cost::COND_OS_NS);
     // Read the condition's ACB entry.
     e.fetch_master(16);
     for (tid, wnode) in e.with_rt(|st| st.cond_wake(cond.0, all)) {
@@ -213,9 +213,7 @@ impl Pth<'_> {
         self.rt.svm().lock(sim, m.0);
         // Competitive spinning: the processor is burnt for up to the spin
         // bound while waiting; after that the thread had blocked.
-        let spun = sim
-            .now()
-            .min(wait_start + self.rt.cfg.costs.spin_before_block_ns);
+        let spun = sim.now().min(wait_start + cost::SPIN_BEFORE_BLOCK_NS);
         sim.occupy_cpu_until(spun);
         self.book(t0, op, Some((Wait::Lock, Event::PthMutexWait { id: m.0 })));
     }
@@ -223,10 +221,10 @@ impl Pth<'_> {
     /// Local mutex bookkeeping, plus the remote ACB handler's work when
     /// the system lock's ownership is cached on another node.
     fn mutex_entry(&self, m: Mutex) {
-        let (sim, c) = (self.sim, &self.rt.cfg.costs);
-        sim.op_point(c.mutex_local_extra_ns);
+        let sim = self.sim;
+        sim.op_point(cost::MUTEX_LOCAL_EXTRA_NS);
         if matches!(self.rt.svm().lock_owner_node(m.0), Some(owner) if owner != sim.node()) {
-            sim.advance(c.mutex_remote_extra_ns);
+            sim.advance(cost::MUTEX_REMOTE_EXTRA_NS);
         }
     }
 
@@ -247,7 +245,7 @@ impl Pth<'_> {
 
     /// [`Pth::mutex_unlock`] as a condition wait's part.
     fn unlock_unbooked(&self, m: Mutex) {
-        self.sim.op_point(self.rt.cfg.costs.mutex_local_extra_ns);
+        self.sim.op_point(cost::MUTEX_LOCAL_EXTRA_NS);
         self.rt.svm().unlock(self.sim, m.0);
     }
 
@@ -344,7 +342,7 @@ impl Pth<'_> {
     /// mechanism.
     pub fn barrier(&self, b: Barrier, n: usize) {
         let (sim, t0) = (self.sim, self.sim.now());
-        sim.op_point(self.rt.cfg.costs.mutex_local_extra_ns);
+        sim.op_point(cost::MUTEX_LOCAL_EXTRA_NS);
         self.rt.state.lock().enter(Wait::Barrier);
         self.rt.svm().barrier(sim, b.0, n);
         let wait = (Wait::Barrier, Event::PthBarrierWait { id: b.0 });

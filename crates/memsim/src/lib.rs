@@ -11,8 +11,8 @@
 //!   hardware would trap into the DSM protocol's handler; each node's page
 //!   table, frames and 512-entry software TLB sit in one `sim::Local`, so a
 //!   TLB hit is one borrow-flag check and no refcount;
-//! - [`OsVmConfig`] models mapping granularity, per-node memory size, and
-//!   OS operation costs (map, protect, fault entry);
+//! - [`OsVmConfig`] models mapping granularity and per-node memory size,
+//!   and [`cost`] the OS operation costs (map, protect, frame, fault entry);
 //! - frames can be pinned ([`ClusterMem::pin_frame`]) — the NIC may only
 //!   target pinned frames, and pinned bytes are accounted against the OS
 //!   limit tracked by the `vmmc` layer.
@@ -42,7 +42,7 @@ mod scalar;
 
 pub use addr::{pages_covering, GAddr, PageNum, PAGE_SIZE};
 pub use node::{
-    ClusterMem, CopyStats, Fault, FaultKind, FrameId, MemError, MemStats, OsVmConfig, Prot,
+    cost, ClusterMem, CopyStats, Fault, FaultKind, FrameId, MemError, MemStats, OsVmConfig, Prot,
     TlbStats, MAX_NODES,
 };
 pub use scalar::Scalar;

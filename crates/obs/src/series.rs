@@ -50,15 +50,6 @@ use crate::metrics::{Histogram, KindAgg, MetricsSnapshot, NodeMetrics, PageMetri
 use crate::stall::{self, Bucket, BUCKETS};
 use crate::stream::{end_line, frame_line, header_line};
 
-/// Reads `CABLES_OBS_SAMPLE_NS` (simulated ns per window). Unset, empty,
-/// unparsable, or zero means "no override".
-pub fn sample_ns_from_env() -> Option<u64> {
-    std::env::var("CABLES_OBS_SAMPLE_NS")
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-        .filter(|&n| n > 0)
-}
-
 /// One window's worth of change: a sparse [`MetricsSnapshot`] plus the
 /// window bounds and the stall mix observed while recording.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -11,7 +11,7 @@ use memsim::{GAddr, PAGE_SIZE};
 use sim::{Local, NodeId, Sim, Tid};
 
 use crate::cluster::Cluster;
-use crate::config::SvmConfig;
+use crate::config::{cost, SvmConfig};
 use crate::core::{NodeStats, PlacementReport, ProtoState, HEAP_BASE};
 
 /// A shared-virtual-memory system instance over a [`Cluster`].
@@ -224,7 +224,7 @@ impl SvmSystem {
         // Thread creation is a release point: the new thread must observe
         // everything the creator wrote so far.
         self.release(sim);
-        sim.op_point(self.cfg.costs.create_bookkeeping_ns);
+        sim.op_point(cost::CREATE_BOOKKEEPING_NS);
         let target = {
             let mut st = self.state.lock();
             let proc = st.next_proc;
@@ -235,12 +235,12 @@ impl SvmSystem {
         };
         let start;
         if target == sim.node() {
-            sim.advance(self.cfg.costs.os_thread_create_ns);
+            sim.advance(cost::OS_THREAD_CREATE_NS);
             start = sim.now();
         } else {
             let t = self.cluster.san.notify(sim.node(), target, sim.now());
             sim.clock_at_least(t.local_done);
-            start = t.arrival + self.cfg.costs.os_thread_create_ns;
+            start = t.arrival + cost::OS_THREAD_CREATE_NS;
         }
         let sys = Arc::clone(self);
         let tid = sim.spawn_on(target, start, "svm-worker", move |wsim| {

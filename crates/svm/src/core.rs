@@ -33,7 +33,7 @@ use memsim::{FaultKind, GAddr, PageNum, Prot, PAGE_SIZE};
 use sim::{IdMap, IdSet, NodeId, SimTime, Tid};
 use vmmc::RegionId;
 
-use crate::config::{ProtoMode, SvmConfig};
+use crate::config::{cost, ProtoMode, SvmConfig};
 use crate::sync::WaitQueue;
 
 pub(crate) const WORDS_PER_PAGE: usize = (PAGE_SIZE / 8) as usize;
@@ -710,8 +710,8 @@ impl LockState {
 impl BarrierState {
     /// The release decision, shared by the last arriver and crash
     /// recovery: takes the waiters and resets the episode.
-    fn open(&mut self, per_node_ns: u64) -> Opened {
-        let release_t = self.max_arrival + per_node_ns * self.expected as u64;
+    fn open(&mut self) -> Opened {
+        let release_t = self.max_arrival + cost::BARRIER_PER_NODE_NS * self.expected as u64;
         self.count = 0;
         self.max_arrival = SimTime::ZERO;
         (std::mem::take(&mut self.waiters), release_t)
@@ -790,7 +790,7 @@ impl ProtoState {
             b.waiters.push(tid, node, ());
             return None;
         }
-        Some(b.open(self.cfg.costs.barrier_per_node_ns))
+        Some(b.open())
     }
 
     /// `dead` are gone: they leave every lock and barrier queue (a queued
@@ -831,10 +831,9 @@ impl ProtoState {
         out.grants.sort_unstable_by_key(|g| g.0);
         let discount = self.forgiven as usize;
         if open && discount > 0 {
-            let per_node_ns = self.cfg.costs.barrier_per_node_ns;
             for (&id, b) in self.barriers.iter_mut() {
                 if b.count > 0 && b.expected > 0 && b.count + discount >= b.expected {
-                    out.opened.push((id, b.open(per_node_ns)));
+                    out.opened.push((id, b.open()));
                 }
             }
             out.opened.sort_unstable_by_key(|o| o.0);

@@ -35,7 +35,7 @@ pub mod sync;
 
 pub use api::SvmSystem;
 pub use cluster::{Cluster, ClusterConfig};
-pub use config::{ProtoMode, SvmConfig, SvmCosts};
+pub use config::{cost, ProtoMode, SvmConfig};
 #[doc(hidden)]
 pub use core::{Crash, Grant, Opened, ProtoState};
 pub use core::{NodeStats, PlacementReport, GLOBAL_SECTION_BASE, GLOBAL_SECTION_BYTES, HEAP_BASE};

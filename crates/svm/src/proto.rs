@@ -33,13 +33,15 @@ use std::fmt;
 use std::ops::Range;
 
 use chaos::ChaosEngine;
-use memsim::{Fault, FaultKind, FrameId, GAddr, OsVmConfig, PageNum, Prot, Scalar, PAGE_SIZE};
+use memsim::cost as os;
+use memsim::{Fault, FaultKind, FrameId, GAddr, PageNum, Prot, Scalar, PAGE_SIZE};
 use obs::Layer::Proto;
 use sim::{NodeId, Sim, SimTime};
-use vmmc::{RegionId, VmmcConfig, VmmcError};
+use vmmc::cost as nic;
+use vmmc::{RegionId, VmmcError};
 
 use crate::api::SvmSystem;
-use crate::config::ProtoMode;
+use crate::config::{cost, ProtoMode};
 use crate::core::{Diff, Fetch, Migrate, Route, Ship};
 use crate::sync::{Real, SyncEffects};
 
@@ -112,8 +114,9 @@ const REG_RETRY_BASE_NS: u64 = 20_000;
 /// thread of [`Effects::node`]: the node's memory, NIC and data. Statically
 /// dispatched, so the real set compiles to the calls the interpreter made
 /// before it was generic. Time, the wire and obs are [`SyncEffects`]'
-/// (`charge` too, written through [`SyncEffects::real`]); the explorer's
-/// model keeps no NIC import table, so the imports are [`Real`]'s only.
+/// (written through [`SyncEffects::real`]; an OS or NIC cost is a constant
+/// the interpreter advances by); the explorer's model keeps no NIC import
+/// table, so the imports are [`Real`]'s only.
 pub(crate) trait Effects: SyncEffects {
     // The node's memory and NIC.
     fn translate(&self, page: PageNum) -> Option<(FrameId, Prot)>;
@@ -154,14 +157,6 @@ pub(crate) trait Effects: SyncEffects {
     /// One multi-segment write, its first segment posted at `first`.
     fn write_batch(&mut self, region: RegionId, segs: &[(u64, Vec<u8>)], first: SimTime)
         -> SimTime;
-
-    /// Advances the clock by a cost of the node's OS or NIC.
-    fn charge(&self, cost: impl FnOnce(&OsVmConfig, &VmmcConfig) -> u64) {
-        self.on_real(|sys, sim| {
-            let c = &sys.cluster;
-            sim.advance(cost(c.mem.config(), c.vmmc.config()));
-        });
-    }
 }
 
 /// The simulated cluster's page effects; NIC-registration recovery lives
@@ -197,7 +192,8 @@ impl Effects for Real<'_> {
                 vmmc.export_region(node, frames.to_vec())
             }),
         };
-        self.charge(|_, nic| extend.map_or(nic.register_op_ns, |_| nic.extend_op_ns));
+        self.sim
+            .advance(extend.map_or(nic::REGISTER_OP_NS, |_| nic::EXTEND_OP_NS));
         region
     }
 
@@ -397,7 +393,7 @@ impl Real<'_> {
             self.reg_op(node, what, Some(region), || {
                 vmmc.import_region(node, region)
             });
-            self.sim.advance(vmmc.config().import_op_ns);
+            self.sim.advance(nic::IMPORT_OP_NS);
         }
     }
 
@@ -465,8 +461,8 @@ impl SvmSystem {
 pub(crate) fn handle_fault<E: Effects>(e: &mut E, page: PageNum, kind: FaultKind) {
     let (node, t0) = (e.node(), e.entry());
     // OS fault entry + protocol handler, ordered against other ops.
-    e.charge(|os, _| os.fault_overhead_ns);
-    e.op_point(e.cfg().costs.fault_handler_ns);
+    e.advance(os::FAULT_OVERHEAD_NS);
+    e.op_point(cost::FAULT_HANDLER_NS);
 
     let prot = e.translate(page).map(|(_, p)| p);
     let step = e.with_proto(|c| c.fault(node, page, kind, prot));
@@ -498,7 +494,7 @@ pub(crate) fn handle_fault<E: Effects>(e: &mut E, page: PageNum, kind: FaultKind
 /// Allocates `n` fresh frames on the calling node for home copies.
 fn alloc_frames<E: Effects>(e: &mut E, n: u64, what: &str) -> Vec<FrameId> {
     let frames = (0..n).map(|_| e.alloc_frame(what)).collect();
-    e.charge(|os, _| os.frame_alloc_ns * n);
+    e.advance(os::FRAME_ALLOC_NS * n);
     frames
 }
 
@@ -531,10 +527,10 @@ fn place_chunk<E: Effects>(e: &mut E, page: PageNum, kind: FaultKind) {
     // start inaccessible so later first touches are observable.
     let chunk = (mode == ProtoMode::Cables).then_some("chunk-aligned mapping");
     e.map(base, &frames, chunk);
-    e.charge(|os, _| os.map_op_ns);
+    e.advance(os::MAP_OP_NS);
     e.with_proto(|c| c.placed(node, page, region, off));
     e.instant(Proto, node, obs::Event::Place { base: base.index() });
-    e.op_point(e.cfg().costs.placement_bookkeeping_ns);
+    e.op_point(cost::PLACEMENT_BOOKKEEPING_NS);
     // Publish the directory change to the master.
     e.send_master(64);
     if kind == FaultKind::Write {
@@ -556,7 +552,7 @@ fn grant<E: Effects>(e: &mut E, page: PageNum, kind: FaultKind) {
 /// Changes `page`'s protection on the calling node and charges it.
 fn protect<E: Effects>(e: &mut E, page: u64, prot: Prot, mapped: &str) {
     e.set_prot(page, prot, mapped);
-    e.charge(|os, _| os.protect_ns);
+    e.advance(os::PROTECT_NS);
 }
 
 /// Fetches a page copy from its remote home `region`.
@@ -574,7 +570,7 @@ fn fetch_page<E: Effects>(
     if !have_frame {
         let f = e.alloc_frame("copy");
         e.map(page, &[f], None);
-        e.charge(|os, _| os.frame_alloc_ns);
+        e.advance(os::FRAME_ALLOC_NS);
     }
     let decided = e.with_proto(|c| c.fetch(node, page, kind, have_frame));
     let Fetch::Remote { off } = decided else {
@@ -611,7 +607,7 @@ fn fetch_page<E: Effects>(
 /// directly written run is visible at the home.
 fn ship<E: Effects>(e: &mut E, d: &Diff, batches: &mut DiffBatches) -> SimTime {
     let mut arrival = SimTime::ZERO;
-    let build = e.cfg().costs.diff_build_ns;
+    let build = cost::DIFF_BUILD_NS;
     if d.ship == Ship::Home {
         // Home writer: data already authoritative, just a notice.
         e.advance(build / 4);
@@ -692,7 +688,7 @@ pub(crate) fn release<E: Effects>(e: &mut E) {
             // was fetched: drop it (the diff above is already on its
             // way home) and refetch a complete page on next touch.
             invalidate_copy(e, d.page);
-            e.charge(|os, _| os.protect_ns);
+            e.advance(os::PROTECT_NS);
         } else {
             // Downgrade to read-only so new writes are tracked again.
             protect(e, d.page, Prot::Read, "dirty page mapped");
@@ -748,7 +744,7 @@ pub(crate) fn acquire<E: Effects>(e: &mut E) {
     }
     if a.applied {
         let invals = a.invalidate.len() as u64;
-        e.advance(e.cfg().costs.notice_apply_ns * invals.max(1));
+        e.advance(cost::NOTICE_APPLY_NS * invals.max(1));
         e.span(Proto, t0, || obs::Event::AcquireSpan { invals });
     }
 }
@@ -795,7 +791,7 @@ fn migrate_chunk<E: Effects>(e: &mut E, m: Migrate) {
         }
     }
     e.map(m.base, &frames, Some("chunk-aligned migration mapping"));
-    e.charge(|os, _| os.map_op_ns);
+    e.advance(os::MAP_OP_NS);
     e.with_proto(|c| c.migrated(node, m.base, region, m.off));
     e.instant(
         Proto,
@@ -804,7 +800,7 @@ fn migrate_chunk<E: Effects>(e: &mut E, m: Migrate) {
             base: m.base.index(),
         },
     );
-    e.op_point(e.cfg().costs.placement_bookkeeping_ns);
+    e.op_point(cost::PLACEMENT_BOOKKEEPING_NS);
     e.send_master(64);
 }
 
@@ -817,7 +813,7 @@ impl SvmSystem {
     /// protocol as needed.
     pub fn read<T: Scalar>(&self, sim: &Sim, addr: GAddr) -> T {
         self.crash_check(sim);
-        sim.advance(self.cfg.costs.access_check_ns);
+        sim.advance(cost::ACCESS_CHECK_NS);
         loop {
             match self.cluster.mem.read_scalar::<T>(sim.node(), addr) {
                 Ok(v) => return v,
@@ -831,7 +827,7 @@ impl SvmSystem {
     /// release's diff.
     pub fn write<T: Scalar>(&self, sim: &Sim, addr: GAddr, v: T) {
         self.crash_check(sim);
-        sim.advance(self.cfg.costs.access_check_ns);
+        sim.advance(cost::ACCESS_CHECK_NS);
         loop {
             match self.cluster.mem.write_scalar::<T>(sim.node(), addr, v) {
                 Ok(()) => {
@@ -938,7 +934,7 @@ impl SvmSystem {
             "bulk access must be aligned to the element size ({} bytes)",
             T::SIZE
         );
-        let a = self.cfg.costs.access_check_ns;
+        let a = cost::ACCESS_CHECK_NS;
         let mut off = 0usize;
         while off < total {
             let run_addr = addr + off as u64;

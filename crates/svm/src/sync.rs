@@ -22,7 +22,7 @@ use san::SendTiming;
 use sim::{NodeId, Sim, SimTime, Tid};
 
 use crate::api::SvmSystem;
-use crate::config::SvmConfig;
+use crate::config::{cost, SvmConfig};
 use crate::core::ProtoState;
 
 /// FIFO of parked threads `(tid, node, tag)`: the one waiter queue behind
@@ -219,7 +219,7 @@ pub trait SyncEffects {
     /// Request/reply round trip with a remote lock manager.
     fn manager_round_trip(&self, manager: NodeId) {
         let req = self.notify(self.node(), manager, self.now());
-        let handled = req.arrival + self.cfg().costs.lock_handler_ns;
+        let handled = req.arrival + cost::LOCK_HANDLER_NS;
         let reply = self.notify(manager, self.node(), handled);
         self.clock_at_least(reply.arrival);
     }
@@ -372,11 +372,11 @@ pub fn lock<E: SyncEffects>(e: &mut E, id: u64) -> (SimTime, bool) {
 /// `acquired_from` without paying the first-time bookkeeping, and counts
 /// as an acquire only when it succeeds.
 fn lock_or<E: SyncEffects>(e: &mut E, id: u64, wait: bool) -> Option<bool> {
-    e.op_point(e.cfg().costs.lock_local_ns);
+    e.op_point(cost::LOCK_LOCAL_NS);
     let (node, tid) = (e.node(), e.tid());
     let g = e.with_proto(|p| p.lock(id, tid, node, wait));
     if wait && g.first_time {
-        e.advance(e.cfg().costs.lock_first_time_ns);
+        e.advance(cost::LOCK_FIRST_TIME_NS);
         // First-time bookkeeping reads the lock record remotely.
         e.fetch_master(16);
     }
@@ -384,7 +384,7 @@ fn lock_or<E: SyncEffects>(e: &mut E, id: u64, wait: bool) -> Option<bool> {
         if !g.local && node != g.manager {
             e.manager_round_trip(g.manager);
         } else if !g.local {
-            e.advance(e.cfg().costs.lock_handler_ns);
+            e.advance(cost::LOCK_HANDLER_NS);
         }
         Some(false)
     } else if wait {
@@ -417,13 +417,12 @@ pub fn unlock_release<E: SyncEffects>(e: &mut E) {
 /// checkpoint, not trip the holder check. Then the hand-off: release to
 /// the manager, its handler, grant to the waiter.
 pub fn unlock<E: SyncEffects>(e: &mut E, id: u64) {
-    e.op_point(e.cfg().costs.lock_local_ns);
+    e.op_point(cost::LOCK_LOCAL_NS);
     e.crash_check();
     let tid = e.tid();
     if let Some((to, manager)) = e.with_proto(|p| p.unlock(id, tid)) {
         let edge = Some((EdgeKind::LockHandoff, id));
-        let handler_ns = e.cfg().costs.lock_handler_ns;
-        e.notify_handoff(edge, &[manager, to.1], handler_ns, to);
+        e.notify_handoff(edge, &[manager, to.1], cost::LOCK_HANDLER_NS, to);
     }
 }
 
@@ -435,7 +434,7 @@ pub fn barrier<E: SyncEffects>(e: &mut E, id: u64, n: usize) -> (SimTime, bool) 
     e.crash_check();
     let t0 = e.entry();
     e.release();
-    e.op_point(e.cfg().costs.lock_local_ns);
+    e.op_point(cost::LOCK_LOCAL_NS);
     let (node, tid, manager) = (e.node(), e.tid(), e.master());
     let arrive_at_mgr = if node != manager {
         e.send(manager, 8).arrival
@@ -476,7 +475,7 @@ fn fan_out<E: SyncEffects>(
 /// Crash recovery of the lock and barrier managers
 /// ([`ProtoState::crash`]): the dead found parked, to be woken so they
 /// unwind. The recovering thread grants a dead holder's locks on its
-/// behalf, at `now + lock_handler_ns` with no wire message, the edge
+/// behalf, at `now + LOCK_HANDLER_NS` with no wire message, the edge
 /// sourced at `node`; then `between` runs (the caller's own grants keep
 /// their place in the wake order); then the barriers the recovery opened
 /// release.
@@ -490,7 +489,7 @@ pub fn crash<E: SyncEffects>(
     let now = e.now();
     for (id, to) in c.grants {
         let edge = Some((EdgeKind::Recovery, id));
-        let arrival = now + e.cfg().costs.lock_handler_ns;
+        let arrival = now + cost::LOCK_HANDLER_NS;
         e.handoff(edge, (node, now), arrival, to);
     }
     between(e);

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::sync::Mutex as StdMutex;
 
 use cables_svm::{Cluster, ClusterConfig, SvmConfig, SvmSystem};
-use sim::Sim;
+use sim::{NodeId, Sim};
 
 fn system(nodes: usize, cpus: usize, cfg: SvmConfig) -> (Arc<Cluster>, Arc<SvmSystem>) {
     let cluster = Cluster::build(ClusterConfig::small(nodes, cpus));
@@ -116,6 +116,43 @@ fn read_copy_keeps_the_home_bytes_it_shares_until_acquire() {
         s.write::<u64>(sim, a + 8, 20);
         s.unlock(sim, 1);
         sim.wait_exit(w);
+    });
+}
+
+#[test]
+fn read_then_write_on_a_remote_reader_copies_the_page_once() {
+    // The reader's write takes the bytes its read fetch shared private:
+    // one copy, the one the fetch no longer pays. Nothing else copies —
+    // the release reads the dirty runs straight out of the reader's frame
+    // and the home, sole owner again, takes the diff in place.
+    let (cluster, sys) = system(2, 1, SvmConfig::cables());
+    let (s, c) = (Arc::clone(&sys), Arc::clone(&cluster));
+    run_root(&cluster, move |sim| {
+        let a = s.g_malloc(sim, 16);
+        s.lock(sim, 1);
+        s.write::<u64>(sim, a, 1);
+        s.unlock(sim, 1);
+        let (s2, c2) = (Arc::clone(&s), Arc::clone(&c));
+        let w = s.create(sim, move |ws| {
+            assert_ne!(ws.node(), NodeId(0), "the reader is remote");
+            let before = c2.mem.copy_stats();
+            s2.lock(ws, 1);
+            assert_eq!(s2.read::<u64>(ws, a), 1);
+            let read = c2.mem.copy_stats();
+            assert_eq!(
+                (read.shares, read.copies),
+                (before.shares + 1, before.copies)
+            );
+            s2.write::<u64>(ws, a + 8, 7);
+            s2.unlock(ws, 1);
+            let after = c2.mem.copy_stats();
+            assert_eq!(
+                (after.shares, after.copies),
+                (before.shares + 1, before.copies + 1)
+            );
+        });
+        sim.wait_exit(w);
+        assert_eq!((s.read::<u64>(sim, a), s.read::<u64>(sim, a + 8)), (1, 7));
     });
 }
 
