@@ -243,14 +243,14 @@ fn thousands_of_windows_stream_one_frame_each_deterministically() {
     assert_eq!(run().0, text, "a second run wrote different bytes");
 }
 
-/// One FFT run; with `stream` the online series runs at a 1ms window.
-/// Returns the end time and (when streamed) the parsed stream + final
-/// snapshot.
-fn fft_run(stream: bool) -> (u64, Option<(Stream, MetricsSnapshot)>) {
+/// One FFT run; with `sample_ns` the online series runs at that window
+/// width. Returns the end time and (when streamed) the stream's bytes,
+/// their parse and the final snapshot.
+fn fft_run(sample_ns: Option<u64>) -> (u64, Option<(String, Stream, MetricsSnapshot)>) {
     let cluster = Cluster::build(ClusterConfig::small(4, 2));
     let sys = M4System::cables(Arc::clone(&cluster));
     sys.svm().set_obs(true);
-    let buf = stream.then(|| start(sys.svm().obs(), "FFT", 1_000_000));
+    let buf = sample_ns.map(|w| start(sys.svm().obs(), "FFT", w));
     let end = sys
         .run(|ctx| {
             let p = fft::FftParams {
@@ -267,9 +267,10 @@ fn fft_run(stream: bool) -> (u64, Option<(Stream, MetricsSnapshot)>) {
         let sink = svm.obs();
         let summary = sink.series_finish(end).expect("series was running");
         assert!(summary.error.is_none());
-        let s = parse_stream(&buf.text()).expect("stream grammar");
+        let text = buf.text();
+        let s = parse_stream(&text).expect("stream grammar");
         assert_eq!(s.frames.len() as u64, summary.frames);
-        (s, sink.snapshot())
+        (text, s, sink.snapshot())
     });
     (end, streamed)
 }
@@ -279,13 +280,13 @@ fn fft_run(stream: bool) -> (u64, Option<(Stream, MetricsSnapshot)>) {
 /// run's final snapshot).
 #[test]
 fn streaming_is_inert_and_exact_on_fft() {
-    let (t_plain, _) = fft_run(false);
-    let (t_streamed, streamed) = fft_run(true);
+    let (t_plain, _) = fft_run(None);
+    let (t_streamed, streamed) = fft_run(Some(1_000_000));
     assert_eq!(
         t_plain, t_streamed,
         "enabling the streaming series changed the simulated result"
     );
-    let (s, snapshot) = streamed.expect("streamed run");
+    let (_, s, snapshot) = streamed.expect("streamed run");
     assert!(!s.frames.is_empty(), "instrumented FFT produced no frames");
     s.verify_fold().expect("frames fold to embedded snapshot");
     assert_eq!(s.end.as_ref().expect("end line").sim_time_ns, t_streamed);
@@ -297,6 +298,23 @@ fn streaming_is_inert_and_exact_on_fft() {
         rows.iter().any(|r| r.faults > 0),
         "no window saw a page fault"
     );
+}
+
+/// A fine window cuts hundreds of frames while the kernel's threads
+/// record events from several nodes at once; two runs still write the
+/// same bytes.
+#[test]
+fn fine_windows_on_fft_stream_identical_bytes_across_runs() {
+    let stream = || fft_run(Some(1_000)).1.expect("streamed run");
+    let (text, s, snapshot) = stream();
+    assert!(
+        s.frames.len() >= 100,
+        "a 1 µs window cut only {} frames",
+        s.frames.len()
+    );
+    s.verify_fold().expect("frames fold to embedded snapshot");
+    assert_eq!(series::fold(s.frames.iter()), snapshot);
+    assert_eq!(stream().0, text, "a second run wrote different bytes");
 }
 
 /// `series_finish` without `series_start` is a no-op, and a fresh series
