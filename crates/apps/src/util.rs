@@ -179,11 +179,6 @@ impl Checksum {
     pub fn push_f64(&mut self, v: f64) {
         self.0 = self.0.wrapping_add(v.to_bits());
     }
-
-    /// Adds an integer value.
-    pub fn push_u64(&mut self, v: u64) {
-        self.0 = self.0.wrapping_add(v);
-    }
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //!   per-kind / per-node breakdowns and blame table);
 //! - `target/artifacts/stream_<kernel>.ndjson` — the online metric
 //!   series, written *during* the run as each window is cut (watch a
-//!   live run with `cablestat tail --follow stream_FFT.ndjson`);
+//!   live run with `cablestat series stream_FFT.ndjson --follow`);
 //! - `BENCH_obs_stream.json` — streaming-path accounting per kernel
 //!   (frames, fold exactness), perfgate-tracked;
 //! - `target/artifacts/trace_fft.json` — a Chrome-trace / Perfetto
@@ -23,9 +23,9 @@
 //! Every run executes twice — observability off, then on *with the
 //! streaming series enabled* — and asserts the final virtual time is
 //! bit-identical (recording and streaming charge no simulated time).
-//! Every stream is parsed back and its frames must fold byte-exactly to
+//! Every stream is parsed back and its frames must fold exactly to
 //! the embedded final snapshot. The event buffer must not overflow
-//! (otherwise `critpath::analyze` refuses; raise `CABLES_OBS_CAP`), the
+//! (otherwise `critpath::analyze` refuses; raise `ClusterConfig::obs_cap`), the
 //! critical path's layer breakdown must sum to the run's simulated time,
 //! and the path can be no shorter than the busiest lane's span coverage.
 //! Both JSON artifacts are validated before they are written.
@@ -87,7 +87,7 @@ fn main() {
         );
 
         // The stream was read back: grammar-valid, frames fold
-        // byte-exactly to the embedded final snapshot.
+        // exactly to the embedded final snapshot.
         let frames = stream.frames.len();
         let rows = series::windowed_table(&stream.frames);
         println!(
@@ -121,7 +121,7 @@ fn main() {
         // Critical path over the causal-edge DAG of the same events.
         assert_eq!(
             on.snapshot.dropped_events, 0,
-            "{}: obs buffer overflowed ({} dropped); raise CABLES_OBS_CAP",
+            "{}: obs buffer overflowed ({} dropped); raise ClusterConfig::obs_cap",
             w.name, on.snapshot.dropped_events
         );
         let edges = on.events.iter().filter(|e| e.event.is_edge()).count();
@@ -165,7 +165,6 @@ fn main() {
         // profile, the windowed series, the top-10 sharing ranking and
         // the critical path.
         let sharing = obs::sharing::analyze(&on.snapshot, &on.events).top(10);
-        let snapshot = obs::json::parse(&on.snapshot.to_json()).expect("snapshot JSON parses");
         artifact(&format!("BENCH_obs_{}.json", w.name), "obs_report", |doc| {
             doc.field("kernel", w.name).field("mode", "cables");
             doc.field("procs", w.procs)
@@ -178,7 +177,7 @@ fn main() {
                 doc.field(l.name(), on.snapshot.layer_total_ns(l));
             }
             doc.end()
-                .field("snapshot", &snapshot)
+                .field("snapshot", on.snapshot.to_value())
                 .field("stall", &profile);
             doc.key("series")
                 .obj()

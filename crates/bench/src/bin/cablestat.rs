@@ -20,14 +20,14 @@
 //!     --streams X Y baseline + candidate NDJSON series for time-window
 //!                   attribution
 //!     --json        emit the report as JSON
-//! cablestat tail STREAM [OPTS]    render an NDJSON metric series
-//!                                 (stall mix, protocol counters/sec,
-//!                                 per-window latency percentiles)
-//!     --follow      keep reading until the end line appears (live runs)
 //! cablestat series STREAM [OPTS]  fold a stream into the windowed table
-//!                                 and verify frames re-sum exactly to
-//!                                 the embedded final snapshot (exit 1 on
+//!                                 (stall mix, protocol counters,
+//!                                 per-window latency percentiles) and
+//!                                 verify frames re-sum exactly to the
+//!                                 embedded final snapshot (exit 1 on
 //!                                 divergence)
+//!     --follow      keep reading until the end line appears (live runs),
+//!                   printing rows as their frames arrive
 //!     --json        emit the windowed table as JSON
 //! cablestat check FILE...         validate artifacts against the obs
 //!                                 JSON grammar; `.ndjson` files are also
@@ -42,8 +42,8 @@
 //! ```
 //!
 //! Every subcommand accepts `--dir DIR`: relative FILE arguments that do
-//! not resolve as given are looked up under DIR (default `.`; `tail` and
-//! `series` default to `target/artifacts`, where the exporters write).
+//! not resolve as given are looked up under DIR (default `.`; `series`
+//! defaults to `target/artifacts`, where the exporters write).
 //!
 //! Artifacts that predate the `cablestat` binary draw a staleness
 //! warning — a `BENCH_*.json` older than the tool that should have
@@ -70,13 +70,12 @@ fn main() -> ExitCode {
         Some("print") => cmd_print(&args[1..], dir.as_deref().unwrap_or(".")),
         Some("diff") => cmd_diff(&args[1..], dir.as_deref().unwrap_or(".")),
         Some("explain") => cmd_explain(&args[1..], dir.as_deref().unwrap_or(".")),
-        Some("tail") => cmd_tail(&args[1..], dir.as_deref().unwrap_or("target/artifacts")),
         Some("series") => cmd_series(&args[1..], dir.as_deref().unwrap_or("target/artifacts")),
         Some("check") => cmd_check(&args[1..], dir.as_deref().unwrap_or(".")),
         Some("inflate") => cmd_inflate(&args[1..], dir.as_deref().unwrap_or(".")),
         _ => {
             eprintln!(
-                "usage: cablestat print FILE\n       cablestat diff A B [--abs N] [--rel PCT] [--all] [--gate] [--json]\n       cablestat explain A B [--abs N] [--rel PCT] [--top N] [--streams X Y] [--json]\n       cablestat tail STREAM [--follow]\n       cablestat series STREAM [--json]\n       cablestat check FILE...\n       cablestat inflate FILE OUT KEY FACTOR\n       (all subcommands: --dir DIR to resolve relative FILEs)"
+                "usage: cablestat print FILE\n       cablestat diff A B [--abs N] [--rel PCT] [--all] [--gate] [--json]\n       cablestat explain A B [--abs N] [--rel PCT] [--top N] [--streams X Y] [--json]\n       cablestat series STREAM [--follow] [--json]\n       cablestat check FILE...\n       cablestat inflate FILE OUT KEY FACTOR\n       (all subcommands: --dir DIR to resolve relative FILEs)"
             );
             ExitCode::from(2)
         }
@@ -509,113 +508,24 @@ fn cmd_explain(args: &[String], dir: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Renders the last `n` frames of a stream as table rows (header
-/// included when `with_header`).
-fn render_rows(s: &Stream, from: usize, with_header: bool) -> String {
-    let rows = windowed_table(&s.frames[from..]);
-    let table = report::window_table(&rows);
-    if with_header {
+/// Renders the frames from `from` on as table rows (the table's header
+/// included when `from` is 0).
+fn render_rows(s: &Stream, from: usize) -> String {
+    let table = report::window_table(&windowed_table(&s.frames[from..]));
+    if from == 0 {
         table
     } else {
         table.lines().skip(2).map(|l| format!("{l}\n")).collect()
     }
 }
 
-fn stream_summary(s: &Stream) -> String {
-    match &s.end {
-        Some(e) => format!(
-            "end: sim_time {}ns, {} frame(s), fold {}",
-            e.sim_time_ns,
-            e.frames,
-            match s.verify_fold() {
-                Ok(()) => "exact".to_string(),
-                Err(err) => format!("DIVERGED ({err})"),
-            }
-        ),
-        None => format!(
-            "(live stream: {} frame(s), no end line yet)",
-            s.frames.len()
-        ),
-    }
-}
-
-fn cmd_tail(args: &[String], dir: &str) -> ExitCode {
-    let mut follow = false;
-    let mut file = None;
-    for a in args {
-        match a.as_str() {
-            "--follow" | "-f" => follow = true,
-            f if f.starts_with("--") => {
-                eprintln!("cablestat tail: unknown flag {f}");
-                return ExitCode::from(2);
-            }
-            f => file = Some(f.to_string()),
-        }
-    }
-    let Some(file) = file else {
-        eprintln!("cablestat tail: missing STREAM");
-        return ExitCode::from(2);
-    };
-    let path = resolve(dir, &file);
-    let mut shown = 0usize;
-    let mut header_printed = false;
-    loop {
-        // Complete lines only: a live exporter may be mid-write on the
-        // last one.
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if follow => {
-                eprintln!("cablestat tail: {}: {e} (waiting)", path.display());
-                std::thread::sleep(std::time::Duration::from_millis(200));
-                continue;
-            }
-            Err(e) => {
-                eprintln!("cablestat: {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let complete = match text.rfind('\n') {
-            Some(i) => &text[..=i],
-            None => "",
-        };
-        let s = match parse_stream(complete) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cablestat: {}:{e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        if !header_printed {
-            println!(
-                "stream {} (kernel {}, sample {}ns)",
-                path.display(),
-                s.header.kernel,
-                s.header.sample_ns
-            );
-            header_printed = true;
-        }
-        if s.frames.len() > shown {
-            print!("{}", render_rows(&s, shown, shown == 0));
-            shown = s.frames.len();
-        }
-        if s.end.is_some() || !follow {
-            println!("{}", stream_summary(&s));
-            return if matches!(&s.end, Some(_)) && s.verify_fold().is_err() {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            };
-        }
-        std::thread::sleep(std::time::Duration::from_millis(200));
-    }
-}
-
 fn cmd_series(args: &[String], dir: &str) -> ExitCode {
-    let mut as_json = false;
+    let (mut as_json, mut follow) = (false, false);
     let mut file = None;
     for a in args {
         match a.as_str() {
             "--json" => as_json = true,
+            "--follow" => follow = true,
             f if f.starts_with("--") => {
                 eprintln!("cablestat series: unknown flag {f}");
                 return ExitCode::from(2);
@@ -628,17 +538,50 @@ fn cmd_series(args: &[String], dir: &str) -> ExitCode {
         return ExitCode::from(2);
     };
     let path = resolve(dir, &file);
-    let s = match load_stream(&path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cablestat: {e}");
-            return ExitCode::FAILURE;
+    // Frames already printed as rows; `None` until the stream's title is.
+    let mut shown = None;
+    let s = loop {
+        let s = if follow {
+            // Complete lines only: a live exporter may be mid-write on the
+            // last one, or not have created the file yet.
+            let text = std::fs::read_to_string(&path).unwrap_or_default();
+            let Some(last) = text.rfind('\n') else {
+                std::thread::sleep(std::time::Duration::from_millis(200));
+                continue;
+            };
+            parse_stream(&text[..=last]).map_err(|e| format!("{}:{e}", path.display()))
+        } else {
+            load_stream(&path)
+        };
+        let s = match s {
+            Ok(s) => s,
+            Err(e) => {
+                eprintln!("cablestat: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
+        if !as_json {
+            if shown.is_none() {
+                println!(
+                    "stream {} (kernel {}, sample {}ns)",
+                    path.display(),
+                    s.header.kernel,
+                    s.header.sample_ns
+                );
+            }
+            let from = shown.unwrap_or(0);
+            if s.frames.len() > from || !follow {
+                print!("{}", render_rows(&s, from));
+            }
+            shown = Some(s.frames.len());
         }
+        if s.end.is_some() || !follow {
+            break s;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(200));
     };
-    let fold_ok = match &s.end {
-        Some(_) => s.verify_fold().is_ok(),
-        None => true,
-    };
+    let fold = s.end.as_ref().map(|e| (e, s.verify_fold()));
+    let fold_ok = !matches!(fold, Some((_, Err(_))));
     if as_json {
         let mut w = Writer::pretty();
         w.obj()
@@ -649,19 +592,27 @@ fn cmd_series(args: &[String], dir: &str) -> ExitCode {
         w.field("windows", windowed_table(&s.frames)).end();
         print!("{}", w.finish());
     } else {
-        println!(
-            "stream {} (kernel {}, sample {}ns)",
-            path.display(),
-            s.header.kernel,
-            s.header.sample_ns
-        );
-        print!("{}", render_rows(&s, 0, true));
-        println!("{}", stream_summary(&s));
+        match fold {
+            Some((e, fold)) => println!(
+                "end: sim_time {}ns, {} frame(s), fold {}",
+                e.sim_time_ns,
+                e.frames,
+                match fold {
+                    Ok(()) => "exact".to_string(),
+                    Err(err) => format!("DIVERGED ({err})"),
+                }
+            ),
+            None => println!(
+                "(live stream: {} frame(s), no end line yet)",
+                s.frames.len()
+            ),
+        }
     }
-    if !fold_ok {
-        return ExitCode::FAILURE;
+    if fold_ok {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
-    ExitCode::SUCCESS
 }
 
 fn cmd_check(args: &[String], dir: &str) -> ExitCode {

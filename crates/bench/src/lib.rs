@@ -114,20 +114,9 @@ pub struct RunOutcome {
 }
 
 /// Builds the cluster for a processor count (2-way SMP nodes, as in the
-/// paper). `CABLES_OBS_CAP` overrides the observability event-buffer
-/// capacity (e.g. for long full-size runs whose traces overflow the
-/// default and would make the critical-path analysis refuse).
+/// paper).
 pub fn cluster_for(procs: usize) -> ClusterConfig {
-    let mut cfg = ClusterConfig::small(procs.div_ceil(2).max(1), 2);
-    if let Some(cap) = obs_cap_override() {
-        cfg.obs_cap = cap;
-    }
-    cfg
-}
-
-/// The `CABLES_OBS_CAP` environment override, if set and parseable.
-pub fn obs_cap_override() -> Option<usize> {
-    std::env::var("CABLES_OBS_CAP").ok()?.parse().ok()
+    ClusterConfig::small(procs.div_ceil(2).max(1), 2)
 }
 
 /// The body of `app` at its bench size on `procs` processors, returning
@@ -414,7 +403,7 @@ pub fn write_aux_artifact(name: &str, contents: &str) -> String {
 /// Runs `run` with the sink's metric series on when `stream` names a
 /// kernel and a window width: the sink writes
 /// `target/artifacts/stream_<kernel>.ndjson` line by line as windows are
-/// cut, so `cablestat tail --follow` can watch the run. `run` returns its
+/// cut, so `cablestat series --follow` can watch the run. `run` returns its
 /// value and the run's final simulated time (the end line's
 /// `sim_time_ns`). The file is read back; it must parse and its frames
 /// must fold to the end line's snapshot.

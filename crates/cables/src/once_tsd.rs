@@ -4,8 +4,6 @@
 
 use std::fmt;
 
-use sim::SimTime;
-
 use crate::rt::{CablesRt, Pth};
 
 /// A once-control handle (`pthread_once_t`).
@@ -58,11 +56,6 @@ impl Pth<'_> {
     /// Loads this thread's value for `key` (`pthread_getspecific`).
     pub fn get_specific(&self, key: TsdKey) -> Option<u64> {
         self.rt.state.lock().tsd.get(&(self.ct.0, key.0)).copied()
-    }
-
-    /// The deadline helper for timed waits: current time plus `ns`.
-    pub fn deadline_in(&self, ns: u64) -> SimTime {
-        self.sim.now() + ns
     }
 }
 

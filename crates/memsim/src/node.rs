@@ -177,11 +177,6 @@ impl OsVmConfig {
             ..OsVmConfig::windows_nt()
         }
     }
-
-    /// Mapping granularity in bytes.
-    pub fn chunk_bytes(&self) -> u64 {
-        self.map_chunk_pages * PAGE_SIZE
-    }
 }
 
 #[derive(Debug, Clone, Copy)]

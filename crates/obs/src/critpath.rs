@@ -36,7 +36,7 @@ pub enum CritPathError {
     /// The sink's bounded buffer overflowed: `n` records were dropped, so
     /// the DAG is incomplete and any path would silently mis-attribute
     /// time. Raise the capacity (`ObsSink::with_capacity`, or
-    /// `CABLES_OBS_CAP` for the benches) and rerun.
+    /// `ClusterConfig::obs_cap` for a cluster) and rerun.
     DroppedEvents(u64),
     /// The buffer holds no thread-lane events to anchor the walk.
     NoEvents,
@@ -49,7 +49,7 @@ impl fmt::Display for CritPathError {
                 f,
                 "critical-path analysis refused: the event buffer dropped {n} record(s), \
                  so the causal DAG is incomplete; raise the obs buffer capacity \
-                 (ObsSink::with_capacity / CABLES_OBS_CAP) and rerun"
+                 (ObsSink::with_capacity / ClusterConfig::obs_cap) and rerun"
             ),
             CritPathError::NoEvents => {
                 write!(
@@ -293,7 +293,7 @@ pub fn analyze(
     let mut by_kind: BTreeMap<String, u64> = BTreeMap::new();
     let mut by_node: BTreeMap<u32, u64> = BTreeMap::new();
     let mut by_page: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut blame: BTreeMap<(usize, u32, u32, u64), (u64, u64)> = BTreeMap::new();
+    let mut blame: BTreeMap<(EdgeKind, u32, u32, u64), (u64, u64)> = BTreeMap::new();
     let mut edges_on_path = 0u64;
 
     // Attributes the local interval [a, b) on `lane` by span coverage.
@@ -362,7 +362,7 @@ pub fn analyze(
                     *by_page.entry(e.obj).or_default() += w;
                 }
                 let row = blame
-                    .entry((e.kind as usize, e.src_lane.0, e.dst_node, e.obj))
+                    .entry((e.kind, e.src_lane.0, e.dst_node, e.obj))
                     .or_default();
                 row.0 += w;
                 row.1 += 1;
@@ -386,8 +386,8 @@ pub fn analyze(
     let mut blame: Vec<BlameRow> = blame
         .into_iter()
         .map(
-            |((kind_idx, src_node, dst_node, obj), (total_ns, count))| BlameRow {
-                kind: EdgeKind::ALL[kind_idx_to_pos(kind_idx)],
+            |((kind, src_node, dst_node, obj), (total_ns, count))| BlameRow {
+                kind,
                 src_node,
                 dst_node,
                 obj,
@@ -415,12 +415,6 @@ pub fn analyze(
         blame,
         edges_on_path,
     })
-}
-
-/// Maps an `EdgeKind as usize` discriminant back to its `ALL` position
-/// (they coincide; kept as a function so a reordering shows up in tests).
-fn kind_idx_to_pos(idx: usize) -> usize {
-    idx
 }
 
 impl CritPath {

@@ -350,18 +350,6 @@ pub enum Event {
         /// Destination node.
         to: u32,
     },
-    /// Region registration (export) with the NIC.
-    VmmcRegister {
-        /// New region id.
-        region: u64,
-        /// Registered bytes.
-        bytes: u64,
-    },
-    /// Importing a remote region.
-    VmmcImport {
-        /// Imported region id.
-        region: u64,
-    },
 
     // ---- SVM protocol spans ----
     /// Full fault-handling window (includes nested fetch/placement work).
@@ -557,8 +545,6 @@ impl Event {
             Event::VmmcWrite { .. } => "vmmc.write",
             Event::VmmcFetch { .. } => "vmmc.fetch",
             Event::VmmcNotify { .. } => "vmmc.notify",
-            Event::VmmcRegister { .. } => "vmmc.register",
-            Event::VmmcImport { .. } => "vmmc.import",
             Event::FaultSpan { .. } => "proto.fault_handling",
             Event::ReleaseSpan { .. } => "proto.release",
             Event::AcquireSpan { .. } => "proto.acquire",
@@ -694,13 +680,8 @@ impl Event {
             Event::SanNotify { to } | Event::VmmcNotify { to } => {
                 let _ = write!(out, "\"to\":{to}");
             }
-            Event::VmmcWrite { region, bytes }
-            | Event::VmmcFetch { region, bytes }
-            | Event::VmmcRegister { region, bytes } => {
+            Event::VmmcWrite { region, bytes } | Event::VmmcFetch { region, bytes } => {
                 let _ = write!(out, "\"region\":{region},\"bytes\":{bytes}");
-            }
-            Event::VmmcImport { region } => {
-                let _ = write!(out, "\"region\":{region}");
             }
             Event::ReleaseSpan { diffs } => {
                 let _ = write!(out, "\"diffs\":{diffs}");

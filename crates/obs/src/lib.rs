@@ -313,7 +313,7 @@ impl ObsSink {
     /// `now` crossed a boundary. Cheap when no series is running or the
     /// boundary is far (two relaxed loads, no lock) — instrumented code
     /// calls this from places that *don't* record events, bounding how
-    /// stale a live `cablestat tail` view can get.
+    /// stale a live `cablestat series --follow` view can get.
     #[inline]
     pub fn series_tick(&self, now: SimTime) {
         if self.sample_ns.load(Ordering::Relaxed) == 0

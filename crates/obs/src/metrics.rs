@@ -137,19 +137,12 @@ pub struct PageMetrics {
     pub invals: u64,
     /// Home migrations of the containing chunk.
     pub migrates: u64,
-    /// Bitmask of nodes that faulted on the page (node `i` sets bit
-    /// `min(i, 63)`; clusters beyond 64 nodes saturate the top bit).
-    pub nodes_mask: u64,
+    /// Number of distinct nodes that faulted on the page (nodes 63 and up
+    /// count as one).
+    pub sharers: u32,
     /// Ping-pong handoffs: faults whose node differs from the previous
     /// faulting node (the false-sharing smell).
     pub handoffs: u64,
-}
-
-impl PageMetrics {
-    /// Number of distinct nodes that faulted on the page (capped at 64).
-    pub fn sharers(&self) -> u32 {
-        self.nodes_mask.count_ones()
-    }
 }
 
 /// A deterministic, serializable snapshot of every registry.
@@ -252,7 +245,7 @@ impl MetricsSnapshot {
                 j,
                 "\n    {{\"page\": {}, \"faults\": {}, \"fetches\": {}, \"diffs\": {}, \"invals\": {}, \"migrates\": {}, \"sharers\": {}, \"handoffs\": {}}}",
                 p.page, p.faults, p.fetches, p.diffs, p.invals, p.migrates,
-                p.sharers(), p.handoffs
+                p.sharers, p.handoffs
             );
         }
         j.push_str("\n  ],\n  \"gauges\": {");
@@ -266,19 +259,23 @@ impl MetricsSnapshot {
         j
     }
 
+    /// The snapshot as a [`crate::json::Value`] tree of the
+    /// [`MetricsSnapshot::to_json`] shape, for documents that embed it
+    /// (the stream's frame and end lines, `BENCH_obs_*.json`).
+    pub fn to_value(&self) -> crate::json::Value {
+        crate::json::parse(&self.to_json()).expect("snapshot JSON parses")
+    }
+
     /// Reconstructs a snapshot from a parsed [`crate::json::Value`] tree
     /// with the [`MetricsSnapshot::to_json`] shape — the `cablestat` CLI's
-    /// loader. Lossy only where the export is: the serialized `sharers`
-    /// count cannot recover *which* nodes shared a page, so `nodes_mask`
-    /// is rebuilt with that many low bits set (`sharers()` round-trips).
+    /// and the stream's loader. Exact: `from_value(&s.to_value()) == s`.
     ///
     /// # Errors
     ///
     /// A message naming the first missing or mistyped field.
     pub fn from_value(v: &crate::json::Value) -> Result<MetricsSnapshot, String> {
         let need = |o: Option<u64>, what: &str| o.ok_or_else(|| format!("missing {what}"));
-        let obj = v.as_obj().ok_or("snapshot is not an object")?;
-        let _ = obj;
+        v.as_obj().ok_or("snapshot is not an object")?;
         let dropped_events = need(
             v.get("dropped_events").and_then(|x| x.as_u64()),
             "dropped_events",
@@ -351,7 +348,6 @@ impl MetricsSnapshot {
             .ok_or("missing pages")?
         {
             let g = |k: &str| need(p.get(k).and_then(|x| x.as_u64()), &format!("page {k}"));
-            let sharers = g("sharers")?;
             pages.push(PageMetrics {
                 page: g("page")?,
                 faults: g("faults")?,
@@ -359,11 +355,7 @@ impl MetricsSnapshot {
                 diffs: g("diffs")?,
                 invals: g("invals")?,
                 migrates: g("migrates")?,
-                nodes_mask: if sharers >= 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << sharers) - 1
-                },
+                sharers: u32::try_from(g("sharers")?).map_err(|_| "page sharers out of range")?,
                 handoffs: g("handoffs")?,
             });
         }
@@ -393,8 +385,10 @@ pub(crate) struct Registry {
     kinds: BTreeMap<&'static str, (u64, u64, u64, u64)>, // count, total, min, max
     hists: Vec<Histogram>,
     pages: BTreeMap<u64, PageMetrics>,
-    /// Last node to fault on each page (drives `PageMetrics::handoffs`).
-    page_last: BTreeMap<u64, u32>,
+    /// Per page, the last node to fault on it (drives
+    /// `PageMetrics::handoffs`) and the mask of every node that did (node
+    /// `i` sets bit `min(i, 63)`; drives `PageMetrics::sharers`).
+    page_faulters: BTreeMap<u64, (u32, u64)>,
     gauges: BTreeMap<String, u64>,
 }
 
@@ -428,13 +422,15 @@ impl Registry {
         e.3 = e.3.max(dur_ns);
         match *event {
             Event::Fault { page, .. } => {
+                let (last, mask) = self.page_faulters.entry(page).or_insert((node, 0));
+                let handoff = *last != node;
+                *last = node;
+                *mask |= 1 << node.min(63);
+                let sharers = mask.count_ones();
                 let m = self.page(page);
                 m.faults += 1;
-                m.nodes_mask |= 1 << node.min(63);
-                match self.page_last.insert(page, node) {
-                    Some(prev) if prev != node => self.page(page).handoffs += 1,
-                    _ => {}
-                }
+                m.sharers = sharers;
+                m.handoffs += u64::from(handoff);
             }
             Event::Fetch { page, .. } => self.page(page).fetches += 1,
             Event::Diff { page, .. } => self.page(page).diffs += 1,

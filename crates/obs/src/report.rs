@@ -93,14 +93,7 @@ pub fn hot_pages(s: &MetricsSnapshot, top: usize) -> String {
         let _ = writeln!(
             out,
             "p{:<9} {:>8} {:>8} {:>8} {:>8} {:>9} {:>8} {:>9}",
-            p.page,
-            p.faults,
-            p.fetches,
-            p.diffs,
-            p.invals,
-            p.migrates,
-            p.sharers(),
-            p.handoffs
+            p.page, p.faults, p.fetches, p.diffs, p.invals, p.migrates, p.sharers, p.handoffs
         );
     }
     out
@@ -155,8 +148,7 @@ pub fn gauge_table(s: &MetricsSnapshot) -> String {
 
 /// Renders windowed series rows (one line per [`crate::series`] frame):
 /// protocol counter deltas, the dominant stall buckets, and the window's
-/// SAN latency percentiles. The terminal shape of `cablestat series` and
-/// `cablestat tail`.
+/// SAN latency percentiles. The terminal shape of `cablestat series`.
 pub fn window_table(rows: &[crate::series::WindowRow]) -> String {
     use crate::stall::Bucket;
     let mut out = String::new();

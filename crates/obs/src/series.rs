@@ -11,8 +11,9 @@
 //!
 //! # Delta grammar
 //!
-//! A frame's payload is a *sparse* [`MetricsSnapshot`] holding only what
-//! changed during the window, with per-field fold rules chosen so the
+//! A frame's payload is a *sparse* [`MetricsSnapshot`] holding only the
+//! nodes, kinds, pages and gauges that changed during the window (the
+//! histograms carry every layer), with per-field fold rules chosen so the
 //! frames re-sum **exactly** — the same invariant family as
 //! [`crate::stall`]'s slice-sum:
 //!
@@ -23,17 +24,17 @@
 //! | kind `min_ns` / `max_ns`             | level     | last wins     |
 //! | histogram buckets                    | delta     | add           |
 //! | page `faults`/`fetches`/…/`handoffs` | delta     | add           |
-//! | page `nodes_mask`                    | level     | last wins     |
+//! | page `sharers`                       | level     | last wins     |
 //! | gauges                               | level     | last wins     |
 //! | `dropped_events`                     | level     | last wins     |
 //!
 //! Levels are sound because an entity appears in a frame *iff* one of its
 //! monotone counters moved (min/max can only change together with
-//! `count`; the sharers mask only grows on a fault), so the last level in
+//! `count`; the sharer count only grows on a fault), so the last level in
 //! the stream is the final value. Every other quantity in the registry is
 //! strictly monotone (`+=` only), so window deltas are non-negative and
 //! sum to the final totals with no rounding and no residue:
-//! [`fold`]` == `[`crate::ObsSink::snapshot`] byte-for-byte (proptested by
+//! [`fold`]` == `[`crate::ObsSink::snapshot`] field for field (proptested by
 //! `tests/obs_stream.rs`).
 //!
 //! A window is attributed by *completion*: a span recorded with
@@ -168,7 +169,7 @@ pub fn delta(prev: &MetricsSnapshot, cur: &MetricsSnapshot) -> MetricsSnapshot {
             diffs: pg.diffs - base.diffs,
             invals: pg.invals - base.invals,
             migrates: pg.migrates - base.migrates,
-            nodes_mask: pg.nodes_mask,
+            sharers: pg.sharers,
             handoffs: pg.handoffs - base.handoffs,
         });
     }
@@ -255,7 +256,7 @@ pub fn fold_into(acc: &mut MetricsSnapshot, d: &MetricsSnapshot) {
                 a.diffs += pg.diffs;
                 a.invals += pg.invals;
                 a.migrates += pg.migrates;
-                a.nodes_mask = pg.nodes_mask;
+                a.sharers = pg.sharers;
                 a.handoffs += pg.handoffs;
             }
             None => {

@@ -98,7 +98,7 @@ pub fn analyze(snapshot: &MetricsSnapshot, events: &[EventRecord]) -> SharingRep
             let (diff_bytes, fetch_wait_ns) = from_events.get(&p.page).copied().unwrap_or_default();
             PageSharing {
                 page: p.page,
-                sharers: p.sharers(),
+                sharers: p.sharers,
                 faults: p.faults,
                 fetches: p.fetches,
                 diffs: p.diffs,

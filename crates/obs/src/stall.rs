@@ -124,7 +124,7 @@ pub fn bucket_for_kind(kind: &str) -> Option<Bucket> {
 pub enum StallError {
     /// The sink buffer overflowed: `n` records were dropped, so lifetimes
     /// and bucket coverage would be silently wrong. Raise the capacity
-    /// (`ObsSink::with_capacity` / `CABLES_OBS_CAP`) and rerun.
+    /// (`ObsSink::with_capacity` / `ClusterConfig::obs_cap`) and rerun.
     DroppedEvents(u64),
     /// No thread-lane events exist to profile.
     NoThreads,
@@ -137,7 +137,7 @@ impl fmt::Display for StallError {
                 f,
                 "stall profiling refused: the event buffer dropped {n} record(s), so \
                  per-thread accounting would be incomplete; raise the obs buffer \
-                 capacity (ObsSink::with_capacity / CABLES_OBS_CAP) and rerun"
+                 capacity (ObsSink::with_capacity / ClusterConfig::obs_cap) and rerun"
             ),
             StallError::NoThreads => {
                 write!(f, "stall profiling needs at least one thread-lane event")

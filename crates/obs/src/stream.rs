@@ -3,14 +3,14 @@
 //! A running series ([`crate::series`]) writes one JSON object per line
 //! to the writer handed to [`crate::ObsSink::series_start`]: the header
 //! when the series starts, each frame the moment its window is cut
-//! (flushed, so `cablestat tail --follow` watches a live run), and the end
-//! line at [`crate::ObsSink::series_finish`]. The benches point it at
+//! (flushed, so `cablestat series --follow` watches a live run), and the
+//! end line at [`crate::ObsSink::series_finish`]. The benches point it at
 //! `target/artifacts/stream_<kernel>.ndjson`.
 //!
-//! # NDJSON grammar (version 2)
+//! # NDJSON grammar (version 3)
 //!
 //! ```text
-//! {"type":"header","version":2,"kernel":"FFT","sample_ns":65536}
+//! {"type":"header","version":3,"kernel":"FFT","sample_ns":65536}
 //! {"type":"frame","seq":0,"start_ns":...,"end_ns":...,"stall":{...},"delta":{...}}
 //! ...
 //! {"type":"end","sim_time_ns":...,"frames":N,"snapshot":{...}}
@@ -19,26 +19,25 @@
 //! - every line is a complete RFC-8259 object (validated by
 //!   [`crate::json`], the repo's own parser);
 //! - frame `seq` values are dense from 0 (a dropped line is detectable);
-//! - the `end` line embeds the final [`MetricsSnapshot`]
-//!   ([`MetricsSnapshot::to_json`] shape), so a stream is
-//!   *self-verifying*: folding the frames must reproduce the embedded
-//!   snapshot exactly ([`Stream::verify_fold`], enforced by
-//!   `cablestat series`/`check` and the benches).
+//! - a frame's `delta` and the end line's `snapshot` are both in the
+//!   [`MetricsSnapshot::to_json`] shape, written through
+//!   [`MetricsSnapshot::to_value`] and read by
+//!   [`MetricsSnapshot::from_value`], so a stream is *self-verifying*:
+//!   folding the frames must reproduce the embedded snapshot exactly
+//!   ([`Stream::verify_fold`], enforced by `cablestat series`/`check` and
+//!   the benches).
 //! - a stream without an `end` line is *live* (or truncated by a crash):
-//!   `cablestat tail --follow` keeps reading until the end line appears.
+//!   `cablestat series --follow` keeps reading until the end line appears.
 //!
-//! Sparseness: zero layer entries, empty histogram layers, and zero
-//! stall buckets are omitted from frame lines; histogram buckets are
-//! `[index, count]` pairs.
+//! Sparseness: a frame's `stall` object omits zero buckets.
 
-use crate::event::Layer;
 use crate::json::{self, Value, Writer};
-use crate::metrics::{Histogram, KindAgg, MetricsSnapshot, NodeMetrics, PageMetrics};
+use crate::metrics::MetricsSnapshot;
 use crate::series::DeltaFrame;
 use crate::stall::{Bucket, BUCKETS};
 
 /// Stream grammar version written into the header line.
-pub const STREAM_VERSION: u64 = 2;
+pub const STREAM_VERSION: u64 = 3;
 
 /// The stream's header line.
 pub fn header_line(kernel: &str, sample_ns: u64) -> String {
@@ -54,91 +53,28 @@ pub fn header_line(kernel: &str, sample_ns: u64) -> String {
 
 /// One frame as a single NDJSON line (no trailing newline).
 pub fn frame_line(f: &DeltaFrame) -> String {
-    /// The nonzero entries of a per-layer (or per-bucket) array, by name.
-    fn sparse<'a>(w: &mut Writer, named: impl Iterator<Item = (&'a str, u64)>) {
-        w.obj();
-        for (name, v) in named.filter(|&(_, v)| v > 0) {
-            w.field(name, v);
-        }
-        w.end();
-    }
-    let layers = |a: &[u64; Layer::COUNT]| Layer::ALL.map(|l| (l.name(), a[l.index()])).into_iter();
     let mut w = Writer::line();
     w.obj().field("type", "frame").field("seq", f.seq);
     w.field("start_ns", f.start_ns).field("end_ns", f.end_ns);
-    w.key("stall");
-    sparse(
-        &mut w,
-        Bucket::ALL
-            .map(|b| (b.name(), f.stall_ns[b as usize]))
-            .into_iter(),
-    );
-    let d = &f.delta;
-    w.key("delta")
-        .obj()
-        .field("dropped_events", d.dropped_events)
-        .key("nodes")
-        .arr();
-    for n in &d.nodes {
-        w.obj().field("node", n.node).key("ns");
-        sparse(&mut w, layers(&n.layer_ns));
-        w.key("events");
-        sparse(&mut w, layers(&n.layer_events));
-        w.end();
-    }
-    w.end().key("kinds").arr();
-    for k in &d.kinds {
-        w.obj()
-            .field("name", &k.name)
-            .field("count", k.count)
-            .field("total_ns", k.total_ns);
-        w.field("min_ns", k.min_ns).field("max_ns", k.max_ns).end();
-    }
-    w.end().key("hists").obj();
-    for l in Layer::ALL {
-        let h = &d.hists[l.index()];
-        if h.buckets.iter().all(|&b| b == 0) {
-            continue;
+    w.key("stall").obj();
+    for b in Bucket::ALL {
+        let v = f.stall_ns[b as usize];
+        if v > 0 {
+            w.field(b.name(), v);
         }
-        w.key(l.name()).obj().key("buckets").arr();
-        for (i, &b) in h.buckets.iter().enumerate().filter(|&(_, &b)| b > 0) {
-            w.val(&[i as u64, b][..]);
-        }
-        w.end()
-            .field("p50", h.percentile(50.0))
-            .field("p95", h.percentile(95.0));
-        w.field("p99", h.percentile(99.0)).end();
     }
-    w.end().key("pages").arr();
-    for p in &d.pages {
-        w.obj()
-            .field("page", p.page)
-            .field("faults", p.faults)
-            .field("fetches", p.fetches);
-        w.field("diffs", p.diffs)
-            .field("invals", p.invals)
-            .field("migrates", p.migrates);
-        w.field("mask", p.nodes_mask)
-            .field("handoffs", p.handoffs)
-            .end();
-    }
-    w.end().key("gauges").obj();
-    for (name, v) in &d.gauges {
-        w.field(name, v);
-    }
-    w.end().end().end();
+    w.end().field("delta", f.delta.to_value()).end();
     w.finish()
 }
 
 /// The stream's end line, embedding the final snapshot.
 pub fn end_line(sim_time_ns: u64, frames: u64, snapshot: &MetricsSnapshot) -> String {
-    let snapshot = json::parse(&snapshot.to_json()).expect("snapshot JSON parses");
     let mut w = Writer::line();
     w.obj()
         .field("type", "end")
         .field("sim_time_ns", sim_time_ns)
         .field("frames", frames);
-    w.field("snapshot", &snapshot).end();
+    w.field("snapshot", snapshot.to_value()).end();
     w.finish()
 }
 
@@ -177,12 +113,12 @@ pub struct Stream {
 
 impl Stream {
     /// Folds the frames and checks them against the embedded final
-    /// snapshot, byte-exactly (via the canonical JSON serialization,
-    /// which also absorbs the export's lossy `sharers` encoding).
+    /// snapshot, field for field.
     ///
     /// # Errors
     ///
-    /// A message naming the first divergence, or the missing end line.
+    /// A message naming the first divergent section, or the missing end
+    /// line.
     pub fn verify_fold(&self) -> Result<(), String> {
         let end = self
             .end
@@ -195,23 +131,22 @@ impl Stream {
                 self.frames.len()
             ));
         }
-        let folded = crate::series::fold(self.frames.iter());
-        let a = folded.to_json();
-        let b = end.snapshot.to_json();
-        if a != b {
-            let at = a
-                .bytes()
-                .zip(b.bytes())
-                .position(|(x, y)| x != y)
-                .unwrap_or(a.len().min(b.len()));
-            return Err(format!(
-                "fold of {} frames diverges from the final snapshot at byte {at}: ..{}.. vs ..{}..",
-                self.frames.len(),
-                &a[at.saturating_sub(20)..(at + 20).min(a.len())],
-                &b[at.saturating_sub(20)..(at + 20).min(b.len())]
-            ));
+        let (a, b) = (crate::series::fold(self.frames.iter()), &end.snapshot);
+        let sections = [
+            ("dropped_events", a.dropped_events == b.dropped_events),
+            ("nodes", a.nodes == b.nodes),
+            ("kinds", a.kinds == b.kinds),
+            ("hists", a.hists == b.hists),
+            ("pages", a.pages == b.pages),
+            ("gauges", a.gauges == b.gauges),
+        ];
+        match sections.iter().find(|&&(_, same)| !same) {
+            Some((name, _)) => Err(format!(
+                "fold of {} frames diverges from the final snapshot in `{name}`",
+                self.frames.len()
+            )),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -248,109 +183,13 @@ pub fn parse_frame(v: &Value) -> Result<DeltaFrame, String> {
             stall[*b as usize] = val.as_u64().ok_or("stall value not a number")?;
         }
     }
-    let d = v.get("delta").ok_or("frame without delta")?;
-    let mut nodes = Vec::new();
-    for n in d
-        .get("nodes")
-        .and_then(|x| x.as_arr())
-        .ok_or("missing delta.nodes")?
-    {
-        let mut row = NodeMetrics {
-            node: need(n.get("node"), "node id")? as u32,
-            layer_ns: [0; Layer::COUNT],
-            layer_events: [0; Layer::COUNT],
-        };
-        for l in Layer::ALL {
-            if let Some(x) = n.get("ns").and_then(|m| m.get(l.name())) {
-                row.layer_ns[l.index()] = x.as_u64().ok_or("layer ns not a number")?;
-            }
-            if let Some(x) = n.get("events").and_then(|m| m.get(l.name())) {
-                row.layer_events[l.index()] = x.as_u64().ok_or("layer events not a number")?;
-            }
-        }
-        nodes.push(row);
-    }
-    let mut kinds = Vec::new();
-    for k in d
-        .get("kinds")
-        .and_then(|x| x.as_arr())
-        .ok_or("missing delta.kinds")?
-    {
-        kinds.push(KindAgg {
-            name: k
-                .get("name")
-                .and_then(|x| x.as_str())
-                .ok_or("kind without name")?
-                .to_string(),
-            count: need(k.get("count"), "kind count")?,
-            total_ns: need(k.get("total_ns"), "kind total_ns")?,
-            min_ns: need(k.get("min_ns"), "kind min_ns")?,
-            max_ns: need(k.get("max_ns"), "kind max_ns")?,
-        });
-    }
-    let mut hists = vec![Histogram::default(); Layer::COUNT];
-    if let Some(obj) = d.get("hists").and_then(|x| x.as_obj()) {
-        for (lname, h) in obj {
-            let l = Layer::ALL
-                .iter()
-                .find(|l| l.name() == lname)
-                .ok_or_else(|| format!("unknown hist layer {lname}"))?;
-            for pair in h
-                .get("buckets")
-                .and_then(|x| x.as_arr())
-                .ok_or("hist without buckets")?
-            {
-                let p = pair.as_arr().ok_or("hist bucket not a pair")?;
-                if p.len() != 2 {
-                    return Err("hist bucket pair malformed".into());
-                }
-                let idx = p[0].as_u64().ok_or("bucket index not a number")? as usize;
-                if idx >= crate::metrics::HIST_BUCKETS {
-                    return Err(format!("bucket index {idx} out of range"));
-                }
-                hists[l.index()].buckets[idx] = p[1].as_u64().ok_or("bucket count not a number")?;
-            }
-        }
-    }
-    let mut pages = Vec::new();
-    for p in d
-        .get("pages")
-        .and_then(|x| x.as_arr())
-        .ok_or("missing delta.pages")?
-    {
-        let g = |k: &str| need(p.get(k), k);
-        pages.push(PageMetrics {
-            page: g("page")?,
-            faults: g("faults")?,
-            fetches: g("fetches")?,
-            diffs: g("diffs")?,
-            invals: g("invals")?,
-            migrates: g("migrates")?,
-            nodes_mask: g("mask")?,
-            handoffs: g("handoffs")?,
-        });
-    }
-    let mut gauges = Vec::new();
-    for (name, x) in d
-        .get("gauges")
-        .and_then(|x| x.as_obj())
-        .ok_or("missing delta.gauges")?
-    {
-        gauges.push((name.clone(), x.as_u64().ok_or("gauge value not a number")?));
-    }
+    let delta = v.get("delta").ok_or("frame without delta")?;
     Ok(DeltaFrame {
         seq: need(v.get("seq"), "frame.seq")?,
         start_ns: need(v.get("start_ns"), "frame.start_ns")?,
         end_ns: need(v.get("end_ns"), "frame.end_ns")?,
         stall_ns: stall,
-        delta: MetricsSnapshot {
-            dropped_events: need(d.get("dropped_events"), "delta.dropped_events")?,
-            nodes,
-            kinds,
-            hists,
-            pages,
-            gauges,
-        },
+        delta: MetricsSnapshot::from_value(delta).map_err(|e| format!("delta: {e}"))?,
     })
 }
 
@@ -441,38 +280,29 @@ pub fn parse_stream(text: &str) -> Result<Stream, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{Event, Layer};
+    use crate::metrics::Registry;
     use crate::series;
 
     fn frame(seq: u64, start: u64, end: u64) -> DeltaFrame {
-        let mut d = DeltaFrame {
+        let mut r = Registry::new();
+        for _ in 0..=seq {
+            let fault = Event::Fault {
+                page: 7,
+                write: true,
+            };
+            r.aggregate(Layer::Proto, 1, 10, &fault);
+        }
+        r.gauge_set("g", seq);
+        let mut stall_ns = [0; BUCKETS];
+        stall_ns[Bucket::PageFault as usize] = 10;
+        DeltaFrame {
             seq,
             start_ns: start,
             end_ns: end,
-            stall_ns: [0; BUCKETS],
-            delta: MetricsSnapshot {
-                dropped_events: 0,
-                nodes: vec![NodeMetrics {
-                    node: 0,
-                    layer_ns: [0; Layer::COUNT],
-                    layer_events: [0; Layer::COUNT],
-                }],
-                kinds: vec![KindAgg {
-                    name: "proto.fault".into(),
-                    count: seq + 1,
-                    total_ns: 10 * (seq + 1),
-                    min_ns: 1,
-                    max_ns: 9,
-                }],
-                hists: vec![Histogram::default(); Layer::COUNT],
-                pages: vec![],
-                gauges: vec![("g".into(), seq)],
-            },
-        };
-        d.delta.nodes[0].layer_ns[Layer::Proto.index()] = 10;
-        d.delta.nodes[0].layer_events[Layer::Proto.index()] = 1;
-        d.delta.hists[Layer::Proto.index()].buckets[3] = 1;
-        d.stall_ns[Bucket::PageFault as usize] = 10;
-        d
+            stall_ns,
+            delta: r.snapshot(0),
+        }
     }
 
     #[test]
@@ -496,6 +326,9 @@ mod tests {
         assert_eq!(s.frames.len(), 2);
         assert_eq!(s.frames, frames);
         s.verify_fold().unwrap();
+        let mut torn = s.clone();
+        torn.frames[1].delta = torn.frames[0].delta.clone();
+        assert!(torn.verify_fold().unwrap_err().contains("in `nodes`"));
     }
 
     #[test]

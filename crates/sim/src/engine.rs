@@ -143,11 +143,6 @@ impl Engine {
         id
     }
 
-    /// Number of nodes added so far.
-    pub fn node_count(&self) -> usize {
-        self.inner.kernel.lock().nodes.len()
-    }
-
     /// Number of processors on `node`.
     pub fn cpu_count(&self, node: NodeId) -> usize {
         self.inner.kernel.lock().nodes[node.0 as usize].cpus.len()

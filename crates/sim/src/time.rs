@@ -142,14 +142,6 @@ impl fmt::Display for SimTime {
 
 /// Convenience constructors for durations expressed in nanoseconds.
 pub mod dur {
-    /// `n` nanoseconds.
-    pub const fn nanos(n: u64) -> u64 {
-        n
-    }
-    /// `n` microseconds, in nanoseconds.
-    pub const fn micros(n: u64) -> u64 {
-        n * 1_000
-    }
     /// `n` milliseconds, in nanoseconds.
     pub const fn millis(n: u64) -> u64 {
         n * 1_000_000

@@ -237,15 +237,6 @@ impl TrafficConfig {
         self.driver = Driver::ClosedLoop { clients, think_ns };
         self
     }
-
-    /// The pattern's display name (the benchmark's cell label).
-    pub fn pattern_name(&self) -> &'static str {
-        match (self.arrival, self.keydist) {
-            (_, KeyDist::Zipfian { .. }) => "zipfian",
-            (Arrival::Bursty { .. }, _) => "bursty",
-            (Arrival::Uniform { .. }, _) => "uniform",
-        }
-    }
 }
 
 /// One generated request.

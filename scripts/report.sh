@@ -34,7 +34,8 @@
 #   BENCH_obs_stream.json + target/artifacts/stream_*.ndjson
 #                         live NDJSON metric streams captured during the
 #                         obs and chaos runs, plus their fold summary
-#                         (replay with `cablestat tail` / `series`)
+#                         (replay with `cablestat series`, live
+#                         with `--follow`)
 #
 # The obs and diff-batching runs execute each kernel twice (bus off, then on) and
 # assert the simulated result is bit-identical, so a successful exit also

@@ -39,11 +39,14 @@ cargo fmt --all -- --check
 # critpath/protocol_opt/placement/fig6 target), the calibrated costs are
 # constants (no cost struct, no `charge` effect reading them out of the
 # configs through a closure), a chaos plan holds fabric-wide faults and
-# crashes only (no pause or slow window, no per-link override) and the
-# stream's window width is computed by its bench (no env override); a name
+# crashes only (no pause or slow window, no per-link override), the
+# stream's window width is computed by its bench and its event-buffer
+# capacity set by `ClusterConfig::obs_cap` (no env override), a page's
+# sharers travel as a count (no exported node mask) and a stream has one
+# reader (`cablestat series`, live with `--follow`: no `tail`); a name
 # from those coming back is a regression of the design, not of a number.
 echo "==> no engine-mode / slow-path / migration-policy switches"
-if grep -rnE 'EngineMode|set_mode\(|set_lockless|set_fast_path|set_slow_mode|engine_wall|BENCH_hotpath|migration_threshold|diff_streaks|AdaptParams|with_adapt|series_last_window|credit_sharing|migration_prefetch_grid|FrameRing|merge_frames|overflow_merges|series_start_with|DEFAULT_RING_CAP|StreamExporter|prefetch_confirm|DEFAULT_SAMPLE_NS|prefetch_degree|lock_forwarding|lock_forward_hot|with_protocol_opts|PrefetchMasked|LockForward|fetch_multi|BatchFetch|acquire_on_lock|crash_purge_waiter|crash_handoff_locks|crash_handoff_rwlocks|crash_release_ready_barriers|crash_add_discount|crashed_discount|retire_self|thread_create_near|cond_wait_for|PlacementPolicy|placement_policy|with_placement_policy|ChunkSharing|chunk_sharing|note_chunk_traffic|policy_considered|policy_migrations|pingpong_handoffs|release_begin|FrameSlot|bump_epoch|sync_point_scoped|op_point_scoped|set_lookahead|lookahead_ns|ReadyShards|push_ready_scoped|pend_scope|peek_ready_shard|sim::Scope|Scope::ALL|BENCH_critpath|BENCH_protocol\.json|BENCH_placement|--bench (critpath|protocol_opt|placement|fig6)\b|SvmCosts|CablesCosts|copy_per_byte_ns|NodeFault|CABLES_OBS_SAMPLE_NS|sample_ns_from_env|charge\(\||fn charge\(&self, cost:' \
+if grep -rnE 'EngineMode|set_mode\(|set_lockless|set_fast_path|set_slow_mode|engine_wall|BENCH_hotpath|migration_threshold|diff_streaks|AdaptParams|with_adapt|series_last_window|credit_sharing|migration_prefetch_grid|FrameRing|merge_frames|overflow_merges|series_start_with|DEFAULT_RING_CAP|StreamExporter|prefetch_confirm|DEFAULT_SAMPLE_NS|prefetch_degree|lock_forwarding|lock_forward_hot|with_protocol_opts|PrefetchMasked|LockForward|fetch_multi|BatchFetch|acquire_on_lock|crash_purge_waiter|crash_handoff_locks|crash_handoff_rwlocks|crash_release_ready_barriers|crash_add_discount|crashed_discount|retire_self|thread_create_near|cond_wait_for|PlacementPolicy|placement_policy|with_placement_policy|ChunkSharing|chunk_sharing|note_chunk_traffic|policy_considered|policy_migrations|pingpong_handoffs|release_begin|FrameSlot|bump_epoch|sync_point_scoped|op_point_scoped|set_lookahead|lookahead_ns|ReadyShards|push_ready_scoped|pend_scope|peek_ready_shard|sim::Scope|Scope::ALL|BENCH_critpath|BENCH_protocol\.json|BENCH_placement|--bench (critpath|protocol_opt|placement|fig6)\b|SvmCosts|CablesCosts|copy_per_byte_ns|NodeFault|CABLES_OBS_SAMPLE_NS|sample_ns_from_env|charge\(\||fn charge\(&self, cost:|CABLES_OBS_CAP|obs_cap_override|nodes_mask|cmd_tail' \
         crates/ src/ tests/ examples/ scripts/ --exclude=tier1.sh; then
     echo "tier1: a deleted switch is back (see above)" >&2
     exit 1
@@ -190,13 +193,14 @@ if [[ "${1:-}" == "--smoke" ]]; then
     ./target/release/cablestat check BENCH_*.json target/artifacts/trace_fft.json
     ./target/release/cablestat check --dir target/artifacts "${STREAM_ARTIFACTS[@]}"
     # The stream tooling itself: `series` must fold + verify each stream
-    # (exit 1 on divergence), `tail` must render a completed stream.
-    echo "==> cablestat series / tail smoke"
+    # (exit 1 on divergence), and `--follow` must return at once on a
+    # completed one.
+    echo "==> cablestat series smoke"
     ./target/release/cablestat series stream_FFT.ndjson > /dev/null
     ./target/release/cablestat series stream_CHAOS_FFT.ndjson --json > /dev/null
     ./target/release/cablestat series stream_service.ndjson > /dev/null
-    ./target/release/cablestat tail stream_RADIX.ndjson > /dev/null
-    ./target/release/cablestat tail stream_service.ndjson > /dev/null
+    ./target/release/cablestat series stream_RADIX.ndjson --follow > /dev/null
+    ./target/release/cablestat series stream_service.ndjson --follow > /dev/null
     # The observability artifacts must also be machine-readable by an
     # independent parser (python is the neutral referee; skip quietly if
     # it is unavailable).

@@ -16,7 +16,7 @@ use cables_suite::apps::splash::fft;
 use cables_suite::apps::M4System;
 use cables_suite::obs::series::{self, SeriesSummary};
 use cables_suite::obs::stream::{end_line, frame_line, header_line, parse_stream, Stream};
-use cables_suite::obs::{Event, Layer, MetricsSnapshot, ObsSink};
+use cables_suite::obs::{json, Event, Layer, MetricsSnapshot, ObsSink};
 use cables_suite::sim::{NodeId, SimTime};
 use cables_suite::svm::{Cluster, ClusterConfig};
 
@@ -161,7 +161,7 @@ proptest! {
     /// The exactness invariant, through the bytes: for ANY event soup and
     /// ANY window width, the NDJSON the sink writes parses, its frames fold
     /// back to the final snapshot field-for-field — counters, gauges,
-    /// histogram buckets, page masks — and to the end line's embedded
+    /// histogram buckets, page sharer counts — and to the end line's embedded
     /// copy, with dense seqs and monotone, non-overlapping windows.
     #[test]
     fn frames_fold_back_exactly(soup in soup_strategy(), sample_ns in 1u64..5_000) {
@@ -190,8 +190,7 @@ proptest! {
         parsed.verify_fold().expect("frames fold to embedded snapshot");
         let end = parsed.end.as_ref().expect("end line");
         prop_assert_eq!(end.frames, summary.frames);
-        // Through the canonical JSON: the export's `sharers` encoding is lossy.
-        prop_assert_eq!(end.snapshot.to_json(), snapshot.to_json());
+        prop_assert_eq!(&end.snapshot, &snapshot);
         let mut again = header_line(&parsed.header.kernel, parsed.header.sample_ns);
         again.push('\n');
         for f in &parsed.frames {
@@ -204,6 +203,22 @@ proptest! {
         let reparsed = parse_stream(&again).expect("stream grammar");
         prop_assert_eq!(reparsed.frames, parsed.frames);
         prop_assert_eq!(reparsed.header.sample_ns, sample_ns);
+    }
+
+    /// The snapshot's one codec is exact: for ANY event soup, the final
+    /// snapshot written by `to_json`, parsed and read back by `from_value`
+    /// is the same snapshot — including the sharer count of a page that
+    /// only nodes other than node 0 faulted on.
+    #[test]
+    fn snapshot_json_roundtrip_is_exact(soup in soup_strategy()) {
+        let sink = ObsSink::new();
+        sink.set_enabled(true);
+        for &s in &soup {
+            feed(&sink, s);
+        }
+        let snapshot = sink.snapshot();
+        let value = json::parse(&snapshot.to_json()).expect("snapshot JSON parses");
+        prop_assert_eq!(MetricsSnapshot::from_value(&value), Ok(snapshot));
     }
 }
 
