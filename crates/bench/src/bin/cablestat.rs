@@ -5,17 +5,13 @@
 //! ```text
 //! cablestat print FILE            pretty-print the snapshot(s) in FILE
 //!                                 (paper-style tables + stall profile)
-//! cablestat diff A B [OPTS]       structured delta between two artifacts
-//!     --abs N       absolute significance floor (default 0)
-//!     --rel PCT     relative significance floor, percent (default 0)
-//!     --all         print every changed leaf, not just significant ones
-//!     --gate        exit 1 when any regression survives the thresholds
-//!                   or the second file lacks a path of the first
-//!     --json        emit the delta as JSON instead of a table
-//! cablestat explain A B [OPTS]    root-cause a failing diff: join each
-//!                                 regressed metric against stall-bucket,
-//!                                 critpath, kind, and page deltas
-//!     --abs/--rel   as for diff
+//! cablestat diff A B [--json]     every changed leaf between two
+//!                                 artifacts, with both exact values (the
+//!                                 perf gate's failure report)
+//! cablestat explain A B [OPTS]    attribute a diff: join each changed
+//!                                 headline metric against the stall-
+//!                                 bucket, critpath, kind, and page deltas
+//!                                 that moved with it
 //!     --top N       findings/causes per finding to show (default 5)
 //!     --streams X Y baseline + candidate NDJSON series for time-window
 //!                   attribution
@@ -37,8 +33,8 @@
 //! cablestat inflate FILE OUT KEY FACTOR
 //!                                 copy FILE to OUT with every numeric
 //!                                 leaf named KEY multiplied by FACTOR
-//!                                 (perfgate's self-test regression
-//!                                 injector)
+//!                                 (perfgate's self-test injector; every
+//!                                 other byte is kept)
 //! ```
 //!
 //! Every subcommand accepts `--dir DIR`: relative FILE arguments that do
@@ -49,15 +45,15 @@
 //! warning — a `BENCH_*.json` older than the tool that should have
 //! regenerated it usually means a forgotten bench run.
 //!
-//! Exit codes: 0 ok, 1 gated regression / invalid artifact / fold
-//! divergence, 2 usage.
+//! Exit codes: 0 ok, 1 unreadable or invalid artifact / fold divergence,
+//! 2 usage.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use obs::diff::{diff, Thresholds};
+use obs::diff::diff;
 use obs::explain::explain_diff;
-use obs::json::{line_col, parse, Value, Writer};
+use obs::json::{line_col, parse, pretty, Num, Value, Writer};
 use obs::series::windowed_table;
 use obs::stream::{parse_stream, Stream};
 use obs::{report, MetricsSnapshot};
@@ -75,7 +71,7 @@ fn main() -> ExitCode {
         Some("inflate") => cmd_inflate(&args[1..], dir.as_deref().unwrap_or(".")),
         _ => {
             eprintln!(
-                "usage: cablestat print FILE\n       cablestat diff A B [--abs N] [--rel PCT] [--all] [--gate] [--json]\n       cablestat explain A B [--abs N] [--rel PCT] [--top N] [--streams X Y] [--json]\n       cablestat series STREAM [--follow] [--json]\n       cablestat check FILE...\n       cablestat inflate FILE OUT KEY FACTOR\n       (all subcommands: --dir DIR to resolve relative FILEs)"
+                "usage: cablestat print FILE\n       cablestat diff A B [--json]\n       cablestat explain A B [--top N] [--streams X Y] [--json]\n       cablestat series STREAM [--follow] [--json]\n       cablestat check FILE...\n       cablestat inflate FILE OUT KEY FACTOR\n       (all subcommands: --dir DIR to resolve relative FILEs)"
             );
             ExitCode::from(2)
         }
@@ -319,125 +315,68 @@ fn cmd_print(args: &[String], dir: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Parses `--abs N` / `--rel PCT` into thresholds; unknown arguments are
-/// handed back for the caller's own flags, file operands in order.
-fn parse_diff_args<'a>(
-    args: &'a [String],
-    th: &mut Thresholds,
-) -> Result<(Vec<&'a str>, Vec<&'a str>), String> {
+/// Splits `args` into file operands and the `--json` switch; any other
+/// flag is a usage error.
+fn files_and_json<'a>(cmd: &str, args: &'a [String]) -> Result<(Vec<&'a str>, bool), ExitCode> {
     let mut files = Vec::new();
-    let mut rest = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--abs" | "--rel" => {
-                let flag = args[i].as_str();
-                i += 1;
-                let val = args
-                    .get(i)
-                    .and_then(|s| s.parse::<f64>().ok())
-                    .ok_or_else(|| format!("{flag} needs a number"))?;
-                if flag == "--abs" {
-                    th.abs = val;
-                } else {
-                    th.rel_pct = val;
-                }
+    let mut as_json = false;
+    for a in args {
+        match a.as_str() {
+            "--json" => as_json = true,
+            f if f.starts_with("--") => {
+                eprintln!("cablestat {cmd}: unknown flag {f}");
+                return Err(ExitCode::from(2));
             }
-            f if f.starts_with("--") => rest.push(f),
             f => files.push(f),
         }
-        i += 1;
     }
-    Ok((files, rest))
+    Ok((files, as_json))
+}
+
+/// Resolves and loads the two artifacts a `diff` or `explain` compares,
+/// with the title its report carries.
+fn load_pair(cmd: &str, dir: &str, files: &[&str]) -> Result<(String, Value, Value), ExitCode> {
+    let [a_path, b_path] = files else {
+        eprintln!("cablestat {cmd}: need exactly two files");
+        return Err(ExitCode::from(2));
+    };
+    let (a_path, b_path) = (resolve(dir, a_path), resolve(dir, b_path));
+    match (load(&a_path), load(&b_path)) {
+        (Ok(a), Ok(b)) => Ok((
+            format!("{} -> {}", a_path.display(), b_path.display()),
+            a,
+            b,
+        )),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("cablestat: {e}");
+            Err(ExitCode::FAILURE)
+        }
+    }
 }
 
 fn cmd_diff(args: &[String], dir: &str) -> ExitCode {
-    let mut th = Thresholds::default();
-    let (files, flags) = match parse_diff_args(args, &mut th) {
+    let (files, as_json) = match files_and_json("diff", args) {
         Ok(x) => x,
-        Err(e) => {
-            eprintln!("cablestat diff: {e}");
-            return ExitCode::from(2);
-        }
+        Err(code) => return code,
     };
-    let (mut all, mut gate, mut as_json) = (false, false, false);
-    for f in flags {
-        match f {
-            "--all" => all = true,
-            "--gate" => gate = true,
-            "--json" => as_json = true,
-            other => {
-                eprintln!("cablestat diff: unknown flag {other}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let [a_path, b_path] = files.as_slice() else {
-        eprintln!("cablestat diff: need exactly two files");
-        return ExitCode::from(2);
+    let (title, a, b) = match load_pair("diff", dir, &files) {
+        Ok(x) => x,
+        Err(code) => return code,
     };
-    let (a_path, b_path) = (resolve(dir, a_path), resolve(dir, b_path));
-    let (a, b) = match (load(&a_path), load(&b_path)) {
-        (Ok(a), Ok(b)) => (a, b),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("cablestat: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let d = diff(&a, &b, &th);
+    let d = diff(&a, &b);
     if as_json {
         print!("{}", d.to_json());
     } else {
-        print!(
-            "{}",
-            d.render(
-                &format!("{} -> {}", a_path.display(), b_path.display()),
-                all
-            )
-        );
-    }
-    if gate {
-        if let Err(why) = gate_verdict(&d, &th) {
-            eprintln!("cablestat: GATE FAILED — {why}");
-            return ExitCode::FAILURE;
-        }
+        print!("{}", d.render(&title));
     }
     ExitCode::SUCCESS
 }
 
-/// What `diff --gate` fails on: a regression beyond the thresholds, or a
-/// leaf of the baseline that the candidate lacks (a dropped metric can
-/// no longer be compared, so it would hide any regression it had).
-fn gate_verdict(d: &obs::diff::Diff, th: &Thresholds) -> Result<(), String> {
-    let mut why = Vec::new();
-    let regressions = d.regressions().count();
-    if regressions > 0 {
-        why.push(format!(
-            "{regressions} regression(s) beyond abs>{} rel>{}%",
-            th.abs, th.rel_pct
-        ));
-    }
-    if !d.removed.is_empty() {
-        why.push(format!(
-            "{} baseline path(s) missing from the candidate:\n  {}",
-            d.removed.len(),
-            d.removed.join("\n  ")
-        ));
-    }
-    if why.is_empty() {
-        Ok(())
-    } else {
-        Err(why.join("; "))
-    }
-}
-
 fn cmd_explain(args: &[String], dir: &str) -> ExitCode {
-    let mut th = Thresholds::default();
     // Consume value-taking flags before the generic split.
     let mut args = args.to_vec();
     let mut top = 5usize;
     let mut streams: Option<(String, String)> = None;
-    let mut as_json = false;
     if let Some(i) = args.iter().position(|a| a == "--top") {
         let Some(v) = args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) else {
             eprintln!("cablestat explain: --top needs a count");
@@ -454,32 +393,13 @@ fn cmd_explain(args: &[String], dir: &str) -> ExitCode {
         streams = Some((args[i + 1].clone(), args[i + 2].clone()));
         args.drain(i..=i + 2);
     }
-    if let Some(i) = args.iter().position(|a| a == "--json") {
-        as_json = true;
-        args.remove(i);
-    }
-    let (files, flags) = match parse_diff_args(&args, &mut th) {
+    let (files, as_json) = match files_and_json("explain", &args) {
         Ok(x) => x,
-        Err(e) => {
-            eprintln!("cablestat explain: {e}");
-            return ExitCode::from(2);
-        }
+        Err(code) => return code,
     };
-    if let Some(f) = flags.first() {
-        eprintln!("cablestat explain: unknown flag {f}");
-        return ExitCode::from(2);
-    }
-    let [a_path, b_path] = files.as_slice() else {
-        eprintln!("cablestat explain: need exactly two files");
-        return ExitCode::from(2);
-    };
-    let (a_path, b_path) = (resolve(dir, a_path), resolve(dir, b_path));
-    let (a, b) = match (load(&a_path), load(&b_path)) {
-        (Ok(a), Ok(b)) => (a, b),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("cablestat: {e}");
-            return ExitCode::FAILURE;
-        }
+    let (title, a, b) = match load_pair("explain", dir, &files) {
+        Ok(x) => x,
+        Err(code) => return code,
     };
     let parsed_streams = match &streams {
         Some((x, y)) => {
@@ -495,15 +415,15 @@ fn cmd_explain(args: &[String], dir: &str) -> ExitCode {
         }
         None => None,
     };
-    let d = diff(&a, &b, &th);
-    let e = explain_diff(&d, &th, parsed_streams.as_ref().map(|(x, y)| (x, y)), top);
+    let e = explain_diff(
+        &diff(&a, &b),
+        parsed_streams.as_ref().map(|(x, y)| (x, y)),
+        top,
+    );
     if as_json {
         print!("{}", e.to_json());
     } else {
-        print!(
-            "{}",
-            e.render(&format!("{} -> {}", a_path.display(), b_path.display()))
-        );
+        print!("{}", e.render(&title));
     }
     ExitCode::SUCCESS
 }
@@ -667,7 +587,7 @@ fn inflate(v: &mut Value, key: &str, factor: f64) -> u64 {
             for (k, sub) in kvs {
                 if k == key {
                     if let Value::Num(x) = sub {
-                        *x = (*x * factor).round();
+                        *x = Num::from((x.to_f64() * factor).round());
                         n += 1;
                         continue;
                     }
@@ -706,7 +626,7 @@ fn cmd_inflate(args: &[String], dir: &str) -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    if let Err(e) = std::fs::write(dst, v.to_json()) {
+    if let Err(e) = std::fs::write(dst, pretty(&v)) {
         eprintln!("cablestat: write {dst}: {e}");
         return ExitCode::FAILURE;
     }
@@ -721,26 +641,7 @@ fn cmd_inflate(args: &[String], dir: &str) -> ExitCode {
 mod tests {
     use std::time::{Duration, SystemTime};
 
-    use obs::diff::{diff, Thresholds};
-    use obs::json::parse;
-
-    use super::{gate_verdict, is_stale};
-
-    #[test]
-    fn gate_fails_when_the_candidate_drops_a_leaf() {
-        let th = Thresholds::default();
-        let base = parse(r#"{"sim_time_ns": 100, "critpath": {"total_ns": 90}}"#).unwrap();
-        assert_eq!(gate_verdict(&diff(&base, &base, &th), &th), Ok(()));
-        let dropped = parse(r#"{"sim_time_ns": 100}"#).unwrap();
-        let why = gate_verdict(&diff(&base, &dropped, &th), &th).unwrap_err();
-        assert!(why.contains("missing") && why.contains("critpath"), "{why}");
-        // A leaf the candidate adds is no loss.
-        assert_eq!(gate_verdict(&diff(&dropped, &base, &th), &th), Ok(()));
-        // A regression alone still fails.
-        let slower = parse(r#"{"sim_time_ns": 200, "critpath": {"total_ns": 90}}"#).unwrap();
-        let why = gate_verdict(&diff(&base, &slower, &th), &th).unwrap_err();
-        assert!(why.contains("1 regression"), "{why}");
-    }
+    use super::is_stale;
 
     #[test]
     fn stale_warning_fires_only_for_old_regenerable_artifacts() {

@@ -1,25 +1,19 @@
-//! Differential run analysis: structured deltas between two snapshot JSONs.
+//! Differential run analysis: every changed leaf between two JSON
+//! documents.
 //!
-//! [`diff`] walks two parsed [`crate::json::Value`] trees (any of the
-//! `BENCH_*.json` artifacts, a [`crate::MetricsSnapshot::to_json`] dump, a
-//! critpath report, or a stall profile) in lock-step and emits one
-//! [`DeltaRow`] per *changed numeric leaf*, plus added/removed paths and
-//! changed string/bool labels. Three properties make it usable as a
-//! regression gate:
+//! The perf gate (`scripts/perfgate.sh`) is byte identity: the simulator
+//! is deterministic, so a gated smoke artifact must equal its baseline
+//! byte for byte. [`diff`] is what the gate prints when one does not. It
+//! walks two parsed [`crate::json::Value`] trees (any of the
+//! `BENCH_*.json` artifacts, a [`crate::MetricsSnapshot::to_json`] dump,
+//! a critpath report, or a stall profile) in lock-step and emits one
+//! [`DeltaRow`] per *changed numeric leaf*, with both exact values, plus
+//! added/removed paths and changed string/bool labels. It judges
+//! nothing: every change is a row, whichever way it moved.
 //!
 //! - **`diff(a, a)` is empty.** Rows exist only where the values differ.
 //! - **Deterministic.** The walk order is a pure function of the inputs;
 //!   two runs produce byte-identical reports.
-//! - **Monotone thresholding.** A row is `significant` iff
-//!   `|delta| > thresholds.abs` *and* `|rel%| > thresholds.rel_pct`;
-//!   raising either threshold can only shrink the significant set.
-//!
-//! Each row also carries a *direction*: metric names classify as
-//! higher-is-worse (latencies, fault/message counts, wait time),
-//! lower-is-worse (speedups, hit rates, admissibility headroom), or
-//! neutral (configuration echoes and wall-clock times, which are
-//! host-dependent and must never gate). A `regression` is a significant
-//! delta in the worse direction — what `scripts/perfgate.sh` fails on.
 //!
 //! Arrays of objects are matched by a composite identity key (kernel,
 //! mode, node, page, toggle flags, …) rather than by index, so a
@@ -29,79 +23,7 @@
 use std::fmt;
 use std::fmt::Write as _;
 
-use crate::json::{self, Fixed, ToJson, Value, Writer};
-
-/// Significance thresholds. A delta is significant when `|delta| >
-/// abs` **and** `|rel%| > rel_pct` (a vanished/appeared value counts as
-/// infinite relative change). The defaults flag every non-zero delta.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Thresholds {
-    /// Absolute magnitude floor (same unit as the metric).
-    pub abs: f64,
-    /// Relative magnitude floor, in percent of the before-value.
-    pub rel_pct: f64,
-}
-
-impl Default for Thresholds {
-    fn default() -> Self {
-        Thresholds {
-            abs: 0.0,
-            rel_pct: 0.0,
-        }
-    }
-}
-
-/// Which way a metric hurts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Growth is a regression (latency, faults, messages, wait time).
-    HigherWorse,
-    /// Shrinkage is a regression (speedup, hit rate, headroom).
-    LowerWorse,
-    /// Never gates (config echoes, wall-clock host time).
-    Neutral,
-}
-
-/// Classifies a leaf key's direction. Wall-clock keys are neutral first
-/// (host-dependent), then good-when-big names, then bad-when-big names;
-/// anything unrecognized is neutral so config echoes can't fake a
-/// regression.
-pub fn direction_for(leaf: &str) -> Direction {
-    let k = leaf.to_ascii_lowercase();
-    if k.contains("wall") {
-        return Direction::Neutral;
-    }
-    const LOWER_WORSE: &[&str] = &["speedup", "hit", "completion", "admissible", "mbs"];
-    if LOWER_WORSE.iter().any(|w| k.contains(w)) {
-        return Direction::LowerWorse;
-    }
-    const HIGHER_WORSE: &[&str] = &[
-        "_ns",
-        "p50",
-        "p95",
-        "p99",
-        "fault",
-        "fetch",
-        "diff",
-        "inval",
-        "msg",
-        "bytes",
-        "dropped",
-        "realloc",
-        "wasted",
-        "wait",
-        "stall",
-        "count",
-        "retrans",
-        "latency",
-        "compute",
-        "misplaced",
-    ];
-    if HIGHER_WORSE.iter().any(|w| k.contains(w)) {
-        return Direction::HigherWorse;
-    }
-    Direction::Neutral
-}
+use crate::json::{self, Fixed, Num, ToJson, Value, Writer};
 
 /// Coarse report section a path belongs to, for grouping in the output.
 pub fn section_for(path: &str) -> &'static str {
@@ -135,20 +57,15 @@ pub struct DeltaRow {
     pub path: String,
     /// Coarse section ([`section_for`]).
     pub section: &'static str,
-    /// Value in the first (baseline) input.
-    pub before: f64,
-    /// Value in the second (candidate) input.
-    pub after: f64,
-    /// `after - before`.
+    /// Value in the first (baseline) input, as written.
+    pub before: Num,
+    /// Value in the second (candidate) input, as written.
+    pub after: Num,
+    /// `after - before`, from the exact difference when both are
+    /// integers (a digest's last bit moves it by 1, not by 0).
     pub delta: f64,
     /// `100 * delta / |before|`; infinite when `before == 0`.
     pub rel_pct: f64,
-    /// Direction of the leaf key.
-    pub direction: Direction,
-    /// Whether the delta clears both thresholds.
-    pub significant: bool,
-    /// Significant *and* in the worse direction.
-    pub regression: bool,
 }
 
 /// The structured delta between two JSON trees.
@@ -212,35 +129,34 @@ fn id_of(obj: &[(String, Value)]) -> Option<String> {
     (!parts.is_empty()).then(|| parts.join(","))
 }
 
-fn walk(path: &str, a: &Value, b: &Value, th: &Thresholds, out: &mut Diff) {
+/// `after - before`, exact for integer tokens before the cast.
+fn delta(before: &Num, after: &Num) -> f64 {
+    match (
+        before.as_str().parse::<i128>(),
+        after.as_str().parse::<i128>(),
+    ) {
+        (Ok(x), Ok(y)) => (y - x) as f64,
+        _ => after.to_f64() - before.to_f64(),
+    }
+}
+
+fn walk(path: &str, a: &Value, b: &Value, out: &mut Diff) {
     match (a, b) {
         (Value::Num(x), Value::Num(y)) => {
             if x != y {
-                let leaf = path.rsplit('.').next().unwrap_or(path);
-                let delta = y - x;
-                let rel_pct = if *x != 0.0 {
-                    100.0 * delta / x.abs()
-                } else {
-                    f64::INFINITY * delta.signum()
-                };
-                let direction = direction_for(leaf);
-                let significant = delta.abs() > th.abs && rel_pct.abs() > th.rel_pct;
-                let regression = significant
-                    && match direction {
-                        Direction::HigherWorse => delta > 0.0,
-                        Direction::LowerWorse => delta < 0.0,
-                        Direction::Neutral => false,
-                    };
+                let delta = delta(x, y);
+                let x0 = x.to_f64();
                 out.rows.push(DeltaRow {
                     path: path.to_string(),
                     section: section_for(path),
-                    before: *x,
-                    after: *y,
+                    before: x.clone(),
+                    after: y.clone(),
                     delta,
-                    rel_pct,
-                    direction,
-                    significant,
-                    regression,
+                    rel_pct: if x0 != 0.0 {
+                        100.0 * delta / x0.abs()
+                    } else {
+                        f64::INFINITY * delta.signum()
+                    },
                 });
             }
         }
@@ -252,7 +168,7 @@ fn walk(path: &str, a: &Value, b: &Value, th: &Thresholds, out: &mut Diff) {
                     format!("{path}.{k}")
                 };
                 match kb.iter().find(|(kk, _)| kk == k) {
-                    Some((_, vb)) => walk(&sub, va, vb, th, out),
+                    Some((_, vb)) => walk(&sub, va, vb, out),
                     None => out.removed.push(sub),
                 }
             }
@@ -286,7 +202,7 @@ fn walk(path: &str, a: &Value, b: &Value, th: &Thresholds, out: &mut Diff) {
                     let ida = ida.as_ref().unwrap();
                     let sub = format!("{path}[{ida}]");
                     match ids_b.iter().position(|i| i.as_ref() == Some(ida)) {
-                        Some(j) => walk(&sub, va, &xb[j], th, out),
+                        Some(j) => walk(&sub, va, &xb[j], out),
                         None => out.removed.push(sub),
                     }
                 }
@@ -298,7 +214,7 @@ fn walk(path: &str, a: &Value, b: &Value, th: &Thresholds, out: &mut Diff) {
             } else {
                 let n = xa.len().min(xb.len());
                 for i in 0..n {
-                    walk(&format!("{path}[{i}]"), &xa[i], &xb[i], th, out);
+                    walk(&format!("{path}[{i}]"), &xa[i], &xb[i], out);
                 }
                 for i in n..xa.len() {
                     out.removed.push(format!("{path}[{i}]"));
@@ -329,9 +245,9 @@ fn walk(path: &str, a: &Value, b: &Value, th: &Thresholds, out: &mut Diff) {
 }
 
 /// Diffs two parsed JSON trees. See the module docs for the guarantees.
-pub fn diff(a: &Value, b: &Value, th: &Thresholds) -> Diff {
+pub fn diff(a: &Value, b: &Value) -> Diff {
     let mut out = Diff::default();
-    walk("", a, b, th, &mut out);
+    walk("", a, b, &mut out);
     out
 }
 
@@ -344,43 +260,23 @@ impl Diff {
             && self.removed.is_empty()
     }
 
-    /// The significant rows.
-    pub fn significant(&self) -> impl Iterator<Item = &DeltaRow> {
-        self.rows.iter().filter(|r| r.significant)
-    }
-
-    /// The regression rows (significant, worse direction).
-    pub fn regressions(&self) -> impl Iterator<Item = &DeltaRow> {
-        self.rows.iter().filter(|r| r.regression)
-    }
-
-    /// Renders the delta report. With `all` false only significant rows
-    /// print; regressions are marked `!!`.
-    pub fn render(&self, title: &str, all: bool) -> String {
+    /// Renders the delta report: every changed leaf with both values.
+    pub fn render(&self, title: &str) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "=== diff: {title} ===");
         if self.is_empty() {
             let _ = writeln!(out, "(identical)");
             return out;
         }
-        let shown: Vec<&DeltaRow> = self.rows.iter().filter(|r| all || r.significant).collect();
-        let _ = writeln!(
-            out,
-            "{:<9} {:<58} {:>14} {:>14} {:>10}",
-            "", "path [section]", "before", "after", "delta%"
-        );
-        let _ = writeln!(out, "{}", "-".repeat(108));
-        for r in &shown {
-            let mark = if r.regression {
-                "!!"
-            } else if r.significant {
-                match r.direction {
-                    Direction::Neutral => "--",
-                    _ => "ok",
-                }
-            } else {
-                "  "
-            };
+        if !self.rows.is_empty() {
+            let _ = writeln!(
+                out,
+                "{:<58} {:>20} {:>20} {:>10}",
+                "path [section]", "before", "after", "delta%"
+            );
+            let _ = writeln!(out, "{}", "-".repeat(111));
+        }
+        for r in &self.rows {
             let rel = if r.rel_pct.is_finite() {
                 format!("{:+.1}%", r.rel_pct)
             } else {
@@ -388,30 +284,27 @@ impl Diff {
             };
             let _ = writeln!(
                 out,
-                "{:<9} {:<58} {:>14} {:>14} {:>10}",
-                mark,
+                "{:<58} {:>20} {:>20} {:>10}",
                 format!("{} [{}]", r.path, r.section),
-                Fixed::or_int(r.before, 4),
-                Fixed::or_int(r.after, 4),
+                r.before,
+                r.after,
                 rel
             );
         }
         for (p, x, y) in &self.labels {
-            let _ = writeln!(out, "~~        {p}: \"{x}\" -> \"{y}\"");
+            let _ = writeln!(out, "~ {p}: \"{x}\" -> \"{y}\"");
         }
         for p in &self.removed {
-            let _ = writeln!(out, "-         {p}");
+            let _ = writeln!(out, "- {p}");
         }
         for p in &self.added {
-            let _ = writeln!(out, "+         {p}");
+            let _ = writeln!(out, "+ {p}");
         }
-        let regs = self.regressions().count();
         let _ = writeln!(
             out,
-            "{} changed, {} significant, {} regression(s), +{} added, -{} removed",
+            "{} changed, {} label(s) changed, +{} added, -{} removed",
             self.rows.len(),
-            self.significant().count(),
-            regs,
+            self.labels.len(),
             self.added.len(),
             self.removed.len()
         );
@@ -429,12 +322,9 @@ impl ToJson for Diff {
         w.obj().key("rows").arr();
         for r in &self.rows {
             w.obj().field("path", &r.path).field("section", r.section);
-            w.field("before", Fixed::or_int(r.before, 4))
-                .field("after", Fixed::or_int(r.after, 4));
+            w.field("before", &r.before).field("after", &r.after);
             w.field("delta", Fixed::or_int(r.delta, 4))
-                .field("rel_pct", Fixed(r.rel_pct, 4));
-            w.field("significant", r.significant)
-                .field("regression", r.regression)
+                .field("rel_pct", Fixed(r.rel_pct, 4))
                 .end();
         }
         w.end().key("labels").arr();
@@ -454,7 +344,7 @@ impl ToJson for Diff {
 
 impl fmt::Display for Diff {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.render("", false))
+        f.write_str(&self.render(""))
     }
 }
 
@@ -466,42 +356,37 @@ mod tests {
     #[test]
     fn diff_of_identical_is_empty() {
         let v = parse(r#"{"a": 1, "b": {"c": [1, 2, 3]}, "s": "x"}"#).unwrap();
-        let d = diff(&v, &v, &Thresholds::default());
+        let d = diff(&v, &v);
         assert!(d.is_empty());
-        assert!(d.render("t", true).contains("identical"));
+        assert!(d.render("t").contains("identical"));
     }
 
     #[test]
-    fn numeric_delta_direction_and_significance() {
+    fn every_changed_leaf_is_a_row_whichever_way_it_moved() {
         let a = parse(r#"{"total_ns": 100, "speedup": 2.0, "wall_ms": 5.0, "procs": 8}"#).unwrap();
         let b = parse(r#"{"total_ns": 150, "speedup": 1.0, "wall_ms": 9.0, "procs": 8}"#).unwrap();
-        let d = diff(&a, &b, &Thresholds::default());
-        assert_eq!(d.rows.len(), 3);
-        let by_path = |p: &str| d.rows.iter().find(|r| r.path == p).unwrap();
-        assert!(by_path("total_ns").regression); // higher-worse, grew
-        assert!(by_path("speedup").regression); // lower-worse, shrank
-        assert!(!by_path("wall_ms").regression); // neutral never gates
-                                                 // Thresholding is monotone: a 60% rel floor keeps only the speedup.
-        let d2 = diff(
-            &a,
-            &b,
-            &Thresholds {
-                abs: 0.0,
-                rel_pct: 49.0,
-            },
-        );
-        let sig: Vec<_> = d2.significant().map(|r| r.path.as_str()).collect();
-        assert_eq!(sig, vec!["total_ns", "speedup", "wall_ms"]);
-        let d3 = diff(
-            &a,
-            &b,
-            &Thresholds {
-                abs: 0.0,
-                rel_pct: 60.0,
-            },
-        );
-        let sig3: Vec<_> = d3.significant().map(|r| r.path.as_str()).collect();
-        assert_eq!(sig3, vec!["wall_ms"]); // 80% growth; others below 60%
+        let d = diff(&a, &b);
+        let paths: Vec<_> = d.rows.iter().map(|r| r.path.as_str()).collect();
+        assert_eq!(paths, ["total_ns", "speedup", "wall_ms"]);
+        assert_eq!(d.rows[0].delta, 50.0);
+        assert_eq!(d.rows[0].rel_pct, 50.0);
+        assert_eq!(d.rows[1].delta, -1.0);
+    }
+
+    #[test]
+    fn a_digest_changed_in_its_lowest_bit_is_one_exact_row() {
+        let a = parse(r#"{"digest": 12559862624275433760, "served": 60}"#).unwrap();
+        let b = parse(r#"{"digest": 12559862624275433761, "served": 60}"#).unwrap();
+        let d = diff(&a, &b);
+        assert_eq!(d.rows.len(), 1);
+        let r = &d.rows[0];
+        assert_eq!(r.path, "digest");
+        assert_eq!(r.before.as_str(), "12559862624275433760");
+        assert_eq!(r.after.as_str(), "12559862624275433761");
+        assert_eq!(r.delta, 1.0);
+        assert!(d
+            .render("t")
+            .contains("12559862624275433760 12559862624275433761"));
     }
 
     #[test]
@@ -512,11 +397,10 @@ mod tests {
         .unwrap();
         let b = parse(r#"{"kernels": [{"kernel": "RADIX", "faults": 5}, {"kernel": "FFT", "faults": 12}, {"kernel": "LU", "faults": 1}]}"#)
             .unwrap();
-        let d = diff(&a, &b, &Thresholds::default());
+        let d = diff(&a, &b);
         assert_eq!(d.rows.len(), 1);
         assert_eq!(d.rows[0].path, "kernels[kernel=FFT].faults");
         assert_eq!(d.rows[0].delta, 2.0);
-        assert!(d.rows[0].regression);
         assert_eq!(d.added, vec!["kernels[kernel=LU]".to_string()]);
         assert!(d.removed.is_empty());
     }
@@ -525,8 +409,8 @@ mod tests {
     fn deterministic_and_json_valid() {
         let a = parse(r#"{"x": [1, 2], "mode": "base", "ok": true}"#).unwrap();
         let b = parse(r#"{"x": [1, 3, 4], "mode": "cables", "ok": false}"#).unwrap();
-        let d1 = diff(&a, &b, &Thresholds::default());
-        let d2 = diff(&a, &b, &Thresholds::default());
+        let d1 = diff(&a, &b);
+        let d2 = diff(&a, &b);
         assert_eq!(d1, d2);
         assert_eq!(d1.to_json(), d2.to_json());
         crate::json::validate(&d1.to_json()).expect("diff JSON parses");

@@ -1,34 +1,36 @@
-//! Regression root-cause attribution: from "what regressed" to "why".
+//! Change attribution: from "what changed" to "why".
 //!
-//! [`explain`] takes the same two artifact trees a failing
-//! [`crate::diff`] gate saw and joins every regressed headline metric
-//! against the *explanatory* rows of the same diff:
+//! [`explain`] takes the same two artifact trees a failing perf gate saw
+//! (the gate is byte identity, see [`crate::diff`]) and treats every
+//! changed *headline* leaf as a finding, whichever way it moved. Each
+//! finding's causes are the *explanatory* rows of the same diff that
+//! moved with the same sign:
 //!
 //! - **stall buckets** — `stall.totals.<bucket>` deltas say where the
-//!   extra simulated time was spent (the eight-bucket lifetime partition
-//!   of [`crate::stall`]);
+//!   simulated time went (the eight-bucket lifetime partition of
+//!   [`crate::stall`]);
 //! - **critical path** — `critpath.by_kind`/`by_layer`/`blame` deltas
-//!   say whether the regression sits on the critical path at all;
+//!   say whether the change sits on the critical path at all;
 //! - **kind latencies** — `kinds[name=…].total_ns` deltas name the
-//!   protocol/runtime operation that grew;
+//!   protocol/runtime operation that moved;
 //! - **pages** — `pages[page=…]` deltas point at the page whose protocol
 //!   traffic moved;
 //! - **time windows** — when both sides carry an NDJSON series
 //!   ([`crate::stream`]), the per-window stall mixes are compared and
-//!   the first diverging window (and the bucket that diverged) is
-//!   reported, turning "it got slower" into "it got slower *here*".
+//!   the first window where one differs (and the bucket that differs) is
+//!   reported, turning "it changed" into "it changed *here*".
 //!
 //! Causes are ranked per finding by path affinity (shared path prefix —
-//! a `kernels[kernel=FFT]` regression prefers FFT-scoped causes), then
+//! a `kernels[kernel=FFT]` change prefers FFT-scoped causes), then
 //! category, then magnitude; ns-valued causes carry a share of the
 //! finding's delta. The ranked report is what `scripts/perfgate.sh`
-//! prints automatically when the gate fails, and its selftest asserts an
-//! injected stall regression is attributed to the right bucket.
+//! prints after the diff when the gate fails, and its selftest asserts an
+//! injected stall change is attributed to the right bucket.
 
 use std::fmt::Write as _;
 
-use crate::diff::{diff, DeltaRow, Diff, Thresholds};
-use crate::json::{self, Fixed, ToJson, Value, Writer};
+use crate::diff::{diff, DeltaRow, Diff};
+use crate::json::{self, Fixed, Num, ToJson, Value, Writer};
 use crate::stall::{Bucket, BUCKETS};
 use crate::stream::Stream;
 
@@ -44,7 +46,7 @@ pub enum CauseKind {
     /// A page's protocol counters moved (`pages[page=…]`).
     Page,
     /// A migration gauge moved (`gauges.proto.*migrations`): chunks
-    /// changed home — a regression may be home-thrash rather than app
+    /// changed home — a slowdown may be home-thrash rather than app
     /// behavior.
     Migration,
     /// The series diverged in a specific time window.
@@ -75,9 +77,9 @@ pub struct Cause {
     /// Full diff path of the underlying row (empty for window causes).
     pub path: String,
     /// Baseline value.
-    pub before: f64,
+    pub before: Num,
     /// Candidate value.
-    pub after: f64,
+    pub after: Num,
     /// `after - before`.
     pub delta: f64,
     /// This cause's delta as a percentage of the finding's delta, when
@@ -85,15 +87,15 @@ pub struct Cause {
     pub share_pct: Option<f64>,
 }
 
-/// One regressed metric with its ranked causes.
+/// One changed headline metric with its ranked causes.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Diff path of the regressed metric.
+    /// Diff path of the changed metric.
     pub path: String,
     /// Baseline value.
-    pub before: f64,
+    pub before: Num,
     /// Candidate value.
-    pub after: f64,
+    pub after: Num,
     /// Relative change, percent.
     pub rel_pct: f64,
     /// Ranked explanations, best first.
@@ -103,7 +105,7 @@ pub struct Finding {
 /// The full attribution report.
 #[derive(Debug, Clone)]
 pub struct Explanation {
-    /// Regressed metrics, most severe first.
+    /// Changed headline metrics, largest `|delta|` first.
     pub findings: Vec<Finding>,
     /// Context notes (missing streams, no explanatory rows, …).
     pub notes: Vec<String>,
@@ -167,20 +169,16 @@ fn affinity(a: &str, b: &str) -> usize {
 }
 
 /// Compares the per-window stall mixes of two streams and reports the
-/// first window where a bucket's time deviates by more than
-/// `rel_pct` percent (with a small absolute floor to ignore jitter on
-/// near-empty windows).
-pub fn first_divergent_window(base: &Stream, cand: &Stream, rel_pct: f64) -> Option<Cause> {
-    const ABS_FLOOR_NS: f64 = 1_000.0;
+/// first window where a bucket's time differs.
+pub fn first_divergent_window(base: &Stream, cand: &Stream) -> Option<Cause> {
     let n = base.frames.len().max(cand.frames.len());
     let zero = [0u64; BUCKETS];
     for i in 0..n {
         let b = base.frames.get(i).map_or(zero, |f| f.stall_ns);
         let c = cand.frames.get(i).map_or(zero, |f| f.stall_ns);
         for bucket in Bucket::ALL {
-            let (x, y) = (b[bucket as usize] as f64, c[bucket as usize] as f64);
-            let dev = (y - x).abs();
-            if dev > ABS_FLOOR_NS && dev > x.max(1.0) * rel_pct / 100.0 {
+            let (x, y) = (b[bucket as usize], c[bucket as usize]);
+            if x != y {
                 let (s, e) = cand
                     .frames
                     .get(i)
@@ -195,9 +193,9 @@ pub fn first_divergent_window(base: &Stream, cand: &Stream, rel_pct: f64) -> Opt
                         if y > x { "grew" } else { "shrank" }
                     ),
                     path: String::new(),
-                    before: x,
-                    after: y,
-                    delta: y - x,
+                    before: x.into(),
+                    after: y.into(),
+                    delta: y as f64 - x as f64,
                     share_pct: None,
                 });
             }
@@ -206,39 +204,33 @@ pub fn first_divergent_window(base: &Stream, cand: &Stream, rel_pct: f64) -> Opt
     None
 }
 
-/// Builds the attribution report for a failing diff. `streams` optionally
-/// carries the baseline and candidate NDJSON series for window
+/// Builds the attribution report for two artifact trees. `streams`
+/// optionally carries the baseline and candidate NDJSON series for window
 /// attribution. `top` bounds both findings and causes-per-finding.
 pub fn explain(
     base: &Value,
     cand: &Value,
-    th: &Thresholds,
     streams: Option<(&Stream, &Stream)>,
     top: usize,
 ) -> Explanation {
-    let d = diff(base, cand, th);
-    explain_diff(&d, th, streams, top)
+    explain_diff(&diff(base, cand), streams, top)
 }
 
 /// [`explain`] over an already-computed diff.
-pub fn explain_diff(
-    d: &Diff,
-    th: &Thresholds,
-    streams: Option<(&Stream, &Stream)>,
-    top: usize,
-) -> Explanation {
+pub fn explain_diff(d: &Diff, streams: Option<(&Stream, &Stream)>, top: usize) -> Explanation {
     let mut notes = Vec::new();
-    // Findings: regressed rows that are not themselves explanatory
-    // signals (a stall bucket regressing is a cause, not a headline) —
-    // unless nothing else regressed.
+    // Findings: changed rows that are not themselves explanatory signals
+    // (a stall bucket that moved is a cause, not a headline) — unless
+    // nothing else changed.
     let mut findings: Vec<&DeltaRow> = d
-        .regressions()
+        .rows
+        .iter()
         .filter(|r| cause_kind(&r.path).is_none())
         .collect();
     if findings.is_empty() {
-        findings = d.regressions().collect();
+        findings = d.rows.iter().collect();
         if !findings.is_empty() {
-            notes.push("only explanatory-signal metrics regressed; reporting them directly".into());
+            notes.push("only explanatory-signal metrics changed; reporting them directly".into());
         }
     }
     findings.sort_by(|a, b| {
@@ -250,20 +242,18 @@ pub fn explain_diff(
     });
     findings.truncate(top);
 
-    let window_cause = streams.and_then(|(b, c)| first_divergent_window(b, c, th.rel_pct));
+    let window_cause = streams.and_then(|(b, c)| first_divergent_window(b, c));
     if streams.is_none() {
         notes.push("no series streams supplied; window attribution skipped".into());
     } else if window_cause.is_none() {
-        notes.push("series streams agree within tolerance in every window".into());
+        notes.push("series streams agree in every window".into());
     }
 
-    // Candidate causes: every changed explanatory row moving in the
-    // worse-for-the-finding direction (positive delta — all explanatory
-    // signals are time/count-valued where growth explains slowdown).
+    // Candidate causes: every changed explanatory row; each finding keeps
+    // those that moved with its own sign.
     let candidates: Vec<(&DeltaRow, CauseKind, String)> = d
         .rows
         .iter()
-        .filter(|r| r.delta > 0.0)
         .filter_map(|r| cause_kind(&r.path).map(|(k, n)| (r, k, n)))
         .collect();
     if candidates.is_empty() && !findings.is_empty() {
@@ -277,6 +267,7 @@ pub fn explain_diff(
         .map(|f| {
             let mut causes: Vec<(usize, Cause)> = candidates
                 .iter()
+                .filter(|(r, _, _)| r.delta * f.delta > 0.0)
                 .map(|(r, k, name)| {
                     let share_pct = (is_ns_leaf(&f.path) && is_ns_leaf(&r.path) && f.delta != 0.0)
                         .then(|| 100.0 * r.delta / f.delta);
@@ -286,8 +277,8 @@ pub fn explain_diff(
                             kind: *k,
                             name: name.clone(),
                             path: r.path.clone(),
-                            before: r.before,
-                            after: r.after,
+                            before: r.before.clone(),
+                            after: r.after.clone(),
                             delta: r.delta,
                             share_pct,
                         },
@@ -313,8 +304,8 @@ pub fn explain_diff(
             }
             Finding {
                 path: f.path.clone(),
-                before: f.before,
-                after: f.after,
+                before: f.before.clone(),
+                after: f.after.clone(),
                 rel_pct: f.rel_pct,
                 causes,
             }
@@ -327,17 +318,12 @@ pub fn explain_diff(
 }
 
 impl Explanation {
-    /// Whether anything regressed at all.
-    pub fn is_clean(&self) -> bool {
-        self.findings.is_empty()
-    }
-
     /// The ranked "why" report.
     pub fn render(&self, title: &str) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "=== explain: {title} ===");
         if self.findings.is_empty() {
-            let _ = writeln!(out, "no regressions to explain");
+            let _ = writeln!(out, "no changed numeric leaf to explain");
         }
         for (i, f) in self.findings.iter().enumerate() {
             let rel = if f.rel_pct.is_finite() {
@@ -350,8 +336,8 @@ impl Explanation {
                 "#{} {}: {} -> {} ({})",
                 i + 1,
                 f.path,
-                Fixed::or_int(f.before, 2),
-                Fixed::or_int(f.after, 2),
+                f.before,
+                f.after,
                 rel
             );
             if f.causes.is_empty() {
@@ -367,8 +353,8 @@ impl Explanation {
                     "   {:<9} {:<40} {:>14} -> {:<14} {:+}{share}",
                     c.kind.tag(),
                     c.name,
-                    Fixed::or_int(c.before, 2),
-                    Fixed::or_int(c.after, 2),
+                    c.before,
+                    c.after,
                     c.delta as i64
                 );
             }
@@ -390,13 +376,11 @@ impl ToJson for Explanation {
         w.obj().key("findings").arr();
         for f in &self.findings {
             w.obj().field("path", &f.path);
-            w.field("before", Fixed::or_int(f.before, 2))
-                .field("after", Fixed::or_int(f.after, 2));
+            w.field("before", &f.before).field("after", &f.after);
             w.key("causes").arr();
             for c in &f.causes {
                 w.obj().field("kind", c.kind.tag()).field("name", &c.name);
-                w.field("before", Fixed::or_int(c.before, 2))
-                    .field("after", Fixed::or_int(c.after, 2));
+                w.field("before", &c.before).field("after", &c.after);
                 w.field("share_pct", c.share_pct.map(|s| Fixed(s, 2))).end();
             }
             w.end().end();
@@ -425,11 +409,7 @@ mod tests {
     fn injected_stall_regression_is_attributed() {
         let base = doc(1_000_000, 400_000, 10_000);
         let cand = doc(1_500_000, 900_000, 10_000);
-        let th = Thresholds {
-            abs: 0.0,
-            rel_pct: 2.0,
-        };
-        let e = explain(&base, &cand, &th, None, 5);
+        let e = explain(&base, &cand, None, 5);
         assert_eq!(e.findings.len(), 1);
         assert_eq!(e.findings[0].path, "sim_time_ns");
         let first = &e.findings[0].causes[0];
@@ -452,11 +432,7 @@ mod tests {
             ))
             .unwrap()
         };
-        let th = Thresholds {
-            abs: 0.0,
-            rel_pct: 2.0,
-        };
-        let e = explain(&mk(1_000_000, 2), &mk(1_400_000, 40), &th, None, 5);
+        let e = explain(&mk(1_000_000, 2), &mk(1_400_000, 40), None, 5);
         assert_eq!(e.findings[0].path, "sim_time_ns");
         let migr: Vec<&str> = e.findings[0]
             .causes
@@ -479,11 +455,7 @@ mod tests {
             ))
             .unwrap()
         };
-        let th = Thresholds {
-            abs: 0.0,
-            rel_pct: 2.0,
-        };
-        let e = explain(&mk(1_000), &mk(2_000), &th, None, 5);
+        let e = explain(&mk(1_000), &mk(2_000), None, 5);
         assert_eq!(e.findings[0].path, "we\"ird\\key_ns");
         let v = json::parse(&e.to_json()).expect("explain JSON parses");
         let path = v
@@ -496,11 +468,28 @@ mod tests {
     #[test]
     fn clean_diff_explains_nothing() {
         let a = doc(1_000, 400, 10);
-        let th = Thresholds {
-            abs: 0.0,
-            rel_pct: 2.0,
+        let e = explain(&a, &a, None, 5);
+        assert!(e.findings.is_empty());
+    }
+
+    #[test]
+    fn an_improvement_is_a_finding_with_same_sign_causes() {
+        let mk = |sim: u64, compute: u64, barrier: u64| {
+            json::parse(&format!(
+                r#"{{"sim_time_ns": {sim},
+                    "stall": {{"totals": {{"compute": {compute}, "barrier_wait": {barrier}}}}}}}"#
+            ))
+            .unwrap()
         };
-        let e = explain(&a, &a, &th, None, 5);
-        assert!(e.is_clean());
+        let e = explain(&mk(1_000, 100, 400), &mk(800, 150, 150), None, 5);
+        assert_eq!(e.findings.len(), 1);
+        let f = &e.findings[0];
+        assert_eq!(f.path, "sim_time_ns");
+        assert_eq!(f.rel_pct, -20.0);
+        // barrier_wait fell with the run time; compute rose, so it is no
+        // cause of the fall.
+        let names: Vec<&str> = f.causes.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["barrier_wait"]);
+        assert_eq!(f.causes[0].share_pct, Some(125.0));
     }
 }

@@ -57,7 +57,7 @@ pub struct Fixed(pub f64, pub usize);
 
 impl Fixed {
     /// `x` as an integer when it is integral, otherwise with `places`
-    /// decimals: the number format of the diff and explain reports.
+    /// decimals: the number format of the diff report's deltas.
     pub fn or_int(x: f64, places: usize) -> Fixed {
         Fixed(x, if x.fract() == 0.0 { 0 } else { places })
     }
@@ -340,21 +340,76 @@ pub fn line_col(s: &str, byte: usize) -> (usize, usize) {
     (line, col)
 }
 
+/// A JSON number, kept as the token it was written as. The artifacts
+/// carry full-range `u64` digests, checksums and fingerprints, which an
+/// `f64` would round; a token loses nothing, and writing it back emits
+/// the same text.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Num(String);
+
+impl Num {
+    /// The number as an `f64` (rounded as any parse of the token is).
+    pub fn to_f64(&self) -> f64 {
+        self.0
+            .parse()
+            .expect("a validated JSON number parses as f64")
+    }
+
+    /// The number as a non-negative integer, if it is one exactly: an
+    /// integer token up to `u64::MAX`, or an integral `f64` token
+    /// (`3.0`, `1e3`) up to 2^53.
+    pub fn to_u64(&self) -> Option<u64> {
+        self.0.parse().ok().or_else(|| {
+            let x = self.to_f64();
+            (x >= 0.0 && x.fract() == 0.0 && x <= (1u64 << 53) as f64).then_some(x as u64)
+        })
+    }
+
+    /// The token as written.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl From<u64> for Num {
+    fn from(x: u64) -> Num {
+        Num(x.to_string())
+    }
+}
+
+impl From<f64> for Num {
+    /// `x` as `Display` prints it (no exponent); `x` must be finite.
+    fn from(x: f64) -> Num {
+        assert!(x.is_finite(), "json::Num from a non-finite f64");
+        Num(x.to_string())
+    }
+}
+
+impl fmt::Display for Num {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.pad(&self.0)
+    }
+}
+
+impl ToJson for Num {
+    fn write_json(&self, w: &mut Writer) {
+        w.push(self.0.clone(), false);
+    }
+}
+
 /// A parsed JSON value.
 ///
 /// Object members keep their document order (a `Vec` of pairs, not a
-/// map), so re-serializing a parsed document is deterministic and diffs
-/// walk both documents in a stable order. Numbers are `f64` — every
-/// quantity the artifacts carry (simulated nanoseconds, counts) is well
-/// inside the 2^53 exact-integer range.
+/// map), and numbers their tokens ([`Num`]), so writing a parsed document
+/// back reproduces it and diffs walk both documents in a stable order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number.
-    Num(f64),
+    /// Any JSON number, as its token.
+    Num(Num),
     /// A string (escapes decoded).
     Str(String),
     /// An array.
@@ -373,20 +428,19 @@ impl Value {
         }
     }
 
-    /// The number, if this is a number.
+    /// The number, if this is a number ([`Num::to_f64`]).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            Value::Num(n) => Some(*n),
+            Value::Num(n) => Some(n.to_f64()),
             _ => None,
         }
     }
 
-    /// The number as a non-negative integer, if it is one exactly.
+    /// The number as a non-negative integer, if it is one exactly
+    /// ([`Num::to_u64`]).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= (1u64 << 53) as f64 => {
-                Some(*n as u64)
-            }
+            Value::Num(n) => n.to_u64(),
             _ => None,
         }
     }
@@ -423,9 +477,8 @@ impl Value {
         }
     }
 
-    /// The value as one compact line ([`line`]). Integral numbers print
-    /// without a fraction, so a parse→write round trip of the
-    /// integer-only artifacts is lossless.
+    /// The value as one compact line ([`line`]). Numbers print as their
+    /// tokens, so a parse→write round trip is lossless.
     pub fn to_json(&self) -> String {
         line(self)
     }
@@ -551,11 +604,9 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => {
                 let start = self.i;
                 self.number()?;
-                let text = std::str::from_utf8(&self.b[start..self.i])
-                    .map_err(|_| format!("non-utf8 number at byte {start}"))?;
-                text.parse::<f64>()
-                    .map(Value::Num)
-                    .map_err(|_| format!("unparseable number at byte {start}"))
+                // `number` accepted ASCII digits, signs, `.` and `e` only.
+                let text = String::from_utf8_lossy(&self.b[start..self.i]);
+                Ok(Value::Num(Num(text.into_owned())))
             }
             _ => self.err("expected a JSON value"),
         }
@@ -859,6 +910,36 @@ mod tests {
             w.finish(),
             "{\"max\": 18446744073709551615, \"big\": 9007199254740993}\n"
         );
+    }
+
+    #[test]
+    fn numbers_keep_their_tokens() {
+        // Full-range u64s (a response digest here) are exact, and every
+        // token is written back as it was read.
+        for doc in [
+            "18446744073709551615",
+            "12559862624275433760",
+            "{\"digest\": 12559862624275433760, \"r\": 1.500, \"e\": 2.5e-3}\n",
+        ] {
+            let v = parse(doc).unwrap();
+            let back = if doc.ends_with('\n') {
+                pretty(&v)
+            } else {
+                v.to_json()
+            };
+            assert_eq!(back, doc);
+        }
+        assert_eq!(
+            parse("18446744073709551615").unwrap().as_u64(),
+            Some(u64::MAX)
+        );
+        let v = parse("12559862624275433760").unwrap();
+        assert_eq!(v.as_u64(), Some(12_559_862_624_275_433_760));
+        assert_ne!(v, parse("12559862624275433761").unwrap());
+        // Integral float tokens still read as integers; others do not.
+        assert_eq!(parse("3.0").unwrap().as_u64(), Some(3));
+        assert_eq!(parse("-1").unwrap().as_u64(), None);
+        assert_eq!(parse("2.5e-3").unwrap().as_f64(), Some(0.0025));
     }
 
     #[test]

@@ -566,14 +566,4 @@ mod tests {
         let d0 = delta(&empty_snapshot(), &s);
         assert!(!delta_is_empty(0, &d0));
     }
-
-    #[test]
-    fn env_override_parses() {
-        // Can't mutate the environment safely under the parallel test
-        // harness; exercise the parse path only.
-        assert_eq!(
-            "4096".trim().parse::<u64>().ok().filter(|&n| n > 0),
-            Some(4096)
-        );
-    }
 }

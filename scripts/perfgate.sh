@@ -1,36 +1,30 @@
 #!/usr/bin/env bash
-# Performance gate: regenerate the smoke-mode BENCH artifacts and diff
-# them against the committed snapshots in baselines/ with
-# `cablestat diff --gate`. The simulator is deterministic, so a clean
-# tree reproduces every baseline bit-for-bit; a metric that moves beyond
-# the tolerances in its regressing direction (see obs::diff) fails the
-# gate. Intentional changes are re-baselined with --rebase and the
-# refreshed baselines/ committed alongside the change.
+# Performance gate: regenerate the smoke-mode BENCH artifacts and compare
+# each with its committed snapshot in baselines/ byte for byte. The
+# simulator is deterministic, so a clean tree reproduces every baseline
+# exactly, and any difference fails the gate: a faster run, a changed
+# digest or a dropped leaf as much as a slower run. For each artifact
+# that differs the gate prints its report: `cablestat diff` (every
+# changed leaf, both exact values) and `cablestat explain` (each changed
+# headline metric with the stall, critical-path, kind and page rows that
+# moved with it). Intentional changes are re-baselined with --rebase and
+# the refreshed baselines/ committed alongside the change.
 #
 #   scripts/perfgate.sh              regenerate (smoke) + gate
-#   scripts/perfgate.sh --selftest   additionally prove the gate trips on
-#                                    an injected 1.5x sim_time_ns
-#                                    regression — and that
-#                                    `cablestat explain` attributes it to
-#                                    the inflated stall bucket — before
-#                                    gating for real
+#   scripts/perfgate.sh --selftest   first prove the gate trips on a copy
+#                                    of BENCH_obs_FFT.json with
+#                                    sim_time_ns and barrier_wait
+#                                    inflated 1.5x, and that
+#                                    `cablestat explain` blames the
+#                                    inflated stall bucket
 #   scripts/perfgate.sh --rebase     refresh baselines/ from a fresh
 #                                    smoke run (then commit them)
 #   scripts/perfgate.sh --no-regen   gate the artifacts already on disk
 #                                    (tier1 --smoke just produced them)
-#
-# When the real gate fails, `cablestat explain` runs automatically on
-# each regressed artifact and prints the ranked root-cause report.
-#
-# Tolerances: PERFGATE_ABS (absolute units, default 0) and PERFGATE_REL
-# (percent, default 2.0). A delta must exceed BOTH to be significant,
-# and only significant deltas in the worse direction gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 CARGO_FLAGS=${CARGO_FLAGS:---offline}
-ABS=${PERFGATE_ABS:-0}
-REL=${PERFGATE_REL:-2.0}
 
 source scripts/artifacts.sh
 BENCHES=("${GATE_BENCHES[@]}")
@@ -80,28 +74,29 @@ if (( rebase )); then
     exit 0
 fi
 
+# The gate: a gated artifact equals its baseline byte for byte.
+gate() { cmp -s "$1" "$2"; }
+
 if (( selftest )); then
-    echo "==> selftest: the gate must trip on an injected 1.5x sim_time_ns regression"
+    echo "==> selftest: the gate must trip on an injected 1.5x sim_time_ns change"
     tmp=$(mktemp)
     trap 'rm -f "$tmp"' EXIT
     # Inflate the run time AND the barrier_wait stall bucket: the gate
-    # must trip on the former, and explain must blame the latter.
+    # must trip, and explain must blame the latter for the former.
     "$CABLESTAT" inflate BENCH_obs_FFT.json "$tmp" sim_time_ns 1.5
     "$CABLESTAT" inflate "$tmp" "$tmp" barrier_wait 1.5
-    if "$CABLESTAT" diff baselines/BENCH_obs_FFT.json "$tmp" \
-            --abs "$ABS" --rel "$REL" --gate > /dev/null; then
-        echo "perfgate: SELFTEST FAILED — the injected regression passed the gate" >&2
+    if gate baselines/BENCH_obs_FFT.json "$tmp"; then
+        echo "perfgate: SELFTEST FAILED — the injected change passed the gate" >&2
         exit 1
     fi
-    echo "==> selftest: explain must attribute the regression to the inflated stall bucket"
+    echo "==> selftest: explain must attribute the change to the inflated stall bucket"
     if ! "$CABLESTAT" explain baselines/BENCH_obs_FFT.json "$tmp" \
-            --abs "$ABS" --rel "$REL" \
             | grep -A1 '^#[0-9]* sim_time_ns:' | grep 'stall' | grep -q 'barrier_wait'; then
-        echo "perfgate: SELFTEST FAILED — explain did not blame barrier_wait for the injected regression" >&2
-        "$CABLESTAT" explain baselines/BENCH_obs_FFT.json "$tmp" --abs "$ABS" --rel "$REL" >&2 || true
+        echo "perfgate: SELFTEST FAILED — explain did not blame barrier_wait for the injected change" >&2
+        "$CABLESTAT" explain baselines/BENCH_obs_FFT.json "$tmp" >&2 || true
         exit 1
     fi
-    echo "perfgate: selftest OK (injected regression caught and attributed)"
+    echo "perfgate: selftest OK (injected change caught and attributed)"
 fi
 
 status=0
@@ -112,16 +107,18 @@ for a in "${ARTIFACTS[@]}"; do
         status=1
         continue
     fi
-    echo "==> gate: $base vs $a (abs>$ABS rel>$REL%)"
-    if ! "$CABLESTAT" diff "$base" "$a" --abs "$ABS" --rel "$REL" --gate; then
+    echo "==> gate: $a = $base, byte for byte"
+    if ! gate "$base" "$a"; then
         status=1
-        echo "==> root cause: cablestat explain $base $a"
-        "$CABLESTAT" explain "$base" "$a" --abs "$ABS" --rel "$REL" || true
+        echo "==> $a differs from its baseline; what changed:"
+        "$CABLESTAT" diff "$base" "$a" || true
+        echo "==> why: cablestat explain $base $a"
+        "$CABLESTAT" explain "$base" "$a" || true
     fi
 done
 
 if (( status )); then
-    echo "perfgate: FAILED — regression(s) beyond tolerance; if intentional," >&2
+    echo "perfgate: FAILED — artifact(s) differ from baselines/; if intentional," >&2
     echo "perfgate: refresh with scripts/perfgate.sh --rebase and commit baselines/" >&2
 else
     echo "perfgate: OK"
