@@ -11,9 +11,9 @@
 //!   per-kind / per-node breakdowns and blame table);
 //! - `target/artifacts/stream_<kernel>.ndjson` — the online metric
 //!   series, written *during* the run as each window is cut (watch a
-//!   live run with `cablestat series stream_FFT.ndjson --follow`);
-//! - `BENCH_obs_stream.json` — streaming-path accounting per kernel
-//!   (frames, fold exactness), perfgate-tracked;
+//!   live run with `cablestat series stream_FFT.ndjson --follow`); its
+//!   window width and frame count are `series.sample_ns` and
+//!   `series.frames` in `BENCH_obs_<kernel>.json`;
 //! - `target/artifacts/trace_fft.json` — a Chrome-trace / Perfetto
 //!   timeline of the FFT run on an 8-node cluster, one process per node,
 //!   one track per simulated thread plus the NIC lane;
@@ -38,23 +38,12 @@ use obs::json::Value;
 use obs::series;
 use obs::{chrome, critpath, report, stall, Layer};
 
-/// One kernel's row in `BENCH_obs_stream.json`.
-struct StreamRow {
-    kernel: &'static str,
-    sample_ns: u64,
-    frames: usize,
-    windows: usize,
-    sim_time_ns: u64,
-    parallel_ns: u64,
-}
-
 fn main() {
     let smoke = smoke_mode();
     header(
         "obs_report: instrumented kernels, layer breakdown + live stream + Chrome trace",
         "no paper artifact; the observability layer's own report",
     );
-    let mut stream_rows: Vec<StreamRow> = Vec::new();
 
     for w in &OBS_KERNELS {
         let (off, _) = w.run(false, smoke, None);
@@ -188,14 +177,6 @@ fn main() {
                 .field("busiest_lane_ns", busiest);
             doc.field("critpath", &cp);
         });
-        stream_rows.push(StreamRow {
-            kernel: w.name,
-            sample_ns,
-            frames,
-            windows: rows.len(),
-            sim_time_ns: on.total_ns,
-            parallel_ns: on.parallel_ns,
-        });
 
         if w.name == "FFT" {
             let trace = chrome::export(&on.events);
@@ -225,22 +206,6 @@ fn main() {
         }
         println!();
     }
-
-    artifact("BENCH_obs_stream.json", "obs_stream", |doc| {
-        doc.key("kernels").arr();
-        for r in &stream_rows {
-            doc.obj()
-                .field("kernel", r.kernel)
-                .field("sample_ns", r.sample_ns);
-            doc.field("frames", r.frames)
-                .field("windows", r.windows)
-                .field("fold_exact", true);
-            doc.field("sim_time_ns", r.sim_time_ns)
-                .field("parallel_ns", r.parallel_ns)
-                .end();
-        }
-        doc.end();
-    });
 
     println!("determinism: every kernel produced identical SimTime with the");
     println!("observability layer (and the streaming series) on and off, and");

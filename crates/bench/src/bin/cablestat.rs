@@ -8,14 +8,6 @@
 //! cablestat diff A B [--json]     every changed leaf between two
 //!                                 artifacts, with both exact values (the
 //!                                 perf gate's failure report)
-//! cablestat explain A B [OPTS]    attribute a diff: join each changed
-//!                                 headline metric against the stall-
-//!                                 bucket, critpath, kind, and page deltas
-//!                                 that moved with it
-//!     --top N       findings/causes per finding to show (default 5)
-//!     --streams X Y baseline + candidate NDJSON series for time-window
-//!                   attribution
-//!     --json        emit the report as JSON
 //! cablestat series STREAM [OPTS]  fold a stream into the windowed table
 //!                                 (stall mix, protocol counters,
 //!                                 per-window latency percentiles) and
@@ -41,10 +33,6 @@
 //! not resolve as given are looked up under DIR (default `.`; `series`
 //! defaults to `target/artifacts`, where the exporters write).
 //!
-//! Artifacts that predate the `cablestat` binary draw a staleness
-//! warning — a `BENCH_*.json` older than the tool that should have
-//! regenerated it usually means a forgotten bench run.
-//!
 //! Exit codes: 0 ok, 1 unreadable or invalid artifact / fold divergence,
 //! 2 usage.
 
@@ -52,7 +40,6 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use obs::diff::diff;
-use obs::explain::explain_diff;
 use obs::json::{line_col, parse, pretty, Num, Value, Writer};
 use obs::series::windowed_table;
 use obs::stream::{parse_stream, Stream};
@@ -65,13 +52,12 @@ fn main() -> ExitCode {
     match cmd {
         Some("print") => cmd_print(&args[1..], dir.as_deref().unwrap_or(".")),
         Some("diff") => cmd_diff(&args[1..], dir.as_deref().unwrap_or(".")),
-        Some("explain") => cmd_explain(&args[1..], dir.as_deref().unwrap_or(".")),
         Some("series") => cmd_series(&args[1..], dir.as_deref().unwrap_or("target/artifacts")),
         Some("check") => cmd_check(&args[1..], dir.as_deref().unwrap_or(".")),
         Some("inflate") => cmd_inflate(&args[1..], dir.as_deref().unwrap_or(".")),
         _ => {
             eprintln!(
-                "usage: cablestat print FILE\n       cablestat diff A B [--json]\n       cablestat explain A B [--top N] [--streams X Y] [--json]\n       cablestat series STREAM [--follow] [--json]\n       cablestat check FILE...\n       cablestat inflate FILE OUT KEY FACTOR\n       (all subcommands: --dir DIR to resolve relative FILEs)"
+                "usage: cablestat print FILE\n       cablestat diff A B [--json]\n       cablestat series STREAM [--follow] [--json]\n       cablestat check FILE...\n       cablestat inflate FILE OUT KEY FACTOR\n       (all subcommands: --dir DIR to resolve relative FILEs)"
             );
             ExitCode::from(2)
         }
@@ -99,49 +85,10 @@ fn resolve(dir: &str, path: &str) -> PathBuf {
     Path::new(dir).join(p)
 }
 
-/// Whether `path` deserves a staleness warning: a regenerable artifact
-/// (`BENCH_*` / `stream_*`, but not a committed baseline — those are
-/// historical by design) whose mtime predates the tool's.
-fn is_stale(
-    path: &Path,
-    artifact_mtime: std::time::SystemTime,
-    exe_mtime: std::time::SystemTime,
-) -> bool {
-    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-    if !(name.starts_with("BENCH_") || name.starts_with("stream_")) {
-        return false;
-    }
-    if path.components().any(|c| c.as_os_str() == "baselines") {
-        return false;
-    }
-    artifact_mtime < exe_mtime
-}
-
-/// Warns when a generated artifact is older than this binary: the tool
-/// that regenerates `BENCH_*` / `stream_*` artifacts was rebuilt after
-/// the artifact was written, so the artifact may describe old code.
-fn warn_if_stale(path: &Path) {
-    let (Ok(artifact), Ok(exe)) = (
-        path.metadata().and_then(|m| m.modified()),
-        std::env::current_exe()
-            .and_then(|e| e.metadata())
-            .and_then(|m| m.modified()),
-    ) else {
-        return;
-    };
-    if is_stale(path, artifact, exe) {
-        eprintln!(
-            "cablestat: warning: {} predates this binary — regenerate it (scripts/perfgate.sh or the owning bench)",
-            path.display()
-        );
-    }
-}
-
 /// Reads and parses one artifact; parse errors are reported as
 /// `path:line:col`.
 fn load(path: &Path) -> Result<Value, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    warn_if_stale(path);
     parse(&text).map_err(|e| located(path, &text, &e))
 }
 
@@ -158,7 +105,6 @@ fn located(path: &Path, text: &str, err: &str) -> String {
 
 fn load_stream(path: &Path) -> Result<Stream, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    warn_if_stale(path);
     parse_stream(&text).map_err(|e| format!("{}:{e}", path.display()))
 }
 
@@ -315,115 +261,35 @@ fn cmd_print(args: &[String], dir: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Splits `args` into file operands and the `--json` switch; any other
-/// flag is a usage error.
-fn files_and_json<'a>(cmd: &str, args: &'a [String]) -> Result<(Vec<&'a str>, bool), ExitCode> {
+fn cmd_diff(args: &[String], dir: &str) -> ExitCode {
     let mut files = Vec::new();
     let mut as_json = false;
     for a in args {
         match a.as_str() {
             "--json" => as_json = true,
             f if f.starts_with("--") => {
-                eprintln!("cablestat {cmd}: unknown flag {f}");
-                return Err(ExitCode::from(2));
+                eprintln!("cablestat diff: unknown flag {f}");
+                return ExitCode::from(2);
             }
-            f => files.push(f),
+            f => files.push(resolve(dir, f)),
         }
     }
-    Ok((files, as_json))
-}
-
-/// Resolves and loads the two artifacts a `diff` or `explain` compares,
-/// with the title its report carries.
-fn load_pair(cmd: &str, dir: &str, files: &[&str]) -> Result<(String, Value, Value), ExitCode> {
-    let [a_path, b_path] = files else {
-        eprintln!("cablestat {cmd}: need exactly two files");
-        return Err(ExitCode::from(2));
+    let [a_path, b_path] = &files[..] else {
+        eprintln!("cablestat diff: need exactly two files");
+        return ExitCode::from(2);
     };
-    let (a_path, b_path) = (resolve(dir, a_path), resolve(dir, b_path));
-    match (load(&a_path), load(&b_path)) {
-        (Ok(a), Ok(b)) => Ok((
-            format!("{} -> {}", a_path.display(), b_path.display()),
-            a,
-            b,
-        )),
+    let d = match (load(a_path), load(b_path)) {
+        (Ok(a), Ok(b)) => diff(&a, &b),
         (Err(e), _) | (_, Err(e)) => {
             eprintln!("cablestat: {e}");
-            Err(ExitCode::FAILURE)
+            return ExitCode::FAILURE;
         }
-    }
-}
-
-fn cmd_diff(args: &[String], dir: &str) -> ExitCode {
-    let (files, as_json) = match files_and_json("diff", args) {
-        Ok(x) => x,
-        Err(code) => return code,
     };
-    let (title, a, b) = match load_pair("diff", dir, &files) {
-        Ok(x) => x,
-        Err(code) => return code,
-    };
-    let d = diff(&a, &b);
     if as_json {
         print!("{}", d.to_json());
     } else {
+        let title = format!("{} -> {}", a_path.display(), b_path.display());
         print!("{}", d.render(&title));
-    }
-    ExitCode::SUCCESS
-}
-
-fn cmd_explain(args: &[String], dir: &str) -> ExitCode {
-    // Consume value-taking flags before the generic split.
-    let mut args = args.to_vec();
-    let mut top = 5usize;
-    let mut streams: Option<(String, String)> = None;
-    if let Some(i) = args.iter().position(|a| a == "--top") {
-        let Some(v) = args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) else {
-            eprintln!("cablestat explain: --top needs a count");
-            return ExitCode::from(2);
-        };
-        top = v.max(1);
-        args.drain(i..=i + 1);
-    }
-    if let Some(i) = args.iter().position(|a| a == "--streams") {
-        if i + 2 >= args.len() {
-            eprintln!("cablestat explain: --streams needs two files");
-            return ExitCode::from(2);
-        }
-        streams = Some((args[i + 1].clone(), args[i + 2].clone()));
-        args.drain(i..=i + 2);
-    }
-    let (files, as_json) = match files_and_json("explain", &args) {
-        Ok(x) => x,
-        Err(code) => return code,
-    };
-    let (title, a, b) = match load_pair("explain", dir, &files) {
-        Ok(x) => x,
-        Err(code) => return code,
-    };
-    let parsed_streams = match &streams {
-        Some((x, y)) => {
-            let sx = resolve("target/artifacts", x);
-            let sy = resolve("target/artifacts", y);
-            match (load_stream(&sx), load_stream(&sy)) {
-                (Ok(sx), Ok(sy)) => Some((sx, sy)),
-                (Err(e), _) | (_, Err(e)) => {
-                    eprintln!("cablestat: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        None => None,
-    };
-    let e = explain_diff(
-        &diff(&a, &b),
-        parsed_streams.as_ref().map(|(x, y)| (x, y)),
-        top,
-    );
-    if as_json {
-        print!("{}", e.to_json());
-    } else {
-        print!("{}", e.render(&title));
     }
     ExitCode::SUCCESS
 }
@@ -635,38 +501,4 @@ fn cmd_inflate(args: &[String], dir: &str) -> ExitCode {
         src.display()
     );
     ExitCode::SUCCESS
-}
-
-#[cfg(test)]
-mod tests {
-    use std::time::{Duration, SystemTime};
-
-    use super::is_stale;
-
-    #[test]
-    fn stale_warning_fires_only_for_old_regenerable_artifacts() {
-        let exe = SystemTime::UNIX_EPOCH + Duration::from_secs(1_000);
-        let older = exe - Duration::from_secs(10);
-        let newer = exe + Duration::from_secs(10);
-        let p = |s: &str| std::path::Path::new(s).to_path_buf();
-
-        // A bench artifact older than the tool is stale; fresher is not.
-        assert!(is_stale(&p("BENCH_service.json"), older, exe));
-        assert!(!is_stale(&p("BENCH_service.json"), newer, exe));
-        // Streams (the live NDJSON exports) follow the same rule.
-        assert!(is_stale(
-            &p("target/artifacts/stream_service.ndjson"),
-            older,
-            exe
-        ));
-        assert!(!is_stale(
-            &p("target/artifacts/stream_service.ndjson"),
-            newer,
-            exe
-        ));
-        // Committed baselines are historical by design: never stale.
-        assert!(!is_stale(&p("baselines/BENCH_service.json"), older, exe));
-        // Files cablestat does not regenerate are exempt.
-        assert!(!is_stale(&p("trace_fft.json"), older, exe));
-    }
 }

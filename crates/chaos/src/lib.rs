@@ -201,15 +201,6 @@ impl ChaosEngine {
         &self.plan.crashes
     }
 
-    /// The crash time of `node`, if the plan crashes it.
-    pub fn crash_time(&self, node: u32) -> Option<u64> {
-        self.plan
-            .crashes
-            .iter()
-            .find(|&&(n, _)| n == node)
-            .map(|&(_, at)| at)
-    }
-
     /// Whether `node` has crashed by simulated time `now_ns`.
     #[inline]
     pub fn crashed(&self, node: u32, now_ns: u64) -> bool {
@@ -429,7 +420,6 @@ mod tests {
     fn crash_times_sorted_and_queryable() {
         let ch = ChaosEngine::new(1, FaultPlan::new().crash(3, 500).crash(1, 100));
         assert_eq!(ch.crash_times(), &[(1, 100), (3, 500)]);
-        assert_eq!(ch.crash_time(3), Some(500));
         assert!(ch.crashed(1, 100));
         assert!(!ch.crashed(1, 99));
         assert!(!ch.crashed(2, u64::MAX));

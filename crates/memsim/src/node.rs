@@ -818,37 +818,6 @@ impl ClusterMem {
         Ok(())
     }
 
-    /// Writes `data` starting at `addr`, one page run at a time.
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first faulting page; bytes before the fault have
-    /// already been written.
-    pub fn write_slice(&self, node: NodeId, addr: GAddr, data: &[u8]) -> Result<(), Fault> {
-        let mut done = 0;
-        while done < data.len() {
-            let n = self.write_page_run(node, addr + done as u64, &data[done..])?;
-            done += n;
-        }
-        Ok(())
-    }
-
-    /// Sets `len` bytes starting at `addr` to `byte`, one page run at a
-    /// time.
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first faulting page; bytes before the fault have
-    /// already been filled.
-    pub fn fill(&self, node: NodeId, addr: GAddr, byte: u8, len: u64) -> Result<(), Fault> {
-        let mut done = 0u64;
-        while done < len {
-            let n = self.fill_page_run(node, addr + done, byte, (len - done) as usize)?;
-            done += n as u64;
-        }
-        Ok(())
-    }
-
     /// Copies bytes out of a physical frame (NIC DMA read path).
     pub fn frame_read(&self, frame: FrameId, offset: usize, out: &mut [u8]) {
         let n = self.shard_must(frame.node).lock();
@@ -1366,7 +1335,12 @@ mod tests {
         // A write that straddles all three pages.
         let base = GAddr::new(100);
         let data: Vec<u8> = (0..2 * PAGE_SIZE as usize + 500).map(|i| i as u8).collect();
-        m.write_slice(NodeId(0), base, &data).unwrap();
+        let mut done = 0;
+        while done < data.len() {
+            done += m
+                .write_page_run(NodeId(0), base + done as u64, &data[done..])
+                .unwrap();
+        }
         let mut back = vec![0u8; data.len()];
         m.read_slice(NodeId(0), base, &mut back).unwrap();
         assert_eq!(back, data);
@@ -1397,7 +1371,11 @@ mod tests {
             m.map_page(NodeId(0), PageNum::new(p), f, Prot::ReadWrite);
         }
         let base = GAddr::new(PAGE_SIZE - 17);
-        m.fill(NodeId(0), base, 0x5A, 40).unwrap();
+        // Two runs: 17 bytes to the end of page 0, then 23 on page 1.
+        let n = m.fill_page_run(NodeId(0), base, 0x5A, 40).unwrap();
+        assert_eq!(n, 17);
+        m.fill_page_run(NodeId(0), base + n as u64, 0x5A, 40 - n)
+            .unwrap();
         for i in 0..40u64 {
             assert_eq!(m.read_scalar::<u8>(NodeId(0), base + i).unwrap(), 0x5A);
         }

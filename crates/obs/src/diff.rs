@@ -390,6 +390,23 @@ mod tests {
     }
 
     #[test]
+    fn section_for_tags_stall_critpath_kind_and_headline_paths() {
+        for (path, section) in [
+            ("stall.threads[node=0,track=3].barrier_wait", "stall"),
+            ("stall.slices[start_ns=5].barrier_wait", "stall"),
+            ("series.windows[start_ns=5].stall_ns.barrier_wait", "stall"),
+            ("critpath.blame[kind=lock_handoff].total_ns", "critpath"),
+            (
+                "snapshot.kinds[name=proto.fault_handling].total_ns",
+                "kinds",
+            ),
+            ("sim_time_ns", "other"),
+        ] {
+            assert_eq!(section_for(path), section, "{path}");
+        }
+    }
+
+    #[test]
     fn arrays_match_by_identity_key() {
         let a = parse(
             r#"{"kernels": [{"kernel": "FFT", "faults": 10}, {"kernel": "RADIX", "faults": 5}]}"#,

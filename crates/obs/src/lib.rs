@@ -26,6 +26,12 @@
 //! from the recording path, so the file too is a pure function of the
 //! program.
 //!
+//! Analyses: [`stall`] partitions each thread's lifetime into stall
+//! buckets, [`critpath`] finds the longest causal chain, [`sharing`]
+//! ranks pages by cross-node traffic, and [`diff`] lists every changed
+//! leaf between two artifacts, each row tagged with its section — the
+//! perf gate's one change report.
+//!
 //! # Examples
 //!
 //! ```
@@ -58,7 +64,6 @@ pub mod chrome;
 pub mod critpath;
 pub mod diff;
 mod event;
-pub mod explain;
 pub mod json;
 mod metrics;
 pub mod report;
@@ -303,12 +308,6 @@ impl ObsSink {
         self.next_boundary.store(sample_ns, Ordering::Relaxed);
     }
 
-    /// Whether a series is running (one relaxed load).
-    #[inline]
-    pub fn series_on(&self) -> bool {
-        self.sample_ns.load(Ordering::Relaxed) != 0
-    }
-
     /// Advances the series clock to `now`: cuts the pending window(s) if
     /// `now` crossed a boundary. Cheap when no series is running or the
     /// boundary is far (two relaxed loads, no lock) — instrumented code
@@ -446,7 +445,7 @@ mod tests {
         sink.gauge_set("g", 7);
         let summary = sink.series_finish(400).expect("series was running");
         assert!(summary.error.is_none());
-        assert!(!sink.series_on());
+        assert!(sink.series_finish(400).is_none(), "the series stopped");
         let s = buf.stream();
         assert_eq!(s.frames.len() as u64, summary.frames);
         assert_eq!(s.frames.len(), 3, "empty window emits no frame");

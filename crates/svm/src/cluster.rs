@@ -170,11 +170,6 @@ impl Cluster {
     pub fn cpus_per_node(&self) -> usize {
         self.cpus_per_node
     }
-
-    /// Total processors in the cluster.
-    pub fn total_cpus(&self) -> usize {
-        self.nodes.len() * self.cpus_per_node
-    }
 }
 
 #[cfg(test)]
@@ -185,7 +180,7 @@ mod tests {
     fn build_paper_cluster() {
         let c = Cluster::build(ClusterConfig::paper());
         assert_eq!(c.nodes().len(), 16);
-        assert_eq!(c.total_cpus(), 32);
+        assert_eq!(c.cpus_per_node(), 2);
         assert_eq!(c.engine.cpu_count(c.nodes()[0]), 2);
     }
 
@@ -193,7 +188,7 @@ mod tests {
     fn small_cluster_overrides_size() {
         let c = Cluster::build(ClusterConfig::small(2, 1));
         assert_eq!(c.nodes().len(), 2);
-        assert_eq!(c.total_cpus(), 2);
+        assert_eq!(c.cpus_per_node(), 1);
     }
 
     #[test]

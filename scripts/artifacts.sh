@@ -10,9 +10,9 @@ BENCH_TARGETS=(table3 table4 table5 table6 fig5 ablations obs_report
 # Artifacts gated against baselines/ (smoke-mode snapshots), and the
 # benches whose smoke run rewrites them.
 GATE_BENCHES=(obs_report chaos_soak ablations service_bench table4 table5)
-GATED_ARTIFACTS=(BENCH_obs_FFT.json BENCH_obs_RADIX.json BENCH_obs_stream.json
-                 BENCH_chaos.json BENCH_ablations.json BENCH_service.json
-                 BENCH_table4.json BENCH_table5.json)
+GATED_ARTIFACTS=(BENCH_obs_FFT.json BENCH_obs_RADIX.json BENCH_chaos.json
+                 BENCH_ablations.json BENCH_service.json BENCH_table4.json
+                 BENCH_table5.json)
 
 # NDJSON metric streams the obs_report, chaos_soak and service_bench runs
 # leave in target/artifacts.

@@ -4,19 +4,19 @@
 # simulator is deterministic, so a clean tree reproduces every baseline
 # exactly, and any difference fails the gate: a faster run, a changed
 # digest or a dropped leaf as much as a slower run. For each artifact
-# that differs the gate prints its report: `cablestat diff` (every
-# changed leaf, both exact values) and `cablestat explain` (each changed
-# headline metric with the stall, critical-path, kind and page rows that
-# moved with it). Intentional changes are re-baselined with --rebase and
-# the refreshed baselines/ committed alongside the change.
+# that differs the gate prints its report, `cablestat diff`: every
+# changed leaf with both exact values, tagged with its section (stall,
+# critpath, kinds, pages, ...). Intentional changes are re-baselined
+# with --rebase and the refreshed baselines/ committed alongside the
+# change.
 #
 #   scripts/perfgate.sh              regenerate (smoke) + gate
 #   scripts/perfgate.sh --selftest   first prove the gate trips on a copy
 #                                    of BENCH_obs_FFT.json with
 #                                    sim_time_ns and barrier_wait
-#                                    inflated 1.5x, and that
-#                                    `cablestat explain` blames the
-#                                    inflated stall bucket
+#                                    inflated 1.5x, and that its
+#                                    `cablestat diff` report carries
+#                                    both inflated rows
 #   scripts/perfgate.sh --rebase     refresh baselines/ from a fresh
 #                                    smoke run (then commit them)
 #   scripts/perfgate.sh --no-regen   gate the artifacts already on disk
@@ -82,21 +82,23 @@ if (( selftest )); then
     tmp=$(mktemp)
     trap 'rm -f "$tmp"' EXIT
     # Inflate the run time AND the barrier_wait stall bucket: the gate
-    # must trip, and explain must blame the latter for the former.
+    # must trip, and the report must name both changed leaves.
     "$CABLESTAT" inflate BENCH_obs_FFT.json "$tmp" sim_time_ns 1.5
     "$CABLESTAT" inflate "$tmp" "$tmp" barrier_wait 1.5
     if gate baselines/BENCH_obs_FFT.json "$tmp"; then
         echo "perfgate: SELFTEST FAILED — the injected change passed the gate" >&2
         exit 1
     fi
-    echo "==> selftest: explain must attribute the change to the inflated stall bucket"
-    if ! "$CABLESTAT" explain baselines/BENCH_obs_FFT.json "$tmp" \
-            | grep -A1 '^#[0-9]* sim_time_ns:' | grep 'stall' | grep -q 'barrier_wait'; then
-        echo "perfgate: SELFTEST FAILED — explain did not blame barrier_wait for the injected change" >&2
-        "$CABLESTAT" explain baselines/BENCH_obs_FFT.json "$tmp" >&2 || true
-        exit 1
-    fi
-    echo "perfgate: selftest OK (injected change caught and attributed)"
+    echo "==> selftest: the diff report must carry both inflated rows"
+    report=$("$CABLESTAT" diff baselines/BENCH_obs_FFT.json "$tmp")
+    for row in 'sim_time_ns \[other\]' 'stall\.totals\.barrier_wait \[stall\]'; do
+        if ! grep -qE "^$row " <<< "$report"; then
+            echo "perfgate: SELFTEST FAILED — the diff report has no row matching ^$row" >&2
+            echo "$report" >&2
+            exit 1
+        fi
+    done
+    echo "perfgate: selftest OK (injected change caught and reported)"
 fi
 
 status=0
@@ -112,8 +114,6 @@ for a in "${ARTIFACTS[@]}"; do
         status=1
         echo "==> $a differs from its baseline; what changed:"
         "$CABLESTAT" diff "$base" "$a" || true
-        echo "==> why: cablestat explain $base $a"
-        "$CABLESTAT" explain "$base" "$a" || true
     fi
 done
 

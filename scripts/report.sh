@@ -31,11 +31,10 @@
 #                         causal edges render as Perfetto flow arrows)
 #   target/artifacts/stall_{FFT,RADIX}.collapsed
 #                         collapsed-stack stall exports for flamegraphs
-#   BENCH_obs_stream.json + target/artifacts/stream_*.ndjson
+#   target/artifacts/stream_*.ndjson
 #                         live NDJSON metric streams captured during the
-#                         obs and chaos runs, plus their fold summary
-#                         (replay with `cablestat series`, live
-#                         with `--follow`)
+#                         obs and chaos runs (replay and fold-check with
+#                         `cablestat series`, live with `--follow`)
 #
 # The obs and diff-batching runs execute each kernel twice (bus off, then on) and
 # assert the simulated result is bit-identical, so a successful exit also
