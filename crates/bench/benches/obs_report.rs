@@ -3,12 +3,12 @@
 //!
 //! - `BENCH_obs_<kernel>.json` — simulated time broken down by layer
 //!   (san / vmmc / proto / sync / rt / sched) per node, plus the full
-//!   metric snapshot (kind latencies, page activity, gauges), the
-//!   per-thread stall profile (`obs::stall`), the windowed metric series
-//!   (`obs::series`), the top-10 page-sharing ranking (`obs::sharing`)
-//!   and the critical path (`obs::critpath`: the longest cause→effect
-//!   chain from program start to the last join, with its per-layer /
-//!   per-kind / per-node breakdowns and blame table);
+//!   metric snapshot (kind latencies, page activity with each page's
+//!   sharers, diffed bytes and fetch waits, gauges), the per-thread
+//!   stall profile (`obs::stall`), the windowed metric series
+//!   (`obs::series`) and the critical path (`obs::critpath`: the longest
+//!   cause→effect chain from program start to the last join, with its
+//!   per-layer / per-kind / per-node breakdowns and blame table);
 //! - `target/artifacts/stream_<kernel>.ndjson` — the online metric
 //!   series, written *during* the run as each window is cut (watch a
 //!   live run with `cablestat series stream_FFT.ndjson --follow`); its
@@ -70,10 +70,7 @@ fn main() {
             w.name
         );
 
-        println!(
-            "{}",
-            report::full_report_with_events(w.name, &on.snapshot, &on.events)
-        );
+        println!("{}", report::full_report(w.name, &on.snapshot));
 
         // The stream was read back: grammar-valid, frames fold
         // exactly to the embedded final snapshot.
@@ -151,9 +148,7 @@ fn main() {
 
         // The `BENCH_obs_<kernel>.json` document: run identity, per-layer
         // totals, the embedded metric snapshot, the per-thread stall
-        // profile, the windowed series, the top-10 sharing ranking and
-        // the critical path.
-        let sharing = obs::sharing::analyze(&on.snapshot, &on.events).top(10);
+        // profile, the windowed series and the critical path.
         artifact(&format!("BENCH_obs_{}.json", w.name), "obs_report", |doc| {
             doc.field("kernel", w.name).field("mode", "cables");
             doc.field("procs", w.procs)
@@ -166,13 +161,13 @@ fn main() {
                 doc.field(l.name(), on.snapshot.layer_total_ns(l));
             }
             doc.end()
-                .field("snapshot", on.snapshot.to_value())
+                .field("snapshot", &on.snapshot)
                 .field("stall", &profile);
             doc.key("series")
                 .obj()
                 .field("sample_ns", sample_ns)
                 .field("frames", frames);
-            doc.field("windows", &rows).end().field("sharing", &sharing);
+            doc.field("windows", &rows).end();
             doc.field("causal_edges", edges)
                 .field("busiest_lane_ns", busiest);
             doc.field("critpath", &cp);

@@ -42,6 +42,7 @@ use std::process::ExitCode;
 use obs::diff::diff;
 use obs::json::{line_col, parse, pretty, Num, Value, Writer};
 use obs::series::windowed_table;
+use obs::stall::StallProfile;
 use obs::stream::{parse_stream, Stream};
 use obs::{report, MetricsSnapshot};
 
@@ -108,7 +109,7 @@ fn load_stream(path: &Path) -> Result<Stream, String> {
     parse_stream(&text).map_err(|e| format!("{}:{e}", path.display()))
 }
 
-/// A snapshot-shaped object (the `MetricsSnapshot::to_json` fields).
+/// A snapshot-shaped object (the members `MetricsSnapshot` writes).
 fn is_snapshot(v: &Value) -> bool {
     ["dropped_events", "nodes", "kinds", "hists"]
         .iter()
@@ -155,49 +156,6 @@ fn find<'a>(label: &str, v: &'a Value, is: fn(&Value) -> bool, out: &mut Vec<(St
     }
 }
 
-fn render_stall_value(title: &str, v: &Value) -> Option<String> {
-    use std::fmt::Write as _;
-    let threads = v.get("threads")?.as_arr()?;
-    let buckets: Vec<&str> = v
-        .get("totals")?
-        .as_obj()?
-        .iter()
-        .map(|(k, _)| k.as_str())
-        .collect();
-    let mut out = String::new();
-    let _ = writeln!(out, "=== {title}: per-thread stall profile ===");
-    let _ = write!(out, "{:<10} {:>12}", "thread", "lifetime");
-    for b in &buckets {
-        let short: String = b.chars().take(6).collect();
-        let _ = write!(out, " {:>6}", short);
-    }
-    let _ = writeln!(out);
-    let _ = writeln!(out, "{}", "-".repeat(23 + 7 * buckets.len()));
-    let mut row = |label: &str, src: &Value, life: u64| {
-        let _ = write!(out, "{:<10} {:>12}", label, life);
-        for b in &buckets {
-            let v = src.get(b).and_then(|x| x.as_u64()).unwrap_or(0);
-            let pct = if life == 0 {
-                0.0
-            } else {
-                100.0 * v as f64 / life as f64
-            };
-            let _ = write!(out, " {:>5.1}%", pct);
-        }
-        let _ = writeln!(out);
-    };
-    for t in threads {
-        let node = t.get("node").and_then(|x| x.as_u64()).unwrap_or(0);
-        let track = t.get("track").and_then(|x| x.as_u64()).unwrap_or(0);
-        let s = t.get("start_ns").and_then(|x| x.as_u64()).unwrap_or(0);
-        let e = t.get("end_ns").and_then(|x| x.as_u64()).unwrap_or(0);
-        row(&format!("n{node}/t{track}"), t, e.saturating_sub(s));
-    }
-    let life = v.get("lifetime_ns").and_then(|x| x.as_u64()).unwrap_or(0);
-    row("total", v.get("totals")?, life);
-    Some(out)
-}
-
 fn cmd_print(args: &[String], dir: &str) -> ExitCode {
     let Some(path) = args.first() else {
         eprintln!("cablestat print: missing FILE");
@@ -211,18 +169,20 @@ fn cmd_print(args: &[String], dir: &str) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let title = |label: &str| {
+        if label.is_empty() {
+            path.display().to_string()
+        } else {
+            label.to_string()
+        }
+    };
+    let mut printed = false;
     let mut snaps = Vec::new();
     find("", &v, is_snapshot, &mut snaps);
-    let mut printed = false;
     for (label, sv) in &snaps {
         match MetricsSnapshot::from_value(sv) {
             Ok(s) => {
-                let title = if label.is_empty() {
-                    path.display().to_string()
-                } else {
-                    label.clone()
-                };
-                println!("{}", report::full_report(&title, &s));
+                println!("{}", report::full_report(&title(label), &s));
                 printed = true;
             }
             Err(e) => eprintln!("cablestat: {}: snapshot at `{label}`: {e}", path.display()),
@@ -231,14 +191,15 @@ fn cmd_print(args: &[String], dir: &str) -> ExitCode {
     let mut stalls = Vec::new();
     find("", &v, is_stall, &mut stalls);
     for (label, sv) in &stalls {
-        let title = if label.is_empty() {
-            path.display().to_string()
-        } else {
-            label.clone()
-        };
-        if let Some(t) = render_stall_value(&title, sv) {
-            println!("{t}");
-            printed = true;
+        match StallProfile::from_value(sv) {
+            Ok(p) => {
+                println!("{}", p.render(&title(label)));
+                printed = true;
+            }
+            Err(e) => eprintln!(
+                "cablestat: {}: stall profile at `{label}`: {e}",
+                path.display()
+            ),
         }
     }
     if !printed {

@@ -11,7 +11,7 @@
 //! | `table6` | OpenMP SPLASH-2 speedups |
 //! | `fig5`   | SPLASH-2 M4 vs M4-on-pthreads execution times, and Fig. 6's misplaced-page percentages from the same CableS runs |
 //! | `ablations` | design-choice ablations (granularity, write-through, NIC pressure, barriers, migration, diff batching, affinity placement) |
-//! | `obs_report` | layer breakdown, stall profile, series, sharing and critical path of two instrumented kernels |
+//! | `obs_report` | layer breakdown, page ranking, stall profile, series and critical path of two instrumented kernels |
 //! | `chaos_soak` | kernels under escalating fault injection |
 //! | `service_bench` | the sharded KV service under generated traffic |
 //!

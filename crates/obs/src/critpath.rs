@@ -18,8 +18,8 @@
 //!
 //! The walk only ever stands on thread lanes: the SAN's NIC→NIC message
 //! edges ([`EdgeKind::MsgSend`]/[`MsgFetch`](EdgeKind::MsgFetch)/
-//! [`MsgNotify`](EdgeKind::MsgNotify)) exist for the Perfetto arrows and
-//! the sharing analyzer, but land on NIC tracks the walk never visits;
+//! [`MsgNotify`](EdgeKind::MsgNotify)) exist for the Perfetto arrows,
+//! but land on NIC tracks the walk never visits;
 //! page movement reaches the path through the faulting thread's own
 //! self-lane [`EdgeKind::PageFetch`] edge instead.
 

@@ -5,7 +5,7 @@
 //! is deterministic, so a gated smoke artifact must equal its baseline
 //! byte for byte. [`diff`] is what the gate prints when one does not. It
 //! walks two parsed [`crate::json::Value`] trees (any of the
-//! `BENCH_*.json` artifacts, a [`crate::MetricsSnapshot::to_json`] dump,
+//! `BENCH_*.json` artifacts, a [`crate::MetricsSnapshot`] document,
 //! a critpath report, or a stall profile) in lock-step and emits one
 //! [`DeltaRow`] per *changed numeric leaf*, with both exact values, plus
 //! added/removed paths and changed string/bool labels. It judges
@@ -198,17 +198,35 @@ fn walk(path: &str, a: &Value, b: &Value, out: &mut Diff) {
                 })
             };
             if !xa.is_empty() && !xb.is_empty() && unique(&ids_a) && unique(&ids_b) {
-                for (va, ida) in xa.iter().zip(&ids_a) {
+                let only_a: Vec<usize> = (0..xa.len())
+                    .filter(|&i| !ids_b.contains(&ids_a[i]))
+                    .collect();
+                let only_b: Vec<usize> = (0..xb.len())
+                    .filter(|&j| !ids_a.contains(&ids_b[j]))
+                    .collect();
+                // One element left over on each side is one element whose
+                // identity key itself was edited (`procs` 8 -> 9): walk it
+                // leaf by leaf under the baseline's id, so the edited key
+                // shows as a row instead of a remove and an add.
+                let edited = match (&only_a[..], &only_b[..]) {
+                    (&[i], &[j]) => Some((i, j)),
+                    _ => None,
+                };
+                for (i, (va, ida)) in xa.iter().zip(&ids_a).enumerate() {
                     let ida = ida.as_ref().unwrap();
                     let sub = format!("{path}[{ida}]");
-                    match ids_b.iter().position(|i| i.as_ref() == Some(ida)) {
+                    match ids_b.iter().position(|id| id.as_ref() == Some(ida)) {
                         Some(j) => walk(&sub, va, &xb[j], out),
-                        None => out.removed.push(sub),
+                        None => match edited {
+                            Some((ei, j)) if ei == i => walk(&sub, va, &xb[j], out),
+                            _ => out.removed.push(sub),
+                        },
                     }
                 }
-                for idb in ids_b.iter().flatten() {
-                    if !ids_a.iter().any(|i| i.as_ref() == Some(idb)) {
-                        out.added.push(format!("{path}[{idb}]"));
+                if edited.is_none() {
+                    for j in only_b {
+                        out.added
+                            .push(format!("{path}[{}]", ids_b[j].as_ref().unwrap()));
                     }
                 }
             } else {
@@ -420,6 +438,34 @@ mod tests {
         assert_eq!(d.rows[0].delta, 2.0);
         assert_eq!(d.added, vec!["kernels[kernel=LU]".to_string()]);
         assert!(d.removed.is_empty());
+    }
+
+    #[test]
+    fn an_edited_identity_key_is_a_row() {
+        let a = parse(r#"{"kernels": [{"kernel": "FFT", "procs": 8, "t": 1}, {"kernel": "RADIX", "procs": 8, "t": 5}]}"#)
+            .unwrap();
+        let b = parse(r#"{"kernels": [{"kernel": "FFT", "procs": 8, "t": 1}, {"kernel": "RADIX", "procs": 9, "t": 6}]}"#)
+            .unwrap();
+        let d = diff(&a, &b);
+        let rows: Vec<_> = d
+            .rows
+            .iter()
+            .map(|r| (r.path.as_str(), r.before.as_str(), r.after.as_str()))
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                ("kernels[kernel=RADIX,procs=8].procs", "8", "9"),
+                ("kernels[kernel=RADIX,procs=8].t", "5", "6")
+            ]
+        );
+        assert!(d.added.is_empty() && d.removed.is_empty());
+        // An array grown by one element still reports the new one as added.
+        let c = parse(r#"{"kernels": [{"kernel": "FFT", "procs": 8, "t": 1}, {"kernel": "RADIX", "procs": 8, "t": 5}, {"kernel": "LU", "procs": 8, "t": 2}]}"#)
+            .unwrap();
+        let d = diff(&a, &c);
+        assert!(d.rows.is_empty() && d.removed.is_empty());
+        assert_eq!(d.added, ["kernels[kernel=LU,procs=8]"]);
     }
 
     #[test]

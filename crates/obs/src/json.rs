@@ -469,6 +469,32 @@ impl Value {
         }
     }
 
+    /// The member `key` as an exact non-negative integer
+    /// ([`Value::as_u64`]), or an error naming it: the field access of
+    /// the readers that rebuild a typed report from its document.
+    pub fn u64_at(&self, key: &str) -> Result<u64, String> {
+        self.get(key)
+            .and_then(Value::as_u64)
+            .ok_or_else(|| format!("missing {key}"))
+    }
+
+    /// Each element of the array member `key`, read by `read`; an error
+    /// is prefixed with the element's path (`pages[3]: missing faults`).
+    pub fn each<T>(
+        &self,
+        key: &str,
+        read: impl Fn(&Value) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let arr = self
+            .get(key)
+            .and_then(Value::as_arr)
+            .ok_or_else(|| format!("missing {key}"))?;
+        arr.iter()
+            .enumerate()
+            .map(|(i, x)| read(x).map_err(|e| format!("{key}[{i}]: {e}")))
+            .collect()
+    }
+
     /// The value as one compact line ([`line`]). Numbers print as their
     /// tokens, so a parse→write round trip is lossless.
     pub fn to_json(&self) -> String {

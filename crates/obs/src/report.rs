@@ -72,29 +72,49 @@ pub fn layer_breakdown(s: &MetricsSnapshot) -> String {
     out
 }
 
-/// Renders the busiest pages ("why did this page bounce?"), most active
-/// first, at most `top` rows.
+/// Renders the pages most shared first, at most `top` rows ("why did
+/// this page bounce?"): sharers descending, then traffic (fetches +
+/// diffs + invalidations) descending, then page index — with the diffed
+/// bytes and fetch waits each page cost.
 pub fn hot_pages(s: &MetricsSnapshot, top: usize) -> String {
     let mut pages = s.pages.clone();
     pages.sort_by_key(|p| {
         (
-            std::cmp::Reverse(p.faults + p.fetches + p.diffs + p.invals + p.migrates),
+            std::cmp::Reverse(p.sharers),
+            std::cmp::Reverse(p.fetches + p.diffs + p.invals),
             p.page,
         )
     });
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<10} {:>8} {:>8} {:>8} {:>8} {:>9} {:>8} {:>9}",
-        "page", "faults", "fetches", "diffs", "invals", "migrates", "sharers", "handoffs"
-    );
-    let _ = writeln!(out, "{}", "-".repeat(75));
+    let mut out = format!("{:<10}", "page");
+    for col in [
+        "sharers",
+        "faults",
+        "fetches",
+        "diffs",
+        "invals",
+        "migrates",
+        "handoffs",
+        "diff_B",
+        "fetch_wait",
+    ] {
+        let _ = write!(out, " {col:>10}");
+    }
+    let _ = writeln!(out, "\n{}", "-".repeat(10 + 11 * 9));
     for p in pages.iter().take(top) {
-        let _ = writeln!(
-            out,
-            "p{:<9} {:>8} {:>8} {:>8} {:>8} {:>9} {:>8} {:>9}",
-            p.page, p.faults, p.fetches, p.diffs, p.invals, p.migrates, p.sharers, p.handoffs
-        );
+        let _ = write!(out, "p{:<9}", p.page);
+        for v in [
+            u64::from(p.sharers),
+            p.faults,
+            p.fetches,
+            p.diffs,
+            p.invals,
+            p.migrates,
+            p.handoffs,
+            p.diff_bytes,
+        ] {
+            let _ = write!(out, " {v:>10}");
+        }
+        let _ = writeln!(out, " {:>10}", fmt_ns(p.fetch_wait_ns));
     }
     out
 }
@@ -122,12 +142,6 @@ pub fn percentile_table(s: &MetricsSnapshot) -> String {
         );
     }
     out
-}
-
-/// Renders the page-sharing table (folds the snapshot + events through
-/// [`crate::sharing::analyze`]).
-pub fn sharing_table(title: &str, s: &MetricsSnapshot, events: &[crate::EventRecord]) -> String {
-    crate::sharing::analyze(s, events).render(title, 10)
 }
 
 /// Renders the named gauges (sync high-water marks, `engine.*` scheduling
@@ -237,7 +251,7 @@ pub fn window_table(rows: &[crate::series::WindowRow]) -> String {
 /// pages + gauges (engine telemetry and sync high-water marks).
 pub fn full_report(title: &str, s: &MetricsSnapshot) -> String {
     let mut rep = format!(
-        "=== {title}: latency breakdown (Table-3 style) ===\n{}\n=== {title}: latency percentiles (interpolated, per layer) ===\n{}\n=== {title}: per-node layer decomposition (Fig-5/6 style) ===\n{}\n=== {title}: hottest pages ===\n{}",
+        "=== {title}: latency breakdown (Table-3 style) ===\n{}\n=== {title}: latency percentiles (interpolated, per layer) ===\n{}\n=== {title}: per-node layer decomposition (Fig-5/6 style) ===\n{}\n=== {title}: hottest pages (most shared first) ===\n{}",
         latency_table(s),
         percentile_table(s),
         layer_breakdown(s),
@@ -252,19 +266,6 @@ pub fn full_report(title: &str, s: &MetricsSnapshot) -> String {
     rep
 }
 
-/// [`full_report`] plus the page-sharing ranking (which needs the event
-/// buffer for diff-byte volumes and fetch-wait attribution).
-pub fn full_report_with_events(
-    title: &str,
-    s: &MetricsSnapshot,
-    events: &[crate::EventRecord],
-) -> String {
-    let mut rep = full_report(title, s);
-    rep.push('\n');
-    rep.push_str(&sharing_table(title, s, events));
-    rep
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,17 +275,18 @@ mod tests {
     #[test]
     fn report_renders_all_sections() {
         let mut r = Registry::new();
-        r.aggregate(Layer::San, 0, 7_800, &Event::SanSend { to: 1, bytes: 4 });
+        r.aggregate(Layer::San, 0, 0, 7_800, &Event::SanSend { to: 1, bytes: 4 });
         r.aggregate(
             Layer::Proto,
             1,
+            0,
             0,
             &Event::Fault {
                 page: 3,
                 write: false,
             },
         );
-        r.aggregate(Layer::Sync, 1, 40_000, &Event::LockWait { id: 1 });
+        r.aggregate(Layer::Sync, 1, 0, 40_000, &Event::LockWait { id: 1 });
         let s = r.snapshot(2);
         let rep = full_report("TEST", &s);
         assert!(rep.contains("san.send"));
@@ -295,6 +297,56 @@ mod tests {
         assert!(rep.contains("layer decomposition"));
         assert!(rep.contains("latency percentiles"));
         assert!(rep.contains("sharers"));
+    }
+
+    #[test]
+    fn hot_pages_rank_by_sharers_then_traffic_then_page() {
+        use crate::{EdgeKind, ObsSink};
+        use sim::{NodeId, SimTime};
+        let sink = ObsSink::new();
+        sink.set_enabled(true);
+        let rec = |at: u64, node: u32, event: Event| {
+            sink.instant(
+                Layer::Proto,
+                NodeId(node),
+                1,
+                SimTime::from_nanos(at),
+                event,
+            );
+        };
+        let fault = |page| Event::Fault { page, write: true };
+        // Page 5 ping-pongs between nodes 0 and 1; pages 8, 4 and 2 stay
+        // on node 0, page 8 with one invalidation of traffic, 4 and 2 tied.
+        rec(10, 0, fault(5));
+        rec(20, 1, fault(5));
+        rec(30, 0, fault(5));
+        rec(40, 0, fault(4));
+        rec(41, 0, fault(8));
+        rec(42, 0, fault(2));
+        rec(43, 0, Event::Invalidate { page: 8 });
+        let diff = Event::Diff {
+            page: 5,
+            bytes: 128,
+        };
+        rec(25, 1, diff);
+        let at = |ns| SimTime::from_nanos(ns);
+        let n0 = NodeId(0);
+        sink.edge(EdgeKind::PageFetch, n0, 1, at(10), n0, 1, at(32), 5);
+        let table = hot_pages(&sink.snapshot(), 10);
+        let rows: Vec<Vec<&str>> = table
+            .lines()
+            .skip(2)
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        let order: Vec<&str> = rows.iter().map(|r| r[0]).collect();
+        assert_eq!(order, ["p5", "p8", "p2", "p4"]);
+        // page, sharers, faults, fetches, diffs, invals, migrates,
+        // handoffs, diff_B, fetch_wait
+        assert_eq!(
+            rows[0],
+            ["p5", "2", "3", "0", "1", "0", "0", "2", "128", "22ns"]
+        );
+        assert_eq!(hot_pages(&sink.snapshot(), 1).lines().count(), 3);
     }
 
     #[test]

@@ -24,6 +24,7 @@
 //! | kind `min_ns` / `max_ns`             | level     | last wins     |
 //! | histogram buckets                    | delta     | add           |
 //! | page `faults`/`fetches`/…/`handoffs` | delta     | add           |
+//! | page `diff_bytes` / `fetch_wait_ns`  | delta     | add           |
 //! | page `sharers`                       | level     | last wins     |
 //! | gauges                               | level     | last wins     |
 //! | `dropped_events`                     | level     | last wins     |
@@ -171,6 +172,8 @@ pub fn delta(prev: &MetricsSnapshot, cur: &MetricsSnapshot) -> MetricsSnapshot {
             migrates: pg.migrates - base.migrates,
             sharers: pg.sharers,
             handoffs: pg.handoffs - base.handoffs,
+            diff_bytes: pg.diff_bytes - base.diff_bytes,
+            fetch_wait_ns: pg.fetch_wait_ns - base.fetch_wait_ns,
         });
     }
     let mut pi = 0;
@@ -258,6 +261,8 @@ pub fn fold_into(acc: &mut MetricsSnapshot, d: &MetricsSnapshot) {
                 a.migrates += pg.migrates;
                 a.sharers = pg.sharers;
                 a.handoffs += pg.handoffs;
+                a.diff_bytes += pg.diff_bytes;
+                a.fetch_wait_ns += pg.fetch_wait_ns;
             }
             None => {
                 let at = acc
@@ -533,6 +538,7 @@ mod tests {
             r.aggregate(
                 Layer::Proto,
                 (i % 3) as u32,
+                0,
                 (i as u64) * 7,
                 &Event::Fault {
                     page: (i % 5) as u64,
@@ -547,7 +553,22 @@ mod tests {
     #[test]
     fn delta_then_fold_roundtrips() {
         let (mut r, s1) = snap_after(10);
-        r.aggregate(Layer::San, 1, 7_800, &Event::SanSend { to: 0, bytes: 64 });
+        r.aggregate(
+            Layer::San,
+            1,
+            0,
+            7_800,
+            &Event::SanSend { to: 0, bytes: 64 },
+        );
+        r.aggregate(Layer::Proto, 2, 90, 0, &Event::Diff { page: 1, bytes: 32 });
+        let fetch = Event::Edge {
+            kind: crate::EdgeKind::PageFetch,
+            src_node: 2,
+            src_track: 1,
+            src_ns: 60,
+            obj: 1,
+        };
+        r.aggregate(Layer::Proto, 2, 95, 0, &fetch);
         r.gauge_set("g", 5);
         let s2 = r.snapshot(2);
         let d1 = delta(&empty_snapshot(), &s1);
@@ -556,6 +577,8 @@ mod tests {
         fold_into(&mut acc, &d1);
         fold_into(&mut acc, &d2);
         assert_eq!(acc, s2);
+        let p1 = d2.pages.iter().find(|p| p.page == 1).unwrap();
+        assert_eq!((p1.diff_bytes, p1.fetch_wait_ns), (32, 35));
     }
 
     #[test]

@@ -33,7 +33,7 @@ use std::fmt::Write as _;
 
 use crate::critpath::{flatten, Piece};
 use crate::event::{EdgeKind, Event, EventRecord, NIC_TRACK};
-use crate::json::{ToJson, Writer};
+use crate::json::{ToJson, Value, Writer};
 
 /// The stall buckets, in display order. `Compute` is the residue bucket;
 /// the other seven come from classified spans. Declaration order doubles
@@ -389,6 +389,44 @@ impl StallProfile {
         out
     }
 
+    /// Reconstructs a profile from a parsed [`Value`] tree of the shape
+    /// its [`ToJson`] writes (`totals` and `lifetime_ns` are derived, so
+    /// they are not read) — the `cablestat print` loader. Exact:
+    /// `from_value(&parse(&json::pretty(&p))) == p`.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first missing or mistyped field.
+    pub fn from_value(v: &Value) -> Result<StallProfile, String> {
+        let buckets = |o: &Value| -> Result<[u64; BUCKETS], String> {
+            let mut b = [0u64; BUCKETS];
+            for bk in Bucket::ALL {
+                b[bk as usize] = o.u64_at(bk.name())?;
+            }
+            Ok(b)
+        };
+        let threads = v.each("threads", |t| {
+            Ok(ThreadStall {
+                node: u32::try_from(t.u64_at("node")?).map_err(|_| "node out of range")?,
+                track: t.u64_at("track")?,
+                start_ns: t.u64_at("start_ns")?,
+                end_ns: t.u64_at("end_ns")?,
+                buckets: buckets(t)?,
+            })
+        })?;
+        let slices = v.each("slices", |s| {
+            Ok(Slice {
+                start_ns: s.u64_at("start_ns")?,
+                buckets: buckets(s)?,
+            })
+        })?;
+        Ok(StallProfile {
+            slice_ns: v.u64_at("slice_ns")?,
+            threads,
+            slices,
+        })
+    }
+
     /// Collapsed-stack export: one `node;thread;bucket value` line per
     /// non-zero bucket, ready for `flamegraph.pl` / speedscope.
     pub fn collapsed(&self) -> String {
@@ -573,5 +611,23 @@ mod tests {
         let q = analyze(&evs, 0, 16).unwrap();
         assert_eq!(p, q);
         assert_eq!(crate::json::pretty(&p), crate::json::pretty(&q));
+    }
+
+    #[test]
+    fn from_value_mirrors_to_json() {
+        let evs = vec![
+            span(0, 70, 0, 1, Event::LockWait { id: 7 }, Layer::Sync),
+            span(5, 90, 1, 2, Event::PthBarrierWait { id: 3 }, Layer::Rt),
+            self_edge(1, 2, 10, 30, EdgeKind::PageFetch),
+        ];
+        let p = analyze(&evs, 0, 32).unwrap();
+        assert!(p.slices.len() > 1 && p.threads.len() == 2);
+        let v = crate::json::parse(&crate::json::pretty(&p)).unwrap();
+        assert_eq!(StallProfile::from_value(&v), Ok(p));
+        let no_slices = crate::json::parse(r#"{"slice_ns": 0, "threads": []}"#).unwrap();
+        assert_eq!(
+            StallProfile::from_value(&no_slices).unwrap_err(),
+            "missing slices"
+        );
     }
 }

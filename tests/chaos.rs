@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex as StdMutex};
 use cables_suite::apps::splash::fft;
 use cables_suite::apps::M4System;
 use cables_suite::chaos::{ChaosEngine, ChaosStats, FaultPlan, WireFaults};
-use cables_suite::obs::chrome;
+use cables_suite::obs::{chrome, json};
 use cables_suite::svm::{Cluster, ClusterConfig};
 
 /// One observed FFT run on a 4-node CableS cluster, with an optional
@@ -54,7 +54,7 @@ fn fft_run(
     (
         end.as_nanos(),
         chrome::export(&events),
-        sink.snapshot().to_json(),
+        json::pretty(&sink.snapshot()),
         cluster.chaos().map(|c| c.stats()),
         sys.cables_rt().expect("cables backend").stats(),
         checksum,

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use cables_suite::apps::splash::fft;
 use cables_suite::apps::{M4Mode, M4System};
 use cables_suite::cables::{CablesConfig, CablesRt, ContentionStats};
-use cables_suite::obs::{chrome, Layer};
+use cables_suite::obs::{chrome, json, Layer};
 use cables_suite::svm::{Cluster, ClusterConfig, SvmConfig, SvmSystem};
 
 /// Region size in u64 elements (4 pages).
@@ -101,7 +101,7 @@ fn fft_observed() -> (u64, String, String, usize) {
     (
         end.as_nanos(),
         chrome::export(&events),
-        sink.snapshot().to_json(),
+        json::pretty(&sink.snapshot()),
         edges,
     )
 }
@@ -115,8 +115,8 @@ fn identical_runs_export_identical_artifacts() {
     assert_eq!(a.0, b.0, "SimTime differs between identical runs");
     assert_eq!(a.1, b.1, "Chrome traces differ between identical runs");
     assert_eq!(a.2, b.2, "snapshots differ between identical runs");
-    cables_suite::obs::json::validate(&a.1).expect("chrome trace JSON");
-    cables_suite::obs::json::validate(&a.2).expect("snapshot JSON");
+    json::validate(&a.1).expect("chrome trace JSON");
+    json::validate(&a.2).expect("snapshot JSON");
     // The instrumented kernels record causal edges, and the Chrome export
     // renders each one as a Perfetto flow pair (start + finish).
     assert!(a.3 > 0, "no causal edges recorded by the FFT run");

@@ -16,7 +16,7 @@ use cables_suite::apps::splash::fft;
 use cables_suite::apps::M4System;
 use cables_suite::obs::series::{self, SeriesSummary};
 use cables_suite::obs::stream::{end_line, frame_line, header_line, parse_stream, Stream};
-use cables_suite::obs::{json, Event, Layer, MetricsSnapshot, ObsSink};
+use cables_suite::obs::{json, EdgeKind, Event, Layer, MetricsSnapshot, ObsSink};
 use cables_suite::sim::{NodeId, SimTime};
 use cables_suite::svm::{Cluster, ClusterConfig};
 
@@ -60,7 +60,7 @@ struct Soup {
 
 fn soup_strategy() -> impl Strategy<Value = Vec<Soup>> {
     prop::collection::vec(
-        (0u8..6, 0u32..4, 0u64..3, 0u64..20_000, 0u64..800).prop_map(
+        (0u8..7, 0u32..4, 0u64..3, 0u64..20_000, 0u64..800).prop_map(
             |(kind, node, track, at, dur)| Soup {
                 kind,
                 node,
@@ -129,13 +129,23 @@ fn feed(sink: &ObsSink, s: Soup) {
                 bytes: s.dur,
             },
         ),
-        _ => sink.span(
+        5 => sink.span(
             Layer::Sync,
             node,
             s.track,
             at,
             s.dur,
             Event::LockWait { id: 3 },
+        ),
+        _ => sink.edge(
+            EdgeKind::PageFetch,
+            node,
+            s.track,
+            SimTime::from_nanos(s.at.saturating_sub(s.dur)),
+            node,
+            s.track,
+            at,
+            (s.at % 7) as u64,
         ),
     }
 }
@@ -206,9 +216,10 @@ proptest! {
     }
 
     /// The snapshot's one codec is exact: for ANY event soup, the final
-    /// snapshot written by `to_json`, parsed and read back by `from_value`
-    /// is the same snapshot — including the sharer count of a page that
-    /// only nodes other than node 0 faulted on.
+    /// snapshot written by its `ToJson`, parsed and read back by
+    /// `from_value` is the same snapshot — including the sharer count of
+    /// a page that only nodes other than node 0 faulted on, and each
+    /// page's diffed bytes and fetch waits.
     #[test]
     fn snapshot_json_roundtrip_is_exact(soup in soup_strategy()) {
         let sink = ObsSink::new();
@@ -217,7 +228,7 @@ proptest! {
             feed(&sink, s);
         }
         let snapshot = sink.snapshot();
-        let value = json::parse(&snapshot.to_json()).expect("snapshot JSON parses");
+        let value = json::parse(&json::pretty(&snapshot)).expect("snapshot JSON parses");
         prop_assert_eq!(MetricsSnapshot::from_value(&value), Ok(snapshot));
     }
 }

@@ -22,7 +22,7 @@ use common::{fnv, show};
 use cables_suite::apps::splash::{fft, radix};
 use cables_suite::apps::M4System;
 use cables_suite::chaos::{ChaosEngine, FaultPlan, WireFaults};
-use cables_suite::obs::{canonical_sort, chrome};
+use cables_suite::obs::{canonical_sort, chrome, json};
 use cables_suite::sim::EngineStats;
 use cables_suite::svm::{Cluster, ClusterConfig, SvmConfig, SvmSystem};
 
@@ -201,7 +201,7 @@ fn splash_observe(body: impl FnOnce(&cables_suite::apps::M4Ctx) + Send + 'static
         sys.parallel_ns(),
         events.len(),
         fnv(&chrome::export(&events)),
-        fnv(&sink.snapshot().to_json()),
+        fnv(&json::pretty(&sink.snapshot())),
         format!("{:?}", svm.total_stats()),
         format!("{:?}", cluster.engine.stats()),
     );
@@ -234,11 +234,11 @@ fn splash_kernels_identical_across_modes() {
 }
 
 fn golden_radix() -> Splash {
-    (11049914951, Some(3939996), 2721, 15401063057093611816, 14034056715592507187, "NodeStats { read_faults: 21, write_faults: 99, remote_fetches: 88, fetch_bytes: 360448, diffs_sent: 69, diff_bytes: 78336, notices_applied: 16, placements: 1, migrations: 0, lock_acquires: 0, barrier_waits: 104, diff_batches: 0, batched_diff_bytes: 0 }".into(), "EngineStats { context_switches: 440, threads_spawned: 8, lockless_advances: 9854, sync_fast_path: 214, sync_slow_path: 340, tlb_hits: 0, tlb_misses: 0, ready_reallocs: 0, window_admissible: 0 }".into())
+    (11049914951, Some(3939996), 2721, 15401063057093611816, 17977570592697745669, "NodeStats { read_faults: 21, write_faults: 99, remote_fetches: 88, fetch_bytes: 360448, diffs_sent: 69, diff_bytes: 78336, notices_applied: 16, placements: 1, migrations: 0, lock_acquires: 0, barrier_waits: 104, diff_batches: 0, batched_diff_bytes: 0 }".into(), "EngineStats { context_switches: 440, threads_spawned: 8, lockless_advances: 9854, sync_fast_path: 214, sync_slow_path: 340, tlb_hits: 0, tlb_misses: 0, ready_reallocs: 0, window_admissible: 0 }".into())
 }
 
 fn golden_fft() -> Splash {
-    (11049682365, Some(3885204), 1932, 11987086374669126268, 12301491234228088131, "NodeStats { read_faults: 36, write_faults: 68, remote_fetches: 75, fetch_bytes: 307200, diffs_sent: 54, diff_bytes: 39936, notices_applied: 14, placements: 1, migrations: 0, lock_acquires: 0, barrier_waits: 104, diff_batches: 0, batched_diff_bytes: 0 }".into(), "EngineStats { context_switches: 440, threads_spawned: 8, lockless_advances: 5098, sync_fast_path: 193, sync_slow_path: 340, tlb_hits: 0, tlb_misses: 0, ready_reallocs: 0, window_admissible: 0 }".into())
+    (11049682365, Some(3885204), 1932, 11987086374669126268, 12044274911547102573, "NodeStats { read_faults: 36, write_faults: 68, remote_fetches: 75, fetch_bytes: 307200, diffs_sent: 54, diff_bytes: 39936, notices_applied: 14, placements: 1, migrations: 0, lock_acquires: 0, barrier_waits: 104, diff_batches: 0, batched_diff_bytes: 0 }".into(), "EngineStats { context_switches: 440, threads_spawned: 8, lockless_advances: 5098, sync_fast_path: 193, sync_slow_path: 340, tlb_hits: 0, tlb_misses: 0, ready_reallocs: 0, window_admissible: 0 }".into())
 }
 
 /// `(end_ns, Chrome-export digest, snapshot digest, wire faults, retries,
@@ -246,7 +246,7 @@ fn golden_fft() -> Splash {
 const CHAOS_GOLDEN: (u64, u64, u64, u64, u64, u64, u64) = (
     7262765921,
     8305716914733192344,
-    8629365771862502697,
+    13712823702001410945,
     111,
     2,
     1,
@@ -286,7 +286,7 @@ fn chaos_replay_identical_across_modes() {
     let o = (
         end.as_nanos(),
         fnv(&chrome::export(&sink.events())),
-        fnv(&sink.snapshot().to_json()),
+        fnv(&json::pretty(&sink.snapshot())),
         stats.wire_faults,
         stats.retries,
         stats.recoveries,
