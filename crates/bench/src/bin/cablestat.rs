@@ -40,7 +40,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use obs::diff::diff;
-use obs::json::{line_col, parse, pretty, Num, Value, Writer};
+use obs::json::{line, line_col, parse, pretty, Num, Value, Writer};
 use obs::series::windowed_table;
 use obs::stall::StallProfile;
 use obs::stream::{parse_stream, Stream};
@@ -214,7 +214,7 @@ fn cmd_print(args: &[String], dir: &str) -> ExitCode {
                 match x {
                     Value::Arr(a) => println!("  {k}: [{} element(s)]", a.len()),
                     Value::Obj(o) => println!("  {k}: {{{} field(s)}}", o.len()),
-                    other => println!("  {k}: {}", other.to_json()),
+                    other => println!("  {k}: {}", line(other)),
                 }
             }
         }
@@ -247,7 +247,7 @@ fn cmd_diff(args: &[String], dir: &str) -> ExitCode {
         }
     };
     if as_json {
-        print!("{}", d.to_json());
+        print!("{}", pretty(&d));
     } else {
         let title = format!("{} -> {}", a_path.display(), b_path.display());
         print!("{}", d.render(&title));

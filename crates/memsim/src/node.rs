@@ -26,7 +26,11 @@
 //! holder keeps the old bytes, which is what a stale copy must see until
 //! an acquire invalidates it. Owned and shared bytes sit in two tables,
 //! so an access to owned bytes takes no refcount, no atomic and no extra
-//! branch.
+//! branch. A frame may also be dead: allocated and mapped but holding no
+//! bytes, because its contents are known to be stale
+//! ([`ClusterMem::invalidate`]). A dead frame is never read; only a
+//! landing revives it, and touching it otherwise panics like a freed
+//! frame.
 
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -209,13 +213,16 @@ struct TlbEntry {
 /// borrow.
 struct NodeMem {
     /// Each frame's own bytes, written in place; `None` while the frame is
-    /// free or holds shared bytes.
+    /// free, dead or holds shared bytes.
     frames: Vec<Option<Box<[u8]>>>,
     /// Each frame's shared bytes, which other frames may hold too (handed
     /// over by [`ClusterMem::share_frame`]); `Some` only where `frames` is
     /// `None`. Kept apart from `frames` so that an access to owned bytes
     /// takes no extra branch.
     shared: Vec<Option<Arc<Box<[u8]>>>>,
+    /// Allocated frames that hold no bytes (neither table has them) until
+    /// a landing revives them.
+    dead: Vec<bool>,
     free_frames: Vec<u32>,
     pinned: Vec<bool>,
     page_table: IdMap<u64, Pte>,
@@ -234,6 +241,7 @@ impl NodeMem {
         NodeMem {
             frames: Vec::new(),
             shared: Vec::new(),
+            dead: Vec::new(),
             free_frames: Vec::new(),
             pinned: Vec::new(),
             page_table: IdMap::default(),
@@ -299,7 +307,7 @@ impl NodeMem {
             Some(b) => b,
             None => self.shared[i]
                 .as_deref()
-                .unwrap_or_else(|| freed(frame, what)),
+                .unwrap_or_else(|| self.freed(frame, what)),
         }
     }
 
@@ -320,25 +328,39 @@ impl NodeMem {
     #[inline(never)]
     fn unshare(&mut self, frame: FrameId, what: &str) {
         let i = frame.index as usize;
-        let bytes = self.shared[i].take().unwrap_or_else(|| freed(frame, what));
+        let bytes = self.shared[i]
+            .take()
+            .unwrap_or_else(|| self.freed(frame, what));
         self.frames[i] = Some(Arc::try_unwrap(bytes).unwrap_or_else(|bytes| {
             self.copies += 1;
             Box::from(&bytes[..])
         }));
     }
 
-    /// Drops `frame`'s bytes, own or shared; false if it held none (free).
-    fn clear(&mut self, frame: FrameId) -> bool {
+    /// Drops `frame`'s bytes, own or shared, or its dead mark, for the
+    /// caller to replace; `what` names the operation in the panic if the
+    /// frame is free.
+    fn clear(&mut self, frame: FrameId, what: &str) {
         let i = frame.index as usize;
         let own = self.frames[i].take();
         let shared = self.shared[i].take();
-        own.is_some() || shared.is_some()
+        if own.is_none() && shared.is_none() && !self.dead[i] {
+            self.freed(frame, what);
+        }
+        self.dead[i] = false;
     }
-}
 
-#[cold]
-fn freed(frame: FrameId, what: &str) -> ! {
-    panic!("{what} of freed frame {frame}")
+    /// Panics for an access to `frame`, which holds no bytes: it is free
+    /// or dead.
+    #[cold]
+    fn freed(&self, frame: FrameId, what: &str) -> ! {
+        let state = if self.dead[frame.index as usize] {
+            "dead"
+        } else {
+            "freed"
+        };
+        panic!("{what} of {state} frame {frame}")
+    }
 }
 
 /// Software-TLB hit/miss counters, cluster-wide.
@@ -495,6 +517,7 @@ impl ClusterMem {
         } else {
             n.frames.push(Some(zeroed));
             n.shared.push(None);
+            n.dead.push(false);
             n.pinned.push(false);
             (n.frames.len() - 1) as u32
         };
@@ -509,11 +532,12 @@ impl ClusterMem {
     ///
     /// # Panics
     ///
-    /// Panics if the frame is not allocated (double free).
+    /// Panics if the frame is not allocated (double free); a dead frame is
+    /// allocated.
     pub fn free_frame(&self, frame: FrameId) {
         {
             let mut n = self.shard_must(frame.node).lock();
-            assert!(n.clear(frame), "double free of {frame}");
+            n.clear(frame, "double free");
             if n.pinned[frame.index as usize] {
                 n.pinned[frame.index as usize] = false;
                 n.pinned_bytes -= PAGE_SIZE;
@@ -605,6 +629,31 @@ impl ClusterMem {
             }
             None => Err(MemError::Unmapped(node, page)),
         }
+    }
+
+    /// Invalidates `node`'s copy of `page`: its protection becomes
+    /// `Prot::None` and the frame it maps, if `node` owns it, drops its
+    /// bytes and is dead until a landing revives it. The mapping, the
+    /// simulated memory and the TLB counts stay as they are: the frame is
+    /// found through the page table, in the one node borrow.
+    ///
+    /// # Errors
+    ///
+    /// [`MemError::Unmapped`] if the page has no mapping on `node`.
+    pub fn invalidate(&self, node: NodeId, page: PageNum) -> Result<(), MemError> {
+        let mut n = self.shard_must(node).lock();
+        let pte = n
+            .page_table
+            .get_mut(&page.index())
+            .ok_or(MemError::Unmapped(node, page))?;
+        pte.prot = Prot::None;
+        let frame = pte.frame;
+        n.invalidate_page(page.index());
+        if frame.node == node {
+            n.clear(frame, "invalidation");
+            n.dead[frame.index as usize] = true;
+        }
+        Ok(())
     }
 
     /// Returns `(frame, prot)` for a mapped page (TLB-accelerated).
@@ -845,37 +894,27 @@ impl ClusterMem {
             }
             let bytes = n.shared[i]
                 .as_ref()
-                .unwrap_or_else(|| freed(src, "share_frame"));
+                .unwrap_or_else(|| n.freed(src, "share_frame"));
             Arc::clone(bytes)
         };
         let mut n = self.shard_must(dst.node).lock();
         n.shares += 1;
-        if !n.clear(dst) {
-            freed(dst, "share_frame");
-        }
+        n.clear(dst, "share_frame");
         n.shared[dst.index as usize] = Some(bytes);
     }
 
-    /// Copies the whole of `src` into `dst`'s own bytes, through a stack
-    /// buffer so that no two node borrows are ever held at once. For a
-    /// page that is written next (a write fault's fetch, a migration
-    /// pull): no heap allocation unless `dst` held shared bytes.
+    /// Copies the whole of `src` into new own bytes of `dst`, replacing
+    /// whatever `dst` held: read straight into the new bytes in `src`'s
+    /// borrow, installed in `dst`'s, so no two node borrows are ever held
+    /// at once. For a page that is written next (a write fault's fetch, a
+    /// migration pull).
     pub fn copy_frame(&self, src: FrameId, dst: FrameId) {
-        let mut buf = [0u8; PAGE_SIZE as usize];
-        self.frame_read(src, 0, &mut buf);
+        let mut bytes = vec![0u8; PAGE_SIZE as usize].into_boxed_slice();
+        self.frame_read(src, 0, &mut bytes);
         let mut n = self.shard_must(dst.node).lock();
         n.copies += 1;
-        let i = dst.index as usize;
-        if let Some(own) = n.frames[i].as_deref_mut() {
-            own.copy_from_slice(&buf);
-        } else {
-            // Taking shared bytes private would copy them only to
-            // overwrite them.
-            n.shared[i]
-                .take()
-                .unwrap_or_else(|| freed(dst, "copy_frame"));
-            n.frames[i] = Some(Box::from(buf));
-        }
+        n.clear(dst, "copy_frame");
+        n.frames[dst.index as usize] = Some(bytes);
     }
 }
 
@@ -1156,6 +1195,128 @@ mod tests {
                 copies: 1
             }
         );
+    }
+
+    /// Whether `frame` is dead: allocated, holding no bytes.
+    fn is_dead(m: &ClusterMem, frame: FrameId) -> bool {
+        let n = m.shard_must(frame.node).lock();
+        let i = frame.index as usize;
+        n.dead[i] && n.frames[i].is_none() && n.shared[i].is_none()
+    }
+
+    /// Invalidation drops the bytes of the frame the page maps, own or
+    /// shared, and nothing else: the mapping, the simulated memory and the
+    /// TLB counts stay. A page mapping another node's frame only loses its
+    /// protection.
+    #[test]
+    fn invalidation_keeps_the_mapping_and_drops_the_bytes() {
+        let m = mem();
+        let page = PageNum::new(4);
+        let (home, copy) = shared_pair(&m, page);
+        assert_eq!(words(&m, 1, page), [1, 2, 3]);
+        let (stats, tlb) = (m.stats(NodeId(1)), m.tlb_stats());
+        m.invalidate(NodeId(1), page).unwrap();
+        assert!(is_dead(&m, copy));
+        assert_eq!((m.stats(NodeId(1)), m.tlb_stats()), (stats, tlb));
+        assert_eq!(m.translate(NodeId(1), page), Some((copy, Prot::None)));
+        // The home holds its bytes alone again: its write copies nothing.
+        m.write_scalar(NodeId(0), page.base(), 10u64).unwrap();
+        assert_eq!(m.copy_stats().copies, 0);
+
+        let other = PageNum::new(5);
+        m.map_page(NodeId(1), other, home, Prot::Read);
+        m.invalidate(NodeId(1), other).unwrap();
+        assert!(!is_dead(&m, home));
+        assert_eq!(words(&m, 0, page), [10, 2, 3]);
+        assert_eq!(
+            m.invalidate(NodeId(1), PageNum::new(6)),
+            Err(MemError::Unmapped(NodeId(1), PageNum::new(6)))
+        );
+    }
+
+    /// The panic message of `touch` on a dead frame `n0:f0`, mapped
+    /// (inaccessible) at page 4 of node 0.
+    fn dead_frame_panic(touch: impl FnOnce(&ClusterMem, FrameId, PageNum)) -> String {
+        let m = mem();
+        let page = PageNum::new(4);
+        let f = m.alloc_frame(NodeId(0)).unwrap();
+        m.map_page(NodeId(0), page, f, Prot::ReadWrite);
+        m.invalidate(NodeId(0), page).unwrap();
+        let touched = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| touch(&m, f, page)));
+        let msg = touched.expect_err("touching a dead frame panics");
+        *msg.downcast::<String>().expect("a formatted panic message")
+    }
+
+    /// A dead frame is never read: a CPU read or write, a NIC read or a
+    /// share from it panics like an access to a freed frame, naming it.
+    #[test]
+    fn touching_a_dead_frame_panics() {
+        let read = dead_frame_panic(|m, _, page| {
+            m.set_prot(NodeId(0), page, Prot::Read).unwrap();
+            let _ = m.read_scalar::<u64>(NodeId(0), page.base());
+        });
+        assert_eq!(read, "access of dead frame n0:f0");
+        let write = dead_frame_panic(|m, _, page| {
+            m.set_prot(NodeId(0), page, Prot::ReadWrite).unwrap();
+            let _ = m.write_scalar(NodeId(0), page.base(), 1u64);
+        });
+        assert_eq!(write, "access of dead frame n0:f0");
+        let nic = dead_frame_panic(|m, f, _| m.frame_read(f, 0, &mut [0u8; 8]));
+        assert_eq!(nic, "frame_read of dead frame n0:f0");
+        let share = dead_frame_panic(|m, f, _| {
+            let dst = m.alloc_frame(NodeId(1)).unwrap();
+            m.share_frame(f, dst);
+        });
+        assert_eq!(share, "share_frame of dead frame n0:f0");
+    }
+
+    /// Either landing revives a dead frame with its source's bytes.
+    #[test]
+    fn landings_revive_a_dead_frame() {
+        let m = mem();
+        let page = PageNum::new(4);
+        let (home, copy) = shared_pair(&m, page);
+        m.invalidate(NodeId(1), page).unwrap();
+        m.copy_frame(home, copy);
+        m.set_prot(NodeId(1), page, Prot::ReadWrite).unwrap();
+        assert_eq!(words(&m, 1, page), [1, 2, 3]);
+
+        let other = PageNum::new(5);
+        let fresh = m.alloc_frame(NodeId(1)).unwrap();
+        m.map_page(NodeId(1), other, fresh, Prot::Read);
+        m.invalidate(NodeId(1), other).unwrap();
+        assert!(is_dead(&m, fresh));
+        m.share_frame(home, fresh);
+        m.set_prot(NodeId(1), other, Prot::Read).unwrap();
+        assert_eq!(words(&m, 1, other), [1, 2, 3]);
+        assert_eq!(
+            m.copy_stats(),
+            CopyStats {
+                shares: 2,
+                copies: 1
+            }
+        );
+    }
+
+    /// A dead frame is allocated: freeing it is no double free, and its
+    /// index comes back zeroed.
+    #[test]
+    fn freeing_a_dead_frame_succeeds() {
+        let m = mem();
+        let page = PageNum::new(4);
+        let f = m.alloc_frame(NodeId(0)).unwrap();
+        m.map_page(NodeId(0), page, f, Prot::ReadWrite);
+        m.write_scalar(NodeId(0), page.base(), 7u64).unwrap();
+        m.invalidate(NodeId(0), page).unwrap();
+        m.unmap_page(NodeId(0), page);
+        m.free_frame(f);
+        assert_eq!(m.stats(NodeId(0)).used_bytes, 0);
+        let g = m.alloc_frame(NodeId(0)).unwrap();
+        assert_eq!(g, f, "the freed index is reused, zeroed");
+        assert!(!is_dead(&m, g));
+        let mut buf = [0u8; 8];
+        m.frame_read(g, 0, &mut buf);
+        assert_eq!(buf, [0; 8]);
     }
 
     /// A TLB hit on a frame another node owns reads the frame's one copy

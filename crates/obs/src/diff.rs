@@ -23,7 +23,7 @@
 use std::fmt;
 use std::fmt::Write as _;
 
-use crate::json::{self, Fixed, Num, ToJson, Value, Writer};
+use crate::json::{Fixed, Num, ToJson, Value, Writer};
 
 /// Coarse report section a path belongs to, for grouping in the output.
 pub fn section_for(path: &str) -> &'static str {
@@ -328,11 +328,6 @@ impl Diff {
         );
         out
     }
-
-    /// Deterministic JSON of the delta report.
-    pub fn to_json(&self) -> String {
-        json::pretty(self)
-    }
 }
 
 impl ToJson for Diff {
@@ -369,7 +364,7 @@ impl fmt::Display for Diff {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
+    use crate::json::{self, parse};
 
     #[test]
     fn diff_of_identical_is_empty() {
@@ -475,8 +470,8 @@ mod tests {
         let d1 = diff(&a, &b);
         let d2 = diff(&a, &b);
         assert_eq!(d1, d2);
-        assert_eq!(d1.to_json(), d2.to_json());
-        crate::json::validate(&d1.to_json()).expect("diff JSON parses");
+        assert_eq!(json::pretty(&d1), json::pretty(&d2));
+        json::validate(&json::pretty(&d1)).expect("diff JSON parses");
         assert_eq!(d1.labels.len(), 2);
         assert_eq!(d1.added, vec!["x[2]".to_string()]);
     }

@@ -494,12 +494,6 @@ impl Value {
             .map(|(i, x)| read(x).map_err(|e| format!("{key}[{i}]: {e}")))
             .collect()
     }
-
-    /// The value as one compact line ([`line`]). Numbers print as their
-    /// tokens, so a parse→write round trip is lossless.
-    pub fn to_json(&self) -> String {
-        line(self)
-    }
 }
 
 /// Parses one JSON document into a [`Value`] tree.
@@ -779,7 +773,7 @@ mod tests {
         assert!(matches!(&a[1], Value::Num(n) if n.to_f64() == 2.5));
         assert_eq!(a[2].get("b").and_then(Value::as_bool), Some(false));
         // Round trip is deterministic and stays valid.
-        let j = v.to_json();
+        let j = line(&v);
         assert_eq!(parse(&j).unwrap(), v);
         validate(&j).unwrap();
     }
@@ -846,7 +840,7 @@ mod tests {
         let obj = v.as_obj().unwrap();
         assert_eq!(obj.len(), 3);
         assert_eq!(obj[1].1.as_u64(), Some(2));
-        assert_eq!(v.to_json(), "{\"k\":1,\"k\":2,\"j\":3}");
+        assert_eq!(line(&v), "{\"k\":1,\"k\":2,\"j\":3}");
     }
 
     #[test]
@@ -912,7 +906,7 @@ mod tests {
         let s = w.finish();
         assert_eq!(s, r#"{"a":1,"b":[1,2],"c":{},"d":[{"x":"y"},[]],"e":[]}"#);
         assert!(!s.contains('\n'));
-        let text = Value::Str("a\nb".into()).to_json();
+        let text = line(&Value::Str("a\nb".into()));
         assert!(!text.contains('\n'));
         assert_eq!(parse(&text).unwrap(), Value::Str("a\nb".into()));
     }
@@ -943,7 +937,7 @@ mod tests {
             let back = if doc.ends_with('\n') {
                 pretty(&v)
             } else {
-                v.to_json()
+                line(&v)
             };
             assert_eq!(back, doc);
         }

@@ -133,6 +133,11 @@ pub(crate) trait Effects: SyncEffects {
     /// fails with `chunk`), else page by page.
     fn map(&mut self, base: PageNum, frames: &[FrameId], chunk: Option<&str>);
     fn set_prot(&mut self, page: u64, prot: Prot, mapped: &str);
+    /// Makes the copy of `page` inaccessible; the simulator also drops its
+    /// stale bytes (the frame is dead until the next fetch lands).
+    fn invalidate(&mut self, page: u64, mapped: &str) {
+        self.set_prot(page, Prot::None, mapped);
+    }
     /// Imports `region` into this node's NIC, once.
     fn import(&self, _region: RegionId, _what: &'static str) {}
     /// Imports a newly exported `region` into every other node's NIC.
@@ -212,6 +217,12 @@ impl Effects for Real<'_> {
     fn set_prot(&mut self, page: u64, prot: Prot, mapped: &str) {
         let mem = &self.sys.cluster.mem;
         mem.set_prot(self.sim.node(), PageNum::new(page), prot)
+            .expect(mapped);
+    }
+
+    fn invalidate(&mut self, page: u64, mapped: &str) {
+        let mem = &self.sys.cluster.mem;
+        mem.invalidate(self.sim.node(), PageNum::new(page))
             .expect(mapped);
     }
 
@@ -655,10 +666,10 @@ fn ship<E: Effects>(e: &mut E, d: &Diff, batches: &mut DiffBatches) -> SimTime {
     arrival
 }
 
-/// Unmaps the calling node's invalidated copy of a page and records
-/// the instant.
+/// Invalidates the calling node's copy of a page and records the
+/// instant.
 fn invalidate_copy<E: Effects>(e: &mut E, page: u64) {
-    e.set_prot(page, Prot::None, "cached copy mapped");
+    e.invalidate(page, "cached copy mapped");
     e.instant(Proto, e.node(), obs::Event::Invalidate { page });
 }
 

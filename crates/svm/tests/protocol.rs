@@ -2,10 +2,12 @@
 //! multiple-writer merging, lock/barrier behaviour — exercised directly
 //! against the SVM engine in both modes.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::sync::Mutex as StdMutex;
 
 use cables_svm::{Cluster, ClusterConfig, SvmConfig, SvmSystem};
+use memsim::Prot;
 use sim::{NodeId, Sim};
 
 fn system(nodes: usize, cpus: usize, cfg: SvmConfig) -> (Arc<Cluster>, Arc<SvmSystem>) {
@@ -114,6 +116,48 @@ fn read_copy_keeps_the_home_bytes_it_shares_until_acquire() {
         s.lock(sim, 1);
         s.write::<u64>(sim, a, 2);
         s.write::<u64>(sim, a + 8, 20);
+        s.unlock(sim, 1);
+        sim.wait_exit(w);
+    });
+}
+
+#[test]
+fn acquire_leaves_an_invalidated_copy_dead_until_the_refetch() {
+    // The acquire that invalidates the reader's copy drops its bytes: the
+    // frame stays mapped, inaccessible and dead (reading it panics), and
+    // the next read refetches the writer's value into the same frame.
+    let (cluster, sys) = system(2, 1, SvmConfig::cables());
+    let (s, c) = (Arc::clone(&sys), Arc::clone(&cluster));
+    run_root(&cluster, move |sim| {
+        let a = s.g_malloc(sim, 16);
+        s.lock(sim, 1);
+        s.write::<u64>(sim, a, 1);
+        s.unlock(sim, 1);
+        let (s2, c2) = (Arc::clone(&s), Arc::clone(&c));
+        let w = s.create(sim, move |ws| {
+            let (node, page) = (ws.node(), a.page());
+            s2.lock(ws, 1);
+            assert_eq!(s2.read::<u64>(ws, a), 1);
+            s2.unlock(ws, 1);
+            let (frame, _) = c2.mem.translate(node, page).expect("copy mapped");
+            ws.advance(10_000_000);
+            // Let the home's write, at 1 ms, run first.
+            ws.sync_point();
+            s2.lock(ws, 1);
+            assert_eq!(c2.mem.translate(node, page), Some((frame, Prot::None)));
+            let read = catch_unwind(AssertUnwindSafe(|| {
+                c2.mem.frame_read(frame, 0, &mut [0u8; 8]);
+            }));
+            let msg = read.expect_err("the invalidated copy is dead");
+            let msg = msg.downcast::<String>().expect("a formatted panic message");
+            assert_eq!(*msg, format!("frame_read of dead frame {frame}"));
+            assert_eq!(s2.read::<u64>(ws, a), 2, "the refetch lands the new value");
+            assert_eq!(c2.mem.translate(node, page), Some((frame, Prot::Read)));
+            s2.unlock(ws, 1);
+        });
+        sim.advance(1_000_000);
+        s.lock(sim, 1);
+        s.write::<u64>(sim, a, 2);
         s.unlock(sim, 1);
         sim.wait_exit(w);
     });

@@ -51,10 +51,12 @@ cargo fmt --all -- --check
 # registry (no sharing analyzer re-reading the event buffer, no second
 # page ranking beside `report::hot_pages`), and a snapshot or a stall
 # profile one codec each (no hand-rolled or re-parsing snapshot writer,
-# no second stall renderer); a name from those coming back is a
-# regression of the design, not of a number.
+# no second stall renderer), and a JSON document one writer call
+# (`json::line` or `json::pretty`, no `to_json` wrapper of either); a
+# name from those coming back is a regression of the design, not of a
+# number.
 echo "==> no engine-mode / slow-path / migration-policy switches"
-if grep -rnE 'EngineMode|set_mode\(|set_lockless|set_fast_path|set_slow_mode|engine_wall|BENCH_hotpath|migration_threshold|diff_streaks|AdaptParams|with_adapt|series_last_window|credit_sharing|migration_prefetch_grid|FrameRing|merge_frames|overflow_merges|series_start_with|DEFAULT_RING_CAP|StreamExporter|prefetch_confirm|DEFAULT_SAMPLE_NS|prefetch_degree|lock_forwarding|lock_forward_hot|with_protocol_opts|PrefetchMasked|LockForward|fetch_multi|BatchFetch|acquire_on_lock|crash_purge_waiter|crash_handoff_locks|crash_handoff_rwlocks|crash_release_ready_barriers|crash_add_discount|crashed_discount|retire_self|thread_create_near|cond_wait_for|PlacementPolicy|placement_policy|with_placement_policy|ChunkSharing|chunk_sharing|note_chunk_traffic|policy_considered|policy_migrations|pingpong_handoffs|release_begin|FrameSlot|bump_epoch|sync_point_scoped|op_point_scoped|set_lookahead|lookahead_ns|ReadyShards|push_ready_scoped|pend_scope|peek_ready_shard|sim::Scope|Scope::ALL|BENCH_critpath|BENCH_protocol\.json|BENCH_placement|--bench (critpath|protocol_opt|placement|fig6)\b|SvmCosts|CablesCosts|copy_per_byte_ns|NodeFault|CABLES_OBS_SAMPLE_NS|sample_ns_from_env|charge\(\||fn charge\(&self, cost:|CABLES_OBS_CAP|obs_cap_override|nodes_mask|cmd_tail|PERFGATE_ABS|PERFGATE_REL|Thresholds|direction_for|gate_verdict|explain_diff|CauseKind|first_divergent_window|cmd_explain|warn_if_stale|StreamRow|SharingReport|PageSharing|sharing::analyze|sharing_table|full_report_with_events|render_stall_value|fn to_value' \
+if grep -rnE 'EngineMode|set_mode\(|set_lockless|set_fast_path|set_slow_mode|engine_wall|BENCH_hotpath|migration_threshold|diff_streaks|AdaptParams|with_adapt|series_last_window|credit_sharing|migration_prefetch_grid|FrameRing|merge_frames|overflow_merges|series_start_with|DEFAULT_RING_CAP|StreamExporter|prefetch_confirm|DEFAULT_SAMPLE_NS|prefetch_degree|lock_forwarding|lock_forward_hot|with_protocol_opts|PrefetchMasked|LockForward|fetch_multi|BatchFetch|acquire_on_lock|crash_purge_waiter|crash_handoff_locks|crash_handoff_rwlocks|crash_release_ready_barriers|crash_add_discount|crashed_discount|retire_self|thread_create_near|cond_wait_for|PlacementPolicy|placement_policy|with_placement_policy|ChunkSharing|chunk_sharing|note_chunk_traffic|policy_considered|policy_migrations|pingpong_handoffs|release_begin|FrameSlot|bump_epoch|sync_point_scoped|op_point_scoped|set_lookahead|lookahead_ns|ReadyShards|push_ready_scoped|pend_scope|peek_ready_shard|sim::Scope|Scope::ALL|BENCH_critpath|BENCH_protocol\.json|BENCH_placement|--bench (critpath|protocol_opt|placement|fig6)\b|SvmCosts|CablesCosts|copy_per_byte_ns|NodeFault|CABLES_OBS_SAMPLE_NS|sample_ns_from_env|charge\(\||fn charge\(&self, cost:|CABLES_OBS_CAP|obs_cap_override|nodes_mask|cmd_tail|PERFGATE_ABS|PERFGATE_REL|Thresholds|direction_for|gate_verdict|explain_diff|CauseKind|first_divergent_window|cmd_explain|warn_if_stale|StreamRow|SharingReport|PageSharing|sharing::analyze|sharing_table|full_report_with_events|render_stall_value|fn to_value|fn to_json' \
         crates/ src/ tests/ examples/ scripts/ --exclude=tier1.sh; then
     echo "tier1: a deleted switch is back (see above)" >&2
     exit 1

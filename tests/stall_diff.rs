@@ -265,7 +265,7 @@ proptest! {
 
         let d1 = diff(&av, &bv);
         let d2 = diff(&av, &bv);
-        prop_assert_eq!(d1.to_json(), d2.to_json(), "diff is not deterministic");
+        prop_assert_eq!(json::pretty(&d1), json::pretty(&d2), "diff is not deterministic");
     }
 }
 
